@@ -128,7 +128,6 @@ pub struct SkueueBuilder<T: Payload = u64> {
     shards: usize,
     delivery: DeliveryModel,
     shuffle_node_order: Option<bool>,
-    record_trace: bool,
     threads: usize,
     middle_fingers: bool,
     trace: TraceLevel,
@@ -151,7 +150,6 @@ impl<T: Payload> Default for SkueueBuilder<T> {
             shards: 1,
             delivery: DeliveryModel::Synchronous,
             shuffle_node_order: None,
-            record_trace: false,
             threads: 1,
             middle_fingers: false,
             trace: TraceLevel::Off,
@@ -305,13 +303,6 @@ impl<T: Payload> SkueueBuilder<T> {
         self
     }
 
-    /// Records an event trace of the simulation (costs memory; intended for
-    /// tests and debugging).
-    pub fn record_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// Number of OS worker threads the round loop runs anchor-shard lanes
     /// on.  `1` (the default) selects the single-threaded backend; `n > 1`
     /// runs each shard's lane on a persistent worker thread behind a
@@ -344,9 +335,7 @@ impl<T: Payload> SkueueBuilder<T> {
     /// lane-local buffers and merged deterministically; [`TraceLevel::Full`]
     /// adds one event per DHT routing hop.  Tracing is observation-only:
     /// histories are byte-identical at every level, and the off path is a
-    /// single branch on a `Copy` enum (no buffer allocated).  Distinct from
-    /// [`record_trace`](Self::record_trace), which captures the simulator's
-    /// message-level debug trace.
+    /// single branch on a `Copy` enum (no buffer allocated).
     pub fn trace(mut self, level: TraceLevel) -> Self {
         self.trace = level;
         self
@@ -387,7 +376,6 @@ impl<T: Payload> SkueueBuilder<T> {
             seed: self.seed,
             delivery: self.delivery,
             shuffle_node_order: self.shuffle_node_order.unwrap_or(!synchronous),
-            record_trace: self.record_trace,
             max_rounds: 0,
         }
     }

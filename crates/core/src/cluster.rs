@@ -52,7 +52,7 @@ use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
 use crate::messages::SkueueMsg;
-use crate::node::SkueueNode;
+use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
 use skueue_dht::{LoadStats, Payload};
@@ -70,6 +70,7 @@ use skueue_trace::{
 use skueue_verify::{History, OpKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Source of per-instance cluster ids, stamped into every [`OpTicket`] so a
 /// ticket can never resolve against a cluster other than the one that
@@ -210,9 +211,11 @@ pub struct SkueueCluster<T: Payload = u64> {
     hasher: LabelHasher,
     /// Deterministic process→shard assignment (cached splittable hashing).
     router: ShardRouter,
-    /// Per-shard distance-halving bit budget (derived from each shard's
-    /// initial size unless the configuration pins an explicit budget).
-    shard_bit_budgets: Vec<u32>,
+    /// Per-shard node configuration, shared by the shard's nodes: the
+    /// deployment's configuration with the shard's distance-halving bit
+    /// budget (derived from the shard's initial size unless the
+    /// configuration pins an explicit budget).
+    shard_cfgs: Vec<Arc<ProtocolConfig>>,
     processes: Vec<ProcessHandle>,
     index_of: HashMap<ProcessId, usize>,
     history: History<T>,
@@ -301,15 +304,14 @@ impl<T: Payload> SkueueCluster<T> {
         // Per-shard routing budget: an explicit configuration applies
         // everywhere; otherwise each shard derives it from its own size
         // (shorter distance-halving routes inside smaller shard cycles).
-        let explicit_budget = cfg.bit_budget != 0;
-        let shard_bit_budgets: Vec<u32> = groups
+        let shard_cfgs: Vec<Arc<ProtocolConfig>> = groups
             .iter()
             .map(|group| {
-                if explicit_budget {
-                    cfg.bit_budget
-                } else {
-                    recommended_bit_budget(group.len().max(1))
+                let mut node_cfg = cfg;
+                if cfg.bit_budget == 0 {
+                    node_cfg.bit_budget = recommended_bit_budget(group.len().max(1));
                 }
+                Arc::new(node_cfg)
             })
             .collect();
         // The stored cfg keeps the whole-system derivation for introspection
@@ -346,8 +348,7 @@ impl<T: Payload> SkueueCluster<T> {
                 .as_ref()
                 .expect("pid was grouped into this shard");
             let anchor_vid = topology.anchor();
-            let mut node_cfg = cfg;
-            node_cfg.bit_budget = shard_bit_budgets[shard as usize];
+            let node_cfg = &shard_cfgs[shard as usize];
             let mut nodes = [NodeId(0); 3];
             for kind in VKind::ALL {
                 let vid = VirtualId::new(pid, kind);
@@ -360,7 +361,8 @@ impl<T: Payload> SkueueCluster<T> {
                         .local_view(vid, &node_of)
                         .expect("vid from own topology")
                 };
-                let mut node = SkueueNode::<T>::new(node_cfg, shard, view, vid == anchor_vid);
+                let mut node =
+                    SkueueNode::<T>::new(Arc::clone(node_cfg), shard, view, vid == anchor_vid);
                 // Tag the recorder with the dense node index (known ahead of
                 // registration thanks to the dense id scheme above).
                 node.trace_recorder_mut().attach(node_of(vid).0, shard);
@@ -389,7 +391,7 @@ impl<T: Payload> SkueueCluster<T> {
             cfg,
             hasher,
             router,
-            shard_bit_budgets,
+            shard_cfgs,
             processes,
             index_of,
             history: History::new(),
@@ -586,42 +588,26 @@ impl<T: Payload> SkueueCluster<T> {
     /// Histogram of the sizes of every batch sent in the system
     /// (Theorem 18 / Theorem 20).
     pub fn batch_size_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for (_, node) in self.sim.iter() {
-            h.merge(&node.stats().batch_sizes);
-        }
-        h
+        self.sim.observed(series::BATCH_SIZES)
     }
 
     /// Histogram of DHT routing hop counts per operation (Lemma 3; the
     /// `hops_per_op` view of Stage 4).
     pub fn dht_hop_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for (_, node) in self.sim.iter() {
-            h.merge(&node.stats().dht_hops);
-        }
-        h
+        self.sim.observed(series::DHT_HOPS)
     }
 
     /// Histogram of DHT operations carried per `DhtBatch` message — the
     /// direct measure of the per-destination coalescing win (mean ≫ 1 means
     /// routed ops actually share hops).
     pub fn dht_ops_per_message_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for (_, node) in self.sim.iter() {
-            h.merge(&node.stats().dht_ops_per_message);
-        }
-        h
+        self.sim.observed(series::DHT_OPS_PER_MESSAGE)
     }
 
     /// Histogram of per-node aggregation waves in flight, sampled whenever a
     /// wave is opened (`max ≥ 2` shows the pipeline overlapping waves).
     pub fn waves_in_flight_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for (_, node) in self.sim.iter() {
-            h.merge(&node.stats().waves_in_flight);
-        }
-        h
+        self.sim.observed(series::WAVES_IN_FLIGHT)
     }
 
     /// Total `DhtReply` entries that arrived for a request no node knows —
@@ -944,8 +930,7 @@ impl<T: Payload> SkueueCluster<T> {
                 siblings: [me, me, me],
                 middle_finger: None,
             };
-            let mut node_cfg = self.cfg;
-            node_cfg.bit_budget = self.shard_bit_budgets[shard as usize];
+            let node_cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
             let node = SkueueNode::new_joining(node_cfg, shard, view);
             // Joining nodes live in their shard's lane like everyone else.
             let id = self.sim.add_node_in_lane(shard as usize, node);

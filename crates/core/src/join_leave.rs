@@ -42,13 +42,13 @@ impl<T: Payload> SkueueNode<T> {
     /// Points a joining node at a bootstrap contact; the join request is sent
     /// on its next timeout.
     pub fn set_bootstrap(&mut self, bootstrap: NodeId) {
-        self.bootstrap = Some(bootstrap);
+        self.membership_mut().bootstrap = Some(bootstrap);
     }
 
     /// Asks this node to leave the system.  The leave request is sent to the
     /// predecessor once the node's own outstanding requests have completed.
     pub fn request_leave(&mut self) {
-        self.wants_to_leave = true;
+        self.membership_mut().wants_to_leave = true;
     }
 
     /// True once the node has fully left (drains towards its absorber).
@@ -67,10 +67,13 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Timeout behaviour of a joining node: announce the join once.
     pub(crate) fn joining_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if self.join_sent {
+        let Some(m) = self.membership.as_deref_mut() else {
+            return; // no bootstrap contact yet
+        };
+        if m.join_sent {
             return;
         }
-        if let Some(bootstrap) = self.bootstrap {
+        if let Some(bootstrap) = m.bootstrap {
             let progress = RouteProgress::new(self.view.me.label, self.cfg.bit_budget);
             ctx.send(
                 bootstrap,
@@ -79,21 +82,27 @@ impl<T: Payload> SkueueNode<T> {
                     progress,
                 },
             );
-            self.join_sent = true;
+            m.join_sent = true;
         }
     }
 
     /// Periodic membership work of an active node: (re-)issue a pending leave
     /// request once the node's own requests have drained.
     pub(crate) fn membership_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
+        if self.membership.is_none() {
+            return; // the steady state: no membership duty of any kind
+        }
         self.maybe_complete_deferred_absorb(ctx);
-        if self.wants_to_leave
-            && !self.leave_requested
-            && !self.leave_granted
+        let Some(m) = self.membership.as_deref_mut() else {
+            return;
+        };
+        if m.wants_to_leave
+            && !m.leave_requested
+            && !m.leave_granted
             && self.own_log.is_empty()
             && self.outstanding_gets.is_empty()
-            && self.pending_leavers.is_empty()
-            && self.joiners.is_empty()
+            && m.pending_leavers.is_empty()
+            && m.joiners.is_empty()
             && self.anchor.is_none()
         {
             ctx.send(
@@ -102,7 +111,7 @@ impl<T: Payload> SkueueNode<T> {
                     leaver: self.view.me,
                 },
             );
-            self.leave_requested = true;
+            m.leave_requested = true;
         }
     }
 
@@ -124,21 +133,23 @@ impl<T: Payload> SkueueNode<T> {
             }
             SkueueMsg::Integrate { handover } => self.handle_integrate(from, *handover, ctx),
             SkueueMsg::IntegrateAck => {
-                if let Some(update) = self.update.as_mut() {
-                    update.awaiting_integrate_acks =
-                        update.awaiting_integrate_acks.saturating_sub(1);
+                if let Some(m) = self.membership.as_deref_mut() {
+                    if let Some(update) = m.update.as_mut() {
+                        update.awaiting_integrate_acks =
+                            update.awaiting_integrate_acks.saturating_sub(1);
+                    }
+                    m.joiners.retain(|j| j.info.node != from);
                 }
-                self.joiners.retain(|j| j.info.node != from);
                 self.check_update_done(ctx);
             }
             SkueueMsg::LeaveRequest { leaver } => self.handle_leave_request(leaver, ctx),
             SkueueMsg::LeaveGranted => {
-                self.leave_granted = true;
+                self.membership_mut().leave_granted = true;
             }
             SkueueMsg::LeaveDeferred => {
                 // Retry on a later timeout (once the conflicting neighbour has
                 // left, the new predecessor will grant the request).
-                self.leave_requested = false;
+                self.membership_mut().leave_requested = false;
             }
             SkueueMsg::AbsorbRequest => self.handle_absorb_request(from, ctx),
             SkueueMsg::AbsorbData(payload) => self.handle_absorb_data(from, *payload, ctx),
@@ -164,7 +175,7 @@ impl<T: Payload> SkueueNode<T> {
                 self.view.pred = new_pred;
                 // Invariant restoration: if we hold the anchor state but are
                 // no longer the leftmost node, hand the state leftwards.
-                if self.anchor.is_some() && !self.view.is_anchor() && self.update.is_none() {
+                if self.anchor.is_some() && !self.view.is_anchor() && self.update().is_none() {
                     let state = self.anchor.take().expect("checked above");
                     ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
                 }
@@ -173,7 +184,7 @@ impl<T: Payload> SkueueNode<T> {
                 self.view.succ = new_succ;
             }
             SkueueMsg::UpdateFlag { phase } => {
-                if matches!(self.role, Role::Active) && self.update.is_none() && !self.suspended {
+                if matches!(self.role, Role::Active) && self.update().is_none() && !self.suspended {
                     self.enter_update_phase(phase, Some(from), ctx);
                 } else {
                     // Still busy with an older phase, flagged twice across a
@@ -186,7 +197,7 @@ impl<T: Payload> SkueueNode<T> {
                 }
             }
             SkueueMsg::UpdateAck { phase } => {
-                if let Some(update) = self.update.as_mut() {
+                if let Some(update) = self.update_mut() {
                     if update.phase == phase {
                         update.awaiting_child_acks.retain(|&c| c != from);
                     }
@@ -223,14 +234,15 @@ impl<T: Payload> SkueueNode<T> {
             }
             RouteAction::Deliver => {
                 // This node is responsible for the joiner.
-                if self.joiners.iter().any(|j| j.info.node == joiner.node) {
+                let m = self.membership_mut();
+                if m.joiners.iter().any(|j| j.info.node == joiner.node) {
                     return; // duplicate announcement
                 }
-                self.joiners.push(JoinerRecord {
+                m.joiners.push(JoinerRecord {
                     info: joiner,
                     handed_over: false,
                 });
-                self.pending_join_count += 1;
+                m.pending_join_count += 1;
             }
         }
     }
@@ -238,10 +250,10 @@ impl<T: Payload> SkueueNode<T> {
     /// Splices all joiners this node is responsible for into the cycle and
     /// hands each its share of the DHT data.  Called during the update phase.
     fn integrate_joiners(&mut self, ctx: &mut Context<SkueueMsg<T>>) -> usize {
-        if self.joiners.is_empty() {
+        let Some(m) = self.membership.as_deref_mut() else {
             return 0;
-        }
-        let mut joiners: Vec<JoinerRecord> = self
+        };
+        let mut joiners: Vec<JoinerRecord> = m
             .joiners
             .iter()
             .filter(|j| !j.handed_over)
@@ -260,8 +272,11 @@ impl<T: Payload> SkueueNode<T> {
         // Hand out the data and the final neighbour pointers.  Remember the
         // joiners so the phase-ending `UpdateOver` reaches them even if
         // their `SiblingStatus` races the broadcast at their tree parents.
-        self.integrated_joiners
+        m.integrated_joiners
             .extend(joiners.iter().map(|j| j.info.node));
+        for j in &mut m.joiners {
+            j.handed_over = true;
+        }
         let count = joiners.len();
         for (i, j) in joiners.iter().enumerate() {
             let pred = if i == 0 {
@@ -302,9 +317,6 @@ impl<T: Payload> SkueueNode<T> {
             // joiner becomes our predecessor.
             self.view.pred = joiners[count - 1].info;
         }
-        for j in &mut self.joiners {
-            j.handed_over = true;
-        }
         count
     }
 
@@ -313,7 +325,7 @@ impl<T: Payload> SkueueNode<T> {
         lo: Label,
         hi: Label,
     ) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
-        let hasher = self.hasher;
+        let hasher = self.cfg.hasher();
         self.store
             .extract_range_with_keys(lo, hi, |position| hasher.position_key(position))
     }
@@ -339,9 +351,13 @@ impl<T: Payload> SkueueNode<T> {
                 },
             );
         }
-        // Re-route DHT operations that arrived while we were not yet part of
-        // the cycle (coalesced with everything else this visit routes).
-        for routed in std::mem::take(&mut self.deferred_dht) {
+        // The join is over: forget what was kept for it, and re-route the
+        // DHT operations that arrived while we were not yet part of the
+        // cycle (coalesced with everything else this visit routes).
+        let m = self.membership_mut();
+        m.bootstrap = None;
+        m.join_sent = false;
+        for routed in std::mem::take(&mut m.deferred_dht) {
             self.dispatch_dht(routed.op, routed.progress, ctx);
         }
         // Tell the sibling virtual nodes of this process that we are now an
@@ -371,13 +387,11 @@ impl<T: Payload> SkueueNode<T> {
     /// A handed-over joiner whose integration message may still be in flight
     /// is the true owner of keys in its range; forward operations to it.
     pub(crate) fn joiner_responsible_for(&self, key: Label) -> Option<NodeId> {
-        if self.joiners.is_empty() {
-            return None;
-        }
+        let joiners = &self.membership()?.joiners;
         let me = self.view.me.label;
         // The best candidate is the handed-over joiner with the largest label
         // that is still ≤ key (in ring order starting from this node).
-        self.joiners
+        joiners
             .iter()
             .filter(|j| j.handed_over)
             .filter(|j| {
@@ -395,23 +409,20 @@ impl<T: Payload> SkueueNode<T> {
     fn handle_leave_request(&mut self, leaver: NeighborInfo, ctx: &mut Context<SkueueMsg<T>>) {
         // Leftmost-leaves-first priority: if we want to leave ourselves and
         // are to the left of the requester, it has to wait for us.
-        if self.wants_to_leave {
+        let m = self.membership_mut();
+        if m.wants_to_leave {
             ctx.send(leaver.node, SkueueMsg::LeaveDeferred);
             return;
         }
-        if self
-            .pending_leavers
-            .iter()
-            .any(|l| l.info.node == leaver.node)
-        {
+        if m.pending_leavers.iter().any(|l| l.info.node == leaver.node) {
             ctx.send(leaver.node, SkueueMsg::LeaveGranted);
             return;
         }
-        self.pending_leavers.push(LeaverRecord {
+        m.pending_leavers.push(LeaverRecord {
             info: leaver,
             absorb_requested: false,
         });
-        self.pending_leave_count += 1;
+        m.pending_leave_count += 1;
         ctx.send(leaver.node, SkueueMsg::LeaveGranted);
     }
 
@@ -422,12 +433,12 @@ impl<T: Payload> SkueueNode<T> {
     /// `SkueueNode::try_drain_wave`) guarantees in-flight waves keep moving
     /// even below suspended ancestors, so deferring is always temporary.
     fn ready_to_be_absorbed(&self) -> bool {
-        self.slots.is_empty() && self.update.as_ref().map(|u| u.acked).unwrap_or(true)
+        self.slots.is_empty() && self.update().map(|u| u.acked).unwrap_or(true)
     }
 
     fn handle_absorb_request(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
         if !self.ready_to_be_absorbed() {
-            self.absorb_deferred = Some(from);
+            self.membership_mut().absorb_deferred = Some(from);
             return;
         }
         self.send_absorb_data(from, ctx);
@@ -437,7 +448,11 @@ impl<T: Payload> SkueueNode<T> {
     /// every timeout).
     pub(crate) fn maybe_complete_deferred_absorb(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         if self.ready_to_be_absorbed() {
-            if let Some(absorber) = self.absorb_deferred.take() {
+            let deferred = self
+                .membership
+                .as_deref_mut()
+                .and_then(|m| m.absorb_deferred.take());
+            if let Some(absorber) = deferred {
                 self.send_absorb_data(absorber, ctx);
             }
         }
@@ -450,7 +465,7 @@ impl<T: Payload> SkueueNode<T> {
         let child_batches: Vec<(NodeId, u64, Batch)> = self.child_batches.drain_all();
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale.
-        let joiners: Vec<NeighborInfo> = std::mem::take(&mut self.joiners)
+        let joiners: Vec<NeighborInfo> = std::mem::take(&mut self.membership_mut().joiners)
             .into_iter()
             .filter(|j| !j.handed_over)
             .map(|j| j.info)
@@ -500,13 +515,14 @@ impl<T: Payload> SkueueNode<T> {
         }
         // Take over the leaver's pending joiners and re-count them so a
         // future update phase integrates them here.
+        let m = self.membership_mut();
         for info in payload.joiners {
-            if !self.joiners.iter().any(|j| j.info.node == info.node) {
-                self.joiners.push(JoinerRecord {
+            if !m.joiners.iter().any(|j| j.info.node == info.node) {
+                m.joiners.push(JoinerRecord {
                     info,
                     handed_over: false,
                 });
-                self.pending_join_count += 1;
+                m.pending_join_count += 1;
             }
         }
         // Splice the leaver out of the cycle.  The leaver is *usually* still
@@ -564,11 +580,12 @@ impl<T: Payload> SkueueNode<T> {
         if let Some(state) = payload.anchor {
             ctx.send(self.view.succ.node, SkueueMsg::AnchorTransfer { state });
         }
-        self.pending_leavers.retain(|l| l.info.node != from);
+        let m = self.membership_mut();
+        m.pending_leavers.retain(|l| l.info.node != from);
         // The leaver is out of the new tree; remember it so the phase-ending
         // `UpdateOver` still reaches its old subtree through it.
-        self.absorbed_leavers.push(from);
-        if let Some(update) = self.update.as_mut() {
+        m.absorbed_leavers.push(from);
+        if let Some(update) = m.update.as_mut() {
             update.awaiting_absorb_data = update.awaiting_absorb_data.saturating_sub(1);
         }
         self.check_update_done(ctx);
@@ -617,20 +634,15 @@ impl<T: Payload> SkueueNode<T> {
         let integrated = self.integrate_joiners(ctx);
         // Ask granted leavers for their state.
         let mut absorb_requests = 0;
-        let leavers: Vec<NodeId> = self
-            .pending_leavers
-            .iter()
-            .filter(|l| !l.absorb_requested)
-            .map(|l| l.info.node)
-            .collect();
-        for leaver in leavers {
-            ctx.send(leaver, SkueueMsg::AbsorbRequest);
-            absorb_requests += 1;
+        let m = self.membership_mut();
+        for l in &mut m.pending_leavers {
+            if !l.absorb_requested {
+                ctx.send(l.info.node, SkueueMsg::AbsorbRequest);
+                absorb_requests += 1;
+                l.absorb_requested = true;
+            }
         }
-        for l in &mut self.pending_leavers {
-            l.absorb_requested = true;
-        }
-        self.update = Some(UpdatePhase {
+        m.update = Some(UpdatePhase {
             phase,
             awaiting_child_acks,
             old_parent,
@@ -644,25 +656,18 @@ impl<T: Payload> SkueueNode<T> {
     /// Checks whether this node has finished all update-phase duties and can
     /// acknowledge to its old parent (or, at the anchor, end the phase).
     pub(crate) fn check_update_done(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        let done = match self.update.as_ref() {
-            Some(u) => {
-                !u.acked
-                    && u.awaiting_child_acks.is_empty()
-                    && u.awaiting_integrate_acks == 0
-                    && u.awaiting_absorb_data == 0
-            }
-            None => false,
+        let Some(u) = self.update_mut() else {
+            return;
         };
+        let done = !u.acked
+            && u.awaiting_child_acks.is_empty()
+            && u.awaiting_integrate_acks == 0
+            && u.awaiting_absorb_data == 0;
         if !done {
             return;
         }
-        let (old_parent, phase) = match self.update.as_ref() {
-            Some(u) => (u.old_parent, u.phase),
-            None => return,
-        };
-        if let Some(update) = self.update.as_mut() {
-            update.acked = true;
-        }
+        u.acked = true;
+        let (old_parent, phase) = (u.old_parent, u.phase);
         match old_parent {
             Some(parent) => ctx.send(parent, SkueueMsg::UpdateAck { phase }),
             None => self.finish_update_phase(phase, ctx),
@@ -694,7 +699,7 @@ impl<T: Payload> SkueueNode<T> {
         // this node is participating in.  The bounded model check must find
         // that wedge (see `crates/model/tests/mutation_gate.rs`).
         #[cfg(not(feature = "model-mutation"))]
-        if let Some(update) = self.update.as_ref() {
+        if let Some(update) = self.update() {
             if update.phase > phase {
                 // A delayed end-of-phase message from an *older* phase must
                 // not cancel the younger phase this node is participating in
@@ -706,9 +711,8 @@ impl<T: Payload> SkueueNode<T> {
         // phase, or suspended as a freshly integrated joiner): a stray
         // duplicate must not cascade down the whole subtree again, and a
         // node that skipped the phase has no participants below it.
-        let participating = self.suspended || self.update.is_some();
+        let participating = self.suspended || self.update().is_some();
         self.suspended = false;
-        self.update = None;
         if participating {
             if !self.trace.is_off() {
                 self.trace.emit(TraceEvent::PhaseOver {
@@ -719,16 +723,23 @@ impl<T: Payload> SkueueNode<T> {
             for child in self.tree_children() {
                 ctx.send(child, SkueueMsg::UpdateOver { phase });
             }
+        }
+        // A freshly integrated joiner resumes with no bookkeeping at all.
+        let Some(m) = self.membership.as_deref_mut() else {
+            return;
+        };
+        m.update = None;
+        if participating {
             // Leavers absorbed this phase are no longer anyone's tree child,
             // but their old subtrees may contain nodes only reachable
             // through them (a sibling that could not leave yet); relay the
             // phase end.
-            for leaver in std::mem::take(&mut self.absorbed_leavers) {
+            for leaver in std::mem::take(&mut m.absorbed_leavers) {
                 ctx.send(leaver, SkueueMsg::UpdateOver { phase });
             }
             // Likewise for joiners integrated this phase, whose tree parents
             // may not know them yet (`SiblingStatus` still in flight).
-            for joiner in std::mem::take(&mut self.integrated_joiners) {
+            for joiner in std::mem::take(&mut m.integrated_joiners) {
                 ctx.send(joiner, SkueueMsg::UpdateOver { phase });
             }
         }
@@ -740,14 +751,14 @@ impl<T: Payload> SkueueNode<T> {
         // idempotent: an original announcement increment that has not been
         // flushed into a wave yet, or a duplicate `UpdateOver` delivery,
         // must not double-count the same duty.
-        let missed = self.joiners.iter().filter(|j| !j.handed_over).count() as u64;
-        self.pending_join_count = self.pending_join_count.max(missed);
-        let missed = self
+        let missed = m.joiners.iter().filter(|j| !j.handed_over).count() as u64;
+        m.pending_join_count = m.pending_join_count.max(missed);
+        let missed = m
             .pending_leavers
             .iter()
             .filter(|l| !l.absorb_requested)
             .count() as u64;
-        self.pending_leave_count = self.pending_leave_count.max(missed);
+        m.pending_leave_count = m.pending_leave_count.max(missed);
     }
 
     fn handle_anchor_transfer(&mut self, state: AnchorState, ctx: &mut Context<SkueueMsg<T>>) {

@@ -52,10 +52,10 @@ use skueue_overlay::{
 use skueue_shard::{ShardId, ShardMap};
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
-use skueue_sim::metrics::Histogram;
 use skueue_trace::{TraceEvent, TraceId, TraceLog, TraceRecorder};
 use skueue_verify::{OpKind, OpRecord, OpResult, OrderKey};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Minimum number of rounds between two waves opened by the same node:
 /// letting sub-batches that travel towards a shared ancestor land in the
@@ -117,7 +117,7 @@ impl BatchSource {
 /// have not come back yet.  Only the combined batch's run count is kept —
 /// the runs themselves travelled up in the `Aggregate` message and come back
 /// as `Serve` assignments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct WaveSlot {
     /// This node's wave epoch for the slot.
     pub(crate) epoch: u64,
@@ -127,8 +127,9 @@ pub(crate) struct WaveSlot {
     pub(crate) parent: NodeId,
     /// Number of runs of the combined batch.
     pub(crate) num_runs: usize,
-    /// The memorised combination order for the Stage 3 decomposition.
-    pub(crate) sources: Vec<BatchSource>,
+    /// How many entries of the node's source FIFO belong to this wave (the
+    /// memorised combination order for the Stage 3 decomposition).
+    pub(crate) num_sources: usize,
 }
 
 /// A `Serve` that arrived before the serves of older waves (asynchronous
@@ -197,10 +198,10 @@ impl ChildBatches {
     /// hand-over or a re-parenting, batches from former children must still
     /// be combined and served (by node id) or their senders' wave slots
     /// would never drain.
-    pub(crate) fn pop_oldest_into(&mut self, sources: &mut Vec<BatchSource>) {
+    pub(crate) fn pop_oldest_into(&mut self, sources: &mut VecDeque<BatchSource>) {
         for (child, q) in &mut self.entries {
             if let Some((epoch, batch)) = q.pop_front() {
-                sources.push(BatchSource::Child(*child, epoch, batch));
+                sources.push_back(BatchSource::Child(*child, epoch, batch));
             }
         }
     }
@@ -271,115 +272,12 @@ pub(crate) struct UpdatePhase {
     pub(crate) acked: bool,
 }
 
-/// Counters a node keeps about its own protocol activity.
-#[derive(Debug, Clone, Default)]
-pub struct NodeStats {
-    /// Number of batches this node sent to its parent (or processed as the
-    /// anchor).
-    pub batches_sent: u64,
-    /// Distribution of the sizes of those batches (Theorem 18 / 20).
-    pub batch_sizes: Histogram,
-    /// Number of DHT operations this node issued.
-    pub dht_ops_issued: u64,
-    /// Distribution of DHT routing hop counts per operation, observed at
-    /// delivery (only recorded at the responsible node).
-    pub dht_hops: Histogram,
-    /// Number of `DhtBatch` messages this node sent.
-    pub dht_batches_sent: u64,
-    /// Distribution of DHT operations carried per `DhtBatch` message this
-    /// node sent — the direct measure of the per-destination coalescing win.
-    pub dht_ops_per_message: Histogram,
-    /// Distribution of the number of this node's aggregation waves in flight,
-    /// sampled whenever a wave is opened (`max ≥ 2` means the pipeline
-    /// actually overlapped waves).
-    pub waves_in_flight: Histogram,
-    /// `DhtReply` entries that arrived for a request this node does not know
-    /// — a reply can legitimately race its requester's departure during
-    /// join/leave, so this is a counter rather than an assertion.
-    pub unmatched_dht_replies: u64,
-    /// Number of requests this node generated.
-    pub requests_generated: u64,
-    /// Number of requests resolved by local combining (stack only).
-    pub locally_combined: u64,
-}
-
-/// One virtual node running the Skueue protocol, generic over the element
-/// payload type `T` it stores and routes (the protocol never inspects
-/// payloads — they move through batches, DHT routing and completion records
-/// untouched).
-#[derive(Debug)]
-pub struct SkueueNode<T: Payload = u64> {
-    pub(crate) cfg: ProtocolConfig,
-    pub(crate) hasher: skueue_overlay::LabelHasher,
-    pub(crate) view: LocalView,
-    pub(crate) role: Role,
-    /// The anchor shard this node belongs to (0 in unsharded deployments).
-    /// Everything the node does — its cycle, its aggregation tree, its DHT
-    /// interval, its anchor — lives inside this shard.
-    pub(crate) shard: ShardId,
-    /// The deployment's shard layout (pure function of `(shards,
-    /// hash_seed)`); maps the anchor's shard-local positions into the
-    /// shard's interval of the global position keyspace.
-    pub(crate) shard_map: ShardMap,
-    /// Anchor state, present only at the current shard anchor.
-    pub(crate) anchor: Option<AnchorState>,
-
-    // --- Stage 1 state ------------------------------------------------------
-    pub(crate) own_batch: Batch,
-    pub(crate) own_log: Vec<LocalOp<T>>,
-    pub(crate) child_batches: ChildBatches,
-    /// In-flight waves, oldest first (bounded by the configured pipeline
-    /// depth).
-    pub(crate) slots: VecDeque<WaveSlot>,
-    /// The wave epoch of the most recently opened wave (0 before the first).
-    pub(crate) next_epoch: u64,
-    /// Round in which this node last opened a wave (wave-merging cadence).
-    pub(crate) last_wave_round: u64,
-    /// True while the most recent `Aggregate` has not been confirmed by the
-    /// parent (at most one per channel keeps commits in epoch order).
-    pub(crate) aggregate_unacked: bool,
-    /// Serves that arrived ahead of older waves (asynchronous reordering).
-    pub(crate) serve_stash: Vec<StashedServe>,
-    pub(crate) suspended: bool,
-    /// Pool of batch-source lists, reused across aggregation waves (one
-    /// list per concurrently in-flight wave ends up here once served).
-    pub(crate) sources_pool: Vec<Vec<BatchSource>>,
-    /// Scratch for the Stage 3 run cursors, reused across serves.
-    pub(crate) cursors_scratch: Vec<RunAssignment>,
-    /// Scratch for the node's own run share in Stage 3, reused across serves.
-    pub(crate) runs_scratch: Vec<RunAssignment>,
-
-    // --- Stage 4 state ------------------------------------------------------
-    pub(crate) store: NodeStore<T>,
-    pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
-    pub(crate) outstanding_dht: u64,
-    /// Per-destination coalescing buffer for routed DHT ops; flushed as one
-    /// `DhtBatch` per neighbour at the end of every visit.
-    pub(crate) route_buffer: RouteBuffer<RoutedDhtOp<T>>,
-    /// Per-requester coalescing buffer for GET replies; flushed as one
-    /// `DhtReplyBatch` per requester at the end of every visit.
-    pub(crate) reply_buffer: RouteBuffer<DhtReplyItem<T>>,
-    /// Scratch for satisfied parked GETs, reused across PUT applications.
-    pub(crate) satisfied_scratch: Vec<SatisfiedGet<T>>,
-
-    // --- Stack local combining ----------------------------------------------
-    /// Ids of the unsent pushes eligible for local matching.  Markers only:
-    /// the payloads stay in `own_log` (the matched push is always its last
-    /// entry), so no payload is ever cloned onto this stack.
-    pub(crate) local_stack: Vec<RequestId>,
-    /// Completed-but-unordered combined pairs, keyed by the seq of the own
-    /// request whose order value they must follow.
-    pub(crate) pairs_by_anchor: HashMap<u64, Vec<OpRecord<T>>>,
-    /// Major order value of this node's most recently ordered own request.
-    pub(crate) last_order_major: u64,
-    /// Minor counter for combined pairs anchored at `last_order_major`.
-    pub(crate) minor_counter: u64,
-
-    // --- Membership (Section IV) --------------------------------------------
-    /// Which of the emulating process's three virtual nodes are integrated
-    /// members (indexed by `VKind::index`).  A node only treats integrated
-    /// siblings as aggregation-tree children.
-    pub(crate) sibling_integrated: [bool; 3],
+/// Join/leave/update-phase bookkeeping of a node (Section IV).  Every field
+/// is at its default while membership around the node is stable, so the
+/// node holds this behind an `Option<Box<_>>` that is `None` in steady state
+/// (see [`SkueueNode::release_idle_membership`]).
+#[derive(Debug, Default)]
+pub(crate) struct Membership<T> {
     /// Bootstrap contact used by a joining node to send its `JOIN()` request.
     pub(crate) bootstrap: Option<NodeId>,
     /// Whether the join request has been sent already.
@@ -408,6 +306,170 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) pending_join_count: u64,
     pub(crate) pending_leave_count: u64,
     pub(crate) update: Option<UpdatePhase>,
+}
+
+impl<T> Membership<T> {
+    /// True when every field is back at its default.  Destructured without
+    /// `..` so a new field cannot be forgotten here.
+    fn is_idle(&self) -> bool {
+        let Membership {
+            bootstrap,
+            join_sent,
+            deferred_dht,
+            joiners,
+            pending_leavers,
+            absorb_deferred,
+            integrated_joiners,
+            absorbed_leavers,
+            wants_to_leave,
+            leave_granted,
+            leave_requested,
+            pending_join_count,
+            pending_leave_count,
+            update,
+        } = self;
+        bootstrap.is_none()
+            && !join_sent
+            && deferred_dht.is_empty()
+            && joiners.is_empty()
+            && pending_leavers.is_empty()
+            && absorb_deferred.is_none()
+            && integrated_joiners.is_empty()
+            && absorbed_leavers.is_empty()
+            && !wants_to_leave
+            && !leave_granted
+            && !leave_requested
+            && *pending_join_count == 0
+            && *pending_leave_count == 0
+            && update.is_none()
+    }
+}
+
+/// The stack's local-combining state (Section VI).  Only a node of a
+/// combining stack deployment that has generated a request holds one.
+#[derive(Debug, Default)]
+pub(crate) struct LocalCombining<T> {
+    /// Ids of the unsent pushes eligible for local matching.  Markers only:
+    /// the payloads stay in `own_log` (the matched push is always its last
+    /// entry), so no payload is ever cloned onto this stack.
+    pub(crate) local_stack: Vec<RequestId>,
+    /// Completed-but-unordered combined pairs, keyed by the seq of the own
+    /// request whose order value they must follow.
+    pub(crate) pairs_by_anchor: HashMap<u64, Vec<OpRecord<T>>>,
+    /// Major order value of this node's most recently ordered own request.
+    pub(crate) last_order_major: u64,
+    /// Minor counter for combined pairs anchored at `last_order_major`.
+    pub(crate) minor_counter: u64,
+}
+
+/// Series numbers of the distributions a node reports to its host through
+/// [`Context::observe`] (read back summed over all nodes by the cluster's
+/// `*_histogram()` accessors).
+pub(crate) mod series {
+    /// Sizes of the batches sent up the tree or processed as the anchor
+    /// (Theorem 18 / 20).
+    pub(crate) const BATCH_SIZES: usize = 0;
+    /// DHT routing hop counts per operation, observed at delivery (only
+    /// reported by the responsible node).
+    pub(crate) const DHT_HOPS: usize = 1;
+    /// DHT operations carried per `DhtBatch` message sent — the direct
+    /// measure of the per-destination coalescing win.
+    pub(crate) const DHT_OPS_PER_MESSAGE: usize = 2;
+    /// The sending node's aggregation waves in flight, sampled whenever a
+    /// wave is opened (`max ≥ 2` means the pipeline overlapped waves).
+    pub(crate) const WAVES_IN_FLIGHT: usize = 3;
+}
+
+/// Counters a node keeps about its own protocol activity.  Distributions
+/// (batch sizes, hop counts, …) are not kept per node: a node reports each
+/// sample to its host, and `SkueueCluster::*_histogram()` reads them summed.
+#[derive(Debug, Clone, Default)]
+pub struct NodeStats {
+    /// Number of batches this node sent to its parent (or processed as the
+    /// anchor).
+    pub batches_sent: u64,
+    /// Number of DHT operations this node issued.
+    pub dht_ops_issued: u64,
+    /// Number of `DhtBatch` messages this node sent.
+    pub dht_batches_sent: u64,
+    /// `DhtReply` entries that arrived for a request this node does not know
+    /// — a reply can legitimately race its requester's departure during
+    /// join/leave, so this is a counter rather than an assertion.
+    pub unmatched_dht_replies: u64,
+    /// Number of requests this node generated.
+    pub requests_generated: u64,
+    /// Number of requests resolved by local combining (stack only).
+    pub locally_combined: u64,
+}
+
+/// One virtual node running the Skueue protocol, generic over the element
+/// payload type `T` it stores and routes (the protocol never inspects
+/// payloads — they move through batches, DHT routing and completion records
+/// untouched).
+#[derive(Debug)]
+pub struct SkueueNode<T: Payload = u64> {
+    /// The deployment's configuration with this node's shard's bit budget:
+    /// one copy per shard, shared by its nodes.  The hasher and the shard
+    /// layout are pure functions of it and derived where needed.
+    pub(crate) cfg: Arc<ProtocolConfig>,
+    pub(crate) view: LocalView,
+    pub(crate) role: Role,
+    /// The anchor shard this node belongs to (0 in unsharded deployments).
+    /// Everything the node does — its cycle, its aggregation tree, its DHT
+    /// interval, its anchor — lives inside this shard.
+    pub(crate) shard: ShardId,
+    /// Anchor state, present only at the current shard anchor.
+    pub(crate) anchor: Option<AnchorState>,
+
+    // --- Stage 1 state ------------------------------------------------------
+    pub(crate) own_batch: Batch,
+    pub(crate) own_log: Vec<LocalOp<T>>,
+    pub(crate) child_batches: ChildBatches,
+    /// In-flight waves, oldest first (bounded by the configured pipeline
+    /// depth).
+    pub(crate) slots: VecDeque<WaveSlot>,
+    /// The memorised combination order of every in-flight wave, oldest wave
+    /// first: slot `k` owns the `num_sources` entries that follow those of
+    /// slots `0..k`.  Waves resolve strictly front-first, so one FIFO
+    /// serves all of them.
+    pub(crate) sources: VecDeque<BatchSource>,
+    /// The wave epoch of the most recently opened wave (0 before the first).
+    pub(crate) next_epoch: u64,
+    /// Round in which this node last opened a wave (wave-merging cadence).
+    pub(crate) last_wave_round: u64,
+    /// True while the most recent `Aggregate` has not been confirmed by the
+    /// parent (at most one per channel keeps commits in epoch order).
+    pub(crate) aggregate_unacked: bool,
+    /// Serves that arrived ahead of older waves (asynchronous reordering).
+    pub(crate) serve_stash: Vec<StashedServe>,
+    pub(crate) suspended: bool,
+
+    // --- Stage 4 state ------------------------------------------------------
+    pub(crate) store: NodeStore<T>,
+    pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
+    pub(crate) outstanding_dht: u64,
+    /// Per-destination coalescing buffer for routed DHT ops; flushed as one
+    /// `DhtBatch` per neighbour at the end of every visit.
+    pub(crate) route_buffer: RouteBuffer<RoutedDhtOp<T>>,
+    /// Per-requester coalescing buffer for GET replies; flushed as one
+    /// `DhtReplyBatch` per requester at the end of every visit.
+    pub(crate) reply_buffer: RouteBuffer<DhtReplyItem<T>>,
+    /// Scratch for satisfied parked GETs, reused across PUT applications.
+    pub(crate) satisfied_scratch: Vec<SatisfiedGet<T>>,
+
+    // --- Cold state: absent in the steady state of a queue ----------------------
+    /// Stack local combining (allocated with the node's first request in a
+    /// combining stack deployment, never in queue mode).
+    pub(crate) combining: Option<Box<LocalCombining<T>>>,
+    /// Join/leave/update-phase bookkeeping (Section IV); `None` while
+    /// membership around this node is stable.
+    pub(crate) membership: Option<Box<Membership<T>>>,
+
+    // --- Membership state every visit reads -----------------------------------
+    /// Which of the emulating process's three virtual nodes are integrated
+    /// members (indexed by `VKind::index`).  A node only treats integrated
+    /// siblings as aggregation-tree children.
+    pub(crate) sibling_integrated: [bool; 3],
     /// Highest update phase this node has participated in — the phase
     /// numbers a node enters must be monotone (checked by a `debug_assert`
     /// in `enter_update_phase`; mirrored by the model checker's
@@ -433,63 +495,40 @@ impl<T: Payload> SkueueNode<T> {
     /// view. `shard` is the anchor shard the node's process belongs to;
     /// `is_anchor` must be true exactly for the leftmost node of the shard's
     /// initial topology.
-    pub fn new(cfg: ProtocolConfig, shard: ShardId, view: LocalView, is_anchor: bool) -> Self {
-        let hasher = cfg.hasher();
-        let own_batch = Self::fresh_batch(&cfg);
-        let shard_map = ShardMap::new(cfg.effective_shards() as u32, cfg.hash_seed);
+    pub fn new(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView, is_anchor: bool) -> Self {
         SkueueNode {
+            own_batch: Self::fresh_batch(&cfg),
+            trace: TraceRecorder::new(cfg.trace_level, 0, shard),
             cfg,
-            hasher,
             view,
             role: Role::Active,
             shard,
-            shard_map,
             anchor: if is_anchor {
                 Some(AnchorState::new())
             } else {
                 None
             },
-            own_batch,
             own_log: Vec::new(),
             child_batches: ChildBatches::default(),
             slots: VecDeque::new(),
+            sources: VecDeque::new(),
             next_epoch: 0,
             last_wave_round: 0,
             aggregate_unacked: false,
             serve_stash: Vec::new(),
             suspended: false,
-            sources_pool: Vec::new(),
-            cursors_scratch: Vec::new(),
-            runs_scratch: Vec::new(),
             store: NodeStore::new(),
             outstanding_gets: HashMap::new(),
             outstanding_dht: 0,
             route_buffer: RouteBuffer::new(),
             reply_buffer: RouteBuffer::new(),
             satisfied_scratch: Vec::new(),
-            local_stack: Vec::new(),
-            pairs_by_anchor: HashMap::new(),
-            last_order_major: 0,
-            minor_counter: 0,
+            combining: None,
+            membership: None,
             sibling_integrated: [true; 3],
-            bootstrap: None,
-            join_sent: false,
-            deferred_dht: Vec::new(),
-            joiners: Vec::new(),
-            pending_leavers: Vec::new(),
-            absorb_deferred: None,
-            integrated_joiners: Vec::new(),
-            absorbed_leavers: Vec::new(),
-            wants_to_leave: false,
-            leave_granted: false,
-            leave_requested: false,
-            pending_join_count: 0,
-            pending_leave_count: 0,
-            update: None,
             last_update_phase: 0,
             completed: Vec::new(),
             stats: NodeStats::default(),
-            trace: TraceRecorder::new(cfg.trace_level, 0, shard),
             wave_committed: 0,
         }
     }
@@ -497,7 +536,7 @@ impl<T: Payload> SkueueNode<T> {
     /// Creates a node that starts in the joining state (not yet part of its
     /// shard's cycle); `view` holds the node's own identity with placeholder
     /// neighbours.
-    pub fn new_joining(cfg: ProtocolConfig, shard: ShardId, view: LocalView) -> Self {
+    pub fn new_joining(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView) -> Self {
         let mut node = Self::new(cfg, shard, view, false);
         node.role = Role::Joining { responsible: None };
         // Siblings of a joining process integrate one by one; each announces
@@ -510,6 +549,43 @@ impl<T: Payload> SkueueNode<T> {
         match cfg.mode {
             Mode::Queue => Batch::empty(),
             Mode::Stack => Batch::empty_stack(),
+        }
+    }
+
+    /// The deployment's shard layout (pure function of `(shards,
+    /// hash_seed)`); maps the anchor's shard-local positions into the
+    /// shard's interval of the global position keyspace.
+    fn shard_map(&self) -> ShardMap {
+        ShardMap::new(self.cfg.effective_shards() as u32, self.cfg.hash_seed)
+    }
+
+    /// The membership bookkeeping, if any is outstanding.
+    pub(crate) fn membership(&self) -> Option<&Membership<T>> {
+        self.membership.as_deref()
+    }
+
+    /// The membership bookkeeping, allocated on first use (dropped again by
+    /// [`Self::release_idle_membership`] once nothing is outstanding).
+    pub(crate) fn membership_mut(&mut self) -> &mut Membership<T> {
+        self.membership.get_or_insert_with(Box::default)
+    }
+
+    /// The ongoing update phase at this node, if any.
+    pub(crate) fn update(&self) -> Option<&UpdatePhase> {
+        self.membership()?.update.as_ref()
+    }
+
+    /// Mutable form of [`Self::update`].
+    pub(crate) fn update_mut(&mut self) -> Option<&mut UpdatePhase> {
+        self.membership.as_deref_mut()?.update.as_mut()
+    }
+
+    /// Drops the membership bookkeeping once nothing is outstanding, so a
+    /// node in a stable neighbourhood carries none (checked at the end of
+    /// every visit step; one branch while it is already gone).
+    fn release_idle_membership(&mut self) {
+        if self.membership().is_some_and(Membership::is_idle) {
+            self.membership = None;
         }
     }
 
@@ -579,7 +655,7 @@ impl<T: Payload> SkueueNode<T> {
         (
             self.route_buffer.len(),
             self.reply_buffer.len(),
-            self.deferred_dht.len(),
+            self.membership().map_or(0, |m| m.deferred_dht.len()),
         )
     }
 
@@ -596,7 +672,7 @@ impl<T: Payload> SkueueNode<T> {
     /// The update phase this node is currently participating in, if any
     /// (model-checker conformance projection).
     pub fn update_phase(&self) -> Option<u64> {
-        self.update.as_ref().map(|u| u.phase)
+        self.update().map(|u| u.phase)
     }
 
     /// True while this node's most recent `Aggregate` is unconfirmed — the
@@ -661,7 +737,7 @@ impl<T: Payload> SkueueNode<T> {
             .copied()
             .filter(|c| !self.child_batches.contains(c))
             .collect();
-        let update = match &self.update {
+        let update = match self.update() {
             Some(u) => format!(
                 "update(phase={},child_acks={:?},integrate={},absorb={},acked={})",
                 u.phase,
@@ -673,6 +749,8 @@ impl<T: Payload> SkueueNode<T> {
             None => "no-update".to_string(),
         };
         let slots: Vec<(u64, NodeId)> = self.slots.iter().map(|s| (s.epoch, s.parent)).collect();
+        let idle = Membership::default();
+        let m = self.membership().unwrap_or(&idle);
         format!(
             "{} role={:?} suspended={} anchor={} parent={:?} slots={:?} unacked={} stashed_serves={} queued_child_batches={} children={:?} missing_child_batches={:?} joiners={} leavers={} own_log={} outstanding_gets={} outstanding_dht={} leave(want={},req={},granted={},absorb_deferred={:?}) {}",
             self.view.me.vid,
@@ -686,15 +764,15 @@ impl<T: Payload> SkueueNode<T> {
             self.child_batches.total(),
             children,
             missing,
-            self.joiners.len(),
-            self.pending_leavers.len(),
+            m.joiners.len(),
+            m.pending_leavers.len(),
             self.own_log.len(),
             self.outstanding_gets.len(),
             self.outstanding_dht,
-            self.wants_to_leave,
-            self.leave_requested,
-            self.leave_granted,
-            self.absorb_deferred,
+            m.wants_to_leave,
+            m.leave_requested,
+            m.leave_granted,
+            m.absorb_deferred,
             update
         )
     }
@@ -731,15 +809,11 @@ impl<T: Payload> SkueueNode<T> {
         };
 
         if self.cfg.is_stack() && self.cfg.local_combining {
+            let combining = self.combining.get_or_insert_with(Box::default);
             match kind {
-                BatchOp::Enqueue => {
-                    self.local_stack.push(op.id);
-                    self.own_log.push(op);
-                    self.own_batch.push_op(kind);
-                    return;
-                }
+                BatchOp::Enqueue => combining.local_stack.push(op.id),
                 BatchOp::Dequeue => {
-                    if let Some(push_id) = self.local_stack.pop() {
+                    if let Some(push_id) = combining.local_stack.pop() {
                         // The matched push is necessarily the most recently
                         // issued unsent operation: undo its batching and
                         // complete both requests immediately (Section VI).
@@ -758,21 +832,18 @@ impl<T: Payload> SkueueNode<T> {
                         // record in the removed bucket, so placing them at
                         // the ends keeps the whole list in issue (= seq)
                         // order without re-sorting.
-                        let mut records = self
+                        let mut records = combining
                             .pairs_by_anchor
                             .remove(&push.id.seq)
                             .unwrap_or_default();
                         let [push_rec, pop_rec] = self.make_combined_pair(push, op, round);
                         records.insert(0, push_rec);
                         records.push(pop_rec);
-                        self.reanchor_pairs(records, round);
+                        self.reanchor_pairs(records);
                         return;
                     }
                     // No unsent push available: the pop becomes part of the
                     // residual batch like any other operation.
-                    self.own_log.push(op);
-                    self.own_batch.push_op(kind);
-                    return;
                 }
             }
         }
@@ -826,13 +897,20 @@ impl<T: Payload> SkueueNode<T> {
     /// records to an *older* anchor, see [`Self::generate_op`]), so a plain
     /// append preserves the bucket's sort order — no re-sorting, which the
     /// old `extend` + `sort_by_key` pattern paid on every combined pair.
-    fn reanchor_pairs(&mut self, records: Vec<OpRecord<T>>, _round: u64) {
+    fn reanchor_pairs(&mut self, records: Vec<OpRecord<T>>) {
         debug_assert!(
             records.windows(2).all(|w| w[0].id.seq < w[1].id.seq),
             "combined records must arrive in issue order"
         );
+        let combining = self
+            .combining
+            .as_deref_mut()
+            .expect("only a combining node re-anchors pairs");
         if let Some(anchor_op) = self.own_log.last() {
-            let bucket = self.pairs_by_anchor.entry(anchor_op.id.seq).or_default();
+            let bucket = combining
+                .pairs_by_anchor
+                .entry(anchor_op.id.seq)
+                .or_default();
             debug_assert!(
                 match (bucket.last(), records.first()) {
                     (Some(last), Some(first)) => last.id.seq < first.id.seq,
@@ -842,10 +920,11 @@ impl<T: Payload> SkueueNode<T> {
             );
             bucket.extend(records);
         } else {
-            let origin = self.process();
+            let origin = self.view.me.vid.process;
             for mut record in records {
-                self.minor_counter += 1;
-                record.order = OrderKey::local(self.last_order_major, origin, self.minor_counter);
+                combining.minor_counter += 1;
+                record.order =
+                    OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
                 self.completed.push(record);
             }
         }
@@ -936,8 +1015,9 @@ impl<T: Payload> SkueueNode<T> {
     /// later wave.)
     fn has_wave_work(&self) -> bool {
         !self.own_batch.has_no_ops()
-            || self.pending_join_count > 0
-            || self.pending_leave_count > 0
+            || self
+                .membership()
+                .is_some_and(|m| m.pending_join_count > 0 || m.pending_leave_count > 0)
             || self.child_batches.has_any()
     }
 
@@ -1049,7 +1129,9 @@ impl<T: Payload> SkueueNode<T> {
             let own = std::mem::replace(&mut self.own_batch, Self::fresh_batch(&self.cfg));
             // Every unsent push is now committed to the aggregation path and
             // can no longer be combined locally.
-            self.local_stack.clear();
+            if let Some(combining) = &mut self.combining {
+                combining.local_stack.clear();
+            }
             if !self.trace.is_off() {
                 let round = ctx.round();
                 for op in &self.own_log[self.wave_committed..] {
@@ -1064,28 +1146,28 @@ impl<T: Payload> SkueueNode<T> {
         };
 
         // Combine own batch + queued children sub-batches in a fixed order.
-        // The sub-batches are *moved* into the source list (they are needed
-        // for the Stage 3 decomposition); the combined batch sums their runs
-        // without cloning any of them.
-        let mut sources = self.sources_pool.pop().unwrap_or_default();
-        debug_assert!(sources.is_empty());
-        sources.push(BatchSource::Own(own));
-        self.child_batches.pop_oldest_into(&mut sources);
+        // The sub-batches are *moved* to the back of the source FIFO (they
+        // are needed for the Stage 3 decomposition); the combined batch sums
+        // their runs without cloning any of them.
+        let first_source = self.sources.len();
+        self.sources.push_back(BatchSource::Own(own));
+        self.child_batches.pop_oldest_into(&mut self.sources);
+        let num_sources = self.sources.len() - first_source;
 
         let mut combined = Batch::combine_all(
             self.own_batch.first_run(),
-            sources.iter().map(|s| s.batch()),
+            self.sources.range(first_source..).map(|s| s.batch()),
         );
         if !drain {
             // Join/leave counters this node is itself responsible for.
-            combined.joins += self.pending_join_count;
-            combined.leaves += self.pending_leave_count;
-            self.pending_join_count = 0;
-            self.pending_leave_count = 0;
+            if let Some(m) = self.membership.as_deref_mut() {
+                combined.joins += std::mem::take(&mut m.pending_join_count);
+                combined.leaves += std::mem::take(&mut m.pending_leave_count);
+            }
         }
 
         self.stats.batches_sent += 1;
-        self.stats.batch_sizes.record(combined.size() as u64);
+        ctx.observe(series::BATCH_SIZES, combined.size() as u64);
 
         self.last_wave_round = ctx.round();
         match parent {
@@ -1106,14 +1188,16 @@ impl<T: Payload> SkueueNode<T> {
                 }
                 // Churn carried by waves assigned during an update phase is
                 // accumulated (not dropped); it triggers the *next* phase.
-                let enter_update = if !drain && self.update.is_none() {
+                let enter_update = if !drain && self.update().is_none() {
                     anchor.take_update_decision(self.cfg.update_threshold)
                 } else {
                     None
                 };
                 self.anchor = Some(anchor);
-                self.serve_sources(&assignments, &mut sources, ctx);
-                self.sources_pool.push(sources);
+                // The anchor only opens a wave with no slot in flight, so
+                // the FIFO holds exactly this wave's sources.
+                debug_assert_eq!(first_source, 0);
+                self.serve_sources(assignments, num_sources, ctx);
                 if let Some(phase) = enter_update {
                     self.enter_update_phase(phase, None, ctx);
                 }
@@ -1125,9 +1209,9 @@ impl<T: Payload> SkueueNode<T> {
                     epoch,
                     parent,
                     num_runs: combined.num_runs(),
-                    sources,
+                    num_sources,
                 });
-                self.stats.waves_in_flight.record(self.slots.len() as u64);
+                ctx.observe(series::WAVES_IN_FLIGHT, self.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
                 self.aggregate_unacked = !self.cfg.fifo_channels;
@@ -1147,40 +1231,35 @@ impl<T: Payload> SkueueNode<T> {
     // Stage 3: decomposition and serving.
     // ---------------------------------------------------------------------
 
-    /// Splits the run assignments for the combined batch among its sources,
-    /// in combination order (the inlined, scratch-reusing form of
-    /// [`crate::interval::decompose`]): each source takes its share of every
-    /// run front-to-back.  Sub-assignments for children are forwarded; the
-    /// node's own share is resolved locally.  `sources` is drained — the
-    /// caller parks the emptied vector back in [`Self::sources_pool`].
+    /// Splits the run assignments of the oldest in-flight wave among its
+    /// `num_sources` sources — the front of the source FIFO — in combination
+    /// order (the inlined form of [`crate::interval::decompose`]): each
+    /// source takes its share of every run front-to-back, so `cursors` (one
+    /// assignment per run of the combined batch) is consumed in place.
+    /// Sub-assignments for children are forwarded; the node's own share is
+    /// resolved locally.
     fn serve_sources(
         &mut self,
-        assignments: &[RunAssignment],
-        sources: &mut Vec<BatchSource>,
+        mut cursors: Vec<RunAssignment>,
+        num_sources: usize,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        let mut cursors = std::mem::take(&mut self.cursors_scratch);
-        cursors.clear();
-        cursors.extend_from_slice(assignments);
-        for source in sources.drain(..) {
+        for _ in 0..num_sources {
+            let source = self
+                .sources
+                .pop_front()
+                .expect("a wave's sources stay queued until it is served");
             match source {
                 BatchSource::Own(own) => {
-                    // The own share is consumed locally right away — split it
-                    // into a reused scratch instead of a fresh Vec per wave.
-                    let mut runs = std::mem::take(&mut self.runs_scratch);
-                    runs.clear();
-                    for (run_idx, cursor) in cursors[..own.num_runs()].iter_mut().enumerate() {
-                        runs.push(cursor.split_front(own.runs()[run_idx]));
-                    }
-                    self.resolve_own(&runs, ctx);
-                    self.runs_scratch = runs;
+                    self.resolve_own(&mut cursors[..own.num_runs()], own.runs(), ctx);
                 }
                 BatchSource::Child(child, epoch, batch) => {
                     // A child's share travels in a message and must be owned.
-                    let mut runs = Vec::with_capacity(batch.num_runs());
-                    for (run_idx, cursor) in cursors[..batch.num_runs()].iter_mut().enumerate() {
-                        runs.push(cursor.split_front(batch.runs()[run_idx]));
-                    }
+                    let runs = cursors[..batch.num_runs()]
+                        .iter_mut()
+                        .zip(batch.runs())
+                        .map(|(cursor, &len)| cursor.split_front(len))
+                        .collect();
                     ctx.send(child, SkueueMsg::Serve { epoch, runs });
                 }
             }
@@ -1189,7 +1268,11 @@ impl<T: Payload> SkueueNode<T> {
             cursors.iter().all(|c| c.count == 0),
             "sources must account for every operation of the combined batch"
         );
-        self.cursors_scratch = cursors;
+        if self.sources.is_empty() {
+            // No wave in flight: hand the burst's storage back instead of
+            // parking its high-water mark on a node that may stay idle.
+            self.sources = VecDeque::new();
+        }
     }
 
     fn handle_serve(
@@ -1232,17 +1315,23 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let mut slot = self.slots.pop_front().expect("caller checked the front");
+        let slot = self.slots.pop_front().expect("caller checked the front");
         debug_assert_eq!(slot.num_runs, runs.len());
-        self.serve_sources(&runs, &mut slot.sources, ctx);
-        self.sources_pool.push(slot.sources);
+        self.serve_sources(runs, slot.num_sources, ctx);
     }
 
-    /// Resolves the node's own requests from the run assignments of its own
-    /// sub-batch (Stage 3 → Stage 4 transition).
-    fn resolve_own(&mut self, runs: &[RunAssignment], ctx: &mut Context<SkueueMsg<T>>) {
+    /// Resolves the node's own requests (Stage 3 → Stage 4 transition):
+    /// takes the own sub-batch's share — `own_runs[i]` operations — off the
+    /// front of each run cursor and resolves it.
+    fn resolve_own(
+        &mut self,
+        cursors: &mut [RunAssignment],
+        own_runs: &[u64],
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
         let mut log_cursor = 0usize;
-        for run in runs {
+        for (cursor, &len) in cursors.iter_mut().zip(own_runs) {
+            let run = cursor.split_front(len);
             for j in 0..run.count {
                 // The resolved prefix is drained below, so the payload can be
                 // *moved* out of the log entry (a take, not a clone) — the
@@ -1347,14 +1436,20 @@ impl<T: Payload> SkueueNode<T> {
     /// requests receives its anchor order value, releasing any locally
     /// combined pairs anchored to it.
     fn note_order_assigned(&mut self, seq: u64, major: u64) {
-        self.last_order_major = major;
-        self.minor_counter = 0;
-        if let Some(pairs) = self.pairs_by_anchor.remove(&seq) {
+        // A combining node's state exists from its first request on, so it
+        // is present whenever one of its requests is ordered.
+        let Some(combining) = self.combining.as_deref_mut() else {
+            return;
+        };
+        combining.last_order_major = major;
+        combining.minor_counter = 0;
+        if let Some(pairs) = combining.pairs_by_anchor.remove(&seq) {
             // Buckets are maintained in seq order (see `reanchor_pairs`).
             debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
+            let origin = self.view.me.vid.process;
             for mut record in pairs {
-                self.minor_counter += 1;
-                record.order = OrderKey::local(major, self.process(), self.minor_counter);
+                combining.minor_counter += 1;
+                record.order = OrderKey::local(major, origin, combining.minor_counter);
                 self.completed.push(record);
             }
         }
@@ -1378,8 +1473,8 @@ impl<T: Payload> SkueueNode<T> {
     ) {
         // The anchor assigns shard-local positions; the DHT stores under the
         // global position — the shard id in the high bits of the keyspace.
-        let position = self.shard_map.global_position(self.shard, position);
-        let key = self.hasher.position_key(position);
+        let position = self.shard_map().global_position(self.shard, position);
+        let key = self.cfg.hasher().position_key(position);
         let entry = StoredEntry {
             position,
             key,
@@ -1418,8 +1513,8 @@ impl<T: Payload> SkueueNode<T> {
         wave: u64,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        let position = self.shard_map.global_position(self.shard, position);
-        let key = self.hasher.position_key(position);
+        let position = self.shard_map().global_position(self.shard, position);
+        let key = self.cfg.hasher().position_key(position);
         // Remember the metadata needed to complete the request when the
         // reply arrives.
         self.outstanding_gets.insert(
@@ -1511,7 +1606,7 @@ impl<T: Payload> SkueueNode<T> {
         progress: &RouteProgress,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        self.stats.dht_hops.record(progress.hops as u64);
+        ctx.observe(series::DHT_HOPS, progress.hops as u64);
         if !self.trace.is_off() {
             self.trace.emit(TraceEvent::DhtApplied {
                 op: Self::tid(op.request_id()),
@@ -1629,7 +1724,7 @@ impl<T: Payload> SkueueNode<T> {
             let mut buf = std::mem::take(&mut self.route_buffer);
             buf.flush(|to, ops| {
                 self.stats.dht_batches_sent += 1;
-                self.stats.dht_ops_per_message.record(ops.len() as u64);
+                ctx.observe(series::DHT_OPS_PER_MESSAGE, ops.len() as u64);
                 ctx.send(to, SkueueMsg::DhtBatch { ops });
             });
             self.route_buffer = buf;
@@ -1723,7 +1818,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
             SkueueMsg::DhtBatch { ops } => {
                 if matches!(self.role, Role::Joining { .. }) {
                     // Not part of the cycle yet: re-route after integration.
-                    self.deferred_dht.extend(ops);
+                    self.membership_mut().deferred_dht.extend(ops);
                 } else {
                     self.handle_dht_batch(ops, ctx);
                 }
@@ -1734,7 +1829,10 @@ impl<T: Payload> Actor for SkueueNode<T> {
                     self.outstanding_dht = self.outstanding_dht.saturating_sub(1);
                 }
             }
-            other => self.handle_membership(from, other, ctx),
+            other => {
+                self.handle_membership(from, other, ctx);
+                self.release_idle_membership();
+            }
         }
     }
 
@@ -1750,6 +1848,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // Everything routed during this visit (messages + timeout) leaves as
         // one batch per destination.
         self.flush_dht_buffers(ctx);
+        self.release_idle_membership();
     }
 
     fn is_active(&self) -> bool {
@@ -1773,11 +1872,216 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 let pipeline_open = self.slots.len() < self.cfg.effective_pipeline_depth()
                     && !self.aggregate_unacked;
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
-                    || self.absorb_deferred.is_some()
-                    || (self.wants_to_leave && !self.leave_requested && !self.leave_granted)
+                    || self.membership().is_some_and(|m| {
+                        m.absorb_deferred.is_some()
+                            || (m.wants_to_leave && !m.leave_requested && !m.leave_granted)
+                    })
             }
-            Role::Joining { .. } => !self.join_sent,
+            Role::Joining { .. } => !self.membership().is_some_and(|m| m.join_sent),
             Role::Draining { .. } => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::FirstRun;
+    use crate::interval::decompose;
+    use crate::messages::AbsorbPayload;
+    use proptest::prelude::*;
+    use skueue_overlay::{recommended_bit_budget, LabelHasher, NeighborInfo, Topology, VirtualId};
+    use skueue_sim::SimRng;
+
+    type Serve = (NodeId, u64, Vec<RunAssignment>);
+
+    /// Reference for the wave-source FIFO: the bookkeeping it replaced, one
+    /// source list per in-flight wave, resolved with
+    /// [`crate::interval::decompose`].
+    struct PerSlotLists {
+        child_batches: ChildBatches,
+        own: Batch,
+        slots: VecDeque<(u64, Vec<BatchSource>)>,
+        stash: Vec<(u64, Vec<RunAssignment>)>,
+        served: Vec<Serve>,
+    }
+
+    impl PerSlotLists {
+        /// Opens a wave under `epoch` and returns its combined batch.
+        fn open(&mut self, epoch: u64) -> Batch {
+            let mut sources = VecDeque::from([BatchSource::Own(std::mem::take(&mut self.own))]);
+            self.child_batches.pop_oldest_into(&mut sources);
+            let combined =
+                Batch::combine_all(FirstRun::Enqueues, sources.iter().map(|s| s.batch()));
+            self.slots.push_back((epoch, sources.into()));
+            combined
+        }
+
+        /// A `Serve` for `epoch` arrives: resolved once every older wave is.
+        fn serve(&mut self, epoch: u64, runs: Vec<RunAssignment>) {
+            self.stash.push((epoch, runs));
+            while let Some(at) = self
+                .slots
+                .front()
+                .and_then(|(front, _)| self.stash.iter().position(|(e, _)| e == front))
+            {
+                let (_, runs) = self.stash.swap_remove(at);
+                let (_, sources) = self.slots.pop_front().expect("front checked");
+                let batches: Vec<&Batch> = sources.iter().map(|s| s.batch()).collect();
+                for (source, share) in sources.iter().zip(decompose(&runs, &batches)) {
+                    if let BatchSource::Child(child, epoch, _) = source {
+                        self.served.push((*child, *epoch, share));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A node of a four-process queue: the shard's anchor, or a middle node
+    /// (whose parent is its left sibling).
+    fn node_under_test(anchor: bool) -> SkueueNode<u64> {
+        let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+        let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
+        let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
+        let vid = if anchor {
+            topology.anchor()
+        } else {
+            VirtualId::middle(ProcessId(0))
+        };
+        let cfg = ProtocolConfig {
+            bit_budget: recommended_bit_budget(pids.len()),
+            ..ProtocolConfig::queue()
+        };
+        let view = topology.local_view(vid, &node_of).expect("own vid");
+        let node = SkueueNode::new(Arc::new(cfg), 0, view, anchor);
+        assert_eq!(node.tree_parent().is_none(), anchor);
+        node
+    }
+
+    /// Sub-batch of one to three runs of one to four operations each.
+    fn child_batch(bits: u64) -> Batch {
+        let runs = (0..1 + bits % 3).map(|i| 1 + (bits >> (8 * (i + 1))) % 4);
+        Batch::from_parts(FirstRun::Enqueues, runs.collect(), 0, 0)
+    }
+
+    proptest! {
+        /// Whatever the interleaving of own requests, child sub-batches (in
+        /// epoch order, or held back and handed over late by an absorbed
+        /// leaver), wave openings and serves (in and out of epoch order),
+        /// the one source FIFO sends the children exactly the
+        /// `(child, epoch, runs)` sequence the per-wave source lists did —
+        /// as a tree node and as the anchor serving itself.
+        #[test]
+        fn prop_source_fifo_serves_like_per_slot_lists(
+            steps in proptest::collection::vec((0u32..11, any::<u64>(), any::<u64>()), 1..160),
+            anchor in any::<bool>(),
+        ) {
+            let mut node = node_under_test(anchor);
+            let me = node.view.me.node;
+            let parent = node.tree_parent();
+            let mut model = PerSlotLists {
+                child_batches: ChildBatches::default(),
+                own: Batch::empty(),
+                slots: VecDeque::new(),
+                stash: Vec::new(),
+                served: Vec::new(),
+            };
+            // Stands in for the shard's anchor when the node is not it, and
+            // mirrors the node's own anchor state when it is.
+            let mut assigner = AnchorState::new();
+            let mut served: Vec<Serve> = Vec::new();
+            let mut unserved: Vec<(u64, Vec<RunAssignment>)> = Vec::new();
+            let mut child_epochs = [0u64; 3];
+            let mut held: Vec<(NodeId, u64, Batch)> = Vec::new();
+            let mut round = 0u64;
+            let mut seq = 0u64;
+            // Trailing steps deliver every serve still owed, youngest first.
+            let drain = (0..64).map(|_| (9u32, u64::MAX, 0u64));
+            for (kind, a, b) in steps.into_iter().chain(drain) {
+                let mut ctx = Context::new(me, round, SimRng::new(a));
+                let opened_before = node.stats.batches_sent;
+                match kind {
+                    0 | 1 => {
+                        let op = if a & 1 == 0 { BatchOp::Enqueue } else { BatchOp::Dequeue };
+                        node.generate_op(RequestId::new(node.process(), seq), op, seq, round);
+                        model.own.push_op(op);
+                        seq += 1;
+                    }
+                    2..=4 => {
+                        let c = (a % 3) as usize;
+                        let child = NodeId(1000 + c as u64);
+                        child_epochs[c] += 1;
+                        let (epoch, batch) = (child_epochs[c], child_batch(b));
+                        if kind == 4 {
+                            // In flight through a leaver; arrives with its
+                            // hand-over, possibly after younger sub-batches.
+                            held.push((child, epoch, batch));
+                        } else {
+                            model.child_batches.push(child, epoch, batch.clone());
+                            node.on_message(child, SkueueMsg::Aggregate { child, epoch, batch }, &mut ctx);
+                        }
+                    }
+                    5 => {
+                        let leaver = NodeId(2000);
+                        let info = NeighborInfo::new(leaver, VirtualId::left(ProcessId(9)), node.label());
+                        for (child, epoch, batch) in &held {
+                            model.child_batches.push(*child, *epoch, batch.clone());
+                        }
+                        let payload = AbsorbPayload {
+                            pred: info,
+                            succ: info,
+                            entries: Vec::new(),
+                            pending: Vec::new(),
+                            child_batches: std::mem::take(&mut held),
+                            joiners: Vec::new(),
+                            anchor: None,
+                        };
+                        node.on_message(leaver, SkueueMsg::AbsorbData(Box::new(payload)), &mut ctx);
+                    }
+                    6..=8 => {
+                        round += WAVE_CADENCE;
+                        ctx = Context::new(me, round, SimRng::new(a));
+                        node.on_timeout(&mut ctx);
+                    }
+                    _ => {
+                        if !unserved.is_empty() {
+                            let (epoch, runs) = unserved.remove((a % unserved.len() as u64) as usize);
+                            model.serve(epoch, runs.clone());
+                            let from = parent.expect("only a tree node is owed serves");
+                            node.on_message(from, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+                        }
+                    }
+                }
+                let opened = node.stats.batches_sent > opened_before;
+                let mut sent_up = None;
+                for (to, msg) in ctx.into_outbox() {
+                    match msg {
+                        SkueueMsg::Serve { epoch, runs } => served.push((to, epoch, runs)),
+                        SkueueMsg::Aggregate { epoch, batch, .. } => sent_up = Some((epoch, batch)),
+                        _ => {}
+                    }
+                }
+                if opened {
+                    let (epoch, sent) = sent_up.unzip();
+                    let epoch = epoch.unwrap_or(0);
+                    let combined = model.open(epoch);
+                    let runs = assigner.assign_wave(&combined, Mode::Queue);
+                    if anchor {
+                        model.serve(epoch, runs);
+                    } else {
+                        prop_assert_eq!(sent, Some(combined));
+                        unserved.push((epoch, runs));
+                    }
+                }
+                prop_assert_eq!(
+                    node.sources.len(),
+                    node.slots.iter().map(|s| s.num_sources).sum::<usize>()
+                );
+                prop_assert_eq!(node.slots.len(), model.slots.len());
+            }
+            prop_assert!(unserved.is_empty() && node.slots.is_empty());
+            prop_assert_eq!(node.sources.capacity(), 0);
+            prop_assert_eq!(served, model.served);
         }
     }
 }

@@ -151,9 +151,10 @@ impl<T: Payload + Wire> CtlClient<T> {
             .unwrap_or(self.spec.initial);
         let mut joined = Vec::with_capacity(count as usize);
         for pid in (next..next + count).map(ProcessId) {
-            let bootstrap = self.spec.bootstrap_for(pid).ok_or_else(|| {
-                io::Error::other("shard has no initial member")
-            })?;
+            let bootstrap = self
+                .spec
+                .bootstrap_for(pid)
+                .ok_or_else(|| io::Error::other("shard has no initial member"))?;
             let daemon = self.spec.daemon_of(pid);
             self.conns[daemon].expect_ok(&NetFrame::Join { pid, bootstrap })?;
             joined.push(pid);

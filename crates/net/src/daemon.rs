@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use skueue_core::{BatchOp, Payload, SkueueMsg, SkueueNode};
+use skueue_core::{BatchOp, Payload, ProtocolConfig, SkueueMsg, SkueueNode};
 use skueue_overlay::VirtualId;
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::NodeId;
@@ -193,6 +193,12 @@ pub fn run_with_listener<T: Payload + Wire>(
     // Construct this daemon's slice of the initial membership.
     let cfg = spec.protocol_config();
     let (initial, budgets) = spec.initial_membership();
+    // One node configuration per shard (its bit budget), shared by the
+    // shard's nodes.
+    let shard_cfgs: Vec<Arc<ProtocolConfig>> = budgets
+        .iter()
+        .map(|&bit_budget| Arc::new(ProtocolConfig { bit_budget, ..cfg }))
+        .collect();
     let tick = Duration::from_millis(spec.tick_ms);
     let transport = TcpTransport::new(tx.clone(), Arc::clone(&in_flight));
     let mut inboxes: HashMap<u64, Sender<NodeEvent<T>>> = HashMap::new();
@@ -208,8 +214,7 @@ pub fn run_with_listener<T: Payload + Wire>(
         });
         let mut ids = [NodeId(0); 3];
         for (vid, view, is_anchor) in proc_spec.views {
-            let mut node_cfg = cfg;
-            node_cfg.bit_budget = budgets[proc_spec.shard as usize];
+            let node_cfg = Arc::clone(&shard_cfgs[proc_spec.shard as usize]);
             let mut node = SkueueNode::<T>::new(node_cfg, proc_spec.shard, view, is_anchor);
             let id = node_of(vid);
             node.trace_recorder_mut().attach(id.0, proc_spec.shard);
@@ -276,8 +281,7 @@ pub fn run_with_listener<T: Payload + Wire>(
                         });
                         let mut ids = [NodeId(0); 3];
                         for (vid, view) in spec.joining_views(pid) {
-                            let mut node_cfg = cfg;
-                            node_cfg.bit_budget = budgets[shard as usize];
+                            let node_cfg = Arc::clone(&shard_cfgs[shard as usize]);
                             let mut node = SkueueNode::<T>::new_joining(node_cfg, shard, view);
                             node.set_bootstrap(bootstrap);
                             let id = node_of(vid);

@@ -145,6 +145,28 @@ impl<T: Payload + Wire> IngressClient<T> {
         }
     }
 
+    /// Absorbs completions as they arrive until `deadline`, stamping each on
+    /// arrival: the wait blocks on the completion stream, so a completion is
+    /// never left unstamped while the caller idles (and idling polls
+    /// nothing).
+    pub fn pump_until(&mut self, deadline: Instant) {
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            match self.completions.recv_timeout(left) {
+                Ok(record) => self.absorb(record),
+                Err(RecvTimeoutError::Timeout) => return,
+                // Every daemon hung up: nothing more will arrive.
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                    return;
+                }
+            }
+        }
+    }
+
     fn absorb(&mut self, record: OpRecord<T>) {
         if let Some(issued_at) = self.pending.remove(&record.id) {
             self.latencies_us

@@ -6,15 +6,22 @@
 //! Inter-arrival gaps are exponential with the configured rate, drawn from a
 //! seeded [`SimRng`] so a load run is reproducible in *schedule* (completion
 //! timing of course is not).
+//!
+//! An operation's latency runs **from the time it was due**, so a generator
+//! that falls behind its schedule shows up in the percentiles instead of
+//! hiding in them, and completions are stamped when they arrive — the wait
+//! for the next due time blocks on the completion stream
+//! ([`IngressClient::pump_until`]), not in a sleep.
 
+use std::collections::HashMap;
 use std::io;
 use std::time::{Duration, Instant};
 
-use skueue_sim::ids::ProcessId;
+use skueue_sim::ids::{ProcessId, RequestId};
 use skueue_sim::SimRng;
 
 use crate::codec::Wire;
-use crate::ingress::IngressClient;
+use crate::ingress::{percentiles_us, IngressClient};
 use skueue_core::Payload;
 
 /// Parameters of one load run.
@@ -126,25 +133,33 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     let start = Instant::now();
     let mut next_at = start;
     let mut value: u64 = 0;
+    // How late each operation was injected, in microseconds after its due
+    // time (the ingress stamps latencies from the inject).
+    let mut late_us: HashMap<RequestId, u64> = HashMap::new();
+    let (first_record, first_latency) = (ingress.records().len(), ingress.latencies_us().len());
     for _ in 0..params.ops {
-        let now = Instant::now();
-        if next_at > now {
-            std::thread::sleep(next_at - now);
-        }
+        ingress.pump_until(next_at);
         let pid = params.pids[(rng.next_u64() % params.pids.len() as u64) as usize];
-        if next_f64(&mut rng) < params.enqueue_prob {
+        let late = next_at.elapsed().as_micros() as u64;
+        let id = if next_f64(&mut rng) < params.enqueue_prob {
             value += 1;
-            ingress.enqueue(pid, T::from(value))?;
+            ingress.enqueue(pid, T::from(value))?
         } else {
-            ingress.dequeue(pid)?;
-        }
+            ingress.dequeue(pid)?
+        };
+        late_us.insert(id, late);
         // Exponential inter-arrival gap (inverse-CDF sampling).
         let gap_s = -(1.0 - next_f64(&mut rng)).ln() / params.rate_hz;
         next_at += Duration::from_secs_f64(gap_s.min(10.0));
     }
     let drained = ingress.await_quiescence(params.drain_timeout);
     let duration = start.elapsed();
-    let (p50_us, p99_us, p999_us) = ingress.latency_percentiles_us();
+    let from_due: Vec<u64> = ingress.records()[first_record..]
+        .iter()
+        .zip(&ingress.latencies_us()[first_latency..])
+        .filter_map(|(record, &latency)| Some(late_us.get(&record.id)? + latency))
+        .collect();
+    let (p50_us, p99_us, p999_us) = percentiles_us(from_due);
     let completed = ingress.completed();
     let report = ingress.verify();
     Ok(LoadReport {

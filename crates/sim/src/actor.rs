@@ -5,6 +5,7 @@
 //! executed periodically without a triggering message.
 
 use crate::ids::NodeId;
+use crate::metrics::Histogram;
 use crate::rng::SimRng;
 use crate::Round;
 
@@ -58,7 +59,7 @@ pub trait Actor {
 pub struct Context<M> {
     self_id: NodeId,
     round: Round,
-    outbox: Vec<(NodeId, M)>,
+    pub(crate) outbox: Vec<(NodeId, M)>,
     /// Seed for the lazily materialised per-invocation random stream.
     rng_seed: u64,
     /// The stream itself, created on first use — most protocol actors never
@@ -68,6 +69,9 @@ pub struct Context<M> {
     /// (delivered next round like any other message — self-channels are
     /// ordinary channels in the paper's model).
     self_sends: usize,
+    /// The host's sample sink, lent for the invocation (see
+    /// [`Self::observe`]); `None` when the host keeps none.
+    pub(crate) samples: Option<Vec<Histogram>>,
 }
 
 impl<M> Context<M> {
@@ -81,6 +85,7 @@ impl<M> Context<M> {
             rng_seed: 0,
             rng: Some(rng),
             self_sends: 0,
+            samples: None,
         }
     }
 
@@ -103,7 +108,25 @@ impl<M> Context<M> {
             rng_seed,
             rng: None,
             self_sends: 0,
+            samples: None,
         }
+    }
+
+    /// Re-arms the context for another invocation, keeping its buffers (the
+    /// outbox must have been emptied).  The scheduler keeps one context per
+    /// lane and re-arms it for every visit, so a visit moves no buffer in or
+    /// out.
+    #[inline]
+    pub(crate) fn rearm(&mut self, self_id: NodeId, round: Round, rng_seed: u64) {
+        debug_assert!(
+            self.outbox.is_empty(),
+            "the previous visit's sends were not posted"
+        );
+        self.self_id = self_id;
+        self.round = round;
+        self.rng_seed = rng_seed;
+        self.rng = None;
+        self.self_sends = 0;
     }
 
     /// The id of the node currently executing.
@@ -134,6 +157,24 @@ impl<M> Context<M> {
     pub fn rng(&mut self) -> &mut SimRng {
         let seed = self.rng_seed;
         self.rng.get_or_insert_with(|| SimRng::new(seed))
+    }
+
+    /// Records `sample` in the host's distribution number `series`.
+    ///
+    /// Protocol-level distributions (batch sizes, hop counts, …) are only
+    /// ever read summed over all nodes, so an actor reports each sample to
+    /// its host instead of keeping a histogram of its own: the simulation
+    /// keeps one per lane and series ([`crate::Simulation::observed`]), and
+    /// a node owns no statistics storage at all.  A host that keeps no sink
+    /// drops the sample.
+    #[inline]
+    pub fn observe(&mut self, series: usize, sample: u64) {
+        if let Some(sink) = &mut self.samples {
+            if sink.len() <= series {
+                sink.resize_with(series + 1, Histogram::new);
+            }
+            sink[series].record(sample);
+        }
     }
 
     /// Number of messages queued so far in this invocation.

@@ -18,8 +18,6 @@ pub struct SimConfig {
     /// the paper does not care about intra-round order, but shuffling helps
     /// tests catch accidental order dependencies.
     pub shuffle_node_order: bool,
-    /// Record an event trace (costs memory; intended for tests/debugging).
-    pub record_trace: bool,
     /// Upper bound on rounds for `run_until`-style drivers; guards against
     /// livelock in buggy protocols. `0` means "no limit".
     pub max_rounds: u64,
@@ -33,7 +31,6 @@ impl SimConfig {
             seed,
             delivery: DeliveryModel::Synchronous,
             shuffle_node_order: false,
-            record_trace: false,
             max_rounds: 0,
         }
     }
@@ -44,15 +41,8 @@ impl SimConfig {
             seed,
             delivery: DeliveryModel::uniform(max_delay),
             shuffle_node_order: true,
-            record_trace: false,
             max_rounds: 0,
         }
-    }
-
-    /// Enables trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
     }
 
     /// Sets the round budget.
@@ -96,8 +86,7 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let c = SimConfig::synchronous(1).with_trace().with_max_rounds(99);
-        assert!(c.record_trace);
+        let c = SimConfig::synchronous(1).with_max_rounds(99);
         assert_eq!(c.max_rounds, 99);
     }
 

@@ -57,7 +57,6 @@ pub mod metrics;
 pub mod replay;
 pub mod rng;
 pub mod scheduler;
-pub mod trace;
 pub mod transport;
 
 pub use actor::{Actor, Context};
@@ -71,7 +70,6 @@ pub use metrics::{Histogram, SimMetrics, Summary};
 pub use replay::{ReplayScenario, ReplayStep};
 pub use rng::SimRng;
 pub use scheduler::{RunOutcome, Simulation};
-pub use trace::{Trace, TraceEvent};
 pub use transport::{SimTransport, Transport};
 
 /// A simulated round (discrete time step of the synchronous model).

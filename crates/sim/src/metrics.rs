@@ -15,15 +15,35 @@ use std::fmt;
 /// Samples are kept exactly (sum, min, max, count) plus a bucketed
 /// distribution with power-of-two bucket boundaries, which is accurate enough
 /// for round counts and batch lengths while staying O(64) in memory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
     /// `buckets[i]` counts samples with `floor(log2(sample)) == i - 1`;
-    /// `buckets[0]` counts zeros.
+    /// `buckets[0]` counts zeros.  Only as long as the highest bucket seen
+    /// so far (at most 65 entries): an empty histogram owns no storage.
     buckets: Vec<u64>,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
+/// Equality of the recorded samples; how much bucket storage either side
+/// happens to hold (trailing empty buckets) does not matter.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        let used = |h: &Histogram| h.buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+        self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && self.buckets[..used(self)] == other.buckets[..used(other)]
+    }
 }
 
 impl Histogram {
@@ -34,25 +54,13 @@ impl Histogram {
             sum: 0,
             min: u64::MAX,
             max: 0,
-            buckets: vec![0; 65],
+            buckets: Vec::new(),
         }
     }
 
     /// Records one sample.
     pub fn record(&mut self, sample: u64) {
-        self.count += 1;
-        self.sum += sample as u128;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-        let bucket = if sample == 0 {
-            0
-        } else {
-            (64 - sample.leading_zeros()) as usize
-        };
-        if self.buckets.len() < 65 {
-            self.buckets.resize(65, 0);
-        }
-        self.buckets[bucket] += 1;
+        self.record_n(sample, 1);
     }
 
     /// Records `n` identical samples.
@@ -69,8 +77,8 @@ impl Histogram {
         } else {
             (64 - sample.leading_zeros()) as usize
         };
-        if self.buckets.len() < 65 {
-            self.buckets.resize(65, 0);
+        if self.buckets.len() <= bucket {
+            self.buckets.resize(bucket + 1, 0);
         }
         self.buckets[bucket] += n;
     }
@@ -243,12 +251,7 @@ pub struct SimMetrics {
 impl SimMetrics {
     /// Creates an empty metrics container.
     pub fn new() -> Self {
-        SimMetrics {
-            delays: Histogram::new(),
-            per_round_deliveries: Histogram::new(),
-            per_round_sends: Histogram::new(),
-            ..Default::default()
-        }
+        SimMetrics::default()
     }
 
     /// Average messages sent per round (0.0 before the first round).
@@ -282,6 +285,44 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.approx_quantile(0.5), None);
+    }
+
+    /// `Default` used to be derived (`min = 0`), so the minimum of every
+    /// histogram that started life inside a `..Default::default()` struct
+    /// read 0 whatever was recorded.
+    #[test]
+    fn default_is_new_and_keeps_the_true_minimum() {
+        let mut h = Histogram::default();
+        assert_eq!(h, Histogram::new());
+        h.record(7);
+        h.record(9);
+        assert_eq!(h.min(), Some(7));
+        assert_eq!(h.summary().min, 7);
+        let mut merged = Histogram::default();
+        merged.merge(&h);
+        assert_eq!(merged.min(), Some(7));
+    }
+
+    #[test]
+    fn equality_ignores_bucket_storage_length() {
+        let mut small = Histogram::new();
+        small.record(3);
+        // Same samples, but storage grown (and emptied again) up to the
+        // bucket of a large sample.
+        let mut grown = Histogram::new();
+        grown.record(1 << 40);
+        grown.clear();
+        grown.record(3);
+        assert_eq!(small, grown);
+        assert_eq!(grown, small);
+        assert_eq!(Histogram::new(), {
+            let mut h = Histogram::new();
+            h.record(5);
+            h.clear();
+            h
+        });
+        grown.record(1 << 40);
+        assert_ne!(small, grown);
     }
 
     #[test]

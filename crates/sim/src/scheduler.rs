@@ -26,7 +26,7 @@
 //!
 //! * the per-round wake list is merged in ascending node-id order (the
 //!   classic visit order) — or in lane-concatenation order under shuffle,
-//! * per-lane metrics and trace buffers are folded into the global views,
+//! * per-lane metrics are folded into the global view,
 //! * the rare message that crosses a lane boundary is detoured through a
 //!   per-lane outbox and routed by the driver after all lanes finish, drawing
 //!   its delay from the *destination* lane's stream in fixed lane order.
@@ -47,34 +47,37 @@
 //! * In-flight messages live in a round-bucketed **delivery wheel**
 //!   (`BTreeMap<Round, Vec<Envelope>>` keyed by `deliver_at`).  A round only
 //!   touches the envelopes that become deliverable in it — messages with a
-//!   far-future `deliver_at` are never rescanned, unlike the flat per-node
-//!   inbox this replaced.  Emptied bucket vectors are parked on a spare list
-//!   and reused when a new delivery round opens.
+//!   far-future `deliver_at` are never rescanned.  Emptied bucket vectors
+//!   are parked on a spare list and reused when a new delivery round opens.
 //! * A per-round **wake list** visits only nodes that have deliverable
 //!   messages or are active (and therefore receive a `TIMEOUT`); deactivated
 //!   nodes without deliveries cost nothing.
-//! * Per-node pending queues, the wake list, and the actor outbox are
-//!   **scratch buffers** owned by the lane and reused across rounds.
-//! * No per-round sorting: a bucket is filled in send order, so envelopes
-//!   arrive at a node already in `(deliver_at, seq)` order.  (The merged
-//!   wake list does sort ids in multi-lane runs — over the handful of woken
-//!   nodes, not the message volume.)
+//! * A node owns **no inbox**: the round's due messages sit in one
+//!   lane-level buffer, chained per destination (see `Inbox`), so a node
+//!   that is never addressed costs the lane two words and no allocation.
+//!   The inbox, the wake list and the actor outbox are **scratch buffers**
+//!   owned by the lane and reused across rounds.
+//! * No per-round sorting: a bucket is filled in send order, so a node's
+//!   chain is already in `(deliver_at, seq)` order.  (The merged wake list
+//!   does sort ids in multi-lane runs — over the handful of woken nodes,
+//!   not the message volume.)
 
 use crate::actor::{Actor, Context};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::exec::{thread_token, RoundTask, WorkerPool};
 use crate::ids::NodeId;
-use crate::message::Envelope;
 use crate::metrics::{Histogram, SimMetrics};
 use crate::rng::{splitmix64, SimRng};
-use crate::trace::{Trace, TraceEvent};
 use crate::transport::SimTransport;
 use crate::Round;
 use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
 const NOT_LOCAL: u32 = u32::MAX;
+
+/// End-of-chain marker in a lane's [`Inbox`].
+const END: u32 = u32::MAX;
 
 /// Outcome of [`Simulation::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +94,27 @@ struct NodeSlot<A: Actor> {
     /// Whether the node takes part in timeouts. Channels remain usable even
     /// for deactivated nodes — the paper's channels never lose messages.
     active: bool,
-    /// Messages deliverable in the round currently executing, already in
-    /// `(deliver_at, seq)` order.  Drained every round; capacity is reused.
-    pending: Vec<Envelope<A::Msg>>,
+}
+
+/// One due message in a lane's [`Inbox`].
+struct Due<M> {
+    from: NodeId,
+    /// Taken when the message is delivered.
+    msg: Option<M>,
+    /// The destination's next due message ([`END`] for its last).
+    next: u32,
+}
+
+/// A lane's inbox for the round currently executing: every due message in
+/// `(deliver_at, seq)` order, chained per destination slot.  A slot's entry
+/// in `head`/`tail` means something only while its bit in the lane's
+/// `woken_bits` is set, so nothing here is reset per node between rounds.
+struct Inbox<M> {
+    due: Vec<Due<M>>,
+    /// Lane slot → its first due message of the round.
+    head: Vec<u32>,
+    /// Lane slot → its last due message of the round.
+    tail: Vec<u32>,
 }
 
 /// Cumulative per-lane counters, folded into the global [`SimMetrics`] by
@@ -117,7 +138,6 @@ struct Lane<A: Actor> {
     // lane must be shippable to a worker thread without borrowing the
     // simulation).
     shuffle: bool,
-    record_trace: bool,
     /// The lane's message fabric: delivery wheel, delay RNG and message
     /// sequence (see [`crate::transport`]).  The lane calls its inherent
     /// methods directly — static dispatch, no hot-loop indirection.  Lane
@@ -139,14 +159,14 @@ struct Lane<A: Actor> {
     woken_bits: Vec<u64>,
     /// The lane slots visited by the current round, in visit order.
     wake_order: Vec<usize>,
-    /// Scratch: outbox buffer lent to each actor invocation.
-    outbox: Vec<(NodeId, A::Msg)>,
+    inbox: Inbox<A::Msg>,
+    /// The context every actor invocation of this lane runs in, re-armed per
+    /// visit.  It owns the outbox scratch and the lane's sample sink (one
+    /// distribution per series, see [`Context::observe`]).
+    ctx: Context<A::Msg>,
     /// Messages addressed outside this lane, handed to the driver for
     /// routing after the round barrier.
     xlane: Vec<(NodeId, NodeId, A::Msg)>,
-    /// Trace events recorded by this lane's round, flushed into the global
-    /// trace in lane order by the round merge.
-    trace_buf: Vec<TraceEvent>,
     metrics: LaneMetrics,
     /// Messages delivered by the most recent round (merge input).
     delta_delivered: usize,
@@ -169,9 +189,10 @@ impl<A: Actor> Lane<A> {
                 .wrapping_add((lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             splitmix64(&mut s)
         };
+        let mut ctx = Context::with_outbox(NodeId(0), 0, 0, Vec::new());
+        ctx.samples = Some(Vec::new());
         Lane {
             shuffle: config.shuffle_node_order,
-            record_trace: config.record_trace,
             transport: SimTransport::new(config.delivery, SimRng::new(seed)),
             nodes: Vec::new(),
             global_ids: Vec::new(),
@@ -179,9 +200,13 @@ impl<A: Actor> Lane<A> {
             timeout_flags: Vec::new(),
             woken_bits: Vec::new(),
             wake_order: Vec::new(),
-            outbox: Vec::new(),
+            inbox: Inbox {
+                due: Vec::new(),
+                head: Vec::new(),
+                tail: Vec::new(),
+            },
+            ctx,
             xlane: Vec::new(),
-            trace_buf: Vec::new(),
             metrics: LaneMetrics::default(),
             delta_delivered: 0,
             delta_sent: 0,
@@ -198,6 +223,8 @@ impl<A: Actor> Lane<A> {
         self.nodes.reserve(nodes);
         let slots = self.nodes.len() + nodes;
         self.global_ids.reserve(nodes);
+        self.inbox.head.reserve(nodes);
+        self.inbox.tail.reserve(nodes);
         self.timeout_flags.reserve(slots.div_ceil(64));
         self.woken_bits.reserve(slots.div_ceil(64));
     }
@@ -215,9 +242,10 @@ impl<A: Actor> Lane<A> {
         self.nodes.push(NodeSlot {
             actor,
             active: true,
-            pending: Vec::new(),
         });
         self.global_ids.push(global);
+        self.inbox.head.push(END);
+        self.inbox.tail.push(END);
         if self.local_slot.len() <= global as usize {
             self.local_slot.resize(global as usize + 1, NOT_LOCAL);
         }
@@ -264,62 +292,41 @@ impl<A: Actor> Lane<A> {
         let deliver_at = self.transport.dispatch(from, to, msg);
         self.metrics.messages_sent += 1;
         self.metrics.delays.record(deliver_at - sent_at);
-        if self.record_trace {
-            self.trace_buf.push(TraceEvent::Sent {
-                from,
-                to,
-                round: sent_at,
-                deliver_at,
-            });
-        }
         deliver_at
     }
 
-    /// Delivers a slot's pending messages, fires its timeout if it is
-    /// active, and posts everything it sent.  The pending queue and the
-    /// outbox scratch are moved out and back so their capacity is reused;
-    /// the moves are skipped entirely on the (hot) quiet path.
+    /// Delivers a slot's due messages (its chain in the lane's inbox),
+    /// fires its timeout if it is active, and posts everything it sent.
     #[inline]
     fn visit_node(&mut self, slot: usize, round: Round) {
         let self_id = NodeId(self.global_ids[slot]);
         // Equivalent to handing the context `rng.fork()`, but the
         // xoshiro state is only set up if the actor actually draws bits.
         let ctx_seed = self.transport.rng_mut().next_u64();
-        let mut ctx =
-            Context::with_outbox(self_id, round, ctx_seed, std::mem::take(&mut self.outbox));
-        if !self.nodes[slot].pending.is_empty() {
-            let mut pending = std::mem::take(&mut self.nodes[slot].pending);
-            let node = &mut self.nodes[slot];
-            for env in pending.drain(..) {
-                if self.record_trace {
-                    self.trace_buf.push(TraceEvent::Delivered {
-                        from: env.from,
-                        to: self_id,
-                        round,
-                    });
-                }
-                node.actor.on_message(env.from, env.payload, &mut ctx);
-            }
-            self.nodes[slot].pending = pending;
-        }
+        self.ctx.rearm(self_id, round, ctx_seed);
         let node = &mut self.nodes[slot];
-        if node.active {
-            node.actor.on_timeout(&mut ctx);
-            self.metrics.timeouts_fired += 1;
-            if self.record_trace {
-                self.trace_buf.push(TraceEvent::Timeout {
-                    node: self_id,
-                    round,
-                });
+        if self.woken_bits[slot / 64] & (1u64 << (slot % 64)) != 0 {
+            let mut at = self.inbox.head[slot];
+            while at != END {
+                let due = &mut self.inbox.due[at as usize];
+                at = due.next;
+                let msg = due.msg.take().expect("a due message is delivered once");
+                node.actor.on_message(due.from, msg, &mut self.ctx);
             }
         }
-        let mut outbox = ctx.into_outbox();
-        if !outbox.is_empty() {
+        if node.active {
+            node.actor.on_timeout(&mut self.ctx);
+            self.metrics.timeouts_fired += 1;
+        }
+        if !self.ctx.outbox.is_empty() {
+            // Moved out while posting (a post needs the whole lane) and back
+            // so its capacity is reused.
+            let mut outbox = std::mem::take(&mut self.ctx.outbox);
             for (to, msg) in outbox.drain(..) {
                 self.post(self_id, to, msg);
             }
+            self.ctx.outbox = outbox;
         }
-        self.outbox = outbox;
     }
 
     /// Executes this lane's share of one round.
@@ -327,24 +334,37 @@ impl<A: Actor> Lane<A> {
         let started = Instant::now();
         let sends_before = self.metrics.messages_sent;
 
-        // Phase 1: scatter this round's due envelopes into the per-slot
-        // pending queues, marking each destination as woken.  The transport
-        // hands them over in `(deliver_at, seq)` order, so each pending
-        // queue ends up ordered without sorting.
+        // Phase 1: move this round's due envelopes into the lane's inbox,
+        // chaining each to its destination slot and marking the slot as
+        // woken.  The transport hands them over in `(deliver_at, seq)`
+        // order, so each slot's chain ends up ordered without sorting.
         for word in &mut self.woken_bits {
             *word = 0;
         }
         let Lane {
             transport,
-            nodes,
+            inbox,
             local_slot,
             woken_bits,
             ..
         } = self;
+        inbox.due.clear();
         let delivered_total = transport.take_due(round, |env| {
             let slot = local_slot[env.to.index()] as usize;
-            woken_bits[slot / 64] |= 1u64 << (slot % 64);
-            nodes[slot].pending.push(env);
+            let at = inbox.due.len() as u32;
+            let bit = 1u64 << (slot % 64);
+            if woken_bits[slot / 64] & bit == 0 {
+                woken_bits[slot / 64] |= bit;
+                inbox.head[slot] = at;
+            } else {
+                inbox.due[inbox.tail[slot] as usize].next = at;
+            }
+            inbox.tail[slot] = at;
+            inbox.due.push(Due {
+                from: env.from,
+                msg: Some(env.payload),
+                next: END,
+            });
         });
 
         // Phases 2+3: visit exactly the woken slots — those whose wake-flag
@@ -415,7 +435,6 @@ pub struct Simulation<A: Actor> {
     node_loc: Vec<(u32, u32)>,
     round: Round,
     metrics: SimMetrics,
-    trace: Option<Trace>,
     /// The global node ids visited by the most recent round (merged across
     /// lanes; see [`Self::visited_last_round`]).
     merged_wake: Vec<usize>,
@@ -430,11 +449,6 @@ impl<A: Actor> Simulation<A> {
     /// [`Self::configure_lanes`]).
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
         config.validate()?;
-        let trace = if config.record_trace {
-            Some(Trace::with_capacity(1 << 16))
-        } else {
-            None
-        };
         let lane = Box::new(Lane::new(&config, 0));
         Ok(Simulation {
             config,
@@ -442,7 +456,6 @@ impl<A: Actor> Simulation<A> {
             node_loc: Vec::new(),
             round: 0,
             metrics: SimMetrics::new(),
-            trace,
             merged_wake: Vec::new(),
             xroute: Vec::new(),
             pool: None,
@@ -534,12 +547,6 @@ impl<A: Actor> Simulation<A> {
         let id = NodeId(global);
         let slot = self.lane_mut(lane).add_node(global, actor);
         self.node_loc.push((lane as u32, slot as u32));
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::NodeAdded {
-                node: id,
-                round: self.round,
-            });
-        }
         id
     }
 
@@ -634,7 +641,6 @@ impl<A: Actor> Simulation<A> {
     /// Marks a node as inactive: it stops receiving timeouts but its channel
     /// keeps accepting and delivering messages (reliable channels).
     pub fn deactivate(&mut self, id: NodeId) -> Result<(), SimError> {
-        let round = self.round;
         let &(lane, slot) = self
             .node_loc
             .get(id.index())
@@ -642,9 +648,6 @@ impl<A: Actor> Simulation<A> {
         let lane = self.lane_mut(lane as usize);
         lane.nodes[slot as usize].active = false;
         lane.refresh_flag(slot as usize);
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::NodeDeactivated { node: id, round });
-        }
         Ok(())
     }
 
@@ -701,24 +704,7 @@ impl<A: Actor> Simulation<A> {
         // eager update never double-counts).
         self.metrics.messages_sent += 1;
         self.metrics.delays.record(deliver_at - round);
-        self.flush_lane_trace(lane_idx as usize);
         Ok(())
-    }
-
-    /// Moves a lane's buffered trace events into the global trace (used
-    /// between rounds; the round merge does this for all lanes in order).
-    fn flush_lane_trace(&mut self, lane: usize) {
-        if self.trace.is_none() {
-            return;
-        }
-        let buf = std::mem::take(&mut self.lane_mut(lane).trace_buf);
-        let trace = self.trace.as_mut().expect("checked above");
-        for event in &buf {
-            trace.push(event.clone());
-        }
-        let mut buf = buf;
-        buf.clear();
-        self.lane_mut(lane).trace_buf = buf;
     }
 
     /// Substrate metrics collected so far.
@@ -726,9 +712,18 @@ impl<A: Actor> Simulation<A> {
         &self.metrics
     }
 
-    /// The recorded trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+    /// The distribution of every sample the actors reported under `series`
+    /// (see [`Context::observe`]), summed over the lanes; empty for a series
+    /// nobody reported to.
+    pub fn observed(&self, series: usize) -> Histogram {
+        let mut merged = Histogram::new();
+        for lane in &self.lanes {
+            let sink = lane.as_ref().expect("lane present").ctx.samples.as_ref();
+            if let Some(h) = sink.and_then(|s| s.get(series)) {
+                merged.merge(h);
+            }
+        }
+        merged
     }
 
     /// The simulation configuration.
@@ -799,7 +794,7 @@ impl<A: Actor> Simulation<A> {
         routed
     }
 
-    /// Recombines the per-lane round outputs — wake lists, traces, metrics —
+    /// Recombines the per-lane round outputs — wake lists, metrics —
     /// in fixed lane order and returns the round's delivered-message count.
     fn merge_round(
         &mut self,
@@ -820,13 +815,6 @@ impl<A: Actor> Simulation<A> {
         }
         if self.lanes.len() > 1 && !self.config.shuffle_node_order {
             self.merged_wake.sort_unstable();
-        }
-
-        // Trace: flush per-lane buffers in lane order.
-        if self.trace.is_some() {
-            for lane in 0..self.lanes.len() {
-                self.flush_lane_trace(lane);
-            }
         }
 
         // Metrics: recompute aggregate counters from the per-lane cumulative
@@ -1092,9 +1080,7 @@ mod tests {
 
     #[test]
     fn async_mode_delivers_everything_exactly_once() {
-        let mut config = SimConfig::asynchronous(9, 7);
-        config.record_trace = true;
-        let mut sim = ring_sim(6, config);
+        let mut sim = ring_sim(6, SimConfig::asynchronous(9, 7));
         for i in 0..6u64 {
             sim.inject(NodeId(i), NodeId(i), Token { remaining: 9 })
                 .unwrap();
@@ -1146,28 +1132,63 @@ mod tests {
         assert_eq!(m.lane_barrier_wait_ns, vec![0]);
     }
 
+    /// Records every delivery as `(sender, payload)` and reports the
+    /// payload to the lane's sample sink.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        got: Vec<(u64, u32)>,
+    }
+
+    impl Actor for Recorder {
+        type Msg = u32;
+
+        fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Context<u32>) {
+            self.got.push((from.0, msg));
+            ctx.observe(1, msg as u64);
+        }
+
+        fn on_timeout(&mut self, _ctx: &mut Context<u32>) {}
+    }
+
+    /// The lane-level inbox chains a round's due messages per destination:
+    /// each node must see exactly its own, in send order, however they
+    /// interleave in the due bucket — in index and in shuffled visit order,
+    /// round after round (chains of an earlier round must not leak).
     #[test]
-    fn trace_records_send_and_delivery() {
-        let config = SimConfig::synchronous(1).with_trace();
-        let mut sim = ring_sim(2, config);
-        sim.inject(NodeId(0), NodeId(1), Token { remaining: 0 })
-            .unwrap();
-        // The injected send is visible in the trace before any round runs.
-        let trace = sim.trace().unwrap();
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Sent { .. })));
-        sim.run_rounds(2);
-        let trace = sim.trace().unwrap();
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Delivered { .. })));
-        assert!(trace
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::NodeAdded { .. })));
+    fn inbox_delivers_each_destination_its_messages_in_send_order() {
+        for shuffle in [false, true] {
+            let mut config = SimConfig::synchronous(3);
+            config.shuffle_node_order = shuffle;
+            let mut sim: Simulation<Recorder> = Simulation::new(config).unwrap();
+            for _ in 0..70 {
+                sim.add_node(Recorder::default());
+            }
+            let mut expected: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 70];
+            let mut payload = 0u32;
+            for round in 0..3u64 {
+                // Destinations 0, 65 (second flag word) and a moving one,
+                // interleaved; node 7 is never addressed.
+                for i in 0..12u64 {
+                    let to = [0, 65, 20 + round][(i % 3) as usize];
+                    let from = (i * 5 + round) % 70;
+                    sim.inject(NodeId(from), NodeId(to), payload).unwrap();
+                    expected[to as usize].push((from, payload));
+                    payload += 1;
+                }
+                assert_eq!(sim.run_round(), 12);
+            }
+            for (i, want) in expected.iter().enumerate() {
+                assert_eq!(&sim.node(NodeId(i as u64)).unwrap().got, want, "node {i}");
+            }
+            // Every payload 0..36 was reported once under series 1; nobody
+            // reported under series 0 or 2.
+            let seen = sim.observed(1);
+            assert_eq!(seen.count(), 36);
+            assert_eq!(seen.sum(), (0..36).sum::<u128>());
+            assert_eq!(seen.min(), Some(0));
+            assert_eq!(sim.observed(0).count(), 0);
+            assert_eq!(sim.observed(2).count(), 0);
+        }
     }
 
     #[test]
