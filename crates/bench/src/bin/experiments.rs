@@ -1,92 +1,183 @@
 //! Regenerates every figure of the Skueue paper (plus the derived
-//! experiments of DESIGN.md) and prints the series as tables.
-//!
-//! Usage:
+//! experiments E4–E9 documented on the functions below) and prints the
+//! series as tables.
 //!
 //! ```text
 //! cargo run -p skueue-bench --release --bin experiments -- [EXPERIMENT] [FLAGS]
-//!
-//! EXPERIMENT: all | fig2 | fig3 | fig4 | scaling | batchsize | churn |
-//!             fairness | payloads | ablation-batching | ablation-combining
-//! FLAGS:      --smoke        tiny sweep (seconds; used by CI)
-//!             --paper-scale  the paper's full parameter grid (hours)
-//!             --seed <u64>   workload/simulation seed (default 42)
 //! ```
+//!
+//! [`USAGE`] lists the experiments and the flags.  An unknown experiment, an
+//! unknown flag or a bad value prints it to stderr and exits with code 2.
 
 use skueue_bench::{fig2_sweep, fig3_sweep, fig4_sweep, print_series, SweepConfig};
-use skueue_core::Mode;
+use skueue_core::{Mode, TraceLevel};
+use skueue_trace::validate_json;
 use skueue_workloads::{
-    run_central_baseline, run_churn_scenario, run_fairness_scenario, run_per_node_rate,
-    run_string_payload_fig2, ScenarioParams,
+    run_central_baseline, run_churn_scenario, run_fairness_scenario, run_fixed_rate_traced,
+    run_per_node_rate, run_string_payload_fig2, ScenarioParams,
 };
+
+const USAGE: &str = "\
+usage: experiments [EXPERIMENT] [FLAGS]
+
+EXPERIMENT: all (default) | fig2 | fig3 | fig4 | scaling | batchsize | churn |
+            fairness | payloads | ablation-batching | ablation-combining |
+            trace (not part of `all`)
+FLAGS:      --smoke        tiny sweep (seconds; used by CI)
+            --paper-scale  the paper's full parameter grid (hours)
+            --seed <u64>   workload/simulation seed (default 42)
+            --out <path>   `trace` only, and required there: where to write
+                           the Chrome/Perfetto trace of a fig2 run";
+
+/// An experiment takes the scale and the seed.
+type Experiment = fn(SweepConfig, u64);
+
+/// The experiments `all` runs, in order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("scaling", scaling),
+    ("batchsize", batch_size),
+    ("churn", churn),
+    ("fairness", fairness),
+    ("payloads", payloads),
+    ("ablation-batching", ablation_batching),
+    ("ablation-combining", ablation_combining),
+];
+
+/// A parsed command line.
+struct Cli {
+    experiment: String,
+    config: SweepConfig,
+    seed: u64,
+    out: Option<String>,
+}
+
+/// Parses the arguments after the program name; the error is the message
+/// printed above the usage.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        experiment: "all".to_string(),
+        config: SweepConfig::Default,
+        seed: 42,
+        out: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => cli.config = SweepConfig::Smoke,
+            "--paper-scale" => cli.config = SweepConfig::PaperScale,
+            "--seed" => {
+                let value = args.next().ok_or("--seed needs a value")?;
+                cli.seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed takes a u64, got `{value}`"))?;
+            }
+            "--out" => cli.out = Some(args.next().ok_or("--out needs a path")?.clone()),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            name => cli.experiment = name.to_string(),
+        }
+    }
+    let name = cli.experiment.as_str();
+    if name != "all" && name != "trace" && !EXPERIMENTS.iter().any(|&(n, _)| n == name) {
+        return Err(format!("unknown experiment `{name}`"));
+    }
+    if (name == "trace") != cli.out.is_some() {
+        return Err("`trace` needs --out <path>, and only `trace` takes it".to_string());
+    }
+    Ok(cli)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut experiment = "all".to_string();
-    let mut config = SweepConfig::Default;
-    let mut seed = 42u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => config = SweepConfig::Smoke,
-            "--paper-scale" => config = SweepConfig::PaperScale,
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(42);
-            }
-            name if !name.starts_with("--") => experiment = name.to_string(),
-            other => eprintln!("ignoring unknown flag {other}"),
+    let cli = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("error: {message}\n\n{USAGE}");
+        std::process::exit(2);
+    });
+    println!(
+        "Skueue experiment harness — scale: {:?}, seed: {}",
+        cli.config, cli.seed
+    );
+    // `parse_args` lets `--out` through exactly when the experiment is `trace`.
+    if let Some(path) = &cli.out {
+        return trace(cli.config, cli.seed, path);
+    }
+    for &(name, run) in EXPERIMENTS {
+        if cli.experiment == "all" || cli.experiment == name {
+            run(cli.config, cli.seed);
         }
-        i += 1;
     }
+}
 
-    let run_all = experiment == "all";
-    println!("Skueue experiment harness — scale: {config:?}, seed: {seed}");
+fn fig2(config: SweepConfig, seed: u64) {
+    print_series(
+        "Figure 2: avg rounds per request on the QUEUE vs n (curves: enqueue probability)",
+        "n",
+        &fig2_sweep(config, seed),
+    );
+}
 
-    if run_all || experiment == "fig2" {
-        let points = fig2_sweep(config, seed);
-        print_series(
-            "Figure 2: avg rounds per request on the QUEUE vs n (curves: enqueue probability)",
-            "n",
-            &points,
+fn fig3(config: SweepConfig, seed: u64) {
+    print_series(
+        "Figure 3: avg rounds per request on the STACK vs n (curves: push probability)",
+        "n",
+        &fig3_sweep(config, seed),
+    );
+}
+
+fn fig4(config: SweepConfig, seed: u64) {
+    print_series(
+        "Figure 4: avg rounds per request vs per-node request probability (queue vs stack)",
+        "p",
+        &fig4_sweep(config, seed),
+    );
+}
+
+/// `trace --out <path>`: runs one fig2 point (queue, insert ratio 0.5, four
+/// anchor shards) at full tracing, checks that the Chrome trace-event export
+/// is valid JSON with one per-op slice per completed request, writes it to
+/// `path` (load it in Perfetto or `chrome://tracing` — see OBSERVABILITY.md)
+/// and prints the six-stage latency table.
+fn trace(config: SweepConfig, seed: u64, path: &str) {
+    let n = match config {
+        SweepConfig::Smoke => 60,
+        SweepConfig::Default => 3_000,
+        SweepConfig::PaperScale => 10_000,
+    };
+    println!("\n=== Trace export: fig2 n={n}, shards=4, trace=full ===");
+    let artifacts = run_fixed_rate_traced(
+        ScenarioParams::fixed_rate(n, Mode::Queue, 0.5)
+            .with_generation_rounds(config.generation_rounds().min(100))
+            .with_seed(seed)
+            .with_shards(4)
+            .with_trace(TraceLevel::Full)
+            .without_verification(),
+    );
+    let result = &artifacts.result;
+    assert!(
+        validate_json(&artifacts.chrome_json),
+        "chrome trace export is not valid JSON"
+    );
+    let slices = artifacts.chrome_json.matches("\"cat\":\"op\"").count() as u64;
+    assert_eq!(
+        slices, result.requests,
+        "one chrome slice per completed request"
+    );
+    if let Err(e) = std::fs::write(path, &artifacts.chrome_json) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!(
+        "wrote {path}: {} events rendered, {slices} op slices ({} requests)",
+        result.trace_events, result.requests
+    );
+    println!("stage breakdown (rounds, nearest-rank):");
+    for (stage, stats) in &result.stage_latencies {
+        println!(
+            "  {stage:<12} n={:<5} p50={:<5} p99={:<5} p999={:<5} max={}",
+            stats.count, stats.p50, stats.p99, stats.p999, stats.max
         );
-    }
-    if run_all || experiment == "fig3" {
-        let points = fig3_sweep(config, seed);
-        print_series(
-            "Figure 3: avg rounds per request on the STACK vs n (curves: push probability)",
-            "n",
-            &points,
-        );
-    }
-    if run_all || experiment == "fig4" {
-        let points = fig4_sweep(config, seed);
-        print_series(
-            "Figure 4: avg rounds per request vs per-node request probability (queue vs stack)",
-            "p",
-            &points,
-        );
-    }
-    if run_all || experiment == "scaling" {
-        scaling(config, seed);
-    }
-    if run_all || experiment == "batchsize" {
-        batch_size(config, seed);
-    }
-    if run_all || experiment == "churn" {
-        churn(config, seed);
-    }
-    if run_all || experiment == "fairness" {
-        fairness(config, seed);
-    }
-    if run_all || experiment == "payloads" {
-        payloads(config, seed);
-    }
-    if run_all || experiment == "ablation-batching" {
-        ablation_batching(config, seed);
-    }
-    if run_all || experiment == "ablation-combining" {
-        ablation_combining(config, seed);
     }
 }
 
@@ -236,7 +327,7 @@ fn ablation_batching(config: SweepConfig, seed: u64) {
 /// Note: the Section VI protocol relies on local combining to keep a node's
 /// residual batch in the `POP^a · PUSH^b` form; running the stack with the
 /// optimisation disabled is outside the paper's protocol and is therefore not
-/// measured as a separate configuration (see DESIGN.md).
+/// measured as a separate configuration.
 fn ablation_combining(config: SweepConfig, seed: u64) {
     println!("\n=== E9 (ablation): effect of the stack's local combining ===");
     println!(

@@ -1,5 +1,4 @@
-//! Sweep definitions and result formatting shared by the `experiments`
-//! binary and the Criterion benches.
+//! Sweep definitions and result formatting of the `experiments` binary.
 
 use serde::{Deserialize, Serialize};
 use skueue_core::Mode;

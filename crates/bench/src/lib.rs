@@ -1,13 +1,12 @@
 //! # skueue-bench — experiment harness
 //!
 //! Reproduces every figure of the Skueue paper's evaluation section plus the
-//! derived experiments listed in DESIGN.md.  Two entry points:
-//!
-//! * the `experiments` binary (`cargo run -p skueue-bench --release --bin
-//!   experiments -- <experiment>`) runs full parameter sweeps and prints the
-//!   series the paper plots (and JSON records for EXPERIMENTS.md),
-//! * the Criterion benches (`cargo bench`) time representative single points
-//!   of each experiment so regressions in protocol cost show up in CI.
+//! derived experiments E4–E9 (scaling, batch size, churn, fairness and the
+//! two ablations).  The one entry point is the `experiments` binary
+//! (`cargo run -p skueue-bench --release --bin experiments -- <experiment>`):
+//! it runs full parameter sweeps and prints the series the paper plots, in
+//! rounds per request.  Wall-clock performance is measured elsewhere, by
+//! `examples/benchmark` (see PERF.md).
 //!
 //! The default sweeps are scaled down from the paper's 100 000 processes ×
 //! 1000 rounds so that the whole suite finishes on a laptop; pass
@@ -17,11 +16,5 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod throughput;
 
 pub use harness::{fig2_sweep, fig3_sweep, fig4_sweep, print_series, ExperimentPoint, SweepConfig};
-pub use throughput::{
-    measure_fig2_point, measure_point, points_to_json, print_throughput, run_shard_sweep,
-    run_thread_sweep, run_throughput, run_trace_sweep, PointSpec, ThroughputConfig,
-    ThroughputPoint,
-};

@@ -19,10 +19,10 @@
 //!   or — if a new leftmost node exists — hands the anchor state over first
 //!   and lets the new anchor end the phase.
 //!
-//! Deviations from the paper (documented in DESIGN.md): DHT data is handed to
-//! a joiner at integration time rather than eagerly at responsibility time,
-//! joining processes do not issue queue operations before they are
-//! integrated, and the process currently hosting the anchor may not leave.
+//! Deviations from the paper: DHT data is handed to a joiner at integration
+//! time rather than eagerly at responsibility time, joining processes do not
+//! issue queue operations before they are integrated, and the process
+//! currently hosting the anchor may not leave.
 
 use crate::anchor::AnchorState;
 use crate::batch::Batch;

@@ -84,8 +84,7 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Renders the report as a JSON object (hand-rolled: the workspace's
-    /// `serde` is a no-op compatibility stub).  Matches the schema of the
-    /// benchmark snapshots (`BENCH_*.json`) so the same tooling can read it.
+    /// `serde` is a no-op compatibility stub).
     pub fn to_json(&self) -> String {
         format!(
             concat!(

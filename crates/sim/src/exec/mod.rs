@@ -7,14 +7,9 @@
 //!
 //! * [`ExecMode`] — the user-facing switch between the classic
 //!   single-threaded backend and the parallel lane backend,
-//! * [`spsc`] — a bounded single-producer/single-consumer ring buffer used
-//!   as the driver→worker job channel (one per worker thread),
-//! * [`mpmc`] — a bounded multi-producer/multi-consumer queue (Vyukov-style
-//!   per-slot sequence numbers, in the spirit of Nikolaev's SCQ) used as the
-//!   shared worker→driver collection queue,
 //! * [`pool`] — the persistent worker pool that executes one lane's round on
-//!   a dedicated OS thread and hands the lane back over the collection
-//!   queue, forming the deterministic round barrier.
+//!   a dedicated OS thread and hands the lane back over a channel, forming
+//!   the deterministic round barrier.
 //!
 //! Determinism contract: the pool moves whole lanes (boxed) between threads;
 //! a lane's round is computed entirely by lane-owned state, and the driver
@@ -22,21 +17,10 @@
 //! schedule of *threads* therefore never influences the schedule of
 //! *messages* — the merged history is byte-identical to the single-threaded
 //! backend's, whatever the thread count.
-//!
-//! The queues are hand-rolled (the workspace builds offline, `crates/compat`
-//! idiom: no crates.io) and are the only place in `skueue-sim` where unsafe
-//! code is permitted; both confine it to slot reads/writes guarded by the
-//! head/tail (resp. per-slot sequence) protocol.
 
-#[allow(unsafe_code)]
-pub mod mpmc;
 pub mod pool;
-#[allow(unsafe_code)]
-pub mod spsc;
 
-pub use mpmc::MpmcQueue;
 pub use pool::{RoundTask, WorkerPool};
-pub use spsc::{spsc_channel, SpscReceiver, SpscSender};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -82,12 +66,6 @@ impl ExecMode {
         self.threads() > 1
     }
 }
-
-/// Pads a value to its own cache line pair so the producer and consumer
-/// cursors of the queues never false-share.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub T);
 
 static NEXT_THREAD_TOKEN: AtomicU64 = AtomicU64::new(1);
 

@@ -2,26 +2,22 @@
 //! backend.
 //!
 //! One pool owns `threads` OS threads.  Each round the driver *moves* every
-//! lane (a boxed [`RoundTask`]) to its worker over that worker's private
-//! SPSC ring, and the workers hand finished lanes back over one shared MPMC
-//! collection queue.  The driver waits until all lanes have returned — that
-//! wait **is** the deterministic round barrier: no lane can observe round
-//! `r + 1` state before every lane has finished round `r`.
+//! lane (a boxed [`RoundTask`]) to its worker over that worker's private job
+//! channel, and the workers hand finished lanes back over one shared results
+//! channel.  The driver waits until all lanes have returned — that wait
+//! **is** the deterministic round barrier: no lane can observe round `r + 1`
+//! state before every lane has finished round `r`.
 //!
 //! Lane `l` is always dispatched to worker `l % threads`, so the
 //! lane→thread mapping is a pure function of the configuration; thread
 //! scheduling can change *when* a lane runs, never *what* it computes.
 //!
-//! Workers park when their ring is empty and are unparked on submit; the
-//! driver parks (with a timeout, to tolerate missed unparks) while the
-//! collection queue is empty.  On a loaded host this costs two futex hops
-//! per worker per round — the cost model PERF.md's barrier section measures.
+//! Both directions are `std::sync::mpsc` channels: a worker blocks in `recv`
+//! while it has no lane, the driver blocks in `recv` at the barrier.
 
-use super::mpmc::MpmcQueue;
-use super::spsc::{spsc_channel, SpscSender};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A unit of per-round work that can be shipped to a worker thread.
 pub trait RoundTask: Send + 'static {
@@ -29,13 +25,10 @@ pub trait RoundTask: Send + 'static {
     fn run_task(&mut self, round: u64);
 }
 
-enum Job<J> {
-    Run {
-        idx: usize,
-        task: Box<J>,
-        round: u64,
-    },
-    Stop,
+struct Job<J> {
+    idx: usize,
+    task: Box<J>,
+    round: u64,
 }
 
 /// A persistent pool of worker threads executing [`RoundTask`]s.
@@ -44,57 +37,53 @@ enum Job<J> {
 /// `Simulation<A>` unconditionally; only [`WorkerPool::new`] requires the
 /// task to actually be shippable.
 pub struct WorkerPool<J> {
-    senders: Vec<SpscSender<Job<J>>>,
+    /// One job channel per worker; dropping them is the stop signal.
+    jobs: Vec<Sender<Job<J>>>,
+    /// Finished tasks, or the payload of the panic that ended one.
+    results: Receiver<std::thread::Result<(usize, Box<J>)>>,
     handles: Vec<JoinHandle<()>>,
-    results: Arc<MpmcQueue<(usize, Box<J>)>>,
 }
 
 impl<J: RoundTask> WorkerPool<J> {
-    /// Spawns `threads` workers sized for up to `max_tasks` in-flight tasks
-    /// per round.
-    pub fn new(threads: usize, max_tasks: usize) -> Self {
-        let threads = threads.max(1);
-        let capacity = (max_tasks + 2).next_power_of_two();
-        let results = Arc::new(MpmcQueue::new(capacity));
-        let driver = std::thread::current();
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, mut rx) = spsc_channel::<Job<J>>(capacity);
-            let results = Arc::clone(&results);
-            let driver = driver.clone();
+    /// Spawns `threads` workers.
+    pub fn new(threads: usize) -> Self {
+        let (done, results) = channel();
+        let mut jobs = Vec::new();
+        let mut handles = Vec::new();
+        for w in 0..threads.max(1) {
+            let (tx, rx) = channel::<Job<J>>();
+            let done = done.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("skueue-lane-{w}"))
-                .spawn(move || loop {
-                    match rx.pop() {
-                        Some(Job::Run {
-                            idx,
-                            mut task,
-                            round,
-                        }) => {
+                .spawn(move || {
+                    // Ends when the pool drops this worker's job sender.
+                    for Job {
+                        idx,
+                        mut task,
+                        round,
+                    } in rx
+                    {
+                        // A panicking lane is handed to the driver instead of
+                        // killing the worker silently: the other workers keep
+                        // their `done` senders alive, so the driver's `recv`
+                        // would otherwise block forever on the lost lane.
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
                             task.run_task(round);
-                            let mut item = (idx, task);
-                            while let Err(back) = results.push(item) {
-                                item = back;
-                                std::thread::yield_now();
-                            }
-                            driver.unpark();
+                            (idx, task)
+                        }));
+                        if done.send(outcome).is_err() {
+                            break; // the pool is gone; nobody is waiting
                         }
-                        Some(Job::Stop) => break,
-                        // The park token makes this race-free: an unpark
-                        // that lands between the failed pop and the park
-                        // makes park return immediately.
-                        None => std::thread::park(),
                     }
                 })
                 .expect("failed to spawn lane worker thread");
-            senders.push(tx);
+            jobs.push(tx);
             handles.push(handle);
         }
         WorkerPool {
-            senders,
-            handles,
+            jobs,
             results,
+            handles,
         }
     }
 }
@@ -102,51 +91,38 @@ impl<J: RoundTask> WorkerPool<J> {
 impl<J> WorkerPool<J> {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.senders.len()
+        self.jobs.len()
     }
 
     /// Ships task `idx` to its worker (`idx % worker_count`) for `round`.
     pub fn submit(&mut self, idx: usize, task: Box<J>, round: u64) {
-        let w = idx % self.senders.len();
-        let mut job = Job::Run { idx, task, round };
-        while let Err(back) = self.senders[w].push(job) {
-            job = back;
-            self.handles[w].thread().unpark();
-            std::thread::yield_now();
-        }
-        self.handles[w].thread().unpark();
+        let w = idx % self.jobs.len();
+        self.jobs[w]
+            .send(Job { idx, task, round })
+            .expect("lane workers run until the pool is dropped");
     }
 
-    /// Waits for the next finished task.  Panics if a worker died (a task
-    /// panicked on its thread) — the simulation cannot continue with a lost
+    /// Waits for the next finished task.  Re-raises the panic of a task that
+    /// panicked on its worker — the simulation cannot continue with a lost
     /// lane.
     pub fn collect_one(&mut self) -> (usize, Box<J>) {
-        loop {
-            if let Some(item) = self.results.pop() {
-                return item;
-            }
-            if self.handles.iter().any(|h| h.is_finished()) && self.results.is_empty() {
-                panic!("a lane worker thread exited while work was outstanding (lane panicked)");
-            }
-            std::thread::park_timeout(Duration::from_millis(1));
+        match self
+            .results
+            .recv()
+            .expect("lane workers run until the pool is dropped")
+        {
+            Ok(finished) => finished,
+            Err(panic) => resume_unwind(panic),
         }
     }
 }
 
 impl<J> Drop for WorkerPool<J> {
     fn drop(&mut self) {
-        for (w, tx) in self.senders.iter_mut().enumerate() {
-            let mut job = Job::Stop;
-            while let Err(back) = tx.push(job) {
-                job = back;
-                self.handles[w].thread().unpark();
-                std::thread::yield_now();
-            }
-            self.handles[w].thread().unpark();
-        }
+        self.jobs.clear();
         for handle in self.handles.drain(..) {
-            // A worker that panicked already aborted the run via
-            // `collect_one`; during unwinding, ignore the secondary error.
+            // Workers catch their tasks' panics, so a join error could only
+            // repeat one `collect_one` already raised; `drop` must not panic.
             let _ = handle.join();
         }
     }
@@ -156,6 +132,7 @@ impl<J> Drop for WorkerPool<J> {
 mod tests {
     use super::*;
     use crate::exec::thread_token;
+    use std::time::Duration;
 
     struct Doubler {
         input: u64,
@@ -172,7 +149,7 @@ mod tests {
 
     #[test]
     fn pool_runs_tasks_and_returns_them() {
-        let mut pool: WorkerPool<Doubler> = WorkerPool::new(3, 8);
+        let mut pool: WorkerPool<Doubler> = WorkerPool::new(3);
         assert_eq!(pool.worker_count(), 3);
         for repeat in 0..50u64 {
             for idx in 0..8usize {
@@ -204,7 +181,7 @@ mod tests {
 
     #[test]
     fn distinct_workers_get_distinct_threads() {
-        let mut pool: WorkerPool<Doubler> = WorkerPool::new(2, 4);
+        let mut pool: WorkerPool<Doubler> = WorkerPool::new(2);
         for idx in 0..4usize {
             pool.submit(
                 idx,
@@ -234,7 +211,48 @@ mod tests {
 
     #[test]
     fn drop_shuts_workers_down() {
-        let pool: WorkerPool<Doubler> = WorkerPool::new(4, 4);
+        let pool: WorkerPool<Doubler> = WorkerPool::new(4);
         drop(pool); // must not hang
+    }
+
+    struct Bomb {
+        armed: bool,
+    }
+
+    impl RoundTask for Bomb {
+        fn run_task(&mut self, _round: u64) {
+            if self.armed {
+                panic!("lane blew up");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_driver_instead_of_hanging() {
+        // The pool is driven from a helper thread so that a regression — the
+        // driver blocked in `recv` because the healthy worker still holds a
+        // sender — fails this test instead of hanging the suite.
+        let (verdict_tx, verdict_rx) = channel();
+        std::thread::spawn(move || {
+            let mut pool: WorkerPool<Bomb> = WorkerPool::new(2);
+            pool.submit(0, Box::new(Bomb { armed: false }), 1);
+            pool.submit(1, Box::new(Bomb { armed: true }), 1);
+            let collected = catch_unwind(AssertUnwindSafe(|| {
+                pool.collect_one();
+                pool.collect_one();
+            }));
+            let message = collected
+                .err()
+                .and_then(|panic| panic.downcast_ref::<&str>().map(|m| m.to_string()));
+            let _ = verdict_tx.send(message);
+        });
+        let message = verdict_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("collecting a panicked lane must not block");
+        assert_eq!(
+            message.as_deref(),
+            Some("lane blew up"),
+            "the driver must re-raise the lane's own panic"
+        );
     }
 }

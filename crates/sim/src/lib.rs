@@ -43,7 +43,7 @@
 //! thread or on a pool of worker threads behind a deterministic round
 //! barrier (see [`exec`]); both backends produce byte-identical results.
 
-#![deny(unsafe_code)] // `exec`'s queues opt in locally; everything else is forbidden.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;

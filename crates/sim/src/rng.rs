@@ -4,8 +4,9 @@
 //! that a simulation run is exactly reproducible from `(seed, config)`.
 //! The generator is a small, fast `xoshiro256**`-style PRNG implemented
 //! locally (on top of a SplitMix64 seeder) so that sequences are stable
-//! across `rand` crate versions — experiment outputs referenced by
-//! EXPERIMENTS.md must not silently change when dependencies are bumped.
+//! across `rand` crate versions — the history fingerprints the determinism
+//! tests and the benchmark pin must not silently change when dependencies
+//! are bumped.
 
 use rand::RngCore;
 

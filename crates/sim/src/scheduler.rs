@@ -592,7 +592,7 @@ impl<A: Actor> Simulation<A> {
             self.pool = None;
             return;
         }
-        self.pool = Some(WorkerPool::new(workers, self.lanes.len()));
+        self.pool = Some(WorkerPool::new(workers));
     }
 
     /// Number of worker threads of the parallel backend (1 when the

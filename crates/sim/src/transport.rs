@@ -9,7 +9,7 @@
 //!   round-driven [`crate::Simulation`] has always used.  Delays are drawn
 //!   from a seeded RNG according to a [`DeliveryModel`]; for a fixed seed the
 //!   schedule is bit-for-bit reproducible, which the golden-history tests
-//!   and the perf gate rely on.  [`crate::scheduler::Simulation`]'s lanes
+//!   and the benchmark's fingerprint checks rely on.  [`crate::scheduler::Simulation`]'s lanes
 //!   embed one `SimTransport` each and call its inherent methods directly
 //!   (static dispatch — the seam adds no indirection to the hot loop).
 //! * `TcpTransport` (crate `skueue-net`) — real-clock delivery over

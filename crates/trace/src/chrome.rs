@@ -45,8 +45,8 @@ fn push_meta(out: &mut String, pid: u32, tid: Option<u32>, name: &str, value: &s
 /// Renders the deterministic protocol timeline (see the module docs).
 ///
 /// One `"cat":"op"` complete event is emitted per completed span, so
-/// `count of "cat":"op"` == completed requests — the acceptance check the
-/// trace smoke performs.
+/// `count of "cat":"op"` == completed requests (checked by
+/// `tests/trace_determinism.rs` and by `experiments trace`).
 pub fn export_chrome_trace(log: &TraceLog) -> String {
     let analysis = TraceAnalysis::from_log(log);
     let mut events: Vec<String> = Vec::new();

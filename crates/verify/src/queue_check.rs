@@ -257,8 +257,8 @@ pub fn check_queue_definition1<T: Payload>(history: &History<T>) -> ConsistencyR
 /// queue and checks every response.
 ///
 /// This is strictly stronger than Definition 1 for histories in which some
-/// enqueues are never matched (see DESIGN.md); the Skueue protocol satisfies
-/// it, so the test-suite uses it as the primary oracle.
+/// enqueues are never matched; the Skueue protocol satisfies it, so the
+/// test-suite uses it as the primary oracle.
 pub fn check_queue_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
     let Prepared { mut report, .. } = prepare(history);
 

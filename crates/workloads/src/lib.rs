@@ -29,6 +29,6 @@ pub use baseline::{run_central_baseline, CentralBaselineResult};
 pub use generator::{FixedRateGenerator, PerNodeRateGenerator};
 pub use scenario::{
     run_churn_scenario, run_fairness_scenario, run_fixed_rate, run_fixed_rate_traced,
-    run_payload_fixed_rate, run_per_node_rate, run_sharded_fig2, run_string_payload_fig2,
-    ChurnResult, FairnessResult, ScenarioParams, ScenarioResult, TracedRunArtifacts,
+    run_payload_fixed_rate, run_per_node_rate, run_string_payload_fig2, ChurnResult,
+    FairnessResult, ScenarioParams, ScenarioResult, TracedRunArtifacts,
 };

@@ -1,9 +1,9 @@
 //! Ready-to-run experiment scenarios.
 //!
 //! Each function runs one *data point* of a paper figure (or of one of the
-//! derived experiments in DESIGN.md) and returns a serialisable result
-//! record.  The experiment binary in `skueue-bench` sweeps these over the
-//! parameter grids of the figures and prints the same series the paper plots.
+//! derived experiments E4–E9) and returns a serialisable result record.  The
+//! experiment binary in `skueue-bench` sweeps these over the parameter grids
+//! of the figures and prints the same series the paper plots.
 
 use crate::generator::{FixedRateGenerator, PerNodeRateGenerator};
 use serde::{Deserialize, Serialize};
@@ -35,10 +35,6 @@ pub struct ScenarioParams {
     /// Number of anchor shards (1 = the unsharded protocol; `> 1` verifies
     /// with the cross-shard checker against the merged order).
     pub shards: usize,
-    /// Worker threads of the parallel execution backend (1 = the
-    /// single-threaded backend; the two produce byte-identical histories,
-    /// so this is purely a wall-clock knob).
-    pub threads: usize,
     /// Enables the nearest-middle routing finger (default off; changes hop
     /// counts and therefore schedules — see `SkueueBuilder::middle_fingers`).
     pub middle_fingers: bool,
@@ -48,8 +44,8 @@ pub struct ScenarioParams {
 }
 
 impl ScenarioParams {
-    /// Defaults mirroring the paper's setup at a reduced scale (see
-    /// EXPERIMENTS.md): 10 requests/round, insert ratio 0.5.
+    /// Defaults mirroring the paper's setup at a reduced scale: 10
+    /// requests/round, 200 generation rounds.
     pub fn fixed_rate(processes: usize, mode: Mode, insert_ratio: f64) -> Self {
         ScenarioParams {
             processes,
@@ -62,7 +58,6 @@ impl ScenarioParams {
             drain_budget: 50_000,
             verify: true,
             shards: 1,
-            threads: 1,
             middle_fingers: false,
             trace_level: TraceLevel::Off,
         }
@@ -81,7 +76,6 @@ impl ScenarioParams {
             drain_budget: 50_000,
             verify: true,
             shards: 1,
-            threads: 1,
             middle_fingers: false,
             trace_level: TraceLevel::Off,
         }
@@ -112,24 +106,10 @@ impl ScenarioParams {
         self
     }
 
-    /// Runs the round loop on `threads` worker threads (see
-    /// `SkueueBuilder::threads`; byte-identical histories, wall-clock only).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Enables the nearest-middle routing finger (see
     /// `SkueueBuilder::middle_fingers`).
     pub fn with_middle_fingers(mut self, enabled: bool) -> Self {
         self.middle_fingers = enabled;
-        self
-    }
-
-    /// Overrides the fixed-rate workload's requests per round (the open-loop
-    /// offered load; ignored by the per-node-rate workload).
-    pub fn with_requests_per_round(mut self, requests: u64) -> Self {
-        self.requests_per_round = requests;
         self
     }
 
@@ -146,7 +126,6 @@ impl ScenarioParams {
             .mode(self.mode)
             .seed(self.seed)
             .shards(self.shards)
-            .threads(self.threads)
             .middle_fingers(self.middle_fingers)
             .trace(self.trace_level)
             .build()
@@ -194,22 +173,6 @@ pub struct ScenarioResult {
     /// Aggregation waves assigned per shard anchor (indexed by shard id) —
     /// the direct view of shard imbalance; `[total]` when unsharded.
     pub per_shard_waves: Vec<u64>,
-    /// Worker threads the parallel backend actually used (1 = the
-    /// single-threaded backend; always capped at the lane count).
-    pub threads: usize,
-    /// Per-lane wall-clock time spent inside `run_round`, in nanoseconds
-    /// (indexed by lane = shard id).  The spread across lanes is the lane
-    /// imbalance the barrier pays for every round.
-    pub lane_busy_ns: Vec<u64>,
-    /// Per-lane cumulative time a lane sat idle at the round barrier while
-    /// slower lanes finished (each round's wall time minus the lane's own
-    /// busy time), in nanoseconds.  Parallel backend only; all zeros on the
-    /// single-threaded backend.
-    pub lane_barrier_wait_ns: Vec<u64>,
-    /// Number of distinct OS threads the lanes last ran on (1 on the
-    /// single-threaded backend; ≥ 2 proves the parallel backend actually
-    /// spread lanes over workers — the CI smoke asserts this).
-    pub distinct_lane_threads: usize,
     /// Whether the history passed the sequential-consistency checks
     /// (`true` when verification was skipped).  Sharded runs use the
     /// cross-shard checker (`check_queue_sharded`) against the merged
@@ -311,16 +274,6 @@ fn finish<T: Payload>(
         unmatched_dht_replies: cluster.unmatched_dht_replies(),
         shards: cluster.shards(),
         per_shard_waves,
-        threads: cluster.parallel_threads().max(1),
-        lane_busy_ns: cluster.sim_metrics().lane_busy_ns.clone(),
-        lane_barrier_wait_ns: cluster.sim_metrics().lane_barrier_wait_ns.clone(),
-        distinct_lane_threads: {
-            let tokens = &cluster.sim_metrics().lane_thread_tokens;
-            let mut distinct: Vec<u64> = tokens.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            distinct.len().max(1)
-        },
         consistent,
         locally_combined: cluster.locally_combined(),
         p50_rounds,
@@ -337,18 +290,6 @@ fn finish<T: Payload>(
 /// generic and default paths can never drift apart.)
 pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
     run_payload_fixed_rate(params, |c| c)
-}
-
-/// Runs one *sharded* fig2 data point: the Figure 2 fixed-rate workload
-/// (queue, insert ratio 0.5, 10 requests/round) over `shards` anchor
-/// shards, verified with the cross-shard checker.  `shards = 1` is exactly
-/// [`run_fixed_rate`] on the paper's configuration.
-pub fn run_sharded_fig2(processes: usize, shards: usize, seed: u64) -> ScenarioResult {
-    run_fixed_rate(
-        ScenarioParams::fixed_rate(processes, Mode::Queue, 0.5)
-            .with_seed(seed)
-            .with_shards(shards),
-    )
 }
 
 /// Runs one *payload-generic* fixed-rate data point: the exact Figure 2
@@ -399,30 +340,21 @@ pub struct TracedRunArtifacts {
     /// The deterministic Chrome trace-event export of the merged log
     /// (byte-identical across thread counts for a given seed).
     pub chrome_json: String,
-    /// `(shard, events recorded)` per populated shard lane.
-    pub shard_event_counts: Vec<(u32, u64)>,
-    /// FNV fingerprint of the merged trace log (the determinism tests'
-    /// cross-backend comparison key).
-    pub trace_fingerprint: u64,
 }
 
 /// Runs one fig2 data point with lifecycle tracing enabled and returns the
-/// result together with the Chrome-trace export and the merged-log
-/// fingerprint.  Forces at least [`TraceLevel::Spans`] when the params left
-/// tracing off — an untraced run has nothing to export.
+/// result together with the Chrome-trace export.  Forces at least
+/// [`TraceLevel::Spans`] when the params left tracing off — an untraced run
+/// has nothing to export.
 pub fn run_fixed_rate_traced(mut params: ScenarioParams) -> TracedRunArtifacts {
     if params.trace_level.is_off() {
         params.trace_level = TraceLevel::Spans;
     }
     let (cluster, drain_rounds) = run_fixed_rate_cluster::<u64>(&params, &mut |c| c);
     let chrome_json = cluster.export_chrome_trace();
-    let shard_event_counts = cluster.trace_log().shard_event_counts();
-    let trace_fingerprint = cluster.trace_log().fingerprint();
     TracedRunArtifacts {
         result: finish(cluster, &params, drain_rounds),
         chrome_json,
-        shard_event_counts,
-        trace_fingerprint,
     }
 }
 
@@ -700,38 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_scenario_matches_single_threaded_metrics() {
-        // `.with_threads(n)` is a wall-clock knob: every schedule-derived
-        // metric of the scenario result must be identical across backends.
-        let params = ScenarioParams::fixed_rate(32, Mode::Queue, 0.5)
-            .with_generation_rounds(20)
-            .with_seed(11)
-            .with_shards(4);
-        let single = run_fixed_rate(params);
-        let parallel = run_fixed_rate(params.with_threads(4));
-        assert_eq!(parallel.threads, 4);
-        assert_eq!(single.threads, 1);
-        assert_eq!(single.requests, parallel.requests);
-        assert_eq!(
-            single.avg_rounds_per_request,
-            parallel.avg_rounds_per_request
-        );
-        assert_eq!(single.drain_rounds, parallel.drain_rounds);
-        assert_eq!(single.per_shard_waves, parallel.per_shard_waves);
-        assert_eq!(single.mean_dht_hops, parallel.mean_dht_hops);
-        assert!(parallel.consistent);
-        // The lane timing columns are populated, one entry per lane; only
-        // the parallel run pays barrier waits.
-        assert_eq!(single.lane_busy_ns.len(), 4);
-        assert_eq!(parallel.lane_busy_ns.len(), 4);
-        assert!(parallel.lane_busy_ns.iter().all(|&ns| ns > 0));
-        assert!(single.lane_barrier_wait_ns.iter().all(|&ns| ns == 0));
-        assert!(parallel.lane_barrier_wait_ns.iter().any(|&ns| ns > 0));
-        assert_eq!(single.distinct_lane_threads, 1);
-        assert!(parallel.distinct_lane_threads >= 2);
-    }
-
-    #[test]
     fn traced_scenario_matches_untraced_and_reports_stage_latencies() {
         // Tracing is observation-only: every schedule-derived metric must be
         // identical with tracing on, and the traced run additionally carries
@@ -768,9 +668,8 @@ mod tests {
 
     #[test]
     fn middle_fingers_cut_hops_without_breaking_consistency() {
-        // Satellite metric of BENCH_pr8.json: the nearest-middle finger must
-        // lower (or at minimum not inflate) the mean DHT hop count while the
-        // verifier still accepts the history.
+        // The nearest-middle finger must lower the mean DHT hop count while
+        // the verifier still accepts the history.
         let params = ScenarioParams::fixed_rate(128, Mode::Queue, 0.5)
             .with_generation_rounds(20)
             .with_seed(11);
@@ -794,10 +693,7 @@ mod tests {
                 .with_generation_rounds(15)
                 .with_seed(21),
         );
-        let sharded = run_sharded_fig2(16, 1, 21);
-        // Same workload, same schedule: S = 1 must not change a thing
-        // (run_sharded_fig2 uses the full 200 generation rounds, so compare
-        // through explicitly matched parameters instead).
+        // Same workload, same schedule: S = 1 must not change a thing.
         let sharded_matched = run_fixed_rate(
             ScenarioParams::fixed_rate(16, Mode::Queue, 0.5)
                 .with_generation_rounds(15)
@@ -810,7 +706,7 @@ mod tests {
             sharded_matched.avg_rounds_per_request
         );
         assert_eq!(base.drain_rounds, sharded_matched.drain_rounds);
-        assert!(sharded.consistent);
+        assert!(sharded_matched.consistent);
     }
 
     #[test]

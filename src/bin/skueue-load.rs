@@ -7,7 +7,7 @@
 //! wall-clock p50/p99/p999 operation latency as JSON.
 //!
 //! ```text
-//! skueue-load --daemons … --rate 200 --ops 500 --seed 42 --out BENCH_net.json
+//! skueue-load --daemons … --rate 200 --ops 500 --seed 42 --out load.json
 //! ```
 
 use std::process::ExitCode;

@@ -195,6 +195,18 @@ fn parallel_backend_spreads_lanes_over_threads_and_verifies() {
     );
     assert!(metrics.lane_busy_ns.iter().all(|&ns| ns > 0));
     assert_eq!(metrics.lane_barrier_wait_ns.len(), 4);
+    // Only the parallel backend pays barrier waits: some lane waited for a
+    // slower one here, none does when the lanes run inline.
+    assert!(metrics.lane_barrier_wait_ns.iter().any(|&ns| ns > 0));
+    let mut inline = Skueue::<u64>::builder()
+        .processes(16)
+        .shards(4)
+        .seed(11)
+        .build()
+        .unwrap();
+    let put = inline.client(ProcessId(0)).enqueue(1).unwrap();
+    inline.run_until_done(&[put], 5_000).unwrap();
+    assert_eq!(inline.sim_metrics().lane_barrier_wait_ns, [0; 4]);
 
     // And the merged history still verifies as a sharded queue.
     check_queue_sharded(cluster.history(), &cluster.shard_map()).assert_consistent();

@@ -59,6 +59,8 @@ struct TracedRun {
     records: Vec<skueue_verify::OpRecord<u64>>,
     trace_fingerprint: u64,
     trace_len: usize,
+    /// `(shard, events recorded)` per shard lane that recorded anything.
+    shard_event_counts: Vec<(u32, u64)>,
     chrome: String,
     analysis: TraceAnalysis,
     /// Sum of the nodes' `dht_hops` histograms at quiescence.
@@ -111,6 +113,7 @@ fn run_traced_workload(
     TracedRun {
         trace_fingerprint: cluster.trace_log().fingerprint(),
         trace_len: cluster.trace_log().len(),
+        shard_event_counts: cluster.trace_log().shard_event_counts(),
         chrome: cluster.export_chrome_trace(),
         analysis: cluster.trace_analysis(),
         hop_histogram_sum: cluster.dht_hop_histogram().sum() as u64,
@@ -203,6 +206,16 @@ fn chrome_export_is_valid_json_with_per_op_slices() {
     // One complete `"cat":"op"` slice per completed op.
     let slices = run.chrome.matches("\"cat\":\"op\"").count();
     assert_eq!(slices, run.analysis.completed_count());
+    // Both shard lanes recorded events (and so got a track in the export).
+    assert_eq!(
+        run.shard_event_counts
+            .iter()
+            .map(|&(s, _)| s)
+            .collect::<Vec<_>>(),
+        [0, 1],
+        "every shard lane must record events: {:?}",
+        run.shard_event_counts
+    );
 }
 
 proptest! {
