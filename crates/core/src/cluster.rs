@@ -51,14 +51,13 @@ use crate::batch::BatchOp;
 use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
+use crate::membership::{joining_views, InitialMembership};
 use crate::messages::SkueueMsg;
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
 use skueue_dht::{LoadStats, Payload};
-use skueue_overlay::{
-    recommended_bit_budget, LabelHasher, LocalView, NeighborInfo, Topology, VKind, VirtualId,
-};
+use skueue_overlay::{recommended_bit_budget, VKind};
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
@@ -208,7 +207,6 @@ pub struct ClusterProjection {
 pub struct SkueueCluster<T: Payload = u64> {
     sim: Simulation<SkueueNode<T>>,
     cfg: ProtocolConfig,
-    hasher: LabelHasher,
     /// Deterministic process→shard assignment (cached splittable hashing).
     router: ShardRouter,
     /// Per-shard node configuration, shared by the shard's nodes: the
@@ -278,45 +276,12 @@ impl<T: Payload> SkueueCluster<T> {
         exec: ExecMode,
     ) -> Self {
         debug_assert!(n >= 1, "validated by SkueueBuilder::build");
-        // Normalise the shard count (stack mode pins it to 1) so every
-        // consumer — nodes, verifier, accessors — sees the effective value.
+        let membership = InitialMembership::build(n as u64, cfg);
+        // The stored cfg carries the normalised shard count and keeps the
+        // whole-system budget derivation for introspection (`config()`);
+        // node behaviour is governed by the per-shard budgets, which
+        // coincide with this value exactly when shards == 1.
         cfg.shards = cfg.effective_shards();
-        let hasher = cfg.hasher();
-        let shard_map = ShardMap::new(cfg.shards as u32, cfg.hash_seed);
-        let router = ShardRouter::new(shard_map);
-        let process_ids: Vec<ProcessId> = (0..n as u64).map(ProcessId).collect();
-
-        // Partition the processes into their shards and build one topology —
-        // cycle, aggregation tree, anchor — per populated shard.  With
-        // `shards == 1` this is exactly the old single global topology.
-        let mut groups: Vec<Vec<ProcessId>> = vec![Vec::new(); cfg.shards];
-        for &pid in &process_ids {
-            groups[router.route(pid) as usize].push(pid);
-        }
-        let topologies: Vec<Option<Topology>> = groups
-            .iter()
-            .map(|group| {
-                (!group.is_empty()).then(|| {
-                    Topology::build(group, hasher).expect("non-empty, duplicate-free process set")
-                })
-            })
-            .collect();
-        // Per-shard routing budget: an explicit configuration applies
-        // everywhere; otherwise each shard derives it from its own size
-        // (shorter distance-halving routes inside smaller shard cycles).
-        let shard_cfgs: Vec<Arc<ProtocolConfig>> = groups
-            .iter()
-            .map(|group| {
-                let mut node_cfg = cfg;
-                if cfg.bit_budget == 0 {
-                    node_cfg.bit_budget = recommended_bit_budget(group.len().max(1));
-                }
-                Arc::new(node_cfg)
-            })
-            .collect();
-        // The stored cfg keeps the whole-system derivation for introspection
-        // (`config()`); node behaviour is governed by the per-shard budgets
-        // above, which coincide with this value exactly when shards == 1.
         if cfg.bit_budget == 0 {
             cfg.bit_budget = recommended_bit_budget(n);
         }
@@ -331,45 +296,26 @@ impl<T: Payload> SkueueCluster<T> {
         // Pre-size every lane: the shard populations are known, and node
         // slots are large enough that letting several lane vectors grow by
         // doubling costs milliseconds of memcpy on big clusters.
-        for (shard, group) in groups.iter().enumerate() {
-            if !group.is_empty() {
-                sim.reserve_nodes_in_lane(shard, group.len() * 3);
+        for (shard, size) in membership.shard_sizes().enumerate() {
+            if size > 0 {
+                sim.reserve_nodes_in_lane(shard, size * 3);
             }
         }
-        // Node ids are assigned densely: process i gets nodes 3i, 3i+1, 3i+2
-        // in VKind order (Left, Middle, Right) — independent of sharding.
-        let node_of =
-            |vid: VirtualId| -> NodeId { NodeId(vid.process.raw() * 3 + vid.kind.index() as u64) };
         let mut processes = Vec::with_capacity(n);
         let mut index_of = HashMap::with_capacity(n);
-        for (i, &pid) in process_ids.iter().enumerate() {
-            let shard = router.route(pid);
-            let topology = topologies[shard as usize]
-                .as_ref()
-                .expect("pid was grouped into this shard");
-            let anchor_vid = topology.anchor();
-            let node_cfg = &shard_cfgs[shard as usize];
-            let mut nodes = [NodeId(0); 3];
-            for kind in VKind::ALL {
-                let vid = VirtualId::new(pid, kind);
-                let view = if cfg.middle_fingers {
-                    topology
-                        .local_view_with_fingers(vid, &node_of)
-                        .expect("vid from own topology")
-                } else {
-                    topology
-                        .local_view(vid, &node_of)
-                        .expect("vid from own topology")
-                };
-                let mut node =
-                    SkueueNode::<T>::new(Arc::clone(node_cfg), shard, view, vid == anchor_vid);
+        for (i, pid) in (0..n as u64).map(ProcessId).enumerate() {
+            let (shard, views) = membership.process(pid);
+            let nodes = views.map(|(view, is_anchor)| {
+                let id = view.me.node;
+                let node_cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
+                let mut node = SkueueNode::<T>::new(node_cfg, shard, view, is_anchor);
                 // Tag the recorder with the dense node index (known ahead of
-                // registration thanks to the dense id scheme above).
-                node.trace_recorder_mut().attach(node_of(vid).0, shard);
+                // registration thanks to the dense id rule).
+                node.trace_recorder_mut().attach(id.0, shard);
                 let assigned = sim.add_node_in_lane(shard as usize, node);
-                debug_assert_eq!(assigned, node_of(vid));
-                nodes[kind.index()] = assigned;
-            }
+                debug_assert_eq!(assigned, id);
+                assigned
+            });
             processes.push(ProcessHandle {
                 id: pid,
                 nodes,
@@ -389,9 +335,8 @@ impl<T: Payload> SkueueCluster<T> {
         SkueueCluster {
             sim,
             cfg,
-            hasher,
-            router,
-            shard_cfgs,
+            router: membership.router(),
+            shard_cfgs: membership.shard_cfgs().to_vec(),
             processes,
             index_of,
             history: History::new(),
@@ -914,59 +859,18 @@ impl<T: Payload> SkueueCluster<T> {
         let bootstrap_node = self.processes[bootstrap_idx].nodes[VKind::Middle.index()];
 
         self.next_process_id += 1;
-        let middle_label = self.hasher.process_label(pid);
-        let mut nodes = [NodeId(0); 3];
-        // First create the three nodes so we know their ids, then fill in the
-        // sibling views.
-        let mut created: Vec<(VKind, NodeId)> = Vec::with_capacity(3);
-        for kind in VKind::ALL {
-            let label = kind.label_from_middle(middle_label);
-            let vid = VirtualId::new(pid, kind);
-            let me = NeighborInfo::new(NodeId(0), vid, label); // placeholder id, fixed below
-            let view = LocalView {
-                me,
-                pred: me,
-                succ: me,
-                siblings: [me, me, me],
-                middle_finger: None,
-            };
+        let nodes = joining_views(self.cfg.hasher(), pid).map(|view| {
+            let id = view.me.node;
             let node_cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
-            let node = SkueueNode::new_joining(node_cfg, shard, view);
-            // Joining nodes live in their shard's lane like everyone else.
-            let id = self.sim.add_node_in_lane(shard as usize, node);
-            created.push((kind, id));
-            nodes[kind.index()] = id;
-        }
-        // Fix up identities and sibling pointers now that all ids are known.
-        let siblings: [NeighborInfo; 3] = [
-            NeighborInfo::new(
-                nodes[0],
-                VirtualId::left(pid),
-                VKind::Left.label_from_middle(middle_label),
-            ),
-            NeighborInfo::new(nodes[1], VirtualId::middle(pid), middle_label),
-            NeighborInfo::new(
-                nodes[2],
-                VirtualId::right(pid),
-                VKind::Right.label_from_middle(middle_label),
-            ),
-        ];
-        for (kind, id) in created {
-            let me = siblings[kind.index()];
-            let node = self.sim.node_mut(id).expect("just created");
-            // Joining nodes start without a routing finger: `None` is always
-            // safe (the linear middle-search takes over) and the finger is an
-            // optimisation only — see `LocalView::middle_finger`.
-            node.view = LocalView {
-                me,
-                pred: me,
-                succ: me,
-                siblings,
-                middle_finger: None,
-            };
+            let mut node = SkueueNode::new_joining(node_cfg, shard, view);
             node.set_bootstrap(bootstrap_node);
             node.trace_recorder_mut().attach(id.0, shard);
-        }
+            // Joining nodes live in their shard's lane like everyone else,
+            // and ids stay dense: three nodes per process, in pid order.
+            let assigned = self.sim.add_node_in_lane(shard as usize, node);
+            debug_assert_eq!(assigned, id);
+            assigned
+        });
         self.processes.push(ProcessHandle {
             id: pid,
             nodes,

@@ -38,6 +38,7 @@
 //! | [`interval`] | §III-E (Stage 3) | decomposition of position intervals over sub-batches |
 //! | [`node`] | §III (Stages 1–4), §VI | the per-virtual-node state machine |
 //! | [`join_leave`] | §IV | lazy joins/leaves, update phase, anchor hand-off |
+//! | [`membership`] | — | the starting overlay and a joiner's views, built once for every driver |
 //! | [`builder`] | — | the validating [`SkueueBuilder`] |
 //! | [`ticket`] | — | [`OpTicket`], [`OpOutcome`], the completion stream |
 //! | [`client`] | — | per-process [`ClientHandle`]s |
@@ -54,6 +55,7 @@ pub mod cluster;
 pub mod config;
 pub mod interval;
 pub mod join_leave;
+pub mod membership;
 pub mod messages;
 pub mod node;
 pub mod ticket;

@@ -593,6 +593,12 @@ impl<T: Payload> SkueueNode<T> {
     // Public accessors used by the cluster driver.
     // ---------------------------------------------------------------------
 
+    /// The configuration the node runs with: the deployment's, with its
+    /// shard's bit budget.
+    pub fn config(&self) -> &ProtocolConfig {
+        &self.cfg
+    }
+
     /// The node's virtual identity.
     pub fn vid(&self) -> skueue_overlay::VirtualId {
         self.view.me.vid
@@ -1942,7 +1948,7 @@ mod tests {
     fn node_under_test(anchor: bool) -> SkueueNode<u64> {
         let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
-        let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
+        let node_of = crate::membership::node_of;
         let vid = if anchor {
             topology.anchor()
         } else {

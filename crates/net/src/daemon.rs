@@ -1,112 +1,74 @@
-//! The `skueue-node` daemon: hosts a slice of the cluster's processes as
-//! real threads and speaks the frame protocol with its peers.
+//! The `skueue-node` daemon: hosts a slice of the cluster's processes on one
+//! thread and speaks the frame protocol with its peers.
 //!
 //! # Thread anatomy
 //!
 //! ```text
-//!            TCP accept                 frames                 events
-//!  listener ───────────► reader (1/conn) ────► switch (1) ◄──────── node threads (3/process)
-//!                                                 │  ▲
-//!                        peer daemons ◄───────────┘  └── completions → subscribed ingress conns
+//!            accepted sockets          frames
+//!  listener ──────────────────► host ◄──────── reader (1/conn)
+//!                              │  │
+//!        peer daemons ◄────────┘  └── replies, completions → accepted conns
 //! ```
 //!
-//! * One **listener** thread accepts connections; each connection gets a
-//!   **reader** thread that decodes frames and forwards them as events.
-//! * One **switch** thread owns all routing state: the inbox of every hosted
-//!   virtual node, one outgoing TCP connection per peer daemon (dialled on
-//!   demand, carrying a [`NetFrame::Hello`] preamble), the hosted-process
-//!   table, and the set of completion-subscribed connections.
-//! * Each hosted virtual node runs on its own **node thread**: a tick loop
-//!   that plays the role of the simulator's round — deliver pending
-//!   messages, then fire the `TIMEOUT` action.  Outgoing messages go through
-//!   a [`TcpTransport`], the real-clock implementation of the
-//!   [`skueue_sim::Transport`] seam.
+//! * One **listener** thread accepts connections and hands each to the host.
+//! * The **host** thread owns everything else: every hosted
+//!   [`SkueueNode`], the [`TcpTransport`] (one FIFO of messages between
+//!   hosted nodes, one outgoing connection per peer daemon), the
+//!   hosted-process table and the accepted connections.  In the paper a
+//!   process executes one action at a time — a delivered message or the
+//!   periodic `TIMEOUT` — and the proof holds under full asynchrony, so how a
+//!   host interleaves the nodes it carries is free; this one visits a node
+//!   when a message for it arrives or its timer is due: deliver what is
+//!   pending, then fire `TIMEOUT`, the discipline of the simulator's round.
+//! * Each accepted connection gets a **reader** thread (`std` has no
+//!   readiness API) that decodes frames and passes them to the host; its
+//!   exit releases the connection.
 //!
-//! Placement is static (process `p` lives on daemon `p mod d`, see
-//! [`crate::spec`]), so a `JOIN` creates the three node threads locally and
-//! the join protocol does the rest over the wire.
+//! So a daemon runs O(connections) threads however many processes it hosts,
+//! and its node work runs on one of them; a machine is filled by running
+//! more daemons.  Placement is static (process `p` lives on daemon
+//! `p mod d`, see [`crate::spec`]), so a `JOIN` creates the three nodes
+//! locally and the join protocol does the rest over the wire.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufReader};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use skueue_core::membership::{joining_views, node_of};
 use skueue_core::{BatchOp, Payload, ProtocolConfig, SkueueMsg, SkueueNode};
-use skueue_overlay::VirtualId;
+use skueue_overlay::{VKind, VirtualId};
 use skueue_sim::actor::{Actor, Context};
-use skueue_sim::ids::NodeId;
+use skueue_sim::ids::{NodeId, ProcessId};
 use skueue_sim::{SimRng, Transport};
 use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
 use crate::frame::{read_frame, write_frame, NetFrame};
-use crate::spec::{node_of, ClusterSpec};
+use crate::spec::ClusterSpec;
 use crate::transport::TcpTransport;
 
-/// An event on the switch thread's queue.
-#[derive(Debug)]
-pub(crate) enum SwitchEvent<T> {
-    /// A protocol message to route (from a local node or a peer daemon).
-    Route {
-        /// Sending virtual node.
-        from: NodeId,
-        /// Destination virtual node.
-        to: NodeId,
-        /// The message.
-        msg: SkueueMsg<T>,
-    },
-    /// A completed client operation to stream to subscribers.
-    Completion(OpRecord<T>),
-    /// A control frame from a ctl or ingress connection.
-    Control {
-        frame: NetFrame<T>,
-        writer: ConnWriter,
-    },
+/// What the helper threads pass to the host.
+enum Inbound<T> {
+    /// The listener accepted a connection.
+    Accepted(TcpStream),
+    /// The reader of connection `.0` decoded a frame.
+    Frame(u64, NetFrame<T>),
+    /// The reader of connection `.0` is exiting; this is its last act.
+    Closed(u64),
 }
 
-/// The write half of an accepted connection, shareable across threads.
-/// `write_frame` issues a single `write_all` per frame, so the mutex is the
-/// only interleaving guard needed.
-#[derive(Debug, Clone)]
-pub(crate) struct ConnWriter {
-    id: u64,
-    stream: Arc<Mutex<TcpStream>>,
-}
-
-impl ConnWriter {
-    fn write<T: Wire>(&self, frame: &NetFrame<T>) -> io::Result<()> {
-        let mut guard = self.stream.lock().expect("writer mutex poisoned");
-        write_frame(&mut *guard, frame)
-    }
-}
-
-/// Events a node thread consumes.
-#[derive(Debug)]
-enum NodeEvent<T> {
-    /// A protocol message addressed to this node.
-    Deliver { from: NodeId, msg: SkueueMsg<T> },
-    /// A client operation to issue (middle nodes only).
-    Inject {
-        id: skueue_sim::ids::RequestId,
-        insert: bool,
-        value: T,
-    },
-    /// Ask the node to leave the overlay.
-    Leave,
-    /// Terminate the thread.
-    Stop,
-}
-
-/// Shared lifecycle cell, updated by a process's middle-node thread and read
-/// by the switch when answering [`NetFrame::Status`].
-#[derive(Debug)]
-struct ProcStatus {
-    integrated: AtomicBool,
-    left: AtomicBool,
+/// An accepted connection as the host keeps it, from `Accepted` until its
+/// reader reports `Closed`.
+struct Conn {
+    /// The write half (the reader owns a clone); only the host writes.
+    stream: TcpStream,
+    reader: JoinHandle<()>,
+    /// Whether completions are streamed to it ([`NetFrame::Subscribe`]).
+    subscribed: bool,
 }
 
 /// A running daemon spawned in-process (used by tests and the load
@@ -141,445 +103,561 @@ pub fn spawn<T: Payload + Wire>(
     DaemonHandle { thread }
 }
 
-/// Runs the daemon's switch loop on the calling thread until a
-/// [`NetFrame::Shutdown`] arrives, then tears every helper thread down.
+/// Hosts the daemon's nodes on the calling thread until a
+/// [`NetFrame::Shutdown`] arrives, then tears the helper threads down.
 pub fn run_with_listener<T: Payload + Wire>(
     spec: &ClusterSpec,
     index: usize,
     listener: TcpListener,
 ) -> io::Result<()> {
     let local_addr = listener.local_addr()?;
-    let (tx, rx) = channel::<SwitchEvent<T>>();
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let shutting_down = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
+    let (tx, rx) = channel::<Inbound<T>>();
     let listener_thread = {
         let tx = tx.clone();
-        let in_flight = Arc::clone(&in_flight);
-        let shutting_down = Arc::clone(&shutting_down);
-        let conns = Arc::clone(&conns);
-        let readers = Arc::clone(&readers);
+        // Ends once the host has hung up (see the teardown below).
         thread::spawn(move || {
-            let mut next_conn_id = 0u64;
-            loop {
-                let stream = match listener.accept() {
-                    Ok((s, _)) => s,
-                    Err(_) => break,
-                };
-                if shutting_down.load(Ordering::SeqCst) {
+            while let Ok((stream, _)) = listener.accept() {
+                if tx.send(Inbound::Accepted(stream)).is_err() {
                     break;
                 }
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                if let Ok(raw) = stream.try_clone() {
-                    conns.lock().expect("conns mutex").push(raw);
-                }
-                let writer = ConnWriter {
-                    id: next_conn_id,
-                    stream: Arc::new(Mutex::new(write_half)),
-                };
-                next_conn_id += 1;
-                let tx = tx.clone();
-                let in_flight = Arc::clone(&in_flight);
-                let handle = thread::spawn(move || reader_loop(stream, writer, tx, in_flight));
-                readers.lock().expect("readers mutex").push(handle);
             }
         })
     };
 
-    // Construct this daemon's slice of the initial membership.
-    let cfg = spec.protocol_config();
-    let (initial, budgets) = spec.initial_membership();
-    // One node configuration per shard (its bit budget), shared by the
-    // shard's nodes.
-    let shard_cfgs: Vec<Arc<ProtocolConfig>> = budgets
-        .iter()
-        .map(|&bit_budget| Arc::new(ProtocolConfig { bit_budget, ..cfg }))
-        .collect();
-    let tick = Duration::from_millis(spec.tick_ms);
-    let transport = TcpTransport::new(tx.clone(), Arc::clone(&in_flight));
-    let mut inboxes: HashMap<u64, Sender<NodeEvent<T>>> = HashMap::new();
-    let mut node_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut procs: Vec<(u64, [NodeId; 3], Arc<ProcStatus>)> = Vec::new();
-    for proc_spec in initial
-        .into_iter()
-        .filter(|p| spec.daemon_of(p.pid) == index)
-    {
-        let status = Arc::new(ProcStatus {
-            integrated: AtomicBool::new(true),
-            left: AtomicBool::new(false),
-        });
-        let mut ids = [NodeId(0); 3];
-        for (vid, view, is_anchor) in proc_spec.views {
-            let node_cfg = Arc::clone(&shard_cfgs[proc_spec.shard as usize]);
-            let mut node = SkueueNode::<T>::new(node_cfg, proc_spec.shard, view, is_anchor);
-            let id = node_of(vid);
-            node.trace_recorder_mut().attach(id.0, proc_spec.shard);
-            ids[vid.kind.index()] = id;
-            let status_cell =
-                (vid.kind == skueue_overlay::VKind::Middle).then(|| Arc::clone(&status));
-            let (inbox, handle) = spawn_node(
-                node,
-                id,
-                transport.clone(),
-                tick,
-                status_cell,
-                spec.hash_seed,
-            );
-            inboxes.insert(id.0, inbox);
-            node_threads.push(handle);
+    let mut host = Host::<T>::new(spec, index, Instant::now());
+    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut next_conn = 0u64;
+    loop {
+        // Sleep only when there is nothing to do: never while a message
+        // waits in the local FIFO, and no longer than until the timer.
+        let inbound = if host.transport.in_flight() > 0 {
+            rx.try_recv().ok()
+        } else if let Some(at) = host.next_sweep {
+            rx.recv_timeout(at.saturating_duration_since(Instant::now()))
+                .ok()
+        } else {
+            rx.recv().ok()
+        };
+        let mut request = None;
+        match inbound {
+            Some(Inbound::Accepted(stream)) => {
+                let _ = stream.set_nodelay(true);
+                if let Ok(read_half) = stream.try_clone() {
+                    let (id, tx) = (next_conn, tx.clone());
+                    next_conn += 1;
+                    let reader = thread::spawn(move || reader_loop(index, id, read_half, tx));
+                    conns.insert(
+                        id,
+                        Conn {
+                            stream,
+                            reader,
+                            subscribed: false,
+                        },
+                    );
+                }
+            }
+            Some(Inbound::Closed(id)) => {
+                // Dropping the entry closes the socket; the reader's last
+                // act was this message, so the join does not wait.
+                if let Some(conn) = conns.remove(&id) {
+                    let _ = conn.reader.join();
+                }
+            }
+            Some(Inbound::Frame(id, NetFrame::Subscribe)) => {
+                if let Some(conn) = conns.get_mut(&id) {
+                    conn.subscribed = true;
+                    let _ = write_frame(&mut conn.stream, &NetFrame::<T>::Ok);
+                }
+            }
+            Some(Inbound::Frame(id, NetFrame::Shutdown)) => {
+                if let Some(conn) = conns.get_mut(&id) {
+                    let _ = write_frame(&mut conn.stream, &NetFrame::<T>::Ok);
+                }
+                break;
+            }
+            Some(Inbound::Frame(id, frame)) => request = Some((id, frame)),
+            None => {}
         }
-        procs.push((proc_spec.pid.0, ids, status));
-    }
-
-    // The switch loop.
-    let mut peers: Vec<Option<TcpStream>> = (0..spec.num_daemons()).map(|_| None).collect();
-    let mut sinks: HashMap<u64, ConnWriter> = HashMap::new();
-    while let Ok(event) = rx.recv() {
-        match event {
-            SwitchEvent::Route { from, to, msg } => {
-                route(spec, index, &inboxes, &mut peers, &in_flight, from, to, msg);
+        let (id, frame) = request.unzip();
+        let reply = host.turn(frame, Instant::now());
+        if let Some((reply, conn)) = reply.zip(id.and_then(|id| conns.get_mut(&id))) {
+            let _ = write_frame(&mut conn.stream, &reply);
+        }
+        for record in host.completions.drain(..) {
+            let frame = NetFrame::Completion { record };
+            for conn in conns.values_mut().filter(|conn| conn.subscribed) {
+                conn.subscribed = write_frame(&mut conn.stream, &frame).is_ok();
             }
-            SwitchEvent::Completion(record) => {
-                sinks.retain(|_, sink| {
-                    sink.write(&NetFrame::Completion {
-                        record: record.clone(),
-                    })
-                    .is_ok()
-                });
-            }
-            SwitchEvent::Control { frame, writer } => match frame {
-                NetFrame::Inject { id, insert, value } => {
-                    // Fire-and-forget: the completion stream is the reply.
-                    let target = node_of(VirtualId::middle(id.origin));
-                    if let Some(inbox) = inboxes.get(&target.0) {
-                        let _ = inbox.send(NodeEvent::Inject { id, insert, value });
-                    } else {
-                        eprintln!(
-                            "skueue-node[{index}]: inject for unhosted process {}",
-                            id.origin.0
-                        );
-                    }
-                }
-                NetFrame::Subscribe => {
-                    sinks.insert(writer.id, writer.clone());
-                    let _ = writer.write(&NetFrame::<T>::Ok);
-                }
-                NetFrame::Join { pid, bootstrap } => {
-                    let reply = if spec.daemon_of(pid) != index {
-                        NetFrame::<T>::Err(format!("process {} is not placed here", pid.0))
-                    } else if procs.iter().any(|(p, _, _)| *p == pid.0) {
-                        NetFrame::<T>::Err(format!("process {} already hosted", pid.0))
-                    } else {
-                        let shard = spec.shard_of(pid);
-                        let status = Arc::new(ProcStatus {
-                            integrated: AtomicBool::new(false),
-                            left: AtomicBool::new(false),
-                        });
-                        let mut ids = [NodeId(0); 3];
-                        for (vid, view) in spec.joining_views(pid) {
-                            let node_cfg = Arc::clone(&shard_cfgs[shard as usize]);
-                            let mut node = SkueueNode::<T>::new_joining(node_cfg, shard, view);
-                            node.set_bootstrap(bootstrap);
-                            let id = node_of(vid);
-                            node.trace_recorder_mut().attach(id.0, shard);
-                            ids[vid.kind.index()] = id;
-                            let status_cell = (vid.kind == skueue_overlay::VKind::Middle)
-                                .then(|| Arc::clone(&status));
-                            let (inbox, handle) = spawn_node(
-                                node,
-                                id,
-                                transport.clone(),
-                                tick,
-                                status_cell,
-                                spec.hash_seed,
-                            );
-                            inboxes.insert(id.0, inbox);
-                            node_threads.push(handle);
-                        }
-                        procs.push((pid.0, ids, status));
-                        NetFrame::<T>::Ok
-                    };
-                    let _ = writer.write(&reply);
-                }
-                NetFrame::Leave { pid } => {
-                    let reply = match procs.iter().find(|(p, _, _)| *p == pid.0) {
-                        Some((_, ids, _)) => {
-                            for id in ids {
-                                if let Some(inbox) = inboxes.get(&id.0) {
-                                    let _ = inbox.send(NodeEvent::Leave);
-                                }
-                            }
-                            NetFrame::<T>::Ok
-                        }
-                        None => NetFrame::<T>::Err(format!("process {} not hosted here", pid.0)),
-                    };
-                    let _ = writer.write(&reply);
-                }
-                NetFrame::Status => {
-                    let processes = procs
-                        .iter()
-                        .map(|(pid, _, status)| {
-                            (
-                                *pid,
-                                status.integrated.load(Ordering::Relaxed),
-                                status.left.load(Ordering::Relaxed),
-                            )
-                        })
-                        .collect();
-                    let _ = writer.write(&NetFrame::<T>::StatusReply {
-                        daemon: index as u32,
-                        processes,
-                    });
-                }
-                NetFrame::Shutdown => {
-                    for inbox in inboxes.values() {
-                        let _ = inbox.send(NodeEvent::Stop);
-                    }
-                    for handle in node_threads.drain(..) {
-                        let _ = handle.join();
-                    }
-                    let _ = writer.write(&NetFrame::<T>::Ok);
-                    break;
-                }
-                other => {
-                    let _ = writer.write(&NetFrame::<T>::Err(format!(
-                        "unexpected control frame {other:?}"
-                    )));
-                }
-            },
         }
     }
 
-    // Teardown: unblock the listener, close every connection so reader
-    // threads see EOF, and join them all — no leaked threads or sockets.
-    shutting_down.store(true, Ordering::SeqCst);
-    drop(tx);
+    // Teardown: hang up, so the listener ends at its next accept and a
+    // reader at its next frame or at the EOF its socket's shutdown gives it,
+    // and join them all — no leaked threads or sockets.
+    drop(rx);
     let _ = TcpStream::connect(local_addr); // unblocks `accept`
     let _ = listener_thread.join();
-    for conn in conns.lock().expect("conns mutex").drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-    for peer in peers.iter().flatten() {
-        let _ = peer.shutdown(std::net::Shutdown::Both);
-    }
-    let handles: Vec<_> = readers.lock().expect("readers mutex").drain(..).collect();
-    for handle in handles {
-        let _ = handle.join();
+    for conn in conns.into_values() {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        let _ = conn.reader.join();
     }
     Ok(())
 }
 
-/// Routes one protocol message: local destination → inbox, remote → peer
-/// frame.  The in-flight counter tracks daemon-local queues only, so a
-/// message leaving for a peer is decremented here and a message entering a
-/// local inbox is decremented by the node thread after delivery.
-#[allow(clippy::too_many_arguments)]
-fn route<T: Payload + Wire>(
-    spec: &ClusterSpec,
-    index: usize,
-    inboxes: &HashMap<u64, Sender<NodeEvent<T>>>,
-    peers: &mut [Option<TcpStream>],
-    in_flight: &AtomicUsize,
-    from: NodeId,
-    to: NodeId,
-    msg: SkueueMsg<T>,
-) {
-    let daemon = spec.daemon_of_node(to);
-    if daemon == index {
-        match inboxes.get(&to.0) {
-            Some(inbox) => {
-                if inbox.send(NodeEvent::Deliver { from, msg }).is_err() {
-                    in_flight.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-                eprintln!("skueue-node[{index}]: dropping message for unknown local node {to:?}");
-            }
-        }
-        return;
-    }
-    in_flight.fetch_sub(1, Ordering::Relaxed);
-    let frame = NetFrame::Proto { from, to, msg };
-    // One dial attempt cycle, then one redial after a stale-connection write
-    // failure (the peer may have restarted between frames).
-    for _ in 0..2 {
-        if peers[daemon].is_none() {
-            peers[daemon] = dial_peer(spec, index, daemon);
-        }
-        match peers[daemon].as_mut() {
-            Some(stream) => {
-                if write_frame(stream, &frame).is_ok() {
-                    return;
-                }
-                peers[daemon] = None;
-            }
-            None => break,
-        }
-    }
-    eprintln!("skueue-node[{index}]: dropping frame for unreachable daemon {daemon}");
-}
-
-/// Dials a peer daemon, retrying for a few seconds (daemons of one cluster
-/// start concurrently), and sends the identifying preamble.
-fn dial_peer(spec: &ClusterSpec, index: usize, daemon: usize) -> Option<TcpStream> {
-    for _ in 0..250 {
-        if let Ok(mut stream) = TcpStream::connect(&spec.daemons[daemon]) {
-            let _ = stream.set_nodelay(true);
-            // `Hello` carries no payload-typed field, so any `T` encodes it
-            // identically; `u64` keeps this helper non-generic.
-            let hello = NetFrame::<u64>::Hello { from: index as u32 };
-            if write_frame(&mut stream, &hello).is_ok() {
-                return Some(stream);
-            }
-        }
-        thread::sleep(Duration::from_millis(20));
-    }
-    None
-}
-
-/// One connection's reader: decodes frames and forwards them as events.
-/// Exits on EOF, on a decode error, or when the switch has gone away.
+/// One connection's reader: decodes frames and passes them to the host.
+/// Exits on EOF, on a frame that does not decode (said once, with the peer's
+/// address — a peer that hung up stays silent), or when the host has gone.
 fn reader_loop<T: Payload + Wire>(
+    index: usize,
+    id: u64,
     stream: TcpStream,
-    writer: ConnWriter,
-    tx: Sender<SwitchEvent<T>>,
-    in_flight: Arc<AtomicUsize>,
+    tx: Sender<Inbound<T>>,
 ) {
-    let _ = stream.set_nodelay(true);
+    let peer = stream.peer_addr();
     let mut reader = BufReader::new(stream);
     loop {
         match read_frame::<NetFrame<T>, _>(&mut reader) {
-            Ok(Some(NetFrame::Hello { .. })) => {
-                // Peer preamble; proto frames carry full addressing, so the
-                // daemon index is informational only.
-            }
-            Ok(Some(NetFrame::Proto { from, to, msg })) => {
-                in_flight.fetch_add(1, Ordering::Relaxed);
-                if tx.send(SwitchEvent::Route { from, to, msg }).is_err() {
-                    break;
-                }
-            }
             Ok(Some(frame)) => {
-                let event = SwitchEvent::Control {
-                    frame,
-                    writer: writer.clone(),
-                };
-                if tx.send(event).is_err() {
+                if tx.send(Inbound::Frame(id, frame)).is_err() {
                     break;
                 }
             }
-            Ok(None) | Err(_) => break,
+            Ok(None) => break,
+            Err(e) => {
+                let peer = peer.map_or_else(|_| "an unknown peer".to_string(), |a| a.to_string());
+                eprintln!("skueue-node[{index}]: closing the connection from {peer}: {e}");
+                break;
+            }
         }
+    }
+    let _ = tx.send(Inbound::Closed(id));
+}
+
+/// One hosted virtual node and what its visits need.
+struct Hosted<T: Payload> {
+    node: SkueueNode<T>,
+    /// Visits so far: the `round` the node sees (its wave cadence reads it).
+    visits: u64,
+    rng: SimRng,
+    /// True while the node is on this turn's visit list.
+    visiting: bool,
+}
+
+impl<T: Payload> Hosted<T> {
+    /// Opens the node's visit of this turn; false if it is open already.
+    fn open_visit(&mut self) -> bool {
+        if self.visiting {
+            return false;
+        }
+        self.visiting = true;
+        self.visits += 1;
+        true
     }
 }
 
-/// Spawns one virtual node on its own tick-loop thread.
-///
-/// Each loop iteration plays one synchronous round: deliver every pending
-/// message, then fire the `TIMEOUT` action if the node is active — the same
-/// visit discipline as the simulator's scheduler.  The thread sleeps in
-/// `recv_timeout` while the node wants timeouts and blocks indefinitely when
-/// the node's timeout is provably a no-op (quiescence costs nothing).
-fn spawn_node<T: Payload>(
-    mut node: SkueueNode<T>,
-    id: NodeId,
-    mut transport: TcpTransport<T>,
+/// The nodes one daemon hosts and the state that drives them — everything
+/// the host thread owns except the accepted connections, so that a turn can
+/// be driven without sockets.
+struct Host<T: Payload> {
+    spec: ClusterSpec,
+    index: usize,
+    /// One node configuration per shard, shared by the shard's nodes.
+    shard_cfgs: Vec<Arc<ProtocolConfig>>,
+    /// Hosted nodes by node id.
+    nodes: BTreeMap<u64, Hosted<T>>,
+    /// Hosted processes, in the order they came to be hosted.
+    procs: Vec<ProcessId>,
+    transport: TcpTransport<T>,
+    /// Timer period of a node that wants a `TIMEOUT` and gets no traffic.
     tick: Duration,
-    status: Option<Arc<ProcStatus>>,
-    seed: u64,
-) -> (Sender<NodeEvent<T>>, JoinHandle<()>) {
-    let (inbox_tx, inbox_rx) = channel::<NodeEvent<T>>();
-    let handle = thread::spawn(move || {
-        let counter = transport.counter();
-        let mut rng =
-            SimRng::new(seed ^ (id.0.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut outbox: Vec<(NodeId, SkueueMsg<T>)> = Vec::new();
-        let mut completions: Vec<OpRecord<T>> = Vec::new();
-        let mut tick_no: u64 = 0;
-        'ticks: loop {
-            let wants_timeout = node.is_active() && node.wants_timeout();
-            let first = if wants_timeout {
-                match inbox_rx.recv_timeout(tick) {
-                    Ok(event) => Some(event),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
+    /// When the timer next visits every node that wants a `TIMEOUT`; `None`
+    /// while no node does (a quiescent daemon sleeps until a frame arrives).
+    next_sweep: Option<Instant>,
+    /// Nodes visited this turn, in first-visit order.
+    visited: Vec<NodeId>,
+    /// Send buffer lent to each action's [`Context`].
+    outbox: Vec<(NodeId, SkueueMsg<T>)>,
+    /// Operations completed and not yet streamed to the subscribers.
+    completions: Vec<OpRecord<T>>,
+}
+
+impl<T: Payload + Wire> Host<T> {
+    /// Daemon `index`'s slice of the initial membership.
+    fn new(spec: &ClusterSpec, index: usize, now: Instant) -> Self {
+        let membership = spec.initial_membership();
+        let mut host = Host {
+            spec: spec.clone(),
+            index,
+            shard_cfgs: membership.shard_cfgs().to_vec(),
+            nodes: BTreeMap::new(),
+            procs: Vec::new(),
+            transport: TcpTransport::new(spec, index),
+            tick: Duration::from_millis(spec.tick_ms),
+            next_sweep: None,
+            visited: Vec::new(),
+            outbox: Vec::new(),
+            completions: Vec::new(),
+        };
+        for pid in (0..spec.initial).map(ProcessId) {
+            if spec.daemon_of(pid) == index {
+                let (shard, views) = membership.process(pid);
+                for (view, is_anchor) in views {
+                    let cfg = Arc::clone(&host.shard_cfgs[shard as usize]);
+                    host.adopt(SkueueNode::new(cfg, shard, view, is_anchor), now);
                 }
-            } else {
-                match inbox_rx.recv() {
-                    Ok(event) => Some(event),
-                    Err(_) => break,
-                }
-            };
-            tick_no += 1;
-            // A tick expiry is itself a visit; otherwise the first event is.
-            let mut visited = first.is_none();
-            let mut next = first;
-            while let Some(event) = next {
-                visited = true;
-                match event {
-                    NodeEvent::Deliver { from, msg } => {
-                        let mut ctx = Context::with_outbox(
-                            id,
-                            tick_no,
-                            rng.next_u64(),
-                            std::mem::take(&mut outbox),
-                        );
-                        node.on_message(from, msg, &mut ctx);
-                        outbox = ctx.into_outbox();
-                        for (to, m) in outbox.drain(..) {
-                            transport.send(id, to, m);
-                        }
-                        counter.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    NodeEvent::Inject {
-                        id: req,
-                        insert,
-                        value,
-                    } => {
-                        if node.is_integrated() {
-                            let kind = if insert {
-                                BatchOp::Enqueue
-                            } else {
-                                BatchOp::Dequeue
-                            };
-                            node.generate_op(req, kind, value, tick_no);
-                        } else {
-                            eprintln!(
-                                "skueue-node: dropping inject for non-integrated node {id:?}"
-                            );
-                        }
-                    }
-                    NodeEvent::Leave => node.request_leave(),
-                    NodeEvent::Stop => break 'ticks,
-                }
-                next = inbox_rx.try_recv().ok();
-            }
-            if visited && node.is_active() {
-                let mut ctx =
-                    Context::with_outbox(id, tick_no, rng.next_u64(), std::mem::take(&mut outbox));
-                node.on_timeout(&mut ctx);
-                outbox = ctx.into_outbox();
-                for (to, m) in outbox.drain(..) {
-                    transport.send(id, to, m);
-                }
-            }
-            if node.has_completed() {
-                node.drain_completed_into(&mut completions);
-                for record in completions.drain(..) {
-                    transport.send_completion(record);
-                }
-            }
-            if let Some(cell) = &status {
-                cell.integrated
-                    .store(node.is_integrated(), Ordering::Relaxed);
-                cell.left.store(node.has_left(), Ordering::Relaxed);
+                host.procs.push(pid);
             }
         }
-    });
-    (inbox_tx, handle)
+        host
+    }
+
+    /// Starts hosting `node`.  It is first visited by the timer, if it wants
+    /// one — a joiner does, to announce itself.
+    fn adopt(&mut self, mut node: SkueueNode<T>, now: Instant) {
+        let (id, shard) = (node.view().me.node, node.shard());
+        node.trace_recorder_mut().attach(id.0, shard);
+        if node.wants_timeout() {
+            self.next_sweep.get_or_insert(now + self.tick);
+        }
+        let seed = self.spec.hash_seed ^ (id.0.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let hosted = Hosted {
+            node,
+            visits: 0,
+            rng: SimRng::new(seed),
+            visiting: false,
+        };
+        self.nodes.insert(id.0, hosted);
+    }
+
+    /// Runs one action of hosted node `id` — the node's first action in a
+    /// turn opens a visit — and posts what it sent.  `None` if `id` is not
+    /// hosted here.
+    fn act<R>(
+        &mut self,
+        id: NodeId,
+        action: impl FnOnce(&mut SkueueNode<T>, &mut Context<SkueueMsg<T>>) -> R,
+    ) -> Option<R> {
+        let hosted = self.nodes.get_mut(&id.0)?;
+        if hosted.open_visit() {
+            self.visited.push(id);
+        }
+        let seed = hosted.rng.next_u64();
+        let outbox = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::with_outbox(id, hosted.visits, seed, outbox);
+        let result = action(&mut hosted.node, &mut ctx);
+        self.outbox = ctx.into_outbox();
+        for (to, msg) in self.outbox.drain(..) {
+            self.transport.send(id, to, msg);
+        }
+        Some(result)
+    }
+
+    /// One turn: serve `frame`, deliver the messages queued for hosted
+    /// nodes, let the timer visit the nodes that want it if it is due, and
+    /// end every visit with the node's `TIMEOUT`.  Returns the reply `frame`
+    /// is owed, if any; completed operations collect in `self.completions`.
+    fn turn(&mut self, frame: Option<NetFrame<T>>, now: Instant) -> Option<NetFrame<T>> {
+        let reply = frame.and_then(|frame| self.serve(frame, now));
+        // What a delivery sends to a hosted node waits for the next turn, as
+        // a round's sends do: a local ping-pong cannot keep the host from
+        // its connections or its timer.
+        for _ in 0..self.transport.in_flight() {
+            let Some((from, to, msg)) = self.transport.pop_local() else {
+                break;
+            };
+            if self
+                .act(to, |node, ctx| node.on_message(from, msg, ctx))
+                .is_none()
+            {
+                eprintln!(
+                    "skueue-node[{}]: dropping message for unknown local node {to:?}",
+                    self.index
+                );
+            }
+        }
+        // The timer is a deadline checked every turn, not the expiry of a
+        // wait: under continuous traffic no wait ever expires.
+        if self.next_sweep.is_some_and(|at| now >= at) {
+            self.next_sweep = None;
+            for (&id, hosted) in &mut self.nodes {
+                if hosted.node.wants_timeout() && hosted.open_visit() {
+                    self.visited.push(NodeId(id));
+                }
+            }
+        }
+        let mut visited = std::mem::take(&mut self.visited);
+        for id in visited.drain(..) {
+            self.act(id, |node, ctx| {
+                if node.is_active() {
+                    node.on_timeout(ctx);
+                }
+            });
+            let hosted = self.nodes.get_mut(&id.0).expect("visited nodes are hosted");
+            hosted.visiting = false;
+            if hosted.node.has_completed() {
+                hosted.node.drain_completed_into(&mut self.completions);
+            }
+            if hosted.node.wants_timeout() {
+                self.next_sweep.get_or_insert(now + self.tick);
+            }
+        }
+        self.visited = visited;
+        reply
+    }
+
+    /// Acts on one frame and returns the reply owed to its connection.
+    /// Protocol traffic and injects are fire-and-forget (the completion
+    /// stream is an inject's reply); control frames are answered.
+    fn serve(&mut self, frame: NetFrame<T>, now: Instant) -> Option<NetFrame<T>> {
+        let index = self.index;
+        Some(match frame {
+            // Peer preamble; proto frames carry full addressing, so the
+            // daemon index is informational only.
+            NetFrame::Hello { .. } => return None,
+            NetFrame::Proto { from, to, msg } => {
+                self.transport.send(from, to, msg);
+                return None;
+            }
+            NetFrame::Inject { id, insert, value } => {
+                let kind = if insert {
+                    BatchOp::Enqueue
+                } else {
+                    BatchOp::Dequeue
+                };
+                // Requests are generated at the process's middle node.
+                let issued = self.act(node_of(VirtualId::middle(id.origin)), |node, ctx| {
+                    let integrated = node.is_integrated();
+                    if integrated {
+                        node.generate_op(id, kind, value, ctx.round());
+                    }
+                    integrated
+                });
+                if issued != Some(true) {
+                    eprintln!(
+                        "skueue-node[{index}]: dropping inject for process {}: {}",
+                        id.origin.0,
+                        issued.map_or("not hosted here", |_| "not integrated")
+                    );
+                }
+                return None;
+            }
+            NetFrame::Join { pid, .. } if self.spec.daemon_of(pid) != index => {
+                NetFrame::Err(format!("process {} is not placed here", pid.0))
+            }
+            NetFrame::Join { pid, .. } if self.procs.contains(&pid) => {
+                NetFrame::Err(format!("process {} already hosted", pid.0))
+            }
+            NetFrame::Join { pid, bootstrap } => {
+                let shard = self.spec.shard_of(pid);
+                for view in joining_views(self.spec.protocol_config().hasher(), pid) {
+                    let cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
+                    let mut node = SkueueNode::new_joining(cfg, shard, view);
+                    node.set_bootstrap(bootstrap);
+                    self.adopt(node, now);
+                }
+                self.procs.push(pid);
+                NetFrame::Ok
+            }
+            NetFrame::Leave { pid } if self.procs.contains(&pid) => {
+                for kind in VKind::ALL {
+                    self.act(node_of(VirtualId::new(pid, kind)), |node, _| {
+                        node.request_leave()
+                    });
+                }
+                NetFrame::Ok
+            }
+            NetFrame::Leave { pid } => NetFrame::Err(format!("process {} not hosted here", pid.0)),
+            NetFrame::Status => NetFrame::StatusReply {
+                daemon: index as u32,
+                processes: self
+                    .procs
+                    .iter()
+                    .map(|&pid| {
+                        let middle = &self.nodes[&node_of(VirtualId::middle(pid)).0].node;
+                        (pid.0, middle.is_integrated(), middle.has_left())
+                    })
+                    .collect(),
+            },
+            other => NetFrame::Err(format!("unexpected control frame {other:?}")),
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The host turn, driven with hand-made frames and a hand-made clock: no
+    //! socket, no thread, no sleep.
+
+    use super::*;
+    use skueue_sim::ids::RequestId;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// In-memory stand-in for the connection towards a peer daemon.
+    #[derive(Clone, Default)]
+    struct PeerSink(Rc<RefCell<Vec<u8>>>);
+
+    impl io::Write for PeerSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const TICK: Duration = Duration::from_millis(2);
+
+    /// Daemon 0 of a `daemons`-daemon cluster (addresses are never dialled:
+    /// every peer is an in-memory sink), and the sink towards daemon 1.
+    fn host(daemons: usize, initial: u64, now: Instant) -> (Host<u64>, PeerSink) {
+        let spec = ClusterSpec::localhost(daemons, 7100, initial, 1);
+        assert_eq!(Duration::from_millis(spec.tick_ms), TICK);
+        let mut host = Host::<u64>::new(&spec, 0, now);
+        let sink = PeerSink::default();
+        for peer in host.transport.peers.iter_mut().skip(1) {
+            *peer = Some(Box::new(sink.clone()));
+        }
+        (host, sink)
+    }
+
+    fn middle(pid: u64) -> NodeId {
+        node_of(VirtualId::middle(ProcessId(pid)))
+    }
+
+    fn join(host: &mut Host<u64>, pid: u64, now: Instant) {
+        let bootstrap = host.spec.bootstrap_for(ProcessId(pid)).expect("a member");
+        let pid = ProcessId(pid);
+        let reply = host.turn(Some(NetFrame::Join { pid, bootstrap }), now);
+        assert_eq!(reply, Some(NetFrame::Ok));
+    }
+
+    fn status(host: &mut Host<u64>, now: Instant) -> Vec<(u64, bool, bool)> {
+        match host.turn(Some(NetFrame::Status), now) {
+            Some(NetFrame::StatusReply {
+                daemon: 0,
+                processes,
+            }) => processes,
+            other => panic!("unexpected status reply {other:?}"),
+        }
+    }
+
+    /// Turns the host, a tick of the clock at a time, until `done`.
+    fn run_until(host: &mut Host<u64>, now: &mut Instant, done: impl Fn(&Host<u64>) -> bool) {
+        for _ in 0..10_000 {
+            if done(host) {
+                return;
+            }
+            *now += TICK;
+            host.turn(None, *now);
+        }
+        panic!("the host did not get there in 10000 ticks");
+    }
+
+    #[test]
+    fn the_timer_visits_an_armed_node_while_another_is_fed_without_pause() {
+        let start = Instant::now();
+        let (mut host, _) = host(1, 3, start);
+        // A joiner wants its first `TIMEOUT` (to announce itself) and is
+        // sent nothing until it has had it.
+        join(&mut host, 3, start);
+        assert!(host.nodes[&middle(3).0].node.wants_timeout());
+        // Meanwhile another node gets a frame every tenth of a tick: no wait
+        // for a frame would ever expire.
+        let fed = middle(0);
+        for step in 1..=20u32 {
+            let now = start + TICK * step / 10;
+            let frame = NetFrame::Proto {
+                from: middle(1),
+                to: fed,
+                msg: SkueueMsg::PutAck {
+                    request: RequestId::new(ProcessId(1), u64::from(step)),
+                },
+            };
+            assert_eq!(host.turn(Some(frame), now), None);
+            let joiner = &host.nodes[&middle(3).0];
+            // Its first visit is the timer's, and comes within one tick.
+            assert_eq!(joiner.visits > 0, now >= start + TICK, "step {step}");
+            assert_eq!(joiner.node.wants_timeout(), joiner.visits == 0);
+            assert!(host.nodes[&fed.0].visits >= u64::from(step));
+        }
+    }
+
+    #[test]
+    fn status_reports_what_the_middle_node_says() {
+        let mut now = Instant::now();
+        let (mut host, _) = host(1, 3, now);
+        let state_of = |host: &Host<u64>, pid: u64| {
+            let node = &host.nodes[&middle(pid).0].node;
+            (pid, node.is_integrated(), node.has_left())
+        };
+        // A process that joined and left again …
+        join(&mut host, 3, now);
+        run_until(&mut host, &mut now, |host| state_of(host, 3).1);
+        let leave = NetFrame::Leave { pid: ProcessId(3) };
+        assert_eq!(host.turn(Some(leave), now), Some(NetFrame::Ok));
+        run_until(&mut host, &mut now, |host| state_of(host, 3).2);
+        // … and a joiner that has not had a turn yet, next to the initial
+        // members.
+        join(&mut host, 4, now);
+        let expected = vec![
+            (0, true, false),
+            (1, true, false),
+            (2, true, false),
+            (3, false, true),
+            (4, false, false),
+        ];
+        assert_eq!(status(&mut host, now), expected);
+        let said: Vec<_> = (0..5).map(|pid| state_of(&host, pid)).collect();
+        assert_eq!(said, expected);
+        let leave = NetFrame::Leave { pid: ProcessId(9) };
+        assert!(matches!(
+            host.turn(Some(leave), now),
+            Some(NetFrame::Err(_))
+        ));
+    }
+
+    #[test]
+    fn a_dropped_inject_does_not_hold_up_the_frames_behind_it() {
+        let now = Instant::now();
+        // Daemon 0 of two hosts processes 0 and 2, and the joiner 4.
+        let (mut host, sink) = host(2, 4, now);
+        join(&mut host, 4, now);
+        let inject = |pid: u64| NetFrame::Inject {
+            id: RequestId::new(ProcessId(pid), 0),
+            insert: true,
+            value: 7u64,
+        };
+        // Process 1 lives on daemon 1; process 4 is not integrated yet.
+        for pid in [1, 4] {
+            assert_eq!(host.turn(Some(inject(pid)), now), None);
+        }
+        assert!(host.nodes.values().all(|h| h.node.open_requests() == 0));
+        // The frames behind them are served as if nothing had happened.
+        assert_eq!(host.turn(Some(inject(0)), now), None);
+        assert_eq!(host.nodes[&middle(0).0].node.open_requests(), 1);
+        assert_eq!(status(&mut host, now).len(), 3);
+        // A message for a node hosted elsewhere leaves as a frame towards
+        // its daemon, whoever sent it.
+        let stray = NetFrame::Proto {
+            from: middle(0),
+            to: middle(1),
+            msg: SkueueMsg::<u64>::LeaveGranted,
+        };
+        sink.0.borrow_mut().clear();
+        assert_eq!(host.turn(Some(stray.clone()), now), None);
+        let bytes = sink.0.borrow().clone();
+        let mut cursor = io::Cursor::new(bytes);
+        let mut sent = Vec::new();
+        while let Some(frame) = read_frame::<NetFrame<u64>, _>(&mut cursor).expect("frames") {
+            sent.push(frame);
+        }
+        assert!(sent.contains(&stray), "sent {sent:?}");
+        assert!(sent.iter().all(|frame| matches!(
+            frame,
+            NetFrame::Proto { to, .. } if host.spec.daemon_of_node(*to) == 1
+        )));
+    }
 }

@@ -21,6 +21,9 @@ use crate::codec::{from_bytes, to_bytes, DecodeError, Reader, Wire};
 /// corrupt or hostile length prefix.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+/// How far ahead of the bytes received [`read_frame`] extends its buffer.
+const READ_AHEAD_BYTES: usize = 64 << 10;
+
 /// Writes one value as a length-prefixed frame.
 pub fn write_frame<T: Wire, W: Write>(w: &mut W, value: &T) -> io::Result<()> {
     let body = to_bytes(value);
@@ -56,8 +59,19 @@ pub fn read_frame<T: Wire, R: Read>(r: &mut R) -> io::Result<Option<T>> {
             format!("frame length {len} exceeds limit"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
+    // Memory follows the bytes that arrive, not the length the prefix
+    // claims: four bytes from any connection must not cost `MAX_FRAME_BYTES`.
+    // The buffer is extended one chunk ahead of what has been received (and
+    // grows by doubling, so it never holds more than twice that).
+    let len = len as usize;
+    let mut body = Vec::new();
+    while body.len() < len {
+        let received = body.len();
+        body.resize(received + (len - received).min(READ_AHEAD_BYTES), 0);
+        r.read_exact(&mut body[received..]).map_err(|e| {
+            io::Error::new(e.kind(), format!("frame of {len} bytes cut short: {e}"))
+        })?;
+    }
     from_bytes(&body).map(Some).map_err(|e: DecodeError| {
         io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}"))
     })
@@ -125,7 +139,7 @@ pub enum NetFrame<T> {
     /// Every [`NetFrame::Completion`] the daemon's nodes produce afterwards
     /// is streamed to all subscribed connections.
     Subscribe,
-    /// Ctl → daemon: stop all node threads and exit.
+    /// Ctl → daemon: stop hosting, close every connection and exit.
     Shutdown,
     /// Generic success reply to a control frame.
     Ok,

@@ -3,7 +3,9 @@
 //! Everything else in this workspace runs the Skueue protocol inside the
 //! deterministic simulation (`skueue-sim`).  This crate is the other side of
 //! the [`skueue_sim::Transport`] seam: the same `SkueueNode` state machines,
-//! executing on real threads against real sockets and real time.
+//! built from the same membership construction
+//! ([`skueue_core::membership`]), hosted by daemons against real sockets
+//! and real time — one thread per daemon runs all the nodes it hosts.
 //!
 //! The paper's correctness argument holds under full asynchrony — arbitrary
 //! finite message delays, no FIFO assumption — so nothing about the protocol
@@ -19,8 +21,8 @@
 //! | [`codec`] | hand-rolled binary encoding of every protocol type (the workspace's `serde` is a no-op stub) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
 //! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
-//! | [`transport`] | [`transport::TcpTransport`], the real-clock [`skueue_sim::Transport`] implementation |
-//! | [`daemon`] | the `skueue-node` daemon: listener, switch, per-node tick threads |
+//! | [`transport`] | [`transport::TcpTransport`], the real-clock [`skueue_sim::Transport`] implementation: a daemon's local FIFO and its peer connections |
+//! | [`daemon`] | the `skueue-node` daemon: a listener, one reader per connection, and the host thread that owns and visits every hosted node |
 //! | [`ctl`] | the control-plane client (join/leave waves, status, shutdown) |
 //! | [`ingress`] | the client-operation ingress: issues ops, collects and verifies the history |
 //! | [`load`] | open-loop Poisson load generation with latency percentiles |
@@ -53,5 +55,5 @@ pub use daemon::DaemonHandle;
 pub use frame::NetFrame;
 pub use ingress::IngressClient;
 pub use load::{run_load, LoadParams, LoadReport};
-pub use spec::{node_of, ClusterSpec};
+pub use spec::ClusterSpec;
 pub use transport::TcpTransport;

@@ -7,19 +7,21 @@
 //! rules that make the topology computable without coordination:
 //!
 //! * process `p` emulates virtual nodes `3p`, `3p + 1`, `3p + 2` (Left,
-//!   Middle, Right) — the same dense id scheme the simulation uses, so node
-//!   ids are globally derivable from process ids,
+//!   Middle, Right) — the dense id rule of [`skueue_core::membership`], the
+//!   one the simulation uses, so node ids are globally derivable from
+//!   process ids,
 //! * process `p` is hosted by daemon `p mod d` for `d` daemons, so *daemon*
 //!   placement is globally derivable too — a `JOIN` needs no id negotiation.
 
 use std::collections::BTreeMap;
 
+use skueue_core::membership::{node_of, process_of, InitialMembership};
 use skueue_core::ProtocolConfig;
-use skueue_overlay::{Label, LocalView, NeighborInfo, Topology, VKind, VirtualId};
+use skueue_overlay::VirtualId;
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 
-/// Default per-tick timeout of a node thread, in milliseconds.
+/// Default timer period of a hosted node, in milliseconds.
 pub const DEFAULT_TICK_MS: u64 = 2;
 
 /// Everything the service binaries must agree on to form one cluster.
@@ -33,9 +35,8 @@ pub struct ClusterSpec {
     pub shards: usize,
     /// Seed of the publicly known label hash function.
     pub hash_seed: u64,
-    /// Tick interval of the node threads, in milliseconds.  One tick plays
-    /// the role of one synchronous round: pending messages are delivered,
-    /// then the `TIMEOUT` action fires.
+    /// Timer period of a hosted node, in milliseconds: a node that wants its
+    /// `TIMEOUT` action and receives no message is visited this often.
     pub tick_ms: u64,
 }
 
@@ -66,7 +67,7 @@ impl ClusterSpec {
 
     /// The daemon hosting virtual node `id` (nodes live with their process).
     pub fn daemon_of_node(&self, id: NodeId) -> usize {
-        self.daemon_of(ProcessId(id.0 / 3))
+        self.daemon_of(process_of(id))
     }
 
     /// The protocol configuration every hosted node runs with.
@@ -91,105 +92,12 @@ impl ClusterSpec {
         ShardMap::new(effective as u32, self.hash_seed)
     }
 
-    /// Builds the initial membership: for every initial process, its shard,
-    /// its three local views and whether it hosts the shard anchor — the same
-    /// construction the simulation cluster performs, so a real deployment
-    /// and a simulated one agree on the starting topology.
-    ///
-    /// Returns one [`InitialProcess`] per process, in process-id order, plus
-    /// the per-shard distance-halving bit budgets.
-    pub fn initial_membership(&self) -> (Vec<InitialProcess>, Vec<u32>) {
-        let cfg = self.protocol_config();
-        let hasher = cfg.hasher();
-        let router = self.router();
-        let shards = cfg.effective_shards();
-        let mut groups: Vec<Vec<ProcessId>> = vec![Vec::new(); shards];
-        for pid in (0..self.initial).map(ProcessId) {
-            groups[router.route(pid) as usize].push(pid);
-        }
-        let topologies: Vec<Option<Topology>> = groups
-            .iter()
-            .map(|group| {
-                (!group.is_empty())
-                    .then(|| Topology::build(group, hasher).expect("dense non-empty process set"))
-            })
-            .collect();
-        let budgets: Vec<u32> = groups
-            .iter()
-            .map(|group| {
-                if cfg.bit_budget != 0 {
-                    cfg.bit_budget
-                } else {
-                    skueue_overlay::recommended_bit_budget(group.len().max(1))
-                }
-            })
-            .collect();
-
-        let mut out = Vec::with_capacity(self.initial as usize);
-        for pid in (0..self.initial).map(ProcessId) {
-            let shard = router.route(pid);
-            let topology = topologies[shard as usize]
-                .as_ref()
-                .expect("pid was grouped into this shard");
-            let anchor_vid = topology.anchor();
-            let mut views = Vec::with_capacity(3);
-            for kind in VKind::ALL {
-                let vid = VirtualId::new(pid, kind);
-                let view = topology
-                    .local_view(vid, &node_of)
-                    .expect("vid from own topology");
-                views.push((vid, view, vid == anchor_vid));
-            }
-            out.push(InitialProcess {
-                pid,
-                shard,
-                views: views.try_into().expect("exactly three kinds"),
-            });
-        }
-        (out, budgets)
-    }
-
-    /// The overlay view a *joining* process starts from: every pointer aimed
-    /// at itself (the join protocol fills them in), ids derived from the
-    /// dense scheme.  Mirrors the simulation cluster's join path.
-    pub fn joining_views(&self, pid: ProcessId) -> [(VirtualId, LocalView); 3] {
-        let hasher = self.protocol_config().hasher();
-        let middle_label = self.hasher_label(&hasher, pid);
-        let siblings: [NeighborInfo; 3] = [
-            NeighborInfo::new(
-                node_of(VirtualId::left(pid)),
-                VirtualId::left(pid),
-                VKind::Left.label_from_middle(middle_label),
-            ),
-            NeighborInfo::new(
-                node_of(VirtualId::middle(pid)),
-                VirtualId::middle(pid),
-                middle_label,
-            ),
-            NeighborInfo::new(
-                node_of(VirtualId::right(pid)),
-                VirtualId::right(pid),
-                VKind::Right.label_from_middle(middle_label),
-            ),
-        ];
-        VKind::ALL.map(|kind| {
-            let me = siblings[kind.index()];
-            (
-                VirtualId::new(pid, kind),
-                LocalView {
-                    me,
-                    pred: me,
-                    succ: me,
-                    siblings,
-                    middle_finger: None,
-                },
-            )
-        })
-    }
-
-    /// The middle-node label of a process under this spec's hash seed.
-    fn hasher_label(&self, hasher: &skueue_overlay::LabelHasher, pid: ProcessId) -> Label {
-        hasher.process_label(pid)
+    /// The initial membership of this deployment — the same construction
+    /// the simulation cluster performs (it lives in
+    /// [`skueue_core::membership`]), so a real deployment and a simulated one
+    /// of the same size, shard count and hash seed start from one overlay.
+    pub fn initial_membership(&self) -> InitialMembership {
+        InitialMembership::build(self.initial, self.protocol_config())
     }
 
     /// The bootstrap node a joiner with id `pid` should contact: the middle
@@ -209,26 +117,6 @@ impl ClusterSpec {
     pub fn shard_of(&self, pid: ProcessId) -> ShardId {
         self.router().route(pid)
     }
-}
-
-/// One initial process's construction recipe (see
-/// [`ClusterSpec::initial_membership`]).
-#[derive(Debug, Clone)]
-pub struct InitialProcess {
-    /// The process id.
-    pub pid: ProcessId,
-    /// Its anchor shard.
-    pub shard: ShardId,
-    /// `(vid, view, is_anchor)` for the three virtual nodes in
-    /// Left/Middle/Right order.
-    pub views: [(VirtualId, LocalView, bool); 3],
-}
-
-/// Dense virtual-node id assignment: process `p`'s nodes are `3p + kind`.
-/// Identical to the simulation cluster's scheme, so histories and traces are
-/// comparable across the two transports.
-pub fn node_of(vid: VirtualId) -> NodeId {
-    NodeId(vid.process.raw() * 3 + vid.kind.index() as u64)
 }
 
 /// Parses `--key value` style command-line arguments into a map, leaving
@@ -290,6 +178,7 @@ pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skueue_core::Skueue;
 
     #[test]
     fn placement_is_modular_and_dense() {
@@ -300,43 +189,38 @@ mod tests {
             spec.daemon_of_node(NodeId(14)),
             spec.daemon_of(ProcessId(4))
         );
-        assert_eq!(
-            node_of(VirtualId::new(ProcessId(4), VKind::Right)),
-            NodeId(14)
-        );
     }
 
     #[test]
-    fn initial_membership_matches_simulation_shape() {
-        let spec = ClusterSpec::localhost(2, 7100, 5, 2);
-        let (procs, budgets) = spec.initial_membership();
-        assert_eq!(procs.len(), 5);
-        assert_eq!(budgets.len(), 2);
-        // Exactly one anchor per populated shard.
-        let anchors: Vec<_> = procs
+    fn spec_and_simulation_start_from_the_same_overlay() {
+        // One construction (`skueue_core::membership`) under both drivers:
+        // a sim cluster and a spec of the same size, shard count and hash
+        // seed agree on every view, anchor flag and per-shard bit budget.
+        let mut spec = ClusterSpec::localhost(2, 7100, 7, 2);
+        spec.hash_seed = 0xBEEF;
+        let cluster = Skueue::<u64>::builder()
+            .processes(spec.initial as usize)
+            .shards(spec.shards)
+            .hash_seed(spec.hash_seed)
+            .build()
+            .expect("valid configuration");
+        let membership = spec.initial_membership();
+        let budgets: Vec<u32> = membership
+            .shard_cfgs()
             .iter()
-            .flat_map(|p| p.views.iter())
-            .filter(|(_, _, a)| *a)
+            .map(|cfg| cfg.bit_budget)
             .collect();
-        assert_eq!(anchors.len(), 2);
-        // Every view's `me` id follows the dense scheme.
-        for p in &procs {
-            for (vid, view, _) in &p.views {
-                assert_eq!(view.me.node, node_of(*vid));
-                assert_eq!(view.me.vid, *vid);
+        assert!(budgets.iter().all(|&b| b > 0), "budgets are derived");
+        for pid in (0..spec.initial).map(ProcessId) {
+            let (shard, views) = membership.process(pid);
+            assert_eq!(Some(shard), cluster.shard_of_process(pid));
+            assert_eq!(shard, spec.shard_of(pid));
+            for (view, is_anchor) in views {
+                let node = cluster.node(view.me.node).expect("dense ids");
+                assert_eq!(node.view(), &view);
+                assert_eq!(node.is_anchor_node(), is_anchor);
+                assert_eq!(node.config().bit_budget, budgets[shard as usize]);
             }
-        }
-    }
-
-    #[test]
-    fn joiner_views_are_self_pointing() {
-        let spec = ClusterSpec::localhost(2, 7100, 3, 1);
-        let views = spec.joining_views(ProcessId(7));
-        for (vid, view) in &views {
-            assert_eq!(view.me.node, node_of(*vid));
-            assert_eq!(view.pred, view.me);
-            assert_eq!(view.succ, view.me);
-            assert!(view.middle_finger.is_none());
         }
         assert!(spec.bootstrap_for(ProcessId(7)).is_some());
     }

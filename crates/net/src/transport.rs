@@ -1,85 +1,134 @@
 //! The real-clock transport: [`TcpTransport`] implements
-//! [`skueue_sim::Transport`] over the daemon's message switch.
+//! [`skueue_sim::Transport`] for the nodes one daemon hosts.
 //!
 //! Where [`skueue_sim::SimTransport`] owns a seeded delay model and a
-//! round-bucketed delivery wheel (virtual time), `TcpTransport` is a thin
-//! handle onto the daemon's switch thread: `send` enqueues the message onto
-//! the switch, which either places it in a local node's inbox or writes it as
-//! a length-prefixed frame onto the TCP connection towards the daemon hosting
-//! the destination node (real time).  Delivery latency is whatever the
-//! operating system provides — which is exactly the asynchronous model the
-//! protocol's correctness argument assumes.  Determinism ends here: two runs
-//! over this transport interleave differently, and correctness is checked
-//! a posteriori by the history verifier instead of by byte-identity.
+//! round-bucketed delivery wheel (virtual time), `TcpTransport` owns what a
+//! daemon needs to move a message in real time: one FIFO for messages
+//! between two nodes of this daemon — the cheapest hand-off is none, so a
+//! local hop is a queue push and the host delivers it on its next turn — and
+//! one outgoing TCP connection per peer daemon, dialled on demand, onto which
+//! a message for a node hosted elsewhere is written as a length-prefixed
+//! frame.  Delivery latency is whatever the operating system provides —
+//! which is exactly the asynchronous model the protocol's correctness
+//! argument assumes.  Determinism ends here: two runs over this transport
+//! interleave differently, and correctness is checked a posteriori by the
+//! history verifier instead of by byte-identity.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::io::Write;
+use std::net::TcpStream;
+use std::thread;
+use std::time::Duration;
 
 use skueue_core::SkueueMsg;
 use skueue_sim::ids::NodeId;
 use skueue_sim::Transport;
 
-use crate::daemon::SwitchEvent;
+use crate::codec::Wire;
+use crate::frame::{write_frame, NetFrame};
+use crate::spec::ClusterSpec;
 
-/// A cloneable sender half of the daemon's switch, implementing the
-/// simulation's [`Transport`] seam over real sockets.
+/// The message fabric of one daemon, owned by the thread that hosts the
+/// daemon's nodes: the simulation's [`Transport`] seam over a local queue
+/// and real sockets.
 ///
-/// Every node thread owns one clone; the shared counter tracks messages that
-/// are inside this daemon's queues (switch queue or a local inbox).  Messages
-/// handed to the kernel for a remote daemon leave the count — a real network
-/// transport can only report its local queues (see [`Transport::in_flight`]).
-#[derive(Debug)]
+/// [`Transport::in_flight`] is the local queue's length: messages handed to
+/// the kernel for a peer leave the count, because a real network transport
+/// can only report its own queues.
 pub struct TcpTransport<T> {
-    tx: Sender<SwitchEvent<T>>,
-    in_flight: Arc<AtomicUsize>,
+    spec: ClusterSpec,
+    /// This daemon's index in `spec.daemons`.
+    index: usize,
+    /// `(from, to, message)` for nodes hosted here, in send order.
+    local: VecDeque<(NodeId, NodeId, SkueueMsg<T>)>,
+    /// Outgoing connection per daemon index (none to ourselves).  A
+    /// `TcpStream` outside tests, which put an in-memory sink here.
+    pub(crate) peers: Vec<Option<Box<dyn Write>>>,
 }
 
-impl<T> Clone for TcpTransport<T> {
-    fn clone(&self) -> Self {
-        TcpTransport {
-            tx: self.tx.clone(),
-            in_flight: Arc::clone(&self.in_flight),
-        }
+impl<T> std::fmt::Debug for TcpTransport<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TcpTransport")
+            .field("index", &self.index)
+            .field("in_flight", &self.local.len())
+            .finish_non_exhaustive()
     }
 }
 
 impl<T> TcpTransport<T> {
-    /// Wraps the switch's sender half.  Called by the daemon when it spawns
-    /// node threads.
-    pub(crate) fn new(tx: Sender<SwitchEvent<T>>, in_flight: Arc<AtomicUsize>) -> Self {
-        TcpTransport { tx, in_flight }
-    }
-
-    /// The shared local-queue depth counter (decremented by receivers).
-    pub(crate) fn counter(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.in_flight)
-    }
-
-    /// Forwards a completed client operation to the switch, which streams it
-    /// to every subscribed ingress connection.  Completions are driver-side
-    /// results, not protocol messages, so they bypass the in-flight count.
-    pub(crate) fn send_completion(&self, record: skueue_verify::OpRecord<T>) {
-        let _ = self.tx.send(SwitchEvent::Completion(record));
-    }
-}
-
-impl<T: Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport<T> {
-    fn send(&mut self, from: NodeId, to: NodeId, msg: SkueueMsg<T>) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        // A send error means the switch already shut down; the message is
-        // dropped, matching a crashed link.  Nodes tolerate this during
-        // shutdown only (the protocol itself assumes reliable channels).
-        if self.tx.send(SwitchEvent::Route { from, to, msg }).is_err() {
-            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+    /// The transport of daemon `index` of `spec`, with nothing queued and no
+    /// peer dialled yet.
+    pub(crate) fn new(spec: &ClusterSpec, index: usize) -> Self {
+        TcpTransport {
+            spec: spec.clone(),
+            index,
+            local: VecDeque::new(),
+            peers: (0..spec.num_daemons()).map(|_| None).collect(),
         }
     }
 
+    /// The oldest queued message for a node of this daemon.
+    pub(crate) fn pop_local(&mut self) -> Option<(NodeId, NodeId, SkueueMsg<T>)> {
+        self.local.pop_front()
+    }
+}
+
+impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport<T> {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: SkueueMsg<T>) {
+        let daemon = self.spec.daemon_of_node(to);
+        if daemon == self.index {
+            self.local.push_back((from, to, msg));
+            return;
+        }
+        let frame = NetFrame::Proto { from, to, msg };
+        // One dial attempt cycle, then one redial after a stale-connection
+        // write failure (the peer may have restarted between frames).  A
+        // frame that still cannot be written is dropped, matching a crashed
+        // link; nodes tolerate that during shutdown only (the protocol
+        // itself assumes reliable channels).
+        for _ in 0..2 {
+            if self.peers[daemon].is_none() {
+                self.peers[daemon] = dial_peer(&self.spec, self.index, daemon);
+            }
+            match self.peers[daemon].as_mut() {
+                Some(stream) => {
+                    if write_frame(stream, &frame).is_ok() {
+                        return;
+                    }
+                    self.peers[daemon] = None;
+                }
+                None => break,
+            }
+        }
+        eprintln!(
+            "skueue-node[{}]: dropping frame for unreachable daemon {daemon}",
+            self.index
+        );
+    }
+
     fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
+        self.local.len()
     }
 
     fn name(&self) -> &'static str {
         "tcp"
     }
+}
+
+/// Dials a peer daemon, retrying for a few seconds (daemons of one cluster
+/// start concurrently), and sends the identifying preamble.
+fn dial_peer(spec: &ClusterSpec, index: usize, daemon: usize) -> Option<Box<dyn Write>> {
+    for _ in 0..250 {
+        if let Ok(mut stream) = TcpStream::connect(&spec.daemons[daemon]) {
+            let _ = stream.set_nodelay(true);
+            // `Hello` carries no payload-typed field, so any `T` encodes it
+            // identically; `u64` keeps this helper non-generic.
+            let hello = NetFrame::<u64>::Hello { from: index as u32 };
+            if write_frame(&mut stream, &hello).is_ok() {
+                return Some(Box::new(stream));
+            }
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    None
 }

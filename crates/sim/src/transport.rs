@@ -12,12 +12,13 @@
 //!   and the benchmark's fingerprint checks rely on.  [`crate::scheduler::Simulation`]'s lanes
 //!   embed one `SimTransport` each and call its inherent methods directly
 //!   (static dispatch — the seam adds no indirection to the hot loop).
-//! * `TcpTransport` (crate `skueue-net`) — real-clock delivery over
-//!   length-prefixed frames on localhost TCP sockets, used by the
-//!   `skueue-node` daemon.  No delay model, no determinism: correctness of a
-//!   run is established *a posteriori* by the sequential-consistency
-//!   checker, which the paper's asynchronous-model proof permits (arbitrary
-//!   finite delays, non-FIFO — TCP's per-channel FIFO is strictly stronger).
+//! * `TcpTransport` (crate `skueue-net`) — real-clock delivery for the nodes
+//!   a `skueue-node` daemon hosts on one thread: a FIFO between nodes of the
+//!   same daemon, length-prefixed frames on TCP sockets between daemons.  No
+//!   delay model, no determinism: correctness of a run is established *a
+//!   posteriori* by the sequential-consistency checker, which the paper's
+//!   asynchronous-model proof permits (arbitrary finite delays, non-FIFO —
+//!   a queue's and TCP's per-channel FIFO are strictly stronger).
 //!
 //! The determinism boundary therefore runs exactly through this trait:
 //! everything *behind* `SimTransport` (wheel, RNG, sequence numbers) is

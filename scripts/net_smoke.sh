@@ -2,8 +2,9 @@
 # Boots a 3-daemon real-transport cluster on localhost, drives the fig2-style
 # mixed workload through `skueue-ingress` (sequential-consistency verifier
 # on), exercises a join wave plus a leave through `skueue-ctl`, and shuts the
-# cluster down.  Fails if any step exits non-zero, if verification fails, or
-# if a daemon does not exit cleanly — i.e. leaks its listener thread.
+# cluster down.  Fails if any step exits non-zero, if verification fails, if
+# a daemon runs more threads than its connections account for, or if a daemon
+# does not exit cleanly — i.e. leaks a thread or its listener socket.
 #
 # Usage:
 #   scripts/net_smoke.sh [BASE_PORT]
@@ -43,6 +44,20 @@ echo "== cluster status"
 echo "== fig2 workload through the ingress (verifier on)"
 "$BIN/skueue-ingress" "${COMMON[@]}" --workload fig2 --ops 40 --seed 1
 
+# A daemon runs its host thread, its listener and one reader per open
+# connection — here the two other daemons, plus one for a client that has
+# only just hung up — however many processes `--initial` gives it to host.
+MAX_THREADS=5
+echo "== daemon threads (at most $MAX_THREADS each)"
+for pid in "${PIDS[@]}"; do
+    threads=$(awk '/^Threads:/ { print $2 }' "/proc/$pid/status")
+    echo "skueue-node pid $pid: $threads threads"
+    if [ "$threads" -gt "$MAX_THREADS" ]; then
+        echo "a daemon's thread count must not depend on the processes it hosts" >&2
+        exit 1
+    fi
+done
+
 echo "== join wave of 2, then leave one joiner"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd join --count 2
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5
@@ -51,7 +66,7 @@ echo "== shutdown"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd shutdown
 
 # Every daemon must exit cleanly on its own — a hang here means a leaked
-# node thread or listener socket.
+# thread or listener socket.
 for pid in "${PIDS[@]}"; do
     wait "$pid"
 done

@@ -1,9 +1,10 @@
 //! `skueue-node` — one node daemon of a real-transport Skueue cluster.
 //!
 //! Hosts the processes placed on it by the static modular placement rule
-//! (`pid mod num_daemons == index`), each virtual node on its own tick-loop
-//! thread, and routes protocol messages over length-prefixed TCP frames.
-//! Runs until a `skueue-ctl … --cmd shutdown` arrives.
+//! (`pid mod num_daemons == index`) — all their virtual nodes on one thread,
+//! so a machine is filled by running more daemons — and exchanges protocol
+//! messages with the other daemons over length-prefixed TCP frames.  Runs
+//! until a `skueue-ctl … --cmd shutdown` arrives.
 //!
 //! ```text
 //! skueue-node --daemons 127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103 \

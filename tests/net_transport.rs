@@ -2,11 +2,11 @@
 //!
 //! The simulation backend is verified by byte-identical goldens; the network
 //! backend cannot be (real time is not replayable), so its contract is
-//! verified a posteriori: boot a real localhost cluster — three daemons on
-//! ephemeral ports, every virtual node a thread, every message a framed TCP
-//! write — run a workload through the ingress, and require the collected
-//! completion history to pass the same sharded sequential-consistency
-//! checker as a simulated run.
+//! verified a posteriori: boot a real localhost cluster — daemons on
+//! ephemeral ports, each hosting its nodes on one thread, every message
+//! between daemons a framed TCP write — run a workload through the ingress,
+//! and require the collected completion history to pass the same sharded
+//! sequential-consistency checker as a simulated run.
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -178,4 +178,49 @@ fn open_loop_load_reports_latency_percentiles() {
         handle.join().expect("daemon exits cleanly");
     }
     ingress.close();
+}
+
+/// A daemon's thread count is a function of its connections, not of the
+/// processes it hosts (when every virtual node had a thread of its own,
+/// hosting 8 processes took 18 threads more than hosting 2).
+#[cfg(target_os = "linux")]
+#[test]
+fn hosting_more_processes_takes_no_more_threads() {
+    // Tests of this file run side by side in one process, so each daemon is
+    // booted from a thread with a name of its own and only threads of that
+    // name are counted: a thread spawned without a name inherits its
+    // creator's, so these are the daemon's threads and the booting one.
+    fn threads_hosting(initial: u64) -> usize {
+        let name = format!("hosting-{initial}");
+        let thread_name = name.clone();
+        let named = move || {
+            std::fs::read_dir("/proc/self/task")
+                .expect("procfs")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == name)
+                .count()
+        };
+        let measure = move || {
+            let (spec, listeners) = ephemeral_cluster(1, initial, 1);
+            let daemons = boot(&spec, listeners);
+            let mut ctl = CtlClient::<u64>::connect(&spec).expect("ctl connect");
+            assert_eq!(ctl.status().expect("status").len(), initial as usize);
+            let threads = named() - 1;
+            ctl.shutdown().expect("shutdown");
+            for handle in daemons {
+                handle.join().expect("daemon exits cleanly");
+            }
+            threads
+        };
+        std::thread::Builder::new()
+            .name(thread_name)
+            .spawn(measure)
+            .expect("spawn")
+            .join()
+            .expect("measurement")
+    }
+    let (two, eight) = (threads_hosting(2), threads_hosting(8));
+    assert_eq!(eight, two, "threads grew with the hosted processes");
+    // The host, the listener, and the reader of the control connection.
+    assert_eq!(two, 3);
 }
