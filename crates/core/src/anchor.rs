@@ -132,11 +132,12 @@ impl AnchorState {
         self.assign(batch, mode)
     }
 
-    /// Whether the accumulated churn warrants entering an update phase now;
-    /// consumes the pending count and returns the new phase's number when it
-    /// does.  `threshold == 0` disables update phases.
-    pub fn take_update_decision(&mut self, threshold: u64) -> Option<u64> {
-        if threshold > 0 && self.pending_churn >= threshold {
+    /// Whether there is churn to enter an update phase for now — any pending
+    /// `JOIN()`/`LEAVE()` does, which keeps the system maximally up to date;
+    /// consumes the pending count and returns the new phase's number when
+    /// there is.
+    pub fn take_update_decision(&mut self) -> Option<u64> {
+        if self.pending_churn > 0 {
             self.pending_churn = 0;
             self.phases_started += 1;
             Some(self.phases_started)
@@ -400,23 +401,19 @@ mod tests {
     #[test]
     fn churn_accumulates_across_waves_and_is_consumed_on_trigger() {
         let mut a = AnchorState::new();
+        assert_eq!(a.take_update_decision(), None, "no churn, no phase");
+        // Two waves assigned while a phase is open (the node does not ask
+        // then): their counts are deferred, not dropped.
         let mut batch = queue_batch(&[1]);
         batch.joins = 1;
         a.assign_wave(&batch, Mode::Queue);
-        // Threshold 3 not reached yet; the count is deferred, not dropped.
-        assert_eq!(a.take_update_decision(3), None);
-        assert_eq!(a.pending_churn, 1);
         let mut batch = queue_batch(&[0]);
         batch.leaves = 2;
         a.assign_wave(&batch, Mode::Queue);
-        assert_eq!(a.take_update_decision(3), Some(1), "phases are numbered");
+        assert_eq!(a.pending_churn, 3);
+        assert_eq!(a.take_update_decision(), Some(1), "phases are numbered");
         assert_eq!(a.pending_churn, 0, "a triggered phase consumes the count");
-        // Threshold 0 disables update phases entirely.
-        let mut batch = queue_batch(&[0]);
-        batch.joins = 9;
-        a.assign_wave(&batch, Mode::Queue);
-        assert_eq!(a.take_update_decision(0), None);
-        assert_eq!(a.pending_churn, 9);
+        assert_eq!(a.take_update_decision(), None);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The fluent, validating constructor for [`SkueueCluster`].
 //!
-//! [`SkueueBuilder`] replaces the old `new(n, cfg, sim_cfg)` / `queue(n,
-//! seed)` / `stack(n, seed)` constructor zoo with a single entry point that
-//! validates the whole configuration in one place:
+//! [`SkueueBuilder`] is the single entry point for constructing a cluster
+//! and validates the whole configuration in one place, [`build`]:
 //!
 //! ```
 //! use skueue_core::{Mode, Skueue};
@@ -25,6 +24,15 @@
 //! let err = Skueue::<u64>::builder().processes(0).build().unwrap_err();
 //! assert_eq!(err, BuildError::NoProcesses);
 //! ```
+//!
+//! What can be set is what two callers set differently: the system size,
+//! the [`Mode`], the two seeds, the anchor-shard count, the delivery model
+//! (with the node iteration order), the worker-thread count and the tracing
+//! level.  The protocol's parameters live in one [`ProtocolConfig`] the
+//! builder writes into; there is one protocol per mode and no switch selects
+//! parts of it.
+//!
+//! [`build`]: SkueueBuilder::build
 
 use crate::cluster::SkueueCluster;
 use crate::config::{Mode, ProtocolConfig};
@@ -32,10 +40,6 @@ use skueue_dht::Payload;
 use skueue_sim::{DeliveryModel, ExecMode, SimConfig};
 use skueue_trace::TraceLevel;
 use std::marker::PhantomData;
-
-/// Width of an overlay label in bits; the distance-halving bit budget cannot
-/// exceed it.
-const MAX_BIT_BUDGET: u32 = 64;
 
 /// Largest accepted anchor-shard count (`skueue_shard::MAX_SHARDS`).
 const MAX_SHARDS: usize = skueue_shard::MAX_SHARDS as usize;
@@ -45,17 +49,6 @@ const MAX_SHARDS: usize = skueue_shard::MAX_SHARDS as usize;
 pub enum BuildError {
     /// A cluster needs at least one process.
     NoProcesses,
-    /// The distance-halving bit budget exceeds the label width.
-    BitBudgetTooLarge {
-        /// The requested budget.
-        requested: u32,
-        /// The largest valid budget (the label width).
-        max: u32,
-    },
-    /// The anchor's update threshold must be at least one pending request.
-    ZeroUpdateThreshold,
-    /// The wave pipeline needs at least one slot per node.
-    ZeroPipelineDepth,
     /// The deployment needs at least one anchor shard.
     ZeroShards,
     /// The anchor-shard count exceeds the supported maximum.
@@ -75,16 +68,6 @@ impl std::fmt::Display for BuildError {
             BuildError::NoProcesses => {
                 write!(f, "a Skueue cluster needs at least one process")
             }
-            BuildError::BitBudgetTooLarge { requested, max } => write!(
-                f,
-                "bit budget {requested} exceeds the {max}-bit label width"
-            ),
-            BuildError::ZeroUpdateThreshold => {
-                write!(f, "the update threshold must be at least 1")
-            }
-            BuildError::ZeroPipelineDepth => {
-                write!(f, "the wave pipeline depth must be at least 1")
-            }
             BuildError::ZeroShards => {
                 write!(f, "the deployment needs at least one anchor shard")
             }
@@ -103,34 +86,37 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// Checks an anchor-shard count that arrived from outside the program — the
+/// gate of [`SkueueBuilder::build`], shared with the daemons' `--shards`.
+pub fn validate_shards(shards: usize) -> Result<(), BuildError> {
+    match shards {
+        0 => Err(BuildError::ZeroShards),
+        1..=MAX_SHARDS => Ok(()),
+        requested => Err(BuildError::TooManyShards {
+            requested,
+            max: MAX_SHARDS,
+        }),
+    }
+}
+
 /// Fluent builder for [`SkueueCluster`]; created by
 /// [`SkueueCluster::builder`].
 ///
 /// Defaults: one process would be pointless, so there is no default size —
 /// call [`processes`](Self::processes).  Everything else defaults to the
-/// paper's evaluation setup: queue mode, the synchronous round scheduler,
-/// seed 0, and a bit budget derived from the initial system size.  Switching
-/// to [`Mode::Stack`] also switches on the stack's protocol switches (local
-/// combining and the stage-4 barrier), exactly like the old
-/// `ProtocolConfig::stack()` defaults; the individual setters below override
-/// either choice.
+/// paper's evaluation setup: queue mode, one anchor shard, the synchronous
+/// round scheduler, seed 0, one thread, tracing off.
 #[derive(Debug, Clone)]
 pub struct SkueueBuilder<T: Payload = u64> {
     processes: usize,
-    mode: Mode,
+    /// Mode, hash seed, shard count and tracing level are written straight
+    /// into the protocol configuration; its `fifo_channels` is derived from
+    /// `delivery` when the configuration is read.
+    protocol: ProtocolConfig,
     seed: u64,
-    hash_seed: Option<u64>,
-    bit_budget: u32,
-    local_combining: Option<bool>,
-    stage4_barrier: Option<bool>,
-    update_threshold: u64,
-    pipeline_depth: usize,
-    shards: usize,
     delivery: DeliveryModel,
     shuffle_node_order: Option<bool>,
     threads: usize,
-    middle_fingers: bool,
-    trace: TraceLevel,
     /// The element payload type the built cluster will carry.
     _payload: PhantomData<T>,
 }
@@ -139,20 +125,11 @@ impl<T: Payload> Default for SkueueBuilder<T> {
     fn default() -> Self {
         SkueueBuilder {
             processes: 0,
-            mode: Mode::Queue,
+            protocol: ProtocolConfig::queue(),
             seed: 0,
-            hash_seed: None,
-            bit_budget: 0,
-            local_combining: None,
-            stage4_barrier: None,
-            update_threshold: 1,
-            pipeline_depth: crate::config::DEFAULT_PIPELINE_DEPTH,
-            shards: 1,
             delivery: DeliveryModel::Synchronous,
             shuffle_node_order: None,
             threads: 1,
-            middle_fingers: false,
-            trace: TraceLevel::Off,
             _payload: PhantomData,
         }
     }
@@ -172,15 +149,12 @@ impl<T: Payload> SkueueBuilder<T> {
         self
     }
 
-    /// Queue (FIFO) or stack (LIFO) semantics.
+    /// Queue (FIFO, the default) or stack (LIFO) semantics.  The stack runs
+    /// the protocol of Section VI whole: local combining, the stage-4
+    /// barrier, one anchor.
     pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
+        self.protocol.mode = mode;
         self
-    }
-
-    /// Shorthand for `.mode(Mode::Queue)`.
-    pub fn queue(self) -> Self {
-        self.mode(Mode::Queue)
     }
 
     /// Shorthand for `.mode(Mode::Stack)`.
@@ -203,57 +177,7 @@ impl<T: Payload> SkueueBuilder<T> {
     /// (process labels and position keys) independently of the simulation
     /// seed.
     pub fn hash_seed(mut self, seed: u64) -> Self {
-        self.hash_seed = Some(seed);
-        self
-    }
-
-    /// Number of distance-halving bits used when routing DHT operations.
-    /// `0` (the default) derives the budget from the initial system size.
-    /// Budgets beyond the 64-bit label width are rejected by
-    /// [`build`](Self::build).
-    pub fn bit_budget(mut self, bits: u32) -> Self {
-        self.bit_budget = bits;
-        self
-    }
-
-    /// Stack only: locally combine a node's own push/pop pairs so they
-    /// complete without involving the anchor (Section VI; the E9 ablation
-    /// switch).  Defaults to on in stack mode, off in queue mode.
-    pub fn local_combining(mut self, enabled: bool) -> Self {
-        self.local_combining = Some(enabled);
-        self
-    }
-
-    /// Stack only: wait at the end of stage 4 until all DHT operations
-    /// issued by this node have finished before starting the next
-    /// aggregation phase (required for stack correctness, Section VI).
-    /// Defaults to on in stack mode, off in queue mode.
-    pub fn stage4_barrier(mut self, enabled: bool) -> Self {
-        self.stage4_barrier = Some(enabled);
-        self
-    }
-
-    /// Batching of membership changes: the minimum number of pending
-    /// `JOIN()`/`LEAVE()` requests the anchor observes before it triggers an
-    /// update phase.  `1` (the default) keeps the system maximally up to
-    /// date; larger thresholds batch more churn per update phase.  Zero is
-    /// rejected by [`build`](Self::build).
-    pub fn update_threshold(mut self, threshold: u64) -> Self {
-        self.update_threshold = threshold;
-        self
-    }
-
-    /// Maximum number of aggregation waves each node keeps in flight
-    /// concurrently (default
-    /// [`DEFAULT_PIPELINE_DEPTH`](crate::config::DEFAULT_PIPELINE_DEPTH),
-    /// chosen to sit above the anchor round-trip time so the ring bounds
-    /// state without throttling).  `1` reproduces the strictly alternating
-    /// wave of the original analysis; larger depths overlap aggregation of
-    /// wave `k+1` with the serve/DHT phases of wave `k` (Skeap-style
-    /// pipelining).  The stack's stage-4 barrier serialises waves
-    /// regardless.  Zero is rejected by [`build`](Self::build).
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
+        self.protocol.hash_seed = seed;
         self
     }
 
@@ -268,14 +192,7 @@ impl<T: Payload> SkueueBuilder<T> {
     /// Zero and counts beyond `skueue_shard::MAX_SHARDS` are rejected by
     /// [`build`](Self::build).
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Runs on the synchronous round scheduler the paper evaluates on (the
-    /// default).
-    pub fn synchronous(mut self) -> Self {
-        self.delivery = DeliveryModel::Synchronous;
+        self.protocol.shards = shards;
         self
     }
 
@@ -289,7 +206,8 @@ impl<T: Payload> SkueueBuilder<T> {
     }
 
     /// Uses an explicit delivery model (e.g.
-    /// [`DeliveryModel::Adversarial`]).
+    /// [`DeliveryModel::Adversarial`]); the default is the synchronous round
+    /// scheduler the paper evaluates on.
     pub fn delivery(mut self, delivery: DeliveryModel) -> Self {
         self.delivery = delivery;
         self
@@ -315,19 +233,6 @@ impl<T: Payload> SkueueBuilder<T> {
         self
     }
 
-    /// Enables the nearest-middle routing finger: every node additionally
-    /// tracks the nearest *middle* node in successor direction and the
-    /// distance-halving walk jumps straight to it instead of stepping
-    /// node-by-node across the left/middle/right cycle (≈3 virtual hops per
-    /// halving bit without the finger).  Routing stays correct with the
-    /// finger absent or stale, but hop counts — and therefore message
-    /// schedules and histories — change, so the switch defaults to **off**
-    /// to keep seeded runs comparable with the pinned goldens.
-    pub fn middle_fingers(mut self, enabled: bool) -> Self {
-        self.middle_fingers = enabled;
-        self
-    }
-
     /// Per-op lifecycle tracing level (default [`TraceLevel::Off`]).
     ///
     /// At [`TraceLevel::Spans`] every request's protocol stages (issue, wave
@@ -337,46 +242,31 @@ impl<T: Payload> SkueueBuilder<T> {
     /// histories are byte-identical at every level, and the off path is a
     /// single branch on a `Copy` enum (no buffer allocated).
     pub fn trace(mut self, level: TraceLevel) -> Self {
-        self.trace = level;
+        self.protocol.trace_level = level;
         self
     }
 
-    /// The [`ProtocolConfig`] this builder currently describes.
+    /// The [`ProtocolConfig`] this builder currently describes (its
+    /// `bit_budget` is derived from the system size by
+    /// [`build`](Self::build)).
     pub fn protocol_config(&self) -> ProtocolConfig {
-        let mut cfg = match self.mode {
-            Mode::Queue => ProtocolConfig::queue(),
-            Mode::Stack => ProtocolConfig::stack(),
-        };
-        if let Some(seed) = self.hash_seed {
-            cfg.hash_seed = seed;
+        ProtocolConfig {
+            // The synchronous round scheduler delivers per-channel in send
+            // order; every other model may reorder, which the protocol's
+            // aggregate credit must compensate for.
+            fifo_channels: self.delivery.is_synchronous(),
+            ..self.protocol
         }
-        cfg.bit_budget = self.bit_budget;
-        if let Some(enabled) = self.local_combining {
-            cfg.local_combining = enabled;
-        }
-        if let Some(enabled) = self.stage4_barrier {
-            cfg.stage4_barrier = enabled;
-        }
-        cfg.update_threshold = self.update_threshold;
-        cfg.pipeline_depth = self.pipeline_depth;
-        cfg.shards = self.shards;
-        cfg.middle_fingers = self.middle_fingers;
-        cfg.trace_level = self.trace;
-        // The synchronous round scheduler delivers per-channel in send
-        // order; every other model may reorder, which the protocol's
-        // aggregate credit must compensate for.
-        cfg.fifo_channels = self.delivery.is_synchronous();
-        cfg
     }
 
     /// The [`SimConfig`] this builder currently describes.
     pub fn sim_config(&self) -> SimConfig {
-        let synchronous = self.delivery.is_synchronous();
         SimConfig {
             seed: self.seed,
             delivery: self.delivery,
-            shuffle_node_order: self.shuffle_node_order.unwrap_or(!synchronous),
-            max_rounds: 0,
+            shuffle_node_order: self
+                .shuffle_node_order
+                .unwrap_or(!self.delivery.is_synchronous()),
         }
     }
 
@@ -387,56 +277,24 @@ impl<T: Payload> SkueueBuilder<T> {
 
     /// Validates the configuration and builds the cluster.
     pub fn build(self) -> Result<SkueueCluster<T>, BuildError> {
+        if self.processes == 0 {
+            return Err(BuildError::NoProcesses);
+        }
+        validate_shards(self.protocol.shards)?;
         let sim_cfg = self.sim_config();
-        let protocol_cfg = self.protocol_config();
-        validate_config(self.processes, &protocol_cfg, &sim_cfg)?;
+        sim_cfg.validate().map_err(|e| match e {
+            // Unwrap the reason so the BuildError Display doesn't repeat the
+            // "invalid simulation config" prefix.
+            skueue_sim::SimError::InvalidConfig(reason) => BuildError::InvalidSimConfig(reason),
+            other => BuildError::InvalidSimConfig(other.to_string()),
+        })?;
         Ok(SkueueCluster::from_config(
             self.processes,
-            protocol_cfg,
+            self.protocol_config(),
             sim_cfg,
             self.exec_mode(),
         ))
     }
-}
-
-/// The single validation gate for cluster configurations — used by
-/// [`SkueueBuilder::build`] and by the deprecated constructor shims, so both
-/// entry points accept exactly the same configurations.
-pub(crate) fn validate_config(
-    processes: usize,
-    protocol_cfg: &ProtocolConfig,
-    sim_cfg: &SimConfig,
-) -> Result<(), BuildError> {
-    if processes == 0 {
-        return Err(BuildError::NoProcesses);
-    }
-    if protocol_cfg.bit_budget > MAX_BIT_BUDGET {
-        return Err(BuildError::BitBudgetTooLarge {
-            requested: protocol_cfg.bit_budget,
-            max: MAX_BIT_BUDGET,
-        });
-    }
-    if protocol_cfg.update_threshold == 0 {
-        return Err(BuildError::ZeroUpdateThreshold);
-    }
-    if protocol_cfg.pipeline_depth == 0 {
-        return Err(BuildError::ZeroPipelineDepth);
-    }
-    if protocol_cfg.shards == 0 {
-        return Err(BuildError::ZeroShards);
-    }
-    if protocol_cfg.shards > MAX_SHARDS {
-        return Err(BuildError::TooManyShards {
-            requested: protocol_cfg.shards,
-            max: MAX_SHARDS,
-        });
-    }
-    sim_cfg.validate().map_err(|e| match e {
-        // Unwrap the reason so the BuildError Display doesn't repeat the
-        // "invalid simulation config" prefix.
-        skueue_sim::SimError::InvalidConfig(reason) => BuildError::InvalidSimConfig(reason),
-        other => BuildError::InvalidSimConfig(other.to_string()),
-    })
 }
 
 #[cfg(test)]
@@ -458,48 +316,6 @@ mod tests {
                 .unwrap_err(),
             BuildError::NoProcesses
         );
-    }
-
-    #[test]
-    fn oversized_bit_budget_is_rejected() {
-        let err = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .bit_budget(65)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::BitBudgetTooLarge {
-                requested: 65,
-                max: 64
-            }
-        );
-        assert!(err.to_string().contains("65"));
-    }
-
-    #[test]
-    fn zero_update_threshold_is_rejected() {
-        let err = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .update_threshold(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ZeroUpdateThreshold);
-    }
-
-    #[test]
-    fn zero_pipeline_depth_is_rejected() {
-        let err = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .pipeline_depth(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ZeroPipelineDepth);
-        let cfg = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .pipeline_depth(3)
-            .protocol_config();
-        assert_eq!(cfg.pipeline_depth, 3);
     }
 
     #[test]
@@ -557,8 +373,7 @@ mod tests {
         let builder = SkueueBuilder::<u64>::new().processes(8).seed(3);
         let cfg = builder.protocol_config();
         assert_eq!(cfg.mode, Mode::Queue);
-        assert!(!cfg.local_combining);
-        assert!(!cfg.stage4_barrier);
+        assert!(cfg.fifo_channels);
         let sim = builder.sim_config();
         assert!(sim.delivery.is_synchronous());
         assert!(!sim.shuffle_node_order);
@@ -566,22 +381,23 @@ mod tests {
     }
 
     #[test]
-    fn stack_mode_switches_stack_defaults_on() {
+    fn stack_mode_selects_the_stack_protocol() {
         let cfg = SkueueBuilder::<u64>::new()
             .processes(8)
             .stack()
             .protocol_config();
         assert_eq!(cfg.mode, Mode::Stack);
-        assert!(cfg.local_combining);
-        assert!(cfg.stage4_barrier);
-        // …and the individual switches still override.
-        let cfg = SkueueBuilder::<u64>::new()
-            .processes(8)
-            .stack()
-            .local_combining(false)
-            .protocol_config();
-        assert!(!cfg.local_combining);
-        assert!(cfg.stage4_barrier);
+        // Section VI's barrier serialises waves: one slot, one anchor.
+        assert_eq!(cfg.effective_pipeline_depth(), 1);
+        assert_eq!(cfg.with_shards(4).effective_shards(), 1);
+    }
+
+    #[test]
+    fn fifo_channels_follow_the_delivery_model() {
+        let builder = SkueueBuilder::<u64>::new().processes(4).asynchronous(5);
+        assert!(!builder.protocol_config().fifo_channels);
+        let builder = builder.delivery(DeliveryModel::Synchronous);
+        assert!(builder.protocol_config().fifo_channels);
     }
 
     #[test]
@@ -612,15 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn hash_seed_and_explicit_bit_budget_are_respected() {
+    fn hash_seed_is_respected() {
         let cluster = SkueueBuilder::<u64>::new()
             .processes(4)
             .seed(9)
             .hash_seed(1234)
-            .bit_budget(17)
             .build()
             .unwrap();
         assert_eq!(cluster.config().hash_seed, 1234);
-        assert_eq!(cluster.config().bit_budget, 17);
     }
 }

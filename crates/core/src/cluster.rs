@@ -52,7 +52,6 @@ use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
 use crate::membership::{joining_views, InitialMembership};
-use crate::messages::SkueueMsg;
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
@@ -282,9 +281,7 @@ impl<T: Payload> SkueueCluster<T> {
         // node behaviour is governed by the per-shard budgets, which
         // coincide with this value exactly when shards == 1.
         cfg.shards = cfg.effective_shards();
-        if cfg.bit_budget == 0 {
-            cfg.bit_budget = recommended_bit_budget(n);
-        }
+        cfg.bit_budget = recommended_bit_budget(n);
 
         let mut sim = Simulation::new(sim_cfg).expect("validated by SkueueBuilder::build");
         // One simulation lane per anchor shard: all protocol traffic is
@@ -908,31 +905,6 @@ impl<T: Payload> SkueueCluster<T> {
         }
         self.processes[idx].state = ProcessState::Leaving;
         self.transitioning += 1;
-        // Routing fingers are maintained by the driver, not the protocol:
-        // drop every finger aimed at the departing process *now*, while its
-        // nodes are still alive and draining.  In-flight finger-routed
-        // messages still land on a live node; new routes fall back to the
-        // (always correct) linear middle-search until re-derived views
-        // repopulate the finger.
-        if self.cfg.middle_fingers {
-            let shard = self.processes[idx].shard;
-            for h in &self.processes {
-                if h.shard != shard {
-                    continue;
-                }
-                for &nid in &h.nodes {
-                    if let Some(node) = self.sim.node_mut(nid) {
-                        if node
-                            .view
-                            .middle_finger
-                            .is_some_and(|f| f.vid.process == process)
-                        {
-                            node.view.middle_finger = None;
-                        }
-                    }
-                }
-            }
-        }
         for node_id in nodes {
             if let Some(node) = self.sim.node_mut(node_id) {
                 node.request_leave();
@@ -1194,12 +1166,6 @@ impl<T: Payload> SkueueCluster<T> {
     /// Iterates over all nodes (tests and diagnostics).
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &SkueueNode<T>)> {
         self.sim.iter()
-    }
-
-    /// The message kind used by the cluster (exposed for type annotations in
-    /// downstream test helpers).
-    pub fn message_type_hint() -> std::marker::PhantomData<SkueueMsg<T>> {
-        std::marker::PhantomData
     }
 }
 
@@ -1625,63 +1591,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn middle_fingers_preserve_queue_semantics_under_churn() {
-        // The nearest-middle finger changes routes (and therefore schedules)
-        // but must never change *semantics*: the sharded verifier has to
-        // pass with fingers on, through a join and a leave, and every
-        // finger-routed request must still reach its key's responsible node.
-        let mut cluster = SkueueCluster::builder()
-            .processes(18)
-            .shards(2)
-            .seed(13)
-            .middle_fingers(true)
-            .build()
-            .unwrap();
-        assert!(cluster.config().middle_fingers);
-        // Construction populated real fingers (18 processes per deployment
-        // guarantee other middles exist in each shard).
-        let populated = cluster
-            .nodes()
-            .filter(|(_, n)| n.view().middle_finger.is_some())
-            .count();
-        assert!(populated > 0, "expected initial views to carry fingers");
-        for i in 0..72u64 {
-            cluster.client(ProcessId(i % 18)).enqueue(i).unwrap();
-        }
-        cluster.run_until_all_complete(10_000).unwrap();
-        let joined = cluster.join(None).unwrap();
-        cluster
-            .run_until(|c| c.process_is_active(joined), 2_000)
-            .unwrap();
-        // Leave someone other than the joiner; skip pinned anchor hosts.
-        let left = (0..18u64)
-            .map(ProcessId)
-            .find(|&p| cluster.leave(p).is_ok())
-            .expect("some process can leave");
-        // The sweep dropped every finger aimed at the departing process.
-        for (_, node) in cluster.nodes() {
-            assert!(
-                node.view()
-                    .middle_finger
-                    .is_none_or(|f| f.vid.process != left),
-                "stale finger survived the leave sweep"
-            );
-        }
-        cluster
-            .run_until(|c| !c.process_is_active(left), 5_000)
-            .unwrap();
-        for i in 0..36u64 {
-            let p = ProcessId((i * 5) % 18);
-            if cluster.process_may_issue(p) {
-                cluster.client(p).dequeue().unwrap();
-            }
-        }
-        cluster.run_until_all_complete(10_000).unwrap();
-        let map = cluster.shard_map();
-        skueue_verify::check_queue_sharded(cluster.history(), &map).assert_consistent();
     }
 
     #[test]

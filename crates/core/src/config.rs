@@ -1,7 +1,16 @@
 //! Protocol configuration.
+//!
+//! The paper specifies one queue protocol (Sections III–V) and one stack
+//! protocol (Section VI), so [`ProtocolConfig`] selects between them with
+//! [`Mode`] and otherwise holds only what deployments set differently —
+//! `hash_seed`, `shards`, `trace_level` — plus two values derived for the
+//! nodes: `fifo_channels` (from the transport) and `bit_budget` (from the
+//! shard's size).  Nothing else is switchable: the stack's local combining,
+//! stage-4 barrier and strict waves follow from the mode, any pending churn
+//! opens an update phase, and the wave ring holds [`PIPELINE_DEPTH`] slots.
 
 use serde::{Deserialize, Serialize};
-use skueue_overlay::LabelHasher;
+use skueue_overlay::{recommended_bit_budget, LabelHasher};
 use skueue_trace::TraceLevel;
 
 /// Whether the protocol runs as the FIFO queue of Sections III–V or as the
@@ -16,6 +25,11 @@ pub enum Mode {
 }
 
 /// Static configuration shared by all nodes of one Skueue deployment.
+///
+/// There is one protocol per [`Mode`]: everything Section VI asks of the
+/// stack — local combining, the stage-4 barrier with its strict wave
+/// lockstep, a single anchor, one wave at a time — follows from
+/// [`Self::is_stack`] and is not separately switchable.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ProtocolConfig {
     /// Queue or stack semantics.
@@ -24,39 +38,23 @@ pub struct ProtocolConfig {
     /// and position keys).
     pub hash_seed: u64,
     /// Number of distance-halving bits used when routing DHT operations.
-    /// `0` means "derive from the initial system size".
+    /// Not an input: [`InitialMembership::build`] derives it per shard from
+    /// the shard's size ([`recommended_bit_budget`]) and overwrites whatever
+    /// is here.
+    ///
+    /// [`InitialMembership::build`]: crate::membership::InitialMembership::build
     pub bit_budget: u32,
-    /// Stack only: locally combine a node's own push/pop pairs so they
-    /// complete without involving the anchor (Section VI).  Ignored in queue
-    /// mode.  Exposed as a switch for the E9 ablation.
-    pub local_combining: bool,
-    /// Minimum number of pending `JOIN()`/`LEAVE()` requests observed by the
-    /// anchor before it triggers an update phase.  The paper enters the
-    /// update phase as soon as the joining nodes outnumber the integrated
-    /// ones / the leave count passes a threshold; `1` (the default) keeps
-    /// the system maximally up to date.
-    pub update_threshold: u64,
-    /// Stack only: wait at the end of stage 4 until all DHT operations
-    /// issued by this node have finished before starting the next
-    /// aggregation phase (required for stack correctness, Section VI).
-    pub stage4_barrier: bool,
     /// True when the transport delivers each channel's messages in send
-    /// order (the synchronous round model).  FIFO channels make the
+    /// order (the synchronous round model, TCP).  FIFO channels make the
     /// `AggregateAck` credit redundant: a child may keep several aggregates
     /// to the same parent in flight because they cannot overtake each other
     /// (re-parenting is covered separately by the wave slots' parent guard).
     /// Under reordering delivery this must be `false`, and the credit
-    /// serialises every child→parent channel.  Set by the cluster builder
-    /// from the configured delivery model.
+    /// serialises every child→parent channel.  Not a user option: the
+    /// cluster builder derives it from `DeliveryModel::is_synchronous()`.
+    /// Both values carry traffic — every golden history and the TCP daemons
+    /// run with `true`, the reordering-delivery suites with `false`.
     pub fifo_channels: bool,
-    /// Maximum number of aggregation waves a node keeps in flight
-    /// concurrently (the size of its `WaveSlot` ring): a node may combine
-    /// and forward wave `k+1` while wave `k`'s assignments are still
-    /// travelling back down the tree, as in Skeap/Seap's overlapping phases.
-    /// `1` reproduces the strictly alternating wave of the original Skueue
-    /// analysis.  The stack's stage-4 barrier serialises waves regardless,
-    /// so this knob effectively applies to the queue.
-    pub pipeline_depth: usize,
     /// Number of independent anchor shards the queue is partitioned into.
     /// Every process belongs to exactly one shard (splittable hash of its
     /// label, `skueue_shard::ShardMap`); each shard runs its own LDB cycle,
@@ -66,15 +64,6 @@ pub struct ProtocolConfig {
     /// The stack's ticket matching needs the single global stage-4 barrier,
     /// so stack mode pins this to 1 (see [`Self::effective_shards`]).
     pub shards: usize,
-    /// Enables the nearest-middle routing finger: every node additionally
-    /// knows the nearest *middle* node in successor direction and the
-    /// distance-halving walk jumps straight to it instead of stepping
-    /// node-by-node until it finds a middle (≈3 virtual hops per halving
-    /// bit on the full left/middle/right cycle).  The finger is an
-    /// optimisation only — routing is correct with it absent or stale —
-    /// but it changes hop counts and therefore message schedules, so it
-    /// defaults to **off** to keep the pinned golden histories intact.
-    pub middle_fingers: bool,
     /// Per-op lifecycle tracing level ([`skueue_trace`]).  Off by default;
     /// the off path is a branch on this `Copy` enum and allocates nothing.
     /// Tracing is observation-only — it never sends messages or alters
@@ -83,49 +72,42 @@ pub struct ProtocolConfig {
     pub trace_level: TraceLevel,
 }
 
-/// Default number of concurrently in-flight aggregation waves per node.
+/// Number of aggregation waves a queue node keeps in flight concurrently
+/// (the size of its `WaveSlot` ring): a node may combine and forward wave
+/// `k+1` while wave `k`'s assignments are still travelling back down the
+/// tree, as in Skeap/Seap's overlapping phases.
 ///
-/// The slot ring is bookkeeping for epoch-matched serves, not flow control:
-/// capping it below the anchor round-trip time (≈ 2·tree height rounds)
-/// throttles every tree level and costs O(height) extra latency per level.
-/// In-flight waves self-limit at about one round trip's worth, so 32 covers
-/// trees of height ≈ 16 (hundreds of thousands of processes) without ever
-/// becoming the bottleneck, while still bounding per-node state.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 32;
+/// The ring bounds per-node wave state, and it *is* reached: with a wave
+/// opened at most every second round (`WAVE_CADENCE`) it covers an anchor
+/// round trip of up to 64 rounds, and the benchmark's
+/// `core.waves_in_flight_max` (sampled right after a slot is pushed, so 32
+/// is a full ring) reads 31 / 32 / 32 / 32 on `sim_light` / `sim_heavy` /
+/// `sim_heavy_par` / `sim_churn` (`examples/benchmark/baseline.json`).  On
+/// three of those four workloads some node therefore waits for a `Serve`
+/// before it opens its next wave.  Whether that throttles at paper scale
+/// (n = 10⁵), and whether the ring should be sized from the tree height
+/// instead, is open (ROADMAP).  The value is part of the schedule every
+/// golden history pins.
+pub const PIPELINE_DEPTH: usize = 32;
 
 impl ProtocolConfig {
-    /// Default queue configuration.
+    /// The queue protocol of Sections III–V.
     pub fn queue() -> Self {
         ProtocolConfig {
             mode: Mode::Queue,
             hash_seed: LabelHasher::default().seed(),
-            bit_budget: 0,
-            local_combining: false,
-            update_threshold: 1,
-            stage4_barrier: false,
+            bit_budget: recommended_bit_budget(1),
             fifo_channels: true,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             shards: 1,
-            middle_fingers: false,
             trace_level: TraceLevel::Off,
         }
     }
 
-    /// Default stack configuration (local combining and the stage-4 barrier
-    /// enabled, as in the paper).
+    /// The stack protocol of Section VI.
     pub fn stack() -> Self {
         ProtocolConfig {
             mode: Mode::Stack,
-            hash_seed: LabelHasher::default().seed(),
-            bit_budget: 0,
-            local_combining: true,
-            update_threshold: 1,
-            stage4_barrier: true,
-            fifo_channels: true,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            shards: 1,
-            middle_fingers: false,
-            trace_level: TraceLevel::Off,
+            ..ProtocolConfig::queue()
         }
     }
 
@@ -135,45 +117,19 @@ impl ProtocolConfig {
         self
     }
 
-    /// Overrides the distance-halving bit budget.
-    pub fn with_bit_budget(mut self, bits: u32) -> Self {
-        self.bit_budget = bits;
-        self
-    }
-
-    /// Enables or disables the stack's local combining (E9 ablation).
-    pub fn with_local_combining(mut self, enabled: bool) -> Self {
-        self.local_combining = enabled;
-        self
-    }
-
-    /// Overrides the wave pipeline depth (must be at least 1).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// The effective number of wave slots a node uses: the stack's stage-4
-    /// barrier requires strictly alternating waves, so it pins the depth
-    /// to 1 regardless of the configured value.
+    /// The number of wave slots a node uses: the stack's stage-4 barrier
+    /// requires strictly alternating waves, so a stack node keeps one.
     pub fn effective_pipeline_depth(&self) -> usize {
-        if self.stage4_barrier {
+        if self.is_stack() {
             1
         } else {
-            self.pipeline_depth.max(1)
+            PIPELINE_DEPTH
         }
     }
 
     /// Overrides the number of anchor shards (must be at least 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Enables or disables the nearest-middle routing finger (default off;
-    /// see [`Self::middle_fingers`]).
-    pub fn with_middle_fingers(mut self, enabled: bool) -> Self {
-        self.middle_fingers = enabled;
         self
     }
 
@@ -207,7 +163,10 @@ impl ProtocolConfig {
         LabelHasher::new(self.hash_seed)
     }
 
-    /// True for stack mode.
+    /// True for stack mode — and with it for everything Section VI adds to
+    /// the protocol: local combining of a node's own push/pop pairs, the
+    /// stage-4 barrier (a node waits for all its DHT operations before it
+    /// contributes to the next wave) and the strict wave lockstep.
     pub fn is_stack(&self) -> bool {
         self.mode == Mode::Stack
     }
@@ -228,28 +187,20 @@ mod tests {
         let c = ProtocolConfig::queue();
         assert_eq!(c.mode, Mode::Queue);
         assert!(!c.is_stack());
-        assert!(!c.local_combining);
-        assert!(!c.stage4_barrier);
-        assert_eq!(c.update_threshold, 1);
+        assert!(c.fifo_channels);
     }
 
     #[test]
     fn stack_defaults() {
         let c = ProtocolConfig::stack();
+        assert_eq!(c.mode, Mode::Stack);
         assert!(c.is_stack());
-        assert!(c.local_combining);
-        assert!(c.stage4_barrier);
     }
 
     #[test]
-    fn builders() {
-        let c = ProtocolConfig::stack()
-            .with_hash_seed(99)
-            .with_bit_budget(17)
-            .with_local_combining(false);
+    fn hash_seed_override_reaches_the_hasher() {
+        let c = ProtocolConfig::stack().with_hash_seed(99);
         assert_eq!(c.hash_seed, 99);
-        assert_eq!(c.bit_budget, 17);
-        assert!(!c.local_combining);
         assert_eq!(c.hasher().seed(), 99);
     }
 
@@ -266,19 +217,6 @@ mod tests {
         let c = ProtocolConfig::queue().with_trace(TraceLevel::Full);
         assert_eq!(c.trace_level, TraceLevel::Full);
         assert!(c.trace_level.hops());
-    }
-
-    #[test]
-    fn middle_fingers_default_off() {
-        // Off by default: the finger changes hop counts and therefore
-        // message schedules, which would invalidate the golden histories.
-        assert!(!ProtocolConfig::queue().middle_fingers);
-        assert!(!ProtocolConfig::stack().middle_fingers);
-        assert!(
-            ProtocolConfig::queue()
-                .with_middle_fingers(true)
-                .middle_fingers
-        );
     }
 
     #[test]
@@ -300,15 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_depth_defaults_and_barrier_override() {
-        let c = ProtocolConfig::queue();
-        assert_eq!(c.pipeline_depth, DEFAULT_PIPELINE_DEPTH);
-        assert_eq!(c.effective_pipeline_depth(), DEFAULT_PIPELINE_DEPTH);
-        let c = c.with_pipeline_depth(5);
-        assert_eq!(c.effective_pipeline_depth(), 5);
-        // The stack's stage-4 barrier serialises waves regardless of the
-        // configured depth.
-        let s = ProtocolConfig::stack().with_pipeline_depth(5);
-        assert_eq!(s.effective_pipeline_depth(), 1);
+    fn the_stack_keeps_one_wave_in_flight() {
+        assert_eq!(
+            ProtocolConfig::queue().effective_pipeline_depth(),
+            PIPELINE_DEPTH
+        );
+        // The stack's stage-4 barrier serialises waves.
+        assert_eq!(ProtocolConfig::stack().effective_pipeline_depth(), 1);
     }
 }

@@ -5,9 +5,9 @@
 //! joiner; its cycle predecessor for a leaver).  The responsible node counts
 //! the request in the `j`/`l` fields of its next batch, so the anchor learns
 //! about pending membership changes through the ordinary aggregation.  When
-//! the anchor observes at least `update_threshold` pending changes it attaches
-//! the *update-phase* flag to the `SERVE` wave; while the flag is set no new
-//! batches are sent.  During the update phase
+//! the anchor observes a pending change it attaches the *update-phase* flag
+//! to the `SERVE` wave; while the flag is set no new batches are sent.
+//! During the update phase
 //!
 //! * joiners are spliced into the cycle (and receive the DHT data of their
 //!   interval),

@@ -6,8 +6,9 @@
 //! says nothing about a deployed one.  This module is the one place that
 //! knows how it is made: the dense node-id rule, the partition of the
 //! initial processes into anchor shards, one [`Topology`] and one node
-//! configuration per shard, the three [`LocalView`]s of a process, and the
-//! self-pointing views a joiner starts from.  Both drivers call it and keep
+//! configuration per shard (the deployment's, with the routing bit budget
+//! derived from the shard's size), the three [`LocalView`]s of a process, and
+//! the self-pointing views a joiner starts from.  Both drivers call it and keep
 //! only what is theirs — where the nodes live and how they are visited.
 
 use crate::config::ProtocolConfig;
@@ -68,17 +69,15 @@ impl InitialMembership {
                 })
             })
             .collect();
-        // Per-shard routing budget: an explicit configuration applies
-        // everywhere; otherwise each shard derives it from its own size
+        // Per-shard routing budget, derived from the shard's own size
         // (shorter distance-halving routes inside smaller shard cycles).
         let shard_cfgs = groups
             .iter()
             .map(|group| {
-                let mut node_cfg = cfg;
-                if cfg.bit_budget == 0 {
-                    node_cfg.bit_budget = recommended_bit_budget(group.len().max(1));
-                }
-                Arc::new(node_cfg)
+                Arc::new(ProtocolConfig {
+                    bit_budget: recommended_bit_budget(group.len().max(1)),
+                    ..cfg
+                })
             })
             .collect();
         InitialMembership {
@@ -114,18 +113,12 @@ impl InitialMembership {
         let topology = self.topologies[shard as usize]
             .as_ref()
             .expect("an initial process is grouped into its shard");
-        let fingers = self.shard_cfgs[shard as usize].middle_fingers;
         let views = VKind::ALL.map(|kind| {
             let vid = VirtualId::new(pid, kind);
-            let view = if fingers {
-                topology.local_view_with_fingers(vid, &node_of)
-            } else {
-                topology.local_view(vid, &node_of)
-            };
-            (
-                view.expect("vid from own topology"),
-                vid == topology.anchor(),
-            )
+            let view = topology
+                .local_view(vid, &node_of)
+                .expect("vid from own topology");
+            (view, vid == topology.anchor())
         });
         (shard, views)
     }
@@ -133,9 +126,7 @@ impl InitialMembership {
 
 /// The views a *joining* process starts from, in Left/Middle/Right order:
 /// its own identity under the dense id rule, every pointer aimed at itself
-/// (the join protocol fills them in).  No routing finger: `None` is always
-/// safe — the linear middle-search takes over — and the finger is an
-/// optimisation only (see [`LocalView::middle_finger`]).
+/// (the join protocol fills them in).
 pub fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
     let middle_label = hasher.process_label(pid);
     let siblings = VKind::ALL.map(|kind| {
@@ -147,7 +138,6 @@ pub fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
         pred: me,
         succ: me,
         siblings,
-        middle_finger: None,
     })
 }
 
@@ -180,18 +170,10 @@ mod tests {
                 // Every view's own identity follows the dense scheme.
                 assert_eq!(view.me.vid, VirtualId::new(pid, kind));
                 assert_eq!(view.me.node, node_of(view.me.vid));
-                assert!(view.middle_finger.is_none());
                 anchors += *is_anchor as usize;
             }
         }
         assert_eq!(anchors, 2, "exactly one anchor per populated shard");
-    }
-
-    #[test]
-    fn middle_fingers_follow_the_configuration() {
-        let cfg = ProtocolConfig::queue().with_middle_fingers(true);
-        let (_, views) = InitialMembership::build(4, cfg).process(ProcessId(1));
-        assert!(views.iter().all(|(view, _)| view.middle_finger.is_some()));
     }
 
     #[test]
@@ -203,7 +185,6 @@ mod tests {
             assert_eq!(view.pred, view.me);
             assert_eq!(view.succ, view.me);
             assert_eq!(view.siblings[kind.index()], view.me);
-            assert!(view.middle_finger.is_none());
         }
     }
 }

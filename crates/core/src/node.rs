@@ -345,8 +345,8 @@ impl<T> Membership<T> {
     }
 }
 
-/// The stack's local-combining state (Section VI).  Only a node of a
-/// combining stack deployment that has generated a request holds one.
+/// The stack's local-combining state (Section VI).  Only a node of a stack
+/// deployment that has generated a request holds one.
 #[derive(Debug, Default)]
 pub(crate) struct LocalCombining<T> {
     /// Ids of the unsent pushes eligible for local matching.  Markers only:
@@ -459,7 +459,7 @@ pub struct SkueueNode<T: Payload = u64> {
 
     // --- Cold state: absent in the steady state of a queue ----------------------
     /// Stack local combining (allocated with the node's first request in a
-    /// combining stack deployment, never in queue mode).
+    /// stack deployment, never in queue mode).
     pub(crate) combining: Option<Box<LocalCombining<T>>>,
     /// Join/leave/update-phase bookkeeping (Section IV); `None` while
     /// membership around this node is stable.
@@ -814,7 +814,7 @@ impl<T: Payload> SkueueNode<T> {
             issued_round: round,
         };
 
-        if self.cfg.is_stack() && self.cfg.local_combining {
+        if self.cfg.is_stack() {
             let combining = self.combining.get_or_insert_with(Box::default);
             match kind {
                 BatchOp::Enqueue => combining.local_stack.push(op.id),
@@ -1038,7 +1038,7 @@ impl<T: Payload> SkueueNode<T> {
     /// generation's still-outstanding `GET` is entitled to on a reused
     /// position.
     fn strict_waves(&self) -> bool {
-        self.cfg.stage4_barrier
+        self.cfg.is_stack()
     }
 
     fn try_send_batch(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
@@ -1071,7 +1071,7 @@ impl<T: Payload> SkueueNode<T> {
                 return;
             }
         }
-        if self.cfg.stage4_barrier && self.outstanding_dht > 0 {
+        if self.cfg.is_stack() && self.outstanding_dht > 0 {
             return;
         }
         let parent = if self.anchor.is_some() {
@@ -1106,7 +1106,7 @@ impl<T: Payload> SkueueNode<T> {
         // (in particular the anchor) must not commit further waves while its
         // own DHT operations are unresolved, or a later pop generation could
         // be assigned against elements an outstanding GET is entitled to.
-        if self.cfg.stage4_barrier && self.outstanding_dht > 0 {
+        if self.cfg.is_stack() && self.outstanding_dht > 0 {
             return;
         }
         let parent = if self.anchor.is_some() {
@@ -1195,7 +1195,7 @@ impl<T: Payload> SkueueNode<T> {
                 // Churn carried by waves assigned during an update phase is
                 // accumulated (not dropped); it triggers the *next* phase.
                 let enter_update = if !drain && self.update().is_none() {
-                    anchor.take_update_decision(self.cfg.update_threshold)
+                    anchor.take_update_decision()
                 } else {
                     None
                 };
@@ -1491,10 +1491,10 @@ impl<T: Payload> SkueueNode<T> {
             issued_round,
             order: order_major,
             wave,
-            needs_ack: self.cfg.stage4_barrier,
+            needs_ack: self.cfg.is_stack(),
             issuer: self.view.me.node,
         };
-        if self.cfg.stage4_barrier {
+        if self.cfg.is_stack() {
             self.outstanding_dht += 1;
         }
         self.stats.dht_ops_issued += 1;
@@ -1531,7 +1531,7 @@ impl<T: Payload> SkueueNode<T> {
                 wave,
             },
         );
-        if self.cfg.stage4_barrier {
+        if self.cfg.is_stack() {
             self.outstanding_dht += 1;
         }
         self.stats.dht_ops_issued += 1;
@@ -1696,7 +1696,7 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         if let Some(meta) = self.outstanding_gets.remove(&request) {
-            if self.cfg.stage4_barrier {
+            if self.cfg.is_stack() {
                 self.outstanding_dht = self.outstanding_dht.saturating_sub(1);
             }
             // The entry ends its life here: the payload moves into the
@@ -1831,7 +1831,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
             }
             SkueueMsg::DhtReplyBatch { replies } => self.handle_dht_reply_batch(replies, ctx),
             SkueueMsg::PutAck { .. } => {
-                if self.cfg.stage4_barrier {
+                if self.cfg.is_stack() {
                     self.outstanding_dht = self.outstanding_dht.saturating_sub(1);
                 }
             }
@@ -1893,6 +1893,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
 mod tests {
     use super::*;
     use crate::batch::FirstRun;
+    use crate::config::PIPELINE_DEPTH;
     use crate::interval::decompose;
     use crate::messages::AbsorbPayload;
     use proptest::prelude::*;
@@ -1968,6 +1969,57 @@ mod tests {
     fn child_batch(bits: u64) -> Batch {
         let runs = (0..1 + bits % 3).map(|i| 1 + (bits >> (8 * (i + 1))) % 4);
         Batch::from_parts(FirstRun::Enqueues, runs.collect(), 0, 0)
+    }
+
+    /// One own enqueue, then the `TIMEOUT` of a wave cadence later; the
+    /// combined batch if that `TIMEOUT` opened a wave.
+    fn enqueue_then_timeout(node: &mut SkueueNode<u64>, round: &mut u64) -> Option<(u64, Batch)> {
+        let id = RequestId::new(node.process(), *round);
+        node.generate_op(id, BatchOp::Enqueue, *round, *round);
+        *round += WAVE_CADENCE;
+        let mut ctx = Context::new(node.view.me.node, *round, SimRng::new(0));
+        node.on_timeout(&mut ctx);
+        ctx.into_outbox()
+            .into_iter()
+            .find_map(|(_, msg)| match msg {
+                SkueueMsg::Aggregate { epoch, batch, .. } => Some((epoch, batch)),
+                _ => None,
+            })
+    }
+
+    /// A queue node keeps at most [`PIPELINE_DEPTH`] unserved waves, however
+    /// long the anchor takes — bounded per-node wave state.
+    #[test]
+    fn the_wave_ring_holds_at_most_pipeline_depth_unserved_waves() {
+        let mut node = node_under_test(false);
+        let parent = node.tree_parent().expect("a middle node has a parent");
+        let mut assigner = AnchorState::new();
+        let mut unserved = VecDeque::new();
+        let mut round = 0;
+        for _ in 0..PIPELINE_DEPTH {
+            let (epoch, batch) =
+                enqueue_then_timeout(&mut node, &mut round).expect("a free slot opens a wave");
+            unserved.push_back((epoch, assigner.assign_wave(&batch, Mode::Queue)));
+        }
+        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+        // Ring full: a TIMEOUT opens nothing, own operations keep batching.
+        for held in 1..=3 {
+            assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
+            assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+            assert_eq!(node.own_batch.total_ops(), held);
+        }
+        // The oldest Serve frees one slot, and the next TIMEOUT fills it with
+        // one wave carrying what was held back.
+        let (epoch, runs) = unserved.pop_front().expect("32 waves are owed a serve");
+        let mut ctx = Context::new(node.view.me.node, round, SimRng::new(0));
+        node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH - 1);
+        let (_, batch) =
+            enqueue_then_timeout(&mut node, &mut round).expect("the freed slot opens a wave");
+        assert_eq!(batch.total_ops(), 4);
+        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+        assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
+        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
     }
 
     proptest! {

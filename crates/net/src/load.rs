@@ -56,6 +56,24 @@ impl LoadParams {
             drain_timeout: Duration::from_secs(30),
         }
     }
+
+    /// Checks the caller-supplied values [`run_load`] cannot work with (a
+    /// rate that is not a positive, finite number; no process to issue
+    /// through) — an [`io::ErrorKind::InvalidInput`], not a panic, since
+    /// they arrive from a command line.
+    pub fn validate(&self) -> io::Result<()> {
+        let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if self.pids.is_empty() {
+            return invalid("load needs at least one process".into());
+        }
+        if !(self.rate_hz.is_finite() && self.rate_hz > 0.0) {
+            return invalid(format!(
+                "rate must be a positive, finite number of ops/s, got {}",
+                self.rate_hz
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The outcome of one load run.
@@ -126,8 +144,7 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     ingress: &mut IngressClient<T>,
     params: &LoadParams,
 ) -> io::Result<LoadReport> {
-    assert!(!params.pids.is_empty(), "load needs at least one process");
-    assert!(params.rate_hz > 0.0, "rate must be positive");
+    params.validate()?;
     let mut rng = SimRng::new(params.seed ^ 0x10AD);
     let start = Instant::now();
     let mut next_at = start;
@@ -172,4 +189,20 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
         p99_us,
         p999_us,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unusable_rates_and_empty_process_sets_are_invalid_input() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = LoadParams::new(rate, 5, 3, 1).validate().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "rate {rate}");
+        }
+        let err = LoadParams::new(100.0, 5, 0, 1).validate().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(LoadParams::new(0.5, 5, 3, 1).validate().is_ok());
+    }
 }

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use skueue_core::builder::validate_shards;
 use skueue_core::membership::{node_of, process_of, InitialMembership};
 use skueue_core::ProtocolConfig;
 use skueue_overlay::VirtualId;
@@ -140,8 +141,9 @@ pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> 
 
 /// Builds a [`ClusterSpec`] from parsed flags.  Recognised keys:
 /// `--daemons a,b,c` (required), `--initial N` (default 3), `--shards S`
-/// (default 1), `--hash-seed H` (default: the library default), and
-/// `--tick-ms T` (default [`DEFAULT_TICK_MS`]).
+/// (default 1; `1..=skueue_shard::MAX_SHARDS`, anything else is an error),
+/// `--hash-seed H` (default: the library default), and `--tick-ms T`
+/// (default [`DEFAULT_TICK_MS`]).
 pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, String> {
     let daemons: Vec<String> = flags
         .get("daemons")
@@ -163,7 +165,10 @@ pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, 
     if initial == 0 {
         return Err("--initial must be at least 1".into());
     }
-    let shards = parse_u64("shards", 1)? as usize;
+    // The builder's gate: an unchecked count sizes a per-shard allocation in
+    // `InitialMembership::build`, and the shard map would silently clamp it.
+    let shards = usize::try_from(parse_u64("shards", 1)?).unwrap_or(usize::MAX);
+    validate_shards(shards).map_err(|e| format!("--shards: {e}"))?;
     let hash_seed = parse_u64("hash-seed", ProtocolConfig::queue().hash_seed)?;
     let tick_ms = parse_u64("tick-ms", DEFAULT_TICK_MS)?.max(1);
     Ok(ClusterSpec {
@@ -245,5 +250,22 @@ mod tests {
         assert_eq!(spec.shards, 2);
         assert!(parse_flags(&["oops".to_string()]).is_err());
         assert!(spec_from_flags(&BTreeMap::new()).is_err());
+    }
+
+    #[test]
+    fn shard_counts_outside_the_supported_range_are_rejected() {
+        let with_shards = |shards: &str| {
+            let flags = BTreeMap::from([
+                ("daemons".to_string(), "127.0.0.1:7100".to_string()),
+                ("shards".to_string(), shards.to_string()),
+            ]);
+            spec_from_flags(&flags)
+        };
+        for bad in ["0", "257", "1000000000000"] {
+            let err = with_shards(bad).unwrap_err();
+            assert!(err.contains("--shards"), "{err}");
+        }
+        assert_eq!(with_shards("1").unwrap().shards, 1);
+        assert_eq!(with_shards("256").unwrap().shards, 256);
     }
 }

@@ -313,43 +313,7 @@ impl Topology {
             pred,
             succ,
             siblings,
-            middle_finger: None,
         })
-    }
-
-    /// The nearest *middle* virtual node in successor direction (wrapping),
-    /// excluding `vid` itself — the target of the nearest-middle routing
-    /// finger.  `None` only when the topology contains no other middle node.
-    pub fn nearest_middle_after(&self, vid: VirtualId) -> Result<Option<VirtualId>, TopologyError> {
-        let start = self.rank_of(vid)?;
-        let n = self.sorted.len();
-        for step in 1..=n {
-            let candidate = &self.sorted[(start + step) % n];
-            if candidate.vid == vid {
-                break;
-            }
-            if candidate.vid.kind == VKind::Middle {
-                return Ok(Some(candidate.vid));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Like [`Self::local_view`], but additionally populates the
-    /// nearest-middle routing finger (see [`LocalView::middle_finger`]).
-    pub fn local_view_with_fingers(
-        &self,
-        vid: VirtualId,
-        node_of: &dyn Fn(VirtualId) -> NodeId,
-    ) -> Result<LocalView, TopologyError> {
-        let mut view = self.local_view(vid, node_of)?;
-        view.middle_finger = self
-            .nearest_middle_after(vid)?
-            .map(|m| -> Result<NeighborInfo, TopologyError> {
-                Ok(NeighborInfo::new(node_of(m), m, self.label_of(m)?))
-            })
-            .transpose()?;
-        Ok(view)
     }
 }
 
@@ -564,14 +528,8 @@ mod tests {
     }
 
     /// Simulates routing over the static topology using only local views and
-    /// the `route_step` rule, returning the hop count.  `fingers` selects
-    /// whether the views carry the nearest-middle finger.
-    fn simulate_route_on(
-        t: &Topology,
-        from: VirtualId,
-        key: Label,
-        fingers: bool,
-    ) -> (VirtualId, u32) {
+    /// the `route_step` rule, returning the hop count.
+    fn simulate_route(t: &Topology, from: VirtualId, key: Label) -> (VirtualId, u32) {
         let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
         let vid_of = |n: NodeId| -> VirtualId {
             VirtualId::new(ProcessId(n.0 / 3), VKind::from_index((n.0 % 3) as usize))
@@ -580,11 +538,7 @@ mod tests {
         let mut progress = RouteProgress::new(key, recommended_bit_budget(t.num_processes()));
         let max_hops = 40 * (t.len() as u32 + 2);
         loop {
-            let view = if fingers {
-                t.local_view_with_fingers(current, &node_of).unwrap()
-            } else {
-                t.local_view(current, &node_of).unwrap()
-            };
+            let view = t.local_view(current, &node_of).unwrap();
             match route_step(&view, &mut progress) {
                 RouteAction::Deliver => return (current, progress.hops),
                 RouteAction::Forward(next) => {
@@ -594,10 +548,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    fn simulate_route(t: &Topology, from: VirtualId, key: Label) -> (VirtualId, u32) {
-        simulate_route_on(t, from, key, false)
     }
 
     #[test]
@@ -615,68 +565,6 @@ mod tests {
                 "wrong destination for key {key}"
             );
         }
-    }
-
-    #[test]
-    fn finger_views_point_at_the_nearest_middle() {
-        let t = topo(16);
-        let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
-        for n in t.iter() {
-            let view = t.local_view_with_fingers(n.vid, &node_of).unwrap();
-            let finger = view.middle_finger.expect("16 processes have middles");
-            assert_eq!(finger.vid.kind, VKind::Middle);
-            assert_ne!(finger.vid, n.vid);
-            // Walking the cycle from succ must meet the finger before any
-            // other middle node.
-            let mut cur = t.succ(n.vid).unwrap();
-            while cur.kind != VKind::Middle {
-                cur = t.succ(cur).unwrap();
-            }
-            assert_eq!(cur, finger.vid, "finger of {:?} skipped a middle", n.vid);
-            // The rest of the view is untouched.
-            let plain = t.local_view(n.vid, &node_of).unwrap();
-            assert_eq!(view.me, plain.me);
-            assert_eq!(view.pred, plain.pred);
-            assert_eq!(view.succ, plain.succ);
-        }
-        // A single process has exactly one middle: its own sibling still
-        // counts for the left/right nodes, but the middle itself has none.
-        let t1 = topo(1);
-        let mid = t1.iter().find(|n| n.vid.kind == VKind::Middle).unwrap().vid;
-        assert_eq!(t1.nearest_middle_after(mid).unwrap(), None);
-        let left = t1.iter().find(|n| n.vid.kind == VKind::Left).unwrap().vid;
-        assert_eq!(t1.nearest_middle_after(left).unwrap(), Some(mid));
-    }
-
-    #[test]
-    fn finger_routing_reaches_the_same_node_in_fewer_hops() {
-        let t = topo(256);
-        let mut raw = 0xFEED_F00Du64;
-        let (mut total_plain, mut total_finger) = (0u64, 0u64);
-        for i in 0..200u64 {
-            raw = raw.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let key = Label::from_raw(raw);
-            let from = t.at_rank((i as usize * 11) % t.len()).vid;
-            let (plain_dest, plain_hops) = simulate_route_on(&t, from, key, false);
-            let (finger_dest, finger_hops) = simulate_route_on(&t, from, key, true);
-            assert_eq!(plain_dest, finger_dest, "finger changed the destination");
-            assert_eq!(plain_dest, t.responsible_for(key));
-            // Individual routes may get slightly longer (the jump can skip
-            // over an early-responsible node the walk would have delivered
-            // at, costing a short walk back), but never pathologically so.
-            assert!(
-                finger_hops <= plain_hops + 4,
-                "finger route much longer: {finger_hops} vs {plain_hops}"
-            );
-            total_plain += plain_hops as u64;
-            total_finger += finger_hops as u64;
-        }
-        // Each halving bit costs ~3 hops without the finger (search + jump)
-        // and ~2 with it; demand a clearly visible aggregate win.
-        assert!(
-            (total_finger as f64) < 0.9 * total_plain as f64,
-            "expected >=10% hop reduction, got {total_finger} vs {total_plain}"
-        );
     }
 
     #[test]

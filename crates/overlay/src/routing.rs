@@ -20,7 +20,11 @@
 //!
 //! Both phases use only the *local* neighbourhood knowledge captured in
 //! [`LocalView`]: the node's own label/kind, its cycle predecessor and
-//! successor, and its process's two sibling virtual nodes.  The total hop
+//! successor, and its process's two sibling virtual nodes — exactly what the
+//! join/leave protocol of Section IV keeps current.  (A pointer to the
+//! nearest middle node would shorten the search of phase 1 — 0.6× the hops
+//! on a membership that never changes — but nothing in the protocol
+//! maintains one under churn; see PERF.md, "overlay — routing".)  The total hop
 //! count is `O(log n)` w.h.p.; the property-based tests in `ldb.rs` check
 //! this empirically, and the benchmark reports the measured count as
 //! `overlay.dht_hops_per_op` and the cost of a step as `overlay.route_step_ns`.
@@ -67,15 +71,6 @@ pub struct LocalView {
     /// The emulating process's three virtual nodes, indexed by
     /// [`VKind::index`]; includes this node itself.
     pub siblings: [NeighborInfo; 3],
-    /// Optional **nearest-middle finger**: the closest *middle* virtual node
-    /// in successor direction.  When present, the distance-halving phase
-    /// jumps straight to it instead of walking the expected ~2 successor
-    /// hops searching for a middle — the same node the walk would have
-    /// reached, in one hop.  Purely an optimisation: routing is correct with
-    /// `None` (the walk) and with a stale finger (any middle consumes the
-    /// bit; the remaining bits still contract the distance).  Populated by
-    /// `Topology::local_view_with_fingers`; flag-gated and off by default.
-    pub middle_finger: Option<NeighborInfo>,
 }
 
 impl LocalView {
@@ -209,19 +204,8 @@ pub fn route_step(view: &LocalView, progress: &mut RouteProgress) -> RouteAction
             };
             return RouteAction::Forward(next.node);
         }
-        // Not at a middle node: jump over the nearest-middle finger when the
-        // node maintains one (one hop instead of an expected ~2-hop search);
-        // otherwise walk one linear hop towards the successor, searching for
-        // the next middle node (expected O(1) hops).  The jump is only taken
-        // when the target does not lie in the skipped `[me, finger)` arc —
-        // otherwise the responsible node is among the skipped ones and the
-        // walk delivers directly, while the jump would spend the remaining
-        // halving bits detouring away from it.
-        if let Some(finger) = &view.middle_finger {
-            if !progress.target.in_interval(view.me.label, finger.label) {
-                return RouteAction::Forward(finger.node);
-            }
-        }
+        // Not at a middle node: walk one linear hop towards the successor,
+        // searching for the next middle node (expected O(1) hops).
         return RouteAction::Forward(view.succ.node);
     }
 
@@ -349,7 +333,6 @@ mod tests {
                 info(1, 0, VKind::Middle, 0.6),
                 info(2, 0, VKind::Right, 0.8),
             ],
-            middle_finger: None,
         }
     }
 
@@ -407,7 +390,6 @@ mod tests {
                 info(1, 0, VKind::Middle, 0.6),
                 info(2, 0, VKind::Right, 0.8),
             ],
-            middle_finger: None,
         };
         let mut progress = RouteProgress::new(Label::from_f64(0.9), 4);
         assert_eq!(
@@ -416,47 +398,6 @@ mod tests {
         );
         // No bit consumed while searching for a middle node.
         assert_eq!(progress.bits.len(), 4);
-    }
-
-    #[test]
-    fn middle_finger_short_circuits_the_linear_search() {
-        // Same non-middle view, but with a nearest-middle finger two cycle
-        // hops ahead: the halving phase jumps straight to it.
-        let view = LocalView {
-            me: info(0, 0, VKind::Left, 0.3),
-            pred: info(9, 2, VKind::Left, 0.25),
-            succ: info(12, 3, VKind::Right, 0.35),
-            siblings: [
-                info(0, 0, VKind::Left, 0.3),
-                info(1, 0, VKind::Middle, 0.6),
-                info(2, 0, VKind::Right, 0.8),
-            ],
-            middle_finger: Some(info(14, 4, VKind::Middle, 0.45)),
-        };
-        let mut progress = RouteProgress::new(Label::from_f64(0.9), 4);
-        assert_eq!(
-            route_step(&view, &mut progress),
-            RouteAction::Forward(NodeId(14)),
-            "finger beats the succ walk"
-        );
-        assert_eq!(progress.bits.len(), 4, "no bit consumed on the jump");
-        // The finger is irrelevant in the linear phase…
-        let mut progress = RouteProgress::linear_only(Label::from_f64(0.9));
-        assert_eq!(
-            route_step(&view, &mut progress),
-            RouteAction::Forward(NodeId(9)),
-            "linear phase still walks the shorter cycle direction"
-        );
-        // …and at a middle node (which consumes its bit locally).
-        let mut with_finger = middle_view();
-        with_finger.middle_finger = Some(info(14, 4, VKind::Middle, 0.45));
-        let mut progress = RouteProgress::new(Label::from_f64(0.1), 4);
-        let action = route_step(&with_finger, &mut progress);
-        assert_eq!(progress.bits.len(), 3);
-        assert!(matches!(
-            action,
-            RouteAction::Forward(NodeId(0)) | RouteAction::Forward(NodeId(2))
-        ));
     }
 
     #[test]
@@ -484,7 +425,6 @@ mod tests {
             pred: me,
             succ: me,
             siblings: [me, me, me],
-            middle_finger: None,
         };
         assert!(view.is_responsible_for(Label::from_f64(0.99)));
         assert!(view.is_anchor());

@@ -18,9 +18,6 @@ pub struct SimConfig {
     /// the paper does not care about intra-round order, but shuffling helps
     /// tests catch accidental order dependencies.
     pub shuffle_node_order: bool,
-    /// Upper bound on rounds for `run_until`-style drivers; guards against
-    /// livelock in buggy protocols. `0` means "no limit".
-    pub max_rounds: u64,
 }
 
 impl SimConfig {
@@ -31,7 +28,6 @@ impl SimConfig {
             seed,
             delivery: DeliveryModel::Synchronous,
             shuffle_node_order: false,
-            max_rounds: 0,
         }
     }
 
@@ -41,14 +37,7 @@ impl SimConfig {
             seed,
             delivery: DeliveryModel::uniform(max_delay),
             shuffle_node_order: true,
-            max_rounds: 0,
         }
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
-        self
     }
 
     /// Validates the configuration.
@@ -85,12 +74,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_methods() {
-        let c = SimConfig::synchronous(1).with_max_rounds(99);
-        assert_eq!(c.max_rounds, 99);
-    }
-
-    #[test]
     fn invalid_delivery_is_rejected() {
         let mut c = SimConfig::synchronous(1);
         c.delivery = DeliveryModel::UniformRandom {
@@ -102,10 +85,9 @@ mod tests {
 
     #[test]
     fn clone_preserves_fields() {
-        let c = SimConfig::asynchronous(3, 9).with_max_rounds(10);
+        let c = SimConfig::asynchronous(3, 9);
         let d = c.clone();
         assert_eq!(format!("{c:?}"), format!("{d:?}"));
-        assert_eq!(d.max_rounds, 10);
         assert_eq!(d.seed, 3);
     }
 }

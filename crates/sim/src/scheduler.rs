@@ -866,17 +866,11 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Runs rounds until `pred(self)` is true, the simulation goes quiescent,
-    /// or the budget (`max_rounds`, falling back to the config's value, with
-    /// `0` meaning unlimited) is exhausted.
+    /// or the budget (`max_rounds`, with `0` meaning unlimited) is exhausted.
     pub fn run_until<F>(&mut self, mut pred: F, max_rounds: u64) -> Result<RunOutcome, SimError>
     where
         F: FnMut(&Simulation<A>) -> bool,
     {
-        let limit = if max_rounds > 0 {
-            max_rounds
-        } else {
-            self.config.max_rounds
-        };
         let start = self.round;
         loop {
             if pred(self) {
@@ -888,8 +882,8 @@ impl<A: Actor> Simulation<A> {
                 // still get their messages flushed.
                 return Ok(RunOutcome::Quiescent(self.round - start));
             }
-            if limit > 0 && self.round - start >= limit {
-                return Err(SimError::RoundLimitExceeded { limit });
+            if max_rounds > 0 && self.round - start >= max_rounds {
+                return Err(SimError::RoundLimitExceeded { limit: max_rounds });
             }
             self.run_round();
         }

@@ -35,9 +35,6 @@ pub struct ScenarioParams {
     /// Number of anchor shards (1 = the unsharded protocol; `> 1` verifies
     /// with the cross-shard checker against the merged order).
     pub shards: usize,
-    /// Enables the nearest-middle routing finger (default off; changes hop
-    /// counts and therefore schedules — see `SkueueBuilder::middle_fingers`).
-    pub middle_fingers: bool,
     /// Per-op lifecycle tracing level (default [`TraceLevel::Off`]; tracing
     /// is observation-only — it never changes the schedule).
     pub trace_level: TraceLevel,
@@ -58,7 +55,6 @@ impl ScenarioParams {
             drain_budget: 50_000,
             verify: true,
             shards: 1,
-            middle_fingers: false,
             trace_level: TraceLevel::Off,
         }
     }
@@ -76,7 +72,6 @@ impl ScenarioParams {
             drain_budget: 50_000,
             verify: true,
             shards: 1,
-            middle_fingers: false,
             trace_level: TraceLevel::Off,
         }
     }
@@ -106,13 +101,6 @@ impl ScenarioParams {
         self
     }
 
-    /// Enables the nearest-middle routing finger (see
-    /// `SkueueBuilder::middle_fingers`).
-    pub fn with_middle_fingers(mut self, enabled: bool) -> Self {
-        self.middle_fingers = enabled;
-        self
-    }
-
     /// Enables per-op lifecycle tracing (see `SkueueBuilder::trace`;
     /// observation-only, adds the stage-latency breakdown to the result).
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
@@ -126,7 +114,6 @@ impl ScenarioParams {
             .mode(self.mode)
             .seed(self.seed)
             .shards(self.shards)
-            .middle_fingers(self.middle_fingers)
             .trace(self.trace_level)
             .build()
             .expect("scenario parameters describe a valid cluster")
@@ -664,26 +651,6 @@ mod tests {
         assert_eq!(total.count, traced.requests);
         assert_eq!(total.p50, traced.p50_rounds);
         assert_eq!(total.p99, traced.p99_rounds);
-    }
-
-    #[test]
-    fn middle_fingers_cut_hops_without_breaking_consistency() {
-        // The nearest-middle finger must lower the mean DHT hop count while
-        // the verifier still accepts the history.
-        let params = ScenarioParams::fixed_rate(128, Mode::Queue, 0.5)
-            .with_generation_rounds(20)
-            .with_seed(11);
-        let plain = run_fixed_rate(params);
-        let fingered = run_fixed_rate(params.with_middle_fingers(true));
-        assert!(plain.consistent);
-        assert!(fingered.consistent);
-        assert_eq!(plain.requests, fingered.requests);
-        assert!(
-            fingered.mean_dht_hops < plain.mean_dht_hops,
-            "finger must cut the mean hop count: {} vs {}",
-            fingered.mean_dht_hops,
-            plain.mean_dht_hops
-        );
     }
 
     #[test]

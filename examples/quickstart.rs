@@ -43,6 +43,15 @@ fn main() {
         .run_until_done(&puts, 2_000)
         .expect("enqueues drain");
 
+    // While the elements are stored: the position hash spreads them over the
+    // virtual nodes (Corollary 19; the spread evens out with more elements).
+    if let Some(load) = cluster.fairness() {
+        println!(
+            "{} elements stored on {} virtual nodes, at most {} on one",
+            load.total, load.nodes, load.max
+        );
+    }
+
     // Dequeue twelve times.  A sharded queue is S independent FIFO lanes
     // with deterministic lane selection by process, so each process's
     // dequeue drains its *own* shard's lane: one dequeue per enqueuer
@@ -98,12 +107,4 @@ fn main() {
         "sequential consistency verified over {} shards ✓",
         cluster.shards()
     );
-
-    // The elements were spread fairly over the virtual nodes (Corollary 19).
-    if let Some(fairness) = cluster.fairness() {
-        println!(
-            "fairness over {} virtual nodes: max/mean = {:.2}",
-            fairness.nodes, fairness.max_over_mean
-        );
-    }
 }

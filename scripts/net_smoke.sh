@@ -3,8 +3,9 @@
 # mixed workload through `skueue-ingress` (sequential-consistency verifier
 # on), exercises a join wave plus a leave through `skueue-ctl`, and shuts the
 # cluster down.  Fails if any step exits non-zero, if verification fails, if
-# a daemon runs more threads than its connections account for, or if a daemon
-# does not exit cleanly — i.e. leaks a thread or its listener socket.
+# `skueue-node` accepts a shard count it cannot run with, if a daemon runs
+# more threads than its connections account for, or if a daemon does not exit
+# cleanly — i.e. leaks a thread or its listener socket.
 #
 # Usage:
 #   scripts/net_smoke.sh [BASE_PORT]
@@ -31,6 +32,14 @@ cleanup() {
     done
 }
 trap cleanup EXIT
+
+echo "== a shard count outside 1..=256 is a usage error, before anything binds"
+status=0
+timeout 5 "$BIN/skueue-node" --daemons "$DAEMONS" --initial 5 --index 0 --shards 0 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "skueue-node --shards 0 exited with $status, expected 2" >&2
+    exit 1
+fi
 
 echo "== booting 3 daemons on $DAEMONS"
 for i in 0 1 2; do

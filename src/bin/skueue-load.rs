@@ -37,6 +37,8 @@ fn main() -> ExitCode {
             .transpose()?
             .unwrap_or(42);
         let mut params = LoadParams::new(rate, ops, spec.initial, seed);
+        // Before connecting: a bad flag is a usage error, not a connect error.
+        params.validate().map_err(|e| format!("--rate: {e}"))?;
         if let Some(t) = flags.get("timeout-s") {
             let secs: u64 = t.parse().map_err(|_| "--timeout-s expects a number")?;
             params.drain_timeout = Duration::from_secs(secs);
