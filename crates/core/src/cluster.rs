@@ -66,7 +66,6 @@ use skueue_trace::{
     TraceLevel, TraceLog, TraceRecord,
 };
 use skueue_verify::{History, OpKind};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -174,6 +173,34 @@ struct ProcessHandle {
     shard: ShardId,
     state: ProcessState,
     next_seq: u64,
+    /// Where each completed request of this process sits in the history,
+    /// indexed by the request's `seq` (dense from 0); [`NOT_COMPLETED`] for
+    /// a request still in flight.  The record there is the outcome's one
+    /// source, so no outcome is stored.
+    completed_at: Vec<u32>,
+}
+
+/// Marks a request that has no history record yet in
+/// [`ProcessHandle::completed_at`].
+const NOT_COMPLETED: u32 = u32::MAX;
+
+impl ProcessHandle {
+    fn new(id: ProcessId, nodes: [NodeId; 3], shard: ShardId, state: ProcessState) -> Self {
+        ProcessHandle {
+            id,
+            nodes,
+            shard,
+            state,
+            next_seq: 0,
+            completed_at: Vec::new(),
+        }
+    }
+
+    /// Index of the history record of request `seq`, once it has completed.
+    fn history_index(&self, seq: u64) -> Option<usize> {
+        let at = *self.completed_at.get(usize::try_from(seq).ok()?)?;
+        (at != NOT_COMPLETED).then_some(at as usize)
+    }
 }
 
 /// Observer callback invoked once per completed operation.
@@ -213,10 +240,11 @@ pub struct SkueueCluster<T: Payload = u64> {
     /// budget (derived from the shard's initial size unless the
     /// configuration pins an explicit budget).
     shard_cfgs: Vec<Arc<ProtocolConfig>>,
+    /// Every process ever admitted, in pid order: pids are handed out
+    /// densely from 0 and never reused or removed, so process `p` sits at
+    /// index `p`.
     processes: Vec<ProcessHandle>,
-    index_of: HashMap<ProcessId, usize>,
     history: History<T>,
-    outcomes: HashMap<RequestId, OpOutcome<T>>,
     observers: Vec<CompletionObserver<T>>,
     issued: u64,
     next_process_id: u64,
@@ -299,8 +327,7 @@ impl<T: Payload> SkueueCluster<T> {
             }
         }
         let mut processes = Vec::with_capacity(n);
-        let mut index_of = HashMap::with_capacity(n);
-        for (i, pid) in (0..n as u64).map(ProcessId).enumerate() {
+        for pid in (0..n as u64).map(ProcessId) {
             let (shard, views) = membership.process(pid);
             let nodes = views.map(|(view, is_anchor)| {
                 let id = view.me.node;
@@ -313,14 +340,7 @@ impl<T: Payload> SkueueCluster<T> {
                 debug_assert_eq!(assigned, id);
                 assigned
             });
-            processes.push(ProcessHandle {
-                id: pid,
-                nodes,
-                shard,
-                state: ProcessState::Active,
-                next_seq: 0,
-            });
-            index_of.insert(pid, i);
+            processes.push(ProcessHandle::new(pid, nodes, shard, ProcessState::Active));
         }
 
         if exec.is_parallel() {
@@ -335,9 +355,7 @@ impl<T: Payload> SkueueCluster<T> {
             router: membership.router(),
             shard_cfgs: membership.shard_cfgs().to_vec(),
             processes,
-            index_of,
             history: History::new(),
-            outcomes: HashMap::new(),
             observers: Vec::new(),
             issued: 0,
             next_process_id: n as u64,
@@ -474,9 +492,7 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// The shard a known process belongs to.
     pub fn shard_of_process(&self, process: ProcessId) -> Option<ShardId> {
-        self.index_of
-            .get(&process)
-            .map(|&idx| self.processes[idx].shard)
+        self.process(process).ok().map(|p| p.shard)
     }
 
     /// The anchor state currently held in each shard (indexed by shard id).
@@ -640,16 +656,30 @@ impl<T: Payload> SkueueCluster<T> {
         Ok(())
     }
 
+    /// Index of `process` in the process table: its pid, if one was ever
+    /// handed out for it.
+    fn process_index(&self, process: ProcessId) -> Result<usize, ClusterError> {
+        match usize::try_from(process.0) {
+            Ok(idx) if idx < self.processes.len() => {
+                debug_assert_eq!(self.processes[idx].id, process);
+                Ok(idx)
+            }
+            _ => Err(ClusterError::UnknownProcess(process)),
+        }
+    }
+
+    /// The driver's record of `process` (left processes keep theirs).
+    fn process(&self, process: ProcessId) -> Result<&ProcessHandle, ClusterError> {
+        self.process_index(process).map(|idx| &self.processes[idx])
+    }
+
     fn issue(
         &mut self,
         process: ProcessId,
         kind: BatchOp,
         value: T,
     ) -> Result<OpTicket, ClusterError> {
-        let idx = *self
-            .index_of
-            .get(&process)
-            .ok_or(ClusterError::UnknownProcess(process))?;
+        let idx = self.process_index(process)?;
         if self.processes[idx].state != ProcessState::Active {
             return Err(ClusterError::ProcessNotActive(process));
         }
@@ -734,7 +764,14 @@ impl<T: Payload> SkueueCluster<T> {
         if ticket.cluster_id() != self.cluster_id {
             return None;
         }
-        self.outcomes.get(&ticket.request_id()).cloned()
+        let at = self.completed_at(ticket.request_id())?;
+        Some(OpOutcome::from_record(&self.history.records()[at]))
+    }
+
+    /// Index of the history record of a request issued here, once it has
+    /// completed.
+    fn completed_at(&self, id: RequestId) -> Option<usize> {
+        self.process(id.origin).ok()?.history_index(id.seq)
     }
 
     /// Completion state of a ticket.  A ticket issued by a different
@@ -781,13 +818,13 @@ impl<T: Payload> SkueueCluster<T> {
         // Track only the still-pending set against the completion stream
         // (the history is built from it, in completion order): each round
         // costs O(new completions), not O(tickets) outcome re-polls.
-        // Presence check only — `outcome()` would clone the payload-bearing
+        // Presence check only — `outcome()` would build the payload-bearing
         // `OpOutcome<T>` per ticket just to discard it.  (Foreign tickets
-        // were rejected above, so the map key is authoritative.)
+        // were rejected above, so the request id is authoritative.)
         let mut pending: std::collections::HashSet<RequestId> = tickets
             .iter()
-            .filter(|t| !self.outcomes.contains_key(&t.request_id()))
             .map(|t| t.request_id())
+            .filter(|&id| self.completed_at(id).is_none())
             .collect();
         let mut watermark = self.history.len();
         let start = self.sim.round();
@@ -829,31 +866,23 @@ impl<T: Payload> SkueueCluster<T> {
         let shard = self.router.route(pid);
         let same_shard_bootstrap = match bootstrap {
             Some(p) => {
-                let idx = *self
-                    .index_of
-                    .get(&p)
-                    .ok_or(ClusterError::UnknownProcess(p))?;
-                if self.processes[idx].state != ProcessState::Active {
+                let handle = self.process(p)?;
+                if handle.state != ProcessState::Active {
                     return Err(ClusterError::ProcessNotActive(p));
                 }
-                (self.processes[idx].shard == shard).then_some(p)
+                (handle.shard == shard).then_some(handle)
             }
             None => None,
         };
-        let bootstrap_pid = match same_shard_bootstrap {
-            Some(p) => p,
+        let bootstrap = match same_shard_bootstrap {
+            Some(handle) => handle,
             None => self
                 .processes
                 .iter()
                 .find(|h| h.state == ProcessState::Active && h.shard == shard)
-                .map(|h| h.id)
                 .ok_or(ClusterError::ShardHasNoMembers { shard })?,
         };
-        let bootstrap_idx = *self
-            .index_of
-            .get(&bootstrap_pid)
-            .ok_or(ClusterError::UnknownProcess(bootstrap_pid))?;
-        let bootstrap_node = self.processes[bootstrap_idx].nodes[VKind::Middle.index()];
+        let bootstrap_node = bootstrap.nodes[VKind::Middle.index()];
 
         self.next_process_id += 1;
         let nodes = joining_views(self.cfg.hasher(), pid).map(|view| {
@@ -868,14 +897,9 @@ impl<T: Payload> SkueueCluster<T> {
             debug_assert_eq!(assigned, id);
             assigned
         });
-        self.processes.push(ProcessHandle {
-            id: pid,
-            nodes,
-            shard,
-            state: ProcessState::Joining,
-            next_seq: 0,
-        });
-        self.index_of.insert(pid, self.processes.len() - 1);
+        debug_assert_eq!(pid.0 as usize, self.processes.len());
+        self.processes
+            .push(ProcessHandle::new(pid, nodes, shard, ProcessState::Joining));
         self.transitioning += 1;
         Ok(pid)
     }
@@ -884,10 +908,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// requests immediately; its virtual nodes leave once their outstanding
     /// work has drained and the next update phase has run.
     pub fn leave(&mut self, process: ProcessId) -> Result<(), ClusterError> {
-        let idx = *self
-            .index_of
-            .get(&process)
-            .ok_or(ClusterError::UnknownProcess(process))?;
+        let idx = self.process_index(process)?;
         if self.processes[idx].state != ProcessState::Active {
             return Err(ClusterError::ProcessNotActive(process));
         }
@@ -922,34 +943,29 @@ impl<T: Payload> SkueueCluster<T> {
     /// [`process_is_active`](Self::process_is_active), which only looks at
     /// node integration and stays true for a process whose leave is pending.
     pub fn process_may_issue(&self, process: ProcessId) -> bool {
-        match self.index_of.get(&process) {
-            Some(&idx) => self.processes[idx].state == ProcessState::Active,
-            None => false,
-        }
+        self.process(process)
+            .is_ok_and(|p| p.state == ProcessState::Active)
     }
 
     /// True once all three virtual nodes of a process are integrated members.
     pub fn process_is_active(&self, process: ProcessId) -> bool {
-        match self.index_of.get(&process) {
-            Some(&idx) => self.processes[idx].nodes.iter().all(|&n| {
+        self.process(process).is_ok_and(|p| {
+            p.nodes.iter().all(|&n| {
                 self.sim
                     .node(n)
                     .map(|node| node.is_integrated())
                     .unwrap_or(false)
-            }),
-            None => false,
-        }
+            })
+        })
     }
 
     /// True once all three virtual nodes of a leaving process have drained.
     pub fn process_has_left(&self, process: ProcessId) -> bool {
-        match self.index_of.get(&process) {
-            Some(&idx) => self.processes[idx]
-                .nodes
+        self.process(process).is_ok_and(|p| {
+            p.nodes
                 .iter()
-                .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true)),
-            None => false,
-        }
+                .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1047,27 +1063,49 @@ impl<T: Payload> SkueueCluster<T> {
         }
         self.dirty_nodes = dirty;
         for record in drained.drain(..) {
-            let outcome = OpOutcome::from_record(&record);
-            let ticket =
-                OpTicket::new(self.cluster_id, record.id, record.kind, record.issued_round);
-            // Fan the event out first, then *move* its parts into the outcome
-            // map and the history — one payload clone per completion (inside
-            // `from_record`, for dequeues), exactly the pre-generic cost.
-            let event = CompletionEvent {
-                ticket,
-                outcome,
-                record,
+            self.note_completed(record.id);
+            let record = if self.observers.is_empty() {
+                record
+            } else {
+                self.publish(record)
             };
-            for observer in &mut self.observers {
-                observer(&event);
-            }
-            let CompletionEvent {
-                outcome, record, ..
-            } = event;
-            self.outcomes.insert(record.id, outcome);
             self.history.push(record);
         }
         self.completion_scratch = drained;
+    }
+
+    /// Fans a completion out to the observers and hands its record back.
+    /// The outcome (one payload clone, for dequeues) is built for them only;
+    /// [`Self::outcome`] derives it from the history again on demand.
+    fn publish(&mut self, record: skueue_verify::OpRecord<T>) -> skueue_verify::OpRecord<T> {
+        let event = CompletionEvent {
+            ticket: OpTicket::new(self.cluster_id, record.id, record.kind, record.issued_round),
+            outcome: OpOutcome::from_record(&record),
+            record,
+        };
+        for observer in &mut self.observers {
+            observer(&event);
+        }
+        event.record
+    }
+
+    /// Records that the request's completion record is the next one the
+    /// history receives.
+    fn note_completed(&mut self, id: RequestId) {
+        let at = self.history.len();
+        assert!(
+            at < NOT_COMPLETED as usize,
+            "the history outgrew its 32-bit index"
+        );
+        // Records only come from nodes the driver created and carry the id
+        // the driver issued.
+        let completed_at = &mut self.processes[id.origin.0 as usize].completed_at;
+        let seq = id.seq as usize;
+        if completed_at.len() <= seq {
+            completed_at.resize(seq + 1, NOT_COMPLETED);
+        }
+        debug_assert_eq!(completed_at[seq], NOT_COMPLETED, "{id} completed twice");
+        completed_at[seq] = at as u32;
     }
 
     /// Drains one node's lane-local trace buffer into the merged log and
@@ -1416,6 +1454,68 @@ mod tests {
             cluster.enqueue(joining, 1),
             Err(ClusterError::ProcessNotActive(_))
         ));
+    }
+
+    /// The process table is indexed by pid: pids are dense, so a lookup is a
+    /// bounds check — past the end is unknown, a joiner resolves from the
+    /// moment it is admitted, and a process that left keeps its entry.
+    #[test]
+    fn processes_resolve_by_pid_from_join_to_after_leave() {
+        let mut cluster = queue_cluster(4, 5);
+        let beyond = ProcessId(4);
+        assert_eq!(
+            cluster.enqueue(beyond, 1),
+            Err(ClusterError::UnknownProcess(beyond))
+        );
+        assert_eq!(
+            cluster.leave(beyond),
+            Err(ClusterError::UnknownProcess(beyond))
+        );
+        assert_eq!(
+            cluster.join(Some(beyond)),
+            Err(ClusterError::UnknownProcess(beyond))
+        );
+        assert_eq!(cluster.shard_of_process(beyond), None);
+        assert!(!cluster.process_may_issue(beyond));
+        assert!(!cluster.process_is_active(beyond));
+        assert!(!cluster.process_has_left(beyond));
+        let huge = ProcessId(u64::MAX);
+        assert_eq!(
+            cluster.dequeue(huge),
+            Err(ClusterError::UnknownProcess(huge))
+        );
+
+        // The failed join handed out no pid: the joiner is the next one.
+        let joiner = cluster.join(None).unwrap();
+        assert_eq!(joiner, beyond);
+        assert_eq!(cluster.shard_of_process(joiner), Some(0));
+        assert_eq!(
+            cluster.enqueue(joiner, 1),
+            Err(ClusterError::ProcessNotActive(joiner))
+        );
+        cluster
+            .run_until(|c| c.process_may_issue(joiner), 600)
+            .unwrap();
+        let put = cluster.enqueue(joiner, 7).unwrap();
+        cluster.run_until_done(&[put], 600).unwrap();
+
+        cluster.leave(joiner).unwrap();
+        cluster
+            .run_until(|c| c.process_has_left(joiner), 1200)
+            .unwrap();
+        assert_eq!(
+            cluster.enqueue(joiner, 2),
+            Err(ClusterError::ProcessNotActive(joiner)),
+            "a left process is known, just not active"
+        );
+        assert_eq!(cluster.shard_of_process(joiner), Some(0));
+        // Its ticket still resolves, from the history.
+        assert!(matches!(
+            cluster.outcome(put),
+            Some(OpOutcome::Enqueued { .. })
+        ));
+        let next = cluster.join(None).unwrap();
+        assert_eq!(next, ProcessId(5), "pids are never reused");
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl<T: Payload> SkueueNode<T> {
                 // Invariant restoration: if we hold the anchor state but are
                 // no longer the leftmost node, hand the state leftwards.
                 if self.anchor.is_some() && !self.view.is_anchor() && self.update().is_none() {
-                    let state = self.anchor.take().expect("checked above");
+                    let state = self.take_anchor().expect("checked above");
                     ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
                 }
             }
@@ -477,7 +477,7 @@ impl<T: Payload> SkueueNode<T> {
             pending,
             child_batches,
             joiners,
-            anchor: self.anchor.take(),
+            anchor: self.take_anchor(),
         };
         ctx.send(from, SkueueMsg::AbsorbData(Box::new(payload)));
         if !self.trace.is_off() {
@@ -685,7 +685,7 @@ impl<T: Payload> SkueueNode<T> {
         } else {
             // A node with a smaller label exists now; walk the anchor state
             // towards it.  The new anchor ends the update phase.
-            let state = self.anchor.take().expect("checked above");
+            let state = self.take_anchor().expect("checked above");
             ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
             // Resume ourselves; `UpdateOver` from the new anchor will also be
             // forwarded to our subtree.

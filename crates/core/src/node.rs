@@ -93,7 +93,10 @@ pub struct LocalOp<T = u64> {
     pub issued_round: u64,
 }
 
-/// Where a sub-batch of a combined wave came from.
+/// Where a sub-batch of a combined wave came from: the per-wave source list
+/// the flat [`WaveMemo`] replaced, kept for the reference model its
+/// property test compares against.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) enum BatchSource {
     /// The node's own working batch (its own requests).
@@ -104,12 +107,67 @@ pub(crate) enum BatchSource {
     Child(NodeId, u64, Batch),
 }
 
+#[cfg(test)]
 impl BatchSource {
     fn batch(&self) -> &Batch {
         match self {
             BatchSource::Own(b) | BatchSource::Child(_, _, b) => b,
         }
     }
+}
+
+/// What Stage 3 needs to know of one sub-batch of a combined wave: whose it
+/// was, the wave epoch to echo back, and how many of the memo's run lengths
+/// are its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SourceRecord {
+    /// The child owed the `Serve` (unused for the node's own batch).
+    pub(crate) child: NodeId,
+    /// The child's wave epoch for the sub-batch.
+    pub(crate) epoch: u64,
+    /// Number of runs of the sub-batch.
+    pub(crate) num_runs: u32,
+    /// True for the node's own working batch.
+    pub(crate) own: bool,
+}
+
+/// The memorised combination order of every in-flight wave, oldest wave
+/// first: slot `k` of the wave ring owns the `num_sources` records that
+/// follow those of slots `0..k`, and each record owns the `num_runs` run
+/// lengths that follow those of the records before it.  Waves resolve
+/// strictly front-first, so two FIFOs serve all of them — and a run length
+/// is all of a sub-batch the Stage 3 decomposition reads.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WaveMemo {
+    pub(crate) records: VecDeque<SourceRecord>,
+    pub(crate) runs: VecDeque<u64>,
+}
+
+impl WaveMemo {
+    /// Memorises one sub-batch at the back.
+    fn remember(&mut self, child: NodeId, epoch: u64, own: bool, batch: &Batch) {
+        self.records.push_back(SourceRecord {
+            child,
+            epoch,
+            num_runs: count_u32(batch.num_runs()),
+            own,
+        });
+        self.runs.extend(batch.runs());
+    }
+
+    /// With no wave in flight, hands the burst's storage back instead of
+    /// parking its high-water mark on a node that may stay idle.
+    fn release_if_empty(&mut self) {
+        if self.records.is_empty() {
+            debug_assert!(self.runs.is_empty(), "run lengths outlived their records");
+            *self = WaveMemo::default();
+        }
+    }
+}
+
+/// A count of runs or sources as the wave ring stores it.
+fn count_u32(count: usize) -> u32 {
+    u32::try_from(count).expect("a wave has fewer than 2^32 runs and sources")
 }
 
 /// One in-flight aggregation wave: the combined batch has been sent up the
@@ -126,10 +184,9 @@ pub(crate) struct WaveSlot {
     /// reorder a node's waves at the anchor).
     pub(crate) parent: NodeId,
     /// Number of runs of the combined batch.
-    pub(crate) num_runs: usize,
-    /// How many entries of the node's source FIFO belong to this wave (the
-    /// memorised combination order for the Stage 3 decomposition).
-    pub(crate) num_sources: usize,
+    pub(crate) num_runs: u32,
+    /// How many records of the node's [`WaveMemo`] belong to this wave.
+    pub(crate) num_sources: u32,
 }
 
 /// A `Serve` that arrived before the serves of older waves (asynchronous
@@ -187,8 +244,8 @@ impl ChildBatches {
     }
 
     /// Pops the oldest queued sub-batch of every peer that has one (in
-    /// first-contact order), appending them as [`BatchSource::Child`]
-    /// entries.  At most *one* batch per child per wave: run-length batch
+    /// first-contact order) and hands each to `take` as `(child, epoch,
+    /// sub-batch)`.  At most *one* batch per child per wave: run-length batch
     /// combination is element-wise (run `i` of the combined batch is the
     /// concatenation of every source's run `i`), so two sub-batches of the
     /// same child in one wave would interleave that child's operations and
@@ -198,10 +255,10 @@ impl ChildBatches {
     /// hand-over or a re-parenting, batches from former children must still
     /// be combined and served (by node id) or their senders' wave slots
     /// would never drain.
-    pub(crate) fn pop_oldest_into(&mut self, sources: &mut VecDeque<BatchSource>) {
+    pub(crate) fn pop_oldest(&mut self, mut take: impl FnMut(NodeId, u64, Batch)) {
         for (child, q) in &mut self.entries {
             if let Some((epoch, batch)) = q.pop_front() {
-                sources.push_back(BatchSource::Child(*child, epoch, batch));
+                take(*child, epoch, batch);
             }
         }
     }
@@ -418,8 +475,10 @@ pub struct SkueueNode<T: Payload = u64> {
     /// Everything the node does — its cycle, its aggregation tree, its DHT
     /// interval, its anchor — lives inside this shard.
     pub(crate) shard: ShardId,
-    /// Anchor state, present only at the current shard anchor.
-    pub(crate) anchor: Option<AnchorState>,
+    /// Anchor state, present only at the current shard anchor (one node per
+    /// shard, so every other node keeps a null pointer, not the state's 56
+    /// bytes).
+    pub(crate) anchor: Option<Box<AnchorState>>,
 
     // --- Stage 1 state ------------------------------------------------------
     pub(crate) own_batch: Batch,
@@ -428,11 +487,8 @@ pub struct SkueueNode<T: Payload = u64> {
     /// In-flight waves, oldest first (bounded by the configured pipeline
     /// depth).
     pub(crate) slots: VecDeque<WaveSlot>,
-    /// The memorised combination order of every in-flight wave, oldest wave
-    /// first: slot `k` owns the `num_sources` entries that follow those of
-    /// slots `0..k`.  Waves resolve strictly front-first, so one FIFO
-    /// serves all of them.
-    pub(crate) sources: VecDeque<BatchSource>,
+    /// The memorised combination order of every in-flight wave.
+    pub(crate) memo: WaveMemo,
     /// The wave epoch of the most recently opened wave (0 before the first).
     pub(crate) next_epoch: u64,
     /// Round in which this node last opened a wave (wave-merging cadence).
@@ -503,15 +559,11 @@ impl<T: Payload> SkueueNode<T> {
             view,
             role: Role::Active,
             shard,
-            anchor: if is_anchor {
-                Some(AnchorState::new())
-            } else {
-                None
-            },
+            anchor: is_anchor.then(Box::default),
             own_log: Vec::new(),
             child_batches: ChildBatches::default(),
             slots: VecDeque::new(),
-            sources: VecDeque::new(),
+            memo: WaveMemo::default(),
             next_epoch: 0,
             last_wave_round: 0,
             aggregate_unacked: false,
@@ -636,7 +688,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// The anchor state, if this node is the anchor.
     pub fn anchor_state(&self) -> Option<&AnchorState> {
-        self.anchor.as_ref()
+        self.anchor.as_deref()
     }
 
     /// Number of elements stored in this node's DHT partition.
@@ -1152,18 +1204,20 @@ impl<T: Payload> SkueueNode<T> {
         };
 
         // Combine own batch + queued children sub-batches in a fixed order.
-        // The sub-batches are *moved* to the back of the source FIFO (they
-        // are needed for the Stage 3 decomposition); the combined batch sums
-        // their runs without cloning any of them.
-        let first_source = self.sources.len();
-        self.sources.push_back(BatchSource::Own(own));
-        self.child_batches.pop_oldest_into(&mut self.sources);
-        let num_sources = self.sources.len() - first_source;
+        // Each sub-batch leaves its run lengths at the back of the memo
+        // (all the Stage 3 decomposition reads of it) and is dropped right
+        // here; the own batch becomes the combined one.
+        let first_source = self.memo.records.len();
+        let me = self.view.me.node;
+        self.memo.remember(me, 0, true, &own);
+        let mut combined = own;
+        let memo = &mut self.memo;
+        self.child_batches.pop_oldest(|child, epoch, batch| {
+            memo.remember(child, epoch, false, &batch);
+            combined.combine(&batch);
+        });
+        let num_sources = self.memo.records.len() - first_source;
 
-        let mut combined = Batch::combine_all(
-            self.own_batch.first_run(),
-            self.sources.range(first_source..).map(|s| s.batch()),
-        );
         if !drain {
             // Join/leave counters this node is itself responsible for.
             if let Some(m) = self.membership.as_deref_mut() {
@@ -1179,8 +1233,16 @@ impl<T: Payload> SkueueNode<T> {
         match parent {
             None => {
                 // Stage 2 happens right here: the anchor serves itself.
-                let mut anchor = self.anchor.take().expect("anchor path");
+                // Churn carried by waves assigned during an update phase is
+                // accumulated (not dropped); it triggers the *next* phase.
+                let may_enter_update = !drain && self.update().is_none();
+                let anchor = self.anchor.as_deref_mut().expect("anchor path");
                 let assignments = anchor.assign_wave(&combined, self.cfg.mode);
+                let enter_update = if may_enter_update {
+                    anchor.take_update_decision()
+                } else {
+                    None
+                };
                 if !self.trace.is_off() {
                     // One instant per (shard, wave): the boundary between the
                     // aggregation and assignment stages for every op of this
@@ -1192,16 +1254,8 @@ impl<T: Payload> SkueueNode<T> {
                         });
                     }
                 }
-                // Churn carried by waves assigned during an update phase is
-                // accumulated (not dropped); it triggers the *next* phase.
-                let enter_update = if !drain && self.update().is_none() {
-                    anchor.take_update_decision()
-                } else {
-                    None
-                };
-                self.anchor = Some(anchor);
                 // The anchor only opens a wave with no slot in flight, so
-                // the FIFO holds exactly this wave's sources.
+                // the memo holds exactly this wave's sources.
                 debug_assert_eq!(first_source, 0);
                 self.serve_sources(assignments, num_sources, ctx);
                 if let Some(phase) = enter_update {
@@ -1214,8 +1268,8 @@ impl<T: Payload> SkueueNode<T> {
                 self.slots.push_back(WaveSlot {
                     epoch,
                     parent,
-                    num_runs: combined.num_runs(),
-                    num_sources,
+                    num_runs: count_u32(combined.num_runs()),
+                    num_sources: count_u32(num_sources),
                 });
                 ctx.observe(series::WAVES_IN_FLIGHT, self.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
@@ -1238,12 +1292,12 @@ impl<T: Payload> SkueueNode<T> {
     // ---------------------------------------------------------------------
 
     /// Splits the run assignments of the oldest in-flight wave among its
-    /// `num_sources` sources — the front of the source FIFO — in combination
-    /// order (the inlined form of [`crate::interval::decompose`]): each
-    /// source takes its share of every run front-to-back, so `cursors` (one
-    /// assignment per run of the combined batch) is consumed in place.
-    /// Sub-assignments for children are forwarded; the node's own share is
-    /// resolved locally.
+    /// `num_sources` sources — the front of the memo — in combination order
+    /// (the inlined form of [`crate::interval::decompose`]): each source
+    /// takes its share of every run front-to-back, so `cursors` (one
+    /// assignment per run of the combined batch) is consumed in place, and
+    /// the memo's run lengths are consumed with it.  Sub-assignments for
+    /// children are forwarded; the node's own share is resolved locally.
     fn serve_sources(
         &mut self,
         mut cursors: Vec<RunAssignment>,
@@ -1252,33 +1306,42 @@ impl<T: Payload> SkueueNode<T> {
     ) {
         for _ in 0..num_sources {
             let source = self
-                .sources
+                .memo
+                .records
                 .pop_front()
-                .expect("a wave's sources stay queued until it is served");
-            match source {
-                BatchSource::Own(own) => {
-                    self.resolve_own(&mut cursors[..own.num_runs()], own.runs(), ctx);
-                }
-                BatchSource::Child(child, epoch, batch) => {
-                    // A child's share travels in a message and must be owned.
-                    let runs = cursors[..batch.num_runs()]
+                .expect("a wave's sources stay memorised until it is served");
+            let num_runs = source.num_runs as usize;
+            debug_assert!(
+                num_runs <= cursors.len() && num_runs <= self.memo.runs.len(),
+                "a source has no more runs than its wave's combined batch"
+            );
+            if source.own {
+                self.resolve_own(&mut cursors[..num_runs], ctx);
+            } else {
+                // A child's share travels in a message and must be owned
+                // (sized up front: a ring's drain does not promise its
+                // length to `collect`, which would round a one-run share up).
+                let mut runs = Vec::with_capacity(num_runs);
+                runs.extend(
+                    cursors[..num_runs]
                         .iter_mut()
-                        .zip(batch.runs())
-                        .map(|(cursor, &len)| cursor.split_front(len))
-                        .collect();
-                    ctx.send(child, SkueueMsg::Serve { epoch, runs });
-                }
+                        .zip(self.memo.runs.drain(..num_runs))
+                        .map(|(cursor, len)| cursor.split_front(len)),
+                );
+                ctx.send(
+                    source.child,
+                    SkueueMsg::Serve {
+                        epoch: source.epoch,
+                        runs,
+                    },
+                );
             }
         }
         debug_assert!(
             cursors.iter().all(|c| c.count == 0),
             "sources must account for every operation of the combined batch"
         );
-        if self.sources.is_empty() {
-            // No wave in flight: hand the burst's storage back instead of
-            // parking its high-water mark on a node that may stay idle.
-            self.sources = VecDeque::new();
-        }
+        self.memo.release_if_empty();
     }
 
     fn handle_serve(
@@ -1322,21 +1385,22 @@ impl<T: Payload> SkueueNode<T> {
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
         let slot = self.slots.pop_front().expect("caller checked the front");
-        debug_assert_eq!(slot.num_runs, runs.len());
-        self.serve_sources(runs, slot.num_sources, ctx);
+        debug_assert_eq!(slot.num_runs as usize, runs.len());
+        self.serve_sources(runs, slot.num_sources as usize, ctx);
     }
 
     /// Resolves the node's own requests (Stage 3 → Stage 4 transition):
-    /// takes the own sub-batch's share — `own_runs[i]` operations — off the
-    /// front of each run cursor and resolves it.
-    fn resolve_own(
-        &mut self,
-        cursors: &mut [RunAssignment],
-        own_runs: &[u64],
-        ctx: &mut Context<SkueueMsg<T>>,
-    ) {
+    /// takes the own sub-batch's share — one memorised run length per
+    /// cursor, off the front of the memo — off the front of each run cursor
+    /// and resolves it.
+    fn resolve_own(&mut self, cursors: &mut [RunAssignment], ctx: &mut Context<SkueueMsg<T>>) {
         let mut log_cursor = 0usize;
-        for (cursor, &len) in cursors.iter_mut().zip(own_runs) {
+        for cursor in cursors {
+            let len = self
+                .memo
+                .runs
+                .pop_front()
+                .expect("the own sub-batch's run lengths stay memorised until it is served");
             let run = cursor.split_front(len);
             for j in 0..run.count {
                 // The resolved prefix is drained below, so the payload can be
@@ -1750,7 +1814,12 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Becomes the anchor with the given state (initial setup or hand-off).
     pub(crate) fn adopt_anchor(&mut self, state: AnchorState) {
-        self.anchor = Some(state);
+        self.anchor = Some(Box::new(state));
+    }
+
+    /// Gives the anchor state up (hand-off), if this node holds it.
+    pub(crate) fn take_anchor(&mut self) -> Option<AnchorState> {
+        self.anchor.take().map(|state| *state)
     }
 }
 
@@ -1902,8 +1971,8 @@ mod tests {
 
     type Serve = (NodeId, u64, Vec<RunAssignment>);
 
-    /// Reference for the wave-source FIFO: the bookkeeping it replaced, one
-    /// source list per in-flight wave, resolved with
+    /// Reference for the flat [`WaveMemo`]: the bookkeeping it replaced, one
+    /// list of whole sub-batches per in-flight wave, resolved with
     /// [`crate::interval::decompose`].
     struct PerSlotLists {
         child_batches: ChildBatches,
@@ -1914,13 +1983,21 @@ mod tests {
     }
 
     impl PerSlotLists {
-        /// Opens a wave under `epoch` and returns its combined batch.
-        fn open(&mut self, epoch: u64) -> Batch {
-            let mut sources = VecDeque::from([BatchSource::Own(std::mem::take(&mut self.own))]);
-            self.child_batches.pop_oldest_into(&mut sources);
+        /// Opens a wave under `epoch` and returns its combined batch; a
+        /// `drain` wave leaves the own operations for a later one.
+        fn open(&mut self, epoch: u64, drain: bool) -> Batch {
+            let own = if drain {
+                Batch::empty()
+            } else {
+                std::mem::take(&mut self.own)
+            };
+            let mut sources = vec![BatchSource::Own(own)];
+            self.child_batches.pop_oldest(|child, epoch, batch| {
+                sources.push(BatchSource::Child(child, epoch, batch))
+            });
             let combined =
                 Batch::combine_all(FirstRun::Enqueues, sources.iter().map(|s| s.batch()));
-            self.slots.push_back((epoch, sources.into()));
+            self.slots.push_back((epoch, sources));
             combined
         }
 
@@ -2025,13 +2102,15 @@ mod tests {
     proptest! {
         /// Whatever the interleaving of own requests, child sub-batches (in
         /// epoch order, or held back and handed over late by an absorbed
-        /// leaver), wave openings and serves (in and out of epoch order),
-        /// the one source FIFO sends the children exactly the
-        /// `(child, epoch, runs)` sequence the per-wave source lists did —
-        /// as a tree node and as the anchor serving itself.
+        /// leaver; of one to three runs, or of none), wave openings (own
+        /// operations included, or a suspended node's drain waves without
+        /// them) and serves (in and out of epoch order), the flat memo sends
+        /// the children exactly the `(child, epoch, runs)` sequence the
+        /// per-wave source lists did — as a tree node and as the anchor
+        /// serving itself.
         #[test]
-        fn prop_source_fifo_serves_like_per_slot_lists(
-            steps in proptest::collection::vec((0u32..11, any::<u64>(), any::<u64>()), 1..160),
+        fn prop_wave_memo_serves_like_per_slot_lists(
+            steps in proptest::collection::vec((0u32..13, any::<u64>(), any::<u64>()), 1..160),
             anchor in any::<bool>(),
         ) {
             let mut node = node_under_test(anchor);
@@ -2058,6 +2137,7 @@ mod tests {
             for (kind, a, b) in steps.into_iter().chain(drain) {
                 let mut ctx = Context::new(me, round, SimRng::new(a));
                 let opened_before = node.stats.batches_sent;
+                let drain = node.suspended;
                 match kind {
                     0 | 1 => {
                         let op = if a & 1 == 0 { BatchOp::Enqueue } else { BatchOp::Dequeue };
@@ -2065,11 +2145,14 @@ mod tests {
                         model.own.push_op(op);
                         seq += 1;
                     }
-                    2..=4 => {
+                    2..=4 | 12 => {
                         let c = (a % 3) as usize;
                         let child = NodeId(1000 + c as u64);
                         child_epochs[c] += 1;
-                        let (epoch, batch) = (child_epochs[c], child_batch(b));
+                        // A sub-batch without runs is what a stack node's
+                        // lockstep wave or a bare join/leave count carries.
+                        let batch = if kind == 12 { Batch::empty() } else { child_batch(b) };
+                        let epoch = child_epochs[c];
                         if kind == 4 {
                             // In flight through a leaver; arrives with its
                             // hand-over, possibly after younger sub-batches.
@@ -2101,6 +2184,9 @@ mod tests {
                         ctx = Context::new(me, round, SimRng::new(a));
                         node.on_timeout(&mut ctx);
                     }
+                    // An update phase begins or ends: while suspended, the
+                    // node opens drain waves only.
+                    11 => node.suspended = !node.suspended,
                     _ => {
                         if !unserved.is_empty() {
                             let (epoch, runs) = unserved.remove((a % unserved.len() as u64) as usize);
@@ -2122,7 +2208,7 @@ mod tests {
                 if opened {
                     let (epoch, sent) = sent_up.unzip();
                     let epoch = epoch.unwrap_or(0);
-                    let combined = model.open(epoch);
+                    let combined = model.open(epoch, drain);
                     let runs = assigner.assign_wave(&combined, Mode::Queue);
                     if anchor {
                         model.serve(epoch, runs);
@@ -2131,14 +2217,21 @@ mod tests {
                         unserved.push((epoch, runs));
                     }
                 }
+                // Every memorised record belongs to an in-flight wave, and
+                // every memorised run length to a record.
                 prop_assert_eq!(
-                    node.sources.len(),
-                    node.slots.iter().map(|s| s.num_sources).sum::<usize>()
+                    node.memo.records.len(),
+                    node.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
+                );
+                prop_assert_eq!(
+                    node.memo.runs.len(),
+                    node.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
                 );
                 prop_assert_eq!(node.slots.len(), model.slots.len());
             }
             prop_assert!(unserved.is_empty() && node.slots.is_empty());
-            prop_assert_eq!(node.sources.capacity(), 0);
+            prop_assert_eq!(node.memo.records.capacity(), 0);
+            prop_assert_eq!(node.memo.runs.capacity(), 0);
             prop_assert_eq!(served, model.served);
         }
     }

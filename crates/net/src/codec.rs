@@ -337,14 +337,17 @@ impl Wire for NeighborInfo {
 impl Wire for RouteProgress {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.target.encode(buf);
-        self.bits.encode(buf);
+        self.bits_left().encode(buf);
         self.hops.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RouteProgress {
-            target: Label::decode(r)?,
-            bits: Vec::<bool>::decode(r)?,
-            hops: u32::decode(r)?,
+        let target = Label::decode(r)?;
+        let bits_left = u8::decode(r)?;
+        let hops = u32::decode(r)?;
+        // A middle node shifts the target by this count: one beyond the
+        // label's width is a corrupt or hostile frame, not a route.
+        RouteProgress::from_parts(target, bits_left, hops).ok_or(DecodeError::LengthOverflow {
+            len: bits_left as u64,
         })
     }
 }
@@ -950,6 +953,54 @@ mod tests {
         ));
     }
 
+    /// The remaining-bit count of a routed op is a shift amount at the next
+    /// middle node: one the label cannot spell must be refused at the wire.
+    #[test]
+    fn route_progress_rejects_a_bit_count_beyond_the_label() {
+        let encoded = |bits_left: u8| {
+            let mut buf = Vec::new();
+            Label(0xDEAD_BEEF).encode(&mut buf);
+            bits_left.encode(&mut buf);
+            7u32.encode(&mut buf);
+            buf
+        };
+        for bits_left in [65, 255] {
+            assert_eq!(
+                from_bytes::<RouteProgress>(&encoded(bits_left)),
+                Err(DecodeError::LengthOverflow {
+                    len: bits_left as u64
+                })
+            );
+        }
+        for bits_left in [0, 64] {
+            let p: RouteProgress =
+                from_bytes(&encoded(bits_left)).expect("a count a route can have");
+            assert_eq!((p.bits_left(), p.hops), (bits_left, 7));
+            assert_eq!(to_bytes(&p), encoded(bits_left));
+        }
+        // The same byte inside a routed op fails the whole message.
+        let get = |progress| skueue_core::messages::RoutedDhtOp::<u64> {
+            op: Box::new(DhtOp::Get {
+                position: 1,
+                max_ticket: u64::MAX,
+                request: RequestId::new(ProcessId(0), 1),
+                requester: NodeId(2),
+            }),
+            progress,
+        };
+        let mut bytes = to_bytes(&get(RouteProgress::new(Label(9), 64)));
+        let at = bytes.len() - 5; // target · count · hops: the count precedes the u32
+        assert_eq!(bytes[at], 64);
+        bytes[at] = 65;
+        assert!(from_bytes::<skueue_core::messages::RoutedDhtOp<u64>>(&bytes).is_err());
+        // A full batch of routed ops, every budget from 0 upwards.
+        roundtrip(SkueueMsg::<u64>::DhtBatch {
+            ops: (0..16u32)
+                .map(|i| get(RouteProgress::new(Label(u64::MAX / (i as u64 + 1)), i * 4)))
+                .collect(),
+        });
+    }
+
     #[test]
     fn every_message_variant_roundtrips() {
         let neighbor = NeighborInfo::new(
@@ -1113,14 +1164,15 @@ mod tests {
             prop_assert_eq!(back, batch);
         }
 
-        /// Route progress (the only wire type with a bit vector) roundtrips.
+        /// Route progress roundtrips for every remaining-bit count a route
+        /// can have.
         #[test]
         fn prop_route_progress_roundtrips(
             target in any::<u64>(),
-            bits in proptest::collection::vec(any::<bool>(), 0..64),
+            bits_left in 0u32..65,
             hops in any::<u32>(),
         ) {
-            let p = RouteProgress { target: Label(target), bits, hops };
+            let p = RouteProgress::from_parts(Label(target), bits_left as u8, hops).unwrap();
             let bytes = to_bytes(&p);
             let back: RouteProgress = from_bytes(&bytes).unwrap();
             prop_assert_eq!(back, p);

@@ -121,9 +121,12 @@ impl<T: Payload + Wire> IngressClient<T> {
         let id = RequestId::new(pid, self.seq_base + *seq);
         *seq += 1;
         let daemon = self.spec.daemon_of(pid);
-        self.pending.insert(id, Instant::now());
-        self.issued += 1;
+        let issued_at = Instant::now();
+        // An operation counts as issued once its frame is written: one the
+        // daemon never received has no completion to wait for.
         self.conns[daemon].send(&NetFrame::Inject { id, insert, value })?;
+        self.pending.insert(id, issued_at);
+        self.issued += 1;
         self.pump();
         Ok(id)
     }

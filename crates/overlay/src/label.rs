@@ -85,13 +85,6 @@ impl Label {
         self.0 < (1 << 63)
     }
 
-    /// The most significant `count` bits of the label (most significant
-    /// first), as used by the De-Bruijn routing phase.
-    pub fn leading_bits(self, count: u32) -> Vec<bool> {
-        let count = count.min(64);
-        (0..count).map(|i| (self.0 >> (63 - i)) & 1 == 1).collect()
-    }
-
     /// Clockwise (increasing-label) distance from `self` to `to` on the unit
     /// ring, as a raw `u64` fraction of the ring.
     #[inline]
@@ -195,15 +188,6 @@ mod tests {
         let x = Label::from_f64(0.3);
         assert_eq!(x.debruijn_step(false), x.half());
         assert_eq!(x.debruijn_step(true), x.half_plus());
-    }
-
-    #[test]
-    fn leading_bits_of_half() {
-        let bits = Label::HALF.leading_bits(4);
-        assert_eq!(bits, vec![true, false, false, false]);
-        let bits = Label::from_f64(0.75).leading_bits(2);
-        assert_eq!(bits, vec![true, true]);
-        assert_eq!(Label::ZERO.leading_bits(3), vec![false, false, false]);
     }
 
     #[test]

@@ -107,47 +107,76 @@ impl LocalView {
 }
 
 /// Routing state carried inside a message addressed to a point on the ring.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The distance-halving bits still to apply are, by construction, the most
+/// significant `bits_left` bits of `target` — so only their count travels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RouteProgress {
     /// The destination point.
     pub target: Label,
-    /// Remaining distance-halving bits, consumed from the back
-    /// (`bits.pop()` yields the bit to apply next).
-    pub bits: Vec<bool>,
     /// Hops taken so far (incremented by the forwarding node; used for the
     /// Lemma 3 / Theorem 15 measurements).
     pub hops: u32,
+    /// Number of distance-halving bits not yet consumed (at most
+    /// [`Self::MAX_BITS`]): the top `bits_left` bits of `target`, applied
+    /// least significant first.
+    bits_left: u8,
 }
 
 impl RouteProgress {
+    /// The most distance-halving bits a label can spell.
+    pub const MAX_BITS: u8 = 64;
+
     /// Creates routing state for `target` with `bit_budget` distance-halving
-    /// bits.
+    /// bits (capped at [`Self::MAX_BITS`]).
     ///
     /// The bits are the most significant `bit_budget` bits of the target,
-    /// stored so that the *last* element is applied first (the
+    /// applied from the least significant of them upwards (the
     /// distance-halving walk builds the target prefix from its least
-    /// significant routing bit upwards).
+    /// significant routing bit).
     pub fn new(target: Label, bit_budget: u32) -> Self {
         RouteProgress {
             target,
-            bits: target.leading_bits(bit_budget),
             hops: 0,
+            bits_left: bit_budget.min(Self::MAX_BITS as u32) as u8,
         }
     }
 
     /// Routing state that skips the distance-halving phase entirely and
     /// walks linearly — used as a baseline/ablation and for tiny systems.
     pub fn linear_only(target: Label) -> Self {
-        RouteProgress {
+        RouteProgress::new(target, 0)
+    }
+
+    /// Reassembles routing state that travelled as plain fields (the wire
+    /// codec's inverse of reading `target`, [`Self::bits_left`] and `hops`).
+    /// `None` when `bits_left` exceeds [`Self::MAX_BITS`] — a count no
+    /// [`Self::new`] produces, and one [`route_step`] must never shift by.
+    pub fn from_parts(target: Label, bits_left: u8, hops: u32) -> Option<Self> {
+        (bits_left <= Self::MAX_BITS).then_some(RouteProgress {
             target,
-            bits: Vec::new(),
-            hops: 0,
-        }
+            hops,
+            bits_left,
+        })
+    }
+
+    /// Number of distance-halving bits not yet consumed.
+    pub fn bits_left(&self) -> u8 {
+        self.bits_left
     }
 
     /// Whether the distance-halving phase is finished.
     pub fn in_linear_phase(&self) -> bool {
-        self.bits.is_empty()
+        self.bits_left == 0
+    }
+
+    /// Consumes the next distance-halving bit: the least significant of the
+    /// target's top `bits_left` bits.
+    fn take_bit(&mut self) -> bool {
+        debug_assert!((1..=Self::MAX_BITS).contains(&self.bits_left));
+        let bit = (self.target.raw() >> (Self::MAX_BITS - self.bits_left)) & 1 == 1;
+        self.bits_left -= 1;
+        bit
     }
 }
 
@@ -196,8 +225,7 @@ pub fn route_step(view: &LocalView, progress: &mut RouteProgress) -> RouteAction
             // Consume the next bit over the virtual edge: l(v) has label
             // m(v)/2 and r(v) has label (m(v)+1)/2 — exactly the
             // distance-halving step applied to this node's label.
-            let bit = progress.bits.pop().expect("checked non-empty");
-            let next = if bit {
+            let next = if progress.take_bit() {
                 view.sibling(VKind::Right)
             } else {
                 view.sibling(VKind::Left)
@@ -311,6 +339,7 @@ impl<T> RouteBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use skueue_sim::ids::ProcessId;
 
     fn info(node: u64, process: u64, kind: VKind, label: f64) -> NeighborInfo {
@@ -362,21 +391,25 @@ mod tests {
         let mut progress = RouteProgress::new(Label::from_f64(0.62), 8);
         assert_eq!(route_step(&view, &mut progress), RouteAction::Deliver);
         // Bits are not consumed on delivery.
-        assert_eq!(progress.bits.len(), 8);
+        assert_eq!(progress.bits_left(), 8);
     }
 
     #[test]
     fn middle_node_consumes_bit_and_uses_virtual_edge() {
         let view = middle_view();
-        // Target 0.1 is nowhere near; first applied bit is the *last* of the
-        // leading bits.
+        // Target 0.1 = 0.0001… is nowhere near; the first applied bit is the
+        // *last* of its four leading bits: 1, over the edge to r(v).
         let mut progress = RouteProgress::new(Label::from_f64(0.1), 4);
-        let bits_before = progress.bits.clone();
         let action = route_step(&view, &mut progress);
-        assert_eq!(progress.bits.len(), 3);
-        let consumed = *bits_before.last().unwrap();
-        let expected_node = if consumed { NodeId(2) } else { NodeId(0) };
-        assert_eq!(action, RouteAction::Forward(expected_node));
+        assert_eq!(progress.bits_left(), 3);
+        assert_eq!(action, RouteAction::Forward(NodeId(2)));
+        // One bit per middle node: the next three are 0, 0, 0 — l(v).
+        for left in (0..3).rev() {
+            let action = route_step(&view, &mut progress);
+            assert_eq!(progress.bits_left(), left);
+            assert_eq!(action, RouteAction::Forward(NodeId(0)));
+        }
+        assert!(progress.in_linear_phase());
     }
 
     #[test]
@@ -397,7 +430,7 @@ mod tests {
             RouteAction::Forward(NodeId(12))
         );
         // No bit consumed while searching for a middle node.
-        assert_eq!(progress.bits.len(), 4);
+        assert_eq!(progress.bits_left(), 4);
     }
 
     #[test]
@@ -483,10 +516,60 @@ mod tests {
     #[test]
     fn route_progress_constructors() {
         let p = RouteProgress::new(Label::from_f64(0.75), 2);
-        assert_eq!(p.bits, vec![true, true]);
+        assert_eq!(p.bits_left(), 2);
         assert!(!p.in_linear_phase());
         let p = RouteProgress::linear_only(Label::from_f64(0.75));
+        assert_eq!(p.bits_left(), 0);
         assert!(p.in_linear_phase());
         assert_eq!(p.hops, 0);
+        // A budget beyond what a label spells is capped, and the checked
+        // constructor refuses a count `new` cannot produce.
+        assert_eq!(RouteProgress::new(Label::MAX, 200).bits_left(), 64);
+        assert_eq!(
+            RouteProgress::from_parts(Label::MAX, 64, 3),
+            Some(RouteProgress {
+                hops: 3,
+                ..RouteProgress::new(Label::MAX, 64)
+            })
+        );
+        assert_eq!(RouteProgress::from_parts(Label::MAX, 65, 0), None);
+    }
+
+    /// The most significant `count` bits of `target`, most significant
+    /// first: the vector a routed message used to carry, consumed from the
+    /// back.
+    fn leading_bits(target: Label, count: u32) -> Vec<bool> {
+        (0..count)
+            .map(|i| (target.raw() >> (63 - i)) & 1 == 1)
+            .collect()
+    }
+
+    proptest! {
+        /// Over a full walk, the middle nodes consume exactly the target's
+        /// top `k` bits, least significant first, for any target and any
+        /// `k ≤ 64`.
+        #[test]
+        fn prop_a_full_walk_consumes_the_leading_bits_reversed(
+            target in any::<u64>(),
+            k in 0u32..65,
+        ) {
+            // A middle node responsible for nothing the walk could target.
+            let mut view = middle_view();
+            view.succ.label = Label(view.me.label.raw() + 1);
+            let target = Label(target);
+            prop_assume!(!view.is_responsible_for(target));
+            let mut progress = RouteProgress::new(target, k);
+            let mut consumed = Vec::new();
+            while !progress.in_linear_phase() {
+                match route_step(&view, &mut progress) {
+                    RouteAction::Forward(NodeId(2)) => consumed.push(true),
+                    RouteAction::Forward(NodeId(0)) => consumed.push(false),
+                    other => prop_assert!(false, "unexpected {other:?}"),
+                }
+            }
+            let mut expected = leading_bits(target, k);
+            expected.reverse();
+            prop_assert_eq!(consumed, expected);
+        }
     }
 }
