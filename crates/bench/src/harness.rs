@@ -1,11 +1,10 @@
 //! Sweep definitions and result formatting of the `experiments` binary.
 
-use serde::{Deserialize, Serialize};
 use skueue_core::Mode;
 use skueue_workloads::{run_fixed_rate, run_per_node_rate, ScenarioParams, ScenarioResult};
 
 /// Scale of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepConfig {
     /// Laptop-friendly default (minutes).
     Default,
@@ -38,7 +37,7 @@ impl SweepConfig {
     }
 
     /// Insert-probability curves of Figures 2 and 3.
-    pub fn insert_ratios(self) -> Vec<f64> {
+    pub(crate) fn insert_ratios(self) -> Vec<f64> {
         match self {
             SweepConfig::Smoke => vec![0.5, 1.0],
             _ => vec![0.0, 0.25, 0.5, 0.75, 1.0],
@@ -64,13 +63,13 @@ impl SweepConfig {
 
     /// Whether per-point consistency verification is enabled (always on for
     /// the smaller scales; off for the paper scale to keep memory bounded).
-    pub fn verify(self) -> bool {
+    pub(crate) fn verify(self) -> bool {
         !matches!(self, SweepConfig::PaperScale)
     }
 }
 
 /// One sweep point, annotated with the curve it belongs to.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentPoint {
     /// Curve label (e.g. the insert ratio or the request probability).
     pub curve: String,

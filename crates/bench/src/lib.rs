@@ -15,6 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod harness;
+mod harness;
 
 pub use harness::{fig2_sweep, fig3_sweep, fig4_sweep, print_series, ExperimentPoint, SweepConfig};

@@ -17,10 +17,9 @@
 
 use crate::batch::{Batch, BatchOp};
 use crate::config::Mode;
-use serde::{Deserialize, Serialize};
 
 /// The positions, order values and tickets assigned to one run of a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunAssignment {
     /// Epoch of the anchor wave that produced this assignment (monotone per
     /// anchor lineage; survives re-anchoring).  In sharded deployments this
@@ -51,17 +50,12 @@ pub struct RunAssignment {
 
 impl RunAssignment {
     /// Number of DHT positions available in the interval.
-    pub fn available_positions(&self) -> u64 {
+    pub(crate) fn available_positions(&self) -> u64 {
         if self.pos_lo > self.pos_hi {
             0
         } else {
             self.pos_hi - self.pos_lo + 1
         }
-    }
-
-    /// True when the interval holds no positions.
-    pub fn is_interval_empty(&self) -> bool {
-        self.pos_lo > self.pos_hi
     }
 }
 
@@ -72,7 +66,7 @@ impl RunAssignment {
 /// so a new anchor continues the wave numbering — and the churn accounting —
 /// exactly where the old one stopped, even while older waves are still being
 /// decomposed down the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnchorState {
     /// Lowest occupied position (queue only; `first = last + 1` when empty).
     pub first: u64,
@@ -117,7 +111,7 @@ impl AnchorState {
     }
 
     /// The invariant `first ≤ last + 1`.
-    pub fn invariant_holds(&self) -> bool {
+    pub(crate) fn invariant_holds(&self) -> bool {
         self.first <= self.last + 1
     }
 
@@ -127,7 +121,7 @@ impl AnchorState {
     /// update phase is decided separately via [`Self::take_update_decision`]
     /// so churn carried by waves assigned *during* an update phase is
     /// deferred, not dropped.
-    pub fn assign_wave(&mut self, batch: &Batch, mode: Mode) -> Vec<RunAssignment> {
+    pub(crate) fn assign_wave(&mut self, batch: &Batch, mode: Mode) -> Vec<RunAssignment> {
         self.pending_churn += batch.joins + batch.leaves;
         self.assign(batch, mode)
     }
@@ -136,7 +130,7 @@ impl AnchorState {
     /// `JOIN()`/`LEAVE()` does, which keeps the system maximally up to date;
     /// consumes the pending count and returns the new phase's number when
     /// there is.
-    pub fn take_update_decision(&mut self) -> Option<u64> {
+    pub(crate) fn take_update_decision(&mut self) -> Option<u64> {
         if self.pending_churn > 0 {
             self.pending_churn = 0;
             self.phases_started += 1;
@@ -314,7 +308,7 @@ mod tests {
         let asg = a.assign(&queue_batch(&[0, 2]), Mode::Queue);
         // Run 0 is an empty enqueue run, run 1 the dequeue run.
         assert_eq!(asg[0].count, 0);
-        assert!(asg[0].is_interval_empty());
+        assert_eq!(asg[0].available_positions(), 0);
         assert_eq!(asg[1].pos_lo, 1);
         assert_eq!(asg[1].pos_hi, 2);
         assert_eq!(a.size(), 3);
@@ -338,7 +332,6 @@ mod tests {
     fn dequeue_on_empty_queue_yields_empty_interval() {
         let mut a = AnchorState::new();
         let asg = a.assign(&queue_batch(&[0, 3]), Mode::Queue);
-        assert!(asg[1].is_interval_empty());
         assert_eq!(asg[1].available_positions(), 0);
         assert!(a.invariant_holds());
     }
@@ -457,7 +450,7 @@ mod tests {
     fn stack_pop_on_empty_yields_empty_interval() {
         let mut a = AnchorState::new();
         let asg = a.assign(&stack_batch(4, 0), Mode::Stack);
-        assert!(asg[0].is_interval_empty());
+        assert_eq!(asg[0].available_positions(), 0);
         assert_eq!(a.last, 0);
     }
 

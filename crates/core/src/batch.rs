@@ -12,13 +12,12 @@
 //! of the runs fixed by the local-combining argument: a node's residual
 //! operations always have the shape `POP()^a · PUSH()^b`, i.e. a batch of at
 //! most two runs (Theorem 20).  The stack encodes this as run 1 = *dequeues*
-//! (pops) and run 2 = *enqueues* (pushes); see [`Batch::push_stack_residual`].
+//! (pops) and run 2 = *enqueues* (pushes); see `Batch::push_stack_residual`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Kind of a single queue operation inside a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchOp {
     /// `ENQUEUE()` / `PUSH()`.
     Enqueue,
@@ -28,7 +27,7 @@ pub enum BatchOp {
 
 /// Whether the first run of a batch counts enqueues (queue layout) or
 /// dequeues (stack layout).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FirstRun {
     /// Run 1 counts enqueues — the queue layout of Definition 5.
     Enqueues,
@@ -38,7 +37,7 @@ pub enum FirstRun {
 
 /// A batch of queue operations (Definition 5) plus join/leave counters
 /// (Section IV).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     /// Run lengths. `runs[i]` counts operations of kind
     /// [`Batch::kind_of_run`]`(i)`. An empty vector is the empty batch `(0)`.
@@ -65,7 +64,7 @@ impl Batch {
     }
 
     /// The empty stack-layout batch.
-    pub fn empty_stack() -> Self {
+    pub(crate) fn empty_stack() -> Self {
         Batch {
             runs: Vec::new(),
             first: FirstRun::Dequeues,
@@ -88,19 +87,14 @@ impl Batch {
         }
     }
 
-    /// True when the batch carries neither operations nor join/leave counts.
-    pub fn is_empty(&self) -> bool {
-        self.total_ops() == 0 && self.joins == 0 && self.leaves == 0
-    }
-
     /// True when the batch carries no queue operations (it may still carry
     /// join/leave counts).
-    pub fn has_no_ops(&self) -> bool {
+    pub(crate) fn has_no_ops(&self) -> bool {
         self.total_ops() == 0
     }
 
     /// Number of runs.
-    pub fn num_runs(&self) -> usize {
+    pub(crate) fn num_runs(&self) -> usize {
         self.runs.len()
     }
 
@@ -115,7 +109,7 @@ impl Batch {
     }
 
     /// Kind of operations counted by run `index` (0-based).
-    pub fn kind_of_run(&self, index: usize) -> BatchOp {
+    pub(crate) fn kind_of_run(&self, index: usize) -> BatchOp {
         let first_kind = match self.first {
             FirstRun::Enqueues => BatchOp::Enqueue,
             FirstRun::Dequeues => BatchOp::Dequeue,
@@ -131,28 +125,13 @@ impl Batch {
     }
 
     /// Total number of queue operations in the batch.
-    pub fn total_ops(&self) -> u64 {
+    pub(crate) fn total_ops(&self) -> u64 {
         self.runs.iter().sum()
-    }
-
-    /// Total number of enqueue operations.
-    pub fn total_enqueues(&self) -> u64 {
-        self.runs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.kind_of_run(*i) == BatchOp::Enqueue)
-            .map(|(_, &c)| c)
-            .sum()
-    }
-
-    /// Total number of dequeue operations.
-    pub fn total_dequeues(&self) -> u64 {
-        self.total_ops() - self.total_enqueues()
     }
 
     /// Size of the batch in "entries" — the quantity Theorem 18 bounds.
     /// (Run counts plus the two join/leave counters.)
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.runs.len() + 2
     }
 
@@ -172,10 +151,13 @@ impl Batch {
         }
     }
 
-    /// Sets the residual of a stack node after local combining: `pops`
+    /// Builds the residual a stack node sends after local combining: `pops`
     /// surplus `POP()`s (issued first) followed by `pushes` surviving
-    /// `PUSH()`es.  Only valid for stack-layout batches.
-    pub fn push_stack_residual(&mut self, pops: u64, pushes: u64) {
+    /// `PUSH()`es.  Only valid for stack-layout batches.  (The node itself
+    /// arrives there one [`Self::push_op`]/[`Self::pop_last_op`] at a time;
+    /// the tests state the result directly.)
+    #[cfg(test)]
+    pub(crate) fn push_stack_residual(&mut self, pops: u64, pushes: u64) {
         debug_assert_eq!(self.first, FirstRun::Dequeues);
         debug_assert!(
             self.runs.is_empty(),
@@ -193,7 +175,7 @@ impl Batch {
     /// Removes the most recently pushed operation again (used by the stack's
     /// local combining: the matched push is always the last unsent
     /// operation).  Panics if the batch has no operations.
-    pub fn pop_last_op(&mut self) {
+    pub(crate) fn pop_last_op(&mut self) {
         let last = self.runs.last_mut().expect("pop_last_op on an empty batch");
         assert!(*last > 0, "pop_last_op on an empty trailing run");
         *last -= 1;
@@ -215,21 +197,6 @@ impl Batch {
         }
         self.joins += other.joins;
         self.leaves += other.leaves;
-    }
-
-    /// Combines a sequence of batches (used by tests and the anchor).
-    pub fn combine_all<'a>(
-        layout: FirstRun,
-        batches: impl IntoIterator<Item = &'a Batch>,
-    ) -> Batch {
-        let mut acc = match layout {
-            FirstRun::Enqueues => Batch::empty(),
-            FirstRun::Dequeues => Batch::empty_stack(),
-        };
-        for b in batches {
-            acc.combine(b);
-        }
-        acc
     }
 }
 
@@ -268,7 +235,6 @@ mod tests {
     #[test]
     fn empty_batch() {
         let b = Batch::empty();
-        assert!(b.is_empty());
         assert!(b.has_no_ops());
         assert_eq!(b.total_ops(), 0);
         assert_eq!(b.to_string(), "(0)");
@@ -290,8 +256,6 @@ mod tests {
             b.push_op(op);
         }
         assert_eq!(b.runs(), &[2, 3, 1]);
-        assert_eq!(b.total_enqueues(), 3);
-        assert_eq!(b.total_dequeues(), 3);
         assert_eq!(b.kind_of_run(0), BatchOp::Enqueue);
         assert_eq!(b.kind_of_run(1), BatchOp::Dequeue);
         assert_eq!(b.kind_of_run(2), BatchOp::Enqueue);
@@ -304,8 +268,6 @@ mod tests {
         b.push_op(BatchOp::Dequeue);
         b.push_op(BatchOp::Enqueue);
         assert_eq!(b.runs(), &[0, 1, 1]);
-        assert_eq!(b.total_enqueues(), 1);
-        assert_eq!(b.total_dequeues(), 1);
     }
 
     #[test]
@@ -331,7 +293,6 @@ mod tests {
         a.combine(&b);
         assert_eq!(a.joins, 3);
         assert_eq!(a.leaves, 3);
-        assert!(!a.is_empty());
         assert!(a.has_no_ops());
         assert_eq!(a.to_string(), "(0)[j=3,l=3]");
     }
@@ -343,8 +304,6 @@ mod tests {
         assert_eq!(b.runs(), &[2, 3]);
         assert_eq!(b.kind_of_run(0), BatchOp::Dequeue);
         assert_eq!(b.kind_of_run(1), BatchOp::Enqueue);
-        assert_eq!(b.total_dequeues(), 2);
-        assert_eq!(b.total_enqueues(), 3);
         // Constant size regardless of the number of requests (Theorem 20).
         assert!(b.size() <= 4);
     }
@@ -354,19 +313,6 @@ mod tests {
         let mut b = Batch::empty_stack();
         b.push_stack_residual(5, 0);
         assert_eq!(b.runs(), &[5]);
-        assert_eq!(b.total_dequeues(), 5);
-        assert_eq!(b.total_enqueues(), 0);
-    }
-
-    #[test]
-    fn combine_all_sums_everything() {
-        let mut a = Batch::empty();
-        a.push_op(BatchOp::Enqueue);
-        let mut b = Batch::empty();
-        b.push_op(BatchOp::Enqueue);
-        b.push_op(BatchOp::Dequeue);
-        let combined = Batch::combine_all(FirstRun::Enqueues, [&a, &b]);
-        assert_eq!(combined.runs(), &[2, 1]);
     }
 
     #[test]
@@ -442,7 +388,8 @@ mod tests {
                 b.push_op(if is_enq { BatchOp::Enqueue } else { BatchOp::Dequeue });
             }
             prop_assert_eq!(b.total_ops() as usize, ops.len());
-            prop_assert_eq!(b.total_enqueues() as usize, ops.iter().filter(|&&x| x).count());
+            let enqueues: u64 = b.runs().iter().step_by(2).sum();
+            prop_assert_eq!(enqueues as usize, ops.iter().filter(|&&x| x).count());
             // Runs after the first are never zero.
             for (i, &run) in b.runs().iter().enumerate() {
                 if i > 0 {

@@ -137,7 +137,7 @@ impl<T: Payload> Default for SkueueBuilder<T> {
 
 impl<T: Payload> SkueueBuilder<T> {
     /// Starts a builder with the defaults described on the type.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SkueueBuilder::default()
     }
 
@@ -249,7 +249,7 @@ impl<T: Payload> SkueueBuilder<T> {
     /// The [`ProtocolConfig`] this builder currently describes (its
     /// `bit_budget` is derived from the system size by
     /// [`build`](Self::build)).
-    pub fn protocol_config(&self) -> ProtocolConfig {
+    pub(crate) fn protocol_config(&self) -> ProtocolConfig {
         ProtocolConfig {
             // The synchronous round scheduler delivers per-channel in send
             // order; every other model may reorder, which the protocol's
@@ -260,7 +260,7 @@ impl<T: Payload> SkueueBuilder<T> {
     }
 
     /// The [`SimConfig`] this builder currently describes.
-    pub fn sim_config(&self) -> SimConfig {
+    pub(crate) fn sim_config(&self) -> SimConfig {
         SimConfig {
             seed: self.seed,
             delivery: self.delivery,
@@ -271,7 +271,7 @@ impl<T: Payload> SkueueBuilder<T> {
     }
 
     /// The [`ExecMode`] this builder currently describes.
-    pub fn exec_mode(&self) -> ExecMode {
+    pub(crate) fn exec_mode(&self) -> ExecMode {
         ExecMode::from_threads(self.threads)
     }
 
@@ -423,7 +423,8 @@ mod tests {
             .seed(1)
             .build()
             .unwrap();
-        assert_eq!(cluster.config().bit_budget, recommended_bit_budget(16));
+        let (_, node) = cluster.nodes().next().unwrap();
+        assert_eq!(node.config().bit_budget, recommended_bit_budget(16));
         assert_eq!(cluster.active_processes(), 16);
     }
 
@@ -435,6 +436,7 @@ mod tests {
             .hash_seed(1234)
             .build()
             .unwrap();
-        assert_eq!(cluster.config().hash_seed, 1234);
+        let (_, node) = cluster.nodes().next().unwrap();
+        assert_eq!(node.config().hash_seed, 1234);
     }
 }

@@ -36,11 +36,6 @@ impl<'c, T: Payload> ClientHandle<'c, T> {
         ClientHandle { cluster, process }
     }
 
-    /// The process this handle issues requests at.
-    pub fn process(&self) -> ProcessId {
-        self.process
-    }
-
     /// True while the process may issue requests — the exact condition the
     /// issuing methods check, so a `true` here means the next issue will not
     /// fail with `UnknownProcess`/`ProcessNotActive`.  Turns `false` the
@@ -81,7 +76,6 @@ mod tests {
     use super::*;
     use crate::config::Mode;
     use crate::ticket::OpOutcome;
-    use skueue_verify::OpKind;
 
     #[test]
     fn handle_issues_and_reports_activity() {
@@ -91,13 +85,10 @@ mod tests {
             .build()
             .unwrap();
         let mut client = cluster.client(ProcessId(1));
-        assert_eq!(client.process(), ProcessId(1));
         assert!(client.is_active());
         let put = client.enqueue(10).unwrap();
         let got = client.dequeue().unwrap();
         assert_eq!(put.origin(), ProcessId(1));
-        assert_eq!(put.kind(), OpKind::Enqueue);
-        assert_eq!(got.kind(), OpKind::Dequeue);
         let outcomes = cluster.run_until_done(&[put, got], 500).unwrap();
         assert!(matches!(outcomes[0], OpOutcome::Enqueued { .. }));
         assert_eq!(outcomes[1].value(), Some(10));

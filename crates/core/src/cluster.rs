@@ -16,9 +16,9 @@
 //!    # Ok::<(), skueue_core::BuildError>(())
 //!    ```
 //!
-//! 2. **Operations are typed tickets.**  [`SkueueCluster::enqueue`] /
-//!    [`SkueueCluster::dequeue`] (or `push`/`pop` in stack mode, usually via
-//!    a per-process [`ClientHandle`] from [`SkueueCluster::client`]) return
+//! 2. **Operations are typed tickets.**  `enqueue` / `dequeue` (or
+//!    `push`/`pop` in stack mode) on a per-process [`ClientHandle`] from
+//!    [`SkueueCluster::client`] — the one way to issue an operation — return
 //!    an [`OpTicket`]; [`SkueueCluster::run_until_done`],
 //!    [`SkueueCluster::outcome`] and [`SkueueCluster::status`] resolve
 //!    tickets to structured [`OpOutcome`]s, so callers never scan the raw
@@ -62,8 +62,7 @@ use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
 use skueue_sim::{ExecMode, SimConfig, SimError, Simulation};
 use skueue_trace::{
-    export_chrome_trace, export_chrome_trace_with_runtime, TraceAnalysis, TraceEvent, TraceId,
-    TraceLevel, TraceLog, TraceRecord,
+    export_chrome_trace, TraceAnalysis, TraceEvent, TraceId, TraceLevel, TraceLog, TraceRecord,
 };
 use skueue_verify::{History, OpKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,30 +205,9 @@ impl ProcessHandle {
 /// Observer callback invoked once per completed operation.
 type CompletionObserver<T> = Box<dyn FnMut(&CompletionEvent<T>)>;
 
-/// A snapshot of the cluster's protocol-level state, reduced to the fields
-/// the abstract model (`skueue-model`) also tracks — the projection both
-/// sides of a conformance lockstep compare after quiescing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterProjection {
-    /// Number of integrated member processes.
-    pub active_processes: usize,
-    /// Elements currently queued across all shard anchors' windows.
-    pub queued_elements: u64,
-    /// Update phases the (first) anchor has started so far.
-    pub phases_started: u64,
-    /// Nodes currently participating in an update phase.
-    pub open_update_phases: usize,
-    /// Nodes whose batching is suspended by an update phase.
-    pub suspended_nodes: usize,
-    /// Nodes whose latest `Aggregate` is unconfirmed (credit out).
-    pub unacked_aggregates: usize,
-    /// Aggregation waves in flight across all nodes.
-    pub waves_in_flight: usize,
-}
-
 /// A running Skueue deployment (queue or stack) on top of the simulation
 /// substrate, generic over the element payload type `T` (default `u64`).
-/// See the [module docs](self) for the API tour.
+/// The crate docs have the API tour.
 pub struct SkueueCluster<T: Payload = u64> {
     sim: Simulation<SkueueNode<T>>,
     cfg: ProtocolConfig,
@@ -372,11 +350,6 @@ impl<T: Payload> SkueueCluster<T> {
     // Introspection.
     // ------------------------------------------------------------------
 
-    /// The protocol configuration.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.cfg
-    }
-
     /// The current round.
     pub fn round(&self) -> u64 {
         self.sim.round()
@@ -405,7 +378,7 @@ impl<T: Payload> SkueueCluster<T> {
     }
 
     /// Number of requests that have completed (records in the history).
-    pub fn requests_completed(&self) -> u64 {
+    pub(crate) fn requests_completed(&self) -> u64 {
         self.history.len() as u64
     }
 
@@ -453,36 +426,6 @@ impl<T: Payload> SkueueCluster<T> {
         self.sim.parallel_threads()
     }
 
-    /// The model-conformance projection of the cluster's current state (see
-    /// [`ClusterProjection`]).
-    pub fn projection(&self) -> ClusterProjection {
-        let mut open_update_phases = 0;
-        let mut suspended_nodes = 0;
-        let mut unacked_aggregates = 0;
-        let mut waves_in_flight = 0;
-        for (_, node) in self.sim.iter() {
-            if node.update_phase().is_some() {
-                open_update_phases += 1;
-            }
-            if node.is_suspended() {
-                suspended_nodes += 1;
-            }
-            if node.has_unacked_aggregate() {
-                unacked_aggregates += 1;
-            }
-            waves_in_flight += node.waves_in_flight();
-        }
-        ClusterProjection {
-            active_processes: self.active_processes(),
-            queued_elements: self.queued_elements(),
-            phases_started: self.anchor_state().map(|a| a.phases_started).unwrap_or(0),
-            open_update_phases,
-            suspended_nodes,
-            unacked_aggregates,
-            waves_in_flight,
-        }
-    }
-
     /// The deterministic shard layout — hand this to
     /// `skueue_verify::check_queue_sharded` together with
     /// [`Self::history`].
@@ -518,18 +461,8 @@ impl<T: Payload> SkueueCluster<T> {
             .collect()
     }
 
-    /// Total number of elements currently queued across all shard anchors'
-    /// windows.
-    pub fn queued_elements(&self) -> u64 {
-        self.shard_anchor_states()
-            .iter()
-            .flatten()
-            .map(|a| a.size())
-            .sum()
-    }
-
     /// Per-node stored-element counts (fairness accounting, Corollary 19).
-    pub fn stored_elements_per_node(&self) -> Vec<u64> {
+    pub(crate) fn stored_elements_per_node(&self) -> Vec<u64> {
         self.sim
             .iter()
             .filter(|(_, node)| node.is_integrated())
@@ -618,21 +551,6 @@ impl<T: Payload> SkueueCluster<T> {
         export_chrome_trace(&self.trace_log)
     }
 
-    /// Like [`Self::export_chrome_trace`], with additional wall-clock
-    /// worker-lane tracks (per-lane busy and barrier-wait slices from the
-    /// parallel backend's metrics).  Wall-clock data varies run to run, so
-    /// this variant is *not* byte-identical across executions — use the
-    /// plain export for determinism checks.
-    pub fn export_chrome_trace_with_runtime(&self) -> String {
-        let m = self.sim.metrics();
-        export_chrome_trace_with_runtime(
-            &self.trace_log,
-            &m.lane_busy_ns,
-            &m.lane_barrier_wait_ns,
-            &m.lane_thread_tokens,
-        )
-    }
-
     // ------------------------------------------------------------------
     // Request injection.
     // ------------------------------------------------------------------
@@ -705,30 +623,34 @@ impl<T: Payload> SkueueCluster<T> {
             BatchOp::Enqueue => OpKind::Enqueue,
             BatchOp::Dequeue => OpKind::Dequeue,
         };
-        Ok(OpTicket::new(self.cluster_id, id, op_kind, round))
+        Ok(OpTicket::new(self.cluster_id, id, op_kind))
     }
 
     /// Issues an `ENQUEUE(value)` at `process` and returns its ticket.
-    pub fn enqueue(&mut self, process: ProcessId, value: T) -> Result<OpTicket, ClusterError> {
+    pub(crate) fn enqueue(
+        &mut self,
+        process: ProcessId,
+        value: T,
+    ) -> Result<OpTicket, ClusterError> {
         self.require_mode(Mode::Queue)?;
         self.issue(process, BatchOp::Enqueue, value)
     }
 
     /// Issues a `DEQUEUE()` at `process` and returns its ticket.
-    pub fn dequeue(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
+    pub(crate) fn dequeue(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
         self.require_mode(Mode::Queue)?;
         self.issue(process, BatchOp::Dequeue, T::default())
     }
 
     /// Issues a `PUSH(value)` at `process` (stack mode) and returns its
     /// ticket.
-    pub fn push(&mut self, process: ProcessId, value: T) -> Result<OpTicket, ClusterError> {
+    pub(crate) fn push(&mut self, process: ProcessId, value: T) -> Result<OpTicket, ClusterError> {
         self.require_mode(Mode::Stack)?;
         self.issue(process, BatchOp::Enqueue, value)
     }
 
     /// Issues a `POP()` at `process` (stack mode) and returns its ticket.
-    pub fn pop(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
+    pub(crate) fn pop(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
         self.require_mode(Mode::Stack)?;
         self.issue(process, BatchOp::Dequeue, T::default())
     }
@@ -736,7 +658,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// Issues an operation without caring about queue/stack naming (used by
     /// the workload generators, usually through
     /// [`ClientHandle::issue`]).
-    pub fn issue_op(
+    pub(crate) fn issue_op(
         &mut self,
         process: ProcessId,
         is_insert: bool,
@@ -1079,7 +1001,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// [`Self::outcome`] derives it from the history again on demand.
     fn publish(&mut self, record: skueue_verify::OpRecord<T>) -> skueue_verify::OpRecord<T> {
         let event = CompletionEvent {
-            ticket: OpTicket::new(self.cluster_id, record.id, record.kind, record.issued_round),
+            ticket: OpTicket::new(self.cluster_id, record.id, record.kind),
             outcome: OpOutcome::from_record(&record),
             record,
         };
@@ -1583,7 +1505,7 @@ mod tests {
         let sink = Rc::clone(&seen);
         cluster.on_complete(move |event| {
             sink.borrow_mut()
-                .push((event.ticket.kind(), event.outcome.value()));
+                .push((event.record.kind, event.outcome.value()));
         });
         let put = cluster.client(ProcessId(0)).enqueue(77).unwrap();
         let got = cluster.client(ProcessId(1)).dequeue().unwrap();
@@ -1612,8 +1534,6 @@ mod tests {
         assert_eq!(a.outcome(ticket_b), None, "foreign ticket must not resolve");
         assert_eq!(b.outcome(ticket_a), None, "foreign ticket must not resolve");
         assert_eq!(b.status(ticket_a), OpStatus::Foreign);
-        assert!(b.status(ticket_a).is_foreign());
-        assert_eq!(b.status(ticket_a).outcome(), None);
         // Waiting on a foreign ticket is rejected up front instead of
         // spinning against a ticket that can never complete.
         assert_eq!(
@@ -1639,7 +1559,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        assert!(stack.config().is_stack());
+        assert!(stack.cfg.is_stack());
         assert_eq!(
             SkueueCluster::<u64>::builder().build().unwrap_err(),
             BuildError::NoProcesses
@@ -1668,7 +1588,8 @@ mod tests {
             cluster.client(ProcessId(i % 24)).enqueue(i).unwrap();
         }
         cluster.run_until_all_complete(10_000).unwrap();
-        assert_eq!(cluster.queued_elements(), 96);
+        let queued = cluster.shard_anchor_states().into_iter().flatten();
+        assert_eq!(queued.map(|a| a.size()).sum::<u64>(), 96);
         for i in 0..48u64 {
             cluster.client(ProcessId(i % 24)).dequeue().unwrap();
         }
@@ -1683,7 +1604,7 @@ mod tests {
         );
         // Elements landed in their enqueuer's shard's position interval.
         for (_, node) in cluster.nodes() {
-            for entry in node.store().iter_entries() {
+            for entry in node.store.iter_entries() {
                 assert_eq!(
                     map.shard_of_position(entry.position),
                     node.shard(),

@@ -9,13 +9,12 @@
 //! stage-4 barrier and strict waves follow from the mode, any pending churn
 //! opens an update phase, and the wave ring holds [`PIPELINE_DEPTH`] slots.
 
-use serde::{Deserialize, Serialize};
 use skueue_overlay::{recommended_bit_budget, LabelHasher};
 use skueue_trace::TraceLevel;
 
 /// Whether the protocol runs as the FIFO queue of Sections III–V or as the
 /// LIFO stack of Section VI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// `ENQUEUE()` / `DEQUEUE()` with FIFO semantics.
     Queue,
@@ -29,8 +28,8 @@ pub enum Mode {
 /// There is one protocol per [`Mode`]: everything Section VI asks of the
 /// stack — local combining, the stage-4 barrier with its strict wave
 /// lockstep, a single anchor, one wave at a time — follows from
-/// [`Self::is_stack`] and is not separately switchable.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// `Self::is_stack` and is not separately switchable.
+#[derive(Debug, Clone, Copy)]
 pub struct ProtocolConfig {
     /// Queue or stack semantics.
     pub mode: Mode,
@@ -88,7 +87,7 @@ pub struct ProtocolConfig {
 /// (n = 10⁵), and whether the ring should be sized from the tree height
 /// instead, is open (ROADMAP).  The value is part of the schedule every
 /// golden history pins.
-pub const PIPELINE_DEPTH: usize = 32;
+pub(crate) const PIPELINE_DEPTH: usize = 32;
 
 impl ProtocolConfig {
     /// The queue protocol of Sections III–V.
@@ -103,14 +102,6 @@ impl ProtocolConfig {
         }
     }
 
-    /// The stack protocol of Section VI.
-    pub fn stack() -> Self {
-        ProtocolConfig {
-            mode: Mode::Stack,
-            ..ProtocolConfig::queue()
-        }
-    }
-
     /// Overrides the hash seed.
     pub fn with_hash_seed(mut self, seed: u64) -> Self {
         self.hash_seed = seed;
@@ -119,7 +110,7 @@ impl ProtocolConfig {
 
     /// The number of wave slots a node uses: the stack's stage-4 barrier
     /// requires strictly alternating waves, so a stack node keeps one.
-    pub fn effective_pipeline_depth(&self) -> usize {
+    pub(crate) fn effective_pipeline_depth(&self) -> usize {
         if self.is_stack() {
             1
         } else {
@@ -130,13 +121,6 @@ impl ProtocolConfig {
     /// Overrides the number of anchor shards (must be at least 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Sets the per-op lifecycle tracing level (default
-    /// [`TraceLevel::Off`]).
-    pub fn with_trace(mut self, level: TraceLevel) -> Self {
-        self.trace_level = level;
         self
     }
 
@@ -154,7 +138,7 @@ impl ProtocolConfig {
     /// True when this deployment runs more than one anchor shard (order
     /// keys carry the `(wave, shard)` merge components only then, keeping
     /// unsharded histories bit-identical to the pre-sharding format).
-    pub fn is_sharded(&self) -> bool {
+    pub(crate) fn is_sharded(&self) -> bool {
         self.effective_shards() > 1
     }
 
@@ -167,7 +151,7 @@ impl ProtocolConfig {
     /// the protocol: local combining of a node's own push/pop pairs, the
     /// stage-4 barrier (a node waits for all its DHT operations before it
     /// contributes to the next wave) and the strict wave lockstep.
-    pub fn is_stack(&self) -> bool {
+    pub(crate) fn is_stack(&self) -> bool {
         self.mode == Mode::Stack
     }
 }
@@ -182,6 +166,13 @@ impl Default for ProtocolConfig {
 mod tests {
     use super::*;
 
+    fn stack() -> ProtocolConfig {
+        ProtocolConfig {
+            mode: Mode::Stack,
+            ..ProtocolConfig::queue()
+        }
+    }
+
     #[test]
     fn queue_defaults() {
         let c = ProtocolConfig::queue();
@@ -191,15 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn stack_defaults() {
-        let c = ProtocolConfig::stack();
-        assert_eq!(c.mode, Mode::Stack);
-        assert!(c.is_stack());
+    fn stack_mode_is_stack() {
+        assert!(stack().is_stack());
     }
 
     #[test]
     fn hash_seed_override_reaches_the_hasher() {
-        let c = ProtocolConfig::stack().with_hash_seed(99);
+        let c = stack().with_hash_seed(99);
         assert_eq!(c.hash_seed, 99);
         assert_eq!(c.hasher().seed(), 99);
     }
@@ -210,13 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_defaults_off_and_overrides() {
+    fn trace_defaults_off() {
         // Off by default: tracing must cost nothing unless asked for.
         assert!(ProtocolConfig::queue().trace_level.is_off());
-        assert!(ProtocolConfig::stack().trace_level.is_off());
-        let c = ProtocolConfig::queue().with_trace(TraceLevel::Full);
-        assert_eq!(c.trace_level, TraceLevel::Full);
-        assert!(c.trace_level.hops());
     }
 
     #[test]
@@ -230,7 +215,7 @@ mod tests {
         assert!(c.is_sharded());
         // The stack's global stage-4 barrier is incompatible with multiple
         // anchors; the count is pinned to 1.
-        let s = ProtocolConfig::stack().with_shards(4);
+        let s = stack().with_shards(4);
         assert_eq!(s.effective_shards(), 1);
         assert!(!s.is_sharded());
         // Zero is normalised, not an extra state.
@@ -244,6 +229,6 @@ mod tests {
             PIPELINE_DEPTH
         );
         // The stack's stage-4 barrier serialises waves.
-        assert_eq!(ProtocolConfig::stack().effective_pipeline_depth(), 1);
+        assert_eq!(stack().effective_pipeline_depth(), 1);
     }
 }

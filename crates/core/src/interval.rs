@@ -17,7 +17,7 @@ impl RunAssignment {
     /// Enqueue runs always have enough positions; dequeue runs may run out,
     /// in which case the split-off part receives only the positions that are
     /// left (the rest of its operations will return `⊥`).
-    pub fn split_front(&mut self, count: u64) -> RunAssignment {
+    pub(crate) fn split_front(&mut self, count: u64) -> RunAssignment {
         let take = count.min(self.count);
         let mut sub = *self;
         sub.count = take;
@@ -153,11 +153,11 @@ mod tests {
     fn split_front_empty_interval_stays_empty() {
         let mut a = AnchorState::new();
         let mut run = a.assign(&queue_batch(&[0, 4]), Mode::Queue).remove(1);
-        assert!(run.is_interval_empty());
+        assert_eq!(run.available_positions(), 0);
         let first = run.split_front(2);
         let second = run.split_front(2);
-        assert!(first.is_interval_empty());
-        assert!(second.is_interval_empty());
+        assert_eq!(first.available_positions(), 0);
+        assert_eq!(second.available_positions(), 0);
         assert_eq!(first.count, 2);
         assert_eq!(second.count, 2);
         // Order values still advance so every ⊥ gets a unique order.
@@ -319,7 +319,7 @@ mod tests {
             let mut enq_positions: Vec<u64> = parts
                 .iter()
                 .flatten()
-                .filter(|r| r.kind == BatchOp::Enqueue && !r.is_interval_empty())
+                .filter(|r| r.kind == BatchOp::Enqueue && r.available_positions() > 0)
                 .flat_map(|r| r.pos_lo..=r.pos_hi)
                 .collect();
             let mut expected_enq: Vec<u64> = ((before.last + 1)..=anchor.last).collect();
@@ -331,7 +331,7 @@ mod tests {
             let mut deq_positions: Vec<u64> = parts
                 .iter()
                 .flatten()
-                .filter(|r| r.kind == BatchOp::Dequeue && !r.is_interval_empty())
+                .filter(|r| r.kind == BatchOp::Dequeue && r.available_positions() > 0)
                 .flat_map(|r| r.pos_lo..=r.pos_hi)
                 .collect();
             deq_positions.sort_unstable();

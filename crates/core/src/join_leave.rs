@@ -693,12 +693,10 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     fn handle_update_over(&mut self, phase: u64, ctx: &mut Context<SkueueMsg<T>>) {
-        // Mutation gate: compiling with `--features model-mutation` removes
-        // this staleness guard, re-introducing the PR-3 race in which a
-        // delayed `UpdateOver` from an older phase cancels the younger phase
-        // this node is participating in.  The bounded model check must find
-        // that wedge (see `crates/model/tests/mutation_gate.rs`).
-        #[cfg(not(feature = "model-mutation"))]
+        // The staleness guard (the PR-3 race): the model's mutation gate
+        // seeds its bug by removing its own copy of this rule
+        // (`crates/model/tests/mutation_gate.rs`), and
+        // `tests/model_regressions.rs` replays the shrunk scenario here.
         if let Some(update) = self.update() {
             if update.phase > phase {
                 // A delayed end-of-phase message from an *older* phase must

@@ -33,41 +33,43 @@
 //!
 //! | module | paper section | content |
 //! |--------|---------------|---------|
-//! | [`batch`] | Def. 5, §IV | run-length batches, combination, join/leave counters |
-//! | [`anchor`] | §III-D (Stage 2), §VI | the anchor's `[first,last]` window, order counter, tickets |
+//! | `batch` | Def. 5, §IV | run-length batches, combination, join/leave counters |
+//! | `anchor` | §III-D (Stage 2), §VI | the anchor's `[first,last]` window, order counter, tickets |
 //! | [`interval`] | §III-E (Stage 3) | decomposition of position intervals over sub-batches |
-//! | [`node`] | §III (Stages 1–4), §VI | the per-virtual-node state machine |
-//! | [`join_leave`] | §IV | lazy joins/leaves, update phase, anchor hand-off |
+//! | `node` | §III (Stages 1–4), §VI | the per-virtual-node state machine |
+//! | `join_leave` | §IV | lazy joins/leaves, update phase, anchor hand-off |
 //! | [`membership`] | — | the starting overlay and a joiner's views, built once for every driver |
 //! | [`builder`] | — | the validating [`SkueueBuilder`] |
-//! | [`ticket`] | — | [`OpTicket`], [`OpOutcome`], the completion stream |
-//! | [`client`] | — | per-process [`ClientHandle`]s |
-//! | [`cluster`] | §VII | the driver API used by workloads, examples and tests |
+//! | `ticket` | — | [`OpTicket`], [`OpOutcome`], the completion stream |
+//! | `client` | — | per-process [`ClientHandle`]s |
+//! | `cluster` | §VII | the driver API used by workloads, examples and tests |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anchor;
-pub mod batch;
+mod anchor;
+mod batch;
 pub mod builder;
-pub mod client;
-pub mod cluster;
-pub mod config;
+mod client;
+mod cluster;
+mod config;
 pub mod interval;
-pub mod join_leave;
+mod join_leave;
 pub mod membership;
 pub mod messages;
-pub mod node;
-pub mod ticket;
+mod node;
+mod ticket;
 
 pub use anchor::{AnchorState, RunAssignment};
 pub use batch::{Batch, BatchOp, FirstRun};
 pub use builder::{BuildError, SkueueBuilder};
 pub use client::ClientHandle;
-pub use cluster::{ClusterError, ClusterProjection, Skueue, SkueueCluster};
+pub use cluster::{ClusterError, Skueue, SkueueCluster};
 pub use config::{Mode, ProtocolConfig};
 pub use messages::{DhtOp, SkueueMsg};
-pub use node::{LocalOp, NodeStats, Role, SkueueNode};
+pub use node::SkueueNode;
+pub use ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
+
 // The payload bound every `Skueue<T>` instantiation needs; re-exported so
 // downstream code can write `fn f<T: Payload>(q: &mut Skueue<T>)` without a
 // direct skueue-dht dependency.
@@ -78,4 +80,3 @@ pub use skueue_shard::{ShardId, ShardMap, ShardRouter};
 // Re-exported so `SkueueBuilder::trace(TraceLevel::…)` and the trace sinks
 // are reachable without a direct skueue-trace dependency.
 pub use skueue_trace::{StageStats, TraceAnalysis, TraceLevel, TraceLog};
-pub use ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};

@@ -88,7 +88,7 @@ impl InitialMembership {
     }
 
     /// The deterministic process → shard assignment.
-    pub fn router(&self) -> ShardRouter {
+    pub(crate) fn router(&self) -> ShardRouter {
         self.router
     }
 
@@ -99,7 +99,7 @@ impl InitialMembership {
     }
 
     /// Number of initial processes in each shard.
-    pub fn shard_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn shard_sizes(&self) -> impl Iterator<Item = usize> + '_ {
         self.topologies
             .iter()
             .map(|t| t.as_ref().map_or(0, |t| t.processes().len()))

@@ -7,7 +7,6 @@
 
 use crate::anchor::{AnchorState, RunAssignment};
 use crate::batch::Batch;
-use serde::{Deserialize, Serialize};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{NeighborInfo, RouteProgress};
 use skueue_sim::ids::{NodeId, RequestId};
@@ -15,7 +14,7 @@ use skueue_sim::ids::{NodeId, RequestId};
 /// Metadata a `PUT` carries so the storing node can complete the enqueue
 /// request (the paper does not acknowledge PUTs; completion is recorded at
 /// the responsible node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutMeta {
     /// Round in which the enqueue was issued (latency accounting).
     pub issued_round: u64,
@@ -31,7 +30,7 @@ pub struct PutMeta {
 }
 
 /// A DHT operation being routed to the node responsible for its key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DhtOp<T = u64> {
     /// `PUT(e, k)`: store `entry` at the responsible node.
     Put {
@@ -55,17 +54,9 @@ pub enum DhtOp<T = u64> {
 }
 
 impl<T: Payload> DhtOp<T> {
-    /// The position this operation refers to.
-    pub fn position(&self) -> u64 {
-        match self {
-            DhtOp::Put { entry, .. } => entry.position,
-            DhtOp::Get { position, .. } => *position,
-        }
-    }
-
     /// The queue/stack request this DHT operation belongs to (the identity
     /// the op's lifecycle-trace events are tagged with).
-    pub fn request_id(&self) -> RequestId {
+    pub(crate) fn request_id(&self) -> RequestId {
         match self {
             DhtOp::Put { entry, .. } => entry.element.id,
             DhtOp::Get { request, .. } => *request,
@@ -77,7 +68,7 @@ impl<T: Payload> DhtOp<T> {
 /// the unit the per-destination coalescing layer ([`skueue_overlay::RouteBuffer`])
 /// batches: all routed ops that share the next distance-halving hop travel
 /// in one [`SkueueMsg::DhtBatch`] per neighbour per round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedDhtOp<T = u64> {
     /// The operation (boxed so moving an op between buffers moves a pointer).
     pub op: Box<DhtOp<T>>,
@@ -86,7 +77,7 @@ pub struct RoutedDhtOp<T = u64> {
 }
 
 /// One answered `GET` inside a [`SkueueMsg::DhtReplyBatch`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DhtReplyItem<T = u64> {
     /// The dequeue/pop request the reply answers.
     pub request: RequestId,
@@ -96,7 +87,7 @@ pub struct DhtReplyItem<T = u64> {
 
 /// Payload of the join data handover: everything the responsible node gives a
 /// joining virtual node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinHandover<T = u64> {
     /// The joiner's (temporary) predecessor: the responsible node itself.
     pub pred: NeighborInfo,
@@ -110,7 +101,7 @@ pub struct JoinHandover<T = u64> {
 
 /// Payload of the leave absorption: everything a leaving node hands to its
 /// absorber (its cycle predecessor).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsorbPayload<T = u64> {
     /// The leaver's predecessor *as the leaver sees it* at hand-over time.
     /// Normally the absorber itself — but when the absorber spliced joiners
@@ -139,7 +130,7 @@ pub struct AbsorbPayload<T = u64> {
 }
 
 /// All messages exchanged by Skueue nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SkueueMsg<T = u64> {
     // ---- Stages 1-4 -------------------------------------------------------
     /// Stage 1: a child forwards its combined batch to its aggregation-tree
@@ -313,33 +304,6 @@ mod tests {
     use skueue_dht::Element;
     use skueue_overlay::Label;
     use skueue_sim::ids::ProcessId;
-
-    #[test]
-    fn dht_op_position_accessor() {
-        let entry = StoredEntry::queue(
-            7,
-            Label::from_f64(0.5),
-            Element::new(RequestId::new(ProcessId(1), 0), 9u64),
-        );
-        let put = DhtOp::Put {
-            entry,
-            meta: PutMeta {
-                issued_round: 1,
-                order: 2,
-                wave: 1,
-                needs_ack: false,
-                issuer: NodeId(0),
-            },
-        };
-        assert_eq!(put.position(), 7);
-        let get = DhtOp::<u64>::Get {
-            position: 11,
-            max_ticket: u64::MAX,
-            request: RequestId::new(ProcessId(2), 3),
-            requester: NodeId(4),
-        };
-        assert_eq!(get.position(), 11);
-    }
 
     #[test]
     fn messages_are_cloneable_and_comparable() {

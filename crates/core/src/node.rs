@@ -82,7 +82,7 @@ pub(crate) struct OutstandingGet {
 
 /// A locally generated request that has not been resolved yet.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalOp<T = u64> {
+pub(crate) struct LocalOp<T = u64> {
     /// The request's identity.
     pub id: RequestId,
     /// Enqueue/push or dequeue/pop.
@@ -278,7 +278,7 @@ impl ChildBatches {
 
 /// Membership status of a virtual node (Section IV).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// Fully integrated member of the LDB.
     Active,
     /// Waiting to be integrated; `responsible` is the node relaying for us
@@ -441,7 +441,7 @@ pub(crate) mod series {
 /// (batch sizes, hop counts, …) are not kept per node: a node reports each
 /// sample to its host, and `SkueueCluster::*_histogram()` reads them summed.
 #[derive(Debug, Clone, Default)]
-pub struct NodeStats {
+pub(crate) struct NodeStats {
     /// Number of batches this node sent to its parent (or processed as the
     /// anchor).
     pub batches_sent: u64,
@@ -651,29 +651,14 @@ impl<T: Payload> SkueueNode<T> {
         &self.cfg
     }
 
-    /// The node's virtual identity.
-    pub fn vid(&self) -> skueue_overlay::VirtualId {
-        self.view.me.vid
-    }
-
     /// The emulating process.
     pub fn process(&self) -> ProcessId {
         self.view.me.vid.process
     }
 
-    /// The node's label.
-    pub fn label(&self) -> skueue_overlay::Label {
-        self.view.me.label
-    }
-
     /// The node's current neighbourhood view.
     pub fn view(&self) -> &LocalView {
         &self.view
-    }
-
-    /// Current membership role.
-    pub fn role(&self) -> &Role {
-        &self.role
     }
 
     /// True if this node currently holds its shard's anchor state.
@@ -687,67 +672,18 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// The anchor state, if this node is the anchor.
-    pub fn anchor_state(&self) -> Option<&AnchorState> {
+    pub(crate) fn anchor_state(&self) -> Option<&AnchorState> {
         self.anchor.as_deref()
     }
 
     /// Number of elements stored in this node's DHT partition.
-    pub fn stored_elements(&self) -> usize {
+    pub(crate) fn stored_elements(&self) -> usize {
         self.store.len()
     }
 
-    /// Number of parked GETs at this node.
-    pub fn parked_gets(&self) -> usize {
-        self.store.pending_gets()
-    }
-
-    /// This node's DHT partition (diagnostics and tests).
-    pub fn store(&self) -> &NodeStore<T> {
-        &self.store
-    }
-
-    /// Sizes of the node's transient Stage-4 buffers
-    /// `(route_buffer, reply_buffer, deferred_dht)` — all three must be
-    /// empty in a quiescent system (diagnostics and tests).
-    pub fn stage4_buffer_sizes(&self) -> (usize, usize, usize) {
-        (
-            self.route_buffer.len(),
-            self.reply_buffer.len(),
-            self.membership().map_or(0, |m| m.deferred_dht.len()),
-        )
-    }
-
     /// Protocol statistics.
-    pub fn stats(&self) -> &NodeStats {
+    pub(crate) fn stats(&self) -> &NodeStats {
         &self.stats
-    }
-
-    /// True while an update phase suspends batching at this node.
-    pub fn is_suspended(&self) -> bool {
-        self.suspended
-    }
-
-    /// The update phase this node is currently participating in, if any
-    /// (model-checker conformance projection).
-    pub fn update_phase(&self) -> Option<u64> {
-        self.update().map(|u| u.phase)
-    }
-
-    /// True while this node's most recent `Aggregate` is unconfirmed — the
-    /// channel-serialisation credit is out (model-checker conformance
-    /// projection).
-    pub fn has_unacked_aggregate(&self) -> bool {
-        self.aggregate_unacked
-    }
-
-    /// Number of this node's aggregation waves currently in flight.
-    pub fn waves_in_flight(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Drains the completed-operation records collected since the last call.
-    pub fn drain_completed(&mut self) -> Vec<OpRecord<T>> {
-        std::mem::take(&mut self.completed)
     }
 
     /// True when completion records are waiting to be drained.
@@ -756,8 +692,8 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// Appends the completed-operation records to `out`, keeping this node's
-    /// buffer (and its capacity) in place — the allocation-free form of
-    /// [`Self::drain_completed`] used by the cluster's per-round collection.
+    /// buffer (and its capacity) in place, so a host's per-round collection
+    /// allocates nothing.
     pub fn drain_completed_into(&mut self, out: &mut Vec<OpRecord<T>>) {
         out.append(&mut self.completed);
     }
@@ -769,14 +705,14 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// True when lifecycle-trace events are waiting to be drained.
-    pub fn has_trace_events(&self) -> bool {
+    pub(crate) fn has_trace_events(&self) -> bool {
         self.trace.pending() > 0
     }
 
     /// Moves this node's buffered lifecycle-trace events into `log`,
     /// retaining the lane-local buffer — called from the cluster's
     /// deterministic per-round sweep, right next to the completion drain.
-    pub fn drain_trace_into(&mut self, log: &mut TraceLog) {
+    pub(crate) fn drain_trace_into(&mut self, log: &mut TraceLog) {
         self.trace.drain_into(log);
     }
 
@@ -784,55 +720,6 @@ impl<T: Payload> SkueueNode<T> {
     #[inline]
     fn tid(id: RequestId) -> TraceId {
         TraceId::new(id.origin.0, id.seq)
-    }
-
-    /// One-line diagnostic summary of the node's protocol state (used by
-    /// tests and the experiment harness when something stalls).
-    pub fn diagnostics(&self) -> String {
-        let children = self.tree_children().to_vec();
-        let missing: Vec<NodeId> = children
-            .iter()
-            .copied()
-            .filter(|c| !self.child_batches.contains(c))
-            .collect();
-        let update = match self.update() {
-            Some(u) => format!(
-                "update(phase={},child_acks={:?},integrate={},absorb={},acked={})",
-                u.phase,
-                u.awaiting_child_acks,
-                u.awaiting_integrate_acks,
-                u.awaiting_absorb_data,
-                u.acked
-            ),
-            None => "no-update".to_string(),
-        };
-        let slots: Vec<(u64, NodeId)> = self.slots.iter().map(|s| (s.epoch, s.parent)).collect();
-        let idle = Membership::default();
-        let m = self.membership().unwrap_or(&idle);
-        format!(
-            "{} role={:?} suspended={} anchor={} parent={:?} slots={:?} unacked={} stashed_serves={} queued_child_batches={} children={:?} missing_child_batches={:?} joiners={} leavers={} own_log={} outstanding_gets={} outstanding_dht={} leave(want={},req={},granted={},absorb_deferred={:?}) {}",
-            self.view.me.vid,
-            self.role,
-            self.suspended,
-            self.anchor.is_some(),
-            self.tree_parent(),
-            slots,
-            self.aggregate_unacked,
-            self.serve_stash.len(),
-            self.child_batches.total(),
-            children,
-            missing,
-            m.joiners.len(),
-            m.pending_leavers.len(),
-            self.own_log.len(),
-            self.outstanding_gets.len(),
-            self.outstanding_dht,
-            m.wants_to_leave,
-            m.leave_requested,
-            m.leave_granted,
-            m.absorb_deferred,
-            update
-        )
     }
 
     /// Number of requests generated at this node that have not completed yet.
@@ -1967,7 +1854,6 @@ mod tests {
     use crate::messages::AbsorbPayload;
     use proptest::prelude::*;
     use skueue_overlay::{recommended_bit_budget, LabelHasher, NeighborInfo, Topology, VirtualId};
-    use skueue_sim::SimRng;
 
     type Serve = (NodeId, u64, Vec<RunAssignment>);
 
@@ -1995,8 +1881,10 @@ mod tests {
             self.child_batches.pop_oldest(|child, epoch, batch| {
                 sources.push(BatchSource::Child(child, epoch, batch))
             });
-            let combined =
-                Batch::combine_all(FirstRun::Enqueues, sources.iter().map(|s| s.batch()));
+            let mut combined = Batch::empty();
+            for source in &sources {
+                combined.combine(source.batch());
+            }
             self.slots.push_back((epoch, sources));
             combined
         }
@@ -2054,7 +1942,7 @@ mod tests {
         let id = RequestId::new(node.process(), *round);
         node.generate_op(id, BatchOp::Enqueue, *round, *round);
         *round += WAVE_CADENCE;
-        let mut ctx = Context::new(node.view.me.node, *round, SimRng::new(0));
+        let mut ctx = Context::new(node.view.me.node, *round);
         node.on_timeout(&mut ctx);
         ctx.into_outbox()
             .into_iter()
@@ -2078,25 +1966,25 @@ mod tests {
                 enqueue_then_timeout(&mut node, &mut round).expect("a free slot opens a wave");
             unserved.push_back((epoch, assigner.assign_wave(&batch, Mode::Queue)));
         }
-        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
         // Ring full: a TIMEOUT opens nothing, own operations keep batching.
         for held in 1..=3 {
             assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
-            assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+            assert_eq!(node.slots.len(), PIPELINE_DEPTH);
             assert_eq!(node.own_batch.total_ops(), held);
         }
         // The oldest Serve frees one slot, and the next TIMEOUT fills it with
         // one wave carrying what was held back.
         let (epoch, runs) = unserved.pop_front().expect("32 waves are owed a serve");
-        let mut ctx = Context::new(node.view.me.node, round, SimRng::new(0));
+        let mut ctx = Context::new(node.view.me.node, round);
         node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
-        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH - 1);
+        assert_eq!(node.slots.len(), PIPELINE_DEPTH - 1);
         let (_, batch) =
             enqueue_then_timeout(&mut node, &mut round).expect("the freed slot opens a wave");
         assert_eq!(batch.total_ops(), 4);
-        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
         assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
-        assert_eq!(node.waves_in_flight(), PIPELINE_DEPTH);
+        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
     }
 
     proptest! {
@@ -2135,7 +2023,7 @@ mod tests {
             // Trailing steps deliver every serve still owed, youngest first.
             let drain = (0..64).map(|_| (9u32, u64::MAX, 0u64));
             for (kind, a, b) in steps.into_iter().chain(drain) {
-                let mut ctx = Context::new(me, round, SimRng::new(a));
+                let mut ctx = Context::new(me, round);
                 let opened_before = node.stats.batches_sent;
                 let drain = node.suspended;
                 match kind {
@@ -2164,7 +2052,7 @@ mod tests {
                     }
                     5 => {
                         let leaver = NodeId(2000);
-                        let info = NeighborInfo::new(leaver, VirtualId::left(ProcessId(9)), node.label());
+                        let info = NeighborInfo::new(leaver, VirtualId::left(ProcessId(9)), node.view.me.label);
                         for (child, epoch, batch) in &held {
                             model.child_batches.push(*child, *epoch, batch.clone());
                         }
@@ -2181,7 +2069,7 @@ mod tests {
                     }
                     6..=8 => {
                         round += WAVE_CADENCE;
-                        ctx = Context::new(me, round, SimRng::new(a));
+                        ctx = Context::new(me, round);
                         node.on_timeout(&mut ctx);
                     }
                     // An update phase begins or ends: while suspended, the

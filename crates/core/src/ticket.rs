@@ -37,19 +37,13 @@ pub struct OpTicket {
     cluster: u64,
     id: RequestId,
     kind: OpKind,
-    issued_round: u64,
 }
 
 impl OpTicket {
     /// Creates a ticket (crate-internal; tickets are handed out by the
     /// cluster when an operation is issued).
-    pub(crate) fn new(cluster: u64, id: RequestId, kind: OpKind, issued_round: u64) -> Self {
-        OpTicket {
-            cluster,
-            id,
-            kind,
-            issued_round,
-        }
+    pub(crate) fn new(cluster: u64, id: RequestId, kind: OpKind) -> Self {
+        OpTicket { cluster, id, kind }
     }
 
     /// The issuing cluster's instance id (crate-internal).
@@ -65,17 +59,6 @@ impl OpTicket {
     /// The process at which the operation was issued.
     pub fn origin(&self) -> ProcessId {
         self.id.origin
-    }
-
-    /// Whether this ticket belongs to an insert (enqueue/push) or a remove
-    /// (dequeue/pop).
-    pub fn kind(&self) -> OpKind {
-        self.kind
-    }
-
-    /// The simulation round in which the operation was issued.
-    pub fn issued_round(&self) -> u64 {
-        self.issued_round
     }
 }
 
@@ -122,15 +105,6 @@ impl<T: Payload> OpOutcome<T> {
                 },
                 rounds: record.latency(),
             },
-        }
-    }
-
-    /// The returned element of a dequeue/pop (`None` for inserts and for
-    /// removes that hit an empty structure).
-    pub fn element(&self) -> Option<Element<T>> {
-        match self {
-            OpOutcome::Dequeued { element, .. } => element.clone(),
-            OpOutcome::Enqueued { .. } => None,
         }
     }
 
@@ -182,20 +156,6 @@ impl<T: Payload> OpStatus<T> {
     pub fn is_done(&self) -> bool {
         matches!(self, OpStatus::Done(_))
     }
-
-    /// True for a ticket another cluster issued; it will never be `Done`
-    /// here.
-    pub fn is_foreign(&self) -> bool {
-        matches!(self, OpStatus::Foreign)
-    }
-
-    /// The outcome, if the operation has completed.
-    pub fn outcome(&self) -> Option<OpOutcome<T>> {
-        match self {
-            OpStatus::Done(outcome) => Some(outcome.clone()),
-            OpStatus::Pending | OpStatus::Foreign => None,
-        }
-    }
 }
 
 /// One event of the cluster's completion stream.
@@ -235,12 +195,10 @@ mod tests {
 
     #[test]
     fn ticket_accessors() {
-        let t = OpTicket::new(3, RequestId::new(ProcessId(5), 7), OpKind::Enqueue, 11);
+        let t = OpTicket::new(3, RequestId::new(ProcessId(5), 7), OpKind::Enqueue);
         assert_eq!(t.cluster_id(), 3);
         assert_eq!(t.origin(), ProcessId(5));
         assert_eq!(t.request_id().seq, 7);
-        assert_eq!(t.kind(), OpKind::Enqueue);
-        assert_eq!(t.issued_round(), 11);
         assert!(t.to_string().contains("p5#7"));
     }
 
@@ -254,7 +212,6 @@ mod tests {
                 rounds: 7
             }
         );
-        assert_eq!(o.element(), None);
         assert_eq!(o.value(), None);
         assert!(!o.is_empty());
         assert_eq!(o.rounds(), 7);
@@ -264,7 +221,13 @@ mod tests {
     fn dequeue_outcome_with_element() {
         let source = RequestId::new(ProcessId(0), 4);
         let o = OpOutcome::from_record(&record(OpKind::Dequeue, OpResult::Returned(source), 42));
-        assert_eq!(o.element(), Some(Element::new(source, 42)));
+        assert_eq!(
+            o,
+            OpOutcome::Dequeued {
+                element: Some(Element::new(source, 42)),
+                rounds: 7
+            }
+        );
         assert_eq!(o.value(), Some(42));
         assert!(!o.is_empty());
     }
@@ -280,12 +243,11 @@ mod tests {
     #[test]
     fn status_helpers() {
         assert!(!OpStatus::<u64>::Pending.is_done());
-        assert_eq!(OpStatus::<u64>::Pending.outcome(), None);
+        assert!(!OpStatus::<u64>::Foreign.is_done());
         let done = OpStatus::<u64>::Done(OpOutcome::Enqueued {
             round: 1,
             rounds: 1,
         });
         assert!(done.is_done());
-        assert!(done.outcome().is_some());
     }
 }

@@ -1,7 +1,6 @@
 //! Elements stored in the DHT, and the [`Payload`] trait their application
 //! values implement.
 
-use serde::{Deserialize, Serialize};
 use skueue_overlay::Label;
 use skueue_sim::ids::RequestId;
 use std::fmt;
@@ -44,7 +43,7 @@ impl<T> Payload for T where
 /// current count of requests performed a part of e".  [`Element`] does
 /// exactly that: it carries the [`RequestId`] of the `ENQUEUE()`/`PUSH()`
 /// that created it plus an application payload of type `T`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Element<T = u64> {
     /// The request that enqueued/pushed this element.
     pub id: RequestId,
@@ -66,7 +65,7 @@ impl<T: Payload> fmt::Display for Element<T> {
 }
 
 /// An element as stored at its responsible node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredEntry<T = u64> {
     /// Queue/stack position the element was assigned by the anchor.
     pub position: u64,
@@ -86,16 +85,6 @@ impl<T: Payload> StoredEntry<T> {
             position,
             key,
             ticket: 0,
-            element,
-        }
-    }
-
-    /// Creates a stack entry with a ticket.
-    pub fn stack(position: u64, key: Label, ticket: u64, element: Element<T>) -> Self {
-        StoredEntry {
-            position,
-            key,
-            ticket,
             element,
         }
     }
@@ -131,16 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn stored_entry_constructors() {
+    fn queue_entry_has_ticket_zero() {
         let e = Element::new(rid(0, 0), 7u64);
         let key = Label::from_f64(0.25);
         let q = StoredEntry::queue(11, key, e.clone());
         assert_eq!(q.ticket, 0);
         assert_eq!(q.position, 11);
-        let s = StoredEntry::stack(11, key, 42, e.clone());
-        assert_eq!(s.ticket, 42);
-        assert_eq!(s.key, key);
-        assert_eq!(s.element, e);
+        assert_eq!(q.key, key);
+        assert_eq!(q.element, e);
     }
 
     #[test]

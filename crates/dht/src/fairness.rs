@@ -6,10 +6,8 @@
 //! element counts at the end of an enqueue-heavy run and summarising their
 //! distribution with [`load_stats`].
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of how evenly a load (e.g. stored elements) is spread over nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadStats {
     /// Number of nodes considered.
     pub nodes: usize,

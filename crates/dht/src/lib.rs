@@ -24,9 +24,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod element;
-pub mod fairness;
-pub mod store;
+mod element;
+mod fairness;
+mod store;
 
 pub use element::{Element, Payload, StoredEntry};
 pub use fairness::{load_stats, LoadStats};

@@ -7,8 +7,7 @@
 //! job — which makes the storage behaviour easy to unit- and property-test
 //! in isolation.
 
-use crate::element::{Element, Payload, StoredEntry};
-use serde::{Deserialize, Serialize};
+use crate::element::{Payload, StoredEntry};
 use skueue_overlay::Label;
 use skueue_sim::ids::{NodeId, RequestId};
 use std::collections::BTreeMap;
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 /// A `GET` that is waiting at the responsible node for its `PUT` to arrive
 /// ("each GET request waits at the node responsible for the position k until
 /// the corresponding PUT request has arrived").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingGet {
     /// The dequeue/pop request this GET serves.
     pub request: RequestId,
@@ -47,7 +46,7 @@ pub struct SatisfiedGet<T = u64> {
 }
 
 /// DHT state of one virtual node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeStore<T = u64> {
     /// Stored entries, keyed by position.  The stack variant may park several
     /// tickets under the same position, hence a `Vec` (kept sorted by
@@ -55,10 +54,6 @@ pub struct NodeStore<T = u64> {
     entries: BTreeMap<u64, Vec<StoredEntry<T>>>,
     /// Parked GETs keyed by position (FIFO per position).
     pending: BTreeMap<u64, Vec<PendingGet>>,
-    /// Total PUTs applied (for statistics / fairness accounting).
-    puts_applied: u64,
-    /// Total GETs answered (immediately or after parking).
-    gets_answered: u64,
 }
 
 impl<T> Default for NodeStore<T> {
@@ -66,8 +61,6 @@ impl<T> Default for NodeStore<T> {
         NodeStore {
             entries: BTreeMap::new(),
             pending: BTreeMap::new(),
-            puts_applied: 0,
-            gets_answered: 0,
         }
     }
 }
@@ -89,37 +82,19 @@ impl<T: Payload> NodeStore<T> {
     }
 
     /// Number of parked GETs.
-    pub fn pending_gets(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_gets(&self) -> usize {
         self.pending.values().map(Vec::len).sum()
     }
 
-    /// Total PUTs applied to this store.
-    pub fn puts_applied(&self) -> u64 {
-        self.puts_applied
-    }
-
-    /// Total GETs answered by this store.
-    pub fn gets_answered(&self) -> u64 {
-        self.gets_answered
-    }
-
-    /// Applies a `PUT` and returns any parked GETs it satisfies.
+    /// Applies a `PUT`; a parked GET it satisfies is appended to `satisfied`
+    /// (no fresh `Vec`: applying a whole `DhtBatch` on the batched Stage-4
+    /// delivery path costs one sink vector, not one allocation per op).
     ///
     /// For the queue each position holds at most one element and at most the
     /// parked GETs for exactly that position match.  For the stack the entry
     /// satisfies the *oldest* parked GET whose `max_ticket` admits it.
-    pub fn put(&mut self, entry: StoredEntry<T>) -> Vec<SatisfiedGet<T>> {
-        let mut satisfied = Vec::new();
-        self.put_into(entry, &mut satisfied);
-        satisfied
-    }
-
-    /// Allocation-free core of [`Self::put`]: satisfied GETs are appended to
-    /// `satisfied` instead of returned in a fresh `Vec`.  This is the entry
-    /// point the batched Stage-4 delivery path uses so that applying a whole
-    /// `DhtBatch` costs one sink vector, not one allocation per satisfied op.
     pub fn put_into(&mut self, entry: StoredEntry<T>, satisfied: &mut Vec<SatisfiedGet<T>>) {
-        self.puts_applied += 1;
         let position = entry.position;
         // Check parked GETs first: the new entry may be consumed immediately.
         if let Some(waiters) = self.pending.get_mut(&position) {
@@ -128,7 +103,6 @@ impl<T: Payload> NodeStore<T> {
                 if waiters.is_empty() {
                     self.pending.remove(&position);
                 }
-                self.gets_answered += 1;
                 satisfied.push(SatisfiedGet { get, entry });
                 return;
             }
@@ -185,7 +159,6 @@ impl<T: Payload> NodeStore<T> {
                 if slot.is_empty() {
                     self.entries.remove(&position);
                 }
-                self.gets_answered += 1;
                 return GetOutcome::Found(entry);
             }
         }
@@ -195,24 +168,6 @@ impl<T: Payload> NodeStore<T> {
             max_ticket,
         });
         GetOutcome::Parked
-    }
-
-    /// Queue-flavoured `GET` (no ticket bound).
-    pub fn get_queue(
-        &mut self,
-        position: u64,
-        request: RequestId,
-        requester: NodeId,
-    ) -> GetOutcome<T> {
-        self.get(position, u64::MAX, request, requester)
-    }
-
-    /// Returns (without removing) the entries stored for a position.
-    pub fn peek(&self, position: u64) -> &[StoredEntry<T>] {
-        self.entries
-            .get(&position)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Extracts every stored entry **and** parked GET whose position-key
@@ -256,11 +211,7 @@ impl<T: Payload> NodeStore<T> {
         entries: Vec<StoredEntry<T>>,
         pending: Vec<(u64, PendingGet)>,
     ) -> Vec<SatisfiedGet<T>> {
-        // `put_many` counts these as fresh PUTs; undo the double count for
-        // handovers so fairness statistics track protocol-level PUTs.
-        let absorbed = entries.len() as u64;
         let mut satisfied = self.put_many(entries);
-        self.puts_applied -= absorbed;
         self.get_many(pending, &mut satisfied);
         satisfied
     }
@@ -285,28 +236,12 @@ impl<T: Payload> NodeStore<T> {
             .collect();
         (entries, pending)
     }
-
-    /// Iterates over all parked GETs with their positions.
-    pub fn iter_pending(&self) -> impl Iterator<Item = (u64, &PendingGet)> {
-        self.pending
-            .iter()
-            .flat_map(|(&p, v)| v.iter().map(move |g| (p, g)))
-    }
-}
-
-/// Convenience constructor for queue elements used in tests and examples.
-pub fn queue_entry<T: Payload>(
-    position: u64,
-    key: Label,
-    id: RequestId,
-    value: T,
-) -> StoredEntry<T> {
-    StoredEntry::queue(position, key, Element::new(id, value))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::Element;
     use proptest::prelude::*;
     use skueue_sim::ids::ProcessId;
 
@@ -318,28 +253,72 @@ mod tests {
         Label::from_f64(x)
     }
 
+    fn queue_entry<T: Payload>(
+        position: u64,
+        key: Label,
+        id: RequestId,
+        value: T,
+    ) -> StoredEntry<T> {
+        StoredEntry::queue(position, key, Element::new(id, value))
+    }
+
+    fn stack_entry(
+        position: u64,
+        key: Label,
+        ticket: u64,
+        id: RequestId,
+        value: u64,
+    ) -> StoredEntry {
+        StoredEntry {
+            ticket,
+            ..queue_entry(position, key, id, value)
+        }
+    }
+
+    /// One `PUT`, the parked GETs it satisfied returned.
+    fn put<T: Payload>(store: &mut NodeStore<T>, entry: StoredEntry<T>) -> Vec<SatisfiedGet<T>> {
+        store.put_many([entry])
+    }
+
+    /// Queue-flavoured `GET` (no ticket bound).
+    fn get_queue<T: Payload>(
+        store: &mut NodeStore<T>,
+        position: u64,
+        request: RequestId,
+        requester: NodeId,
+    ) -> GetOutcome<T> {
+        store.get(position, u64::MAX, request, requester)
+    }
+
+    /// Tickets stored under `position`, ascending.
+    fn tickets_at(store: &NodeStore, position: u64) -> Vec<u64> {
+        let at = store.iter_entries().filter(|e| e.position == position);
+        at.map(|e| e.ticket).collect()
+    }
+
     #[test]
     fn put_then_get_returns_element() {
         let mut store = NodeStore::new();
         let entry = queue_entry(5, key(0.3), rid(0), 77u64);
-        assert!(store.put(entry.clone()).is_empty());
+        assert!(put(&mut store, entry.clone()).is_empty());
         assert_eq!(store.len(), 1);
-        match store.get_queue(5, rid(1), NodeId(9)) {
+        match get_queue(&mut store, 5, rid(1), NodeId(9)) {
             GetOutcome::Found(found) => assert_eq!(found, entry),
             other @ GetOutcome::Parked => panic!("unexpected {other:?}"),
         }
         assert!(store.is_empty());
-        assert_eq!(store.puts_applied(), 1);
-        assert_eq!(store.gets_answered(), 1);
     }
 
     #[test]
     fn get_before_put_parks_and_is_satisfied_later() {
         let mut store = NodeStore::new();
-        assert_eq!(store.get_queue(7, rid(4), NodeId(2)), GetOutcome::Parked);
+        assert_eq!(
+            get_queue(&mut store, 7, rid(4), NodeId(2)),
+            GetOutcome::Parked
+        );
         assert_eq!(store.pending_gets(), 1);
         let entry = queue_entry(7, key(0.1), rid(0), 13u64);
-        let satisfied = store.put(entry.clone());
+        let satisfied = put(&mut store, entry.clone());
         assert_eq!(satisfied.len(), 1);
         assert_eq!(satisfied[0].get.request, rid(4));
         assert_eq!(satisfied[0].get.requester, NodeId(2));
@@ -351,33 +330,36 @@ mod tests {
     #[test]
     fn parked_gets_are_served_fifo_per_position() {
         let mut store = NodeStore::<u64>::new();
-        store.get_queue(3, rid(10), NodeId(1));
-        store.get_queue(3, rid(11), NodeId(2));
-        let sat = store.put(queue_entry(3, key(0.2), rid(0), 1));
+        get_queue(&mut store, 3, rid(10), NodeId(1));
+        get_queue(&mut store, 3, rid(11), NodeId(2));
+        let sat = put(&mut store, queue_entry(3, key(0.2), rid(0), 1));
         assert_eq!(sat.len(), 1);
         assert_eq!(sat[0].get.request, rid(10));
-        let sat = store.put(queue_entry(3, key(0.2), rid(1), 2));
+        let sat = put(&mut store, queue_entry(3, key(0.2), rid(1), 2));
         assert_eq!(sat[0].get.request, rid(11));
     }
 
     #[test]
     fn gets_for_missing_positions_do_not_cross_talk() {
         let mut store = NodeStore::new();
-        store.put(queue_entry(1, key(0.5), rid(0), 10u64));
-        assert_eq!(store.get_queue(2, rid(1), NodeId(0)), GetOutcome::Parked);
+        put(&mut store, queue_entry(1, key(0.5), rid(0), 10u64));
+        assert_eq!(
+            get_queue(&mut store, 2, rid(1), NodeId(0)),
+            GetOutcome::Parked
+        );
         // The entry for position 1 is untouched.
         assert_eq!(store.len(), 1);
-        assert_eq!(store.peek(1).len(), 1);
-        assert!(store.peek(2).is_empty());
+        assert_eq!(tickets_at(&store, 1), vec![0]);
+        assert!(tickets_at(&store, 2).is_empty());
     }
 
     #[test]
     fn stack_ticket_selects_largest_admissible() {
         let mut store = NodeStore::new();
-        let e1 = StoredEntry::stack(4, key(0.6), 10, Element::new(rid(0), 100u64));
-        let e2 = StoredEntry::stack(4, key(0.6), 20, Element::new(rid(1), 200));
-        store.put(e1);
-        store.put(e2);
+        let e1 = stack_entry(4, key(0.6), 10, rid(0), 100);
+        let e2 = stack_entry(4, key(0.6), 20, rid(1), 200);
+        put(&mut store, e1);
+        put(&mut store, e2);
         // max_ticket 15 only admits ticket 10.
         match store.get(4, 15, rid(2), NodeId(0)) {
             GetOutcome::Found(e) => assert_eq!(e.ticket, 10),
@@ -393,20 +375,14 @@ mod tests {
     #[test]
     fn stack_get_with_too_small_ticket_parks() {
         let mut store = NodeStore::new();
-        store.put(StoredEntry::stack(
-            4,
-            key(0.6),
-            10,
-            Element::new(rid(0), 1u64),
-        ));
+        put(&mut store, stack_entry(4, key(0.6), 10, rid(0), 1));
         assert_eq!(store.get(4, 5, rid(1), NodeId(0)), GetOutcome::Parked);
         // A later put with an admissible ticket satisfies it.
-        let sat = store.put(StoredEntry::stack(4, key(0.6), 3, Element::new(rid(2), 2)));
+        let sat = put(&mut store, stack_entry(4, key(0.6), 3, rid(2), 2));
         assert_eq!(sat.len(), 1);
         assert_eq!(sat[0].entry.ticket, 3);
         // The original ticket-10 entry is still there.
-        assert_eq!(store.peek(4).len(), 1);
-        assert_eq!(store.peek(4)[0].ticket, 10);
+        assert_eq!(tickets_at(&store, 4), vec![10]);
     }
 
     #[test]
@@ -415,8 +391,8 @@ mod tests {
         let mut b = NodeStore::new();
         // Two parked GETs, then a bulk PUT covering both plus a new position.
         for store in [&mut a, &mut b] {
-            store.get_queue(1, rid(10), NodeId(1));
-            store.get_queue(2, rid(11), NodeId(2));
+            get_queue(store, 1, rid(10), NodeId(1));
+            get_queue(store, 2, rid(11), NodeId(2));
         }
         let entries = vec![
             queue_entry(1, key(0.1), rid(0), 100u64),
@@ -426,19 +402,17 @@ mod tests {
         let bulk = a.put_many(entries.clone());
         let mut sequential = Vec::new();
         for e in entries {
-            sequential.extend(b.put(e));
+            sequential.extend(put(&mut b, e));
         }
         assert_eq!(bulk, sequential);
         assert_eq!(bulk.len(), 2);
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.puts_applied(), 3);
-        assert_eq!(a.gets_answered(), 2);
     }
 
     #[test]
     fn get_many_finds_and_parks_in_one_pass() {
         let mut store = NodeStore::new();
-        store.put(queue_entry(5, key(0.5), rid(0), 50u64));
+        put(&mut store, queue_entry(5, key(0.5), rid(0), 50u64));
         let mut satisfied = Vec::new();
         store.get_many(
             vec![
@@ -473,10 +447,13 @@ mod tests {
         // Keys: position p -> (p mod 10)/10 for this test.
         let key_of = |p: u64| Label::from_f64((p % 10) as f64 / 10.0);
         for p in 0..10u64 {
-            store.put(StoredEntry::queue(p, key_of(p), Element::new(rid(p), p)));
+            put(
+                &mut store,
+                StoredEntry::queue(p, key_of(p), Element::new(rid(p), p)),
+            );
         }
         // Parked GET at position 45 (key 0.5, inside the handed-over range).
-        store.get_queue(45, rid(100), NodeId(7));
+        get_queue(&mut store, 45, rid(100), NodeId(7));
         let (entries, pending) =
             store.extract_range_with_keys(Label::from_f64(0.3), Label::from_f64(0.6), key_of);
         let moved: Vec<u64> = entries.iter().map(|e| e.position).collect();
@@ -492,8 +469,8 @@ mod tests {
         let mut a = NodeStore::new();
         let mut b = NodeStore::new();
         // b is the new responsible node and already has a parked GET.
-        assert_eq!(b.get_queue(9, rid(5), NodeId(3)), GetOutcome::Parked);
-        a.put(queue_entry(9, key(0.9), rid(0), 900u64));
+        assert_eq!(get_queue(&mut b, 9, rid(5), NodeId(3)), GetOutcome::Parked);
+        put(&mut a, queue_entry(9, key(0.9), rid(0), 900u64));
         let (entries, pending) =
             a.extract_range_with_keys(Label::from_f64(0.8), Label::from_f64(0.99), |_| key(0.9));
         assert_eq!(entries.len(), 1);
@@ -501,25 +478,6 @@ mod tests {
         assert_eq!(satisfied.len(), 1);
         assert_eq!(satisfied[0].get.request, rid(5));
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn absorb_does_not_inflate_put_statistics() {
-        let mut store = NodeStore::new();
-        store.absorb(vec![queue_entry(1, key(0.1), rid(0), 1u64)], vec![]);
-        assert_eq!(store.puts_applied(), 0);
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn iterators_cover_everything() {
-        let mut store = NodeStore::new();
-        store.put(queue_entry(1, key(0.1), rid(0), 1u64));
-        store.put(queue_entry(2, key(0.2), rid(1), 2));
-        store.get_queue(3, rid(2), NodeId(0));
-        assert_eq!(store.iter_entries().count(), 2);
-        assert_eq!(store.iter_pending().count(), 1);
-        assert_eq!(store.iter_pending().next().unwrap().0, 3);
     }
 
     proptest! {
@@ -538,11 +496,11 @@ mod tests {
             for (i, &is_put) in order.iter().enumerate() {
                 let pos = (i as u64) / 2; // positions repeat so puts and gets collide
                 if is_put {
-                    let sat = store.put(queue_entry(pos, key(0.5), rid(1000 + i as u64), i as u64));
+                    let sat = put(&mut store, queue_entry(pos, key(0.5), rid(1000 + i as u64), i as u64));
                     answered += sat.len() as u64;
                     puts_issued += 1;
                 } else {
-                    match store.get_queue(pos, rid(i as u64), NodeId(0)) {
+                    match get_queue(&mut store, pos, rid(i as u64), NodeId(0)) {
                         GetOutcome::Found(_) => answered += 1,
                         GetOutcome::Parked => {}
                     }
@@ -564,7 +522,7 @@ mod tests {
             let key_of = |p: u64| Label::from_f64((p as f64 * 0.019_37) % 1.0);
             let mut a = NodeStore::new();
             for (i, &p) in positions.iter().enumerate() {
-                a.put(StoredEntry::queue(p, key_of(p), Element::new(rid(i as u64), p)));
+                put(&mut a, StoredEntry::queue(p, key_of(p), Element::new(rid(i as u64), p)));
             }
             let before = a.len();
             let mut b = NodeStore::new();

@@ -6,7 +6,7 @@
 //! Safety properties are evaluated at every state as it is discovered; the
 //! first violation stops the search and yields the action trace that reaches
 //! it.  The full reachability graph (successor lists, terminal states) is
-//! kept so the liveness combinators in [`crate::props`] can run over it
+//! kept so the liveness combinators in `crate::props` can run over it
 //! afterwards.
 
 use crate::machine::Machine;
@@ -25,7 +25,7 @@ pub struct SafetyProp<S> {
 
 impl<S> SafetyProp<S> {
     /// Builds a named property from a closure.
-    pub fn new(name: &'static str, check: impl Fn(&S) -> Option<String> + 'static) -> Self {
+    pub(crate) fn new(name: &'static str, check: impl Fn(&S) -> Option<String> + 'static) -> Self {
         SafetyProp {
             name,
             check: Box::new(check),

@@ -2,9 +2,10 @@
 //!
 //! Safety properties run at every reachable state during exploration
 //! ([`model_safety_props`]).  Liveness is expressed through a small LTL-ish
-//! combinator layer over the finished reachability graph: [`always`],
-//! [`eventually`] and [`leads_to`], plus [`no_cycles`] (the side condition
-//! that makes `eventually` meaningful on a finite graph).  Definition 1
+//! combinator layer over the finished reachability graph: [`eventually`]
+//! and [`leads_to`], each after `no_cycles` (the side condition that makes
+//! `eventually` meaningful on a finite graph; "always" is what the safety
+//! properties are).  Definition 1
 //! itself is checked with the real `skueue-verify` checkers on the abstract
 //! history of every terminal state ([`check_terminal_histories`]).
 
@@ -157,28 +158,10 @@ pub fn quiescent(s: &ModelState) -> bool {
         })
 }
 
-/// `always p`: `p` holds in every reachable state.
-pub fn always<M: Machine>(
-    ex: &Exploration<M>,
-    name: &'static str,
-    pred: impl Fn(&M::State) -> bool,
-) -> Result<(), Counterexample<M::Action>> {
-    for (id, state) in ex.states.iter().enumerate() {
-        if !pred(state) {
-            return Err(Counterexample {
-                property: name.to_string(),
-                detail: "predicate fails in a reachable state".to_string(),
-                trace: ex.trace_to(id as u32),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// The reachability graph must be acyclic — on a finite graph this is what
 /// turns "every maximal path is finite and ends in a terminal state" into a
 /// checkable side condition for [`eventually`] and [`leads_to`].
-pub fn no_cycles<M: Machine>(ex: &Exploration<M>) -> Result<(), Counterexample<M::Action>> {
+pub(crate) fn no_cycles<M: Machine>(ex: &Exploration<M>) -> Result<(), Counterexample<M::Action>> {
     // Iterative 3-colour DFS.
     let n = ex.states.len();
     let mut colour = vec![0u8; n]; // 0 = white, 1 = grey, 2 = black

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Hard cap on model nodes (the bounded scenarios use ≤ 5).
-pub const MAX_NODES: usize = 5;
+pub(crate) const MAX_NODES: usize = 5;
 
 /// An abstract request issued at a model node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -381,7 +381,7 @@ impl Scenario {
     }
 
     /// Number of nodes the scenario can ever touch.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         let joined = self.joins.iter().copied().max().map_or(0, |m| m + 1);
         (self.initial_nodes.max(joined) as usize).max(1)
     }
@@ -899,7 +899,7 @@ fn deliver(model: &ProtocolModel, s: &mut ModelState, env: Envelope) {
 
 /// Converts the abstract history into [`OpRecord`]s so the real
 /// `skueue-verify` checkers (Definition 1 + sequential replay) run on it.
-pub fn to_records(history: &[Completed]) -> Vec<OpRecord<u64>> {
+pub(crate) fn to_records(history: &[Completed]) -> Vec<OpRecord<u64>> {
     history
         .iter()
         .map(|c| {

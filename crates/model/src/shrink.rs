@@ -16,7 +16,7 @@ use skueue_sim::replay::{ReplayScenario, ReplayStep};
 /// Minimises `trace` with respect to `still_fails` (which must hold for the
 /// input trace).  `still_fails` receives candidate traces that are already
 /// known to replay feasibly from the initial state.
-pub fn shrink_trace<M: Machine>(
+pub(crate) fn shrink_trace<M: Machine>(
     machine: &M,
     trace: &[M::Action],
     still_fails: impl Fn(&[M::Action]) -> bool,
@@ -57,7 +57,11 @@ pub fn shrink_trace<M: Machine>(
 /// [`ReplayScenario`].  Message-delivery choices do not exist at the real
 /// cluster's API surface; the replay harness re-creates adversarial
 /// delivery by sweeping the scenario over asynchronous-delivery seeds.
-pub fn to_replay_scenario(scenario: &Scenario, trace: &[Action], seed: u64) -> ReplayScenario {
+pub(crate) fn to_replay_scenario(
+    scenario: &Scenario,
+    trace: &[Action],
+    seed: u64,
+) -> ReplayScenario {
     let mut steps = Vec::new();
     let mut issued = vec![0u8; scenario.node_count()];
     let mut leaves = 0usize;

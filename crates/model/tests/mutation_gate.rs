@@ -1,11 +1,12 @@
 //! Mutation sanity gate: proves the bounded model check has teeth.
 //!
 //! Compiled only with `--features model-mutation`, which removes the
-//! stale-`UpdateOver` staleness guard from *both* the abstraction and the
-//! real `skueue-core` (same `#[cfg]` gate): a delayed end-of-phase message
-//! from an older update phase then cancels a younger phase's bookkeeping
-//! and wedges the anchor.  The check must (a) find the wedge, (b) shrink
-//! the counterexample to a replayable trace of at most 20 actions.
+//! stale-`UpdateOver` staleness guard from the abstraction (the real
+//! `skueue-core` keeps its copy of the rule — this test drives the model
+//! only): a delayed end-of-phase message from an older update phase then
+//! cancels a younger phase's bookkeeping and wedges the anchor.  The check
+//! must (a) find the wedge, (b) shrink the counterexample to a replayable
+//! trace of at most 20 actions.
 
 #![cfg(feature = "model-mutation")]
 

@@ -1,8 +1,8 @@
 //! Hand-rolled binary wire codec for the protocol types.
 //!
-//! The repository is built offline against no-op `serde` compat shims (see
-//! `crates/compat/README.md`), so real serialization cannot be derived — it
-//! is written out by hand here instead.  The format is deliberately boring:
+//! The repository is built offline and nothing can be vendored (there is no
+//! registry), so serialization cannot be derived — it is written out by hand
+//! here instead.  The format is deliberately boring:
 //!
 //! * fixed-width little-endian integers (`u8`/`u32`/`u64`),
 //! * `bool` as one byte (`0`/`1`),
@@ -73,12 +73,12 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader over the whole of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Number of bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

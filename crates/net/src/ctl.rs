@@ -20,7 +20,7 @@ use crate::spec::ClusterSpec;
 /// connection (completions stream only on *subscribed* connections, which
 /// the ingress keeps separate), so blocking reads are safe here.
 #[derive(Debug)]
-pub struct Control<T> {
+pub(crate) struct Control<T> {
     pub(crate) stream: TcpStream,
     pub(crate) reader: BufReader<TcpStream>,
     _payload: PhantomData<T>,
@@ -29,7 +29,7 @@ pub struct Control<T> {
 impl<T: Payload + Wire> Control<T> {
     /// Connects to `addr`, retrying for a few seconds while the daemon
     /// starts up.
-    pub fn connect(addr: &str) -> io::Result<Self> {
+    pub(crate) fn connect(addr: &str) -> io::Result<Self> {
         let mut last_err = io::Error::other("no attempt made");
         for _ in 0..250 {
             match TcpStream::connect(addr) {
@@ -50,12 +50,12 @@ impl<T: Payload + Wire> Control<T> {
     }
 
     /// Sends a frame without expecting a reply (`Inject` is fire-and-forget).
-    pub fn send(&mut self, frame: &NetFrame<T>) -> io::Result<()> {
+    pub(crate) fn send(&mut self, frame: &NetFrame<T>) -> io::Result<()> {
         write_frame(&mut self.stream, frame)
     }
 
     /// Sends a frame and blocks for the single reply frame.
-    pub fn request(&mut self, frame: &NetFrame<T>) -> io::Result<NetFrame<T>> {
+    pub(crate) fn request(&mut self, frame: &NetFrame<T>) -> io::Result<NetFrame<T>> {
         write_frame(&mut self.stream, frame)?;
         read_frame(&mut self.reader)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed the connection")
@@ -63,7 +63,7 @@ impl<T: Payload + Wire> Control<T> {
     }
 
     /// Expects an `Ok` reply to `frame`; surfaces `Err` replies as errors.
-    pub fn expect_ok(&mut self, frame: &NetFrame<T>) -> io::Result<()> {
+    pub(crate) fn expect_ok(&mut self, frame: &NetFrame<T>) -> io::Result<()> {
         match self.request(frame)? {
             NetFrame::Ok => Ok(()),
             NetFrame::Err(reason) => Err(io::Error::other(reason)),
@@ -105,11 +105,6 @@ impl<T: Payload + Wire> CtlClient<T> {
             spec: spec.clone(),
             conns,
         })
-    }
-
-    /// The spec this client was built from.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
     }
 
     /// Polls every daemon and merges the per-process statuses, sorted by
@@ -173,7 +168,7 @@ impl<T: Payload + Wire> CtlClient<T> {
 
     /// Polls until `predicate` holds over the merged status, or the timeout
     /// elapses.  Returns whether the predicate was reached.
-    pub fn wait_until(
+    pub(crate) fn wait_until(
         &mut self,
         timeout: Duration,
         mut predicate: impl FnMut(&[ProcessStatus]) -> bool,

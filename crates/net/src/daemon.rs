@@ -12,7 +12,7 @@
 //!
 //! * One **listener** thread accepts connections and hands each to the host.
 //! * The **host** thread owns everything else: every hosted
-//!   [`SkueueNode`], the [`TcpTransport`] (one FIFO of messages between
+//!   [`SkueueNode`], the `TcpTransport` (one FIFO of messages between
 //!   hosted nodes, one outgoing connection per peer daemon), the
 //!   hosted-process table and the accepted connections.  In the paper a
 //!   process executes one action at a time — a delivered message or the
@@ -43,7 +43,7 @@ use skueue_core::{BatchOp, Payload, ProtocolConfig, SkueueMsg, SkueueNode};
 use skueue_overlay::{VKind, VirtualId};
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::{NodeId, ProcessId};
-use skueue_sim::{SimRng, Transport};
+use skueue_sim::Transport;
 use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
@@ -105,7 +105,7 @@ pub fn spawn<T: Payload + Wire>(
 
 /// Hosts the daemon's nodes on the calling thread until a
 /// [`NetFrame::Shutdown`] arrives, then tears the helper threads down.
-pub fn run_with_listener<T: Payload + Wire>(
+pub(crate) fn run_with_listener<T: Payload + Wire>(
     spec: &ClusterSpec,
     index: usize,
     listener: TcpListener,
@@ -238,7 +238,6 @@ struct Hosted<T: Payload> {
     node: SkueueNode<T>,
     /// Visits so far: the `round` the node sees (its wave cadence reads it).
     visits: u64,
-    rng: SimRng,
     /// True while the node is on this turn's visit list.
     visiting: bool,
 }
@@ -319,11 +318,9 @@ impl<T: Payload + Wire> Host<T> {
         if node.wants_timeout() {
             self.next_sweep.get_or_insert(now + self.tick);
         }
-        let seed = self.spec.hash_seed ^ (id.0.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let hosted = Hosted {
             node,
             visits: 0,
-            rng: SimRng::new(seed),
             visiting: false,
         };
         self.nodes.insert(id.0, hosted);
@@ -341,9 +338,8 @@ impl<T: Payload + Wire> Host<T> {
         if hosted.open_visit() {
             self.visited.push(id);
         }
-        let seed = hosted.rng.next_u64();
         let outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::with_outbox(id, hosted.visits, seed, outbox);
+        let mut ctx = Context::with_outbox(id, hosted.visits, outbox);
         let result = action(&mut hosted.node, &mut ctx);
         self.outbox = ctx.into_outbox();
         for (to, msg) in self.outbox.drain(..) {

@@ -101,11 +101,6 @@ impl<T: Payload + Wire> IngressClient<T> {
         })
     }
 
-    /// The spec this client was built from.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-
     /// Issues an enqueue of `value` through process `pid`.
     pub fn enqueue(&mut self, pid: ProcessId, value: T) -> io::Result<RequestId> {
         self.inject(pid, true, value)
@@ -152,7 +147,7 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// arrival: the wait blocks on the completion stream, so a completion is
     /// never left unstamped while the caller idles (and idling polls
     /// nothing).
-    pub fn pump_until(&mut self, deadline: Instant) {
+    pub(crate) fn pump_until(&mut self, deadline: Instant) {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -240,7 +235,7 @@ impl<T: Payload + Wire> IngressClient<T> {
 
 /// `(p50, p99, p999)` of a latency sample, by nearest-rank on the sorted
 /// values.  Returns zeros for an empty sample.
-pub fn percentiles_us(mut sample: Vec<u64>) -> (u64, u64, u64) {
+pub(crate) fn percentiles_us(mut sample: Vec<u64>) -> (u64, u64, u64) {
     if sample.is_empty() {
         return (0, 0, 0);
     }

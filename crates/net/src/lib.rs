@@ -18,14 +18,14 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`codec`] | hand-rolled binary encoding of every protocol type (the workspace's `serde` is a no-op stub) |
+//! | [`codec`] | hand-rolled binary encoding of every protocol type (nothing can be vendored: there is no registry) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
 //! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
-//! | [`transport`] | [`transport::TcpTransport`], the real-clock [`skueue_sim::Transport`] implementation: a daemon's local FIFO and its peer connections |
+//! | `transport` | `transport::TcpTransport`, the real-clock [`skueue_sim::Transport`] implementation: a daemon's local FIFO and its peer connections |
 //! | [`daemon`] | the `skueue-node` daemon: a listener, one reader per connection, and the host thread that owns and visits every hosted node |
-//! | [`ctl`] | the control-plane client (join/leave waves, status, shutdown) |
-//! | [`ingress`] | the client-operation ingress: issues ops, collects and verifies the history |
-//! | [`load`] | open-loop Poisson load generation with latency percentiles |
+//! | `ctl` | the control-plane client (join/leave waves, status, shutdown) |
+//! | `ingress` | the client-operation ingress: issues ops, collects and verifies the history |
+//! | `load` | open-loop Poisson load generation with latency percentiles |
 //!
 //! ## Service topology
 //!
@@ -41,19 +41,18 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod ctl;
+mod ctl;
 pub mod daemon;
 pub mod frame;
-pub mod ingress;
-pub mod load;
+mod ingress;
+mod load;
 pub mod spec;
-pub mod transport;
+mod transport;
 
 pub use codec::{DecodeError, Wire};
-pub use ctl::{Control, CtlClient, ProcessStatus};
+pub use ctl::{CtlClient, ProcessStatus};
 pub use daemon::DaemonHandle;
 pub use frame::NetFrame;
 pub use ingress::IngressClient;
 pub use load::{run_load, LoadParams, LoadReport};
 pub use spec::ClusterSpec;
-pub use transport::TcpTransport;

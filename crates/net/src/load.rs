@@ -11,7 +11,7 @@
 //! that falls behind its schedule shows up in the percentiles instead of
 //! hiding in them, and completions are stamped when they arrive — the wait
 //! for the next due time blocks on the completion stream
-//! ([`IngressClient::pump_until`]), not in a sleep.
+//! (`IngressClient::pump_until`), not in a sleep.
 
 use std::collections::HashMap;
 use std::io;
@@ -101,8 +101,8 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Renders the report as a JSON object (hand-rolled: the workspace's
-    /// `serde` is a no-op compatibility stub).
+    /// Renders the report as a JSON object (hand-rolled: nothing can be
+    /// vendored — there is no registry).
     pub fn to_json(&self) -> String {
         format!(
             concat!(
@@ -132,11 +132,6 @@ impl LoadReport {
     }
 }
 
-/// Draws a uniform float in `[0, 1)` from the top 53 bits of the stream.
-fn next_f64(rng: &mut SimRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Runs one open-loop load against a connected ingress: issue `params.ops`
 /// operations on the Poisson schedule, wait for the cluster to drain, verify
 /// the history, and report latency percentiles.
@@ -157,7 +152,7 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
         ingress.pump_until(next_at);
         let pid = params.pids[(rng.next_u64() % params.pids.len() as u64) as usize];
         let late = next_at.elapsed().as_micros() as u64;
-        let id = if next_f64(&mut rng) < params.enqueue_prob {
+        let id = if rng.gen_unit() < params.enqueue_prob {
             value += 1;
             ingress.enqueue(pid, T::from(value))?
         } else {
@@ -165,7 +160,7 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
         };
         late_us.insert(id, late);
         // Exponential inter-arrival gap (inverse-CDF sampling).
-        let gap_s = -(1.0 - next_f64(&mut rng)).ln() / params.rate_hz;
+        let gap_s = -(1.0 - rng.gen_unit()).ln() / params.rate_hz;
         next_at += Duration::from_secs_f64(gap_s.min(10.0));
     }
     let drained = ingress.await_quiescence(params.drain_timeout);

@@ -23,7 +23,7 @@ use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 
 /// Default timer period of a hosted node, in milliseconds.
-pub const DEFAULT_TICK_MS: u64 = 2;
+pub(crate) const DEFAULT_TICK_MS: u64 = 2;
 
 /// Everything the service binaries must agree on to form one cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +44,8 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// A localhost spec: `n` daemons on consecutive ports starting at
     /// `base_port`, hosting `initial` processes across `shards` shards.
-    pub fn localhost(n: usize, base_port: u16, initial: u64, shards: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn localhost(n: usize, base_port: u16, initial: u64, shards: usize) -> Self {
         ClusterSpec {
             daemons: (0..n)
                 .map(|i| format!("127.0.0.1:{}", base_port + i as u16))
@@ -62,12 +63,12 @@ impl ClusterSpec {
     }
 
     /// The daemon hosting process `pid` (static modular placement).
-    pub fn daemon_of(&self, pid: ProcessId) -> usize {
+    pub(crate) fn daemon_of(&self, pid: ProcessId) -> usize {
         (pid.0 % self.daemons.len() as u64) as usize
     }
 
     /// The daemon hosting virtual node `id` (nodes live with their process).
-    pub fn daemon_of_node(&self, id: NodeId) -> usize {
+    pub(crate) fn daemon_of_node(&self, id: NodeId) -> usize {
         self.daemon_of(process_of(id))
     }
 
@@ -76,19 +77,19 @@ impl ClusterSpec {
     /// TCP preserves per-connection order and both local delivery paths are
     /// queues, so every (sender, receiver) channel is FIFO — the aggregate
     /// credit can stay relaxed exactly as in the synchronous simulation.
-    pub fn protocol_config(&self) -> ProtocolConfig {
+    pub(crate) fn protocol_config(&self) -> ProtocolConfig {
         ProtocolConfig::queue()
             .with_shards(self.shards)
             .with_hash_seed(self.hash_seed)
     }
 
     /// The shard router for this spec (deterministic process → shard map).
-    pub fn router(&self) -> ShardRouter {
+    pub(crate) fn router(&self) -> ShardRouter {
         ShardRouter::new(self.shard_map())
     }
 
     /// The shard map the verifier consumes.
-    pub fn shard_map(&self) -> ShardMap {
+    pub(crate) fn shard_map(&self) -> ShardMap {
         let effective = self.protocol_config().effective_shards();
         ShardMap::new(effective as u32, self.hash_seed)
     }
@@ -97,7 +98,7 @@ impl ClusterSpec {
     /// the simulation cluster performs (it lives in
     /// [`skueue_core::membership`]), so a real deployment and a simulated one
     /// of the same size, shard count and hash seed start from one overlay.
-    pub fn initial_membership(&self) -> InitialMembership {
+    pub(crate) fn initial_membership(&self) -> InitialMembership {
         InitialMembership::build(self.initial, self.protocol_config())
     }
 
@@ -105,7 +106,7 @@ impl ClusterSpec {
     /// node of the lowest-numbered *initial* process in the same shard.
     /// Initial processes never leave in the supported workloads, so this is
     /// always a valid integrated contact.
-    pub fn bootstrap_for(&self, pid: ProcessId) -> Option<NodeId> {
+    pub(crate) fn bootstrap_for(&self, pid: ProcessId) -> Option<NodeId> {
         let router = self.router();
         let shard = router.route(pid);
         (0..self.initial)
@@ -115,26 +116,38 @@ impl ClusterSpec {
     }
 
     /// The shard of process `pid`.
-    pub fn shard_of(&self, pid: ProcessId) -> ShardId {
+    pub(crate) fn shard_of(&self, pid: ProcessId) -> ShardId {
         self.router().route(pid)
     }
 }
 
-/// Parses `--key value` style command-line arguments into a map, leaving
-/// positional arguments (none of the binaries take any) as an error.
+/// The keys [`spec_from_flags`] reads; every binary accepts them.
+const SPEC_KEYS: [&str; 5] = ["daemons", "initial", "shards", "hash-seed", "tick-ms"];
+
+/// Parses `--key value` style command-line arguments into a map.  `keys`
+/// are the flags the calling binary reads beyond the cluster's own (the
+/// ones [`spec_from_flags`] takes); a key outside both lists, a key given
+/// twice and a positional argument (none of the binaries take any) are
+/// errors — a misspelt or repeated flag must not be silently ignored, or
+/// one daemon joins the cluster with a different spec than its peers.
 ///
 /// Shared by the four service binaries so their flag syntax stays uniform.
-pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+pub fn parse_flags(args: &[String], keys: &[&str]) -> Result<BTreeMap<String, String>, String> {
     let mut map = BTreeMap::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let key = arg
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected positional argument `{arg}`"))?;
+        if !SPEC_KEYS.contains(&key) && !keys.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{key} is missing its value"))?;
-        map.insert(key.to_string(), value.clone());
+        if map.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("flag --{key} is given more than once"));
+        }
     }
     Ok(map)
 }
@@ -143,7 +156,7 @@ pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> 
 /// `--daemons a,b,c` (required), `--initial N` (default 3), `--shards S`
 /// (default 1; `1..=skueue_shard::MAX_SHARDS`, anything else is an error),
 /// `--hash-seed H` (default: the library default), and `--tick-ms T`
-/// (default [`DEFAULT_TICK_MS`]).
+/// (default `DEFAULT_TICK_MS`).
 pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, String> {
     let daemons: Vec<String> = flags
         .get("daemons")
@@ -243,13 +256,30 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let flags = parse_flags(&args).unwrap();
+        let flags = parse_flags(&args, &[]).unwrap();
         let spec = spec_from_flags(&flags).unwrap();
         assert_eq!(spec.num_daemons(), 2);
         assert_eq!(spec.initial, 4);
         assert_eq!(spec.shards, 2);
-        assert!(parse_flags(&["oops".to_string()]).is_err());
+        assert!(parse_flags(&["oops".to_string()], &[]).is_err());
         assert!(spec_from_flags(&BTreeMap::new()).is_err());
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_errors_that_name_the_flag() {
+        let parse = |args: &[&str], keys: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_flags(&args, keys)
+        };
+        // A binary's own keys are accepted beside the cluster's.
+        let flags = parse(&["--index", "1", "--shards", "2"], &["index"]).unwrap();
+        assert_eq!(flags["index"], "1");
+        let unknown = parse(&["--shard", "4"], &["index"]).unwrap_err();
+        assert!(unknown.contains("--shard"), "{unknown}");
+        assert!(parse(&["--index", "1"], &[]).is_err(), "not this binary's");
+        // A repeat is an error, not last-one-wins.
+        let twice = parse(&["--shards", "4", "--shards", "1"], &[]).unwrap_err();
+        assert!(twice.contains("--shards"), "{twice}");
     }
 
     #[test]

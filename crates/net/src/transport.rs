@@ -35,7 +35,7 @@ use crate::spec::ClusterSpec;
 /// [`Transport::in_flight`] is the local queue's length: messages handed to
 /// the kernel for a peer leave the count, because a real network transport
 /// can only report its own queues.
-pub struct TcpTransport<T> {
+pub(crate) struct TcpTransport<T> {
     spec: ClusterSpec,
     /// This daemon's index in `spec.daemons`.
     index: usize,

@@ -24,11 +24,10 @@
 //! relying on local information only").
 
 use crate::vnode::VKind;
-use serde::{Deserialize, Serialize};
 
 /// Where a node's aggregation-tree parent is found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ParentRule {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParentRule {
     /// The node is the anchor — it has no parent.
     Anchor,
     /// The parent is the process's own left virtual node (`l(v)`).
@@ -43,7 +42,7 @@ pub enum ParentRule {
 ///
 /// `is_anchor` must be true exactly for the node with the globally smallest
 /// label.
-pub fn parent_rule(kind: VKind, is_anchor: bool) -> ParentRule {
+pub(crate) fn parent_rule(kind: VKind, is_anchor: bool) -> ParentRule {
     if is_anchor {
         return ParentRule::Anchor;
     }
@@ -57,7 +56,7 @@ pub fn parent_rule(kind: VKind, is_anchor: bool) -> ParentRule {
 /// Resolves the aggregation-tree parent to a concrete handle.
 ///
 /// The caller supplies handles for the candidates; this function picks the
-/// right one according to [`parent_rule`].
+/// right one according to `parent_rule`.
 pub fn aggregation_parent<T>(
     kind: VKind,
     is_anchor: bool,
@@ -79,7 +78,11 @@ pub fn aggregation_parent<T>(
 /// That is the case exactly when the successor is a *left* virtual node and
 /// the successor edge does not wrap around the cycle (the wrap successor is
 /// the anchor, which is nobody's child).
-pub fn successor_is_child(own_kind: VKind, successor_kind: VKind, successor_wraps: bool) -> bool {
+pub(crate) fn successor_is_child(
+    own_kind: VKind,
+    successor_kind: VKind,
+    successor_wraps: bool,
+) -> bool {
     if successor_wraps {
         return false;
     }
@@ -93,7 +96,7 @@ pub fn successor_is_child(own_kind: VKind, successor_kind: VKind, successor_wrap
 
 /// A node's aggregation-tree children — at most two, stored inline.
 ///
-/// This is the allocation-free counterpart of [`aggregation_children`]: the
+/// This is the allocation-free counterpart of `aggregation_children`: the
 /// protocol recomputes its children on every `TIMEOUT`, so the hot path must
 /// not heap-allocate a `Vec` per call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,24 +127,6 @@ impl<T> ChildSet<T> {
     /// Iterates over the children in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter().flatten()
-    }
-
-    /// Number of children.
-    pub fn len(&self) -> usize {
-        self.items.iter().flatten().count()
-    }
-
-    /// True when there are no children.
-    pub fn is_empty(&self) -> bool {
-        self.items[0].is_none()
-    }
-
-    /// True when `item` is a child.
-    pub fn contains(&self, item: &T) -> bool
-    where
-        T: PartialEq,
-    {
-        self.iter().any(|c| c == item)
     }
 
     /// Copies the children into a `Vec` (for callers that need ownership).
@@ -193,7 +178,8 @@ pub fn aggregation_child_set<T>(
 /// Resolves the aggregation-tree children into a `Vec` (see
 /// [`aggregation_child_set`] for the allocation-free variant the protocol's
 /// hot path uses).
-pub fn aggregation_children<T: Clone>(
+#[cfg(test)]
+pub(crate) fn aggregation_children<T: Clone>(
     kind: VKind,
     own_right: T,
     own_middle: T,
@@ -210,33 +196,6 @@ pub fn aggregation_children<T: Clone>(
         successor_wraps,
     )
     .to_vec()
-}
-
-/// A fully resolved view of a node's position in the aggregation tree,
-/// maintained by each protocol node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TreeNeighbors<T> {
-    /// Parent handle (`None` for the anchor).
-    pub parent: Option<T>,
-    /// Child handles (between zero and two).
-    pub children: Vec<T>,
-}
-
-impl<T: PartialEq> TreeNeighbors<T> {
-    /// True for the anchor (no parent).
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-
-    /// True for leaves of the aggregation tree.
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// Whether `candidate` is one of this node's children.
-    pub fn has_child(&self, candidate: &T) -> bool {
-        self.children.iter().any(|c| c == candidate)
-    }
 }
 
 #[cfg(test)]
@@ -305,25 +264,18 @@ mod tests {
                     let set = aggregation_child_set(kind, "r", "m", "succ", succ_kind, wraps);
                     let vec = aggregation_children(kind, "r", "m", "succ", succ_kind, wraps);
                     assert_eq!(set.to_vec(), vec, "{kind:?}/{succ_kind:?}/wraps={wraps}");
-                    assert_eq!(set.len(), vec.len());
-                    assert_eq!(set.is_empty(), vec.is_empty());
-                    for child in &vec {
-                        assert!(set.contains(child));
-                    }
                 }
             }
         }
     }
 
     #[test]
-    fn child_set_push_iter_contains() {
+    fn child_set_push_and_iterate() {
         let mut set: ChildSet<u32> = ChildSet::new();
-        assert!(set.is_empty());
-        assert_eq!(set.len(), 0);
+        assert_eq!(set.iter().count(), 0);
         set.push(7);
         set.push(9);
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(&7) && set.contains(&9) && !set.contains(&8));
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![&7, &9]);
         assert_eq!(set.into_iter().collect::<Vec<_>>(), vec![7, 9]);
     }
 
@@ -343,24 +295,5 @@ mod tests {
         assert!(successor_is_child(VKind::Left, VKind::Left, false));
         assert!(!successor_is_child(VKind::Left, VKind::Middle, false));
         assert!(!successor_is_child(VKind::Right, VKind::Left, false));
-    }
-
-    #[test]
-    fn tree_neighbors_helpers() {
-        let root: TreeNeighbors<u32> = TreeNeighbors {
-            parent: None,
-            children: vec![1, 2],
-        };
-        assert!(root.is_root());
-        assert!(!root.is_leaf());
-        assert!(root.has_child(&1));
-        assert!(!root.has_child(&3));
-
-        let leaf: TreeNeighbors<u32> = TreeNeighbors {
-            parent: Some(0),
-            children: vec![],
-        };
-        assert!(!leaf.is_root());
-        assert!(leaf.is_leaf());
     }
 }

@@ -8,7 +8,6 @@
 //! the fairness results (Lemma 4, Corollary 19) rely on.
 
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 use skueue_sim::ids::ProcessId;
 
 #[inline]
@@ -23,7 +22,7 @@ fn mix(mut z: u64) -> u64 {
 /// Two hashers with the same seed agree on every input; different seeds give
 /// (statistically) independent placements — the test-suite uses this to check
 /// that results do not depend on one lucky hash layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabelHasher {
     seed: u64,
 }
@@ -41,7 +40,7 @@ impl LabelHasher {
 
     /// Hashes an arbitrary 64-bit value to a label.
     #[inline]
-    pub fn hash_u64(&self, value: u64) -> Label {
+    pub(crate) fn hash_u64(&self, value: u64) -> Label {
         // Two rounds of mixing keyed by the seed; the golden-ratio constant
         // decorrelates consecutive integers.
         let x = value
@@ -61,14 +60,6 @@ impl LabelHasher {
     #[inline]
     pub fn position_key(&self, position: u64) -> Label {
         self.hash_u64(position ^ 0xE703_7ED1_A0B4_28DB)
-    }
-
-    /// Key of a stack entry: the stack variant stores elements under the pair
-    /// `(position, ticket)`; the *placement* in the DHT is by position only
-    /// (Section VI), so this simply delegates to [`Self::position_key`].
-    #[inline]
-    pub fn stack_position_key(&self, position: u64) -> Label {
-        self.position_key(position)
     }
 
     /// Anchor shard a label belongs to, for a system running `shards` anchor

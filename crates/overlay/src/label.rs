@@ -8,27 +8,13 @@
 //! De-Bruijn "distance-halving" maps `x ↦ x/2` and `x ↦ (x+1)/2` are exact
 //! in this representation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A point on the unit ring `[0, 1)`, stored as `raw / 2^64`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Label(pub u64);
 
 impl Label {
-    /// The point 0.
-    pub const ZERO: Label = Label(0);
-    /// The point 1/2.
-    pub const HALF: Label = Label(1 << 63);
-    /// The largest representable point (just below 1).
-    pub const MAX: Label = Label(u64::MAX);
-
-    /// Creates a label from its raw numerator.
-    #[inline]
-    pub fn from_raw(raw: u64) -> Self {
-        Label(raw)
-    }
-
     /// Raw numerator over `2^64`.
     #[inline]
     pub fn raw(self) -> u64 {
@@ -44,45 +30,22 @@ impl Label {
 
     /// The label as an `f64` (for display and plotting only).
     #[inline]
-    pub fn to_f64(self) -> f64 {
+    pub(crate) fn to_f64(self) -> f64 {
         self.0 as f64 / (u64::MAX as f64 + 1.0)
     }
 
     /// The De-Bruijn left map `x ↦ x/2`, i.e. the label of `l(v)` given
     /// `m(v)`.
     #[inline]
-    pub fn half(self) -> Label {
+    pub(crate) fn half(self) -> Label {
         Label(self.0 >> 1)
     }
 
     /// The De-Bruijn right map `x ↦ (x+1)/2`, i.e. the label of `r(v)` given
     /// `m(v)`.
     #[inline]
-    pub fn half_plus(self) -> Label {
+    pub(crate) fn half_plus(self) -> Label {
         Label((self.0 >> 1) | (1 << 63))
-    }
-
-    /// The inverse of the distance-halving maps: `x ↦ 2x mod 1`.
-    #[inline]
-    pub fn double(self) -> Label {
-        Label(self.0 << 1)
-    }
-
-    /// Applies the distance-halving map with the given bit:
-    /// `bit == false` gives `x/2`, `bit == true` gives `(x+1)/2`.
-    #[inline]
-    pub fn debruijn_step(self, bit: bool) -> Label {
-        if bit {
-            self.half_plus()
-        } else {
-            self.half()
-        }
-    }
-
-    /// `true` for labels in `[0, 1/2)` — the range of left virtual nodes.
-    #[inline]
-    pub fn is_left_half(self) -> bool {
-        self.0 < (1 << 63)
     }
 
     /// Clockwise (increasing-label) distance from `self` to `to` on the unit
@@ -94,14 +57,8 @@ impl Label {
 
     /// Counter-clockwise distance from `self` to `to` on the ring.
     #[inline]
-    pub fn ccw_distance(self, to: Label) -> u64 {
+    pub(crate) fn ccw_distance(self, to: Label) -> u64 {
         self.0.wrapping_sub(to.0)
-    }
-
-    /// Shortest ring distance between two labels.
-    #[inline]
-    pub fn ring_distance(self, other: Label) -> u64 {
-        self.cw_distance(other).min(self.ccw_distance(other))
     }
 
     /// True if `self` lies in the half-open ring interval `[lo, hi)`,
@@ -121,11 +78,33 @@ impl Label {
             self >= lo || self < hi
         }
     }
+}
 
-    /// Midpoint of the clockwise arc from `self` to `other`.
-    pub fn midpoint_cw(self, other: Label) -> Label {
-        let d = self.cw_distance(other);
-        Label(self.0.wrapping_add(d / 2))
+/// What the halving maps are checked against in the tests; the protocol
+/// itself only ever halves.
+#[cfg(test)]
+impl Label {
+    /// The inverse of the distance-halving maps: `x ↦ 2x mod 1`.
+    #[inline]
+    pub(crate) fn double(self) -> Label {
+        Label(self.0 << 1)
+    }
+
+    /// Applies the distance-halving map with the given bit:
+    /// `bit == false` gives `x/2`, `bit == true` gives `(x+1)/2`.
+    #[inline]
+    pub(crate) fn debruijn_step(self, bit: bool) -> Label {
+        if bit {
+            self.half_plus()
+        } else {
+            self.half()
+        }
+    }
+
+    /// `true` for labels in `[0, 1/2)` — the range of left virtual nodes.
+    #[inline]
+    pub(crate) fn is_left_half(self) -> bool {
+        self.0 < (1 << 63)
     }
 }
 
@@ -147,22 +126,13 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn constants() {
-        assert_eq!(Label::ZERO.to_f64(), 0.0);
-        assert!((Label::HALF.to_f64() - 0.5).abs() < 1e-12);
-        // `to_f64` is display-only; rounding may take MAX to exactly 1.0.
-        assert!(Label::MAX.to_f64() <= 1.0);
-        assert!(Label::MAX.to_f64() > 0.999);
-    }
-
-    #[test]
     fn from_f64_roundtrip() {
         for x in [0.0, 0.1, 0.25, 0.5, 0.75, 0.999] {
             let l = Label::from_f64(x);
             assert!((l.to_f64() - x).abs() < 1e-9, "{x}");
         }
         // Out-of-range values are clamped.
-        assert_eq!(Label::from_f64(-1.0), Label::ZERO);
+        assert_eq!(Label::from_f64(-1.0), Label(0));
         assert!(Label::from_f64(2.0).to_f64() < 1.0);
     }
 
@@ -178,7 +148,7 @@ mod tests {
 
     #[test]
     fn double_inverts_half() {
-        let x = Label::from_raw(0x1234_5678_9abc_def0);
+        let x = Label(0x1234_5678_9abc_def0);
         assert_eq!(x.half().double(), Label(x.0 & !1));
         assert_eq!(x.half_plus().double(), Label(x.0 & !1));
     }
@@ -198,8 +168,6 @@ mod tests {
         assert!((a.cw_distance(b) as f64 / 2f64.powi(64) - 0.8).abs() < 1e-9);
         // Counter-clockwise is 0.2.
         assert!((a.ccw_distance(b) as f64 / 2f64.powi(64) - 0.2).abs() < 1e-9);
-        assert_eq!(a.ring_distance(b), b.ring_distance(a));
-        assert_eq!(a.ring_distance(a), 0);
     }
 
     #[test]
@@ -229,14 +197,6 @@ mod tests {
         let x = Label::from_f64(0.33);
         assert!(Label::from_f64(0.7).in_interval(x, x));
         assert!(x.in_interval(x, x));
-    }
-
-    #[test]
-    fn midpoint_cw_is_inside_arc() {
-        let a = Label::from_f64(0.9);
-        let b = Label::from_f64(0.1);
-        let m = a.midpoint_cw(b);
-        assert!(m.in_interval(a, b));
     }
 
     #[test]

@@ -1,20 +1,17 @@
 //! The Linearized De Bruijn network as a whole: the static topology builder.
 //!
 //! [`Topology`] materialises Definition 2 for a given set of processes: it
-//! computes all virtual-node labels, sorts them into the cycle, and answers
-//! structural queries (predecessor/successor, responsibility, aggregation
-//! parent/children, anchor, tree height).  It is used to
-//!
-//! * bootstrap a simulation (the cluster builds the initial neighbour views
-//!   of all protocol nodes from it),
-//! * compute *reference* topologies in tests (e.g. the expected state after
-//!   a batch of joins/leaves), and
-//! * drive the pure-overlay experiments (tree height, routing hop counts —
-//!   Corollary 6 / Lemma 3).
+//! computes all virtual-node labels and sorts them into the cycle.  The
+//! cluster builds the initial neighbour views of all protocol nodes from it
+//! ([`Topology::local_view`]) and reads the anchor off it.
 //!
 //! The dynamic protocol does **not** consult a `Topology` at runtime; nodes
-//! only use their local views, exactly as in the paper.
+//! only use their local views, exactly as in the paper.  The global queries
+//! — responsibility, aggregation parent/children, depth, tree height
+//! (Corollary 6 / Lemma 3) — therefore exist under `#[cfg(test)]` only, as
+//! the oracle the local rules are checked against.
 
+#[cfg(test)]
 use crate::aggregation::{aggregation_children, aggregation_parent};
 use crate::hash::LabelHasher;
 use crate::label::Label;
@@ -26,7 +23,7 @@ use std::fmt;
 
 /// One virtual node of the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VirtualNodeInfo {
+pub(crate) struct VirtualNodeInfo {
     /// The virtual node's identity.
     pub vid: VirtualId,
     /// Its label on the unit ring.
@@ -40,8 +37,6 @@ pub enum TopologyError {
     Empty,
     /// The same process id appeared twice.
     DuplicateProcess(ProcessId),
-    /// A process id was not found.
-    UnknownProcess(ProcessId),
     /// A virtual node id was not found.
     UnknownNode(VirtualId),
 }
@@ -51,7 +46,6 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::Empty => write!(f, "topology needs at least one process"),
             TopologyError::DuplicateProcess(p) => write!(f, "duplicate process {p}"),
-            TopologyError::UnknownProcess(p) => write!(f, "unknown process {p}"),
             TopologyError::UnknownNode(v) => write!(f, "unknown virtual node {v}"),
         }
     }
@@ -62,7 +56,6 @@ impl std::error::Error for TopologyError {}
 /// The full Linearized De Bruijn topology over a set of processes.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    hasher: LabelHasher,
     /// All virtual nodes sorted by `(label, vid)` — the cycle order.
     sorted: Vec<VirtualNodeInfo>,
     /// Rank (index into `sorted`) of every virtual node.
@@ -83,7 +76,6 @@ impl Topology {
             }
         }
         let mut topo = Topology {
-            hasher,
             sorted: Vec::with_capacity(processes.len() * 3),
             rank: HashMap::with_capacity(processes.len() * 3),
             processes: processes.to_vec(),
@@ -109,43 +101,13 @@ impl Topology {
         }
     }
 
-    /// The hasher this topology was built with.
-    pub fn hasher(&self) -> &LabelHasher {
-        &self.hasher
-    }
-
-    /// Number of virtual nodes (three per process).
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if there are no nodes (never the case for a built topology).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Number of processes.
-    pub fn num_processes(&self) -> usize {
-        self.processes.len()
-    }
-
     /// The process ids in insertion order.
     pub fn processes(&self) -> &[ProcessId] {
         &self.processes
     }
 
-    /// Iterates over all virtual nodes in cycle (label) order.
-    pub fn iter(&self) -> impl Iterator<Item = &VirtualNodeInfo> {
-        self.sorted.iter()
-    }
-
-    /// True if the virtual node belongs to this topology.
-    pub fn contains(&self, vid: VirtualId) -> bool {
-        self.rank.contains_key(&vid)
-    }
-
     /// The label of a virtual node.
-    pub fn label_of(&self, vid: VirtualId) -> Result<Label, TopologyError> {
+    pub(crate) fn label_of(&self, vid: VirtualId) -> Result<Label, TopologyError> {
         self.rank
             .get(&vid)
             .map(|&i| self.sorted[i].label)
@@ -153,27 +115,22 @@ impl Topology {
     }
 
     /// Position of the node in the sorted cycle (0 = anchor).
-    pub fn rank_of(&self, vid: VirtualId) -> Result<usize, TopologyError> {
+    pub(crate) fn rank_of(&self, vid: VirtualId) -> Result<usize, TopologyError> {
         self.rank
             .get(&vid)
             .copied()
             .ok_or(TopologyError::UnknownNode(vid))
     }
 
-    /// The node at a given rank.
-    pub fn at_rank(&self, rank: usize) -> &VirtualNodeInfo {
-        &self.sorted[rank % self.sorted.len()]
-    }
-
     /// Cycle predecessor (wraps around).
-    pub fn pred(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
+    pub(crate) fn pred(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
         let i = self.rank_of(vid)?;
         let n = self.sorted.len();
         Ok(self.sorted[(i + n - 1) % n].vid)
     }
 
     /// Cycle successor (wraps around).
-    pub fn succ(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
+    pub(crate) fn succ(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
         let i = self.rank_of(vid)?;
         let n = self.sorted.len();
         Ok(self.sorted[(i + 1) % n].vid)
@@ -183,111 +140,6 @@ impl Topology {
     /// multi-process system).
     pub fn anchor(&self) -> VirtualId {
         self.sorted[0].vid
-    }
-
-    /// The node with the largest label.
-    pub fn max_node(&self) -> VirtualId {
-        self.sorted[self.sorted.len() - 1].vid
-    }
-
-    /// The node responsible for a key: the node `u` with `u ≤ key < succ(u)`
-    /// (wrapping to the maximum-label node for keys below the anchor).
-    pub fn responsible_for(&self, key: Label) -> VirtualId {
-        // Binary search for the last node with label <= key.
-        match self
-            .sorted
-            .binary_search_by(|n| n.label.cmp(&key).then(std::cmp::Ordering::Less))
-        {
-            Ok(i) => self.sorted[i].vid,
-            Err(0) => self.max_node(),
-            Err(i) => self.sorted[i - 1].vid,
-        }
-    }
-
-    /// Aggregation-tree parent (Section III-B). `None` for the anchor.
-    pub fn parent(&self, vid: VirtualId) -> Result<Option<VirtualId>, TopologyError> {
-        let _ = self.rank_of(vid)?;
-        let is_anchor = vid == self.anchor();
-        Ok(aggregation_parent(
-            vid.kind,
-            is_anchor,
-            vid.sibling(VKind::Left),
-            vid.sibling(VKind::Middle),
-            self.pred(vid)?,
-        ))
-    }
-
-    /// Aggregation-tree children (Section III-B).
-    pub fn children(&self, vid: VirtualId) -> Result<Vec<VirtualId>, TopologyError> {
-        let i = self.rank_of(vid)?;
-        let succ = self.succ(vid)?;
-        let succ_wraps = i == self.sorted.len() - 1;
-        Ok(aggregation_children(
-            vid.kind,
-            vid.sibling(VKind::Right),
-            vid.sibling(VKind::Middle),
-            succ,
-            succ.kind,
-            succ_wraps,
-        ))
-    }
-
-    /// Depth of a node in the aggregation tree (anchor = 0).
-    pub fn depth(&self, vid: VirtualId) -> Result<usize, TopologyError> {
-        let mut depth = 0usize;
-        let mut current = vid;
-        while let Some(parent) = self.parent(current)? {
-            depth += 1;
-            current = parent;
-            if depth > self.len() {
-                // The parent relation is provably acyclic (labels strictly
-                // decrease); this guard only protects against future bugs.
-                panic!("aggregation-tree parent chain did not terminate");
-            }
-        }
-        Ok(depth)
-    }
-
-    /// Height of the aggregation tree (maximum depth over all nodes) — the
-    /// quantity Corollary 6 bounds by `O(log n)` w.h.p.
-    pub fn tree_height(&self) -> usize {
-        self.sorted
-            .iter()
-            .map(|n| self.depth(n.vid).expect("node from own topology"))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Adds a process (recomputing the cycle). Returns an error if it is
-    /// already present.
-    pub fn add_process(&mut self, p: ProcessId) -> Result<(), TopologyError> {
-        if self.processes.contains(&p) {
-            return Err(TopologyError::DuplicateProcess(p));
-        }
-        self.processes.push(p);
-        let middle = self.hasher.process_label(p);
-        for kind in VKind::ALL {
-            self.sorted.push(VirtualNodeInfo {
-                vid: VirtualId::new(p, kind),
-                label: kind.label_from_middle(middle),
-            });
-        }
-        self.reindex();
-        Ok(())
-    }
-
-    /// Removes a process (recomputing the cycle).
-    pub fn remove_process(&mut self, p: ProcessId) -> Result<(), TopologyError> {
-        if !self.processes.contains(&p) {
-            return Err(TopologyError::UnknownProcess(p));
-        }
-        if self.processes.len() == 1 {
-            return Err(TopologyError::Empty);
-        }
-        self.processes.retain(|&q| q != p);
-        self.sorted.retain(|n| n.vid.process != p);
-        self.reindex();
-        Ok(())
     }
 
     /// Builds the [`LocalView`] of a virtual node, mapping virtual ids to
@@ -314,6 +166,111 @@ impl Topology {
             succ,
             siblings,
         })
+    }
+}
+
+/// The global view of the cycle and the aggregation tree.  No node ever
+/// has it — the protocol works from [`LocalView`]s alone — so it exists for
+/// the tests only, as the oracle the local rules ([`crate::route_step`],
+/// [`aggregation_parent`], the child rules) are checked against.
+#[cfg(test)]
+impl Topology {
+    /// Number of virtual nodes (three per process).
+    pub(crate) fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// Number of processes.
+    pub(crate) fn num_processes(&self) -> usize {
+        self.processes.len()
+    }
+
+    /// Iterates over all virtual nodes in cycle (label) order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &VirtualNodeInfo> {
+        self.sorted.iter()
+    }
+
+    /// True if the virtual node belongs to this topology.
+    pub(crate) fn contains(&self, vid: VirtualId) -> bool {
+        self.rank.contains_key(&vid)
+    }
+
+    /// The node at a given rank.
+    pub(crate) fn at_rank(&self, rank: usize) -> &VirtualNodeInfo {
+        &self.sorted[rank % self.sorted.len()]
+    }
+
+    /// The node with the largest label.
+    pub(crate) fn max_node(&self) -> VirtualId {
+        self.sorted[self.sorted.len() - 1].vid
+    }
+
+    /// The node responsible for a key: the node `u` with `u ≤ key < succ(u)`
+    /// (wrapping to the maximum-label node for keys below the anchor).
+    pub(crate) fn responsible_for(&self, key: Label) -> VirtualId {
+        // Binary search for the last node with label <= key.
+        match self
+            .sorted
+            .binary_search_by(|n| n.label.cmp(&key).then(std::cmp::Ordering::Less))
+        {
+            Ok(i) => self.sorted[i].vid,
+            Err(0) => self.max_node(),
+            Err(i) => self.sorted[i - 1].vid,
+        }
+    }
+
+    /// Aggregation-tree parent (Section III-B). `None` for the anchor.
+    pub(crate) fn parent(&self, vid: VirtualId) -> Result<Option<VirtualId>, TopologyError> {
+        let _ = self.rank_of(vid)?;
+        let is_anchor = vid == self.anchor();
+        Ok(aggregation_parent(
+            vid.kind,
+            is_anchor,
+            vid.sibling(VKind::Left),
+            vid.sibling(VKind::Middle),
+            self.pred(vid)?,
+        ))
+    }
+
+    /// Aggregation-tree children (Section III-B).
+    pub(crate) fn children(&self, vid: VirtualId) -> Result<Vec<VirtualId>, TopologyError> {
+        let i = self.rank_of(vid)?;
+        let succ = self.succ(vid)?;
+        let succ_wraps = i == self.sorted.len() - 1;
+        Ok(aggregation_children(
+            vid.kind,
+            vid.sibling(VKind::Right),
+            vid.sibling(VKind::Middle),
+            succ,
+            succ.kind,
+            succ_wraps,
+        ))
+    }
+
+    /// Depth of a node in the aggregation tree (anchor = 0).
+    pub(crate) fn depth(&self, vid: VirtualId) -> Result<usize, TopologyError> {
+        let mut depth = 0usize;
+        let mut current = vid;
+        while let Some(parent) = self.parent(current)? {
+            depth += 1;
+            current = parent;
+            if depth > self.len() {
+                // The parent relation is provably acyclic (labels strictly
+                // decrease); this guard only protects against future bugs.
+                panic!("aggregation-tree parent chain did not terminate");
+            }
+        }
+        Ok(depth)
+    }
+
+    /// Height of the aggregation tree (maximum depth over all nodes) — the
+    /// quantity Corollary 6 bounds by `O(log n)` w.h.p.
+    pub(crate) fn tree_height(&self) -> usize {
+        self.sorted
+            .iter()
+            .map(|n| self.depth(n.vid).expect("node from own topology"))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -389,7 +346,7 @@ mod tests {
         let t = topo(25);
         // Every node is responsible exactly for [label, succ_label).
         for probe in 0..1000u64 {
-            let key = Label::from_raw(probe.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let key = Label(probe.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let owner = t.responsible_for(key);
             let lo = t.label_of(owner).unwrap();
             let hi = t.label_of(t.succ(owner).unwrap()).unwrap();
@@ -402,7 +359,7 @@ mod tests {
         let t = topo(8);
         let anchor_label = t.label_of(t.anchor()).unwrap();
         if anchor_label.raw() > 0 {
-            let key = Label::from_raw(anchor_label.raw() - 1);
+            let key = Label(anchor_label.raw() - 1);
             assert_eq!(t.responsible_for(key), t.max_node());
         }
         assert_eq!(t.responsible_for(anchor_label), t.anchor());
@@ -487,29 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn add_and_remove_process_update_cycle() {
-        let mut t = topo(5);
-        assert_eq!(t.len(), 15);
-        t.add_process(ProcessId(100)).unwrap();
-        assert_eq!(t.len(), 18);
-        assert!(t.contains(VirtualId::middle(ProcessId(100))));
-        assert!(t.add_process(ProcessId(100)).is_err());
-        t.remove_process(ProcessId(100)).unwrap();
-        assert_eq!(t.len(), 15);
-        assert!(!t.contains(VirtualId::middle(ProcessId(100))));
-        assert!(t.remove_process(ProcessId(100)).is_err());
-    }
-
-    #[test]
-    fn cannot_remove_last_process() {
-        let mut t = topo(1);
-        assert_eq!(
-            t.remove_process(ProcessId(0)).unwrap_err(),
-            TopologyError::Empty
-        );
-    }
-
-    #[test]
     fn local_view_matches_topology() {
         let t = topo(12);
         let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
@@ -556,7 +490,7 @@ mod tests {
         let mut raw = 0xDEAD_BEEFu64;
         for i in 0..200u64 {
             raw = raw.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let key = Label::from_raw(raw);
+            let key = Label(raw);
             let from = t.at_rank((i as usize * 7) % t.len()).vid;
             let (reached, _) = simulate_route(&t, from, key);
             assert_eq!(
@@ -576,7 +510,7 @@ mod tests {
             let mut total = 0u64;
             for i in 0..samples {
                 raw = raw.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let key = Label::from_raw(raw);
+                let key = Label(raw);
                 let from = t.at_rank((i as usize * 13) % t.len()).vid;
                 let (_, hops) = simulate_route(&t, from, key);
                 total += hops as u64;
@@ -606,7 +540,7 @@ mod tests {
         #[test]
         fn prop_responsibility_partitions_ring(n in 2u64..40, key_raw in any::<u64>()) {
             let t = topo(n);
-            let key = Label::from_raw(key_raw);
+            let key = Label(key_raw);
             let owner = t.responsible_for(key);
             // Exactly one node owns the key.
             let owners: Vec<_> = t
@@ -647,7 +581,7 @@ mod tests {
         #[test]
         fn prop_routing_delivers_correctly(n in 1u64..48, seed in any::<u64>(), key_raw in any::<u64>(), start in any::<u64>()) {
             let t = Topology::build(&pids(n), LabelHasher::new(seed)).unwrap();
-            let key = Label::from_raw(key_raw);
+            let key = Label(key_raw);
             let from = t.at_rank((start as usize) % t.len()).vid;
             let (reached, hops) = simulate_route(&t, from, key);
             prop_assert_eq!(reached, t.responsible_for(key));

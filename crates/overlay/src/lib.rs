@@ -27,19 +27,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregation;
-pub mod hash;
-pub mod label;
-pub mod ldb;
-pub mod routing;
-pub mod vnode;
+mod aggregation;
+mod hash;
+mod label;
+mod ldb;
+mod routing;
+mod vnode;
 
-pub use aggregation::{
-    aggregation_child_set, aggregation_children, aggregation_parent, ChildSet, TreeNeighbors,
-};
+pub use aggregation::{aggregation_child_set, aggregation_parent, ChildSet};
 pub use hash::LabelHasher;
 pub use label::Label;
-pub use ldb::{Topology, TopologyError, VirtualNodeInfo};
+pub use ldb::{Topology, TopologyError};
 pub use routing::{
     recommended_bit_budget, route_step, LocalView, NeighborInfo, RouteAction, RouteBuffer,
     RouteProgress,

@@ -31,11 +31,10 @@
 
 use crate::label::Label;
 use crate::vnode::{VKind, VirtualId};
-use serde::{Deserialize, Serialize};
 use skueue_sim::ids::NodeId;
 
 /// What one node knows about one of its neighbours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeighborInfo {
     /// Simulator address of the neighbour.
     pub node: NodeId,
@@ -60,7 +59,7 @@ impl NeighborInfo {
 /// The local neighbourhood a virtual node maintains: itself, its cycle
 /// predecessor and successor, and the three virtual nodes of its own process
 /// (reachable over virtual edges).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalView {
     /// This node.
     pub me: NeighborInfo,
@@ -86,7 +85,7 @@ impl LocalView {
 
     /// True if this node is responsible for `key`, i.e. `key ∈ [me, succ)`
     /// on the ring.
-    pub fn is_responsible_for(&self, key: Label) -> bool {
+    pub(crate) fn is_responsible_for(&self, key: Label) -> bool {
         if self.me.node == self.succ.node {
             // Single node on the cycle: responsible for everything.
             return true;
@@ -110,7 +109,7 @@ impl LocalView {
 ///
 /// The distance-halving bits still to apply are, by construction, the most
 /// significant `bits_left` bits of `target` — so only their count travels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteProgress {
     /// The destination point.
     pub target: Label,
@@ -125,10 +124,10 @@ pub struct RouteProgress {
 
 impl RouteProgress {
     /// The most distance-halving bits a label can spell.
-    pub const MAX_BITS: u8 = 64;
+    pub(crate) const MAX_BITS: u8 = 64;
 
     /// Creates routing state for `target` with `bit_budget` distance-halving
-    /// bits (capped at [`Self::MAX_BITS`]).
+    /// bits (capped at `Self::MAX_BITS`).
     ///
     /// The bits are the most significant `bit_budget` bits of the target,
     /// applied from the least significant of them upwards (the
@@ -150,7 +149,7 @@ impl RouteProgress {
 
     /// Reassembles routing state that travelled as plain fields (the wire
     /// codec's inverse of reading `target`, [`Self::bits_left`] and `hops`).
-    /// `None` when `bits_left` exceeds [`Self::MAX_BITS`] — a count no
+    /// `None` when `bits_left` exceeds `Self::MAX_BITS` — a count no
     /// [`Self::new`] produces, and one [`route_step`] must never shift by.
     pub fn from_parts(target: Label, bits_left: u8, hops: u32) -> Option<Self> {
         (bits_left <= Self::MAX_BITS).then_some(RouteProgress {
@@ -166,7 +165,7 @@ impl RouteProgress {
     }
 
     /// Whether the distance-halving phase is finished.
-    pub fn in_linear_phase(&self) -> bool {
+    pub(crate) fn in_linear_phase(&self) -> bool {
         self.bits_left == 0
     }
 
@@ -287,23 +286,9 @@ impl<T> RouteBuffer<T> {
         RouteBuffer::default()
     }
 
-    /// Number of buffered items (across all destinations).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of destinations that currently have buffered items (= messages
-    /// the next [`Self::flush`] will emit).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-            .iter()
-            .filter(|(_, items)| !items.is_empty())
-            .count()
     }
 
     /// Buffers `item` for the given next hop.
@@ -486,8 +471,6 @@ mod tests {
         buf.push(NodeId(1), 10);
         buf.push(NodeId(2), 20);
         buf.push(NodeId(1), 11);
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.lanes(), 2);
         let mut flushed: Vec<(NodeId, Vec<u32>)> = Vec::new();
         buf.flush(|to, items| flushed.push((to, items)));
         assert_eq!(
@@ -495,7 +478,6 @@ mod tests {
             vec![(NodeId(1), vec![10, 11]), (NodeId(2), vec![20])]
         );
         assert!(buf.is_empty());
-        assert_eq!(buf.lanes(), 0);
         // Flushing an empty buffer emits nothing.
         buf.flush(|_, _| panic!("must not emit"));
     }
@@ -524,15 +506,15 @@ mod tests {
         assert_eq!(p.hops, 0);
         // A budget beyond what a label spells is capped, and the checked
         // constructor refuses a count `new` cannot produce.
-        assert_eq!(RouteProgress::new(Label::MAX, 200).bits_left(), 64);
+        assert_eq!(RouteProgress::new(Label(u64::MAX), 200).bits_left(), 64);
         assert_eq!(
-            RouteProgress::from_parts(Label::MAX, 64, 3),
+            RouteProgress::from_parts(Label(u64::MAX), 64, 3),
             Some(RouteProgress {
                 hops: 3,
-                ..RouteProgress::new(Label::MAX, 64)
+                ..RouteProgress::new(Label(u64::MAX), 64)
             })
         );
-        assert_eq!(RouteProgress::from_parts(Label::MAX, 65, 0), None);
+        assert_eq!(RouteProgress::from_parts(Label(u64::MAX), 65, 0), None);
     }
 
     /// The most significant `count` bits of `target`, most significant

@@ -5,14 +5,12 @@
 //! them; the label is derived from the process's middle label via
 //! [`VKind::label_from_middle`].
 
-use crate::hash::LabelHasher;
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 use skueue_sim::ids::ProcessId;
 use std::fmt;
 
 /// Which of a process's three virtual nodes this is.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VKind {
     /// `l(v)`, label `m(v)/2`, always in `[0, 1/2)`.
     Left,
@@ -72,7 +70,7 @@ impl fmt::Debug for VKind {
 
 /// Identity of one virtual node: which process emulates it, and which of the
 /// three roles it plays.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VirtualId {
     /// The emulating process.
     pub process: ProcessId,
@@ -96,19 +94,8 @@ impl VirtualId {
         VirtualId::new(process, VKind::Middle)
     }
 
-    /// The right virtual node of a process.
-    pub fn right(process: ProcessId) -> Self {
-        VirtualId::new(process, VKind::Right)
-    }
-
-    /// Computes this virtual node's label using the given hasher.
-    pub fn label(&self, hasher: &LabelHasher) -> Label {
-        self.kind
-            .label_from_middle(hasher.process_label(self.process))
-    }
-
     /// The sibling virtual node of the same process with the given kind.
-    pub fn sibling(&self, kind: VKind) -> VirtualId {
+    pub(crate) fn sibling(&self, kind: VKind) -> VirtualId {
         VirtualId::new(self.process, kind)
     }
 }
@@ -128,6 +115,7 @@ impl fmt::Display for VirtualId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::LabelHasher;
 
     #[test]
     fn kind_index_roundtrip() {
@@ -154,9 +142,9 @@ mod tests {
     fn left_label_below_half_right_above() {
         let hasher = LabelHasher::default();
         for pid in 0..200u64 {
-            let p = ProcessId(pid);
-            assert!(VirtualId::left(p).label(&hasher).is_left_half());
-            assert!(!VirtualId::right(p).label(&hasher).is_left_half());
+            let middle = hasher.process_label(ProcessId(pid));
+            assert!(VKind::Left.label_from_middle(middle).is_left_half());
+            assert!(!VKind::Right.label_from_middle(middle).is_left_half());
         }
     }
 
@@ -169,7 +157,7 @@ mod tests {
 
     #[test]
     fn display_and_debug() {
-        let v = VirtualId::right(ProcessId(3));
+        let v = VirtualId::new(ProcessId(3), VKind::Right);
         assert_eq!(format!("{v}"), "Rp3");
         assert_eq!(format!("{v:?}"), "Rp3");
         assert_eq!(format!("{:?}", VKind::Left), "L");
@@ -178,7 +166,7 @@ mod tests {
     #[test]
     fn ordering_groups_by_process_then_kind() {
         let a = VirtualId::left(ProcessId(1));
-        let b = VirtualId::right(ProcessId(1));
+        let b = VirtualId::new(ProcessId(1), VKind::Right);
         let c = VirtualId::left(ProcessId(2));
         assert!(a < b && b < c);
     }

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use skueue_overlay::{Label, LabelHasher};
 use skueue_sim::ids::ProcessId;
 
@@ -54,7 +53,7 @@ pub const MAX_SHARDS: u32 = 256;
 /// A `ShardMap` is a pure function of `(shards, hash_seed)` — the same pair
 /// every node, the cluster driver and the verifier already share — so all of
 /// them derive identical layouts without any coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMap {
     shards: u32,
     hasher: LabelHasher,
@@ -83,7 +82,7 @@ impl ShardMap {
     }
 
     /// Shard of an overlay label (the splittable hash split of the label).
-    pub fn shard_of_label(&self, label: Label) -> ShardId {
+    pub(crate) fn shard_of_label(&self, label: Label) -> ShardId {
         self.hasher.shard_of_label(label, self.shards)
     }
 
@@ -96,7 +95,8 @@ impl ShardMap {
     /// The interval `[lo, hi]` (inclusive) of the global position keyspace
     /// owned by `shard`.  The intervals of all shards are pairwise disjoint
     /// and together cover every `u64` position exactly once.
-    pub fn position_interval(&self, shard: ShardId) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn position_interval(&self, shard: ShardId) -> (u64, u64) {
         debug_assert!(shard < self.shards);
         (self.interval_lo(shard), self.interval_hi(shard))
     }
@@ -155,11 +155,6 @@ impl ShardRouter {
     /// The underlying pure map.
     pub fn map(&self) -> &ShardMap {
         &self.map
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> u32 {
-        self.map.shard_count()
     }
 
     /// Shard of a process.
@@ -272,7 +267,6 @@ mod tests {
             let pid = ProcessId(p);
             assert_eq!(router.route(pid), map.shard_of_process(pid));
         }
-        assert_eq!(router.shard_count(), 4);
         assert_eq!(router.map().shard_count(), 4);
         // Single-shard routing short-circuits.
         assert_eq!(

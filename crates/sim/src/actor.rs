@@ -6,13 +6,12 @@
 
 use crate::ids::NodeId;
 use crate::metrics::Histogram;
-use crate::rng::SimRng;
 use crate::Round;
 
 /// A protocol node that lives inside a [`crate::Simulation`].
 ///
 /// Implementations must be deterministic given the sequence of delivered
-/// messages, timeouts, and the random bits drawn from [`Context::rng`].
+/// messages and timeouts.
 pub trait Actor {
     /// Payload type of the messages this actor exchanges.
     type Msg: Clone + std::fmt::Debug;
@@ -60,15 +59,6 @@ pub struct Context<M> {
     self_id: NodeId,
     round: Round,
     pub(crate) outbox: Vec<(NodeId, M)>,
-    /// Seed for the lazily materialised per-invocation random stream.
-    rng_seed: u64,
-    /// The stream itself, created on first use — most protocol actors never
-    /// draw randomness, so the scheduler's hot loop only pays for a seed.
-    rng: Option<SimRng>,
-    /// Number of messages the actor asked to send to itself synchronously
-    /// (delivered next round like any other message — self-channels are
-    /// ordinary channels in the paper's model).
-    self_sends: usize,
     /// The host's sample sink, lent for the invocation (see
     /// [`Self::observe`]); `None` when the host keeps none.
     pub(crate) samples: Option<Vec<Histogram>>,
@@ -77,37 +67,20 @@ pub struct Context<M> {
 impl<M> Context<M> {
     /// Creates a context for one invocation. Used by the scheduler and by
     /// unit tests of actors.
-    pub fn new(self_id: NodeId, round: Round, rng: SimRng) -> Self {
-        Context {
-            self_id,
-            round,
-            outbox: Vec::new(),
-            rng_seed: 0,
-            rng: Some(rng),
-            self_sends: 0,
-            samples: None,
-        }
+    pub fn new(self_id: NodeId, round: Round) -> Self {
+        Context::with_outbox(self_id, round, Vec::new())
     }
 
     /// Creates a context that reuses `outbox` (which must be empty) as its
-    /// send buffer and defers creating the random stream until the actor
-    /// asks for it.  The scheduler lends its scratch buffer this way so the
-    /// hot loop allocates nothing per invocation; reclaim the buffer with
+    /// send buffer.  A host lends its scratch buffer this way so its loop
+    /// allocates nothing per invocation; reclaim the buffer with
     /// [`Self::into_outbox`].
-    pub fn with_outbox(
-        self_id: NodeId,
-        round: Round,
-        rng_seed: u64,
-        outbox: Vec<(NodeId, M)>,
-    ) -> Self {
+    pub fn with_outbox(self_id: NodeId, round: Round, outbox: Vec<(NodeId, M)>) -> Self {
         debug_assert!(outbox.is_empty(), "the lent outbox must start empty");
         Context {
             self_id,
             round,
             outbox,
-            rng_seed,
-            rng: None,
-            self_sends: 0,
             samples: None,
         }
     }
@@ -117,16 +90,13 @@ impl<M> Context<M> {
     /// lane and re-arms it for every visit, so a visit moves no buffer in or
     /// out.
     #[inline]
-    pub(crate) fn rearm(&mut self, self_id: NodeId, round: Round, rng_seed: u64) {
+    pub(crate) fn rearm(&mut self, self_id: NodeId, round: Round) {
         debug_assert!(
             self.outbox.is_empty(),
             "the previous visit's sends were not posted"
         );
         self.self_id = self_id;
         self.round = round;
-        self.rng_seed = rng_seed;
-        self.rng = None;
-        self.self_sends = 0;
     }
 
     /// The id of the node currently executing.
@@ -145,18 +115,7 @@ impl<M> Context<M> {
     /// [`crate::DeliveryModel`].
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
-        if to == self.self_id {
-            self.self_sends += 1;
-        }
         self.outbox.push((to, msg));
-    }
-
-    /// Deterministic per-invocation random stream (materialised on first
-    /// use).
-    #[inline]
-    pub fn rng(&mut self) -> &mut SimRng {
-        let seed = self.rng_seed;
-        self.rng.get_or_insert_with(|| SimRng::new(seed))
     }
 
     /// Records `sample` in the host's distribution number `series`.
@@ -177,26 +136,9 @@ impl<M> Context<M> {
         }
     }
 
-    /// Number of messages queued so far in this invocation.
-    #[inline]
-    pub fn pending_sends(&self) -> usize {
-        self.outbox.len()
-    }
-
-    /// Number of self-addressed messages queued so far.
-    #[inline]
-    pub fn self_sends(&self) -> usize {
-        self.self_sends
-    }
-
     /// Consumes the context and returns the buffered outgoing messages.
     pub fn into_outbox(self) -> Vec<(NodeId, M)> {
         self.outbox
-    }
-
-    /// Drains the buffered messages, leaving the context reusable.
-    pub fn drain_outbox(&mut self) -> Vec<(NodeId, M)> {
-        std::mem::take(&mut self.outbox)
     }
 }
 
@@ -225,27 +167,15 @@ mod tests {
 
     #[test]
     fn context_buffers_sends() {
-        let mut ctx = Context::new(NodeId(0), 5, SimRng::new(1));
+        let mut ctx = Context::new(NodeId(0), 5);
         assert_eq!(ctx.self_id(), NodeId(0));
         assert_eq!(ctx.round(), 5);
         ctx.send(NodeId(1), "a");
         ctx.send(NodeId(2), "b");
         ctx.send(NodeId(0), "self");
-        assert_eq!(ctx.pending_sends(), 3);
-        assert_eq!(ctx.self_sends(), 1);
         let out = ctx.into_outbox();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], (NodeId(1), "a"));
-    }
-
-    #[test]
-    fn drain_outbox_resets() {
-        let mut ctx = Context::new(NodeId(0), 0, SimRng::new(1));
-        ctx.send(NodeId(1), 7u32);
-        assert_eq!(ctx.drain_outbox().len(), 1);
-        assert_eq!(ctx.pending_sends(), 0);
-        ctx.send(NodeId(1), 9u32);
-        assert_eq!(ctx.pending_sends(), 1);
     }
 
     #[test]
@@ -257,18 +187,10 @@ mod tests {
     #[test]
     fn echo_actor_replies() {
         let mut echo = Echo::default();
-        let mut ctx = Context::new(NodeId(3), 1, SimRng::new(2));
+        let mut ctx = Context::new(NodeId(3), 1);
         echo.on_message(NodeId(9), 41, &mut ctx);
         let out = ctx.into_outbox();
         assert_eq!(out, vec![(NodeId(9), 42)]);
         assert_eq!(echo.received, vec![(NodeId(9), 41)]);
-    }
-
-    #[test]
-    fn context_rng_is_usable() {
-        let mut ctx: Context<()> = Context::new(NodeId(0), 0, SimRng::new(3));
-        let a = ctx.rng().next_u64();
-        let b = ctx.rng().next_u64();
-        assert_ne!(a, b);
     }
 }

@@ -2,10 +2,9 @@
 
 use crate::delivery::DeliveryModel;
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::Simulation`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Seed for all simulation-level randomness (message delays, tie
     /// breaking). Protocol-level randomness should use forked streams so the
@@ -28,15 +27,6 @@ impl SimConfig {
             seed,
             delivery: DeliveryModel::Synchronous,
             shuffle_node_order: false,
-        }
-    }
-
-    /// Asynchronous configuration with uniform delays in `[1, max_delay]`.
-    pub fn asynchronous(seed: u64, max_delay: u64) -> Self {
-        SimConfig {
-            seed,
-            delivery: DeliveryModel::uniform(max_delay),
-            shuffle_node_order: true,
         }
     }
 
@@ -66,14 +56,6 @@ mod tests {
     }
 
     #[test]
-    fn asynchronous_defaults() {
-        let c = SimConfig::asynchronous(7, 5);
-        assert!(!c.delivery.is_synchronous());
-        assert!(c.shuffle_node_order);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn invalid_delivery_is_rejected() {
         let mut c = SimConfig::synchronous(1);
         c.delivery = DeliveryModel::UniformRandom {
@@ -85,7 +67,7 @@ mod tests {
 
     #[test]
     fn clone_preserves_fields() {
-        let c = SimConfig::asynchronous(3, 9);
+        let c = SimConfig::synchronous(3);
         let d = c.clone();
         assert_eq!(format!("{c:?}"), format!("{d:?}"));
         assert_eq!(d.seed, 3);

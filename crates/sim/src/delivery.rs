@@ -8,10 +8,9 @@
 
 use crate::rng::SimRng;
 use crate::Round;
-use serde::{Deserialize, Serialize};
 
 /// How message delays are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DeliveryModel {
     /// The synchronous model of the paper's evaluation: every message sent in
     /// round `i` is delivered in round `i + 1`.
@@ -48,7 +47,7 @@ impl DeliveryModel {
     }
 
     /// Validates the parameters of the model.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             DeliveryModel::Synchronous => Ok(()),
             DeliveryModel::UniformRandom {
@@ -84,7 +83,7 @@ impl DeliveryModel {
     }
 
     /// Draws the delay (in rounds) for one message.
-    pub fn draw_delay(&self, rng: &mut SimRng) -> Round {
+    pub(crate) fn draw_delay(&self, rng: &mut SimRng) -> Round {
         match *self {
             DeliveryModel::Synchronous => 1,
             DeliveryModel::UniformRandom {

@@ -11,12 +11,6 @@ pub enum SimError {
     /// A message was addressed to a node that has been deactivated
     /// (and deactivated nodes were configured to reject traffic).
     NodeDeactivated(NodeId),
-    /// `run_until` exceeded its round budget without the predicate becoming
-    /// true.
-    RoundLimitExceeded {
-        /// The budget that was exceeded.
-        limit: u64,
-    },
     /// The configuration was rejected (e.g. an empty delay range).
     InvalidConfig(String),
 }
@@ -26,9 +20,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::UnknownNode(id) => write!(f, "unknown node {id}"),
             SimError::NodeDeactivated(id) => write!(f, "node {id} is deactivated"),
-            SimError::RoundLimitExceeded { limit } => {
-                write!(f, "round limit of {limit} rounds exceeded")
-            }
             SimError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
         }
     }
@@ -45,10 +36,6 @@ mod tests {
         assert_eq!(
             SimError::UnknownNode(NodeId(5)).to_string(),
             "unknown node n5"
-        );
-        assert_eq!(
-            SimError::RoundLimitExceeded { limit: 10 }.to_string(),
-            "round limit of 10 rounds exceeded"
         );
         assert!(SimError::InvalidConfig("bad".into())
             .to_string()

@@ -7,7 +7,7 @@
 //!
 //! * [`ExecMode`] — the user-facing switch between the classic
 //!   single-threaded backend and the parallel lane backend,
-//! * [`pool`] — the persistent worker pool that executes one lane's round on
+//! * `pool` — the persistent worker pool that executes one lane's round on
 //!   a dedicated OS thread and hands the lane back over a channel, forming
 //!   the deterministic round barrier.
 //!
@@ -18,7 +18,7 @@
 //! *messages* — the merged history is byte-identical to the single-threaded
 //! backend's, whatever the thread count.
 
-pub mod pool;
+pub(crate) mod pool;
 
 pub use pool::{RoundTask, WorkerPool};
 
@@ -77,7 +77,7 @@ std::thread_local! {
 /// numbering is unstable in std).  Used to report which OS thread executed
 /// each lane, so tests and CI can assert that lanes really ran on distinct
 /// threads.
-pub fn thread_token() -> u64 {
+pub(crate) fn thread_token() -> u64 {
     THREAD_TOKEN.with(|t| *t)
 }
 

@@ -34,7 +34,7 @@ struct Job<J> {
 /// A persistent pool of worker threads executing [`RoundTask`]s.
 ///
 /// The pool is generic without bounds so it can live inside
-/// `Simulation<A>` unconditionally; only [`WorkerPool::new`] requires the
+/// `Simulation<A>` unconditionally; only `WorkerPool::new` requires the
 /// task to actually be shippable.
 pub struct WorkerPool<J> {
     /// One job channel per worker; dropping them is the stop signal.
@@ -46,7 +46,7 @@ pub struct WorkerPool<J> {
 
 impl<J: RoundTask> WorkerPool<J> {
     /// Spawns `threads` workers.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         let (done, results) = channel();
         let mut jobs = Vec::new();
         let mut handles = Vec::new();
@@ -90,12 +90,12 @@ impl<J: RoundTask> WorkerPool<J> {
 
 impl<J> WorkerPool<J> {
     /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.jobs.len()
     }
 
     /// Ships task `idx` to its worker (`idx % worker_count`) for `round`.
-    pub fn submit(&mut self, idx: usize, task: Box<J>, round: u64) {
+    pub(crate) fn submit(&mut self, idx: usize, task: Box<J>, round: u64) {
         let w = idx % self.jobs.len();
         self.jobs[w]
             .send(Job { idx, task, round })
@@ -105,7 +105,7 @@ impl<J> WorkerPool<J> {
     /// Waits for the next finished task.  Re-raises the panic of a task that
     /// panicked on its worker — the simulation cannot continue with a lost
     /// lane.
-    pub fn collect_one(&mut self) -> (usize, Box<J>) {
+    pub(crate) fn collect_one(&mut self) -> (usize, Box<J>) {
         match self
             .results
             .recv()

@@ -4,7 +4,6 @@
 //! every higher layer (overlay, DHT, protocol, workloads) talks about the
 //! same [`NodeId`] / [`ProcessId`] / [`RequestId`] types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a simulated node.
@@ -13,13 +12,13 @@ use std::fmt;
 /// network — every process emulates three of them (left, middle, right).
 /// `NodeId`s are dense indices handed out by the simulation in insertion
 /// order, which makes them usable as `Vec` indices in hot paths.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u64);
 
 impl NodeId {
     /// Returns the raw index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -47,7 +46,7 @@ impl From<u64> for NodeId {
 ///
 /// The paper identifies processes by a unique `v.id ∈ ℕ`; the label of the
 /// middle virtual node is a pseudorandom hash of this identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub u64);
 
 impl ProcessId {
@@ -81,7 +80,7 @@ impl From<u64> for ProcessId {
 /// The paper assumes w.l.o.g. that every element is enqueued at most once
 /// ("make the calling process and the current count of requests performed a
 /// part of e"); `RequestId` is exactly that pair.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId {
     /// The process that issued the request.
     pub origin: ProcessId,

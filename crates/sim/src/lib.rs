@@ -41,23 +41,23 @@
 //! stream, so a round decomposes into per-lane work recombined in fixed
 //! lane order.  [`ExecMode`] selects whether lanes run on the calling
 //! thread or on a pool of worker threads behind a deterministic round
-//! barrier (see [`exec`]); both backends produce byte-identical results.
+//! barrier (see `exec`); both backends produce byte-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
-pub mod config;
+mod config;
 pub mod delivery;
-pub mod error;
-pub mod exec;
+mod error;
+mod exec;
 pub mod ids;
-pub mod message;
+mod message;
 pub mod metrics;
 pub mod replay;
-pub mod rng;
-pub mod scheduler;
-pub mod transport;
+mod rng;
+mod scheduler;
+mod transport;
 
 pub use actor::{Actor, Context};
 pub use config::SimConfig;
@@ -66,11 +66,11 @@ pub use error::SimError;
 pub use exec::ExecMode;
 pub use ids::{NodeId, ProcessId, RequestId};
 pub use message::Envelope;
-pub use metrics::{Histogram, SimMetrics, Summary};
+pub use metrics::{Histogram, SimMetrics};
 pub use replay::{ReplayScenario, ReplayStep};
 pub use rng::SimRng;
-pub use scheduler::{RunOutcome, Simulation};
+pub use scheduler::Simulation;
 pub use transport::{SimTransport, Transport};
 
 /// A simulated round (discrete time step of the synchronous model).
-pub type Round = u64;
+pub(crate) type Round = u64;

@@ -24,41 +24,3 @@ pub struct Envelope<M> {
     /// The protocol payload ("name and parameters of the action to call").
     pub payload: M,
 }
-
-impl<M> Envelope<M> {
-    /// In-flight latency of the message, in rounds.
-    pub fn delay(&self) -> Round {
-        self.deliver_at.saturating_sub(self.sent_at)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delay_is_difference() {
-        let e = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            sent_at: 3,
-            deliver_at: 7,
-            seq: 0,
-            payload: "hi",
-        };
-        assert_eq!(e.delay(), 4);
-    }
-
-    #[test]
-    fn delay_saturates() {
-        let e = Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            sent_at: 9,
-            deliver_at: 2,
-            seq: 0,
-            payload: (),
-        };
-        assert_eq!(e.delay(), 0);
-    }
-}

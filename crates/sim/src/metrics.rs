@@ -7,15 +7,12 @@
 //! quantities (request latencies, batch lengths) are recorded by the layers
 //! above using the same [`Histogram`] type.
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
-
 /// A simple fixed-precision histogram over `u64` samples.
 ///
 /// Samples are kept exactly (sum, min, max, count) plus a bucketed
 /// distribution with power-of-two bucket boundaries, which is accurate enough
 /// for round counts and batch lengths while staying O(64) in memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     count: u64,
     sum: u128,
@@ -48,7 +45,7 @@ impl PartialEq for Histogram {
 
 impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             count: 0,
             sum: 0,
@@ -59,12 +56,12 @@ impl Histogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
+    pub(crate) fn record(&mut self, sample: u64) {
         self.record_n(sample, 1);
     }
 
     /// Records `n` identical samples.
-    pub fn record_n(&mut self, sample: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, sample: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -102,15 +99,6 @@ impl Histogram {
         }
     }
 
-    /// Smallest recorded sample (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
     /// Largest recorded sample (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         if self.count == 0 {
@@ -120,33 +108,10 @@ impl Histogram {
         }
     }
 
-    /// Approximate quantile based on the power-of-two buckets: returns the
-    /// upper bound of the bucket containing the `q`-quantile.
-    pub fn approx_quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut running = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            running += c;
-            if running >= target {
-                let upper = if i == 0 {
-                    0
-                } else {
-                    (1u64 << i).saturating_sub(1)
-                };
-                return Some(upper.min(self.max).max(self.min));
-            }
-        }
-        Some(self.max)
-    }
-
     /// Resets the histogram to its empty state, keeping the bucket storage
     /// (used by the lane merge, which rebuilds aggregate histograms from the
     /// per-lane ones every round without reallocating).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -157,7 +122,7 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum += other.sum;
         if other.count > 0 {
@@ -171,43 +136,10 @@ impl Histogram {
             self.buckets[i] += c;
         }
     }
-
-    /// Summary view of the histogram.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean(),
-            min: self.min().unwrap_or(0),
-            max: self.max().unwrap_or(0),
-        }
-    }
-}
-
-/// Compact summary statistics of a [`Histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Minimum value (0 when empty).
-    pub min: u64,
-    /// Maximum value (0 when empty).
-    pub max: u64,
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "count={} mean={:.2} min={} max={}",
-            self.count, self.mean, self.min, self.max
-        )
-    }
 }
 
 /// Substrate-level metrics collected by [`crate::Simulation`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimMetrics {
     /// Total messages handed to the simulation.
     pub messages_sent: u64,
@@ -242,7 +174,7 @@ pub struct SimMetrics {
     /// imbalance.
     pub lane_barrier_wait_ns: Vec<u64>,
     /// Process-unique token of the OS thread that most recently executed
-    /// each lane (index = lane; see [`crate::exec::thread_token`]).  Lets
+    /// each lane (index = lane; see `crate::exec::thread_token`).  Lets
     /// tests and CI assert that the parallel backend really spread lanes
     /// over distinct threads.
     pub lane_thread_tokens: Vec<u64>,
@@ -250,26 +182,8 @@ pub struct SimMetrics {
 
 impl SimMetrics {
     /// Creates an empty metrics container.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SimMetrics::default()
-    }
-
-    /// Average messages sent per round (0.0 before the first round).
-    pub fn avg_sends_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages_sent as f64 / self.rounds as f64
-        }
-    }
-
-    /// Average messages delivered per round (0.0 before the first round).
-    pub fn avg_deliveries_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages_delivered as f64 / self.rounds as f64
-        }
     }
 }
 
@@ -282,9 +196,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert_eq!(h.approx_quantile(0.5), None);
     }
 
     /// `Default` used to be derived (`min = 0`), so the minimum of every
@@ -296,11 +208,9 @@ mod tests {
         assert_eq!(h, Histogram::new());
         h.record(7);
         h.record(9);
-        assert_eq!(h.min(), Some(7));
-        assert_eq!(h.summary().min, 7);
         let mut merged = Histogram::default();
         merged.merge(&h);
-        assert_eq!(merged.min(), Some(7));
+        assert_eq!(merged, h, "a minimum that started at 0 would differ");
     }
 
     #[test]
@@ -334,7 +244,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 15);
         assert!((h.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(5));
     }
 
@@ -361,8 +270,16 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), Some(100));
-        assert_eq!(a.min(), Some(1));
         assert_eq!(a.sum(), 111);
+    }
+
+    #[test]
+    fn zero_samples_land_in_zero_bucket() {
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(0);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.max(), Some(0));
     }
 
     #[test]
@@ -372,49 +289,5 @@ mod tests {
         let before = a.clone();
         a.merge(&Histogram::new());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn quantile_is_monotone_and_bounded() {
-        let mut h = Histogram::new();
-        for v in 0..1000u64 {
-            h.record(v);
-        }
-        let q10 = h.approx_quantile(0.1).unwrap();
-        let q50 = h.approx_quantile(0.5).unwrap();
-        let q99 = h.approx_quantile(0.99).unwrap();
-        assert!(q10 <= q50 && q50 <= q99);
-        assert!(q99 <= 999);
-    }
-
-    #[test]
-    fn zero_samples_land_in_zero_bucket() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(0);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(0));
-        assert_eq!(h.approx_quantile(0.5), Some(0));
-    }
-
-    #[test]
-    fn summary_display() {
-        let mut h = Histogram::new();
-        h.record(2);
-        h.record(4);
-        let s = h.summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.min, 2);
-        assert_eq!(s.max, 4);
-        assert!(s.to_string().contains("mean=3.00"));
-    }
-
-    #[test]
-    fn sim_metrics_average() {
-        let mut m = SimMetrics::new();
-        assert_eq!(m.avg_deliveries_per_round(), 0.0);
-        m.messages_delivered = 30;
-        m.rounds = 10;
-        assert!((m.avg_deliveries_per_round() - 3.0).abs() < 1e-12);
     }
 }

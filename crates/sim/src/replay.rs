@@ -8,10 +8,8 @@
 //! stable, human-readable line syntax (`P3 S7 D4 | e1 e2 J d1 L2`), so
 //! pinned counterexamples in `tests/` stay reviewable diffs.
 
-use serde::{Deserialize, Serialize};
-
 /// One step of a replay scenario, at the cluster API level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayStep {
     /// Issue an enqueue at this process (payload chosen by the harness).
     Enqueue(u64),
@@ -26,7 +24,7 @@ pub enum ReplayStep {
 }
 
 /// A serialisable, replayable scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayScenario {
     /// Initial number of processes.
     pub processes: u64,

@@ -3,16 +3,13 @@
 //! Every source of randomness in the workspace flows through [`SimRng`] so
 //! that a simulation run is exactly reproducible from `(seed, config)`.
 //! The generator is a small, fast `xoshiro256**`-style PRNG implemented
-//! locally (on top of a SplitMix64 seeder) so that sequences are stable
-//! across `rand` crate versions — the history fingerprints the determinism
-//! tests and the benchmark pin must not silently change when dependencies
-//! are bumped.
-
-use rand::RngCore;
+//! locally (on top of a SplitMix64 seeder), so the sequences — and with them
+//! the history fingerprints the determinism tests and the benchmark pin —
+//! depend on nothing outside this file.
 
 /// SplitMix64 step — used for seeding and for stateless hashing elsewhere.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -75,7 +72,7 @@ impl SimRng {
 
     /// Uniform value in `[lo, hi]` (inclusive). Panics if `lo > hi`.
     #[inline]
-    pub fn gen_range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn gen_range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "gen_range_inclusive requires lo <= hi");
         let span = hi - lo;
         if span == u64::MAX {
@@ -103,14 +100,8 @@ impl SimRng {
         self.gen_unit() < p
     }
 
-    /// Derives an independent child generator; useful to give each node or
-    /// each experiment repetition its own stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
-
     /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, slice: &mut [T]) {
         let n = slice.len();
         if n <= 1 {
             return;
@@ -125,33 +116,6 @@ impl SimRng {
     pub fn choose_index(&mut self, len: usize) -> usize {
         assert!(len > 0, "cannot choose from an empty collection");
         self.gen_range(len as u64) as usize
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -243,23 +207,6 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left slice unchanged"
         );
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(123);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 5);
-    }
-
-    #[test]
-    fn fill_bytes_fills_everything() {
-        let mut rng = SimRng::new(77);
-        let mut buf = [0u8; 33];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

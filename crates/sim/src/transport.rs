@@ -64,7 +64,7 @@ pub trait Transport<M> {
 /// This is the machinery that used to live inline in the scheduler's lanes;
 /// it was extracted so the delivery schedule has a name and a second,
 /// real-clock implementation can exist beside it.  The lane still calls the
-/// inherent methods ([`Self::dispatch`], [`Self::take_due`]) directly, so
+/// inherent methods (`Self::dispatch`, [`Self::take_due`]) directly, so
 /// the extraction is invisible to both the optimizer and the goldens.
 #[derive(Debug)]
 pub struct SimTransport<M> {
@@ -111,18 +111,12 @@ impl<M> SimTransport<M> {
 
     /// The round this transport considers "now" (the owning lane's clock).
     #[inline]
-    pub fn round(&self) -> Round {
+    pub(crate) fn round(&self) -> Round {
         self.round
     }
 
-    /// Number of accepted-but-undelivered messages.
-    #[inline]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Mutable access to the transport's RNG stream.  The lane draws its
-    /// per-visit context seeds from the same stream as the delay draws
+    /// Mutable access to the transport's RNG stream.  The lane draws once
+    /// per visit (and its shuffle) from the same stream as the delay draws
     /// (historical behavior the goldens depend on).
     #[inline]
     pub(crate) fn rng_mut(&mut self) -> &mut SimRng {
@@ -133,7 +127,7 @@ impl<M> SimTransport<M> {
     /// drawn from the delivery model (at least 1: a message is never
     /// delivered in its send round).
     #[inline]
-    pub fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
+    pub(crate) fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
         let delay = self.delivery.draw_delay(&mut self.rng).max(1);
         let deliver_at = self.round + delay;
         let seq = self.seq;

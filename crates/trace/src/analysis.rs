@@ -76,13 +76,13 @@ impl OpSpan {
     }
 
     /// True once the op has both ends of its span.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.issued.is_some() && self.completed.is_some()
     }
 
     /// True for a span with an issue but no completion — an *orphan*.  At
     /// quiescence there must be none (the churn sweep's standing invariant).
-    pub fn is_orphan(&self) -> bool {
+    pub(crate) fn is_orphan(&self) -> bool {
         self.issued.is_some() && self.completed.is_none()
     }
 
@@ -91,7 +91,7 @@ impl OpSpan {
     /// combined), rounds must be monotone along the chain, and at
     /// [`crate::TraceLevel::Full`] the hop-event count must match the
     /// recorded hop total.  Returns a human-readable violation, or `None`.
-    pub fn shape_violation(&self, hop_events_recorded: bool) -> Option<String> {
+    pub(crate) fn shape_violation(&self, hop_events_recorded: bool) -> Option<String> {
         let issued = match self.issued {
             Some(r) => r,
             None => return Some(format!("{}: completed without an issue event", self.op)),
@@ -141,42 +141,36 @@ impl OpSpan {
         None
     }
 
-    /// True when the span tree is well-formed (see
-    /// [`Self::shape_violation`]).
-    pub fn well_formed(&self, hop_events_recorded: bool) -> bool {
-        self.shape_violation(hop_events_recorded).is_none()
-    }
-
     /// Rounds spent waiting for the node's next aggregation wave.
     /// (`None` also for malformed, backwards spans — those are reported by
     /// [`Self::shape_violation`], never unwrapped here.)
-    pub fn queue_wait(&self) -> Option<u64> {
+    pub(crate) fn queue_wait(&self) -> Option<u64> {
         self.wave_join?.checked_sub(self.issued?)
     }
 
     /// Rounds the op's batch spent travelling up the tree (to the anchor's
     /// assignment of its wave).
-    pub fn aggregation(&self) -> Option<u64> {
+    pub(crate) fn aggregation(&self) -> Option<u64> {
         self.anchor_assigned?.checked_sub(self.wave_join?)
     }
 
     /// Rounds the assignment spent travelling back down the tree.
-    pub fn assignment(&self) -> Option<u64> {
+    pub(crate) fn assignment(&self) -> Option<u64> {
         self.assigned?.checked_sub(self.anchor_assigned?)
     }
 
     /// Rounds the op's DHT operation spent routing to its responsible node.
-    pub fn dht_routing(&self) -> Option<u64> {
+    pub(crate) fn dht_routing(&self) -> Option<u64> {
         self.dht_applied?.checked_sub(self.assigned?)
     }
 
     /// Rounds from the DHT apply to the op's completion.
-    pub fn reply(&self) -> Option<u64> {
+    pub(crate) fn reply(&self) -> Option<u64> {
         self.completed?.checked_sub(self.dht_applied?)
     }
 
     /// Total rounds from issue to completion.
-    pub fn total(&self) -> Option<u64> {
+    pub(crate) fn total(&self) -> Option<u64> {
         self.completed?.checked_sub(self.issued?)
     }
 }
@@ -198,7 +192,7 @@ pub struct StageStats {
 
 impl StageStats {
     /// Summarises a sample set (destroys the input's order).
-    pub fn from_samples(samples: &mut [u64]) -> Self {
+    pub(crate) fn from_samples(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
             return StageStats::default();
         }
@@ -214,7 +208,7 @@ impl StageStats {
 }
 
 /// Nearest-rank percentile of an ascending-sorted, non-empty sample set.
-pub fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
+pub(crate) fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
     debug_assert!(!sorted.is_empty());
     let rank = (q * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
@@ -451,7 +445,7 @@ mod tests {
         assert_eq!(a.spans().len(), 1);
         let s = a.spans()[0];
         assert!(s.is_complete() && !s.is_orphan());
-        assert!(s.well_formed(true), "{:?}", s.shape_violation(true));
+        assert_eq!(s.shape_violation(true), None);
         assert_eq!(s.queue_wait(), Some(2));
         assert_eq!(s.aggregation(), Some(5));
         assert_eq!(s.assignment(), Some(2));

@@ -11,12 +11,8 @@
 //! shard lane**; each completed op is a single complete (`"ph":"X"`) slice
 //! with its stage breakdown in `args`, and churn/update-phase events are
 //! instants on the shard track that recorded them.
-//! [`export_chrome_trace_with_runtime`] appends pid 2 with **one track per
-//! worker lane** showing the parallel backend's measured busy vs
-//! barrier-wait time — wall-clock data, so it is opt-in and excluded from
-//! byte-identity comparisons.
 //!
-//! The JSON is hand-rolled (the workspace's serde is an offline no-op stub);
+//! The JSON is hand-rolled (nothing can be vendored: there is no registry);
 //! [`validate_json`] is the minimal syntax checker the CI trace smoke runs
 //! over the exported file.
 //!
@@ -122,61 +118,6 @@ pub fn export_chrome_trace(log: &TraceLog) -> String {
     }
 
     render_document(&events)
-}
-
-/// Renders the protocol timeline plus one track per worker lane with the
-/// parallel backend's measured busy vs barrier-wait durations.
-///
-/// The lane metrics are wall-clock nanoseconds (`lane_busy_ns`,
-/// `lane_barrier_wait_ns`, `lane_thread_tokens` from the sim metrics) and
-/// therefore differ run to run — use [`export_chrome_trace`] when byte
-/// identity matters.
-pub fn export_chrome_trace_with_runtime(
-    log: &TraceLog,
-    lane_busy_ns: &[u64],
-    lane_barrier_wait_ns: &[u64],
-    lane_thread_tokens: &[u64],
-) -> String {
-    let deterministic = export_chrome_trace(log);
-    let mut events: Vec<String> = Vec::new();
-    let mut out = String::new();
-    push_meta(&mut out, 2, None, "process_name", "worker lanes");
-    events.push(std::mem::take(&mut out));
-    for (lane, &busy_ns) in lane_busy_ns.iter().enumerate() {
-        let token = lane_thread_tokens.get(lane).copied().unwrap_or(0);
-        push_meta(
-            &mut out,
-            2,
-            Some(lane as u32),
-            "thread_name",
-            &format!("lane {lane} (thread {token:#x})"),
-        );
-        events.push(std::mem::take(&mut out));
-        let busy_us = busy_ns / 1000;
-        let wait_us = lane_barrier_wait_ns.get(lane).copied().unwrap_or(0) / 1000;
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"pid\":2,\"tid\":{lane},\"cat\":\"lane\",\"name\":\"busy\",\"ts\":0,\"dur\":{busy_us}}}",
-        );
-        events.push(std::mem::take(&mut out));
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"pid\":2,\"tid\":{lane},\"cat\":\"lane\",\"name\":\"barrier wait\",\"ts\":{busy_us},\"dur\":{wait_us}}}",
-        );
-        events.push(std::mem::take(&mut out));
-    }
-    // Splice the runtime events into the deterministic document's array.
-    let insert_at = deterministic
-        .rfind("]}")
-        .expect("deterministic export always ends with ]}");
-    let mut doc = String::with_capacity(deterministic.len() + events.len() * 96);
-    doc.push_str(&deterministic[..insert_at]);
-    for e in &events {
-        doc.push_str(",\n");
-        doc.push_str(e);
-    }
-    doc.push_str(&deterministic[insert_at..]);
-    doc
 }
 
 fn render_document(events: &[String]) -> String {
@@ -427,21 +368,6 @@ mod tests {
     fn export_is_deterministic() {
         let log = sample_log();
         assert_eq!(export_chrome_trace(&log), export_chrome_trace(&log));
-    }
-
-    #[test]
-    fn runtime_export_appends_lane_tracks_and_stays_valid() {
-        let json = export_chrome_trace_with_runtime(
-            &sample_log(),
-            &[5_000, 7_000],
-            &[1_000, 500],
-            &[0xaa, 0xbb],
-        );
-        assert!(validate_json(&json));
-        assert!(json.contains("worker lanes"));
-        assert!(json.contains("\"name\":\"busy\""));
-        assert!(json.contains("\"name\":\"barrier wait\""));
-        assert!(json.contains("lane 1 (thread 0xbb)"));
     }
 
     #[test]

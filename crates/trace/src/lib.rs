@@ -24,7 +24,7 @@
 //! (each name is a [`TraceEvent`] variant, e.g. [`TraceEvent::Issued`].)
 //! Locally combined stack pairs
 //! and `⊥` dequeues legitimately skip later stages; see
-//! [`analysis::OpSpan::well_formed`] for the exact shape rules.
+//! `analysis::OpSpan::shape_violation` for the exact shape rules.
 //!
 //! Sinks: [`analysis::TraceAnalysis`] (in-memory per-stage round-latency
 //! percentiles) and [`chrome::export_chrome_trace`] (Chrome trace-event JSON
@@ -37,19 +37,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod chrome;
+mod analysis;
+mod chrome;
 
 pub use analysis::{OpSpan, StageStats, TraceAnalysis};
-pub use chrome::{export_chrome_trace, export_chrome_trace_with_runtime, validate_json};
-
-use serde::{Deserialize, Serialize};
+pub use chrome::{export_chrome_trace, validate_json};
 
 /// How much the per-node recorders capture.
 ///
 /// `Copy` on purpose: every emission site guards with a branch on this enum,
 /// which is all the off path costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// No recording at all: no ring buffer is allocated and every emission
     /// site reduces to one predictable branch (the default).
@@ -70,25 +68,10 @@ impl TraceLevel {
         matches!(self, TraceLevel::Off)
     }
 
-    /// True when per-op span events are recorded.
-    #[inline]
-    pub fn spans(self) -> bool {
-        !self.is_off()
-    }
-
     /// True when per-hop DHT routing events are recorded.
     #[inline]
-    pub fn hops(self) -> bool {
+    pub(crate) fn hops(self) -> bool {
         matches!(self, TraceLevel::Full)
-    }
-
-    /// Stable lowercase name for reports and snapshot JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLevel::Off => "off",
-            TraceLevel::Spans => "spans",
-            TraceLevel::Full => "full",
-        }
     }
 }
 
@@ -234,7 +217,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The round the event is stamped with.
-    pub fn round(&self) -> u64 {
+    pub(crate) fn round(&self) -> u64 {
         match *self {
             TraceEvent::Issued { round, .. }
             | TraceEvent::WaveJoin { round, .. }
@@ -249,20 +232,6 @@ impl TraceEvent {
             | TraceEvent::ProcessJoined { round, .. }
             | TraceEvent::ProcessLeft { round, .. }
             | TraceEvent::Absorbed { round, .. } => round,
-        }
-    }
-
-    /// The op the event belongs to (`None` for wave/phase/churn events).
-    pub fn op(&self) -> Option<TraceId> {
-        match *self {
-            TraceEvent::Issued { op, .. }
-            | TraceEvent::WaveJoin { op, .. }
-            | TraceEvent::Assigned { op, .. }
-            | TraceEvent::DhtIssued { op, .. }
-            | TraceEvent::DhtHop { op, .. }
-            | TraceEvent::DhtApplied { op, .. }
-            | TraceEvent::Completed { op, .. } => Some(op),
-            _ => None,
         }
     }
 
@@ -370,7 +339,7 @@ pub struct TraceRecord {
 /// drains every buffer once per round sweep, so steady state never grows it;
 /// a single round would need to emit more than this many events at one node
 /// to trigger a (amortised, still deterministic) regrowth.
-pub const RECORDER_CAPACITY: usize = 1024;
+pub(crate) const RECORDER_CAPACITY: usize = 1024;
 
 /// The lane-local event recorder owned by one virtual node.
 ///
@@ -398,17 +367,6 @@ impl TraceRecorder {
                 Vec::with_capacity(RECORDER_CAPACITY)
             },
         }
-    }
-
-    /// A disabled recorder (what nodes get before the cluster wires them).
-    pub fn disabled() -> Self {
-        TraceRecorder::new(TraceLevel::Off, 0, 0)
-    }
-
-    /// The recorder's level.
-    #[inline]
-    pub fn level(&self) -> TraceLevel {
-        self.level
     }
 
     /// True when recording is disabled — **the** guard every emission site
@@ -476,7 +434,7 @@ impl TraceLog {
     }
 
     /// All records in merge order.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub(crate) fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
@@ -528,11 +486,8 @@ mod tests {
     fn level_defaults_off_and_gates() {
         assert_eq!(TraceLevel::default(), TraceLevel::Off);
         assert!(TraceLevel::Off.is_off());
-        assert!(!TraceLevel::Off.spans());
         assert!(!TraceLevel::Off.hops());
-        assert!(TraceLevel::Spans.spans());
         assert!(!TraceLevel::Spans.hops());
-        assert!(TraceLevel::Full.spans());
         assert!(TraceLevel::Full.hops());
         assert!(TraceLevel::Off < TraceLevel::Spans && TraceLevel::Spans < TraceLevel::Full);
     }
@@ -568,7 +523,6 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.records()[0].node, 7);
         assert_eq!(log.records()[0].shard, 2);
-        assert_eq!(log.records()[0].event.op(), Some(TraceId::new(1, 0)));
         assert_eq!(log.records()[0].event.round(), 5);
     }
 

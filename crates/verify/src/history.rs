@@ -7,7 +7,6 @@
 //! the paper); the checkers in this crate then verify that this order indeed
 //! witnesses sequential consistency.
 
-use serde::{Deserialize, Serialize};
 use skueue_dht::Payload;
 use skueue_sim::ids::{ProcessId, RequestId};
 use std::collections::BTreeMap;
@@ -33,9 +32,7 @@ use std::collections::BTreeMap;
 /// consistent with every process's program order by construction.  Unsharded
 /// histories leave both components at zero, which makes the ordering (and
 /// the key bytes) identical to the pre-sharding format.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OrderKey {
     /// Wave epoch of the assigning anchor shard (zero for unsharded runs
     /// and locally combined pairs) — the leading merge component.
@@ -108,7 +105,7 @@ impl std::fmt::Display for OrderKey {
 }
 
 /// Kind of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `ENQUEUE()` (or `PUSH()` for the stack).
     Enqueue,
@@ -117,7 +114,7 @@ pub enum OpKind {
 }
 
 /// Outcome of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpResult {
     /// An `ENQUEUE()`/`PUSH()` completed (the element is in the structure or
     /// already consumed by a matched dequeue).
@@ -130,7 +127,7 @@ pub enum OpResult {
 }
 
 /// One completed request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord<T = u64> {
     /// Identity of the request: origin process and per-process sequence
     /// number (`OP_{v,i}`), which encodes the process-local issue order.
@@ -158,13 +155,13 @@ impl<T: Payload> OpRecord<T> {
     }
 
     /// True if this is a dequeue that returned `⊥`.
-    pub fn is_empty_dequeue(&self) -> bool {
+    pub(crate) fn is_empty_dequeue(&self) -> bool {
         self.kind == OpKind::Dequeue && self.result == OpResult::Empty
     }
 }
 
 /// A complete execution history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct History<T = u64> {
     records: Vec<OpRecord<T>>,
 }
@@ -224,7 +221,7 @@ impl<T: Payload> History<T> {
     }
 
     /// All records sorted by the witnessed total order.
-    pub fn sorted_by_order(&self) -> Vec<&OpRecord<T>> {
+    pub(crate) fn sorted_by_order(&self) -> Vec<&OpRecord<T>> {
         let mut sorted: Vec<&OpRecord<T>> = self.records.iter().collect();
         sorted.sort_by_key(|r| r.order);
         sorted
@@ -232,7 +229,7 @@ impl<T: Payload> History<T> {
 
     /// Records grouped by origin process, each group sorted by the
     /// per-process sequence number (the issue order at that process).
-    pub fn by_process(&self) -> BTreeMap<ProcessId, Vec<&OpRecord<T>>> {
+    pub(crate) fn by_process(&self) -> BTreeMap<ProcessId, Vec<&OpRecord<T>>> {
         let mut map: BTreeMap<ProcessId, Vec<&OpRecord<T>>> = BTreeMap::new();
         for r in &self.records {
             map.entry(r.id.origin).or_default().push(r);
@@ -256,22 +253,11 @@ impl<T: Payload> History<T> {
         self.records.iter().map(|r| r.latency()).max().unwrap_or(0)
     }
 
-    /// Nearest-rank latency percentile (`q` in `(0, 1]`; 0 when empty).
+    /// The `(p50, p99, p999)` latency percentiles in rounds (nearest-rank).
     ///
-    /// Computed from the records alone, so it is available with lifecycle
+    /// Computed from the records alone, so they are available with lifecycle
     /// tracing off; the trace analysis' `total` stage reports the same
     /// numbers when tracing is on.
-    pub fn latency_percentile(&self, q: f64) -> u64 {
-        if self.records.is_empty() {
-            return 0;
-        }
-        let mut latencies: Vec<u64> = self.records.iter().map(|r| r.latency()).collect();
-        latencies.sort_unstable();
-        let rank = (q * latencies.len() as f64).ceil() as usize;
-        latencies[rank.clamp(1, latencies.len()) - 1]
-    }
-
-    /// The `(p50, p99, p999)` latency percentiles in rounds (nearest-rank).
     pub fn latency_percentiles(&self) -> (u64, u64, u64) {
         if self.records.is_empty() {
             return (0, 0, 0);
@@ -445,8 +431,6 @@ mod tests {
                 completed_round: i + 1,
             });
         }
-        assert_eq!(h.latency_percentile(0.50), 50);
         assert_eq!(h.latency_percentiles(), (50, 99, 100));
-        assert_eq!(h.latency_percentile(1.0), h.max_latency());
     }
 }

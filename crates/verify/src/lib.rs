@@ -11,14 +11,14 @@
 //!   `value(op)` in the total order `≺` that the protocol constructs
 //!   (Section V).  The protocol *witnesses* its own ordering; the checker
 //!   verifies that the witnessed ordering actually satisfies the definition.
-//! * [`check_queue_definition1`] checks the four properties of Definition 1
+//! * `check_queue_definition1` checks the four properties of Definition 1
 //!   literally.
-//! * [`check_queue_replay`] performs the stronger *replay* check: executing
+//! * `check_queue_replay` performs the stronger *replay* check: executing
 //!   the requests in the witnessed order on a reference sequential queue must
 //!   reproduce every response (matched element or `⊥`) exactly.  This is the
 //!   check the protocol is expected to pass (and implies Definition 1 for
 //!   well-formed histories).
-//! * [`check_stack_replay`] / [`check_stack_ordering`] are the LIFO
+//! * `check_stack_replay` / `check_stack_ordering` are the LIFO
 //!   counterparts used for the Section VI stack.
 //! * [`check_queue_sharded`] checks a *sharded* deployment (`shards > 1`):
 //!   Definition 1 plus the replay oracle on every anchor shard's lane, shard
@@ -31,19 +31,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod history;
-pub mod queue_check;
-pub mod report;
-pub mod sharded_check;
-pub mod stack_check;
+mod history;
+mod queue_check;
+mod report;
+mod sharded_check;
+mod stack_check;
 
 pub use history::{History, OpKind, OpRecord, OpResult, OrderKey};
-pub use queue_check::{
-    check_queue, check_queue_definition1, check_queue_records, check_queue_replay,
-};
+pub use queue_check::{check_queue, check_queue_records};
 pub use report::{ConsistencyReport, Violation};
 pub use sharded_check::check_queue_sharded;
+pub use stack_check::check_stack;
+
 // Re-exported so checker users can name the payload bound without a direct
 // skueue-dht dependency.
 pub use skueue_dht::Payload;
-pub use stack_check::{check_stack, check_stack_ordering, check_stack_replay};

@@ -15,48 +15,19 @@ pub(crate) struct MatchedPair {
     pub(crate) dequeue_order: OrderKey,
 }
 
-/// Preprocessed matching shared with the stack checker.
+/// Shared preprocessing of a history — well-formedness checks and the
+/// construction of the matching `M` — also used by the stack checker
+/// (push/pop map onto enqueue/dequeue in [`OpKind`]).
 pub(crate) struct PreparedMatching {
     pub(crate) report: ConsistencyReport,
     pub(crate) matched: Vec<MatchedPair>,
+    /// Enqueues whose element is never returned, with their order values.
     pub(crate) unmatched_enqueues: Vec<(RequestId, OrderKey)>,
+    /// Order values of dequeues that returned `⊥`.
     pub(crate) empty_orders: Vec<OrderKey>,
 }
 
-/// Well-formedness checks plus matching construction, shared with the stack
-/// checker (push/pop map onto enqueue/dequeue in [`OpKind`]).
-pub(crate) fn prepare_for_stack<T: Payload>(history: &History<T>) -> PreparedMatching {
-    let Prepared {
-        report,
-        matched,
-        unmatched_enqueues,
-        empty_orders,
-        records: _,
-    } = prepare(history);
-    PreparedMatching {
-        report,
-        matched,
-        unmatched_enqueues,
-        empty_orders,
-    }
-}
-
-/// Shared preprocessing of a history: well-formedness checks and the
-/// construction of the matching `M`.
-struct Prepared<'a, T> {
-    report: ConsistencyReport,
-    matched: Vec<MatchedPair>,
-    /// Enqueues whose element is never returned, with their order values.
-    unmatched_enqueues: Vec<(RequestId, OrderKey)>,
-    /// Order values of dequeues that returned `⊥`.
-    empty_orders: Vec<OrderKey>,
-    /// Borrow of the underlying records (ties the lifetime; also used by
-    /// future checkers that need record-level details).
-    #[allow(dead_code)]
-    records: &'a [OpRecord<T>],
-}
-
-fn prepare<T: Payload>(history: &History<T>) -> Prepared<'_, T> {
+pub(crate) fn prepare<T: Payload>(history: &History<T>) -> PreparedMatching {
     let records = history.records();
     let mut report = ConsistencyReport {
         records_checked: records.len(),
@@ -138,12 +109,11 @@ fn prepare<T: Payload>(history: &History<T>) -> Prepared<'_, T> {
     report.matched_pairs = matched.len();
     report.empty_dequeues = empty_orders.len();
 
-    Prepared {
+    PreparedMatching {
         report,
         matched,
         unmatched_enqueues,
         empty_orders,
-        records,
     }
 }
 
@@ -169,13 +139,12 @@ pub(crate) fn check_process_order<T: Payload>(
 
 /// Checks the four properties of Definition 1 against the order witnessed in
 /// the history.
-pub fn check_queue_definition1<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let Prepared {
+pub(crate) fn check_queue_definition1<T: Payload>(history: &History<T>) -> ConsistencyReport {
+    let PreparedMatching {
         mut report,
         matched,
         unmatched_enqueues,
         empty_orders,
-        records: _,
     } = prepare(history);
 
     // Property 1: enqueue before its dequeue.
@@ -259,8 +228,8 @@ pub fn check_queue_definition1<T: Payload>(history: &History<T>) -> ConsistencyR
 /// This is strictly stronger than Definition 1 for histories in which some
 /// enqueues are never matched; the Skueue protocol satisfies it, so the
 /// test-suite uses it as the primary oracle.
-pub fn check_queue_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let Prepared { mut report, .. } = prepare(history);
+pub(crate) fn check_queue_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
+    let PreparedMatching { mut report, .. } = prepare(history);
 
     let mut queue: VecDeque<RequestId> = VecDeque::new();
     for record in history.sorted_by_order() {

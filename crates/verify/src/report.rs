@@ -1,12 +1,11 @@
 //! Consistency-check reports.
 
 use crate::history::OrderKey;
-use serde::{Deserialize, Serialize};
 use skueue_sim::ids::RequestId;
 use std::fmt;
 
 /// One violation found by a checker.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// Two records claim the same position in the total order.
     DuplicateOrder {
@@ -180,7 +179,7 @@ impl fmt::Display for Violation {
 }
 
 /// Result of a consistency check.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConsistencyReport {
     /// All violations found (empty means the history passed).
     pub violations: Vec<Violation>,
@@ -217,7 +216,7 @@ impl ConsistencyReport {
     }
 
     /// Merges another report into this one.
-    pub fn merge(&mut self, other: ConsistencyReport) {
+    pub(crate) fn merge(&mut self, other: ConsistencyReport) {
         self.violations.extend(other.violations);
         self.records_checked = self.records_checked.max(other.records_checked);
         self.matched_pairs = self.matched_pairs.max(other.matched_pairs);

@@ -1,30 +1,5 @@
 //! Cross-shard sequential-consistency checking (Definition 1 per anchor
 //! shard, merged by the fixed interleaving rule).
-//!
-//! A sharded Skueue deployment partitions the queue into `S` independent
-//! anchor shards; every process — and therefore every operation — belongs to
-//! exactly one shard, deterministically (`skueue_shard::ShardMap`).  The
-//! semantic object is the *sharded queue*: `S` FIFO lanes with deterministic
-//! lane selection by origin process.  The protocol witnesses one global total
-//! order `≺` — the lexicographic merge `(wave_epoch, shard_id, local_order)`
-//! of the per-shard anchor orders — and this checker verifies that `≺` is a
-//! sequentially consistent execution of that object:
-//!
-//! 1. **Shard discipline** — every record's order key names exactly the
-//!    shard the map assigns to its origin process (so elements can never
-//!    cross lanes silently).
-//! 2. **Definition 1 per shard** — each shard's sub-history, under the
-//!    global order restricted to it, passes the full unsharded queue check
-//!    (all four Definition 1 properties *and* the stronger sequential
-//!    replay).  The restriction of the merge to one shard is exactly the
-//!    shard's own anchor order, so this checks each lane as a real FIFO
-//!    queue.
-//! 3. **Program order on the merged order** — every process's requests
-//!    appear in `≺` in issue order (property 4 globally, not just per
-//!    shard).
-//!
-//! With `S = 1` the checker delegates to [`check_queue`] unchanged, so
-//! unsharded histories are accepted or rejected exactly as before.
 
 use crate::history::{History, OpRecord};
 use crate::queue_check::{check_process_order, check_queue};
@@ -33,7 +8,32 @@ use skueue_dht::Payload;
 use skueue_shard::ShardMap;
 
 /// Checks a sharded-queue history against the shard layout it was produced
-/// under.  See the [module docs](self) for the exact guarantee.
+/// under.
+///
+/// A sharded Skueue deployment partitions the queue into `S` independent
+/// anchor shards; every process — and therefore every operation — belongs to
+/// exactly one shard, deterministically (`skueue_shard::ShardMap`).  The
+/// semantic object is the *sharded queue*: `S` FIFO lanes with deterministic
+/// lane selection by origin process.  The protocol witnesses one global total
+/// order `≺` — the lexicographic merge `(wave_epoch, shard_id, local_order)`
+/// of the per-shard anchor orders — and this checker verifies that `≺` is a
+/// sequentially consistent execution of that object:
+///
+/// 1. **Shard discipline** — every record's order key names exactly the
+///    shard the map assigns to its origin process (so elements can never
+///    cross lanes silently).
+/// 2. **Definition 1 per shard** — each shard's sub-history, under the
+///    global order restricted to it, passes the full unsharded queue check
+///    (all four Definition 1 properties *and* the stronger sequential
+///    replay).  The restriction of the merge to one shard is exactly the
+///    shard's own anchor order, so this checks each lane as a real FIFO
+///    queue.
+/// 3. **Program order on the merged order** — every process's requests
+///    appear in `≺` in issue order (property 4 globally, not just per
+///    shard).
+///
+/// With `S = 1` the checker delegates to [`check_queue`] unchanged, so
+/// unsharded histories are accepted or rejected exactly as before.
 pub fn check_queue_sharded<T: Payload>(history: &History<T>, map: &ShardMap) -> ConsistencyReport {
     if map.is_single() {
         return check_queue(history);

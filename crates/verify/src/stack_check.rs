@@ -17,20 +17,20 @@
 //! order (see `OrderKey`).
 
 use crate::history::{History, OpKind, OpResult};
-use crate::queue_check::{prepare_for_stack, PreparedMatching};
+use crate::queue_check::{prepare, PreparedMatching};
 use crate::report::{ConsistencyReport, Violation};
 use skueue_dht::Payload;
 use skueue_sim::ids::RequestId;
 
 /// Checks the adjusted Definition 1 (LIFO version) against the witnessed
 /// order.
-pub fn check_stack_ordering<T: Payload>(history: &History<T>) -> ConsistencyReport {
+pub(crate) fn check_stack_ordering<T: Payload>(history: &History<T>) -> ConsistencyReport {
     let PreparedMatching {
         mut report,
         matched,
         unmatched_enqueues,
         empty_orders,
-    } = prepare_for_stack(history);
+    } = prepare(history);
 
     // Property 1: push before its pop.
     for pair in &matched {
@@ -132,8 +132,8 @@ pub fn check_stack_ordering<T: Payload>(history: &History<T>) -> ConsistencyRepo
 
 /// Replays the history in the witnessed order on a reference sequential
 /// (LIFO) stack and checks every response.
-pub fn check_stack_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let PreparedMatching { mut report, .. } = prepare_for_stack(history);
+pub(crate) fn check_stack_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
+    let PreparedMatching { mut report, .. } = prepare(history);
 
     let mut stack: Vec<RequestId> = Vec::new();
     for record in history.sorted_by_order() {

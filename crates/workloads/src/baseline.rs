@@ -13,7 +13,6 @@
 //! server's latency grows linearly with the offered load once the load
 //! exceeds its per-round capacity, while Skueue stays at `O(log n)`.
 
-use serde::{Deserialize, Serialize};
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::NodeId;
 use skueue_sim::{SimConfig, SimRng, Simulation};
@@ -101,7 +100,7 @@ impl Actor for BaselineNode {
 }
 
 /// Result of one baseline run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CentralBaselineResult {
     /// Number of client processes.
     pub processes: usize,

@@ -6,29 +6,33 @@
 //! layer reads results through the cluster's completion stream).
 
 use skueue_core::{ClusterError, Payload, SkueueCluster};
-use skueue_sim::ids::ProcessId;
 use skueue_sim::SimRng;
 
 /// Fixed-rate generator (Figures 2 and 3): `requests_per_round` requests per
 /// round, assigned to uniformly random processes; each request is an insert
 /// with probability `insert_ratio`.
 #[derive(Debug, Clone)]
-pub struct FixedRateGenerator {
+pub(crate) struct FixedRateGenerator {
     /// Requests generated per round.
-    pub requests_per_round: u64,
+    requests_per_round: u64,
     /// Probability that a generated request is an insert.
-    pub insert_ratio: f64,
+    insert_ratio: f64,
     /// Rounds during which requests are generated.
-    pub generation_rounds: u64,
+    generation_rounds: u64,
     rng: SimRng,
     value_counter: u64,
 }
 
 impl FixedRateGenerator {
-    /// Creates a generator with the paper's default of 10 requests per round.
-    pub fn new(insert_ratio: f64, generation_rounds: u64, seed: u64) -> Self {
+    /// Creates a generator.
+    pub(crate) fn new(
+        requests_per_round: u64,
+        insert_ratio: f64,
+        generation_rounds: u64,
+        seed: u64,
+    ) -> Self {
         FixedRateGenerator {
-            requests_per_round: 10,
+            requests_per_round,
             insert_ratio,
             generation_rounds,
             rng: SimRng::new(seed),
@@ -36,23 +40,14 @@ impl FixedRateGenerator {
         }
     }
 
-    /// Overrides the per-round request count.
-    pub fn with_requests_per_round(mut self, requests: u64) -> Self {
-        self.requests_per_round = requests;
-        self
-    }
-
     /// Generates this round's requests into the cluster (no-op once the
     /// generation window is over). Returns the number of requests issued.
-    pub fn tick(&mut self, cluster: &mut SkueueCluster, round: u64) -> Result<u64, ClusterError> {
-        self.tick_with(cluster, round, |c| c)
-    }
-
-    /// Payload-generic form of [`Self::tick`]: `mk` maps the generator's
-    /// monotone value counter to the payload of each insert, so the same
-    /// schedule (same RNG draws, same targets) drives a `Skueue<T>` for any
-    /// payload type.
-    pub fn tick_with<T: Payload>(
+    ///
+    /// `mk` maps the generator's monotone value counter to the payload of
+    /// each insert, so the same schedule (same RNG draws, same targets)
+    /// drives a `Skueue<T>` for any payload type; `u64` callers pass the
+    /// identity.
+    pub(crate) fn tick<T: Payload>(
         &mut self,
         cluster: &mut SkueueCluster<T>,
         round: u64,
@@ -85,20 +80,20 @@ impl FixedRateGenerator {
 /// Per-node-rate generator (Figure 4): every active process generates a
 /// request with probability `request_probability` each round.
 #[derive(Debug, Clone)]
-pub struct PerNodeRateGenerator {
+pub(crate) struct PerNodeRateGenerator {
     /// Per-round request probability of each process.
-    pub request_probability: f64,
+    request_probability: f64,
     /// Probability that a generated request is an insert.
-    pub insert_ratio: f64,
+    insert_ratio: f64,
     /// Rounds during which requests are generated.
-    pub generation_rounds: u64,
+    generation_rounds: u64,
     rng: SimRng,
     value_counter: u64,
 }
 
 impl PerNodeRateGenerator {
     /// Creates a generator with the given per-node probability.
-    pub fn new(
+    pub(crate) fn new(
         request_probability: f64,
         insert_ratio: f64,
         generation_rounds: u64,
@@ -113,14 +108,9 @@ impl PerNodeRateGenerator {
         }
     }
 
-    /// Generates this round's requests. Returns the number issued.
-    pub fn tick(&mut self, cluster: &mut SkueueCluster, round: u64) -> Result<u64, ClusterError> {
-        self.tick_with(cluster, round, |c| c)
-    }
-
-    /// Payload-generic form of [`Self::tick`] (see
-    /// [`FixedRateGenerator::tick_with`]).
-    pub fn tick_with<T: Payload>(
+    /// Generates this round's requests. Returns the number issued.  (`mk` as
+    /// in [`FixedRateGenerator::tick`].)
+    pub(crate) fn tick<T: Payload>(
         &mut self,
         cluster: &mut SkueueCluster<T>,
         round: u64,
@@ -146,24 +136,6 @@ impl PerNodeRateGenerator {
         }
         Ok(issued)
     }
-
-    /// Expected requests per round for a given number of processes.
-    pub fn expected_per_round(&self, processes: usize) -> f64 {
-        self.request_probability * processes as f64
-    }
-}
-
-/// Picks a uniformly random active process (helper shared by scenarios).
-pub fn random_active_process<T: Payload>(
-    cluster: &SkueueCluster<T>,
-    rng: &mut SimRng,
-) -> Option<ProcessId> {
-    let active = cluster.active_process_ids();
-    if active.is_empty() {
-        None
-    } else {
-        Some(active[rng.choose_index(active.len())])
-    }
 }
 
 #[cfg(test)]
@@ -181,10 +153,10 @@ mod tests {
     #[test]
     fn fixed_rate_issues_requested_count() {
         let mut cluster = queue_cluster(4, 1);
-        let mut gen = FixedRateGenerator::new(0.5, 3, 7).with_requests_per_round(5);
+        let mut gen = FixedRateGenerator::new(5, 0.5, 3, 7);
         let mut total = 0;
         for round in 0..10 {
-            total += gen.tick(&mut cluster, round).unwrap();
+            total += gen.tick(&mut cluster, round, |c| c).unwrap();
             cluster.run_round();
         }
         // Only the first 3 rounds generate.
@@ -195,9 +167,9 @@ mod tests {
     #[test]
     fn fixed_rate_insert_ratio_extremes() {
         let mut cluster = queue_cluster(2, 2);
-        let mut gen = FixedRateGenerator::new(1.0, 5, 3).with_requests_per_round(4);
+        let mut gen = FixedRateGenerator::new(4, 1.0, 5, 3);
         for round in 0..5 {
-            gen.tick(&mut cluster, round).unwrap();
+            gen.tick(&mut cluster, round, |c| c).unwrap();
         }
         cluster.run_until_all_complete(500).unwrap();
         // All inserts: no request may return ⊥ and all must be enqueues.
@@ -214,10 +186,11 @@ mod tests {
         let mut gen = PerNodeRateGenerator::new(0.5, 0.5, 20, 11);
         let mut total = 0;
         for round in 0..20 {
-            total += gen.tick(&mut cluster, round).unwrap();
+            total += gen.tick(&mut cluster, round, |c| c).unwrap();
             cluster.run_round();
         }
-        let expected = gen.expected_per_round(50) * 20.0;
+        // 50 processes at p = 0.5 for 20 rounds.
+        let expected = 0.5 * 50.0 * 20.0;
         assert!(
             (total as f64) > expected * 0.7 && (total as f64) < expected * 1.3,
             "issued {total}, expected ≈ {expected}"
@@ -229,15 +202,7 @@ mod tests {
         let mut cluster = queue_cluster(5, 4);
         let mut gen = PerNodeRateGenerator::new(0.0, 0.5, 10, 1);
         for round in 0..10 {
-            assert_eq!(gen.tick(&mut cluster, round).unwrap(), 0);
+            assert_eq!(gen.tick(&mut cluster, round, |c| c).unwrap(), 0);
         }
-    }
-
-    #[test]
-    fn random_process_helper() {
-        let cluster = queue_cluster(3, 5);
-        let mut rng = SimRng::new(1);
-        let p = random_active_process(&cluster, &mut rng).unwrap();
-        assert!(p.raw() < 3);
     }
 }

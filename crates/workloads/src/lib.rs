@@ -13,22 +13,21 @@
 //!    generates a request with probability `p` in every round (insert ratio
 //!    0.5), for `n = 10 000`.
 //!
-//! This crate implements both generators ([`generator`]), ready-to-run
-//! experiment scenarios that produce one data point per call ([`scenario`]),
+//! This crate implements both generators (`generator`), ready-to-run
+//! experiment scenarios that produce one data point per call (`scenario`),
 //! churn and fairness scenarios for the analysis-section experiments, and an
-//! unbatched central-server baseline ([`baseline`]) used by the E8 ablation.
+//! unbatched central-server baseline (`baseline`) used by the E8 ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod generator;
-pub mod scenario;
+mod baseline;
+mod generator;
+mod scenario;
 
 pub use baseline::{run_central_baseline, CentralBaselineResult};
-pub use generator::{FixedRateGenerator, PerNodeRateGenerator};
 pub use scenario::{
     run_churn_scenario, run_fairness_scenario, run_fixed_rate, run_fixed_rate_traced,
-    run_payload_fixed_rate, run_per_node_rate, run_string_payload_fig2, ChurnResult,
-    FairnessResult, ScenarioParams, ScenarioResult, TracedRunArtifacts,
+    run_per_node_rate, run_string_payload_fig2, ChurnResult, FairnessResult, ScenarioParams,
+    ScenarioResult, TracedRunArtifacts,
 };

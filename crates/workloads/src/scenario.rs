@@ -6,13 +6,12 @@
 //! of the figures and prints the same series the paper plots.
 
 use crate::generator::{FixedRateGenerator, PerNodeRateGenerator};
-use serde::{Deserialize, Serialize};
-use skueue_core::{Mode, Payload, SkueueCluster, TraceLevel};
+use skueue_core::{ClusterError, Mode, Payload, SkueueCluster, TraceLevel};
 use skueue_sim::ids::ProcessId;
 use skueue_verify::{check_queue, check_queue_sharded, check_stack};
 
 /// Parameters of a fixed-rate or per-node-rate scenario run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioParams {
     /// Number of processes.
     pub processes: usize,
@@ -121,7 +120,7 @@ impl ScenarioParams {
 }
 
 /// Result of one scenario run — one data point of a figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Number of processes.
     pub processes: usize,
@@ -273,7 +272,7 @@ fn finish<T: Payload>(
 
 /// Runs one data point of the Figure 2 / Figure 3 workload: a fixed number of
 /// requests per round assigned to random processes.  (The `u64`
-/// instantiation of [`run_payload_fixed_rate`] — one shared loop, so the
+/// instantiation of `run_payload_fixed_rate` — one shared loop, so the
 /// generic and default paths can never drift apart.)
 pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
     run_payload_fixed_rate(params, |c| c)
@@ -285,38 +284,46 @@ pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
 /// mode-appropriate checker — including the payload round-trip check —
 /// exactly like [`run_fixed_rate`]; `T = u64` with `mk = identity` is
 /// bit-identical to it.
-pub fn run_payload_fixed_rate<T: Payload>(
+pub(crate) fn run_payload_fixed_rate<T: Payload>(
     params: ScenarioParams,
     mut mk: impl FnMut(u64) -> T,
 ) -> ScenarioResult {
-    let (cluster, drain_rounds) = run_fixed_rate_cluster(&params, &mut mk);
+    let (cluster, drain_rounds) = drive_fixed_rate(&params, &mut mk);
     finish(cluster, &params, drain_rounds)
 }
 
-/// The shared fixed-rate driver loop: builds the cluster, generates for
-/// `generation_rounds`, drains, and hands the quiescent cluster back.
-fn run_fixed_rate_cluster<T: Payload>(
+/// The one driver loop under every rate scenario: builds the cluster, lets
+/// `tick` issue each generation round's requests, drains, and hands the
+/// quiescent cluster back with the number of rounds the drain took.
+fn drive<T: Payload>(
     params: &ScenarioParams,
-    mk: &mut impl FnMut(u64) -> T,
+    mut tick: impl FnMut(&mut SkueueCluster<T>, u64) -> Result<u64, ClusterError>,
 ) -> (SkueueCluster<T>, u64) {
     let mut cluster = params.build_cluster::<T>();
-    let mut generator = FixedRateGenerator::new(
-        params.insert_ratio,
-        params.generation_rounds,
-        params.seed ^ 0xA5,
-    )
-    .with_requests_per_round(params.requests_per_round);
-
     for round in 0..params.generation_rounds {
-        generator
-            .tick_with(&mut cluster, round, &mut *mk)
-            .expect("active processes exist");
+        tick(&mut cluster, round).expect("active processes exist");
         cluster.run_round();
     }
     let drain_rounds = cluster
         .run_until_all_complete(params.drain_budget)
         .expect("requests must drain within the budget");
     (cluster, drain_rounds)
+}
+
+/// [`drive`] under the fixed-rate generator (Figures 2 and 3).
+fn drive_fixed_rate<T: Payload>(
+    params: &ScenarioParams,
+    mk: &mut impl FnMut(u64) -> T,
+) -> (SkueueCluster<T>, u64) {
+    let mut generator = FixedRateGenerator::new(
+        params.requests_per_round,
+        params.insert_ratio,
+        params.generation_rounds,
+        params.seed ^ 0xA5,
+    );
+    drive(params, |cluster, round| {
+        generator.tick(cluster, round, &mut *mk)
+    })
 }
 
 /// What a traced fixed-rate run leaves behind beyond the scenario result.
@@ -337,7 +344,7 @@ pub fn run_fixed_rate_traced(mut params: ScenarioParams) -> TracedRunArtifacts {
     if params.trace_level.is_off() {
         params.trace_level = TraceLevel::Spans;
     }
-    let (cluster, drain_rounds) = run_fixed_rate_cluster::<u64>(&params, &mut |c| c);
+    let (cluster, drain_rounds) = drive_fixed_rate::<u64>(&params, &mut |c| c);
     let chrome_json = cluster.export_chrome_trace();
     TracedRunArtifacts {
         result: finish(cluster, &params, drain_rounds),
@@ -362,28 +369,20 @@ pub fn run_string_payload_fig2(processes: usize, shards: usize, seed: u64) -> Sc
 /// Runs one data point of the Figure 4 workload: every process generates a
 /// request with probability `request_probability` per round.
 pub fn run_per_node_rate(params: ScenarioParams) -> ScenarioResult {
-    let mut cluster = params.build_cluster::<u64>();
     let mut generator = PerNodeRateGenerator::new(
         params.request_probability,
         params.insert_ratio,
         params.generation_rounds,
         params.seed ^ 0xC3,
     );
-
-    for round in 0..params.generation_rounds {
-        generator
-            .tick(&mut cluster, round)
-            .expect("active processes exist");
-        cluster.run_round();
-    }
-    let drain_rounds = cluster
-        .run_until_all_complete(params.drain_budget)
-        .expect("requests must drain within the budget");
+    let (cluster, drain_rounds) = drive::<u64>(&params, |cluster, round| {
+        generator.tick(cluster, round, |c| c)
+    });
     finish(cluster, &params, drain_rounds)
 }
 
 /// Result of a churn scenario (experiment E6, Theorem 17).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnResult {
     /// Initial number of processes.
     pub initial_processes: usize,
@@ -500,7 +499,7 @@ pub fn run_churn_scenario(
 }
 
 /// Result of the fairness scenario (experiment E7, Corollary 19).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FairnessResult {
     /// Number of processes.
     pub processes: usize,

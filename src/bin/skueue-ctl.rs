@@ -26,7 +26,7 @@ use skueue::prelude::ProcessId;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = || -> Result<(), String> {
-        let flags = parse_flags(&args)?;
+        let flags = parse_flags(&args, &["cmd", "count", "pid", "timeout-s"])?;
         let spec = spec_from_flags(&flags)?;
         let timeout = Duration::from_secs(
             flags

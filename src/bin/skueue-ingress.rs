@@ -24,7 +24,18 @@ use skueue::verify::OpResult;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = || -> Result<(), String> {
-        let flags = parse_flags(&args)?;
+        let flags = parse_flags(
+            &args,
+            &[
+                "workload",
+                "ops",
+                "seed",
+                "enqueue",
+                "dequeue",
+                "verify",
+                "timeout-s",
+            ],
+        )?;
         let spec = spec_from_flags(&flags)?;
         let timeout = Duration::from_secs(
             flags
@@ -143,7 +154,8 @@ fn main() -> ExitCode {
             eprintln!("skueue-ingress: {message}");
             eprintln!(
                 "usage: skueue-ingress --daemons a,b,c [--workload fig2 --ops N --seed S] \
-                 [--enqueue pid:value,…] [--dequeue pid,…] [--timeout-s T]"
+                 [--enqueue pid:value,…] [--dequeue pid,…] [--timeout-s T] \
+                 [--verify true|false]"
             );
             ExitCode::from(2)
         }

@@ -19,7 +19,10 @@ use skueue::net::{run_load, IngressClient, LoadParams};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = || -> Result<(), String> {
-        let flags = parse_flags(&args)?;
+        let flags = parse_flags(
+            &args,
+            &["rate", "ops", "seed", "timeout-s", "out", "verify"],
+        )?;
         let spec = spec_from_flags(&flags)?;
         let rate: f64 = flags
             .get("rate")
@@ -83,7 +86,7 @@ fn main() -> ExitCode {
             eprintln!("skueue-load: {message}");
             eprintln!(
                 "usage: skueue-load --daemons a,b,c [--rate HZ] [--ops N] [--seed S] \
-                 [--out FILE] [--timeout-s T]"
+                 [--out FILE] [--timeout-s T] [--verify true|false]"
             );
             ExitCode::from(2)
         }

@@ -19,7 +19,7 @@ use skueue::net::spec::{parse_flags, spec_from_flags};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = || -> Result<(), String> {
-        let flags = parse_flags(&args)?;
+        let flags = parse_flags(&args, &["index"])?;
         let spec = spec_from_flags(&flags)?;
         let index: usize = flags
             .get("index")

@@ -113,7 +113,7 @@ pub mod prelude {
     pub use skueue_trace::{TraceAnalysis, TraceLevel, TraceLog};
     pub use skueue_verify::{check_queue, check_queue_sharded, check_stack, History, OpKind};
     pub use skueue_workloads::{
-        run_fixed_rate, run_fixed_rate_traced, run_payload_fixed_rate, run_per_node_rate,
-        run_string_payload_fig2, FixedRateGenerator, PerNodeRateGenerator, ScenarioParams,
+        run_fixed_rate, run_fixed_rate_traced, run_per_node_rate, run_string_payload_fig2,
+        ScenarioParams,
     };
 }
