@@ -25,7 +25,9 @@ EXPERIMENT: all (default) | fig2 | fig3 | fig4 | scaling | batchsize | churn |
             trace (not part of `all`)
 FLAGS:      --smoke        tiny sweep (seconds; used by CI)
             --paper-scale  the paper's full parameter grid, n up to 100000
-                           (measured: fig2 about 31 s, scaling 2 s)
+                           (measured: fig2 about 35 s, fig3 125 s, scaling 2 s); every
+                           point is verified except fig4's (10^7 requests at
+                           p = 1.0), whose `consistent` column prints `-`
             --seed <u64>   workload/simulation seed (default 42)
             --out <path>   `trace` only, and required there: where to write
                            the Chrome/Perfetto trace of a fig2 run";

@@ -11,9 +11,10 @@ pub enum SweepConfig {
     /// Quick smoke test (seconds) — used by integration tests.
     Smoke,
     /// The paper's full scale: n up to 10⁵, 1000 generation rounds.
-    /// Measured on the 2-vCPU development host: `fig2` (25 points) ≈ 31 s
-    /// and 350 MB, `scaling` ≈ 2 s; `fig4` (10⁷ requests at p = 1.0) and
-    /// `all` have not been timed (ROADMAP, item 2).
+    /// Measured on the 2-vCPU development host, verifier on: `fig2`
+    /// (25 points) ≈ 35 s and 345 MB, `fig3` ≈ 125 s and 470 MB, `scaling`
+    /// ≈ 2 s; `fig4` (10⁷ requests at p = 1.0, unverified — see
+    /// `SweepConfig::verify`) and `all` have not been timed (ROADMAP, item 2).
     PaperScale,
 }
 
@@ -61,8 +62,10 @@ impl SweepConfig {
         }
     }
 
-    /// Whether per-point consistency verification is enabled (always on for
-    /// the smaller scales; off for the paper scale to keep memory bounded).
+    /// Whether the Figure 4 sweep verifies each point's history.  Off at the
+    /// paper scale only: its p = 1.0 points issue 10⁷ requests, ≈ 1.2 GB of
+    /// history (ROADMAP, item 2).  The fixed-rate sweeps (`fig2`, `fig3`,
+    /// `scaling`) issue 10⁴ requests a point and verify at every scale.
     pub(crate) fn verify(self) -> bool {
         !matches!(self, SweepConfig::PaperScale)
     }
@@ -93,12 +96,9 @@ fn fixed_rate_sweep(mode: Mode, config: SweepConfig, seed: u64) -> Vec<Experimen
     let mut points = Vec::new();
     for &ratio in &config.insert_ratios() {
         for &n in &config.process_counts() {
-            let mut params = ScenarioParams::fixed_rate(n, mode, ratio)
+            let params = ScenarioParams::fixed_rate(n, mode, ratio)
                 .with_generation_rounds(config.generation_rounds())
                 .with_seed(seed);
-            if !config.verify() {
-                params = params.without_verification();
-            }
             let result = run_fixed_rate(params);
             points.push(ExperimentPoint {
                 curve: format!("insert_ratio={ratio}"),
@@ -149,8 +149,18 @@ pub fn print_series(title: &str, x_label: &str, points: &[ExperimentPoint]) {
             p.result.avg_rounds_per_request,
             p.result.max_rounds_per_request,
             p.result.mean_batch_size,
-            p.result.consistent
+            consistent_cell(&p.result)
         );
+    }
+}
+
+/// The `consistent` column of a point: the verifier's verdict, or `-` for a
+/// point it did not check.
+fn consistent_cell(result: &ScenarioResult) -> &'static str {
+    match (result.verified, result.consistent) {
+        (false, _) => "-",
+        (true, true) => "true",
+        (true, false) => "false",
     }
 }
 
@@ -193,6 +203,17 @@ mod tests {
         let points = fig4_sweep(SweepConfig::Smoke, 5);
         assert_eq!(points.len(), 4); // 2 modes × 2 probabilities
         assert!(points.iter().all(|p| p.result.consistent));
+    }
+
+    #[test]
+    fn an_unverified_point_prints_no_verdict() {
+        let params = ScenarioParams::fixed_rate(20, Mode::Queue, 0.5).with_generation_rounds(10);
+        let verified = run_fixed_rate(params);
+        assert!(verified.verified && verified.consistent);
+        assert_eq!(consistent_cell(&verified), "true");
+        let unverified = run_fixed_rate(params.without_verification());
+        assert!(!unverified.verified);
+        assert_eq!(consistent_cell(&unverified), "-");
     }
 
     #[test]

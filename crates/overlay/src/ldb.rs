@@ -5,6 +5,14 @@
 //! cluster builds the initial neighbour views of all protocol nodes from it
 //! ([`Topology::local_view`]) and reads the anchor off it.
 //!
+//! Definition 2 *is* a sorted cycle, so the sort is all there is to build:
+//! a node's `pred`/`succ` are the entries beside it in label order and its
+//! siblings are its process's other two entries.  The topology therefore
+//! indexes the cycle by position — the process list ascending, and beside
+//! each process the three places its nodes took in the sort — and a view is
+//! one binary search for the process plus five reads of the cycle, labels
+//! included.  Nothing is hashed.
+//!
 //! The dynamic protocol does **not** consult a `Topology` at runtime; nodes
 //! only use their local views, exactly as in the paper.  The global queries
 //! — responsibility, aggregation parent/children, depth, tree height
@@ -18,7 +26,6 @@ use crate::label::Label;
 use crate::routing::{LocalView, NeighborInfo};
 use crate::vnode::{VKind, VirtualId};
 use skueue_sim::ids::{NodeId, ProcessId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One virtual node of the topology.
@@ -53,93 +60,86 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// The full Linearized De Bruijn topology over a set of processes.
+/// The full Linearized De Bruijn topology over a set of processes: the
+/// sorted cycle and a positional index into it (see the module doc).
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// All virtual nodes sorted by `(label, vid)` — the cycle order.
     sorted: Vec<VirtualNodeInfo>,
-    /// Rank (index into `sorted`) of every virtual node.
-    rank: HashMap<VirtualId, usize>,
+    /// The process ids, ascending.
     processes: Vec<ProcessId>,
+    /// Parallel to `processes`: the positions in `sorted` of the process's
+    /// three virtual nodes, in [`VKind`] order.
+    rank: Vec<[u32; 3]>,
 }
 
 impl Topology {
-    /// Builds the topology for the given processes.
+    /// Builds the topology for the given processes, in any order.
+    ///
+    /// An id that appears twice — anywhere in the slice — is
+    /// [`TopologyError::DuplicateProcess`]; of several duplicated ids the
+    /// smallest is reported.  Positions in the cycle are kept as `u32`:
+    /// more than `u32::MAX / 3` processes is a panic.
     pub fn build(processes: &[ProcessId], hasher: LabelHasher) -> Result<Self, TopologyError> {
         if processes.is_empty() {
             return Err(TopologyError::Empty);
         }
-        let mut seen = HashMap::new();
-        for &p in processes {
-            if seen.insert(p, ()).is_some() {
-                return Err(TopologyError::DuplicateProcess(p));
-            }
+        let mut processes = processes.to_vec();
+        processes.sort_unstable();
+        if let Some(pair) = processes.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(TopologyError::DuplicateProcess(pair[0]));
         }
-        let mut topo = Topology {
-            sorted: Vec::with_capacity(processes.len() * 3),
-            rank: HashMap::with_capacity(processes.len() * 3),
-            processes: processes.to_vec(),
-        };
-        for &p in processes {
+        let nodes = u32::try_from(processes.len() * 3).expect("positions in the cycle fit a u32");
+        // Nodes are numbered in ascending (process, kind) order, so a node's
+        // number orders like its vid and `(label, number)` sorts like the
+        // cycle's `(label, vid)` — on keys two thirds the size.
+        let mut keys = Vec::with_capacity(nodes as usize);
+        for (&p, first) in processes.iter().zip((0..nodes).step_by(3)) {
             let middle = hasher.process_label(p);
-            for kind in VKind::ALL {
-                topo.sorted.push(VirtualNodeInfo {
-                    vid: VirtualId::new(p, kind),
-                    label: kind.label_from_middle(middle),
-                });
-            }
+            keys.extend(
+                VKind::ALL
+                    .map(|kind| (kind.label_from_middle(middle), first + kind.index() as u32)),
+            );
         }
-        topo.reindex();
-        Ok(topo)
+        keys.sort_unstable();
+        let mut rank = vec![[0u32; 3]; processes.len()];
+        let sorted = keys
+            .iter()
+            .zip(0u32..)
+            .map(|(&(label, number), position)| {
+                let (process, kind) = (number as usize / 3, number as usize % 3);
+                rank[process][kind] = position;
+                VirtualNodeInfo {
+                    vid: VirtualId::new(processes[process], VKind::from_index(kind)),
+                    label,
+                }
+            })
+            .collect();
+        Ok(Topology {
+            sorted,
+            processes,
+            rank,
+        })
     }
 
-    fn reindex(&mut self) {
-        self.sorted.sort_by_key(|n| (n.label, n.vid));
-        self.rank.clear();
-        for (i, n) in self.sorted.iter().enumerate() {
-            self.rank.insert(n.vid, i);
-        }
-    }
-
-    /// The process ids in insertion order.
+    /// The process ids, ascending (whatever order [`Self::build`] was given).
     pub fn processes(&self) -> &[ProcessId] {
         &self.processes
-    }
-
-    /// The label of a virtual node.
-    pub(crate) fn label_of(&self, vid: VirtualId) -> Result<Label, TopologyError> {
-        self.rank
-            .get(&vid)
-            .map(|&i| self.sorted[i].label)
-            .ok_or(TopologyError::UnknownNode(vid))
-    }
-
-    /// Position of the node in the sorted cycle (0 = anchor).
-    pub(crate) fn rank_of(&self, vid: VirtualId) -> Result<usize, TopologyError> {
-        self.rank
-            .get(&vid)
-            .copied()
-            .ok_or(TopologyError::UnknownNode(vid))
-    }
-
-    /// Cycle predecessor (wraps around).
-    pub(crate) fn pred(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
-        let i = self.rank_of(vid)?;
-        let n = self.sorted.len();
-        Ok(self.sorted[(i + n - 1) % n].vid)
-    }
-
-    /// Cycle successor (wraps around).
-    pub(crate) fn succ(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
-        let i = self.rank_of(vid)?;
-        let n = self.sorted.len();
-        Ok(self.sorted[(i + 1) % n].vid)
     }
 
     /// The anchor: the node with the smallest label (always a left node in a
     /// multi-process system).
     pub fn anchor(&self) -> VirtualId {
         self.sorted[0].vid
+    }
+
+    /// The positions in `sorted` of the three virtual nodes of `vid`'s
+    /// process, found by binary search.
+    fn positions_of(&self, vid: VirtualId) -> Result<[u32; 3], TopologyError> {
+        self.processes
+            .binary_search(&vid.process)
+            .map(|process| self.rank[process])
+            .map_err(|_| TopologyError::UnknownNode(vid))
     }
 
     /// Builds the [`LocalView`] of a virtual node, mapping virtual ids to
@@ -149,21 +149,18 @@ impl Topology {
         vid: VirtualId,
         node_of: &dyn Fn(VirtualId) -> NodeId,
     ) -> Result<LocalView, TopologyError> {
-        let info = |v: VirtualId| -> Result<NeighborInfo, TopologyError> {
-            Ok(NeighborInfo::new(node_of(v), v, self.label_of(v)?))
+        let info = |position: usize| {
+            let n = &self.sorted[position];
+            NeighborInfo::new(node_of(n.vid), n.vid, n.label)
         };
-        let me = info(vid)?;
-        let pred = info(self.pred(vid)?)?;
-        let succ = info(self.succ(vid)?)?;
-        let siblings = [
-            info(vid.sibling(VKind::Left))?,
-            info(vid.sibling(VKind::Middle))?,
-            info(vid.sibling(VKind::Right))?,
-        ];
+        let positions = self.positions_of(vid)?;
+        let siblings = positions.map(|position| info(position as usize));
+        let at = positions[vid.kind.index()] as usize;
+        let last = self.sorted.len() - 1;
         Ok(LocalView {
-            me,
-            pred,
-            succ,
+            me: siblings[vid.kind.index()],
+            pred: info(if at == 0 { last } else { at - 1 }),
+            succ: info(if at == last { 0 } else { at + 1 }),
             siblings,
         })
     }
@@ -192,7 +189,31 @@ impl Topology {
 
     /// True if the virtual node belongs to this topology.
     pub(crate) fn contains(&self, vid: VirtualId) -> bool {
-        self.rank.contains_key(&vid)
+        self.rank_of(vid).is_ok()
+    }
+
+    /// Position of the node in the sorted cycle (0 = anchor).
+    pub(crate) fn rank_of(&self, vid: VirtualId) -> Result<usize, TopologyError> {
+        Ok(self.positions_of(vid)?[vid.kind.index()] as usize)
+    }
+
+    /// The label of a virtual node.
+    pub(crate) fn label_of(&self, vid: VirtualId) -> Result<Label, TopologyError> {
+        Ok(self.sorted[self.rank_of(vid)?].label)
+    }
+
+    /// Cycle predecessor (wraps around).
+    pub(crate) fn pred(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
+        let i = self.rank_of(vid)?;
+        let n = self.sorted.len();
+        Ok(self.sorted[(i + n - 1) % n].vid)
+    }
+
+    /// Cycle successor (wraps around).
+    pub(crate) fn succ(&self, vid: VirtualId) -> Result<VirtualId, TopologyError> {
+        let i = self.rank_of(vid)?;
+        let n = self.sorted.len();
+        Ok(self.sorted[(i + 1) % n].vid)
     }
 
     /// The node at a given rank.
@@ -284,6 +305,11 @@ mod tests {
         (0..n).map(ProcessId).collect()
     }
 
+    /// Three consecutive node ids per process, in [`VKind`] order.
+    fn node_of(v: VirtualId) -> NodeId {
+        NodeId(v.process.raw() * 3 + v.kind.index() as u64)
+    }
+
     fn topo(n: u64) -> Topology {
         Topology::build(&pids(n), LabelHasher::default()).unwrap()
     }
@@ -298,6 +324,49 @@ mod tests {
             Topology::build(&[ProcessId(1), ProcessId(1)], LabelHasher::default()).unwrap_err(),
             TopologyError::DuplicateProcess(ProcessId(1))
         );
+    }
+
+    #[test]
+    fn a_duplicate_anywhere_is_rejected_and_the_smallest_is_named() {
+        let build = |raw: &[u64]| {
+            let pids: Vec<ProcessId> = raw.iter().copied().map(ProcessId).collect();
+            Topology::build(&pids, LabelHasher::default()).map(|t| t.processes().to_vec())
+        };
+        // Not adjacent, input unsorted.
+        assert_eq!(
+            build(&[5, 2, 9, 2, 7]).unwrap_err(),
+            TopologyError::DuplicateProcess(ProcessId(2))
+        );
+        // Several duplicated ids: the smallest, wherever it stands.
+        assert_eq!(
+            build(&[9, 3, 9, 4, 3]).unwrap_err(),
+            TopologyError::DuplicateProcess(ProcessId(3))
+        );
+        // No duplicate: the list comes back ascending, not as given.
+        assert_eq!(
+            build(&[5, 2, 9]).unwrap(),
+            [ProcessId(2), ProcessId(5), ProcessId(9)]
+        );
+    }
+
+    #[test]
+    fn a_vid_of_a_process_outside_the_topology_is_unknown() {
+        let members = [ProcessId(9), ProcessId(2)];
+        let t = Topology::build(&members, LabelHasher::default()).unwrap();
+        // Below every member, between two members, above every member.
+        for outside in [0u64, 5, 11] {
+            for kind in VKind::ALL {
+                let vid = VirtualId::new(ProcessId(outside), kind);
+                assert_eq!(
+                    t.local_view(vid, &node_of).unwrap_err(),
+                    TopologyError::UnknownNode(vid)
+                );
+                assert!(!t.contains(vid));
+            }
+        }
+        for member in members {
+            assert!(t.local_view(VirtualId::middle(member), &node_of).is_ok());
+        }
     }
 
     #[test]
@@ -446,7 +515,6 @@ mod tests {
     #[test]
     fn local_view_matches_topology() {
         let t = topo(12);
-        let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
         for n in t.iter() {
             let view = t.local_view(n.vid, &node_of).unwrap();
             assert_eq!(view.me.vid, n.vid);
@@ -461,10 +529,53 @@ mod tests {
         }
     }
 
+    /// The positional index against the definitions it replaced: the cycle
+    /// is Definition 2's, the index finds every node where a scan of the
+    /// cycle does, and the view of every node equals the one assembled node
+    /// by node from the oracles.
+    fn assert_views_match_the_oracles(pids: &[ProcessId], hasher: LabelHasher) {
+        let t = Topology::build(pids, hasher).unwrap();
+        assert_eq!(t.len(), 3 * pids.len());
+        for (position, v) in t.iter().enumerate() {
+            let middle = hasher.process_label(v.vid.process);
+            assert_eq!(v.label, v.vid.kind.label_from_middle(middle));
+            assert_eq!(t.rank_of(v.vid), Ok(position));
+            if position > 0 {
+                let before = t.at_rank(position - 1);
+                assert!((before.label, before.vid) < (v.label, v.vid));
+            }
+        }
+        for &p in pids {
+            for kind in VKind::ALL {
+                let vid = VirtualId::new(p, kind);
+                let info = |v: VirtualId| NeighborInfo::new(node_of(v), v, t.label_of(v).unwrap());
+                let slow = LocalView {
+                    me: info(vid),
+                    pred: info(t.pred(vid).unwrap()),
+                    succ: info(t.succ(vid).unwrap()),
+                    siblings: VKind::ALL.map(|k| info(vid.sibling(k))),
+                };
+                assert_eq!(t.local_view(vid, &node_of).unwrap(), slow);
+            }
+        }
+        // The wrap at both ends.
+        let first = t.local_view(t.anchor(), &node_of).unwrap();
+        let last = t.local_view(t.max_node(), &node_of).unwrap();
+        assert_eq!(first.pred.vid, t.max_node());
+        assert_eq!(last.succ.vid, t.anchor());
+        assert!(first.is_anchor() && last.successor_wraps());
+    }
+
+    #[test]
+    fn views_of_a_single_process_wrap_around_its_own_three_nodes() {
+        for seed in 0..8 {
+            assert_views_match_the_oracles(&[ProcessId(seed * 1000)], LabelHasher::new(seed));
+        }
+    }
+
     /// Simulates routing over the static topology using only local views and
     /// the `route_step` rule, returning the hop count.
     fn simulate_route(t: &Topology, from: VirtualId, key: Label) -> (VirtualId, u32) {
-        let node_of = |v: VirtualId| NodeId(v.process.raw() * 3 + v.kind.index() as u64);
         let vid_of = |n: NodeId| -> VirtualId {
             VirtualId::new(ProcessId(n.0 / 3), VKind::from_index((n.0 % 3) as usize))
         };
@@ -576,6 +687,24 @@ mod tests {
                 let parent = t.parent(v.vid).unwrap();
                 prop_assert_eq!(parent.is_none(), v.vid == anchor);
             }
+        }
+
+        #[test]
+        fn prop_local_view_equals_the_view_assembled_from_the_oracles(
+            raw in proptest::collection::vec(any::<u64>(), 1..41),
+            spread in 2u32..64,
+            seed in any::<u64>(),
+        ) {
+            // `spread` near 64 squeezes the ids into a dense handful, near 2
+            // leaves them sparse over 2^62 (three node ids per process still
+            // fit a u64); the draws arrive unsorted either way.
+            let mut pids: Vec<ProcessId> = Vec::new();
+            for p in raw.into_iter().map(|r| ProcessId(r >> spread)) {
+                if !pids.contains(&p) {
+                    pids.push(p);
+                }
+            }
+            assert_views_match_the_oracles(&pids, LabelHasher::new(seed));
         }
 
         #[test]

@@ -95,6 +95,7 @@ impl VirtualId {
     }
 
     /// The sibling virtual node of the same process with the given kind.
+    #[cfg(test)]
     pub(crate) fn sibling(&self, kind: VKind) -> VirtualId {
         VirtualId::new(self.process, kind)
     }

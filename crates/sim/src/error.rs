@@ -8,9 +8,6 @@ use std::fmt;
 pub enum SimError {
     /// A message was addressed to a node id that was never registered.
     UnknownNode(NodeId),
-    /// A message was addressed to a node that has been deactivated
-    /// (and deactivated nodes were configured to reject traffic).
-    NodeDeactivated(NodeId),
     /// The configuration was rejected (e.g. an empty delay range).
     InvalidConfig(String),
 }
@@ -19,7 +16,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::UnknownNode(id) => write!(f, "unknown node {id}"),
-            SimError::NodeDeactivated(id) => write!(f, "node {id} is deactivated"),
             SimError::InvalidConfig(msg) => write!(f, "invalid simulation config: {msg}"),
         }
     }
@@ -40,9 +36,6 @@ mod tests {
         assert!(SimError::InvalidConfig("bad".into())
             .to_string()
             .contains("bad"));
-        assert!(SimError::NodeDeactivated(NodeId(1))
-            .to_string()
-            .contains("deactivated"));
     }
 
     #[test]

@@ -159,10 +159,13 @@ pub struct ScenarioResult {
     /// Aggregation waves assigned per shard anchor (indexed by shard id) —
     /// the direct view of shard imbalance; `[total]` when unsharded.
     pub per_shard_waves: Vec<u64>,
-    /// Whether the history passed the sequential-consistency checks
-    /// (`true` when verification was skipped).  Sharded runs use the
-    /// cross-shard checker (`check_queue_sharded`) against the merged
-    /// `(wave, shard, local)` order.
+    /// Whether the sequential-consistency checks ran
+    /// ([`ScenarioParams::verify`]).
+    pub verified: bool,
+    /// Whether the history passed the sequential-consistency checks — a
+    /// verdict only if [`Self::verified`]; `true` when they did not run.
+    /// Sharded runs use the cross-shard checker (`check_queue_sharded`)
+    /// against the merged `(wave, shard, local)` order.
     pub consistent: bool,
     /// Requests completed purely locally by the stack's combining.
     pub locally_combined: u64,
@@ -260,6 +263,7 @@ fn finish<T: Payload>(
         unmatched_dht_replies: cluster.unmatched_dht_replies(),
         shards: cluster.shards(),
         per_shard_waves,
+        verified: params.verify,
         consistent,
         locally_combined: cluster.locally_combined(),
         p50_rounds,
