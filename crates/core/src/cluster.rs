@@ -1098,9 +1098,6 @@ impl<T: Payload> SkueueCluster<T> {
                     if all_left {
                         p.state = ProcessState::Left;
                         self.transitioning -= 1;
-                        for &n in &p.nodes {
-                            let _ = self.sim.deactivate(n);
-                        }
                         if tracing {
                             self.trace_log.push(TraceRecord {
                                 node: p.nodes[VKind::Middle.index()].0,

@@ -1673,9 +1673,9 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Emits the per-destination DHT batches accumulated during this visit:
     /// one `DhtBatch` per next hop, one `DhtReplyBatch` per requester.
-    /// Called at the end of every `on_timeout`, which runs at the end of
-    /// every visit of a sim-active node — so buffered ops never survive a
-    /// visit and add no latency.
+    /// Called at the end of every `on_timeout`, which both hosts run at the
+    /// end of every visit — so buffered ops never survive a visit and add no
+    /// latency.
     fn flush_dht_buffers(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         if !self.route_buffer.is_empty() {
             let mut buf = std::mem::take(&mut self.route_buffer);
@@ -1811,10 +1811,6 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // one batch per destination.
         self.flush_dht_buffers(ctx);
         self.release_idle_membership();
-    }
-
-    fn is_active(&self) -> bool {
-        !matches!(self.role, Role::Draining { .. })
     }
 
     /// A node's `TIMEOUT` is a provable no-op — and is therefore skipped by

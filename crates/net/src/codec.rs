@@ -1,23 +1,52 @@
-//! Hand-rolled binary wire codec for the protocol types.
+//! Binary wire codec for the protocol types: one field list per type.
 //!
 //! The repository is built offline and nothing can be vendored (there is no
-//! registry), so serialization cannot be derived — it is written out by hand
-//! here instead.  The format is deliberately boring:
+//! registry), so serialization cannot come from a `#[derive]`; three private
+//! `macro_rules!` are the in-repo form of that one declaration.  The format
+//! is deliberately boring, and has not moved since the impls were written out
+//! by hand (the unit tests pin the bytes):
 //!
 //! * fixed-width little-endian integers (`u8`/`u32`/`u64`),
 //! * `bool` as one byte (`0`/`1`),
-//! * length-prefixed (`u32`) byte strings and sequences,
-//! * enums as a one-byte discriminant followed by the variant's fields in
+//! * length-prefixed (`u64`) byte strings and sequences,
+//! * structs as their fields in declaration order,
+//! * enums as a one-byte tag followed by the variant's fields in
 //!   declaration order.
 //!
 //! Every type that can appear inside a [`skueue_core::SkueueMsg`] — plus the
 //! [`skueue_verify::OpRecord`]s the completion stream carries — implements
 //! [`Wire`].  Encoding is infallible (appends to a `Vec<u8>`); decoding
-//! returns a [`DecodeError`] on truncated input or an unknown discriminant
-//! and is exercised by round-trip property tests.
+//! returns a [`DecodeError`] on truncated input or an unknown tag.
+//!
+//! # Adding a type or a message
+//!
+//! A struct is one line, `wire_struct! { Ty { a, b, c } }` (`<T>` in front for
+//! a payload-generic type): the fields in the order they travel, which is
+//! both the encoder and the decoder.  An enum is one `wire_enum!` table of
+//! `tag => Variant { fields }`, the only place a tag is written.  So a new
+//! protocol message is one variant in `skueue_core::messages` plus one line
+//! in the `SkueueMsg` table below — with the next free tag, since daemons of
+//! different builds share a cluster.
+//!
+//! # What is written by hand, and why
+//!
+//! Thirteen impls are not a field walk and stay as code:
+//!
+//! * `u8`, `u32`, `u64`, `bool` — the format's atoms (`bool` refuses
+//!   anything but `0`/`1`);
+//! * `String`, `Vec<T>` — a length prefix that is checked against
+//!   `MAX_SEQ_LEN` before anything is allocated, and UTF-8 validation:
+//!   input validation, not layout;
+//! * `Option<T>`, `Box<T>`, `(A, B)`, `(A, B, C)` — `std`'s containers,
+//!   generic over what they hold;
+//! * `VKind` — coded by its index, so the tag table is `VKind::ALL`;
+//! * `RouteProgress` — its bit count is private and validated through
+//!   `RouteProgress::from_parts` (a count beyond the label is refused);
+//! * `Batch` — its run lengths are private and built through
+//!   `Batch::from_parts`.
 
-use skueue_core::{AnchorState, Batch, BatchOp, FirstRun, RunAssignment};
-use skueue_core::{DhtOp, SkueueMsg};
+use skueue_core::messages::{AbsorbPayload, DhtReplyItem, JoinHandover, PutMeta, RoutedDhtOp};
+use skueue_core::{AnchorState, Batch, BatchOp, DhtOp, FirstRun, RunAssignment, SkueueMsg};
 use skueue_dht::{Element, PendingGet, StoredEntry};
 use skueue_overlay::{Label, NeighborInfo, RouteProgress, VKind, VirtualId};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
@@ -120,7 +149,74 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, DecodeError> {
 }
 
 // ---------------------------------------------------------------------------
-// Primitives.
+// The three declarations.
+// ---------------------------------------------------------------------------
+
+/// `wire_newtype!(A, B)`: each `Ty(inner)` travels as its inner value.
+macro_rules! wire_newtype {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                self.0.encode(buf);
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok($ty(Wire::decode(r)?))
+            }
+        }
+    )+};
+}
+
+/// `wire_struct! { Ty { a, b } }` or `wire_struct! { <T> Ty { a, b } }`: the
+/// named fields, in this order, in both directions.
+macro_rules! wire_struct {
+    ($(<$t:ident>)? $ty:ident { $($field:ident),+ }) => {
+        impl$(<$t: Wire>)? Wire for $ty$(<$t>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(self.$field.encode(buf);)+
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                Ok(Self { $($field: Wire::decode(r)?),+ })
+            }
+        }
+    };
+}
+
+/// `wire_enum! { Ty { 0 => A { x, y }, 1 => B, 2 => C(inner) } }` (`<T>` in
+/// front as above): one tag byte, then the variant's fields in the order
+/// listed.  An unlisted tag is a [`DecodeError::BadDiscriminant`] naming `Ty`.
+/// The expansion names `Wire`, `Reader` and `DecodeError` as its caller sees
+/// them (`frame.rs` imports all three).
+macro_rules! wire_enum {
+    ($(<$t:ident>)? $ty:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident),+ })? $(($inner:ident))?),+ $(,)?
+    }) => {
+        impl$(<$t: Wire>)? Wire for $ty$(<$t>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {$(
+                    Self::$variant $({ $($field),+ })? $(($inner))? => {
+                        buf.push($tag);
+                        $($($field.encode(buf);)+)?
+                        $($inner.encode(buf);)?
+                    }
+                )+}
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+                match u8::decode(r)? {
+                    $($tag => {
+                        $($(let $field = Wire::decode(r)?;)+)?
+                        $(let $inner = Wire::decode(r)?;)?
+                        Ok(Self::$variant $({ $($field),+ })? $(($inner))?)
+                    })+
+                    value => Err(DecodeError::BadDiscriminant { ty: stringify!($ty), value }),
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+// ---------------------------------------------------------------------------
+// Primitives and containers (by hand: see the module header).
 // ---------------------------------------------------------------------------
 
 impl Wire for u8 {
@@ -251,48 +347,8 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 }
 
 // ---------------------------------------------------------------------------
-// Identifiers and overlay types.
+// Types with private or validated state (by hand: see the module header).
 // ---------------------------------------------------------------------------
-
-impl Wire for NodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(NodeId(u64::decode(r)?))
-    }
-}
-
-impl Wire for ProcessId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ProcessId(u64::decode(r)?))
-    }
-}
-
-impl Wire for RequestId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.origin.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RequestId {
-            origin: ProcessId::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Label {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Label(u64::decode(r)?))
-    }
-}
 
 impl Wire for VKind {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -303,34 +359,6 @@ impl Wire for VKind {
             i @ 0..=2 => Ok(VKind::from_index(i as usize)),
             value => Err(DecodeError::BadDiscriminant { ty: "VKind", value }),
         }
-    }
-}
-
-impl Wire for VirtualId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.process.encode(buf);
-        self.kind.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(VirtualId {
-            process: ProcessId::decode(r)?,
-            kind: VKind::decode(r)?,
-        })
-    }
-}
-
-impl Wire for NeighborInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.node.encode(buf);
-        self.vid.encode(buf);
-        self.label.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(NeighborInfo {
-            node: NodeId::decode(r)?,
-            vid: VirtualId::decode(r)?,
-            label: Label::decode(r)?,
-        })
     }
 }
 
@@ -349,97 +377,6 @@ impl Wire for RouteProgress {
         RouteProgress::from_parts(target, bits_left, hops).ok_or(DecodeError::LengthOverflow {
             len: bits_left as u64,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DHT types.
-// ---------------------------------------------------------------------------
-
-impl<T: Wire> Wire for Element<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.value.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Element {
-            id: RequestId::decode(r)?,
-            value: T::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for StoredEntry<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.position.encode(buf);
-        self.key.encode(buf);
-        self.ticket.encode(buf);
-        self.element.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(StoredEntry {
-            position: u64::decode(r)?,
-            key: Label::decode(r)?,
-            ticket: u64::decode(r)?,
-            element: Element::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PendingGet {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.request.encode(buf);
-        self.requester.encode(buf);
-        self.max_ticket.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(PendingGet {
-            request: RequestId::decode(r)?,
-            requester: NodeId::decode(r)?,
-            max_ticket: u64::decode(r)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batches and anchor state.
-// ---------------------------------------------------------------------------
-
-impl Wire for BatchOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            BatchOp::Enqueue => 0,
-            BatchOp::Dequeue => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            0 => Ok(BatchOp::Enqueue),
-            1 => Ok(BatchOp::Dequeue),
-            value => Err(DecodeError::BadDiscriminant {
-                ty: "BatchOp",
-                value,
-            }),
-        }
-    }
-}
-
-impl Wire for FirstRun {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            FirstRun::Enqueues => 0,
-            FirstRun::Dequeues => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            0 => Ok(FirstRun::Enqueues),
-            1 => Ok(FirstRun::Dequeues),
-            value => Err(DecodeError::BadDiscriminant {
-                ty: "FirstRun",
-                value,
-            }),
-        }
     }
 }
 
@@ -462,425 +399,68 @@ impl Wire for Batch {
     }
 }
 
-impl Wire for RunAssignment {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.wave.encode(buf);
-        self.kind.encode(buf);
-        self.count.encode(buf);
-        self.pos_lo.encode(buf);
-        self.pos_hi.encode(buf);
-        self.value_base.encode(buf);
-        self.ticket_base.encode(buf);
-        self.descending.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RunAssignment {
-            wave: u64::decode(r)?,
-            kind: BatchOp::decode(r)?,
-            count: u64::decode(r)?,
-            pos_lo: u64::decode(r)?,
-            pos_hi: u64::decode(r)?,
-            value_base: u64::decode(r)?,
-            ticket_base: u64::decode(r)?,
-            descending: bool::decode(r)?,
-        })
-    }
-}
-
-impl Wire for AnchorState {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.first.encode(buf);
-        self.last.encode(buf);
-        self.counter.encode(buf);
-        self.ticket.encode(buf);
-        self.epoch.encode(buf);
-        self.phases_started.encode(buf);
-        self.pending_churn.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(AnchorState {
-            first: u64::decode(r)?,
-            last: u64::decode(r)?,
-            counter: u64::decode(r)?,
-            ticket: u64::decode(r)?,
-            epoch: u64::decode(r)?,
-            phases_started: u64::decode(r)?,
-            pending_churn: u64::decode(r)?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Protocol messages.
+// Everything else: one field list per type, in the order the fields travel.
 // ---------------------------------------------------------------------------
 
-impl Wire for skueue_core::messages::PutMeta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.issued_round.encode(buf);
-        self.order.encode(buf);
-        self.wave.encode(buf);
-        self.needs_ack.encode(buf);
-        self.issuer.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(skueue_core::messages::PutMeta {
-            issued_round: u64::decode(r)?,
-            order: u64::decode(r)?,
-            wave: u64::decode(r)?,
-            needs_ack: bool::decode(r)?,
-            issuer: NodeId::decode(r)?,
-        })
-    }
-}
+wire_newtype!(NodeId, ProcessId, Label);
 
-impl<T: Wire> Wire for DhtOp<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DhtOp::Put { entry, meta } => {
-                buf.push(0);
-                entry.encode(buf);
-                meta.encode(buf);
-            }
-            DhtOp::Get {
-                position,
-                max_ticket,
-                request,
-                requester,
-            } => {
-                buf.push(1);
-                position.encode(buf);
-                max_ticket.encode(buf);
-                request.encode(buf);
-                requester.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            0 => Ok(DhtOp::Put {
-                entry: StoredEntry::decode(r)?,
-                meta: skueue_core::messages::PutMeta::decode(r)?,
-            }),
-            1 => Ok(DhtOp::Get {
-                position: u64::decode(r)?,
-                max_ticket: u64::decode(r)?,
-                request: RequestId::decode(r)?,
-                requester: NodeId::decode(r)?,
-            }),
-            value => Err(DecodeError::BadDiscriminant { ty: "DhtOp", value }),
-        }
-    }
-}
+wire_struct! { RequestId { origin, seq } }
+wire_struct! { VirtualId { process, kind } }
+wire_struct! { NeighborInfo { node, vid, label } }
+wire_struct! { <T> Element { id, value } }
+wire_struct! { <T> StoredEntry { position, key, ticket, element } }
+wire_struct! { PendingGet { request, requester, max_ticket } }
+wire_struct! { RunAssignment {
+    wave, kind, count, pos_lo, pos_hi, value_base, ticket_base, descending
+} }
+wire_struct! { AnchorState { first, last, counter, ticket, epoch, phases_started, pending_churn } }
+wire_struct! { PutMeta { issued_round, order, wave, needs_ack, issuer } }
+wire_struct! { <T> RoutedDhtOp { op, progress } }
+wire_struct! { <T> DhtReplyItem { request, entry } }
+wire_struct! { <T> JoinHandover { pred, succ, entries, pending } }
+wire_struct! { <T> AbsorbPayload {
+    pred, succ, entries, pending, child_batches, joiners, anchor
+} }
+wire_struct! { OrderKey { wave, shard, major, origin, minor } }
+wire_struct! { <T> OpRecord { id, kind, value, result, order, issued_round, completed_round } }
 
-impl<T: Wire> Wire for skueue_core::messages::RoutedDhtOp<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.op.encode(buf);
-        self.progress.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(skueue_core::messages::RoutedDhtOp {
-            op: Box::<DhtOp<T>>::decode(r)?,
-            progress: RouteProgress::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for skueue_core::messages::DhtReplyItem<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.request.encode(buf);
-        self.entry.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(skueue_core::messages::DhtReplyItem {
-            request: RequestId::decode(r)?,
-            entry: StoredEntry::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for skueue_core::messages::JoinHandover<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.pred.encode(buf);
-        self.succ.encode(buf);
-        self.entries.encode(buf);
-        self.pending.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(skueue_core::messages::JoinHandover {
-            pred: NeighborInfo::decode(r)?,
-            succ: NeighborInfo::decode(r)?,
-            entries: Vec::<StoredEntry<T>>::decode(r)?,
-            pending: Vec::<(u64, PendingGet)>::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for skueue_core::messages::AbsorbPayload<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.pred.encode(buf);
-        self.succ.encode(buf);
-        self.entries.encode(buf);
-        self.pending.encode(buf);
-        self.child_batches.encode(buf);
-        self.joiners.encode(buf);
-        self.anchor.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(skueue_core::messages::AbsorbPayload {
-            pred: NeighborInfo::decode(r)?,
-            succ: NeighborInfo::decode(r)?,
-            entries: Vec::<StoredEntry<T>>::decode(r)?,
-            pending: Vec::<(u64, PendingGet)>::decode(r)?,
-            child_batches: Vec::<(NodeId, u64, Batch)>::decode(r)?,
-            joiners: Vec::<NeighborInfo>::decode(r)?,
-            anchor: Option::<AnchorState>::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for SkueueMsg<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            SkueueMsg::Aggregate {
-                child,
-                epoch,
-                batch,
-            } => {
-                buf.push(0);
-                child.encode(buf);
-                epoch.encode(buf);
-                batch.encode(buf);
-            }
-            SkueueMsg::AggregateAck => buf.push(1),
-            SkueueMsg::Serve { epoch, runs } => {
-                buf.push(2);
-                epoch.encode(buf);
-                runs.encode(buf);
-            }
-            SkueueMsg::DhtBatch { ops } => {
-                buf.push(3);
-                ops.encode(buf);
-            }
-            SkueueMsg::DhtReplyBatch { replies } => {
-                buf.push(4);
-                replies.encode(buf);
-            }
-            SkueueMsg::PutAck { request } => {
-                buf.push(5);
-                request.encode(buf);
-            }
-            SkueueMsg::JoinRequest { joiner, progress } => {
-                buf.push(6);
-                joiner.encode(buf);
-                progress.encode(buf);
-            }
-            SkueueMsg::Integrate { handover } => {
-                buf.push(7);
-                handover.encode(buf);
-            }
-            SkueueMsg::IntegrateAck => buf.push(8),
-            SkueueMsg::LeaveRequest { leaver } => {
-                buf.push(9);
-                leaver.encode(buf);
-            }
-            SkueueMsg::LeaveGranted => buf.push(10),
-            SkueueMsg::LeaveDeferred => buf.push(11),
-            SkueueMsg::AbsorbRequest => buf.push(12),
-            SkueueMsg::AbsorbData(payload) => {
-                buf.push(13);
-                payload.encode(buf);
-            }
-            SkueueMsg::SiblingStatus { kind, active } => {
-                buf.push(14);
-                kind.encode(buf);
-                active.encode(buf);
-            }
-            SkueueMsg::SetPred { new_pred } => {
-                buf.push(15);
-                new_pred.encode(buf);
-            }
-            SkueueMsg::SetSucc { new_succ } => {
-                buf.push(16);
-                new_succ.encode(buf);
-            }
-            SkueueMsg::UpdateFlag { phase } => {
-                buf.push(17);
-                phase.encode(buf);
-            }
-            SkueueMsg::UpdateAck { phase } => {
-                buf.push(18);
-                phase.encode(buf);
-            }
-            SkueueMsg::UpdateOver { phase } => {
-                buf.push(19);
-                phase.encode(buf);
-            }
-            SkueueMsg::AnchorTransfer { state } => {
-                buf.push(20);
-                state.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.take(1)?[0] {
-            0 => SkueueMsg::Aggregate {
-                child: NodeId::decode(r)?,
-                epoch: u64::decode(r)?,
-                batch: Batch::decode(r)?,
-            },
-            1 => SkueueMsg::AggregateAck,
-            2 => SkueueMsg::Serve {
-                epoch: u64::decode(r)?,
-                runs: Vec::<RunAssignment>::decode(r)?,
-            },
-            3 => SkueueMsg::DhtBatch {
-                ops: Vec::decode(r)?,
-            },
-            4 => SkueueMsg::DhtReplyBatch {
-                replies: Vec::decode(r)?,
-            },
-            5 => SkueueMsg::PutAck {
-                request: RequestId::decode(r)?,
-            },
-            6 => SkueueMsg::JoinRequest {
-                joiner: NeighborInfo::decode(r)?,
-                progress: RouteProgress::decode(r)?,
-            },
-            7 => SkueueMsg::Integrate {
-                handover: Box::decode(r)?,
-            },
-            8 => SkueueMsg::IntegrateAck,
-            9 => SkueueMsg::LeaveRequest {
-                leaver: NeighborInfo::decode(r)?,
-            },
-            10 => SkueueMsg::LeaveGranted,
-            11 => SkueueMsg::LeaveDeferred,
-            12 => SkueueMsg::AbsorbRequest,
-            13 => SkueueMsg::AbsorbData(Box::decode(r)?),
-            14 => SkueueMsg::SiblingStatus {
-                kind: VKind::decode(r)?,
-                active: bool::decode(r)?,
-            },
-            15 => SkueueMsg::SetPred {
-                new_pred: NeighborInfo::decode(r)?,
-            },
-            16 => SkueueMsg::SetSucc {
-                new_succ: NeighborInfo::decode(r)?,
-            },
-            17 => SkueueMsg::UpdateFlag {
-                phase: u64::decode(r)?,
-            },
-            18 => SkueueMsg::UpdateAck {
-                phase: u64::decode(r)?,
-            },
-            19 => SkueueMsg::UpdateOver {
-                phase: u64::decode(r)?,
-            },
-            20 => SkueueMsg::AnchorTransfer {
-                state: AnchorState::decode(r)?,
-            },
-            value => {
-                return Err(DecodeError::BadDiscriminant {
-                    ty: "SkueueMsg",
-                    value,
-                })
-            }
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Completion records (the ingress's history stream).
-// ---------------------------------------------------------------------------
-
-impl Wire for OpKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            OpKind::Enqueue => 0,
-            OpKind::Dequeue => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            0 => Ok(OpKind::Enqueue),
-            1 => Ok(OpKind::Dequeue),
-            value => Err(DecodeError::BadDiscriminant {
-                ty: "OpKind",
-                value,
-            }),
-        }
-    }
-}
-
-impl Wire for OpResult {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OpResult::Enqueued => buf.push(0),
-            OpResult::Returned(src) => {
-                buf.push(1);
-                src.encode(buf);
-            }
-            OpResult::Empty => buf.push(2),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            0 => Ok(OpResult::Enqueued),
-            1 => Ok(OpResult::Returned(RequestId::decode(r)?)),
-            2 => Ok(OpResult::Empty),
-            value => Err(DecodeError::BadDiscriminant {
-                ty: "OpResult",
-                value,
-            }),
-        }
-    }
-}
-
-impl Wire for OrderKey {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.wave.encode(buf);
-        self.shard.encode(buf);
-        self.major.encode(buf);
-        self.origin.encode(buf);
-        self.minor.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(OrderKey {
-            wave: u64::decode(r)?,
-            shard: u64::decode(r)?,
-            major: u64::decode(r)?,
-            origin: u64::decode(r)?,
-            minor: u64::decode(r)?,
-        })
-    }
-}
-
-impl<T: Wire> Wire for OpRecord<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.kind.encode(buf);
-        self.value.encode(buf);
-        self.result.encode(buf);
-        self.order.encode(buf);
-        self.issued_round.encode(buf);
-        self.completed_round.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(OpRecord {
-            id: RequestId::decode(r)?,
-            kind: OpKind::decode(r)?,
-            value: T::decode(r)?,
-            result: OpResult::decode(r)?,
-            order: OrderKey::decode(r)?,
-            issued_round: u64::decode(r)?,
-            completed_round: u64::decode(r)?,
-        })
-    }
-}
+wire_enum! { BatchOp { 0 => Enqueue, 1 => Dequeue } }
+wire_enum! { FirstRun { 0 => Enqueues, 1 => Dequeues } }
+wire_enum! { OpKind { 0 => Enqueue, 1 => Dequeue } }
+wire_enum! { OpResult { 0 => Enqueued, 1 => Returned(source), 2 => Empty } }
+wire_enum! { <T> DhtOp {
+    0 => Put { entry, meta },
+    1 => Get { position, max_ticket, request, requester },
+} }
+wire_enum! { <T> SkueueMsg {
+    0 => Aggregate { child, epoch, batch },
+    1 => AggregateAck,
+    2 => Serve { epoch, runs },
+    3 => DhtBatch { ops },
+    4 => DhtReplyBatch { replies },
+    5 => PutAck { request },
+    6 => JoinRequest { joiner, progress },
+    7 => Integrate { handover },
+    8 => IntegrateAck,
+    9 => LeaveRequest { leaver },
+    10 => LeaveGranted,
+    11 => LeaveDeferred,
+    12 => AbsorbRequest,
+    13 => AbsorbData(payload),
+    14 => SiblingStatus { kind, active },
+    15 => SetPred { new_pred },
+    16 => SetSucc { new_succ },
+    17 => UpdateFlag { phase },
+    18 => UpdateAck { phase },
+    19 => UpdateOver { phase },
+    20 => AnchorTransfer { state },
+} }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::NetFrame;
     use proptest::prelude::*;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
@@ -1001,8 +581,8 @@ mod tests {
         });
     }
 
-    #[test]
-    fn every_message_variant_roundtrips() {
+    /// One value of every [`SkueueMsg`] variant, in tag order.
+    fn message_corpus() -> Vec<SkueueMsg<u64>> {
         let neighbor = NeighborInfo::new(
             NodeId(4),
             VirtualId::new(ProcessId(1), VKind::Middle),
@@ -1042,7 +622,7 @@ mod tests {
                 pending_churn: 7,
             }),
         };
-        let msgs: Vec<SkueueMsg<u64>> = vec![
+        vec![
             SkueueMsg::Aggregate {
                 child: NodeId(1),
                 epoch: 2,
@@ -1122,15 +702,18 @@ mod tests {
             SkueueMsg::AnchorTransfer {
                 state: AnchorState::default(),
             },
-        ];
-        for msg in msgs {
+        ]
+    }
+
+    #[test]
+    fn every_message_variant_roundtrips() {
+        for msg in message_corpus() {
             roundtrip(msg);
         }
     }
 
-    #[test]
-    fn op_records_roundtrip_for_string_payloads() {
-        let record = OpRecord {
+    fn string_record() -> OpRecord<String> {
+        OpRecord {
             id: RequestId::new(ProcessId(3), 14),
             kind: OpKind::Dequeue,
             value: String::from("job #7"),
@@ -1144,8 +727,174 @@ mod tests {
             },
             issued_round: 10,
             completed_round: 20,
-        };
-        roundtrip(record);
+        }
+    }
+
+    #[test]
+    fn op_records_roundtrip_for_string_payloads() {
+        roundtrip(string_record());
+    }
+
+    /// One value of every [`NetFrame`] variant, in tag order.
+    fn frame_corpus() -> Vec<NetFrame<u64>> {
+        vec![
+            NetFrame::Hello { from: 2 },
+            NetFrame::Proto {
+                from: NodeId(1),
+                to: NodeId(5),
+                msg: SkueueMsg::UpdateFlag { phase: 3 },
+            },
+            NetFrame::Inject {
+                id: RequestId::new(ProcessId(3), 9),
+                insert: true,
+                value: 77,
+            },
+            NetFrame::Completion {
+                record: OpRecord {
+                    id: RequestId::new(ProcessId(0), 6),
+                    kind: OpKind::Enqueue,
+                    value: 11,
+                    result: OpResult::Enqueued,
+                    order: OrderKey {
+                        wave: 1,
+                        shard: 0,
+                        major: 2,
+                        origin: 0,
+                        minor: 0,
+                    },
+                    issued_round: 1,
+                    completed_round: 4,
+                },
+            },
+            NetFrame::Join {
+                pid: ProcessId(5),
+                bootstrap: NodeId(4),
+            },
+            NetFrame::Leave { pid: ProcessId(2) },
+            NetFrame::Status,
+            NetFrame::StatusReply {
+                daemon: 1,
+                processes: vec![(0, true, false), (3, false, false)],
+            },
+            NetFrame::Subscribe,
+            NetFrame::Shutdown,
+            NetFrame::Ok,
+            NetFrame::Err(String::from("no such pid")),
+        ]
+    }
+
+    /// Every corpus value as the frame a connection would carry it in.
+    fn framed_corpus() -> Vec<NetFrame<u64>> {
+        let protos = message_corpus().into_iter().map(|msg| NetFrame::Proto {
+            from: NodeId(7),
+            to: NodeId(11),
+            msg,
+        });
+        protos.chain(frame_corpus()).collect()
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn assert_golden<T: Wire>(what: &str, values: &[T], golden: &[(u64, usize)]) {
+        assert_eq!(values.len(), golden.len(), "{what}: one golden per value");
+        for (i, (value, &expected)) in values.iter().zip(golden).enumerate() {
+            let bytes = to_bytes(value);
+            assert_eq!(
+                (fnv1a(&bytes), bytes.len()),
+                expected,
+                "{what} #{i} now encodes to {bytes:02x?}"
+            );
+        }
+    }
+
+    /// The bytes on the wire, as the hand-written codec of `7e928c3` produced
+    /// them (FNV-1a and length of each encoding): daemons of different builds
+    /// share a cluster, so the format moves only on purpose.
+    #[test]
+    fn encodings_match_the_recorded_wire_format() {
+        assert_golden("SkueueMsg", &message_corpus(), &GOLDEN_MESSAGES);
+        assert_golden("NetFrame", &frame_corpus(), &GOLDEN_FRAMES);
+        assert_golden("OpRecord<String>", &[string_record()], &[GOLDEN_RECORD]);
+    }
+
+    const GOLDEN_MESSAGES: [(u64, usize); 21] = [
+        (0x5b87c9c196af4b76, 66),
+        (0xaf63bc4c8601b62c, 1),
+        (0xb7ecd8f8fc8d98af, 67),
+        (0x1b2f316fca012353, 158),
+        (0xc152624b30b4e378, 73),
+        (0x73e3bddcfb12c680, 17),
+        (0xdeed2c20b0912d3c, 39),
+        (0xca9bd289237802b0, 155),
+        (0xaf63c54c8601c577, 1),
+        (0x567c3422a5e8aae0, 26),
+        (0xaf63c74c8601c8dd, 1),
+        (0xaf63c64c8601c72a, 1),
+        (0xaf63c14c8601beab, 1),
+        (0xf4c74e6b4ae67cf9, 278),
+        (0x0d4cbf188984ec58, 3),
+        (0x14ae4b6e7ad06b4e, 26),
+        (0x07c3ae17b75ff471, 26),
+        (0xa83a49bee493defd, 9),
+        (0x817410e0ad540b57, 9),
+        (0x91196667f7eb36e1, 9),
+        (0x4a18fb22d3d054a3, 57),
+    ];
+    const GOLDEN_FRAMES: [(u64, usize); 12] = [
+        (0xa4c6f7c878c0702d, 5),
+        (0xf2cb9c87056929b8, 26),
+        (0x891b2e540b29f407, 26),
+        (0x06536fb7251cb213, 83),
+        (0x83ac62522c18de12, 17),
+        (0x42e665785367efa2, 9),
+        (0xaf63bb4c8601b479, 1),
+        (0x5490adc381850a8f, 33),
+        (0xaf63c54c8601c577, 1),
+        (0xaf63c44c8601c3c4, 1),
+        (0xaf63c74c8601c8dd, 1),
+        (0x0cb45c04970cf55c, 20),
+    ];
+    const GOLDEN_RECORD: (u64, usize) = (0x2eb6ecc7c9d63de1, 104);
+
+    fn every_strict_prefix_fails<T: Wire + std::fmt::Debug>(value: &T) {
+        let bytes = to_bytes(value);
+        for cut in 0..bytes.len() {
+            let got = from_bytes::<T>(&bytes[..cut]);
+            assert!(
+                got.is_err(),
+                "{cut} of {} bytes of {value:?} decoded to {got:?}",
+                bytes.len()
+            );
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_an_encoding_is_an_error() {
+        framed_corpus().iter().for_each(every_strict_prefix_fails);
+        message_corpus().iter().for_each(every_strict_prefix_fails);
+        every_strict_prefix_fails(&string_record());
+    }
+
+    /// A frame with one bit flipped anywhere is refused or is another frame
+    /// — one that encodes back to exactly those bytes; it is never a panic.
+    #[test]
+    fn every_single_bit_flip_is_refused_or_decodes_to_what_it_spells() {
+        for frame in framed_corpus() {
+            let mut bytes = to_bytes(&frame);
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    if let Ok(other) = from_bytes::<NetFrame<u64>>(&bytes) {
+                        assert_eq!(to_bytes(&other), bytes, "byte {at} bit {bit} of {frame:?}");
+                    }
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+        }
     }
 
     proptest! {

@@ -383,11 +383,7 @@ impl<T: Payload + Wire> Host<T> {
         }
         let mut visited = std::mem::take(&mut self.visited);
         for id in visited.drain(..) {
-            self.act(id, |node, ctx| {
-                if node.is_active() {
-                    node.on_timeout(ctx);
-                }
-            });
+            self.act(id, |node, ctx| node.on_timeout(ctx));
             let hosted = self.nodes.get_mut(&id.0).expect("visited nodes are hosted");
             hosted.visiting = false;
             if hosted.node.has_completed() {
@@ -485,6 +481,9 @@ mod tests {
     //! socket, no thread, no sleep.
 
     use super::*;
+    use skueue_core::messages::RoutedDhtOp;
+    use skueue_core::DhtOp;
+    use skueue_overlay::RouteProgress;
     use skueue_sim::ids::RequestId;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -578,6 +577,49 @@ mod tests {
             assert_eq!(joiner.visits > 0, now >= start + TICK, "step {step}");
             assert_eq!(joiner.node.wants_timeout(), joiner.visits == 0);
             assert!(host.nodes[&fed.0].visits >= u64::from(step));
+        }
+    }
+
+    /// A node that hands itself over in the middle of a visit still ends the
+    /// visit with its `TIMEOUT`, so what it routed before the hand-over leaves
+    /// with the turn instead of staying in its buffer for ever.
+    #[test]
+    fn a_node_that_starts_draining_still_forwards_what_it_routed() {
+        for absorbed in [false, true] {
+            let now = Instant::now();
+            let (mut host, _) = host(1, 3, now);
+            let node = middle(0);
+            let pred = host.nodes[&node.0].node.view().pred;
+            // A GET for the predecessor's interval: `node` has to pass it on.
+            let get = RoutedDhtOp {
+                op: Box::new(DhtOp::Get {
+                    position: 1,
+                    max_ticket: u64::MAX,
+                    request: RequestId::new(ProcessId(1), 0),
+                    requester: middle(1),
+                }),
+                progress: RouteProgress::linear_only(pred.label),
+            };
+            let batch = SkueueMsg::DhtBatch { ops: vec![get] };
+            host.transport.send(pred.node, node, batch);
+            if absorbed {
+                host.transport
+                    .send(pred.node, node, SkueueMsg::AbsorbRequest);
+            }
+            host.turn(None, now);
+            let mut sent = Vec::new();
+            while let Some((from, _, msg)) = host.transport.pop_local() {
+                assert_eq!(from, node, "nobody else was visited");
+                sent.push(msg);
+            }
+            let handed_over = sent.iter().any(|m| matches!(m, SkueueMsg::AbsorbData(_)));
+            assert_eq!(handed_over, absorbed);
+            let forwarded =
+                |m: &SkueueMsg<u64>| matches!(m, SkueueMsg::DhtBatch { ops } if ops.len() == 1);
+            assert!(
+                sent.iter().any(forwarded),
+                "absorbed {absorbed}: sent {sent:?}"
+            );
         }
     }
 

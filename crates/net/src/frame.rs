@@ -14,7 +14,7 @@ use skueue_core::SkueueMsg;
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_verify::OpRecord;
 
-use crate::codec::{from_bytes, to_bytes, DecodeError, Reader, Wire};
+use crate::codec::{from_bytes, wire_enum, DecodeError, Reader, Wire};
 
 /// Upper bound on a single frame's payload, in bytes.  Handover payloads can
 /// carry a shard's worth of DHT entries, but anything beyond this indicates a
@@ -26,20 +26,17 @@ const READ_AHEAD_BYTES: usize = 64 << 10;
 
 /// Writes one value as a length-prefixed frame.
 pub fn write_frame<T: Wire, W: Write>(w: &mut W, value: &T) -> io::Result<()> {
-    let body = to_bytes(value);
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame too large",
-        ));
-    }
     // One buffer, one write: avoids interleaving when callers share a stream
-    // behind a mutex and halves the syscall count for small frames.
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&body);
+    // behind a mutex and halves the syscall count for small frames.  The
+    // value is encoded behind a placeholder for the prefix, which is patched
+    // once the length is known.
+    let mut out = vec![0; 4];
+    value.encode(&mut out);
+    let len = u32::try_from(out.len() - 4)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&out)
 }
 
@@ -150,98 +147,20 @@ pub enum NetFrame<T> {
     ),
 }
 
-impl<T: Wire> Wire for NetFrame<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            NetFrame::Hello { from } => {
-                buf.push(0);
-                from.encode(buf);
-            }
-            NetFrame::Proto { from, to, msg } => {
-                buf.push(1);
-                from.encode(buf);
-                to.encode(buf);
-                msg.encode(buf);
-            }
-            NetFrame::Inject { id, insert, value } => {
-                buf.push(2);
-                id.encode(buf);
-                insert.encode(buf);
-                value.encode(buf);
-            }
-            NetFrame::Completion { record } => {
-                buf.push(3);
-                record.encode(buf);
-            }
-            NetFrame::Join { pid, bootstrap } => {
-                buf.push(4);
-                pid.encode(buf);
-                bootstrap.encode(buf);
-            }
-            NetFrame::Leave { pid } => {
-                buf.push(5);
-                pid.encode(buf);
-            }
-            NetFrame::Status => buf.push(6),
-            NetFrame::StatusReply { daemon, processes } => {
-                buf.push(7);
-                daemon.encode(buf);
-                processes.encode(buf);
-            }
-            NetFrame::Subscribe => buf.push(8),
-            NetFrame::Shutdown => buf.push(9),
-            NetFrame::Ok => buf.push(10),
-            NetFrame::Err(reason) => {
-                buf.push(11);
-                reason.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let tag = u8::decode(r)?;
-        Ok(match tag {
-            0 => NetFrame::Hello {
-                from: u32::decode(r)?,
-            },
-            1 => NetFrame::Proto {
-                from: NodeId::decode(r)?,
-                to: NodeId::decode(r)?,
-                msg: SkueueMsg::decode(r)?,
-            },
-            2 => NetFrame::Inject {
-                id: RequestId::decode(r)?,
-                insert: bool::decode(r)?,
-                value: T::decode(r)?,
-            },
-            3 => NetFrame::Completion {
-                record: OpRecord::decode(r)?,
-            },
-            4 => NetFrame::Join {
-                pid: ProcessId::decode(r)?,
-                bootstrap: NodeId::decode(r)?,
-            },
-            5 => NetFrame::Leave {
-                pid: ProcessId::decode(r)?,
-            },
-            6 => NetFrame::Status,
-            7 => NetFrame::StatusReply {
-                daemon: u32::decode(r)?,
-                processes: Vec::decode(r)?,
-            },
-            8 => NetFrame::Subscribe,
-            9 => NetFrame::Shutdown,
-            10 => NetFrame::Ok,
-            11 => NetFrame::Err(String::decode(r)?),
-            value => {
-                return Err(DecodeError::BadDiscriminant {
-                    ty: "NetFrame",
-                    value,
-                })
-            }
-        })
-    }
-}
+wire_enum! { <T> NetFrame {
+    0 => Hello { from },
+    1 => Proto { from, to, msg },
+    2 => Inject { id, insert, value },
+    3 => Completion { record },
+    4 => Join { pid, bootstrap },
+    5 => Leave { pid },
+    6 => Status,
+    7 => StatusReply { daemon, processes },
+    8 => Subscribe,
+    9 => Shutdown,
+    10 => Ok,
+    11 => Err(reason),
+} }
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`codec`] | hand-rolled binary encoding of every protocol type (nothing can be vendored: there is no registry) |
+//! | [`codec`] | binary encoding of every protocol type, declared as one field list per type (nothing can be vendored: there is no registry, so three private macros stand in for a derive; a new message is one line) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
 //! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
 //! | `transport` | `transport::TcpTransport`, the real-clock [`skueue_sim::Transport`] implementation: a daemon's local FIFO and its peer connections |

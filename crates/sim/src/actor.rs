@@ -23,14 +23,6 @@ pub trait Actor {
     /// synchronous model and regularly in the asynchronous model.
     fn on_timeout(&mut self, ctx: &mut Context<Self::Msg>);
 
-    /// Whether the node still wants to receive timeouts. Deactivated nodes
-    /// (e.g. processes that completed a `LEAVE()`) return `false`; any
-    /// message still addressed to them is delivered (channels are reliable)
-    /// but typically just forwarded by the protocol.
-    fn is_active(&self) -> bool {
-        true
-    }
-
     /// Whether the node's `TIMEOUT` action would currently do anything.
     ///
     /// Defaults to `true` (a timeout every round, the paper's model).  An
@@ -176,12 +168,6 @@ mod tests {
         let out = ctx.into_outbox();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], (NodeId(1), "a"));
-    }
-
-    #[test]
-    fn actor_default_is_active() {
-        let echo = Echo::default();
-        assert!(echo.is_active());
     }
 
     #[test]

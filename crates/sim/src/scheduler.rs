@@ -6,9 +6,9 @@
 //!
 //! 1. every node processes the messages that became deliverable this round
 //!    (in the synchronous model: everything sent in the previous round),
-//! 2. every *active* node then executes its `TIMEOUT` action — unless the
-//!    actor declares the timeout a no-op via [`Actor::wants_timeout`], in
-//!    which case the visit is skipped entirely,
+//! 2. every node then executes its `TIMEOUT` action — unless it received
+//!    nothing and declares the timeout a no-op via [`Actor::wants_timeout`],
+//!    in which case the visit is skipped entirely,
 //! 3. all messages produced in the round are scheduled for later rounds
 //!    according to the configured [`crate::DeliveryModel`].
 //!
@@ -50,8 +50,7 @@
 //!   far-future `deliver_at` are never rescanned.  Emptied bucket vectors
 //!   are parked on a spare list and reused when a new delivery round opens.
 //! * A per-round **wake list** visits only nodes that have deliverable
-//!   messages or are active (and therefore receive a `TIMEOUT`); deactivated
-//!   nodes without deliveries cost nothing.
+//!   messages or want their `TIMEOUT`; every other node costs nothing.
 //! * A node owns **no inbox**: the round's due messages sit in one
 //!   lane-level buffer, chained per destination (see `Inbox`), so a node
 //!   that is never addressed costs the lane two words and no allocation.
@@ -78,13 +77,6 @@ const NOT_LOCAL: u32 = u32::MAX;
 
 /// End-of-chain marker in a lane's [`Inbox`].
 const END: u32 = u32::MAX;
-
-struct NodeSlot<A: Actor> {
-    actor: A,
-    /// Whether the node takes part in timeouts. Channels remain usable even
-    /// for deactivated nodes — the paper's channels never lose messages.
-    active: bool,
-}
 
 /// One due message in a lane's [`Inbox`].
 struct Due<M> {
@@ -134,15 +126,14 @@ struct Lane<A: Actor> {
     /// 0's RNG stream is seeded exactly like the pre-lane global stream, so
     /// single-lane runs are bit-identical to the historical scheduler.
     transport: SimTransport<A::Msg>,
-    nodes: Vec<NodeSlot<A>>,
+    nodes: Vec<A>,
     /// Lane slot → global node id.
     global_ids: Vec<u64>,
     /// Global node id → lane slot (`NOT_LOCAL` for other lanes' nodes; only
     /// grown for ids at or below this lane's own highest node).
     local_slot: Vec<u32>,
-    /// Bit-packed per-slot wake flags: bit `i` is set iff slot `i` is active
-    /// *and* wants its timeout (see [`Actor::wants_timeout`]).  Re-derived
-    /// after every visit.
+    /// Bit-packed per-slot wake flags: bit `i` is set iff slot `i` wants its
+    /// timeout (see [`Actor::wants_timeout`]).  Re-derived after every visit.
     timeout_flags: Vec<u64>,
     /// Bit-packed per-round delivery marks: bit `i` is set while slot `i`
     /// has deliverable messages this round.  Cleared at every round start.
@@ -229,10 +220,7 @@ impl<A: Actor> Lane<A> {
         if actor.wants_timeout() {
             self.timeout_flags[slot / 64] |= 1u64 << (slot % 64);
         }
-        self.nodes.push(NodeSlot {
-            actor,
-            active: true,
-        });
+        self.nodes.push(actor);
         self.global_ids.push(global);
         self.inbox.head.push(END);
         self.inbox.tail.push(END);
@@ -254,9 +242,8 @@ impl<A: Actor> Lane<A> {
 
     /// Re-derives slot `slot`'s wake-flag bit from its current state.
     fn refresh_flag(&mut self, slot: usize) {
-        let node = &self.nodes[slot];
         let bit = 1u64 << (slot % 64);
-        if node.active && node.actor.wants_timeout() {
+        if self.nodes[slot].wants_timeout() {
             self.timeout_flags[slot / 64] |= bit;
         } else {
             self.timeout_flags[slot / 64] &= !bit;
@@ -286,7 +273,7 @@ impl<A: Actor> Lane<A> {
     }
 
     /// Delivers a slot's due messages (its chain in the lane's inbox),
-    /// fires its timeout if it is active, and posts everything it sent.
+    /// fires its timeout, and posts everything it sent.
     #[inline]
     fn visit_node(&mut self, slot: usize, round: Round) {
         let self_id = NodeId(self.global_ids[slot]);
@@ -302,13 +289,11 @@ impl<A: Actor> Lane<A> {
                 let due = &mut self.inbox.due[at as usize];
                 at = due.next;
                 let msg = due.msg.take().expect("a due message is delivered once");
-                node.actor.on_message(due.from, msg, &mut self.ctx);
+                node.on_message(due.from, msg, &mut self.ctx);
             }
         }
-        if node.active {
-            node.actor.on_timeout(&mut self.ctx);
-            self.metrics.timeouts_fired += 1;
-        }
+        node.on_timeout(&mut self.ctx);
+        self.metrics.timeouts_fired += 1;
         if !self.ctx.outbox.is_empty() {
             // Moved out while posting (a post needs the whole lane) and back
             // so its capacity is reused.
@@ -359,7 +344,7 @@ impl<A: Actor> Lane<A> {
         });
 
         // Phases 2+3: visit exactly the woken slots — those whose wake-flag
-        // bit is set (active + timeout interest) or that received a message
+        // bit is set (timeout interest) or that received a message
         // this round.  The scan is over the OR of the two bit words, so 64
         // quiescent nodes cost a single word-load; the shuffle mode
         // materialises the wake list before visiting.  A slot's flag is
@@ -557,7 +542,7 @@ impl<A: Actor> Simulation<A> {
     /// Immutable access to an actor.
     pub fn node(&self, id: NodeId) -> Option<&A> {
         let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&self.lane(lane as usize).nodes[slot as usize].actor)
+        Some(&self.lane(lane as usize).nodes[slot as usize])
     }
 
     /// Mutable access to an actor. The driver (e.g. the Skueue cluster API)
@@ -565,30 +550,15 @@ impl<A: Actor> Simulation<A> {
     /// request at a node — those are not messages in the paper's model.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut A> {
         let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&mut self.lane_mut(lane as usize).nodes[slot as usize].actor)
+        Some(&mut self.lane_mut(lane as usize).nodes[slot as usize])
     }
 
     /// Iterates over `(id, actor)` pairs in global id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &A)> {
-        self.node_loc.iter().enumerate().map(move |(i, &(l, s))| {
-            (
-                NodeId(i as u64),
-                &self.lane(l as usize).nodes[s as usize].actor,
-            )
-        })
-    }
-
-    /// Marks a node as inactive: it stops receiving timeouts but its channel
-    /// keeps accepting and delivering messages (reliable channels).
-    pub fn deactivate(&mut self, id: NodeId) -> Result<(), SimError> {
-        let &(lane, slot) = self
-            .node_loc
-            .get(id.index())
-            .ok_or(SimError::UnknownNode(id))?;
-        let lane = self.lane_mut(lane as usize);
-        lane.nodes[slot as usize].active = false;
-        lane.refresh_flag(slot as usize);
-        Ok(())
+        self.node_loc
+            .iter()
+            .enumerate()
+            .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lane(l as usize).nodes[s as usize]))
     }
 
     /// Re-evaluates a node's wake flag after a driver-side mutation that may
@@ -902,24 +872,12 @@ mod tests {
     }
 
     #[test]
-    fn deactivated_nodes_skip_timeouts_but_receive_messages() {
-        let mut sim = ring_sim(3, SimConfig::synchronous(3));
-        sim.deactivate(NodeId(1)).unwrap();
-        sim.inject(NodeId(0), NodeId(1), Token { remaining: 0 })
-            .unwrap();
-        sim.run_rounds(5);
-        assert_eq!(sim.node(NodeId(1)).unwrap().timeouts, 0);
-        assert_eq!(sim.node(NodeId(1)).unwrap().received, vec![0]);
-    }
-
-    #[test]
     fn inject_to_unknown_node_fails() {
         let mut sim = ring_sim(2, SimConfig::synchronous(0));
         assert!(matches!(
             sim.inject(NodeId(0), NodeId(99), Token { remaining: 0 }),
             Err(SimError::UnknownNode(_))
         ));
-        assert!(sim.deactivate(NodeId(99)).is_err());
     }
 
     #[test]

@@ -106,8 +106,6 @@ pub struct CentralBaselineResult {
     pub processes: usize,
     /// Per-node per-round request probability.
     pub request_probability: f64,
-    /// Requests per round the server can process.
-    pub server_capacity_per_round: u64,
     /// Requests issued (and completed).
     pub requests: u64,
     /// Average rounds per request.
@@ -193,7 +191,6 @@ pub fn run_central_baseline(
     CentralBaselineResult {
         processes,
         request_probability,
-        server_capacity_per_round,
         requests: issued,
         avg_rounds_per_request: avg,
         max_rounds_per_request: latencies.iter().copied().max().unwrap_or(0),

@@ -21,14 +21,10 @@ pub struct ScenarioParams {
     pub insert_ratio: f64,
     /// Rounds during which requests are generated.
     pub generation_rounds: u64,
-    /// Fixed-rate workload: requests per round.  Per-node workload: ignored.
-    pub requests_per_round: u64,
     /// Per-node workload: per-round request probability of each process.
     pub request_probability: f64,
     /// RNG seed (workload and simulation).
     pub seed: u64,
-    /// Round budget for draining after generation stops.
-    pub drain_budget: u64,
     /// Verify sequential consistency of the resulting history.
     pub verify: bool,
     /// Number of anchor shards (1 = the unsharded protocol; `> 1` verifies
@@ -48,10 +44,8 @@ impl ScenarioParams {
             mode,
             insert_ratio,
             generation_rounds: 200,
-            requests_per_round: 10,
             request_probability: 0.0,
             seed: 0x5EED,
-            drain_budget: 50_000,
             verify: true,
             shards: 1,
             trace_level: TraceLevel::Off,
@@ -65,10 +59,8 @@ impl ScenarioParams {
             mode,
             insert_ratio: 0.5,
             generation_rounds: 100,
-            requests_per_round: 0,
             request_probability,
             seed: 0x5EED,
-            drain_budget: 50_000,
             verify: true,
             shards: 1,
             trace_level: TraceLevel::Off,
@@ -146,11 +138,6 @@ pub struct ScenarioResult {
     pub max_batch_size: u64,
     /// Mean DHT routing hops per operation (`hops_per_op`).
     pub mean_dht_hops: f64,
-    /// Mean DHT operations carried per `DhtBatch` message — the batched
-    /// routing layer's coalescing factor (1.0 means no sharing).
-    pub mean_dht_ops_per_message: f64,
-    /// Largest number of aggregation waves any node had in flight.
-    pub max_waves_in_flight: u64,
     /// Replies that raced their requester's departure.  Asserted to be zero
     /// at quiescence — a drained cluster must have matched every reply.
     pub unmatched_dht_replies: u64,
@@ -195,8 +182,6 @@ fn finish<T: Payload>(
     let max = history.max_latency();
     let batch_hist = cluster.batch_size_histogram();
     let hop_hist = cluster.dht_hop_histogram();
-    let ops_per_msg_hist = cluster.dht_ops_per_message_histogram();
-    let waves_hist = cluster.waves_in_flight_histogram();
 
     let consistent = if params.verify {
         let report = match params.mode {
@@ -258,8 +243,6 @@ fn finish<T: Payload>(
         mean_batch_size: batch_hist.mean(),
         max_batch_size: batch_hist.max().unwrap_or(0),
         mean_dht_hops: hop_hist.mean(),
-        mean_dht_ops_per_message: ops_per_msg_hist.mean(),
-        max_waves_in_flight: waves_hist.max().unwrap_or(0),
         unmatched_dht_replies: cluster.unmatched_dht_replies(),
         shards: cluster.shards(),
         per_shard_waves,
@@ -296,6 +279,12 @@ pub(crate) fn run_payload_fixed_rate<T: Payload>(
     finish(cluster, &params, drain_rounds)
 }
 
+/// Requests per round of the fixed-rate workload (Figures 2 and 3).
+const REQUESTS_PER_ROUND: u64 = 10;
+
+/// Round budget for draining after generation stops.
+const DRAIN_BUDGET: u64 = 50_000;
+
 /// The one driver loop under every rate scenario: builds the cluster, lets
 /// `tick` issue each generation round's requests, drains, and hands the
 /// quiescent cluster back with the number of rounds the drain took.
@@ -309,7 +298,7 @@ fn drive<T: Payload>(
         cluster.run_round();
     }
     let drain_rounds = cluster
-        .run_until_all_complete(params.drain_budget)
+        .run_until_all_complete(DRAIN_BUDGET)
         .expect("requests must drain within the budget");
     (cluster, drain_rounds)
 }
@@ -320,7 +309,7 @@ fn drive_fixed_rate<T: Payload>(
     mk: &mut impl FnMut(u64) -> T,
 ) -> (SkueueCluster<T>, u64) {
     let mut generator = FixedRateGenerator::new(
-        params.requests_per_round,
+        REQUESTS_PER_ROUND,
         params.insert_ratio,
         params.generation_rounds,
         params.seed ^ 0xA5,

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Boots a 3-daemon real-transport cluster on localhost, drives the fig2-style
 # mixed workload through `skueue-ingress` (sequential-consistency verifier
-# on), exercises a join wave plus a leave through `skueue-ctl`, and shuts the
-# cluster down.  Fails if any step exits non-zero, if verification fails, if
-# `skueue-node` accepts a shard count it cannot run with, if a daemon runs
-# more threads than its connections account for, or if a daemon does not exit
-# cleanly — i.e. leaks a thread or its listener socket.
+# on), exercises a join wave plus a leave through `skueue-ctl` — the leave
+# while `skueue-load` keeps operations in flight — and shuts the cluster
+# down.  Fails if any step exits non-zero, if verification fails, if the load
+# under churn does not drain, if `skueue-node` accepts a shard count it cannot
+# run with, if a daemon runs more threads than its connections account for, or
+# if a daemon does not exit cleanly — i.e. leaks a thread or its listener
+# socket.
 #
 # Usage:
 #   scripts/net_smoke.sh [BASE_PORT]
@@ -25,9 +27,10 @@ cargo build --release --bins
 
 BIN=target/release
 PIDS=()
+LOAD=
 cleanup() {
     # Best-effort teardown if a step fails mid-run.
-    for pid in "${PIDS[@]:-}"; do
+    for pid in "${PIDS[@]:-}" $LOAD; do
         kill "$pid" 2>/dev/null || true
     done
 }
@@ -67,9 +70,22 @@ for pid in "${PIDS[@]}"; do
     fi
 done
 
-echo "== join wave of 2, then leave one joiner"
+echo "== join wave of 2, then leave one joiner under load"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd join --count 2
+# Churn on an idle cluster cannot lose anything.  Three seconds of open-loop
+# load route DHT operations through the leaver while it hands itself over; one
+# that is lost on the way never completes, so the load would not drain (its
+# exit status; the cluster has carried traffic, hence no history check).
+"$BIN/skueue-load" "${COMMON[@]}" --rate 500 --ops 1500 --verify false --out /dev/null &
+LOAD=$!
+sleep 1
+if ! kill -0 "$LOAD" 2>/dev/null; then
+    echo "the load ended before the leave was issued" >&2
+    exit 1
+fi
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5
+wait "$LOAD"
+LOAD=
 
 echo "== shutdown"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd shutdown
@@ -82,4 +98,4 @@ done
 PIDS=()
 trap - EXIT
 
-echo "net smoke passed: workload consistent, churn applied, clean shutdown"
+echo "net smoke passed: workload consistent, churn applied under load, clean shutdown"
