@@ -37,7 +37,7 @@
 use crate::cluster::SkueueCluster;
 use crate::config::{Mode, ProtocolConfig};
 use skueue_dht::Payload;
-use skueue_sim::{DeliveryModel, ExecMode, SimConfig};
+use skueue_sim::{DeliveryModel, SimConfig};
 use skueue_trace::TraceLevel;
 use std::marker::PhantomData;
 
@@ -197,7 +197,8 @@ impl<T: Payload> SkueueBuilder<T> {
     }
 
     /// Runs under asynchronous, non-FIFO delivery with uniform delays in
-    /// `[1, max_delay]` — the model the correctness proof targets.  Also
+    /// `[1, max_delay]` — the model the correctness proof targets
+    /// ([`build`](Self::build) refuses a `max_delay` above 1024).  Also
     /// shuffles the per-round node iteration order (override with
     /// [`shuffle_node_order`](Self::shuffle_node_order)).
     pub fn asynchronous(mut self, max_delay: u64) -> Self {
@@ -270,11 +271,6 @@ impl<T: Payload> SkueueBuilder<T> {
         }
     }
 
-    /// The [`ExecMode`] this builder currently describes.
-    pub(crate) fn exec_mode(&self) -> ExecMode {
-        ExecMode::from_threads(self.threads)
-    }
-
     /// Validates the configuration and builds the cluster.
     pub fn build(self) -> Result<SkueueCluster<T>, BuildError> {
         if self.processes == 0 {
@@ -292,7 +288,7 @@ impl<T: Payload> SkueueBuilder<T> {
             self.processes,
             self.protocol_config(),
             sim_cfg,
-            self.exec_mode(),
+            self.threads,
         ))
     }
 }

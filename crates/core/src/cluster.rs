@@ -51,16 +51,16 @@ use crate::batch::BatchOp;
 use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
-use crate::membership::{joining_views, InitialMembership};
+use crate::membership::{joining_views, node_of, InitialMembership};
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
 use skueue_dht::{LoadStats, Payload};
-use skueue_overlay::{recommended_bit_budget, VKind};
+use skueue_overlay::{recommended_bit_budget, VKind, VirtualId};
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
-use skueue_sim::{ExecMode, SimConfig, SimError, Simulation};
+use skueue_sim::{SimConfig, SimError, Simulation};
 use skueue_trace::{
     export_chrome_trace, TraceAnalysis, TraceEvent, TraceId, TraceLevel, TraceLog, TraceRecord,
 };
@@ -165,9 +165,6 @@ enum ProcessState {
 
 #[derive(Debug, Clone)]
 struct ProcessHandle {
-    id: ProcessId,
-    /// Node ids of the left/middle/right virtual nodes.
-    nodes: [NodeId; 3],
     /// The anchor shard the process belongs to (deterministic by label).
     shard: ShardId,
     state: ProcessState,
@@ -184,10 +181,8 @@ struct ProcessHandle {
 const NOT_COMPLETED: u32 = u32::MAX;
 
 impl ProcessHandle {
-    fn new(id: ProcessId, nodes: [NodeId; 3], shard: ShardId, state: ProcessState) -> Self {
+    fn new(shard: ShardId, state: ProcessState) -> Self {
         ProcessHandle {
-            id,
-            nodes,
             shard,
             state,
             next_seq: 0,
@@ -200,6 +195,12 @@ impl ProcessHandle {
         let at = *self.completed_at.get(usize::try_from(seq).ok()?)?;
         (at != NOT_COMPLETED).then_some(at as usize)
     }
+}
+
+/// Node ids of the left/middle/right virtual nodes of `process` (the dense
+/// id rule of [`node_of`]; the process table stores none of them).
+fn nodes_of(process: ProcessId) -> [NodeId; 3] {
+    VKind::ALL.map(|kind| node_of(VirtualId::new(process, kind)))
 }
 
 /// Observer callback invoked once per completed operation.
@@ -220,12 +221,11 @@ pub struct SkueueCluster<T: Payload = u64> {
     shard_cfgs: Vec<Arc<ProtocolConfig>>,
     /// Every process ever admitted, in pid order: pids are handed out
     /// densely from 0 and never reused or removed, so process `p` sits at
-    /// index `p`.
+    /// index `p` and the next pid is the table's length.
     processes: Vec<ProcessHandle>,
     history: History<T>,
     observers: Vec<CompletionObserver<T>>,
     issued: u64,
-    next_process_id: u64,
     /// This instance's id (see [`NEXT_CLUSTER_ID`]).
     cluster_id: u64,
     /// Scratch for the per-round completion sweep, reused across rounds.
@@ -278,7 +278,7 @@ impl<T: Payload> SkueueCluster<T> {
         n: usize,
         mut cfg: ProtocolConfig,
         sim_cfg: SimConfig,
-        exec: ExecMode,
+        threads: usize,
     ) -> Self {
         debug_assert!(n >= 1, "validated by SkueueBuilder::build");
         let membership = InitialMembership::build(n as u64, cfg);
@@ -307,25 +307,18 @@ impl<T: Payload> SkueueCluster<T> {
         let mut processes = Vec::with_capacity(n);
         for pid in (0..n as u64).map(ProcessId) {
             let (shard, views) = membership.process(pid);
-            let nodes = views.map(|(view, is_anchor)| {
+            for (view, is_anchor) in views {
                 let id = view.me.node;
                 let node_cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
-                let mut node = SkueueNode::<T>::new(node_cfg, shard, view, is_anchor);
-                // Tag the recorder with the dense node index (known ahead of
-                // registration thanks to the dense id rule).
-                node.trace_recorder_mut().attach(id.0, shard);
+                let node = SkueueNode::<T>::new(node_cfg, shard, view, is_anchor);
                 let assigned = sim.add_node_in_lane(shard as usize, node);
                 debug_assert_eq!(assigned, id);
-                assigned
-            });
-            processes.push(ProcessHandle::new(pid, nodes, shard, ProcessState::Active));
+            }
+            processes.push(ProcessHandle::new(shard, ProcessState::Active));
         }
 
-        if exec.is_parallel() {
-            // Worker threads only help when there is more than one lane to
-            // run; `enable_parallel` quietly stays single-threaded otherwise.
-            sim.enable_parallel(exec.threads());
-        }
+        // One thread, or one lane, stays on the calling thread.
+        sim.enable_parallel(threads);
 
         SkueueCluster {
             sim,
@@ -336,7 +329,6 @@ impl<T: Payload> SkueueCluster<T> {
             history: History::new(),
             observers: Vec::new(),
             issued: 0,
-            next_process_id: n as u64,
             cluster_id: NEXT_CLUSTER_ID.fetch_add(1, Ordering::Relaxed),
             completion_scratch: Vec::new(),
             visit_scratch: Vec::new(),
@@ -367,8 +359,9 @@ impl<T: Payload> SkueueCluster<T> {
     pub fn active_process_ids(&self) -> Vec<ProcessId> {
         self.processes
             .iter()
-            .filter(|p| p.state == ProcessState::Active)
-            .map(|p| p.id)
+            .enumerate()
+            .filter(|(_, p)| p.state == ProcessState::Active)
+            .map(|(pid, _)| ProcessId(pid as u64))
             .collect()
     }
 
@@ -578,10 +571,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// handed out for it.
     fn process_index(&self, process: ProcessId) -> Result<usize, ClusterError> {
         match usize::try_from(process.0) {
-            Ok(idx) if idx < self.processes.len() => {
-                debug_assert_eq!(self.processes[idx].id, process);
-                Ok(idx)
-            }
+            Ok(idx) if idx < self.processes.len() => Ok(idx),
             _ => Err(ClusterError::UnknownProcess(process)),
         }
     }
@@ -605,7 +595,7 @@ impl<T: Payload> SkueueCluster<T> {
         self.processes[idx].next_seq += 1;
         let id = RequestId::new(process, seq);
         // Requests are generated at the process's middle virtual node.
-        let node_id = self.processes[idx].nodes[VKind::Middle.index()];
+        let node_id = node_of(VirtualId::middle(process));
         let round = self.sim.round();
         let node = self
             .sim
@@ -784,7 +774,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// from a different shard is treated as a hint and replaced by the
     /// first active member of the target shard.
     pub fn join(&mut self, bootstrap: Option<ProcessId>) -> Result<ProcessId, ClusterError> {
-        let pid = ProcessId(self.next_process_id);
+        let pid = ProcessId(self.processes.len() as u64);
         let shard = self.router.route(pid);
         let same_shard_bootstrap = match bootstrap {
             Some(p) => {
@@ -792,36 +782,33 @@ impl<T: Payload> SkueueCluster<T> {
                 if handle.state != ProcessState::Active {
                     return Err(ClusterError::ProcessNotActive(p));
                 }
-                (handle.shard == shard).then_some(handle)
+                (handle.shard == shard).then_some(p)
             }
             None => None,
         };
         let bootstrap = match same_shard_bootstrap {
-            Some(handle) => handle,
+            Some(p) => p,
             None => self
                 .processes
                 .iter()
-                .find(|h| h.state == ProcessState::Active && h.shard == shard)
+                .position(|h| h.state == ProcessState::Active && h.shard == shard)
+                .map(|idx| ProcessId(idx as u64))
                 .ok_or(ClusterError::ShardHasNoMembers { shard })?,
         };
-        let bootstrap_node = bootstrap.nodes[VKind::Middle.index()];
+        let bootstrap_node = node_of(VirtualId::middle(bootstrap));
 
-        self.next_process_id += 1;
-        let nodes = joining_views(self.cfg.hasher(), pid).map(|view| {
+        for view in joining_views(self.cfg.hasher(), pid) {
             let id = view.me.node;
             let node_cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
             let mut node = SkueueNode::new_joining(node_cfg, shard, view);
             node.set_bootstrap(bootstrap_node);
-            node.trace_recorder_mut().attach(id.0, shard);
             // Joining nodes live in their shard's lane like everyone else,
             // and ids stay dense: three nodes per process, in pid order.
             let assigned = self.sim.add_node_in_lane(shard as usize, node);
             debug_assert_eq!(assigned, id);
-            assigned
-        });
-        debug_assert_eq!(pid.0 as usize, self.processes.len());
+        }
         self.processes
-            .push(ProcessHandle::new(pid, nodes, shard, ProcessState::Joining));
+            .push(ProcessHandle::new(shard, ProcessState::Joining));
         self.transitioning += 1;
         Ok(pid)
     }
@@ -835,7 +822,7 @@ impl<T: Payload> SkueueCluster<T> {
             return Err(ClusterError::ProcessNotActive(process));
         }
         // The anchor's host process is pinned (documented restriction).
-        let nodes = self.processes[idx].nodes;
+        let nodes = nodes_of(process);
         for node_id in nodes {
             if self
                 .sim
@@ -871,8 +858,8 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// True once all three virtual nodes of a process are integrated members.
     pub fn process_is_active(&self, process: ProcessId) -> bool {
-        self.process(process).is_ok_and(|p| {
-            p.nodes.iter().all(|&n| {
+        self.process(process).is_ok_and(|_| {
+            nodes_of(process).iter().all(|&n| {
                 self.sim
                     .node(n)
                     .map(|node| node.is_integrated())
@@ -883,8 +870,8 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// True once all three virtual nodes of a leaving process have drained.
     pub fn process_has_left(&self, process: ProcessId) -> bool {
-        self.process(process).is_ok_and(|p| {
-            p.nodes
+        self.process(process).is_ok_and(|_| {
+            nodes_of(process)
                 .iter()
                 .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true))
         })
@@ -1066,10 +1053,12 @@ impl<T: Payload> SkueueCluster<T> {
         }
         let tracing = !self.cfg.trace_level.is_off();
         let round = self.sim.round();
-        for p in &mut self.processes {
+        for (idx, p) in self.processes.iter_mut().enumerate() {
+            let pid = ProcessId(idx as u64);
+            let nodes = nodes_of(pid);
             match p.state {
                 ProcessState::Joining => {
-                    let all_active = p.nodes.iter().all(|&n| {
+                    let all_active = nodes.iter().all(|&n| {
                         self.sim
                             .node(n)
                             .map(|node| node.is_integrated())
@@ -1080,10 +1069,10 @@ impl<T: Payload> SkueueCluster<T> {
                         self.transitioning -= 1;
                         if tracing {
                             self.trace_log.push(TraceRecord {
-                                node: p.nodes[VKind::Middle.index()].0,
+                                node: nodes[VKind::Middle.index()].0,
                                 shard: p.shard,
                                 event: TraceEvent::ProcessJoined {
-                                    process: p.id.0,
+                                    process: pid.0,
                                     round,
                                 },
                             });
@@ -1091,8 +1080,7 @@ impl<T: Payload> SkueueCluster<T> {
                     }
                 }
                 ProcessState::Leaving => {
-                    let all_left = p
-                        .nodes
+                    let all_left = nodes
                         .iter()
                         .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true));
                     if all_left {
@@ -1100,10 +1088,10 @@ impl<T: Payload> SkueueCluster<T> {
                         self.transitioning -= 1;
                         if tracing {
                             self.trace_log.push(TraceRecord {
-                                node: p.nodes[VKind::Middle.index()].0,
+                                node: nodes[VKind::Middle.index()].0,
                                 shard: p.shard,
                                 event: TraceEvent::ProcessLeft {
-                                    process: p.id.0,
+                                    process: pid.0,
                                     round,
                                 },
                             });

@@ -312,9 +312,8 @@ impl<T: Payload + Wire> Host<T> {
 
     /// Starts hosting `node`.  It is first visited by the timer, if it wants
     /// one — a joiner does, to announce itself.
-    fn adopt(&mut self, mut node: SkueueNode<T>, now: Instant) {
-        let (id, shard) = (node.view().me.node, node.shard());
-        node.trace_recorder_mut().attach(id.0, shard);
+    fn adopt(&mut self, node: SkueueNode<T>, now: Instant) {
+        let id = node.view().me.node;
         if node.wants_timeout() {
             self.next_sweep.get_or_insert(now + self.tick);
         }

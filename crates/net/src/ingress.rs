@@ -44,11 +44,14 @@ pub struct IngressClient<T: Payload> {
     seq_base: u64,
     /// Per-process next sequence offset (the ingress owns the id space).
     next_seq: HashMap<u64, u64>,
-    /// Issue timestamps of operations still awaiting completion.
+    /// When the latency of each operation still awaiting completion started:
+    /// its issue, or the time it was due (see [`Self::inject`]).
     pending: HashMap<RequestId, Instant>,
     /// Completed records, in arrival order.
     records: Vec<OpRecord<T>>,
-    /// Wall-clock issue→completion latencies, in microseconds.
+    /// Wall-clock latencies of this client's completed operations, in
+    /// microseconds.  A subscription streams every completion of a daemon,
+    /// whoever issued the operation, so not every record has one.
     latencies_us: Vec<u64>,
     issued: u64,
 }
@@ -103,24 +106,33 @@ impl<T: Payload + Wire> IngressClient<T> {
 
     /// Issues an enqueue of `value` through process `pid`.
     pub fn enqueue(&mut self, pid: ProcessId, value: T) -> io::Result<RequestId> {
-        self.inject(pid, true, value)
+        self.inject(pid, true, value, Instant::now())
     }
 
     /// Issues a dequeue through process `pid`.
     pub fn dequeue(&mut self, pid: ProcessId) -> io::Result<RequestId> {
-        self.inject(pid, false, T::default())
+        self.inject(pid, false, T::default(), Instant::now())
     }
 
-    fn inject(&mut self, pid: ProcessId, insert: bool, value: T) -> io::Result<RequestId> {
+    /// Issues one operation whose latency runs from `since`: now for a
+    /// caller that issues as it goes, the time the operation was due for a
+    /// generator on a schedule — so the latency is measured where it is
+    /// stamped and needs no pairing with a record afterwards.
+    pub(crate) fn inject(
+        &mut self,
+        pid: ProcessId,
+        insert: bool,
+        value: T,
+        since: Instant,
+    ) -> io::Result<RequestId> {
         let seq = self.next_seq.entry(pid.0).or_insert(0);
         let id = RequestId::new(pid, self.seq_base + *seq);
         *seq += 1;
         let daemon = self.spec.daemon_of(pid);
-        let issued_at = Instant::now();
         // An operation counts as issued once its frame is written: one the
         // daemon never received has no completion to wait for.
         self.conns[daemon].send(&NetFrame::Inject { id, insert, value })?;
-        self.pending.insert(id, issued_at);
+        self.pending.insert(id, since);
         self.issued += 1;
         self.pump();
         Ok(id)
@@ -166,9 +178,9 @@ impl<T: Payload + Wire> IngressClient<T> {
     }
 
     fn absorb(&mut self, record: OpRecord<T>) {
-        if let Some(issued_at) = self.pending.remove(&record.id) {
+        if let Some(since) = self.pending.remove(&record.id) {
             self.latencies_us
-                .push(issued_at.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                .push(since.elapsed().as_micros().min(u64::MAX as u128) as u64);
         }
         self.records.push(record);
     }
@@ -197,7 +209,8 @@ impl<T: Payload + Wire> IngressClient<T> {
         &self.records
     }
 
-    /// Wall-clock issue→completion latencies observed so far, microseconds.
+    /// Wall-clock issue→completion latencies of this client's operations
+    /// completed so far, in completion order, microseconds.
     pub fn latencies_us(&self) -> &[u64] {
         &self.latencies_us
     }

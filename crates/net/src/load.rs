@@ -7,17 +7,17 @@
 //! seeded [`SimRng`] so a load run is reproducible in *schedule* (completion
 //! timing of course is not).
 //!
-//! An operation's latency runs **from the time it was due**, so a generator
-//! that falls behind its schedule shows up in the percentiles instead of
-//! hiding in them, and completions are stamped when they arrive — the wait
-//! for the next due time blocks on the completion stream
-//! (`IngressClient::pump_until`), not in a sleep.
+//! An operation's latency runs **from the time it was due** (the ingress is
+//! handed the due time with the operation), so a generator that falls behind
+//! its schedule shows up in the percentiles instead of hiding in them, and
+//! completions are stamped when they arrive — the wait for the next due time
+//! blocks on the completion stream (`IngressClient::pump_until`), not in a
+//! sleep.
 
-use std::collections::HashMap;
 use std::io;
 use std::time::{Duration, Instant};
 
-use skueue_sim::ids::{ProcessId, RequestId};
+use skueue_sim::ids::ProcessId;
 use skueue_sim::SimRng;
 
 use crate::codec::Wire;
@@ -81,7 +81,8 @@ impl LoadParams {
 pub struct LoadReport {
     /// Operations issued.
     pub issued: u64,
-    /// Completions received (equals `issued` when the run drained).
+    /// This client's operations completed during the run (equals `issued`
+    /// when the run drained and the client issued nothing before it).
     pub completed: u64,
     /// Whether every issued operation completed within the drain timeout.
     pub drained: bool,
@@ -144,34 +145,30 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     let start = Instant::now();
     let mut next_at = start;
     let mut value: u64 = 0;
-    // How late each operation was injected, in microseconds after its due
-    // time (the ingress stamps latencies from the inject).
-    let mut late_us: HashMap<RequestId, u64> = HashMap::new();
-    let (first_record, first_latency) = (ingress.records().len(), ingress.latencies_us().len());
+    let first_latency = ingress.latencies_us().len();
     for _ in 0..params.ops {
         ingress.pump_until(next_at);
         let pid = params.pids[(rng.next_u64() % params.pids.len() as u64) as usize];
-        let late = next_at.elapsed().as_micros() as u64;
-        let id = if rng.gen_unit() < params.enqueue_prob {
+        let insert = rng.gen_unit() < params.enqueue_prob;
+        let payload = if insert {
             value += 1;
-            ingress.enqueue(pid, T::from(value))?
+            T::from(value)
         } else {
-            ingress.dequeue(pid)?
+            T::default()
         };
-        late_us.insert(id, late);
+        ingress.inject(pid, insert, payload, next_at)?;
         // Exponential inter-arrival gap (inverse-CDF sampling).
         let gap_s = -(1.0 - rng.gen_unit()).ln() / params.rate_hz;
         next_at += Duration::from_secs_f64(gap_s.min(10.0));
     }
     let drained = ingress.await_quiescence(params.drain_timeout);
     let duration = start.elapsed();
-    let from_due: Vec<u64> = ingress.records()[first_record..]
-        .iter()
-        .zip(&ingress.latencies_us()[first_latency..])
-        .filter_map(|(record, &latency)| Some(late_us.get(&record.id)? + latency))
-        .collect();
+    // The client's own completions since the run began.  (Its stream also
+    // carries what other clients of the cluster issued; those have a record
+    // and no latency, so nothing here goes by a record's position.)
+    let from_due = ingress.latencies_us()[first_latency..].to_vec();
+    let completed = from_due.len() as u64;
     let (p50_us, p99_us, p999_us) = percentiles_us(from_due);
-    let completed = ingress.completed();
     let report = ingress.verify();
     Ok(LoadReport {
         issued: ingress.issued(),

@@ -152,6 +152,19 @@ pub fn parse_flags(args: &[String], keys: &[&str]) -> Result<BTreeMap<String, St
     Ok(map)
 }
 
+/// The value of the numeric flag `--key`, or `None` when it was not given.
+/// A value that does not parse as an `N` is an error naming the flag.
+pub fn flag_number<N: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+) -> Result<Option<N>, String> {
+    let parse = |v: &String| {
+        v.parse()
+            .map_err(|_| format!("--{key} expects a number, got `{v}`"))
+    };
+    flags.get(key).map(parse).transpose()
+}
+
 /// Builds a [`ClusterSpec`] from parsed flags.  Recognised keys:
 /// `--daemons a,b,c` (required), `--initial N` (default 3), `--shards S`
 /// (default 1; `1..=skueue_shard::MAX_SHARDS`, anything else is an error),
@@ -168,22 +181,19 @@ pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, 
     if daemons.is_empty() {
         return Err("--daemons must list at least one address".into());
     }
-    let parse_u64 = |key: &str, default: u64| -> Result<u64, String> {
-        match flags.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} expects a number")),
-        }
-    };
-    let initial = parse_u64("initial", 3)?;
+    let initial = flag_number(flags, "initial")?.unwrap_or(3u64);
     if initial == 0 {
         return Err("--initial must be at least 1".into());
     }
     // The builder's gate: an unchecked count sizes a per-shard allocation in
     // `InitialMembership::build`, and the shard map would silently clamp it.
-    let shards = usize::try_from(parse_u64("shards", 1)?).unwrap_or(usize::MAX);
+    let shards = flag_number::<u64>(flags, "shards")?.unwrap_or(1);
+    let shards = usize::try_from(shards).unwrap_or(usize::MAX);
     validate_shards(shards).map_err(|e| format!("--shards: {e}"))?;
-    let hash_seed = parse_u64("hash-seed", ProtocolConfig::queue().hash_seed)?;
-    let tick_ms = parse_u64("tick-ms", DEFAULT_TICK_MS)?.max(1);
+    let hash_seed = flag_number(flags, "hash-seed")?.unwrap_or(ProtocolConfig::queue().hash_seed);
+    let tick_ms = flag_number(flags, "tick-ms")?
+        .unwrap_or(DEFAULT_TICK_MS)
+        .max(1);
     Ok(ClusterSpec {
         daemons,
         initial,

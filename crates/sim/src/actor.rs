@@ -122,7 +122,7 @@ impl<M> Context<M> {
     pub fn observe(&mut self, series: usize, sample: u64) {
         if let Some(sink) = &mut self.samples {
             if sink.len() <= series {
-                sink.resize_with(series + 1, Histogram::new);
+                sink.resize_with(series + 1, Histogram::default);
             }
             sink[series].record(sample);
         }

@@ -66,6 +66,15 @@ mod tests {
     }
 
     #[test]
+    fn a_delay_above_the_limit_is_an_invalid_config() {
+        let mut c = SimConfig::synchronous(1);
+        c.delivery = DeliveryModel::uniform(1 << 40);
+        assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
+        c.delivery = DeliveryModel::uniform(25);
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
     fn clone_preserves_fields() {
         let c = SimConfig::synchronous(3);
         let d = c.clone();

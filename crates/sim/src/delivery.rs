@@ -9,6 +9,11 @@
 use crate::rng::SimRng;
 use crate::Round;
 
+/// The largest delay a model may be configured with.  The delivery ring
+/// (see [`crate::SimTransport`]) is as long as the largest delay drawn, so
+/// without a bound a mistyped delay sizes a buffer instead of slowing a run.
+const MAX_DELAY: Round = 1024;
+
 /// How message delays are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DeliveryModel {
@@ -22,7 +27,7 @@ pub enum DeliveryModel {
     UniformRandom {
         /// Minimum delay in rounds (≥ 1).
         min_delay: Round,
-        /// Maximum delay in rounds (≥ `min_delay`).
+        /// Maximum delay in rounds (≥ `min_delay`, at most 1024).
         max_delay: Round,
     },
     /// Asynchronous delivery with a heavy tail: with probability
@@ -32,7 +37,7 @@ pub enum DeliveryModel {
     Adversarial {
         /// Probability of a message being a straggler, in `[0, 1]`.
         straggle_prob: f64,
-        /// Delay applied to stragglers.
+        /// Delay applied to stragglers (at least 1, at most 1024).
         straggle_delay: Round,
     },
 }
@@ -58,6 +63,8 @@ impl DeliveryModel {
                     Err("min_delay must be at least 1".into())
                 } else if max_delay < min_delay {
                     Err(format!("max_delay {max_delay} < min_delay {min_delay}"))
+                } else if max_delay > MAX_DELAY {
+                    Err(format!("max_delay {max_delay} above the limit {MAX_DELAY}"))
                 } else {
                     Ok(())
                 }
@@ -70,6 +77,10 @@ impl DeliveryModel {
                     Err(format!("straggle_prob {straggle_prob} not in [0, 1]"))
                 } else if straggle_delay == 0 {
                     Err("straggle_delay must be at least 1".into())
+                } else if straggle_delay > MAX_DELAY {
+                    Err(format!(
+                        "straggle_delay {straggle_delay} above the limit {MAX_DELAY}"
+                    ))
                 } else {
                     Ok(())
                 }
@@ -193,6 +204,27 @@ mod tests {
         }
         .validate()
         .is_ok());
+    }
+
+    /// The ring is as long as the largest delay, so the largest delay has a
+    /// limit: at it (and at 25, the most any test draws) a model is valid,
+    /// one above it is refused.
+    #[test]
+    fn a_delay_above_the_limit_is_refused() {
+        let straggle = |straggle_delay| DeliveryModel::Adversarial {
+            straggle_prob: 0.5,
+            straggle_delay,
+        };
+        for ok in [25, MAX_DELAY] {
+            assert!(DeliveryModel::uniform(ok).validate().is_ok());
+            assert!(straggle(ok).validate().is_ok());
+        }
+        for bad in [MAX_DELAY + 1, u64::MAX] {
+            let err = DeliveryModel::uniform(bad).validate().unwrap_err();
+            assert!(err.contains("max_delay") && err.contains("1024"), "{err}");
+            let err = straggle(bad).validate().unwrap_err();
+            assert!(err.contains("straggle_delay"), "{err}");
+        }
     }
 
     #[test]

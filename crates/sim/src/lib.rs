@@ -37,11 +37,12 @@
 //!
 //! A simulation's nodes are partitioned into **lanes** (one by default; the
 //! Skueue cluster maps every anchor shard to its own lane).  Each lane owns
-//! its nodes, its slice of the delivery wheel and an independent RNG
-//! stream, so a round decomposes into per-lane work recombined in fixed
-//! lane order.  [`ExecMode`] selects whether lanes run on the calling
-//! thread or on a pool of worker threads behind a deterministic round
-//! barrier (see `exec`); both backends produce byte-identical results.
+//! its nodes, its own delivery wheel — one ring of buckets, a bucket per
+//! future round, each in send order — and an independent RNG stream, and a
+//! lane is closed: an actor sends only to nodes of its own lane.  So a round
+//! decomposes into per-lane work recombined in fixed lane order.  [`Simulation::enable_parallel`] selects whether lanes run on
+//! the calling thread or on a pool of worker threads behind a deterministic
+//! round barrier (see `exec`); both backends produce byte-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +64,6 @@ pub use actor::{Actor, Context};
 pub use config::SimConfig;
 pub use delivery::DeliveryModel;
 pub use error::SimError;
-pub use exec::ExecMode;
 pub use ids::{NodeId, ProcessId, RequestId};
 pub use message::Envelope;
 pub use metrics::{Histogram, SimMetrics};

@@ -14,8 +14,8 @@
 //!
 //! Determinism: for a fixed seed, configuration and sequence of driver calls,
 //! a run is bit-for-bit reproducible.  Nodes are processed in index order
-//! (optionally in a seeded shuffled order), and ties between messages are
-//! broken by a per-lane sequence number.
+//! (optionally in a seeded shuffled order), and messages due in the same
+//! round are delivered in the order they were sent.
 //!
 //! # Lanes
 //!
@@ -26,14 +26,12 @@
 //!
 //! * the per-round wake list is merged in ascending node-id order (the
 //!   classic visit order) — or in lane-concatenation order under shuffle,
-//! * per-lane metrics are folded into the global view,
-//! * the rare message that crosses a lane boundary is detoured through a
-//!   per-lane outbox and routed by the driver after all lanes finish, drawing
-//!   its delay from the *destination* lane's stream in fixed lane order.
+//! * per-lane metrics are folded into the global view.
 //!
-//! The Skueue cluster maps every anchor shard to its own lane; shard
-//! independence (all protocol traffic is intra-shard) means the cross-lane
-//! detour never fires there.  Lanes make the round loop parallelisable: with
+//! A lane is closed: an actor may only send to a node of its own lane, and a
+//! send that leaves it is a panic naming both ends.  The Skueue cluster maps
+//! every anchor shard to its own lane, and shards never talk to each other.
+//! Lanes make the round loop parallelisable: with
 //! [`Simulation::enable_parallel`] each lane's round executes on a worker
 //! thread of a persistent [`crate::exec::WorkerPool`] behind a deterministic
 //! round barrier.  Because a lane's round depends only on lane-owned state
@@ -44,11 +42,11 @@
 //!
 //! The round loop is allocation-free in steady state:
 //!
-//! * In-flight messages live in a round-bucketed **delivery wheel**
-//!   (`BTreeMap<Round, Vec<Envelope>>` keyed by `deliver_at`).  A round only
-//!   touches the envelopes that become deliverable in it — messages with a
-//!   far-future `deliver_at` are never rescanned.  Emptied bucket vectors
-//!   are parked on a spare list and reused when a new delivery round opens.
+//! * In-flight messages live in a **delivery wheel**: one ring of buckets,
+//!   a bucket per future round (see [`crate::SimTransport`]).  A round only
+//!   touches the envelopes that become deliverable in it — messages due
+//!   later are never rescanned — and the bucket it drains becomes the ring's
+//!   far end.
 //! * A per-round **wake list** visits only nodes that have deliverable
 //!   messages or want their `TIMEOUT`; every other node costs nothing.
 //! * A node owns **no inbox**: the round's due messages sit in one
@@ -57,7 +55,7 @@
 //!   The inbox, the wake list and the actor outbox are **scratch buffers**
 //!   owned by the lane and reused across rounds.
 //! * No per-round sorting: a bucket is filled in send order, so a node's
-//!   chain is already in `(deliver_at, seq)` order.  (The merged wake list
+//!   chain is already in send order within the bucket.  (The merged wake list
 //!   does sort ids in multi-lane runs — over the handful of woken nodes,
 //!   not the message volume.)
 
@@ -88,7 +86,7 @@ struct Due<M> {
 }
 
 /// A lane's inbox for the round currently executing: every due message in
-/// `(deliver_at, seq)` order, chained per destination slot.  A slot's entry
+/// the bucket's send order, chained per destination slot.  A slot's entry
 /// in `head`/`tail` means something only while its bit in the lane's
 /// `woken_bits` is set, so nothing here is reset per node between rounds.
 struct Inbox<M> {
@@ -120,8 +118,8 @@ struct Lane<A: Actor> {
     // lane must be shippable to a worker thread without borrowing the
     // simulation).
     shuffle: bool,
-    /// The lane's message fabric: delivery wheel, delay RNG and message
-    /// sequence (see [`crate::transport`]).  The lane calls its inherent
+    /// The lane's message fabric: delivery wheel and delay RNG (see
+    /// [`crate::transport`]).  The lane calls its inherent
     /// methods directly — static dispatch, no hot-loop indirection.  Lane
     /// 0's RNG stream is seeded exactly like the pre-lane global stream, so
     /// single-lane runs are bit-identical to the historical scheduler.
@@ -145,15 +143,9 @@ struct Lane<A: Actor> {
     /// visit.  It owns the outbox scratch and the lane's sample sink (one
     /// distribution per series, see [`Context::observe`]).
     ctx: Context<A::Msg>,
-    /// Messages addressed outside this lane, handed to the driver for
-    /// routing after the round barrier.
-    xlane: Vec<(NodeId, NodeId, A::Msg)>,
     metrics: LaneMetrics,
     /// Messages delivered by the most recent round (merge input).
     delta_delivered: usize,
-    /// Messages sent during the most recent round (merge input; excludes
-    /// driver-side injections, which happen between rounds).
-    delta_sent: u64,
     /// Wall time of the most recent round (merge input for barrier-wait
     /// accounting).
     delta_busy_ns: u64,
@@ -187,10 +179,8 @@ impl<A: Actor> Lane<A> {
                 tail: Vec::new(),
             },
             ctx,
-            xlane: Vec::new(),
             metrics: LaneMetrics::default(),
             delta_delivered: 0,
-            delta_sent: 0,
             delta_busy_ns: 0,
         }
     }
@@ -250,26 +240,23 @@ impl<A: Actor> Lane<A> {
         }
     }
 
-    /// Posts a message sent by one of this lane's actors.  Intra-lane
-    /// destinations are scheduled directly; anything else is detoured to the
-    /// driver's cross-lane router.
-    fn post(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
-        match self.slot_of(to) {
-            Some(_) => {
-                self.post_local(from, to, msg);
-            }
-            None => self.xlane.push((from, to, msg)),
-        }
-    }
-
-    /// Schedules a message for an intra-lane destination and returns its
-    /// delivery round.
-    fn post_local(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Round {
-        let sent_at = self.transport.round();
-        let deliver_at = self.transport.dispatch(from, to, msg);
+    /// Schedules a message for one of this lane's nodes and returns its
+    /// delay in rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `to` is not a node of this lane: lanes are closed (each
+    /// runs its round without looking at another), so such a send is a bug
+    /// in the actor or in the driver's lane assignment.
+    fn post(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Round {
+        assert!(
+            self.slot_of(to).is_some(),
+            "{from} sent to {to}, which is not in its lane"
+        );
+        let delay = self.transport.dispatch(from, to, msg);
         self.metrics.messages_sent += 1;
-        self.metrics.delays.record(deliver_at - sent_at);
-        deliver_at
+        self.metrics.delays.record(delay);
+        delay
     }
 
     /// Delivers a slot's due messages (its chain in the lane's inbox),
@@ -280,7 +267,7 @@ impl<A: Actor> Lane<A> {
         // One draw per visit, unused: every recorded schedule (the golden
         // histories) was taken while this seeded a per-visit actor stream,
         // so the lane's stream has to advance exactly as it did then.
-        self.transport.rng_mut().next_u64();
+        self.transport.rng.next_u64();
         self.ctx.rearm(self_id, round);
         let node = &mut self.nodes[slot];
         if self.woken_bits[slot / 64] & (1u64 << (slot % 64)) != 0 {
@@ -308,12 +295,11 @@ impl<A: Actor> Lane<A> {
     /// Executes this lane's share of one round.
     fn run_round(&mut self, round: Round) {
         let started = Instant::now();
-        let sends_before = self.metrics.messages_sent;
 
         // Phase 1: move this round's due envelopes into the lane's inbox,
         // chaining each to its destination slot and marking the slot as
-        // woken.  The transport hands them over in `(deliver_at, seq)`
-        // order, so each slot's chain ends up ordered without sorting.
+        // woken.  The transport hands them over in send order, so each
+        // slot's chain ends up ordered without sorting.
         for word in &mut self.woken_bits {
             *word = 0;
         }
@@ -373,7 +359,7 @@ impl<A: Actor> Lane<A> {
                 }
             }
             let mut wake = std::mem::take(&mut self.wake_order);
-            self.transport.rng_mut().shuffle(&mut wake);
+            self.transport.rng.shuffle(&mut wake);
             for &slot in &wake {
                 self.visit_node(slot, round);
                 self.refresh_flag(slot);
@@ -383,7 +369,6 @@ impl<A: Actor> Lane<A> {
         self.metrics.nodes_visited += self.wake_order.len() as u64;
         self.metrics.messages_delivered += delivered_total as u64;
         self.delta_delivered = delivered_total;
-        self.delta_sent = self.metrics.messages_sent - sends_before;
         self.delta_busy_ns = started.elapsed().as_nanos() as u64;
         self.metrics.busy_ns += self.delta_busy_ns;
         self.metrics.thread_token = thread_token();
@@ -414,8 +399,6 @@ pub struct Simulation<A: Actor> {
     /// The global node ids visited by the most recent round (merged across
     /// lanes; see [`Self::visited_last_round`]).
     merged_wake: Vec<usize>,
-    /// Scratch for the cross-lane router.
-    xroute: Vec<(NodeId, NodeId, A::Msg)>,
     /// Worker pool of the parallel backend (`None` = single-threaded).
     pool: Option<WorkerPool<Lane<A>>>,
 }
@@ -431,9 +414,8 @@ impl<A: Actor> Simulation<A> {
             lanes: vec![Some(lane)],
             node_loc: Vec::new(),
             round: 0,
-            metrics: SimMetrics::new(),
+            metrics: SimMetrics::default(),
             merged_wake: Vec::new(),
-            xroute: Vec::new(),
             pool: None,
         })
     }
@@ -587,12 +569,12 @@ impl<A: Actor> Simulation<A> {
             round,
             "lane clock out of sync with driver"
         );
-        let deliver_at = lane.post_local(from, to, msg);
+        let delay = lane.post(from, to, msg);
         // Keep the aggregate counters current between rounds (the round
         // merge recomputes them wholesale from the per-lane metrics, so the
         // eager update never double-counts).
         self.metrics.messages_sent += 1;
-        self.metrics.delays.record(deliver_at - round);
+        self.metrics.delays.record(delay);
         Ok(())
     }
 
@@ -605,7 +587,7 @@ impl<A: Actor> Simulation<A> {
     /// (see [`Context::observe`]), summed over the lanes; empty for a series
     /// nobody reported to.
     pub fn observed(&self, series: usize) -> Histogram {
-        let mut merged = Histogram::new();
+        let mut merged = Histogram::default();
         for lane in &self.lanes {
             let sink = lane.as_ref().expect("lane present").ctx.samples.as_ref();
             if let Some(h) = sink.and_then(|s| s.get(series)) {
@@ -648,45 +630,12 @@ impl<A: Actor> Simulation<A> {
             }
         }
         let round_wall_ns = started.elapsed().as_nanos() as u64;
-        let routed = self.route_cross_lane();
-        self.merge_round(round, round_wall_ns, parallel, routed)
-    }
-
-    /// Routes messages that crossed a lane boundary, in fixed lane order,
-    /// drawing each delay from the destination lane's stream.  Returns the
-    /// number of routed messages.  (The Skueue cluster never takes this
-    /// path — shard traffic is intra-lane by construction — but generic
-    /// actors may send anywhere.)
-    fn route_cross_lane(&mut self) -> u64 {
-        let mut routed = 0u64;
-        for src in 0..self.lanes.len() {
-            if self.lane(src).xlane.is_empty() {
-                continue;
-            }
-            let mut pending = std::mem::take(&mut self.lane_mut(src).xlane);
-            debug_assert!(self.xroute.is_empty());
-            self.xroute.append(&mut pending);
-            self.lane_mut(src).xlane = pending;
-            let mut batch = std::mem::take(&mut self.xroute);
-            for (from, to, msg) in batch.drain(..) {
-                let (lane, _slot) = self.node_loc[to.index()];
-                self.lane_mut(lane as usize).post_local(from, to, msg);
-                routed += 1;
-            }
-            self.xroute = batch;
-        }
-        routed
+        self.merge_round(round, round_wall_ns, parallel)
     }
 
     /// Recombines the per-lane round outputs — wake lists, metrics —
     /// in fixed lane order and returns the round's delivered-message count.
-    fn merge_round(
-        &mut self,
-        round: Round,
-        round_wall_ns: u64,
-        parallel: bool,
-        routed: u64,
-    ) -> usize {
+    fn merge_round(&mut self, round: Round, round_wall_ns: u64, parallel: bool) -> usize {
         // Merged visit list (global ids).  One lane: the exact visit order.
         // Multi-lane: ascending id order (the historical global visit order)
         // or lane-concatenation order under shuffle — deterministic either
@@ -710,13 +659,12 @@ impl<A: Actor> Simulation<A> {
         m.lane_busy_ns.resize(lane_count, 0);
         m.lane_barrier_wait_ns.resize(lane_count, 0);
         m.lane_thread_tokens.resize(lane_count, 0);
-        m.delays.clear();
+        m.delays = Histogram::default();
         let mut sent = 0u64;
         let mut delivered = 0u64;
         let mut timeouts = 0u64;
         let mut visited = 0u64;
         let mut delivered_this_round = 0usize;
-        let mut sent_this_round = 0u64;
         for (l, slot) in self.lanes.iter_mut().enumerate() {
             let lane = slot.as_mut().expect("lane present");
             sent += lane.metrics.messages_sent;
@@ -725,7 +673,6 @@ impl<A: Actor> Simulation<A> {
             visited += lane.metrics.nodes_visited;
             m.delays.merge(&lane.metrics.delays);
             delivered_this_round += lane.delta_delivered;
-            sent_this_round += lane.delta_sent;
             if parallel {
                 lane.metrics.barrier_wait_ns += round_wall_ns.saturating_sub(lane.delta_busy_ns);
             }
@@ -738,7 +685,6 @@ impl<A: Actor> Simulation<A> {
         m.timeouts_fired = timeouts;
         m.nodes_visited = visited;
         m.per_round_deliveries.record(delivered_this_round as u64);
-        m.per_round_sends.record(sent_this_round + routed);
         delivered_this_round
     }
 
@@ -802,7 +748,7 @@ mod tests {
     }
 
     /// Same ring, but nodes dealt round-robin over `lanes` lanes (every hop
-    /// crosses a lane boundary — the worst case for the cross-lane router).
+    /// would cross a lane boundary).
     fn laned_ring_sim(n: u64, lanes: usize, config: SimConfig) -> Simulation<Ring> {
         let mut sim = Simulation::new(config).unwrap();
         sim.configure_lanes(lanes).unwrap();
@@ -1096,23 +1042,15 @@ mod tests {
         empty.configure_lanes(3).unwrap();
     }
 
+    /// Lanes are closed: the token's first hop is from node 0 (lane 0) to
+    /// node 1 (lane 1), and the panic names both.
     #[test]
-    fn multi_lane_ring_delivers_across_lane_boundaries() {
-        // Round-robin lane assignment: every hop crosses lanes, exercising
-        // the driver's router.
+    #[should_panic(expected = "n0 sent to n1, which is not in its lane")]
+    fn a_send_that_leaves_its_lane_panics_naming_both_ends() {
         let mut sim = laned_ring_sim(6, 3, SimConfig::synchronous(7));
         sim.inject(NodeId(0), NodeId(0), Token { remaining: 11 })
             .unwrap();
-        drain(&mut sim, 100);
-        let total: usize = sim.iter().map(|(_, n)| n.received.len()).sum();
-        assert_eq!(total, 12, "every hop must be delivered exactly once");
-        assert_eq!(
-            sim.metrics().messages_sent,
-            sim.metrics().messages_delivered
-        );
-        // A cross-lane hop costs one extra round (routed after the barrier,
-        // delivered next round) — same `deliver_at = round + 1` contract.
-        assert!(sim.round() >= 12);
+        sim.run_rounds(1);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! to `to`'s [`crate::Actor::on_message`].  The [`Transport`] trait names
 //! that boundary.  Two implementations exist:
 //!
-//! * [`SimTransport`] (this module) — the deterministic delivery wheel the
-//!   round-driven [`crate::Simulation`] has always used.  Delays are drawn
-//!   from a seeded RNG according to a [`DeliveryModel`]; for a fixed seed the
+//! * [`SimTransport`] (this module) — the deterministic delivery wheel of the
+//!   round-driven [`crate::Simulation`]: one ring of buckets, a bucket per
+//!   future round, each in send order.  Delays are drawn from a seeded RNG
+//!   according to a [`DeliveryModel`]; for a fixed seed the
 //!   schedule is bit-for-bit reproducible, which the golden-history tests
 //!   and the benchmark's fingerprint checks rely on.  [`crate::scheduler::Simulation`]'s lanes
 //!   embed one `SimTransport` each and call its inherent methods directly
@@ -21,22 +22,16 @@
 //!   a queue's and TCP's per-channel FIFO are strictly stronger).
 //!
 //! The determinism boundary therefore runs exactly through this trait:
-//! everything *behind* `SimTransport` (wheel, RNG, sequence numbers) is
-//! reproducible state; everything behind a real transport is wall-clock.
-//! Protocol code above the seam is identical in both worlds.
+//! everything *behind* `SimTransport` (ring, RNG) is reproducible state;
+//! everything behind a real transport is wall-clock.  Protocol code above the
+//! seam is identical in both worlds.
 
 use crate::delivery::DeliveryModel;
 use crate::ids::NodeId;
 use crate::message::Envelope;
 use crate::rng::SimRng;
 use crate::Round;
-use std::collections::BTreeMap;
-
-/// Upper bound on parked spare bucket vectors.  Delivery models bound the
-/// number of distinct in-flight `deliver_at` rounds (1 for synchronous,
-/// `max_delay` / `straggle_delay` otherwise), so a small pool suffices; the
-/// cap only guards against unbounded growth under pathological models.
-const SPARE_BUCKET_LIMIT: usize = 64;
+use std::collections::VecDeque;
 
 /// A message fabric at the `SkueueMsg<T>` boundary: accepts the messages an
 /// actor produced and moves them toward delivery.
@@ -58,39 +53,29 @@ pub trait Transport<M> {
     fn name(&self) -> &'static str;
 }
 
-/// The deterministic simulation transport: a round-bucketed delivery wheel
-/// plus the seeded delay RNG and the per-lane message sequence.
+/// The deterministic simulation transport: a ring of per-round buckets plus
+/// the seeded delay RNG.
 ///
-/// This is the machinery that used to live inline in the scheduler's lanes;
-/// it was extracted so the delivery schedule has a name and a second,
-/// real-clock implementation can exist beside it.  The lane still calls the
-/// inherent methods (`Self::dispatch`, [`Self::take_due`]) directly, so
-/// the extraction is invisible to both the optimizer and the goldens.
+/// A message's delay is all the schedule needs of it: the bucket it is pushed
+/// into *is* its delivery round, and a bucket's order is the order of the
+/// sends.  The lane calls the inherent methods (`Self::dispatch`,
+/// [`Self::take_due`]) directly — static dispatch, no hot-loop indirection.
 #[derive(Debug)]
 pub struct SimTransport<M> {
     delivery: DeliveryModel,
     /// The lane's independent RNG stream.  Feeds the delay draws *and* the
-    /// per-visit context seeds, in one interleaved sequence — exactly the
-    /// historical draw order, which the byte-identical goldens pin.
+    /// per-visit draws, in one interleaved sequence — exactly the historical
+    /// draw order, which the byte-identical goldens pin.
     pub(crate) rng: SimRng,
-    /// Monotone per-transport message sequence (tie-breaker metadata).
-    seq: u64,
     /// The round the owning lane last executed (send round for posts).
     round: Round,
     /// Messages accepted but not yet delivered.
     in_flight: usize,
-    /// Round-bucketed delivery wheel: `deliver_at → envelopes` in send order.
-    /// The next round's bucket is kept out of the map in `hot_bucket`, so in
-    /// the synchronous model (and for every delay-1 message) a post is a
-    /// plain `Vec::push` with no map traversal.
-    wheel: BTreeMap<Round, Vec<Envelope<M>>>,
-    /// The round `hot_bucket` collects messages for (always `round + 1`
-    /// while actors run).
-    hot_round: Round,
-    /// Bucket for `hot_round`, appended to in send (= seq) order.
-    hot_bucket: Vec<Envelope<M>>,
-    /// Emptied bucket vectors parked for reuse (see [`SPARE_BUCKET_LIMIT`]).
-    spare_buckets: Vec<Vec<Envelope<M>>>,
+    /// `ring[d]` holds what is due in round `round + 1 + d`, in send order.
+    /// As long as the largest delay drawn so far (one bucket in the
+    /// synchronous model); a drained bucket goes to the back, so its storage
+    /// is the far end's next bucket and nothing is allocated in steady state.
+    ring: VecDeque<Vec<Envelope<M>>>,
 }
 
 impl<M> SimTransport<M> {
@@ -99,13 +84,9 @@ impl<M> SimTransport<M> {
         SimTransport {
             delivery,
             rng,
-            seq: 0,
             round: 0,
             in_flight: 0,
-            wheel: BTreeMap::new(),
-            hot_round: 1,
-            hot_bucket: Vec::new(),
-            spare_buckets: Vec::new(),
+            ring: VecDeque::new(),
         }
     }
 
@@ -115,85 +96,40 @@ impl<M> SimTransport<M> {
         self.round
     }
 
-    /// Mutable access to the transport's RNG stream.  The lane draws once
-    /// per visit (and its shuffle) from the same stream as the delay draws
-    /// (historical behavior the goldens depend on).
-    #[inline]
-    pub(crate) fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
-    /// Schedules a message and returns its delivery round.  The delay is
-    /// drawn from the delivery model (at least 1: a message is never
-    /// delivered in its send round).
+    /// Schedules a message and returns its delay in rounds, drawn from the
+    /// delivery model (at least 1: a message is never delivered in its send
+    /// round).
     #[inline]
     pub(crate) fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
         let delay = self.delivery.draw_delay(&mut self.rng).max(1);
-        let deliver_at = self.round + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.in_flight += 1;
-        let envelope = Envelope {
+        let slot = (delay - 1) as usize;
+        if self.ring.len() <= slot {
+            self.ring.resize_with(slot + 1, Vec::new);
+        }
+        self.ring[slot].push(Envelope {
             from,
             to,
-            sent_at: self.round,
-            deliver_at,
-            seq,
             payload: msg,
-        };
-        if deliver_at == self.hot_round {
-            self.hot_bucket.push(envelope);
-        } else {
-            self.wheel
-                .entry(deliver_at)
-                .or_insert_with(|| self.spare_buckets.pop().unwrap_or_default())
-                .push(envelope);
-        }
-        deliver_at
+        });
+        self.in_flight += 1;
+        delay
     }
 
     /// Advances the transport's clock to `round`, hands every envelope due
-    /// in it to `deliver` (hot bucket first, then wheel buckets in ascending
-    /// `deliver_at`; each bucket was filled in send order, so the overall
-    /// sequence is `(deliver_at, seq)`-ordered), rotates the hot bucket to
-    /// `round + 1`, and returns the number of delivered envelopes.
+    /// by then to `deliver` — one bucket per round passed, each in send
+    /// order — and returns the number of delivered envelopes.
     pub fn take_due(&mut self, round: Round, mut deliver: impl FnMut(Envelope<M>)) -> usize {
-        self.round = round;
-        let mut delivered_total = 0usize;
-        if self.hot_round == round {
-            let mut bucket = std::mem::take(&mut self.hot_bucket);
-            delivered_total += bucket.len();
-            for env in bucket.drain(..) {
-                deliver(env);
-            }
-            self.hot_bucket = bucket;
-        }
-        while let Some(entry) = self.wheel.first_entry() {
-            if *entry.key() > round {
-                break;
-            }
-            let mut bucket = entry.remove();
-            delivered_total += bucket.len();
-            for env in bucket.drain(..) {
-                deliver(env);
-            }
-            if self.spare_buckets.len() < SPARE_BUCKET_LIMIT {
-                self.spare_buckets.push(bucket);
+        let mut delivered = 0;
+        while self.round < round {
+            self.round += 1;
+            if let Some(mut bucket) = self.ring.pop_front() {
+                delivered += bucket.len();
+                bucket.drain(..).for_each(&mut deliver);
+                self.ring.push_back(bucket);
             }
         }
-        self.in_flight -= delivered_total;
-
-        // Advance the hot bucket to the next round: adopt an already-open
-        // wheel bucket for it (keeping seq order — its envelopes were posted
-        // earlier), or reuse the drained vector.
-        self.hot_round = round + 1;
-        if let Some(early) = self.wheel.remove(&(round + 1)) {
-            let drained = std::mem::replace(&mut self.hot_bucket, early);
-            if self.spare_buckets.len() < SPARE_BUCKET_LIMIT {
-                self.spare_buckets.push(drained);
-            }
-        }
-        delivered_total
+        self.in_flight -= delivered;
+        delivered
     }
 }
 
@@ -225,35 +161,25 @@ mod tests {
         assert_eq!(t.dispatch(NodeId(0), NodeId(1), 7), 1);
         assert_eq!(t.in_flight(), 1);
         let mut got = Vec::new();
-        let n = t.take_due(1, |env| got.push((env.to, env.payload, env.seq)));
+        let n = t.take_due(1, |env| got.push((env.from, env.to, env.payload)));
         assert_eq!(n, 1);
-        assert_eq!(got, vec![(NodeId(1), 7, 0)]);
+        assert_eq!(got, vec![(NodeId(0), NodeId(1), 7)]);
         assert_eq!(t.in_flight(), 0);
     }
 
+    /// A step over several rounds hands out the skipped rounds' buckets too,
+    /// oldest first.
     #[test]
-    fn envelopes_arrive_in_deliver_at_then_seq_order() {
-        let mut t = SimTransport::new(
-            DeliveryModel::UniformRandom {
-                min_delay: 1,
-                max_delay: 5,
-            },
-            SimRng::new(42),
-        );
-        for i in 0..100u32 {
-            t.dispatch(NodeId(0), NodeId(1), i);
-        }
-        let mut seen: Vec<(Round, u64)> = Vec::new();
-        for round in 1..=6 {
-            t.take_due(round, |env| {
-                assert_eq!(env.deliver_at, round);
-                seen.push((env.deliver_at, env.seq));
-            });
-        }
-        assert_eq!(seen.len(), 100, "nothing lost");
-        let mut sorted = seen.clone();
-        sorted.sort();
-        assert_eq!(seen, sorted, "(deliver_at, seq) order");
+    fn a_step_over_several_rounds_delivers_every_bucket_in_round_order() {
+        let mut t = SimTransport::new(DeliveryModel::uniform(5), SimRng::new(42));
+        let delays: Vec<Round> = (0..100u32)
+            .map(|i| t.dispatch(NodeId(0), NodeId(1), i))
+            .collect();
+        let mut got = Vec::new();
+        assert_eq!(t.take_due(5, |env| got.push(env.payload)), 100);
+        let mut want: Vec<u32> = (0..100).collect();
+        want.sort_by_key(|&i| delays[i as usize]);
+        assert_eq!(got, want);
         assert_eq!(t.in_flight(), 0);
     }
 
@@ -264,5 +190,63 @@ mod tests {
         dynamic.send(NodeId(0), NodeId(1), 1);
         assert_eq!(dynamic.in_flight(), 1);
         assert_eq!(dynamic.name(), "sim");
+    }
+
+    fn model(kind: u32, a: u64, b: u64, prob: f64) -> DeliveryModel {
+        match kind {
+            0 => DeliveryModel::Synchronous,
+            1 => DeliveryModel::UniformRandom {
+                min_delay: a,
+                max_delay: a + b,
+            },
+            _ => DeliveryModel::Adversarial {
+                straggle_prob: prob,
+                straggle_delay: a + b,
+            },
+        }
+    }
+
+    proptest::proptest! {
+        /// The ring against the definition it replaces a sort by: whatever
+        /// the model, the seed and the sends of each round, every round
+        /// hands out exactly the messages a list of `(deliver_at, send
+        /// index)` sorted by that key has for it, in that order — nothing
+        /// early, late, lost or duplicated.
+        #[test]
+        fn prop_the_ring_is_a_sort_by_delivery_round_then_send_order(
+            seed in proptest::any::<u64>(),
+            kind in 0u32..3,
+            a in 1u64..6,
+            b in 0u64..20,
+            prob in 0.0f64..1.0,
+            sends_per_round in proptest::collection::vec(0usize..40, 1..30),
+        ) {
+            let delivery = model(kind, a, b, prob);
+            proptest::prop_assert!(delivery.validate().is_ok());
+            let mut t = SimTransport::<usize>::new(delivery, SimRng::new(seed));
+            let mut reference: Vec<(Round, usize)> = Vec::new();
+            let mut got: Vec<(Round, usize)> = Vec::new();
+            let mut round: Round = 0;
+            let mut sends = sends_per_round.iter();
+            while t.in_flight() > 0 || sends.len() > 0 {
+                for _ in 0..sends.next().copied().unwrap_or(0) {
+                    let index = reference.len();
+                    let delay = t.dispatch(NodeId(0), NodeId(index as u64), index);
+                    reference.push((round + delay, index));
+                }
+                proptest::prop_assert_eq!(t.in_flight(), reference.len() - got.len());
+                round += 1;
+                let before = got.len();
+                let n = t.take_due(round, |env| {
+                    assert_eq!(env.to, NodeId(env.payload as u64));
+                    got.push((round, env.payload));
+                });
+                proptest::prop_assert_eq!(n, got.len() - before);
+                proptest::prop_assert!(round <= sends_per_round.len() as u64 + a + b);
+            }
+            reference.sort();
+            proptest::prop_assert_eq!(got, reference);
+            proptest::prop_assert_eq!(t.in_flight(), 0);
+        }
     }
 }

@@ -382,13 +382,6 @@ impl TraceRecorder {
         self.level.hops()
     }
 
-    /// Re-tags the recorder with the node identity the cluster assigned
-    /// (used when a node is constructed before its dense index is known).
-    pub fn attach(&mut self, node: u64, shard: u32) {
-        self.node = node;
-        self.shard = shard;
-    }
-
     /// Records one event.  Callers must guard with [`Self::is_off`].
     #[inline]
     pub fn emit(&mut self, event: TraceEvent) {

@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use skueue::net::spec::{parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
 use skueue::net::CtlClient;
 use skueue::prelude::ProcessId;
 
@@ -28,13 +28,10 @@ fn main() -> ExitCode {
     let run = || -> Result<(), String> {
         let flags = parse_flags(&args, &["cmd", "count", "pid", "timeout-s"])?;
         let spec = spec_from_flags(&flags)?;
-        let timeout = Duration::from_secs(
-            flags
-                .get("timeout-s")
-                .map(|v| v.parse().map_err(|_| "--timeout-s expects a number"))
-                .transpose()?
-                .unwrap_or(60),
-        );
+        // Before connecting: a bad flag is a usage error, not a connect error.
+        let timeout = Duration::from_secs(flag_number(&flags, "timeout-s")?.unwrap_or(60));
+        let count: u64 = flag_number(&flags, "count")?.unwrap_or(1);
+        let pid: Option<u64> = flag_number(&flags, "pid")?;
         let mut ctl = CtlClient::<u64>::connect(&spec).map_err(|e| e.to_string())?;
         match flags.get("cmd").map(String::as_str) {
             Some("status") => {
@@ -47,11 +44,6 @@ fn main() -> ExitCode {
                 Ok(())
             }
             Some("join") => {
-                let count: u64 = flags
-                    .get("count")
-                    .map(|v| v.parse().map_err(|_| "--count expects a number"))
-                    .transpose()?
-                    .unwrap_or(1);
                 let joined = ctl.join_wave(count).map_err(|e| e.to_string())?;
                 let ids: Vec<u64> = joined.iter().map(|p| p.0).collect();
                 eprintln!("skueue-ctl: join wave started for processes {ids:?}");
@@ -66,13 +58,7 @@ fn main() -> ExitCode {
                 }
             }
             Some("leave") => {
-                let pid = ProcessId(
-                    flags
-                        .get("pid")
-                        .ok_or("--cmd leave needs --pid N")?
-                        .parse()
-                        .map_err(|_| "--pid expects a number".to_string())?,
-                );
+                let pid = ProcessId(pid.ok_or("--cmd leave needs --pid N")?);
                 ctl.leave(pid).map_err(|e| e.to_string())?;
                 if ctl.wait_left(&[pid], timeout).map_err(|e| e.to_string())? {
                     println!("left: {}", pid.0);

@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use skueue::net::spec::{parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
 use skueue::net::IngressClient;
 use skueue::prelude::{ProcessId, SimRng};
 use skueue::verify::OpResult;
@@ -37,29 +37,16 @@ fn main() -> ExitCode {
             ],
         )?;
         let spec = spec_from_flags(&flags)?;
-        let timeout = Duration::from_secs(
-            flags
-                .get("timeout-s")
-                .map(|v| v.parse().map_err(|_| "--timeout-s expects a number"))
-                .transpose()?
-                .unwrap_or(60),
-        );
+        // Before connecting: a bad flag is a usage error, not a connect error.
+        let timeout = Duration::from_secs(flag_number(&flags, "timeout-s")?.unwrap_or(60));
+        let ops: u64 = flag_number(&flags, "ops")?.unwrap_or(60);
+        let seed: u64 = flag_number(&flags, "seed")?.unwrap_or(1);
         let mut ingress = IngressClient::<u64>::connect(&spec).map_err(|e| e.to_string())?;
 
         if let Some(workload) = flags.get("workload") {
             if workload != "fig2" {
                 return Err(format!("unknown workload `{workload}` (supported: fig2)"));
             }
-            let ops: u64 = flags
-                .get("ops")
-                .map(|v| v.parse().map_err(|_| "--ops expects a number"))
-                .transpose()?
-                .unwrap_or(60);
-            let seed: u64 = flags
-                .get("seed")
-                .map(|v| v.parse().map_err(|_| "--seed expects a number"))
-                .transpose()?
-                .unwrap_or(1);
             let mut rng = SimRng::new(seed ^ 0xF162);
             let pids: Vec<ProcessId> = (0..spec.initial).map(ProcessId).collect();
             for step in 0..ops {

@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use skueue::net::spec::{parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
 use skueue::net::{run_load, IngressClient, LoadParams};
 
 fn main() -> ExitCode {
@@ -24,26 +24,13 @@ fn main() -> ExitCode {
             &["rate", "ops", "seed", "timeout-s", "out", "verify"],
         )?;
         let spec = spec_from_flags(&flags)?;
-        let rate: f64 = flags
-            .get("rate")
-            .map(|v| v.parse().map_err(|_| "--rate expects a number"))
-            .transpose()?
-            .unwrap_or(100.0);
-        let ops: u64 = flags
-            .get("ops")
-            .map(|v| v.parse().map_err(|_| "--ops expects a number"))
-            .transpose()?
-            .unwrap_or(200);
-        let seed: u64 = flags
-            .get("seed")
-            .map(|v| v.parse().map_err(|_| "--seed expects a number"))
-            .transpose()?
-            .unwrap_or(42);
+        let rate: f64 = flag_number(&flags, "rate")?.unwrap_or(100.0);
+        let ops: u64 = flag_number(&flags, "ops")?.unwrap_or(200);
+        let seed: u64 = flag_number(&flags, "seed")?.unwrap_or(42);
         let mut params = LoadParams::new(rate, ops, spec.initial, seed);
         // Before connecting: a bad flag is a usage error, not a connect error.
         params.validate().map_err(|e| format!("--rate: {e}"))?;
-        if let Some(t) = flags.get("timeout-s") {
-            let secs: u64 = t.parse().map_err(|_| "--timeout-s expects a number")?;
+        if let Some(secs) = flag_number(&flags, "timeout-s")? {
             params.drain_timeout = Duration::from_secs(secs);
         }
         let mut ingress = IngressClient::<u64>::connect(&spec).map_err(|e| e.to_string())?;

@@ -14,18 +14,15 @@
 use std::process::ExitCode;
 
 use skueue::net::daemon;
-use skueue::net::spec::{parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let run = || -> Result<(), String> {
         let flags = parse_flags(&args, &["index"])?;
         let spec = spec_from_flags(&flags)?;
-        let index: usize = flags
-            .get("index")
-            .ok_or("missing required flag --index N")?
-            .parse()
-            .map_err(|_| "--index expects a number".to_string())?;
+        let index: usize =
+            flag_number(&flags, "index")?.ok_or("missing required flag --index N")?;
         if index >= spec.num_daemons() {
             return Err(format!(
                 "--index {index} out of range for {} daemons",
