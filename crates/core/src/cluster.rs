@@ -239,9 +239,10 @@ pub struct SkueueCluster<T: Payload = u64> {
     /// Number of processes currently joining or leaving; the per-round state
     /// refresh is skipped while it is zero.
     transitioning: usize,
-    /// The merged lifecycle-trace log: node recorders are drained into it by
-    /// the same deterministic sweep that collects completions, so the log is
-    /// byte-identical across thread counts.  Stays empty at
+    /// The merged lifecycle-trace log: the simulation hands it the lanes'
+    /// events in lane order after every round, and the completion sweep and
+    /// the membership refresh append the driver's own instants, so the log
+    /// is byte-identical across thread counts.  Stays empty at
     /// [`TraceLevel::Off`].
     trace_log: TraceLog,
 }
@@ -495,21 +496,14 @@ impl<T: Payload> SkueueCluster<T> {
     }
 
     /// Total `DhtReply` entries that arrived for a request no node knows —
-    /// the benign reply/departure race during join/leave (traced per node in
-    /// `NodeStats::unmatched_dht_replies`).
+    /// the benign reply/departure race during join/leave.
     pub fn unmatched_dht_replies(&self) -> u64 {
-        self.sim
-            .iter()
-            .map(|(_, n)| n.stats().unmatched_dht_replies)
-            .sum()
+        self.sim.observed(series::UNMATCHED_DHT_REPLIES).sum() as u64
     }
 
     /// Total number of requests resolved by the stack's local combining.
     pub fn locally_combined(&self) -> u64 {
-        self.sim
-            .iter()
-            .map(|(_, n)| n.stats().locally_combined)
-            .sum()
+        self.sim.observed(series::LOCALLY_COMBINED).sum() as u64
     }
 
     // ------------------------------------------------------------------
@@ -522,10 +516,10 @@ impl<T: Payload> SkueueCluster<T> {
         self.cfg.trace_level
     }
 
-    /// The merged lifecycle-trace log collected so far: every node's
-    /// lane-local recorder drained in the deterministic completion-sweep
-    /// order, so for a given seed the log is byte-identical across thread
-    /// counts.  Empty at [`TraceLevel::Off`].
+    /// The merged lifecycle-trace log collected so far: per round, the
+    /// lanes' events in lane order, then the driver's completion, join and
+    /// departure instants, so for a given seed the log is byte-identical
+    /// across thread counts.  Empty at [`TraceLevel::Off`].
     pub fn trace_log(&self) -> &TraceLog {
         &self.trace_log
     }
@@ -594,17 +588,12 @@ impl<T: Payload> SkueueCluster<T> {
         let seq = self.processes[idx].next_seq;
         self.processes[idx].next_seq += 1;
         let id = RequestId::new(process, seq);
-        // Requests are generated at the process's middle virtual node.
+        // Requests are generated at the process's middle virtual node; the
+        // new own work re-arms its (otherwise demand-driven) wave timeout.
         let node_id = node_of(VirtualId::middle(process));
-        let round = self.sim.round();
-        let node = self
-            .sim
-            .node_mut(node_id)
+        self.sim
+            .act(node_id, |node, ctx| node.generate_op(id, kind, value, ctx))
             .expect("node registered at build time");
-        node.generate_op(id, kind, value, round);
-        // New own work re-arms the node's (otherwise demand-driven) wave
-        // timeout.
-        let _ = self.sim.refresh_timeout_interest(node_id);
         // Local combining may have completed records right here, and the
         // node is not necessarily visited next round — remember to sweep it.
         self.dirty_nodes.push(node_id);
@@ -835,13 +824,10 @@ impl<T: Payload> SkueueCluster<T> {
         }
         self.processes[idx].state = ProcessState::Leaving;
         self.transitioning += 1;
+        // The leave wish re-arms each node's timeout (it must issue its
+        // `LeaveRequest` even while a batch is pending).
         for node_id in nodes {
-            if let Some(node) = self.sim.node_mut(node_id) {
-                node.request_leave();
-                // The leave wish re-arms the node's timeout (it must issue
-                // its `LeaveRequest` even while a batch is pending).
-                let _ = self.sim.refresh_timeout_interest(node_id);
-            }
+            self.sim.act(node_id, |node, _| node.request_leave());
         }
         Ok(())
     }
@@ -884,7 +870,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// Runs one synchronous round, publishes the round's completions to the
     /// event stream, and refreshes membership states.
     pub fn run_round(&mut self) {
-        self.sim.run_round();
+        self.sim.run_round(&mut self.trace_log);
         self.collect_completions();
         self.refresh_process_states();
     }
@@ -944,31 +930,13 @@ impl<T: Payload> SkueueCluster<T> {
         let mut visits = std::mem::take(&mut self.visit_scratch);
         visits.clear();
         visits.extend_from_slice(self.sim.visited_last_round());
-        let tracing = !self.cfg.trace_level.is_off();
         for &idx in &visits {
-            let id = NodeId(idx as u64);
-            if let Some(node) = self.sim.node_mut(id) {
-                let prev = drained.len();
-                if node.has_completed() {
-                    node.drain_completed_into(&mut drained);
-                }
-                if tracing {
-                    Self::drain_node_trace(node, id, &mut self.trace_log, &drained[prev..]);
-                }
-            }
+            self.drain_node(NodeId(idx as u64), &mut drained);
         }
         self.visit_scratch = visits;
         let mut dirty = std::mem::take(&mut self.dirty_nodes);
         for id in dirty.drain(..) {
-            if let Some(node) = self.sim.node_mut(id) {
-                let prev = drained.len();
-                if node.has_completed() {
-                    node.drain_completed_into(&mut drained);
-                }
-                if tracing {
-                    Self::drain_node_trace(node, id, &mut self.trace_log, &drained[prev..]);
-                }
-            }
+            self.drain_node(id, &mut drained);
         }
         self.dirty_nodes = dirty;
         for record in drained.drain(..) {
@@ -1017,27 +985,34 @@ impl<T: Payload> SkueueCluster<T> {
         completed_at[seq] = at as u32;
     }
 
-    /// Drains one node's lane-local trace buffer into the merged log and
-    /// stamps a `Completed` instant for every completion record the node
-    /// delivered in this sweep.  Completion instants are *driver-side*
+    /// Moves node `id`'s completion records to `drained` and stamps a
+    /// `Completed` instant for each.  Completion instants are *driver-side*
     /// events: every completion site (DHT applies, replies, ⊥ dequeues,
     /// locally combined pairs) funnels through the completion sweep, so one
     /// emission point covers them all — and because the sweep order is the
-    /// deterministic visit order, the merged log is byte-identical across
-    /// thread counts.
-    fn drain_node_trace(
-        node: &mut SkueueNode<T>,
-        id: NodeId,
-        log: &mut TraceLog,
-        records: &[skueue_verify::OpRecord<T>],
-    ) {
-        if node.has_trace_events() {
-            node.drain_trace_into(log);
+    /// deterministic visit order, the log stays byte-identical across thread
+    /// counts.
+    fn drain_node(&mut self, id: NodeId, drained: &mut Vec<skueue_verify::OpRecord<T>>) {
+        // Most visited nodes completed nothing; they cost a look, not an
+        // action.
+        if !self.sim.node(id).is_some_and(SkueueNode::has_completed) {
+            return;
         }
-        for record in records {
-            log.push(TraceRecord {
+        let prev = drained.len();
+        let shard = self
+            .sim
+            .act(id, |node, _| {
+                node.drain_completed_into(drained);
+                node.shard()
+            })
+            .expect("the node was just looked at");
+        if self.cfg.trace_level.is_off() {
+            return;
+        }
+        for record in &drained[prev..] {
+            self.trace_log.push(TraceRecord {
                 node: id.0,
-                shard: node.shard(),
+                shard,
                 event: TraceEvent::Completed {
                     op: TraceId::new(record.id.origin.0, record.id.seq),
                     round: record.completed_round,

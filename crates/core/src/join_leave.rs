@@ -480,11 +480,9 @@ impl<T: Payload> SkueueNode<T> {
             anchor: self.take_anchor(),
         };
         ctx.send(from, SkueueMsg::AbsorbData(Box::new(payload)));
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::Absorbed {
-                process: self.process().0,
-                round: ctx.round(),
-            });
+        if !self.cfg.trace_level.is_off() {
+            let (process, round) = (self.process().0, ctx.round());
+            ctx.trace(self.shard, TraceEvent::Absorbed { process, round });
         }
         self.announce_sibling_status(false, ctx);
         self.role = Role::Draining { absorber: from };
@@ -619,11 +617,9 @@ impl<T: Payload> SkueueNode<T> {
         );
         self.last_update_phase = phase;
         self.suspended = true;
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::PhaseEnter {
-                phase,
-                round: ctx.round(),
-            });
+        if !self.cfg.trace_level.is_off() {
+            let round = ctx.round();
+            ctx.trace(self.shard, TraceEvent::PhaseEnter { phase, round });
         }
         let awaiting_child_acks = self.tree_children().to_vec();
         // Flag the children *before* integrating joiners or splicing the
@@ -712,11 +708,9 @@ impl<T: Payload> SkueueNode<T> {
         let participating = self.suspended || self.update().is_some();
         self.suspended = false;
         if participating {
-            if !self.trace.is_off() {
-                self.trace.emit(TraceEvent::PhaseOver {
-                    phase,
-                    round: ctx.round(),
-                });
+            if !self.cfg.trace_level.is_off() {
+                let round = ctx.round();
+                ctx.trace(self.shard, TraceEvent::PhaseOver { phase, round });
             }
             for child in self.tree_children() {
                 ctx.send(child, SkueueMsg::UpdateOver { phase });

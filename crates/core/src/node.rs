@@ -52,7 +52,7 @@ use skueue_overlay::{
 use skueue_shard::{ShardId, ShardMap};
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
-use skueue_trace::{TraceEvent, TraceId, TraceLog, TraceRecorder};
+use skueue_trace::{TraceEvent, TraceId, TraceLevel};
 use skueue_verify::{OpKind, OpRecord, OpResult, OrderKey};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -421,7 +421,7 @@ pub(crate) struct LocalCombining<T> {
 
 /// Series numbers of the distributions a node reports to its host through
 /// [`Context::observe`] (read back summed over all nodes by the cluster's
-/// `*_histogram()` accessors).
+/// `*_histogram()` and counter accessors).
 pub(crate) mod series {
     /// Sizes of the batches sent up the tree or processed as the anchor
     /// (Theorem 18 / 20).
@@ -435,22 +435,13 @@ pub(crate) mod series {
     /// The sending node's aggregation waves in flight, sampled whenever a
     /// wave is opened (`max ≥ 2` means the pipeline overlapped waves).
     pub(crate) const WAVES_IN_FLIGHT: usize = 3;
-}
-
-/// Counters a node keeps about its own protocol activity.  Distributions
-/// (batch sizes, hop counts, …) are not kept per node: a node reports each
-/// sample to its host, and `SkueueCluster::*_histogram()` reads them summed.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NodeStats {
-    /// Number of batches this node sent to its parent (or processed as the
-    /// anchor).
-    pub batches_sent: u64,
-    /// `DhtReply` entries that arrived for a request this node does not know
-    /// — a reply can legitimately race its requester's departure during
-    /// join/leave, so this is a counter rather than an assertion.
-    pub unmatched_dht_replies: u64,
-    /// Number of requests resolved by local combining (stack only).
-    pub locally_combined: u64,
+    /// One sample of 1 per `DhtReply` entry that arrived for a request the
+    /// node does not know — a reply can legitimately race its requester's
+    /// departure during join/leave, so this is counted, not asserted.
+    pub(crate) const UNMATCHED_DHT_REPLIES: usize = 4;
+    /// One sample of 2 per push/pop pair resolved by the stack's local
+    /// combining (the number of requests it resolved).
+    pub(crate) const LOCALLY_COMBINED: usize = 5;
 }
 
 /// One virtual node running the Skueue protocol, generic over the element
@@ -527,17 +518,10 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) last_update_phase: u64,
 
     // --- Outputs --------------------------------------------------------------
+    /// Completion records not yet collected by the host.  Everything else a
+    /// node reports — samples and trace events — goes straight to the
+    /// host's sinks through the [`Context`].
     pub(crate) completed: Vec<OpRecord<T>>,
-    pub(crate) stats: NodeStats,
-    /// Lane-local lifecycle event recorder (a no-op at `TraceLevel::Off`:
-    /// every emission site guards on [`TraceRecorder::is_off`], and the off
-    /// recorder holds a zero-capacity buffer).
-    pub(crate) trace: TraceRecorder,
-    /// Number of `own_log` prefix entries already committed to an
-    /// aggregation wave (and therefore already carrying a `WaveJoin` trace
-    /// event); the uncommitted suffix joins the next wave this node opens.
-    /// Only maintained for tracing — the protocol itself never reads it.
-    pub(crate) wave_committed: usize,
 }
 
 impl<T: Payload> SkueueNode<T> {
@@ -548,7 +532,6 @@ impl<T: Payload> SkueueNode<T> {
     pub fn new(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView, is_anchor: bool) -> Self {
         SkueueNode {
             own_batch: Self::fresh_batch(&cfg),
-            trace: TraceRecorder::new(cfg.trace_level, view.me.node.0, shard),
             cfg,
             view,
             role: Role::Active,
@@ -574,8 +557,6 @@ impl<T: Payload> SkueueNode<T> {
             sibling_integrated: [true; 3],
             last_update_phase: 0,
             completed: Vec::new(),
-            stats: NodeStats::default(),
-            wave_committed: 0,
         }
     }
 
@@ -675,11 +656,6 @@ impl<T: Payload> SkueueNode<T> {
         self.store.len()
     }
 
-    /// Protocol statistics.
-    pub(crate) fn stats(&self) -> &NodeStats {
-        &self.stats
-    }
-
     /// True when completion records are waiting to be drained.
     pub fn has_completed(&self) -> bool {
         !self.completed.is_empty()
@@ -690,18 +666,6 @@ impl<T: Payload> SkueueNode<T> {
     /// allocates nothing.
     pub fn drain_completed_into(&mut self, out: &mut Vec<OpRecord<T>>) {
         out.append(&mut self.completed);
-    }
-
-    /// True when lifecycle-trace events are waiting to be drained.
-    pub(crate) fn has_trace_events(&self) -> bool {
-        self.trace.pending() > 0
-    }
-
-    /// Moves this node's buffered lifecycle-trace events into `log`,
-    /// retaining the lane-local buffer — called from the cluster's
-    /// deterministic per-round sweep, right next to the completion drain.
-    pub(crate) fn drain_trace_into(&mut self, log: &mut TraceLog) {
-        self.trace.drain_into(log);
     }
 
     /// The trace identity of a request: origin process and per-origin seq.
@@ -719,19 +683,30 @@ impl<T: Payload> SkueueNode<T> {
     // Request generation (driver-side local operation).
     // ---------------------------------------------------------------------
 
-    /// Generates a queue/stack operation at this node.  This is a *local*
-    /// action of the emulating process, not a message.
-    pub fn generate_op(&mut self, id: RequestId, kind: BatchOp, value: T, round: u64) {
+    /// Generates a queue/stack operation at this node in the current round
+    /// of `ctx`.  This is a *local* action of the emulating process, not a
+    /// message: hosts run it as a driver-side action in the node's context.
+    pub fn generate_op(
+        &mut self,
+        id: RequestId,
+        kind: BatchOp,
+        value: T,
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
         debug_assert!(
             matches!(self.role, Role::Active),
             "only active nodes generate requests"
         );
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::Issued {
-                op: Self::tid(id),
-                insert: kind == BatchOp::Enqueue,
-                round,
-            });
+        let round = ctx.round();
+        if !self.cfg.trace_level.is_off() {
+            ctx.trace(
+                self.shard,
+                TraceEvent::Issued {
+                    op: Self::tid(id),
+                    insert: kind == BatchOp::Enqueue,
+                    round,
+                },
+            );
         }
         let op = LocalOp {
             id,
@@ -753,10 +728,9 @@ impl<T: Payload> SkueueNode<T> {
                         debug_assert_eq!(push.id, push_id);
                         // The matched push was issued after the last wave
                         // opened (`local_stack` only holds unsent pushes), so
-                        // removing it never touches the committed prefix.
-                        debug_assert!(self.wave_committed <= self.own_log.len());
+                        // it leaves the working batch along with the log.
                         self.own_batch.pop_last_op();
-                        self.stats.locally_combined += 2;
+                        ctx.observe(series::LOCALLY_COMBINED, 2);
                         // Pairs that were anchored to the removed push must be
                         // re-anchored together with the new pair (the push
                         // will never receive an anchor order value of its
@@ -1064,16 +1038,16 @@ impl<T: Payload> SkueueNode<T> {
             if let Some(combining) = &mut self.combining {
                 combining.local_stack.clear();
             }
-            if !self.trace.is_off() {
+            if !self.cfg.trace_level.is_off() {
+                // The working batch holds exactly the log's uncommitted
+                // suffix: the ops that join a wave now.
+                let committed = self.own_log.len() - own.total_ops() as usize;
                 let round = ctx.round();
-                for op in &self.own_log[self.wave_committed..] {
-                    self.trace.emit(TraceEvent::WaveJoin {
-                        op: Self::tid(op.id),
-                        round,
-                    });
+                for op in &self.own_log[committed..] {
+                    let op = Self::tid(op.id);
+                    ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
                 }
             }
-            self.wave_committed = self.own_log.len();
             own
         };
 
@@ -1100,7 +1074,6 @@ impl<T: Payload> SkueueNode<T> {
             }
         }
 
-        self.stats.batches_sent += 1;
         ctx.observe(series::BATCH_SIZES, combined.size() as u64);
 
         self.last_wave_round = ctx.round();
@@ -1117,15 +1090,13 @@ impl<T: Payload> SkueueNode<T> {
                 } else {
                     None
                 };
-                if !self.trace.is_off() {
+                if !self.cfg.trace_level.is_off() {
                     // One instant per (shard, wave): the boundary between the
                     // aggregation and assignment stages for every op of this
                     // wave (all runs of one wave share the epoch).
                     if let Some(run) = assignments.first() {
-                        self.trace.emit(TraceEvent::WaveAssigned {
-                            wave: run.wave,
-                            round: ctx.round(),
-                        });
+                        let (wave, round) = (run.wave, ctx.round());
+                        ctx.trace(self.shard, TraceEvent::WaveAssigned { wave, round });
                     }
                 }
                 // The anchor only opens a wave with no slot in flight, so
@@ -1289,13 +1260,17 @@ impl<T: Payload> SkueueNode<T> {
                 log_cursor += 1;
                 let order_major = run.value_base + j;
                 self.note_order_assigned(id.seq, order_major);
-                if !self.trace.is_off() {
-                    self.trace.emit(TraceEvent::Assigned {
-                        op: Self::tid(id),
-                        wave: run.wave,
-                        major: order_major,
-                        round: ctx.round(),
-                    });
+                if !self.cfg.trace_level.is_off() {
+                    let round = ctx.round();
+                    ctx.trace(
+                        self.shard,
+                        TraceEvent::Assigned {
+                            op: Self::tid(id),
+                            wave: run.wave,
+                            major: order_major,
+                            round,
+                        },
+                    );
                 }
 
                 match run.kind {
@@ -1358,11 +1333,6 @@ impl<T: Payload> SkueueNode<T> {
         // Remove the resolved prefix from the log; anything after it was
         // generated after the batch was sent and belongs to the next one.
         self.own_log.drain(0..log_cursor);
-        // The resolved prefix was wave-committed in its entirety (waves
-        // resolve in epoch order), so the committed-prefix marker shrinks by
-        // exactly the drained count.
-        debug_assert!(log_cursor <= self.wave_committed);
-        self.wave_committed = self.wave_committed.saturating_sub(log_cursor);
     }
 
     /// The witnessed order key for an anchor-assigned order value: plain
@@ -1435,11 +1405,9 @@ impl<T: Payload> SkueueNode<T> {
         if self.cfg.is_stack() {
             self.outstanding_dht += 1;
         }
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::DhtIssued {
-                op: Self::tid(id),
-                round: ctx.round(),
-            });
+        if !self.cfg.trace_level.is_off() {
+            let (op, round) = (Self::tid(id), ctx.round());
+            ctx.trace(self.shard, TraceEvent::DhtIssued { op, round });
         }
         let progress = RouteProgress::new(key, self.cfg.bit_budget);
         self.dispatch_dht(Box::new(DhtOp::Put { entry, meta }), progress, ctx);
@@ -1471,11 +1439,9 @@ impl<T: Payload> SkueueNode<T> {
         if self.cfg.is_stack() {
             self.outstanding_dht += 1;
         }
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::DhtIssued {
-                op: Self::tid(id),
-                round: ctx.round(),
-            });
+        if !self.cfg.trace_level.is_off() {
+            let (op, round) = (Self::tid(id), ctx.round());
+            ctx.trace(self.shard, TraceEvent::DhtIssued { op, round });
         }
         let progress = RouteProgress::new(key, self.cfg.bit_budget);
         self.dispatch_dht(
@@ -1504,13 +1470,7 @@ impl<T: Payload> SkueueNode<T> {
         // into the cycle yet, forward operations for its range directly.
         if let Some(target) = self.joiner_responsible_for(progress.target) {
             progress.hops += 1;
-            if self.trace.hops() {
-                self.trace.emit(TraceEvent::DhtHop {
-                    op: Self::tid(op.request_id()),
-                    hop: progress.hops,
-                    round: ctx.round(),
-                });
-            }
+            self.trace_hop(&op, progress.hops, ctx);
             self.route_buffer.push(target, RoutedDhtOp { op, progress });
             return;
         }
@@ -1518,15 +1478,18 @@ impl<T: Payload> SkueueNode<T> {
             RouteAction::Deliver => self.apply_dht(*op, &progress, ctx),
             RouteAction::Forward(next) => {
                 progress.hops += 1;
-                if self.trace.hops() {
-                    self.trace.emit(TraceEvent::DhtHop {
-                        op: Self::tid(op.request_id()),
-                        hop: progress.hops,
-                        round: ctx.round(),
-                    });
-                }
+                self.trace_hop(&op, progress.hops, ctx);
                 self.route_buffer.push(next, RoutedDhtOp { op, progress });
             }
+        }
+    }
+
+    /// Records one DHT routing hop (at [`TraceLevel::Full`] only).
+    #[inline]
+    fn trace_hop(&self, op: &DhtOp<T>, hop: u32, ctx: &mut Context<SkueueMsg<T>>) {
+        if self.cfg.trace_level == TraceLevel::Full {
+            let (op, round) = (Self::tid(op.request_id()), ctx.round());
+            ctx.trace(self.shard, TraceEvent::DhtHop { op, hop, round });
         }
     }
 
@@ -1549,12 +1512,9 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         ctx.observe(series::DHT_HOPS, progress.hops as u64);
-        if !self.trace.is_off() {
-            self.trace.emit(TraceEvent::DhtApplied {
-                op: Self::tid(op.request_id()),
-                hops: progress.hops,
-                round: ctx.round(),
-            });
+        if !self.cfg.trace_level.is_off() {
+            let (op, hops, round) = (Self::tid(op.request_id()), progress.hops, ctx.round());
+            ctx.trace(self.shard, TraceEvent::DhtApplied { op, hops, round });
         }
         match op {
             DhtOp::Put { entry, meta } => {
@@ -1652,7 +1612,7 @@ impl<T: Payload> SkueueNode<T> {
             // join/leave (a draining node forwards the reply to an absorber
             // that never issued the GET) — count it for the metrics instead
             // of tripping a debug-build panic.
-            self.stats.unmatched_dht_replies += 1;
+            ctx.observe(series::UNMATCHED_DHT_REPLIES, 1);
         }
     }
 
@@ -1803,11 +1763,10 @@ impl<T: Payload> Actor for SkueueNode<T> {
     /// membership duty is outstanding.  Every state change that can flip
     /// this back (a `Serve`, an `AggregateAck`, an incoming `Aggregate`, an
     /// absorb request, an `UpdateOver`, …) arrives as a message, after
-    /// which the scheduler re-queries; the driver-side mutations that can
-    /// flip it (`generate_op` — new own work — and `request_leave`) are
-    /// followed by a
-    /// [`refresh_timeout_interest`](skueue_sim::Simulation::refresh_timeout_interest)
-    /// call in the cluster driver.
+    /// which the scheduler re-queries; the driver-side actions that can flip
+    /// it (`generate_op` — new own work — and `request_leave`) run through
+    /// [`Simulation::act`](skueue_sim::Simulation::act), which re-queries
+    /// too.
     fn wants_timeout(&self) -> bool {
         match self.role {
             Role::Active => {
@@ -1841,9 +1800,9 @@ mod tests {
     /// `tests/memory_budget.rs` and `tests/inflight_memory.rs` are ceilings
     /// from earlier rounds (896 and 104 B); these are today's sizes.
     #[test]
-    fn a_node_is_800_bytes_and_an_envelope_80() {
+    fn a_node_is_720_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 800);
+        assert!(size_of::<SkueueNode<u64>>() <= 720);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
     }
 
@@ -1899,6 +1858,12 @@ mod tests {
         }
     }
 
+    /// Waves the node has opened: as a tree node, its epoch; as the anchor
+    /// serving itself, its anchor's.
+    fn waves_opened(node: &SkueueNode<u64>) -> u64 {
+        node.next_epoch + node.anchor_state().map_or(0, |a| a.epoch)
+    }
+
     /// A node of a four-process queue: the shard's anchor, or a middle node
     /// (whose parent is its left sibling).
     fn node_under_test(anchor: bool) -> SkueueNode<u64> {
@@ -1930,7 +1895,8 @@ mod tests {
     /// combined batch if that `TIMEOUT` opened a wave.
     fn enqueue_then_timeout(node: &mut SkueueNode<u64>, round: &mut u64) -> Option<(u64, Batch)> {
         let id = RequestId::new(node.process(), *round);
-        node.generate_op(id, BatchOp::Enqueue, *round, *round);
+        let mut ctx = Context::new(node.view.me.node, *round);
+        node.generate_op(id, BatchOp::Enqueue, *round, &mut ctx);
         *round += WAVE_CADENCE;
         let mut ctx = Context::new(node.view.me.node, *round);
         node.on_timeout(&mut ctx);
@@ -2014,12 +1980,12 @@ mod tests {
             let drain = (0..64).map(|_| (9u32, u64::MAX, 0u64));
             for (kind, a, b) in steps.into_iter().chain(drain) {
                 let mut ctx = Context::new(me, round);
-                let opened_before = node.stats.batches_sent;
+                let opened_before = waves_opened(&node);
                 let drain = node.suspended;
                 match kind {
                     0 | 1 => {
                         let op = if a & 1 == 0 { BatchOp::Enqueue } else { BatchOp::Dequeue };
-                        node.generate_op(RequestId::new(node.process(), seq), op, seq, round);
+                        node.generate_op(RequestId::new(node.process(), seq), op, seq, &mut ctx);
                         model.own.push_op(op);
                         seq += 1;
                     }
@@ -2074,7 +2040,7 @@ mod tests {
                         }
                     }
                 }
-                let opened = node.stats.batches_sent > opened_before;
+                let opened = waves_opened(&node) > opened_before;
                 let mut sent_up = None;
                 for (to, msg) in ctx.into_outbox() {
                     match msg {

@@ -286,7 +286,9 @@ impl<T: Wire> Wire for Vec<T> {
         if len > MAX_SEQ_LEN {
             return Err(DecodeError::LengthOverflow { len });
         }
-        let mut v = Vec::with_capacity((len as usize).min(1024));
+        // Every element takes at least one byte, so a claim beyond what is
+        // left of the frame reserves no more than the frame can still hold.
+        let mut v = Vec::with_capacity((len as usize).min(1024).min(r.remaining()));
         for _ in 0..len {
             v.push(T::decode(r)?);
         }

@@ -327,7 +327,8 @@ impl<T: Payload + Wire> Host<T> {
 
     /// Runs one action of hosted node `id` — the node's first action in a
     /// turn opens a visit — and posts what it sent.  `None` if `id` is not
-    /// hosted here.
+    /// hosted here.  The context lends no sample or trace sink, so what the
+    /// node reports through it is dropped.
     fn act<R>(
         &mut self,
         id: NodeId,
@@ -419,7 +420,7 @@ impl<T: Payload + Wire> Host<T> {
                 let issued = self.act(node_of(VirtualId::middle(id.origin)), |node, ctx| {
                     let integrated = node.is_integrated();
                     if integrated {
-                        node.generate_op(id, kind, value, ctx.round());
+                        node.generate_op(id, kind, value, ctx);
                     }
                     integrated
                 });

@@ -7,6 +7,7 @@
 use crate::ids::NodeId;
 use crate::metrics::Histogram;
 use crate::Round;
+use skueue_trace::{TraceEvent, TraceRecord};
 
 /// A protocol node that lives inside a [`crate::Simulation`].
 ///
@@ -30,11 +31,9 @@ pub trait Actor {
     /// e.g. a Skueue node whose batch is pending up the aggregation tree —
     /// and the scheduler then skips the visit entirely, which is what makes
     /// large quiescent simulations cheap.  The scheduler re-queries this
-    /// after every delivery/timeout visit; a driver that mutates an actor
-    /// directly (via [`crate::Simulation::node_mut`]) must call
-    /// [`crate::Simulation::refresh_timeout_interest`] afterwards if the
-    /// mutation can change the answer.  Returning `false` never suppresses
-    /// message delivery.
+    /// after every visit and after every driver action
+    /// ([`crate::Simulation::act`]), so the answer may change with any of
+    /// them.  Returning `false` never suppresses message delivery.
     fn wants_timeout(&self) -> bool {
         true
     }
@@ -54,6 +53,8 @@ pub struct Context<M> {
     /// The host's sample sink, lent for the invocation (see
     /// [`Self::observe`]); `None` when the host keeps none.
     pub(crate) samples: Option<Vec<Histogram>>,
+    /// The host's trace sink, lent the same way (see [`Self::trace`]).
+    pub(crate) traces: Option<Vec<TraceRecord>>,
 }
 
 impl<M> Context<M> {
@@ -74,6 +75,7 @@ impl<M> Context<M> {
             round,
             outbox,
             samples: None,
+            traces: None,
         }
     }
 
@@ -125,6 +127,26 @@ impl<M> Context<M> {
                 sink.resize_with(series + 1, Histogram::default);
             }
             sink[series].record(sample);
+        }
+    }
+
+    /// Records a lifecycle event of the executing node, filed under anchor
+    /// shard `shard`.
+    ///
+    /// Like samples, events go to the host rather than into a buffer of the
+    /// node's own: the simulation lends one buffer per lane and hands its
+    /// contents to the driver's `TraceLog` after every round
+    /// ([`crate::Simulation::run_round`]).  A host that keeps no sink drops
+    /// the event; callers that trace conditionally check their level first,
+    /// so an untraced run never builds one.
+    #[inline]
+    pub fn trace(&mut self, shard: u32, event: TraceEvent) {
+        if let Some(sink) = &mut self.traces {
+            sink.push(TraceRecord {
+                node: self.self_id.0,
+                shard,
+                event,
+            });
         }
     }
 

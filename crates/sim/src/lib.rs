@@ -25,7 +25,10 @@
 //!   ([`Actor::on_timeout`]),
 //! * all side effects go through a [`Context`], which buffers outgoing
 //!   messages so that a whole round is computed against a consistent
-//!   snapshot,
+//!   snapshot, and takes the samples and `skueue-trace` events a node
+//!   reports into its lane's sinks — a node keeps no report of its own; a
+//!   driver's local actions on a node run in the same context
+//!   ([`Simulation::act`]),
 //! * the simulation is fully deterministic for a given seed and
 //!   configuration, which the test-suite and the benchmark harness rely on.
 //!

@@ -68,6 +68,7 @@ use crate::metrics::{Histogram, SimMetrics};
 use crate::rng::{splitmix64, SimRng};
 use crate::transport::SimTransport;
 use crate::Round;
+use skueue_trace::TraceLog;
 use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
@@ -140,8 +141,10 @@ struct Lane<A: Actor> {
     wake_order: Vec<usize>,
     inbox: Inbox<A::Msg>,
     /// The context every actor invocation of this lane runs in, re-armed per
-    /// visit.  It owns the outbox scratch and the lane's sample sink (one
-    /// distribution per series, see [`Context::observe`]).
+    /// visit and per driver action.  It owns the outbox scratch, the lane's
+    /// sample sink (one distribution per series, see [`Context::observe`])
+    /// and its trace sink (the events since the last round's hand-over, see
+    /// [`Context::trace`]).
     ctx: Context<A::Msg>,
     metrics: LaneMetrics,
     /// Messages delivered by the most recent round (merge input).
@@ -164,6 +167,7 @@ impl<A: Actor> Lane<A> {
         };
         let mut ctx = Context::new(NodeId(0), 0);
         ctx.samples = Some(Vec::new());
+        ctx.traces = Some(Vec::new());
         Lane {
             shuffle: config.shuffle_node_order,
             transport: SimTransport::new(config.delivery, SimRng::new(seed)),
@@ -281,15 +285,23 @@ impl<A: Actor> Lane<A> {
         }
         node.on_timeout(&mut self.ctx);
         self.metrics.timeouts_fired += 1;
-        if !self.ctx.outbox.is_empty() {
-            // Moved out while posting (a post needs the whole lane) and back
-            // so its capacity is reused.
-            let mut outbox = std::mem::take(&mut self.ctx.outbox);
-            for (to, msg) in outbox.drain(..) {
-                self.post(self_id, to, msg);
-            }
-            self.ctx.outbox = outbox;
+        self.post_outbox(self_id, |_| {});
+    }
+
+    /// Posts everything the invocation that just ended sent from `from`,
+    /// handing each message's delay to `posted`.
+    #[inline]
+    fn post_outbox(&mut self, from: NodeId, mut posted: impl FnMut(Round)) {
+        if self.ctx.outbox.is_empty() {
+            return;
         }
+        // Moved out while posting (a post needs the whole lane) and back so
+        // its capacity is reused.
+        let mut outbox = std::mem::take(&mut self.ctx.outbox);
+        for (to, msg) in outbox.drain(..) {
+            posted(self.post(from, to, msg));
+        }
+        self.ctx.outbox = outbox;
     }
 
     /// Executes this lane's share of one round.
@@ -527,14 +539,6 @@ impl<A: Actor> Simulation<A> {
         Some(&self.lane(lane as usize).nodes[slot as usize])
     }
 
-    /// Mutable access to an actor. The driver (e.g. the Skueue cluster API)
-    /// uses this to perform *local* operations such as generating a queue
-    /// request at a node — those are not messages in the paper's model.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut A> {
-        let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&mut self.lane_mut(lane as usize).nodes[slot as usize])
-    }
-
     /// Iterates over `(id, actor)` pairs in global id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &A)> {
         self.node_loc
@@ -543,16 +547,33 @@ impl<A: Actor> Simulation<A> {
             .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lane(l as usize).nodes[s as usize]))
     }
 
-    /// Re-evaluates a node's wake flag after a driver-side mutation that may
-    /// have changed [`Actor::wants_timeout`] (e.g. injecting a local request
-    /// or asking a node to leave through [`Self::node_mut`]).
-    pub fn refresh_timeout_interest(&mut self, id: NodeId) -> Result<(), SimError> {
-        let &(lane, slot) = self
-            .node_loc
-            .get(id.index())
-            .ok_or(SimError::UnknownNode(id))?;
-        self.lane_mut(lane as usize).refresh_flag(slot as usize);
-        Ok(())
+    /// Runs a driver-side action of node `id` in its lane's [`Context`] and
+    /// returns the action's result (`None` for an unknown id).  Such actions
+    /// are *local* operations of the emulating process — generating a queue
+    /// request, asking a node to leave, collecting its completions — not
+    /// messages of the paper's model.  What the action sends is posted
+    /// exactly as [`Self::inject`] posts a message, so an action that sends
+    /// nothing draws nothing from the delay RNG; what it records goes to the
+    /// lane's sinks.  The node's wake flag is re-derived afterwards, so an
+    /// action that changes [`Actor::wants_timeout`] takes effect next round.
+    pub fn act<R>(
+        &mut self,
+        id: NodeId,
+        action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
+    ) -> Option<R> {
+        let &(lane, slot) = self.node_loc.get(id.index())?;
+        let slot = slot as usize;
+        let round = self.round;
+        let metrics = &mut self.metrics;
+        let lane = self.lanes[lane as usize].as_mut().expect("lane present");
+        lane.ctx.rearm(id, round);
+        let result = action(&mut lane.nodes[slot], &mut lane.ctx);
+        lane.post_outbox(id, |delay| {
+            metrics.messages_sent += 1;
+            metrics.delays.record(delay);
+        });
+        lane.refresh_flag(slot);
+        Some(result)
     }
 
     /// Injects a message from the outside world (delivered like any other
@@ -608,8 +629,10 @@ impl<A: Actor> Simulation<A> {
         &self.merged_wake
     }
 
-    /// Executes one round and returns the number of messages delivered in it.
-    pub fn run_round(&mut self) -> usize {
+    /// Executes one round, appends the trace events the lanes recorded since
+    /// the previous round (driver actions included) to `trace` in lane
+    /// order, and returns the number of messages delivered in the round.
+    pub fn run_round(&mut self, trace: &mut TraceLog) -> usize {
         self.round += 1;
         let round = self.round;
         let started = Instant::now();
@@ -630,12 +653,19 @@ impl<A: Actor> Simulation<A> {
             }
         }
         let round_wall_ns = started.elapsed().as_nanos() as u64;
-        self.merge_round(round, round_wall_ns, parallel)
+        self.merge_round(round, round_wall_ns, parallel, trace)
     }
 
-    /// Recombines the per-lane round outputs — wake lists, metrics —
-    /// in fixed lane order and returns the round's delivered-message count.
-    fn merge_round(&mut self, round: Round, round_wall_ns: u64, parallel: bool) -> usize {
+    /// Recombines the per-lane round outputs — wake lists, metrics, trace
+    /// events — in fixed lane order and returns the round's
+    /// delivered-message count.
+    fn merge_round(
+        &mut self,
+        round: Round,
+        round_wall_ns: u64,
+        parallel: bool,
+        trace: &mut TraceLog,
+    ) -> usize {
         // Merged visit list (global ids).  One lane: the exact visit order.
         // Multi-lane: ascending id order (the historical global visit order)
         // or lane-concatenation order under shuffle — deterministic either
@@ -679,6 +709,9 @@ impl<A: Actor> Simulation<A> {
             m.lane_busy_ns[l] = lane.metrics.busy_ns;
             m.lane_barrier_wait_ns[l] = lane.metrics.barrier_wait_ns;
             m.lane_thread_tokens[l] = lane.metrics.thread_token;
+            for record in lane.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..)) {
+                trace.push(record);
+            }
         }
         m.messages_sent = sent;
         m.messages_delivered = delivered;
@@ -688,10 +721,11 @@ impl<A: Actor> Simulation<A> {
         delivered_this_round
     }
 
-    /// Runs exactly `rounds` rounds.
+    /// Runs exactly `rounds` rounds, dropping their trace events (a driver
+    /// that keeps them calls [`Self::run_round`]).
     pub fn run_rounds(&mut self, rounds: u64) {
         for _ in 0..rounds {
-            self.run_round();
+            self.run_round(&mut TraceLog::new());
         }
     }
 }
@@ -700,6 +734,7 @@ impl<A: Actor> Simulation<A> {
 mod tests {
     use super::*;
     use crate::delivery::DeliveryModel;
+    use skueue_trace::TraceEvent;
 
     /// A node that forwards a token `hops` more times along a ring.
     #[derive(Debug)]
@@ -779,7 +814,7 @@ mod tests {
         let start = sim.round();
         while sim.metrics().messages_delivered < sim.metrics().messages_sent {
             assert!(sim.round() - start < max_rounds, "still in flight");
-            sim.run_round();
+            sim.run_round(&mut TraceLog::new());
         }
     }
 
@@ -797,10 +832,14 @@ mod tests {
             .unwrap();
         // 5 deliveries: remaining 4,3,2,1,0 — one per round.
         for expected_round in 1..=5u64 {
-            let delivered = sim.run_round();
+            let delivered = sim.run_round(&mut TraceLog::new());
             assert_eq!(delivered, 1, "round {expected_round}");
         }
-        assert_eq!(sim.run_round(), 0, "nothing left in flight");
+        assert_eq!(
+            sim.run_round(&mut TraceLog::new()),
+            0,
+            "nothing left in flight"
+        );
         assert_eq!(sim.round(), 6);
         // Node 4 got remaining=0, node 0 got remaining=4.
         assert_eq!(sim.node(NodeId(0)).unwrap().received, vec![4]);
@@ -922,7 +961,7 @@ mod tests {
                     expected[to as usize].push((from, payload));
                     payload += 1;
                 }
-                assert_eq!(sim.run_round(), 12);
+                assert_eq!(sim.run_round(&mut TraceLog::new()), 12);
             }
             for (i, want) in expected.iter().enumerate() {
                 assert_eq!(&sim.node(NodeId(i as u64)).unwrap().got, want, "node {i}");
@@ -950,14 +989,6 @@ mod tests {
         drain(&mut sim, 100_000);
         let total: usize = sim.iter().map(|(_, n)| n.received.len()).sum();
         assert_eq!(total, 31);
-    }
-
-    #[test]
-    fn node_mut_allows_driver_side_mutation() {
-        let mut sim = ring_sim(2, SimConfig::synchronous(0));
-        sim.node_mut(NodeId(0)).unwrap().timeouts = 99;
-        assert_eq!(sim.node(NodeId(0)).unwrap().timeouts, 99);
-        assert!(sim.node_mut(NodeId(5)).is_none());
     }
 
     /// An actor that only wants timeouts while `armed` is set; receiving a
@@ -1006,17 +1037,67 @@ mod tests {
     }
 
     #[test]
-    fn refresh_timeout_interest_after_driver_mutation() {
+    fn an_action_that_arms_the_timeout_gets_its_node_visited_next_round() {
         let mut sim: Simulation<Sleeper> = Simulation::new(SimConfig::synchronous(2)).unwrap();
         let a = sim.add_node(Sleeper::default());
+        sim.add_node(Sleeper::default());
         sim.run_rounds(2);
-        assert_eq!(sim.node(a).unwrap().timeouts, 0);
-        // Driver-side arming is invisible until the interest is refreshed.
-        sim.node_mut(a).unwrap().armed = true;
-        sim.refresh_timeout_interest(a).unwrap();
+        assert_eq!(sim.metrics().nodes_visited, 0);
+        assert_eq!(sim.act(a, |node, _| node.armed = true), Some(()));
         sim.run_rounds(1);
+        assert_eq!(sim.visited_last_round(), &[0]);
         assert_eq!(sim.node(a).unwrap().timeouts, 1);
-        assert!(sim.refresh_timeout_interest(NodeId(9)).is_err());
+        assert_eq!(sim.act(NodeId(9), |node, _| node.armed), None);
+    }
+
+    /// What a run is made of, for byte-identity comparisons.
+    fn ring_fingerprint(sim: &Simulation<Ring>) -> (u64, Vec<Vec<u64>>, u64, u64, u64) {
+        (
+            sim.round(),
+            sim.iter().map(|(_, n)| n.received.clone()).collect(),
+            sim.metrics().messages_sent,
+            sim.metrics().nodes_visited,
+            sim.metrics().delays.sum() as u64,
+        )
+    }
+
+    #[test]
+    fn an_action_that_sends_is_delivered_like_an_inject() {
+        let mut injected = ring_sim(6, async_config(5, 6));
+        let mut acted = ring_sim(6, async_config(5, 6));
+        injected
+            .inject(NodeId(2), NodeId(3), Token { remaining: 7 })
+            .unwrap();
+        let sent = acted.act(NodeId(2), |_, ctx| {
+            ctx.send(NodeId(3), Token { remaining: 7 });
+        });
+        assert_eq!(sent, Some(()));
+        assert_eq!(acted.metrics().messages_sent, 1);
+        assert_eq!(ring_fingerprint(&injected), ring_fingerprint(&acted));
+        drain(&mut injected, 10_000);
+        drain(&mut acted, 10_000);
+        assert_eq!(ring_fingerprint(&injected), ring_fingerprint(&acted));
+    }
+
+    #[test]
+    fn an_action_that_sends_nothing_leaves_an_asynchronous_run_byte_identical() {
+        let mut plain = ring_sim(7, async_config(11, 4));
+        let mut acted = ring_sim(7, async_config(11, 4));
+        for sim in [&mut plain, &mut acted] {
+            sim.inject(NodeId(0), NodeId(0), Token { remaining: 40 })
+                .unwrap();
+        }
+        let mut trace = TraceLog::new();
+        while plain.metrics().messages_delivered < plain.metrics().messages_sent {
+            plain.run_round(&mut trace);
+            let target = NodeId(acted.round() % 7);
+            let seen = acted.act(target, |node, ctx| (node.timeouts, ctx.round()));
+            assert_eq!(seen.map(|(_, round)| round), Some(acted.round()));
+            acted.run_round(&mut trace);
+            assert_eq!(plain.visited_last_round(), acted.visited_last_round());
+        }
+        assert_eq!(ring_fingerprint(&plain), ring_fingerprint(&acted));
+        assert!(trace.is_empty());
     }
 
     #[test]
@@ -1065,14 +1146,17 @@ mod tests {
     #[derive(Debug)]
     struct LanePinger {
         partner: NodeId,
+        lane: u32,
         received: u64,
     }
 
     impl Actor for LanePinger {
         type Msg = u64;
 
-        fn on_message(&mut self, _from: NodeId, msg: u64, _ctx: &mut Context<u64>) {
+        fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Context<u64>) {
             self.received += msg;
+            let round = ctx.round();
+            ctx.trace(self.lane, TraceEvent::WaveAssigned { wave: msg, round });
         }
 
         fn on_timeout(&mut self, ctx: &mut Context<u64>) {
@@ -1091,6 +1175,7 @@ mod tests {
                 lane,
                 LanePinger {
                     partner: b,
+                    lane: lane as u32,
                     received: 0,
                 },
             );
@@ -1098,6 +1183,7 @@ mod tests {
                 lane,
                 LanePinger {
                     partner: a,
+                    lane: lane as u32,
                     received: 0,
                 },
             );
@@ -1122,8 +1208,8 @@ mod tests {
             let mut parallel = pinger_sim(8, 4, threads, 42);
             assert_eq!(parallel.parallel_threads(), threads.clamp(1, 4));
             for _ in 0..50 {
-                let d_ref = reference.run_round();
-                let d_par = parallel.run_round();
+                let d_ref = reference.run_round(&mut TraceLog::new());
+                let d_par = parallel.run_round(&mut TraceLog::new());
                 assert_eq!(d_ref, d_par, "per-round delivery counts must match");
                 assert_eq!(
                     reference.visited_last_round(),
@@ -1136,6 +1222,37 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// Every lane's events reach the log, and in lane order: the log is the
+    /// same whether the lanes ran on one thread or on four.
+    #[test]
+    fn lanes_hand_their_trace_events_over_identically_on_any_thread_count() {
+        let traced = |threads: usize| {
+            let mut sim = pinger_sim(8, 4, threads, 42);
+            let mut log = TraceLog::new();
+            for round in 0..20u64 {
+                // A driver action's event rides along with the next round's.
+                sim.act(NodeId(round % 16), |_, ctx| {
+                    ctx.trace(
+                        99,
+                        TraceEvent::PhaseEnter {
+                            phase: round,
+                            round,
+                        },
+                    )
+                });
+                sim.run_round(&mut log);
+            }
+            let delivered = sim.metrics().messages_delivered;
+            (log.fingerprint(), log.shard_event_counts(), delivered)
+        };
+        let (fingerprint, counts, delivered) = traced(1);
+        assert_eq!(traced(4), (fingerprint, counts.clone(), delivered));
+        // 2 pairs per lane, each node receiving one ping per round after the
+        // first: 4 × 19 events per lane, plus the 20 driver-action events.
+        assert_eq!(counts, [(0, 76), (1, 76), (2, 76), (3, 76), (99, 20)]);
+        assert_eq!(delivered, 4 * 76);
     }
 
     #[test]
@@ -1163,8 +1280,8 @@ mod tests {
         let mut toggled = pinger_sim(4, 2, 1, 9);
         for i in 0..30 {
             toggled.enable_parallel(if i % 2 == 0 { 2 } else { 1 });
-            reference.run_round();
-            toggled.run_round();
+            reference.run_round(&mut TraceLog::new());
+            toggled.run_round(&mut TraceLog::new());
         }
         assert_eq!(pinger_fingerprint(&reference), pinger_fingerprint(&toggled));
     }

@@ -120,7 +120,7 @@ impl OpSpan {
         }
         // Later protocol stages require the earlier ones: a DHT boundary
         // without an assignment, or an assignment without a wave join, is a
-        // leak in the recorder.
+        // leak at an emission site.
         if self.dht_applied.is_some() && self.dht_issued.is_none() {
             return Some(format!("{}: DHT applied but never issued", self.op));
         }

@@ -1,14 +1,15 @@
 //! # skueue-trace — per-op lifecycle tracing
 //!
-//! A structured event/span recorder for the Skueue protocol.  Every request
-//! gets a [`TraceId`] minted when it is issued and carried through its whole
-//! lifecycle; protocol stages emit round-stamped [`TraceEvent`]s into
-//! **lane-local** [`TraceRecorder`]s (one per virtual node, preallocated, no
-//! cross-thread contention), which the cluster driver drains into a single
-//! [`TraceLog`] in the same deterministic node sweep that collects
-//! completions.  Because the protocol itself is byte-identical across
-//! execution backends, the merged log — and everything derived from it — is
-//! byte-identical across thread counts too.
+//! Structured per-op events for the Skueue protocol.  Every request gets a
+//! [`TraceId`] minted when it is issued and carried through its whole
+//! lifecycle; protocol stages report round-stamped [`TraceEvent`]s through
+//! the context their host lends them (`skueue_sim::Context::trace`).  A node
+//! keeps no buffer: the simulation lends **one buffer per lane** (no
+//! cross-thread contention) and, after every round, hands the lanes' events
+//! to the driver's single [`TraceLog`] in lane order; the driver then appends
+//! its own instants (completions, joins, departures).  Because the protocol
+//! itself is byte-identical across execution backends, the merged log — and
+//! everything derived from it — is byte-identical across thread counts too.
 //!
 //! The stage taxonomy decomposes a request's rounds-per-request latency
 //! (the paper's headline metric, Theorems 18/20) into:
@@ -31,8 +32,9 @@
 //! loadable in Perfetto / `chrome://tracing`).
 //!
 //! Recording is **off by default** and the off path is a branch on the
-//! `Copy` enum [`TraceLevel`] — no buffer is allocated, no event is
-//! constructed (see [`TraceRecorder::is_off`]).
+//! `Copy` enum [`TraceLevel`] — no event is constructed (see
+//! [`TraceLevel::is_off`]) — and a lane's empty buffer is all an untraced
+//! run holds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,14 +45,14 @@ mod chrome;
 pub use analysis::{OpSpan, StageStats, TraceAnalysis};
 pub use chrome::{export_chrome_trace, validate_json};
 
-/// How much the per-node recorders capture.
+/// How much a traced run records.
 ///
 /// `Copy` on purpose: every emission site guards with a branch on this enum,
 /// which is all the off path costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
-    /// No recording at all: no ring buffer is allocated and every emission
-    /// site reduces to one predictable branch (the default).
+    /// No recording at all: every emission site reduces to one predictable
+    /// branch (the default).
     #[default]
     Off,
     /// Record the per-op span events (issue, wave join, assignment, DHT
@@ -66,12 +68,6 @@ impl TraceLevel {
     #[inline]
     pub fn is_off(self) -> bool {
         matches!(self, TraceLevel::Off)
-    }
-
-    /// True when per-hop DHT routing events are recorded.
-    #[inline]
-    pub(crate) fn hops(self) -> bool {
-        matches!(self, TraceLevel::Full)
     }
 }
 
@@ -335,81 +331,11 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Preallocated capacity of a node's lane-local event buffer.  The driver
-/// drains every buffer once per round sweep, so steady state never grows it;
-/// a single round would need to emit more than this many events at one node
-/// to trigger a (amortised, still deterministic) regrowth.
-pub(crate) const RECORDER_CAPACITY: usize = 1024;
-
-/// The lane-local event recorder owned by one virtual node.
-///
-/// At [`TraceLevel::Off`] the buffer is a zero-capacity `Vec` (no
-/// allocation) and the emission sites never construct an event — the whole
-/// cost of the off path is the [`is_off`](Self::is_off) branch.
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    level: TraceLevel,
-    node: u64,
-    shard: u32,
-    buf: Vec<TraceRecord>,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder for node `node` in anchor shard `shard`.
-    pub fn new(level: TraceLevel, node: u64, shard: u32) -> Self {
-        TraceRecorder {
-            level,
-            node,
-            shard,
-            buf: if level.is_off() {
-                Vec::new()
-            } else {
-                Vec::with_capacity(RECORDER_CAPACITY)
-            },
-        }
-    }
-
-    /// True when recording is disabled — **the** guard every emission site
-    /// branches on before constructing an event.
-    #[inline]
-    pub fn is_off(&self) -> bool {
-        self.level.is_off()
-    }
-
-    /// True when per-hop DHT events are recorded.
-    #[inline]
-    pub fn hops(&self) -> bool {
-        self.level.hops()
-    }
-
-    /// Records one event.  Callers must guard with [`Self::is_off`].
-    #[inline]
-    pub fn emit(&mut self, event: TraceEvent) {
-        debug_assert!(!self.is_off(), "emit() on a disabled recorder");
-        self.buf.push(TraceRecord {
-            node: self.node,
-            shard: self.shard,
-            event,
-        });
-    }
-
-    /// Number of buffered (not yet drained) events.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Moves all buffered events into `log`, retaining the buffer's
-    /// capacity (the once-per-sweep drain the cluster driver performs).
-    pub fn drain_into(&mut self, log: &mut TraceLog) {
-        log.records.append(&mut self.buf);
-    }
-}
-
 /// The merged, deterministic event log of one execution.
 ///
-/// Built by draining every node's [`TraceRecorder`] in the cluster's fixed
-/// completion-sweep order; byte-identical across thread counts for the same
-/// seed.
+/// Built from the lanes' event buffers, handed over in lane order after
+/// every round, followed by the driver's own instants of that round;
+/// byte-identical across thread counts for the same seed.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     records: Vec<TraceRecord>,
@@ -479,44 +405,8 @@ mod tests {
     fn level_defaults_off_and_gates() {
         assert_eq!(TraceLevel::default(), TraceLevel::Off);
         assert!(TraceLevel::Off.is_off());
-        assert!(!TraceLevel::Off.hops());
-        assert!(!TraceLevel::Spans.hops());
-        assert!(TraceLevel::Full.hops());
+        assert!(!TraceLevel::Spans.is_off());
         assert!(TraceLevel::Off < TraceLevel::Spans && TraceLevel::Spans < TraceLevel::Full);
-    }
-
-    #[test]
-    fn off_recorder_allocates_nothing() {
-        let r = TraceRecorder::new(TraceLevel::Off, 3, 1);
-        assert!(r.is_off());
-        assert_eq!(r.buf.capacity(), 0, "off path must not allocate");
-        let on = TraceRecorder::new(TraceLevel::Spans, 3, 1);
-        assert!(on.buf.capacity() >= RECORDER_CAPACITY);
-    }
-
-    #[test]
-    fn emit_drain_retains_capacity() {
-        let mut r = TraceRecorder::new(TraceLevel::Full, 7, 2);
-        r.emit(TraceEvent::Issued {
-            op: TraceId::new(1, 0),
-            insert: true,
-            round: 5,
-        });
-        r.emit(TraceEvent::DhtHop {
-            op: TraceId::new(1, 0),
-            hop: 1,
-            round: 6,
-        });
-        assert_eq!(r.pending(), 2);
-        let cap = r.buf.capacity();
-        let mut log = TraceLog::new();
-        r.drain_into(&mut log);
-        assert_eq!(r.pending(), 0);
-        assert_eq!(r.buf.capacity(), cap, "drain must retain the buffer");
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.records()[0].node, 7);
-        assert_eq!(log.records()[0].shard, 2);
-        assert_eq!(log.records()[0].event.round(), 5);
     }
 
     #[test]

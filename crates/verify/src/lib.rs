@@ -11,15 +11,15 @@
 //!   `value(op)` in the total order `≺` that the protocol constructs
 //!   (Section V).  The protocol *witnesses* its own ordering; the checker
 //!   verifies that the witnessed ordering actually satisfies the definition.
-//! * `check_queue_definition1` checks the four properties of Definition 1
-//!   literally.
-//! * `check_queue_replay` performs the stronger *replay* check: executing
-//!   the requests in the witnessed order on a reference sequential queue must
-//!   reproduce every response (matched element or `⊥`) exactly.  This is the
-//!   check the protocol is expected to pass (and implies Definition 1 for
-//!   well-formed histories).
-//! * `check_stack_replay` / `check_stack_ordering` are the LIFO
-//!   counterparts used for the Section VI stack.
+//! * [`check_queue`] checks the four properties of Definition 1 literally,
+//!   and performs the stronger *replay* check: executing the requests in the
+//!   witnessed order on a reference sequential queue must reproduce every
+//!   response (matched element or `⊥`) exactly.  The replay is the check the
+//!   protocol is expected to pass (and implies Definition 1 for well-formed
+//!   histories).  Both read one preparation of the history (well-formedness,
+//!   the matching) and program order is checked once, so each violation is
+//!   reported once.
+//! * [`check_stack`] is the LIFO counterpart used for the Section VI stack.
 //! * [`check_queue_sharded`] checks a *sharded* deployment (`shards > 1`):
 //!   Definition 1 plus the replay oracle on every anchor shard's lane, shard
 //!   discipline of the witnessed keys, and program order on the merged

@@ -137,18 +137,22 @@ pub(crate) fn check_process_order<T: Payload>(
     }
 }
 
-/// Checks the four properties of Definition 1 against the order witnessed in
-/// the history.
-pub(crate) fn check_queue_definition1<T: Payload>(history: &History<T>) -> ConsistencyReport {
+/// Checks properties 1–3 of Definition 1 against the order witnessed in the
+/// history, on `prepared`'s matching and into its report (property 4 is
+/// [`check_process_order`]).
+pub(crate) fn check_queue_definition1<T: Payload>(
+    history: &History<T>,
+    prepared: &mut PreparedMatching,
+) {
     let PreparedMatching {
-        mut report,
+        report,
         matched,
         unmatched_enqueues,
         empty_orders,
-    } = prepare(history);
+    } = prepared;
 
     // Property 1: enqueue before its dequeue.
-    for pair in &matched {
+    for pair in matched.iter() {
         if pair.enqueue_order >= pair.dequeue_order {
             report.violations.push(Violation::DequeueBeforeEnqueue {
                 enqueue: pair.enqueue,
@@ -159,7 +163,7 @@ pub(crate) fn check_queue_definition1<T: Payload>(history: &History<T>) -> Consi
 
     // Property 2, first part: no ⊥-dequeue strictly between a matched
     // enqueue and its dequeue.
-    for pair in &matched {
+    for pair in matched.iter() {
         let lo = pair.enqueue_order.min(pair.dequeue_order);
         let hi = pair.enqueue_order.max(pair.dequeue_order);
         // Binary search for the first empty order greater than lo.
@@ -186,7 +190,7 @@ pub(crate) fn check_queue_definition1<T: Payload>(history: &History<T>) -> Consi
     if let Some(&(first_unmatched, first_unmatched_order)) =
         unmatched_enqueues.iter().min_by_key(|(_, o)| *o)
     {
-        for pair in &matched {
+        for pair in matched.iter() {
             if first_unmatched_order < pair.enqueue_order && pair.enqueue_order < pair.dequeue_order
             {
                 report
@@ -215,22 +219,15 @@ pub(crate) fn check_queue_definition1<T: Payload>(history: &History<T>) -> Consi
             });
         }
     }
-
-    // Property 4: per-process issue order.
-    check_process_order(history, &mut report);
-
-    report
 }
 
 /// Replays the history in the witnessed order on a reference sequential FIFO
-/// queue and checks every response.
+/// queue and checks every response, into `report`.
 ///
 /// This is strictly stronger than Definition 1 for histories in which some
 /// enqueues are never matched; the Skueue protocol satisfies it, so the
 /// test-suite uses it as the primary oracle.
-pub(crate) fn check_queue_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let PreparedMatching { mut report, .. } = prepare(history);
-
+pub(crate) fn check_queue_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
     let mut queue: VecDeque<RequestId> = VecDeque::new();
     for record in history.sorted_by_order() {
         match record.kind {
@@ -272,16 +269,18 @@ pub(crate) fn check_queue_replay<T: Payload>(history: &History<T>) -> Consistenc
             }
         }
     }
-    check_process_order(history, &mut report);
-    report
 }
 
-/// Runs both the Definition 1 check and the replay check and merges the
-/// results — the oracle used by integration tests.
+/// Runs the Definition 1 check and the replay check — the oracle used by
+/// integration tests.  Both read one preparation of the history, and program
+/// order, which both need, is checked once, so a violation they share is
+/// reported once.
 pub fn check_queue<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let mut report = check_queue_definition1(history);
-    let replay = check_queue_replay(history);
-    report.merge(replay);
+    let mut prepared = prepare(history);
+    check_queue_definition1(history, &mut prepared);
+    let mut report = prepared.report;
+    check_queue_replay(history, &mut report);
+    check_process_order(history, &mut report);
     report
 }
 
@@ -327,6 +326,43 @@ mod tests {
 
     fn history(records: Vec<OpRecord<u64>>) -> History<u64> {
         History::from_records(records)
+    }
+
+    /// The replay check alone.
+    fn replay(h: &History<u64>) -> ConsistencyReport {
+        let mut report = ConsistencyReport::default();
+        check_queue_replay(h, &mut report);
+        report
+    }
+
+    /// `(DuplicateRequest, ProcessOrderViolation, PhantomElement,
+    /// ReplayMismatch)` counts of a report.
+    fn counts(report: &ConsistencyReport) -> [usize; 4] {
+        let mut counts = [0; 4];
+        for v in &report.violations {
+            match v {
+                Violation::DuplicateRequest { .. } => counts[0] += 1,
+                Violation::ProcessOrderViolation { .. } => counts[1] += 1,
+                Violation::PhantomElement { .. } => counts[2] += 1,
+                Violation::ReplayMismatch { .. } => counts[3] += 1,
+                other => panic!("unexpected {other}"),
+            }
+        }
+        counts
+    }
+
+    /// Definition 1 and the replay share the well-formedness checks and
+    /// program order; each violation of those is reported once, not once
+    /// per pass (and so once per shard by `check_queue_sharded`).
+    #[test]
+    fn a_violation_both_passes_see_is_reported_once() {
+        let duplicate_id = history(vec![enq(0, 0, 1), enq(0, 0, 2)]);
+        assert_eq!(counts(&check_queue(&duplicate_id)), [1, 0, 0, 0]);
+        let inversion = history(vec![enq(0, 0, 5), enq(0, 1, 3)]);
+        assert_eq!(counts(&check_queue(&inversion)), [0, 1, 0, 0]);
+        // The replay's own finding about the phantom stays, once.
+        let phantom = history(vec![deq(1, 0, 1, Some(rid(9, 9)))]);
+        assert_eq!(counts(&check_queue(&phantom)), [0, 0, 1, 1]);
     }
 
     #[test]
@@ -412,7 +448,7 @@ mod tests {
     fn duplicate_order_detected() {
         // Two requests of the same process claiming the same order key.
         let h = history(vec![enq(0, 0, 1), enq(0, 1, 1)]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
@@ -422,7 +458,7 @@ mod tests {
     #[test]
     fn duplicate_request_detected() {
         let h = history(vec![enq(0, 0, 1), enq(0, 0, 2)]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
@@ -432,7 +468,7 @@ mod tests {
     #[test]
     fn phantom_element_detected() {
         let h = history(vec![deq(1, 0, 1, Some(rid(9, 9)))]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
@@ -446,7 +482,7 @@ mod tests {
             deq(1, 0, 2, Some(rid(0, 0))),
             deq(2, 0, 3, Some(rid(0, 0))),
         ]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
@@ -456,13 +492,13 @@ mod tests {
     #[test]
     fn dequeue_before_enqueue_detected() {
         let h = history(vec![enq(0, 0, 5), deq(1, 0, 2, Some(rid(0, 0)))]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::DequeueBeforeEnqueue { .. })));
         // Replay also rejects it (the dequeue happens on an empty queue).
-        assert!(!check_queue_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
@@ -474,12 +510,12 @@ mod tests {
             deq(1, 0, 2, None),
             deq(2, 0, 3, Some(rid(0, 0))),
         ]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::EmptyDequeueBetweenMatch { .. })));
-        assert!(!check_queue_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
@@ -490,12 +526,12 @@ mod tests {
             enq(0, 1, 2),
             deq(1, 0, 3, Some(rid(0, 1))),
         ]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::UnmatchedEnqueueOvertaken { .. })));
-        assert!(!check_queue_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
@@ -507,24 +543,23 @@ mod tests {
             deq(1, 0, 3, Some(rid(0, 1))),
             deq(1, 1, 4, Some(rid(0, 0))),
         ]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::FifoViolation { .. })));
-        assert!(!check_queue_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
     fn process_order_violation_detected() {
         // Process 0 issues seq 0 then seq 1, but the order places seq 1 first.
         let h = history(vec![enq(0, 0, 5), enq(0, 1, 3)]);
-        let report = check_queue_definition1(&h);
+        let report = check_queue(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::ProcessOrderViolation { .. })));
-        assert!(!check_queue_replay(&h).is_consistent());
     }
 
     #[test]
@@ -536,7 +571,7 @@ mod tests {
             enq(1, 0, 2),
             deq(2, 0, 3, Some(rid(1, 0))),
         ]);
-        let replay = check_queue_replay(&h);
+        let replay = replay(&h);
         assert!(!replay.is_consistent());
         assert!(replay
             .violations
@@ -547,7 +582,7 @@ mod tests {
     #[test]
     fn replay_detects_bogus_empty() {
         let h = history(vec![enq(0, 0, 1), deq(1, 0, 2, None)]);
-        let replay = check_queue_replay(&h);
+        let replay = replay(&h);
         assert!(!replay.is_consistent());
     }
 

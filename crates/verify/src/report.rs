@@ -214,14 +214,6 @@ impl ConsistencyReport {
             panic!("{msg}");
         }
     }
-
-    /// Merges another report into this one.
-    pub(crate) fn merge(&mut self, other: ConsistencyReport) {
-        self.violations.extend(other.violations);
-        self.records_checked = self.records_checked.max(other.records_checked);
-        self.matched_pairs = self.matched_pairs.max(other.matched_pairs);
-        self.empty_dequeues = self.empty_dequeues.max(other.empty_dequeues);
-    }
 }
 
 impl fmt::Display for ConsistencyReport {
@@ -276,23 +268,6 @@ mod tests {
         r.violations
             .push(Violation::DuplicateRequest { request: rid(0, 1) });
         r.assert_consistent();
-    }
-
-    #[test]
-    fn merge_combines_violations() {
-        let mut a = ConsistencyReport {
-            records_checked: 5,
-            ..Default::default()
-        };
-        let mut b = ConsistencyReport {
-            records_checked: 9,
-            ..Default::default()
-        };
-        b.violations
-            .push(Violation::DuplicateRequest { request: rid(0, 0) });
-        a.merge(b);
-        assert_eq!(a.violations.len(), 1);
-        assert_eq!(a.records_checked, 9);
     }
 
     #[test]

@@ -17,23 +17,27 @@
 //! order (see `OrderKey`).
 
 use crate::history::{History, OpKind, OpResult};
-use crate::queue_check::{prepare, PreparedMatching};
+use crate::queue_check::{check_process_order, prepare, PreparedMatching};
 use crate::report::{ConsistencyReport, Violation};
 use skueue_dht::Payload;
 use skueue_sim::ids::RequestId;
 
-/// Checks the adjusted Definition 1 (LIFO version) against the witnessed
-/// order.
-pub(crate) fn check_stack_ordering<T: Payload>(history: &History<T>) -> ConsistencyReport {
+/// Checks properties 1–3 of the adjusted Definition 1 (LIFO version) against
+/// the witnessed order, on `prepared`'s matching and into its report
+/// (property 4 is [`check_process_order`]).
+pub(crate) fn check_stack_ordering<T: Payload>(
+    history: &History<T>,
+    prepared: &mut PreparedMatching,
+) {
     let PreparedMatching {
-        mut report,
+        report,
         matched,
         unmatched_enqueues,
         empty_orders,
-    } = prepare(history);
+    } = prepared;
 
     // Property 1: push before its pop.
-    for pair in &matched {
+    for pair in matched.iter() {
         if pair.enqueue_order >= pair.dequeue_order {
             report.violations.push(Violation::DequeueBeforeEnqueue {
                 enqueue: pair.enqueue,
@@ -43,7 +47,7 @@ pub(crate) fn check_stack_ordering<T: Payload>(history: &History<T>) -> Consiste
     }
 
     // Property 2a: no ⊥-pop strictly inside a matched interval.
-    for pair in &matched {
+    for pair in matched.iter() {
         let lo = pair.enqueue_order.min(pair.dequeue_order);
         let hi = pair.enqueue_order.max(pair.dequeue_order);
         let idx = empty_orders.partition_point(|&o| o <= lo);
@@ -68,7 +72,7 @@ pub(crate) fn check_stack_ordering<T: Payload>(history: &History<T>) -> Consiste
         let mut unmatched_orders: Vec<_> =
             unmatched_enqueues.iter().map(|&(id, o)| (o, id)).collect();
         unmatched_orders.sort_unstable();
-        for pair in &matched {
+        for pair in matched.iter() {
             let lo = pair.enqueue_order.min(pair.dequeue_order);
             let hi = pair.enqueue_order.max(pair.dequeue_order);
             let idx = unmatched_orders.partition_point(|&(o, _)| o <= lo);
@@ -113,28 +117,11 @@ pub(crate) fn check_stack_ordering<T: Payload>(history: &History<T>) -> Consiste
         }
         open.push((pair.enqueue, pair.dequeue_order));
     }
-
-    // Property 4.
-    for (_process, ops) in history.by_process() {
-        for window in ops.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            if a.order >= b.order {
-                report.violations.push(Violation::ProcessOrderViolation {
-                    earlier: a.id,
-                    later: b.id,
-                });
-            }
-        }
-    }
-
-    report
 }
 
 /// Replays the history in the witnessed order on a reference sequential
-/// (LIFO) stack and checks every response.
-pub(crate) fn check_stack_replay<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let PreparedMatching { mut report, .. } = prepare(history);
-
+/// (LIFO) stack and checks every response, into `report`.
+pub(crate) fn check_stack_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
     let mut stack: Vec<RequestId> = Vec::new();
     for record in history.sorted_by_order() {
         match record.kind {
@@ -178,26 +165,17 @@ pub(crate) fn check_stack_replay<T: Payload>(history: &History<T>) -> Consistenc
             }
         }
     }
-
-    // Property 4 also has to hold for the replay witness.
-    for (_process, ops) in history.by_process() {
-        for window in ops.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            if a.order >= b.order {
-                report.violations.push(Violation::ProcessOrderViolation {
-                    earlier: a.id,
-                    later: b.id,
-                });
-            }
-        }
-    }
-    report
 }
 
-/// Runs both the adjusted-ordering check and the replay check.
+/// Runs both the adjusted-ordering check and the replay check, on one
+/// preparation of the history and with program order checked once (as
+/// [`crate::check_queue`] does).
 pub fn check_stack<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let mut report = check_stack_ordering(history);
-    report.merge(check_stack_replay(history));
+    let mut prepared = prepare(history);
+    check_stack_ordering(history, &mut prepared);
+    let mut report = prepared.report;
+    check_stack_replay(history, &mut report);
+    check_process_order(history, &mut report);
     report
 }
 
@@ -209,6 +187,13 @@ mod tests {
 
     fn rid(p: u64, s: u64) -> RequestId {
         RequestId::new(ProcessId(p), s)
+    }
+
+    /// The replay check alone.
+    fn replay(h: &History<u64>) -> ConsistencyReport {
+        let mut report = ConsistencyReport::default();
+        check_stack_replay(h, &mut report);
+        report
     }
 
     fn push(p: u64, s: u64, order: u64) -> OpRecord<u64> {
@@ -269,12 +254,12 @@ mod tests {
             pop(2, 0, 3, Some(rid(0, 0))),
             pop(2, 1, 4, Some(rid(1, 0))),
         ]);
-        let report = check_stack_ordering(&h);
+        let report = check_stack(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::LifoViolation { .. })));
-        assert!(!check_stack_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
@@ -298,7 +283,7 @@ mod tests {
             push(1, 0, 2),
             pop(2, 0, 3, Some(rid(0, 0))),
         ]);
-        let report = check_stack_ordering(&h);
+        let report = check_stack(&h);
         assert!(report
             .violations
             .iter()
@@ -312,12 +297,12 @@ mod tests {
             pop(1, 0, 2, None),
             pop(2, 0, 3, Some(rid(0, 0))),
         ]);
-        let report = check_stack_ordering(&h);
+        let report = check_stack(&h);
         assert!(report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::EmptyDequeueBetweenMatch { .. })));
-        assert!(!check_stack_replay(&h).is_consistent());
+        assert!(!replay(&h).is_consistent());
     }
 
     #[test]
@@ -364,7 +349,7 @@ mod tests {
     #[test]
     fn process_order_violation_detected() {
         let h = History::from_records(vec![push(0, 0, 5), push(0, 1, 3)]);
-        let report = check_stack_ordering(&h);
+        let report = check_stack(&h);
         assert!(report
             .violations
             .iter()

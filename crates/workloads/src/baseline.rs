@@ -157,7 +157,7 @@ pub fn run_central_baseline(
                 .expect("server exists");
             }
         }
-        sim.run_round();
+        sim.run_rounds(1);
     }
     // Drain: run until every request has been answered.
     let mut guard = 0u64;
@@ -172,7 +172,7 @@ pub fn run_central_baseline(
         if answered as u64 >= issued {
             break;
         }
-        sim.run_round();
+        sim.run_rounds(1);
         guard += 1;
         assert!(guard < 10_000_000, "baseline failed to drain");
     }
