@@ -1236,6 +1236,45 @@ mod tests {
         check_queue(cluster.history()).assert_consistent();
     }
 
+    /// Once a churn-free load has drained, the nodes holding work state are
+    /// exactly the nodes holding a stored element or a parked GET: every
+    /// wave, request and completion record went back with its box.
+    #[test]
+    fn after_a_drained_load_only_nodes_that_store_hold_work() {
+        let mut cluster = queue_cluster(40, 23);
+        let mut rng = skueue_sim::SimRng::new(5);
+        for step in 0..400u64 {
+            let mut client = cluster.client(ProcessId(rng.gen_range(40)));
+            if rng.gen_bool(0.6) {
+                client.enqueue(step).unwrap();
+            } else {
+                client.dequeue().unwrap();
+            }
+            if step % 4 == 0 {
+                cluster.run_round();
+            }
+        }
+        cluster.run_until_all_complete(5_000).unwrap();
+        let mut storing = 0;
+        for (id, node) in cluster.nodes() {
+            let stores = node.work.as_deref().is_some_and(|w| !w.store.is_vacant());
+            assert_eq!(
+                node.work.is_some(),
+                stores,
+                "{id} holds work without storing"
+            );
+            storing += usize::from(stores);
+        }
+        assert!(storing > 0, "the load left elements stored");
+        let records = cluster.history().records();
+        let enqueued = records.iter().filter(|r| r.kind == OpKind::Enqueue);
+        let returned = records
+            .iter()
+            .filter(|r| matches!(r.result, skueue_verify::OpResult::Returned(_)));
+        let queued = enqueued.count() - returned.count();
+        assert_eq!(cluster.fairness().unwrap().total, queued as u64);
+    }
+
     #[test]
     fn anchor_window_tracks_queue_size() {
         let mut cluster = queue_cluster(3, 17);
@@ -1564,7 +1603,7 @@ mod tests {
         );
         // Elements landed in their enqueuer's shard's position interval.
         for (_, node) in cluster.nodes() {
-            for entry in node.store.iter_entries() {
+            for entry in node.work.iter().flat_map(|w| w.store.iter_entries()) {
                 assert_eq!(
                     map.shard_of_position(entry.position),
                     node.shard(),

@@ -27,7 +27,7 @@
 use crate::anchor::AnchorState;
 use crate::batch::Batch;
 use crate::messages::{AbsorbPayload, DhtReplyItem, JoinHandover, SkueueMsg};
-use crate::node::{JoinerRecord, LeaverRecord, Role, SkueueNode, UpdatePhase};
+use crate::node::{JoinerRecord, LeaverRecord, Role, SkueueNode, UpdatePhase, Work};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
@@ -99,8 +99,10 @@ impl<T: Payload> SkueueNode<T> {
         if m.wants_to_leave
             && !m.leave_requested
             && !m.leave_granted
-            && self.own_log.is_empty()
-            && self.outstanding_gets.is_empty()
+            && self
+                .work
+                .as_deref()
+                .is_none_or(|w| w.own_log.is_empty() && w.outstanding_gets.is_empty())
             && m.pending_leavers.is_empty()
             && m.joiners.is_empty()
             && self.anchor.is_none()
@@ -326,7 +328,8 @@ impl<T: Payload> SkueueNode<T> {
         hi: Label,
     ) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
         let hasher = self.cfg.hasher();
-        self.store
+        Work::of(&mut self.work, &self.cfg)
+            .store
             .extract_range_with_keys(lo, hi, |position| hasher.position_key(position))
     }
 
@@ -342,7 +345,8 @@ impl<T: Payload> SkueueNode<T> {
         self.role = Role::Active;
         // Do not start batching before the update phase is over.
         self.suspended = true;
-        for satisfied in self.store.absorb(handover.entries, handover.pending) {
+        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        for satisfied in store.absorb(handover.entries, handover.pending) {
             self.reply_buffer.push(
                 satisfied.get.requester,
                 DhtReplyItem {
@@ -432,8 +436,9 @@ impl<T: Payload> SkueueNode<T> {
     /// its `UpdateAck`).  The update phase's wave draining (see
     /// `SkueueNode::try_drain_wave`) guarantees in-flight waves keep moving
     /// even below suspended ancestors, so deferring is always temporary.
-    fn ready_to_be_absorbed(&self) -> bool {
-        self.slots.is_empty() && self.update().map(|u| u.acked).unwrap_or(true)
+    pub(crate) fn ready_to_be_absorbed(&self) -> bool {
+        self.work.as_deref().is_none_or(|w| w.slots.is_empty())
+            && self.update().map(|u| u.acked).unwrap_or(true)
     }
 
     fn handle_absorb_request(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
@@ -461,7 +466,7 @@ impl<T: Payload> SkueueNode<T> {
     fn send_absorb_data(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
         // The leaver's stored data *moves* to the absorber — no payload
         // clones; the store is left empty for the draining role.
-        let (entries, pending) = self.store.take_all();
+        let (entries, pending) = Work::of(&mut self.work, &self.cfg).store.take_all();
         let child_batches: Vec<(NodeId, u64, Batch)> = self.child_batches.drain_all();
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale.
@@ -496,7 +501,8 @@ impl<T: Payload> SkueueNode<T> {
     ) {
         // Take over the leaver's DHT data and parked GETs.
         let pending: Vec<(u64, PendingGet)> = payload.pending;
-        for satisfied in self.store.absorb(payload.entries, pending) {
+        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        for satisfied in store.absorb(payload.entries, pending) {
             self.reply_buffer.push(
                 satisfied.get.requester,
                 DhtReplyItem {

@@ -154,15 +154,6 @@ impl WaveMemo {
         });
         self.runs.extend(batch.runs());
     }
-
-    /// With no wave in flight, hands the burst's storage back instead of
-    /// parking its high-water mark on a node that may stay idle.
-    fn release_if_empty(&mut self) {
-        if self.records.is_empty() {
-            debug_assert!(self.runs.is_empty(), "run lengths outlived their records");
-            *self = WaveMemo::default();
-        }
-    }
 }
 
 /// A count of runs or sources as the wave ring stores it.
@@ -419,6 +410,96 @@ pub(crate) struct LocalCombining<T> {
     pub(crate) minor_counter: u64,
 }
 
+/// A node's requests, waves, stored elements and outputs: every field is
+/// empty whenever the node has nothing in flight, nothing stored and nothing
+/// uncollected, so the node holds this behind an `Option<Box<_>>` that is
+/// `None` while it is idle (see [`SkueueNode::release_idle_work`]).
+#[derive(Debug)]
+pub(crate) struct Work<T> {
+    // --- Stage 1 ------------------------------------------------------------
+    pub(crate) own_batch: Batch,
+    pub(crate) own_log: Vec<LocalOp<T>>,
+    /// In-flight waves, oldest first (bounded by the configured pipeline
+    /// depth).
+    pub(crate) slots: VecDeque<WaveSlot>,
+    /// The memorised combination order of every in-flight wave.
+    pub(crate) memo: WaveMemo,
+    /// Serves that arrived ahead of older waves (asynchronous reordering).
+    pub(crate) serve_stash: Vec<StashedServe>,
+
+    // --- Stage 4 ------------------------------------------------------------
+    pub(crate) store: NodeStore<T>,
+    pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
+    pub(crate) outstanding_dht: u64,
+    /// Scratch for satisfied parked GETs, reused across PUT applications.
+    pub(crate) satisfied_scratch: Vec<SatisfiedGet<T>>,
+
+    // --- Outputs --------------------------------------------------------------
+    /// Completion records not yet collected by the host.  Everything else a
+    /// node reports — samples and trace events — goes straight to the
+    /// host's sinks through the [`Context`].
+    pub(crate) completed: Vec<OpRecord<T>>,
+}
+
+impl<T: Payload> Work<T> {
+    /// The work state in `slot`, allocated on first use.  Takes the node's
+    /// two fields it needs rather than the node, so a caller keeps its
+    /// borrows of the node's other fields.
+    #[inline]
+    pub(crate) fn of<'a>(slot: &'a mut Option<Box<Work<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
+        match slot {
+            Some(work) => work,
+            None => Self::allocate(slot, cfg),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate<'a>(slot: &'a mut Option<Box<Work<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
+        slot.insert(Box::new(Work {
+            own_batch: SkueueNode::<T>::fresh_batch(cfg),
+            own_log: Vec::new(),
+            slots: VecDeque::new(),
+            memo: WaveMemo::default(),
+            serve_stash: Vec::new(),
+            store: NodeStore::new(),
+            outstanding_gets: HashMap::new(),
+            outstanding_dht: 0,
+            satisfied_scratch: Vec::new(),
+            completed: Vec::new(),
+        }))
+    }
+
+    /// True when every field is empty.  Destructured without `..` so a new
+    /// field cannot be forgotten here; the fields a busy node most often
+    /// holds come first.
+    fn is_idle(&self) -> bool {
+        let Work {
+            own_batch,
+            own_log,
+            slots,
+            memo,
+            serve_stash,
+            store,
+            outstanding_gets,
+            outstanding_dht,
+            satisfied_scratch,
+            completed,
+        } = self;
+        slots.is_empty()
+            && store.is_vacant()
+            && completed.is_empty()
+            && own_log.is_empty()
+            && outstanding_gets.is_empty()
+            && *outstanding_dht == 0
+            && own_batch.has_no_ops()
+            && memo.records.is_empty()
+            && memo.runs.is_empty()
+            && serve_stash.is_empty()
+            && satisfied_scratch.is_empty()
+    }
+}
+
 /// Series numbers of the distributions a node reports to its host through
 /// [`Context::observe`] (read back summed over all nodes by the cluster's
 /// `*_histogram()` and counter accessors).
@@ -466,14 +547,9 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) anchor: Option<Box<AnchorState>>,
 
     // --- Stage 1 state ------------------------------------------------------
-    pub(crate) own_batch: Batch,
-    pub(crate) own_log: Vec<LocalOp<T>>,
+    /// Sub-batches from children not yet combined.  Inline, not in
+    /// [`Work`]: its first-contact order is the combination order.
     pub(crate) child_batches: ChildBatches,
-    /// In-flight waves, oldest first (bounded by the configured pipeline
-    /// depth).
-    pub(crate) slots: VecDeque<WaveSlot>,
-    /// The memorised combination order of every in-flight wave.
-    pub(crate) memo: WaveMemo,
     /// The wave epoch of the most recently opened wave (0 before the first).
     pub(crate) next_epoch: u64,
     /// Round in which this node last opened a wave (wave-merging cadence).
@@ -481,22 +557,21 @@ pub struct SkueueNode<T: Payload = u64> {
     /// True while the most recent `Aggregate` has not been confirmed by the
     /// parent (at most one per channel keeps commits in epoch order).
     pub(crate) aggregate_unacked: bool,
-    /// Serves that arrived ahead of older waves (asynchronous reordering).
-    pub(crate) serve_stash: Vec<StashedServe>,
     pub(crate) suspended: bool,
 
     // --- Stage 4 state ------------------------------------------------------
-    pub(crate) store: NodeStore<T>,
-    pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
-    pub(crate) outstanding_dht: u64,
     /// Per-destination coalescing buffer for routed DHT ops; flushed as one
-    /// `DhtBatch` per neighbour at the end of every visit.
+    /// `DhtBatch` per neighbour at the end of every visit.  Inline, not in
+    /// [`Work`]: its lane order is the send order.
     pub(crate) route_buffer: RouteBuffer<RoutedDhtOp<T>>,
     /// Per-requester coalescing buffer for GET replies; flushed as one
-    /// `DhtReplyBatch` per requester at the end of every visit.
+    /// `DhtReplyBatch` per requester at the end of every visit (inline for
+    /// the same reason).
     pub(crate) reply_buffer: RouteBuffer<DhtReplyItem<T>>,
-    /// Scratch for satisfied parked GETs, reused across PUT applications.
-    pub(crate) satisfied_scratch: Vec<SatisfiedGet<T>>,
+
+    /// Requests, waves, stored elements and uncollected completions; `None`
+    /// while the node has none of them.
+    pub(crate) work: Option<Box<Work<T>>>,
 
     // --- Cold state: absent in the steady state of a queue ----------------------
     /// Stack local combining (allocated with the node's first request in a
@@ -516,12 +591,6 @@ pub struct SkueueNode<T: Payload = u64> {
     /// in `enter_update_phase`; mirrored by the model checker's
     /// phase-monotonicity safety property).
     pub(crate) last_update_phase: u64,
-
-    // --- Outputs --------------------------------------------------------------
-    /// Completion records not yet collected by the host.  Everything else a
-    /// node reports — samples and trace events — goes straight to the
-    /// host's sinks through the [`Context`].
-    pub(crate) completed: Vec<OpRecord<T>>,
 }
 
 impl<T: Payload> SkueueNode<T> {
@@ -531,32 +600,23 @@ impl<T: Payload> SkueueNode<T> {
     /// initial topology.
     pub fn new(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView, is_anchor: bool) -> Self {
         SkueueNode {
-            own_batch: Self::fresh_batch(&cfg),
             cfg,
             view,
             role: Role::Active,
             shard,
             anchor: is_anchor.then(Box::default),
-            own_log: Vec::new(),
             child_batches: ChildBatches::default(),
-            slots: VecDeque::new(),
-            memo: WaveMemo::default(),
             next_epoch: 0,
             last_wave_round: 0,
             aggregate_unacked: false,
-            serve_stash: Vec::new(),
             suspended: false,
-            store: NodeStore::new(),
-            outstanding_gets: HashMap::new(),
-            outstanding_dht: 0,
             route_buffer: RouteBuffer::new(),
             reply_buffer: RouteBuffer::new(),
-            satisfied_scratch: Vec::new(),
+            work: None,
             combining: None,
             membership: None,
             sibling_integrated: [true; 3],
             last_update_phase: 0,
-            completed: Vec::new(),
         }
     }
 
@@ -616,6 +676,15 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
+    /// Drops the work state once the node holds nothing in it, so an idle
+    /// node carries none and a burst's buffers go back with the box (checked
+    /// at the end of every visit and after the host collects completions).
+    fn release_idle_work(&mut self) {
+        if self.work.as_deref().is_some_and(Work::is_idle) {
+            self.work = None;
+        }
+    }
+
     // ---------------------------------------------------------------------
     // Public accessors used by the cluster driver.
     // ---------------------------------------------------------------------
@@ -653,19 +722,23 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Number of elements stored in this node's DHT partition.
     pub(crate) fn stored_elements(&self) -> usize {
-        self.store.len()
+        self.work.as_deref().map_or(0, |w| w.store.len())
     }
 
     /// True when completion records are waiting to be drained.
     pub fn has_completed(&self) -> bool {
-        !self.completed.is_empty()
+        self.work
+            .as_deref()
+            .is_some_and(|w| !w.completed.is_empty())
     }
 
-    /// Appends the completed-operation records to `out`, keeping this node's
-    /// buffer (and its capacity) in place, so a host's per-round collection
-    /// allocates nothing.
+    /// Appends the completed-operation records to `out`; a node left with
+    /// nothing in flight, stored or uncollected drops its work state.
     pub fn drain_completed_into(&mut self, out: &mut Vec<OpRecord<T>>) {
-        out.append(&mut self.completed);
+        if let Some(work) = self.work.as_deref_mut() {
+            out.append(&mut work.completed);
+            self.release_idle_work();
+        }
     }
 
     /// The trace identity of a request: origin process and per-origin seq.
@@ -676,7 +749,9 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Number of requests generated at this node that have not completed yet.
     pub fn open_requests(&self) -> usize {
-        self.own_log.len() + self.outstanding_gets.len()
+        self.work
+            .as_deref()
+            .map_or(0, |w| w.own_log.len() + w.outstanding_gets.len())
     }
 
     // ---------------------------------------------------------------------
@@ -715,6 +790,7 @@ impl<T: Payload> SkueueNode<T> {
             issued_round: round,
         };
 
+        let work = Work::of(&mut self.work, &self.cfg);
         if self.cfg.is_stack() {
             let combining = self.combining.get_or_insert_with(Box::default);
             match kind {
@@ -724,12 +800,12 @@ impl<T: Payload> SkueueNode<T> {
                         // The matched push is necessarily the most recently
                         // issued unsent operation: undo its batching and
                         // complete both requests immediately (Section VI).
-                        let push = self.own_log.pop().expect("push must still be unsent");
+                        let push = work.own_log.pop().expect("push must still be unsent");
                         debug_assert_eq!(push.id, push_id);
                         // The matched push was issued after the last wave
                         // opened (`local_stack` only holds unsent pushes), so
                         // it leaves the working batch along with the log.
-                        self.own_batch.pop_last_op();
+                        work.own_batch.pop_last_op();
                         ctx.observe(series::LOCALLY_COMBINED, 2);
                         // Pairs that were anchored to the removed push must be
                         // re-anchored together with the new pair (the push
@@ -754,8 +830,8 @@ impl<T: Payload> SkueueNode<T> {
             }
         }
 
-        self.own_log.push(op);
-        self.own_batch.push_op(kind);
+        work.own_log.push(op);
+        work.own_batch.push_op(kind);
     }
 
     /// Builds the completion records of a locally combined push/pop pair.
@@ -812,7 +888,8 @@ impl<T: Payload> SkueueNode<T> {
             .combining
             .as_deref_mut()
             .expect("only a combining node re-anchors pairs");
-        if let Some(anchor_op) = self.own_log.last() {
+        let work = Work::of(&mut self.work, &self.cfg);
+        if let Some(anchor_op) = work.own_log.last() {
             let bucket = combining
                 .pairs_by_anchor
                 .entry(anchor_op.id.seq)
@@ -831,7 +908,7 @@ impl<T: Payload> SkueueNode<T> {
                 combining.minor_counter += 1;
                 record.order =
                     OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
-                self.completed.push(record);
+                work.completed.push(record);
             }
         }
     }
@@ -902,12 +979,15 @@ impl<T: Payload> SkueueNode<T> {
         if self.aggregate_unacked {
             return false;
         }
+        let Some(work) = self.work.as_deref() else {
+            return true;
+        };
         match parent {
             Some(p) => {
-                self.slots.len() < self.cfg.effective_pipeline_depth()
-                    && self.slots.iter().all(|s| s.parent == p)
+                work.slots.len() < self.cfg.effective_pipeline_depth()
+                    && work.slots.iter().all(|s| s.parent == p)
             }
-            None => self.slots.is_empty(),
+            None => work.slots.is_empty(),
         }
     }
 
@@ -920,7 +1000,9 @@ impl<T: Payload> SkueueNode<T> {
     /// per child by wave epoch, so a quiet child's next batch simply rides a
     /// later wave.)
     fn has_wave_work(&self) -> bool {
-        !self.own_batch.has_no_ops()
+        self.work
+            .as_deref()
+            .is_some_and(|w| !w.own_batch.has_no_ops())
             || self
                 .membership()
                 .is_some_and(|m| m.pending_join_count > 0 || m.pending_leave_count > 0)
@@ -939,6 +1021,12 @@ impl<T: Payload> SkueueNode<T> {
     /// position.
     fn strict_waves(&self) -> bool {
         self.cfg.is_stack()
+    }
+
+    /// True while a DHT operation this node issued is unresolved (counted
+    /// by the stack only: its stage-4 barrier).
+    fn dht_in_flight(&self) -> bool {
+        self.work.as_deref().is_some_and(|w| w.outstanding_dht > 0)
     }
 
     fn try_send_batch(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
@@ -971,7 +1059,7 @@ impl<T: Payload> SkueueNode<T> {
                 return;
             }
         }
-        if self.cfg.is_stack() && self.outstanding_dht > 0 {
+        if self.cfg.is_stack() && self.dht_in_flight() {
             return;
         }
         let parent = if self.anchor.is_some() {
@@ -1006,7 +1094,7 @@ impl<T: Payload> SkueueNode<T> {
         // (in particular the anchor) must not commit further waves while its
         // own DHT operations are unresolved, or a later pop generation could
         // be assigned against elements an outstanding GET is entitled to.
-        if self.cfg.is_stack() && self.outstanding_dht > 0 {
+        if self.cfg.is_stack() && self.dht_in_flight() {
             return;
         }
         let parent = if self.anchor.is_some() {
@@ -1029,10 +1117,11 @@ impl<T: Payload> SkueueNode<T> {
     /// tree.  `drain` waves (update phase) exclude the node's own working
     /// batch and join/leave counters.
     fn open_wave(&mut self, parent: Option<NodeId>, drain: bool, ctx: &mut Context<SkueueMsg<T>>) {
+        let work = Work::of(&mut self.work, &self.cfg);
         let own = if drain {
             Self::fresh_batch(&self.cfg)
         } else {
-            let own = std::mem::replace(&mut self.own_batch, Self::fresh_batch(&self.cfg));
+            let own = std::mem::replace(&mut work.own_batch, Self::fresh_batch(&self.cfg));
             // Every unsent push is now committed to the aggregation path and
             // can no longer be combined locally.
             if let Some(combining) = &mut self.combining {
@@ -1041,9 +1130,9 @@ impl<T: Payload> SkueueNode<T> {
             if !self.cfg.trace_level.is_off() {
                 // The working batch holds exactly the log's uncommitted
                 // suffix: the ops that join a wave now.
-                let committed = self.own_log.len() - own.total_ops() as usize;
+                let committed = work.own_log.len() - own.total_ops() as usize;
                 let round = ctx.round();
-                for op in &self.own_log[committed..] {
+                for op in &work.own_log[committed..] {
                     let op = Self::tid(op.id);
                     ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
                 }
@@ -1055,16 +1144,15 @@ impl<T: Payload> SkueueNode<T> {
         // Each sub-batch leaves its run lengths at the back of the memo
         // (all the Stage 3 decomposition reads of it) and is dropped right
         // here; the own batch becomes the combined one.
-        let first_source = self.memo.records.len();
-        let me = self.view.me.node;
-        self.memo.remember(me, 0, true, &own);
+        let memo = &mut work.memo;
+        let first_source = memo.records.len();
+        memo.remember(self.view.me.node, 0, true, &own);
         let mut combined = own;
-        let memo = &mut self.memo;
         self.child_batches.pop_oldest(|child, epoch, batch| {
             memo.remember(child, epoch, false, &batch);
             combined.combine(&batch);
         });
-        let num_sources = self.memo.records.len() - first_source;
+        let num_sources = memo.records.len() - first_source;
 
         if !drain {
             // Join/leave counters this node is itself responsible for.
@@ -1110,13 +1198,13 @@ impl<T: Payload> SkueueNode<T> {
             Some(parent) => {
                 self.next_epoch += 1;
                 let epoch = self.next_epoch;
-                self.slots.push_back(WaveSlot {
+                work.slots.push_back(WaveSlot {
                     epoch,
                     parent,
                     num_runs: count_u32(combined.num_runs()),
                     num_sources: count_u32(num_sources),
                 });
-                ctx.observe(series::WAVES_IN_FLIGHT, self.slots.len() as u64);
+                ctx.observe(series::WAVES_IN_FLIGHT, work.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
                 self.aggregate_unacked = !self.cfg.fifo_channels;
@@ -1150,14 +1238,14 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         for _ in 0..num_sources {
-            let source = self
-                .memo
+            let memo = &mut Work::of(&mut self.work, &self.cfg).memo;
+            let source = memo
                 .records
                 .pop_front()
                 .expect("a wave's sources stay memorised until it is served");
             let num_runs = source.num_runs as usize;
             debug_assert!(
-                num_runs <= cursors.len() && num_runs <= self.memo.runs.len(),
+                num_runs <= cursors.len() && num_runs <= memo.runs.len(),
                 "a source has no more runs than its wave's combined batch"
             );
             if source.own {
@@ -1170,7 +1258,7 @@ impl<T: Payload> SkueueNode<T> {
                 runs.extend(
                     cursors[..num_runs]
                         .iter_mut()
-                        .zip(self.memo.runs.drain(..num_runs))
+                        .zip(memo.runs.drain(..num_runs))
                         .map(|(cursor, len)| cursor.split_front(len)),
                 );
                 ctx.send(
@@ -1186,7 +1274,6 @@ impl<T: Payload> SkueueNode<T> {
             cursors.iter().all(|c| c.count == 0),
             "sources must account for every operation of the combined batch"
         );
-        self.memo.release_if_empty();
     }
 
     fn handle_serve(
@@ -1195,20 +1282,18 @@ impl<T: Payload> SkueueNode<T> {
         runs: Vec<RunAssignment>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        let front = match self.slots.front() {
-            Some(slot) => slot.epoch,
-            None => {
-                debug_assert!(false, "Serve received without an in-flight wave");
-                return;
-            }
+        let work = Work::of(&mut self.work, &self.cfg);
+        let Some(front) = work.slots.front().map(|s| s.epoch) else {
+            debug_assert!(false, "Serve received without an in-flight wave");
+            return;
         };
         if epoch != front {
             // Serves can overtake each other under asynchronous delivery,
             // but waves must be resolved in epoch order (the own-log prefix
             // decomposition depends on it) — park until older waves caught
             // up.
-            if self.slots.iter().any(|s| s.epoch == epoch) {
-                self.serve_stash.push(StashedServe { epoch, runs });
+            if work.slots.iter().any(|s| s.epoch == epoch) {
+                work.serve_stash.push(StashedServe { epoch, runs });
             } else {
                 debug_assert!(false, "Serve for unknown wave epoch {epoch}");
             }
@@ -1216,20 +1301,23 @@ impl<T: Payload> SkueueNode<T> {
         }
         self.apply_serve(runs, ctx);
         // Release stashed serves that have reached the front of the ring.
-        while let Some(front) = self.slots.front().map(|s| s.epoch) {
-            match self.serve_stash.iter().position(|s| s.epoch == front) {
-                Some(idx) => {
-                    let stashed = self.serve_stash.swap_remove(idx);
-                    self.apply_serve(stashed.runs, ctx);
-                }
-                None => break,
-            }
+        loop {
+            let work = Work::of(&mut self.work, &self.cfg);
+            let Some(front) = work.slots.front().map(|s| s.epoch) else {
+                break;
+            };
+            let Some(idx) = work.serve_stash.iter().position(|s| s.epoch == front) else {
+                break;
+            };
+            let stashed = work.serve_stash.swap_remove(idx);
+            self.apply_serve(stashed.runs, ctx);
         }
     }
 
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let slot = self.slots.pop_front().expect("caller checked the front");
+        let slots = &mut Work::of(&mut self.work, &self.cfg).slots;
+        let slot = slots.pop_front().expect("caller checked the front");
         debug_assert_eq!(slot.num_runs as usize, runs.len());
         self.serve_sources(runs, slot.num_sources as usize, ctx);
     }
@@ -1241,7 +1329,7 @@ impl<T: Payload> SkueueNode<T> {
     fn resolve_own(&mut self, cursors: &mut [RunAssignment], ctx: &mut Context<SkueueMsg<T>>) {
         let mut log_cursor = 0usize;
         for cursor in cursors {
-            let len = self
+            let len = Work::of(&mut self.work, &self.cfg)
                 .memo
                 .runs
                 .pop_front()
@@ -1252,7 +1340,7 @@ impl<T: Payload> SkueueNode<T> {
                 // *moved* out of the log entry (a take, not a clone) — the
                 // generic path keeps the allocation/copy profile of the old
                 // `Copy` payloads.
-                let entry = &mut self.own_log[log_cursor];
+                let entry = &mut Work::of(&mut self.work, &self.cfg).own_log[log_cursor];
                 let id = entry.id;
                 let issued_round = entry.issued_round;
                 debug_assert_eq!(entry.kind, run.kind, "own log out of sync with batch runs");
@@ -1316,15 +1404,18 @@ impl<T: Payload> SkueueNode<T> {
                             );
                         } else {
                             // ⊥: completes immediately.
-                            self.completed.push(OpRecord {
-                                id,
-                                kind: OpKind::Dequeue,
-                                value: T::default(),
-                                result: OpResult::Empty,
-                                order: self.order_key(run.wave, order_major, id.origin),
-                                issued_round,
-                                completed_round: ctx.round(),
-                            });
+                            let order = self.order_key(run.wave, order_major, id.origin);
+                            Work::of(&mut self.work, &self.cfg)
+                                .completed
+                                .push(OpRecord {
+                                    id,
+                                    kind: OpKind::Dequeue,
+                                    value: T::default(),
+                                    result: OpResult::Empty,
+                                    order,
+                                    issued_round,
+                                    completed_round: ctx.round(),
+                                });
                         }
                     }
                 }
@@ -1332,7 +1423,9 @@ impl<T: Payload> SkueueNode<T> {
         }
         // Remove the resolved prefix from the log; anything after it was
         // generated after the batch was sent and belongs to the next one.
-        self.own_log.drain(0..log_cursor);
+        Work::of(&mut self.work, &self.cfg)
+            .own_log
+            .drain(0..log_cursor);
     }
 
     /// The witnessed order key for an anchor-assigned order value: plain
@@ -1361,10 +1454,11 @@ impl<T: Payload> SkueueNode<T> {
             // Buckets are maintained in seq order (see `reanchor_pairs`).
             debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
             let origin = self.view.me.vid.process;
+            let work = Work::of(&mut self.work, &self.cfg);
             for mut record in pairs {
                 combining.minor_counter += 1;
                 record.order = OrderKey::local(major, origin, combining.minor_counter);
-                self.completed.push(record);
+                work.completed.push(record);
             }
         }
     }
@@ -1403,7 +1497,7 @@ impl<T: Payload> SkueueNode<T> {
             issuer: self.view.me.node,
         };
         if self.cfg.is_stack() {
-            self.outstanding_dht += 1;
+            Work::of(&mut self.work, &self.cfg).outstanding_dht += 1;
         }
         if !self.cfg.trace_level.is_off() {
             let (op, round) = (Self::tid(id), ctx.round());
@@ -1428,7 +1522,8 @@ impl<T: Payload> SkueueNode<T> {
         let key = self.cfg.hasher().position_key(position);
         // Remember the metadata needed to complete the request when the
         // reply arrives.
-        self.outstanding_gets.insert(
+        let work = Work::of(&mut self.work, &self.cfg);
+        work.outstanding_gets.insert(
             id,
             OutstandingGet {
                 issued_round,
@@ -1437,7 +1532,7 @@ impl<T: Payload> SkueueNode<T> {
             },
         );
         if self.cfg.is_stack() {
-            self.outstanding_dht += 1;
+            work.outstanding_dht += 1;
         }
         if !self.cfg.trace_level.is_off() {
             let (op, round) = (Self::tid(id), ctx.round());
@@ -1525,12 +1620,14 @@ impl<T: Payload> SkueueNode<T> {
                 // completion record needs the payload *and* the store keeps
                 // the element, so this is the one deliberate clone on the
                 // enqueue path (a copy, pre-generics).
-                self.completed.push(OpRecord {
+                let order = self.order_key(meta.wave, meta.order, entry.element.id.origin);
+                let work = Work::of(&mut self.work, &self.cfg);
+                work.completed.push(OpRecord {
                     id: entry.element.id,
                     kind: OpKind::Enqueue,
                     value: entry.element.value.clone(),
                     result: OpResult::Enqueued,
-                    order: self.order_key(meta.wave, meta.order, entry.element.id.origin),
+                    order,
                     issued_round: meta.issued_round,
                     completed_round: ctx.round(),
                 });
@@ -1542,10 +1639,9 @@ impl<T: Payload> SkueueNode<T> {
                         },
                     );
                 }
-                let mut satisfied = std::mem::take(&mut self.satisfied_scratch);
-                debug_assert!(satisfied.is_empty());
-                self.store.put_into(entry, &mut satisfied);
-                for s in satisfied.drain(..) {
+                debug_assert!(work.satisfied_scratch.is_empty());
+                work.store.put_into(entry, &mut work.satisfied_scratch);
+                for s in work.satisfied_scratch.drain(..) {
                     self.reply_buffer.push(
                         s.get.requester,
                         DhtReplyItem {
@@ -1554,7 +1650,6 @@ impl<T: Payload> SkueueNode<T> {
                         },
                     );
                 }
-                self.satisfied_scratch = satisfied;
             }
             DhtOp::Get {
                 position,
@@ -1562,7 +1657,8 @@ impl<T: Payload> SkueueNode<T> {
                 request,
                 requester,
             } => {
-                match self.store.get(position, max_ticket, request, requester) {
+                let store = &mut Work::of(&mut self.work, &self.cfg).store;
+                match store.get(position, max_ticket, request, requester) {
                     GetOutcome::Found(entry) => {
                         self.reply_buffer
                             .push(requester, DhtReplyItem { request, entry });
@@ -1591,19 +1687,25 @@ impl<T: Payload> SkueueNode<T> {
         entry: StoredEntry<T>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        if let Some(meta) = self.outstanding_gets.remove(&request) {
+        let meta = self
+            .work
+            .as_deref_mut()
+            .and_then(|w| w.outstanding_gets.remove(&request));
+        if let Some(meta) = meta {
+            let order = self.order_key(meta.wave, meta.order, request.origin);
+            let work = Work::of(&mut self.work, &self.cfg);
             if self.cfg.is_stack() {
-                self.outstanding_dht = self.outstanding_dht.saturating_sub(1);
+                work.outstanding_dht = work.outstanding_dht.saturating_sub(1);
             }
             // The entry ends its life here: the payload moves into the
             // completion record without a clone.
             let source = entry.element.id;
-            self.completed.push(OpRecord {
+            work.completed.push(OpRecord {
                 id: request,
                 kind: OpKind::Dequeue,
                 value: entry.element.value,
                 result: OpResult::Returned(source),
-                order: self.order_key(meta.wave, meta.order, request.origin),
+                order,
                 issued_round: meta.issued_round,
                 completed_round: ctx.round(),
             });
@@ -1732,7 +1834,8 @@ impl<T: Payload> Actor for SkueueNode<T> {
             SkueueMsg::DhtReplyBatch { replies } => self.handle_dht_reply_batch(replies, ctx),
             SkueueMsg::PutAck { .. } => {
                 if self.cfg.is_stack() {
-                    self.outstanding_dht = self.outstanding_dht.saturating_sub(1);
+                    let work = Work::of(&mut self.work, &self.cfg);
+                    work.outstanding_dht = work.outstanding_dht.saturating_sub(1);
                 }
             }
             other => {
@@ -1755,6 +1858,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // one batch per destination.
         self.flush_dht_buffers(ctx);
         self.release_idle_membership();
+        self.release_idle_work();
     }
 
     /// A node's `TIMEOUT` is a provable no-op — and is therefore skipped by
@@ -1770,8 +1874,9 @@ impl<T: Payload> Actor for SkueueNode<T> {
     fn wants_timeout(&self) -> bool {
         match self.role {
             Role::Active => {
-                let pipeline_open = self.slots.len() < self.cfg.effective_pipeline_depth()
-                    && !self.aggregate_unacked;
+                let in_flight = self.work.as_deref().map_or(0, |w| w.slots.len());
+                let pipeline_open =
+                    in_flight < self.cfg.effective_pipeline_depth() && !self.aggregate_unacked;
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
                     || self.membership().is_some_and(|m| {
                         m.absorb_deferred.is_some()
@@ -1798,12 +1903,122 @@ mod tests {
 
     /// What an idle node and a message in flight cost inline.  The budgets in
     /// `tests/memory_budget.rs` and `tests/inflight_memory.rs` are ceilings
-    /// from earlier rounds (896 and 104 B); these are today's sizes.
+    /// from earlier rounds (896 and 104 B); these are today's sizes, the
+    /// node's also held by `tests/idle_node_memory.rs`.
     #[test]
-    fn a_node_is_720_bytes_and_an_envelope_80() {
+    fn a_node_is_384_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 720);
+        assert!(size_of::<SkueueNode<u64>>() <= 384);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
+    }
+
+    /// The node's in-flight waves (none while it holds no work state).
+    fn in_flight(node: &SkueueNode<u64>) -> usize {
+        node.work.as_deref().map_or(0, |w| w.slots.len())
+    }
+
+    /// Asking an idle node what it holds allocates nothing: every reader
+    /// of the work state, and a timeout that only reads it.
+    #[test]
+    fn reading_an_idle_node_leaves_its_work_unallocated() {
+        for anchor in [false, true] {
+            let node = node_under_test(anchor);
+            assert!(!node.wants_timeout());
+            assert!(node.may_open_wave(node.tree_parent()));
+            assert!(!node.has_wave_work());
+            assert!(!node.has_completed());
+            assert_eq!(node.open_requests(), 0);
+            assert_eq!(node.stored_elements(), 0);
+            assert!(node.ready_to_be_absorbed());
+            assert!(node.work.is_none());
+        }
+        // The leave check reads the node's open requests, then asks.
+        let mut node = node_under_test(false);
+        node.request_leave();
+        let mut ctx = Context::new(node.view.me.node, 0);
+        node.membership_timeout(&mut ctx);
+        let asked = ctx.into_outbox();
+        assert!(matches!(asked[..], [(_, SkueueMsg::LeaveRequest { .. })]));
+        assert!(node.work.is_none());
+    }
+
+    /// A node whose last wave was served and that stores nothing gives its
+    /// work state back at the end of the visit; a node that stores an
+    /// element keeps it until the element is taken.
+    #[test]
+    fn a_node_holds_work_only_while_it_has_some() {
+        let mut node = node_under_test(false);
+        let (me, parent, child) = (node.view.me.node, node.tree_parent().unwrap(), NodeId(1000));
+        // A child's sub-batch rides this node's wave: the box holds the slot.
+        let mut ctx = Context::new(me, WAVE_CADENCE);
+        let batch = child_batch(0x0302_0100);
+        node.on_message(
+            child,
+            SkueueMsg::Aggregate {
+                child,
+                epoch: 1,
+                batch,
+            },
+            &mut ctx,
+        );
+        node.on_timeout(&mut ctx);
+        let sent = ctx
+            .into_outbox()
+            .into_iter()
+            .find_map(|(_, msg)| match msg {
+                SkueueMsg::Aggregate { epoch, batch, .. } => Some((epoch, batch)),
+                _ => None,
+            });
+        let (epoch, batch) = sent.expect("the sub-batch opened a wave");
+        assert_eq!(in_flight(&node), 1);
+        // Its serve goes on to the child, and the box with it.
+        let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+        let mut ctx = Context::new(me, 2 * WAVE_CADENCE);
+        node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+        node.on_timeout(&mut ctx);
+        let served = ctx.into_outbox();
+        assert!(matches!(served[..], [(to, SkueueMsg::Serve { epoch: 1, .. })] if to == child));
+        assert!(node.work.is_none());
+
+        // A stored element keeps the box past the visit and the collection
+        // of its completion record; the GET that takes it frees the box.
+        let (id, position) = (RequestId::new(ProcessId(7), 0), 3);
+        let key = node.cfg.hasher().position_key(position);
+        let progress = RouteProgress::new(key, node.cfg.bit_budget);
+        let entry = StoredEntry {
+            position,
+            key,
+            ticket: 0,
+            element: Element::new(id, 42),
+        };
+        let meta = PutMeta {
+            issued_round: 0,
+            order: 1,
+            wave: 1,
+            needs_ack: false,
+            issuer: me,
+        };
+        let mut ctx = Context::new(me, 10);
+        node.apply_dht(DhtOp::Put { entry, meta }, &progress, &mut ctx);
+        node.on_timeout(&mut ctx);
+        let mut completed = Vec::new();
+        node.drain_completed_into(&mut completed);
+        assert_eq!(completed.len(), 1);
+        assert_eq!(node.stored_elements(), 1);
+        assert!(node.work.is_some());
+        let get = DhtOp::Get {
+            position,
+            max_ticket: u64::MAX,
+            request: RequestId::new(ProcessId(8), 0),
+            requester: NodeId(1001),
+        };
+        node.apply_dht(get, &progress, &mut ctx);
+        node.on_timeout(&mut ctx);
+        assert!(matches!(
+            ctx.into_outbox()[..],
+            [(_, SkueueMsg::DhtReplyBatch { .. })]
+        ));
+        assert!(node.work.is_none());
     }
 
     /// Reference for the flat [`WaveMemo`]: the bookkeeping it replaced, one
@@ -1922,25 +2137,26 @@ mod tests {
                 enqueue_then_timeout(&mut node, &mut round).expect("a free slot opens a wave");
             unserved.push_back((epoch, assigner.assign_wave(&batch, Mode::Queue)));
         }
-        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
+        assert_eq!(in_flight(&node), PIPELINE_DEPTH);
         // Ring full: a TIMEOUT opens nothing, own operations keep batching.
         for held in 1..=3 {
             assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
-            assert_eq!(node.slots.len(), PIPELINE_DEPTH);
-            assert_eq!(node.own_batch.total_ops(), held);
+            assert_eq!(in_flight(&node), PIPELINE_DEPTH);
+            let work = node.work.as_deref().expect("waves in flight");
+            assert_eq!(work.own_batch.total_ops(), held);
         }
         // The oldest Serve frees one slot, and the next TIMEOUT fills it with
         // one wave carrying what was held back.
         let (epoch, runs) = unserved.pop_front().expect("32 waves are owed a serve");
         let mut ctx = Context::new(node.view.me.node, round);
         node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
-        assert_eq!(node.slots.len(), PIPELINE_DEPTH - 1);
+        assert_eq!(in_flight(&node), PIPELINE_DEPTH - 1);
         let (_, batch) =
             enqueue_then_timeout(&mut node, &mut round).expect("the freed slot opens a wave");
         assert_eq!(batch.total_ops(), 4);
-        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
+        assert_eq!(in_flight(&node), PIPELINE_DEPTH);
         assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
-        assert_eq!(node.slots.len(), PIPELINE_DEPTH);
+        assert_eq!(in_flight(&node), PIPELINE_DEPTH);
     }
 
     proptest! {
@@ -2063,19 +2279,19 @@ mod tests {
                 }
                 // Every memorised record belongs to an in-flight wave, and
                 // every memorised run length to a record.
-                prop_assert_eq!(
-                    node.memo.records.len(),
-                    node.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
-                );
-                prop_assert_eq!(
-                    node.memo.runs.len(),
-                    node.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
-                );
-                prop_assert_eq!(node.slots.len(), model.slots.len());
+                if let Some(work) = node.work.as_deref() {
+                    prop_assert_eq!(
+                        work.memo.records.len(),
+                        work.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
+                    );
+                    prop_assert_eq!(
+                        work.memo.runs.len(),
+                        work.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
+                    );
+                }
+                prop_assert_eq!(in_flight(&node), model.slots.len());
             }
-            prop_assert!(unserved.is_empty() && node.slots.is_empty());
-            prop_assert_eq!(node.memo.records.capacity(), 0);
-            prop_assert_eq!(node.memo.runs.capacity(), 0);
+            prop_assert!(unserved.is_empty() && in_flight(&node) == 0);
             prop_assert_eq!(served, model.served);
         }
     }

@@ -81,6 +81,11 @@ impl<T: Payload> NodeStore<T> {
         self.entries.is_empty()
     }
 
+    /// True when neither an entry nor a parked GET is held.
+    pub fn is_vacant(&self) -> bool {
+        self.entries.is_empty() && self.pending.is_empty()
+    }
+
     /// Number of parked GETs.
     #[cfg(test)]
     pub(crate) fn pending_gets(&self) -> usize {

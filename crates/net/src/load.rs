@@ -79,7 +79,7 @@ impl LoadParams {
 /// The outcome of one load run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadReport {
-    /// Operations issued.
+    /// Operations issued during the run.
     pub issued: u64,
     /// This client's operations completed during the run (equals `issued`
     /// when the run drained and the client issued nothing before it).
@@ -145,6 +145,7 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     let start = Instant::now();
     let mut next_at = start;
     let mut value: u64 = 0;
+    let issued_before = ingress.issued();
     let first_latency = ingress.latencies_us().len();
     for _ in 0..params.ops {
         ingress.pump_until(next_at);
@@ -171,7 +172,7 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     let (p50_us, p99_us, p999_us) = percentiles_us(from_due);
     let report = ingress.verify();
     Ok(LoadReport {
-        issued: ingress.issued(),
+        issued: ingress.issued() - issued_before,
         completed,
         drained,
         consistent: report.is_consistent(),
