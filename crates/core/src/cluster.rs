@@ -51,7 +51,7 @@ use crate::batch::BatchOp;
 use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
-use crate::membership::{joining_views, node_of, InitialMembership};
+use crate::membership::{joining_nodes, node_of, InitialMembership};
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
@@ -786,13 +786,11 @@ impl<T: Payload> SkueueCluster<T> {
         };
         let bootstrap_node = node_of(VirtualId::middle(bootstrap));
 
-        for view in joining_views(self.cfg.hasher(), pid) {
-            let id = view.me.node;
-            let node_cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
-            let mut node = SkueueNode::new_joining(node_cfg, shard, view);
-            node.set_bootstrap(bootstrap_node);
+        let cfg = &self.shard_cfgs[shard as usize];
+        for node in joining_nodes(cfg, shard, pid, bootstrap_node) {
             // Joining nodes live in their shard's lane like everyone else,
             // and ids stay dense: three nodes per process, in pid order.
+            let id = node.view().me.node;
             let assigned = self.sim.add_node_in_lane(shard as usize, node);
             debug_assert_eq!(assigned, id);
         }
@@ -918,9 +916,11 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// Drains completion records from every node into the single completion
     /// stream: resolve the ticket, append the record to the history, then
-    /// fan the event out to the registered observers.  Uses a reused scratch
-    /// vector and leaves each node's buffer (and capacity) in place, so a
-    /// quiet round costs one emptiness check per node and zero allocations.
+    /// fan the event out to the registered observers.  Only nodes visited
+    /// this round or touched by the driver are looked at, into one reused
+    /// scratch vector, so a quiet round allocates nothing.  A node's own
+    /// buffer lives in its work state, which the node drops once it has
+    /// nothing in flight, stored or uncollected.
     fn collect_completions(&mut self) {
         let mut drained = std::mem::take(&mut self.completion_scratch);
         debug_assert!(drained.is_empty());

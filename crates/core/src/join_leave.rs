@@ -87,7 +87,12 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// Periodic membership work of an active node: (re-)issue a pending leave
-    /// request once the node's own requests have drained.
+    /// request once the node's own requests have drained.  Joiners the node
+    /// is responsible for do not hold the request up: the hand-over moves
+    /// them to the absorber (`AbsorbPayload::joiners`), which counts them
+    /// again.  Waiting for them could wait for ever, because a middle node
+    /// whose left sibling is already absorbed hangs below a draining parent
+    /// that brings it no further update phase.
     pub(crate) fn membership_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         if self.membership.is_none() {
             return; // the steady state: no membership duty of any kind
@@ -104,7 +109,6 @@ impl<T: Payload> SkueueNode<T> {
                 .as_deref()
                 .is_none_or(|w| w.own_log.is_empty() && w.outstanding_gets.is_empty())
             && m.pending_leavers.is_empty()
-            && m.joiners.is_empty()
             && self.anchor.is_none()
         {
             ctx.send(

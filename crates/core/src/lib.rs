@@ -67,7 +67,7 @@ pub use client::ClientHandle;
 pub use cluster::{ClusterError, Skueue, SkueueCluster};
 pub use config::{Mode, ProtocolConfig};
 pub use messages::{DhtOp, SkueueMsg};
-pub use node::SkueueNode;
+pub use node::{series, SkueueNode};
 pub use ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 
 // The payload bound every `Skueue<T>` instantiation needs; re-exported so

@@ -8,10 +8,12 @@
 //! initial processes into anchor shards, one [`Topology`] and one node
 //! configuration per shard (the deployment's, with the routing bit budget
 //! derived from the shard's size), the three [`LocalView`]s of a process, and
-//! the self-pointing views a joiner starts from.  Both drivers call it and keep
+//! the self-pointing nodes a joiner starts as.  Both drivers call it and keep
 //! only what is theirs — where the nodes live and how they are visited.
 
 use crate::config::ProtocolConfig;
+use crate::node::SkueueNode;
+use skueue_dht::Payload;
 use skueue_overlay::{
     recommended_bit_budget, LabelHasher, LocalView, NeighborInfo, Topology, VKind, VirtualId,
 };
@@ -124,10 +126,26 @@ impl InitialMembership {
     }
 }
 
-/// The views a *joining* process starts from, in Left/Middle/Right order:
+/// The three nodes of *joining* process `pid`, in Left/Middle/Right order,
+/// built from its shard's configuration `cfg` and told to announce
+/// themselves to `bootstrap`.
+pub fn joining_nodes<T: Payload>(
+    cfg: &Arc<ProtocolConfig>,
+    shard: ShardId,
+    pid: ProcessId,
+    bootstrap: NodeId,
+) -> [SkueueNode<T>; 3] {
+    joining_views(cfg.hasher(), pid).map(|view| {
+        let mut node = SkueueNode::new_joining(Arc::clone(cfg), shard, view);
+        node.set_bootstrap(bootstrap);
+        node
+    })
+}
+
+/// The views a joining process starts from, in Left/Middle/Right order:
 /// its own identity under the dense id rule, every pointer aimed at itself
 /// (the join protocol fills them in).
-pub fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
+fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
     let middle_label = hasher.process_label(pid);
     let siblings = VKind::ALL.map(|kind| {
         let vid = VirtualId::new(pid, kind);

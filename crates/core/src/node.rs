@@ -501,28 +501,29 @@ impl<T: Payload> Work<T> {
 }
 
 /// Series numbers of the distributions a node reports to its host through
-/// [`Context::observe`] (read back summed over all nodes by the cluster's
-/// `*_histogram()` and counter accessors).
-pub(crate) mod series {
+/// [`Context::observe`]: the lane's sample sink keeps one per series (read
+/// back summed over all nodes by the cluster's `*_histogram()` and counter
+/// accessors, and kept the same way by a daemon's lane).
+pub mod series {
     /// Sizes of the batches sent up the tree or processed as the anchor
     /// (Theorem 18 / 20).
-    pub(crate) const BATCH_SIZES: usize = 0;
+    pub const BATCH_SIZES: usize = 0;
     /// DHT routing hop counts per operation, observed at delivery (only
     /// reported by the responsible node).
-    pub(crate) const DHT_HOPS: usize = 1;
+    pub const DHT_HOPS: usize = 1;
     /// DHT operations carried per `DhtBatch` message sent — the direct
     /// measure of the per-destination coalescing win.
-    pub(crate) const DHT_OPS_PER_MESSAGE: usize = 2;
+    pub const DHT_OPS_PER_MESSAGE: usize = 2;
     /// The sending node's aggregation waves in flight, sampled whenever a
     /// wave is opened (`max ≥ 2` means the pipeline overlapped waves).
-    pub(crate) const WAVES_IN_FLIGHT: usize = 3;
+    pub const WAVES_IN_FLIGHT: usize = 3;
     /// One sample of 1 per `DhtReply` entry that arrived for a request the
     /// node does not know — a reply can legitimately race its requester's
     /// departure during join/leave, so this is counted, not asserted.
-    pub(crate) const UNMATCHED_DHT_REPLIES: usize = 4;
+    pub const UNMATCHED_DHT_REPLIES: usize = 4;
     /// One sample of 2 per push/pop pair resolved by the stack's local
     /// combining (the number of requests it resolved).
-    pub(crate) const LOCALLY_COMBINED: usize = 5;
+    pub const LOCALLY_COMBINED: usize = 5;
 }
 
 /// One virtual node running the Skueue protocol, generic over the element

@@ -1,5 +1,6 @@
-//! The `skueue-node` daemon: hosts a slice of the cluster's processes on one
-//! thread and speaks the frame protocol with its peers.
+//! The `skueue-node` daemon: hosts a slice of the cluster's processes in one
+//! `skueue_sim` [`Lane`] on one thread and speaks the frame protocol with its
+//! peers.
 //!
 //! # Thread anatomy
 //!
@@ -11,15 +12,20 @@
 //! ```
 //!
 //! * One **listener** thread accepts connections and hands each to the host.
-//! * The **host** thread owns everything else: every hosted
-//!   [`SkueueNode`], the `TcpTransport` (one FIFO of messages between
-//!   hosted nodes, one outgoing connection per peer daemon), the
-//!   hosted-process table and the accepted connections.  In the paper a
-//!   process executes one action at a time — a delivered message or the
-//!   periodic `TIMEOUT` — and the proof holds under full asynchrony, so how a
-//!   host interleaves the nodes it carries is free; this one visits a node
-//!   when a message for it arrives or its timer is due: deliver what is
-//!   pending, then fire `TIMEOUT`, the discipline of the simulator's round.
+//! * The **host** thread owns everything else: a lane holding every hosted
+//!   [`SkueueNode`] over the daemon's `TcpTransport` (one FIFO of messages
+//!   between hosted nodes, one outgoing connection per peer daemon), the
+//!   hosted-process table and the accepted connections.  Whenever a frame
+//!   arrives or the timer deadline (`--tick-ms`) passes, the host serves the
+//!   frame and takes one turn of the lane ([`Lane::step`]) — the visit loop
+//!   the simulator runs, so both hosts agree on what a visit is: a node is
+//!   visited when messages for it arrived, or when it wants its `TIMEOUT`
+//!   and the deadline made the turn a sweep, and every visit ends with
+//!   `TIMEOUT`.  In the paper a process executes one action at a time and
+//!   the proof holds under full asynchrony, so how a host interleaves the
+//!   nodes it carries is free.  What the nodes report — samples, trace
+//!   events — lands in the lane's sinks, as in the simulator; nothing reads
+//!   them over the wire yet.
 //! * Each accepted connection gets a **reader** thread (`std` has no
 //!   readiness API) that decodes frames and passes them to the host; its
 //!   exit releases the connection.
@@ -29,8 +35,15 @@
 //! more daemons.  Placement is static (process `p` lives on daemon
 //! `p mod d`, see [`crate::spec`]), so a `JOIN` creates the three nodes
 //! locally and the join protocol does the rest over the wire.
+//!
+//! A node's `round` is the lane's turn count, one clock for all the nodes
+//! of a daemon.  Its wave cadence (at most one wave every second round)
+//! therefore counts the daemon's turns, not the node's own visits: a turn
+//! passes with every frame, so the cadence passes no later than two visits
+//! of the node would, and a node visited less often than every other turn
+//! may open a wave at each visit.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
@@ -38,12 +51,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use skueue_core::membership::{joining_views, node_of};
-use skueue_core::{BatchOp, Payload, ProtocolConfig, SkueueMsg, SkueueNode};
+use skueue_core::membership::{joining_nodes, node_of};
+use skueue_core::BatchOp::{Dequeue, Enqueue};
+use skueue_core::{Payload, ProtocolConfig, SkueueNode};
 use skueue_overlay::{VKind, VirtualId};
-use skueue_sim::actor::{Actor, Context};
-use skueue_sim::ids::{NodeId, ProcessId};
-use skueue_sim::Transport;
+use skueue_sim::{Lane, NodeId, ProcessId, Transport};
 use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
@@ -59,16 +71,6 @@ enum Inbound<T> {
     Frame(u64, NetFrame<T>),
     /// The reader of connection `.0` is exiting; this is its last act.
     Closed(u64),
-}
-
-/// An accepted connection as the host keeps it, from `Accepted` until its
-/// reader reports `Closed`.
-struct Conn {
-    /// The write half (the reader owns a clone); only the host writes.
-    stream: TcpStream,
-    reader: JoinHandle<()>,
-    /// Whether completions are streamed to it ([`NetFrame::Subscribe`]).
-    subscribed: bool,
 }
 
 /// A running daemon spawned in-process (used by tests and the load
@@ -88,8 +90,7 @@ impl DaemonHandle {
 /// Binds the daemon's listen address and runs until shutdown.  This is the
 /// body of the `skueue-node` binary.
 pub fn run<T: Payload + Wire>(spec: &ClusterSpec, index: usize) -> io::Result<()> {
-    let listener = TcpListener::bind(&spec.daemons[index])?;
-    run_with_listener::<T>(spec, index, listener)
+    run_with_listener::<T>(spec, index, TcpListener::bind(&spec.daemons[index])?)
 }
 
 /// Spawns a daemon on its own thread with a pre-bound listener (lets tests
@@ -105,101 +106,86 @@ pub fn spawn<T: Payload + Wire>(
 
 /// Hosts the daemon's nodes on the calling thread until a
 /// [`NetFrame::Shutdown`] arrives, then tears the helper threads down.
-pub(crate) fn run_with_listener<T: Payload + Wire>(
+fn run_with_listener<T: Payload + Wire>(
     spec: &ClusterSpec,
     index: usize,
     listener: TcpListener,
 ) -> io::Result<()> {
     let local_addr = listener.local_addr()?;
     let (tx, rx) = channel::<Inbound<T>>();
-    let listener_thread = {
-        let tx = tx.clone();
-        // Ends once the host has hung up (see the teardown below).
-        thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                if tx.send(Inbound::Accepted(stream)).is_err() {
-                    break;
-                }
-            }
-        })
-    };
-
-    let mut host = Host::<T>::new(spec, index, Instant::now());
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn = 0u64;
-    loop {
-        // Sleep only when there is nothing to do: never while a message
-        // waits in the local FIFO, and no longer than until the timer.
-        let inbound = if host.transport.in_flight() > 0 {
-            rx.try_recv().ok()
-        } else if let Some(at) = host.next_sweep {
-            rx.recv_timeout(at.saturating_duration_since(Instant::now()))
-                .ok()
-        } else {
-            rx.recv().ok()
-        };
-        let mut request = None;
-        match inbound {
-            Some(Inbound::Accepted(stream)) => {
-                let _ = stream.set_nodelay(true);
-                if let Ok(read_half) = stream.try_clone() {
-                    let (id, tx) = (next_conn, tx.clone());
-                    next_conn += 1;
-                    let reader = thread::spawn(move || reader_loop(index, id, read_half, tx));
-                    conns.insert(
-                        id,
-                        Conn {
-                            stream,
-                            reader,
-                            subscribed: false,
-                        },
-                    );
-                }
-            }
-            Some(Inbound::Closed(id)) => {
-                // Dropping the entry closes the socket; the reader's last
-                // act was this message, so the join does not wait.
-                if let Some(conn) = conns.remove(&id) {
-                    let _ = conn.reader.join();
-                }
-            }
-            Some(Inbound::Frame(id, NetFrame::Subscribe)) => {
-                if let Some(conn) = conns.get_mut(&id) {
-                    conn.subscribed = true;
-                    let _ = write_frame(&mut conn.stream, &NetFrame::<T>::Ok);
-                }
-            }
-            Some(Inbound::Frame(id, NetFrame::Shutdown)) => {
-                if let Some(conn) = conns.get_mut(&id) {
-                    let _ = write_frame(&mut conn.stream, &NetFrame::<T>::Ok);
-                }
+    // Ends once the host has hung up (see the teardown below).
+    let accepted = tx.clone();
+    let listener_thread = thread::spawn(move || {
+        for stream in listener.incoming().map_while(Result::ok) {
+            if accepted.send(Inbound::Accepted(stream)).is_err() {
                 break;
             }
-            Some(Inbound::Frame(id, frame)) => request = Some((id, frame)),
-            None => {}
         }
-        let (id, frame) = request.unzip();
+    });
+
+    let mut host = Host::<T>::new(spec, index);
+    // Every open connection's write half (its reader owns a clone), its
+    // reader, and whether completions are streamed to it
+    // ([`NetFrame::Subscribe`]); numbered by the turn that accepted it.
+    let mut conns: HashMap<u64, (TcpStream, JoinHandle<()>, bool)> = HashMap::new();
+    for turn in 0u64.. {
+        // Sleep only when there is nothing to do: never while a message
+        // waits in the local FIFO, and no longer than until the timer.
+        let wait = match host.next_sweep {
+            _ if host.lane.fabric().in_flight() > 0 => Duration::ZERO,
+            Some(at) => at.saturating_duration_since(Instant::now()),
+            None => Duration::MAX,
+        };
+        let (id, frame) = match rx.recv_timeout(wait) {
+            Ok(Inbound::Frame(id, frame)) => (Some(id), Some(frame)),
+            Ok(Inbound::Accepted(stream)) => {
+                let _ = stream.set_nodelay(true);
+                if let Ok(read_half) = stream.try_clone() {
+                    let tx = tx.clone();
+                    let reader = thread::spawn(move || reader_loop(index, turn, read_half, tx));
+                    conns.insert(turn, (stream, reader, false));
+                }
+                (None, None)
+            }
+            // Dropping the write half closes the socket; the reader's last
+            // act was this message, so the join does not wait.
+            Ok(Inbound::Closed(id)) => {
+                if let Some((_, reader, _)) = conns.remove(&id) {
+                    let _ = reader.join();
+                }
+                (None, None)
+            }
+            Err(_) => (None, None),
+        };
+        let shutdown = matches!(frame, Some(NetFrame::Shutdown));
+        let subscribe = matches!(frame, Some(NetFrame::Subscribe));
         let reply = host.turn(frame, Instant::now());
-        if let Some((reply, conn)) = reply.zip(id.and_then(|id| conns.get_mut(&id))) {
-            let _ = write_frame(&mut conn.stream, &reply);
+        if let Some((stream, _, subscribed)) = id.and_then(|id| conns.get_mut(&id)) {
+            *subscribed |= subscribe;
+            if let Some(reply) = reply {
+                let _ = write_frame(stream, &reply);
+            }
+        }
+        if shutdown {
+            break;
         }
         for record in host.completions.drain(..) {
             let frame = NetFrame::Completion { record };
-            for conn in conns.values_mut().filter(|conn| conn.subscribed) {
-                conn.subscribed = write_frame(&mut conn.stream, &frame).is_ok();
+            for (stream, _, subscribed) in conns.values_mut().filter(|conn| conn.2) {
+                *subscribed = write_frame(stream, &frame).is_ok();
             }
         }
     }
 
     // Teardown: hang up, so the listener ends at its next accept and a
-    // reader at its next frame or at the EOF its socket's shutdown gives it,
-    // and join them all — no leaked threads or sockets.
+    // reader at the EOF its socket's shutdown gives it, and join them all
+    // — no leaked threads or sockets.
     drop(rx);
     let _ = TcpStream::connect(local_addr); // unblocks `accept`
     let _ = listener_thread.join();
-    for conn in conns.into_values() {
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        let _ = conn.reader.join();
+    for (stream, reader, _) in conns.into_values() {
+        let _ = stream.shutdown(Shutdown::Both);
+        let _ = reader.join();
     }
     Ok(())
 }
@@ -207,14 +193,9 @@ pub(crate) fn run_with_listener<T: Payload + Wire>(
 /// One connection's reader: decodes frames and passes them to the host.
 /// Exits on EOF, on a frame that does not decode (said once, with the peer's
 /// address — a peer that hung up stays silent), or when the host has gone.
-fn reader_loop<T: Payload + Wire>(
-    index: usize,
-    id: u64,
-    stream: TcpStream,
-    tx: Sender<Inbound<T>>,
-) {
-    let peer = stream.peer_addr();
-    let mut reader = BufReader::new(stream);
+fn reader_loop<T: Payload + Wire>(index: usize, id: u64, conn: TcpStream, tx: Sender<Inbound<T>>) {
+    let peer = conn.peer_addr();
+    let mut reader = BufReader::new(conn);
     loop {
         match read_frame::<NetFrame<T>, _>(&mut reader) {
             Ok(Some(frame)) => {
@@ -233,27 +214,6 @@ fn reader_loop<T: Payload + Wire>(
     let _ = tx.send(Inbound::Closed(id));
 }
 
-/// One hosted virtual node and what its visits need.
-struct Hosted<T: Payload> {
-    node: SkueueNode<T>,
-    /// Visits so far: the `round` the node sees (its wave cadence reads it).
-    visits: u64,
-    /// True while the node is on this turn's visit list.
-    visiting: bool,
-}
-
-impl<T: Payload> Hosted<T> {
-    /// Opens the node's visit of this turn; false if it is open already.
-    fn open_visit(&mut self) -> bool {
-        if self.visiting {
-            return false;
-        }
-        self.visiting = true;
-        self.visits += 1;
-        true
-    }
-}
-
 /// The nodes one daemon hosts and the state that drives them — everything
 /// the host thread owns except the accepted connections, so that a turn can
 /// be driven without sockets.
@@ -262,169 +222,95 @@ struct Host<T: Payload> {
     index: usize,
     /// One node configuration per shard, shared by the shard's nodes.
     shard_cfgs: Vec<Arc<ProtocolConfig>>,
-    /// Hosted nodes by node id.
-    nodes: BTreeMap<u64, Hosted<T>>,
-    /// Hosted processes, in the order they came to be hosted.
-    procs: Vec<ProcessId>,
-    transport: TcpTransport<T>,
-    /// Timer period of a node that wants a `TIMEOUT` and gets no traffic.
-    tick: Duration,
-    /// When the timer next visits every node that wants a `TIMEOUT`; `None`
+    /// The hosted nodes, in the order they came to be hosted, and the
+    /// fabric between them and the peers.
+    lane: Lane<SkueueNode<T>, TcpTransport<T>>,
+    /// When the next turn sweeps every node that wants a `TIMEOUT`; `None`
     /// while no node does (a quiescent daemon sleeps until a frame arrives).
     next_sweep: Option<Instant>,
-    /// Nodes visited this turn, in first-visit order.
-    visited: Vec<NodeId>,
-    /// Send buffer lent to each action's [`Context`].
-    outbox: Vec<(NodeId, SkueueMsg<T>)>,
     /// Operations completed and not yet streamed to the subscribers.
     completions: Vec<OpRecord<T>>,
 }
 
 impl<T: Payload + Wire> Host<T> {
     /// Daemon `index`'s slice of the initial membership.
-    fn new(spec: &ClusterSpec, index: usize, now: Instant) -> Self {
+    fn new(spec: &ClusterSpec, index: usize) -> Self {
         let membership = spec.initial_membership();
-        let mut host = Host {
-            spec: spec.clone(),
-            index,
-            shard_cfgs: membership.shard_cfgs().to_vec(),
-            nodes: BTreeMap::new(),
-            procs: Vec::new(),
-            transport: TcpTransport::new(spec, index),
-            tick: Duration::from_millis(spec.tick_ms),
-            next_sweep: None,
-            visited: Vec::new(),
-            outbox: Vec::new(),
-            completions: Vec::new(),
-        };
+        let mut lane = Lane::new(TcpTransport::new(spec, index));
         for pid in (0..spec.initial).map(ProcessId) {
             if spec.daemon_of(pid) == index {
                 let (shard, views) = membership.process(pid);
                 for (view, is_anchor) in views {
-                    let cfg = Arc::clone(&host.shard_cfgs[shard as usize]);
-                    host.adopt(SkueueNode::new(cfg, shard, view, is_anchor), now);
+                    let cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
+                    lane.add_node(view.me.node, SkueueNode::new(cfg, shard, view, is_anchor));
                 }
-                host.procs.push(pid);
             }
         }
-        host
+        Host {
+            spec: spec.clone(),
+            index,
+            shard_cfgs: membership.shard_cfgs().to_vec(),
+            lane,
+            next_sweep: None,
+            completions: Vec::new(),
+        }
     }
 
-    /// Starts hosting `node`.  It is first visited by the timer, if it wants
-    /// one — a joiner does, to announce itself.
-    fn adopt(&mut self, node: SkueueNode<T>, now: Instant) {
-        let id = node.view().me.node;
-        if node.wants_timeout() {
-            self.next_sweep.get_or_insert(now + self.tick);
-        }
-        let hosted = Hosted {
-            node,
-            visits: 0,
-            visiting: false,
-        };
-        self.nodes.insert(id.0, hosted);
+    /// Whether process `pid` is hosted here.
+    fn hosts(&self, pid: ProcessId) -> bool {
+        self.lane.node(node_of(VirtualId::middle(pid))).is_some()
     }
 
-    /// Runs one action of hosted node `id` — the node's first action in a
-    /// turn opens a visit — and posts what it sent.  `None` if `id` is not
-    /// hosted here.  The context lends no sample or trace sink, so what the
-    /// node reports through it is dropped.
-    fn act<R>(
-        &mut self,
-        id: NodeId,
-        action: impl FnOnce(&mut SkueueNode<T>, &mut Context<SkueueMsg<T>>) -> R,
-    ) -> Option<R> {
-        let hosted = self.nodes.get_mut(&id.0)?;
-        if hosted.open_visit() {
-            self.visited.push(id);
-        }
-        let outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::with_outbox(id, hosted.visits, outbox);
-        let result = action(&mut hosted.node, &mut ctx);
-        self.outbox = ctx.into_outbox();
-        for (to, msg) in self.outbox.drain(..) {
-            self.transport.send(id, to, msg);
-        }
-        Some(result)
-    }
-
-    /// One turn: serve `frame`, deliver the messages queued for hosted
-    /// nodes, let the timer visit the nodes that want it if it is due, and
-    /// end every visit with the node's `TIMEOUT`.  Returns the reply `frame`
-    /// is owed, if any; completed operations collect in `self.completions`.
+    /// One turn: serve `frame`, take one turn of the lane — a sweep if the
+    /// deadline has passed — and collect what the visited nodes completed
+    /// into `self.completions`.  Returns the reply `frame` is owed, if any.
     fn turn(&mut self, frame: Option<NetFrame<T>>, now: Instant) -> Option<NetFrame<T>> {
-        let reply = frame.and_then(|frame| self.serve(frame, now));
-        // What a delivery sends to a hosted node waits for the next turn, as
-        // a round's sends do: a local ping-pong cannot keep the host from
-        // its connections or its timer.
-        for _ in 0..self.transport.in_flight() {
-            let Some((from, to, msg)) = self.transport.pop_local() else {
-                break;
-            };
-            if self
-                .act(to, |node, ctx| node.on_message(from, msg, ctx))
-                .is_none()
-            {
-                eprintln!(
-                    "skueue-node[{}]: dropping message for unknown local node {to:?}",
-                    self.index
-                );
-            }
-        }
+        let reply = frame.and_then(|frame| self.serve(frame));
         // The timer is a deadline checked every turn, not the expiry of a
         // wait: under continuous traffic no wait ever expires.
-        if self.next_sweep.is_some_and(|at| now >= at) {
-            self.next_sweep = None;
-            for (&id, hosted) in &mut self.nodes {
-                if hosted.node.wants_timeout() && hosted.open_visit() {
-                    self.visited.push(NodeId(id));
-                }
+        let sweep = self.next_sweep.take_if(|at| now >= *at).is_some();
+        self.lane.step(sweep);
+        let visited: Vec<NodeId> = self.lane.visited().collect();
+        for id in visited {
+            if self.lane.node(id).is_some_and(SkueueNode::has_completed) {
+                self.lane.act(id, |node, _| {
+                    node.drain_completed_into(&mut self.completions)
+                });
             }
         }
-        let mut visited = std::mem::take(&mut self.visited);
-        for id in visited.drain(..) {
-            self.act(id, |node, ctx| node.on_timeout(ctx));
-            let hosted = self.nodes.get_mut(&id.0).expect("visited nodes are hosted");
-            hosted.visiting = false;
-            if hosted.node.has_completed() {
-                hosted.node.drain_completed_into(&mut self.completions);
-            }
-            if hosted.node.wants_timeout() {
-                self.next_sweep.get_or_insert(now + self.tick);
-            }
+        // A node that comes to want a `TIMEOUT` (a joiner does, to announce
+        // itself) is first visited by the sweep a tick later.
+        if self.lane.wants_timeout() {
+            self.next_sweep
+                .get_or_insert(now + Duration::from_millis(self.spec.tick_ms));
         }
-        self.visited = visited;
         reply
     }
 
     /// Acts on one frame and returns the reply owed to its connection.
     /// Protocol traffic and injects are fire-and-forget (the completion
     /// stream is an inject's reply); control frames are answered.
-    fn serve(&mut self, frame: NetFrame<T>, now: Instant) -> Option<NetFrame<T>> {
+    fn serve(&mut self, frame: NetFrame<T>) -> Option<NetFrame<T>> {
         let index = self.index;
         Some(match frame {
             // Peer preamble; proto frames carry full addressing, so the
             // daemon index is informational only.
             NetFrame::Hello { .. } => return None,
             NetFrame::Proto { from, to, msg } => {
-                self.transport.send(from, to, msg);
+                if let Err(e) = self.lane.inject(from, to, msg) {
+                    eprintln!("skueue-node[{index}]: dropping a message from {from}: {e}");
+                }
                 return None;
             }
             NetFrame::Inject { id, insert, value } => {
-                let kind = if insert {
-                    BatchOp::Enqueue
-                } else {
-                    BatchOp::Dequeue
-                };
-                // Requests are generated at the process's middle node.
-                let issued = self.act(node_of(VirtualId::middle(id.origin)), |node, ctx| {
-                    let integrated = node.is_integrated();
-                    if integrated {
-                        node.generate_op(id, kind, value, ctx);
-                    }
-                    integrated
+                let kind = if insert { Enqueue } else { Dequeue };
+                let middle = node_of(VirtualId::middle(id.origin));
+                // Issued if the process is integrated.
+                let issued = self.lane.act(middle, |node, ctx| {
+                    node.is_integrated()
+                        .then(|| node.generate_op(id, kind, value, ctx))
                 });
-                if issued != Some(true) {
+                if issued.flatten().is_none() {
                     eprintln!(
                         "skueue-node[{index}]: dropping inject for process {}: {}",
                         id.origin.0,
@@ -436,40 +322,40 @@ impl<T: Payload + Wire> Host<T> {
             NetFrame::Join { pid, .. } if self.spec.daemon_of(pid) != index => {
                 NetFrame::Err(format!("process {} is not placed here", pid.0))
             }
-            NetFrame::Join { pid, .. } if self.procs.contains(&pid) => {
+            NetFrame::Join { pid, .. } if self.hosts(pid) => {
                 NetFrame::Err(format!("process {} already hosted", pid.0))
             }
             NetFrame::Join { pid, bootstrap } => {
                 let shard = self.spec.shard_of(pid);
-                for view in joining_views(self.spec.protocol_config().hasher(), pid) {
-                    let cfg = Arc::clone(&self.shard_cfgs[shard as usize]);
-                    let mut node = SkueueNode::new_joining(cfg, shard, view);
-                    node.set_bootstrap(bootstrap);
-                    self.adopt(node, now);
+                let cfg = &self.shard_cfgs[shard as usize];
+                for node in joining_nodes(cfg, shard, pid, bootstrap) {
+                    self.lane.add_node(node.view().me.node, node);
                 }
-                self.procs.push(pid);
                 NetFrame::Ok
             }
-            NetFrame::Leave { pid } if self.procs.contains(&pid) => {
+            NetFrame::Leave { pid } if self.hosts(pid) => {
                 for kind in VKind::ALL {
-                    self.act(node_of(VirtualId::new(pid, kind)), |node, _| {
-                        node.request_leave()
-                    });
+                    let id = node_of(VirtualId::new(pid, kind));
+                    self.lane.act(id, |node, _| node.request_leave());
                 }
                 NetFrame::Ok
             }
             NetFrame::Leave { pid } => NetFrame::Err(format!("process {} not hosted here", pid.0)),
             NetFrame::Status => NetFrame::StatusReply {
                 daemon: index as u32,
-                processes: self
-                    .procs
-                    .iter()
-                    .map(|&pid| {
-                        let middle = &self.nodes[&node_of(VirtualId::middle(pid)).0].node;
-                        (pid.0, middle.is_integrated(), middle.has_left())
+                processes: (self.lane.nodes())
+                    .filter(|node| node.view().me.vid.kind == VKind::Middle)
+                    .map(|middle| {
+                        (
+                            middle.process().0,
+                            middle.is_integrated(),
+                            middle.has_left(),
+                        )
                     })
                     .collect(),
             },
+            // Answered here; the host loop marks the connection or stops.
+            NetFrame::Subscribe | NetFrame::Shutdown => NetFrame::Ok,
             other => NetFrame::Err(format!("unexpected control frame {other:?}")),
         })
     }
@@ -482,10 +368,13 @@ mod tests {
 
     use super::*;
     use skueue_core::messages::RoutedDhtOp;
-    use skueue_core::DhtOp;
+    use skueue_core::{series, DhtOp, Skueue, SkueueMsg, TraceLevel};
     use skueue_overlay::RouteProgress;
     use skueue_sim::ids::RequestId;
+    use skueue_sim::{Actor, SimRng};
+    use skueue_verify::{check_queue_sharded, History};
     use std::cell::RefCell;
+    use std::collections::HashSet;
     use std::rc::Rc;
 
     /// In-memory stand-in for the connection towards a peer daemon.
@@ -503,23 +392,47 @@ mod tests {
         }
     }
 
+    impl PeerSink {
+        /// The frames written so far, taken out of the sink.
+        fn take_frames(&self) -> Vec<NetFrame<u64>> {
+            let mut cursor = io::Cursor::new(std::mem::take(&mut *self.0.borrow_mut()));
+            let mut frames = Vec::new();
+            while let Some(frame) = read_frame::<NetFrame<u64>, _>(&mut cursor).expect("frames") {
+                frames.push(frame);
+            }
+            frames
+        }
+    }
+
     const TICK: Duration = Duration::from_millis(2);
 
-    /// Daemon 0 of a `daemons`-daemon cluster (addresses are never dialled:
-    /// every peer is an in-memory sink), and the sink towards daemon 1.
-    fn host(daemons: usize, initial: u64, now: Instant) -> (Host<u64>, PeerSink) {
-        let spec = ClusterSpec::localhost(daemons, 7100, initial, 1);
+    /// Daemon `index` of a `daemons`-daemon cluster of `initial` processes
+    /// over `shards` shards (addresses are never dialled: every peer is an
+    /// in-memory sink), and the sink towards the other daemons.
+    fn daemon(daemons: usize, index: usize, initial: u64, shards: usize) -> (Host<u64>, PeerSink) {
+        let spec = ClusterSpec::localhost(daemons, 7100, initial, shards);
         assert_eq!(Duration::from_millis(spec.tick_ms), TICK);
-        let mut host = Host::<u64>::new(&spec, 0, now);
+        let mut host = Host::<u64>::new(&spec, index);
         let sink = PeerSink::default();
-        for peer in host.transport.peers.iter_mut().skip(1) {
-            *peer = Some(Box::new(sink.clone()));
+        for (peer, conn) in host.lane.fabric_mut().peers.iter_mut().enumerate() {
+            if peer != index {
+                *conn = Some(Box::new(sink.clone()));
+            }
         }
         (host, sink)
     }
 
+    /// Daemon 0 of a one-shard cluster, and the sink towards daemon 1.
+    fn host(daemons: usize, initial: u64) -> (Host<u64>, PeerSink) {
+        daemon(daemons, 0, initial, 1)
+    }
+
     fn middle(pid: u64) -> NodeId {
         node_of(VirtualId::middle(ProcessId(pid)))
+    }
+
+    fn node(host: &Host<u64>, id: NodeId) -> &SkueueNode<u64> {
+        host.lane.node(id).expect("hosted")
     }
 
     fn join(host: &mut Host<u64>, pid: u64, now: Instant) {
@@ -527,6 +440,14 @@ mod tests {
         let pid = ProcessId(pid);
         let reply = host.turn(Some(NetFrame::Join { pid, bootstrap }), now);
         assert_eq!(reply, Some(NetFrame::Ok));
+    }
+
+    fn inject(pid: u64, seq: u64, insert: bool) -> NetFrame<u64> {
+        NetFrame::Inject {
+            id: RequestId::new(ProcessId(pid), seq),
+            insert,
+            value: 7 + seq,
+        }
     }
 
     fn status(host: &mut Host<u64>, now: Instant) -> Vec<(u64, bool, bool)> {
@@ -554,11 +475,11 @@ mod tests {
     #[test]
     fn the_timer_visits_an_armed_node_while_another_is_fed_without_pause() {
         let start = Instant::now();
-        let (mut host, _) = host(1, 3, start);
+        let (mut host, _) = host(1, 3);
         // A joiner wants its first `TIMEOUT` (to announce itself) and is
         // sent nothing until it has had it.
         join(&mut host, 3, start);
-        assert!(host.nodes[&middle(3).0].node.wants_timeout());
+        assert!(node(&host, middle(3)).wants_timeout());
         // Meanwhile another node gets a frame every tenth of a tick: no wait
         // for a frame would ever expire.
         let fed = middle(0);
@@ -572,11 +493,11 @@ mod tests {
                 },
             };
             assert_eq!(host.turn(Some(frame), now), None);
-            let joiner = &host.nodes[&middle(3).0];
-            // Its first visit is the timer's, and comes within one tick.
-            assert_eq!(joiner.visits > 0, now >= start + TICK, "step {step}");
-            assert_eq!(joiner.node.wants_timeout(), joiner.visits == 0);
-            assert!(host.nodes[&fed.0].visits >= u64::from(step));
+            assert!(host.lane.visited().any(|id| id == fed), "step {step}");
+            // The joiner's first visit is the timer's, and comes within one
+            // tick: the visit sends its announcement and disarms it.
+            let announced = !node(&host, middle(3)).wants_timeout();
+            assert_eq!(announced, now >= start + TICK, "step {step}");
         }
     }
 
@@ -587,10 +508,10 @@ mod tests {
     fn a_node_that_starts_draining_still_forwards_what_it_routed() {
         for absorbed in [false, true] {
             let now = Instant::now();
-            let (mut host, _) = host(1, 3, now);
-            let node = middle(0);
-            let pred = host.nodes[&node.0].node.view().pred;
-            // A GET for the predecessor's interval: `node` has to pass it on.
+            let (mut host, _) = host(1, 3);
+            let id = middle(0);
+            let pred = node(&host, id).view().pred;
+            // A GET for the predecessor's interval: `id` has to pass it on.
             let get = RoutedDhtOp {
                 op: Box::new(DhtOp::Get {
                     position: 1,
@@ -600,18 +521,17 @@ mod tests {
                 }),
                 progress: RouteProgress::linear_only(pred.label),
             };
-            let batch = SkueueMsg::DhtBatch { ops: vec![get] };
-            host.transport.send(pred.node, node, batch);
+            let fabric = host.lane.fabric_mut();
+            fabric.send(pred.node, id, SkueueMsg::DhtBatch { ops: vec![get] });
             if absorbed {
-                host.transport
-                    .send(pred.node, node, SkueueMsg::AbsorbRequest);
+                fabric.send(pred.node, id, SkueueMsg::AbsorbRequest);
             }
             host.turn(None, now);
             let mut sent = Vec::new();
-            while let Some((from, _, msg)) = host.transport.pop_local() {
-                assert_eq!(from, node, "nobody else was visited");
-                sent.push(msg);
-            }
+            host.lane.fabric_mut().take_due(0, |env| {
+                assert_eq!(env.from, id, "nobody else was visited");
+                sent.push(env.payload);
+            });
             let handed_over = sent.iter().any(|m| matches!(m, SkueueMsg::AbsorbData(_)));
             assert_eq!(handed_over, absorbed);
             let forwarded =
@@ -626,9 +546,9 @@ mod tests {
     #[test]
     fn status_reports_what_the_middle_node_says() {
         let mut now = Instant::now();
-        let (mut host, _) = host(1, 3, now);
+        let (mut host, _) = host(1, 3);
         let state_of = |host: &Host<u64>, pid: u64| {
-            let node = &host.nodes[&middle(pid).0].node;
+            let node = node(host, middle(pid));
             (pid, node.is_integrated(), node.has_left())
         };
         // A process that joined and left again …
@@ -661,21 +581,17 @@ mod tests {
     fn a_dropped_inject_does_not_hold_up_the_frames_behind_it() {
         let now = Instant::now();
         // Daemon 0 of two hosts processes 0 and 2, and the joiner 4.
-        let (mut host, sink) = host(2, 4, now);
+        let (mut host, sink) = host(2, 4);
         join(&mut host, 4, now);
-        let inject = |pid: u64| NetFrame::Inject {
-            id: RequestId::new(ProcessId(pid), 0),
-            insert: true,
-            value: 7u64,
-        };
+        let open = |host: &Host<u64>, pid: u64| node(host, middle(pid)).open_requests();
         // Process 1 lives on daemon 1; process 4 is not integrated yet.
         for pid in [1, 4] {
-            assert_eq!(host.turn(Some(inject(pid)), now), None);
+            assert_eq!(host.turn(Some(inject(pid, 0, true)), now), None);
         }
-        assert!(host.nodes.values().all(|h| h.node.open_requests() == 0));
+        assert!([0, 2, 4].iter().all(|&pid| open(&host, pid) == 0));
         // The frames behind them are served as if nothing had happened.
-        assert_eq!(host.turn(Some(inject(0)), now), None);
-        assert_eq!(host.nodes[&middle(0).0].node.open_requests(), 1);
+        assert_eq!(host.turn(Some(inject(0, 0, true)), now), None);
+        assert_eq!(open(&host, 0), 1);
         assert_eq!(status(&mut host, now).len(), 3);
         // A message for a node hosted elsewhere leaves as a frame towards
         // its daemon, whoever sent it.
@@ -684,18 +600,128 @@ mod tests {
             to: middle(1),
             msg: SkueueMsg::<u64>::LeaveGranted,
         };
-        sink.0.borrow_mut().clear();
+        sink.take_frames();
         assert_eq!(host.turn(Some(stray.clone()), now), None);
-        let bytes = sink.0.borrow().clone();
-        let mut cursor = io::Cursor::new(bytes);
-        let mut sent = Vec::new();
-        while let Some(frame) = read_frame::<NetFrame<u64>, _>(&mut cursor).expect("frames") {
-            sent.push(frame);
-        }
+        let sent = sink.take_frames();
         assert!(sent.contains(&stray), "sent {sent:?}");
         assert!(sent.iter().all(|frame| matches!(
             frame,
             NetFrame::Proto { to, .. } if host.spec.daemon_of_node(*to) == 1
         )));
+        // A message for a node placed here that nobody hosts is dropped.
+        let lost = NetFrame::Proto {
+            from: middle(0),
+            to: middle(6),
+            msg: SkueueMsg::<u64>::LeaveGranted,
+        };
+        assert_eq!(host.turn(Some(lost), now), None);
+        assert_eq!(host.lane.fabric().in_flight(), 0);
+    }
+
+    /// What the hosted nodes report through their context lands in the
+    /// lane's sinks: samples always, trace events when the nodes trace.
+    #[test]
+    fn the_lane_keeps_what_the_hosted_nodes_report() {
+        let mut now = Instant::now();
+        let (mut host, _) = host(1, 3);
+        // The joiner's nodes are built from the shard's configuration, so
+        // tracing it makes the joiner a traced process.
+        let traced = ProtocolConfig {
+            trace_level: TraceLevel::Spans,
+            ..*host.shard_cfgs[0]
+        };
+        host.shard_cfgs[0] = Arc::new(traced);
+        join(&mut host, 3, now);
+        run_until(&mut host, &mut now, |host| {
+            node(host, middle(3)).is_integrated()
+        });
+        for (seq, pid) in [0, 1, 3, 3].into_iter().enumerate() {
+            host.turn(Some(inject(pid, seq as u64, seq % 2 == 0)), now);
+        }
+        run_until(&mut host, &mut now, |host| host.completions.len() == 4);
+        assert!(host.lane.observed(series::BATCH_SIZES).count() > 0);
+        assert!(host.lane.observed(series::WAVES_IN_FLIGHT).count() > 0);
+        let traced_nodes: HashSet<u64> = host.lane.drain_trace().map(|r| r.node).collect();
+        assert!(
+            traced_nodes.contains(&middle(3).0),
+            "traced {traced_nodes:?}"
+        );
+    }
+
+    /// One seeded workload through the simulation and through two daemon
+    /// lanes joined in memory: on both, every request completes exactly
+    /// once and the history passes the sharded checker.
+    #[test]
+    fn two_daemon_lanes_in_memory_agree_with_the_simulation() {
+        const PROCESSES: u64 = 8;
+        const SHARDS: usize = 2;
+        // (process, insert) per step, the same for both hosts.
+        let mut rng = SimRng::new(26);
+        let workload: Vec<(u64, bool)> = (0..60)
+            .map(|_| (rng.gen_range(PROCESSES), rng.gen_bool(0.6)))
+            .collect();
+
+        let mut cluster = Skueue::<u64>::builder()
+            .processes(PROCESSES as usize)
+            .shards(SHARDS)
+            .seed(26)
+            .build()
+            .unwrap();
+        for (step, &(pid, insert)) in workload.iter().enumerate() {
+            let mut client = cluster.client(ProcessId(pid));
+            if insert {
+                client.enqueue(step as u64).unwrap();
+            } else {
+                client.dequeue().unwrap();
+            }
+            cluster.run_round();
+        }
+        cluster.run_until_all_complete(5_000).unwrap();
+        let map = cluster.shard_map();
+        let simulated = cluster.into_history().into_records();
+
+        let mut now = Instant::now();
+        let mut daemons: Vec<(Host<u64>, PeerSink)> = (0..2)
+            .map(|index| daemon(2, index, PROCESSES, SHARDS))
+            .collect();
+        assert_eq!(daemons[0].0.spec.shard_map(), map);
+        let mut seqs = [0u64; PROCESSES as usize];
+        let mut hosted = Vec::new();
+        for turn in 0..10_000 {
+            if let Some(&(pid, insert)) = workload.get(turn) {
+                let seq = &mut seqs[pid as usize];
+                let frame = inject(pid, *seq, insert);
+                *seq += 1;
+                daemons[pid as usize % 2].0.turn(Some(frame), now);
+            }
+            now += TICK;
+            for index in 0..2 {
+                // What the other daemon wrote towards this one arrives here.
+                for frame in daemons[1 - index].1.take_frames() {
+                    daemons[index].0.turn(Some(frame), now);
+                }
+                let host = &mut daemons[index].0;
+                host.turn(None, now);
+                hosted.append(&mut host.completions);
+            }
+            if turn >= workload.len() && hosted.len() == workload.len() {
+                break;
+            }
+        }
+
+        for (host, records) in [("simulation", simulated), ("daemons", hosted)] {
+            assert_eq!(records.len(), workload.len(), "{host}: completions");
+            let ids: HashSet<RequestId> = records.iter().map(|r| r.id).collect();
+            assert_eq!(
+                ids.len(),
+                workload.len(),
+                "{host}: a request completed twice"
+            );
+            let history = History::from_records(records);
+            assert!(
+                check_queue_sharded(&history, &map).is_consistent(),
+                "{host}: inconsistent history"
+            );
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! deterministic simulation (`skueue-sim`).  This crate is the other side of
 //! the [`skueue_sim::Transport`] seam: the same `SkueueNode` state machines,
 //! built from the same membership construction
-//! ([`skueue_core::membership`]), hosted by daemons against real sockets
-//! and real time — one thread per daemon runs all the nodes it hosts.
+//! ([`skueue_core::membership`]) and visited by the same loop
+//! ([`skueue_sim::Lane`]), hosted by daemons against real sockets and real
+//! time — one thread per daemon runs all the nodes it hosts.
 //!
 //! The paper's correctness argument holds under full asynchrony — arbitrary
 //! finite message delays, no FIFO assumption — so nothing about the protocol
@@ -21,8 +22,8 @@
 //! | [`codec`] | binary encoding of every protocol type, declared as one field list per type (nothing can be vendored: there is no registry, so three private macros stand in for a derive; a new message is one line) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
 //! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
-//! | `transport` | `transport::TcpTransport`, the real-clock [`skueue_sim::Transport`] implementation: a daemon's local FIFO and its peer connections |
-//! | [`daemon`] | the `skueue-node` daemon: a listener, one reader per connection, and the host thread that owns and visits every hosted node |
+//! | `transport` | `transport::TcpTransport`, the real-clock [`skueue_sim::Transport`]: the fabric of a daemon's lane — its local FIFO and its peer connections |
+//! | [`daemon`] | the `skueue-node` daemon: a listener, one reader per connection, and the host thread that runs every hosted node in one [`skueue_sim::Lane`] — the simulator's visit loop |
 //! | `ctl` | the control-plane client (join/leave waves, status, shutdown) |
 //! | `ingress` | the client-operation ingress: issues ops, collects and verifies the history |
 //! | `load` | open-loop Poisson load generation with latency percentiles |

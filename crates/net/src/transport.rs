@@ -1,14 +1,15 @@
-//! The real-clock transport: [`TcpTransport`] implements
-//! [`skueue_sim::Transport`] for the nodes one daemon hosts.
+//! The real-clock transport: [`TcpTransport`] is the
+//! [`skueue_sim::Transport`] of the lane one daemon hosts its nodes in.
 //!
 //! Where [`skueue_sim::SimTransport`] owns a seeded delay model and a
 //! round-bucketed delivery wheel (virtual time), `TcpTransport` owns what a
 //! daemon needs to move a message in real time: one FIFO for messages
 //! between two nodes of this daemon — the cheapest hand-off is none, so a
-//! local hop is a queue push and the host delivers it on its next turn — and
+//! local hop is a queue push that the lane delivers on its next turn — and
 //! one outgoing TCP connection per peer daemon, dialled on demand, onto which
 //! a message for a node hosted elsewhere is written as a length-prefixed
-//! frame.  Delivery latency is whatever the operating system provides —
+//! frame.  It adds nothing to the lane's schedule: visits run in slot
+//! order.  Delivery latency is whatever the operating system provides —
 //! which is exactly the asynchronous model the protocol's correctness
 //! argument assumes.  Determinism ends here: two runs over this transport
 //! interleave differently, and correctness is checked a posteriori by the
@@ -22,15 +23,15 @@ use std::time::Duration;
 
 use skueue_core::SkueueMsg;
 use skueue_sim::ids::NodeId;
-use skueue_sim::Transport;
+use skueue_sim::{Envelope, Transport};
 
 use crate::codec::Wire;
 use crate::frame::{write_frame, NetFrame};
 use crate::spec::ClusterSpec;
 
-/// The message fabric of one daemon, owned by the thread that hosts the
-/// daemon's nodes: the simulation's [`Transport`] seam over a local queue
-/// and real sockets.
+/// The message fabric of one daemon's lane, owned by the thread that hosts
+/// the daemon's nodes: the simulation's [`Transport`] seam over a local
+/// queue and real sockets.
 ///
 /// [`Transport::in_flight`] is the local queue's length: messages handed to
 /// the kernel for a peer leave the count, because a real network transport
@@ -39,8 +40,8 @@ pub(crate) struct TcpTransport<T> {
     spec: ClusterSpec,
     /// This daemon's index in `spec.daemons`.
     index: usize,
-    /// `(from, to, message)` for nodes hosted here, in send order.
-    local: VecDeque<(NodeId, NodeId, SkueueMsg<T>)>,
+    /// Messages for nodes hosted here, in send order.
+    local: VecDeque<Envelope<SkueueMsg<T>>>,
     /// Outgoing connection per daemon index (none to ourselves).  A
     /// `TcpStream` outside tests, which put an in-memory sink here.
     pub(crate) peers: Vec<Option<Box<dyn Write>>>,
@@ -66,18 +67,17 @@ impl<T> TcpTransport<T> {
             peers: (0..spec.num_daemons()).map(|_| None).collect(),
         }
     }
-
-    /// The oldest queued message for a node of this daemon.
-    pub(crate) fn pop_local(&mut self) -> Option<(NodeId, NodeId, SkueueMsg<T>)> {
-        self.local.pop_front()
-    }
 }
 
 impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport<T> {
     fn send(&mut self, from: NodeId, to: NodeId, msg: SkueueMsg<T>) {
         let daemon = self.spec.daemon_of_node(to);
         if daemon == self.index {
-            self.local.push_back((from, to, msg));
+            self.local.push_back(Envelope {
+                from,
+                to,
+                payload: msg,
+            });
             return;
         }
         let frame = NetFrame::Proto { from, to, msg };
@@ -112,6 +112,19 @@ impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport
 
     fn name(&self) -> &'static str {
         "tcp"
+    }
+
+    /// Everything queued for a node of this daemon: what a turn sends to
+    /// one waits for the next turn, so a local ping-pong cannot keep the
+    /// host from its connections or its timer.
+    fn take_due(&mut self, _turn: u64, deliver: impl FnMut(Envelope<SkueueMsg<T>>)) -> usize {
+        let due = self.local.len();
+        self.local.drain(..).for_each(deliver);
+        due
+    }
+
+    fn is_remote(&self, to: NodeId) -> bool {
+        self.spec.daemon_of_node(to) != self.index
     }
 }
 

@@ -9,7 +9,8 @@ use crate::metrics::Histogram;
 use crate::Round;
 use skueue_trace::{TraceEvent, TraceRecord};
 
-/// A protocol node that lives inside a [`crate::Simulation`].
+/// A protocol node that lives in a [`crate::Lane`] — a simulation's or a
+/// daemon's.
 ///
 /// Implementations must be deterministic given the sequence of delivered
 /// messages and timeouts.
@@ -29,11 +30,11 @@ pub trait Actor {
     /// Defaults to `true` (a timeout every round, the paper's model).  An
     /// actor may return `false` while its timeout is *provably a no-op* —
     /// e.g. a Skueue node whose batch is pending up the aggregation tree —
-    /// and the scheduler then skips the visit entirely, which is what makes
-    /// large quiescent simulations cheap.  The scheduler re-queries this
-    /// after every visit and after every driver action
-    /// ([`crate::Simulation::act`]), so the answer may change with any of
-    /// them.  Returning `false` never suppresses message delivery.
+    /// and the lane then skips the visit entirely, which is what makes
+    /// large quiescent simulations cheap.  The lane re-queries this after
+    /// every visit and after every driver action ([`crate::Lane::act`]), so
+    /// the answer may change with any of them.  Returning `false` never
+    /// suppresses message delivery.
     fn wants_timeout(&self) -> bool {
         true
     }
@@ -42,7 +43,7 @@ pub trait Actor {
 /// Handle through which an actor interacts with the outside world during a
 /// single `on_message` / `on_timeout` invocation.
 ///
-/// All outgoing messages are buffered and scheduled by the simulation after
+/// All outgoing messages are buffered and handed to the lane's fabric after
 /// the invocation returns, so an actor always observes a consistent snapshot
 /// of its own state while handling one event.
 #[derive(Debug)]
@@ -58,31 +59,22 @@ pub struct Context<M> {
 }
 
 impl<M> Context<M> {
-    /// Creates a context for one invocation. Used by the scheduler and by
-    /// unit tests of actors.
+    /// Creates a context for one invocation, with no sample or trace sink.
+    /// Used by the lanes and by unit tests of actors.
     pub fn new(self_id: NodeId, round: Round) -> Self {
-        Context::with_outbox(self_id, round, Vec::new())
-    }
-
-    /// Creates a context that reuses `outbox` (which must be empty) as its
-    /// send buffer.  A host lends its scratch buffer this way so its loop
-    /// allocates nothing per invocation; reclaim the buffer with
-    /// [`Self::into_outbox`].
-    pub fn with_outbox(self_id: NodeId, round: Round, outbox: Vec<(NodeId, M)>) -> Self {
-        debug_assert!(outbox.is_empty(), "the lent outbox must start empty");
         Context {
             self_id,
             round,
-            outbox,
+            outbox: Vec::new(),
             samples: None,
             traces: None,
         }
     }
 
     /// Re-arms the context for another invocation, keeping its buffers (the
-    /// outbox must have been emptied).  The scheduler keeps one context per
-    /// lane and re-arms it for every visit, so a visit moves no buffer in or
-    /// out.
+    /// outbox must have been emptied).  A lane keeps one context and re-arms
+    /// it for every visit and driver action, so an invocation moves no
+    /// buffer in or out.
     #[inline]
     pub(crate) fn rearm(&mut self, self_id: NodeId, round: Round) {
         debug_assert!(
@@ -99,14 +91,14 @@ impl<M> Context<M> {
         self.self_id
     }
 
-    /// The current round.
+    /// The current round: the lane's turn count.
     #[inline]
     pub fn round(&self) -> Round {
         self.round
     }
 
-    /// Sends `msg` to `to`. Delivery round is decided by the simulation's
-    /// [`crate::DeliveryModel`].
+    /// Sends `msg` to `to`.  When it is delivered is the lane's fabric's
+    /// decision (in the simulation, its [`crate::DeliveryModel`]).
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.outbox.push((to, msg));
@@ -116,10 +108,10 @@ impl<M> Context<M> {
     ///
     /// Protocol-level distributions (batch sizes, hop counts, …) are only
     /// ever read summed over all nodes, so an actor reports each sample to
-    /// its host instead of keeping a histogram of its own: the simulation
-    /// keeps one per lane and series ([`crate::Simulation::observed`]), and
-    /// a node owns no statistics storage at all.  A host that keeps no sink
-    /// drops the sample.
+    /// its host instead of keeping a histogram of its own: a lane keeps one
+    /// per series ([`crate::Lane::observed`], summed over the lanes by
+    /// [`crate::Simulation::observed`]), and a node owns no statistics
+    /// storage at all.  A context without a sink drops the sample.
     #[inline]
     pub fn observe(&mut self, series: usize, sample: u64) {
         if let Some(sink) = &mut self.samples {
@@ -134,11 +126,11 @@ impl<M> Context<M> {
     /// shard `shard`.
     ///
     /// Like samples, events go to the host rather than into a buffer of the
-    /// node's own: the simulation lends one buffer per lane and hands its
-    /// contents to the driver's `TraceLog` after every round
-    /// ([`crate::Simulation::run_round`]).  A host that keeps no sink drops
-    /// the event; callers that trace conditionally check their level first,
-    /// so an untraced run never builds one.
+    /// node's own: a lane keeps one buffer ([`crate::Lane::drain_trace`]),
+    /// which the simulation hands to the driver's `TraceLog` after every
+    /// round ([`crate::Simulation::run_round`]).  A context without a sink
+    /// drops the event; callers that trace conditionally check their level
+    /// first, so an untraced run never builds one.
     #[inline]
     pub fn trace(&mut self, shard: u32, event: TraceEvent) {
         if let Some(sink) = &mut self.traces {

@@ -23,12 +23,16 @@
 //! * a node is any type implementing [`Actor`]; it reacts to delivered
 //!   messages ([`Actor::on_message`]) and to the per-round timeout
 //!   ([`Actor::on_timeout`]),
+//! * nodes live in a [`Lane`] — the one visit loop of the workspace,
+//!   generic over the message fabric ([`Transport`]) it runs on: the
+//!   simulation runs one lane per anchor shard over [`SimTransport`], a
+//!   `skueue-node` daemon (crate `skueue-net`) runs one over TCP,
 //! * all side effects go through a [`Context`], which buffers outgoing
 //!   messages so that a whole round is computed against a consistent
 //!   snapshot, and takes the samples and `skueue-trace` events a node
 //!   reports into its lane's sinks — a node keeps no report of its own; a
 //!   driver's local actions on a node run in the same context
-//!   ([`Simulation::act`]),
+//!   ([`Lane::act`], [`Simulation::act`]),
 //! * the simulation is fully deterministic for a given seed and
 //!   configuration, which the test-suite and the benchmark harness rely on.
 //!
@@ -72,7 +76,7 @@ pub use message::Envelope;
 pub use metrics::{Histogram, SimMetrics};
 pub use replay::{ReplayScenario, ReplayStep};
 pub use rng::SimRng;
-pub use scheduler::Simulation;
+pub use scheduler::{Lane, Simulation};
 pub use transport::{SimTransport, Transport};
 
 /// A simulated round (discrete time step of the synchronous model).

@@ -1,63 +1,75 @@
-//! The round-driven simulation engine.
+//! The visit loop, and the round-driven simulation built on it.
 //!
-//! [`Simulation`] owns a set of actors (one per virtual node), their
-//! channels, and the clock.  One call to [`Simulation::run_round`] executes
-//! one round of the paper's model:
+//! A [`Lane`] is the only place in the workspace that decides what a visit
+//! is.  It hosts a set of nodes over a message fabric (a [`Transport`]) and
+//! advances them one **turn** at a time with [`Lane::step`]:
 //!
-//! 1. every node processes the messages that became deliverable this round
-//!    (in the synchronous model: everything sent in the previous round),
-//! 2. every node then executes its `TIMEOUT` action — unless it received
-//!    nothing and declares the timeout a no-op via [`Actor::wants_timeout`],
-//!    in which case the visit is skipped entirely,
-//! 3. all messages produced in the round are scheduled for later rounds
-//!    according to the configured [`crate::DeliveryModel`].
+//! 1. the fabric hands over what is due this turn, and each message is
+//!    chained to its destination;
+//! 2. the turn visits every node that received something and, when the turn
+//!    is a *sweep*, every node whose [`Actor::wants_timeout`] holds (between
+//!    sweeps, only the nodes a driver action left wanting it);
+//! 3. a visit delivers the node's due messages in the order they were sent,
+//!    then fires its `TIMEOUT` ([`Actor::on_timeout`]) — every visit ends
+//!    with it — and posts what the node sent;
+//! 4. the node's wake flag is re-derived from its state.
+//!
+//! What a message sent in a turn does next is the fabric's business: the
+//! simulation's [`crate::SimTransport`] files it under a later round drawn
+//! from its delivery model, a daemon's TCP fabric delivers it next turn or
+//! writes it to a peer.  The simulation's schedule — the per-visit draw and
+//! the shuffled visit order — lives in its fabric too, behind the two hooks
+//! [`Transport::visit_begins`] and [`Transport::order_visits`].
+//!
+//! [`Simulation`] owns the simulation's lanes and the clock.  One call to
+//! [`Simulation::run_round`] executes one round of the paper's model, which
+//! is `step(true)` on every lane: every round is a sweep.
 //!
 //! Determinism: for a fixed seed, configuration and sequence of driver calls,
 //! a run is bit-for-bit reproducible.  Nodes are processed in index order
 //! (optionally in a seeded shuffled order), and messages due in the same
 //! round are delivered in the order they were sent.
 //!
-//! # Lanes
+//! # Lanes of a simulation
 //!
-//! Nodes are partitioned into **lanes** (one by default).  A lane owns its
-//! node slots, its slice of the delivery wheel, an independent RNG stream
-//! and its own scratch buffers, so one round decomposes into independent
-//! per-lane rounds recombined in fixed lane order:
+//! A simulation's nodes are partitioned into lanes (one by default).  A lane
+//! owns its node slots, its fabric (delivery wheel and an independent RNG
+//! stream) and its own scratch buffers, so one round decomposes into
+//! independent per-lane turns recombined in fixed lane order:
 //!
 //! * the per-round wake list is merged in ascending node-id order (the
 //!   classic visit order) — or in lane-concatenation order under shuffle,
 //! * per-lane metrics are folded into the global view.
 //!
-//! A lane is closed: an actor may only send to a node of its own lane, and a
-//! send that leaves it is a panic naming both ends.  The Skueue cluster maps
-//! every anchor shard to its own lane, and shards never talk to each other.
-//! Lanes make the round loop parallelisable: with
-//! [`Simulation::enable_parallel`] each lane's round executes on a worker
+//! A simulation lane is closed: an actor may only send to a node of its own
+//! lane, and a send that leaves it is a panic naming both ends.  The Skueue
+//! cluster maps every anchor shard to its own lane, and shards never talk to
+//! each other.  Lanes make the round loop parallelisable: with
+//! [`Simulation::enable_parallel`] each lane's turn executes on a worker
 //! thread of a persistent [`crate::exec::WorkerPool`] behind a deterministic
-//! round barrier.  Because a lane's round depends only on lane-owned state
-//! and merges happen in lane order, the parallel backend is **byte-identical**
-//! to the single-threaded one for every seed and any thread count.
+//! round barrier.  Because a lane's turn depends only on lane-owned state
+//! and merges happen in lane order, the parallel backend is
+//! **byte-identical** to the single-threaded one for every seed and any
+//! thread count.
 //!
 //! # Hot-loop design
 //!
-//! The round loop is allocation-free in steady state:
+//! A turn is allocation-free in steady state:
 //!
-//! * In-flight messages live in a **delivery wheel**: one ring of buckets,
-//!   a bucket per future round (see [`crate::SimTransport`]).  A round only
-//!   touches the envelopes that become deliverable in it — messages due
-//!   later are never rescanned — and the bucket it drains becomes the ring's
-//!   far end.
-//! * A per-round **wake list** visits only nodes that have deliverable
-//!   messages or want their `TIMEOUT`; every other node costs nothing.
-//! * A node owns **no inbox**: the round's due messages sit in one
-//!   lane-level buffer, chained per destination (see `Inbox`), so a node
-//!   that is never addressed costs the lane two words and no allocation.
-//!   The inbox, the wake list and the actor outbox are **scratch buffers**
-//!   owned by the lane and reused across rounds.
-//! * No per-round sorting: a bucket is filled in send order, so a node's
-//!   chain is already in send order within the bucket.  (The merged wake list
-//!   does sort ids in multi-lane runs — over the handful of woken nodes,
-//!   not the message volume.)
+//! * A turn only touches the envelopes that become deliverable in it (the
+//!   simulation's wheel never rescans messages due later).
+//! * A per-turn **wake list** visits only nodes that have deliverable
+//!   messages or want their `TIMEOUT`; every other node costs nothing — the
+//!   scan is over bit words, so 64 quiescent nodes cost one word-load.
+//! * A node owns **no inbox**: the turn's due messages sit in one lane-level
+//!   buffer, chained per destination (see `Inbox`), so a node that is never
+//!   addressed costs the lane two words and no allocation.  The inbox, the
+//!   wake list and the actor outbox are **scratch buffers** owned by the
+//!   lane and reused across turns.
+//! * No per-turn sorting: the fabric hands messages over in send order, so a
+//!   node's chain is already in send order.  (The merged wake list of a
+//!   simulation does sort ids in multi-lane runs — over the handful of woken
+//!   nodes, not the message volume.)
 
 use crate::actor::{Actor, Context};
 use crate::config::SimConfig;
@@ -66,9 +78,9 @@ use crate::exec::{thread_token, RoundTask, WorkerPool};
 use crate::ids::NodeId;
 use crate::metrics::{Histogram, SimMetrics};
 use crate::rng::{splitmix64, SimRng};
-use crate::transport::SimTransport;
+use crate::transport::{SimTransport, Transport};
 use crate::Round;
-use skueue_trace::TraceLog;
+use skueue_trace::{TraceLog, TraceRecord};
 use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
@@ -86,96 +98,96 @@ struct Due<M> {
     next: u32,
 }
 
-/// A lane's inbox for the round currently executing: every due message in
-/// the bucket's send order, chained per destination slot.  A slot's entry
-/// in `head`/`tail` means something only while its bit in the lane's
-/// `woken_bits` is set, so nothing here is reset per node between rounds.
+/// A lane's inbox for the turn currently executing: every due message in
+/// the order the fabric handed it over, chained per destination slot.  A
+/// slot's entry in `head`/`tail` means something only while its bit in the
+/// lane's `woken_bits` is set, so nothing here is reset per node between
+/// turns.
 struct Inbox<M> {
     due: Vec<Due<M>>,
-    /// Lane slot → its first due message of the round.
+    /// Lane slot → its first due message of the turn.
     head: Vec<u32>,
-    /// Lane slot → its last due message of the round.
+    /// Lane slot → its last due message of the turn.
     tail: Vec<u32>,
 }
 
 /// Cumulative per-lane counters, folded into the global [`SimMetrics`] by
-/// the driver's round merge.
+/// the simulation's round merge.
 #[derive(Debug, Default)]
 struct LaneMetrics {
     messages_sent: u64,
     messages_delivered: u64,
     timeouts_fired: u64,
     nodes_visited: u64,
-    delays: Histogram,
     busy_ns: u64,
     barrier_wait_ns: u64,
     thread_token: u64,
 }
 
-/// One lane: a partition of the simulation's nodes together with everything
-/// needed to run their share of a round without touching other lanes.
-struct Lane<A: Actor> {
-    // Per-lane copies of the configuration bits the round loop needs (the
-    // lane must be shippable to a worker thread without borrowing the
-    // simulation).
-    shuffle: bool,
-    /// The lane's message fabric: delivery wheel and delay RNG (see
-    /// [`crate::transport`]).  The lane calls its inherent
-    /// methods directly — static dispatch, no hot-loop indirection.  Lane
-    /// 0's RNG stream is seeded exactly like the pre-lane global stream, so
-    /// single-lane runs are bit-identical to the historical scheduler.
-    transport: SimTransport<A::Msg>,
+/// A set of nodes, the fabric their messages travel on, and the visit loop
+/// that advances them one turn at a time (see the module docs).
+///
+/// The simulation runs one lane per anchor shard over [`SimTransport`]; a
+/// `skueue-node` daemon runs one over its TCP fabric and decides itself when
+/// a turn sweeps (its timer deadline).  Both report through the lane's
+/// [`Context`]: the samples and trace events of every node land in the
+/// lane's sinks ([`Self::observed`], [`Self::drain_trace`]).
+pub struct Lane<A: Actor, F> {
+    /// The lane's message fabric.  The lane calls it statically — no
+    /// hot-loop indirection.
+    fabric: F,
+    /// Turns taken so far: the `round` every context of this lane reads.
+    turn: Round,
     nodes: Vec<A>,
     /// Lane slot → global node id.
     global_ids: Vec<u64>,
-    /// Global node id → lane slot (`NOT_LOCAL` for other lanes' nodes; only
-    /// grown for ids at or below this lane's own highest node).
+    /// Global node id → lane slot (`NOT_LOCAL` for nodes of other lanes;
+    /// only grown for ids at or below this lane's own highest node).
     local_slot: Vec<u32>,
     /// Bit-packed per-slot wake flags: bit `i` is set iff slot `i` wants its
-    /// timeout (see [`Actor::wants_timeout`]).  Re-derived after every visit.
+    /// timeout (see [`Actor::wants_timeout`]).  Re-derived after every visit
+    /// and every driver action.
     timeout_flags: Vec<u64>,
-    /// Bit-packed per-round delivery marks: bit `i` is set while slot `i`
-    /// has deliverable messages this round.  Cleared at every round start.
+    /// Bit-packed per-turn delivery marks: bit `i` is set while slot `i`
+    /// has deliverable messages this turn.  Cleared at every turn start.
     woken_bits: Vec<u64>,
-    /// The lane slots visited by the current round, in visit order.
+    /// Bit-packed marks of the slots a driver action left wanting their
+    /// timeout since the last turn: visited next turn even if it is no
+    /// sweep.
+    acted_bits: Vec<u64>,
+    /// The lane slots visited by the current turn, in visit order.
     wake_order: Vec<usize>,
     inbox: Inbox<A::Msg>,
     /// The context every actor invocation of this lane runs in, re-armed per
     /// visit and per driver action.  It owns the outbox scratch, the lane's
     /// sample sink (one distribution per series, see [`Context::observe`])
-    /// and its trace sink (the events since the last round's hand-over, see
+    /// and its trace sink (the events not yet drained, see
     /// [`Context::trace`]).
     ctx: Context<A::Msg>,
     metrics: LaneMetrics,
-    /// Messages delivered by the most recent round (merge input).
+    /// Messages delivered by the most recent turn (round merge input).
     delta_delivered: usize,
-    /// Wall time of the most recent round (merge input for barrier-wait
+    /// Wall time of the most recent turn (merge input for barrier-wait
     /// accounting).
     delta_busy_ns: u64,
 }
 
-impl<A: Actor> Lane<A> {
-    fn new(config: &SimConfig, lane: usize) -> Self {
-        let seed = if lane == 0 {
-            config.seed
-        } else {
-            // Derived, well-separated stream for every additional lane.
-            let mut s = config
-                .seed
-                .wrapping_add((lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            splitmix64(&mut s)
-        };
+impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
+    /// An empty lane over `fabric`, at turn 0, with a sample and a trace
+    /// sink.
+    pub fn new(fabric: F) -> Self {
         let mut ctx = Context::new(NodeId(0), 0);
         ctx.samples = Some(Vec::new());
         ctx.traces = Some(Vec::new());
         Lane {
-            shuffle: config.shuffle_node_order,
-            transport: SimTransport::new(config.delivery, SimRng::new(seed)),
+            fabric,
+            turn: 0,
             nodes: Vec::new(),
             global_ids: Vec::new(),
             local_slot: Vec::new(),
             timeout_flags: Vec::new(),
             woken_bits: Vec::new(),
+            acted_bits: Vec::new(),
             wake_order: Vec::new(),
             inbox: Inbox {
                 due: Vec::new(),
@@ -187,6 +199,17 @@ impl<A: Actor> Lane<A> {
             delta_delivered: 0,
             delta_busy_ns: 0,
         }
+    }
+
+    /// The lane's fabric.
+    pub fn fabric(&self) -> &F {
+        &self.fabric
+    }
+
+    /// The lane's fabric, mutably: a host hands it the messages that
+    /// arrive from outside the lane.
+    pub fn fabric_mut(&mut self) -> &mut F {
+        &mut self.fabric
     }
 
     /// Pre-sizes the lane for `nodes` more nodes (capacity hint only).
@@ -202,27 +225,27 @@ impl<A: Actor> Lane<A> {
         self.inbox.tail.reserve(nodes);
         self.timeout_flags.reserve(slots.div_ceil(64));
         self.woken_bits.reserve(slots.div_ceil(64));
+        self.acted_bits.reserve(slots.div_ceil(64));
     }
 
-    /// Registers a node with global id `global` and returns its lane slot.
-    fn add_node(&mut self, global: u64, actor: A) -> usize {
+    /// Starts hosting `actor` as node `id`.  It is visited when a message
+    /// for it arrives, or by a sweep if it wants its `TIMEOUT`.
+    pub fn add_node(&mut self, id: NodeId, actor: A) {
         let slot = self.nodes.len();
         if slot / 64 >= self.timeout_flags.len() {
             self.timeout_flags.push(0);
             self.woken_bits.push(0);
-        }
-        if actor.wants_timeout() {
-            self.timeout_flags[slot / 64] |= 1u64 << (slot % 64);
+            self.acted_bits.push(0);
         }
         self.nodes.push(actor);
-        self.global_ids.push(global);
+        self.global_ids.push(id.0);
         self.inbox.head.push(END);
         self.inbox.tail.push(END);
-        if self.local_slot.len() <= global as usize {
-            self.local_slot.resize(global as usize + 1, NOT_LOCAL);
+        if self.local_slot.len() <= id.index() {
+            self.local_slot.resize(id.index() + 1, NOT_LOCAL);
         }
-        self.local_slot[global as usize] = slot as u32;
-        slot
+        self.local_slot[id.index()] = slot as u32;
+        self.refresh_flag(slot);
     }
 
     /// The lane slot of a global node id, if the node lives in this lane.
@@ -234,45 +257,107 @@ impl<A: Actor> Lane<A> {
         }
     }
 
-    /// Re-derives slot `slot`'s wake-flag bit from its current state.
-    fn refresh_flag(&mut self, slot: usize) {
+    /// Node `id`, if it lives in this lane.
+    pub fn node(&self, id: NodeId) -> Option<&A> {
+        self.slot_of(id).map(|slot| &self.nodes[slot])
+    }
+
+    /// The lane's nodes, in the order they were added.
+    pub fn nodes(&self) -> impl Iterator<Item = &A> {
+        self.nodes.iter()
+    }
+
+    /// Re-derives slot `slot`'s wake-flag bit from its current state and
+    /// returns it.
+    fn refresh_flag(&mut self, slot: usize) -> bool {
         let bit = 1u64 << (slot % 64);
-        if self.nodes[slot].wants_timeout() {
+        let wants = self.nodes[slot].wants_timeout();
+        if wants {
             self.timeout_flags[slot / 64] |= bit;
         } else {
             self.timeout_flags[slot / 64] &= !bit;
         }
+        wants
     }
 
-    /// Schedules a message for one of this lane's nodes and returns its
-    /// delay in rounds.
+    /// Whether some node of the lane wants its `TIMEOUT`: a host that
+    /// sweeps on a timer arms it then.
+    pub fn wants_timeout(&self) -> bool {
+        self.timeout_flags.iter().any(|&word| word != 0)
+    }
+
+    /// Hands a message from outside the lane to its fabric, as if a node of
+    /// the lane had sent it.  `to` must be a node of the lane or one the
+    /// fabric reaches elsewhere ([`Transport::is_remote`]).
+    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
+        if self.slot_of(to).is_none() && !self.fabric.is_remote(to) {
+            return Err(SimError::UnknownNode(to));
+        }
+        self.fabric.send(from, to, msg);
+        self.metrics.messages_sent += 1;
+        Ok(())
+    }
+
+    /// Hands a message a node of the lane sent to the fabric.
     ///
     /// # Panics
     ///
-    /// Panics when `to` is not a node of this lane: lanes are closed (each
-    /// runs its round without looking at another), so such a send is a bug
-    /// in the actor or in the driver's lane assignment.
-    fn post(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Round {
-        assert!(
-            self.slot_of(to).is_some(),
-            "{from} sent to {to}, which is not in its lane"
-        );
-        let delay = self.transport.dispatch(from, to, msg);
-        self.metrics.messages_sent += 1;
-        self.metrics.delays.record(delay);
-        delay
+    /// Panics when `to` is neither a node of this lane nor remote: a
+    /// simulation lane is closed (each runs its turn without looking at
+    /// another), so such a send is a bug in the actor or in the driver's
+    /// lane assignment.
+    fn post(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
+        if self.inject(from, to, msg).is_err() {
+            panic!("{from} sent to {to}, which is not in its lane");
+        }
+    }
+
+    /// Posts everything the invocation that just ended sent from `from`.
+    #[inline]
+    fn post_outbox(&mut self, from: NodeId) {
+        if self.ctx.outbox.is_empty() {
+            return;
+        }
+        // Moved out while posting (a post needs the whole lane) and back so
+        // its capacity is reused.
+        let mut outbox = std::mem::take(&mut self.ctx.outbox);
+        for (to, msg) in outbox.drain(..) {
+            self.post(from, to, msg);
+        }
+        self.ctx.outbox = outbox;
+    }
+
+    /// Runs a driver-side action of node `id` in the lane's [`Context`] and
+    /// returns its result (`None` if `id` is not in this lane).  Such
+    /// actions are *local* operations of the emulating process — generating
+    /// a queue request, asking a node to leave, collecting its completions —
+    /// not messages of the paper's model.  What the action sends is posted,
+    /// what it records goes to the lane's sinks, and the node's wake flag is
+    /// re-derived: a node the action leaves wanting its `TIMEOUT` is visited
+    /// in the next turn, sweep or not.
+    pub fn act<R>(
+        &mut self,
+        id: NodeId,
+        action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
+    ) -> Option<R> {
+        let slot = self.slot_of(id)?;
+        self.ctx.rearm(id, self.turn);
+        let result = action(&mut self.nodes[slot], &mut self.ctx);
+        self.post_outbox(id);
+        if self.refresh_flag(slot) {
+            self.acted_bits[slot / 64] |= 1u64 << (slot % 64);
+        }
+        Some(result)
     }
 
     /// Delivers a slot's due messages (its chain in the lane's inbox),
-    /// fires its timeout, and posts everything it sent.
+    /// fires its timeout, posts everything it sent, and re-derives its wake
+    /// flag: the one visit of the workspace.
     #[inline]
-    fn visit_node(&mut self, slot: usize, round: Round) {
+    fn visit_node(&mut self, slot: usize) {
         let self_id = NodeId(self.global_ids[slot]);
-        // One draw per visit, unused: every recorded schedule (the golden
-        // histories) was taken while this seeded a per-visit actor stream,
-        // so the lane's stream has to advance exactly as it did then.
-        self.transport.rng.next_u64();
-        self.ctx.rearm(self_id, round);
+        self.fabric.visit_begins();
+        self.ctx.rearm(self_id, self.turn);
         let node = &mut self.nodes[slot];
         if self.woken_bits[slot / 64] & (1u64 << (slot % 64)) != 0 {
             let mut at = self.inbox.head[slot];
@@ -285,45 +370,35 @@ impl<A: Actor> Lane<A> {
         }
         node.on_timeout(&mut self.ctx);
         self.metrics.timeouts_fired += 1;
-        self.post_outbox(self_id, |_| {});
+        self.post_outbox(self_id);
+        self.refresh_flag(slot);
     }
 
-    /// Posts everything the invocation that just ended sent from `from`,
-    /// handing each message's delay to `posted`.
-    #[inline]
-    fn post_outbox(&mut self, from: NodeId, mut posted: impl FnMut(Round)) {
-        if self.ctx.outbox.is_empty() {
-            return;
-        }
-        // Moved out while posting (a post needs the whole lane) and back so
-        // its capacity is reused.
-        let mut outbox = std::mem::take(&mut self.ctx.outbox);
-        for (to, msg) in outbox.drain(..) {
-            posted(self.post(from, to, msg));
-        }
-        self.ctx.outbox = outbox;
-    }
-
-    /// Executes this lane's share of one round.
-    fn run_round(&mut self, round: Round) {
+    /// Takes one turn (see the module docs) and returns the number of
+    /// messages it delivered.  `sweep` visits every node that wants its
+    /// `TIMEOUT`; without it only the nodes that received something, and
+    /// those a driver action left wanting it, are visited.
+    pub fn step(&mut self, sweep: bool) -> usize {
         let started = Instant::now();
+        self.turn += 1;
 
-        // Phase 1: move this round's due envelopes into the lane's inbox,
-        // chaining each to its destination slot and marking the slot as
-        // woken.  The transport hands them over in send order, so each
-        // slot's chain ends up ordered without sorting.
+        // Move this turn's due envelopes into the lane's inbox, chaining
+        // each to its destination slot and marking the slot as woken.  The
+        // fabric hands them over in send order, so each slot's chain ends up
+        // ordered without sorting.
         for word in &mut self.woken_bits {
             *word = 0;
         }
         let Lane {
-            transport,
+            fabric,
+            turn,
             inbox,
             local_slot,
             woken_bits,
             ..
         } = self;
         inbox.due.clear();
-        let delivered_total = transport.take_due(round, |env| {
+        let delivered = fabric.take_due(*turn, |env| {
             let slot = local_slot[env.to.index()] as usize;
             let at = inbox.due.len() as u32;
             let bit = 1u64 << (slot % 64);
@@ -341,61 +416,74 @@ impl<A: Actor> Lane<A> {
             });
         });
 
-        // Phases 2+3: visit exactly the woken slots — those whose wake-flag
-        // bit is set (timeout interest) or that received a message
-        // this round.  The scan is over the OR of the two bit words, so 64
-        // quiescent nodes cost a single word-load; the shuffle mode
-        // materialises the wake list before visiting.  A slot's flag is
-        // re-derived after its visit, so timeout interest follows the
-        // actor's state from round to round.
+        // The wake list, over the OR of the bit words: the woken slots, and
+        // those that want their timeout — all of them on a sweep, else the
+        // ones a driver action left wanting it.  The fabric may reorder it
+        // before the visits.
         self.wake_order.clear();
-        let words = self.timeout_flags.len();
-        if !self.shuffle {
-            for wi in 0..words {
-                let mut word = self.timeout_flags[wi] | self.woken_bits[wi];
-                while word != 0 {
-                    let slot = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.visit_node(slot, round);
-                    self.refresh_flag(slot);
-                    self.wake_order.push(slot);
-                }
+        for wi in 0..self.timeout_flags.len() {
+            let due = if sweep { !0 } else { self.acted_bits[wi] };
+            let mut word = self.woken_bits[wi] | (self.timeout_flags[wi] & due);
+            self.acted_bits[wi] = 0;
+            while word != 0 {
+                self.wake_order
+                    .push(wi * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
             }
-        } else {
-            for wi in 0..words {
-                let mut word = self.timeout_flags[wi] | self.woken_bits[wi];
-                while word != 0 {
-                    let slot = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.wake_order.push(slot);
-                }
-            }
-            let mut wake = std::mem::take(&mut self.wake_order);
-            self.transport.rng.shuffle(&mut wake);
-            for &slot in &wake {
-                self.visit_node(slot, round);
-                self.refresh_flag(slot);
-            }
-            self.wake_order = wake;
         }
+        let mut wake = std::mem::take(&mut self.wake_order);
+        self.fabric.order_visits(&mut wake);
+        for &slot in &wake {
+            self.visit_node(slot);
+        }
+        self.wake_order = wake;
+
         self.metrics.nodes_visited += self.wake_order.len() as u64;
-        self.metrics.messages_delivered += delivered_total as u64;
-        self.delta_delivered = delivered_total;
+        self.metrics.messages_delivered += delivered as u64;
+        self.delta_delivered = delivered;
         self.delta_busy_ns = started.elapsed().as_nanos() as u64;
         self.metrics.busy_ns += self.delta_busy_ns;
         self.metrics.thread_token = thread_token();
+        delivered
+    }
+
+    /// The nodes the most recent [`Self::step`] visited, in visit order.
+    pub fn visited(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.wake_order
+            .iter()
+            .map(|&slot| NodeId(self.global_ids[slot]))
+    }
+
+    /// Every sample the lane's nodes reported under `series` (see
+    /// [`Context::observe`]); empty for a series nobody reported to.
+    pub fn observed(&self, series: usize) -> Histogram {
+        let sink = self.ctx.samples.as_ref();
+        sink.and_then(|s| s.get(series))
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Takes the trace events the lane's nodes recorded since the last
+    /// call, in the order they were recorded (see [`Context::trace`]).
+    pub fn drain_trace(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
+        self.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..))
     }
 }
 
-impl<A> RoundTask for Lane<A>
+impl<A, F> RoundTask for Lane<A, F>
 where
     A: Actor + Send + 'static,
     A::Msg: Send,
+    F: Transport<A::Msg> + Send + 'static,
 {
     fn run_task(&mut self, round: u64) {
-        self.run_round(round);
+        self.step(true);
+        debug_assert_eq!(self.turn, round, "lane clock out of sync with driver");
     }
 }
+
+/// A lane of the simulation: its fabric is the deterministic delivery wheel.
+type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
 
 /// A deterministic discrete-round message-passing simulation.
 pub struct Simulation<A: Actor> {
@@ -403,7 +491,7 @@ pub struct Simulation<A: Actor> {
     /// The lanes.  `Option` because the parallel backend temporarily moves
     /// lane boxes to worker threads inside [`Self::run_round`]; between
     /// driver calls every slot is `Some`.
-    lanes: Vec<Option<Box<Lane<A>>>>,
+    lanes: Vec<Option<Box<SimLane<A>>>>,
     /// Global node id → `(lane, slot)`.
     node_loc: Vec<(u32, u32)>,
     round: Round,
@@ -412,7 +500,25 @@ pub struct Simulation<A: Actor> {
     /// lanes; see [`Self::visited_last_round`]).
     merged_wake: Vec<usize>,
     /// Worker pool of the parallel backend (`None` = single-threaded).
-    pool: Option<WorkerPool<Lane<A>>>,
+    pool: Option<WorkerPool<SimLane<A>>>,
+}
+
+/// Lane `lane` of a simulation configured by `config`.  Lane 0's RNG stream
+/// is seeded exactly like the pre-lane global stream, so single-lane runs
+/// are bit-identical to the historical scheduler.
+fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> Box<SimLane<A>> {
+    let seed = if lane == 0 {
+        config.seed
+    } else {
+        // Derived, well-separated stream for every additional lane.
+        let mut s = config
+            .seed
+            .wrapping_add((lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        splitmix64(&mut s)
+    };
+    let mut fabric = SimTransport::new(config.delivery, SimRng::new(seed));
+    fabric.shuffle = config.shuffle_node_order;
+    Box::new(Lane::new(fabric))
 }
 
 impl<A: Actor> Simulation<A> {
@@ -420,7 +526,7 @@ impl<A: Actor> Simulation<A> {
     /// [`Self::configure_lanes`]).
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
         config.validate()?;
-        let lane = Box::new(Lane::new(&config, 0));
+        let lane = sim_lane(&config, 0);
         Ok(Simulation {
             config,
             lanes: vec![Some(lane)],
@@ -434,13 +540,13 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to a lane (every slot is `Some` between rounds).
     #[inline]
-    fn lane(&self, lane: usize) -> &Lane<A> {
+    fn lane(&self, lane: usize) -> &SimLane<A> {
         self.lanes[lane].as_ref().expect("lane present")
     }
 
     /// Mutable access to a lane.
     #[inline]
-    fn lane_mut(&mut self, lane: usize) -> &mut Lane<A> {
+    fn lane_mut(&mut self, lane: usize) -> &mut SimLane<A> {
         self.lanes[lane].as_mut().expect("lane present")
     }
 
@@ -459,7 +565,7 @@ impl<A: Actor> Simulation<A> {
             ));
         }
         self.lanes = (0..count)
-            .map(|l| Some(Box::new(Lane::new(&self.config, l))))
+            .map(|l| Some(sim_lane(&self.config, l)))
             .collect();
         self.pool = None;
         Ok(())
@@ -498,9 +604,10 @@ impl<A: Actor> Simulation<A> {
             "lane {lane} out of range ({} lanes)",
             self.lanes.len()
         );
-        let global = self.node_loc.len() as u64;
-        let id = NodeId(global);
-        let slot = self.lane_mut(lane).add_node(global, actor);
+        let id = NodeId(self.node_loc.len() as u64);
+        let lane_ref = self.lane_mut(lane);
+        let slot = lane_ref.nodes.len();
+        lane_ref.add_node(id, actor);
         self.node_loc.push((lane as u32, slot as u32));
         id
     }
@@ -547,55 +654,36 @@ impl<A: Actor> Simulation<A> {
             .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lane(l as usize).nodes[s as usize]))
     }
 
-    /// Runs a driver-side action of node `id` in its lane's [`Context`] and
-    /// returns the action's result (`None` for an unknown id).  Such actions
-    /// are *local* operations of the emulating process — generating a queue
-    /// request, asking a node to leave, collecting its completions — not
-    /// messages of the paper's model.  What the action sends is posted
-    /// exactly as [`Self::inject`] posts a message, so an action that sends
-    /// nothing draws nothing from the delay RNG; what it records goes to the
-    /// lane's sinks.  The node's wake flag is re-derived afterwards, so an
-    /// action that changes [`Actor::wants_timeout`] takes effect next round.
+    /// Runs a driver-side action of node `id` in its lane's [`Context`]
+    /// ([`Lane::act`]) and returns the action's result (`None` for an
+    /// unknown id).  What the action sends is posted exactly as
+    /// [`Self::inject`] posts a message, so an action that sends nothing
+    /// draws nothing from the delay RNG; an action that changes
+    /// [`Actor::wants_timeout`] takes effect next round.
     pub fn act<R>(
         &mut self,
         id: NodeId,
         action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
     ) -> Option<R> {
-        let &(lane, slot) = self.node_loc.get(id.index())?;
-        let slot = slot as usize;
-        let round = self.round;
-        let metrics = &mut self.metrics;
-        let lane = self.lanes[lane as usize].as_mut().expect("lane present");
-        lane.ctx.rearm(id, round);
-        let result = action(&mut lane.nodes[slot], &mut lane.ctx);
-        lane.post_outbox(id, |delay| {
-            metrics.messages_sent += 1;
-            metrics.delays.record(delay);
-        });
-        lane.refresh_flag(slot);
-        Some(result)
+        let &(lane, _) = self.node_loc.get(id.index())?;
+        let lane = self.lane_mut(lane as usize);
+        let sent = lane.metrics.messages_sent;
+        let result = lane.act(id, action);
+        if lane.metrics.messages_sent != sent {
+            self.fold_counters();
+        }
+        result
     }
 
     /// Injects a message from the outside world (delivered like any other
     /// message, in the next round at the earliest).
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
-        let &(lane_idx, _) = self
+        let &(lane, _) = self
             .node_loc
             .get(to.index())
             .ok_or(SimError::UnknownNode(to))?;
-        let round = self.round;
-        let lane = self.lane_mut(lane_idx as usize);
-        debug_assert_eq!(
-            lane.transport.round(),
-            round,
-            "lane clock out of sync with driver"
-        );
-        let delay = lane.post(from, to, msg);
-        // Keep the aggregate counters current between rounds (the round
-        // merge recomputes them wholesale from the per-lane metrics, so the
-        // eager update never double-counts).
-        self.metrics.messages_sent += 1;
-        self.metrics.delays.record(delay);
+        self.lane_mut(lane as usize).inject(from, to, msg)?;
+        self.fold_counters();
         Ok(())
     }
 
@@ -610,10 +698,7 @@ impl<A: Actor> Simulation<A> {
     pub fn observed(&self, series: usize) -> Histogram {
         let mut merged = Histogram::default();
         for lane in &self.lanes {
-            let sink = lane.as_ref().expect("lane present").ctx.samples.as_ref();
-            if let Some(h) = sink.and_then(|s| s.get(series)) {
-                merged.merge(h);
-            }
+            merged.merge(&lane.as_ref().expect("lane present").observed(series));
         }
         merged
     }
@@ -629,9 +714,10 @@ impl<A: Actor> Simulation<A> {
         &self.merged_wake
     }
 
-    /// Executes one round, appends the trace events the lanes recorded since
-    /// the previous round (driver actions included) to `trace` in lane
-    /// order, and returns the number of messages delivered in the round.
+    /// Executes one round — a sweeping [`Lane::step`] on every lane —,
+    /// appends the trace events the lanes recorded since the previous round
+    /// (driver actions included) to `trace` in lane order, and returns the
+    /// number of messages delivered in the round.
     pub fn run_round(&mut self, trace: &mut TraceLog) -> usize {
         self.round += 1;
         let round = self.round;
@@ -649,23 +735,36 @@ impl<A: Actor> Simulation<A> {
             }
         } else {
             for slot in &mut self.lanes {
-                slot.as_mut().expect("lane present").run_round(round);
+                slot.as_mut().expect("lane present").step(true);
             }
         }
         let round_wall_ns = started.elapsed().as_nanos() as u64;
-        self.merge_round(round, round_wall_ns, parallel, trace)
+        self.merge_round(round_wall_ns, parallel, trace)
+    }
+
+    /// Re-derives the cumulative counters of [`Self::metrics`] from the
+    /// lanes' own (the delays from the lanes' fabrics).
+    fn fold_counters(&mut self) {
+        let m = &mut self.metrics;
+        m.messages_sent = 0;
+        m.messages_delivered = 0;
+        m.timeouts_fired = 0;
+        m.nodes_visited = 0;
+        m.delays = Histogram::default();
+        for slot in &self.lanes {
+            let lane = slot.as_ref().expect("lane present");
+            m.messages_sent += lane.metrics.messages_sent;
+            m.messages_delivered += lane.metrics.messages_delivered;
+            m.timeouts_fired += lane.metrics.timeouts_fired;
+            m.nodes_visited += lane.metrics.nodes_visited;
+            m.delays.merge(&lane.fabric.delays);
+        }
     }
 
     /// Recombines the per-lane round outputs — wake lists, metrics, trace
     /// events — in fixed lane order and returns the round's
     /// delivered-message count.
-    fn merge_round(
-        &mut self,
-        round: Round,
-        round_wall_ns: u64,
-        parallel: bool,
-        trace: &mut TraceLog,
-    ) -> usize {
+    fn merge_round(&mut self, round_wall_ns: u64, parallel: bool, trace: &mut TraceLog) -> usize {
         // Merged visit list (global ids).  One lane: the exact visit order.
         // Multi-lane: ascending id order (the historical global visit order)
         // or lane-concatenation order under shuffle — deterministic either
@@ -673,35 +772,25 @@ impl<A: Actor> Simulation<A> {
         self.merged_wake.clear();
         for slot in &self.lanes {
             let lane = slot.as_ref().expect("lane present");
-            self.merged_wake
-                .extend(lane.wake_order.iter().map(|&s| lane.global_ids[s] as usize));
+            self.merged_wake.extend(lane.visited().map(NodeId::index));
         }
         if self.lanes.len() > 1 && !self.config.shuffle_node_order {
             self.merged_wake.sort_unstable();
         }
 
-        // Metrics: recompute aggregate counters from the per-lane cumulative
-        // ones, fold the round deltas into the per-round histograms, and
-        // surface the per-lane timing columns.
+        // Metrics: recompute the aggregate counters from the per-lane
+        // cumulative ones, record the round's deliveries, and surface the
+        // per-lane timing columns.
+        self.fold_counters();
         let lane_count = self.lanes.len();
         let m = &mut self.metrics;
-        m.rounds = round;
+        m.rounds = self.round;
         m.lane_busy_ns.resize(lane_count, 0);
         m.lane_barrier_wait_ns.resize(lane_count, 0);
         m.lane_thread_tokens.resize(lane_count, 0);
-        m.delays = Histogram::default();
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut timeouts = 0u64;
-        let mut visited = 0u64;
         let mut delivered_this_round = 0usize;
         for (l, slot) in self.lanes.iter_mut().enumerate() {
             let lane = slot.as_mut().expect("lane present");
-            sent += lane.metrics.messages_sent;
-            delivered += lane.metrics.messages_delivered;
-            timeouts += lane.metrics.timeouts_fired;
-            visited += lane.metrics.nodes_visited;
-            m.delays.merge(&lane.metrics.delays);
             delivered_this_round += lane.delta_delivered;
             if parallel {
                 lane.metrics.barrier_wait_ns += round_wall_ns.saturating_sub(lane.delta_busy_ns);
@@ -709,14 +798,10 @@ impl<A: Actor> Simulation<A> {
             m.lane_busy_ns[l] = lane.metrics.busy_ns;
             m.lane_barrier_wait_ns[l] = lane.metrics.barrier_wait_ns;
             m.lane_thread_tokens[l] = lane.metrics.thread_token;
-            for record in lane.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..)) {
+            for record in lane.drain_trace() {
                 trace.push(record);
             }
         }
-        m.messages_sent = sent;
-        m.messages_delivered = delivered;
-        m.timeouts_fired = timeouts;
-        m.nodes_visited = visited;
         m.per_round_deliveries.record(delivered_this_round as u64);
         delivered_this_round
     }
@@ -1048,6 +1133,33 @@ mod tests {
         assert_eq!(sim.visited_last_round(), &[0]);
         assert_eq!(sim.node(a).unwrap().timeouts, 1);
         assert_eq!(sim.act(NodeId(9), |node, _| node.armed), None);
+    }
+
+    /// Between sweeps a turn visits the nodes that received something and
+    /// those an action woke; a node that already wanted its timeout waits
+    /// for the sweep.
+    #[test]
+    fn a_turn_without_a_sweep_visits_the_woken_and_the_acted() {
+        let fabric = SimTransport::new(DeliveryModel::Synchronous, SimRng::new(1));
+        let mut lane: Lane<Sleeper, _> = Lane::new(fabric);
+        let (armed, acted, fed) = (NodeId(0), NodeId(1), NodeId(2));
+        let sleeper = |armed| Sleeper {
+            armed,
+            ..Sleeper::default()
+        };
+        lane.add_node(armed, sleeper(true));
+        lane.add_node(acted, sleeper(false));
+        lane.add_node(fed, sleeper(false));
+        lane.act(acted, |node, _| node.armed = true);
+        lane.inject(armed, fed, ()).unwrap();
+        assert_eq!(lane.step(false), 1);
+        assert_eq!(lane.visited().collect::<Vec<_>>(), [acted, fed]);
+        assert!(lane.wants_timeout());
+        lane.step(true);
+        assert_eq!(lane.visited().collect::<Vec<_>>(), [armed]);
+        assert!(!lane.wants_timeout());
+        let stray = lane.inject(fed, NodeId(7), ());
+        assert_eq!(stray, Err(SimError::UnknownNode(NodeId(7))));
     }
 
     /// What a run is made of, for byte-identity comparisons.

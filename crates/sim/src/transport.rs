@@ -3,32 +3,37 @@
 //! Every Skueue message crosses exactly one boundary: an actor hands
 //! `(from, to, payload)` to *something* that eventually delivers the payload
 //! to `to`'s [`crate::Actor::on_message`].  The [`Transport`] trait names
-//! that boundary.  Two implementations exist:
+//! that boundary, and it is the one thing a [`crate::Lane`] is generic over:
+//! the lane's visit loop is the same whichever fabric it runs on.  Two
+//! fabrics exist:
 //!
 //! * [`SimTransport`] (this module) — the deterministic delivery wheel of the
 //!   round-driven [`crate::Simulation`]: one ring of buckets, a bucket per
 //!   future round, each in send order.  Delays are drawn from a seeded RNG
-//!   according to a [`DeliveryModel`]; for a fixed seed the
-//!   schedule is bit-for-bit reproducible, which the golden-history tests
-//!   and the benchmark's fingerprint checks rely on.  [`crate::scheduler::Simulation`]'s lanes
-//!   embed one `SimTransport` each and call its inherent methods directly
-//!   (static dispatch — the seam adds no indirection to the hot loop).
-//! * `TcpTransport` (crate `skueue-net`) — real-clock delivery for the nodes
-//!   a `skueue-node` daemon hosts on one thread: a FIFO between nodes of the
-//!   same daemon, length-prefixed frames on TCP sockets between daemons.  No
-//!   delay model, no determinism: correctness of a run is established *a
-//!   posteriori* by the sequential-consistency checker, which the paper's
-//!   asynchronous-model proof permits (arbitrary finite delays, non-FIFO —
-//!   a queue's and TCP's per-channel FIFO are strictly stronger).
+//!   according to a [`DeliveryModel`]; the same stream feeds the lane's
+//!   per-visit draw and, under `shuffle_node_order`, the shuffled visit
+//!   order.  For a fixed seed the schedule is bit-for-bit reproducible, which
+//!   the golden-history tests and the benchmark's fingerprint checks rely
+//!   on.  Each of a simulation's lanes embeds one and calls it statically
+//!   (the seam adds no indirection to the hot loop).
+//! * `TcpTransport` (crate `skueue-net`) — real-clock delivery for the lane
+//!   a `skueue-node` daemon hosts its nodes in: a FIFO between nodes of the
+//!   same daemon, delivered next turn, and length-prefixed frames on TCP
+//!   sockets to the nodes of other daemons.  No delay model, no
+//!   determinism: correctness of a run is established *a posteriori* by the
+//!   sequential-consistency checker, which the paper's asynchronous-model
+//!   proof permits (arbitrary finite delays, non-FIFO — a queue's and TCP's
+//!   per-channel FIFO are strictly stronger).
 //!
 //! The determinism boundary therefore runs exactly through this trait:
 //! everything *behind* `SimTransport` (ring, RNG) is reproducible state;
 //! everything behind a real transport is wall-clock.  Protocol code above the
-//! seam is identical in both worlds.
+//! seam — and the visit loop — is identical in both worlds.
 
 use crate::delivery::DeliveryModel;
 use crate::ids::NodeId;
 use crate::message::Envelope;
+use crate::metrics::Histogram;
 use crate::rng::SimRng;
 use crate::Round;
 use std::collections::VecDeque;
@@ -51,22 +56,48 @@ pub trait Transport<M> {
 
     /// Human-readable backend name (for logs and reports).
     fn name(&self) -> &'static str;
+
+    /// Advances the fabric to turn `turn` of its lane, hands every message
+    /// due by then to `deliver` in send order, and returns how many it
+    /// handed over.
+    fn take_due(&mut self, turn: Round, deliver: impl FnMut(Envelope<M>)) -> usize
+    where
+        Self: Sized;
+
+    /// Whether `to` is reached through this fabric on another host.  A lane
+    /// accepts sends to its own nodes and to remote ones; a simulation lane
+    /// is closed, so there nothing is remote.
+    fn is_remote(&self, _to: NodeId) -> bool {
+        false
+    }
+
+    /// Called by the lane right before each visit.
+    fn visit_begins(&mut self) {}
+
+    /// Puts a turn's visit list (lane slots, ascending) in the order the
+    /// fabric's schedule wants.
+    fn order_visits(&mut self, _slots: &mut [usize]) {}
 }
 
 /// The deterministic simulation transport: a ring of per-round buckets plus
-/// the seeded delay RNG.
+/// the seeded RNG stream of its lane.
 ///
 /// A message's delay is all the schedule needs of it: the bucket it is pushed
 /// into *is* its delivery round, and a bucket's order is the order of the
-/// sends.  The lane calls the inherent methods (`Self::dispatch`,
-/// [`Self::take_due`]) directly — static dispatch, no hot-loop indirection.
+/// sends.
 #[derive(Debug)]
 pub struct SimTransport<M> {
     delivery: DeliveryModel,
-    /// The lane's independent RNG stream.  Feeds the delay draws *and* the
-    /// per-visit draws, in one interleaved sequence — exactly the historical
-    /// draw order, which the byte-identical goldens pin.
-    pub(crate) rng: SimRng,
+    /// The lane's independent RNG stream.  Feeds the delay draws, the
+    /// per-visit draws and the visit shuffle, in one interleaved sequence —
+    /// exactly the historical draw order, which the byte-identical goldens
+    /// pin.
+    rng: SimRng,
+    /// Whether the lane's visits run in a seeded shuffled order
+    /// (`SimConfig::shuffle_node_order`).
+    pub(crate) shuffle: bool,
+    /// Every delay drawn so far, in rounds.
+    pub(crate) delays: Histogram,
     /// The round the owning lane last executed (send round for posts).
     round: Round,
     /// Messages accepted but not yet delivered.
@@ -84,23 +115,19 @@ impl<M> SimTransport<M> {
         SimTransport {
             delivery,
             rng,
+            shuffle: false,
+            delays: Histogram::default(),
             round: 0,
             in_flight: 0,
             ring: VecDeque::new(),
         }
     }
 
-    /// The round this transport considers "now" (the owning lane's clock).
-    #[inline]
-    pub(crate) fn round(&self) -> Round {
-        self.round
-    }
-
     /// Schedules a message and returns its delay in rounds, drawn from the
     /// delivery model (at least 1: a message is never delivered in its send
     /// round).
     #[inline]
-    pub(crate) fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
+    fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
         let delay = self.delivery.draw_delay(&mut self.rng).max(1);
         let slot = (delay - 1) as usize;
         if self.ring.len() <= slot {
@@ -112,24 +139,8 @@ impl<M> SimTransport<M> {
             payload: msg,
         });
         self.in_flight += 1;
+        self.delays.record(delay);
         delay
-    }
-
-    /// Advances the transport's clock to `round`, hands every envelope due
-    /// by then to `deliver` — one bucket per round passed, each in send
-    /// order — and returns the number of delivered envelopes.
-    pub fn take_due(&mut self, round: Round, mut deliver: impl FnMut(Envelope<M>)) -> usize {
-        let mut delivered = 0;
-        while self.round < round {
-            self.round += 1;
-            if let Some(mut bucket) = self.ring.pop_front() {
-                delivered += bucket.len();
-                bucket.drain(..).for_each(&mut deliver);
-                self.ring.push_back(bucket);
-            }
-        }
-        self.in_flight -= delivered;
-        delivered
     }
 }
 
@@ -144,6 +155,35 @@ impl<M> Transport<M> for SimTransport<M> {
 
     fn name(&self) -> &'static str {
         "sim"
+    }
+
+    /// Hands out one bucket per round passed, oldest first.
+    fn take_due(&mut self, round: Round, mut deliver: impl FnMut(Envelope<M>)) -> usize {
+        let mut delivered = 0;
+        while self.round < round {
+            self.round += 1;
+            if let Some(mut bucket) = self.ring.pop_front() {
+                delivered += bucket.len();
+                bucket.drain(..).for_each(&mut deliver);
+                self.ring.push_back(bucket);
+            }
+        }
+        self.in_flight -= delivered;
+        delivered
+    }
+
+    /// One draw per visit, unused: every recorded schedule (the golden
+    /// histories) was taken while this seeded a per-visit actor stream, so
+    /// the lane's stream has to advance exactly as it did then.
+    #[inline]
+    fn visit_begins(&mut self) {
+        self.rng.next_u64();
+    }
+
+    fn order_visits(&mut self, slots: &mut [usize]) {
+        if self.shuffle {
+            self.rng.shuffle(slots);
+        }
     }
 }
 
