@@ -51,12 +51,12 @@ use crate::batch::BatchOp;
 use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
-use crate::membership::{joining_nodes, node_of, InitialMembership};
+use crate::membership::{joining_nodes, InitialMembership};
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
 use skueue_dht::{LoadStats, Payload};
-use skueue_overlay::{recommended_bit_budget, VKind, VirtualId};
+use skueue_overlay::{node_of, recommended_bit_budget, VKind, VirtualId};
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
@@ -309,7 +309,7 @@ impl<T: Payload> SkueueCluster<T> {
         for pid in (0..n as u64).map(ProcessId) {
             let (shard, views) = membership.process(pid);
             for (view, is_anchor) in views {
-                let id = view.me.node;
+                let id = view.me().node;
                 let node_cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
                 let node = SkueueNode::<T>::new(node_cfg, shard, view, is_anchor);
                 let assigned = sim.add_node_in_lane(shard as usize, node);
@@ -790,7 +790,7 @@ impl<T: Payload> SkueueCluster<T> {
         for node in joining_nodes(cfg, shard, pid, bootstrap_node) {
             // Joining nodes live in their shard's lane like everyone else,
             // and ids stay dense: three nodes per process, in pid order.
-            let id = node.view().me.node;
+            let id = node.view().me().node;
             let assigned = self.sim.add_node_in_lane(shard as usize, node);
             debug_assert_eq!(assigned, id);
         }

@@ -26,7 +26,7 @@
 
 use crate::anchor::AnchorState;
 use crate::batch::Batch;
-use crate::messages::{AbsorbPayload, DhtReplyItem, JoinHandover, SkueueMsg};
+use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, SkueueMsg};
 use crate::node::{JoinerRecord, LeaverRecord, Role, SkueueNode, UpdatePhase, Work};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
@@ -74,14 +74,9 @@ impl<T: Payload> SkueueNode<T> {
             return;
         }
         if let Some(bootstrap) = m.bootstrap {
-            let progress = RouteProgress::new(self.view.me.label, self.cfg.bit_budget);
-            ctx.send(
-                bootstrap,
-                SkueueMsg::JoinRequest {
-                    joiner: self.view.me,
-                    progress,
-                },
-            );
+            let joiner = self.view.me();
+            let progress = RouteProgress::new(joiner.label, self.cfg.bit_budget);
+            ctx.send(bootstrap, SkueueMsg::JoinRequest { joiner, progress });
             m.join_sent = true;
         }
     }
@@ -112,9 +107,9 @@ impl<T: Payload> SkueueNode<T> {
             && self.anchor.is_none()
         {
             ctx.send(
-                self.view.pred.node,
+                self.view.pred().node,
                 SkueueMsg::LeaveRequest {
-                    leaver: self.view.me,
+                    leaver: self.view.me(),
                 },
             );
             m.leave_requested = true;
@@ -171,24 +166,22 @@ impl<T: Payload> SkueueNode<T> {
                     ctx.send(
                         new_pred.node,
                         SkueueMsg::SetSucc {
-                            new_succ: self.view.succ,
+                            new_succ: self.view.succ(),
                         },
                     );
-                    ctx.send(self.view.succ.node, SkueueMsg::SetPred { new_pred });
-                    self.view.pred = new_pred;
+                    ctx.send(self.view.succ().node, SkueueMsg::SetPred { new_pred });
+                    self.view.set_pred(new_pred);
                     return;
                 }
-                self.view.pred = new_pred;
+                self.view.set_pred(new_pred);
                 // Invariant restoration: if we hold the anchor state but are
                 // no longer the leftmost node, hand the state leftwards.
                 if self.anchor.is_some() && !self.view.is_anchor() && self.update().is_none() {
                     let state = self.take_anchor().expect("checked above");
-                    ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
+                    ctx.send(self.view.pred().node, SkueueMsg::AnchorTransfer { state });
                 }
             }
-            SkueueMsg::SetSucc { new_succ } => {
-                self.view.succ = new_succ;
-            }
+            SkueueMsg::SetSucc { new_succ } => self.view.set_succ(new_succ),
             SkueueMsg::UpdateFlag { phase } => {
                 if matches!(self.role, Role::Active) && self.update().is_none() && !self.suspended {
                     self.enter_update_phase(phase, Some(from), ctx);
@@ -216,7 +209,7 @@ impl<T: Payload> SkueueNode<T> {
                 debug_assert!(
                     false,
                     "unexpected message {other:?} in membership handler at {}",
-                    self.view.me.vid
+                    self.view.me().vid
                 );
             }
         }
@@ -271,9 +264,9 @@ impl<T: Payload> SkueueNode<T> {
         // Sort by ring position clockwise from this node so the chain
         // me → j₁ → … → j_k → old_succ is correctly ordered even when the gap
         // wraps around the top of the ring.
-        let me_label = self.view.me.label;
+        let me_label = self.view.me().label;
         joiners.sort_by_key(|j| me_label.cw_distance(j.info.label));
-        let old_succ = self.view.succ;
+        let old_succ = self.view.succ();
 
         // Hand out the data and the final neighbour pointers.  Remember the
         // joiners so the phase-ending `UpdateOver` reaches them even if
@@ -286,7 +279,7 @@ impl<T: Payload> SkueueNode<T> {
         let count = joiners.len();
         for (i, j) in joiners.iter().enumerate() {
             let pred = if i == 0 {
-                self.view.me
+                self.view.me()
             } else {
                 joiners[i - 1].info
             };
@@ -310,8 +303,8 @@ impl<T: Payload> SkueueNode<T> {
         }
         // Update the cycle around the gap: our successor becomes the first
         // joiner, and the old successor's predecessor becomes the last one.
-        self.view.succ = joiners[0].info;
-        if old_succ.node != self.view.me.node {
+        self.view.set_succ(joiners[0].info);
+        if old_succ.node != self.view.me().node {
             ctx.send(
                 old_succ.node,
                 SkueueMsg::SetPred {
@@ -321,7 +314,7 @@ impl<T: Payload> SkueueNode<T> {
         } else {
             // Single-node corner case: we are our own successor; the last
             // joiner becomes our predecessor.
-            self.view.pred = joiners[count - 1].info;
+            self.view.set_pred(joiners[count - 1].info);
         }
         count
     }
@@ -344,8 +337,8 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         debug_assert!(matches!(self.role, Role::Joining { .. }));
-        self.view.pred = handover.pred;
-        self.view.succ = handover.succ;
+        self.view.set_pred(handover.pred);
+        self.view.set_succ(handover.succ);
         self.role = Role::Active;
         // Do not start batching before the update phase is over.
         self.suspended = true;
@@ -377,12 +370,11 @@ impl<T: Payload> SkueueNode<T> {
     /// Notifies the process's other two virtual nodes about this node's
     /// membership status.
     fn announce_sibling_status(&self, active: bool, ctx: &mut Context<SkueueMsg<T>>) {
-        let my_kind = self.view.me.vid.kind;
+        let my_kind = self.view.kind();
         for kind in skueue_overlay::VKind::ALL {
-            let sibling = self.view.siblings[kind.index()];
-            if sibling.node != self.view.me.node {
+            if kind != my_kind {
                 ctx.send(
-                    sibling.node,
+                    self.view.sibling(kind).node,
                     SkueueMsg::SiblingStatus {
                         kind: my_kind,
                         active,
@@ -396,7 +388,7 @@ impl<T: Payload> SkueueNode<T> {
     /// is the true owner of keys in its range; forward operations to it.
     pub(crate) fn joiner_responsible_for(&self, key: Label) -> Option<NodeId> {
         let joiners = &self.membership()?.joiners;
-        let me = self.view.me.label;
+        let me = self.view.me().label;
         // The best candidate is the handed-over joiner with the largest label
         // that is still ≤ key (in ring order starting from this node).
         joiners
@@ -480,8 +472,8 @@ impl<T: Payload> SkueueNode<T> {
             .map(|j| j.info)
             .collect();
         let payload = AbsorbPayload {
-            pred: self.view.pred,
-            succ: self.view.succ,
+            pred: self.view.pred(),
+            succ: self.view.succ(),
             entries,
             pending,
             child_batches,
@@ -503,18 +495,6 @@ impl<T: Payload> SkueueNode<T> {
         payload: AbsorbPayload<T>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        // Take over the leaver's DHT data and parked GETs.
-        let pending: Vec<(u64, PendingGet)> = payload.pending;
-        let store = &mut Work::of(&mut self.work, &self.cfg).store;
-        for satisfied in store.absorb(payload.entries, pending) {
-            self.reply_buffer.push(
-                satisfied.get.requester,
-                DhtReplyItem {
-                    request: satisfied.get.request,
-                    entry: satisfied.entry,
-                },
-            );
-        }
         // Inherit not-yet-forwarded sub-batches of the leaver's children
         // (per-child FIFO order preserved; they are combined into this
         // node's next wave and served back under the children's epochs).
@@ -541,21 +521,21 @@ impl<T: Payload> SkueueNode<T> {
         if payload.succ.node == from {
             // The leaver was its own successor (single-node corner case);
             // nothing to re-link.
-        } else if self.view.succ.node == from {
-            if payload.succ.node == self.view.me.node {
+        } else if self.view.succ().node == from {
+            if payload.succ.node == self.view.me().node {
                 // Two-node ring: we become our own neighbour.
-                self.view.succ = self.view.me;
-                self.view.pred = self.view.me;
+                self.view.set_succ(self.view.me());
+                self.view.set_pred(self.view.me());
             } else {
-                self.view.succ = payload.succ;
+                self.view.set_succ(payload.succ);
                 ctx.send(
                     payload.succ.node,
                     SkueueMsg::SetPred {
-                        new_pred: self.view.me,
+                        new_pred: self.view.me(),
                     },
                 );
             }
-        } else if payload.pred.node != self.view.me.node {
+        } else if payload.pred.node != self.view.me().node {
             // A spliced joiner sits between us and the leaver; re-link the
             // leaver's actual neighbours with each other.
             ctx.send(
@@ -564,8 +544,8 @@ impl<T: Payload> SkueueNode<T> {
                     new_succ: payload.succ,
                 },
             );
-            if payload.succ.node == self.view.me.node {
-                self.view.pred = payload.pred;
+            if payload.succ.node == self.view.me().node {
+                self.view.set_pred(payload.pred);
             } else {
                 ctx.send(
                     payload.succ.node,
@@ -582,11 +562,12 @@ impl<T: Payload> SkueueNode<T> {
             // which performs the re-link — see the draining branch of the
             // `SetPred` handler.
         }
+        self.take_over_store(payload.entries, payload.pending, ctx);
         // If the leaver held the anchor state, pass it on to the new leftmost
         // node (the leaver's successor); the cluster normally prevents this
         // case, but handle it defensively.
         if let Some(state) = payload.anchor {
-            ctx.send(self.view.succ.node, SkueueMsg::AnchorTransfer { state });
+            ctx.send(self.view.succ().node, SkueueMsg::AnchorTransfer { state });
         }
         let m = self.membership_mut();
         m.pending_leavers.retain(|l| l.info.node != from);
@@ -597,6 +578,53 @@ impl<T: Payload> SkueueNode<T> {
             update.awaiting_absorb_data = update.awaiting_absorb_data.saturating_sub(1);
         }
         self.check_update_done(ctx);
+    }
+
+    /// Takes over a leaver's stored entries and parked GETs once the leaver
+    /// is spliced out.  What this node now owns it keeps.  What it does not
+    /// own goes on to the node that does, routed along the cycle: an entry
+    /// as a [`DhtOp::Move`], a parked GET as the GET it was.  That is the
+    /// leaver's whole range when a joiner spliced in between this node and
+    /// the leaver in the same phase: the joiner owns it now, and the GETs
+    /// for it park there.
+    fn take_over_store(
+        &mut self,
+        entries: Vec<StoredEntry<T>>,
+        pending: Vec<(u64, PendingGet)>,
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
+        let hasher = self.cfg.hasher();
+        let view = self.view;
+        let (entries, moved): (Vec<_>, Vec<_>) = entries
+            .into_iter()
+            .partition(|entry| view.is_responsible_for(entry.key));
+        let (pending, rerouted): (Vec<_>, Vec<_>) = pending
+            .into_iter()
+            .partition(|&(position, _)| view.is_responsible_for(hasher.position_key(position)));
+        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        for satisfied in store.absorb(entries, pending) {
+            self.reply_buffer.push(
+                satisfied.get.requester,
+                DhtReplyItem {
+                    request: satisfied.get.request,
+                    entry: satisfied.entry,
+                },
+            );
+        }
+        for entry in moved {
+            let progress = RouteProgress::linear_only(entry.key);
+            self.dispatch_dht(Box::new(DhtOp::Move { entry }), progress, ctx);
+        }
+        for (position, get) in rerouted {
+            let progress = RouteProgress::linear_only(hasher.position_key(position));
+            let op = DhtOp::Get {
+                position,
+                max_ticket: get.max_ticket,
+                request: get.request,
+                requester: get.requester,
+            };
+            self.dispatch_dht(Box::new(op), progress, ctx);
+        }
     }
 
     // ---------------------------------------------------------------------
@@ -621,7 +649,7 @@ impl<T: Payload> SkueueNode<T> {
         debug_assert!(
             phase >= self.last_update_phase,
             "update phases must be monotone at {}: entering {} after {}",
-            self.view.me.vid,
+            self.view.me().vid,
             phase,
             self.last_update_phase
         );
@@ -692,7 +720,7 @@ impl<T: Payload> SkueueNode<T> {
             // A node with a smaller label exists now; walk the anchor state
             // towards it.  The new anchor ends the update phase.
             let state = self.take_anchor().expect("checked above");
-            ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
+            ctx.send(self.view.pred().node, SkueueMsg::AnchorTransfer { state });
             // Resume ourselves; `UpdateOver` from the new anchor will also be
             // forwarded to our subtree.
         }
@@ -771,7 +799,7 @@ impl<T: Payload> SkueueNode<T> {
             self.handle_update_over(phase, ctx);
         } else {
             // Keep walking left.
-            ctx.send(self.view.pred.node, SkueueMsg::AnchorTransfer { state });
+            ctx.send(self.view.pred().node, SkueueMsg::AnchorTransfer { state });
         }
     }
 }

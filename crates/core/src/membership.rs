@@ -4,35 +4,24 @@
 //! The simulation cluster ([`crate::SkueueCluster`]) and the TCP daemon
 //! (`skueue-net`) must agree on the starting overlay, or a simulated run
 //! says nothing about a deployed one.  This module is the one place that
-//! knows how it is made: the dense node-id rule, the partition of the
-//! initial processes into anchor shards, one [`Topology`] and one node
-//! configuration per shard (the deployment's, with the routing bit budget
-//! derived from the shard's size), the three [`LocalView`]s of a process, and
-//! the self-pointing nodes a joiner starts as.  Both drivers call it and keep
-//! only what is theirs — where the nodes live and how they are visited.
+//! knows how it is made: the partition of the initial processes into anchor
+//! shards, one [`Topology`] and one node configuration per shard (the
+//! deployment's, with the routing bit budget derived from the shard's size),
+//! the three [`LocalView`]s of a process, and the self-pointing nodes a
+//! joiner starts as — every node addressed by the overlay's dense id rule,
+//! [`node_of`].  Both drivers call it and keep only what is theirs — where
+//! the nodes live and how they are visited.
 
 use crate::config::ProtocolConfig;
 use crate::node::SkueueNode;
 use skueue_dht::Payload;
 use skueue_overlay::{
-    recommended_bit_budget, LabelHasher, LocalView, NeighborInfo, Topology, VKind, VirtualId,
+    node_of, recommended_bit_budget, LabelHasher, LocalView, NeighborInfo, Topology, VKind,
+    VirtualId,
 };
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 use std::sync::Arc;
-
-/// Dense virtual-node ids: process `p` emulates nodes `3p`, `3p + 1`,
-/// `3p + 2` in [`VKind`] order (Left, Middle, Right), independent of
-/// sharding and of who hosts the process — so node ids, and with them
-/// histories and traces, mean the same under every transport.
-pub fn node_of(vid: VirtualId) -> NodeId {
-    NodeId(vid.process.raw() * 3 + vid.kind.index() as u64)
-}
-
-/// The process emulating node `id` (inverse of [`node_of`]).
-pub fn process_of(id: NodeId) -> ProcessId {
-    ProcessId(id.0 / 3)
-}
 
 /// The membership a deployment of processes `0..n` starts from.
 ///
@@ -146,33 +135,17 @@ pub fn joining_nodes<T: Payload>(
 /// its own identity under the dense id rule, every pointer aimed at itself
 /// (the join protocol fills them in).
 fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
-    let middle_label = hasher.process_label(pid);
-    let siblings = VKind::ALL.map(|kind| {
+    let middle = hasher.process_label(pid);
+    VKind::ALL.map(|kind| {
         let vid = VirtualId::new(pid, kind);
-        NeighborInfo::new(node_of(vid), vid, kind.label_from_middle(middle_label))
-    });
-    siblings.map(|me| LocalView {
-        me,
-        pred: me,
-        succ: me,
-        siblings,
+        let me = NeighborInfo::new(node_of(vid), vid, kind.label_from_middle(middle));
+        LocalView::new(me, middle, me, me)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ids_are_dense_and_invertible() {
-        let vid = VirtualId::new(ProcessId(4), VKind::Right);
-        assert_eq!(node_of(vid), NodeId(14));
-        assert_eq!(process_of(NodeId(14)), ProcessId(4));
-        assert_eq!(
-            process_of(node_of(VirtualId::left(ProcessId(0)))),
-            ProcessId(0)
-        );
-    }
 
     #[test]
     fn initial_membership_has_one_anchor_per_populated_shard() {
@@ -186,8 +159,8 @@ mod tests {
             assert_eq!(shard, membership.router().route(pid));
             for (kind, (view, is_anchor)) in VKind::ALL.into_iter().zip(&views) {
                 // Every view's own identity follows the dense scheme.
-                assert_eq!(view.me.vid, VirtualId::new(pid, kind));
-                assert_eq!(view.me.node, node_of(view.me.vid));
+                assert_eq!(view.me().vid, VirtualId::new(pid, kind));
+                assert_eq!(view.me().node, node_of(view.me().vid));
                 anchors += *is_anchor as usize;
             }
         }
@@ -198,11 +171,11 @@ mod tests {
     fn joiner_views_are_self_pointing() {
         let views = joining_views(ProtocolConfig::queue().hasher(), ProcessId(7));
         for (kind, view) in VKind::ALL.into_iter().zip(&views) {
-            assert_eq!(view.me.vid, VirtualId::new(ProcessId(7), kind));
-            assert_eq!(view.me.node, node_of(view.me.vid));
-            assert_eq!(view.pred, view.me);
-            assert_eq!(view.succ, view.me);
-            assert_eq!(view.siblings[kind.index()], view.me);
+            assert_eq!(view.me().vid, VirtualId::new(ProcessId(7), kind));
+            assert_eq!(view.me().node, node_of(view.me().vid));
+            assert_eq!(view.pred(), view.me());
+            assert_eq!(view.succ(), view.me());
+            assert_eq!(view.sibling(kind), view.me());
         }
     }
 }

@@ -51,6 +51,14 @@ pub enum DhtOp<T = u64> {
         /// Node that issued the GET and expects the reply.
         requester: NodeId,
     },
+    /// An element already stored, on its way to the node that owns its
+    /// position: an absorber hands on what a leaver held when a joiner
+    /// spliced in between owns it now.  Stored like a `PUT`, but completes
+    /// nothing — its enqueue completed where it was first stored.
+    Move {
+        /// The entry being moved.
+        entry: StoredEntry<T>,
+    },
 }
 
 impl<T: Payload> DhtOp<T> {
@@ -58,7 +66,7 @@ impl<T: Payload> DhtOp<T> {
     /// the op's lifecycle-trace events are tagged with).
     pub(crate) fn request_id(&self) -> RequestId {
         match self {
-            DhtOp::Put { entry, .. } => entry.element.id,
+            DhtOp::Put { entry, .. } | DhtOp::Move { entry } => entry.element.id,
             DhtOp::Get { request, .. } => *request,
         }
     }

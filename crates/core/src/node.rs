@@ -698,7 +698,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// The emulating process.
     pub fn process(&self) -> ProcessId {
-        self.view.me.vid.process
+        self.view.me().vid.process
     }
 
     /// The node's current neighbourhood view.
@@ -904,7 +904,7 @@ impl<T: Payload> SkueueNode<T> {
             );
             bucket.extend(records);
         } else {
-            let origin = self.view.me.vid.process;
+            let origin = self.view.me().vid.process;
             for mut record in records {
                 combining.minor_counter += 1;
                 record.order =
@@ -925,7 +925,7 @@ impl<T: Payload> SkueueNode<T> {
             self.view.is_anchor(),
             self.view.sibling(VKind::Left).node,
             self.view.sibling(VKind::Middle).node,
-            self.view.pred.node,
+            self.view.pred().node,
         )
     }
 
@@ -938,22 +938,23 @@ impl<T: Payload> SkueueNode<T> {
     pub(crate) fn tree_children(&self) -> ChildSet<NodeId> {
         let middle = self.view.sibling(VKind::Middle).node;
         let right = self.view.sibling(VKind::Right).node;
+        let succ = self.view.succ();
         let raw = aggregation_child_set(
             self.view.kind(),
             right,
             middle,
-            self.view.succ.node,
-            self.view.succ.kind(),
+            succ.node,
+            succ.kind(),
             self.view.successor_wraps(),
         );
         let mut children = ChildSet::new();
         for &n in raw.iter() {
-            if n == self.view.me.node {
+            if n == self.view.me().node {
                 continue;
             }
-            let integrated = if n == middle && n != self.view.succ.node {
+            let integrated = if n == middle && n != succ.node {
                 self.sibling_integrated[VKind::Middle.index()]
-            } else if n == right && n != self.view.succ.node {
+            } else if n == right && n != succ.node {
                 self.sibling_integrated[VKind::Right.index()]
             } else {
                 true
@@ -1147,7 +1148,7 @@ impl<T: Payload> SkueueNode<T> {
         // here; the own batch becomes the combined one.
         let memo = &mut work.memo;
         let first_source = memo.records.len();
-        memo.remember(self.view.me.node, 0, true, &own);
+        memo.remember(self.view.me().node, 0, true, &own);
         let mut combined = own;
         self.child_batches.pop_oldest(|child, epoch, batch| {
             memo.remember(child, epoch, false, &batch);
@@ -1212,7 +1213,7 @@ impl<T: Payload> SkueueNode<T> {
                 ctx.send(
                     parent,
                     SkueueMsg::Aggregate {
-                        child: self.view.me.node,
+                        child: self.view.me().node,
                         epoch,
                         batch: combined,
                     },
@@ -1454,7 +1455,7 @@ impl<T: Payload> SkueueNode<T> {
         if let Some(pairs) = combining.pairs_by_anchor.remove(&seq) {
             // Buckets are maintained in seq order (see `reanchor_pairs`).
             debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
-            let origin = self.view.me.vid.process;
+            let origin = self.view.me().vid.process;
             let work = Work::of(&mut self.work, &self.cfg);
             for mut record in pairs {
                 combining.minor_counter += 1;
@@ -1495,7 +1496,7 @@ impl<T: Payload> SkueueNode<T> {
             order: order_major,
             wave,
             needs_ack: self.cfg.is_stack(),
-            issuer: self.view.me.node,
+            issuer: self.view.me().node,
         };
         if self.cfg.is_stack() {
             Work::of(&mut self.work, &self.cfg).outstanding_dht += 1;
@@ -1545,7 +1546,7 @@ impl<T: Payload> SkueueNode<T> {
                 position,
                 max_ticket,
                 request: id,
-                requester: self.view.me.node,
+                requester: self.view.me().node,
             }),
             progress,
             ctx,
@@ -1580,10 +1581,11 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// Records one DHT routing hop (at [`TraceLevel::Full`] only).
+    /// Records one DHT routing hop (at [`TraceLevel::Full`] only; a moved
+    /// element's hops are not an operation's, see [`Self::apply_dht`]).
     #[inline]
     fn trace_hop(&self, op: &DhtOp<T>, hop: u32, ctx: &mut Context<SkueueMsg<T>>) {
-        if self.cfg.trace_level == TraceLevel::Full {
+        if self.cfg.trace_level == TraceLevel::Full && !matches!(op, DhtOp::Move { .. }) {
             let (op, round) = (Self::tid(op.request_id()), ctx.round());
             ctx.trace(self.shard, TraceEvent::DhtHop { op, hop, round });
         }
@@ -1607,10 +1609,14 @@ impl<T: Payload> SkueueNode<T> {
         progress: &RouteProgress,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        ctx.observe(series::DHT_HOPS, progress.hops as u64);
-        if !self.cfg.trace_level.is_off() {
-            let (op, hops, round) = (Self::tid(op.request_id()), progress.hops, ctx.round());
-            ctx.trace(self.shard, TraceEvent::DhtApplied { op, hops, round });
+        // A moved element is not an operation of its own: its enqueue was
+        // counted, traced and completed where it was first stored.
+        if !matches!(op, DhtOp::Move { .. }) {
+            ctx.observe(series::DHT_HOPS, progress.hops as u64);
+            if !self.cfg.trace_level.is_off() {
+                let (op, hops, round) = (Self::tid(op.request_id()), progress.hops, ctx.round());
+                ctx.trace(self.shard, TraceEvent::DhtApplied { op, hops, round });
+            }
         }
         match op {
             DhtOp::Put { entry, meta } => {
@@ -1640,17 +1646,7 @@ impl<T: Payload> SkueueNode<T> {
                         },
                     );
                 }
-                debug_assert!(work.satisfied_scratch.is_empty());
-                work.store.put_into(entry, &mut work.satisfied_scratch);
-                for s in work.satisfied_scratch.drain(..) {
-                    self.reply_buffer.push(
-                        s.get.requester,
-                        DhtReplyItem {
-                            request: s.get.request,
-                            entry: s.entry,
-                        },
-                    );
-                }
+                self.store_entry(entry);
             }
             DhtOp::Get {
                 position,
@@ -1669,6 +1665,23 @@ impl<T: Payload> SkueueNode<T> {
                     }
                 }
             }
+            DhtOp::Move { entry } => self.store_entry(entry),
+        }
+    }
+
+    /// Stores `entry`, or hands it to the parked GET it satisfies.
+    fn store_entry(&mut self, entry: StoredEntry<T>) {
+        let work = Work::of(&mut self.work, &self.cfg);
+        debug_assert!(work.satisfied_scratch.is_empty());
+        work.store.put_into(entry, &mut work.satisfied_scratch);
+        for s in work.satisfied_scratch.drain(..) {
+            self.reply_buffer.push(
+                s.get.requester,
+                DhtReplyItem {
+                    request: s.get.request,
+                    entry: s.entry,
+                },
+            );
         }
     }
 
@@ -1815,7 +1828,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 debug_assert!(
                     self.aggregate_unacked,
                     "AggregateAck without an outstanding aggregate credit at {}",
-                    self.view.me.vid
+                    self.view.me().vid
                 );
                 self.aggregate_unacked = false;
                 // The next wave (if any is ready) opens in this visit's
@@ -1898,18 +1911,23 @@ mod tests {
     use crate::interval::decompose;
     use crate::messages::AbsorbPayload;
     use proptest::prelude::*;
-    use skueue_overlay::{recommended_bit_budget, LabelHasher, NeighborInfo, Topology, VirtualId};
+    use skueue_dht::PendingGet;
+    use skueue_overlay::{
+        node_of, recommended_bit_budget, Label, LabelHasher, NeighborInfo, Topology, VirtualId,
+    };
 
     type Serve = (NodeId, u64, Vec<RunAssignment>);
 
-    /// What an idle node and a message in flight cost inline.  The budgets in
-    /// `tests/memory_budget.rs` and `tests/inflight_memory.rs` are ceilings
-    /// from earlier rounds (896 and 104 B); these are today's sizes, the
-    /// node's also held by `tests/idle_node_memory.rs`.
+    /// What an idle node, its view and a message in flight cost inline.  The
+    /// budgets in `tests/memory_budget.rs`, `tests/idle_node_memory.rs` and
+    /// `tests/inflight_memory.rs` are ceilings from earlier rounds (896, 384
+    /// and 104 B); these are today's sizes, the node's and the view's also
+    /// held by `tests/node_view.rs`.
     #[test]
-    fn a_node_is_384_bytes_and_an_envelope_80() {
+    fn a_node_is_240_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 384);
+        assert!(size_of::<SkueueNode<u64>>() <= 240);
+        assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
     }
 
@@ -1936,7 +1954,7 @@ mod tests {
         // The leave check reads the node's open requests, then asks.
         let mut node = node_under_test(false);
         node.request_leave();
-        let mut ctx = Context::new(node.view.me.node, 0);
+        let mut ctx = Context::new(node.view.me().node, 0);
         node.membership_timeout(&mut ctx);
         let asked = ctx.into_outbox();
         assert!(matches!(asked[..], [(_, SkueueMsg::LeaveRequest { .. })]));
@@ -1949,7 +1967,11 @@ mod tests {
     #[test]
     fn a_node_holds_work_only_while_it_has_some() {
         let mut node = node_under_test(false);
-        let (me, parent, child) = (node.view.me.node, node.tree_parent().unwrap(), NodeId(1000));
+        let (me, parent, child) = (
+            node.view.me().node,
+            node.tree_parent().unwrap(),
+            NodeId(1000),
+        );
         // A child's sub-batch rides this node's wave: the box holds the slot.
         let mut ctx = Context::new(me, WAVE_CADENCE);
         let batch = child_batch(0x0302_0100);
@@ -2022,6 +2044,106 @@ mod tests {
         assert!(node.work.is_none());
     }
 
+    /// An absorber keeps the part of a leaver's store it owns once the
+    /// leaver is spliced out, and routes on what a joiner spliced in between
+    /// owns: each element as a `Move`, which stores without completing
+    /// anything, and each parked GET as itself.
+    #[test]
+    fn an_absorber_hands_on_what_a_spliced_joiner_owns() {
+        for spliced in [false, true] {
+            let mut node = node_under_test(false);
+            let me = node.view.me();
+            // Joiner, leaver and the leaver's successor, clockwise from us a
+            // sixteenth of the ring apart.
+            let at = |sixteenths: u64, vid: VirtualId| {
+                let label = Label(me.label.raw().wrapping_add(sixteenths << 60));
+                NeighborInfo::new(node_of(vid), vid, label)
+            };
+            let joiner = at(1, VirtualId::left(ProcessId(9)));
+            let leaver = at(2, VirtualId::left(ProcessId(10)));
+            let beyond = at(4, VirtualId::left(ProcessId(11)));
+            let hasher = node.cfg.hasher();
+            let mut in_leavers_range = (0u64..).filter(|&p| {
+                hasher
+                    .position_key(p)
+                    .in_interval(leaver.label, beyond.label)
+            });
+            let (stored, parked) = (in_leavers_range.next(), in_leavers_range.next());
+            let (stored, parked) = (stored.unwrap(), parked.unwrap());
+            let entry = StoredEntry {
+                position: stored,
+                key: hasher.position_key(stored),
+                ticket: 0,
+                element: Element::new(RequestId::new(ProcessId(7), 0), 42),
+            };
+            let get = PendingGet {
+                request: RequestId::new(ProcessId(8), 0),
+                requester: NodeId(1001),
+                max_ticket: u64::MAX,
+            };
+            let mut ctx = Context::new(me.node, 10);
+            let pred = if spliced {
+                node.on_message(
+                    joiner.node,
+                    SkueueMsg::SetSucc { new_succ: joiner },
+                    &mut ctx,
+                );
+                joiner
+            } else {
+                node.on_message(
+                    leaver.node,
+                    SkueueMsg::SetSucc { new_succ: leaver },
+                    &mut ctx,
+                );
+                me
+            };
+            let payload = AbsorbPayload {
+                pred,
+                succ: beyond,
+                entries: vec![entry.clone()],
+                pending: vec![(parked, get)],
+                child_batches: Vec::new(),
+                joiners: Vec::new(),
+                anchor: None,
+            };
+            node.on_message(
+                leaver.node,
+                SkueueMsg::AbsorbData(Box::new(payload)),
+                &mut ctx,
+            );
+            node.on_timeout(&mut ctx);
+            let routed: Vec<_> = ctx
+                .into_outbox()
+                .into_iter()
+                .filter_map(|(to, msg)| match msg {
+                    SkueueMsg::DhtBatch { ops } => Some((to, ops)),
+                    _ => None,
+                })
+                .collect();
+            if !spliced {
+                // The leaver's range is ours now: we keep its element.
+                assert!(routed.is_empty());
+                assert_eq!(node.stored_elements(), 1);
+                continue;
+            }
+            assert_eq!(node.stored_elements(), 0);
+            let [(to, ops)] = &routed[..] else {
+                panic!("one batch towards the joiner, not {routed:?}")
+            };
+            assert_eq!(*to, joiner.node);
+            assert_eq!(*ops[0].op, DhtOp::Move { entry });
+            assert!(matches!(*ops[1].op, DhtOp::Get { position, request, .. }
+                if position == parked && request == get.request));
+            // Where a moved element lands it is stored, and nothing completes.
+            let mut owner = node_under_test(true);
+            let mut ctx = Context::new(owner.view.me().node, 11);
+            let moved = ops[0].clone();
+            owner.apply_dht(*moved.op, &moved.progress, &mut ctx);
+            assert_eq!(owner.stored_elements(), 1);
+            assert!(!owner.has_completed());
+        }
+    }
+
     /// Reference for the flat [`WaveMemo`]: the bookkeeping it replaced, one
     /// list of whole sub-batches per in-flight wave, resolved with
     /// [`crate::interval::decompose`].
@@ -2085,7 +2207,6 @@ mod tests {
     fn node_under_test(anchor: bool) -> SkueueNode<u64> {
         let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
-        let node_of = crate::membership::node_of;
         let vid = if anchor {
             topology.anchor()
         } else {
@@ -2111,10 +2232,10 @@ mod tests {
     /// combined batch if that `TIMEOUT` opened a wave.
     fn enqueue_then_timeout(node: &mut SkueueNode<u64>, round: &mut u64) -> Option<(u64, Batch)> {
         let id = RequestId::new(node.process(), *round);
-        let mut ctx = Context::new(node.view.me.node, *round);
+        let mut ctx = Context::new(node.view.me().node, *round);
         node.generate_op(id, BatchOp::Enqueue, *round, &mut ctx);
         *round += WAVE_CADENCE;
-        let mut ctx = Context::new(node.view.me.node, *round);
+        let mut ctx = Context::new(node.view.me().node, *round);
         node.on_timeout(&mut ctx);
         ctx.into_outbox()
             .into_iter()
@@ -2149,7 +2270,7 @@ mod tests {
         // The oldest Serve frees one slot, and the next TIMEOUT fills it with
         // one wave carrying what was held back.
         let (epoch, runs) = unserved.pop_front().expect("32 waves are owed a serve");
-        let mut ctx = Context::new(node.view.me.node, round);
+        let mut ctx = Context::new(node.view.me().node, round);
         node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
         assert_eq!(in_flight(&node), PIPELINE_DEPTH - 1);
         let (_, batch) =
@@ -2175,7 +2296,7 @@ mod tests {
             anchor in any::<bool>(),
         ) {
             let mut node = node_under_test(anchor);
-            let me = node.view.me.node;
+            let me = node.view.me().node;
             let parent = node.tree_parent();
             let mut model = PerSlotLists {
                 child_batches: ChildBatches::default(),
@@ -2224,8 +2345,9 @@ mod tests {
                         }
                     }
                     5 => {
-                        let leaver = NodeId(2000);
-                        let info = NeighborInfo::new(leaver, VirtualId::left(ProcessId(9)), node.view.me.label);
+                        let vid = VirtualId::left(ProcessId(9));
+                        let leaver = node_of(vid);
+                        let info = NeighborInfo::new(leaver, vid, node.view.me().label);
                         for (child, epoch, batch) in &held {
                             model.child_batches.push(*child, *epoch, batch.clone());
                         }

@@ -434,6 +434,7 @@ wire_enum! { OpResult { 0 => Enqueued, 1 => Returned(source), 2 => Empty } }
 wire_enum! { <T> DhtOp {
     0 => Put { entry, meta },
     1 => Get { position, max_ticket, request, requester },
+    2 => Move { entry },
 } }
 wire_enum! { <T> SkueueMsg {
     0 => Aggregate { child, epoch, batch },
@@ -712,6 +713,27 @@ mod tests {
         for msg in message_corpus() {
             roundtrip(msg);
         }
+    }
+
+    /// The `DhtOp` tag added after the recorded wire format: an element
+    /// handed on to its owner travels as tag 2 followed by its entry, and
+    /// leaves every recorded encoding as it was.
+    #[test]
+    fn a_moved_element_is_tag_two_and_its_entry() {
+        let moved = DhtOp::<u64>::Move {
+            entry: entry(5, 3, 1, 8),
+        };
+        let bytes = to_bytes(&moved);
+        assert_eq!(bytes[0], 2);
+        assert_eq!(bytes[1..], to_bytes(&entry(5, 3, 1, 8))[..]);
+        let batch = SkueueMsg::DhtBatch {
+            ops: vec![skueue_core::messages::RoutedDhtOp {
+                op: Box::new(moved),
+                progress: RouteProgress::linear_only(Label(5)),
+            }],
+        };
+        every_strict_prefix_fails(&batch);
+        roundtrip(batch);
     }
 
     fn string_record() -> OpRecord<String> {

@@ -51,10 +51,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use skueue_core::membership::{joining_nodes, node_of};
+use skueue_core::membership::joining_nodes;
 use skueue_core::BatchOp::{Dequeue, Enqueue};
 use skueue_core::{Payload, ProtocolConfig, SkueueNode};
-use skueue_overlay::{VKind, VirtualId};
+use skueue_overlay::{node_of, VKind, VirtualId};
 use skueue_sim::{Lane, NodeId, ProcessId, Transport};
 use skueue_verify::OpRecord;
 
@@ -230,6 +230,9 @@ struct Host<T: Payload> {
     next_sweep: Option<Instant>,
     /// Operations completed and not yet streamed to the subscribers.
     completions: Vec<OpRecord<T>>,
+    /// The nodes the last turn visited: scratch kept across turns, because
+    /// a daemon takes a turn per inbound frame.
+    visited: Vec<NodeId>,
 }
 
 impl<T: Payload + Wire> Host<T> {
@@ -242,7 +245,7 @@ impl<T: Payload + Wire> Host<T> {
                 let (shard, views) = membership.process(pid);
                 for (view, is_anchor) in views {
                     let cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
-                    lane.add_node(view.me.node, SkueueNode::new(cfg, shard, view, is_anchor));
+                    lane.add_node(view.me().node, SkueueNode::new(cfg, shard, view, is_anchor));
                 }
             }
         }
@@ -253,6 +256,7 @@ impl<T: Payload + Wire> Host<T> {
             lane,
             next_sweep: None,
             completions: Vec::new(),
+            visited: Vec::new(),
         }
     }
 
@@ -270,8 +274,9 @@ impl<T: Payload + Wire> Host<T> {
         // wait: under continuous traffic no wait ever expires.
         let sweep = self.next_sweep.take_if(|at| now >= *at).is_some();
         self.lane.step(sweep);
-        let visited: Vec<NodeId> = self.lane.visited().collect();
-        for id in visited {
+        self.visited.clear();
+        self.visited.extend(self.lane.visited());
+        for &id in &self.visited {
             if self.lane.node(id).is_some_and(SkueueNode::has_completed) {
                 self.lane.act(id, |node, _| {
                     node.drain_completed_into(&mut self.completions)
@@ -329,7 +334,7 @@ impl<T: Payload + Wire> Host<T> {
                 let shard = self.spec.shard_of(pid);
                 let cfg = &self.shard_cfgs[shard as usize];
                 for node in joining_nodes(cfg, shard, pid, bootstrap) {
-                    self.lane.add_node(node.view().me.node, node);
+                    self.lane.add_node(node.view().me().node, node);
                 }
                 NetFrame::Ok
             }
@@ -344,7 +349,7 @@ impl<T: Payload + Wire> Host<T> {
             NetFrame::Status => NetFrame::StatusReply {
                 daemon: index as u32,
                 processes: (self.lane.nodes())
-                    .filter(|node| node.view().me.vid.kind == VKind::Middle)
+                    .filter(|node| node.view().kind() == VKind::Middle)
                     .map(|middle| {
                         (
                             middle.process().0,
@@ -510,7 +515,7 @@ mod tests {
             let now = Instant::now();
             let (mut host, _) = host(1, 3);
             let id = middle(0);
-            let pred = node(&host, id).view().pred;
+            let pred = node(&host, id).view().pred();
             // A GET for the predecessor's interval: `id` has to pass it on.
             let get = RoutedDhtOp {
                 op: Box::new(DhtOp::Get {

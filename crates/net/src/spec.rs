@@ -7,8 +7,8 @@
 //! rules that make the topology computable without coordination:
 //!
 //! * process `p` emulates virtual nodes `3p`, `3p + 1`, `3p + 2` (Left,
-//!   Middle, Right) — the dense id rule of [`skueue_core::membership`], the
-//!   one the simulation uses, so node ids are globally derivable from
+//!   Middle, Right) — the overlay's dense id rule ([`skueue_overlay::node_of`]),
+//!   the one the simulation uses, so node ids are globally derivable from
 //!   process ids,
 //! * process `p` is hosted by daemon `p mod d` for `d` daemons, so *daemon*
 //!   placement is globally derivable too — a `JOIN` needs no id negotiation.
@@ -16,9 +16,9 @@
 use std::collections::BTreeMap;
 
 use skueue_core::builder::validate_shards;
-use skueue_core::membership::{node_of, process_of, InitialMembership};
+use skueue_core::membership::InitialMembership;
 use skueue_core::ProtocolConfig;
-use skueue_overlay::VirtualId;
+use skueue_overlay::{node_of, vid_of, VirtualId};
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 
@@ -69,7 +69,7 @@ impl ClusterSpec {
 
     /// The daemon hosting virtual node `id` (nodes live with their process).
     pub(crate) fn daemon_of_node(&self, id: NodeId) -> usize {
-        self.daemon_of(process_of(id))
+        self.daemon_of(vid_of(id).process)
     }
 
     /// The protocol configuration every hosted node runs with.
@@ -244,7 +244,7 @@ mod tests {
             assert_eq!(Some(shard), cluster.shard_of_process(pid));
             assert_eq!(shard, spec.shard_of(pid));
             for (view, is_anchor) in views {
-                let node = cluster.node(view.me.node).expect("dense ids");
+                let node = cluster.node(view.me().node).expect("dense ids");
                 assert_eq!(node.view(), &view);
                 assert_eq!(node.is_anchor_node(), is_anchor);
                 assert_eq!(node.config().bit_budget, budgets[shard as usize]);

@@ -10,8 +10,8 @@
 //! siblings are its process's other two entries.  The topology therefore
 //! indexes the cycle by position — the process list ascending, and beside
 //! each process the three places its nodes took in the sort — and a view is
-//! one binary search for the process plus five reads of the cycle, labels
-//! included.  Nothing is hashed.
+//! one binary search for the process plus four reads of the cycle (the node,
+//! its process's middle node, its two neighbours).  Nothing is hashed.
 //!
 //! The dynamic protocol does **not** consult a `Topology` at runtime; nodes
 //! only use their local views, exactly as in the paper.  The global queries
@@ -143,7 +143,9 @@ impl Topology {
     }
 
     /// Builds the [`LocalView`] of a virtual node, mapping virtual ids to
-    /// simulator node ids with `node_of`.
+    /// simulator node ids with `node_of` — which must be the dense id rule,
+    /// [`crate::node_of`], because a view derives every id it does not
+    /// store by that rule (checked in debug builds).
     pub fn local_view(
         &self,
         vid: VirtualId,
@@ -154,15 +156,14 @@ impl Topology {
             NeighborInfo::new(node_of(n.vid), n.vid, n.label)
         };
         let positions = self.positions_of(vid)?;
-        let siblings = positions.map(|position| info(position as usize));
         let at = positions[vid.kind.index()] as usize;
         let last = self.sorted.len() - 1;
-        Ok(LocalView {
-            me: siblings[vid.kind.index()],
-            pred: info(if at == 0 { last } else { at - 1 }),
-            succ: info(if at == last { 0 } else { at + 1 }),
-            siblings,
-        })
+        Ok(LocalView::new(
+            info(at),
+            self.sorted[positions[VKind::Middle.index()] as usize].label,
+            info(if at == 0 { last } else { at - 1 }),
+            info(if at == last { 0 } else { at + 1 }),
+        ))
     }
 }
 
@@ -299,15 +300,11 @@ impl Topology {
 mod tests {
     use super::*;
     use crate::routing::{recommended_bit_budget, route_step, RouteAction, RouteProgress};
+    use crate::vnode::{node_of, vid_of};
     use proptest::prelude::*;
 
     fn pids(n: u64) -> Vec<ProcessId> {
         (0..n).map(ProcessId).collect()
-    }
-
-    /// Three consecutive node ids per process, in [`VKind`] order.
-    fn node_of(v: VirtualId) -> NodeId {
-        NodeId(v.process.raw() * 3 + v.kind.index() as u64)
     }
 
     fn topo(n: u64) -> Topology {
@@ -517,9 +514,9 @@ mod tests {
         let t = topo(12);
         for n in t.iter() {
             let view = t.local_view(n.vid, &node_of).unwrap();
-            assert_eq!(view.me.vid, n.vid);
-            assert_eq!(view.pred.vid, t.pred(n.vid).unwrap());
-            assert_eq!(view.succ.vid, t.succ(n.vid).unwrap());
+            assert_eq!(view.me().vid, n.vid);
+            assert_eq!(view.pred().vid, t.pred(n.vid).unwrap());
+            assert_eq!(view.succ().vid, t.succ(n.vid).unwrap());
             assert_eq!(
                 view.sibling(VKind::Middle).vid,
                 n.vid.sibling(VKind::Middle)
@@ -549,20 +546,20 @@ mod tests {
             for kind in VKind::ALL {
                 let vid = VirtualId::new(p, kind);
                 let info = |v: VirtualId| NeighborInfo::new(node_of(v), v, t.label_of(v).unwrap());
-                let slow = LocalView {
-                    me: info(vid),
-                    pred: info(t.pred(vid).unwrap()),
-                    succ: info(t.succ(vid).unwrap()),
-                    siblings: VKind::ALL.map(|k| info(vid.sibling(k))),
-                };
-                assert_eq!(t.local_view(vid, &node_of).unwrap(), slow);
+                let view = t.local_view(vid, &node_of).unwrap();
+                assert_eq!(view.me(), info(vid));
+                assert_eq!(view.pred(), info(t.pred(vid).unwrap()));
+                assert_eq!(view.succ(), info(t.succ(vid).unwrap()));
+                for k in VKind::ALL {
+                    assert_eq!(view.sibling(k), info(vid.sibling(k)));
+                }
             }
         }
         // The wrap at both ends.
         let first = t.local_view(t.anchor(), &node_of).unwrap();
         let last = t.local_view(t.max_node(), &node_of).unwrap();
-        assert_eq!(first.pred.vid, t.max_node());
-        assert_eq!(last.succ.vid, t.anchor());
+        assert_eq!(first.pred().vid, t.max_node());
+        assert_eq!(last.succ().vid, t.anchor());
         assert!(first.is_anchor() && last.successor_wraps());
     }
 
@@ -576,9 +573,6 @@ mod tests {
     /// Simulates routing over the static topology using only local views and
     /// the `route_step` rule, returning the hop count.
     fn simulate_route(t: &Topology, from: VirtualId, key: Label) -> (VirtualId, u32) {
-        let vid_of = |n: NodeId| -> VirtualId {
-            VirtualId::new(ProcessId(n.0 / 3), VKind::from_index((n.0 % 3) as usize))
-        };
         let mut current = from;
         let mut progress = RouteProgress::new(key, recommended_bit_budget(t.num_processes()));
         let max_hops = 40 * (t.len() as u32 + 2);

@@ -42,4 +42,4 @@ pub use routing::{
     recommended_bit_budget, route_step, LocalView, NeighborInfo, RouteAction, RouteBuffer,
     RouteProgress,
 };
-pub use vnode::{VKind, VirtualId};
+pub use vnode::{node_of, vid_of, VKind, VirtualId};

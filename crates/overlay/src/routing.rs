@@ -30,7 +30,7 @@
 //! `overlay.dht_hops_per_op` and the cost of a step as `overlay.route_step_ns`.
 
 use crate::label::Label;
-use crate::vnode::{VKind, VirtualId};
+use crate::vnode::{node_of, vid_of, VKind, VirtualId};
 use skueue_sim::ids::NodeId;
 
 /// What one node knows about one of its neighbours.
@@ -59,49 +59,130 @@ impl NeighborInfo {
 /// The local neighbourhood a virtual node maintains: itself, its cycle
 /// predecessor and successor, and the three virtual nodes of its own process
 /// (reachable over virtual edges).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only what cannot be derived is stored — 48 bytes: the node's own id
+/// (its virtual id and its siblings' ids follow from the dense id rule,
+/// [`node_of`]), its process's middle label (every sibling label follows
+/// from it by [`VKind::label_from_middle`]), and an `(id, label)` pair per
+/// cycle neighbour.  The accessors rebuild [`NeighborInfo`]s on demand, and
+/// everything that builds or re-points a view hands it `NeighborInfo`s whose
+/// id follows the rule (checked in debug builds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LocalView {
-    /// This node.
-    pub me: NeighborInfo,
-    /// Cycle predecessor (`pred(v)`).
-    pub pred: NeighborInfo,
-    /// Cycle successor (`succ(v)`).
-    pub succ: NeighborInfo,
-    /// The emulating process's three virtual nodes, indexed by
-    /// [`VKind::index`]; includes this node itself.
-    pub siblings: [NeighborInfo; 3],
+    me: NodeId,
+    middle: Label,
+    pred: (NodeId, Label),
+    succ: (NodeId, Label),
 }
 
 impl LocalView {
-    /// The kind of this node.
-    pub fn kind(&self) -> VKind {
-        self.me.vid.kind
+    /// The view of `me`, whose process's middle node is labelled `middle`,
+    /// between `pred` and `succ` on the cycle.
+    pub fn new(me: NeighborInfo, middle: Label, pred: NeighborInfo, succ: NeighborInfo) -> Self {
+        debug_assert_eq!(
+            me.label,
+            me.kind().label_from_middle(middle),
+            "{} is not labelled after its middle node",
+            me.vid
+        );
+        LocalView {
+            me: Self::compact(me).0,
+            middle,
+            pred: Self::compact(pred),
+            succ: Self::compact(succ),
+        }
     }
 
-    /// The sibling virtual node of the given kind (possibly `self.me`).
-    pub fn sibling(&self, kind: VKind) -> &NeighborInfo {
-        &self.siblings[kind.index()]
+    #[inline]
+    fn compact(info: NeighborInfo) -> (NodeId, Label) {
+        debug_assert_eq!(
+            info.node,
+            node_of(info.vid),
+            "{} is not addressed by the dense id rule",
+            info.vid
+        );
+        (info.node, info.label)
+    }
+
+    #[inline]
+    fn expand((node, label): (NodeId, Label)) -> NeighborInfo {
+        NeighborInfo::new(node, vid_of(node), label)
+    }
+
+    /// The kind of this node.
+    #[inline]
+    pub fn kind(&self) -> VKind {
+        VKind::from_index((self.me.0 % 3) as usize)
+    }
+
+    /// This node's label.
+    #[inline]
+    fn label(&self) -> Label {
+        self.kind().label_from_middle(self.middle)
+    }
+
+    /// The id of this process's virtual node of the given kind.
+    #[inline]
+    fn sibling_id(&self, kind: VKind) -> NodeId {
+        NodeId(self.me.0 - self.me.0 % 3 + kind.index() as u64)
+    }
+
+    /// This node.
+    #[inline]
+    pub fn me(&self) -> NeighborInfo {
+        Self::expand((self.me, self.label()))
+    }
+
+    /// Cycle predecessor (`pred(v)`).
+    #[inline]
+    pub fn pred(&self) -> NeighborInfo {
+        Self::expand(self.pred)
+    }
+
+    /// Cycle successor (`succ(v)`).
+    #[inline]
+    pub fn succ(&self) -> NeighborInfo {
+        Self::expand(self.succ)
+    }
+
+    /// The sibling virtual node of the given kind (possibly [`Self::me`]).
+    #[inline]
+    pub fn sibling(&self, kind: VKind) -> NeighborInfo {
+        Self::expand((self.sibling_id(kind), kind.label_from_middle(self.middle)))
+    }
+
+    /// Re-points the predecessor edge.
+    pub fn set_pred(&mut self, pred: NeighborInfo) {
+        self.pred = Self::compact(pred);
+    }
+
+    /// Re-points the successor edge.
+    pub fn set_succ(&mut self, succ: NeighborInfo) {
+        self.succ = Self::compact(succ);
     }
 
     /// True if this node is responsible for `key`, i.e. `key ∈ [me, succ)`
     /// on the ring.
-    pub(crate) fn is_responsible_for(&self, key: Label) -> bool {
-        if self.me.node == self.succ.node {
+    #[inline]
+    pub fn is_responsible_for(&self, key: Label) -> bool {
+        if self.me == self.succ.0 {
             // Single node on the cycle: responsible for everything.
             return true;
         }
-        key.in_interval(self.me.label, self.succ.label)
+        key.in_interval(self.label(), self.succ.1)
     }
 
     /// True if this node is the anchor (leftmost node): its predecessor edge
     /// wraps around the cycle.
+    #[inline]
     pub fn is_anchor(&self) -> bool {
-        self.me.node == self.pred.node || self.pred.label > self.me.label
+        self.me == self.pred.0 || self.pred.1 > self.label()
     }
 
     /// True if this node has the maximum label: its successor edge wraps.
+    #[inline]
     pub fn successor_wraps(&self) -> bool {
-        self.me.node == self.succ.node || self.succ.label < self.me.label
+        self.me == self.succ.0 || self.succ.1 < self.label()
     }
 }
 
@@ -225,25 +306,24 @@ pub fn route_step(view: &LocalView, progress: &mut RouteProgress) -> RouteAction
             // m(v)/2 and r(v) has label (m(v)+1)/2 — exactly the
             // distance-halving step applied to this node's label.
             let next = if progress.take_bit() {
-                view.sibling(VKind::Right)
+                VKind::Right
             } else {
-                view.sibling(VKind::Left)
+                VKind::Left
             };
-            return RouteAction::Forward(next.node);
+            return RouteAction::Forward(view.sibling_id(next));
         }
         // Not at a middle node: walk one linear hop towards the successor,
         // searching for the next middle node (expected O(1) hops).
-        return RouteAction::Forward(view.succ.node);
+        return RouteAction::Forward(view.succ.0);
     }
 
     // Linear phase: walk along the cycle in the direction with the shorter
     // ring distance to the target.
-    let cw = view.me.label.cw_distance(progress.target);
-    let ccw = view.me.label.ccw_distance(progress.target);
-    if cw <= ccw {
-        RouteAction::Forward(view.succ.node)
+    let me = view.label();
+    if me.cw_distance(progress.target) <= me.ccw_distance(progress.target) {
+        RouteAction::Forward(view.succ.0)
     } else {
-        RouteAction::Forward(view.pred.node)
+        RouteAction::Forward(view.pred.0)
     }
 }
 
@@ -327,27 +407,51 @@ mod tests {
     use proptest::prelude::*;
     use skueue_sim::ids::ProcessId;
 
-    fn info(node: u64, process: u64, kind: VKind, label: f64) -> NeighborInfo {
-        NeighborInfo::new(
-            NodeId(node),
-            VirtualId::new(ProcessId(process), kind),
-            Label::from_f64(label),
-        )
+    /// Node `3·process + kind`, as the dense id rule numbers it.
+    fn info(process: u64, kind: VKind, label: f64) -> NeighborInfo {
+        let vid = VirtualId::new(ProcessId(process), kind);
+        NeighborInfo::new(node_of(vid), vid, Label::from_f64(label))
     }
 
     /// A little two-process neighbourhood around the middle node of process 0
-    /// (labels: l0=0.3, m0=0.6, r0=0.8; process 1 middle at 0.65).
+    /// (labels: l0=0.3, m0=0.6, r0=0.8, nodes 0, 1, 2; process 3's left node
+    /// 9 at 0.55 and middle node 10 at 0.65).
     fn middle_view() -> LocalView {
-        LocalView {
-            me: info(1, 0, VKind::Middle, 0.6),
-            pred: info(10, 1, VKind::Left, 0.55),
-            succ: info(11, 1, VKind::Middle, 0.65),
-            siblings: [
-                info(0, 0, VKind::Left, 0.3),
-                info(1, 0, VKind::Middle, 0.6),
-                info(2, 0, VKind::Right, 0.8),
-            ],
+        LocalView::new(
+            info(0, VKind::Middle, 0.6),
+            Label::from_f64(0.6),
+            info(3, VKind::Left, 0.55),
+            info(3, VKind::Middle, 0.65),
+        )
+    }
+
+    #[test]
+    fn a_view_keeps_48_bytes_and_rebuilds_the_rest() {
+        assert_eq!(std::mem::size_of::<LocalView>(), 48);
+        let view = middle_view();
+        assert_eq!(view.me(), info(0, VKind::Middle, 0.6));
+        assert_eq!(view.kind(), VKind::Middle);
+        assert_eq!(view.pred(), info(3, VKind::Left, 0.55));
+        assert_eq!(view.succ(), info(3, VKind::Middle, 0.65));
+        // The siblings' labels are the halving maps of the middle label.
+        let middle = Label::from_f64(0.6);
+        for kind in VKind::ALL {
+            let vid = VirtualId::new(ProcessId(0), kind);
+            let sibling = NeighborInfo::new(node_of(vid), vid, kind.label_from_middle(middle));
+            assert_eq!(view.sibling(kind), sibling);
         }
+        assert_eq!(view.sibling(VKind::Middle), view.me());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "dense id rule")]
+    fn a_neighbour_off_the_dense_id_rule_is_refused() {
+        let mut view = middle_view();
+        view.set_succ(NeighborInfo {
+            node: NodeId(11),
+            ..info(3, VKind::Middle, 0.65)
+        });
     }
 
     #[test]
@@ -364,9 +468,9 @@ mod tests {
         let mut view = middle_view();
         assert!(!view.is_anchor());
         assert!(!view.successor_wraps());
-        view.pred.label = Label::from_f64(0.99);
+        view.set_pred(info(3, VKind::Left, 0.99));
         assert!(view.is_anchor());
-        view.succ.label = Label::from_f64(0.01);
+        view.set_succ(info(3, VKind::Middle, 0.01));
         assert!(view.successor_wraps());
     }
 
@@ -399,20 +503,16 @@ mod tests {
 
     #[test]
     fn non_middle_node_searches_for_middle_via_successor() {
-        let view = LocalView {
-            me: info(0, 0, VKind::Left, 0.3),
-            pred: info(9, 2, VKind::Left, 0.25),
-            succ: info(12, 3, VKind::Middle, 0.35),
-            siblings: [
-                info(0, 0, VKind::Left, 0.3),
-                info(1, 0, VKind::Middle, 0.6),
-                info(2, 0, VKind::Right, 0.8),
-            ],
-        };
+        let view = LocalView::new(
+            info(0, VKind::Left, 0.3),
+            Label::from_f64(0.6),
+            info(2, VKind::Left, 0.25),
+            info(4, VKind::Middle, 0.35),
+        );
         let mut progress = RouteProgress::new(Label::from_f64(0.9), 4);
         assert_eq!(
             route_step(&view, &mut progress),
-            RouteAction::Forward(NodeId(12))
+            RouteAction::Forward(NodeId(13))
         );
         // No bit consumed while searching for a middle node.
         assert_eq!(progress.bits_left(), 4);
@@ -425,25 +525,20 @@ mod tests {
         let mut progress = RouteProgress::linear_only(Label::from_f64(0.5));
         assert_eq!(
             route_step(&view, &mut progress),
-            RouteAction::Forward(NodeId(10))
+            RouteAction::Forward(NodeId(9))
         );
         // Target slightly above the successor: go to succ.
         let mut progress = RouteProgress::linear_only(Label::from_f64(0.7));
         assert_eq!(
             route_step(&view, &mut progress),
-            RouteAction::Forward(NodeId(11))
+            RouteAction::Forward(NodeId(10))
         );
     }
 
     #[test]
     fn single_node_cycle_is_responsible_for_everything() {
-        let me = info(0, 0, VKind::Middle, 0.4);
-        let view = LocalView {
-            me,
-            pred: me,
-            succ: me,
-            siblings: [me, me, me],
-        };
+        let me = info(0, VKind::Middle, 0.4);
+        let view = LocalView::new(me, me.label, me, me);
         assert!(view.is_responsible_for(Label::from_f64(0.99)));
         assert!(view.is_anchor());
         assert!(view.successor_wraps());
@@ -537,7 +632,10 @@ mod tests {
         ) {
             // A middle node responsible for nothing the walk could target.
             let mut view = middle_view();
-            view.succ.label = Label(view.me.label.raw() + 1);
+            view.set_succ(NeighborInfo {
+                label: Label(view.me().label.raw() + 1),
+                ..view.succ()
+            });
             let target = Label(target);
             prop_assume!(!view.is_responsible_for(target));
             let mut progress = RouteProgress::new(target, k);

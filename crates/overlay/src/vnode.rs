@@ -3,11 +3,27 @@
 //! Definition 2 of the paper: each process `v` emulates three virtual nodes —
 //! left `l(v)`, middle `m(v)` and right `r(v)`.  [`VirtualId`] names one of
 //! them; the label is derived from the process's middle label via
-//! [`VKind::label_from_middle`].
+//! [`VKind::label_from_middle`], and the simulator address from the dense id
+//! rule ([`node_of`], inverted by [`vid_of`]).
 
 use crate::label::Label;
-use skueue_sim::ids::ProcessId;
+use skueue_sim::ids::{NodeId, ProcessId};
 use std::fmt;
+
+/// Dense virtual-node ids: process `p` emulates nodes `3p`, `3p + 1`,
+/// `3p + 2` in [`VKind`] order (Left, Middle, Right), independent of
+/// sharding and of who hosts the process — so node ids, and with them
+/// histories and traces, mean the same under every transport.
+#[inline]
+pub fn node_of(vid: VirtualId) -> NodeId {
+    NodeId(vid.process.raw() * 3 + vid.kind.index() as u64)
+}
+
+/// The virtual node addressed `id` (inverse of [`node_of`]).
+#[inline]
+pub fn vid_of(id: NodeId) -> VirtualId {
+    VirtualId::new(ProcessId(id.0 / 3), VKind::from_index((id.0 % 3) as usize))
+}
 
 /// Which of a process's three virtual nodes this is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,6 +133,16 @@ impl fmt::Display for VirtualId {
 mod tests {
     use super::*;
     use crate::hash::LabelHasher;
+
+    #[test]
+    fn ids_are_dense_and_invertible() {
+        let vid = VirtualId::new(ProcessId(4), VKind::Right);
+        assert_eq!(node_of(vid), NodeId(14));
+        assert_eq!(vid_of(NodeId(14)), vid);
+        for raw in 0..30 {
+            assert_eq!(node_of(vid_of(NodeId(raw))), NodeId(raw));
+        }
+    }
 
     #[test]
     fn kind_index_roundtrip() {

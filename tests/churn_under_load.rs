@@ -144,11 +144,13 @@ fn a_joiner_whose_responsible_node_leaves_still_integrates() {
     println!("drained {} rounds after the load", outcome.drain_rounds);
 }
 
-/// `(every, stream)` cases of the grid that do not drain.  Each stands for
-/// one of the causes ROADMAP item 1 records: a leaver's store absorbed whole
-/// although a joiner spliced in between now owns part of it, or a grantor
-/// whose churn count was spent before its tree path reported it.
-const KNOWN_STUCK: [(u64, u64); 5] = [(50, 1), (50, 4), (50, 6), (100, 2), (100, 5)];
+/// `(every, stream)` cases of the grid that do not drain.  The one left
+/// stands for the cause ROADMAP item 1 records as (C): grantors whose churn
+/// count was spent before their tree path reported it, so their granted
+/// leavers are never absorbed.  (The cases where an absorber kept a leaver's
+/// store although a joiner spliced in between owned it drain since the
+/// absorber hands that store on.)
+const KNOWN_STUCK: [(u64, u64); 1] = [(100, 2)];
 
 #[test]
 #[ignore = "runs as its own CI step (timeout-bounded); use -- --ignored"]
