@@ -25,9 +25,8 @@
 //! currently hosting the anchor may not leave.
 
 use crate::anchor::AnchorState;
-use crate::batch::Batch;
 use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, SkueueMsg};
-use crate::node::{JoinerRecord, LeaverRecord, Role, SkueueNode, UpdatePhase, Work};
+use crate::node::{JoinerRecord, LaneKind, LeaverRecord, Role, SkueueNode, UpdatePhase, Work};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
@@ -154,8 +153,21 @@ impl<T: Payload> SkueueNode<T> {
             }
             SkueueMsg::AbsorbRequest => self.handle_absorb_request(from, ctx),
             SkueueMsg::AbsorbData(payload) => self.handle_absorb_data(from, *payload, ctx),
+            // Churn that passed through a leaver while no flag could reach
+            // its subtree: report it again, so a phase flags the subtree
+            // through us.
+            SkueueMsg::ChurnHandover { count } => {
+                self.membership_mut().pending_leave_count += count;
+            }
             SkueueMsg::SiblingStatus { kind, active } => {
                 self.sibling_integrated[kind.index()] = active;
+                // Back below an integrated parent: the churn forwarded while
+                // the parent was out of the tree is reported again, so a
+                // phase flags this node's subtree.
+                let attached = active && !self.parent_is_absent_sibling();
+                if let Some(m) = self.membership.as_deref_mut().filter(|_| attached) {
+                    m.pending_leave_count += std::mem::take(&mut m.unflagged_churn);
+                }
             }
             SkueueMsg::SetPred { new_pred } => {
                 if matches!(self.role, Role::Draining { .. }) {
@@ -344,13 +356,11 @@ impl<T: Payload> SkueueNode<T> {
         self.suspended = true;
         let store = &mut Work::of(&mut self.work, &self.cfg).store;
         for satisfied in store.absorb(handover.entries, handover.pending) {
-            self.reply_buffer.push(
-                satisfied.get.requester,
-                DhtReplyItem {
-                    request: satisfied.get.request,
-                    entry: satisfied.entry,
-                },
-            );
+            let reply = DhtReplyItem {
+                request: satisfied.get.request,
+                entry: satisfied.entry,
+            };
+            Self::stage(&mut self.lanes, satisfied.get.requester, reply, ctx);
         }
         // The join is over: forget what was kept for it, and re-route the
         // DHT operations that arrived while we were not yet part of the
@@ -463,14 +473,20 @@ impl<T: Payload> SkueueNode<T> {
         // The leaver's stored data *moves* to the absorber — no payload
         // clones; the store is left empty for the draining role.
         let (entries, pending) = Work::of(&mut self.work, &self.cfg).store.take_all();
-        let child_batches: Vec<(NodeId, u64, Batch)> = self.child_batches.drain_all();
+        let children = self.lanes.of(LaneKind::Child);
+        let child_batches = match self.work.as_deref_mut() {
+            Some(work) => work.child_batches.drain_all(children),
+            None => Vec::new(),
+        };
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale.
-        let joiners: Vec<NeighborInfo> = std::mem::take(&mut self.membership_mut().joiners)
+        let m = self.membership_mut();
+        let joiners: Vec<NeighborInfo> = std::mem::take(&mut m.joiners)
             .into_iter()
             .filter(|j| !j.handed_over)
             .map(|j| j.info)
             .collect();
+        let count = std::mem::take(&mut m.unflagged_churn);
         let payload = AbsorbPayload {
             pred: self.view.pred(),
             succ: self.view.succ(),
@@ -481,6 +497,9 @@ impl<T: Payload> SkueueNode<T> {
             anchor: self.take_anchor(),
         };
         ctx.send(from, SkueueMsg::AbsorbData(Box::new(payload)));
+        if count > 0 {
+            ctx.send(from, SkueueMsg::ChurnHandover { count });
+        }
         if !self.cfg.trace_level.is_off() {
             let (process, round) = (self.process().0, ctx.round());
             ctx.trace(self.shard, TraceEvent::Absorbed { process, round });
@@ -499,7 +518,7 @@ impl<T: Payload> SkueueNode<T> {
         // (per-child FIFO order preserved; they are combined into this
         // node's next wave and served back under the children's epochs).
         for (child, epoch, batch) in payload.child_batches {
-            self.child_batches.push(child, epoch, batch);
+            self.queue_child_batch(child, epoch, batch);
         }
         // Take over the leaver's pending joiners and re-count them so a
         // future update phase integrates them here.
@@ -603,13 +622,11 @@ impl<T: Payload> SkueueNode<T> {
             .partition(|&(position, _)| view.is_responsible_for(hasher.position_key(position)));
         let store = &mut Work::of(&mut self.work, &self.cfg).store;
         for satisfied in store.absorb(entries, pending) {
-            self.reply_buffer.push(
-                satisfied.get.requester,
-                DhtReplyItem {
-                    request: satisfied.get.request,
-                    entry: satisfied.entry,
-                },
-            );
+            let reply = DhtReplyItem {
+                request: satisfied.get.request,
+                entry: satisfied.entry,
+            };
+            Self::stage(&mut self.lanes, satisfied.get.requester, reply, ctx);
         }
         for entry in moved {
             let progress = RouteProgress::linear_only(entry.key);

@@ -73,9 +73,10 @@ impl<T: Payload> DhtOp<T> {
 }
 
 /// One DHT operation in flight, together with its routing state.  This is
-/// the unit the per-destination coalescing layer ([`skueue_overlay::RouteBuffer`])
-/// batches: all routed ops that share the next distance-halving hop travel
-/// in one [`SkueueMsg::DhtBatch`] per neighbour per round.
+/// the unit Stage 4 coalesces: all routed ops that share the next
+/// distance-halving hop within one visit are gathered into one
+/// [`SkueueMsg::DhtBatch`] per neighbour, staged in the lane's context until
+/// the visit ends (a node keeps no buffer of its own).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedDhtOp<T = u64> {
     /// The operation (boxed so moving an op between buffers moves a pointer).
@@ -226,6 +227,16 @@ pub enum SkueueMsg<T = u64> {
     AbsorbRequest,
     /// The leaver's state (the leaver switches to draining afterwards).
     AbsorbData(Box<AbsorbPayload<T>>),
+    /// Sent by a leaver beside its `AbsorbData` when it forwarded churn
+    /// counts while its own tree parent was a sibling out of the tree: the
+    /// phase they started flagged a tree that did not reach the leaver's
+    /// subtree, so the absorber, which that subtree hangs below from now
+    /// on, reports them again.  Only adds to a count, so its arrival order
+    /// relative to `AbsorbData` does not matter.
+    ChurnHandover {
+        /// The churn counts to report again.
+        count: u64,
+    },
 
     /// A virtual node informs its two sibling nodes (same process) that it
     /// has become an integrated member — or stopped being one.  Siblings only

@@ -33,9 +33,11 @@
 //! # Batched DHT routing
 //!
 //! Stage 4 is *batched*: every routed DHT operation a node would forward is
-//! parked in a per-destination [`RouteBuffer`] and flushed at the end of the
-//! visit as one `DhtBatch` message per neighbour per round; replies coalesce
-//! the same way per requester (`DhtReplyBatch`).  Ops sharing the next
+//! added to a `DhtBatch` per next hop, staged in the lane's [`Context`]
+//! (see [`Context::staged`]) and sent at the end of the visit — one message
+//! per neighbour per round, in the node's first-contact [`LaneOrder`];
+//! replies coalesce the same way per requester (`DhtReplyBatch`).  Between
+//! visits a node keeps only that order, never a container.  Ops sharing the next
 //! distance-halving hop — from a middle node there are only two virtual-edge
 //! targets — therefore cost one message, which is exactly the aggregation
 //! along shared routes the paper's congestion bound builds on.
@@ -47,7 +49,7 @@ use crate::messages::{DhtOp, DhtReplyItem, PutMeta, RoutedDhtOp, SkueueMsg};
 use skueue_dht::{Element, GetOutcome, NodeStore, Payload, SatisfiedGet, StoredEntry};
 use skueue_overlay::{
     aggregation_child_set, aggregation_parent, route_step, ChildSet, LocalView, RouteAction,
-    RouteBuffer, RouteProgress, VKind,
+    RouteProgress, VKind,
 };
 use skueue_shard::{ShardId, ShardMap};
 use skueue_sim::actor::{Actor, Context};
@@ -156,6 +158,14 @@ impl WaveMemo {
     }
 }
 
+/// A staged batch's first item, with room for three more: most batches
+/// carry one to four, and growing a vector of one costs a reallocation.
+fn lane_of<I>(first: I) -> Vec<I> {
+    let mut items = Vec::with_capacity(4);
+    items.push(first);
+    items
+}
+
 /// A count of runs or sources as the wave ring stores it.
 fn count_u32(count: usize) -> u32 {
     u32::try_from(count).expect("a wave has fewer than 2^32 runs and sources")
@@ -189,81 +199,184 @@ pub(crate) struct StashedServe {
     pub(crate) runs: Vec<RunAssignment>,
 }
 
-/// Sub-batches received from aggregation-tree children and not yet combined
-/// into a wave: one FIFO queue per child, each entry tagged with the child's
-/// wave epoch.  With pipelining a child may legitimately have several
-/// batches queued here.  Lane entries (and queue capacity) are retained
-/// across waves, so steady-state pushes and pops do not touch the allocator.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ChildBatches {
-    entries: Vec<(NodeId, VecDeque<(u64, Batch)>)>,
+/// The three kinds of peer a node coalesces per: the next hops its routed
+/// DHT operations go to, the requesters its GET replies go to, and the
+/// aggregation-tree children (current and former) its sub-batches come
+/// from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneKind {
+    Route,
+    Reply,
+    Child,
 }
 
+/// What a visit coalesces into one message per peer: routed operations
+/// into a `DhtBatch` per next hop, GET replies into a `DhtReplyBatch` per
+/// requester.
+pub(crate) trait Coalesced<T>: Sized {
+    /// The lane whose order the batches are sent in.
+    const KIND: LaneKind;
+    /// The items of `msg`, if it is a batch of this kind.
+    fn items(msg: &mut SkueueMsg<T>) -> Option<&mut Vec<Self>>;
+    /// The batch message carrying `items`.
+    fn batch(items: Vec<Self>) -> SkueueMsg<T>;
+}
+
+impl<T> Coalesced<T> for RoutedDhtOp<T> {
+    const KIND: LaneKind = LaneKind::Route;
+    fn items(msg: &mut SkueueMsg<T>) -> Option<&mut Vec<Self>> {
+        match msg {
+            SkueueMsg::DhtBatch { ops } => Some(ops),
+            _ => None,
+        }
+    }
+    fn batch(ops: Vec<Self>) -> SkueueMsg<T> {
+        SkueueMsg::DhtBatch { ops }
+    }
+}
+
+impl<T> Coalesced<T> for DhtReplyItem<T> {
+    const KIND: LaneKind = LaneKind::Reply;
+    fn items(msg: &mut SkueueMsg<T>) -> Option<&mut Vec<Self>> {
+        match msg {
+            SkueueMsg::DhtReplyBatch { replies } => Some(replies),
+            _ => None,
+        }
+    }
+    fn batch(replies: Vec<Self>) -> SkueueMsg<T> {
+        SkueueMsg::DhtReplyBatch { replies }
+    }
+}
+
+/// All a node keeps of its coalescing between visits: every peer it has
+/// routed to, replied to or taken a sub-batch from, in first-contact order
+/// per [`LaneKind`].  That order is the send order of a visit's
+/// `DhtBatch`es and `DhtReplyBatch`es and the combination order of a wave's
+/// sub-batches, so it lives as long as the node; what travels in those
+/// lanes does not (a visit's batches are staged in its [`Context`], queued
+/// sub-batches sit in [`Work`]).  One allocation: the three lists back to
+/// back, routes first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LaneOrder {
+    peers: Vec<NodeId>,
+    /// End of the route list.
+    routes: u32,
+    /// End of the reply list; the children's follows it.
+    replies: u32,
+}
+
+impl LaneOrder {
+    fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
+        let (routes, replies) = (self.routes as usize, self.replies as usize);
+        match kind {
+            LaneKind::Route => 0..routes,
+            LaneKind::Reply => routes..replies,
+            LaneKind::Child => replies..self.peers.len(),
+        }
+    }
+
+    /// The peers of `kind`, in first-contact order.
+    pub(crate) fn of(&self, kind: LaneKind) -> &[NodeId] {
+        &self.peers[self.range(kind)]
+    }
+
+    /// Where `peer` stands among all the peers, if it is one of `kind`:
+    /// routes rank before replies, each in first-contact order.
+    pub(crate) fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
+        let range = self.range(kind);
+        let at = self.peers[range.clone()].iter().position(|&p| p == peer)?;
+        Some(range.start + at)
+    }
+
+    /// Appends `peer` to the peers of `kind` unless it is one already.
+    pub(crate) fn note(&mut self, kind: LaneKind, peer: NodeId) {
+        let range = self.range(kind);
+        if self.peers[range.clone()].contains(&peer) {
+            return;
+        }
+        self.peers.insert(range.end, peer);
+        match kind {
+            LaneKind::Route => {
+                self.routes += 1;
+                self.replies += 1;
+            }
+            LaneKind::Reply => self.replies += 1,
+            LaneKind::Child => {}
+        }
+    }
+}
+
+/// Sub-batches received from aggregation-tree children and not yet combined
+/// into a wave, each tagged with the child's wave epoch.  With pipelining a
+/// child may legitimately have several batches queued here; a child's
+/// entries stay in ascending epoch order, and the node's [`LaneOrder`]
+/// orders the children.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChildBatches(Vec<(NodeId, u64, Batch)>);
+
 impl ChildBatches {
+    /// True when no sub-batch is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
     /// True when at least one sub-batch from `child` is buffered.
     pub(crate) fn contains(&self, child: &NodeId) -> bool {
-        self.entries
-            .iter()
-            .any(|(n, q)| n == child && !q.is_empty())
-    }
-
-    /// True when any sub-batch from any peer is buffered.
-    pub(crate) fn has_any(&self) -> bool {
-        self.entries.iter().any(|(_, q)| !q.is_empty())
-    }
-
-    /// Total number of buffered sub-batches.
-    pub(crate) fn total(&self) -> usize {
-        self.entries.iter().map(|(_, q)| q.len()).sum()
+        self.0.iter().any(|(n, _, _)| n == child)
     }
 
     /// Buffers a sub-batch from `child` under its wave `epoch`, keeping the
-    /// per-child queue in ascending epoch order.  Arrival order is *almost*
+    /// child's entries in ascending epoch order.  Arrival order is *almost*
     /// epoch order (the aggregate credit serialises each channel), but an
     /// absorb hand-over races the draining parent's forwarded aggregates on
     /// independently delayed messages — and commit order to the anchor must
     /// stay epoch (= the child's program) order regardless.
     pub(crate) fn push(&mut self, child: NodeId, epoch: u64, batch: Batch) {
-        for (n, q) in &mut self.entries {
-            if *n == child {
-                let pos = q.iter().position(|(e, _)| *e > epoch).unwrap_or(q.len());
-                q.insert(pos, (epoch, batch));
+        let at = self
+            .0
+            .iter()
+            .position(|&(n, e, _)| n == child && e > epoch)
+            .unwrap_or(self.0.len());
+        self.0.insert(at, (child, epoch, batch));
+    }
+
+    /// Pops the oldest queued sub-batch of every child in `children` (the
+    /// node's children in first-contact order) that has one and hands each
+    /// to `take` as `(child, epoch, sub-batch)`.  At most *one* batch per
+    /// child per wave: run-length batch combination is element-wise (run
+    /// `i` of the combined batch is the concatenation of every source's run
+    /// `i`), so two sub-batches of the same child in one wave would
+    /// interleave that child's operations and invert its program order in
+    /// `≺` — distinct children carry no mutual order constraint, consecutive
+    /// waves of one child do.  Peers beyond the current tree children are
+    /// included on purpose: after an absorb hand-over or a re-parenting,
+    /// batches from former children must still be combined and served (by
+    /// node id) or their senders' wave slots would never drain.
+    pub(crate) fn pop_oldest(
+        &mut self,
+        children: &[NodeId],
+        mut take: impl FnMut(NodeId, u64, Batch),
+    ) {
+        for &child in children {
+            if self.0.is_empty() {
                 return;
             }
-        }
-        self.entries.push((child, VecDeque::from([(epoch, batch)])));
-    }
-
-    /// Pops the oldest queued sub-batch of every peer that has one (in
-    /// first-contact order) and hands each to `take` as `(child, epoch,
-    /// sub-batch)`.  At most *one* batch per child per wave: run-length batch
-    /// combination is element-wise (run `i` of the combined batch is the
-    /// concatenation of every source's run `i`), so two sub-batches of the
-    /// same child in one wave would interleave that child's operations and
-    /// invert its program order in `≺` — distinct children carry no mutual
-    /// order constraint, consecutive waves of one child do.  Peers beyond
-    /// the current tree children are included on purpose: after an absorb
-    /// hand-over or a re-parenting, batches from former children must still
-    /// be combined and served (by node id) or their senders' wave slots
-    /// would never drain.
-    pub(crate) fn pop_oldest(&mut self, mut take: impl FnMut(NodeId, u64, Batch)) {
-        for (child, q) in &mut self.entries {
-            if let Some((epoch, batch)) = q.pop_front() {
-                take(*child, epoch, batch);
+            if let Some(at) = self.0.iter().position(|&(n, _, _)| n == child) {
+                let (child, epoch, batch) = self.0.remove(at);
+                take(child, epoch, batch);
             }
         }
     }
 
-    /// Drains every buffered `(child, epoch, sub-batch)`, preserving each
-    /// child's FIFO order (used for the leave hand-over).
-    pub(crate) fn drain_all(&mut self) -> Vec<(NodeId, u64, Batch)> {
-        let mut out = Vec::with_capacity(self.total());
-        for (child, q) in &mut self.entries {
-            for (epoch, batch) in q.drain(..) {
-                out.push((*child, epoch, batch));
-            }
-        }
-        out
+    /// Drains every buffered `(child, epoch, sub-batch)`, children in the
+    /// order of `children` and each child's in FIFO order (used for the
+    /// leave hand-over).
+    pub(crate) fn drain_all(&mut self, children: &[NodeId]) -> Vec<(NodeId, u64, Batch)> {
+        let rank = |child: &NodeId| children.iter().position(|c| c == child);
+        debug_assert!(self.0.iter().all(|(child, _, _)| rank(child).is_some()));
+        // Stable: each child's entries keep their order.
+        self.0.sort_by_key(|(child, _, _)| rank(child));
+        std::mem::take(&mut self.0)
     }
 }
 
@@ -353,6 +466,12 @@ pub(crate) struct Membership<T> {
     pub(crate) leave_requested: bool,
     pub(crate) pending_join_count: u64,
     pub(crate) pending_leave_count: u64,
+    /// Churn counts this node forwarded while its tree parent was a sibling
+    /// out of the tree (see [`SkueueNode::parent_is_absent_sibling`]): the
+    /// phase they start sends its flags down a tree that no longer reaches
+    /// the nodes that reported them.  Reported again once this node's
+    /// subtree hangs below an integrated node.
+    pub(crate) unflagged_churn: u64,
     pub(crate) update: Option<UpdatePhase>,
 }
 
@@ -374,6 +493,7 @@ impl<T> Membership<T> {
             leave_requested,
             pending_join_count,
             pending_leave_count,
+            unflagged_churn,
             update,
         } = self;
         bootstrap.is_none()
@@ -389,6 +509,7 @@ impl<T> Membership<T> {
             && !leave_requested
             && *pending_join_count == 0
             && *pending_leave_count == 0
+            && *unflagged_churn == 0
             && update.is_none()
     }
 }
@@ -419,6 +540,8 @@ pub(crate) struct Work<T> {
     // --- Stage 1 ------------------------------------------------------------
     pub(crate) own_batch: Batch,
     pub(crate) own_log: Vec<LocalOp<T>>,
+    /// Sub-batches from children not yet combined.
+    pub(crate) child_batches: ChildBatches,
     /// In-flight waves, oldest first (bounded by the configured pipeline
     /// depth).
     pub(crate) slots: VecDeque<WaveSlot>,
@@ -459,6 +582,7 @@ impl<T: Payload> Work<T> {
         slot.insert(Box::new(Work {
             own_batch: SkueueNode::<T>::fresh_batch(cfg),
             own_log: Vec::new(),
+            child_batches: ChildBatches::default(),
             slots: VecDeque::new(),
             memo: WaveMemo::default(),
             serve_stash: Vec::new(),
@@ -477,6 +601,7 @@ impl<T: Payload> Work<T> {
         let Work {
             own_batch,
             own_log,
+            child_batches,
             slots,
             memo,
             serve_stash,
@@ -493,6 +618,7 @@ impl<T: Payload> Work<T> {
             && outstanding_gets.is_empty()
             && *outstanding_dht == 0
             && own_batch.has_no_ops()
+            && child_batches.is_empty()
             && memo.records.is_empty()
             && memo.runs.is_empty()
             && serve_stash.is_empty()
@@ -548,9 +674,6 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) anchor: Option<Box<AnchorState>>,
 
     // --- Stage 1 state ------------------------------------------------------
-    /// Sub-batches from children not yet combined.  Inline, not in
-    /// [`Work`]: its first-contact order is the combination order.
-    pub(crate) child_batches: ChildBatches,
     /// The wave epoch of the most recently opened wave (0 before the first).
     pub(crate) next_epoch: u64,
     /// Round in which this node last opened a wave (wave-merging cadence).
@@ -560,15 +683,10 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) aggregate_unacked: bool,
     pub(crate) suspended: bool,
 
-    // --- Stage 4 state ------------------------------------------------------
-    /// Per-destination coalescing buffer for routed DHT ops; flushed as one
-    /// `DhtBatch` per neighbour at the end of every visit.  Inline, not in
-    /// [`Work`]: its lane order is the send order.
-    pub(crate) route_buffer: RouteBuffer<RoutedDhtOp<T>>,
-    /// Per-requester coalescing buffer for GET replies; flushed as one
-    /// `DhtReplyBatch` per requester at the end of every visit (inline for
-    /// the same reason).
-    pub(crate) reply_buffer: RouteBuffer<DhtReplyItem<T>>,
+    /// The first-contact order of the peers this node routes to, replies
+    /// to and combines sub-batches from.  Inline, not in [`Work`]: it is
+    /// the send and combination order for the node's whole life.
+    pub(crate) lanes: LaneOrder,
 
     /// Requests, waves, stored elements and uncollected completions; `None`
     /// while the node has none of them.
@@ -606,13 +724,11 @@ impl<T: Payload> SkueueNode<T> {
             role: Role::Active,
             shard,
             anchor: is_anchor.then(Box::default),
-            child_batches: ChildBatches::default(),
             next_epoch: 0,
             last_wave_round: 0,
             aggregate_unacked: false,
             suspended: false,
-            route_buffer: RouteBuffer::new(),
-            reply_buffer: RouteBuffer::new(),
+            lanes: LaneOrder::default(),
             work: None,
             combining: None,
             membership: None,
@@ -929,6 +1045,20 @@ impl<T: Payload> SkueueNode<T> {
         )
     }
 
+    /// True when this node's tree parent is a sibling virtual node that is
+    /// not an integrated member: absorbed, or not integrated yet.  Its
+    /// waves still reach the anchor (a draining parent forwards them to its
+    /// absorber), but no update flag comes back down: only tree parents
+    /// relay flags, and nobody relays them to a node out of the tree.
+    pub(crate) fn parent_is_absent_sibling(&self) -> bool {
+        let parent = match self.view.kind() {
+            VKind::Left => return false,
+            VKind::Middle => VKind::Left,
+            VKind::Right => VKind::Middle,
+        };
+        !self.view.is_anchor() && !self.sibling_integrated[parent.index()]
+    }
+
     /// The node's current aggregation-tree children (inline, no allocation —
     /// this runs on every `TIMEOUT` of every node).
     ///
@@ -1005,10 +1135,26 @@ impl<T: Payload> SkueueNode<T> {
         self.work
             .as_deref()
             .is_some_and(|w| !w.own_batch.has_no_ops())
+            || self.has_child_batches()
             || self
                 .membership()
                 .is_some_and(|m| m.pending_join_count > 0 || m.pending_leave_count > 0)
-            || self.child_batches.has_any()
+    }
+
+    /// True when a sub-batch from any peer is queued.
+    fn has_child_batches(&self) -> bool {
+        self.work
+            .as_deref()
+            .is_some_and(|w| !w.child_batches.is_empty())
+    }
+
+    /// Queues a sub-batch from `child` under its wave `epoch` for the next
+    /// wave this node opens.
+    pub(crate) fn queue_child_batch(&mut self, child: NodeId, epoch: u64, batch: Batch) {
+        self.lanes.note(LaneKind::Child, child);
+        Work::of(&mut self.work, &self.cfg)
+            .child_batches
+            .push(child, epoch, batch);
     }
 
     /// True when this node must run the *strict* wave lockstep of Section VI
@@ -1046,7 +1192,12 @@ impl<T: Payload> SkueueNode<T> {
             // Global lockstep: wait for a (possibly empty) sub-batch from
             // every current child before combining.
             let children = self.tree_children();
-            if !children.iter().all(|c| self.child_batches.contains(c)) {
+            let queued = |c| {
+                self.work
+                    .as_deref()
+                    .is_some_and(|w| w.child_batches.contains(c))
+            };
+            if !children.iter().all(queued) {
                 return;
             }
         } else {
@@ -1089,7 +1240,7 @@ impl<T: Payload> SkueueNode<T> {
     /// ancestor could never free its slots, and the update phase (which
     /// waits for the leaver's `AbsorbData`) would deadlock.
     fn try_drain_wave(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if !self.child_batches.has_any() {
+        if !self.has_child_batches() {
             return;
         }
         // The stack's stage-4 barrier applies to drain waves too: a node
@@ -1119,6 +1270,7 @@ impl<T: Payload> SkueueNode<T> {
     /// tree.  `drain` waves (update phase) exclude the node's own working
     /// batch and join/leave counters.
     fn open_wave(&mut self, parent: Option<NodeId>, drain: bool, ctx: &mut Context<SkueueMsg<T>>) {
+        let detached = parent.is_some() && self.parent_is_absent_sibling();
         let work = Work::of(&mut self.work, &self.cfg);
         let own = if drain {
             Self::fresh_batch(&self.cfg)
@@ -1150,10 +1302,12 @@ impl<T: Payload> SkueueNode<T> {
         let first_source = memo.records.len();
         memo.remember(self.view.me().node, 0, true, &own);
         let mut combined = own;
-        self.child_batches.pop_oldest(|child, epoch, batch| {
-            memo.remember(child, epoch, false, &batch);
-            combined.combine(&batch);
-        });
+        let children = self.lanes.of(LaneKind::Child);
+        work.child_batches
+            .pop_oldest(children, |child, epoch, batch| {
+                memo.remember(child, epoch, false, &batch);
+                combined.combine(&batch);
+            });
         let num_sources = memo.records.len() - first_source;
 
         if !drain {
@@ -1162,6 +1316,11 @@ impl<T: Payload> SkueueNode<T> {
                 combined.joins += std::mem::take(&mut m.pending_join_count);
                 combined.leaves += std::mem::take(&mut m.pending_leave_count);
             }
+        }
+        let churn = combined.joins + combined.leaves;
+        if churn > 0 && detached {
+            let m = self.membership.get_or_insert_with(Box::default);
+            m.unflagged_churn += churn;
         }
 
         ctx.observe(series::BATCH_SIZES, combined.size() as u64);
@@ -1554,9 +1713,9 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// Routes one DHT operation a single step: applies it locally when this
-    /// node is responsible, otherwise parks it in the per-destination
-    /// [`RouteBuffer`] — the end-of-visit flush turns everything heading to
-    /// the same next hop into one `DhtBatch` message.
+    /// node is responsible, otherwise adds it to the visit's staged
+    /// `DhtBatch` towards the next hop ([`Self::stage`]) — the
+    /// end-of-visit flush sends one such message per next hop.
     pub(crate) fn dispatch_dht(
         &mut self,
         op: Box<DhtOp<T>>,
@@ -1568,7 +1727,7 @@ impl<T: Payload> SkueueNode<T> {
         if let Some(target) = self.joiner_responsible_for(progress.target) {
             progress.hops += 1;
             self.trace_hop(&op, progress.hops, ctx);
-            self.route_buffer.push(target, RoutedDhtOp { op, progress });
+            Self::stage(&mut self.lanes, target, RoutedDhtOp { op, progress }, ctx);
             return;
         }
         match route_step(&self.view, &mut progress) {
@@ -1576,7 +1735,7 @@ impl<T: Payload> SkueueNode<T> {
             RouteAction::Forward(next) => {
                 progress.hops += 1;
                 self.trace_hop(&op, progress.hops, ctx);
-                self.route_buffer.push(next, RoutedDhtOp { op, progress });
+                Self::stage(&mut self.lanes, next, RoutedDhtOp { op, progress }, ctx);
             }
         }
     }
@@ -1599,10 +1758,11 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// Applies a DHT operation at the responsible node.  Replies coalesce in
-    /// [`Self::reply_buffer`]; satisfied parked GETs reuse one scratch
-    /// vector via the store's bulk `put_into` entry point, so applying a
-    /// whole delivered batch is one pass without per-op allocations.
+    /// Applies a DHT operation at the responsible node.  Replies coalesce
+    /// per requester ([`Self::stage`]); satisfied parked GETs reuse
+    /// one scratch vector via the store's bulk `put_into` entry point, so
+    /// applying a whole delivered batch is one pass without per-op
+    /// allocations.
     pub(crate) fn apply_dht(
         &mut self,
         op: DhtOp<T>,
@@ -1646,7 +1806,7 @@ impl<T: Payload> SkueueNode<T> {
                         },
                     );
                 }
-                self.store_entry(entry);
+                self.store_entry(entry, ctx);
             }
             DhtOp::Get {
                 position,
@@ -1657,31 +1817,29 @@ impl<T: Payload> SkueueNode<T> {
                 let store = &mut Work::of(&mut self.work, &self.cfg).store;
                 match store.get(position, max_ticket, request, requester) {
                     GetOutcome::Found(entry) => {
-                        self.reply_buffer
-                            .push(requester, DhtReplyItem { request, entry });
+                        let reply = DhtReplyItem { request, entry };
+                        Self::stage(&mut self.lanes, requester, reply, ctx);
                     }
                     GetOutcome::Parked => {
                         // Waits at this node until the PUT arrives (Stage 4).
                     }
                 }
             }
-            DhtOp::Move { entry } => self.store_entry(entry),
+            DhtOp::Move { entry } => self.store_entry(entry, ctx),
         }
     }
 
     /// Stores `entry`, or hands it to the parked GET it satisfies.
-    fn store_entry(&mut self, entry: StoredEntry<T>) {
+    fn store_entry(&mut self, entry: StoredEntry<T>, ctx: &mut Context<SkueueMsg<T>>) {
         let work = Work::of(&mut self.work, &self.cfg);
         debug_assert!(work.satisfied_scratch.is_empty());
         work.store.put_into(entry, &mut work.satisfied_scratch);
         for s in work.satisfied_scratch.drain(..) {
-            self.reply_buffer.push(
-                s.get.requester,
-                DhtReplyItem {
-                    request: s.get.request,
-                    entry: s.entry,
-                },
-            );
+            let reply = DhtReplyItem {
+                request: s.get.request,
+                entry: s.entry,
+            };
+            Self::stage(&mut self.lanes, s.get.requester, reply, ctx);
         }
     }
 
@@ -1732,27 +1890,56 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// Emits the per-destination DHT batches accumulated during this visit:
-    /// one `DhtBatch` per next hop, one `DhtReplyBatch` per requester.
-    /// Called at the end of every `on_timeout`, which both hosts run at the
-    /// end of every visit — so buffered ops never survive a visit and add no
-    /// latency.
+    /// Adds `item` to this visit's batch towards `to`, staged in the lane's
+    /// context: a routed op to the `DhtBatch` for that next hop, a reply to
+    /// the `DhtReplyBatch` for that requester.  The first item towards `to`
+    /// starts the batch (and, the first time ever, `to`'s place in the
+    /// lane order).
+    pub(crate) fn stage<I: Coalesced<T>>(
+        lanes: &mut LaneOrder,
+        to: NodeId,
+        item: I,
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
+        let staged = ctx.staged();
+        let batch = staged
+            .iter_mut()
+            .find_map(|(dest, msg)| if *dest == to { I::items(msg) } else { None });
+        match batch {
+            Some(items) => items.push(item),
+            None => {
+                staged.push((to, I::batch(lane_of(item))));
+                lanes.note(I::KIND, to);
+            }
+        }
+    }
+
+    /// Sends the DHT batches staged during this visit: one `DhtBatch` per
+    /// next hop in route order, then one `DhtReplyBatch` per requester in
+    /// reply order.  Called at the end of every `on_timeout`, which both
+    /// hosts run at the end of every visit — so staged ops never survive a
+    /// visit and add no latency.
     fn flush_dht_buffers(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if !self.route_buffer.is_empty() {
-            let mut buf = std::mem::take(&mut self.route_buffer);
-            buf.flush(|to, ops| {
+        if ctx.staged().is_empty() {
+            return;
+        }
+        // Moved out while sending and back, so the lane keeps its capacity.
+        let mut staged = std::mem::take(ctx.staged());
+        let lanes = &self.lanes;
+        let rank = |(to, msg): &(NodeId, SkueueMsg<T>)| match msg {
+            SkueueMsg::DhtBatch { .. } => lanes.rank(LaneKind::Route, *to),
+            _ => lanes.rank(LaneKind::Reply, *to),
+        };
+        debug_assert!(staged.iter().all(|entry| rank(entry).is_some()));
+        // One batch per (kind, peer): the ranks are distinct.
+        staged.sort_unstable_by_key(rank);
+        for (to, msg) in staged.drain(..) {
+            if let SkueueMsg::DhtBatch { ops } = &msg {
                 ctx.observe(series::DHT_OPS_PER_MESSAGE, ops.len() as u64);
-                ctx.send(to, SkueueMsg::DhtBatch { ops });
-            });
-            self.route_buffer = buf;
+            }
+            ctx.send(to, msg);
         }
-        if !self.reply_buffer.is_empty() {
-            let mut buf = std::mem::take(&mut self.reply_buffer);
-            buf.flush(|to, replies| {
-                ctx.send(to, SkueueMsg::DhtReplyBatch { replies });
-            });
-            self.reply_buffer = buf;
-        }
+        *ctx.staged() = staged;
     }
 
     // ---------------------------------------------------------------------
@@ -1818,7 +2005,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 if !self.cfg.fifo_channels {
                     ctx.send(child, SkueueMsg::AggregateAck);
                 }
-                self.child_batches.push(child, epoch, batch);
+                self.queue_child_batch(child, epoch, batch);
             }
             SkueueMsg::AggregateAck => {
                 // Credit non-negativity: each ack must match exactly one
@@ -1919,14 +2106,15 @@ mod tests {
     type Serve = (NodeId, u64, Vec<RunAssignment>);
 
     /// What an idle node, its view and a message in flight cost inline.  The
-    /// budgets in `tests/memory_budget.rs`, `tests/idle_node_memory.rs` and
-    /// `tests/inflight_memory.rs` are ceilings from earlier rounds (896, 384
-    /// and 104 B); these are today's sizes, the node's and the view's also
-    /// held by `tests/node_view.rs`.
+    /// budgets in `tests/memory_budget.rs`, `tests/idle_node_memory.rs`,
+    /// `tests/node_view.rs` and `tests/inflight_memory.rs` are ceilings from
+    /// earlier rounds (896, 384, 240 and 104 B); these are today's sizes,
+    /// the node's also held by `tests/lane_order.rs` and the view's by
+    /// `tests/node_view.rs`.
     #[test]
-    fn a_node_is_240_bytes_and_an_envelope_80() {
+    fn a_node_is_176_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 240);
+        assert!(size_of::<SkueueNode<u64>>() <= 176);
         assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
     }
@@ -2144,10 +2332,94 @@ mod tests {
         }
     }
 
+    /// Churn a middle node forwards while its tree parent, its left sibling,
+    /// is out of the tree reaches the anchor, but the phase it starts flags
+    /// a tree that does not reach the node's subtree.  The node keeps the
+    /// count: it reports it again once the sibling is back, or hands it to
+    /// its absorber when it leaves first.
+    #[test]
+    fn churn_forwarded_below_an_absent_parent_is_reported_again() {
+        for rejoins in [true, false] {
+            let mut node = node_under_test(false);
+            let (me, left, child) = (
+                node.view.me().node,
+                node.tree_parent().unwrap(),
+                NodeId(1000),
+            );
+            let absent = SkueueMsg::SiblingStatus {
+                kind: VKind::Left,
+                active: false,
+            };
+            let mut ctx = Context::new(me, WAVE_CADENCE);
+            node.on_message(left, absent, &mut ctx);
+            let mut batch = child_batch(0x0302_0100);
+            batch.leaves = 1;
+            let aggregate = SkueueMsg::Aggregate {
+                child,
+                epoch: 1,
+                batch,
+            };
+            node.on_message(child, aggregate, &mut ctx);
+            node.on_timeout(&mut ctx);
+            let sent = ctx
+                .into_outbox()
+                .into_iter()
+                .find_map(|(_, msg)| match msg {
+                    SkueueMsg::Aggregate { epoch, batch, .. } => Some((epoch, batch)),
+                    _ => None,
+                });
+            let (epoch, batch) = sent.expect("the sub-batch opened a wave");
+            assert_eq!(batch.leaves, 1, "the count goes up the tree as before");
+            let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+            let mut ctx = Context::new(me, 2 * WAVE_CADENCE);
+            node.on_message(left, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+            node.on_timeout(&mut ctx);
+            ctx.into_outbox();
+
+            let mut ctx = Context::new(me, 3 * WAVE_CADENCE);
+            if rejoins {
+                let back = SkueueMsg::SiblingStatus {
+                    kind: VKind::Left,
+                    active: true,
+                };
+                node.on_message(left, back, &mut ctx);
+                node.on_timeout(&mut ctx);
+                let again = ctx
+                    .into_outbox()
+                    .into_iter()
+                    .find_map(|(to, msg)| match msg {
+                        SkueueMsg::Aggregate { batch, .. } if to == left => Some(batch.leaves),
+                        _ => None,
+                    });
+                assert_eq!(again, Some(1), "the next wave reports the count again");
+                continue;
+            }
+            // The absorber asks for the node's state: the count goes with it.
+            let absorber = node.view.pred().node;
+            node.on_message(absorber, SkueueMsg::AbsorbRequest, &mut ctx);
+            let sent = ctx.into_outbox();
+            assert!(sent
+                .iter()
+                .any(|(to, msg)| *to == absorber && matches!(msg, SkueueMsg::AbsorbData(_))));
+            let handed = sent.into_iter().find_map(|(to, msg)| match msg {
+                SkueueMsg::ChurnHandover { count } if to == absorber => Some(count),
+                _ => None,
+            });
+            assert_eq!(handed, Some(1));
+            // Which the absorber reports in its next wave.
+            let mut anchor = node_under_test(true);
+            let mut ctx = Context::new(anchor.view.me().node, 3 * WAVE_CADENCE);
+            let handover = SkueueMsg::ChurnHandover { count: 1 };
+            anchor.on_message(me, handover, &mut ctx);
+            assert_eq!(anchor.membership.as_deref().unwrap().pending_leave_count, 1);
+        }
+    }
+
     /// Reference for the flat [`WaveMemo`]: the bookkeeping it replaced, one
     /// list of whole sub-batches per in-flight wave, resolved with
     /// [`crate::interval::decompose`].
     struct PerSlotLists {
+        children: LaneOrder,
         child_batches: ChildBatches,
         own: Batch,
         slots: VecDeque<(u64, Vec<BatchSource>)>,
@@ -2156,6 +2428,12 @@ mod tests {
     }
 
     impl PerSlotLists {
+        /// Queues a child's sub-batch for the next wave.
+        fn queue(&mut self, child: NodeId, epoch: u64, batch: Batch) {
+            self.children.note(LaneKind::Child, child);
+            self.child_batches.push(child, epoch, batch);
+        }
+
         /// Opens a wave under `epoch` and returns its combined batch; a
         /// `drain` wave leaves the own operations for a later one.
         fn open(&mut self, epoch: u64, drain: bool) -> Batch {
@@ -2165,9 +2443,11 @@ mod tests {
                 std::mem::take(&mut self.own)
             };
             let mut sources = vec![BatchSource::Own(own)];
-            self.child_batches.pop_oldest(|child, epoch, batch| {
-                sources.push(BatchSource::Child(child, epoch, batch))
-            });
+            let children = self.children.of(LaneKind::Child);
+            self.child_batches
+                .pop_oldest(children, |child, epoch, batch| {
+                    sources.push(BatchSource::Child(child, epoch, batch))
+                });
             let mut combined = Batch::empty();
             for source in &sources {
                 combined.combine(source.batch());
@@ -2299,6 +2579,7 @@ mod tests {
             let me = node.view.me().node;
             let parent = node.tree_parent();
             let mut model = PerSlotLists {
+                children: LaneOrder::default(),
                 child_batches: ChildBatches::default(),
                 own: Batch::empty(),
                 slots: VecDeque::new(),
@@ -2340,7 +2621,7 @@ mod tests {
                             // hand-over, possibly after younger sub-batches.
                             held.push((child, epoch, batch));
                         } else {
-                            model.child_batches.push(child, epoch, batch.clone());
+                            model.queue(child, epoch, batch.clone());
                             node.on_message(child, SkueueMsg::Aggregate { child, epoch, batch }, &mut ctx);
                         }
                     }
@@ -2349,7 +2630,7 @@ mod tests {
                         let leaver = node_of(vid);
                         let info = NeighborInfo::new(leaver, vid, node.view.me().label);
                         for (child, epoch, batch) in &held {
-                            model.child_batches.push(*child, *epoch, batch.clone());
+                            model.queue(*child, *epoch, batch.clone());
                         }
                         let payload = AbsorbPayload {
                             pred: info,
@@ -2380,6 +2661,9 @@ mod tests {
                     }
                 }
                 let opened = waves_opened(&node) > opened_before;
+                // A serve's own operations route into the DHT, staged until
+                // a visit's end; this test reads only the tree's messages.
+                ctx.staged().clear();
                 let mut sent_up = None;
                 for (to, msg) in ctx.into_outbox() {
                     match msg {

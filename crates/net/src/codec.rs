@@ -458,6 +458,7 @@ wire_enum! { <T> SkueueMsg {
     18 => UpdateAck { phase },
     19 => UpdateOver { phase },
     20 => AnchorTransfer { state },
+    21 => ChurnHandover { count },
 } }
 
 #[cfg(test)]
@@ -734,6 +735,19 @@ mod tests {
         };
         every_strict_prefix_fails(&batch);
         roundtrip(batch);
+    }
+
+    /// The `SkueueMsg` tag added after the recorded wire format: a leaver's
+    /// churn hand-over travels as tag 21 followed by its count, beside an
+    /// `AbsorbData` whose bytes are as recorded.
+    #[test]
+    fn a_churn_handover_is_tag_twenty_one_and_its_count() {
+        let handover = SkueueMsg::<u64>::ChurnHandover { count: 3 };
+        let bytes = to_bytes(&handover);
+        assert_eq!(bytes[0], 21);
+        assert_eq!(bytes[1..], to_bytes(&3u64)[..]);
+        every_strict_prefix_fails(&handover);
+        roundtrip(handover);
     }
 
     fn string_record() -> OpRecord<String> {

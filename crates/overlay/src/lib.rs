@@ -39,7 +39,6 @@ pub use hash::LabelHasher;
 pub use label::Label;
 pub use ldb::{Topology, TopologyError};
 pub use routing::{
-    recommended_bit_budget, route_step, LocalView, NeighborInfo, RouteAction, RouteBuffer,
-    RouteProgress,
+    recommended_bit_budget, route_step, LocalView, NeighborInfo, RouteAction, RouteProgress,
 };
 pub use vnode::{node_of, vid_of, VKind, VirtualId};

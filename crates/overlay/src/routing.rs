@@ -327,80 +327,6 @@ pub fn route_step(view: &LocalView, progress: &mut RouteProgress) -> RouteAction
     }
 }
 
-/// Per-node coalescing buffer for routed payloads: items heading to the same
-/// next hop within one node visit are grouped into a single message per
-/// neighbour per round.
-///
-/// This is the structural piece behind the batched DHT layer: Stage-4
-/// operations that share the next distance-halving hop (from a middle node
-/// there are only *two* possible virtual-edge targets) are buffered here
-/// during a visit and flushed as one `DhtBatch` per neighbour at the end of
-/// the visit, turning `O(ops)` messages per round into `O(neighbours)`.
-/// Replies coalesce the same way, keyed by requester.
-///
-/// The lane list is a small linear-probe vector (a node talks to a handful
-/// of distinct next hops per round).  Lane *entries* are retained across
-/// flushes, so the destination table never re-grows; the payload vectors
-/// themselves become message payloads on flush and are therefore allocated
-/// fresh per batch message — one allocation per (node, destination) per
-/// round, which is exactly the message count itself.
-#[derive(Debug, Clone)]
-pub struct RouteBuffer<T> {
-    lanes: Vec<(NodeId, Vec<T>)>,
-    /// Number of buffered items across all lanes.
-    len: usize,
-}
-
-impl<T> Default for RouteBuffer<T> {
-    fn default() -> Self {
-        RouteBuffer {
-            lanes: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> RouteBuffer<T> {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        RouteBuffer::default()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Buffers `item` for the given next hop.
-    pub fn push(&mut self, to: NodeId, item: T) {
-        self.len += 1;
-        for (node, items) in &mut self.lanes {
-            if *node == to {
-                items.push(item);
-                return;
-            }
-        }
-        self.lanes.push((to, vec![item]));
-    }
-
-    /// Drains the buffer, invoking `emit` once per destination with the
-    /// batched items (in push order).  Lane entries (and therefore the
-    /// destination ordering, which is first-contact order — deterministic
-    /// for a deterministic caller) are retained for reuse; the payload
-    /// vectors are moved out because they become message payloads.
-    pub fn flush(&mut self, mut emit: impl FnMut(NodeId, Vec<T>)) {
-        if self.len == 0 {
-            return;
-        }
-        self.len = 0;
-        for (node, items) in &mut self.lanes {
-            if !items.is_empty() {
-                emit(*node, std::mem::take(items));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,37 +483,6 @@ mod tests {
         assert!((8..=10).contains(&b1k), "{b1k}");
         assert!((15..=17).contains(&b100k), "{b100k}");
         assert!(b100k > b1k);
-    }
-
-    #[test]
-    fn route_buffer_coalesces_per_destination() {
-        let mut buf: RouteBuffer<u32> = RouteBuffer::new();
-        assert!(buf.is_empty());
-        buf.push(NodeId(1), 10);
-        buf.push(NodeId(2), 20);
-        buf.push(NodeId(1), 11);
-        let mut flushed: Vec<(NodeId, Vec<u32>)> = Vec::new();
-        buf.flush(|to, items| flushed.push((to, items)));
-        assert_eq!(
-            flushed,
-            vec![(NodeId(1), vec![10, 11]), (NodeId(2), vec![20])]
-        );
-        assert!(buf.is_empty());
-        // Flushing an empty buffer emits nothing.
-        buf.flush(|_, _| panic!("must not emit"));
-    }
-
-    #[test]
-    fn route_buffer_reuses_lanes_across_flushes() {
-        let mut buf: RouteBuffer<u32> = RouteBuffer::new();
-        buf.push(NodeId(7), 1);
-        buf.flush(|_, _| {});
-        // The lane entry for node 7 is retained; pushing again must not grow
-        // the lane list.
-        buf.push(NodeId(7), 2);
-        let mut seen = Vec::new();
-        buf.flush(|to, items| seen.push((to, items)));
-        assert_eq!(seen, vec![(NodeId(7), vec![2])]);
     }
 
     #[test]

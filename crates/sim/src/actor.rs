@@ -56,6 +56,9 @@ pub struct Context<M> {
     pub(crate) samples: Option<Vec<Histogram>>,
     /// The host's trace sink, lent the same way (see [`Self::trace`]).
     pub(crate) traces: Option<Vec<TraceRecord>>,
+    /// Messages an actor is still assembling, lent the same way (see
+    /// [`Self::staged`]).
+    staged: Vec<(NodeId, M)>,
 }
 
 impl<M> Context<M> {
@@ -68,6 +71,7 @@ impl<M> Context<M> {
             outbox: Vec::new(),
             samples: None,
             traces: None,
+            staged: Vec::new(),
         }
     }
 
@@ -80,6 +84,12 @@ impl<M> Context<M> {
         debug_assert!(
             self.outbox.is_empty(),
             "the previous visit's sends were not posted"
+        );
+        // Checked in release builds too: a message left here would be sent
+        // by the next actor the context is lent to, under that actor's id.
+        assert!(
+            self.staged.is_empty(),
+            "the previous visit left messages staged"
         );
         self.self_id = self_id;
         self.round = round;
@@ -142,8 +152,27 @@ impl<M> Context<M> {
         }
     }
 
+    /// Messages the executing actor is still assembling: a buffer the host
+    /// lends for the invocation, like the sample and trace sinks, and keeps
+    /// for every invocation after it.
+    ///
+    /// An actor that coalesces what it sends during a visit (a Skueue node
+    /// gathers its routed operations into one batch per next hop) builds
+    /// the messages here instead of in containers of its own, and moves
+    /// each to [`Self::send`] before the invocation ends: the buffer must be
+    /// empty again when the host re-arms the context or takes its outbox
+    /// (both assert it, in release builds too).
+    #[inline]
+    pub fn staged(&mut self) -> &mut Vec<(NodeId, M)> {
+        &mut self.staged
+    }
+
     /// Consumes the context and returns the buffered outgoing messages.
     pub fn into_outbox(self) -> Vec<(NodeId, M)> {
+        assert!(
+            self.staged.is_empty(),
+            "the invocation left messages staged"
+        );
         self.outbox
     }
 }
