@@ -12,7 +12,7 @@
 use crate::explore::{Counterexample, Exploration, SafetyProp};
 use crate::machine::Machine;
 use crate::protocol::{to_records, AbsResult, AbsRole, ModelState, Msg};
-use skueue_verify::check_queue_records;
+use skueue_verify::{check_queue, History};
 use std::collections::HashMap;
 
 /// The model's safety properties, checked at every state:
@@ -295,7 +295,7 @@ pub fn check_terminal_histories<M: Machine<State = ModelState>>(
 ) -> Result<(), Counterexample<M::Action>> {
     for &t in &ex.terminals {
         let records = to_records(&ex.states[t as usize].history);
-        let report = check_queue_records(records);
+        let report = check_queue(&History::from_records(records));
         if !report.is_consistent() {
             return Err(Counterexample {
                 property: "definition-1".to_string(),

@@ -16,7 +16,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skueue_core::Payload;
+use skueue_core::{Payload, StageStats};
 use skueue_shard::ShardMap;
 use skueue_sim::ids::{ProcessId, RequestId};
 use skueue_verify::{check_queue_sharded, ConsistencyReport, History, OpRecord};
@@ -249,15 +249,8 @@ impl<T: Payload + Wire> IngressClient<T> {
 /// `(p50, p99, p999)` of a latency sample, by nearest-rank on the sorted
 /// values.  Returns zeros for an empty sample.
 pub(crate) fn percentiles_us(mut sample: Vec<u64>) -> (u64, u64, u64) {
-    if sample.is_empty() {
-        return (0, 0, 0);
-    }
-    sample.sort_unstable();
-    let pick = |p: f64| -> u64 {
-        let rank = ((sample.len() as f64) * p).ceil().max(1.0) as usize;
-        sample[rank.min(sample.len()) - 1]
-    };
-    (pick(0.50), pick(0.99), pick(0.999))
+    let stats = StageStats::from_samples(&mut sample);
+    (stats.p50, stats.p99, stats.p999)
 }
 
 #[cfg(test)]

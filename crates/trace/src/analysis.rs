@@ -191,8 +191,11 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// Summarises a sample set (destroys the input's order).
-    pub(crate) fn from_samples(samples: &mut [u64]) -> Self {
+    /// Summarises a sample set by nearest rank (destroys the input's
+    /// order); all zeros for an empty set.  The one percentile rule of the
+    /// workspace: history latencies and the ingress's wall-clock latencies
+    /// are summarised here too.
+    pub fn from_samples(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
             return StageStats::default();
         }

@@ -9,6 +9,7 @@
 
 use skueue_dht::Payload;
 use skueue_sim::ids::{ProcessId, RequestId};
+use skueue_trace::StageStats;
 use std::collections::BTreeMap;
 
 /// A request's position in the witnessed total order `≺`.
@@ -259,16 +260,9 @@ impl<T: Payload> History<T> {
     /// tracing off; the trace analysis' `total` stage reports the same
     /// numbers when tracing is on.
     pub fn latency_percentiles(&self) -> (u64, u64, u64) {
-        if self.records.is_empty() {
-            return (0, 0, 0);
-        }
         let mut latencies: Vec<u64> = self.records.iter().map(|r| r.latency()).collect();
-        latencies.sort_unstable();
-        let pick = |q: f64| {
-            let rank = (q * latencies.len() as f64).ceil() as usize;
-            latencies[rank.clamp(1, latencies.len()) - 1]
-        };
-        (pick(0.50), pick(0.99), pick(0.999))
+        let stats = StageStats::from_samples(&mut latencies);
+        (stats.p50, stats.p99, stats.p999)
     }
 }
 

@@ -11,19 +11,22 @@
 //!   `value(op)` in the total order `≺` that the protocol constructs
 //!   (Section V).  The protocol *witnesses* its own ordering; the checker
 //!   verifies that the witnessed ordering actually satisfies the definition.
-//! * [`check_queue`] checks the four properties of Definition 1 literally,
-//!   and performs the stronger *replay* check: executing the requests in the
-//!   witnessed order on a reference sequential queue must reproduce every
-//!   response (matched element or `⊥`) exactly.  The replay is the check the
-//!   protocol is expected to pass (and implies Definition 1 for well-formed
-//!   histories).  Both read one preparation of the history (well-formedness,
-//!   the matching) and program order is checked once, so each violation is
-//!   reported once.
-//! * [`check_stack`] is the LIFO counterpart used for the Section VI stack.
-//! * [`check_queue_sharded`] checks a *sharded* deployment (`shards > 1`):
-//!   Definition 1 plus the replay oracle on every anchor shard's lane, shard
-//!   discipline of the witnessed keys, and program order on the merged
-//!   `(wave, shard, local)` order.
+//! * One checker checks every history: a history is `S` FIFO or LIFO
+//!   lanes — one per anchor shard, keyed by the record's origin process, or
+//!   a single lane — under the one witnessed order.  In one pass it checks
+//!   well-formedness (unique ids and order values, shard tags), builds the
+//!   matching, checks properties 1–3 of Definition 1 per lane, and
+//!   performs the stronger *replay* check: executing each lane's requests in
+//!   the witnessed order on a reference sequential queue or stack must
+//!   reproduce every response (matched element or `⊥`) exactly.  The replay
+//!   is the check the protocol is expected to pass (and implies Definition 1
+//!   for well-formed histories); program order (property 4) is checked once
+//!   on the whole order, so each violation is reported once.
+//! * Three entry points name the three objects: [`check_queue`] (one FIFO
+//!   lane), [`check_stack`] (one LIFO lane, the Section VI stack) and
+//!   [`check_queue_sharded`] (a *sharded* deployment: one FIFO lane per
+//!   anchor shard, merged on `(wave, shard, local)`; with one shard it is
+//!   [`check_queue`]).
 //!
 //! All checkers return a [`ConsistencyReport`] listing every violation found
 //! (not just the first), which makes protocol bugs much easier to localise.
@@ -31,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod check;
 mod history;
 mod queue_check;
 mod report;
@@ -38,7 +42,7 @@ mod sharded_check;
 mod stack_check;
 
 pub use history::{History, OpKind, OpRecord, OpResult, OrderKey};
-pub use queue_check::{check_queue, check_queue_records};
+pub use queue_check::check_queue;
 pub use report::{ConsistencyReport, Violation};
 pub use sharded_check::check_queue_sharded;
 pub use stack_check::check_stack;

@@ -1,294 +1,33 @@
 //! Sequential-consistency checking for the queue (Definition 1).
 
-use crate::history::{History, OpKind, OpRecord, OpResult, OrderKey};
-use crate::report::{ConsistencyReport, Violation};
+use crate::check::{check, Discipline};
+use crate::history::History;
+use crate::report::ConsistencyReport;
+#[cfg(test)]
+use crate::{
+    history::{OpKind, OpRecord, OpResult, OrderKey},
+    report::Violation,
+};
 use skueue_dht::Payload;
+#[cfg(test)]
 use skueue_sim::ids::RequestId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// A matched enqueue/dequeue (or push/pop) pair with their order values.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MatchedPair {
-    pub(crate) enqueue: RequestId,
-    pub(crate) dequeue: RequestId,
-    pub(crate) enqueue_order: OrderKey,
-    pub(crate) dequeue_order: OrderKey,
-}
-
-/// Shared preprocessing of a history — well-formedness checks and the
-/// construction of the matching `M` — also used by the stack checker
-/// (push/pop map onto enqueue/dequeue in [`OpKind`]).
-pub(crate) struct PreparedMatching {
-    pub(crate) report: ConsistencyReport,
-    pub(crate) matched: Vec<MatchedPair>,
-    /// Enqueues whose element is never returned, with their order values.
-    pub(crate) unmatched_enqueues: Vec<(RequestId, OrderKey)>,
-    /// Order values of dequeues that returned `⊥`.
-    pub(crate) empty_orders: Vec<OrderKey>,
-}
-
-pub(crate) fn prepare<T: Payload>(history: &History<T>) -> PreparedMatching {
-    let records = history.records();
-    let mut report = ConsistencyReport {
-        records_checked: records.len(),
-        ..Default::default()
-    };
-
-    // Uniqueness of request ids and order values.
-    let mut by_request: HashMap<RequestId, &OpRecord<T>> = HashMap::with_capacity(records.len());
-    let mut by_order: BTreeMap<OrderKey, RequestId> = BTreeMap::new();
-    for r in records {
-        if let Some(previous) = by_request.insert(r.id, r) {
-            report.violations.push(Violation::DuplicateRequest {
-                request: previous.id,
-            });
-        }
-        if let Some(previous) = by_order.insert(r.order, r.id) {
-            report.violations.push(Violation::DuplicateOrder {
-                order: r.order,
-                requests: (previous, r.id),
-            });
-        }
-    }
-
-    // Build the matching M.
-    let mut consumer_of: HashMap<RequestId, RequestId> = HashMap::new();
-    let mut matched = Vec::new();
-    let mut empty_orders = Vec::new();
-    for r in records {
-        match (r.kind, r.result) {
-            (OpKind::Dequeue, OpResult::Returned(source)) => match by_request.get(&source) {
-                Some(enq) if enq.kind == OpKind::Enqueue => {
-                    if let Some(&other) = consumer_of.get(&source) {
-                        report.violations.push(Violation::DuplicateDelivery {
-                            enqueue: source,
-                            dequeues: (other, r.id),
-                        });
-                    } else {
-                        // Payload round-trip: the dequeue must hand back the
-                        // exact payload its source enqueue inserted (the
-                        // structure stores, it never transforms).
-                        if r.value != enq.value {
-                            report.violations.push(Violation::PayloadMismatch {
-                                enqueue: source,
-                                dequeue: r.id,
-                                detail: format!(
-                                    "enqueued {:?}, dequeue returned {:?}",
-                                    enq.value, r.value
-                                ),
-                            });
-                        }
-                        consumer_of.insert(source, r.id);
-                        matched.push(MatchedPair {
-                            enqueue: source,
-                            dequeue: r.id,
-                            enqueue_order: enq.order,
-                            dequeue_order: r.order,
-                        });
-                    }
-                }
-                _ => {
-                    report.violations.push(Violation::PhantomElement {
-                        dequeue: r.id,
-                        claimed_enqueue: source,
-                    });
-                }
-            },
-            (OpKind::Dequeue, OpResult::Empty) => empty_orders.push(r.order),
-            _ => {}
-        }
-    }
-    empty_orders.sort_unstable();
-
-    let unmatched_enqueues: Vec<(RequestId, OrderKey)> = records
-        .iter()
-        .filter(|r| r.kind == OpKind::Enqueue && !consumer_of.contains_key(&r.id))
-        .map(|r| (r.id, r.order))
-        .collect();
-
-    report.matched_pairs = matched.len();
-    report.empty_dequeues = empty_orders.len();
-
-    PreparedMatching {
-        report,
-        matched,
-        unmatched_enqueues,
-        empty_orders,
-    }
-}
-
-/// Checks the local (per-process) issue-order property — property 4 of
-/// Definition 1 (also reused by the cross-shard checker on the merged
-/// order).
-pub(crate) fn check_process_order<T: Payload>(
-    history: &History<T>,
-    report: &mut ConsistencyReport,
-) {
-    for (_process, ops) in history.by_process() {
-        for window in ops.windows(2) {
-            let (a, b) = (window[0], window[1]);
-            if a.order >= b.order {
-                report.violations.push(Violation::ProcessOrderViolation {
-                    earlier: a.id,
-                    later: b.id,
-                });
-            }
-        }
-    }
-}
-
-/// Checks properties 1–3 of Definition 1 against the order witnessed in the
-/// history, on `prepared`'s matching and into its report (property 4 is
-/// [`check_process_order`]).
-pub(crate) fn check_queue_definition1<T: Payload>(
-    history: &History<T>,
-    prepared: &mut PreparedMatching,
-) {
-    let PreparedMatching {
-        report,
-        matched,
-        unmatched_enqueues,
-        empty_orders,
-    } = prepared;
-
-    // Property 1: enqueue before its dequeue.
-    for pair in matched.iter() {
-        if pair.enqueue_order >= pair.dequeue_order {
-            report.violations.push(Violation::DequeueBeforeEnqueue {
-                enqueue: pair.enqueue,
-                dequeue: pair.dequeue,
-            });
-        }
-    }
-
-    // Property 2, first part: no ⊥-dequeue strictly between a matched
-    // enqueue and its dequeue.
-    for pair in matched.iter() {
-        let lo = pair.enqueue_order.min(pair.dequeue_order);
-        let hi = pair.enqueue_order.max(pair.dequeue_order);
-        // Binary search for the first empty order greater than lo.
-        let idx = empty_orders.partition_point(|&o| o <= lo);
-        if idx < empty_orders.len() && empty_orders[idx] < hi {
-            // Find the offending record id for the report.
-            let offending_order = empty_orders[idx];
-            let offender = history
-                .records()
-                .iter()
-                .find(|r| r.order == offending_order && r.is_empty_dequeue())
-                .map(|r| r.id)
-                .unwrap_or(pair.dequeue);
-            report.violations.push(Violation::EmptyDequeueBetweenMatch {
-                enqueue: pair.enqueue,
-                dequeue: pair.dequeue,
-                empty_dequeue: offender,
-            });
-        }
-    }
-
-    // Property 2, second part: no unmatched enqueue ordered before a matched
-    // enqueue whose element is returned.
-    if let Some(&(first_unmatched, first_unmatched_order)) =
-        unmatched_enqueues.iter().min_by_key(|(_, o)| *o)
-    {
-        for pair in matched.iter() {
-            if first_unmatched_order < pair.enqueue_order && pair.enqueue_order < pair.dequeue_order
-            {
-                report
-                    .violations
-                    .push(Violation::UnmatchedEnqueueOvertaken {
-                        unmatched_enqueue: first_unmatched,
-                        matched_enqueue: pair.enqueue,
-                        matched_dequeue: pair.dequeue,
-                    });
-                // One witness per unmatched enqueue is enough to fail the
-                // check; avoid flooding the report.
-                break;
-            }
-        }
-    }
-
-    // Property 3: FIFO — matched elements leave in enqueue order.
-    let mut by_enqueue_order = matched.clone();
-    by_enqueue_order.sort_by_key(|p| p.enqueue_order);
-    for window in by_enqueue_order.windows(2) {
-        let (a, b) = (&window[0], &window[1]);
-        if a.dequeue_order > b.dequeue_order {
-            report.violations.push(Violation::FifoViolation {
-                first_enqueue: a.enqueue,
-                second_enqueue: b.enqueue,
-            });
-        }
-    }
-}
-
-/// Replays the history in the witnessed order on a reference sequential FIFO
-/// queue and checks every response, into `report`.
-///
-/// This is strictly stronger than Definition 1 for histories in which some
-/// enqueues are never matched; the Skueue protocol satisfies it, so the
-/// test-suite uses it as the primary oracle.
-pub(crate) fn check_queue_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
-    let mut queue: VecDeque<RequestId> = VecDeque::new();
-    for record in history.sorted_by_order() {
-        match record.kind {
-            OpKind::Enqueue => queue.push_back(record.id),
-            OpKind::Dequeue => {
-                let expected = queue.pop_front();
-                match (expected, record.result) {
-                    (Some(exp), OpResult::Returned(got)) if exp == got => {}
-                    (None, OpResult::Empty) => {}
-                    (Some(exp), OpResult::Returned(got)) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!("returned element of {got}, sequential queue would return element of {exp}"),
-                        });
-                    }
-                    (Some(exp), OpResult::Empty) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!(
-                                "returned ⊥ but sequential queue holds element of {exp}"
-                            ),
-                        });
-                    }
-                    (None, OpResult::Returned(got)) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!(
-                                "returned element of {got} but sequential queue is empty"
-                            ),
-                        });
-                    }
-                    (_, OpResult::Enqueued) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: "dequeue recorded with an enqueue result".into(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs the Definition 1 check and the replay check — the oracle used by
-/// integration tests.  Both read one preparation of the history, and program
-/// order, which both need, is checked once, so a violation they share is
-/// reported once.
+/// Checks the four properties of Definition 1 and replays the history in
+/// the witnessed order on a reference sequential FIFO queue, which must
+/// reproduce every response — the oracle used by integration tests.  The
+/// replay is strictly stronger than Definition 1 for histories in which
+/// some enqueues are never matched; the Skueue protocol satisfies it.
 pub fn check_queue<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let mut prepared = prepare(history);
-    check_queue_definition1(history, &mut prepared);
-    let mut report = prepared.report;
-    check_queue_replay(history, &mut report);
-    check_process_order(history, &mut report);
-    report
+    check(history, Discipline::Fifo, None)
 }
 
-/// [`check_queue`] over a bare record list — the entry point for callers
-/// that synthesise histories rather than collect them from a cluster (the
-/// model checker runs it on every terminal state's abstract history).
-pub fn check_queue_records<T: Payload>(records: Vec<OpRecord<T>>) -> ConsistencyReport {
-    check_queue(&History::from_records(records))
+/// The replay's findings alone.
+#[cfg(test)]
+fn check_queue_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
+    let violations = check_queue(history).violations.into_iter();
+    report
+        .violations
+        .extend(violations.filter(|v| matches!(v, Violation::ReplayMismatch { .. })));
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Cross-shard sequential-consistency checking (Definition 1 per anchor
 //! shard, merged by the fixed interleaving rule).
 
-use crate::history::{History, OpRecord};
-use crate::queue_check::{check_process_order, check_queue};
-use crate::report::{ConsistencyReport, Violation};
+use crate::check::{check, Discipline};
+use crate::history::History;
+use crate::report::ConsistencyReport;
+#[cfg(test)]
+use crate::{history::OpRecord, report::Violation};
 use skueue_dht::Payload;
 use skueue_shard::ShardMap;
 
@@ -21,78 +23,20 @@ use skueue_shard::ShardMap;
 ///
 /// 1. **Shard discipline** — every record's order key names exactly the
 ///    shard the map assigns to its origin process (so elements can never
-///    cross lanes silently).
-/// 2. **Definition 1 per shard** — each shard's sub-history, under the
-///    global order restricted to it, passes the full unsharded queue check
-///    (all four Definition 1 properties *and* the stronger sequential
-///    replay).  The restriction of the merge to one shard is exactly the
-///    shard's own anchor order, so this checks each lane as a real FIFO
-///    queue.
+///    cross lanes silently; a dequeue returning another lane's element is a
+///    phantom in its own).
+/// 2. **Definition 1 per lane** — each lane, under the global order
+///    restricted to it, passes the full queue check (properties 1–3 *and*
+///    the sequential replay).  The restriction of the merge to one shard is
+///    exactly the shard's own anchor order, so this checks each lane as a
+///    real FIFO queue.
 /// 3. **Program order on the merged order** — every process's requests
-///    appear in `≺` in issue order (property 4 globally, not just per
-///    shard).
+///    appear in `≺` in issue order (property 4 globally, so a cross-shard
+///    ordering bug cannot hide behind a tagging bug).
 ///
-/// With `S = 1` the checker delegates to [`check_queue`] unchanged, so
-/// unsharded histories are accepted or rejected exactly as before.
+/// With `S = 1` there is one lane and this is [`crate::check_queue`].
 pub fn check_queue_sharded<T: Payload>(history: &History<T>, map: &ShardMap) -> ConsistencyReport {
-    if map.is_single() {
-        return check_queue(history);
-    }
-
-    let mut report = ConsistencyReport {
-        records_checked: history.len(),
-        ..Default::default()
-    };
-
-    // 1. Shard discipline + partition of the records by shard.
-    let shards = map.shard_count() as usize;
-    let mut per_shard: Vec<Vec<OpRecord<T>>> = vec![Vec::new(); shards];
-    for r in history.records() {
-        let expected = map.shard_of_process(r.id.origin) as u64;
-        if r.order.shard != expected {
-            report.violations.push(Violation::ShardMismatch {
-                request: r.id,
-                expected_shard: expected,
-                witnessed_shard: r.order.shard,
-            });
-        }
-        // Group by the *map's* assignment: a mis-tagged record is already
-        // reported above, and grouping by origin keeps each process's
-        // operations together so the per-shard checks stay meaningful.
-        // (The clone — one per record, payload included — only happens at
-        // verification time, never on the protocol path, and is dwarfed by
-        // the checkers' own sorting/matching allocations.)
-        per_shard[(expected as usize).min(shards - 1)].push(r.clone());
-    }
-
-    // 2. Definition 1 + sequential replay per shard, on the global order
-    //    restricted to the shard.  Process-order violations are dropped
-    //    from the sub-reports: every process lives in exactly one shard, so
-    //    the global pass below would report the identical violation a
-    //    second time.
-    for records in per_shard {
-        if records.is_empty() {
-            continue;
-        }
-        let sub = History::from_records(records);
-        let sub_report = check_queue(&sub);
-        report.matched_pairs += sub_report.matched_pairs;
-        report.empty_dequeues += sub_report.empty_dequeues;
-        report.violations.extend(
-            sub_report
-                .violations
-                .into_iter()
-                .filter(|v| !matches!(v, Violation::ProcessOrderViolation { .. })),
-        );
-    }
-
-    // 3. Program order on the merged order (each process lives in one shard,
-    //    so this is implied by step 2 for well-tagged histories — checked
-    //    globally anyway so a cross-shard ordering bug cannot hide behind a
-    //    tagging bug).
-    check_process_order(history, &mut report);
-
-    report
+    check(history, Discipline::Fifo, Some(map))
 }
 
 #[cfg(test)]

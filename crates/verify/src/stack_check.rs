@@ -1,182 +1,41 @@
 //! Sequential-consistency checking for the stack variant (Section VI).
-//!
-//! The paper adjusts Definition 1 for LIFO semantics.  The corresponding
-//! conditions on the witnessed order `≺` are:
-//!
-//! 1. a matched `PUSH()` precedes its `POP()`,
-//! 2. (a) no `⊥`-pop lies strictly between a matched push and its pop,
-//!    (b) no *unmatched* push lies strictly between a matched push and its
-//!    pop (an element sitting on top of the stack would have to leave first),
-//! 3. matched push/pop intervals never *cross*: `e₁ ≺ e₂ ≺ d₁ ≺ d₂` is
-//!    forbidden (they must be disjoint or properly nested),
-//! 4. every process's requests appear in `≺` in their issue order.
-//!
-//! [`check_stack_replay`] is the stronger oracle that replays the witnessed
-//! order against a reference sequential stack; the Skueue stack satisfies it
-//! because locally combined pairs are placed adjacently in the witnessed
-//! order (see `OrderKey`).
 
-use crate::history::{History, OpKind, OpResult};
-use crate::queue_check::{check_process_order, prepare, PreparedMatching};
-use crate::report::{ConsistencyReport, Violation};
+use crate::check::{check, Discipline};
+use crate::history::History;
+use crate::report::ConsistencyReport;
+#[cfg(test)]
+use crate::{
+    history::{OpKind, OpResult},
+    report::Violation,
+};
 use skueue_dht::Payload;
-use skueue_sim::ids::RequestId;
 
-/// Checks properties 1–3 of the adjusted Definition 1 (LIFO version) against
-/// the witnessed order, on `prepared`'s matching and into its report
-/// (property 4 is [`check_process_order`]).
-pub(crate) fn check_stack_ordering<T: Payload>(
-    history: &History<T>,
-    prepared: &mut PreparedMatching,
-) {
-    let PreparedMatching {
-        report,
-        matched,
-        unmatched_enqueues,
-        empty_orders,
-    } = prepared;
-
-    // Property 1: push before its pop.
-    for pair in matched.iter() {
-        if pair.enqueue_order >= pair.dequeue_order {
-            report.violations.push(Violation::DequeueBeforeEnqueue {
-                enqueue: pair.enqueue,
-                dequeue: pair.dequeue,
-            });
-        }
-    }
-
-    // Property 2a: no ⊥-pop strictly inside a matched interval.
-    for pair in matched.iter() {
-        let lo = pair.enqueue_order.min(pair.dequeue_order);
-        let hi = pair.enqueue_order.max(pair.dequeue_order);
-        let idx = empty_orders.partition_point(|&o| o <= lo);
-        if idx < empty_orders.len() && empty_orders[idx] < hi {
-            let offending_order = empty_orders[idx];
-            let offender = history
-                .records()
-                .iter()
-                .find(|r| r.order == offending_order && r.is_empty_dequeue())
-                .map(|r| r.id)
-                .unwrap_or(pair.dequeue);
-            report.violations.push(Violation::EmptyDequeueBetweenMatch {
-                enqueue: pair.enqueue,
-                dequeue: pair.dequeue,
-                empty_dequeue: offender,
-            });
-        }
-    }
-
-    // Property 2b: no unmatched push strictly inside a matched interval.
-    if !unmatched_enqueues.is_empty() {
-        let mut unmatched_orders: Vec<_> =
-            unmatched_enqueues.iter().map(|&(id, o)| (o, id)).collect();
-        unmatched_orders.sort_unstable();
-        for pair in matched.iter() {
-            let lo = pair.enqueue_order.min(pair.dequeue_order);
-            let hi = pair.enqueue_order.max(pair.dequeue_order);
-            let idx = unmatched_orders.partition_point(|&(o, _)| o <= lo);
-            if idx < unmatched_orders.len() && unmatched_orders[idx].0 < hi {
-                report
-                    .violations
-                    .push(Violation::UnmatchedEnqueueOvertaken {
-                        unmatched_enqueue: unmatched_orders[idx].1,
-                        matched_enqueue: pair.enqueue,
-                        matched_dequeue: pair.dequeue,
-                    });
-            }
-        }
-    }
-
-    // Property 3 (LIFO): matched intervals must not cross.  Sweep the
-    // matched pairs in push order and keep a stack of open intervals: when a
-    // pair's pop order is larger than the pop order of an interval opened
-    // before it that is still open at its push, the intervals cross.
-    let mut by_push = matched.clone();
-    by_push.sort_by_key(|p| p.enqueue_order);
-    // Sweep over all matched "events" in order of push; maintain a stack of
-    // currently-open intervals by pop order.
-    let mut open: Vec<(RequestId, crate::history::OrderKey)> = Vec::new();
-    for pair in &by_push {
-        // Close every interval whose pop happens before this push.
-        while let Some(&(_, top_pop)) = open.last() {
-            if top_pop < pair.enqueue_order {
-                open.pop();
-            } else {
-                break;
-            }
-        }
-        // All remaining open intervals must enclose this one.
-        if let Some(&(outer_push, outer_pop)) = open.last() {
-            if pair.dequeue_order > outer_pop {
-                report.violations.push(Violation::LifoViolation {
-                    first_push: outer_push,
-                    second_push: pair.enqueue,
-                });
-            }
-        }
-        open.push((pair.enqueue, pair.dequeue_order));
-    }
-}
-
-/// Replays the history in the witnessed order on a reference sequential
-/// (LIFO) stack and checks every response, into `report`.
-pub(crate) fn check_stack_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
-    let mut stack: Vec<RequestId> = Vec::new();
-    for record in history.sorted_by_order() {
-        match record.kind {
-            OpKind::Enqueue => stack.push(record.id),
-            OpKind::Dequeue => {
-                let expected = stack.pop();
-                match (expected, record.result) {
-                    (Some(exp), OpResult::Returned(got)) if exp == got => {}
-                    (None, OpResult::Empty) => {}
-                    (Some(exp), OpResult::Returned(got)) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!(
-                                "popped element of {got}, sequential stack top is element of {exp}"
-                            ),
-                        });
-                    }
-                    (Some(exp), OpResult::Empty) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!(
-                                "returned ⊥ but sequential stack top is element of {exp}"
-                            ),
-                        });
-                    }
-                    (None, OpResult::Returned(got)) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: format!(
-                                "popped element of {got} but sequential stack is empty"
-                            ),
-                        });
-                    }
-                    (_, OpResult::Enqueued) => {
-                        report.violations.push(Violation::ReplayMismatch {
-                            request: record.id,
-                            detail: "pop recorded with a push result".into(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs both the adjusted-ordering check and the replay check, on one
-/// preparation of the history and with program order checked once (as
-/// [`crate::check_queue`] does).
+/// Checks the LIFO version of Definition 1 and replays the history in the
+/// witnessed order on a reference sequential stack, which must reproduce
+/// every response.  The paper adjusts Definition 1 for LIFO semantics; the
+/// conditions on the witnessed order `≺` are:
+///
+/// 1. a matched `PUSH()` precedes its `POP()`,
+/// 2. (a) no `⊥`-pop lies strictly between a matched push and its pop,
+///    (b) no *unmatched* push lies strictly between a matched push and its
+///    pop (an element sitting on top of the stack would have to leave first),
+/// 3. matched push/pop intervals never *cross*: `e₁ ≺ e₂ ≺ d₁ ≺ d₂` is
+///    forbidden (they must be disjoint or properly nested),
+/// 4. every process's requests appear in `≺` in their issue order.
+///
+/// The Skueue stack passes the replay because locally combined pairs are
+/// placed adjacently in the witnessed order (see [`crate::OrderKey`]).
 pub fn check_stack<T: Payload>(history: &History<T>) -> ConsistencyReport {
-    let mut prepared = prepare(history);
-    check_stack_ordering(history, &mut prepared);
-    let mut report = prepared.report;
-    check_stack_replay(history, &mut report);
-    check_process_order(history, &mut report);
+    check(history, Discipline::Lifo, None)
+}
+
+/// The replay's findings alone.
+#[cfg(test)]
+fn check_stack_replay<T: Payload>(history: &History<T>, report: &mut ConsistencyReport) {
+    let violations = check_stack(history).violations.into_iter();
     report
+        .violations
+        .extend(violations.filter(|v| matches!(v, Violation::ReplayMismatch { .. })));
 }
 
 #[cfg(test)]

@@ -151,8 +151,9 @@ pub struct ScenarioResult {
     pub verified: bool,
     /// Whether the history passed the sequential-consistency checks — a
     /// verdict only if [`Self::verified`]; `true` when they did not run.
-    /// Sharded runs use the cross-shard checker (`check_queue_sharded`)
-    /// against the merged `(wave, shard, local)` order.
+    /// Queue runs use the cross-shard checker (`check_queue_sharded`)
+    /// against the merged `(wave, shard, local)` order, which with one
+    /// shard is `check_queue`.
     pub consistent: bool,
     /// Requests completed purely locally by the stack's combining.
     pub locally_combined: u64,
@@ -185,10 +186,7 @@ fn finish<T: Payload>(
 
     let consistent = if params.verify {
         let report = match params.mode {
-            Mode::Queue if cluster.shards() > 1 => {
-                check_queue_sharded(history, &cluster.shard_map())
-            }
-            Mode::Queue => check_queue(history),
+            Mode::Queue => check_queue_sharded(history, &cluster.shard_map()),
             Mode::Stack => check_stack(history),
         };
         report.is_consistent()
