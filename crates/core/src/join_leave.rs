@@ -661,8 +661,8 @@ impl<T: Payload> SkueueNode<T> {
     ) {
         // Phase monotonicity: a node never participates in an older phase
         // after a younger one (the phase tag on update control plus the
-        // staleness guard in `handle_update_over` guarantee it; the model
-        // checker proves the same invariant on the abstraction).
+        // staleness guard in `handle_update_over` guarantee it; debug runs
+        // of `skueue-model`'s scenario search check it on every line).
         debug_assert!(
             phase >= self.last_update_phase,
             "update phases must be monotone at {}: entering {} after {}",
@@ -744,10 +744,11 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     fn handle_update_over(&mut self, phase: u64, ctx: &mut Context<SkueueMsg<T>>) {
-        // The staleness guard (the PR-3 race): the model's mutation gate
-        // seeds its bug by removing its own copy of this rule
-        // (`crates/model/tests/mutation_gate.rs`), and
-        // `tests/model_regressions.rs` replays the shrunk scenario here.
+        // The staleness guard: the `model-mutation` feature removes it, and
+        // `skueue-model`'s mutation gate (`crates/model/tests/mutation_gate.rs`)
+        // shows that the scenario search then finds the race on this node;
+        // `tests/model_regressions.rs` pins a line that needs the guard.
+        #[cfg(not(feature = "model-mutation"))]
         if let Some(update) = self.update() {
             if update.phase > phase {
                 // A delayed end-of-phase message from an *older* phase must

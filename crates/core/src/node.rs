@@ -707,8 +707,8 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) sibling_integrated: [bool; 3],
     /// Highest update phase this node has participated in — the phase
     /// numbers a node enters must be monotone (checked by a `debug_assert`
-    /// in `enter_update_phase`; mirrored by the model checker's
-    /// phase-monotonicity safety property).
+    /// in `enter_update_phase`, which debug runs of the scenario search in
+    /// `skueue-model` exercise on every line).
     pub(crate) last_update_phase: u64,
 }
 

@@ -1,12 +1,13 @@
 //! Serialisable replay scenarios.
 //!
 //! A [`ReplayScenario`] is a cluster-level action list — requests, churn
-//! injections, explicit round advances — produced by the model checker's
-//! counterexample shrinker (`skueue-model`) and re-executed against the real
-//! protocol by the regression tests.  The simulator itself knows nothing
-//! about clusters, so this module only defines the *format*: a compact,
-//! stable, human-readable line syntax (`P3 S7 D4 | e1 e2 J d1 L2`), so
-//! pinned counterexamples in `tests/` stay reviewable diffs.
+//! injections, explicit round advances — that `skueue-model` replays on a
+//! real cluster: its scenario search enumerates such lines, its shrinker
+//! minimises failing ones, and the regression tests pin them.  The
+//! simulator itself knows nothing about clusters, so this module only
+//! defines the *format*: a compact, stable, human-readable line syntax
+//! (`P3 S7 D4 | e1 e2 J d1 L2`), so pinned lines in `tests/` stay
+//! reviewable diffs.
 
 /// One step of a replay scenario, at the cluster API level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
