@@ -20,8 +20,8 @@
 //! # Pipelined waves
 //!
 //! Stage 1 is *pipelined*: instead of a single implicit in-flight wave, a
-//! node keeps a small ring of `WaveSlot`s tagged with a per-node wave
-//! epoch, so it can combine and forward wave `k+1` while wave `k`'s
+//! node keeps a small ring of `WaveSlot`s, one per per-node wave epoch in
+//! flight, so it can combine and forward wave `k+1` while wave `k`'s
 //! assignments (and the DHT operations they trigger) are still in flight —
 //! the overlapping-phases idea of Skeap/Seap applied to Skueue's aggregation
 //! tree.  Epochs travel in `Aggregate` and are echoed back in `Serve`, so a
@@ -46,7 +46,7 @@ use crate::anchor::{AnchorState, RunAssignment};
 use crate::batch::{Batch, BatchOp};
 use crate::config::{Mode, ProtocolConfig};
 use crate::messages::{DhtOp, DhtReplyItem, PutMeta, RoutedDhtOp, SkueueMsg};
-use skueue_dht::{Element, GetOutcome, NodeStore, Payload, SatisfiedGet, StoredEntry};
+use skueue_dht::{Element, GetOutcome, NodeStore, Payload, StoredEntry};
 use skueue_overlay::{
     aggregation_child_set, aggregation_parent, route_step, ChildSet, LocalView, RouteAction,
     RouteProgress, VKind,
@@ -123,15 +123,18 @@ impl BatchSource {
 /// are its own.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SourceRecord {
-    /// The child owed the `Serve` (unused for the node's own batch).
-    pub(crate) child: NodeId,
-    /// The child's wave epoch for the sub-batch.
+    /// The child's wave epoch for the sub-batch (0 for the node's own).
     pub(crate) epoch: u64,
+    /// The rank of the child owed the `Serve` in the node's child lane
+    /// ([`LaneOrder`] only appends, so a rank names one peer for the node's
+    /// life), or [`OWN_SOURCE`] for the node's own working batch.
+    pub(crate) child: u32,
     /// Number of runs of the sub-batch.
     pub(crate) num_runs: u32,
-    /// True for the node's own working batch.
-    pub(crate) own: bool,
 }
+
+/// The [`SourceRecord::child`] rank that marks the node's own batch.
+const OWN_SOURCE: u32 = u32::MAX;
 
 /// The memorised combination order of every in-flight wave, oldest wave
 /// first: slot `k` of the wave ring owns the `num_sources` records that
@@ -142,19 +145,20 @@ pub(crate) struct SourceRecord {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveMemo {
     pub(crate) records: VecDeque<SourceRecord>,
-    pub(crate) runs: VecDeque<u64>,
+    pub(crate) runs: VecDeque<u32>,
 }
 
 impl WaveMemo {
-    /// Memorises one sub-batch at the back.
-    fn remember(&mut self, child: NodeId, epoch: u64, own: bool, batch: &Batch) {
+    /// Memorises one sub-batch at the back: `child` is the sender's rank in
+    /// the child lane, or [`OWN_SOURCE`].
+    fn remember(&mut self, child: u32, epoch: u64, batch: &Batch) {
         self.records.push_back(SourceRecord {
-            child,
             epoch,
+            child,
             num_runs: count_u32(batch.num_runs()),
-            own,
         });
-        self.runs.extend(batch.runs());
+        self.runs
+            .extend(batch.runs().iter().map(|&len| count_u32(len)));
     }
 }
 
@@ -166,26 +170,23 @@ fn lane_of<I>(first: I) -> Vec<I> {
     items
 }
 
-/// A count of runs or sources as the wave ring stores it.
-fn count_u32(count: usize) -> u32 {
-    u32::try_from(count).expect("a wave has fewer than 2^32 runs and sources")
+/// A count of runs, sources or a run's operations as the wave state stores
+/// it.
+fn count_u32(count: impl TryInto<u32>) -> u32 {
+    count
+        .try_into()
+        .unwrap_or_else(|_| panic!("a wave counts fewer than 2^32 runs, sources and operations"))
 }
 
 /// One in-flight aggregation wave: the combined batch has been sent up the
-/// tree (to `parent`, under this node's wave `epoch`) and its assignments
-/// have not come back yet.  Only the combined batch's run count is kept —
-/// the runs themselves travelled up in the `Aggregate` message and come back
-/// as `Serve` assignments.
+/// tree and its assignments have not come back yet.  Only how many memo
+/// records are the wave's is kept.  Its epoch follows from its place in the
+/// ring (a slot is pushed only with a new epoch and popped only at the
+/// front), every slot in flight shares the parent in [`Work::wave_parent`],
+/// and the runs travelled up in the `Aggregate` message and come back as
+/// `Serve` assignments.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaveSlot {
-    /// This node's wave epoch for the slot.
-    pub(crate) epoch: u64,
-    /// The parent the wave was sent to (new waves are held back while an
-    /// older slot points at a different parent, so re-parenting can never
-    /// reorder a node's waves at the anchor).
-    pub(crate) parent: NodeId,
-    /// Number of runs of the combined batch.
-    pub(crate) num_runs: u32,
     /// How many records of the node's [`WaveMemo`] belong to this wave.
     pub(crate) num_sources: u32,
 }
@@ -342,28 +343,28 @@ impl ChildBatches {
 
     /// Pops the oldest queued sub-batch of every child in `children` (the
     /// node's children in first-contact order) that has one and hands each
-    /// to `take` as `(child, epoch, sub-batch)`.  At most *one* batch per
-    /// child per wave: run-length batch combination is element-wise (run
-    /// `i` of the combined batch is the concatenation of every source's run
-    /// `i`), so two sub-batches of the same child in one wave would
-    /// interleave that child's operations and invert its program order in
-    /// `≺` — distinct children carry no mutual order constraint, consecutive
-    /// waves of one child do.  Peers beyond the current tree children are
-    /// included on purpose: after an absorb hand-over or a re-parenting,
-    /// batches from former children must still be combined and served (by
-    /// node id) or their senders' wave slots would never drain.
+    /// to `take` as `(the child's rank in children, epoch, sub-batch)`.  At
+    /// most *one* batch per child per wave: run-length batch combination is
+    /// element-wise (run `i` of the combined batch is the concatenation of
+    /// every source's run `i`), so two sub-batches of the same child in one
+    /// wave would interleave that child's operations and invert its program
+    /// order in `≺` — distinct children carry no mutual order constraint,
+    /// consecutive waves of one child do.  Peers beyond the current tree
+    /// children are included on purpose: after an absorb hand-over or a
+    /// re-parenting, batches from former children must still be combined
+    /// and served or their senders' wave slots would never drain.
     pub(crate) fn pop_oldest(
         &mut self,
         children: &[NodeId],
-        mut take: impl FnMut(NodeId, u64, Batch),
+        mut take: impl FnMut(usize, u64, Batch),
     ) {
-        for &child in children {
+        for (rank, &child) in children.iter().enumerate() {
             if self.0.is_empty() {
                 return;
             }
             if let Some(at) = self.0.iter().position(|&(n, _, _)| n == child) {
-                let (child, epoch, batch) = self.0.remove(at);
-                take(child, epoch, batch);
+                let (_, epoch, batch) = self.0.remove(at);
+                take(rank, epoch, batch);
             }
         }
     }
@@ -542,9 +543,15 @@ pub(crate) struct Work<T> {
     pub(crate) own_log: Vec<LocalOp<T>>,
     /// Sub-batches from children not yet combined.
     pub(crate) child_batches: ChildBatches,
-    /// In-flight waves, oldest first (bounded by the configured pipeline
-    /// depth).
+    /// In-flight waves, oldest first: at most
+    /// [`PIPELINE_DEPTH`](crate::config::PIPELINE_DEPTH) (one for a stack),
+    /// the youngest under epoch [`SkueueNode::next_epoch`].
     pub(crate) slots: VecDeque<WaveSlot>,
+    /// The parent the youngest wave was sent to, and so, while any slot is
+    /// in flight, the parent of every one: a new wave is held back while the
+    /// slots point at a different parent, so re-parenting can never reorder
+    /// a node's waves at the anchor.
+    pub(crate) wave_parent: Option<NodeId>,
     /// The memorised combination order of every in-flight wave.
     pub(crate) memo: WaveMemo,
     /// Serves that arrived ahead of older waves (asynchronous reordering).
@@ -554,8 +561,6 @@ pub(crate) struct Work<T> {
     pub(crate) store: NodeStore<T>,
     pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
     pub(crate) outstanding_dht: u64,
-    /// Scratch for satisfied parked GETs, reused across PUT applications.
-    pub(crate) satisfied_scratch: Vec<SatisfiedGet<T>>,
 
     // --- Outputs --------------------------------------------------------------
     /// Completion records not yet collected by the host.  Everything else a
@@ -584,12 +589,12 @@ impl<T: Payload> Work<T> {
             own_log: Vec::new(),
             child_batches: ChildBatches::default(),
             slots: VecDeque::new(),
+            wave_parent: None,
             memo: WaveMemo::default(),
             serve_stash: Vec::new(),
             store: NodeStore::new(),
             outstanding_gets: HashMap::new(),
             outstanding_dht: 0,
-            satisfied_scratch: Vec::new(),
             completed: Vec::new(),
         }))
     }
@@ -603,12 +608,13 @@ impl<T: Payload> Work<T> {
             own_log,
             child_batches,
             slots,
+            // Read only while a slot is in flight.
+            wave_parent: _,
             memo,
             serve_stash,
             store,
             outstanding_gets,
             outstanding_dht,
-            satisfied_scratch,
             completed,
         } = self;
         slots.is_empty()
@@ -622,7 +628,6 @@ impl<T: Payload> Work<T> {
             && memo.records.is_empty()
             && memo.runs.is_empty()
             && serve_stash.is_empty()
-            && satisfied_scratch.is_empty()
     }
 }
 
@@ -1115,9 +1120,9 @@ impl<T: Payload> SkueueNode<T> {
             return true;
         };
         match parent {
-            Some(p) => {
+            Some(_) => {
                 work.slots.len() < self.cfg.effective_pipeline_depth()
-                    && work.slots.iter().all(|s| s.parent == p)
+                    && (work.slots.is_empty() || work.wave_parent == parent)
             }
             None => work.slots.is_empty(),
         }
@@ -1297,15 +1302,18 @@ impl<T: Payload> SkueueNode<T> {
         // Combine own batch + queued children sub-batches in a fixed order.
         // Each sub-batch leaves its run lengths at the back of the memo
         // (all the Stage 3 decomposition reads of it) and is dropped right
-        // here; the own batch becomes the combined one.
+        // here; the own batch becomes the combined one.  An own batch
+        // without runs would take no share of any run: it is not memorised.
         let memo = &mut work.memo;
         let first_source = memo.records.len();
-        memo.remember(self.view.me().node, 0, true, &own);
+        if own.num_runs() > 0 {
+            memo.remember(OWN_SOURCE, 0, &own);
+        }
         let mut combined = own;
         let children = self.lanes.of(LaneKind::Child);
         work.child_batches
-            .pop_oldest(children, |child, epoch, batch| {
-                memo.remember(child, epoch, false, &batch);
+            .pop_oldest(children, |rank, epoch, batch| {
+                memo.remember(count_u32(rank), epoch, &batch);
                 combined.combine(&batch);
             });
         let num_sources = memo.records.len() - first_source;
@@ -1360,11 +1368,9 @@ impl<T: Payload> SkueueNode<T> {
                 self.next_epoch += 1;
                 let epoch = self.next_epoch;
                 work.slots.push_back(WaveSlot {
-                    epoch,
-                    parent,
-                    num_runs: count_u32(combined.num_runs()),
                     num_sources: count_u32(num_sources),
                 });
+                work.wave_parent = Some(parent);
                 ctx.observe(series::WAVES_IN_FLIGHT, work.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
@@ -1409,7 +1415,7 @@ impl<T: Payload> SkueueNode<T> {
                 num_runs <= cursors.len() && num_runs <= memo.runs.len(),
                 "a source has no more runs than its wave's combined batch"
             );
-            if source.own {
+            if source.child == OWN_SOURCE {
                 self.resolve_own(&mut cursors[..num_runs], ctx);
             } else {
                 // A child's share travels in a message and must be owned
@@ -1420,10 +1426,11 @@ impl<T: Payload> SkueueNode<T> {
                     cursors[..num_runs]
                         .iter_mut()
                         .zip(memo.runs.drain(..num_runs))
-                        .map(|(cursor, len)| cursor.split_front(len)),
+                        .map(|(cursor, len)| cursor.split_front(u64::from(len))),
                 );
+                let child = self.lanes.of(LaneKind::Child)[source.child as usize];
                 ctx.send(
-                    source.child,
+                    child,
                     SkueueMsg::Serve {
                         epoch: source.epoch,
                         runs,
@@ -1443,8 +1450,7 @@ impl<T: Payload> SkueueNode<T> {
         runs: Vec<RunAssignment>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        let work = Work::of(&mut self.work, &self.cfg);
-        let Some(front) = work.slots.front().map(|s| s.epoch) else {
+        let Some(front) = self.front_epoch() else {
             debug_assert!(false, "Serve received without an in-flight wave");
             return;
         };
@@ -1453,7 +1459,8 @@ impl<T: Payload> SkueueNode<T> {
             // but waves must be resolved in epoch order (the own-log prefix
             // decomposition depends on it) — park until older waves caught
             // up.
-            if work.slots.iter().any(|s| s.epoch == epoch) {
+            if (front..=self.next_epoch).contains(&epoch) {
+                let work = Work::of(&mut self.work, &self.cfg);
                 work.serve_stash.push(StashedServe { epoch, runs });
             } else {
                 debug_assert!(false, "Serve for unknown wave epoch {epoch}");
@@ -1462,11 +1469,8 @@ impl<T: Payload> SkueueNode<T> {
         }
         self.apply_serve(runs, ctx);
         // Release stashed serves that have reached the front of the ring.
-        loop {
+        while let Some(front) = self.front_epoch() {
             let work = Work::of(&mut self.work, &self.cfg);
-            let Some(front) = work.slots.front().map(|s| s.epoch) else {
-                break;
-            };
             let Some(idx) = work.serve_stash.iter().position(|s| s.epoch == front) else {
                 break;
             };
@@ -1475,11 +1479,17 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
+    /// The epoch of the oldest in-flight wave, if any: the ring holds the
+    /// `len` youngest epochs up to [`Self::next_epoch`], oldest first.
+    fn front_epoch(&self) -> Option<u64> {
+        let in_flight = self.work.as_deref().map_or(0, |w| w.slots.len()) as u64;
+        (in_flight > 0).then(|| self.next_epoch + 1 - in_flight)
+    }
+
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
         let slots = &mut Work::of(&mut self.work, &self.cfg).slots;
         let slot = slots.pop_front().expect("caller checked the front");
-        debug_assert_eq!(slot.num_runs as usize, runs.len());
         self.serve_sources(runs, slot.num_sources as usize, ctx);
     }
 
@@ -1495,7 +1505,7 @@ impl<T: Payload> SkueueNode<T> {
                 .runs
                 .pop_front()
                 .expect("the own sub-batch's run lengths stay memorised until it is served");
-            let run = cursor.split_front(len);
+            let run = cursor.split_front(u64::from(len));
             for j in 0..run.count {
                 // The resolved prefix is drained below, so the payload can be
                 // *moved* out of the log entry (a take, not a clone) — the
@@ -1759,8 +1769,7 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     /// Applies a DHT operation at the responsible node.  Replies coalesce
-    /// per requester ([`Self::stage`]); satisfied parked GETs reuse
-    /// one scratch vector via the store's bulk `put_into` entry point, so
+    /// per requester ([`Self::stage`]), a parked GET's among them, so
     /// applying a whole delivered batch is one pass without per-op
     /// allocations.
     pub(crate) fn apply_dht(
@@ -1831,10 +1840,8 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Stores `entry`, or hands it to the parked GET it satisfies.
     fn store_entry(&mut self, entry: StoredEntry<T>, ctx: &mut Context<SkueueMsg<T>>) {
-        let work = Work::of(&mut self.work, &self.cfg);
-        debug_assert!(work.satisfied_scratch.is_empty());
-        work.store.put_into(entry, &mut work.satisfied_scratch);
-        for s in work.satisfied_scratch.drain(..) {
+        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        if let Some(s) = store.put_into(entry) {
             let reply = DhtReplyItem {
                 request: s.get.request,
                 entry: s.entry,
@@ -2091,6 +2098,9 @@ impl<T: Payload> Actor for SkueueNode<T> {
 }
 
 #[cfg(test)]
+mod census;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::FirstRun;
@@ -2117,6 +2127,16 @@ mod tests {
         assert!(size_of::<SkueueNode<u64>>() <= 176);
         assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
+    }
+
+    /// What one in-flight wave keeps per slot and per sub-batch: the ring
+    /// holds up to [`PIPELINE_DEPTH`] slots on every busy node, the memo a
+    /// record per sub-batch of each.
+    #[test]
+    fn a_wave_slot_is_4_bytes_and_a_source_record_16() {
+        use std::mem::size_of;
+        assert!(size_of::<WaveSlot>() <= 4);
+        assert!(size_of::<SourceRecord>() <= 16);
     }
 
     /// The node's in-flight waves (none while it holds no work state).
@@ -2445,8 +2465,8 @@ mod tests {
             let mut sources = vec![BatchSource::Own(own)];
             let children = self.children.of(LaneKind::Child);
             self.child_batches
-                .pop_oldest(children, |child, epoch, batch| {
-                    sources.push(BatchSource::Child(child, epoch, batch))
+                .pop_oldest(children, |rank, epoch, batch| {
+                    sources.push(BatchSource::Child(children[rank], epoch, batch))
                 });
             let mut combined = Batch::empty();
             for source in &sources {
@@ -2559,6 +2579,72 @@ mod tests {
         assert_eq!(in_flight(&node), PIPELINE_DEPTH);
         assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
         assert_eq!(in_flight(&node), PIPELINE_DEPTH);
+    }
+
+    /// Three waves in flight, their serves delivered 3, 1, 2: the node
+    /// parks the third, resolves the first, and the second then releases
+    /// the third — the waves resolve 1, 2, 3, though no slot stores its
+    /// epoch.
+    #[test]
+    fn serves_delivered_out_of_order_resolve_waves_in_epoch_order() {
+        let mut node = node_under_test(false);
+        let (me, parent, child) = (
+            node.view.me().node,
+            node.tree_parent().unwrap(),
+            NodeId(1000),
+        );
+        // Wave `k` carries the child's sub-batch of its epoch `10 + k`.
+        let mut assigner = AnchorState::new();
+        let mut owed = Vec::new();
+        for k in 1..=3 {
+            let mut ctx = Context::new(me, k * WAVE_CADENCE);
+            let (epoch, batch) = (10 + k, child_batch(k << 8));
+            node.on_message(
+                child,
+                SkueueMsg::Aggregate {
+                    child,
+                    epoch,
+                    batch,
+                },
+                &mut ctx,
+            );
+            node.on_timeout(&mut ctx);
+            let sent = ctx
+                .into_outbox()
+                .into_iter()
+                .find_map(|(_, msg)| match msg {
+                    SkueueMsg::Aggregate { epoch, batch, .. } => Some((epoch, batch)),
+                    _ => None,
+                });
+            let (epoch, batch) = sent.expect("each sub-batch opens a wave");
+            assert_eq!(epoch, k);
+            owed.push((epoch, assigner.assign_wave(&batch, Mode::Queue)));
+        }
+        assert_eq!(in_flight(&node), 3);
+        let mut serve = |wave: usize| {
+            let (epoch, runs) = owed[wave - 1].clone();
+            let mut ctx = Context::new(me, 10 * WAVE_CADENCE);
+            node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+            let served: Vec<_> = ctx
+                .into_outbox()
+                .into_iter()
+                .map(|(to, msg)| match msg {
+                    SkueueMsg::Serve { epoch, runs } if to == child => (epoch, runs),
+                    other => panic!("only the child is served, not {other:?}"),
+                })
+                .collect();
+            (served, in_flight(&node))
+        };
+        let (served, left) = serve(3);
+        assert!(served.is_empty(), "the third wave waits for the first two");
+        assert_eq!(left, 3);
+        let (served, left) = serve(1);
+        assert_eq!(served, [(11, owed[0].1.clone())]);
+        assert_eq!(left, 2);
+        let (served, left) = serve(2);
+        assert_eq!(served, [(12, owed[1].1.clone()), (13, owed[2].1.clone())]);
+        assert_eq!(left, 0);
+        assert!(node.work.as_deref().unwrap().serve_stash.is_empty());
     }
 
     proptest! {

@@ -92,14 +92,14 @@ impl<T: Payload> NodeStore<T> {
         self.pending.values().map(Vec::len).sum()
     }
 
-    /// Applies a `PUT`; a parked GET it satisfies is appended to `satisfied`
-    /// (no fresh `Vec`: applying a whole `DhtBatch` on the batched Stage-4
-    /// delivery path costs one sink vector, not one allocation per op).
+    /// Applies a `PUT`: stores the entry, or hands it to the one parked GET
+    /// it satisfies, which is returned.  An entry is one element, so it
+    /// satisfies at most one GET and applying it needs no sink vector.
     ///
     /// For the queue each position holds at most one element and at most the
     /// parked GETs for exactly that position match.  For the stack the entry
     /// satisfies the *oldest* parked GET whose `max_ticket` admits it.
-    pub fn put_into(&mut self, entry: StoredEntry<T>, satisfied: &mut Vec<SatisfiedGet<T>>) {
+    pub fn put_into(&mut self, entry: StoredEntry<T>) -> Option<SatisfiedGet<T>> {
         let position = entry.position;
         // Check parked GETs first: the new entry may be consumed immediately.
         if let Some(waiters) = self.pending.get_mut(&position) {
@@ -108,13 +108,13 @@ impl<T: Payload> NodeStore<T> {
                 if waiters.is_empty() {
                     self.pending.remove(&position);
                 }
-                satisfied.push(SatisfiedGet { get, entry });
-                return;
+                return Some(SatisfiedGet { get, entry });
             }
         }
         let slot = self.entries.entry(position).or_default();
         slot.push(entry);
         slot.sort_by_key(|e| e.ticket);
+        None
     }
 
     /// Bulk `PUT`: applies the entries in order (one pass) and returns every
@@ -123,11 +123,10 @@ impl<T: Payload> NodeStore<T> {
         &mut self,
         entries: impl IntoIterator<Item = StoredEntry<T>>,
     ) -> Vec<SatisfiedGet<T>> {
-        let mut satisfied = Vec::new();
-        for entry in entries {
-            self.put_into(entry, &mut satisfied);
-        }
-        satisfied
+        entries
+            .into_iter()
+            .filter_map(|entry| self.put_into(entry))
+            .collect()
     }
 
     /// Bulk `GET`: applies `(position, get)` pairs in order (one pass).
