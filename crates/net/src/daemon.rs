@@ -44,7 +44,7 @@
 //! may open a wave at each visit.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -59,7 +59,7 @@ use skueue_sim::{Lane, NodeId, ProcessId, Transport};
 use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
-use crate::frame::{read_frame, write_frame, NetFrame};
+use crate::frame::{push_frame, read_frame, write_frame, NetFrame};
 use crate::spec::ClusterSpec;
 use crate::transport::TcpTransport;
 
@@ -169,11 +169,18 @@ fn run_with_listener<T: Payload + Wire>(
         if shutdown {
             break;
         }
-        for record in host.completions.drain(..) {
-            let frame = NetFrame::Completion { record };
-            for (stream, _, subscribed) in conns.values_mut().filter(|conn| conn.2) {
-                *subscribed = write_frame(stream, &frame).is_ok();
+        if host.completions.is_empty() {
+            continue;
+        }
+        // The turn's completions, encoded once for every subscriber.
+        let mut stream_out = Vec::new();
+        for record in std::mem::take(&mut host.completions) {
+            if let Err(e) = push_frame(&mut stream_out, &NetFrame::Completion { record }) {
+                eprintln!("skueue-node[{index}]: not streaming a completion: {e}");
             }
+        }
+        for (stream, _, subscribed) in conns.values_mut().filter(|conn| conn.2) {
+            *subscribed = stream.write_all(&stream_out).is_ok();
         }
     }
 

@@ -27,17 +27,33 @@ const READ_AHEAD_BYTES: usize = 64 << 10;
 /// Writes one value as a length-prefixed frame.
 pub fn write_frame<T: Wire, W: Write>(w: &mut W, value: &T) -> io::Result<()> {
     // One buffer, one write: avoids interleaving when callers share a stream
-    // behind a mutex and halves the syscall count for small frames.  The
-    // value is encoded behind a placeholder for the prefix, which is patched
-    // once the length is known.
-    let mut out = vec![0; 4];
-    value.encode(&mut out);
-    let len = u32::try_from(out.len() - 4)
-        .ok()
-        .filter(|&len| len <= MAX_FRAME_BYTES)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    out[..4].copy_from_slice(&len.to_le_bytes());
+    // behind a mutex and halves the syscall count for small frames.
+    let mut out = Vec::new();
+    push_frame(&mut out, value)?;
     w.write_all(&out)
+}
+
+/// Appends one value to `out` as a length-prefixed frame, so that several
+/// frames can leave in one write.  On error `out` is left as it was.
+pub(crate) fn push_frame<T: Wire>(out: &mut Vec<u8>, value: &T) -> io::Result<()> {
+    // The value is encoded behind a placeholder for the prefix, which is
+    // patched once the length is known.
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    value.encode(out);
+    match u32::try_from(out.len() - start - 4) {
+        Ok(len) if len <= MAX_FRAME_BYTES => {
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame too large",
+            ))
+        }
+    }
 }
 
 /// Reads one length-prefixed frame.  Returns `Ok(None)` on clean EOF at a
@@ -227,6 +243,26 @@ mod tests {
                 completed_round: 4,
             },
         });
+    }
+
+    #[test]
+    fn frames_pushed_into_one_buffer_read_back_in_order() {
+        let frames: [NetFrame<u64>; 3] = [
+            NetFrame::Status,
+            NetFrame::Leave { pid: ProcessId(2) },
+            NetFrame::Ok,
+        ];
+        let mut buf = Vec::new();
+        for frame in &frames {
+            push_frame(&mut buf, frame).expect("push");
+        }
+        let mut cursor = io::Cursor::new(buf);
+        for frame in frames {
+            assert_eq!(read_frame(&mut cursor).expect("read"), Some(frame));
+        }
+        assert!(read_frame::<NetFrame<u64>, _>(&mut cursor)
+            .expect("eof read")
+            .is_none());
     }
 
     #[test]

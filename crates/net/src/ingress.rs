@@ -9,6 +9,11 @@
 //! [`check_queue_sharded`] verifier as a simulated run.  This is where the
 //! "correct under full asynchrony, checked a posteriori" contract of the
 //! real transport is enforced.
+//!
+//! The ingress is also where an overloaded cluster pushes back: it keeps at
+//! most [`INGRESS_WINDOW_PER_DAEMON`] operations per daemon in flight, and an
+//! inject into a full window waits on the completion stream until one of
+//! this client's operations completes.
 
 use std::collections::HashMap;
 use std::io;
@@ -26,12 +31,34 @@ use crate::ctl::Control;
 use crate::frame::{read_frame, NetFrame};
 use crate::spec::ClusterSpec;
 
+/// How many of one client's operations may be in flight per daemon of the
+/// cluster: an [`IngressClient`] keeps at most this many times
+/// [`ClusterSpec::num_daemons`] issued and not yet completed, and an inject
+/// beyond that waits on the completion stream.  It grows with the cluster
+/// because placement spreads the processes over the daemons.
+///
+/// The bound sits here, at the one party that can wait without holding up
+/// anyone else, and nowhere inside a daemon.  With the window, a daemon's
+/// inbound channel and its nodes' state hold at most the window's injects
+/// plus the protocol traffic those operations cause.  Bounding the daemon's
+/// inbound channel instead (a blocking `sync_channel`) could deadlock two
+/// daemons: host A blocks writing a frame to B because B's reader is
+/// blocked on B's full channel, while B's host blocks writing to A because
+/// A's reader is blocked on A's — neither host drains its channel again.
+pub const INGRESS_WINDOW_PER_DAEMON: usize = 2048;
+
+/// How long an inject into a full window waits for one of the client's
+/// operations to complete before it gives up with [`io::ErrorKind::TimedOut`].
+const WINDOW_STALL: Duration = Duration::from_secs(30);
+
 /// A connected ingress: one subscribed connection per daemon, with reader
 /// threads streaming completions into a single channel.
 #[derive(Debug)]
 pub struct IngressClient<T: Payload> {
     spec: ClusterSpec,
-    /// Write halves, per daemon (injects are fire-and-forget).
+    /// Write halves, per daemon.  An inject is not answered on its
+    /// connection: its completion arrives on the stream, and [`Self::inject`]
+    /// waits on that stream while the window is full.
     conns: Vec<Control<T>>,
     /// Merged completion stream from all daemons.
     completions: Receiver<OpRecord<T>>,
@@ -45,10 +72,11 @@ pub struct IngressClient<T: Payload> {
     /// Per-process next sequence offset (the ingress owns the id space).
     next_seq: HashMap<u64, u64>,
     /// When the latency of each operation still awaiting completion started:
-    /// its issue, or the time it was due (see [`Self::inject`]).
+    /// its issue, or the time it was due (see [`Self::inject`]).  Holds at
+    /// most [`INGRESS_WINDOW_PER_DAEMON`] entries per daemon.
     pending: HashMap<RequestId, Instant>,
     /// Completed records, in arrival order.
-    records: Vec<OpRecord<T>>,
+    records: History<T>,
     /// Wall-clock latencies of this client's completed operations, in
     /// microseconds.  A subscription streams every completion of a daemon,
     /// whoever issued the operation, so not every record has one.
@@ -98,18 +126,21 @@ impl<T: Payload + Wire> IngressClient<T> {
             seq_base,
             next_seq: HashMap::new(),
             pending: HashMap::new(),
-            records: Vec::new(),
+            records: History::new(),
             latencies_us: Vec::new(),
             issued: 0,
         })
     }
 
-    /// Issues an enqueue of `value` through process `pid`.
+    /// Issues an enqueue of `value` through process `pid`, first waiting
+    /// for room if [`INGRESS_WINDOW_PER_DAEMON`] operations per daemon are
+    /// in flight.
     pub fn enqueue(&mut self, pid: ProcessId, value: T) -> io::Result<RequestId> {
         self.inject(pid, true, value, Instant::now())
     }
 
-    /// Issues a dequeue through process `pid`.
+    /// Issues a dequeue through process `pid`, waiting for room like
+    /// [`Self::enqueue`].
     pub fn dequeue(&mut self, pid: ProcessId) -> io::Result<RequestId> {
         self.inject(pid, false, T::default(), Instant::now())
     }
@@ -117,7 +148,14 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// Issues one operation whose latency runs from `since`: now for a
     /// caller that issues as it goes, the time the operation was due for a
     /// generator on a schedule — so the latency is measured where it is
-    /// stamped and needs no pairing with a record afterwards.
+    /// stamped and needs no pairing with a record afterwards, and it counts
+    /// any wait for room in the window.
+    ///
+    /// When the window is full, waits on the completion stream until one of
+    /// this client's operations completes.  Fails without writing anything
+    /// if every daemon hung up ([`io::ErrorKind::BrokenPipe`]) or none of
+    /// them completed an operation of this client within [`WINDOW_STALL`]
+    /// ([`io::ErrorKind::TimedOut`]).
     pub(crate) fn inject(
         &mut self,
         pid: ProcessId,
@@ -125,6 +163,7 @@ impl<T: Payload + Wire> IngressClient<T> {
         value: T,
         since: Instant,
     ) -> io::Result<RequestId> {
+        self.make_room()?;
         let seq = self.next_seq.entry(pid.0).or_insert(0);
         let id = RequestId::new(pid, self.seq_base + *seq);
         *seq += 1;
@@ -136,6 +175,35 @@ impl<T: Payload + Wire> IngressClient<T> {
         self.issued += 1;
         self.pump();
         Ok(id)
+    }
+
+    /// Absorbs completions until fewer than the window's worth of this
+    /// client's operations are pending.
+    fn make_room(&mut self) -> io::Result<()> {
+        let window = INGRESS_WINDOW_PER_DAEMON * self.conns.len();
+        let deadline = Instant::now() + WINDOW_STALL;
+        while self.pending.len() >= window {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.completions.recv_timeout(left) {
+                Ok(record) => self.absorb(record),
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!(
+                            "{} operations in flight and none completed in {WINDOW_STALL:?}",
+                            self.pending.len()
+                        ),
+                    ))
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::BrokenPipe,
+                        "the window is full and every daemon has hung up",
+                    ))
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of operations issued so far.
@@ -206,7 +274,7 @@ impl<T: Payload + Wire> IngressClient<T> {
 
     /// The completion records received so far, in arrival order.
     pub fn records(&self) -> &[OpRecord<T>] {
-        &self.records
+        self.records.records()
     }
 
     /// Wall-clock issue→completion latencies of this client's operations
@@ -229,10 +297,9 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// can legitimately dequeue elements whose enqueues it never saw, which
     /// the checker reports as phantom elements.
     pub fn verify(&self) -> ConsistencyReport {
-        let history = History::from_records(self.records.clone());
         let shards = self.spec.protocol_config().effective_shards();
         let map = ShardMap::new(shards as u32, self.spec.hash_seed);
-        check_queue_sharded(&history, &map)
+        check_queue_sharded(&self.records, &map)
     }
 
     /// Closes the inject connections and joins the completion pumps.  Call

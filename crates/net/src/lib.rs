@@ -54,6 +54,6 @@ pub use codec::{DecodeError, Wire};
 pub use ctl::{CtlClient, ProcessStatus};
 pub use daemon::DaemonHandle;
 pub use frame::NetFrame;
-pub use ingress::IngressClient;
+pub use ingress::{IngressClient, INGRESS_WINDOW_PER_DAEMON};
 pub use load::{run_load, LoadParams, LoadReport};
 pub use spec::ClusterSpec;

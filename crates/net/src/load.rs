@@ -13,6 +13,11 @@
 //! completions are stamped when they arrive — the wait for the next due time
 //! blocks on the completion stream (`IngressClient::pump_until`), not in a
 //! sleep.
+//!
+//! The ingress bounds what is in flight
+//! ([`crate::INGRESS_WINDOW_PER_DAEMON`] operations per daemon): offered
+//! above the cluster's capacity, an inject waits for room and the generator
+//! falls behind its schedule, which the latencies from the due time show.
 
 use std::io;
 use std::time::{Duration, Instant};
