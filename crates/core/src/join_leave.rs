@@ -23,15 +23,281 @@
 //! time rather than eagerly at responsibility time, joining processes do not
 //! issue queue operations before they are integrated, and the process
 //! currently hosting the anchor may not leave.
+//!
+//! # One lifecycle per node
+//!
+//! A node's own membership state is one inline [`Lifecycle`]; its leave
+//! request is a [`Leave`] inside it.
+//!
+//! | state | event | next state | sent |
+//! |---|---|---|---|
+//! | `Joining { announced: false }` | timeout, bootstrap known | `announced: true` | `JoinRequest` → bootstrap |
+//! | `Joining` | `Integrate` | `Member { resumed: false }` | `SiblingStatus(active)` → siblings, `IntegrateAck` |
+//! | `resumed: false` | `UpdateOver` | `resumed: true` | `UpdateOver` → children and relays |
+//! | `Member { resumed: true }`, no phase | `UpdateFlag` | phase running | `UpdateFlag` → children, `Integrate`, `AbsorbRequest` |
+//! | `Member`, no phase, or `resumed: false` | `UpdateFlag` | — | `UpdateAck` at once |
+//! | `leave: Stays` | `request_leave` | `Wanted` | — |
+//! | `Wanted` | timeout: own requests done, no open leaver, not the anchor | `Requested` | `LeaveRequest` → predecessor |
+//! | `Requested` | `LeaveDeferred` | `Wanted` | — |
+//! | `Wanted`, `Requested` | `LeaveGranted` | `Granted` | — |
+//! | `Stays` | `LeaveGranted` | `StrayGrant` | — |
+//! | `StrayGrant` | `request_leave` | `Granted` | — |
+//! | `Member` | `AbsorbRequest`, no wave in flight, phase acked | `Draining { absorber }` | `AbsorbData` (+ `ChurnHandover`) → absorber, `SiblingStatus(inactive)` |
+//! | `Member` | `AbsorbRequest`, otherwise | — (`absorb_deferred`) | `AbsorbData` on the first timeout it is ready |
+//! | `Draining` | a message that is not node-local | — | forwarded to the absorber |
+//!
+//! A node is *suspended* — it opens drain waves only and declines flags —
+//! while it is not resumed or a phase runs at it.  A leave may be wanted
+//! before the joiner is resumed, even before it is integrated.
+//!
+//! # One list of duties
+//!
+//! What a node owes the protocol for others is one [`Duty`] each in
+//! `Membership::duties`: a joiner it is responsible for, a leaver it
+//! granted, a churn count it relays that has no owner here.  A duty has a
+//! [`Step`], a [`Report`] and may owe the phase-end `UpdateOver`.
+//!
+//! | duty | event | next | sent |
+//! |---|---|---|---|
+//! | — | `JoinRequest` delivered here, or a joiner inherited with `AbsorbData` | joiner `Pending`, unreported | — |
+//! | joiner `Pending` | phase `p` entered | `Asked(p)`, owes `UpdateOver` | `Integrate` → joiner, `SetPred` → old successor |
+//! | joiner `Asked` | `IntegrateAck` | `Answered` | — |
+//! | — | `LeaveRequest`, not leaving itself | leaver `Pending`, unreported | `LeaveGranted` |
+//! | leaver `Pending` | phase `p` entered | `Asked(p)` | `AbsorbRequest` |
+//! | leaver `Asked` | `AbsorbData` | `Answered`, owes `UpdateOver` | cycle re-links |
+//! | owes `UpdateOver` | the phase ends here | — | `UpdateOver` → leavers in absorption order, then joiners clockwise |
+//! | — | `ChurnHandover` | count, unreported | — |
+//! | — | a wave with churn leaves below an absent parent | count, unflagged | — |
+//! | count, unflagged | back below an integrated parent | unreported | — |
+//! | count, unflagged | this node is absorbed | handed over | `ChurnHandover` → absorber |
+//! | unreported | a wave of this node's own opens | reported | in the wave's `j`/`l` |
+//! | `Pending` | `UpdateOver` | unreported | — |
+//! | `Answered`, reported, owes nothing | end of the visit | dropped | — |
+//!
+//! A wave's `j` is the number of unreported joiners, its `l` that of
+//! unreported leavers plus the unreported counts.  A node's part of phase
+//! `p` is done once every flagged child acked and no duty is `Asked(p)`.
 
 use crate::anchor::AnchorState;
-use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, SkueueMsg};
-use crate::node::{JoinerRecord, LaneKind, LeaverRecord, Role, SkueueNode, UpdatePhase, Work};
+use crate::batch::Batch;
+use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, RoutedDhtOp, SkueueMsg};
+use crate::node::{LaneKind, SkueueNode, Work};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
 use skueue_sim::ids::NodeId;
 use skueue_trace::TraceEvent;
+use std::iter::once;
+
+/// Where a virtual node is in its membership lifecycle (Section IV); see
+/// the module doc for its transitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lifecycle {
+    /// Not in the cycle yet; `announced` once the `JoinRequest` is out.
+    Joining { announced: bool, leave: Leave },
+    /// An integrated member.  `resumed` is false from `Integrate` to the
+    /// first `UpdateOver`: a fresh joiner opens no wave of its own before.
+    Member { leave: Leave, resumed: bool },
+    /// Absorbed: every message that is not node-local is forwarded to
+    /// `absorber`.  `resumed` carries over, so an `UpdateOver` still ends
+    /// the phase it was suspended in and is relayed down its old subtree.
+    Draining { absorber: NodeId, resumed: bool },
+}
+
+/// A node's own leave request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leave {
+    /// Not leaving.
+    Stays,
+    /// Asked to leave; the `LeaveRequest` goes out on a timeout once the
+    /// node's own requests are done.
+    Wanted,
+    /// The `LeaveRequest` is out.
+    Requested,
+    /// The predecessor absorbs this node in its next phase.
+    Granted,
+    /// A `LeaveGranted` this node never asked for: a draining leaver whose
+    /// `AbsorbRequest` overtook its grant forwards the grant to its
+    /// absorber.  The node does not leave, but never asks either —
+    /// `request_leave` moves it straight to `Granted`.
+    StrayGrant,
+}
+
+/// One thing a node owes the protocol for another node (see the module
+/// doc's duty table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Duty {
+    pub(crate) kind: DutyKind,
+    pub(crate) step: Step,
+    /// Owes the `UpdateOver` of the phase it was spliced in or absorbed
+    /// in: a spliced joiner's tree parents may not know it yet
+    /// (`SiblingStatus` in flight), and an absorbed leaver is no tree
+    /// child any more but relays the phase end down its old subtree.
+    pub(crate) relay: bool,
+    pub(crate) report: Report,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DutyKind {
+    /// A joiner this node splices in.
+    Joiner(NeighborInfo),
+    /// A leaver this node granted and absorbs.
+    Leaver(NodeId),
+    /// Churn counted elsewhere that this node reports again; a count has
+    /// no step of its own (it is born `Answered`).
+    Count(u64),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Announced or granted: waits for a phase.
+    Pending,
+    /// `Integrate` or `AbsorbRequest` sent in phase `p`; the phase waits
+    /// for the answer.
+    Asked(u64),
+    /// `IntegrateAck` or `AbsorbData` received.
+    Answered,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Report {
+    /// Counted in this node's next own wave.
+    Unreported,
+    Reported,
+    /// Reported in a wave whose parent was a sibling out of the tree (see
+    /// [`SkueueNode::parent_is_absent_sibling`]): the phase it starts flags
+    /// a tree that does not reach the nodes below this one.
+    Unflagged,
+}
+
+impl Duty {
+    pub(crate) fn new(kind: DutyKind, step: Step, report: Report) -> Duty {
+        Duty {
+            kind,
+            step,
+            relay: false,
+            report,
+        }
+    }
+
+    fn joiner(&self) -> Option<NeighborInfo> {
+        match self.kind {
+            DutyKind::Joiner(info) => Some(info),
+            _ => None,
+        }
+    }
+
+    fn is_leaver(&self) -> bool {
+        matches!(self.kind, DutyKind::Leaver(_))
+    }
+
+    /// True until the joiner acked or the leaver handed itself over.
+    fn is_open(&self) -> bool {
+        self.step != Step::Answered
+    }
+
+    pub(crate) fn is_unreported(&self) -> bool {
+        self.report == Report::Unreported
+    }
+
+    /// Nothing left to do or to report.
+    pub(crate) fn is_discharged(&self) -> bool {
+        !self.is_open() && !self.relay && self.report == Report::Reported
+    }
+}
+
+/// State of an ongoing update phase at this node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UpdatePhase {
+    /// The anchor's phase number this participation belongs to; control
+    /// messages of other phases are ignored (or, for a younger flag,
+    /// acknowledged without duties).
+    pub(crate) phase: u64,
+    /// Children (at flag time) we still expect an `UpdateAck` from.
+    pub(crate) awaiting_child_acks: Vec<NodeId>,
+    /// Parent (at flag time) to ack to once done.
+    pub(crate) old_parent: Option<NodeId>,
+    /// Whether our own ack has been sent already.
+    pub(crate) acked: bool,
+}
+
+/// Join/leave/update-phase bookkeeping of a node (Section IV).  Every field
+/// is at its default while membership around the node is stable, so the
+/// node holds this behind an `Option<Box<_>>` that is `None` in steady state
+/// (see `SkueueNode::release_idle_membership`).
+#[derive(Debug, Default)]
+pub(crate) struct Membership<T> {
+    /// Bootstrap contact used by a joining node to send its `JOIN()` request.
+    pub(crate) bootstrap: Option<NodeId>,
+    /// DHT operations received while still joining; re-routed after
+    /// integration.
+    pub(crate) deferred_dht: Vec<RoutedDhtOp<T>>,
+    /// An absorber asked for our state while waves were still in flight; the
+    /// hand-over happens as soon as every slot has been served.
+    pub(crate) absorb_deferred: Option<NodeId>,
+    /// Joiners, leavers and counts this node answers for, in the order
+    /// their messages go out: leavers granted, then absorbed, in that
+    /// order; joiners announced, then spliced in clockwise.
+    pub(crate) duties: Vec<Duty>,
+    pub(crate) update: Option<UpdatePhase>,
+}
+
+impl<T> Membership<T> {
+    /// True when every field is back at its default.  Destructured without
+    /// `..` so a new field cannot be forgotten here.
+    pub(crate) fn is_idle(&self) -> bool {
+        let Membership {
+            bootstrap,
+            deferred_dht,
+            absorb_deferred,
+            duties,
+            update,
+        } = self;
+        bootstrap.is_none()
+            && deferred_dht.is_empty()
+            && absorb_deferred.is_none()
+            && duties.is_empty()
+            && update.is_none()
+    }
+
+    /// The joins and leaves this node's next own wave reports: its
+    /// unreported joiners, and its unreported leavers and counts.
+    pub(crate) fn unreported(&self) -> (u64, u64) {
+        let unreported = self.duties.iter().filter(|d| d.is_unreported());
+        unreported.fold((0, 0), |(joins, leaves), d| match d.kind {
+            DutyKind::Joiner(_) => (joins + 1, leaves),
+            DutyKind::Leaver(_) => (joins, leaves + 1),
+            DutyKind::Count(count) => (joins, leaves + count),
+        })
+    }
+
+    /// Adds [`Self::unreported`] to the wave `batch` opens, which reports it.
+    pub(crate) fn report(&mut self, batch: &mut Batch) {
+        let (joins, leaves) = self.unreported();
+        (batch.joins, batch.leaves) = (batch.joins + joins, batch.leaves + leaves);
+        self.relabel(Report::Unreported, Report::Reported);
+    }
+
+    fn relabel(&mut self, from: Report, to: Report) {
+        let duties = self.duties.iter_mut().filter(|d| d.report == from);
+        duties.for_each(|d| d.report = to);
+    }
+
+    /// Where the open duty for joiner or leaver `kind` is, if it is open.
+    fn open(&self, kind: DutyKind) -> Option<usize> {
+        self.duties
+            .iter()
+            .position(|d| d.is_open() && d.kind == kind)
+    }
+
+    /// Takes a joiner or a granted leaver on, unless it is already open.
+    fn take_on(&mut self, kind: DutyKind) {
+        if self.open(kind).is_none() {
+            let duty = Duty::new(kind, Step::Pending, Report::Unreported);
+            self.duties.push(duty);
+        }
+    }
+}
 
 impl<T: Payload> SkueueNode<T> {
     // ---------------------------------------------------------------------
@@ -47,17 +313,55 @@ impl<T: Payload> SkueueNode<T> {
     /// Asks this node to leave the system.  The leave request is sent to the
     /// predecessor once the node's own outstanding requests have completed.
     pub fn request_leave(&mut self) {
-        self.membership_mut().wants_to_leave = true;
+        self.set_leave(|leave| match leave {
+            Leave::Stays => Leave::Wanted,
+            Leave::StrayGrant => Leave::Granted,
+            leave => leave,
+        });
     }
 
     /// True once the node has fully left (drains towards its absorber).
     pub fn has_left(&self) -> bool {
-        matches!(self.role, Role::Draining { .. })
+        matches!(self.lifecycle, Lifecycle::Draining { .. })
     }
 
     /// True if the node is an integrated member of the overlay.
     pub fn is_integrated(&self) -> bool {
-        matches!(self.role, Role::Active)
+        matches!(self.lifecycle, Lifecycle::Member { .. })
+    }
+
+    // ---------------------------------------------------------------------
+    // The lifecycle.
+    // ---------------------------------------------------------------------
+
+    /// The node's leave request (a draining node has none left).
+    fn leave(&self) -> Leave {
+        match self.lifecycle {
+            Lifecycle::Joining { leave, .. } | Lifecycle::Member { leave, .. } => leave,
+            Lifecycle::Draining { .. } => Leave::Stays,
+        }
+    }
+
+    fn set_leave(&mut self, next: impl FnOnce(Leave) -> Leave) {
+        if let Lifecycle::Joining { leave, .. } | Lifecycle::Member { leave, .. } =
+            &mut self.lifecycle
+        {
+            *leave = next(*leave);
+        }
+    }
+
+    /// False from a joiner's integration to its first `UpdateOver`.
+    fn resumed(&self) -> bool {
+        !matches!(
+            self.lifecycle,
+            Lifecycle::Member { resumed: false, .. } | Lifecycle::Draining { resumed: false, .. }
+        )
+    }
+
+    /// True while the node opens no wave of its own: freshly integrated,
+    /// or in an update phase.
+    pub(crate) fn suspended(&self) -> bool {
+        !self.resumed() || self.update().is_some()
     }
 
     // ---------------------------------------------------------------------
@@ -66,17 +370,15 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Timeout behaviour of a joining node: announce the join once.
     pub(crate) fn joining_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        let Some(m) = self.membership.as_deref_mut() else {
-            return; // no bootstrap contact yet
-        };
-        if m.join_sent {
+        let bootstrap = self.membership().and_then(|m| m.bootstrap);
+        let Lifecycle::Joining { announced, .. } = &mut self.lifecycle else {
             return;
-        }
-        if let Some(bootstrap) = m.bootstrap {
+        };
+        if let Some(bootstrap) = bootstrap.filter(|_| !*announced) {
             let joiner = self.view.me();
             let progress = RouteProgress::new(joiner.label, self.cfg.bit_budget);
             ctx.send(bootstrap, SkueueMsg::JoinRequest { joiner, progress });
-            m.join_sent = true;
+            *announced = true;
         }
     }
 
@@ -88,30 +390,17 @@ impl<T: Payload> SkueueNode<T> {
     /// whose left sibling is already absorbed hangs below a draining parent
     /// that brings it no further update phase.
     pub(crate) fn membership_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if self.membership.is_none() {
-            return; // the steady state: no membership duty of any kind
-        }
         self.maybe_complete_deferred_absorb(ctx);
-        let Some(m) = self.membership.as_deref_mut() else {
-            return;
-        };
-        if m.wants_to_leave
-            && !m.leave_requested
-            && !m.leave_granted
-            && self
-                .work
-                .as_deref()
-                .is_none_or(|w| w.own_log.is_empty() && w.outstanding_gets.is_empty())
-            && m.pending_leavers.is_empty()
+        let drained = |w: &Work<T>| w.own_log.is_empty() && w.outstanding_gets.is_empty();
+        let granting = |m: &Membership<T>| m.duties.iter().any(|d| d.is_open() && d.is_leaver());
+        if self.leave() == Leave::Wanted
+            && self.work.as_deref().is_none_or(drained)
+            && !self.membership().is_some_and(granting)
             && self.anchor.is_none()
         {
-            ctx.send(
-                self.view.pred().node,
-                SkueueMsg::LeaveRequest {
-                    leaver: self.view.me(),
-                },
-            );
-            m.leave_requested = true;
+            let leaver = self.view.me();
+            ctx.send(self.view.pred().node, SkueueMsg::LeaveRequest { leaver });
+            self.set_leave(|_| Leave::Requested);
         }
     }
 
@@ -134,30 +423,37 @@ impl<T: Payload> SkueueNode<T> {
             SkueueMsg::Integrate { handover } => self.handle_integrate(from, *handover, ctx),
             SkueueMsg::IntegrateAck => {
                 if let Some(m) = self.membership.as_deref_mut() {
-                    if let Some(update) = m.update.as_mut() {
-                        update.awaiting_integrate_acks =
-                            update.awaiting_integrate_acks.saturating_sub(1);
+                    // An ack from a joiner still `Pending` here drops it
+                    // unintegrated: a known gap (ROADMAP item 1's leads).
+                    let acked =
+                        |d: &&mut Duty| d.is_open() && d.joiner().is_some_and(|j| j.node == from);
+                    for d in m.duties.iter_mut().filter(acked) {
+                        d.step = Step::Answered;
                     }
-                    m.joiners.retain(|j| j.info.node != from);
                 }
                 self.check_update_done(ctx);
             }
             SkueueMsg::LeaveRequest { leaver } => self.handle_leave_request(leaver, ctx),
-            SkueueMsg::LeaveGranted => {
-                self.membership_mut().leave_granted = true;
-            }
-            SkueueMsg::LeaveDeferred => {
-                // Retry on a later timeout (once the conflicting neighbour has
-                // left, the new predecessor will grant the request).
-                self.membership_mut().leave_requested = false;
-            }
+            // A stray grant is kept, and blocks the node's own leave: a known
+            // gap (see `Leave::StrayGrant`; ROADMAP item 1's leads).
+            SkueueMsg::LeaveGranted => self.set_leave(|leave| match leave {
+                Leave::Stays | Leave::StrayGrant => Leave::StrayGrant,
+                _ => Leave::Granted,
+            }),
+            // Retry on a later timeout (once the conflicting neighbour has
+            // left, the new predecessor will grant the request).
+            SkueueMsg::LeaveDeferred => self.set_leave(|leave| match leave {
+                Leave::Requested => Leave::Wanted,
+                leave => leave,
+            }),
             SkueueMsg::AbsorbRequest => self.handle_absorb_request(from, ctx),
             SkueueMsg::AbsorbData(payload) => self.handle_absorb_data(from, *payload, ctx),
             // Churn that passed through a leaver while no flag could reach
             // its subtree: report it again, so a phase flags the subtree
             // through us.
             SkueueMsg::ChurnHandover { count } => {
-                self.membership_mut().pending_leave_count += count;
+                let count = Duty::new(DutyKind::Count(count), Step::Answered, Report::Unreported);
+                self.membership_mut().duties.push(count);
             }
             SkueueMsg::SiblingStatus { kind, active } => {
                 self.sibling_integrated[kind.index()] = active;
@@ -166,22 +462,18 @@ impl<T: Payload> SkueueNode<T> {
                 // phase flags this node's subtree.
                 let attached = active && !self.parent_is_absent_sibling();
                 if let Some(m) = self.membership.as_deref_mut().filter(|_| attached) {
-                    m.pending_leave_count += std::mem::take(&mut m.unflagged_churn);
+                    m.relabel(Report::Unflagged, Report::Unreported);
                 }
             }
             SkueueMsg::SetPred { new_pred } => {
-                if matches!(self.role, Role::Draining { .. }) {
+                if self.has_left() {
                     // A splice notification caught up with a node that has
                     // already handed itself over: whoever now precedes this
                     // position must link directly to our successor (we are
                     // out of the cycle), and vice versa.
-                    ctx.send(
-                        new_pred.node,
-                        SkueueMsg::SetSucc {
-                            new_succ: self.view.succ(),
-                        },
-                    );
-                    ctx.send(self.view.succ().node, SkueueMsg::SetPred { new_pred });
+                    let new_succ = self.view.succ();
+                    ctx.send(new_pred.node, SkueueMsg::SetSucc { new_succ });
+                    ctx.send(new_succ.node, SkueueMsg::SetPred { new_pred });
                     self.view.set_pred(new_pred);
                     return;
                 }
@@ -195,23 +487,21 @@ impl<T: Payload> SkueueNode<T> {
             }
             SkueueMsg::SetSucc { new_succ } => self.view.set_succ(new_succ),
             SkueueMsg::UpdateFlag { phase } => {
-                if matches!(self.role, Role::Active) && self.update().is_none() && !self.suspended {
+                if self.is_integrated() && !self.suspended() {
                     self.enter_update_phase(phase, Some(from), ctx);
                 } else {
                     // Still busy with an older phase, flagged twice across a
                     // splice, freshly integrated (no duties yet, resumes on
                     // `UpdateOver`), or draining: confirm right away so the
                     // flagger never waits on us.  Duties this node thereby
-                    // misses re-arm themselves when its own phase ends (see
+                    // misses are reported again when its own phase ends (see
                     // `handle_update_over`).
                     ctx.send(from, SkueueMsg::UpdateAck { phase });
                 }
             }
             SkueueMsg::UpdateAck { phase } => {
-                if let Some(update) = self.update_mut() {
-                    if update.phase == phase {
-                        update.awaiting_child_acks.retain(|&c| c != from);
-                    }
+                if let Some(update) = self.update_mut().filter(|u| u.phase == phase) {
+                    update.awaiting_child_acks.retain(|&c| c != from);
                 }
                 self.check_update_done(ctx);
             }
@@ -243,103 +533,64 @@ impl<T: Payload> SkueueNode<T> {
                 progress.hops += 1;
                 ctx.send(next, SkueueMsg::JoinRequest { joiner, progress });
             }
-            RouteAction::Deliver => {
-                // This node is responsible for the joiner.
-                let m = self.membership_mut();
-                if m.joiners.iter().any(|j| j.info.node == joiner.node) {
-                    return; // duplicate announcement
-                }
-                m.joiners.push(JoinerRecord {
-                    info: joiner,
-                    handed_over: false,
-                });
-                m.pending_join_count += 1;
-            }
+            // This node is responsible for the joiner.
+            RouteAction::Deliver => self.membership_mut().take_on(DutyKind::Joiner(joiner)),
         }
     }
 
     /// Splices all joiners this node is responsible for into the cycle and
-    /// hands each its share of the DHT data.  Called during the update phase.
-    fn integrate_joiners(&mut self, ctx: &mut Context<SkueueMsg<T>>) -> usize {
+    /// hands each its share of the DHT data.  Called when phase `phase`
+    /// starts here.
+    fn integrate_joiners(&mut self, phase: u64, ctx: &mut Context<SkueueMsg<T>>) {
         let Some(m) = self.membership.as_deref_mut() else {
-            return 0;
+            return;
         };
-        let mut joiners: Vec<JoinerRecord> = m
-            .joiners
-            .iter()
-            .filter(|j| !j.handed_over)
-            .copied()
-            .collect();
-        if joiners.is_empty() {
-            return 0;
+        let pending = |d: &mut Duty| d.step == Step::Pending && d.joiner().is_some();
+        let mut spliced: Vec<Duty> = m.duties.extract_if(.., pending).collect();
+        if spliced.is_empty() {
+            return;
         }
         // Sort by ring position clockwise from this node so the chain
         // me → j₁ → … → j_k → old_succ is correctly ordered even when the gap
         // wraps around the top of the ring.
         let me_label = self.view.me().label;
-        joiners.sort_by_key(|j| me_label.cw_distance(j.info.label));
-        let old_succ = self.view.succ();
-
-        // Hand out the data and the final neighbour pointers.  Remember the
-        // joiners so the phase-ending `UpdateOver` reaches them even if
-        // their `SiblingStatus` races the broadcast at their tree parents.
-        m.integrated_joiners
-            .extend(joiners.iter().map(|j| j.info.node));
-        for j in &mut m.joiners {
-            j.handed_over = true;
+        spliced.sort_by_key(|d| d.joiner().map(|j| me_label.cw_distance(j.label)));
+        for d in &mut spliced {
+            d.step = Step::Asked(phase);
+            d.relay = true;
         }
-        let count = joiners.len();
-        for (i, j) in joiners.iter().enumerate() {
-            let pred = if i == 0 {
-                self.view.me()
-            } else {
-                joiners[i - 1].info
-            };
-            let succ = if i + 1 < count {
-                joiners[i + 1].info
-            } else {
-                old_succ
-            };
-            let (entries, pending) = self.extract_store_range(j.info.label, succ.label);
-            ctx.send(
-                j.info.node,
-                SkueueMsg::Integrate {
-                    handover: Box::new(JoinHandover {
-                        pred,
-                        succ,
-                        entries,
-                        pending,
-                    }),
-                },
-            );
+        let (me, old_succ) = (self.view.me(), self.view.succ());
+        let joiners = spliced.iter().filter_map(Duty::joiner);
+        let chain: Vec<NeighborInfo> = once(me).chain(joiners).chain(once(old_succ)).collect();
+        m.duties.append(&mut spliced);
+
+        // Hand out the data and the final neighbour pointers: each joiner
+        // sits between its two neighbours in the chain.
+        let hasher = self.cfg.hasher();
+        for link in chain.windows(3) {
+            let (pred, joiner, succ) = (link[0], link[1], link[2]);
+            let store = &mut Work::of(&mut self.work, &self.cfg).store;
+            let key = |position| hasher.position_key(position);
+            let (entries, pending) = store.extract_range_with_keys(joiner.label, succ.label, key);
+            let handover = Box::new(JoinHandover {
+                pred,
+                succ,
+                entries,
+                pending,
+            });
+            ctx.send(joiner.node, SkueueMsg::Integrate { handover });
         }
         // Update the cycle around the gap: our successor becomes the first
         // joiner, and the old successor's predecessor becomes the last one.
-        self.view.set_succ(joiners[0].info);
-        if old_succ.node != self.view.me().node {
-            ctx.send(
-                old_succ.node,
-                SkueueMsg::SetPred {
-                    new_pred: joiners[count - 1].info,
-                },
-            );
+        let (first, new_pred) = (chain[1], chain[chain.len() - 2]);
+        self.view.set_succ(first);
+        if old_succ.node != me.node {
+            ctx.send(old_succ.node, SkueueMsg::SetPred { new_pred });
         } else {
             // Single-node corner case: we are our own successor; the last
             // joiner becomes our predecessor.
-            self.view.set_pred(joiners[count - 1].info);
+            self.view.set_pred(new_pred);
         }
-        count
-    }
-
-    fn extract_store_range(
-        &mut self,
-        lo: Label,
-        hi: Label,
-    ) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
-        let hasher = self.cfg.hasher();
-        Work::of(&mut self.work, &self.cfg)
-            .store
-            .extract_range_with_keys(lo, hi, |position| hasher.position_key(position))
     }
 
     fn handle_integrate(
@@ -348,12 +599,14 @@ impl<T: Payload> SkueueNode<T> {
         handover: JoinHandover<T>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        debug_assert!(matches!(self.role, Role::Joining { .. }));
+        debug_assert!(matches!(self.lifecycle, Lifecycle::Joining { .. }));
         self.view.set_pred(handover.pred);
         self.view.set_succ(handover.succ);
-        self.role = Role::Active;
         // Do not start batching before the update phase is over.
-        self.suspended = true;
+        self.lifecycle = Lifecycle::Member {
+            leave: self.leave(),
+            resumed: false,
+        };
         let store = &mut Work::of(&mut self.work, &self.cfg).store;
         for satisfied in store.absorb(handover.entries, handover.pending) {
             let reply = DhtReplyItem {
@@ -367,7 +620,6 @@ impl<T: Payload> SkueueNode<T> {
         // cycle (coalesced with everything else this visit routes).
         let m = self.membership_mut();
         m.bootstrap = None;
-        m.join_sent = false;
         for routed in std::mem::take(&mut m.deferred_dht) {
             self.dispatch_dht(routed.op, routed.progress, ctx);
         }
@@ -380,16 +632,11 @@ impl<T: Payload> SkueueNode<T> {
     /// Notifies the process's other two virtual nodes about this node's
     /// membership status.
     fn announce_sibling_status(&self, active: bool, ctx: &mut Context<SkueueMsg<T>>) {
-        let my_kind = self.view.kind();
-        for kind in skueue_overlay::VKind::ALL {
-            if kind != my_kind {
-                ctx.send(
-                    self.view.sibling(kind).node,
-                    SkueueMsg::SiblingStatus {
-                        kind: my_kind,
-                        active,
-                    },
-                );
+        let kind = self.view.kind();
+        for sibling in skueue_overlay::VKind::ALL {
+            if sibling != kind {
+                let status = SkueueMsg::SiblingStatus { kind, active };
+                ctx.send(self.view.sibling(sibling).node, status);
             }
         }
     }
@@ -397,19 +644,18 @@ impl<T: Payload> SkueueNode<T> {
     /// A handed-over joiner whose integration message may still be in flight
     /// is the true owner of keys in its range; forward operations to it.
     pub(crate) fn joiner_responsible_for(&self, key: Label) -> Option<NodeId> {
-        let joiners = &self.membership()?.joiners;
+        let duties = &self.membership()?.duties;
         let me = self.view.me().label;
         // The best candidate is the handed-over joiner with the largest label
         // that is still ≤ key (in ring order starting from this node).
-        joiners
+        duties
             .iter()
-            .filter(|j| j.handed_over)
-            .filter(|j| {
-                // key must lie clockwise of the joiner and the joiner clockwise of us.
-                me.cw_distance(j.info.label) <= me.cw_distance(key)
-            })
-            .max_by_key(|j| me.cw_distance(j.info.label))
-            .map(|j| j.info.node)
+            .filter(|d| matches!(d.step, Step::Asked(_)))
+            .filter_map(Duty::joiner)
+            // key must lie clockwise of the joiner and the joiner clockwise of us.
+            .filter(|j| me.cw_distance(j.label) <= me.cw_distance(key))
+            .max_by_key(|j| me.cw_distance(j.label))
+            .map(|j| j.node)
     }
 
     // ---------------------------------------------------------------------
@@ -419,20 +665,14 @@ impl<T: Payload> SkueueNode<T> {
     fn handle_leave_request(&mut self, leaver: NeighborInfo, ctx: &mut Context<SkueueMsg<T>>) {
         // Leftmost-leaves-first priority: if we want to leave ourselves and
         // are to the left of the requester, it has to wait for us.
-        let m = self.membership_mut();
-        if m.wants_to_leave {
+        if matches!(
+            self.leave(),
+            Leave::Wanted | Leave::Requested | Leave::Granted
+        ) {
             ctx.send(leaver.node, SkueueMsg::LeaveDeferred);
             return;
         }
-        if m.pending_leavers.iter().any(|l| l.info.node == leaver.node) {
-            ctx.send(leaver.node, SkueueMsg::LeaveGranted);
-            return;
-        }
-        m.pending_leavers.push(LeaverRecord {
-            info: leaver,
-            absorb_requested: false,
-        });
-        m.pending_leave_count += 1;
+        self.membership_mut().take_on(DutyKind::Leaver(leaver.node));
         ctx.send(leaver.node, SkueueMsg::LeaveGranted);
     }
 
@@ -458,35 +698,40 @@ impl<T: Payload> SkueueNode<T> {
     /// Completes a deferred absorption once the leaver is ready (checked on
     /// every timeout).
     pub(crate) fn maybe_complete_deferred_absorb(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
+        let Some(absorber) = self.membership().and_then(|m| m.absorb_deferred) else {
+            return;
+        };
         if self.ready_to_be_absorbed() {
-            let deferred = self
-                .membership
-                .as_deref_mut()
-                .and_then(|m| m.absorb_deferred.take());
-            if let Some(absorber) = deferred {
-                self.send_absorb_data(absorber, ctx);
-            }
+            self.membership_mut().absorb_deferred = None;
+            self.send_absorb_data(absorber, ctx);
         }
     }
 
     fn send_absorb_data(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
         // The leaver's stored data *moves* to the absorber — no payload
         // clones; the store is left empty for the draining role.
-        let (entries, pending) = Work::of(&mut self.work, &self.cfg).store.take_all();
-        let children = self.lanes.of(LaneKind::Child);
-        let child_batches = match self.work.as_deref_mut() {
-            Some(work) => work.child_batches.drain_all(children),
-            None => Vec::new(),
-        };
+        let work = Work::of(&mut self.work, &self.cfg);
+        let (entries, pending) = work.store.take_all();
+        let child_batches = work.child_batches.drain_all(self.lanes.of(LaneKind::Child));
         // Joiners this node was responsible for but never integrated (their
-        // announcement can race the leave) move to the absorber wholesale.
-        let m = self.membership_mut();
-        let joiners: Vec<NeighborInfo> = std::mem::take(&mut m.joiners)
-            .into_iter()
-            .filter(|j| !j.handed_over)
-            .map(|j| j.info)
-            .collect();
-        let count = std::mem::take(&mut m.unflagged_churn);
+        // announcement can race the leave) move to the absorber wholesale,
+        // and so does churn forwarded under an absent parent.
+        let (mut joiners, mut count, m) = (Vec::new(), 0, self.membership_mut());
+        m.duties.retain(|d| match (d.kind, d.step, d.report) {
+            (DutyKind::Joiner(info), Step::Pending, _) => {
+                joiners.push(info);
+                false
+            }
+            (DutyKind::Count(churn), _, Report::Unflagged) => {
+                count += churn;
+                false
+            }
+            // Dropped, not handed over: unreported counts and granted
+            // leavers, which the draining node never reports or absorbs — a
+            // known gap (ROADMAP item 1's leads).  Only the phase-end relays
+            // are still owed.
+            _ => d.relay,
+        });
         let payload = AbsorbPayload {
             pred: self.view.pred(),
             succ: self.view.succ(),
@@ -505,7 +750,10 @@ impl<T: Payload> SkueueNode<T> {
             ctx.trace(self.shard, TraceEvent::Absorbed { process, round });
         }
         self.announce_sibling_status(false, ctx);
-        self.role = Role::Draining { absorber: from };
+        self.lifecycle = Lifecycle::Draining {
+            absorber: from,
+            resumed: self.resumed(),
+        };
     }
 
     fn handle_absorb_data(
@@ -524,13 +772,7 @@ impl<T: Payload> SkueueNode<T> {
         // future update phase integrates them here.
         let m = self.membership_mut();
         for info in payload.joiners {
-            if !m.joiners.iter().any(|j| j.info.node == info.node) {
-                m.joiners.push(JoinerRecord {
-                    info,
-                    handed_over: false,
-                });
-                m.pending_join_count += 1;
-            }
+            m.take_on(DutyKind::Joiner(info));
         }
         // Splice the leaver out of the cycle.  The leaver is *usually* still
         // our direct successor, but joiners integrated during the same update
@@ -547,31 +789,18 @@ impl<T: Payload> SkueueNode<T> {
                 self.view.set_pred(self.view.me());
             } else {
                 self.view.set_succ(payload.succ);
-                ctx.send(
-                    payload.succ.node,
-                    SkueueMsg::SetPred {
-                        new_pred: self.view.me(),
-                    },
-                );
+                let new_pred = self.view.me();
+                ctx.send(payload.succ.node, SkueueMsg::SetPred { new_pred });
             }
         } else if payload.pred.node != self.view.me().node {
             // A spliced joiner sits between us and the leaver; re-link the
             // leaver's actual neighbours with each other.
-            ctx.send(
-                payload.pred.node,
-                SkueueMsg::SetSucc {
-                    new_succ: payload.succ,
-                },
-            );
-            if payload.succ.node == self.view.me().node {
-                self.view.set_pred(payload.pred);
+            let (new_pred, new_succ) = (payload.pred, payload.succ);
+            ctx.send(new_pred.node, SkueueMsg::SetSucc { new_succ });
+            if new_succ.node == self.view.me().node {
+                self.view.set_pred(new_pred);
             } else {
-                ctx.send(
-                    payload.succ.node,
-                    SkueueMsg::SetPred {
-                        new_pred: payload.pred,
-                    },
-                );
+                ctx.send(new_succ.node, SkueueMsg::SetPred { new_pred });
             }
         } else {
             // Our successor already moved on to a spliced joiner, but the
@@ -588,14 +817,16 @@ impl<T: Payload> SkueueNode<T> {
         if let Some(state) = payload.anchor {
             ctx.send(self.view.succ().node, SkueueMsg::AnchorTransfer { state });
         }
-        let m = self.membership_mut();
-        m.pending_leavers.retain(|l| l.info.node != from);
-        // The leaver is out of the new tree; remember it so the phase-ending
-        // `UpdateOver` still reaches its old subtree through it.
-        m.absorbed_leavers.push(from);
-        if let Some(update) = m.update.as_mut() {
-            update.awaiting_absorb_data = update.awaiting_absorb_data.saturating_sub(1);
-        }
+        // The leaver is out of the new tree; it moves behind the leavers
+        // absorbed before it, so the phase-ending `UpdateOver` still reaches
+        // its old subtree through it.
+        let (m, leaver) = (self.membership_mut(), DutyKind::Leaver(from));
+        let report = m
+            .open(leaver)
+            .map_or(Report::Reported, |i| m.duties.remove(i).report);
+        let mut absorbed = Duty::new(leaver, Step::Answered, report);
+        absorbed.relay = true;
+        m.duties.push(absorbed);
         self.check_update_done(ctx);
     }
 
@@ -671,7 +902,6 @@ impl<T: Payload> SkueueNode<T> {
             self.last_update_phase
         );
         self.last_update_phase = phase;
-        self.suspended = true;
         if !self.cfg.trace_level.is_off() {
             let round = ctx.round();
             ctx.trace(self.shard, TraceEvent::PhaseEnter { phase, round });
@@ -682,23 +912,19 @@ impl<T: Payload> SkueueNode<T> {
         for &child in &awaiting_child_acks {
             ctx.send(child, SkueueMsg::UpdateFlag { phase });
         }
-        let integrated = self.integrate_joiners(ctx);
-        // Ask granted leavers for their state.
-        let mut absorb_requests = 0;
+        self.integrate_joiners(phase, ctx);
+        // Ask granted leavers for their state, in grant order.
         let m = self.membership_mut();
-        for l in &mut m.pending_leavers {
-            if !l.absorb_requested {
-                ctx.send(l.info.node, SkueueMsg::AbsorbRequest);
-                absorb_requests += 1;
-                l.absorb_requested = true;
+        for d in &mut m.duties {
+            if let (DutyKind::Leaver(leaver), Step::Pending) = (d.kind, d.step) {
+                ctx.send(leaver, SkueueMsg::AbsorbRequest);
+                d.step = Step::Asked(phase);
             }
         }
         m.update = Some(UpdatePhase {
             phase,
             awaiting_child_acks,
             old_parent,
-            awaiting_integrate_acks: integrated,
-            awaiting_absorb_data: absorb_requests,
             acked: false,
         });
         self.check_update_done(ctx);
@@ -707,13 +933,15 @@ impl<T: Payload> SkueueNode<T> {
     /// Checks whether this node has finished all update-phase duties and can
     /// acknowledge to its old parent (or, at the anchor, end the phase).
     pub(crate) fn check_update_done(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        let Some(u) = self.update_mut() else {
+        let Some(m) = self.membership.as_deref_mut() else {
+            return;
+        };
+        let Some(u) = m.update.as_mut() else {
             return;
         };
         let done = !u.acked
             && u.awaiting_child_acks.is_empty()
-            && u.awaiting_integrate_acks == 0
-            && u.awaiting_absorb_data == 0;
+            && !m.duties.iter().any(|d| d.step == Step::Asked(u.phase));
         if !done {
             return;
         }
@@ -761,8 +989,12 @@ impl<T: Payload> SkueueNode<T> {
         // phase, or suspended as a freshly integrated joiner): a stray
         // duplicate must not cascade down the whole subtree again, and a
         // node that skipped the phase has no participants below it.
-        let participating = self.suspended || self.update().is_some();
-        self.suspended = false;
+        let participating = self.suspended();
+        if let Lifecycle::Member { resumed, .. } | Lifecycle::Draining { resumed, .. } =
+            &mut self.lifecycle
+        {
+            *resumed = true;
+        }
         if participating {
             if !self.cfg.trace_level.is_off() {
                 let round = ctx.round();
@@ -778,35 +1010,28 @@ impl<T: Payload> SkueueNode<T> {
         };
         m.update = None;
         if participating {
-            // Leavers absorbed this phase are no longer anyone's tree child,
-            // but their old subtrees may contain nodes only reachable
-            // through them (a sibling that could not leave yet); relay the
-            // phase end.
-            for leaver in std::mem::take(&mut m.absorbed_leavers) {
-                ctx.send(leaver, SkueueMsg::UpdateOver { phase });
-            }
-            // Likewise for joiners integrated this phase, whose tree parents
-            // may not know them yet (`SiblingStatus` still in flight).
-            for joiner in std::mem::take(&mut m.integrated_joiners) {
-                ctx.send(joiner, SkueueMsg::UpdateOver { phase });
+            // Relay the phase end to the leavers absorbed in it, in
+            // absorption order, then to the joiners spliced in, clockwise.
+            for leavers in [true, false] {
+                let relays = m.duties.iter_mut();
+                for d in relays.filter(|d| d.relay && d.is_leaver() == leavers) {
+                    d.relay = false;
+                    if let DutyKind::Joiner(NeighborInfo { node, .. }) | DutyKind::Leaver(node) =
+                        d.kind
+                    {
+                        ctx.send(node, SkueueMsg::UpdateOver { phase });
+                    }
+                }
             }
         }
         // Duties this node could not discharge in the phases it saw —
         // joiners announced after its `integrate_joiners` ran, leavers
         // granted after its absorb requests went out, or phases it had to
-        // decline while busy with an older one — re-arm the churn counters
-        // so a future phase picks them up.  `max` (not `+=`) keeps this
-        // idempotent: an original announcement increment that has not been
-        // flushed into a wave yet, or a duplicate `UpdateOver` delivery,
-        // must not double-count the same duty.
-        let missed = m.joiners.iter().filter(|j| !j.handed_over).count() as u64;
-        m.pending_join_count = m.pending_join_count.max(missed);
-        let missed = m
-            .pending_leavers
-            .iter()
-            .filter(|l| !l.absorb_requested)
-            .count() as u64;
-        m.pending_leave_count = m.pending_leave_count.max(missed);
+        // decline while busy with an older one — are reported again, so a
+        // future phase picks them up.
+        for d in m.duties.iter_mut().filter(|d| d.step == Step::Pending) {
+            d.report = Report::Unreported;
+        }
     }
 
     fn handle_anchor_transfer(&mut self, state: AnchorState, ctx: &mut Context<SkueueMsg<T>>) {
@@ -819,5 +1044,293 @@ impl<T: Payload> SkueueNode<T> {
             // Keep walking left.
             ctx.send(self.view.pred().node, SkueueMsg::AnchorTransfer { state });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{Batch, FirstRun};
+    use crate::config::{Mode, ProtocolConfig};
+    use crate::membership::joining_nodes;
+    use skueue_overlay::{node_of, recommended_bit_budget, LabelHasher, Topology, VirtualId};
+    use skueue_sim::actor::Actor;
+    use skueue_sim::ids::ProcessId;
+    use std::sync::Arc;
+
+    type Sent = Vec<(NodeId, SkueueMsg<u64>)>;
+
+    /// What membership costs: the lifecycle inline on every node, the
+    /// bookkeeping behind its box only while something is outstanding, and
+    /// one duty per joiner, leaver or count in it.
+    #[test]
+    fn a_lifecycle_is_16_bytes_and_the_bookkeeping_136() {
+        use std::mem::size_of;
+        assert!(size_of::<Lifecycle>() <= 16);
+        assert!(size_of::<Membership<u64>>() <= 136);
+        assert!(size_of::<Duty>() <= 56);
+    }
+
+    fn config() -> Arc<ProtocolConfig> {
+        Arc::new(ProtocolConfig {
+            bit_budget: recommended_bit_budget(4),
+            ..ProtocolConfig::queue()
+        })
+    }
+
+    /// The middle node of process 0 in a four-process queue (not the
+    /// anchor: its tree parent is its left sibling).
+    fn member() -> SkueueNode<u64> {
+        let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+        let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
+        let view = topology
+            .local_view(VirtualId::middle(ProcessId(0)), &node_of)
+            .expect("own vid");
+        SkueueNode::new(config(), 0, view, false)
+    }
+
+    /// Runs `f` on `node` in a context of `round`; what it sent.
+    fn step(
+        node: &mut SkueueNode<u64>,
+        round: u64,
+        f: impl FnOnce(&mut SkueueNode<u64>, &mut Context<SkueueMsg<u64>>),
+    ) -> Sent {
+        let mut ctx = Context::new(node.view.me().node, round);
+        f(node, &mut ctx);
+        ctx.into_outbox()
+    }
+
+    fn to_each(nodes: &[NodeId], msg: SkueueMsg<u64>) -> Sent {
+        nodes.iter().map(|&n| (n, msg.clone())).collect()
+    }
+
+    /// `Wanted` → `LeaveRequest` → `LeaveDeferred` → `Wanted` → asked again
+    /// on the next timeout → `LeaveGranted` → an `AbsorbRequest` deferred
+    /// while a wave is in flight → `AbsorbData` on the first timeout after
+    /// the wave is served → `Draining`.
+    #[test]
+    fn a_leaver_asks_again_after_a_deferral_and_goes_once_its_waves_are_served() {
+        let mut node = member();
+        let (me, pred) = (node.view.me(), node.view.pred().node);
+        let (parent, child) = (node.tree_parent().unwrap(), NodeId(1000));
+        // A child's sub-batch puts a wave in flight; the own log stays empty.
+        let batch = Batch::from_parts(FirstRun::Enqueues, vec![2], 0, 0);
+        let sent = step(&mut node, 2, |n, ctx| {
+            let aggregate = SkueueMsg::Aggregate {
+                child,
+                epoch: 1,
+                batch,
+            };
+            n.on_message(child, aggregate, ctx);
+            n.on_timeout(ctx);
+        });
+        let (epoch, batch) = sent
+            .into_iter()
+            .find_map(|(to, msg)| match msg {
+                SkueueMsg::Aggregate { epoch, batch, .. } if to == parent => Some((epoch, batch)),
+                _ => None,
+            })
+            .expect("the sub-batch opened a wave");
+        assert!(!node.wants_timeout(), "the aggregate is unconfirmed");
+
+        node.request_leave();
+        assert_eq!(node.leave(), Leave::Wanted);
+        assert!(node.wants_timeout());
+        let ask = SkueueMsg::LeaveRequest { leaver: me };
+        let sent = step(&mut node, 3, |n, ctx| n.on_timeout(ctx));
+        assert_eq!(sent, [(pred, ask.clone())]);
+        assert_eq!(node.leave(), Leave::Requested);
+        assert!(!node.wants_timeout());
+
+        // The predecessor leaves first: back to `Wanted`, asked again.
+        let sent = step(&mut node, 4, |n, ctx| {
+            n.on_message(pred, SkueueMsg::LeaveDeferred, ctx)
+        });
+        assert_eq!(sent, []);
+        assert_eq!(node.leave(), Leave::Wanted);
+        assert!(node.wants_timeout());
+        let sent = step(&mut node, 5, |n, ctx| n.on_timeout(ctx));
+        assert_eq!(sent, [(pred, ask)]);
+        assert!(!node.wants_timeout());
+
+        let sent = step(&mut node, 6, |n, ctx| {
+            n.on_message(pred, SkueueMsg::LeaveGranted, ctx)
+        });
+        assert_eq!(sent, []);
+        assert_eq!(node.leave(), Leave::Granted);
+        assert!(!node.wants_timeout());
+
+        // Asked for its state with a wave in flight: it waits.
+        let sent = step(&mut node, 7, |n, ctx| {
+            n.on_message(pred, SkueueMsg::AbsorbRequest, ctx)
+        });
+        assert_eq!(sent, []);
+        assert!(
+            node.wants_timeout(),
+            "the deferred hand-over wakes the node"
+        );
+        assert_eq!(step(&mut node, 8, |n, ctx| n.on_timeout(ctx)), []);
+        assert!(node.is_integrated());
+
+        // The wave is served: the next timeout hands the node over.
+        let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+        let sent = step(&mut node, 9, |n, ctx| {
+            n.on_message(parent, SkueueMsg::Serve { epoch, runs }, ctx);
+            n.on_timeout(ctx);
+        });
+        let served = |(to, msg): &(NodeId, SkueueMsg<u64>)| {
+            *to == child && matches!(msg, SkueueMsg::Serve { .. })
+        };
+        assert!(served(&sent[0]), "{sent:?}");
+        assert!(matches!(&sent[1], (to, SkueueMsg::AbsorbData(_)) if *to == pred));
+        let siblings: Vec<NodeId> = sent[2..].iter().map(|(to, _)| *to).collect();
+        let left = SkueueMsg::SiblingStatus {
+            kind: me.kind(),
+            active: false,
+        };
+        assert_eq!(sent[2..], to_each(&siblings, left));
+        assert_eq!(siblings.len(), 2);
+        assert_eq!(
+            node.lifecycle,
+            Lifecycle::Draining {
+                absorber: pred,
+                resumed: true
+            }
+        );
+        assert!(node.has_left() && !node.wants_timeout());
+    }
+
+    /// A joiner announces itself once, is a member but suspended from
+    /// `Integrate` on — a flag is acked at once, no wave of its own opens —
+    /// and resumes on the phase's `UpdateOver`, which it passes on.  A
+    /// leave asked for while it joins survives the integration.
+    #[test]
+    fn a_joiner_announces_once_and_stays_suspended_until_the_phase_ends() {
+        let responsible = member();
+        let (by, succ) = (responsible.view.me(), responsible.view.succ());
+        let [_, mut node, _] = joining_nodes::<u64>(&config(), 0, ProcessId(4), by.node);
+        let me = node.view.me();
+        assert!(node.wants_timeout());
+        let sent = step(&mut node, 1, |n, ctx| n.on_timeout(ctx));
+        assert!(
+            matches!(&sent[..], [(to, SkueueMsg::JoinRequest { joiner, .. })]
+                if *to == by.node && *joiner == me),
+            "{sent:?}"
+        );
+        assert!(!node.wants_timeout());
+        assert_eq!(step(&mut node, 2, |n, ctx| n.on_timeout(ctx)), []);
+        node.request_leave();
+        assert!(
+            !node.wants_timeout(),
+            "a joiner asks to leave once it is a member"
+        );
+
+        let handover = JoinHandover {
+            pred: by,
+            succ,
+            entries: Vec::new(),
+            pending: Vec::new(),
+        };
+        let integrate = SkueueMsg::Integrate {
+            handover: Box::new(handover),
+        };
+        let sent = step(&mut node, 3, |n, ctx| n.on_message(by.node, integrate, ctx));
+        let siblings: Vec<NodeId> = sent[..2].iter().map(|(to, _)| *to).collect();
+        let active = SkueueMsg::SiblingStatus {
+            kind: me.kind(),
+            active: true,
+        };
+        let mut expected = to_each(&siblings, active);
+        expected.push((by.node, SkueueMsg::IntegrateAck));
+        assert_eq!(sent, expected);
+        assert_eq!(
+            node.lifecycle,
+            Lifecycle::Member {
+                leave: Leave::Wanted,
+                resumed: false
+            }
+        );
+        assert!(node.suspended());
+
+        // No duties in a phase yet: a flag is acked at once.
+        let flag = SkueueMsg::UpdateFlag { phase: 1 };
+        let sent = step(&mut node, 4, |n, ctx| n.on_message(by.node, flag, ctx));
+        assert_eq!(sent, [(by.node, SkueueMsg::UpdateAck { phase: 1 })]);
+        assert!(node.update().is_none() && node.suspended());
+
+        // The phase's end resumes it and reaches its children.
+        let children = node.tree_children().to_vec();
+        let over = SkueueMsg::UpdateOver { phase: 1 };
+        let sent = step(&mut node, 5, |n, ctx| {
+            n.on_message(by.node, over.clone(), ctx)
+        });
+        assert_eq!(sent, to_each(&children, over));
+        assert!(!node.suspended());
+        assert!(node.wants_timeout(), "the wanted leave is asked for now");
+    }
+
+    /// The responsible node's side of a join as one duty: announced and
+    /// unreported, reported by the next wave, asked in the phase, answered
+    /// by the ack, relayed the phase end, then gone with the bookkeeping.
+    #[test]
+    fn a_joiner_duty_is_reported_spliced_acked_relayed_and_dropped() {
+        let mut node = member();
+        let (me, old_succ) = (node.view.me(), node.view.succ());
+        let parent = node.tree_parent().unwrap();
+        let gap = me.label.cw_distance(old_succ.label);
+        let vid = VirtualId::middle(ProcessId(4));
+        let joiner = NeighborInfo::new(node_of(vid), vid, Label(me.label.0 + gap / 2));
+        node.membership_mut().take_on(DutyKind::Joiner(joiner));
+        node.membership_mut().take_on(DutyKind::Joiner(joiner));
+        assert_eq!(node.membership().unwrap().unreported(), (1, 0));
+        assert!(node.wants_timeout());
+
+        let sent = step(&mut node, 2, |n, ctx| n.on_timeout(ctx));
+        let churn = SkueueMsg::Aggregate {
+            child: me.node,
+            epoch: 1,
+            batch: Batch::from_parts(FirstRun::Enqueues, Vec::new(), 1, 0),
+        };
+        assert_eq!(sent, [(parent, churn)]);
+        assert_eq!(node.membership().unwrap().unreported(), (0, 0));
+
+        let children = node.tree_children().to_vec();
+        let flag = SkueueMsg::UpdateFlag { phase: 1 };
+        let sent = step(&mut node, 3, |n, ctx| {
+            n.on_message(parent, flag.clone(), ctx)
+        });
+        let mut expected = to_each(&children, flag);
+        let handover = JoinHandover {
+            pred: me,
+            succ: old_succ,
+            entries: Vec::new(),
+            pending: Vec::new(),
+        };
+        let integrate = SkueueMsg::Integrate {
+            handover: Box::new(handover),
+        };
+        expected.push((joiner.node, integrate));
+        expected.push((old_succ.node, SkueueMsg::SetPred { new_pred: joiner }));
+        assert_eq!(sent, expected);
+        assert_eq!(node.joiner_responsible_for(joiner.label), Some(joiner.node));
+
+        let sent = step(&mut node, 4, |n, ctx| {
+            n.on_message(joiner.node, SkueueMsg::IntegrateAck, ctx);
+            for &child in &children {
+                n.on_message(child, SkueueMsg::UpdateAck { phase: 1 }, ctx);
+            }
+        });
+        assert_eq!(sent, [(parent, SkueueMsg::UpdateAck { phase: 1 })]);
+        assert_eq!(node.joiner_responsible_for(joiner.label), None);
+
+        let children = node.tree_children().to_vec();
+        let over = SkueueMsg::UpdateOver { phase: 1 };
+        let sent = step(&mut node, 5, |n, ctx| {
+            n.on_message(parent, over.clone(), ctx)
+        });
+        let mut expected = to_each(&children, over.clone());
+        expected.push((joiner.node, over));
+        assert_eq!(sent, expected);
+        assert!(node.membership.is_none(), "every duty discharged");
     }
 }

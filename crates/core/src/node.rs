@@ -45,6 +45,7 @@
 use crate::anchor::{AnchorState, RunAssignment};
 use crate::batch::{Batch, BatchOp};
 use crate::config::{Mode, ProtocolConfig};
+use crate::join_leave::{Duty, DutyKind, Leave, Lifecycle, Membership, Report, Step, UpdatePhase};
 use crate::messages::{DhtOp, DhtReplyItem, PutMeta, RoutedDhtOp, SkueueMsg};
 use skueue_dht::{Element, GetOutcome, NodeStore, Payload, StoredEntry};
 use skueue_overlay::{
@@ -381,140 +382,6 @@ impl ChildBatches {
     }
 }
 
-/// Membership status of a virtual node (Section IV).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Role {
-    /// Fully integrated member of the LDB.
-    Active,
-    /// Waiting to be integrated; `responsible` is the node relaying for us
-    /// once the join request has been answered.
-    Joining {
-        /// The node responsible for this joiner (if already discovered).
-        responsible: Option<NodeId>,
-    },
-    /// Granted leave and absorbed; every received message is forwarded to the
-    /// absorber.
-    Draining {
-        /// The absorbing node (our former predecessor).
-        absorber: NodeId,
-    },
-}
-
-/// A joining node this node is responsible for (Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct JoinerRecord {
-    pub(crate) info: skueue_overlay::NeighborInfo,
-    pub(crate) handed_over: bool,
-}
-
-/// A leaver this node has granted and will absorb during the next update
-/// phase (Section IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LeaverRecord {
-    pub(crate) info: skueue_overlay::NeighborInfo,
-    pub(crate) absorb_requested: bool,
-}
-
-/// State of an ongoing update phase at this node.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct UpdatePhase {
-    /// The anchor's phase number this participation belongs to; control
-    /// messages of other phases are ignored (or, for a younger flag,
-    /// acknowledged without duties).
-    pub(crate) phase: u64,
-    /// Children (at flag time) we still expect an `UpdateAck` from.
-    pub(crate) awaiting_child_acks: Vec<NodeId>,
-    /// Parent (at flag time) to ack to once done.
-    pub(crate) old_parent: Option<NodeId>,
-    /// Joiners we still expect an `IntegrateAck` from.
-    pub(crate) awaiting_integrate_acks: usize,
-    /// Leavers we still expect `AbsorbData` from.
-    pub(crate) awaiting_absorb_data: usize,
-    /// Whether our own ack has been sent already.
-    pub(crate) acked: bool,
-}
-
-/// Join/leave/update-phase bookkeeping of a node (Section IV).  Every field
-/// is at its default while membership around the node is stable, so the
-/// node holds this behind an `Option<Box<_>>` that is `None` in steady state
-/// (see [`SkueueNode::release_idle_membership`]).
-#[derive(Debug, Default)]
-pub(crate) struct Membership<T> {
-    /// Bootstrap contact used by a joining node to send its `JOIN()` request.
-    pub(crate) bootstrap: Option<NodeId>,
-    /// Whether the join request has been sent already.
-    pub(crate) join_sent: bool,
-    /// DHT operations received while still joining; re-routed after
-    /// integration.
-    pub(crate) deferred_dht: Vec<RoutedDhtOp<T>>,
-    pub(crate) joiners: Vec<JoinerRecord>,
-    pub(crate) pending_leavers: Vec<LeaverRecord>,
-    /// An absorber asked for our state while waves were still in flight; the
-    /// hand-over happens as soon as every slot has been served.
-    pub(crate) absorb_deferred: Option<NodeId>,
-    /// Joiners this node integrated during the current update phase; the
-    /// phase-ending `UpdateOver` is relayed to them explicitly, because
-    /// their tree parents may not have processed the joiners'
-    /// `SiblingStatus` yet and would otherwise skip them in the broadcast.
-    pub(crate) integrated_joiners: Vec<NodeId>,
-    /// Leavers this node absorbed during the current update phase; they are
-    /// out of the new tree, so the phase-ending `UpdateOver` is forwarded to
-    /// them explicitly (they relay it down their old subtrees — e.g. to a
-    /// sibling that could not leave yet).
-    pub(crate) absorbed_leavers: Vec<NodeId>,
-    pub(crate) wants_to_leave: bool,
-    pub(crate) leave_granted: bool,
-    pub(crate) leave_requested: bool,
-    pub(crate) pending_join_count: u64,
-    pub(crate) pending_leave_count: u64,
-    /// Churn counts this node forwarded while its tree parent was a sibling
-    /// out of the tree (see [`SkueueNode::parent_is_absent_sibling`]): the
-    /// phase they start sends its flags down a tree that no longer reaches
-    /// the nodes that reported them.  Reported again once this node's
-    /// subtree hangs below an integrated node.
-    pub(crate) unflagged_churn: u64,
-    pub(crate) update: Option<UpdatePhase>,
-}
-
-impl<T> Membership<T> {
-    /// True when every field is back at its default.  Destructured without
-    /// `..` so a new field cannot be forgotten here.
-    fn is_idle(&self) -> bool {
-        let Membership {
-            bootstrap,
-            join_sent,
-            deferred_dht,
-            joiners,
-            pending_leavers,
-            absorb_deferred,
-            integrated_joiners,
-            absorbed_leavers,
-            wants_to_leave,
-            leave_granted,
-            leave_requested,
-            pending_join_count,
-            pending_leave_count,
-            unflagged_churn,
-            update,
-        } = self;
-        bootstrap.is_none()
-            && !join_sent
-            && deferred_dht.is_empty()
-            && joiners.is_empty()
-            && pending_leavers.is_empty()
-            && absorb_deferred.is_none()
-            && integrated_joiners.is_empty()
-            && absorbed_leavers.is_empty()
-            && !wants_to_leave
-            && !leave_granted
-            && !leave_requested
-            && *pending_join_count == 0
-            && *pending_leave_count == 0
-            && *unflagged_churn == 0
-            && update.is_none()
-    }
-}
-
 /// The stack's local-combining state (Section VI).  Only a node of a stack
 /// deployment that has generated a request holds one.
 #[derive(Debug, Default)]
@@ -668,7 +535,8 @@ pub struct SkueueNode<T: Payload = u64> {
     /// layout are pure functions of it and derived where needed.
     pub(crate) cfg: Arc<ProtocolConfig>,
     pub(crate) view: LocalView,
-    pub(crate) role: Role,
+    /// Joining, member or draining, with the node's own leave request.
+    pub(crate) lifecycle: Lifecycle,
     /// The anchor shard this node belongs to (0 in unsharded deployments).
     /// Everything the node does — its cycle, its aggregation tree, its DHT
     /// interval, its anchor — lives inside this shard.
@@ -686,7 +554,6 @@ pub struct SkueueNode<T: Payload = u64> {
     /// True while the most recent `Aggregate` has not been confirmed by the
     /// parent (at most one per channel keeps commits in epoch order).
     pub(crate) aggregate_unacked: bool,
-    pub(crate) suspended: bool,
 
     /// The first-contact order of the peers this node routes to, replies
     /// to and combines sub-batches from.  Inline, not in [`Work`]: it is
@@ -726,13 +593,15 @@ impl<T: Payload> SkueueNode<T> {
         SkueueNode {
             cfg,
             view,
-            role: Role::Active,
+            lifecycle: Lifecycle::Member {
+                leave: Leave::Stays,
+                resumed: true,
+            },
             shard,
             anchor: is_anchor.then(Box::default),
             next_epoch: 0,
             last_wave_round: 0,
             aggregate_unacked: false,
-            suspended: false,
             lanes: LaneOrder::default(),
             work: None,
             combining: None,
@@ -747,7 +616,10 @@ impl<T: Payload> SkueueNode<T> {
     /// neighbours.
     pub fn new_joining(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView) -> Self {
         let mut node = Self::new(cfg, shard, view, false);
-        node.role = Role::Joining { responsible: None };
+        node.lifecycle = Lifecycle::Joining {
+            announced: false,
+            leave: Leave::Stays,
+        };
         // Siblings of a joining process integrate one by one; each announces
         // itself via `SiblingStatus` when it does.
         node.sibling_integrated = [false; 3];
@@ -789,12 +661,16 @@ impl<T: Payload> SkueueNode<T> {
         self.membership.as_deref_mut()?.update.as_mut()
     }
 
-    /// Drops the membership bookkeeping once nothing is outstanding, so a
-    /// node in a stable neighbourhood carries none (checked at the end of
-    /// every visit step; one branch while it is already gone).
+    /// Forgets discharged duties and drops the membership bookkeeping once
+    /// nothing is outstanding, so a node in a stable neighbourhood carries
+    /// none (checked at the end of every visit step; one branch while it is
+    /// already gone).
     fn release_idle_membership(&mut self) {
-        if self.membership().is_some_and(Membership::is_idle) {
-            self.membership = None;
+        if let Some(m) = self.membership.as_deref_mut() {
+            m.duties.retain(|d| !d.is_discharged());
+            if m.is_idle() {
+                self.membership = None;
+            }
         }
     }
 
@@ -890,10 +766,7 @@ impl<T: Payload> SkueueNode<T> {
         value: T,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        debug_assert!(
-            matches!(self.role, Role::Active),
-            "only active nodes generate requests"
-        );
+        debug_assert!(self.is_integrated(), "only active nodes generate requests");
         let round = ctx.round();
         if !self.cfg.trace_level.is_off() {
             ctx.trace(
@@ -1143,7 +1016,7 @@ impl<T: Payload> SkueueNode<T> {
             || self.has_child_batches()
             || self
                 .membership()
-                .is_some_and(|m| m.pending_join_count > 0 || m.pending_leave_count > 0)
+                .is_some_and(|m| m.duties.iter().any(Duty::is_unreported))
     }
 
     /// True when a sub-batch from any peer is queued.
@@ -1183,10 +1056,10 @@ impl<T: Payload> SkueueNode<T> {
     }
 
     fn try_send_batch(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if !matches!(self.role, Role::Active) {
+        if !self.is_integrated() {
             return;
         }
-        if self.suspended {
+        if self.suspended() {
             // Update phase: new own waves are suspended, but in-flight waves
             // queued below this node must keep moving (see
             // [`Self::try_drain_wave`]).
@@ -1318,17 +1191,15 @@ impl<T: Payload> SkueueNode<T> {
             });
         let num_sources = memo.records.len() - first_source;
 
-        if !drain {
-            // Join/leave counters this node is itself responsible for.
-            if let Some(m) = self.membership.as_deref_mut() {
-                combined.joins += std::mem::take(&mut m.pending_join_count);
-                combined.leaves += std::mem::take(&mut m.pending_leave_count);
-            }
+        // Join/leave duties this node is itself responsible for.
+        if let Some(m) = self.membership.as_deref_mut().filter(|_| !drain) {
+            m.report(&mut combined);
         }
         let churn = combined.joins + combined.leaves;
         if churn > 0 && detached {
             let m = self.membership.get_or_insert_with(Box::default);
-            m.unflagged_churn += churn;
+            let count = Duty::new(DutyKind::Count(churn), Step::Answered, Report::Unflagged);
+            m.duties.push(count);
         }
 
         ctx.observe(series::BATCH_SIZES, combined.size() as u64);
@@ -1977,7 +1848,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // innocent node out of the absorber's aggregation tree), and a late
         // aggregate confirmation (it would clear the absorber's own
         // channel-serialisation credit).
-        if let Role::Draining { absorber } = self.role {
+        if let Lifecycle::Draining { absorber, .. } = self.lifecycle {
             match msg {
                 SkueueMsg::SetPred { .. }
                 | SkueueMsg::SetSucc { .. }
@@ -2032,7 +1903,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 self.handle_serve(epoch, runs, ctx);
             }
             SkueueMsg::DhtBatch { ops } => {
-                if matches!(self.role, Role::Joining { .. }) {
+                if matches!(self.lifecycle, Lifecycle::Joining { .. }) {
                     // Not part of the cycle yet: re-route after integration.
                     self.membership_mut().deferred_dht.extend(ops);
                 } else {
@@ -2054,13 +1925,13 @@ impl<T: Payload> Actor for SkueueNode<T> {
     }
 
     fn on_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        match self.role {
-            Role::Active => {
+        match self.lifecycle {
+            Lifecycle::Member { .. } => {
                 self.membership_timeout(ctx);
                 self.try_send_batch(ctx);
             }
-            Role::Joining { .. } => self.joining_timeout(ctx),
-            Role::Draining { .. } => {}
+            Lifecycle::Joining { .. } => self.joining_timeout(ctx),
+            Lifecycle::Draining { .. } => {}
         }
         // Everything routed during this visit (messages + timeout) leaves as
         // one batch per destination.
@@ -2080,19 +1951,19 @@ impl<T: Payload> Actor for SkueueNode<T> {
     /// [`Simulation::act`](skueue_sim::Simulation::act), which re-queries
     /// too.
     fn wants_timeout(&self) -> bool {
-        match self.role {
-            Role::Active => {
+        match self.lifecycle {
+            Lifecycle::Member { leave, .. } => {
                 let in_flight = self.work.as_deref().map_or(0, |w| w.slots.len());
                 let pipeline_open =
                     in_flight < self.cfg.effective_pipeline_depth() && !self.aggregate_unacked;
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
-                    || self.membership().is_some_and(|m| {
-                        m.absorb_deferred.is_some()
-                            || (m.wants_to_leave && !m.leave_requested && !m.leave_granted)
-                    })
+                    || leave == Leave::Wanted
+                    || self
+                        .membership()
+                        .is_some_and(|m| m.absorb_deferred.is_some())
             }
-            Role::Joining { .. } => !self.membership().is_some_and(|m| m.join_sent),
-            Role::Draining { .. } => false,
+            Lifecycle::Joining { announced, .. } => !announced,
+            Lifecycle::Draining { .. } => false,
         }
     }
 }
@@ -2431,7 +2302,7 @@ mod tests {
             let mut ctx = Context::new(anchor.view.me().node, 3 * WAVE_CADENCE);
             let handover = SkueueMsg::ChurnHandover { count: 1 };
             anchor.on_message(me, handover, &mut ctx);
-            assert_eq!(anchor.membership.as_deref().unwrap().pending_leave_count, 1);
+            assert_eq!(anchor.membership.as_deref().unwrap().unreported(), (0, 1));
         }
     }
 
@@ -2686,7 +2557,7 @@ mod tests {
             for (kind, a, b) in steps.into_iter().chain(drain) {
                 let mut ctx = Context::new(me, round);
                 let opened_before = waves_opened(&node);
-                let drain = node.suspended;
+                let drain = node.suspended();
                 match kind {
                     0 | 1 => {
                         let op = if a & 1 == 0 { BatchOp::Enqueue } else { BatchOp::Dequeue };
@@ -2736,7 +2607,11 @@ mod tests {
                     }
                     // An update phase begins or ends: while suspended, the
                     // node opens drain waves only.
-                    11 => node.suspended = !node.suspended,
+                    11 => {
+                        if let Lifecycle::Member { resumed, .. } = &mut node.lifecycle {
+                            *resumed = !*resumed;
+                        }
+                    }
                     _ => {
                         if !unserved.is_empty() {
                             let (epoch, runs) = unserved.remove((a % unserved.len() as u64) as usize);
