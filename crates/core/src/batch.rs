@@ -198,6 +198,17 @@ impl Batch {
         self.joins += other.joins;
         self.leaves += other.leaves;
     }
+
+    /// [`Self::combine`] for a batch that is not needed afterwards: an empty
+    /// batch takes `other` whole instead of allocating runs for a copy.
+    pub(crate) fn merge(&mut self, other: Batch) {
+        if self.runs.is_empty() && self.joins == 0 && self.leaves == 0 {
+            debug_assert_eq!(self.first, other.first, "cannot combine different layouts");
+            *self = other;
+        } else {
+            self.combine(&other);
+        }
+    }
 }
 
 impl Default for Batch {

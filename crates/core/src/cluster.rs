@@ -1257,9 +1257,9 @@ mod tests {
         cluster.run_until_all_complete(5_000).unwrap();
         let mut storing = 0;
         for (id, node) in cluster.nodes() {
-            let stores = node.work.as_deref().is_some_and(|w| !w.store.is_vacant());
+            let stores = node.requests().is_some_and(|r| !r.store.is_vacant());
             assert_eq!(
-                node.work.is_some(),
+                node.waves.is_some(),
                 stores,
                 "{id} holds work without storing"
             );
@@ -1603,7 +1603,11 @@ mod tests {
         );
         // Elements landed in their enqueuer's shard's position interval.
         for (_, node) in cluster.nodes() {
-            for entry in node.work.iter().flat_map(|w| w.store.iter_entries()) {
+            for entry in node
+                .requests()
+                .into_iter()
+                .flat_map(|r| r.store.iter_entries())
+            {
                 assert_eq!(
                     map.shard_of_position(entry.position),
                     node.shard(),

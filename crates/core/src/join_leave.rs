@@ -81,7 +81,7 @@
 use crate::anchor::AnchorState;
 use crate::batch::Batch;
 use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, RoutedDhtOp, SkueueMsg};
-use crate::node::{LaneKind, SkueueNode, Work};
+use crate::node::{LaneKind, Requests, SkueueNode};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
@@ -391,10 +391,10 @@ impl<T: Payload> SkueueNode<T> {
     /// that brings it no further update phase.
     pub(crate) fn membership_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         self.maybe_complete_deferred_absorb(ctx);
-        let drained = |w: &Work<T>| w.own_log.is_empty() && w.outstanding_gets.is_empty();
+        let drained = |r: &Requests<T>| r.own_log.is_empty() && r.outstanding_gets.is_empty();
         let granting = |m: &Membership<T>| m.duties.iter().any(|d| d.is_open() && d.is_leaver());
         if self.leave() == Leave::Wanted
-            && self.work.as_deref().is_none_or(drained)
+            && self.requests().is_none_or(drained)
             && !self.membership().is_some_and(granting)
             && self.anchor.is_none()
         {
@@ -569,7 +569,7 @@ impl<T: Payload> SkueueNode<T> {
         let hasher = self.cfg.hasher();
         for link in chain.windows(3) {
             let (pred, joiner, succ) = (link[0], link[1], link[2]);
-            let store = &mut Work::of(&mut self.work, &self.cfg).store;
+            let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
             let key = |position| hasher.position_key(position);
             let (entries, pending) = store.extract_range_with_keys(joiner.label, succ.label, key);
             let handover = Box::new(JoinHandover {
@@ -607,7 +607,7 @@ impl<T: Payload> SkueueNode<T> {
             leave: self.leave(),
             resumed: false,
         };
-        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
         for satisfied in store.absorb(handover.entries, handover.pending) {
             let reply = DhtReplyItem {
                 request: satisfied.get.request,
@@ -683,7 +683,7 @@ impl<T: Payload> SkueueNode<T> {
     /// `SkueueNode::try_drain_wave`) guarantees in-flight waves keep moving
     /// even below suspended ancestors, so deferring is always temporary.
     pub(crate) fn ready_to_be_absorbed(&self) -> bool {
-        self.work.as_deref().is_none_or(|w| w.slots.is_empty())
+        self.waves.as_deref().is_none_or(|w| w.slots.is_empty())
             && self.update().map(|u| u.acked).unwrap_or(true)
     }
 
@@ -710,9 +710,16 @@ impl<T: Payload> SkueueNode<T> {
     fn send_absorb_data(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
         // The leaver's stored data *moves* to the absorber — no payload
         // clones; the store is left empty for the draining role.
-        let work = Work::of(&mut self.work, &self.cfg);
-        let (entries, pending) = work.store.take_all();
-        let child_batches = work.child_batches.drain_all(self.lanes.of(LaneKind::Child));
+        let (entries, pending) = self
+            .requests_mut()
+            .map(|r| r.store.take_all())
+            .unwrap_or_default();
+        let children = self.lanes.of(LaneKind::Child);
+        let child_batches = self
+            .waves
+            .as_deref_mut()
+            .map(|w| w.child_batches.drain_all(children))
+            .unwrap_or_default();
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale,
         // and so does churn forwarded under an absent parent.
@@ -851,7 +858,7 @@ impl<T: Payload> SkueueNode<T> {
         let (pending, rerouted): (Vec<_>, Vec<_>) = pending
             .into_iter()
             .partition(|&(position, _)| view.is_responsible_for(hasher.position_key(position)));
-        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
         for satisfied in store.absorb(entries, pending) {
             let reply = DhtReplyItem {
                 request: satisfied.get.request,

@@ -183,7 +183,7 @@ fn count_u32(count: impl TryInto<u32>) -> u32 {
 /// tree and its assignments have not come back yet.  Only how many memo
 /// records are the wave's is kept.  Its epoch follows from its place in the
 /// ring (a slot is pushed only with a new epoch and popped only at the
-/// front), every slot in flight shares the parent in [`Work::wave_parent`],
+/// front), every slot in flight shares the parent in [`Waves::wave_parent`],
 /// and the runs travelled up in the `Aggregate` message and come back as
 /// `Serve` assignments.
 #[derive(Debug, Clone, Copy)]
@@ -256,7 +256,7 @@ impl<T> Coalesced<T> for DhtReplyItem<T> {
 /// `DhtBatch`es and `DhtReplyBatch`es and the combination order of a wave's
 /// sub-batches, so it lives as long as the node; what travels in those
 /// lanes does not (a visit's batches are staged in its [`Context`], queued
-/// sub-batches sit in [`Work`]).  One allocation: the three lists back to
+/// sub-batches sit in [`Waves`]).  One allocation: the three lists back to
 /// back, routes first.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneOrder {
@@ -332,13 +332,16 @@ impl ChildBatches {
     /// epoch order (the aggregate credit serialises each channel), but an
     /// absorb hand-over races the draining parent's forwarded aggregates on
     /// independently delayed messages — and commit order to the anchor must
-    /// stay epoch (= the child's program) order regardless.
+    /// stay epoch (= the child's program) order regardless.  The list grows
+    /// by exactly one entry when full: most nodes queue one sub-batch at a
+    /// time, and a list lives as long as its node's wave half.
     pub(crate) fn push(&mut self, child: NodeId, epoch: u64, batch: Batch) {
         let at = self
             .0
             .iter()
             .position(|&(n, e, _)| n == child && e > epoch)
             .unwrap_or(self.0.len());
+        self.0.reserve_exact(1);
         self.0.insert(at, (child, epoch, batch));
     }
 
@@ -399,15 +402,16 @@ pub(crate) struct LocalCombining<T> {
     pub(crate) minor_counter: u64,
 }
 
-/// A node's requests, waves, stored elements and outputs: every field is
-/// empty whenever the node has nothing in flight, nothing stored and nothing
-/// uncollected, so the node holds this behind an `Option<Box<_>>` that is
-/// `None` while it is idle (see [`SkueueNode::release_idle_work`]).
+/// The wave half of a node's work: the sub-batches it combines and the
+/// waves it has forwarded, which is all a node that only relays its
+/// children's sub-batches keeps.  Every field is empty whenever the node has
+/// no wave in flight, nothing queued and no request half, so the node holds
+/// this behind an `Option<Box<_>>` that is `None` while it is idle (see
+/// [`SkueueNode::release_idle_work`]).  The request half sits behind a
+/// second pointer inside it, so the node's own slot carries one pointer for
+/// both.
 #[derive(Debug)]
-pub(crate) struct Work<T> {
-    // --- Stage 1 ------------------------------------------------------------
-    pub(crate) own_batch: Batch,
-    pub(crate) own_log: Vec<LocalOp<T>>,
+pub(crate) struct Waves<T> {
     /// Sub-batches from children not yet combined.
     pub(crate) child_batches: ChildBatches,
     /// In-flight waves, oldest first: at most
@@ -423,6 +427,70 @@ pub(crate) struct Work<T> {
     pub(crate) memo: WaveMemo,
     /// Serves that arrived ahead of older waves (asynchronous reordering).
     pub(crate) serve_stash: Vec<StashedServe>,
+    /// The request half; `None` on a node with no request, no stored
+    /// element and no uncollected completion.
+    pub(crate) requests: Option<Box<Requests<T>>>,
+}
+
+impl<T> Waves<T> {
+    /// The wave half in `slot`, allocated on first use.  Takes the node's
+    /// field rather than the node, so a caller keeps its borrows of the
+    /// node's other fields.
+    #[inline]
+    pub(crate) fn of(slot: &mut Option<Box<Waves<T>>>) -> &mut Self {
+        match slot {
+            Some(waves) => waves,
+            None => Self::allocate(slot),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate(slot: &mut Option<Box<Waves<T>>>) -> &mut Self {
+        slot.insert(Box::new(Waves {
+            child_batches: ChildBatches::default(),
+            slots: VecDeque::new(),
+            wave_parent: None,
+            memo: WaveMemo::default(),
+            serve_stash: Vec::new(),
+            requests: None,
+        }))
+    }
+
+    /// True when every field is empty.  Destructured without `..` so a new
+    /// field cannot be forgotten here; the fields a busy node most often
+    /// holds come first.
+    fn is_idle(&self) -> bool {
+        let Waves {
+            slots,
+            requests,
+            child_batches,
+            // Read only while a slot is in flight.
+            wave_parent: _,
+            memo,
+            serve_stash,
+        } = self;
+        slots.is_empty()
+            && requests.is_none()
+            && child_batches.is_empty()
+            && memo.records.is_empty()
+            && memo.runs.is_empty()
+            && serve_stash.is_empty()
+    }
+}
+
+/// The request half of a node's work: its own requests from issue to
+/// completion, its DHT partition and the completion records the host has
+/// not collected.  Only a process's middle node issues requests, so a left
+/// or right node holds this only while it stores an element, parks a GET
+/// or keeps an enqueue's completion record.  Every field is empty whenever
+/// the node has none of them, and the half is then dropped by itself (see
+/// [`SkueueNode::release_idle_work`]).
+#[derive(Debug)]
+pub(crate) struct Requests<T> {
+    // --- Stage 1 ------------------------------------------------------------
+    pub(crate) own_batch: Batch,
+    pub(crate) own_log: Vec<LocalOp<T>>,
 
     // --- Stage 4 ------------------------------------------------------------
     pub(crate) store: NodeStore<T>,
@@ -436,29 +504,28 @@ pub(crate) struct Work<T> {
     pub(crate) completed: Vec<OpRecord<T>>,
 }
 
-impl<T: Payload> Work<T> {
-    /// The work state in `slot`, allocated on first use.  Takes the node's
-    /// two fields it needs rather than the node, so a caller keeps its
-    /// borrows of the node's other fields.
+impl<T: Payload> Requests<T> {
+    /// The request half inside the wave half in `slot`, each allocated on
+    /// first use.  Takes the node's two fields it needs rather than the
+    /// node, so a caller keeps its borrows of the node's other fields.
     #[inline]
-    pub(crate) fn of<'a>(slot: &'a mut Option<Box<Work<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
-        match slot {
-            Some(work) => work,
-            None => Self::allocate(slot, cfg),
+    pub(crate) fn of<'a>(
+        slot: &'a mut Option<Box<Waves<T>>>,
+        cfg: &ProtocolConfig,
+    ) -> &'a mut Self {
+        let requests = &mut Waves::of(slot).requests;
+        match requests {
+            Some(requests) => requests,
+            None => Self::allocate(requests, cfg),
         }
     }
 
     #[cold]
     #[inline(never)]
-    fn allocate<'a>(slot: &'a mut Option<Box<Work<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
-        slot.insert(Box::new(Work {
+    fn allocate<'a>(slot: &'a mut Option<Box<Requests<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
+        slot.insert(Box::new(Requests {
             own_batch: SkueueNode::<T>::fresh_batch(cfg),
             own_log: Vec::new(),
-            child_batches: ChildBatches::default(),
-            slots: VecDeque::new(),
-            wave_parent: None,
-            memo: WaveMemo::default(),
-            serve_stash: Vec::new(),
             store: NodeStore::new(),
             outstanding_gets: HashMap::new(),
             outstanding_dht: 0,
@@ -470,31 +537,20 @@ impl<T: Payload> Work<T> {
     /// field cannot be forgotten here; the fields a busy node most often
     /// holds come first.
     fn is_idle(&self) -> bool {
-        let Work {
+        let Requests {
             own_batch,
             own_log,
-            child_batches,
-            slots,
-            // Read only while a slot is in flight.
-            wave_parent: _,
-            memo,
-            serve_stash,
             store,
             outstanding_gets,
             outstanding_dht,
             completed,
         } = self;
-        slots.is_empty()
-            && store.is_vacant()
+        store.is_vacant()
             && completed.is_empty()
             && own_log.is_empty()
             && outstanding_gets.is_empty()
             && *outstanding_dht == 0
             && own_batch.has_no_ops()
-            && child_batches.is_empty()
-            && memo.records.is_empty()
-            && memo.runs.is_empty()
-            && serve_stash.is_empty()
     }
 }
 
@@ -556,13 +612,14 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) aggregate_unacked: bool,
 
     /// The first-contact order of the peers this node routes to, replies
-    /// to and combines sub-batches from.  Inline, not in [`Work`]: it is
+    /// to and combines sub-batches from.  Inline, not in [`Waves`]: it is
     /// the send and combination order for the node's whole life.
     pub(crate) lanes: LaneOrder,
 
-    /// Requests, waves, stored elements and uncollected completions; `None`
-    /// while the node has none of them.
-    pub(crate) work: Option<Box<Work<T>>>,
+    /// Waves in flight and queued sub-batches, and behind a second pointer
+    /// requests, stored elements and uncollected completions; `None` while
+    /// the node has none of them.
+    pub(crate) waves: Option<Box<Waves<T>>>,
 
     // --- Cold state: absent in the steady state of a queue ----------------------
     /// Stack local combining (allocated with the node's first request in a
@@ -603,7 +660,7 @@ impl<T: Payload> SkueueNode<T> {
             last_wave_round: 0,
             aggregate_unacked: false,
             lanes: LaneOrder::default(),
-            work: None,
+            waves: None,
             combining: None,
             membership: None,
             sibling_integrated: [true; 3],
@@ -674,12 +731,30 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// Drops the work state once the node holds nothing in it, so an idle
-    /// node carries none and a burst's buffers go back with the box (checked
-    /// at the end of every visit and after the host collects completions).
+    /// The request half, if the node holds one.
+    pub(crate) fn requests(&self) -> Option<&Requests<T>> {
+        self.waves.as_deref()?.requests.as_deref()
+    }
+
+    /// Mutable form of [`Self::requests`]; allocates nothing.
+    pub(crate) fn requests_mut(&mut self) -> Option<&mut Requests<T>> {
+        self.waves.as_deref_mut()?.requests.as_deref_mut()
+    }
+
+    /// Drops each half of the work state once the node holds nothing in it,
+    /// the request half first: an idle node carries none, a node that only
+    /// relays carries no request half, and a burst's buffers go back with
+    /// the boxes (checked at the end of every visit and after the host
+    /// collects completions).
     fn release_idle_work(&mut self) {
-        if self.work.as_deref().is_some_and(Work::is_idle) {
-            self.work = None;
+        let Some(waves) = self.waves.as_deref_mut() else {
+            return;
+        };
+        if waves.requests.as_deref().is_some_and(Requests::is_idle) {
+            waves.requests = None;
+        }
+        if waves.is_idle() {
+            self.waves = None;
         }
     }
 
@@ -720,21 +795,19 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Number of elements stored in this node's DHT partition.
     pub(crate) fn stored_elements(&self) -> usize {
-        self.work.as_deref().map_or(0, |w| w.store.len())
+        self.requests().map_or(0, |r| r.store.len())
     }
 
     /// True when completion records are waiting to be drained.
     pub fn has_completed(&self) -> bool {
-        self.work
-            .as_deref()
-            .is_some_and(|w| !w.completed.is_empty())
+        self.requests().is_some_and(|r| !r.completed.is_empty())
     }
 
     /// Appends the completed-operation records to `out`; a node left with
     /// nothing in flight, stored or uncollected drops its work state.
     pub fn drain_completed_into(&mut self, out: &mut Vec<OpRecord<T>>) {
-        if let Some(work) = self.work.as_deref_mut() {
-            out.append(&mut work.completed);
+        if let Some(requests) = self.requests_mut() {
+            out.append(&mut requests.completed);
             self.release_idle_work();
         }
     }
@@ -747,9 +820,8 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Number of requests generated at this node that have not completed yet.
     pub fn open_requests(&self) -> usize {
-        self.work
-            .as_deref()
-            .map_or(0, |w| w.own_log.len() + w.outstanding_gets.len())
+        self.requests()
+            .map_or(0, |r| r.own_log.len() + r.outstanding_gets.len())
     }
 
     // ---------------------------------------------------------------------
@@ -785,7 +857,7 @@ impl<T: Payload> SkueueNode<T> {
             issued_round: round,
         };
 
-        let work = Work::of(&mut self.work, &self.cfg);
+        let requests = Requests::of(&mut self.waves, &self.cfg);
         if self.cfg.is_stack() {
             let combining = self.combining.get_or_insert_with(Box::default);
             match kind {
@@ -795,12 +867,12 @@ impl<T: Payload> SkueueNode<T> {
                         // The matched push is necessarily the most recently
                         // issued unsent operation: undo its batching and
                         // complete both requests immediately (Section VI).
-                        let push = work.own_log.pop().expect("push must still be unsent");
+                        let push = requests.own_log.pop().expect("push must still be unsent");
                         debug_assert_eq!(push.id, push_id);
                         // The matched push was issued after the last wave
                         // opened (`local_stack` only holds unsent pushes), so
                         // it leaves the working batch along with the log.
-                        work.own_batch.pop_last_op();
+                        requests.own_batch.pop_last_op();
                         ctx.observe(series::LOCALLY_COMBINED, 2);
                         // Pairs that were anchored to the removed push must be
                         // re-anchored together with the new pair (the push
@@ -825,8 +897,8 @@ impl<T: Payload> SkueueNode<T> {
             }
         }
 
-        work.own_log.push(op);
-        work.own_batch.push_op(kind);
+        requests.own_log.push(op);
+        requests.own_batch.push_op(kind);
     }
 
     /// Builds the completion records of a locally combined push/pop pair.
@@ -883,8 +955,8 @@ impl<T: Payload> SkueueNode<T> {
             .combining
             .as_deref_mut()
             .expect("only a combining node re-anchors pairs");
-        let work = Work::of(&mut self.work, &self.cfg);
-        if let Some(anchor_op) = work.own_log.last() {
+        let requests = Requests::of(&mut self.waves, &self.cfg);
+        if let Some(anchor_op) = requests.own_log.last() {
             let bucket = combining
                 .pairs_by_anchor
                 .entry(anchor_op.id.seq)
@@ -903,7 +975,7 @@ impl<T: Payload> SkueueNode<T> {
                 combining.minor_counter += 1;
                 record.order =
                     OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
-                work.completed.push(record);
+                requests.completed.push(record);
             }
         }
     }
@@ -989,15 +1061,15 @@ impl<T: Payload> SkueueNode<T> {
         if self.aggregate_unacked {
             return false;
         }
-        let Some(work) = self.work.as_deref() else {
+        let Some(waves) = self.waves.as_deref() else {
             return true;
         };
         match parent {
             Some(_) => {
-                work.slots.len() < self.cfg.effective_pipeline_depth()
-                    && (work.slots.is_empty() || work.wave_parent == parent)
+                waves.slots.len() < self.cfg.effective_pipeline_depth()
+                    && (waves.slots.is_empty() || waves.wave_parent == parent)
             }
-            None => work.slots.is_empty(),
+            None => waves.slots.is_empty(),
         }
     }
 
@@ -1010,9 +1082,7 @@ impl<T: Payload> SkueueNode<T> {
     /// per child by wave epoch, so a quiet child's next batch simply rides a
     /// later wave.)
     fn has_wave_work(&self) -> bool {
-        self.work
-            .as_deref()
-            .is_some_and(|w| !w.own_batch.has_no_ops())
+        self.requests().is_some_and(|r| !r.own_batch.has_no_ops())
             || self.has_child_batches()
             || self
                 .membership()
@@ -1021,7 +1091,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// True when a sub-batch from any peer is queued.
     fn has_child_batches(&self) -> bool {
-        self.work
+        self.waves
             .as_deref()
             .is_some_and(|w| !w.child_batches.is_empty())
     }
@@ -1030,7 +1100,7 @@ impl<T: Payload> SkueueNode<T> {
     /// wave this node opens.
     pub(crate) fn queue_child_batch(&mut self, child: NodeId, epoch: u64, batch: Batch) {
         self.lanes.note(LaneKind::Child, child);
-        Work::of(&mut self.work, &self.cfg)
+        Waves::of(&mut self.waves)
             .child_batches
             .push(child, epoch, batch);
     }
@@ -1052,7 +1122,7 @@ impl<T: Payload> SkueueNode<T> {
     /// True while a DHT operation this node issued is unresolved (counted
     /// by the stack only: its stage-4 barrier).
     fn dht_in_flight(&self) -> bool {
-        self.work.as_deref().is_some_and(|w| w.outstanding_dht > 0)
+        self.requests().is_some_and(|r| r.outstanding_dht > 0)
     }
 
     fn try_send_batch(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
@@ -1071,7 +1141,7 @@ impl<T: Payload> SkueueNode<T> {
             // every current child before combining.
             let children = self.tree_children();
             let queued = |c| {
-                self.work
+                self.waves
                     .as_deref()
                     .is_some_and(|w| w.child_batches.contains(c))
             };
@@ -1149,45 +1219,47 @@ impl<T: Payload> SkueueNode<T> {
     /// batch and join/leave counters.
     fn open_wave(&mut self, parent: Option<NodeId>, drain: bool, ctx: &mut Context<SkueueMsg<T>>) {
         let detached = parent.is_some() && self.parent_is_absent_sibling();
-        let work = Work::of(&mut self.work, &self.cfg);
-        let own = if drain {
-            Self::fresh_batch(&self.cfg)
-        } else {
-            let own = std::mem::replace(&mut work.own_batch, Self::fresh_batch(&self.cfg));
+        let waves = Waves::of(&mut self.waves);
+        let mut own = Self::fresh_batch(&self.cfg);
+        if !drain {
             // Every unsent push is now committed to the aggregation path and
             // can no longer be combined locally.
             if let Some(combining) = &mut self.combining {
                 combining.local_stack.clear();
             }
-            if !self.cfg.trace_level.is_off() {
-                // The working batch holds exactly the log's uncommitted
-                // suffix: the ops that join a wave now.
-                let committed = work.own_log.len() - own.total_ops() as usize;
-                let round = ctx.round();
-                for op in &work.own_log[committed..] {
-                    let op = Self::tid(op.id);
-                    ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
+            // A node without a request half has no operation to commit.
+            if let Some(requests) = waves.requests.as_deref_mut() {
+                std::mem::swap(&mut own, &mut requests.own_batch);
+                if !self.cfg.trace_level.is_off() {
+                    // The working batch holds exactly the log's uncommitted
+                    // suffix: the ops that join a wave now.
+                    let committed = requests.own_log.len() - own.total_ops() as usize;
+                    let round = ctx.round();
+                    for op in &requests.own_log[committed..] {
+                        let op = Self::tid(op.id);
+                        ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
+                    }
                 }
             }
-            own
-        };
+        }
 
         // Combine own batch + queued children sub-batches in a fixed order.
         // Each sub-batch leaves its run lengths at the back of the memo
         // (all the Stage 3 decomposition reads of it) and is dropped right
         // here; the own batch becomes the combined one.  An own batch
         // without runs would take no share of any run: it is not memorised.
-        let memo = &mut work.memo;
+        let memo = &mut waves.memo;
         let first_source = memo.records.len();
         if own.num_runs() > 0 {
             memo.remember(OWN_SOURCE, 0, &own);
         }
         let mut combined = own;
         let children = self.lanes.of(LaneKind::Child);
-        work.child_batches
+        waves
+            .child_batches
             .pop_oldest(children, |rank, epoch, batch| {
                 memo.remember(count_u32(rank), epoch, &batch);
-                combined.combine(&batch);
+                combined.merge(batch);
             });
         let num_sources = memo.records.len() - first_source;
 
@@ -1238,11 +1310,11 @@ impl<T: Payload> SkueueNode<T> {
             Some(parent) => {
                 self.next_epoch += 1;
                 let epoch = self.next_epoch;
-                work.slots.push_back(WaveSlot {
+                waves.slots.push_back(WaveSlot {
                     num_sources: count_u32(num_sources),
                 });
-                work.wave_parent = Some(parent);
-                ctx.observe(series::WAVES_IN_FLIGHT, work.slots.len() as u64);
+                waves.wave_parent = Some(parent);
+                ctx.observe(series::WAVES_IN_FLIGHT, waves.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
                 self.aggregate_unacked = !self.cfg.fifo_channels;
@@ -1276,7 +1348,7 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         for _ in 0..num_sources {
-            let memo = &mut Work::of(&mut self.work, &self.cfg).memo;
+            let memo = &mut Waves::of(&mut self.waves).memo;
             let source = memo
                 .records
                 .pop_front()
@@ -1331,8 +1403,8 @@ impl<T: Payload> SkueueNode<T> {
             // decomposition depends on it) — park until older waves caught
             // up.
             if (front..=self.next_epoch).contains(&epoch) {
-                let work = Work::of(&mut self.work, &self.cfg);
-                work.serve_stash.push(StashedServe { epoch, runs });
+                let waves = Waves::of(&mut self.waves);
+                waves.serve_stash.push(StashedServe { epoch, runs });
             } else {
                 debug_assert!(false, "Serve for unknown wave epoch {epoch}");
             }
@@ -1341,11 +1413,11 @@ impl<T: Payload> SkueueNode<T> {
         self.apply_serve(runs, ctx);
         // Release stashed serves that have reached the front of the ring.
         while let Some(front) = self.front_epoch() {
-            let work = Work::of(&mut self.work, &self.cfg);
-            let Some(idx) = work.serve_stash.iter().position(|s| s.epoch == front) else {
+            let waves = Waves::of(&mut self.waves);
+            let Some(idx) = waves.serve_stash.iter().position(|s| s.epoch == front) else {
                 break;
             };
-            let stashed = work.serve_stash.swap_remove(idx);
+            let stashed = waves.serve_stash.swap_remove(idx);
             self.apply_serve(stashed.runs, ctx);
         }
     }
@@ -1353,13 +1425,13 @@ impl<T: Payload> SkueueNode<T> {
     /// The epoch of the oldest in-flight wave, if any: the ring holds the
     /// `len` youngest epochs up to [`Self::next_epoch`], oldest first.
     fn front_epoch(&self) -> Option<u64> {
-        let in_flight = self.work.as_deref().map_or(0, |w| w.slots.len()) as u64;
+        let in_flight = self.waves.as_deref().map_or(0, |w| w.slots.len()) as u64;
         (in_flight > 0).then(|| self.next_epoch + 1 - in_flight)
     }
 
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let slots = &mut Work::of(&mut self.work, &self.cfg).slots;
+        let slots = &mut Waves::of(&mut self.waves).slots;
         let slot = slots.pop_front().expect("caller checked the front");
         self.serve_sources(runs, slot.num_sources as usize, ctx);
     }
@@ -1371,7 +1443,7 @@ impl<T: Payload> SkueueNode<T> {
     fn resolve_own(&mut self, cursors: &mut [RunAssignment], ctx: &mut Context<SkueueMsg<T>>) {
         let mut log_cursor = 0usize;
         for cursor in cursors {
-            let len = Work::of(&mut self.work, &self.cfg)
+            let len = Waves::of(&mut self.waves)
                 .memo
                 .runs
                 .pop_front()
@@ -1382,7 +1454,7 @@ impl<T: Payload> SkueueNode<T> {
                 // *moved* out of the log entry (a take, not a clone) — the
                 // generic path keeps the allocation/copy profile of the old
                 // `Copy` payloads.
-                let entry = &mut Work::of(&mut self.work, &self.cfg).own_log[log_cursor];
+                let entry = &mut Requests::of(&mut self.waves, &self.cfg).own_log[log_cursor];
                 let id = entry.id;
                 let issued_round = entry.issued_round;
                 debug_assert_eq!(entry.kind, run.kind, "own log out of sync with batch runs");
@@ -1447,7 +1519,7 @@ impl<T: Payload> SkueueNode<T> {
                         } else {
                             // ⊥: completes immediately.
                             let order = self.order_key(run.wave, order_major, id.origin);
-                            Work::of(&mut self.work, &self.cfg)
+                            Requests::of(&mut self.waves, &self.cfg)
                                 .completed
                                 .push(OpRecord {
                                     id,
@@ -1465,7 +1537,7 @@ impl<T: Payload> SkueueNode<T> {
         }
         // Remove the resolved prefix from the log; anything after it was
         // generated after the batch was sent and belongs to the next one.
-        Work::of(&mut self.work, &self.cfg)
+        Requests::of(&mut self.waves, &self.cfg)
             .own_log
             .drain(0..log_cursor);
     }
@@ -1496,11 +1568,11 @@ impl<T: Payload> SkueueNode<T> {
             // Buckets are maintained in seq order (see `reanchor_pairs`).
             debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
             let origin = self.view.me().vid.process;
-            let work = Work::of(&mut self.work, &self.cfg);
+            let requests = Requests::of(&mut self.waves, &self.cfg);
             for mut record in pairs {
                 combining.minor_counter += 1;
                 record.order = OrderKey::local(major, origin, combining.minor_counter);
-                work.completed.push(record);
+                requests.completed.push(record);
             }
         }
     }
@@ -1539,7 +1611,7 @@ impl<T: Payload> SkueueNode<T> {
             issuer: self.view.me().node,
         };
         if self.cfg.is_stack() {
-            Work::of(&mut self.work, &self.cfg).outstanding_dht += 1;
+            Requests::of(&mut self.waves, &self.cfg).outstanding_dht += 1;
         }
         if !self.cfg.trace_level.is_off() {
             let (op, round) = (Self::tid(id), ctx.round());
@@ -1564,8 +1636,8 @@ impl<T: Payload> SkueueNode<T> {
         let key = self.cfg.hasher().position_key(position);
         // Remember the metadata needed to complete the request when the
         // reply arrives.
-        let work = Work::of(&mut self.work, &self.cfg);
-        work.outstanding_gets.insert(
+        let requests = Requests::of(&mut self.waves, &self.cfg);
+        requests.outstanding_gets.insert(
             id,
             OutstandingGet {
                 issued_round,
@@ -1574,7 +1646,7 @@ impl<T: Payload> SkueueNode<T> {
             },
         );
         if self.cfg.is_stack() {
-            work.outstanding_dht += 1;
+            requests.outstanding_dht += 1;
         }
         if !self.cfg.trace_level.is_off() {
             let (op, round) = (Self::tid(id), ctx.round());
@@ -1668,8 +1740,8 @@ impl<T: Payload> SkueueNode<T> {
                 // the element, so this is the one deliberate clone on the
                 // enqueue path (a copy, pre-generics).
                 let order = self.order_key(meta.wave, meta.order, entry.element.id.origin);
-                let work = Work::of(&mut self.work, &self.cfg);
-                work.completed.push(OpRecord {
+                let requests = Requests::of(&mut self.waves, &self.cfg);
+                requests.completed.push(OpRecord {
                     id: entry.element.id,
                     kind: OpKind::Enqueue,
                     value: entry.element.value.clone(),
@@ -1694,7 +1766,7 @@ impl<T: Payload> SkueueNode<T> {
                 request,
                 requester,
             } => {
-                let store = &mut Work::of(&mut self.work, &self.cfg).store;
+                let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
                 match store.get(position, max_ticket, request, requester) {
                     GetOutcome::Found(entry) => {
                         let reply = DhtReplyItem { request, entry };
@@ -1711,7 +1783,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Stores `entry`, or hands it to the parked GET it satisfies.
     fn store_entry(&mut self, entry: StoredEntry<T>, ctx: &mut Context<SkueueMsg<T>>) {
-        let store = &mut Work::of(&mut self.work, &self.cfg).store;
+        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
         if let Some(s) = store.put_into(entry) {
             let reply = DhtReplyItem {
                 request: s.get.request,
@@ -1738,19 +1810,18 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         let meta = self
-            .work
-            .as_deref_mut()
-            .and_then(|w| w.outstanding_gets.remove(&request));
+            .requests_mut()
+            .and_then(|r| r.outstanding_gets.remove(&request));
         if let Some(meta) = meta {
             let order = self.order_key(meta.wave, meta.order, request.origin);
-            let work = Work::of(&mut self.work, &self.cfg);
+            let requests = Requests::of(&mut self.waves, &self.cfg);
             if self.cfg.is_stack() {
-                work.outstanding_dht = work.outstanding_dht.saturating_sub(1);
+                requests.outstanding_dht = requests.outstanding_dht.saturating_sub(1);
             }
             // The entry ends its life here: the payload moves into the
             // completion record without a clone.
             let source = entry.element.id;
-            work.completed.push(OpRecord {
+            requests.completed.push(OpRecord {
                 id: request,
                 kind: OpKind::Dequeue,
                 value: entry.element.value,
@@ -1913,8 +1984,8 @@ impl<T: Payload> Actor for SkueueNode<T> {
             SkueueMsg::DhtReplyBatch { replies } => self.handle_dht_reply_batch(replies, ctx),
             SkueueMsg::PutAck { .. } => {
                 if self.cfg.is_stack() {
-                    let work = Work::of(&mut self.work, &self.cfg);
-                    work.outstanding_dht = work.outstanding_dht.saturating_sub(1);
+                    let requests = Requests::of(&mut self.waves, &self.cfg);
+                    requests.outstanding_dht = requests.outstanding_dht.saturating_sub(1);
                 }
             }
             other => {
@@ -1953,7 +2024,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
     fn wants_timeout(&self) -> bool {
         match self.lifecycle {
             Lifecycle::Member { leave, .. } => {
-                let in_flight = self.work.as_deref().map_or(0, |w| w.slots.len());
+                let in_flight = self.waves.as_deref().map_or(0, |w| w.slots.len());
                 let pipeline_open =
                     in_flight < self.cfg.effective_pipeline_depth() && !self.aggregate_unacked;
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
@@ -1988,16 +2059,26 @@ mod tests {
 
     /// What an idle node, its view and a message in flight cost inline.  The
     /// budgets in `tests/memory_budget.rs`, `tests/idle_node_memory.rs`,
-    /// `tests/node_view.rs` and `tests/inflight_memory.rs` are ceilings from
-    /// earlier rounds (896, 384, 240 and 104 B); these are today's sizes,
-    /// the node's also held by `tests/lane_order.rs` and the view's by
+    /// `tests/node_view.rs`, `tests/lane_order.rs` and
+    /// `tests/inflight_memory.rs` are ceilings from earlier rounds (896, 384,
+    /// 240, 176 and 104 B); these are today's sizes, the view's also held by
     /// `tests/node_view.rs`.
     #[test]
-    fn a_node_is_176_bytes_and_an_envelope_80() {
+    fn a_node_is_168_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 176);
+        assert!(size_of::<SkueueNode<u64>>() <= 168);
         assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
+    }
+
+    /// What a busy node's two halves of work cost where they exist: a node
+    /// that only relays sub-batches holds the wave half, an issuing node
+    /// both.
+    #[test]
+    fn a_wave_half_is_168_bytes_and_a_request_half_200() {
+        use std::mem::size_of;
+        assert!(size_of::<Waves<u64>>() <= 168);
+        assert!(size_of::<Requests<u64>>() <= 200);
     }
 
     /// What one in-flight wave keeps per slot and per sub-batch: the ring
@@ -2012,7 +2093,7 @@ mod tests {
 
     /// The node's in-flight waves (none while it holds no work state).
     fn in_flight(node: &SkueueNode<u64>) -> usize {
-        node.work.as_deref().map_or(0, |w| w.slots.len())
+        node.waves.as_deref().map_or(0, |w| w.slots.len())
     }
 
     /// Asking an idle node what it holds allocates nothing: every reader
@@ -2028,7 +2109,7 @@ mod tests {
             assert_eq!(node.open_requests(), 0);
             assert_eq!(node.stored_elements(), 0);
             assert!(node.ready_to_be_absorbed());
-            assert!(node.work.is_none());
+            assert!(node.waves.is_none());
         }
         // The leave check reads the node's open requests, then asks.
         let mut node = node_under_test(false);
@@ -2037,7 +2118,7 @@ mod tests {
         node.membership_timeout(&mut ctx);
         let asked = ctx.into_outbox();
         assert!(matches!(asked[..], [(_, SkueueMsg::LeaveRequest { .. })]));
-        assert!(node.work.is_none());
+        assert!(node.waves.is_none());
     }
 
     /// A node whose last wave was served and that stores nothing gives its
@@ -2080,7 +2161,7 @@ mod tests {
         node.on_timeout(&mut ctx);
         let served = ctx.into_outbox();
         assert!(matches!(served[..], [(to, SkueueMsg::Serve { epoch: 1, .. })] if to == child));
-        assert!(node.work.is_none());
+        assert!(node.waves.is_none());
 
         // A stored element keeps the box past the visit and the collection
         // of its completion record; the GET that takes it frees the box.
@@ -2107,7 +2188,7 @@ mod tests {
         node.drain_completed_into(&mut completed);
         assert_eq!(completed.len(), 1);
         assert_eq!(node.stored_elements(), 1);
-        assert!(node.work.is_some());
+        assert!(node.requests().is_some());
         let get = DhtOp::Get {
             position,
             max_ticket: u64::MAX,
@@ -2120,7 +2201,236 @@ mod tests {
             ctx.into_outbox()[..],
             [(_, SkueueMsg::DhtReplyBatch { .. })]
         ));
-        assert!(node.work.is_none());
+        assert!(node.waves.is_none());
+    }
+
+    /// Runs one visit at `round`: the `arrivals`, then the timeout.  Returns
+    /// the wave it sent up (epoch and combined batch), if any, and the
+    /// `Serve`s it sent down.
+    fn visit_with(
+        node: &mut SkueueNode<u64>,
+        round: u64,
+        arrivals: Vec<(NodeId, SkueueMsg<u64>)>,
+    ) -> (Option<(u64, Batch)>, Vec<Serve>) {
+        let mut ctx = Context::new(node.view.me().node, round);
+        for (from, msg) in arrivals {
+            node.on_message(from, msg, &mut ctx);
+        }
+        node.on_timeout(&mut ctx);
+        let (mut sent, mut served) = (None, Vec::new());
+        for (to, msg) in ctx.into_outbox() {
+            match msg {
+                SkueueMsg::Aggregate { epoch, batch, .. } => sent = Some((epoch, batch)),
+                SkueueMsg::Serve { epoch, runs } => served.push((to, epoch, runs)),
+                _ => {}
+            }
+        }
+        (sent, served)
+    }
+
+    /// A right node (and a left one alike) issues nothing: combining a
+    /// child's sub-batch, it holds the wave half alone, and its child queue
+    /// room for the one sub-batch it queued.
+    #[test]
+    fn a_relay_holds_only_the_wave_half_with_room_for_one_sub_batch() {
+        let mut node = node_of_kind(false, VKind::Right);
+        let (me, parent, child) = (
+            node.view.me().node,
+            node.tree_parent().unwrap(),
+            NodeId(1000),
+        );
+        let mut ctx = Context::new(me, WAVE_CADENCE);
+        let aggregate = SkueueMsg::Aggregate {
+            child,
+            epoch: 1,
+            batch: child_batch(0x0302_0100),
+        };
+        node.on_message(child, aggregate, &mut ctx);
+        let waves = node.waves.as_deref().expect("the sub-batch is queued");
+        assert_eq!(waves.child_batches.0.capacity(), 1);
+        assert!(waves.requests.is_none());
+        node.on_timeout(&mut ctx);
+        assert_eq!(in_flight(&node), 1);
+        assert!(node.requests().is_none());
+
+        // The next sub-batch reuses the room; its wave follows the first.
+        let aggregate = SkueueMsg::Aggregate {
+            child,
+            epoch: 2,
+            batch: child_batch(0x0101_0000),
+        };
+        let (sent, _) = visit_with(&mut node, 2 * WAVE_CADENCE, vec![(child, aggregate)]);
+        assert_eq!(sent.map(|(epoch, _)| epoch), Some(2));
+        let waves = node.waves.as_deref().unwrap();
+        assert_eq!(waves.child_batches.0.capacity(), 1);
+        assert!(waves.requests.is_none());
+        assert_eq!(in_flight(&node), 2);
+        assert_eq!(waves.wave_parent, Some(parent));
+    }
+
+    /// A middle node that issues a request holds both halves: its wave in
+    /// flight in the one, the request's log entry in the other.
+    #[test]
+    fn an_issuing_middle_node_holds_both_halves() {
+        let mut node = node_under_test(false);
+        let parent = node.tree_parent().unwrap();
+        let mut round = 0;
+        let (epoch, batch) = enqueue_then_timeout(&mut node, &mut round).expect("a wave opens");
+        assert_eq!(in_flight(&node), 1);
+        let requests = node.requests().expect("the request is logged");
+        assert_eq!(requests.own_log.len(), 1);
+        assert!(requests.own_batch.has_no_ops(), "the wave carries it");
+
+        // Served, the request leaves the log as a routed PUT: the node keeps
+        // a half only for an element it happens to store itself.
+        let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+        let serve = SkueueMsg::Serve { epoch, runs };
+        visit_with(&mut node, round + WAVE_CADENCE, vec![(parent, serve)]);
+        assert_eq!(node.open_requests(), 0);
+        let mut completed = Vec::new();
+        node.drain_completed_into(&mut completed);
+        assert_eq!(node.waves.is_some(), node.stored_elements() > 0);
+        assert_eq!(in_flight(&node), 0);
+    }
+
+    /// The request half goes once it is idle while the wave half still has
+    /// a wave in flight — at the end of a visit, or when the host collects
+    /// the last completion record — and the wave half goes once its waves
+    /// are served.
+    #[test]
+    fn each_half_is_released_by_itself_once_idle() {
+        let mut node = node_under_test(false);
+        let (me, parent, child) = (
+            node.view.me().node,
+            node.tree_parent().unwrap(),
+            NodeId(1000),
+        );
+        let aggregate = SkueueMsg::Aggregate {
+            child,
+            epoch: 1,
+            batch: child_batch(0x0302_0100),
+        };
+        let (sent, _) = visit_with(&mut node, WAVE_CADENCE, vec![(child, aggregate)]);
+        let (epoch, batch) = sent.expect("the sub-batch opened a wave");
+        assert!(node.requests().is_none());
+
+        // An element is stored here: the request half holds it and its
+        // enqueue's completion record.
+        let (position, mut ctx) = (3, Context::new(me, 10));
+        let key = node.cfg.hasher().position_key(position);
+        let progress = RouteProgress::new(key, node.cfg.bit_budget);
+        let entry = StoredEntry {
+            position,
+            key,
+            ticket: 0,
+            element: Element::new(RequestId::new(ProcessId(7), 0), 42),
+        };
+        let meta = PutMeta {
+            issued_round: 0,
+            order: 1,
+            wave: 1,
+            needs_ack: false,
+            issuer: me,
+        };
+        node.apply_dht(DhtOp::Put { entry, meta }, &progress, &mut ctx);
+        // A GET takes the element; the record is still uncollected at the
+        // end of the visit.
+        let get = DhtOp::Get {
+            position,
+            max_ticket: u64::MAX,
+            request: RequestId::new(ProcessId(8), 0),
+            requester: NodeId(1001),
+        };
+        node.apply_dht(get, &progress, &mut ctx);
+        node.on_timeout(&mut ctx);
+        assert!(node.requests().is_some_and(|r| r.store.is_vacant()));
+        // Collected, the record takes the request half with it; the wave in
+        // flight keeps the wave half.
+        let mut completed = Vec::new();
+        node.drain_completed_into(&mut completed);
+        assert_eq!(completed.len(), 1);
+        assert!(node.requests().is_none());
+        assert_eq!(in_flight(&node), 1);
+
+        // An element stored again, then the wave served: the wave half's
+        // own state is idle, and it stays only to carry the request half.
+        let entry = StoredEntry {
+            position,
+            key,
+            ticket: 0,
+            element: Element::new(RequestId::new(ProcessId(7), 1), 43),
+        };
+        let mut ctx = Context::new(me, 11);
+        node.apply_dht(DhtOp::Put { entry, meta }, &progress, &mut ctx);
+        node.on_timeout(&mut ctx);
+        let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+        let serve = SkueueMsg::Serve { epoch, runs };
+        let (_, served) = visit_with(&mut node, 12, vec![(parent, serve)]);
+        assert_eq!(served.len(), 1);
+        node.drain_completed_into(&mut completed);
+        let waves = node
+            .waves
+            .as_deref()
+            .expect("it carries the stored element");
+        assert!(waves.slots.is_empty() && waves.memo.records.is_empty());
+        assert_eq!(node.stored_elements(), 1);
+    }
+
+    /// The sub-batches an absorbed leaver hands over queue behind what the
+    /// absorber already holds, and its waves drain them in first-contact
+    /// order, one per child per wave: a child met before the hand-over
+    /// goes first, each child's sub-batches in epoch order.
+    #[test]
+    fn absorbed_sub_batches_drain_in_first_contact_order() {
+        let mut node = node_under_test(false);
+        let parent = node.tree_parent().unwrap();
+        let (early, late) = (NodeId(1001), NodeId(1000));
+        let (early_1, early_2, late_1) = (
+            child_batch(0x0001_0000),
+            child_batch(0x0203_0001),
+            child_batch(0x0302_0102),
+        );
+        let vid = VirtualId::left(ProcessId(9));
+        let leaver = node_of(vid);
+        let info = NeighborInfo::new(leaver, vid, node.view.me().label);
+        let payload = AbsorbPayload {
+            pred: info,
+            succ: info,
+            entries: Vec::new(),
+            pending: Vec::new(),
+            child_batches: vec![(late, 1, late_1.clone()), (early, 2, early_2.clone())],
+            joiners: Vec::new(),
+            anchor: None,
+        };
+        let arrivals = vec![
+            (
+                early,
+                SkueueMsg::Aggregate {
+                    child: early,
+                    epoch: 1,
+                    batch: early_1.clone(),
+                },
+            ),
+            (leaver, SkueueMsg::AbsorbData(Box::new(payload))),
+        ];
+        let (sent, _) = visit_with(&mut node, WAVE_CADENCE, arrivals);
+        let (epoch, combined) = sent.expect("the queued sub-batches open a wave");
+        let mut expected = early_1.clone();
+        expected.combine(&late_1);
+        assert_eq!(combined, expected);
+        let runs = AnchorState::new().assign_wave(&combined, Mode::Queue);
+        let serve = SkueueMsg::Serve { epoch, runs };
+        let (sent, served) = visit_with(&mut node, 2 * WAVE_CADENCE, vec![(parent, serve)]);
+        let order: Vec<_> = served.iter().map(|&(to, epoch, _)| (to, epoch)).collect();
+        assert_eq!(order, [(early, 1), (late, 1)]);
+        let (epoch, combined) = sent.expect("the second wave carries the rest");
+        assert_eq!(combined, early_2);
+        let runs = AnchorState::new().assign_wave(&combined, Mode::Queue);
+        let serve = SkueueMsg::Serve { epoch, runs };
+        let (_, served) = visit_with(&mut node, 3 * WAVE_CADENCE, vec![(parent, serve)]);
+        let order: Vec<_> = served.iter().map(|&(to, epoch, _)| (to, epoch)).collect();
+        assert_eq!(order, [(early, 2)]);
+        assert!(node.waves.is_none());
     }
 
     /// An absorber keeps the part of a leaver's store it owns once the
@@ -2376,12 +2686,18 @@ mod tests {
     /// A node of a four-process queue: the shard's anchor, or a middle node
     /// (whose parent is its left sibling).
     fn node_under_test(anchor: bool) -> SkueueNode<u64> {
+        node_of_kind(anchor, VKind::Middle)
+    }
+
+    /// The shard's anchor of a four-process queue, or the node of `kind` of
+    /// its process 0 (whose parent is its sibling of the kind to its left).
+    fn node_of_kind(anchor: bool, kind: VKind) -> SkueueNode<u64> {
         let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
         let vid = if anchor {
             topology.anchor()
         } else {
-            VirtualId::middle(ProcessId(0))
+            VirtualId::new(ProcessId(0), kind)
         };
         let cfg = ProtocolConfig {
             bit_budget: recommended_bit_budget(pids.len()),
@@ -2435,8 +2751,8 @@ mod tests {
         for held in 1..=3 {
             assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
             assert_eq!(in_flight(&node), PIPELINE_DEPTH);
-            let work = node.work.as_deref().expect("waves in flight");
-            assert_eq!(work.own_batch.total_ops(), held);
+            let requests = node.requests().expect("requests held back");
+            assert_eq!(requests.own_batch.total_ops(), held);
         }
         // The oldest Serve frees one slot, and the next TIMEOUT fills it with
         // one wave carrying what was held back.
@@ -2515,7 +2831,7 @@ mod tests {
         let (served, left) = serve(2);
         assert_eq!(served, [(12, owed[1].1.clone()), (13, owed[2].1.clone())]);
         assert_eq!(left, 0);
-        assert!(node.work.as_deref().unwrap().serve_stash.is_empty());
+        assert!(node.waves.as_deref().unwrap().serve_stash.is_empty());
     }
 
     proptest! {
@@ -2647,14 +2963,14 @@ mod tests {
                 }
                 // Every memorised record belongs to an in-flight wave, and
                 // every memorised run length to a record.
-                if let Some(work) = node.work.as_deref() {
+                if let Some(waves) = node.waves.as_deref() {
                     prop_assert_eq!(
-                        work.memo.records.len(),
-                        work.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
+                        waves.memo.records.len(),
+                        waves.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
                     );
                     prop_assert_eq!(
-                        work.memo.runs.len(),
-                        work.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
+                        waves.memo.runs.len(),
+                        waves.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
                     );
                 }
                 prop_assert_eq!(in_flight(&node), model.slots.len());

@@ -6,27 +6,54 @@
 //! cargo test --release -p skueue-core heap_census -- --ignored --nocapture
 //! ```
 //!
-//! The load is the benchmark's `sim_heavy` at seed 42: 3 000 processes, 8
-//! shards, 1 000 operations a round for 100 rounds, then the drain, from the
-//! same SplitMix stream the benchmark draws its inputs from.  Batches count
-//! the runs they hold (their vectors' capacity is private to `batch`), the
-//! stores the entries they hold (a B-tree has no capacity), and the history
-//! its records; everything else counts its capacity.  Messages in flight sit
-//! in the simulator and are not counted.  The crate forbids `unsafe`, so no
-//! counting allocator finds the live heap's peak here; the census's own sum
-//! peaks a few rounds before it (round 154, where a counting allocator puts
-//! the live heap's peak at round 159).
+//! The loads are two of the benchmark's, at seed 42, from the same SplitMix
+//! stream the benchmark draws its inputs from: `sim_heavy` (3 000 processes,
+//! 8 shards, 1 000 operations a round for 100 rounds) and `sim_light`
+//! (10 000 processes, one shard, 10 operations a round for 1 000 rounds),
+//! each followed by its drain.  Batches count the runs they hold (their
+//! vectors' capacity is private to `batch`), the stores the entries they
+//! hold (a B-tree has no capacity), and the history its records; everything
+//! else counts its capacity.  The two halves of a node's work are counted
+//! with how many nodes hold each.  Messages in flight sit in the simulator
+//! and are not counted.  The crate forbids `unsafe`, so no counting
+//! allocator finds the live heap's peak here; the census's own sum peaks
+//! near it (on `sim_heavy` at round 158, where a counting allocator put the
+//! live heap's peak at round 159 before the work state was split).  Most of
+//! the run time is `sim_light`'s drain, whose last operations complete
+//! thousands of rounds after its load.
 
 use super::*;
 use crate::cluster::Skueue;
 use std::mem::size_of;
 
-const PROCESSES: u64 = 3000;
-const SHARDS: usize = 8;
-const OPS_PER_ROUND: usize = 1000;
-const LOAD_ROUNDS: usize = 100;
 const SEED: u64 = 42;
 const DRAIN_ROUND_LIMIT: usize = 20_000;
+
+/// A benchmark workload's shape, as far as the census replays it.
+struct Shape {
+    name: &'static str,
+    processes: u64,
+    shards: usize,
+    ops_per_round: usize,
+    load_rounds: usize,
+}
+
+const SHAPES: [Shape; 2] = [
+    Shape {
+        name: "sim_heavy",
+        processes: 3000,
+        shards: 8,
+        ops_per_round: 1000,
+        load_rounds: 100,
+    },
+    Shape {
+        name: "sim_light",
+        processes: 10_000,
+        shards: 1,
+        ops_per_round: 10,
+        load_rounds: 1000,
+    },
+];
 
 /// The benchmark's input generator: SplitMix64 from `seed ^ 0x5EED…`.
 struct SplitMix(u64);
@@ -57,17 +84,26 @@ fn boxed_bytes<E>(b: &Option<Box<E>>) -> usize {
     b.as_ref().map_or(0, |_| size_of::<E>())
 }
 
-/// Bytes per owner, in a fixed order.
-type Census = Vec<(&'static str, usize)>;
+/// Bytes per owner, in a fixed order, with how many nodes hold the owner
+/// where that is one box per node.
+type Census = Vec<(&'static str, usize, Option<usize>)>;
 
 fn census(cluster: &Skueue<u64>) -> Census {
     let nodes: Vec<&SkueueNode<u64>> = cluster.nodes().map(|(_, node)| node).collect();
     let per_node = |bytes: &dyn Fn(&SkueueNode<u64>) -> usize| -> usize {
         nodes.iter().map(|node| bytes(node)).sum()
     };
-    let per_work = |bytes: &dyn Fn(&Work<u64>) -> usize| -> usize {
-        per_node(&|node| node.work.as_deref().map_or(0, bytes))
+    let per_waves = |bytes: &dyn Fn(&Waves<u64>) -> usize| -> usize {
+        per_node(&|node| node.waves.as_deref().map_or(0, bytes))
     };
+    let per_requests = |bytes: &dyn Fn(&Requests<u64>) -> usize| -> usize {
+        per_node(&|node| node.requests().map_or(0, bytes))
+    };
+    let holding = |holds: &dyn Fn(&SkueueNode<u64>) -> bool| -> usize {
+        nodes.iter().filter(|node| holds(node)).count()
+    };
+    let wave_halves = holding(&|node| node.waves.is_some());
+    let request_halves = holding(&|node| node.requests().is_some());
     let batch_bytes = |batch: &Batch| batch.num_runs() * size_of::<u64>();
     // A hash table keeps one control byte per bucket besides the pair.
     let get_bytes = size_of::<(RequestId, OutstandingGet)>() + 1;
@@ -75,39 +111,73 @@ fn census(cluster: &Skueue<u64>) -> Census {
         (
             "node slots, inline",
             per_node(&|_| size_of::<SkueueNode<u64>>()),
+            None,
         ),
-        ("work boxes", per_work(&|_| size_of::<Work<u64>>())),
-        ("own logs", per_work(&|w| vec_bytes(&w.own_log))),
         (
-            "own and queued child batches",
-            per_work(&|w| {
-                let queued = &w.child_batches.0;
-                let runs: usize = queued.iter().map(|(_, _, b)| batch_bytes(b)).sum();
-                batch_bytes(&w.own_batch) + vec_bytes(queued) + runs
-            }),
+            "wave halves",
+            wave_halves * size_of::<Waves<u64>>(),
+            Some(wave_halves),
         ),
-        ("wave rings", per_work(&|w| deque_bytes(&w.slots))),
-        ("memo records", per_work(&|w| deque_bytes(&w.memo.records))),
-        ("memo run lengths", per_work(&|w| deque_bytes(&w.memo.runs))),
+        (
+            "request halves",
+            request_halves * size_of::<Requests<u64>>(),
+            Some(request_halves),
+        ),
+        (
+            "child queues, capacity",
+            per_waves(&|w| vec_bytes(&w.child_batches.0)),
+            None,
+        ),
+        (
+            "queued child and own batch runs",
+            per_waves(&|w| {
+                w.child_batches
+                    .0
+                    .iter()
+                    .map(|(_, _, b)| batch_bytes(b))
+                    .sum()
+            }) + per_requests(&|r| batch_bytes(&r.own_batch)),
+            None,
+        ),
+        ("wave rings", per_waves(&|w| deque_bytes(&w.slots)), None),
+        (
+            "memo records",
+            per_waves(&|w| deque_bytes(&w.memo.records)),
+            None,
+        ),
+        (
+            "memo run lengths",
+            per_waves(&|w| deque_bytes(&w.memo.runs)),
+            None,
+        ),
         (
             "serve stashes",
-            per_work(&|w| {
+            per_waves(&|w| {
                 let runs: usize = w.serve_stash.iter().map(|s| vec_bytes(&s.runs)).sum();
                 vec_bytes(&w.serve_stash) + runs
             }),
+            None,
         ),
+        ("own logs", per_requests(&|r| vec_bytes(&r.own_log)), None),
         (
             "stored entries",
-            per_work(&|w| w.store.len() * size_of::<StoredEntry<u64>>()),
+            per_requests(&|r| r.store.len() * size_of::<StoredEntry<u64>>()),
+            None,
         ),
         (
             "outstanding GETs",
-            per_work(&|w| w.outstanding_gets.capacity() * get_bytes),
+            per_requests(&|r| r.outstanding_gets.capacity() * get_bytes),
+            None,
         ),
-        ("completion buffers", per_work(&|w| vec_bytes(&w.completed))),
+        (
+            "completion buffers",
+            per_requests(&|r| vec_bytes(&r.completed)),
+            None,
+        ),
         (
             "lane orders",
             per_node(&|node| vec_bytes(&node.lanes.peers)),
+            None,
         ),
         (
             "anchor, membership, combining boxes",
@@ -116,39 +186,41 @@ fn census(cluster: &Skueue<u64>) -> Census {
                     + boxed_bytes(&node.membership)
                     + boxed_bytes(&node.combining)
             }),
+            None,
         ),
         (
             "history records",
             cluster.history().len() * size_of::<OpRecord<u64>>(),
+            None,
         ),
     ]
 }
 
 fn total(census: &Census) -> usize {
-    census.iter().map(|(_, bytes)| bytes).sum()
+    census.iter().map(|(_, bytes, _)| bytes).sum()
 }
 
-#[test]
-#[ignore = "a measurement tool: run with --release --ignored --nocapture"]
-fn heap_census() {
+/// Replays `shape`'s load and drain and returns the census at its peak
+/// round.
+fn peak_census(shape: &Shape) -> (Census, u64) {
     let mut cluster = Skueue::<u64>::builder()
-        .processes(PROCESSES as usize)
-        .shards(SHARDS)
+        .processes(shape.processes as usize)
+        .shards(shape.shards)
         .threads(1)
         .seed(SEED)
         .build()
         .expect("valid configuration");
     let mut rng = SplitMix::new(SEED);
     let mut value = 0;
-    let ops = OPS_PER_ROUND * LOAD_ROUNDS;
+    let ops = shape.ops_per_round * shape.load_rounds;
     let (mut peak, mut peak_round) = (census(&cluster), 0);
-    for round in 0..LOAD_ROUNDS + DRAIN_ROUND_LIMIT {
-        if round >= LOAD_ROUNDS && cluster.history().len() == ops {
+    for round in 0..shape.load_rounds + DRAIN_ROUND_LIMIT {
+        if round >= shape.load_rounds && cluster.history().len() == ops {
             break;
         }
-        if round < LOAD_ROUNDS {
-            for _ in 0..OPS_PER_ROUND {
-                let mut client = cluster.client(ProcessId(rng.next_u64() % PROCESSES));
+        if round < shape.load_rounds {
+            for _ in 0..shape.ops_per_round {
+                let mut client = cluster.client(ProcessId(rng.next_u64() % shape.processes));
                 // The benchmark's `unit() < 0.5`: the draw's top bit is clear.
                 if rng.next_u64() >> 63 == 0 {
                     value += 1;
@@ -165,11 +237,23 @@ fn heap_census() {
         }
     }
     assert_eq!(cluster.history().len(), ops, "the load drains");
+    (peak, peak_round)
+}
 
+#[test]
+#[ignore = "a measurement tool: run with --release --ignored --nocapture"]
+fn heap_census() {
     const MIB: f64 = (1 << 20) as f64;
-    println!("heap census of sim_heavy, seed {SEED}, at round {peak_round} (its peak):");
-    for (owner, bytes) in &peak {
-        println!("  {owner:<38} {:>8.2} MiB", *bytes as f64 / MIB);
+    for shape in &SHAPES {
+        let (peak, peak_round) = peak_census(shape);
+        println!(
+            "heap census of {}, seed {SEED}, at round {peak_round} (its peak):",
+            shape.name
+        );
+        for (owner, bytes, holders) in &peak {
+            let holders = holders.map_or(String::new(), |n| format!("  ({n} nodes)"));
+            println!("  {owner:<38} {:>8.2} MiB{holders}", *bytes as f64 / MIB);
+        }
+        println!("  {:<38} {:>8.2} MiB", "total", total(&peak) as f64 / MIB);
     }
-    println!("  {:<38} {:>8.2} MiB", "total", total(&peak) as f64 / MIB);
 }
