@@ -1087,6 +1087,21 @@ impl<T: Payload> SkueueCluster<T> {
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &SkueueNode<T>)> {
         self.sim.iter()
     }
+
+    /// Runs `action` on node `id` in its lane's context (see
+    /// [`Simulation::act`]): a unit test's way to hand a node a message
+    /// with the lane's sample sink in place.
+    #[cfg(test)]
+    pub(crate) fn act_on<R>(
+        &mut self,
+        id: NodeId,
+        action: impl FnOnce(
+            &mut SkueueNode<T>,
+            &mut skueue_sim::Context<crate::messages::SkueueMsg<T>>,
+        ) -> R,
+    ) -> Option<R> {
+        self.sim.act(id, action)
+    }
 }
 
 #[cfg(test)]

@@ -83,12 +83,16 @@ pub(crate) struct OutstandingGet {
     pub(crate) wave: u64,
 }
 
-/// A locally generated request that has not been resolved yet.
+/// A locally generated request that has not been resolved yet.  Only a
+/// middle node issues requests, all of them of its own process, so the log
+/// keeps a request's seq and derives its origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LocalOp<T = u64> {
-    /// The request's identity.
-    pub id: RequestId,
-    /// Enqueue/push or dequeue/pop.
+    /// The request's per-origin sequence number.
+    pub seq: u64,
+    /// Enqueue/push or dequeue/pop, kept only for the debug check that the
+    /// log stays in step with the batch's runs.
+    #[cfg(debug_assertions)]
     pub kind: BatchOp,
     /// Payload (enqueues only; `T::default()` for dequeues).
     pub value: T,
@@ -494,13 +498,16 @@ pub(crate) struct Requests<T> {
 
     // --- Stage 4 ------------------------------------------------------------
     pub(crate) store: NodeStore<T>,
-    pub(crate) outstanding_gets: HashMap<RequestId, OutstandingGet>,
+    /// The node's GETs in flight by seq, ascending: a node issues its GETs
+    /// in log (= seq) order, so each is appended.
+    pub(crate) outstanding_gets: Vec<(u64, OutstandingGet)>,
     pub(crate) outstanding_dht: u64,
 
     // --- Outputs --------------------------------------------------------------
-    /// Completion records not yet collected by the host.  Everything else a
-    /// node reports — samples and trace events — goes straight to the
-    /// host's sinks through the [`Context`].
+    /// Completion records not yet collected by the host (see
+    /// [`Self::complete`]).  Everything else a node reports — samples and
+    /// trace events — goes straight to the host's sinks through the
+    /// [`Context`].
     pub(crate) completed: Vec<OpRecord<T>>,
 }
 
@@ -527,7 +534,7 @@ impl<T: Payload> Requests<T> {
             own_batch: SkueueNode::<T>::fresh_batch(cfg),
             own_log: Vec::new(),
             store: NodeStore::new(),
-            outstanding_gets: HashMap::new(),
+            outstanding_gets: Vec::new(),
             outstanding_dht: 0,
             completed: Vec::new(),
         }))
@@ -551,6 +558,41 @@ impl<T: Payload> Requests<T> {
             && outstanding_gets.is_empty()
             && *outstanding_dht == 0
             && own_batch.has_no_ops()
+    }
+
+    /// Appends a completion record.  An empty buffer makes room for one
+    /// record, not the standard library's first four: the host collects
+    /// every round, and most nodes complete one request between two
+    /// collections.
+    pub(crate) fn complete(&mut self, record: OpRecord<T>) {
+        if self.completed.capacity() == 0 {
+            self.completed.reserve_exact(1);
+        }
+        self.completed.push(record);
+    }
+
+    /// Remembers the GET of the node's request `seq` until its reply.
+    fn note_outstanding_get(&mut self, seq: u64, get: OutstandingGet) {
+        let gets = &mut self.outstanding_gets;
+        let at = gets.partition_point(|&(s, _)| s < seq);
+        debug_assert!(gets.get(at).is_none_or(|&(s, _)| s != seq));
+        gets.insert(at, (seq, get));
+    }
+
+    /// Takes the outstanding GET a reply for `request` answers: one of the
+    /// node's own, whose process is `origin`.  `None` for a request of
+    /// another origin or one the node does not (or no longer) wait for.
+    fn take_outstanding_get(
+        &mut self,
+        origin: ProcessId,
+        request: RequestId,
+    ) -> Option<OutstandingGet> {
+        if request.origin != origin {
+            return None;
+        }
+        let gets = &mut self.outstanding_gets;
+        let at = gets.binary_search_by_key(&request.seq, |&(s, _)| s).ok()?;
+        Some(gets.remove(at).1)
     }
 }
 
@@ -818,7 +860,9 @@ impl<T: Payload> SkueueNode<T> {
         TraceId::new(id.origin.0, id.seq)
     }
 
-    /// Number of requests generated at this node that have not completed yet.
+    /// Number of this node's requests still unserved (in its log, waiting
+    /// for their wave's assignment) plus its GETs in flight.  An enqueue
+    /// whose PUT is still routing is open but not counted here.
     pub fn open_requests(&self) -> usize {
         self.requests()
             .map_or(0, |r| r.own_log.len() + r.outstanding_gets.len())
@@ -851,7 +895,8 @@ impl<T: Payload> SkueueNode<T> {
             );
         }
         let op = LocalOp {
-            id,
+            seq: id.seq,
+            #[cfg(debug_assertions)]
             kind,
             value,
             issued_round: round,
@@ -861,14 +906,14 @@ impl<T: Payload> SkueueNode<T> {
         if self.cfg.is_stack() {
             let combining = self.combining.get_or_insert_with(Box::default);
             match kind {
-                BatchOp::Enqueue => combining.local_stack.push(op.id),
+                BatchOp::Enqueue => combining.local_stack.push(id),
                 BatchOp::Dequeue => {
                     if let Some(push_id) = combining.local_stack.pop() {
                         // The matched push is necessarily the most recently
                         // issued unsent operation: undo its batching and
                         // complete both requests immediately (Section VI).
                         let push = requests.own_log.pop().expect("push must still be unsent");
-                        debug_assert_eq!(push.id, push_id);
+                        debug_assert_eq!(push.seq, push_id.seq);
                         // The matched push was issued after the last wave
                         // opened (`local_stack` only holds unsent pushes), so
                         // it leaves the working batch along with the log.
@@ -883,7 +928,7 @@ impl<T: Payload> SkueueNode<T> {
                         // order without re-sorting.
                         let mut records = combining
                             .pairs_by_anchor
-                            .remove(&push.id.seq)
+                            .remove(&push.seq)
                             .unwrap_or_default();
                         let [push_rec, pop_rec] = self.make_combined_pair(push, op, round);
                         records.insert(0, push_rec);
@@ -913,9 +958,10 @@ impl<T: Payload> SkueueNode<T> {
         round: u64,
     ) -> [OpRecord<T>; 2] {
         let origin = self.process();
+        let push_id = RequestId::new(origin, push.seq);
         [
             OpRecord {
-                id: push.id,
+                id: push_id,
                 kind: OpKind::Enqueue,
                 value: push.value.clone(),
                 result: OpResult::Enqueued,
@@ -924,10 +970,10 @@ impl<T: Payload> SkueueNode<T> {
                 completed_round: round,
             },
             OpRecord {
-                id: pop.id,
+                id: RequestId::new(origin, pop.seq),
                 kind: OpKind::Dequeue,
                 value: push.value,
-                result: OpResult::Returned(push.id),
+                result: OpResult::Returned(push_id),
                 order: OrderKey::local(0, origin, 0),
                 issued_round: pop.issued_round,
                 completed_round: round,
@@ -957,10 +1003,7 @@ impl<T: Payload> SkueueNode<T> {
             .expect("only a combining node re-anchors pairs");
         let requests = Requests::of(&mut self.waves, &self.cfg);
         if let Some(anchor_op) = requests.own_log.last() {
-            let bucket = combining
-                .pairs_by_anchor
-                .entry(anchor_op.id.seq)
-                .or_default();
+            let bucket = combining.pairs_by_anchor.entry(anchor_op.seq).or_default();
             debug_assert!(
                 match (bucket.last(), records.first()) {
                     (Some(last), Some(first)) => last.id.seq < first.id.seq,
@@ -975,7 +1018,7 @@ impl<T: Payload> SkueueNode<T> {
                 combining.minor_counter += 1;
                 record.order =
                     OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
-                requests.completed.push(record);
+                requests.complete(record);
             }
         }
     }
@@ -1234,9 +1277,9 @@ impl<T: Payload> SkueueNode<T> {
                     // The working batch holds exactly the log's uncommitted
                     // suffix: the ops that join a wave now.
                     let committed = requests.own_log.len() - own.total_ops() as usize;
-                    let round = ctx.round();
+                    let (origin, round) = (self.view.me().vid.process, ctx.round());
                     for op in &requests.own_log[committed..] {
-                        let op = Self::tid(op.id);
+                        let op = Self::tid(RequestId::new(origin, op.seq));
                         ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
                     }
                 }
@@ -1441,6 +1484,7 @@ impl<T: Payload> SkueueNode<T> {
     /// cursor, off the front of the memo — off the front of each run cursor
     /// and resolves it.
     fn resolve_own(&mut self, cursors: &mut [RunAssignment], ctx: &mut Context<SkueueMsg<T>>) {
+        let origin = self.process();
         let mut log_cursor = 0usize;
         for cursor in cursors {
             let len = Waves::of(&mut self.waves)
@@ -1455,9 +1499,10 @@ impl<T: Payload> SkueueNode<T> {
                 // generic path keeps the allocation/copy profile of the old
                 // `Copy` payloads.
                 let entry = &mut Requests::of(&mut self.waves, &self.cfg).own_log[log_cursor];
-                let id = entry.id;
+                let id = RequestId::new(origin, entry.seq);
                 let issued_round = entry.issued_round;
-                debug_assert_eq!(entry.kind, run.kind, "own log out of sync with batch runs");
+                #[cfg(debug_assertions)]
+                assert_eq!(entry.kind, run.kind, "own log out of sync with batch runs");
                 let value = std::mem::take(&mut entry.value);
                 log_cursor += 1;
                 let order_major = run.value_base + j;
@@ -1519,17 +1564,15 @@ impl<T: Payload> SkueueNode<T> {
                         } else {
                             // ⊥: completes immediately.
                             let order = self.order_key(run.wave, order_major, id.origin);
-                            Requests::of(&mut self.waves, &self.cfg)
-                                .completed
-                                .push(OpRecord {
-                                    id,
-                                    kind: OpKind::Dequeue,
-                                    value: T::default(),
-                                    result: OpResult::Empty,
-                                    order,
-                                    issued_round,
-                                    completed_round: ctx.round(),
-                                });
+                            Requests::of(&mut self.waves, &self.cfg).complete(OpRecord {
+                                id,
+                                kind: OpKind::Dequeue,
+                                value: T::default(),
+                                result: OpResult::Empty,
+                                order,
+                                issued_round,
+                                completed_round: ctx.round(),
+                            });
                         }
                     }
                 }
@@ -1572,7 +1615,7 @@ impl<T: Payload> SkueueNode<T> {
             for mut record in pairs {
                 combining.minor_counter += 1;
                 record.order = OrderKey::local(major, origin, combining.minor_counter);
-                requests.completed.push(record);
+                requests.complete(record);
             }
         }
     }
@@ -1636,9 +1679,10 @@ impl<T: Payload> SkueueNode<T> {
         let key = self.cfg.hasher().position_key(position);
         // Remember the metadata needed to complete the request when the
         // reply arrives.
+        debug_assert_eq!(id.origin, self.process(), "a node issues its own GETs");
         let requests = Requests::of(&mut self.waves, &self.cfg);
-        requests.outstanding_gets.insert(
-            id,
+        requests.note_outstanding_get(
+            id.seq,
             OutstandingGet {
                 issued_round,
                 order: order_major,
@@ -1741,7 +1785,7 @@ impl<T: Payload> SkueueNode<T> {
                 // enqueue path (a copy, pre-generics).
                 let order = self.order_key(meta.wave, meta.order, entry.element.id.origin);
                 let requests = Requests::of(&mut self.waves, &self.cfg);
-                requests.completed.push(OpRecord {
+                requests.complete(OpRecord {
                     id: entry.element.id,
                     kind: OpKind::Enqueue,
                     value: entry.element.value.clone(),
@@ -1809,9 +1853,10 @@ impl<T: Payload> SkueueNode<T> {
         entry: StoredEntry<T>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
+        let origin = self.process();
         let meta = self
             .requests_mut()
-            .and_then(|r| r.outstanding_gets.remove(&request));
+            .and_then(|r| r.take_outstanding_get(origin, request));
         if let Some(meta) = meta {
             let order = self.order_key(meta.wave, meta.order, request.origin);
             let requests = Requests::of(&mut self.waves, &self.cfg);
@@ -1821,7 +1866,7 @@ impl<T: Payload> SkueueNode<T> {
             // The entry ends its life here: the payload moves into the
             // completion record without a clone.
             let source = entry.element.id;
-            requests.completed.push(OpRecord {
+            requests.complete(OpRecord {
                 id: request,
                 kind: OpKind::Dequeue,
                 value: entry.element.value,
@@ -2079,6 +2124,100 @@ mod tests {
         use std::mem::size_of;
         assert!(size_of::<Waves<u64>>() <= 168);
         assert!(size_of::<Requests<u64>>() <= 200);
+    }
+
+    /// What a request costs while it waits in its node's log: its seq, its
+    /// payload and its issue round in release builds (debug builds add the
+    /// kind their log check reads).
+    #[test]
+    fn a_logged_request_is_24_bytes() {
+        let budget = if cfg!(debug_assertions) { 32 } else { 24 };
+        assert!(std::mem::size_of::<LocalOp<u64>>() <= budget);
+    }
+
+    /// The outstanding GETs stay sorted by seq however they are noted, and
+    /// a GET is found again only under the node's own origin.
+    #[test]
+    fn outstanding_gets_stay_sorted_by_seq() {
+        let mut node = node_under_test(false);
+        let me = node.process();
+        let requests = Requests::of(&mut node.waves, &node.cfg);
+        let get = |order| OutstandingGet {
+            issued_round: 0,
+            order,
+            wave: 1,
+        };
+        let seqs = |r: &Requests<u64>| -> Vec<u64> {
+            r.outstanding_gets.iter().map(|&(seq, _)| seq).collect()
+        };
+        for seq in [4, 9, 10, 2, 7] {
+            requests.note_outstanding_get(seq, get(seq));
+        }
+        assert_eq!(seqs(requests), [2, 4, 7, 9, 10]);
+        let foreign = ProcessId(me.0 + 1);
+        assert_eq!(
+            requests.take_outstanding_get(me, RequestId::new(foreign, 7)),
+            None
+        );
+        assert_eq!(
+            requests.take_outstanding_get(me, RequestId::new(me, 8)),
+            None
+        );
+        let taken = requests.take_outstanding_get(me, RequestId::new(me, 7));
+        assert_eq!(taken, Some(get(7)));
+        assert_eq!(seqs(requests), [2, 4, 9, 10]);
+        requests.note_outstanding_get(11, get(11));
+        requests.note_outstanding_get(3, get(3));
+        assert_eq!(seqs(requests), [2, 3, 4, 9, 10, 11]);
+    }
+
+    /// A reply for another process's request, or for a seq the node waits
+    /// for no GET of, raises `unmatched_dht_replies` by exactly one and
+    /// leaves the node's GETs alone; the reply it waits for completes one.
+    #[test]
+    fn a_reply_for_a_foreign_origin_or_an_unknown_seq_is_unmatched() {
+        use crate::cluster::Skueue;
+        let mut cluster = Skueue::<u64>::builder()
+            .processes(4)
+            .seed(1)
+            .build()
+            .expect("valid configuration");
+        let me = ProcessId(1);
+        let middle = node_of(VirtualId::middle(me));
+        let get = OutstandingGet {
+            issued_round: 0,
+            order: 1,
+            wave: 1,
+        };
+        cluster.act_on(middle, |node, _| {
+            let requests = Requests::of(&mut node.waves, &node.cfg);
+            requests.note_outstanding_get(5, get);
+            requests.note_outstanding_get(9, get);
+        });
+        let reply = |cluster: &mut Skueue<u64>, origin, seq| {
+            let entry = StoredEntry {
+                position: 3,
+                key: Label::from_f64(0.5),
+                ticket: 0,
+                element: Element::new(RequestId::new(ProcessId(2), 0), 42),
+            };
+            let request = RequestId::new(origin, seq);
+            let before = cluster.unmatched_dht_replies();
+            cluster.act_on(middle, |node, ctx| {
+                node.handle_dht_reply(request, entry, ctx)
+            });
+            let node = cluster.node(middle).expect("a member");
+            let waiting = node.requests().map_or(vec![], |r| {
+                r.outstanding_gets.iter().map(|&(seq, _)| seq).collect()
+            });
+            (cluster.unmatched_dht_replies() - before, waiting)
+        };
+        for (origin, seq) in [(ProcessId(2), 5), (me, 6), (me, 4), (me, 10)] {
+            assert_eq!(reply(&mut cluster, origin, seq), (1, vec![5, 9]));
+        }
+        assert_eq!(reply(&mut cluster, me, 5), (0, vec![9]));
+        assert!(cluster.node(middle).unwrap().has_completed());
+        assert_eq!(reply(&mut cluster, me, 5), (1, vec![9]));
     }
 
     /// What one in-flight wave keeps per slot and per sub-batch: the ring

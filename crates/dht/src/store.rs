@@ -10,7 +10,8 @@
 use crate::element::{Payload, StoredEntry};
 use skueue_overlay::Label;
 use skueue_sim::ids::{NodeId, RequestId};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// A `GET` that is waiting at the responsible node for its `PUT` to arrive
 /// ("each GET request waits at the node responsible for the position k until
@@ -45,24 +46,50 @@ pub struct SatisfiedGet<T = u64> {
     pub entry: StoredEntry<T>,
 }
 
-/// DHT state of one virtual node.
+/// DHT state of one virtual node: two flat deques.  Entries are sorted by
+/// `(position, ticket)`, entries with an equal pair in arrival order; parked
+/// GETs are sorted by position, FIFO within a position.  Positions arrive
+/// and leave roughly in order (a queue's GETs take the oldest positions, a
+/// stack's the newest), so nearly every insertion and removal is at an end
+/// of its deque.  Both deques grow from room for one item (`reserve_one`),
+/// where the standard library's first step is four.
 #[derive(Debug, Clone)]
 pub struct NodeStore<T = u64> {
-    /// Stored entries, keyed by position.  The stack variant may park several
-    /// tickets under the same position, hence a `Vec` (kept sorted by
-    /// ticket, ascending).
-    entries: BTreeMap<u64, Vec<StoredEntry<T>>>,
-    /// Parked GETs keyed by position (FIFO per position).
-    pending: BTreeMap<u64, Vec<PendingGet>>,
+    entries: VecDeque<StoredEntry<T>>,
+    pending: VecDeque<(u64, PendingGet)>,
 }
 
 impl<T> Default for NodeStore<T> {
     fn default() -> Self {
         NodeStore {
-            entries: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            entries: VecDeque::new(),
+            pending: VecDeque::new(),
         }
     }
+}
+
+/// Makes room for one more item: a full deque doubles, an empty one gets
+/// room for exactly one.
+fn reserve_one<E>(deque: &mut VecDeque<E>) {
+    if deque.len() == deque.capacity() {
+        deque.reserve_exact(deque.len().max(1));
+    }
+}
+
+/// Removes the items `moves` picks from `deque` and returns them; both
+/// parts keep their order.
+fn split_off_where<E>(deque: &mut VecDeque<E>, moves: impl Fn(&E) -> bool) -> Vec<E> {
+    let mut moved = Vec::new();
+    let mut kept = VecDeque::new();
+    for item in std::mem::take(deque) {
+        if moves(&item) {
+            moved.push(item);
+        } else {
+            kept.push_back(item);
+        }
+    }
+    *deque = kept;
+    moved
 }
 
 impl<T: Payload> NodeStore<T> {
@@ -73,7 +100,7 @@ impl<T: Payload> NodeStore<T> {
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.entries.len()
     }
 
     /// True when no entries are stored.
@@ -86,10 +113,17 @@ impl<T: Payload> NodeStore<T> {
         self.entries.is_empty() && self.pending.is_empty()
     }
 
+    /// Heap bytes the store holds: the capacity of both deques times their
+    /// element sizes.
+    pub fn allocated_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<StoredEntry<T>>()
+            + self.pending.capacity() * size_of::<(u64, PendingGet)>()
+    }
+
     /// Number of parked GETs.
     #[cfg(test)]
     pub(crate) fn pending_gets(&self) -> usize {
-        self.pending.values().map(Vec::len).sum()
+        self.pending.len()
     }
 
     /// Applies a `PUT`: stores the entry, or hands it to the one parked GET
@@ -102,18 +136,23 @@ impl<T: Payload> NodeStore<T> {
     pub fn put_into(&mut self, entry: StoredEntry<T>) -> Option<SatisfiedGet<T>> {
         let position = entry.position;
         // Check parked GETs first: the new entry may be consumed immediately.
-        if let Some(waiters) = self.pending.get_mut(&position) {
-            if let Some(idx) = waiters.iter().position(|g| entry.ticket <= g.max_ticket) {
-                let get = waiters.remove(idx);
-                if waiters.is_empty() {
-                    self.pending.remove(&position);
-                }
-                return Some(SatisfiedGet { get, entry });
-            }
+        let first = self.pending.partition_point(|&(p, _)| p < position);
+        let waiter = self
+            .pending
+            .range(first..)
+            .take_while(|&&(p, _)| p == position)
+            .position(|(_, g)| entry.ticket <= g.max_ticket);
+        if let Some(idx) = waiter {
+            let (_, get) = self.pending.remove(first + idx).expect("found above");
+            return Some(SatisfiedGet { get, entry });
         }
-        let slot = self.entries.entry(position).or_default();
-        slot.push(entry);
-        slot.sort_by_key(|e| e.ticket);
+        // After every entry with the same position and ticket.
+        let key = (position, entry.ticket);
+        let at = self
+            .entries
+            .partition_point(|e| (e.position, e.ticket) <= key);
+        reserve_one(&mut self.entries);
+        self.entries.insert(at, entry);
         None
     }
 
@@ -148,7 +187,8 @@ impl<T: Payload> NodeStore<T> {
     /// Applies a `GET` for `position` with the given ticket bound.
     ///
     /// Removes and returns the stored entry with the largest ticket
-    /// `≤ max_ticket` if one exists; otherwise parks the GET.
+    /// `≤ max_ticket` if one exists (of equal tickets, the latest stored);
+    /// otherwise parks the GET behind those already parked at `position`.
     pub fn get(
         &mut self,
         position: u64,
@@ -156,54 +196,37 @@ impl<T: Payload> NodeStore<T> {
         request: RequestId,
         requester: NodeId,
     ) -> GetOutcome<T> {
-        if let Some(slot) = self.entries.get_mut(&position) {
-            // Largest admissible ticket (entries are sorted ascending).
-            if let Some(idx) = slot.iter().rposition(|e| e.ticket <= max_ticket) {
-                let entry = slot.remove(idx);
-                if slot.is_empty() {
-                    self.entries.remove(&position);
-                }
-                return GetOutcome::Found(entry);
-            }
+        let end = self
+            .entries
+            .partition_point(|e| (e.position, e.ticket) <= (position, max_ticket));
+        if end > 0 && self.entries[end - 1].position == position {
+            let entry = self.entries.remove(end - 1).expect("in range");
+            return GetOutcome::Found(entry);
         }
-        self.pending.entry(position).or_default().push(PendingGet {
+        let at = self.pending.partition_point(|&(p, _)| p <= position);
+        reserve_one(&mut self.pending);
+        let get = PendingGet {
             request,
             requester,
             max_ticket,
-        });
+        };
+        self.pending.insert(at, (position, get));
         GetOutcome::Parked
     }
 
     /// Extracts every stored entry **and** parked GET whose position-key
     /// (computed by `key_of`) lies in the ring interval `[lo, hi)` — used to
     /// hand data over to a joining node (or to a leaving node's replacement).
+    /// Both come out in the store's order.
     pub fn extract_range_with_keys(
         &mut self,
         lo: Label,
         hi: Label,
         key_of: impl Fn(u64) -> Label,
     ) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
-        let mut moved_entries = Vec::new();
-        let mut keep_entries = BTreeMap::new();
-        for (position, slot) in std::mem::take(&mut self.entries) {
-            if key_of(position).in_interval(lo, hi) {
-                moved_entries.extend(slot);
-            } else {
-                keep_entries.insert(position, slot);
-            }
-        }
-        self.entries = keep_entries;
-
-        let mut moved_pending = Vec::new();
-        let mut keep_pending = BTreeMap::new();
-        for (position, waiters) in std::mem::take(&mut self.pending) {
-            if key_of(position).in_interval(lo, hi) {
-                moved_pending.extend(waiters.into_iter().map(|g| (position, g)));
-            } else {
-                keep_pending.insert(position, waiters);
-            }
-        }
-        self.pending = keep_pending;
+        let moves = |position: u64| key_of(position).in_interval(lo, hi);
+        let moved_entries = split_off_where(&mut self.entries, |e| moves(e.position));
+        let moved_pending = split_off_where(&mut self.pending, |&(p, _)| moves(p));
         (moved_entries, moved_pending)
     }
 
@@ -220,9 +243,9 @@ impl<T: Payload> NodeStore<T> {
         satisfied
     }
 
-    /// Iterates over all stored entries.
+    /// Iterates over all stored entries in `(position, ticket)` order.
     pub fn iter_entries(&self) -> impl Iterator<Item = &StoredEntry<T>> {
-        self.entries.values().flat_map(|v| v.iter())
+        self.entries.iter()
     }
 
     /// Drains the whole store — every entry and every parked GET — in key
@@ -230,20 +253,171 @@ impl<T: Payload> NodeStore<T> {
     /// state *moves* to its absorber (no payload clones), leaving the store
     /// empty for the drain role.
     pub fn take_all(&mut self) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
-        let entries = std::mem::take(&mut self.entries)
-            .into_values()
-            .flatten()
-            .collect();
-        let pending = std::mem::take(&mut self.pending)
-            .into_iter()
-            .flat_map(|(p, waiters)| waiters.into_iter().map(move |g| (p, g)))
-            .collect();
-        (entries, pending)
+        (
+            std::mem::take(&mut self.entries).into(),
+            std::mem::take(&mut self.pending).into(),
+        )
+    }
+}
+
+/// The store as it was before it became two deques — a `BTreeMap` of
+/// per-position vectors for entries and for parked GETs — kept as the
+/// reference model the property test below runs [`NodeStore`] against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct BTreeStore<T> {
+        /// Entries per position, sorted by ticket (a stable sort, so equal
+        /// tickets stay in arrival order).
+        entries: BTreeMap<u64, Vec<StoredEntry<T>>>,
+        /// Parked GETs per position, FIFO.
+        pending: BTreeMap<u64, Vec<PendingGet>>,
+    }
+
+    impl<T: Payload> BTreeStore<T> {
+        pub(super) fn new() -> Self {
+            BTreeStore {
+                entries: BTreeMap::new(),
+                pending: BTreeMap::new(),
+            }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.entries.values().map(Vec::len).sum()
+        }
+
+        pub(super) fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        pub(super) fn is_vacant(&self) -> bool {
+            self.entries.is_empty() && self.pending.is_empty()
+        }
+
+        pub(super) fn put_into(&mut self, entry: StoredEntry<T>) -> Option<SatisfiedGet<T>> {
+            let position = entry.position;
+            if let Some(waiters) = self.pending.get_mut(&position) {
+                if let Some(idx) = waiters.iter().position(|g| entry.ticket <= g.max_ticket) {
+                    let get = waiters.remove(idx);
+                    if waiters.is_empty() {
+                        self.pending.remove(&position);
+                    }
+                    return Some(SatisfiedGet { get, entry });
+                }
+            }
+            let slot = self.entries.entry(position).or_default();
+            slot.push(entry);
+            slot.sort_by_key(|e| e.ticket);
+            None
+        }
+
+        pub(super) fn put_many(&mut self, entries: Vec<StoredEntry<T>>) -> Vec<SatisfiedGet<T>> {
+            entries
+                .into_iter()
+                .filter_map(|entry| self.put_into(entry))
+                .collect()
+        }
+
+        pub(super) fn get_many(
+            &mut self,
+            gets: Vec<(u64, PendingGet)>,
+            satisfied: &mut Vec<SatisfiedGet<T>>,
+        ) {
+            for (position, get) in gets {
+                match self.get(position, get.max_ticket, get.request, get.requester) {
+                    GetOutcome::Found(entry) => satisfied.push(SatisfiedGet { get, entry }),
+                    GetOutcome::Parked => {}
+                }
+            }
+        }
+
+        pub(super) fn get(
+            &mut self,
+            position: u64,
+            max_ticket: u64,
+            request: RequestId,
+            requester: NodeId,
+        ) -> GetOutcome<T> {
+            if let Some(slot) = self.entries.get_mut(&position) {
+                if let Some(idx) = slot.iter().rposition(|e| e.ticket <= max_ticket) {
+                    let entry = slot.remove(idx);
+                    if slot.is_empty() {
+                        self.entries.remove(&position);
+                    }
+                    return GetOutcome::Found(entry);
+                }
+            }
+            self.pending.entry(position).or_default().push(PendingGet {
+                request,
+                requester,
+                max_ticket,
+            });
+            GetOutcome::Parked
+        }
+
+        pub(super) fn extract_range_with_keys(
+            &mut self,
+            lo: Label,
+            hi: Label,
+            key_of: impl Fn(u64) -> Label,
+        ) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
+            let mut moved_entries = Vec::new();
+            let mut keep_entries = BTreeMap::new();
+            for (position, slot) in std::mem::take(&mut self.entries) {
+                if key_of(position).in_interval(lo, hi) {
+                    moved_entries.extend(slot);
+                } else {
+                    keep_entries.insert(position, slot);
+                }
+            }
+            self.entries = keep_entries;
+            let mut moved_pending = Vec::new();
+            let mut keep_pending = BTreeMap::new();
+            for (position, waiters) in std::mem::take(&mut self.pending) {
+                if key_of(position).in_interval(lo, hi) {
+                    moved_pending.extend(waiters.into_iter().map(|g| (position, g)));
+                } else {
+                    keep_pending.insert(position, waiters);
+                }
+            }
+            self.pending = keep_pending;
+            (moved_entries, moved_pending)
+        }
+
+        pub(super) fn absorb(
+            &mut self,
+            entries: Vec<StoredEntry<T>>,
+            pending: Vec<(u64, PendingGet)>,
+        ) -> Vec<SatisfiedGet<T>> {
+            let mut satisfied = self.put_many(entries);
+            self.get_many(pending, &mut satisfied);
+            satisfied
+        }
+
+        pub(super) fn iter_entries(&self) -> impl Iterator<Item = &StoredEntry<T>> {
+            self.entries.values().flat_map(|v| v.iter())
+        }
+
+        pub(super) fn take_all(&mut self) -> (Vec<StoredEntry<T>>, Vec<(u64, PendingGet)>) {
+            let entries = std::mem::take(&mut self.entries)
+                .into_values()
+                .flatten()
+                .collect();
+            let pending = std::mem::take(&mut self.pending)
+                .into_iter()
+                .flat_map(|(p, waiters)| waiters.into_iter().map(move |g| (p, g)))
+                .collect();
+            (entries, pending)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::BTreeStore;
     use super::*;
     use crate::element::Element;
     use proptest::prelude::*;
@@ -298,6 +472,98 @@ mod tests {
     fn tickets_at(store: &NodeStore, position: u64) -> Vec<u64> {
         let at = store.iter_entries().filter(|e| e.position == position);
         at.map(|e| e.ticket).collect()
+    }
+
+    /// One side of the model test: the deque store and its reference.
+    struct Pair {
+        flat: NodeStore,
+        model: BTreeStore<u64>,
+    }
+
+    /// Draws the model test's operands off one random word.
+    struct Draws {
+        word: u64,
+        stack: bool,
+        next_id: u64,
+    }
+
+    impl Draws {
+        /// The next `n` bits of the word, as a number below `2^n`.
+        fn bits(&mut self, n: u32) -> u64 {
+            let value = self.word & ((1 << n) - 1);
+            self.word = self.word.rotate_right(n);
+            value
+        }
+
+        /// A position in `0..6`, so puts and GETs collide.
+        fn position(&mut self) -> u64 {
+            self.bits(3) % 6
+        }
+
+        /// A ticket in `0..4` for the stack (equal tickets are common),
+        /// `0` for the queue.
+        fn ticket(&mut self) -> u64 {
+            if self.stack {
+                self.bits(2)
+            } else {
+                0
+            }
+        }
+
+        fn entry(&mut self) -> StoredEntry {
+            let position = self.position();
+            let ticket = self.ticket();
+            self.next_id += 1;
+            let id = rid(self.next_id);
+            StoredEntry {
+                ticket,
+                ..StoredEntry::queue(
+                    position,
+                    model_key(position),
+                    Element::new(id, self.next_id),
+                )
+            }
+        }
+
+        /// A parked-GET request: the stack's bound is a small ticket or
+        /// unbounded, the queue's always unbounded.
+        fn get(&mut self) -> (u64, PendingGet) {
+            let position = self.position();
+            let max_ticket = match self.ticket() {
+                3 => u64::MAX,
+                ticket => ticket,
+            };
+            let max_ticket = if self.stack { max_ticket } else { u64::MAX };
+            self.next_id += 1;
+            let get = PendingGet {
+                request: rid(1 << 32 | self.next_id),
+                requester: NodeId(self.bits(2)),
+                max_ticket,
+            };
+            (position, get)
+        }
+
+        fn entries(&mut self) -> Vec<StoredEntry> {
+            let n = 1 + self.bits(2);
+            (0..n).map(|_| self.entry()).collect()
+        }
+
+        fn gets(&mut self) -> Vec<(u64, PendingGet)> {
+            let n = 1 + self.bits(2);
+            (0..n).map(|_| self.get()).collect()
+        }
+
+        /// A ring interval of tenths (`lo == hi` is the whole ring).
+        fn interval(&mut self) -> (Label, Label) {
+            let lo = (self.bits(4) % 10) as f64 / 10.0;
+            let hi = (self.bits(4) % 10) as f64 / 10.0;
+            (key(lo), key(hi))
+        }
+    }
+
+    /// The key of a position in the model test: scattered over the ring.
+    fn model_key(position: u64) -> Label {
+        key((position * 37 % 100) as f64 / 100.0)
     }
 
     #[test]
@@ -537,6 +803,88 @@ mod tests {
             );
             let sat = b.absorb(entries, pending);
             prop_assert_eq!(a.len() + b.len() + sat.len(), before);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sequences of every operation, in queue and in stack mode,
+        /// on two deque stores and two B-tree references, handing state
+        /// between the two: every outcome, every satisfied GET in its
+        /// order, and both stores' contents in iteration and hand-over
+        /// order agree after every step.
+        #[test]
+        fn prop_deques_match_the_btree_reference(
+            stack in any::<bool>(),
+            steps in proptest::collection::vec((0u64..7, any::<bool>(), any::<u64>()), 1..80),
+        ) {
+            let mut sides = [0, 1].map(|_| Pair { flat: NodeStore::new(), model: BTreeStore::new() });
+            let mut draws = Draws { word: 0, stack, next_id: 0 };
+            for (step, &(op, on_second, word)) in steps.iter().enumerate() {
+                draws.word = word;
+                let (here, there) = if on_second { (1, 0) } else { (0, 1) };
+                match op {
+                    0 => {
+                        let entry = draws.entry();
+                        let flat = sides[here].flat.put_into(entry.clone());
+                        prop_assert_eq!(flat, sides[here].model.put_into(entry), "put at step {}", step);
+                    }
+                    1 => {
+                        let (position, g) = draws.get();
+                        let flat = sides[here].flat.get(position, g.max_ticket, g.request, g.requester);
+                        let model = sides[here].model.get(position, g.max_ticket, g.request, g.requester);
+                        prop_assert_eq!(flat, model, "get at step {}", step);
+                    }
+                    2 => {
+                        let entries = draws.entries();
+                        let flat = sides[here].flat.put_many(entries.clone());
+                        prop_assert_eq!(flat, sides[here].model.put_many(entries), "put_many at step {}", step);
+                    }
+                    3 => {
+                        let gets = draws.gets();
+                        let (mut flat, mut model) = (Vec::new(), Vec::new());
+                        sides[here].flat.get_many(gets.clone(), &mut flat);
+                        sides[here].model.get_many(gets, &mut model);
+                        prop_assert_eq!(flat, model, "get_many at step {}", step);
+                    }
+                    4 | 6 => {
+                        let (flat, model) = if op == 4 {
+                            let (lo, hi) = draws.interval();
+                            (
+                                sides[here].flat.extract_range_with_keys(lo, hi, model_key),
+                                sides[here].model.extract_range_with_keys(lo, hi, model_key),
+                            )
+                        } else {
+                            (sides[here].flat.take_all(), sides[here].model.take_all())
+                        };
+                        prop_assert_eq!(&flat, &model, "hand-over at step {}", step);
+                        let (entries, pending) = flat;
+                        let flat = sides[there].flat.absorb(entries.clone(), pending.clone());
+                        let model = sides[there].model.absorb(entries, pending);
+                        prop_assert_eq!(flat, model, "absorb of a hand-over at step {}", step);
+                    }
+                    _ => {
+                        let (entries, gets) = (draws.entries(), draws.gets());
+                        let flat = sides[here].flat.absorb(entries.clone(), gets.clone());
+                        let model = sides[here].model.absorb(entries, gets);
+                        prop_assert_eq!(flat, model, "absorb at step {}", step);
+                    }
+                }
+                for side in &sides {
+                    prop_assert_eq!(side.flat.len(), side.model.len());
+                    prop_assert_eq!(side.flat.is_empty(), side.model.is_empty());
+                    prop_assert_eq!(side.flat.is_vacant(), side.model.is_vacant());
+                    let flat: Vec<_> = side.flat.iter_entries().collect();
+                    let model: Vec<_> = side.model.iter_entries().collect();
+                    prop_assert_eq!(flat, model, "iteration order after step {}", step);
+                    prop_assert_eq!(
+                        side.flat.clone().take_all(),
+                        side.model.clone().take_all(),
+                        "hand-over order after step {}", step
+                    );
+                }
+            }
         }
     }
 }
