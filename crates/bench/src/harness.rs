@@ -14,7 +14,7 @@ pub enum SweepConfig {
     /// Measured on the 2-vCPU development host, verifier on: `fig2`
     /// (25 points) ≈ 35 s and 345 MB, `fig3` ≈ 125 s and 470 MB, `scaling`
     /// ≈ 2 s; `fig4` (10⁷ requests at p = 1.0, unverified — see
-    /// `SweepConfig::verify`) and `all` have not been timed (ROADMAP, item 2).
+    /// `SweepConfig::verify`) and `all` have not been timed (ROADMAP, item 8).
     PaperScale,
 }
 
@@ -64,7 +64,7 @@ impl SweepConfig {
 
     /// Whether the Figure 4 sweep verifies each point's history.  Off at the
     /// paper scale only: its p = 1.0 points issue 10⁷ requests, ≈ 1.2 GB of
-    /// history (ROADMAP, item 2).  The fixed-rate sweeps (`fig2`, `fig3`,
+    /// history (ROADMAP, item 6).  The fixed-rate sweeps (`fig2`, `fig3`,
     /// `scaling`) issue 10⁴ requests a point and verify at every scale.
     pub(crate) fn verify(self) -> bool {
         !matches!(self, SweepConfig::PaperScale)

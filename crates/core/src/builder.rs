@@ -222,13 +222,13 @@ impl<T: Payload> SkueueBuilder<T> {
         self
     }
 
-    /// Number of OS worker threads the round loop runs anchor-shard lanes
-    /// on.  `1` (the default) selects the single-threaded backend; `n > 1`
-    /// runs each shard's lane on a persistent worker thread behind a
-    /// deterministic round barrier (capped at the shard count — extra
-    /// threads would have no lane to run).  The two backends produce
-    /// **byte-identical** histories for every seed, so `.threads(n)` is
-    /// purely a wall-clock knob.
+    /// Number of OS threads a round runs anchor-shard lanes on, the calling
+    /// thread included.  `1` (the default) runs every lane on the calling
+    /// thread; with `n > 1` lane `l` runs on the round's thread `l % n`,
+    /// the others being spawned per round and joined at its end (capped at
+    /// the shard count — extra threads would have no lane to run).  Every
+    /// thread count produces **byte-identical** histories for every seed,
+    /// so `.threads(n)` is purely a wall-clock knob.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -292,9 +292,9 @@ impl<T: Payload> SkueueCluster<T> {
 
         let mut sim = Simulation::new(sim_cfg).expect("validated by SkueueBuilder::build");
         // One simulation lane per anchor shard: all protocol traffic is
-        // intra-shard, so each lane's round is independent and the parallel
-        // backend can run lanes on worker threads without any cross-lane
-        // routing.  With `shards == 1` this is exactly the old layout.
+        // intra-shard, so each lane's round is independent and a round can
+        // run lanes on several threads without any cross-lane routing.
+        // With `shards == 1` this is exactly the old layout.
         sim.configure_lanes(cfg.shards)
             .expect("fresh simulation has no nodes yet");
         // Pre-size every lane: the shard populations are known, and node
@@ -414,8 +414,9 @@ impl<T: Payload> SkueueCluster<T> {
         self.cfg.shards
     }
 
-    /// Number of worker threads the simulation's round loop runs on (1 =
-    /// single-threaded backend; see [`SkueueBuilder::threads`]).
+    /// Number of threads a simulation round runs on, the calling one
+    /// included (1 = every lane on the calling thread; see
+    /// [`SkueueBuilder::threads`]).
     pub fn parallel_threads(&self) -> usize {
         self.sim.parallel_threads()
     }

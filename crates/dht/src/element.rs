@@ -22,9 +22,9 @@ use std::fmt;
 ///
 /// The trait is blanket-implemented: any `Clone + Ord + Hash + Debug +
 /// Default + Send + 'static` type is a payload — `u64`, `String`, `Vec<u8>`,
-/// or an application job struct.  (`Send` because the simulation's parallel
-/// backend ships each anchor shard's nodes — and therefore the payloads they
-/// hold — to worker threads.)
+/// or an application job struct.  (`Send` because a simulation round may
+/// run an anchor shard's nodes — and therefore the payloads they hold — on
+/// another thread.)
 pub trait Payload:
     Clone + Ord + Eq + std::hash::Hash + fmt::Debug + Default + Send + 'static
 {

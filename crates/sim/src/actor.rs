@@ -13,10 +13,12 @@ use skueue_trace::{TraceEvent, TraceRecord};
 /// daemon's.
 ///
 /// Implementations must be deterministic given the sequence of delivered
-/// messages and timeouts.
-pub trait Actor {
+/// messages and timeouts.  Actors and their messages are `Send`: a
+/// simulation round may run a lane on another thread
+/// ([`crate::Simulation::run_round`]).
+pub trait Actor: Send {
     /// Payload type of the messages this actor exchanges.
-    type Msg: Clone + std::fmt::Debug;
+    type Msg: Clone + std::fmt::Debug + Send;
 
     /// Handles a delivered message (`m ∈ v.Ch` being processed).
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, ctx: &mut Context<Self::Msg>);

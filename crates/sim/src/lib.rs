@@ -40,16 +40,18 @@
 //! DHT and the protocol are layered on top (see `skueue-overlay`,
 //! `skueue-dht`, `skueue-core`).
 //!
-//! # Execution backends
+//! # One round loop
 //!
 //! A simulation's nodes are partitioned into **lanes** (one by default; the
 //! Skueue cluster maps every anchor shard to its own lane).  Each lane owns
 //! its nodes, its own delivery wheel — one ring of buckets, a bucket per
 //! future round, each in send order — and an independent RNG stream, and a
 //! lane is closed: an actor sends only to nodes of its own lane.  So a round
-//! decomposes into per-lane work recombined in fixed lane order.  [`Simulation::enable_parallel`] selects whether lanes run on
-//! the calling thread or on a pool of worker threads behind a deterministic
-//! round barrier (see `exec`); both backends produce byte-identical results.
+//! is a fork-join over lanes that share nothing, recombined in fixed lane
+//! order.  [`Simulation::enable_parallel`] sets how many threads the fork
+//! uses — lane `l` runs in group `l % T`, group 0 on the calling thread and
+//! every other group on a thread of a `std::thread::scope` — and every
+//! thread count produces byte-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +60,6 @@ pub mod actor;
 mod config;
 pub mod delivery;
 mod error;
-mod exec;
 pub mod ids;
 mod message;
 pub mod metrics;

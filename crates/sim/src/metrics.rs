@@ -86,15 +86,17 @@ pub struct SimMetrics {
     /// nanoseconds (index = lane).  A single-lane simulation reports one
     /// entry; lane imbalance shows up as a spread across entries.
     pub lane_busy_ns: Vec<u64>,
-    /// Cumulative time each lane's result sat waiting at the round barrier
-    /// for the slowest lane, in nanoseconds (index = lane).  Only the
-    /// parallel backend accumulates this; it is the direct cost of lane
+    /// Cumulative time each lane's thread sat idle at the round barrier, in
+    /// nanoseconds (index = lane): per round, a thread's idle time (round
+    /// wall time less the busy time of the lanes it ran) split evenly over
+    /// those lanes, so the sum is idle thread-time.  Only rounds on more
+    /// than one thread accumulate this; it is the direct cost of lane
     /// imbalance.
     pub lane_barrier_wait_ns: Vec<u64>,
     /// Process-unique token of the OS thread that most recently executed
-    /// each lane (index = lane; see `crate::exec::thread_token`).  Lets
-    /// tests and CI assert that the parallel backend really spread lanes
-    /// over distinct threads.
+    /// each lane (index = lane).  Lets tests and CI check which thread ran
+    /// each lane: lane `l` on thread `l % T` of the round, thread 0 being
+    /// the caller's.
     pub lane_thread_tokens: Vec<u64>,
 }
 

@@ -44,13 +44,13 @@
 //! A simulation lane is closed: an actor may only send to a node of its own
 //! lane, and a send that leaves it is a panic naming both ends.  The Skueue
 //! cluster maps every anchor shard to its own lane, and shards never talk to
-//! each other.  Lanes make the round loop parallelisable: with
-//! [`Simulation::enable_parallel`] each lane's turn executes on a worker
-//! thread of a persistent [`crate::exec::WorkerPool`] behind a deterministic
-//! round barrier.  Because a lane's turn depends only on lane-owned state
-//! and merges happen in lane order, the parallel backend is
-//! **byte-identical** to the single-threaded one for every seed and any
-//! thread count.
+//! each other.  So a round is a fork-join over lanes: with
+//! [`Simulation::enable_parallel`] set to `T` threads, lane `l` runs in
+//! group `l % T`, the calling thread runs group 0 and a
+//! `std::thread::scope` thread each of the others, and the scope's join is
+//! the round barrier.  Because a lane's turn depends only on lane-owned
+//! state and merges happen in lane order, every thread count is
+//! **byte-identical** to one thread for every seed.
 //!
 //! # Hot-loop design
 //!
@@ -74,13 +74,14 @@
 use crate::actor::{Actor, Context};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::exec::{thread_token, RoundTask, WorkerPool};
 use crate::ids::NodeId;
 use crate::metrics::{Histogram, SimMetrics};
 use crate::rng::{splitmix64, SimRng};
 use crate::transport::{SimTransport, Transport};
 use crate::Round;
 use skueue_trace::{TraceLog, TraceRecord};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
@@ -122,6 +123,20 @@ struct LaneMetrics {
     busy_ns: u64,
     barrier_wait_ns: u64,
     thread_token: u64,
+}
+
+static NEXT_THREAD_TOKEN: AtomicU64 = AtomicU64::new(1);
+
+std::thread_local! {
+    static THREAD_TOKEN: u64 = NEXT_THREAD_TOKEN.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A small process-unique token for the current thread (stable `ThreadId`
+/// numbering is unstable in std).  Each lane records the token of the
+/// thread that ran its last turn ([`SimMetrics::lane_thread_tokens`]), so
+/// tests can check which thread a round ran each lane on.
+fn thread_token() -> u64 {
+    THREAD_TOKEN.with(|t| *t)
 }
 
 /// A set of nodes, the fabric their messages travel on, and the visit loop
@@ -470,28 +485,13 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     }
 }
 
-impl<A, F> RoundTask for Lane<A, F>
-where
-    A: Actor + Send + 'static,
-    A::Msg: Send,
-    F: Transport<A::Msg> + Send + 'static,
-{
-    fn run_task(&mut self, round: u64) {
-        self.step(true);
-        debug_assert_eq!(self.turn, round, "lane clock out of sync with driver");
-    }
-}
-
 /// A lane of the simulation: its fabric is the deterministic delivery wheel.
 type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
 
 /// A deterministic discrete-round message-passing simulation.
 pub struct Simulation<A: Actor> {
     config: SimConfig,
-    /// The lanes.  `Option` because the parallel backend temporarily moves
-    /// lane boxes to worker threads inside [`Self::run_round`]; between
-    /// driver calls every slot is `Some`.
-    lanes: Vec<Option<Box<SimLane<A>>>>,
+    lanes: Vec<SimLane<A>>,
     /// Global node id → `(lane, slot)`.
     node_loc: Vec<(u32, u32)>,
     round: Round,
@@ -499,14 +499,15 @@ pub struct Simulation<A: Actor> {
     /// The global node ids visited by the most recent round (merged across
     /// lanes; see [`Self::visited_last_round`]).
     merged_wake: Vec<usize>,
-    /// Worker pool of the parallel backend (`None` = single-threaded).
-    pool: Option<WorkerPool<SimLane<A>>>,
+    /// The thread count asked for ([`Self::enable_parallel`]), uncapped:
+    /// [`Self::parallel_threads`] caps it at the lane count.
+    threads: usize,
 }
 
 /// Lane `lane` of a simulation configured by `config`.  Lane 0's RNG stream
 /// is seeded exactly like the pre-lane global stream, so single-lane runs
 /// are bit-identical to the historical scheduler.
-fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> Box<SimLane<A>> {
+fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> SimLane<A> {
     let seed = if lane == 0 {
         config.seed
     } else {
@@ -518,7 +519,7 @@ fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> Box<SimLane<A>> {
     };
     let mut fabric = SimTransport::new(config.delivery, SimRng::new(seed));
     fabric.shuffle = config.shuffle_node_order;
-    Box::new(Lane::new(fabric))
+    Lane::new(fabric)
 }
 
 impl<A: Actor> Simulation<A> {
@@ -529,25 +530,13 @@ impl<A: Actor> Simulation<A> {
         let lane = sim_lane(&config, 0);
         Ok(Simulation {
             config,
-            lanes: vec![Some(lane)],
+            lanes: vec![lane],
             node_loc: Vec::new(),
             round: 0,
             metrics: SimMetrics::default(),
             merged_wake: Vec::new(),
-            pool: None,
+            threads: 1,
         })
-    }
-
-    /// Immutable access to a lane (every slot is `Some` between rounds).
-    #[inline]
-    fn lane(&self, lane: usize) -> &SimLane<A> {
-        self.lanes[lane].as_ref().expect("lane present")
-    }
-
-    /// Mutable access to a lane.
-    #[inline]
-    fn lane_mut(&mut self, lane: usize) -> &mut SimLane<A> {
-        self.lanes[lane].as_mut().expect("lane present")
     }
 
     /// Repartitions the (still empty) simulation into `count` lanes.  Lane 0
@@ -564,10 +553,7 @@ impl<A: Actor> Simulation<A> {
                 "lanes must be configured before nodes are added".into(),
             ));
         }
-        self.lanes = (0..count)
-            .map(|l| Some(sim_lane(&self.config, l)))
-            .collect();
-        self.pool = None;
+        self.lanes = (0..count).map(|l| sim_lane(&self.config, l)).collect();
         Ok(())
     }
 
@@ -589,7 +575,7 @@ impl<A: Actor> Simulation<A> {
             self.lanes.len()
         );
         self.node_loc.reserve(nodes);
-        self.lane_mut(lane).reserve_nodes(nodes);
+        self.lanes[lane].reserve_nodes(nodes);
     }
 
     /// Adds a node to the given lane and returns its (global) id.
@@ -605,7 +591,7 @@ impl<A: Actor> Simulation<A> {
             self.lanes.len()
         );
         let id = NodeId(self.node_loc.len() as u64);
-        let lane_ref = self.lane_mut(lane);
+        let lane_ref = &mut self.lanes[lane];
         let slot = lane_ref.nodes.len();
         lane_ref.add_node(id, actor);
         self.node_loc.push((lane as u32, slot as u32));
@@ -617,33 +603,24 @@ impl<A: Actor> Simulation<A> {
         self.round
     }
 
-    /// Switches the round loop to the parallel backend with (up to)
-    /// `threads` worker threads — values `<= 1` (or a single lane) select
-    /// the single-threaded backend.  May be toggled between rounds; results
-    /// are byte-identical either way.
-    pub fn enable_parallel(&mut self, threads: usize)
-    where
-        A: Send + 'static,
-        A::Msg: Send,
-    {
-        let workers = threads.min(self.lanes.len());
-        if workers <= 1 || self.lanes.len() <= 1 {
-            self.pool = None;
-            return;
-        }
-        self.pool = Some(WorkerPool::new(workers));
+    /// Runs every later round on (up to) `threads` threads, the calling
+    /// one included; values `<= 1` keep every lane on the calling thread.
+    /// May be changed between rounds; results are byte-identical either
+    /// way.
+    pub fn enable_parallel(&mut self, threads: usize) {
+        self.threads = threads;
     }
 
-    /// Number of worker threads of the parallel backend (1 when the
-    /// single-threaded backend is active).
+    /// Number of threads a round runs on: the count asked for, capped at
+    /// the lane count (so 1 for a single lane).
     pub fn parallel_threads(&self) -> usize {
-        self.pool.as_ref().map(|p| p.worker_count()).unwrap_or(1)
+        self.threads.clamp(1, self.lanes.len())
     }
 
     /// Immutable access to an actor.
     pub fn node(&self, id: NodeId) -> Option<&A> {
         let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&self.lane(lane as usize).nodes[slot as usize])
+        Some(&self.lanes[lane as usize].nodes[slot as usize])
     }
 
     /// Iterates over `(id, actor)` pairs in global id order.
@@ -651,7 +628,7 @@ impl<A: Actor> Simulation<A> {
         self.node_loc
             .iter()
             .enumerate()
-            .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lane(l as usize).nodes[s as usize]))
+            .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lanes[l as usize].nodes[s as usize]))
     }
 
     /// Runs a driver-side action of node `id` in its lane's [`Context`]
@@ -666,7 +643,7 @@ impl<A: Actor> Simulation<A> {
         action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
     ) -> Option<R> {
         let &(lane, _) = self.node_loc.get(id.index())?;
-        let lane = self.lane_mut(lane as usize);
+        let lane = &mut self.lanes[lane as usize];
         let sent = lane.metrics.messages_sent;
         let result = lane.act(id, action);
         if lane.metrics.messages_sent != sent {
@@ -682,7 +659,7 @@ impl<A: Actor> Simulation<A> {
             .node_loc
             .get(to.index())
             .ok_or(SimError::UnknownNode(to))?;
-        self.lane_mut(lane as usize).inject(from, to, msg)?;
+        self.lanes[lane as usize].inject(from, to, msg)?;
         self.fold_counters();
         Ok(())
     }
@@ -698,7 +675,7 @@ impl<A: Actor> Simulation<A> {
     pub fn observed(&self, series: usize) -> Histogram {
         let mut merged = Histogram::default();
         for lane in &self.lanes {
-            merged.merge(&lane.as_ref().expect("lane present").observed(series));
+            merged.merge(&lane.observed(series));
         }
         merged
     }
@@ -718,28 +695,42 @@ impl<A: Actor> Simulation<A> {
     /// appends the trace events the lanes recorded since the previous round
     /// (driver actions included) to `trace` in lane order, and returns the
     /// number of messages delivered in the round.
+    ///
+    /// The round is a fork-join over [`Self::parallel_threads`] = `T`
+    /// groups: lane `l` is in group `l % T`, groups `1…T−1` each run on a
+    /// scoped thread while the calling thread runs group 0, and the round
+    /// ends when all have.  With `T = 1` nothing is spawned.  A lane that
+    /// panics makes this call panic with the lane's own payload.
     pub fn run_round(&mut self, trace: &mut TraceLog) -> usize {
         self.round += 1;
-        let round = self.round;
+        let threads = self.parallel_threads();
         let started = Instant::now();
-        let parallel = self.pool.is_some() && self.lanes.len() > 1;
-        if parallel {
-            let pool = self.pool.as_mut().expect("checked above");
-            for idx in 0..self.lanes.len() {
-                let lane = self.lanes[idx].take().expect("lane present between rounds");
-                pool.submit(idx, lane, round);
-            }
-            for _ in 0..self.lanes.len() {
-                let (idx, lane) = pool.collect_one();
-                self.lanes[idx] = Some(lane);
-            }
-        } else {
-            for slot in &mut self.lanes {
-                slot.as_mut().expect("lane present").step(true);
-            }
+        let mut groups: Vec<Vec<&mut SimLane<A>>> = (0..threads).map(|_| Vec::new()).collect();
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            groups[l % threads].push(lane);
         }
+        let step_group = |group: Vec<&mut SimLane<A>>| {
+            for lane in group {
+                lane.step(true);
+            }
+        };
+        let mut groups = groups.into_iter();
+        let driver_group = groups.next().expect("at least one thread");
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = groups
+                .map(|group| scope.spawn(move || step_group(group)))
+                .collect();
+            step_group(driver_group);
+            for handle in spawned {
+                // Joined here: `scope` itself would replace the payload
+                // with one of its own.
+                if let Err(payload) = handle.join() {
+                    resume_unwind(payload);
+                }
+            }
+        });
         let round_wall_ns = started.elapsed().as_nanos() as u64;
-        self.merge_round(round_wall_ns, parallel, trace)
+        self.merge_round(round_wall_ns, threads, trace)
     }
 
     /// Re-derives the cumulative counters of [`Self::metrics`] from the
@@ -751,8 +742,7 @@ impl<A: Actor> Simulation<A> {
         m.timeouts_fired = 0;
         m.nodes_visited = 0;
         m.delays = Histogram::default();
-        for slot in &self.lanes {
-            let lane = slot.as_ref().expect("lane present");
+        for lane in &self.lanes {
             m.messages_sent += lane.metrics.messages_sent;
             m.messages_delivered += lane.metrics.messages_delivered;
             m.timeouts_fired += lane.metrics.timeouts_fired;
@@ -763,19 +753,34 @@ impl<A: Actor> Simulation<A> {
 
     /// Recombines the per-lane round outputs — wake lists, metrics, trace
     /// events — in fixed lane order and returns the round's
-    /// delivered-message count.
-    fn merge_round(&mut self, round_wall_ns: u64, parallel: bool, trace: &mut TraceLog) -> usize {
+    /// delivered-message count.  `threads` is the number of groups the
+    /// round ran in.
+    fn merge_round(&mut self, round_wall_ns: u64, threads: usize, trace: &mut TraceLog) -> usize {
         // Merged visit list (global ids).  One lane: the exact visit order.
         // Multi-lane: ascending id order (the historical global visit order)
         // or lane-concatenation order under shuffle — deterministic either
         // way.
         self.merged_wake.clear();
-        for slot in &self.lanes {
-            let lane = slot.as_ref().expect("lane present");
+        for lane in &self.lanes {
             self.merged_wake.extend(lane.visited().map(NodeId::index));
         }
         if self.lanes.len() > 1 && !self.config.shuffle_node_order {
             self.merged_wake.sort_unstable();
+        }
+
+        // Barrier wait: a group's thread idles for the round's wall time
+        // less its lanes' busy time; that idle time is split evenly over
+        // the group's lanes.  One thread never waits.
+        if threads > 1 {
+            for g in 0..threads {
+                let group = self.lanes[g..].iter().step_by(threads);
+                let members = group.len() as u64;
+                let busy: u64 = group.map(|lane| lane.delta_busy_ns).sum();
+                let share = round_wall_ns.saturating_sub(busy) / members;
+                for lane in self.lanes[g..].iter_mut().step_by(threads) {
+                    lane.metrics.barrier_wait_ns += share;
+                }
+            }
         }
 
         // Metrics: recompute the aggregate counters from the per-lane
@@ -789,12 +794,8 @@ impl<A: Actor> Simulation<A> {
         m.lane_barrier_wait_ns.resize(lane_count, 0);
         m.lane_thread_tokens.resize(lane_count, 0);
         let mut delivered_this_round = 0usize;
-        for (l, slot) in self.lanes.iter_mut().enumerate() {
-            let lane = slot.as_mut().expect("lane present");
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
             delivered_this_round += lane.delta_delivered;
-            if parallel {
-                lane.metrics.barrier_wait_ns += round_wall_ns.saturating_sub(lane.delta_busy_ns);
-            }
             m.lane_busy_ns[l] = lane.metrics.busy_ns;
             m.lane_barrier_wait_ns[l] = lane.metrics.barrier_wait_ns;
             m.lane_thread_tokens[l] = lane.metrics.thread_token;
@@ -1368,22 +1369,83 @@ mod tests {
     }
 
     #[test]
-    fn parallel_backend_runs_lanes_on_distinct_threads() {
-        let mut sim = pinger_sim(8, 4, 4, 1);
-        sim.run_rounds(3);
-        let tokens = &sim.metrics().lane_thread_tokens;
-        assert_eq!(tokens.len(), 4);
-        let distinct: std::collections::HashSet<u64> = tokens.iter().copied().collect();
-        assert!(
-            distinct.len() >= 2,
-            "expected >=2 distinct worker threads, got {tokens:?}"
+    fn thread_tokens_are_stable_per_thread_and_distinct_across() {
+        let here = thread_token();
+        assert_eq!(here, thread_token(), "token must be stable per thread");
+        let there = std::thread::spawn(thread_token).join().unwrap();
+        assert_ne!(here, there, "distinct threads must get distinct tokens");
+    }
+
+    /// Lane `l` runs in group `l % T`, group 0 on the driver's thread and
+    /// every group on a thread of its own — with lanes left over when `T`
+    /// does not divide the lane count.
+    #[test]
+    fn lane_l_runs_on_thread_l_mod_t_and_group_0_on_the_driver() {
+        for threads in 1..=6 {
+            let mut sim = pinger_sim(10, 5, threads, 1);
+            let t = sim.parallel_threads();
+            assert_eq!(t, threads.min(5));
+            sim.run_rounds(3);
+            let tokens = &sim.metrics().lane_thread_tokens;
+            assert_eq!(tokens.len(), 5);
+            for (l, &token) in tokens.iter().enumerate() {
+                assert_eq!(token, tokens[l % t], "T={t}: lane {l}");
+            }
+            assert_eq!(tokens[0], thread_token(), "T={t}: group 0 is the driver's");
+            let distinct: std::collections::HashSet<u64> = tokens[..t].iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                t,
+                "T={t}: one thread per group, got {tokens:?}"
+            );
+            assert!(sim.metrics().lane_busy_ns.iter().all(|&ns| ns > 0));
+        }
+    }
+
+    /// Fires on its first timeout if armed.
+    struct Fuse {
+        armed: bool,
+    }
+
+    impl Actor for Fuse {
+        type Msg = ();
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<()>) {}
+
+        fn on_timeout(&mut self, _ctx: &mut Context<()>) {
+            if self.armed {
+                panic!("lane blew up");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_lane_panics_the_driver_with_its_own_payload() {
+        // Driven from a helper thread, so that a round that never ends
+        // fails this test instead of hanging the suite.
+        let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sim = Simulation::new(SimConfig::synchronous(3)).unwrap();
+            sim.configure_lanes(2).unwrap();
+            sim.add_node_in_lane(0, Fuse { armed: false });
+            sim.add_node_in_lane(1, Fuse { armed: true });
+            sim.enable_parallel(2);
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_round(&mut TraceLog::new())
+            }));
+            let message = ran
+                .err()
+                .and_then(|panic| panic.downcast_ref::<&str>().map(|m| m.to_string()));
+            let _ = verdict_tx.send(message);
+        });
+        let message = verdict_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a round with a panicked lane must end");
+        assert_eq!(
+            message.as_deref(),
+            Some("lane blew up"),
+            "the driver must re-raise the lane's own panic"
         );
-        assert!(
-            !distinct.contains(&thread_token()),
-            "lanes must not run on the driver thread"
-        );
-        // Per-lane timing columns are populated.
-        assert!(sim.metrics().lane_busy_ns.iter().all(|&ns| ns > 0));
     }
 
     #[test]
