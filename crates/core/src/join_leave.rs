@@ -26,8 +26,11 @@
 //!
 //! # One lifecycle per node
 //!
-//! A node's own membership state is one inline [`Lifecycle`]; its leave
-//! request is a [`Leave`] inside it.
+//! A node's own membership state is one inline [`Lifecycle`] of at most
+//! 3 bytes; its leave request is a [`Leave`] inside it.  A draining node's
+//! absorber is kept in the node's cold box (`node::Cold`), which it holds
+//! from then on; everything else a node keeps for membership is there too,
+//! and only while it is outstanding.
 //!
 //! | state | event | next state | sent |
 //! |---|---|---|---|
@@ -42,9 +45,10 @@
 //! | `Wanted`, `Requested` | `LeaveGranted` | `Granted` | — |
 //! | `Stays` | `LeaveGranted` | `StrayGrant` | — |
 //! | `StrayGrant` | `request_leave` | `Granted` | — |
-//! | `Member` | `AbsorbRequest`, no wave in flight, phase acked | `Draining { absorber }` | `AbsorbData` (+ `ChurnHandover`) → absorber, `SiblingStatus(inactive)` |
+//! | `Member` | `AbsorbRequest`, no wave in flight, phase acked | `Draining`, the absorber in the cold box | `AbsorbData` (+ `ChurnHandover`) → absorber, `SiblingStatus(inactive)` |
 //! | `Member` | `AbsorbRequest`, otherwise | — (`absorb_deferred`) | `AbsorbData` on the first timeout it is ready |
-//! | `Draining` | a message that is not node-local | — | forwarded to the absorber |
+//! | `Draining` | a message that is not node-local | — | forwarded to the absorber in the cold box |
+//! | `Draining` | a node-local message | — | applied here, never forwarded |
 //!
 //! A node is *suspended* — it opens drain waves only and declines flags —
 //! while it is not resumed or a phase runs at it.  A leave may be wanted
@@ -81,7 +85,7 @@
 use crate::anchor::AnchorState;
 use crate::batch::Batch;
 use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, RoutedDhtOp, SkueueMsg};
-use crate::node::{LaneKind, Requests, SkueueNode};
+use crate::node::{Cold, LaneKind, Requests, SkueueNode};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
@@ -98,10 +102,11 @@ pub(crate) enum Lifecycle {
     /// An integrated member.  `resumed` is false from `Integrate` to the
     /// first `UpdateOver`: a fresh joiner opens no wave of its own before.
     Member { leave: Leave, resumed: bool },
-    /// Absorbed: every message that is not node-local is forwarded to
-    /// `absorber`.  `resumed` carries over, so an `UpdateOver` still ends
-    /// the phase it was suspended in and is relayed down its old subtree.
-    Draining { absorber: NodeId, resumed: bool },
+    /// Absorbed: every message that is not node-local is forwarded to the
+    /// absorber recorded in the node's cold box.  `resumed` carries over,
+    /// so an `UpdateOver` still ends the phase it was suspended in and is
+    /// relayed down its old subtree.
+    Draining { resumed: bool },
 }
 
 /// A node's own leave request.
@@ -396,7 +401,7 @@ impl<T: Payload> SkueueNode<T> {
         if self.leave() == Leave::Wanted
             && self.requests().is_none_or(drained)
             && !self.membership().is_some_and(granting)
-            && self.anchor.is_none()
+            && !self.is_anchor_node()
         {
             let leaver = self.view.me();
             ctx.send(self.view.pred().node, SkueueMsg::LeaveRequest { leaver });
@@ -422,7 +427,7 @@ impl<T: Payload> SkueueNode<T> {
             }
             SkueueMsg::Integrate { handover } => self.handle_integrate(from, *handover, ctx),
             SkueueMsg::IntegrateAck => {
-                if let Some(m) = self.membership.as_deref_mut() {
+                if let Some(m) = Cold::membership(&mut self.cold) {
                     // An ack from a joiner still `Pending` here drops it
                     // unintegrated: a known gap (ROADMAP item 1's leads).
                     let acked =
@@ -456,12 +461,12 @@ impl<T: Payload> SkueueNode<T> {
                 self.membership_mut().duties.push(count);
             }
             SkueueMsg::SiblingStatus { kind, active } => {
-                self.sibling_integrated[kind.index()] = active;
+                self.flags.set_sibling_integrated(kind, active);
                 // Back below an integrated parent: the churn forwarded while
                 // the parent was out of the tree is reported again, so a
                 // phase flags this node's subtree.
                 let attached = active && !self.parent_is_absent_sibling();
-                if let Some(m) = self.membership.as_deref_mut().filter(|_| attached) {
+                if let Some(m) = Cold::membership(&mut self.cold).filter(|_| attached) {
                     m.relabel(Report::Unflagged, Report::Unreported);
                 }
             }
@@ -480,7 +485,7 @@ impl<T: Payload> SkueueNode<T> {
                 self.view.set_pred(new_pred);
                 // Invariant restoration: if we hold the anchor state but are
                 // no longer the leftmost node, hand the state leftwards.
-                if self.anchor.is_some() && !self.view.is_anchor() && self.update().is_none() {
+                if self.is_anchor_node() && !self.view.is_anchor() && self.update().is_none() {
                     let state = self.take_anchor().expect("checked above");
                     ctx.send(self.view.pred().node, SkueueMsg::AnchorTransfer { state });
                 }
@@ -542,7 +547,7 @@ impl<T: Payload> SkueueNode<T> {
     /// hands each its share of the DHT data.  Called when phase `phase`
     /// starts here.
     fn integrate_joiners(&mut self, phase: u64, ctx: &mut Context<SkueueMsg<T>>) {
-        let Some(m) = self.membership.as_deref_mut() else {
+        let Some(m) = Cold::membership(&mut self.cold) else {
             return;
         };
         let pending = |d: &mut Duty| d.step == Step::Pending && d.joiner().is_some();
@@ -758,9 +763,9 @@ impl<T: Payload> SkueueNode<T> {
         }
         self.announce_sibling_status(false, ctx);
         self.lifecycle = Lifecycle::Draining {
-            absorber: from,
             resumed: self.resumed(),
         };
+        Cold::of(&mut self.cold).absorber = Some(from);
     }
 
     fn handle_absorb_data(
@@ -900,15 +905,19 @@ impl<T: Payload> SkueueNode<T> {
         // Phase monotonicity: a node never participates in an older phase
         // after a younger one (the phase tag on update control plus the
         // staleness guard in `handle_update_over` guarantee it; debug runs
-        // of `skueue-model`'s scenario search check it on every line).
-        debug_assert!(
-            phase >= self.last_update_phase,
-            "update phases must be monotone at {}: entering {} after {}",
-            self.view.me().vid,
-            phase,
-            self.last_update_phase
-        );
-        self.last_update_phase = phase;
+        // of `skueue-model`'s scenario search check it on every line;
+        // release builds keep no phase stamp).
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                phase >= self.last_update_phase,
+                "update phases must be monotone at {}: entering {} after {}",
+                self.view.me().vid,
+                phase,
+                self.last_update_phase
+            );
+            self.last_update_phase = phase;
+        }
         if !self.cfg.trace_level.is_off() {
             let round = ctx.round();
             ctx.trace(self.shard, TraceEvent::PhaseEnter { phase, round });
@@ -940,7 +949,7 @@ impl<T: Payload> SkueueNode<T> {
     /// Checks whether this node has finished all update-phase duties and can
     /// acknowledge to its old parent (or, at the anchor, end the phase).
     pub(crate) fn check_update_done(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        let Some(m) = self.membership.as_deref_mut() else {
+        let Some(m) = Cold::membership(&mut self.cold) else {
             return;
         };
         let Some(u) = m.update.as_mut() else {
@@ -964,7 +973,7 @@ impl<T: Payload> SkueueNode<T> {
     /// `UpdateOver` down the new tree, or — when a smaller-labelled node has
     /// joined — by handing the anchor state to the new leftmost node first.
     fn finish_update_phase(&mut self, phase: u64, ctx: &mut Context<SkueueMsg<T>>) {
-        if self.view.is_anchor() || self.anchor.is_none() {
+        if self.view.is_anchor() || !self.is_anchor_node() {
             // Still the leftmost node (or not the anchor at all — defensive):
             // end the phase ourselves.
             self.handle_update_over(phase, ctx);
@@ -1012,7 +1021,7 @@ impl<T: Payload> SkueueNode<T> {
             }
         }
         // A freshly integrated joiner resumes with no bookkeeping at all.
-        let Some(m) = self.membership.as_deref_mut() else {
+        let Some(m) = Cold::membership(&mut self.cold) else {
             return;
         };
         m.update = None;
@@ -1060,7 +1069,9 @@ mod tests {
     use crate::batch::{Batch, FirstRun};
     use crate::config::{Mode, ProtocolConfig};
     use crate::membership::joining_nodes;
-    use skueue_overlay::{node_of, recommended_bit_budget, LabelHasher, Topology, VirtualId};
+    use skueue_overlay::{
+        node_of, recommended_bit_budget, LabelHasher, Topology, VKind, VirtualId,
+    };
     use skueue_sim::actor::Actor;
     use skueue_sim::ids::ProcessId;
     use std::sync::Arc;
@@ -1068,12 +1079,12 @@ mod tests {
     type Sent = Vec<(NodeId, SkueueMsg<u64>)>;
 
     /// What membership costs: the lifecycle inline on every node, the
-    /// bookkeeping behind its box only while something is outstanding, and
-    /// one duty per joiner, leaver or count in it.
+    /// bookkeeping in its cold box only while something is outstanding,
+    /// and one duty per joiner, leaver or count in it.
     #[test]
-    fn a_lifecycle_is_16_bytes_and_the_bookkeeping_136() {
+    fn a_lifecycle_is_4_bytes_and_the_bookkeeping_136() {
         use std::mem::size_of;
-        assert!(size_of::<Lifecycle>() <= 16);
+        assert!(size_of::<Lifecycle>() <= 4);
         assert!(size_of::<Membership<u64>>() <= 136);
         assert!(size_of::<Duty>() <= 56);
     }
@@ -1088,12 +1099,23 @@ mod tests {
     /// The middle node of process 0 in a four-process queue (not the
     /// anchor: its tree parent is its left sibling).
     fn member() -> SkueueNode<u64> {
+        node_at(VirtualId::middle(ProcessId(0)), false)
+    }
+
+    /// The node `vid` of a four-process queue, holding the anchor state
+    /// or not (whatever its place in the cycle).
+    fn node_at(vid: VirtualId, anchor: bool) -> SkueueNode<u64> {
         let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
-        let view = topology
-            .local_view(VirtualId::middle(ProcessId(0)), &node_of)
-            .expect("own vid");
-        SkueueNode::new(config(), 0, view, false)
+        let view = topology.local_view(vid, &node_of).expect("own vid");
+        SkueueNode::new(config(), 0, view, anchor)
+    }
+
+    /// The leftmost node of the four-process queue's cycle.
+    fn leftmost() -> VirtualId {
+        let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
+        let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
+        topology.anchor()
     }
 
     /// Runs `f` on `node` in a context of `round`; what it sent.
@@ -1197,13 +1219,8 @@ mod tests {
         };
         assert_eq!(sent[2..], to_each(&siblings, left));
         assert_eq!(siblings.len(), 2);
-        assert_eq!(
-            node.lifecycle,
-            Lifecycle::Draining {
-                absorber: pred,
-                resumed: true
-            }
-        );
+        assert_eq!(node.lifecycle, Lifecycle::Draining { resumed: true });
+        assert_eq!(node.absorber(), Some(pred));
         assert!(node.has_left() && !node.wants_timeout());
     }
 
@@ -1338,6 +1355,89 @@ mod tests {
         let mut expected = to_each(&children, over.clone());
         expected.push((joiner.node, over));
         assert_eq!(sent, expected);
-        assert!(node.membership.is_none(), "every duty discharged");
+        assert!(node.cold.is_none(), "every duty discharged");
+    }
+
+    /// The anchor keeps its cold box.  A holder of the anchor state that is
+    /// not the leftmost node hands it leftwards on its next `SetPred`, and
+    /// drops its box at the end of that step if nothing else is in it; a
+    /// box that still holds a duty stays.  The leftmost node adopts the
+    /// state into a box of its own.
+    #[test]
+    fn the_anchor_state_moves_with_its_cold_box() {
+        let anchor = node_at(leftmost(), true);
+        assert!(anchor.cold.is_some() && anchor.anchor_state().is_some());
+
+        let mut state = AnchorState::new();
+        state.epoch = 7;
+        let duty = |n: &mut SkueueNode<u64>| {
+            let (me, succ) = (n.view.me().label, n.view.succ().label);
+            let vid = VirtualId::middle(ProcessId(4));
+            let label = Label(me.0 + me.cw_distance(succ) / 2);
+            let joiner = NeighborInfo::new(node_of(vid), vid, label);
+            n.membership_mut().take_on(DutyKind::Joiner(joiner));
+        };
+        for with_duty in [false, true] {
+            let mut sender = member();
+            sender.adopt_anchor(state);
+            if with_duty {
+                duty(&mut sender);
+            }
+            let pred = sender.view.pred();
+            let sent = step(&mut sender, 1, |n, ctx| {
+                n.on_message(pred.node, SkueueMsg::SetPred { new_pred: pred }, ctx)
+            });
+            assert_eq!(sent, [(pred.node, SkueueMsg::AnchorTransfer { state })]);
+            assert!(!sender.is_anchor_node());
+            assert_eq!(sender.cold.is_some(), with_duty);
+            assert_eq!(sender.membership().is_some(), with_duty);
+        }
+
+        let mut receiver = node_at(leftmost(), false);
+        assert!(receiver.cold.is_none());
+        let from = member().view.me().node;
+        let sent = step(&mut receiver, 2, |n, ctx| {
+            n.on_message(from, SkueueMsg::AnchorTransfer { state }, ctx)
+        });
+        assert_eq!(sent, []);
+        assert_eq!(receiver.anchor_state(), Some(&state));
+        let cold = receiver.cold.as_deref().expect("the anchor keeps its box");
+        assert!(cold.membership.is_none() && cold.absorber.is_none());
+    }
+
+    /// A draining node finds its absorber in its cold box, which it keeps:
+    /// it forwards every message that is not node-local there and drops
+    /// the node-local ones.
+    #[test]
+    fn a_draining_node_forwards_to_the_absorber_in_its_cold_box() {
+        let mut node = member();
+        let (me, pred, succ) = (node.view.me(), node.view.pred(), node.view.succ());
+        let sent = step(&mut node, 1, |n, ctx| {
+            n.on_message(pred.node, SkueueMsg::AbsorbRequest, ctx);
+            n.on_timeout(ctx);
+        });
+        assert!(matches!(&sent[0], (to, SkueueMsg::AbsorbData(_)) if *to == pred.node));
+        assert!(node.has_left());
+        assert_eq!(node.absorber(), Some(pred.node));
+
+        let leave = SkueueMsg::LeaveRequest { leaver: succ };
+        let sent = step(&mut node, 2, |n, ctx| {
+            n.on_message(succ.node, leave.clone(), ctx);
+            n.on_timeout(ctx);
+        });
+        assert_eq!(sent, [(pred.node, leave)]);
+
+        let sibling = VKind::ALL.into_iter().find(|&k| k != me.kind()).unwrap();
+        let sent = step(&mut node, 3, |n, ctx| {
+            let status = SkueueMsg::SiblingStatus {
+                kind: sibling,
+                active: false,
+            };
+            n.on_message(n.view.sibling(sibling).node, status, ctx);
+            n.on_message(succ.node, SkueueMsg::SetSucc { new_succ: succ }, ctx);
+            n.on_timeout(ctx);
+        });
+        assert_eq!(sent, []);
+        assert_eq!(node.absorber(), Some(pred.node));
     }
 }

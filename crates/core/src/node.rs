@@ -260,18 +260,130 @@ impl<T> Coalesced<T> for DhtReplyItem<T> {
 /// `DhtBatch`es and `DhtReplyBatch`es and the combination order of a wave's
 /// sub-batches, so it lives as long as the node; what travels in those
 /// lanes does not (a visit's batches are staged in its [`Context`], queued
-/// sub-batches sit in [`Waves`]).  One allocation: the three lists back to
-/// back, routes first.
+/// sub-batches sit in [`Waves`]).  One boxed slice, 16 B inline: a header
+/// word holding the ends of the route and reply lists (two `u32`s), then
+/// the three lists back to back, routes first, then [`VACANT`] room.  The
+/// room doubles when it is full (4, 8, 16, … peers), as the `Vec` it
+/// replaced did, so a first contact allocates only where that one did.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LaneOrder {
+    /// `[ends, peers…, VACANT…]`; empty before the first contact.
+    slots: Box<[NodeId]>,
+}
+
+/// What fills a lane order's room beyond its peers: `3p + kind` for no
+/// process the id rule can number.
+const VACANT: NodeId = NodeId(u64::MAX);
+
+impl LaneOrder {
+    /// Room for peers when the first one is noted.
+    const FIRST_ROOM: usize = 4;
+
+    /// The peers, routes first, then their room.
+    fn peers(&self) -> &[NodeId] {
+        self.slots.get(1..).unwrap_or_default()
+    }
+
+    /// The ends of the route and the reply list.
+    fn ends(&self) -> (usize, usize) {
+        let Some(&NodeId(ends)) = self.slots.first() else {
+            return (0, 0);
+        };
+        ((ends as u32) as usize, (ends >> 32) as usize)
+    }
+
+    /// The end of the peers: the child list runs from the end of the
+    /// replies to the first vacant slot.  Searched only for the child list,
+    /// so sending in route and reply order reads the header alone.
+    fn len(&self, replies: usize) -> usize {
+        replies + self.peers()[replies..].partition_point(|&p| p != VACANT)
+    }
+
+    fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
+        let (routes, replies) = self.ends();
+        match kind {
+            LaneKind::Route => 0..routes,
+            LaneKind::Reply => routes..replies,
+            LaneKind::Child => replies..self.len(replies),
+        }
+    }
+
+    /// The peers of `kind`, in first-contact order.
+    pub(crate) fn of(&self, kind: LaneKind) -> &[NodeId] {
+        &self.peers()[self.range(kind)]
+    }
+
+    /// Where `peer` stands among all the peers, if it is one of `kind`:
+    /// routes rank before replies, each in first-contact order.
+    pub(crate) fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
+        let range = self.range(kind);
+        let at = self.peers()[range.clone()]
+            .iter()
+            .position(|&p| p == peer)?;
+        Some(range.start + at)
+    }
+
+    /// Appends `peer` to the peers of `kind` unless it is one already.
+    pub(crate) fn note(&mut self, kind: LaneKind, peer: NodeId) {
+        debug_assert_ne!(peer, VACANT, "no node has the vacant id");
+        let range = self.range(kind);
+        if self.peers()[range.clone()].contains(&peer) {
+            return;
+        }
+        let (routes, replies) = self.ends();
+        let len = match kind {
+            LaneKind::Child => range.end,
+            _ => self.len(replies),
+        };
+        if len == self.peers().len() {
+            self.grow();
+        }
+        let peers = &mut self.slots[1..];
+        peers.copy_within(range.end..len, range.end + 1);
+        peers[range.end] = peer;
+        let (routes, replies) = match kind {
+            LaneKind::Route => (routes + 1, replies + 1),
+            LaneKind::Reply => (routes, replies + 1),
+            LaneKind::Child => (routes, replies),
+        };
+        let end = |end: usize| {
+            u32::try_from(end).expect("a node meets fewer than 2^32 routes and replies")
+        };
+        self.slots[0] = NodeId(u64::from(end(replies)) << 32 | u64::from(end(routes)));
+    }
+
+    /// Doubles the room for peers, or makes the first: one allocator call
+    /// where the `Vec`'s growth made one.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let room = self.peers().len();
+        let mut slots = std::mem::take(&mut self.slots).into_vec();
+        let grown = if room == 0 {
+            slots.reserve_exact(1 + Self::FIRST_ROOM);
+            slots.push(NodeId(0));
+            Self::FIRST_ROOM
+        } else {
+            slots.reserve_exact(room);
+            2 * room
+        };
+        slots.resize(1 + grown, VACANT);
+        self.slots = slots.into_boxed_slice();
+    }
+}
+
+/// The lane order the boxed slice replaced, one `Vec` and two `u32`
+/// segment ends: the reference its property test compares against.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct VecLaneOrder {
     peers: Vec<NodeId>,
-    /// End of the route list.
     routes: u32,
-    /// End of the reply list; the children's follows it.
     replies: u32,
 }
 
-impl LaneOrder {
+#[cfg(test)]
+impl VecLaneOrder {
     fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
         let (routes, replies) = (self.routes as usize, self.replies as usize);
         match kind {
@@ -281,21 +393,17 @@ impl LaneOrder {
         }
     }
 
-    /// The peers of `kind`, in first-contact order.
-    pub(crate) fn of(&self, kind: LaneKind) -> &[NodeId] {
+    fn of(&self, kind: LaneKind) -> &[NodeId] {
         &self.peers[self.range(kind)]
     }
 
-    /// Where `peer` stands among all the peers, if it is one of `kind`:
-    /// routes rank before replies, each in first-contact order.
-    pub(crate) fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
+    fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
         let range = self.range(kind);
         let at = self.peers[range.clone()].iter().position(|&p| p == peer)?;
         Some(range.start + at)
     }
 
-    /// Appends `peer` to the peers of `kind` unless it is one already.
-    pub(crate) fn note(&mut self, kind: LaneKind, peer: NodeId) {
+    fn note(&mut self, kind: LaneKind, peer: NodeId) {
         let range = self.range(kind);
         if self.peers[range.clone()].contains(&peer) {
             return;
@@ -404,6 +512,102 @@ pub(crate) struct LocalCombining<T> {
     pub(crate) last_order_major: u64,
     /// Minor counter for combined pairs anchored at `last_order_major`.
     pub(crate) minor_counter: u64,
+}
+
+/// What a node holds only in a role few nodes have at once: the shard's
+/// anchor state, membership bookkeeping while its neighbourhood changes, a
+/// stack node's local combining, and a draining node's absorber.  Every
+/// part is empty on a queue node in a stable neighbourhood, so the node
+/// holds this behind one `Option<Box<_>>` that is `None` there (see
+/// [`SkueueNode::release_idle_cold`]).  The bookkeeping is inline, since an
+/// update phase gives it to every node it reaches; the anchor state and the
+/// combining sit behind pointers of their own, so the box a churning node
+/// holds does not carry their room.
+#[derive(Debug, Default)]
+pub(crate) struct Cold<T> {
+    /// Anchor state, present only at the current shard anchor.
+    pub(crate) anchor: Option<Box<AnchorState>>,
+    /// Join/leave/update-phase bookkeeping (Section IV); `None` while
+    /// membership around this node is stable.
+    pub(crate) membership: Option<Membership<T>>,
+    /// Stack local combining (allocated with the node's first request in a
+    /// stack deployment, never in queue mode).
+    pub(crate) combining: Option<Box<LocalCombining<T>>>,
+    /// Where a draining node forwards every message that is not
+    /// node-local.
+    pub(crate) absorber: Option<NodeId>,
+}
+
+impl<T: Payload> Cold<T> {
+    /// The cold state in `slot`, allocated on first use.  Takes the node's
+    /// field rather than the node, so a caller keeps its borrows of the
+    /// node's other fields.
+    pub(crate) fn of(slot: &mut Option<Box<Cold<T>>>) -> &mut Self {
+        slot.get_or_insert_with(Box::default)
+    }
+
+    /// The membership bookkeeping in `slot`, if any is outstanding.
+    pub(crate) fn membership(slot: &mut Option<Box<Cold<T>>>) -> Option<&mut Membership<T>> {
+        slot.as_deref_mut()?.membership.as_mut()
+    }
+
+    /// The stack's local combining in `slot`, if the node has one.
+    fn combining(slot: &mut Option<Box<Cold<T>>>) -> Option<&mut LocalCombining<T>> {
+        slot.as_deref_mut()?.combining.as_deref_mut()
+    }
+
+    /// True when every part is empty.  Destructured without `..` so a new
+    /// part cannot be forgotten here.
+    fn is_idle(&self) -> bool {
+        let Cold {
+            anchor,
+            membership,
+            combining,
+            absorber,
+        } = self;
+        anchor.is_none() && membership.is_none() && combining.is_none() && absorber.is_none()
+    }
+}
+
+/// A node's one-bit states in one byte: bit [`VKind::index`] is set while
+/// that sibling of the emulating process is an integrated member (a node
+/// only treats integrated siblings as aggregation-tree children), and
+/// [`Flags::UNACKED`] while the node's most recent `Aggregate` has not
+/// been confirmed by its parent (at most one per channel keeps commits in
+/// epoch order).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Flags(u8);
+
+impl Flags {
+    const UNACKED: u8 = 1 << 3;
+
+    /// Every sibling integrated, nothing unconfirmed: a member of the
+    /// initial topology.
+    const MEMBER: Flags = Flags(0b111);
+
+    /// No sibling integrated yet: siblings of a joining process integrate
+    /// one by one, each announcing itself via `SiblingStatus`.
+    const JOINING: Flags = Flags(0);
+
+    fn set(&mut self, bit: u8, on: bool) {
+        self.0 = if on { self.0 | bit } else { self.0 & !bit };
+    }
+
+    pub(crate) fn sibling_integrated(self, kind: VKind) -> bool {
+        self.0 & 1 << kind.index() != 0
+    }
+
+    pub(crate) fn set_sibling_integrated(&mut self, kind: VKind, active: bool) {
+        self.set(1 << kind.index(), active);
+    }
+
+    pub(crate) fn aggregate_unacked(self) -> bool {
+        self.0 & Self::UNACKED != 0
+    }
+
+    pub(crate) fn set_aggregate_unacked(&mut self, unacked: bool) {
+        self.set(Self::UNACKED, unacked);
+    }
 }
 
 /// The wave half of a node's work: the sub-batches it combines and the
@@ -635,23 +839,19 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) view: LocalView,
     /// Joining, member or draining, with the node's own leave request.
     pub(crate) lifecycle: Lifecycle,
+    /// Which siblings are integrated members, and whether the most recent
+    /// `Aggregate` is unconfirmed.
+    pub(crate) flags: Flags,
     /// The anchor shard this node belongs to (0 in unsharded deployments).
     /// Everything the node does — its cycle, its aggregation tree, its DHT
     /// interval, its anchor — lives inside this shard.
     pub(crate) shard: ShardId,
-    /// Anchor state, present only at the current shard anchor (one node per
-    /// shard, so every other node keeps a null pointer, not the state's 56
-    /// bytes).
-    pub(crate) anchor: Option<Box<AnchorState>>,
 
     // --- Stage 1 state ------------------------------------------------------
     /// The wave epoch of the most recently opened wave (0 before the first).
     pub(crate) next_epoch: u64,
     /// Round in which this node last opened a wave (wave-merging cadence).
     pub(crate) last_wave_round: u64,
-    /// True while the most recent `Aggregate` has not been confirmed by the
-    /// parent (at most one per channel keeps commits in epoch order).
-    pub(crate) aggregate_unacked: bool,
 
     /// The first-contact order of the peers this node routes to, replies
     /// to and combines sub-batches from.  Inline, not in [`Waves`]: it is
@@ -663,23 +863,16 @@ pub struct SkueueNode<T: Payload = u64> {
     /// the node has none of them.
     pub(crate) waves: Option<Box<Waves<T>>>,
 
-    // --- Cold state: absent in the steady state of a queue ----------------------
-    /// Stack local combining (allocated with the node's first request in a
-    /// stack deployment, never in queue mode).
-    pub(crate) combining: Option<Box<LocalCombining<T>>>,
-    /// Join/leave/update-phase bookkeeping (Section IV); `None` while
-    /// membership around this node is stable.
-    pub(crate) membership: Option<Box<Membership<T>>>,
+    /// The anchor state, membership bookkeeping, stack combining and a
+    /// draining node's absorber; `None` on a queue node in a stable
+    /// neighbourhood.
+    pub(crate) cold: Option<Box<Cold<T>>>,
 
-    // --- Membership state every visit reads -----------------------------------
-    /// Which of the emulating process's three virtual nodes are integrated
-    /// members (indexed by `VKind::index`).  A node only treats integrated
-    /// siblings as aggregation-tree children.
-    pub(crate) sibling_integrated: [bool; 3],
     /// Highest update phase this node has participated in — the phase
     /// numbers a node enters must be monotone (checked by a `debug_assert`
     /// in `enter_update_phase`, which debug runs of the scenario search in
-    /// `skueue-model` exercise on every line).
+    /// `skueue-model` exercise on every line; nothing else reads it).
+    #[cfg(debug_assertions)]
     pub(crate) last_update_phase: u64,
 }
 
@@ -689,25 +882,27 @@ impl<T: Payload> SkueueNode<T> {
     /// `is_anchor` must be true exactly for the leftmost node of the shard's
     /// initial topology.
     pub fn new(cfg: Arc<ProtocolConfig>, shard: ShardId, view: LocalView, is_anchor: bool) -> Self {
-        SkueueNode {
+        let mut node = SkueueNode {
             cfg,
             view,
             lifecycle: Lifecycle::Member {
                 leave: Leave::Stays,
                 resumed: true,
             },
+            flags: Flags::MEMBER,
             shard,
-            anchor: is_anchor.then(Box::default),
             next_epoch: 0,
             last_wave_round: 0,
-            aggregate_unacked: false,
             lanes: LaneOrder::default(),
             waves: None,
-            combining: None,
-            membership: None,
-            sibling_integrated: [true; 3],
+            cold: None,
+            #[cfg(debug_assertions)]
             last_update_phase: 0,
+        };
+        if is_anchor {
+            node.adopt_anchor(AnchorState::default());
         }
+        node
     }
 
     /// Creates a node that starts in the joining state (not yet part of its
@@ -719,9 +914,7 @@ impl<T: Payload> SkueueNode<T> {
             announced: false,
             leave: Leave::Stays,
         };
-        // Siblings of a joining process integrate one by one; each announces
-        // itself via `SiblingStatus` when it does.
-        node.sibling_integrated = [false; 3];
+        node.flags = Flags::JOINING;
         node
     }
 
@@ -741,13 +934,15 @@ impl<T: Payload> SkueueNode<T> {
 
     /// The membership bookkeeping, if any is outstanding.
     pub(crate) fn membership(&self) -> Option<&Membership<T>> {
-        self.membership.as_deref()
+        self.cold.as_deref()?.membership.as_ref()
     }
 
     /// The membership bookkeeping, allocated on first use (dropped again by
-    /// [`Self::release_idle_membership`] once nothing is outstanding).
+    /// [`Self::release_idle_cold`] once nothing is outstanding).
     pub(crate) fn membership_mut(&mut self) -> &mut Membership<T> {
-        self.membership.get_or_insert_with(Box::default)
+        Cold::of(&mut self.cold)
+            .membership
+            .get_or_insert_with(Membership::default)
     }
 
     /// The ongoing update phase at this node, if any.
@@ -757,19 +952,31 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Mutable form of [`Self::update`].
     pub(crate) fn update_mut(&mut self) -> Option<&mut UpdatePhase> {
-        self.membership.as_deref_mut()?.update.as_mut()
+        Cold::membership(&mut self.cold)?.update.as_mut()
     }
 
-    /// Forgets discharged duties and drops the membership bookkeeping once
-    /// nothing is outstanding, so a node in a stable neighbourhood carries
-    /// none (checked at the end of every visit step; one branch while it is
+    /// The node a draining node forwards to.
+    pub(crate) fn absorber(&self) -> Option<NodeId> {
+        self.cold.as_deref()?.absorber
+    }
+
+    /// Forgets discharged duties, drops the membership bookkeeping once
+    /// nothing is outstanding and the cold box once every part of it is
+    /// empty, so a queue node in a stable neighbourhood carries none
+    /// (checked at the end of every visit step; one branch while it is
     /// already gone).
-    fn release_idle_membership(&mut self) {
-        if let Some(m) = self.membership.as_deref_mut() {
+    fn release_idle_cold(&mut self) {
+        let Some(cold) = self.cold.as_deref_mut() else {
+            return;
+        };
+        if let Some(m) = cold.membership.as_mut() {
             m.duties.retain(|d| !d.is_discharged());
             if m.is_idle() {
-                self.membership = None;
+                cold.membership = None;
             }
+        }
+        if cold.is_idle() {
+            self.cold = None;
         }
     }
 
@@ -822,7 +1029,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// True if this node currently holds its shard's anchor state.
     pub fn is_anchor_node(&self) -> bool {
-        self.anchor.is_some()
+        self.anchor_state().is_some()
     }
 
     /// The anchor shard this node belongs to (0 when unsharded).
@@ -832,7 +1039,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// The anchor state, if this node is the anchor.
     pub(crate) fn anchor_state(&self) -> Option<&AnchorState> {
-        self.anchor.as_deref()
+        self.cold.as_deref()?.anchor.as_deref()
     }
 
     /// Number of elements stored in this node's DHT partition.
@@ -904,7 +1111,9 @@ impl<T: Payload> SkueueNode<T> {
 
         let requests = Requests::of(&mut self.waves, &self.cfg);
         if self.cfg.is_stack() {
-            let combining = self.combining.get_or_insert_with(Box::default);
+            let combining = Cold::of(&mut self.cold)
+                .combining
+                .get_or_insert_with(Box::default);
             match kind {
                 BatchOp::Enqueue => combining.local_stack.push(id),
                 BatchOp::Dequeue => {
@@ -997,10 +1206,8 @@ impl<T: Payload> SkueueNode<T> {
             records.windows(2).all(|w| w[0].id.seq < w[1].id.seq),
             "combined records must arrive in issue order"
         );
-        let combining = self
-            .combining
-            .as_deref_mut()
-            .expect("only a combining node re-anchors pairs");
+        let combining =
+            Cold::combining(&mut self.cold).expect("only a combining node re-anchors pairs");
         let requests = Requests::of(&mut self.waves, &self.cfg);
         if let Some(anchor_op) = requests.own_log.last() {
             let bucket = combining.pairs_by_anchor.entry(anchor_op.seq).or_default();
@@ -1049,7 +1256,7 @@ impl<T: Payload> SkueueNode<T> {
             VKind::Middle => VKind::Left,
             VKind::Right => VKind::Middle,
         };
-        !self.view.is_anchor() && !self.sibling_integrated[parent.index()]
+        !self.view.is_anchor() && !self.flags.sibling_integrated(parent)
     }
 
     /// The node's current aggregation-tree children (inline, no allocation —
@@ -1076,9 +1283,9 @@ impl<T: Payload> SkueueNode<T> {
                 continue;
             }
             let integrated = if n == middle && n != succ.node {
-                self.sibling_integrated[VKind::Middle.index()]
+                self.flags.sibling_integrated(VKind::Middle)
             } else if n == right && n != succ.node {
-                self.sibling_integrated[VKind::Right.index()]
+                self.flags.sibling_integrated(VKind::Right)
             } else {
                 true
             };
@@ -1101,7 +1308,7 @@ impl<T: Payload> SkueueNode<T> {
     /// not overtake waves it still has in flight from before it adopted the
     /// anchor state.
     fn may_open_wave(&self, parent: Option<NodeId>) -> bool {
-        if self.aggregate_unacked {
+        if self.flags.aggregate_unacked() {
             return false;
         }
         let Some(waves) = self.waves.as_deref() else {
@@ -1206,7 +1413,7 @@ impl<T: Payload> SkueueNode<T> {
         if self.cfg.is_stack() && self.dht_in_flight() {
             return;
         }
-        let parent = if self.anchor.is_some() {
+        let parent = if self.is_anchor_node() {
             None
         } else {
             match self.tree_parent() {
@@ -1241,7 +1448,7 @@ impl<T: Payload> SkueueNode<T> {
         if self.cfg.is_stack() && self.dht_in_flight() {
             return;
         }
-        let parent = if self.anchor.is_some() {
+        let parent = if self.is_anchor_node() {
             None
         } else {
             match self.tree_parent() {
@@ -1267,7 +1474,7 @@ impl<T: Payload> SkueueNode<T> {
         if !drain {
             // Every unsent push is now committed to the aggregation path and
             // can no longer be combined locally.
-            if let Some(combining) = &mut self.combining {
+            if let Some(combining) = Cold::combining(&mut self.cold) {
                 combining.local_stack.clear();
             }
             // A node without a request half has no operation to commit.
@@ -1307,12 +1514,14 @@ impl<T: Payload> SkueueNode<T> {
         let num_sources = memo.records.len() - first_source;
 
         // Join/leave duties this node is itself responsible for.
-        if let Some(m) = self.membership.as_deref_mut().filter(|_| !drain) {
+        if let Some(m) = Cold::membership(&mut self.cold).filter(|_| !drain) {
             m.report(&mut combined);
         }
         let churn = combined.joins + combined.leaves;
         if churn > 0 && detached {
-            let m = self.membership.get_or_insert_with(Box::default);
+            let m = Cold::of(&mut self.cold)
+                .membership
+                .get_or_insert_with(Membership::default);
             let count = Duty::new(DutyKind::Count(churn), Step::Answered, Report::Unflagged);
             m.duties.push(count);
         }
@@ -1326,7 +1535,11 @@ impl<T: Payload> SkueueNode<T> {
                 // Churn carried by waves assigned during an update phase is
                 // accumulated (not dropped); it triggers the *next* phase.
                 let may_enter_update = !drain && self.update().is_none();
-                let anchor = self.anchor.as_deref_mut().expect("anchor path");
+                let anchor = self
+                    .cold
+                    .as_deref_mut()
+                    .and_then(|cold| cold.anchor.as_deref_mut());
+                let anchor = anchor.expect("anchor path");
                 let assignments = anchor.assign_wave(&combined, self.cfg.mode);
                 let enter_update = if may_enter_update {
                     anchor.take_update_decision()
@@ -1360,7 +1573,7 @@ impl<T: Payload> SkueueNode<T> {
                 ctx.observe(series::WAVES_IN_FLIGHT, waves.slots.len() as u64);
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
-                self.aggregate_unacked = !self.cfg.fifo_channels;
+                self.flags.set_aggregate_unacked(!self.cfg.fifo_channels);
                 ctx.send(
                     parent,
                     SkueueMsg::Aggregate {
@@ -1602,7 +1815,7 @@ impl<T: Payload> SkueueNode<T> {
     fn note_order_assigned(&mut self, seq: u64, major: u64) {
         // A combining node's state exists from its first request on, so it
         // is present whenever one of its requests is ordered.
-        let Some(combining) = self.combining.as_deref_mut() else {
+        let Some(combining) = Cold::combining(&mut self.cold) else {
             return;
         };
         combining.last_order_major = major;
@@ -1942,12 +2155,14 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Becomes the anchor with the given state (initial setup or hand-off).
     pub(crate) fn adopt_anchor(&mut self, state: AnchorState) {
-        self.anchor = Some(Box::new(state));
+        Cold::of(&mut self.cold).anchor = Some(Box::new(state));
     }
 
-    /// Gives the anchor state up (hand-off), if this node holds it.
+    /// Gives the anchor state up (hand-off), if this node holds it; the
+    /// cold box goes at the end of the step if nothing else is in it.
     pub(crate) fn take_anchor(&mut self) -> Option<AnchorState> {
-        self.anchor.take().map(|state| *state)
+        let anchor = self.cold.as_deref_mut()?.anchor.take();
+        anchor.map(|state| *state)
     }
 }
 
@@ -1964,7 +2179,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // innocent node out of the absorber's aggregation tree), and a late
         // aggregate confirmation (it would clear the absorber's own
         // channel-serialisation credit).
-        if let Lifecycle::Draining { absorber, .. } = self.lifecycle {
+        if let Lifecycle::Draining { .. } = self.lifecycle {
             match msg {
                 SkueueMsg::SetPred { .. }
                 | SkueueMsg::SetSucc { .. }
@@ -1977,6 +2192,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
                         !other.is_node_local(),
                         "draining node must not forward node-local message {other:?}"
                     );
+                    let absorber = self.absorber().expect("a draining node has an absorber");
                     ctx.send(absorber, other);
                     return;
                 }
@@ -2007,11 +2223,11 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 // invariant); a spurious ack would double-credit the channel
                 // and let two unconfirmed aggregates race on it.
                 debug_assert!(
-                    self.aggregate_unacked,
+                    self.flags.aggregate_unacked(),
                     "AggregateAck without an outstanding aggregate credit at {}",
                     self.view.me().vid
                 );
-                self.aggregate_unacked = false;
+                self.flags.set_aggregate_unacked(false);
                 // The next wave (if any is ready) opens in this visit's
                 // timeout.
             }
@@ -2035,7 +2251,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
             }
             other => {
                 self.handle_membership(from, other, ctx);
-                self.release_idle_membership();
+                self.release_idle_cold();
             }
         }
     }
@@ -2052,7 +2268,7 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // Everything routed during this visit (messages + timeout) leaves as
         // one batch per destination.
         self.flush_dht_buffers(ctx);
-        self.release_idle_membership();
+        self.release_idle_cold();
         self.release_idle_work();
     }
 
@@ -2070,8 +2286,8 @@ impl<T: Payload> Actor for SkueueNode<T> {
         match self.lifecycle {
             Lifecycle::Member { leave, .. } => {
                 let in_flight = self.waves.as_deref().map_or(0, |w| w.slots.len());
-                let pipeline_open =
-                    in_flight < self.cfg.effective_pipeline_depth() && !self.aggregate_unacked;
+                let pipeline_open = in_flight < self.cfg.effective_pipeline_depth()
+                    && !self.flags.aggregate_unacked();
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
                     || leave == Leave::Wanted
                     || self
@@ -2102,18 +2318,108 @@ mod tests {
 
     type Serve = (NodeId, u64, Vec<RunAssignment>);
 
-    /// What an idle node, its view and a message in flight cost inline.  The
-    /// budgets in `tests/memory_budget.rs`, `tests/idle_node_memory.rs`,
-    /// `tests/node_view.rs`, `tests/lane_order.rs` and
-    /// `tests/inflight_memory.rs` are ceilings from earlier rounds (896, 384,
-    /// 240, 176 and 104 B); these are today's sizes, the view's also held by
-    /// `tests/node_view.rs`.
+    /// What an idle node, its view, its lane order and a message in
+    /// flight cost inline.  The budgets in `tests/memory_budget.rs`,
+    /// `tests/idle_node_memory.rs`, `tests/node_view.rs`,
+    /// `tests/lane_order.rs` and `tests/inflight_memory.rs` are ceilings
+    /// from earlier rounds (896, 384, 240, 176 and 104 B); these are
+    /// today's sizes, the node's also held by `tests/node_slot_memory.rs`
+    /// and the view's by `tests/node_view.rs`.  Debug builds keep the
+    /// update-phase stamp their monotonicity check reads: 8 B more.
     #[test]
-    fn a_node_is_168_bytes_and_an_envelope_80() {
+    fn a_node_is_112_bytes_and_an_envelope_80() {
         use std::mem::size_of;
-        assert!(size_of::<SkueueNode<u64>>() <= 168);
+        let node = if cfg!(debug_assertions) { 120 } else { 112 };
+        assert!(size_of::<SkueueNode<u64>>() <= node);
+        assert!(size_of::<LaneOrder>() <= 16);
+        assert!(size_of::<Flags>() <= 1);
         assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
+    }
+
+    /// What the cold box costs where it exists: the membership bookkeeping
+    /// inline, the anchor state and the combining behind a pointer each.
+    #[test]
+    fn a_cold_box_is_168_bytes() {
+        assert!(std::mem::size_of::<Cold<u64>>() <= 168);
+    }
+
+    /// A node drops its cold box at the end of the visit step that empties
+    /// it (`join_leave`'s duty test checks the visit that discharges a
+    /// node's last duty), so after every round of a load, a join and a
+    /// leave each box holds something, and once membership is stable only
+    /// the anchor and the draining nodes hold one.
+    #[test]
+    fn a_stable_queue_node_holds_no_cold_box() {
+        use crate::cluster::Skueue;
+        let mut cluster = Skueue::<u64>::builder()
+            .processes(6)
+            .seed(3)
+            .build()
+            .expect("valid configuration");
+        let check = |cluster: &Skueue<u64>| {
+            for (id, node) in cluster.nodes() {
+                let Some(cold) = node.cold.as_deref() else {
+                    continue;
+                };
+                assert!(!cold.is_idle(), "{id} keeps an empty cold box");
+                let membership = cold.membership.as_ref();
+                assert!(
+                    membership.is_none_or(|m| !m.is_idle()),
+                    "{id} keeps idle bookkeeping"
+                );
+                assert!(cold.combining.is_none(), "{id} combines in a queue");
+            }
+        };
+        let mut rng = skueue_sim::SimRng::new(3);
+        let mut round = |cluster: &mut Skueue<u64>, load: bool| {
+            for pid in cluster.active_process_ids() {
+                if load && rng.next_u64().is_multiple_of(3) {
+                    let mut client = cluster.client(pid);
+                    if rng.next_u64() & 1 == 0 {
+                        client.enqueue(rng.next_u64()).expect("active process");
+                    } else {
+                        client.dequeue().expect("active process");
+                    }
+                }
+            }
+            cluster.run_round();
+            check(cluster);
+        };
+        for _ in 0..20 {
+            round(&mut cluster, true);
+        }
+        let joiner = cluster.join(None).expect("a bootstrap exists");
+        while !cluster.process_is_active(joiner) {
+            round(&mut cluster, true);
+        }
+        let leaver = (0..6)
+            .map(ProcessId)
+            .find(|&pid| cluster.leave(pid).is_ok())
+            .expect("a process that does not host the anchor");
+        while !cluster.process_has_left(leaver) {
+            round(&mut cluster, true);
+        }
+        for _ in 0..200 {
+            if cluster.open_requests() == 0
+                && cluster.nodes().all(|(_, n)| n.membership().is_none())
+            {
+                break;
+            }
+            round(&mut cluster, false);
+        }
+        let holders: Vec<NodeId> = cluster
+            .nodes()
+            .filter(|(_, node)| node.cold.is_some())
+            .map(|(id, _)| id)
+            .collect();
+        let expected: Vec<NodeId> = cluster
+            .nodes()
+            .filter(|(_, node)| node.is_anchor_node() || node.has_left())
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(holders, expected);
+        assert_eq!(expected.len(), 4, "the anchor and three draining nodes");
     }
 
     /// What a busy node's two halves of work cost where they exist: a node
@@ -2751,7 +3057,7 @@ mod tests {
             let mut ctx = Context::new(anchor.view.me().node, 3 * WAVE_CADENCE);
             let handover = SkueueMsg::ChurnHandover { count: 1 };
             anchor.on_message(me, handover, &mut ctx);
-            assert_eq!(anchor.membership.as_deref().unwrap().unreported(), (0, 1));
+            assert_eq!(anchor.membership().unwrap().unreported(), (0, 1));
         }
     }
 
@@ -3116,6 +3422,40 @@ mod tests {
             }
             prop_assert!(unserved.is_empty() && in_flight(&node) == 0);
             prop_assert_eq!(served, model.served);
+        }
+    }
+
+    proptest! {
+        /// Whatever the sequence of first and repeated contacts over the
+        /// three kinds, across several doublings of its room, the boxed
+        /// lane order answers `of` and `rank` as the `Vec` with two segment
+        /// ends it replaced did, after every step; and its room is the
+        /// first room doubled until the peers fit.
+        #[test]
+        fn prop_lane_order_matches_the_vec_it_replaced(
+            notes in proptest::collection::vec((0u32..3, any::<u64>()), 1..400),
+            pool in 1u64..48,
+        ) {
+            let kinds = [LaneKind::Route, LaneKind::Reply, LaneKind::Child];
+            let mut lanes = LaneOrder::default();
+            let mut model = VecLaneOrder::default();
+            for (kind, peer) in notes {
+                let (kind, peer) = (kinds[kind as usize], NodeId(peer % pool));
+                lanes.note(kind, peer);
+                model.note(kind, peer);
+                for kind in kinds {
+                    prop_assert_eq!(lanes.of(kind), model.of(kind));
+                    for p in (0..pool).map(NodeId) {
+                        prop_assert_eq!(lanes.rank(kind, p), model.rank(kind, p));
+                    }
+                }
+                let (room, len) = (lanes.peers().len(), model.peers.len());
+                let mut first_fit = LaneOrder::FIRST_ROOM;
+                while first_fit < len {
+                    first_fit *= 2;
+                }
+                prop_assert_eq!(room, first_fit);
+            }
         }
     }
 }

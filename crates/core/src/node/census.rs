@@ -14,14 +14,20 @@
 //! vectors' capacity is private to `batch`) and the history its records;
 //! everything else, the DHT stores' two deques among them, counts its
 //! capacity.  The two halves of a node's work are counted with how many
-//! nodes hold each.
+//! nodes hold each, and so are the cold boxes and the anchor and combining
+//! states behind their pointers in them.  A lane order counts its slice:
+//! the header word, its peers and their vacant room.
 //!
 //! Not counted: the messages in flight, which sit in the simulator (at
 //! `sim_heavy`'s peak about 6 MiB by a one-off count with scratch
 //! accessors: 26.6 k boxed routed DHT operations 3.4 MiB, the delivery
-//! wheel 1.25 MiB, the lane inbox 1.32 MiB); the contents of the anchor,
-//! membership and combining boxes beyond their inline size; and the
-//! allocator's own overhead.  The crate forbids `unsafe`, so no counting
+//! wheel 1.25 MiB, the lane inbox 1.32 MiB); the contents of the
+//! membership bookkeeping and the combining beyond their inline size; and
+//! the allocator's own overhead.  Nor are the words the simulator keeps
+//! per node beside the slot, the next lever on a node at rest: the lane's
+//! `global_ids` (8 B) and `local_slot` (4 B), its inbox's `head` and
+//! `tail` (8 B) and the simulation's `node_loc` (8 B) — 28 B per node at
+//! one shard, ≈ 0.8 MiB on `sim_light`.  The crate forbids `unsafe`, so no counting
 //! allocator finds the live heap's peak here; the census's own sum peaks
 //! near it (on `sim_heavy` at round 158, where a counting allocator put the
 //! live heap's peak at round 159 before the work state was split).  Most of
@@ -108,7 +114,12 @@ fn census(cluster: &Skueue<u64>) -> Census {
     let holding = |holds: &dyn Fn(&SkueueNode<u64>) -> bool| -> usize {
         nodes.iter().filter(|node| holds(node)).count()
     };
+    let per_cold = |bytes: &dyn Fn(&Cold<u64>) -> usize| -> usize {
+        per_node(&|node| node.cold.as_deref().map_or(0, bytes))
+    };
     let wave_halves = holding(&|node| node.waves.is_some());
+    let cold_boxes = holding(&|node| node.cold.is_some());
+    let anchors = holding(&|node| node.anchor_state().is_some());
     let request_halves = holding(&|node| node.requests().is_some());
     let batch_bytes = |batch: &Batch| batch.num_runs() * size_of::<u64>();
     vec![
@@ -179,18 +190,26 @@ fn census(cluster: &Skueue<u64>) -> Census {
             None,
         ),
         (
-            "lane orders",
-            per_node(&|node| vec_bytes(&node.lanes.peers)),
+            "lane orders, slice length",
+            per_node(&|node| node.lanes.slots.len() * size_of::<NodeId>()),
             None,
         ),
         (
-            "anchor, membership, combining boxes",
-            per_node(&|node| {
-                boxed_bytes(&node.anchor)
-                    + boxed_bytes(&node.membership)
-                    + boxed_bytes(&node.combining)
-            }),
-            None,
+            "cold boxes",
+            cold_boxes * size_of::<Cold<u64>>(),
+            Some(cold_boxes),
+        ),
+        (
+            "  anchor states in them",
+            anchors * size_of::<AnchorState>(),
+            Some(anchors),
+        ),
+        (
+            "  combining states in them",
+            per_cold(&|cold| boxed_bytes(&cold.combining)),
+            Some(holding(&|node| {
+                node.cold.as_deref().is_some_and(|c| c.combining.is_some())
+            })),
         ),
         (
             "history records",
