@@ -723,7 +723,7 @@ impl<T: Payload> SkueueNode<T> {
         let child_batches = self
             .waves
             .as_deref_mut()
-            .map(|w| w.child_batches.drain_all(children))
+            .map(|w| w.child_batches.drain_all(&children))
             .unwrap_or_default();
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale,

@@ -15,8 +15,9 @@
 //! everything else, the DHT stores' two deques among them, counts its
 //! capacity.  The two halves of a node's work are counted with how many
 //! nodes hold each, and so are the cold boxes and the anchor and combining
-//! states behind their pointers in them.  A lane order counts its slice:
-//! the header word, its peers and their vacant room.
+//! states behind their pointers in them.  A spilled lane order counts its
+//! slice, the header word, its peers and their vacant room, with how many
+//! nodes hold one; an inline order costs nothing beyond the node slot.
 //!
 //! Not counted: the messages in flight, which sit in the simulator (at
 //! `sim_heavy`'s peak about 6 MiB by a one-off count with scratch
@@ -190,9 +191,12 @@ fn census(cluster: &Skueue<u64>) -> Census {
             None,
         ),
         (
-            "lane orders, slice length",
-            per_node(&|node| node.lanes.slots.len() * size_of::<NodeId>()),
-            None,
+            "spilled lane orders, slice length",
+            per_node(&|node| match &node.lanes {
+                LaneOrder::Spilled(slice) => slice.slots.len() * size_of::<NodeId>(),
+                LaneOrder::Inline(_) => 0,
+            }),
+            Some(holding(&|node| matches!(node.lanes, LaneOrder::Spilled(_)))),
         ),
         (
             "cold boxes",

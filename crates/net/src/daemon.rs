@@ -60,7 +60,7 @@ use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
 use crate::frame::{push_frame, read_frame, write_frame, NetFrame};
-use crate::spec::ClusterSpec;
+use crate::spec::{ClusterSpec, PID_LIMIT};
 use crate::transport::TcpTransport;
 
 /// What the helper threads pass to the host.
@@ -242,6 +242,12 @@ struct Host<T: Payload> {
     visited: Vec<NodeId>,
 }
 
+/// The middle node of process `pid`, if `pid` is below [`PID_LIMIT`]: a
+/// frame's pid is checked here before any node id is derived from it.
+fn middle_of(pid: ProcessId) -> Option<NodeId> {
+    (pid.0 < PID_LIMIT).then(|| node_of(VirtualId::middle(pid)))
+}
+
 impl<T: Payload + Wire> Host<T> {
     /// Daemon `index`'s slice of the initial membership.
     fn new(spec: &ClusterSpec, index: usize) -> Self {
@@ -269,7 +275,7 @@ impl<T: Payload + Wire> Host<T> {
 
     /// Whether process `pid` is hosted here.
     fn hosts(&self, pid: ProcessId) -> bool {
-        self.lane.node(node_of(VirtualId::middle(pid))).is_some()
+        middle_of(pid).is_some_and(|middle| self.lane.node(middle).is_some())
     }
 
     /// One turn: serve `frame`, take one turn of the lane — a sweep if the
@@ -316,11 +322,12 @@ impl<T: Payload + Wire> Host<T> {
             }
             NetFrame::Inject { id, insert, value } => {
                 let kind = if insert { Enqueue } else { Dequeue };
-                let middle = node_of(VirtualId::middle(id.origin));
-                // Issued if the process is integrated.
-                let issued = self.lane.act(middle, |node, ctx| {
-                    node.is_integrated()
-                        .then(|| node.generate_op(id, kind, value, ctx))
+                // Issued if the process is hosted here and integrated.
+                let issued = middle_of(id.origin).and_then(|middle| {
+                    self.lane.act(middle, |node, ctx| {
+                        node.is_integrated()
+                            .then(|| node.generate_op(id, kind, value, ctx))
+                    })
                 });
                 if issued.flatten().is_none() {
                     eprintln!(
@@ -331,6 +338,10 @@ impl<T: Payload + Wire> Host<T> {
                 }
                 return None;
             }
+            NetFrame::Join { pid, .. } if pid.0 >= PID_LIMIT => NetFrame::Err(format!(
+                "process {} is beyond the process id limit {PID_LIMIT}",
+                pid.0
+            )),
             NetFrame::Join { pid, .. } if self.spec.daemon_of(pid) != index => {
                 NetFrame::Err(format!("process {} is not placed here", pid.0))
             }
@@ -587,6 +598,33 @@ mod tests {
             host.turn(Some(leave), now),
             Some(NetFrame::Err(_))
         ));
+    }
+
+    /// A frame naming a process id at or beyond [`PID_LIMIT`] is refused
+    /// before a node id is derived from it: a `JOIN` of 10¹⁵ would size the
+    /// slot map for 3 · 10¹⁵ ids, and `3p + kind` overflows near `u64::MAX`.
+    #[test]
+    fn a_process_id_beyond_the_limit_is_refused() {
+        let now = Instant::now();
+        let (mut host, _) = host(1, 3);
+        let bootstrap = host.spec.bootstrap_for(ProcessId(0)).expect("a member");
+        for pid in [PID_LIMIT, 10u64.pow(15), u64::MAX - 1] {
+            let join = NetFrame::Join {
+                pid: ProcessId(pid),
+                bootstrap,
+            };
+            assert!(matches!(host.turn(Some(join), now), Some(NetFrame::Err(_))));
+            assert_eq!(host.turn(Some(inject(pid, 0, true)), now), None);
+            let leave = NetFrame::Leave {
+                pid: ProcessId(pid),
+            };
+            assert!(matches!(
+                host.turn(Some(leave), now),
+                Some(NetFrame::Err(_))
+            ));
+        }
+        let hosted: Vec<u64> = status(&mut host, now).iter().map(|p| p.0).collect();
+        assert_eq!(hosted, [0, 1, 2]);
     }
 
     #[test]

@@ -25,6 +25,13 @@ use skueue_sim::ids::{NodeId, ProcessId};
 /// Default timer period of a hosted node, in milliseconds.
 pub(crate) const DEFAULT_TICK_MS: u64 = 2;
 
+/// Every process id a daemon hosts is below this.  A hosted node's id
+/// `3p + kind` indexes its lane's slot map, 4 B per id up to the largest, so
+/// the limit bounds that map at 12 MiB (3 · 2²⁰ ids) whatever pid a frame
+/// names: a `JOIN` or `LEAVE` beyond it is refused, an inject dropped, and
+/// `--initial` may not exceed it.
+pub(crate) const PID_LIMIT: u64 = 1 << 20;
+
 /// Everything the service binaries must agree on to form one cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
@@ -166,10 +173,10 @@ pub fn flag_number<N: std::str::FromStr>(
 }
 
 /// Builds a [`ClusterSpec`] from parsed flags.  Recognised keys:
-/// `--daemons a,b,c` (required), `--initial N` (default 3), `--shards S`
-/// (default 1; `1..=skueue_shard::MAX_SHARDS`, anything else is an error),
-/// `--hash-seed H` (default: the library default), and `--tick-ms T`
-/// (default `DEFAULT_TICK_MS`).
+/// `--daemons a,b,c` (required), `--initial N` (default 3, at most 2²⁰),
+/// `--shards S` (default 1; `1..=skueue_shard::MAX_SHARDS`, anything else
+/// is an error), `--hash-seed H` (default: the library default), and
+/// `--tick-ms T` (default `DEFAULT_TICK_MS`).
 pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, String> {
     let daemons: Vec<String> = flags
         .get("daemons")
@@ -182,8 +189,10 @@ pub fn spec_from_flags(flags: &BTreeMap<String, String>) -> Result<ClusterSpec, 
         return Err("--daemons must list at least one address".into());
     }
     let initial = flag_number(flags, "initial")?.unwrap_or(3u64);
-    if initial == 0 {
-        return Err("--initial must be at least 1".into());
+    // Processes 0..initial are hosted from the start, so each needs a pid
+    // below the limit every frame is checked against.
+    if !(1..=PID_LIMIT).contains(&initial) {
+        return Err(format!("--initial must be between 1 and {PID_LIMIT}"));
     }
     // The builder's gate: an unchecked count sizes a per-shard allocation in
     // `InitialMembership::build`, and the shard map would silently clamp it.
@@ -273,6 +282,12 @@ mod tests {
         assert_eq!(spec.shards, 2);
         assert!(parse_flags(&["oops".to_string()], &[]).is_err());
         assert!(spec_from_flags(&BTreeMap::new()).is_err());
+        // Every initial process needs a pid the daemons accept.
+        let mut flags = flags;
+        flags.insert("initial".into(), PID_LIMIT.to_string());
+        assert!(spec_from_flags(&flags).is_ok());
+        flags.insert("initial".into(), (PID_LIMIT + 1).to_string());
+        assert!(spec_from_flags(&flags).is_err());
     }
 
     #[test]

@@ -4,15 +4,22 @@
 //!
 //! A node at rest keeps its configuration pointer, its view, its lifecycle,
 //! flags and shard in one word, its wave epoch and cadence, its lane order
-//! (one 16-byte boxed slice) and two null pointers: the work state and the
-//! cold box (anchor state, membership bookkeeping, stack combining, a
-//! draining node's absorber).  This test holds the inline size at 112 B
-//! (120 B in debug builds, which keep the update-phase stamp their
-//! monotonicity check reads) and, for a `sim_light`-shaped build (n = 10 000,
-//! one shard) and a `sim_heavy`-shaped one (n = 3000, eight shards), the live
-//! heap per virtual node at the measured value plus 15 %.  A build with the
-//! 168-byte node read 210 and 254 B per node; it fails here.  The build still
-//! allocates per lane and per shard, never per node.
+//! (16 bytes: up to three peers packed inline, else one boxed slice) and two
+//! null pointers: the work state and the cold box (anchor state, membership
+//! bookkeeping, stack combining, a draining node's absorber).  This test
+//! holds the inline size at 112 B (120 B in debug builds, which keep the
+//! update-phase stamp their monotonicity check reads) and, for a
+//! `sim_light`-shaped build (n = 10 000, one shard) and a `sim_heavy`-shaped
+//! one (n = 3000, eight shards), the live heap per virtual node at the
+//! measured value plus 15 %.  A build with the 168-byte node read 210 and 254
+//! B per node; it fails here.  The build still allocates per lane and per
+//! shard, never per node.
+//!
+//! After `tests/idle_node_memory.rs`'s load has drained, it holds the live
+//! heap and allocations per node at the measured values plus 3 %: most nodes
+//! then have met one to three peers, whose lane order stays inline.  With
+//! every lane order a boxed slice they read 429 B and 13 820 allocations per
+//! 10 000 nodes; that fails here.
 //!
 //! One test function only: the counts are process-wide.
 
@@ -96,6 +103,16 @@ const SHAPES: [Shape; 2] = [
     },
 ];
 
+/// Processes of the drained case, `tests/idle_node_memory.rs`'s load: 3000
+/// operations over 300 rounds, then drained.
+const DRAINED_PROCESSES: usize = 1000;
+/// Live heap per virtual node after the drain, history and ticket outcomes
+/// included (408 B measured; 429 B with every lane order a boxed slice).
+const DRAINED_BYTES_PER_NODE: isize = 420;
+/// Live allocations per 10 000 virtual nodes after the drain (8620
+/// measured; 13 820 with every lane order a boxed slice).
+const DRAINED_ALLOCS_PER_10K_NODES: isize = 8878;
+
 #[test]
 fn a_built_node_is_its_slot_and_its_lanes_words() {
     let mut failures = Vec::new();
@@ -147,5 +164,46 @@ fn a_built_node_is_its_slot_and_its_lanes_words() {
         );
         drop(cluster);
     }
+
+    // The drained case: `tests/idle_node_memory.rs`'s build and load.
+    let nodes = 3 * DRAINED_PROCESSES as isize;
+    let (bytes0, allocs0) = live();
+    let mut cluster = Skueue::<u64>::builder()
+        .processes(DRAINED_PROCESSES)
+        .seed(42)
+        .build()
+        .expect("valid configuration");
+    let mut rng = SimRng::new(7);
+    for round in 0..300u64 {
+        for _ in 0..10 {
+            let pid = ProcessId(rng.next_u64() % DRAINED_PROCESSES as u64);
+            let mut client = cluster.client(pid);
+            if rng.next_u64() & 1 == 0 {
+                client.enqueue(round).expect("active process");
+            } else {
+                client.dequeue().expect("active process");
+            }
+        }
+        cluster.run_round();
+    }
+    cluster
+        .run_until_all_complete(50_000)
+        .expect("the load drains");
+    assert_eq!(cluster.history().len(), 3000);
+    let (bytes, allocs) = live();
+    let drained_bytes = (bytes - bytes0) / nodes;
+    let drained_allocs = (allocs - allocs0) * 10_000 / nodes;
+    hold(
+        "drained bytes per node".into(),
+        drained_bytes,
+        DRAINED_BYTES_PER_NODE + stamp,
+    );
+    hold(
+        "drained allocations per 10 000 nodes".into(),
+        drained_allocs,
+        DRAINED_ALLOCS_PER_10K_NODES,
+    );
+    println!("drained: {drained_bytes} B/node, {drained_allocs} allocations/10k nodes");
+    drop(cluster);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
