@@ -62,9 +62,9 @@ use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
 use skueue_sim::{SimConfig, SimError, Simulation};
 use skueue_trace::{
-    export_chrome_trace, TraceAnalysis, TraceEvent, TraceId, TraceLevel, TraceLog, TraceRecord,
+    export_chrome_trace, TraceAnalysis, TraceEvent, TraceLevel, TraceLog, TraceRecord,
 };
-use skueue_verify::{History, OpKind};
+use skueue_verify::{History, OpKind, OpRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -195,6 +195,24 @@ impl ProcessHandle {
         let at = *self.completed_at.get(usize::try_from(seq).ok()?)?;
         (at != NOT_COMPLETED).then_some(at as usize)
     }
+
+    /// Records that request `seq`'s completion record is the history's
+    /// record `at`.
+    fn note_completed(&mut self, seq: u64, at: usize) {
+        assert!(
+            at < NOT_COMPLETED as usize,
+            "the history outgrew its 32-bit index"
+        );
+        let seq = seq as usize;
+        if self.completed_at.len() <= seq {
+            self.completed_at.resize(seq + 1, NOT_COMPLETED);
+        }
+        debug_assert_eq!(
+            self.completed_at[seq], NOT_COMPLETED,
+            "seq {seq} completed twice"
+        );
+        self.completed_at[seq] = at as u32;
+    }
 }
 
 /// Node ids of the left/middle/right virtual nodes of `process` (the dense
@@ -228,22 +246,13 @@ pub struct SkueueCluster<T: Payload = u64> {
     issued: u64,
     /// This instance's id (see [`NEXT_CLUSTER_ID`]).
     cluster_id: u64,
-    /// Scratch for the per-round completion sweep, reused across rounds.
-    completion_scratch: Vec<skueue_verify::OpRecord<T>>,
-    /// Scratch holding the indices of the nodes to sweep for completions.
-    visit_scratch: Vec<usize>,
-    /// Nodes mutated driver-side since the last round (request injection can
-    /// complete operations immediately via the stack's local combining, and
-    /// such a node is not necessarily visited by the next round).
-    dirty_nodes: Vec<NodeId>,
     /// Number of processes currently joining or leaving; the per-round state
     /// refresh is skipped while it is zero.
     transitioning: usize,
     /// The merged lifecycle-trace log: the simulation hands it the lanes'
-    /// events in lane order after every round, and the completion sweep and
-    /// the membership refresh append the driver's own instants, so the log
-    /// is byte-identical across thread counts.  Stays empty at
-    /// [`TraceLevel::Off`].
+    /// events in lane order after every round, and the membership refresh
+    /// appends the driver's own instants, so the log is byte-identical
+    /// across thread counts.  Stays empty at [`TraceLevel::Off`].
     trace_log: TraceLog,
 }
 
@@ -331,9 +340,6 @@ impl<T: Payload> SkueueCluster<T> {
             observers: Vec::new(),
             issued: 0,
             cluster_id: NEXT_CLUSTER_ID.fetch_add(1, Ordering::Relaxed),
-            completion_scratch: Vec::new(),
-            visit_scratch: Vec::new(),
-            dirty_nodes: Vec::new(),
             transitioning: 0,
             trace_log: TraceLog::new(),
         }
@@ -518,9 +524,9 @@ impl<T: Payload> SkueueCluster<T> {
     }
 
     /// The merged lifecycle-trace log collected so far: per round, the
-    /// lanes' events in lane order, then the driver's completion, join and
-    /// departure instants, so for a given seed the log is byte-identical
-    /// across thread counts.  Empty at [`TraceLevel::Off`].
+    /// lanes' events in lane order (completions among them), then the
+    /// driver's join and departure instants, so for a given seed the log is
+    /// byte-identical across thread counts.  Empty at [`TraceLevel::Off`].
     pub fn trace_log(&self) -> &TraceLog {
         &self.trace_log
     }
@@ -591,13 +597,12 @@ impl<T: Payload> SkueueCluster<T> {
         let id = RequestId::new(process, seq);
         // Requests are generated at the process's middle virtual node; the
         // new own work re-arms its (otherwise demand-driven) wave timeout.
+        // Local combining may complete requests right here: their records
+        // wait in the lane's report sink for the next round's drain.
         let node_id = node_of(VirtualId::middle(process));
         self.sim
             .act(node_id, |node, ctx| node.generate_op(id, kind, value, ctx))
             .expect("node registered at build time");
-        // Local combining may have completed records right here, and the
-        // node is not necessarily visited next round — remember to sweep it.
-        self.dirty_nodes.push(node_id);
         self.issued += 1;
         let op_kind = match kind {
             BatchOp::Enqueue => OpKind::Enqueue,
@@ -915,110 +920,38 @@ impl<T: Payload> SkueueCluster<T> {
         Ok(self.sim.round() - start)
     }
 
-    /// Drains completion records from every node into the single completion
-    /// stream: resolve the ticket, append the record to the history, then
-    /// fan the event out to the registered observers.  Only nodes visited
-    /// this round or touched by the driver are looked at, into one reused
-    /// scratch vector, so a quiet round allocates nothing.  A node's own
-    /// buffer lives in its work state, which the node drops once it has
-    /// nothing in flight, stored or uncollected.
-    fn collect_completions(&mut self) {
-        let mut drained = std::mem::take(&mut self.completion_scratch);
-        debug_assert!(drained.is_empty());
-        // Only nodes visited this round (plus driver-touched ones) can have
-        // produced records — sweeping all of them would be O(nodes) per
-        // round.
-        let mut visits = std::mem::take(&mut self.visit_scratch);
-        visits.clear();
-        visits.extend_from_slice(self.sim.visited_last_round());
-        for &idx in &visits {
-            self.drain_node(NodeId(idx as u64), &mut drained);
-        }
-        self.visit_scratch = visits;
-        let mut dirty = std::mem::take(&mut self.dirty_nodes);
-        for id in dirty.drain(..) {
-            self.drain_node(id, &mut drained);
-        }
-        self.dirty_nodes = dirty;
-        for record in drained.drain(..) {
-            self.note_completed(record.id);
-            let record = if self.observers.is_empty() {
-                record
-            } else {
-                self.publish(record)
-            };
-            self.history.push(record);
-        }
-        self.completion_scratch = drained;
-    }
-
-    /// Fans a completion out to the observers and hands its record back.
-    /// The outcome (one payload clone, for dequeues) is built for them only;
+    /// Publishes the records the nodes reported since the last round into
+    /// the single completion stream, in [`Simulation::drain_reports`]'s
+    /// order: resolve the ticket, append the record to the history, then
+    /// fan the event out to the registered observers.  The outcome (one
+    /// payload clone, for dequeues) is built for the observers only;
     /// [`Self::outcome`] derives it from the history again on demand.
-    fn publish(&mut self, record: skueue_verify::OpRecord<T>) -> skueue_verify::OpRecord<T> {
-        let event = CompletionEvent {
-            ticket: OpTicket::new(self.cluster_id, record.id, record.kind),
-            outcome: OpOutcome::from_record(&record),
-            record,
-        };
-        for observer in &mut self.observers {
-            observer(&event);
-        }
-        event.record
-    }
-
-    /// Records that the request's completion record is the next one the
-    /// history receives.
-    fn note_completed(&mut self, id: RequestId) {
-        let at = self.history.len();
-        assert!(
-            at < NOT_COMPLETED as usize,
-            "the history outgrew its 32-bit index"
-        );
-        // Records only come from nodes the driver created and carry the id
-        // the driver issued.
-        let completed_at = &mut self.processes[id.origin.0 as usize].completed_at;
-        let seq = id.seq as usize;
-        if completed_at.len() <= seq {
-            completed_at.resize(seq + 1, NOT_COMPLETED);
-        }
-        debug_assert_eq!(completed_at[seq], NOT_COMPLETED, "{id} completed twice");
-        completed_at[seq] = at as u32;
-    }
-
-    /// Moves node `id`'s completion records to `drained` and stamps a
-    /// `Completed` instant for each.  Completion instants are *driver-side*
-    /// events: every completion site (DHT applies, replies, ⊥ dequeues,
-    /// locally combined pairs) funnels through the completion sweep, so one
-    /// emission point covers them all — and because the sweep order is the
-    /// deterministic visit order, the log stays byte-identical across thread
-    /// counts.
-    fn drain_node(&mut self, id: NodeId, drained: &mut Vec<skueue_verify::OpRecord<T>>) {
-        // Most visited nodes completed nothing; they cost a look, not an
-        // action.
-        if !self.sim.node(id).is_some_and(SkueueNode::has_completed) {
-            return;
-        }
-        let prev = drained.len();
-        let shard = self
-            .sim
-            .act(id, |node, _| {
-                node.drain_completed_into(drained);
-                node.shard()
-            })
-            .expect("the node was just looked at");
-        if self.cfg.trace_level.is_off() {
-            return;
-        }
-        for record in &drained[prev..] {
-            self.trace_log.push(TraceRecord {
-                node: id.0,
-                shard,
-                event: TraceEvent::Completed {
-                    op: TraceId::new(record.id.origin.0, record.id.seq),
-                    round: record.completed_round,
-                },
-            });
+    fn collect_completions(&mut self) {
+        let SkueueCluster {
+            sim,
+            processes,
+            history,
+            observers,
+            cluster_id,
+            ..
+        } = self;
+        for (_, record) in sim.drain_reports::<OpRecord<T>>() {
+            // Records only come from nodes the driver created and carry the
+            // id the driver issued.
+            processes[record.id.origin.0 as usize].note_completed(record.id.seq, history.len());
+            if observers.is_empty() {
+                history.push(record);
+                continue;
+            }
+            let event = CompletionEvent {
+                ticket: OpTicket::new(*cluster_id, record.id, record.kind),
+                outcome: OpOutcome::from_record(&record),
+                record,
+            };
+            for observer in observers.iter_mut() {
+                observer(&event);
+            }
+            history.push(event.record);
         }
     }
 

@@ -792,8 +792,8 @@ pub(crate) struct Waves<T> {
     pub(crate) memo: WaveMemo,
     /// Serves that arrived ahead of older waves (asynchronous reordering).
     pub(crate) serve_stash: Vec<StashedServe>,
-    /// The request half; `None` on a node with no request, no stored
-    /// element and no uncollected completion.
+    /// The request half; `None` on a node with no request and no stored
+    /// element.
     pub(crate) requests: Option<Box<Requests<T>>>,
 }
 
@@ -845,12 +845,13 @@ impl<T> Waves<T> {
 }
 
 /// The request half of a node's work: its own requests from issue to
-/// completion, its DHT partition and the completion records the host has
-/// not collected.  Only a process's middle node issues requests, so a left
-/// or right node holds this only while it stores an element, parks a GET
-/// or keeps an enqueue's completion record.  Every field is empty whenever
-/// the node has none of them, and the half is then dropped by itself (see
-/// [`SkueueNode::release_idle_work`]).
+/// completion and its DHT partition.  Only a process's middle node issues
+/// requests, so a left or right node holds this only while it stores an
+/// element or parks a GET.  Every field is empty whenever the node has
+/// none of them, and the half is then dropped by itself (see
+/// [`SkueueNode::release_idle_work`]).  A finished request leaves no trace
+/// here: its record is reported to the host through the [`Context`] (see
+/// [`SkueueNode::complete`]), like everything else a node reports.
 #[derive(Debug)]
 pub(crate) struct Requests<T> {
     // --- Stage 1 ------------------------------------------------------------
@@ -863,13 +864,6 @@ pub(crate) struct Requests<T> {
     /// in log (= seq) order, so each is appended.
     pub(crate) outstanding_gets: Vec<(u64, OutstandingGet)>,
     pub(crate) outstanding_dht: u64,
-
-    // --- Outputs --------------------------------------------------------------
-    /// Completion records not yet collected by the host (see
-    /// [`Self::complete`]).  Everything else a node reports — samples and
-    /// trace events — goes straight to the host's sinks through the
-    /// [`Context`].
-    pub(crate) completed: Vec<OpRecord<T>>,
 }
 
 impl<T: Payload> Requests<T> {
@@ -897,7 +891,6 @@ impl<T: Payload> Requests<T> {
             store: NodeStore::new(),
             outstanding_gets: Vec::new(),
             outstanding_dht: 0,
-            completed: Vec::new(),
         }))
     }
 
@@ -911,25 +904,12 @@ impl<T: Payload> Requests<T> {
             store,
             outstanding_gets,
             outstanding_dht,
-            completed,
         } = self;
         store.is_vacant()
-            && completed.is_empty()
             && own_log.is_empty()
             && outstanding_gets.is_empty()
             && *outstanding_dht == 0
             && own_batch.has_no_ops()
-    }
-
-    /// Appends a completion record.  An empty buffer makes room for one
-    /// record, not the standard library's first four: the host collects
-    /// every round, and most nodes complete one request between two
-    /// collections.
-    pub(crate) fn complete(&mut self, record: OpRecord<T>) {
-        if self.completed.capacity() == 0 {
-            self.completed.reserve_exact(1);
-        }
-        self.completed.push(record);
     }
 
     /// Remembers the GET of the node's request `seq` until its reply.
@@ -1150,8 +1130,8 @@ impl<T: Payload> SkueueNode<T> {
     /// Drops each half of the work state once the node holds nothing in it,
     /// the request half first: an idle node carries none, a node that only
     /// relays carries no request half, and a burst's buffers go back with
-    /// the boxes (checked at the end of every visit and after the host
-    /// collects completions).
+    /// the boxes (checked at the end of every visit and of a request that
+    /// local combining finished at once).
     fn release_idle_work(&mut self) {
         let Some(waves) = self.waves.as_deref_mut() else {
             return;
@@ -1204,18 +1184,23 @@ impl<T: Payload> SkueueNode<T> {
         self.requests().map_or(0, |r| r.store.len())
     }
 
-    /// True when completion records are waiting to be drained.
-    pub fn has_completed(&self) -> bool {
-        self.requests().is_some_and(|r| !r.completed.is_empty())
-    }
-
-    /// Appends the completed-operation records to `out`; a node left with
-    /// nothing in flight, stored or uncollected drops its work state.
-    pub fn drain_completed_into(&mut self, out: &mut Vec<OpRecord<T>>) {
-        if let Some(requests) = self.requests_mut() {
-            out.append(&mut requests.completed);
-            self.release_idle_work();
+    /// Finishes a request: reports its history record to the host and,
+    /// when tracing, its `Completed` instant.  Every completion site calls
+    /// this — the applied PUT, the GET's reply, the ⊥ dequeue and the
+    /// stack's locally combined pairs — so a node keeps no record once its
+    /// request is done.  Takes the node's two fields it reads rather than
+    /// the node, so a caller keeps its borrows of the others.
+    fn complete(
+        cfg: &ProtocolConfig,
+        shard: ShardId,
+        record: OpRecord<T>,
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
+        if !cfg.trace_level.is_off() {
+            let (op, round) = (Self::tid(record.id), record.completed_round);
+            ctx.trace(shard, TraceEvent::Completed { op, round });
         }
+        ctx.report(record);
     }
 
     /// The trace identity of a request: origin process and per-origin seq.
@@ -1299,7 +1284,8 @@ impl<T: Payload> SkueueNode<T> {
                         let [push_rec, pop_rec] = self.make_combined_pair(push, op, round);
                         records.insert(0, push_rec);
                         records.push(pop_rec);
-                        self.reanchor_pairs(records);
+                        self.reanchor_pairs(records, ctx);
+                        self.release_idle_work();
                         return;
                     }
                     // No unsent push available: the pop becomes part of the
@@ -1358,7 +1344,7 @@ impl<T: Payload> SkueueNode<T> {
     /// records to an *older* anchor, see [`Self::generate_op`]), so a plain
     /// append preserves the bucket's sort order — no re-sorting, which the
     /// old `extend` + `sort_by_key` pattern paid on every combined pair.
-    fn reanchor_pairs(&mut self, records: Vec<OpRecord<T>>) {
+    fn reanchor_pairs(&mut self, records: Vec<OpRecord<T>>, ctx: &mut Context<SkueueMsg<T>>) {
         debug_assert!(
             records.windows(2).all(|w| w[0].id.seq < w[1].id.seq),
             "combined records must arrive in issue order"
@@ -1382,7 +1368,7 @@ impl<T: Payload> SkueueNode<T> {
                 combining.minor_counter += 1;
                 record.order =
                     OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
-                requests.complete(record);
+                Self::complete(&self.cfg, self.shard, record, ctx);
             }
         }
     }
@@ -1876,7 +1862,7 @@ impl<T: Payload> SkueueNode<T> {
                 let value = std::mem::take(&mut entry.value);
                 log_cursor += 1;
                 let order_major = run.value_base + j;
-                self.note_order_assigned(id.seq, order_major);
+                self.note_order_assigned(id.seq, order_major, ctx);
                 if !self.cfg.trace_level.is_off() {
                     let round = ctx.round();
                     ctx.trace(
@@ -1933,16 +1919,16 @@ impl<T: Payload> SkueueNode<T> {
                             );
                         } else {
                             // ⊥: completes immediately.
-                            let order = self.order_key(run.wave, order_major, id.origin);
-                            Requests::of(&mut self.waves, &self.cfg).complete(OpRecord {
+                            let record = OpRecord {
                                 id,
                                 kind: OpKind::Dequeue,
                                 value: T::default(),
                                 result: OpResult::Empty,
-                                order,
+                                order: self.order_key(run.wave, order_major, id.origin),
                                 issued_round,
                                 completed_round: ctx.round(),
-                            });
+                            };
+                            Self::complete(&self.cfg, self.shard, record, ctx);
                         }
                     }
                 }
@@ -1969,7 +1955,7 @@ impl<T: Payload> SkueueNode<T> {
     /// Updates the local order bookkeeping when one of this node's own
     /// requests receives its anchor order value, releasing any locally
     /// combined pairs anchored to it.
-    fn note_order_assigned(&mut self, seq: u64, major: u64) {
+    fn note_order_assigned(&mut self, seq: u64, major: u64, ctx: &mut Context<SkueueMsg<T>>) {
         // A combining node's state exists from its first request on, so it
         // is present whenever one of its requests is ordered.
         let Some(combining) = Cold::combining(&mut self.cold) else {
@@ -1981,11 +1967,10 @@ impl<T: Payload> SkueueNode<T> {
             // Buckets are maintained in seq order (see `reanchor_pairs`).
             debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
             let origin = self.view.me().vid.process;
-            let requests = Requests::of(&mut self.waves, &self.cfg);
             for mut record in pairs {
                 combining.minor_counter += 1;
                 record.order = OrderKey::local(major, origin, combining.minor_counter);
-                requests.complete(record);
+                Self::complete(&self.cfg, self.shard, record, ctx);
             }
         }
     }
@@ -2153,17 +2138,16 @@ impl<T: Payload> SkueueNode<T> {
                 // completion record needs the payload *and* the store keeps
                 // the element, so this is the one deliberate clone on the
                 // enqueue path (a copy, pre-generics).
-                let order = self.order_key(meta.wave, meta.order, entry.element.id.origin);
-                let requests = Requests::of(&mut self.waves, &self.cfg);
-                requests.complete(OpRecord {
+                let record = OpRecord {
                     id: entry.element.id,
                     kind: OpKind::Enqueue,
                     value: entry.element.value.clone(),
                     result: OpResult::Enqueued,
-                    order,
+                    order: self.order_key(meta.wave, meta.order, entry.element.id.origin),
                     issued_round: meta.issued_round,
                     completed_round: ctx.round(),
-                });
+                };
+                Self::complete(&self.cfg, self.shard, record, ctx);
                 if meta.needs_ack {
                     ctx.send(
                         meta.issuer,
@@ -2228,23 +2212,23 @@ impl<T: Payload> SkueueNode<T> {
             .requests_mut()
             .and_then(|r| r.take_outstanding_get(origin, request));
         if let Some(meta) = meta {
-            let order = self.order_key(meta.wave, meta.order, request.origin);
-            let requests = Requests::of(&mut self.waves, &self.cfg);
             if self.cfg.is_stack() {
+                let requests = Requests::of(&mut self.waves, &self.cfg);
                 requests.outstanding_dht = requests.outstanding_dht.saturating_sub(1);
             }
             // The entry ends its life here: the payload moves into the
             // completion record without a clone.
             let source = entry.element.id;
-            requests.complete(OpRecord {
+            let record = OpRecord {
                 id: request,
                 kind: OpKind::Dequeue,
                 value: entry.element.value,
                 result: OpResult::Returned(source),
-                order,
+                order: self.order_key(meta.wave, meta.order, request.origin),
                 issued_round: meta.issued_round,
                 completed_round: ctx.round(),
-            });
+            };
+            Self::complete(&self.cfg, self.shard, record, ctx);
         } else {
             // A reply can legitimately race its requester's departure during
             // join/leave (a draining node forwards the reply to an absorber
@@ -2583,10 +2567,10 @@ mod tests {
     /// that only relays sub-batches holds the wave half, an issuing node
     /// both.
     #[test]
-    fn a_wave_half_is_168_bytes_and_a_request_half_200() {
+    fn a_wave_half_and_a_request_half_are_168_bytes_each() {
         use std::mem::size_of;
         assert!(size_of::<Waves<u64>>() <= 168);
-        assert!(size_of::<Requests<u64>>() <= 200);
+        assert!(size_of::<Requests<u64>>() <= 168);
     }
 
     /// What a request costs while it waits in its node's log: its seq, its
@@ -2679,7 +2663,8 @@ mod tests {
             assert_eq!(reply(&mut cluster, origin, seq), (1, vec![5, 9]));
         }
         assert_eq!(reply(&mut cluster, me, 5), (0, vec![9]));
-        assert!(cluster.node(middle).unwrap().has_completed());
+        let reported = cluster.act_on(middle, |_, ctx| ctx.reports::<OpRecord<u64>>().len());
+        assert_eq!(reported, Some(1));
         assert_eq!(reply(&mut cluster, me, 5), (1, vec![9]));
     }
 
@@ -2707,7 +2692,6 @@ mod tests {
             assert!(!node.wants_timeout());
             assert!(node.may_open_wave(node.tree_parent()));
             assert!(!node.has_wave_work());
-            assert!(!node.has_completed());
             assert_eq!(node.open_requests(), 0);
             assert_eq!(node.stored_elements(), 0);
             assert!(node.ready_to_be_absorbed());
@@ -2765,8 +2749,8 @@ mod tests {
         assert!(matches!(served[..], [(to, SkueueMsg::Serve { epoch: 1, .. })] if to == child));
         assert!(node.waves.is_none());
 
-        // A stored element keeps the box past the visit and the collection
-        // of its completion record; the GET that takes it frees the box.
+        // A stored element keeps the box past the visit that reports its
+        // enqueue; the GET that takes it frees the box.
         let (id, position) = (RequestId::new(ProcessId(7), 0), 3);
         let key = node.cfg.hasher().position_key(position);
         let progress = RouteProgress::new(key, node.cfg.bit_budget);
@@ -2786,9 +2770,7 @@ mod tests {
         let mut ctx = Context::new(me, 10);
         node.apply_dht(DhtOp::Put { entry, meta }, &progress, &mut ctx);
         node.on_timeout(&mut ctx);
-        let mut completed = Vec::new();
-        node.drain_completed_into(&mut completed);
-        assert_eq!(completed.len(), 1);
+        assert_eq!(ctx.reports::<OpRecord<u64>>().len(), 1);
         assert_eq!(node.stored_elements(), 1);
         assert!(node.requests().is_some());
         let get = DhtOp::Get {
@@ -2889,16 +2871,45 @@ mod tests {
         let serve = SkueueMsg::Serve { epoch, runs };
         visit_with(&mut node, round + WAVE_CADENCE, vec![(parent, serve)]);
         assert_eq!(node.open_requests(), 0);
-        let mut completed = Vec::new();
-        node.drain_completed_into(&mut completed);
         assert_eq!(node.waves.is_some(), node.stored_elements() > 0);
         assert_eq!(in_flight(&node), 0);
     }
 
+    /// A middle node whose only work was a dequeue its wave served ⊥
+    /// reports the record in that visit and holds no work state once the
+    /// visit ends: a finished request leaves nothing in its node.
+    #[test]
+    fn a_finished_request_leaves_no_request_half() {
+        let mut node = node_under_test(false);
+        let (me, parent) = (node.view.me().node, node.tree_parent().unwrap());
+        let id = RequestId::new(node.process(), 0);
+        node.generate_op(id, BatchOp::Dequeue, 0, &mut Context::new(me, 0));
+        let mut ctx = Context::new(me, WAVE_CADENCE);
+        node.on_timeout(&mut ctx);
+        let wave = ctx
+            .into_outbox()
+            .into_iter()
+            .find_map(|(_, msg)| match msg {
+                SkueueMsg::Aggregate { epoch, batch, .. } => Some((epoch, batch)),
+                _ => None,
+            });
+        let (epoch, batch) = wave.expect("the dequeue opens a wave");
+        let runs = AnchorState::new().assign_wave(&batch, Mode::Queue);
+        let mut ctx = Context::new(me, 2 * WAVE_CADENCE);
+        node.on_message(parent, SkueueMsg::Serve { epoch, runs }, &mut ctx);
+        node.on_timeout(&mut ctx);
+        let reported = ctx.reports::<OpRecord<u64>>();
+        assert!(
+            matches!(reported[..], [(at, OpRecord { id: done, result: OpResult::Empty, .. })]
+            if at == me && done == id)
+        );
+        assert!(node.requests().is_none());
+        assert!(node.waves.is_none());
+    }
+
     /// The request half goes once it is idle while the wave half still has
-    /// a wave in flight — at the end of a visit, or when the host collects
-    /// the last completion record — and the wave half goes once its waves
-    /// are served.
+    /// a wave in flight — at the end of a visit — and the wave half goes
+    /// once its waves are served.
     #[test]
     fn each_half_is_released_by_itself_once_idle() {
         let mut node = node_under_test(false);
@@ -2916,8 +2927,8 @@ mod tests {
         let (epoch, batch) = sent.expect("the sub-batch opened a wave");
         assert!(node.requests().is_none());
 
-        // An element is stored here: the request half holds it and its
-        // enqueue's completion record.
+        // An element is stored here: the request half holds it, and the
+        // enqueue is reported.
         let (position, mut ctx) = (3, Context::new(me, 10));
         let key = node.cfg.hasher().position_key(position);
         let progress = RouteProgress::new(key, node.cfg.bit_budget);
@@ -2935,8 +2946,8 @@ mod tests {
             issuer: me,
         };
         node.apply_dht(DhtOp::Put { entry, meta }, &progress, &mut ctx);
-        // A GET takes the element; the record is still uncollected at the
-        // end of the visit.
+        // A GET takes the element: the request half goes at the end of the
+        // visit; the wave in flight keeps the wave half.
         let get = DhtOp::Get {
             position,
             max_ticket: u64::MAX,
@@ -2944,13 +2955,9 @@ mod tests {
             requester: NodeId(1001),
         };
         node.apply_dht(get, &progress, &mut ctx);
-        node.on_timeout(&mut ctx);
         assert!(node.requests().is_some_and(|r| r.store.is_vacant()));
-        // Collected, the record takes the request half with it; the wave in
-        // flight keeps the wave half.
-        let mut completed = Vec::new();
-        node.drain_completed_into(&mut completed);
-        assert_eq!(completed.len(), 1);
+        node.on_timeout(&mut ctx);
+        assert_eq!(ctx.reports::<OpRecord<u64>>().len(), 1);
         assert!(node.requests().is_none());
         assert_eq!(in_flight(&node), 1);
 
@@ -2969,7 +2976,6 @@ mod tests {
         let serve = SkueueMsg::Serve { epoch, runs };
         let (_, served) = visit_with(&mut node, 12, vec![(parent, serve)]);
         assert_eq!(served.len(), 1);
-        node.drain_completed_into(&mut completed);
         let waves = node
             .waves
             .as_deref()
@@ -3131,7 +3137,7 @@ mod tests {
             let moved = ops[0].clone();
             owner.apply_dht(*moved.op, &moved.progress, &mut ctx);
             assert_eq!(owner.stored_elements(), 1);
-            assert!(!owner.has_completed());
+            assert!(ctx.reports::<OpRecord<u64>>().is_empty());
         }
     }
 

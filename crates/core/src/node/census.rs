@@ -13,8 +13,10 @@
 //! each followed by its drain.  Batches count the runs they hold (their
 //! vectors' capacity is private to `batch`) and the history its records;
 //! everything else, the DHT stores' two deques among them, counts its
-//! capacity.  The two halves of a node's work are counted with how many
-//! nodes hold each, and so are the cold boxes and the anchor and combining
+//! capacity.  So do the lanes' report sinks, where the records of finished
+//! requests wait for the host's drain after every round (a node keeps
+//! none).  The two halves of a node's work are counted with how many nodes
+//! hold each, and so are the cold boxes and the anchor and combining
 //! states behind their pointers in them.  A spilled lane order counts its
 //! slice, the header word, its peers and their vacant room, with how many
 //! nodes hold one; an inline order costs nothing beyond the node slot.
@@ -101,7 +103,8 @@ fn boxed_bytes<E>(b: &Option<Box<E>>) -> usize {
 /// where that is one box per node.
 type Census = Vec<(&'static str, usize, Option<usize>)>;
 
-fn census(cluster: &Skueue<u64>) -> Census {
+fn census(cluster: &mut Skueue<u64>) -> Census {
+    let report_sinks = report_sink_bytes(cluster);
     let nodes: Vec<&SkueueNode<u64>> = cluster.nodes().map(|(_, node)| node).collect();
     let per_node = |bytes: &dyn Fn(&SkueueNode<u64>) -> usize| -> usize {
         nodes.iter().map(|node| bytes(node)).sum()
@@ -185,11 +188,7 @@ fn census(cluster: &Skueue<u64>) -> Census {
             per_requests(&|r| vec_bytes(&r.outstanding_gets)),
             None,
         ),
-        (
-            "completion buffers",
-            per_requests(&|r| vec_bytes(&r.completed)),
-            None,
-        ),
+        ("lane report sinks", report_sinks, None),
         (
             "spilled lane orders, slice length",
             per_node(&|node| match &node.lanes {
@@ -223,6 +222,25 @@ fn census(cluster: &Skueue<u64>) -> Census {
     ]
 }
 
+/// The capacity of every lane's report sink, where completion records wait
+/// for the host's drain after each round: a node of each shard lends its
+/// lane's context for a look.
+fn report_sink_bytes(cluster: &mut Skueue<u64>) -> usize {
+    let mut lane_nodes = vec![None; cluster.shards()];
+    for (id, node) in cluster.nodes() {
+        lane_nodes[node.shard() as usize].get_or_insert(id);
+    }
+    let record = size_of::<(NodeId, OpRecord<u64>)>();
+    lane_nodes
+        .into_iter()
+        .flatten()
+        .map(|id| {
+            let sink = cluster.act_on(id, |_, ctx| ctx.reports::<OpRecord<u64>>().capacity());
+            sink.expect("a hosted node") * record
+        })
+        .sum()
+}
+
 fn total(census: &Census) -> usize {
     census.iter().map(|(_, bytes, _)| bytes).sum()
 }
@@ -240,7 +258,7 @@ fn peak_census(shape: &Shape) -> (Census, u64) {
     let mut rng = SplitMix::new(SEED);
     let mut value = 0;
     let ops = shape.ops_per_round * shape.load_rounds;
-    let (mut peak, mut peak_round) = (census(&cluster), 0);
+    let (mut peak, mut peak_round) = (census(&mut cluster), 0);
     for round in 0..shape.load_rounds + DRAIN_ROUND_LIMIT {
         if round >= shape.load_rounds && cluster.history().len() == ops {
             break;
@@ -258,7 +276,7 @@ fn peak_census(shape: &Shape) -> (Census, u64) {
             }
         }
         cluster.run_round();
-        let now = census(&cluster);
+        let now = census(&mut cluster);
         if total(&now) > total(&peak) {
             (peak, peak_round) = (now, cluster.round());
         }

@@ -24,8 +24,10 @@
 //!   `TIMEOUT`.  In the paper a process executes one action at a time and
 //!   the proof holds under full asynchrony, so how a host interleaves the
 //!   nodes it carries is free.  What the nodes report — samples, trace
-//!   events — lands in the lane's sinks, as in the simulator; nothing reads
-//!   them over the wire yet.
+//!   events, completion records — lands in the lane's sinks, as in the
+//!   simulator.  The host drains the records after every turn into the
+//!   completion stream; nothing reads the samples and events over the wire
+//!   yet.
 //! * Each accepted connection gets a **reader** thread (`std` has no
 //!   readiness API) that decodes frames and passes them to the host; its
 //!   exit releases the connection.
@@ -169,15 +171,16 @@ fn run_with_listener<T: Payload + Wire>(
         if shutdown {
             break;
         }
-        if host.completions.is_empty() {
-            continue;
-        }
-        // The turn's completions, encoded once for every subscriber.
+        // The turn's completions — what the nodes reported in it, driver
+        // actions included — encoded once for every subscriber.
         let mut stream_out = Vec::new();
-        for record in std::mem::take(&mut host.completions) {
+        for (_, record) in host.lane.drain_reports::<OpRecord<T>>() {
             if let Err(e) = push_frame(&mut stream_out, &NetFrame::Completion { record }) {
                 eprintln!("skueue-node[{index}]: not streaming a completion: {e}");
             }
+        }
+        if stream_out.is_empty() {
+            continue;
         }
         for (stream, _, subscribed) in conns.values_mut().filter(|conn| conn.2) {
             *subscribed = stream.write_all(&stream_out).is_ok();
@@ -235,11 +238,6 @@ struct Host<T: Payload> {
     /// When the next turn sweeps every node that wants a `TIMEOUT`; `None`
     /// while no node does (a quiescent daemon sleeps until a frame arrives).
     next_sweep: Option<Instant>,
-    /// Operations completed and not yet streamed to the subscribers.
-    completions: Vec<OpRecord<T>>,
-    /// The nodes the last turn visited: scratch kept across turns, because
-    /// a daemon takes a turn per inbound frame.
-    visited: Vec<NodeId>,
 }
 
 /// The middle node of process `pid`, if `pid` is below [`PID_LIMIT`]: a
@@ -268,8 +266,6 @@ impl<T: Payload + Wire> Host<T> {
             shard_cfgs: membership.shard_cfgs().to_vec(),
             lane,
             next_sweep: None,
-            completions: Vec::new(),
-            visited: Vec::new(),
         }
     }
 
@@ -278,24 +274,15 @@ impl<T: Payload + Wire> Host<T> {
         middle_of(pid).is_some_and(|middle| self.lane.node(middle).is_some())
     }
 
-    /// One turn: serve `frame`, take one turn of the lane — a sweep if the
-    /// deadline has passed — and collect what the visited nodes completed
-    /// into `self.completions`.  Returns the reply `frame` is owed, if any.
+    /// One turn: serve `frame` and take one turn of the lane — a sweep if
+    /// the deadline has passed.  What the nodes completed waits in the
+    /// lane's report sink.  Returns the reply `frame` is owed, if any.
     fn turn(&mut self, frame: Option<NetFrame<T>>, now: Instant) -> Option<NetFrame<T>> {
         let reply = frame.and_then(|frame| self.serve(frame));
         // The timer is a deadline checked every turn, not the expiry of a
         // wait: under continuous traffic no wait ever expires.
         let sweep = self.next_sweep.take_if(|at| now >= *at).is_some();
         self.lane.step(sweep);
-        self.visited.clear();
-        self.visited.extend(self.lane.visited());
-        for &id in &self.visited {
-            if self.lane.node(id).is_some_and(SkueueNode::has_completed) {
-                self.lane.act(id, |node, _| {
-                    node.drain_completed_into(&mut self.completions)
-                });
-            }
-        }
         // A node that comes to want a `TIMEOUT` (a joiner does, to announce
         // itself) is first visited by the sweep a tick later.
         if self.lane.wants_timeout() {
@@ -395,6 +382,7 @@ mod tests {
     use skueue_overlay::RouteProgress;
     use skueue_sim::ids::RequestId;
     use skueue_sim::{Actor, SimRng};
+    use skueue_trace::{TraceEvent, TraceId, TraceRecord};
     use skueue_verify::{check_queue_sharded, History};
     use std::cell::RefCell;
     use std::collections::HashSet;
@@ -484,7 +472,11 @@ mod tests {
     }
 
     /// Turns the host, a tick of the clock at a time, until `done`.
-    fn run_until(host: &mut Host<u64>, now: &mut Instant, done: impl Fn(&Host<u64>) -> bool) {
+    fn run_until(
+        host: &mut Host<u64>,
+        now: &mut Instant,
+        mut done: impl FnMut(&mut Host<u64>) -> bool,
+    ) {
         for _ in 0..10_000 {
             if done(host) {
                 return;
@@ -669,7 +661,9 @@ mod tests {
     }
 
     /// What the hosted nodes report through their context lands in the
-    /// lane's sinks: samples always, trace events when the nodes trace.
+    /// lane's sinks: samples and completion records always, trace events —
+    /// a traced request's `Completed` instant among them — when the nodes
+    /// trace.
     #[test]
     fn the_lane_keeps_what_the_hosted_nodes_report() {
         let mut now = Instant::now();
@@ -688,14 +682,23 @@ mod tests {
         for (seq, pid) in [0, 1, 3, 3].into_iter().enumerate() {
             host.turn(Some(inject(pid, seq as u64, seq % 2 == 0)), now);
         }
-        run_until(&mut host, &mut now, |host| host.completions.len() == 4);
+        let mut completed = 0;
+        run_until(&mut host, &mut now, |host| {
+            completed += host.lane.drain_reports::<OpRecord<u64>>().count();
+            completed == 4
+        });
         assert!(host.lane.observed(series::BATCH_SIZES).count() > 0);
         assert!(host.lane.observed(series::WAVES_IN_FLIGHT).count() > 0);
-        let traced_nodes: HashSet<u64> = host.lane.drain_trace().map(|r| r.node).collect();
+        let traced: Vec<TraceRecord> = host.lane.drain_trace().collect();
+        let traced_nodes: HashSet<u64> = traced.iter().map(|r| r.node).collect();
         assert!(
             traced_nodes.contains(&middle(3).0),
             "traced {traced_nodes:?}"
         );
+        // The joiner's dequeue completes at its middle node.
+        let dequeue = TraceId::new(3, 3);
+        assert!(traced.iter().any(|r| r.node == middle(3).0
+            && matches!(r.event, TraceEvent::Completed { op, .. } if op == dequeue)));
     }
 
     /// One seeded workload through the simulation and through two daemon
@@ -752,7 +755,7 @@ mod tests {
                 }
                 let host = &mut daemons[index].0;
                 host.turn(None, now);
-                hosted.append(&mut host.completions);
+                hosted.extend(host.lane.drain_reports().map(|(_, record)| record));
             }
             if turn >= workload.len() && hosted.len() == workload.len() {
                 break;

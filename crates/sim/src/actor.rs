@@ -3,11 +3,17 @@
 //! An actor corresponds to the paper's notion of a node executing *actions*:
 //! a message is a remote action call, and `TIMEOUT` is the single action
 //! executed periodically without a triggering message.
+//!
+//! Everything an actor hands to the world goes through its context: the
+//! messages it sends, and three sinks its host lends it — samples
+//! ([`Context::observe`]), trace events ([`Context::trace`]) and records of
+//! finished work ([`Context::report`]).  An actor keeps none of them.
 
 use crate::ids::NodeId;
 use crate::metrics::Histogram;
 use crate::Round;
 use skueue_trace::{TraceEvent, TraceRecord};
+use std::any::Any;
 
 /// A protocol node that lives in a [`crate::Lane`] — a simulation's or a
 /// daemon's.
@@ -47,7 +53,9 @@ pub trait Actor: Send {
 ///
 /// All outgoing messages are buffered and handed to the lane's fabric after
 /// the invocation returns, so an actor always observes a consistent snapshot
-/// of its own state while handling one event.
+/// of its own state while handling one event.  The sample, trace and report
+/// sinks are the host's: a lane keeps one context, and so one of each, for
+/// all its nodes.
 #[derive(Debug)]
 pub struct Context<M> {
     self_id: NodeId,
@@ -58,14 +66,19 @@ pub struct Context<M> {
     pub(crate) samples: Option<Vec<Histogram>>,
     /// The host's trace sink, lent the same way (see [`Self::trace`]).
     pub(crate) traces: Option<Vec<TraceRecord>>,
+    /// The host's report sink, lent the same way (see [`Self::report`]):
+    /// a `Vec<(NodeId, R)>` once something used it, type-erased because
+    /// the context is generic over the message type only.
+    reports: Option<Box<dyn Any + Send>>,
     /// Messages an actor is still assembling, lent the same way (see
     /// [`Self::staged`]).
     staged: Vec<(NodeId, M)>,
 }
 
 impl<M> Context<M> {
-    /// Creates a context for one invocation, with no sample or trace sink.
-    /// Used by the lanes and by unit tests of actors.
+    /// Creates a context for one invocation, with no sample or trace sink
+    /// (it keeps what is reported, see [`Self::reports`]).  Used by the
+    /// lanes and by unit tests of actors.
     pub fn new(self_id: NodeId, round: Round) -> Self {
         Context {
             self_id,
@@ -73,6 +86,7 @@ impl<M> Context<M> {
             outbox: Vec::new(),
             samples: None,
             traces: None,
+            reports: None,
             staged: Vec::new(),
         }
     }
@@ -154,6 +168,38 @@ impl<M> Context<M> {
         }
     }
 
+    /// Reports `record`, something the executing node has finished for the
+    /// world outside the lane (a Skueue node reports the history record of
+    /// every request it completes).
+    ///
+    /// Like samples and trace events, a record goes to the host rather than
+    /// into a buffer of the node's own: the lane keeps one sink, tagged
+    /// with the reporting node, and its host drains it
+    /// ([`crate::Lane::drain_reports`], [`crate::Simulation::drain_reports`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the sink already holds records of another type.
+    #[inline]
+    pub fn report<R: Send + 'static>(&mut self, record: R) {
+        let node = self.self_id;
+        self.reports().push((node, record));
+    }
+
+    /// The host's report sink: every record reported and not yet drained,
+    /// in report order, with its reporting node.  It holds one type, fixed
+    /// by its first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `R` is not that type.
+    pub fn reports<R: Send + 'static>(&mut self) -> &mut Vec<(NodeId, R)> {
+        self.reports
+            .get_or_insert_with(|| Box::new(Vec::<(NodeId, R)>::new()))
+            .downcast_mut()
+            .expect("a context's reports are all of one type")
+    }
+
     /// Messages the executing actor is still assembling: a buffer the host
     /// lends for the invocation, like the sample and trace sinks, and keeps
     /// for every invocation after it.
@@ -213,6 +259,19 @@ mod tests {
         let out = ctx.into_outbox();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], (NodeId(1), "a"));
+    }
+
+    /// Reports carry their reporting node and keep their order; the sink
+    /// holds one type.
+    #[test]
+    #[should_panic(expected = "a context's reports are all of one type")]
+    fn a_second_report_type_panics() {
+        let mut ctx: Context<u32> = Context::new(NodeId(4), 1);
+        ctx.report(7u64);
+        ctx.rearm(NodeId(2), 1);
+        ctx.report(8u64);
+        assert_eq!(ctx.reports::<u64>(), &[(NodeId(4), 7), (NodeId(2), 8)]);
+        ctx.report("a record of another type");
     }
 
     #[test]

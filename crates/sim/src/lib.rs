@@ -29,10 +29,11 @@
 //!   `skueue-node` daemon (crate `skueue-net`) runs one over TCP,
 //! * all side effects go through a [`Context`], which buffers outgoing
 //!   messages so that a whole round is computed against a consistent
-//!   snapshot, and takes the samples and `skueue-trace` events a node
-//!   reports into its lane's sinks — a node keeps no report of its own; a
-//!   driver's local actions on a node run in the same context
-//!   ([`Lane::act`], [`Simulation::act`]),
+//!   snapshot, and takes what a node reports into its lane's three sinks
+//!   — samples, `skueue-trace` events and records of finished work, which
+//!   the host drains ([`Simulation::drain_reports`]) — so a node keeps no
+//!   report of its own; a driver's local actions on a node run in the same
+//!   context ([`Lane::act`], [`Simulation::act`]),
 //! * the simulation is fully deterministic for a given seed and
 //!   configuration, which the test-suite and the benchmark harness rely on.
 //!

@@ -37,9 +37,11 @@
 //! stream) and its own scratch buffers, so one round decomposes into
 //! independent per-lane turns recombined in fixed lane order:
 //!
-//! * the per-round wake list is merged in ascending node-id order (the
-//!   classic visit order) — or in lane-concatenation order under shuffle,
-//! * per-lane metrics are folded into the global view.
+//! * per-lane metrics are folded into the global view, and the lanes'
+//!   trace events appended to the driver's log in lane order,
+//! * the records the nodes reported are drained in ascending node-id order
+//!   (the classic visit order) — or in lane-concatenation order under
+//!   shuffle ([`Simulation::drain_reports`]).
 //!
 //! A simulation lane is closed: an actor may only send to a node of its own
 //! lane, and a send that leaves it is a panic naming both ends.  The Skueue
@@ -67,9 +69,9 @@
 //!   wake list and the actor outbox are **scratch buffers** owned by the
 //!   lane and reused across turns.
 //! * No per-turn sorting: the fabric hands messages over in send order, so a
-//!   node's chain is already in send order.  (The merged wake list of a
-//!   simulation does sort ids in multi-lane runs — over the handful of woken
-//!   nodes, not the message volume.)
+//!   node's chain is already in send order.  (A multi-lane simulation's
+//!   report drain does sort by node id — over the round's reports, which
+//!   arrive as one sorted run per lane, not the message volume.)
 
 use crate::actor::{Actor, Context};
 use crate::config::SimConfig;
@@ -145,8 +147,9 @@ fn thread_token() -> u64 {
 /// The simulation runs one lane per anchor shard over [`SimTransport`]; a
 /// `skueue-node` daemon runs one over its TCP fabric and decides itself when
 /// a turn sweeps (its timer deadline).  Both report through the lane's
-/// [`Context`]: the samples and trace events of every node land in the
-/// lane's sinks ([`Self::observed`], [`Self::drain_trace`]).
+/// [`Context`]: the samples, trace events and records of every node land in
+/// the lane's sinks ([`Self::observed`], [`Self::drain_trace`],
+/// [`Self::drain_reports`]).
 pub struct Lane<A: Actor, F> {
     /// The lane's message fabric.  The lane calls it statically — no
     /// hot-loop indirection.
@@ -175,9 +178,10 @@ pub struct Lane<A: Actor, F> {
     inbox: Inbox<A::Msg>,
     /// The context every actor invocation of this lane runs in, re-armed per
     /// visit and per driver action.  It owns the outbox scratch, the lane's
-    /// sample sink (one distribution per series, see [`Context::observe`])
-    /// and its trace sink (the events not yet drained, see
-    /// [`Context::trace`]).
+    /// sample sink (one distribution per series, see [`Context::observe`]),
+    /// its trace sink (the events not yet drained, see [`Context::trace`])
+    /// and its report sink (the records not yet drained, see
+    /// [`Context::report`]).
     ctx: Context<A::Msg>,
     metrics: LaneMetrics,
     /// Messages delivered by the most recent turn (round merge input).
@@ -188,8 +192,8 @@ pub struct Lane<A: Actor, F> {
 }
 
 impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
-    /// An empty lane over `fabric`, at turn 0, with a sample and a trace
-    /// sink.
+    /// An empty lane over `fabric`, at turn 0, with a sample, a trace and a
+    /// report sink.
     pub fn new(fabric: F) -> Self {
         let mut ctx = Context::new(NodeId(0), 0);
         ctx.samples = Some(Vec::new());
@@ -345,8 +349,8 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     /// Runs a driver-side action of node `id` in the lane's [`Context`] and
     /// returns its result (`None` if `id` is not in this lane).  Such
     /// actions are *local* operations of the emulating process — generating
-    /// a queue request, asking a node to leave, collecting its completions —
-    /// not messages of the paper's model.  What the action sends is posted,
+    /// a queue request, asking a node to leave — not messages of the
+    /// paper's model.  What the action sends is posted,
     /// what it records goes to the lane's sinks, and the node's wake flag is
     /// re-derived: a node the action leaves wanting its `TIMEOUT` is visited
     /// in the next turn, sweep or not.
@@ -483,12 +487,28 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     pub fn drain_trace(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
         self.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..))
     }
+
+    /// Takes the records the lane's nodes reported since the last call, in
+    /// the order they were reported — driver actions and visits alike —
+    /// each with its reporting node (see [`Context::report`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the nodes reported records of another type.
+    pub fn drain_reports<R: Send + 'static>(&mut self) -> std::vec::Drain<'_, (NodeId, R)> {
+        self.ctx.reports().drain(..)
+    }
 }
 
 /// A lane of the simulation: its fabric is the deterministic delivery wheel.
 type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
 
 /// A deterministic discrete-round message-passing simulation.
+///
+/// A driver drives it round by round ([`Self::run_round`]), acts on nodes
+/// between rounds ([`Self::act`]) and collects what the actors finished
+/// from the lanes' report sinks ([`Self::drain_reports`]); it never needs
+/// to know which nodes a round visited.
 pub struct Simulation<A: Actor> {
     config: SimConfig,
     lanes: Vec<SimLane<A>>,
@@ -496,9 +516,6 @@ pub struct Simulation<A: Actor> {
     node_loc: Vec<(u32, u32)>,
     round: Round,
     metrics: SimMetrics,
-    /// The global node ids visited by the most recent round (merged across
-    /// lanes; see [`Self::visited_last_round`]).
-    merged_wake: Vec<usize>,
     /// The thread count asked for ([`Self::enable_parallel`]), uncapped:
     /// [`Self::parallel_threads`] caps it at the lane count.
     threads: usize,
@@ -534,7 +551,6 @@ impl<A: Actor> Simulation<A> {
             node_loc: Vec::new(),
             round: 0,
             metrics: SimMetrics::default(),
-            merged_wake: Vec::new(),
             threads: 1,
         })
     }
@@ -680,15 +696,32 @@ impl<A: Actor> Simulation<A> {
         merged
     }
 
-    /// Global ids of the nodes visited by the most recent
-    /// [`Self::run_round`].  Single-lane simulations report the exact visit
-    /// order; multi-lane runs merge the per-lane lists in ascending id order
-    /// (or lane-concatenation order under shuffle).  Drivers use this to
-    /// post-process only the nodes that can have produced output — e.g.
-    /// collecting completion records — instead of sweeping every node every
-    /// round.
-    pub fn visited_last_round(&self) -> &[usize] {
-        &self.merged_wake
+    /// Takes the records the actors reported since the last call (see
+    /// [`Context::report`]), each with its reporting node.  One lane hands
+    /// them over in report order: a driver action's when it ran, then the
+    /// round's in visit order.  Several lanes hand them over by ascending
+    /// node id, a node's own in report order, or, when visits are shuffled,
+    /// lane after lane.  Either way the order is the same on every thread
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the actors reported records of another type.
+    pub fn drain_reports<R: Send + 'static>(&mut self) -> std::vec::Drain<'_, (NodeId, R)> {
+        let (first, rest) = self.lanes.split_first_mut().expect("at least one lane");
+        if !rest.is_empty() {
+            // Lane 0's sink is the merge buffer.  A lane's visits report in
+            // ascending id order, so the sort merges one sorted run per
+            // lane; it is stable, so a node's records keep their order.
+            let merged = first.ctx.reports::<R>();
+            for lane in rest {
+                merged.extend(lane.drain_reports::<R>());
+            }
+            if !self.config.shuffle_node_order {
+                merged.sort_by_key(|&(node, _)| node);
+            }
+        }
+        first.drain_reports()
     }
 
     /// Executes one round — a sweeping [`Lane::step`] on every lane —,
@@ -751,23 +784,10 @@ impl<A: Actor> Simulation<A> {
         }
     }
 
-    /// Recombines the per-lane round outputs — wake lists, metrics, trace
-    /// events — in fixed lane order and returns the round's
-    /// delivered-message count.  `threads` is the number of groups the
-    /// round ran in.
+    /// Recombines the per-lane round outputs — metrics, trace events — in
+    /// fixed lane order and returns the round's delivered-message count.
+    /// `threads` is the number of groups the round ran in.
     fn merge_round(&mut self, round_wall_ns: u64, threads: usize, trace: &mut TraceLog) -> usize {
-        // Merged visit list (global ids).  One lane: the exact visit order.
-        // Multi-lane: ascending id order (the historical global visit order)
-        // or lane-concatenation order under shuffle — deterministic either
-        // way.
-        self.merged_wake.clear();
-        for lane in &self.lanes {
-            self.merged_wake.extend(lane.visited().map(NodeId::index));
-        }
-        if self.lanes.len() > 1 && !self.config.shuffle_node_order {
-            self.merged_wake.sort_unstable();
-        }
-
         // Barrier wait: a group's thread idles for the round's wall time
         // less its lanes' busy time; that idle time is split evenly over
         // the group's lanes.  One thread never waits.
@@ -1131,7 +1151,7 @@ mod tests {
         assert_eq!(sim.metrics().nodes_visited, 0);
         assert_eq!(sim.act(a, |node, _| node.armed = true), Some(()));
         sim.run_rounds(1);
-        assert_eq!(sim.visited_last_round(), &[0]);
+        assert_eq!(sim.metrics().nodes_visited, 1);
         assert_eq!(sim.node(a).unwrap().timeouts, 1);
         assert_eq!(sim.act(NodeId(9), |node, _| node.armed), None);
     }
@@ -1207,18 +1227,107 @@ mod tests {
             let seen = acted.act(target, |node, ctx| (node.timeouts, ctx.round()));
             assert_eq!(seen.map(|(_, round)| round), Some(acted.round()));
             acted.run_round(&mut trace);
-            assert_eq!(plain.visited_last_round(), acted.visited_last_round());
+            assert_eq!(ring_fingerprint(&plain), ring_fingerprint(&acted));
         }
         assert_eq!(ring_fingerprint(&plain), ring_fingerprint(&acted));
         assert!(trace.is_empty());
     }
 
+    /// Reports its round at every timeout.
+    struct Clock;
+
+    impl Actor for Clock {
+        type Msg = ();
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<()>) {}
+
+        fn on_timeout(&mut self, ctx: &mut Context<()>) {
+            let round = ctx.round();
+            ctx.report(round);
+        }
+    }
+
+    /// `n` clocks dealt round-robin over `lanes` lanes.
+    fn clock_sim(n: u64, lanes: usize, shuffle: bool) -> Simulation<Clock> {
+        let mut config = SimConfig::synchronous(5);
+        config.shuffle_node_order = shuffle;
+        let mut sim = Simulation::new(config).unwrap();
+        sim.configure_lanes(lanes).unwrap();
+        for i in 0..n {
+            sim.add_node_in_lane(i as usize % lanes, Clock);
+        }
+        sim
+    }
+
+    /// The reporting nodes of everything drained, in drain order.
+    fn drained_ids(sim: &mut Simulation<Clock>) -> Vec<u64> {
+        sim.drain_reports::<u64>().map(|(node, _)| node.0).collect()
+    }
+
+    /// One lane hands its reports over in visit order, plain and shuffled.
     #[test]
-    fn visited_last_round_lists_woken_nodes() {
-        let mut sim = ring_sim(3, SimConfig::synchronous(4));
+    fn one_lane_reports_in_visit_order() {
+        for shuffle in [false, true] {
+            let mut sim = clock_sim(9, 1, shuffle);
+            let mut unsorted = 0;
+            for _ in 0..5 {
+                sim.run_rounds(1);
+                let visited: Vec<u64> = sim.lanes[0].visited().map(|id| id.0).collect();
+                let ids = drained_ids(&mut sim);
+                assert_eq!(ids, visited, "shuffle {shuffle}");
+                unsorted += usize::from(!ids.is_sorted());
+            }
+            assert_eq!(
+                unsorted > 0,
+                shuffle,
+                "shuffled visits happened in id order"
+            );
+        }
+    }
+
+    /// Several lanes hand their reports over by ascending node id, whatever
+    /// lane each node is in.
+    #[test]
+    fn several_lanes_report_by_ascending_node_id() {
+        let mut sim = clock_sim(7, 3, false);
         sim.run_rounds(1);
-        // All ring nodes want timeouts, so all are visited in index order.
-        assert_eq!(sim.visited_last_round(), &[0, 1, 2]);
+        assert_eq!(drained_ids(&mut sim), [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(drained_ids(&mut sim), [0u64; 0], "a drain takes everything");
+    }
+
+    /// Under shuffled visits, several lanes hand their reports over lane
+    /// after lane, each in its visit order.
+    #[test]
+    fn shuffled_lanes_report_lane_after_lane() {
+        let mut sim = clock_sim(11, 3, true);
+        for _ in 0..3 {
+            sim.run_rounds(1);
+            let visited: Vec<u64> = (sim.lanes.iter())
+                .flat_map(|lane| lane.visited().map(|id| id.0))
+                .collect();
+            assert_eq!(drained_ids(&mut sim), visited);
+        }
+    }
+
+    /// A driver action's report waits in its lane's sink and is drained
+    /// with the next round's: ahead of them on one lane, at its node's
+    /// place on several.
+    #[test]
+    fn a_driver_actions_report_is_drained_with_the_next_round() {
+        for lanes in [1, 3] {
+            let mut sim = clock_sim(6, lanes, false);
+            sim.run_rounds(1);
+            sim.drain_reports::<u64>().for_each(drop);
+            sim.act(NodeId(4), |_, ctx| ctx.report(u64::MAX));
+            sim.run_rounds(1);
+            let drained: Vec<(u64, u64)> = (sim.drain_reports::<u64>())
+                .map(|(node, round)| (node.0, round))
+                .collect();
+            let mut expected: Vec<(u64, u64)> = (0..6).map(|node| (node, 2)).collect();
+            let at = if lanes == 1 { 0 } else { 4 };
+            expected.insert(at, (4, u64::MAX));
+            assert_eq!(drained, expected, "{lanes} lanes");
+        }
     }
 
     #[test]
@@ -1247,15 +1356,9 @@ mod tests {
         sim.run_rounds(1);
     }
 
-    #[test]
-    fn visited_last_round_merges_lanes_in_ascending_id_order() {
-        let mut sim = laned_ring_sim(5, 2, SimConfig::synchronous(4));
-        sim.run_rounds(1);
-        assert_eq!(sim.visited_last_round(), &[0, 1, 2, 3, 4]);
-    }
-
     /// A lane-local pinger: node `i` messages its own lane's partner every
-    /// round (all traffic intra-lane, like Skueue shards).
+    /// round (all traffic intra-lane, like Skueue shards), and traces and
+    /// reports every ping it receives.
     #[derive(Debug)]
     struct LanePinger {
         partner: NodeId,
@@ -1270,6 +1373,7 @@ mod tests {
             self.received += msg;
             let round = ctx.round();
             ctx.trace(self.lane, TraceEvent::WaveAssigned { wave: msg, round });
+            ctx.report(round);
         }
 
         fn on_timeout(&mut self, ctx: &mut Context<u64>) {
@@ -1324,10 +1428,9 @@ mod tests {
                 let d_ref = reference.run_round(&mut TraceLog::new());
                 let d_par = parallel.run_round(&mut TraceLog::new());
                 assert_eq!(d_ref, d_par, "per-round delivery counts must match");
-                assert_eq!(
-                    reference.visited_last_round(),
-                    parallel.visited_last_round()
-                );
+                assert!(reference
+                    .drain_reports::<u64>()
+                    .eq(parallel.drain_reports::<u64>()));
             }
             assert_eq!(
                 pinger_fingerprint(&reference),

@@ -102,16 +102,10 @@ impl Actor for BaselineNode {
 /// Result of one baseline run.
 #[derive(Debug, Clone)]
 pub struct CentralBaselineResult {
-    /// Number of client processes.
-    pub processes: usize,
-    /// Per-node per-round request probability.
-    pub request_probability: f64,
     /// Requests issued (and completed).
     pub requests: u64,
     /// Average rounds per request.
     pub avg_rounds_per_request: f64,
-    /// Maximum rounds for a single request.
-    pub max_rounds_per_request: u64,
 }
 
 /// Runs the central-server baseline under the Figure 4 workload shape: every
@@ -189,11 +183,8 @@ pub fn run_central_baseline(
         latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
     };
     CentralBaselineResult {
-        processes,
-        request_probability,
         requests: issued,
         avg_rounds_per_request: avg,
-        max_rounds_per_request: latencies.iter().copied().max().unwrap_or(0),
     }
 }
 

@@ -116,12 +116,6 @@ impl ScenarioParams {
 pub struct ScenarioResult {
     /// Number of processes.
     pub processes: usize,
-    /// Queue or stack.
-    pub mode: Mode,
-    /// Insert ratio used.
-    pub insert_ratio: f64,
-    /// Per-node request probability (0 for the fixed-rate workload).
-    pub request_probability: f64,
     /// Requests issued.
     pub requests: u64,
     /// Requests that returned `⊥`.
@@ -138,9 +132,6 @@ pub struct ScenarioResult {
     pub max_batch_size: u64,
     /// Mean DHT routing hops per operation (`hops_per_op`).
     pub mean_dht_hops: f64,
-    /// Replies that raced their requester's departure.  Asserted to be zero
-    /// at quiescence — a drained cluster must have matched every reply.
-    pub unmatched_dht_replies: u64,
     /// Number of anchor shards the run was partitioned into.
     pub shards: usize,
     /// Aggregation waves assigned per shard anchor (indexed by shard id) —
@@ -230,9 +221,6 @@ fn finish<T: Payload>(
 
     ScenarioResult {
         processes: params.processes,
-        mode: params.mode,
-        insert_ratio: params.insert_ratio,
-        request_probability: params.request_probability,
         requests: history.len() as u64,
         empty_removes: history.count_empty() as u64,
         avg_rounds_per_request: avg,
@@ -241,7 +229,6 @@ fn finish<T: Payload>(
         mean_batch_size: batch_hist.mean(),
         max_batch_size: batch_hist.max().unwrap_or(0),
         mean_dht_hops: hop_hist.mean(),
-        unmatched_dht_replies: cluster.unmatched_dht_replies(),
         shards: cluster.shards(),
         per_shard_waves,
         verified: params.verify,
@@ -492,8 +479,6 @@ pub fn run_churn_scenario(
 /// Result of the fairness scenario (experiment E7, Corollary 19).
 #[derive(Debug, Clone)]
 pub struct FairnessResult {
-    /// Number of processes.
-    pub processes: usize,
     /// Elements stored at the end of the run.
     pub elements: u64,
     /// Maximum node load divided by the mean load.
@@ -524,7 +509,6 @@ pub fn run_fairness_scenario(processes: usize, elements: u64, seed: u64) -> Fair
         .expect("enqueues drain");
     let stats = cluster.fairness().expect("at least one node");
     FairnessResult {
-        processes,
         elements: stats.total,
         max_over_mean: stats.max_over_mean,
         cv: stats.cv,
