@@ -72,19 +72,19 @@ pub struct ProtocolConfig {
 }
 
 /// Number of aggregation waves a queue node keeps in flight concurrently
-/// (the size of its `WaveSlot` ring): a node may combine and forward wave
+/// (the waves its wave memo may hold): a node may combine and forward wave
 /// `k+1` while wave `k`'s assignments are still travelling back down the
 /// tree, as in Skeap/Seap's overlapping phases.
 ///
-/// The ring bounds per-node wave state, and it *is* reached: with a wave
+/// The depth bounds per-node wave state, and it *is* reached: with a wave
 /// opened at most every second round (`WAVE_CADENCE`) it covers an anchor
 /// round trip of up to 64 rounds, and the benchmark's
-/// `core.waves_in_flight_max` (sampled right after a slot is pushed, so 32
-/// is a full ring) reads 31 / 32 / 32 / 32 on `sim_light` / `sim_heavy` /
+/// `core.waves_in_flight_max` (sampled right after a wave is opened, so 32
+/// is a full pipeline) reads 31 / 32 / 32 / 32 on `sim_light` / `sim_heavy` /
 /// `sim_heavy_par` / `sim_churn` (`examples/benchmark/baseline.json`).  On
 /// three of those four workloads some node therefore waits for a `Serve`
 /// before it opens its next wave.  Whether that throttles at paper scale
-/// (n = 10⁵), and whether the ring should be sized from the tree height
+/// (n = 10⁵), and whether the depth should be sized from the tree height
 /// instead, is open (ROADMAP).  The value is part of the schedule every
 /// golden history pins.
 pub(crate) const PIPELINE_DEPTH: usize = 32;

@@ -688,7 +688,7 @@ impl<T: Payload> SkueueNode<T> {
     /// `SkueueNode::try_drain_wave`) guarantees in-flight waves keep moving
     /// even below suspended ancestors, so deferring is always temporary.
     pub(crate) fn ready_to_be_absorbed(&self) -> bool {
-        self.waves.as_deref().is_none_or(|w| w.slots.is_empty())
+        self.waves.as_deref().is_none_or(|w| w.memo.waves == 0)
             && self.update().map(|u| u.acked).unwrap_or(true)
     }
 

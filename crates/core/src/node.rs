@@ -20,15 +20,16 @@
 //! # Pipelined waves
 //!
 //! Stage 1 is *pipelined*: instead of a single implicit in-flight wave, a
-//! node keeps a small ring of `WaveSlot`s, one per per-node wave epoch in
-//! flight, so it can combine and forward wave `k+1` while wave `k`'s
-//! assignments (and the DHT operations they trigger) are still in flight —
-//! the overlapping-phases idea of Skeap/Seap applied to Skueue's aggregation
-//! tree.  Epochs travel in `Aggregate` and are echoed back in `Serve`, so a
-//! node pairs assignments with the right wave even when serves are reordered
-//! by asynchronous delivery; an `AggregateAck` credit keeps at most one
-//! aggregate per child→parent channel in flight, which guarantees the parent
-//! commits a child's waves to the anchor in epoch (= program) order.
+//! node keeps one ring of `u32` words (a `WaveMemo`) that memorises how each
+//! of its per-node wave epochs in flight was combined, so it can combine
+//! and forward wave `k+1` while wave `k`'s assignments (and the DHT
+//! operations they trigger) are still in flight — the overlapping-phases
+//! idea of Skeap/Seap applied to Skueue's aggregation tree.  Epochs travel
+//! in `Aggregate` and are echoed back in `Serve`, so a node pairs
+//! assignments with the right wave even when serves are reordered by
+//! asynchronous delivery; an `AggregateAck` credit keeps at most one
+//! aggregate per child→parent channel in flight, which guarantees the
+//! parent commits a child's waves to the anchor in epoch (= program) order.
 //!
 //! # Batched DHT routing
 //!
@@ -101,8 +102,8 @@ pub(crate) struct LocalOp<T = u64> {
 }
 
 /// Where a sub-batch of a combined wave came from: the per-wave source list
-/// the flat [`WaveMemo`] replaced, kept for the reference model its
-/// property test compares against.
+/// the [`WaveMemo`] ring replaced, kept for the reference model its property
+/// test compares against.
 #[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) enum BatchSource {
@@ -123,47 +124,63 @@ impl BatchSource {
     }
 }
 
-/// What Stage 3 needs to know of one sub-batch of a combined wave: whose it
-/// was, the wave epoch to echo back, and how many of the memo's run lengths
-/// are its own.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SourceRecord {
-    /// The child's wave epoch for the sub-batch (0 for the node's own).
-    pub(crate) epoch: u64,
-    /// The rank of the child owed the `Serve` in the node's child lane
-    /// ([`LaneOrder`] only appends, so a rank names one peer for the node's
-    /// life), or [`OWN_SOURCE`] for the node's own working batch.
-    pub(crate) child: u32,
-    /// Number of runs of the sub-batch.
-    pub(crate) num_runs: u32,
-}
-
-/// The [`SourceRecord::child`] rank that marks the node's own batch.
+/// The [`WaveMemo`] child rank that marks the node's own batch.
 const OWN_SOURCE: u32 = u32::MAX;
 
 /// The memorised combination order of every in-flight wave, oldest wave
-/// first: slot `k` of the wave ring owns the `num_sources` records that
-/// follow those of slots `0..k`, and each record owns the `num_runs` run
-/// lengths that follow those of the records before it.  Waves resolve
-/// strictly front-first, so two FIFOs serve all of them — and a run length
-/// is all of a sub-batch the Stage 3 decomposition reads.
+/// first, as one ring of words.  A wave is a header word holding its
+/// number of sources, then per source the child's rank in the node's child
+/// lane ([`LaneOrder`] only appends, so a rank names one peer for the
+/// node's life) or [`OWN_SOURCE`], its number of runs, the child's wave
+/// epoch to echo back as two words (low, high; 0 for the node's own) and
+/// its run lengths — all of a sub-batch the Stage 3 decomposition reads.
+/// Waves resolve strictly front-first, so the ring is read off its front
+/// and written at its back, one allocation for any number of waves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveMemo {
-    pub(crate) records: VecDeque<SourceRecord>,
-    pub(crate) runs: VecDeque<u32>,
+    words: VecDeque<u32>,
+    /// The waves in flight: at most
+    /// [`PIPELINE_DEPTH`](crate::config::PIPELINE_DEPTH) (one for a stack),
+    /// the youngest under epoch [`SkueueNode::next_epoch`].  Its epoch
+    /// follows from its place (a wave is opened only with a new epoch and
+    /// served only at the front), and every wave in flight shares the
+    /// parent in [`Waves::wave_parent`].  The anchor serves its waves as it
+    /// opens them and never counts one here.
+    pub(crate) waves: u32,
 }
 
 impl WaveMemo {
-    /// Memorises one sub-batch at the back: `child` is the sender's rank in
-    /// the child lane, or [`OWN_SOURCE`].
-    fn remember(&mut self, child: u32, epoch: u64, batch: &Batch) {
-        self.records.push_back(SourceRecord {
-            epoch,
-            child,
-            num_runs: count_u32(batch.num_runs()),
-        });
-        self.runs
+    /// Writes a new wave's header at the back, with no source yet, and
+    /// returns where it is.
+    fn open(&mut self) -> usize {
+        self.words.push_back(0);
+        self.words.len() - 1
+    }
+
+    /// Memorises one sub-batch of the wave whose header is at `header`:
+    /// `child` is the sender's rank in the child lane, or [`OWN_SOURCE`].
+    fn remember(&mut self, header: usize, child: u32, epoch: u64, batch: &Batch) {
+        self.words[header] += 1;
+        let num_runs = count_u32(batch.num_runs());
+        self.words
+            .extend([child, num_runs, epoch as u32, (epoch >> 32) as u32]);
+        self.words
             .extend(batch.runs().iter().map(|&len| count_u32(len)));
+    }
+
+    /// The front word, which a served wave still has memorised.
+    fn pop(&mut self) -> u32 {
+        self.words
+            .pop_front()
+            .expect("a wave's sources stay memorised until it is served")
+    }
+
+    /// The front source's child rank, run count and epoch.
+    fn pop_source(&mut self) -> (u32, usize, u64) {
+        let (child, num_runs) = (self.pop(), self.pop() as usize);
+        let low = u64::from(self.pop());
+        let high = u64::from(self.pop());
+        (child, num_runs, high << 32 | low)
     }
 }
 
@@ -183,22 +200,9 @@ fn count_u32(count: impl TryInto<u32>) -> u32 {
         .unwrap_or_else(|_| panic!("a wave counts fewer than 2^32 runs, sources and operations"))
 }
 
-/// One in-flight aggregation wave: the combined batch has been sent up the
-/// tree and its assignments have not come back yet.  Only how many memo
-/// records are the wave's is kept.  Its epoch follows from its place in the
-/// ring (a slot is pushed only with a new epoch and popped only at the
-/// front), every slot in flight shares the parent in [`Waves::wave_parent`],
-/// and the runs travelled up in the `Aggregate` message and come back as
-/// `Serve` assignments.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WaveSlot {
-    /// How many records of the node's [`WaveMemo`] belong to this wave.
-    pub(crate) num_sources: u32,
-}
-
 /// A `Serve` that arrived before the serves of older waves (asynchronous
 /// delivery can reorder them); parked until its epoch reaches the front of
-/// the slot ring.
+/// the wave ring.
 #[derive(Debug, Clone)]
 pub(crate) struct StashedServe {
     pub(crate) epoch: u64,
@@ -625,7 +629,7 @@ impl ChildBatches {
     /// consecutive waves of one child do.  Peers beyond the current tree
     /// children are included on purpose: after an absorb hand-over or a
     /// re-parenting, batches from former children must still be combined
-    /// and served or their senders' wave slots would never drain.
+    /// and served or their senders' waves in flight would never drain.
     pub(crate) fn pop_oldest(
         &mut self,
         children: &[NodeId],
@@ -779,16 +783,13 @@ impl Flags {
 pub(crate) struct Waves<T> {
     /// Sub-batches from children not yet combined.
     pub(crate) child_batches: ChildBatches,
-    /// In-flight waves, oldest first: at most
-    /// [`PIPELINE_DEPTH`](crate::config::PIPELINE_DEPTH) (one for a stack),
-    /// the youngest under epoch [`SkueueNode::next_epoch`].
-    pub(crate) slots: VecDeque<WaveSlot>,
-    /// The parent the youngest wave was sent to, and so, while any slot is
+    /// The parent the youngest wave was sent to, and so, while any wave is
     /// in flight, the parent of every one: a new wave is held back while the
-    /// slots point at a different parent, so re-parenting can never reorder
-    /// a node's waves at the anchor.
+    /// waves in flight point at a different parent, so re-parenting can
+    /// never reorder a node's waves at the anchor.
     pub(crate) wave_parent: Option<NodeId>,
-    /// The memorised combination order of every in-flight wave.
+    /// The in-flight waves, oldest first, with the memorised combination
+    /// order of each.
     pub(crate) memo: WaveMemo,
     /// Serves that arrived ahead of older waves (asynchronous reordering).
     pub(crate) serve_stash: Vec<StashedServe>,
@@ -814,7 +815,6 @@ impl<T> Waves<T> {
     fn allocate(slot: &mut Option<Box<Waves<T>>>) -> &mut Self {
         slot.insert(Box::new(Waves {
             child_batches: ChildBatches::default(),
-            slots: VecDeque::new(),
             wave_parent: None,
             memo: WaveMemo::default(),
             serve_stash: Vec::new(),
@@ -827,19 +827,17 @@ impl<T> Waves<T> {
     /// holds come first.
     fn is_idle(&self) -> bool {
         let Waves {
-            slots,
+            memo,
             requests,
             child_batches,
-            // Read only while a slot is in flight.
+            // Read only while a wave is in flight.
             wave_parent: _,
-            memo,
             serve_stash,
         } = self;
-        slots.is_empty()
+        memo.waves == 0
             && requests.is_none()
             && child_batches.is_empty()
-            && memo.records.is_empty()
-            && memo.runs.is_empty()
+            && memo.words.is_empty()
             && serve_stash.is_empty()
     }
 }
@@ -1459,10 +1457,11 @@ impl<T: Payload> SkueueNode<T> {
         };
         match parent {
             Some(_) => {
-                waves.slots.len() < self.cfg.effective_pipeline_depth()
-                    && (waves.slots.is_empty() || waves.wave_parent == parent)
+                let in_flight = waves.memo.waves as usize;
+                in_flight < self.cfg.effective_pipeline_depth()
+                    && (in_flight == 0 || waves.wave_parent == parent)
             }
-            None => waves.slots.is_empty(),
+            None => waves.memo.waves == 0,
         }
     }
 
@@ -1578,7 +1577,7 @@ impl<T: Payload> SkueueNode<T> {
     /// are still combined — *without* committing this node's own operations —
     /// and forwarded, so every in-flight wave keeps moving toward the anchor.
     /// Without this, a leaver whose younger wave is parked below a suspended
-    /// ancestor could never free its slots, and the update phase (which
+    /// ancestor could never drain its waves, and the update phase (which
     /// waits for the leaver's `AbsorbData`) would deadlock.
     fn try_drain_wave(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         if !self.has_child_batches() {
@@ -1607,7 +1606,7 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Combines the current sources into one wave and commits it: as the
     /// anchor by assigning and serving immediately (Stage 2+3), otherwise by
-    /// occupying a [`WaveSlot`] and forwarding the combined batch up the
+    /// counting a wave in flight and forwarding the combined batch up the
     /// tree.  `drain` waves (update phase) exclude the node's own working
     /// batch and join/leave counters.
     fn open_wave(&mut self, parent: Option<NodeId>, drain: bool, ctx: &mut Context<SkueueMsg<T>>) {
@@ -1642,19 +1641,18 @@ impl<T: Payload> SkueueNode<T> {
         // here; the own batch becomes the combined one.  An own batch
         // without runs would take no share of any run: it is not memorised.
         let memo = &mut waves.memo;
-        let first_source = memo.records.len();
+        let header = memo.open();
         if own.num_runs() > 0 {
-            memo.remember(OWN_SOURCE, 0, &own);
+            memo.remember(header, OWN_SOURCE, 0, &own);
         }
         let mut combined = own;
         let children = self.lanes.of(LaneKind::Child);
         waves
             .child_batches
             .pop_oldest(&children, |rank, epoch, batch| {
-                memo.remember(count_u32(rank), epoch, &batch);
+                memo.remember(header, count_u32(rank), epoch, &batch);
                 combined.merge(batch);
             });
-        let num_sources = memo.records.len() - first_source;
 
         // Join/leave duties this node is itself responsible for.
         if let Some(m) = Cold::membership(&mut self.cold).filter(|_| !drain) {
@@ -1698,10 +1696,10 @@ impl<T: Payload> SkueueNode<T> {
                         ctx.trace(self.shard, TraceEvent::WaveAssigned { wave, round });
                     }
                 }
-                // The anchor only opens a wave with no slot in flight, so
-                // the memo holds exactly this wave's sources.
-                debug_assert_eq!(first_source, 0);
-                self.serve_sources(assignments, num_sources, ctx);
+                // The anchor only opens a wave with none in flight, so the
+                // memo holds exactly this wave.
+                debug_assert_eq!(header, 0);
+                self.serve_sources(assignments, ctx);
                 if let Some(phase) = enter_update {
                     self.enter_update_phase(phase, None, ctx);
                 }
@@ -1709,11 +1707,9 @@ impl<T: Payload> SkueueNode<T> {
             Some(parent) => {
                 self.next_epoch += 1;
                 let epoch = self.next_epoch;
-                waves.slots.push_back(WaveSlot {
-                    num_sources: count_u32(num_sources),
-                });
+                waves.memo.waves += 1;
                 waves.wave_parent = Some(parent);
-                ctx.observe(series::WAVES_IN_FLIGHT, waves.slots.len() as u64);
+                ctx.observe(series::WAVES_IN_FLIGHT, u64::from(waves.memo.waves));
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
                 self.flags.set_aggregate_unacked(!self.cfg.fifo_channels);
@@ -1733,31 +1729,23 @@ impl<T: Payload> SkueueNode<T> {
     // Stage 3: decomposition and serving.
     // ---------------------------------------------------------------------
 
-    /// Splits the run assignments of the oldest in-flight wave among its
-    /// `num_sources` sources — the front of the memo — in combination order
-    /// (the inlined form of [`crate::interval::decompose`]): each source
-    /// takes its share of every run front-to-back, so `cursors` (one
-    /// assignment per run of the combined batch) is consumed in place, and
-    /// the memo's run lengths are consumed with it.  Sub-assignments for
-    /// children are forwarded; the node's own share is resolved locally.
-    fn serve_sources(
-        &mut self,
-        mut cursors: Vec<RunAssignment>,
-        num_sources: usize,
-        ctx: &mut Context<SkueueMsg<T>>,
-    ) {
+    /// Splits the run assignments of the oldest memorised wave among its
+    /// sources — the front of the memo — in combination order (the inlined
+    /// form of [`crate::interval::decompose`]): each source takes its share
+    /// of every run front-to-back, so `cursors` (one assignment per run of
+    /// the combined batch) is consumed in place, and the wave's words are
+    /// consumed with it.  Sub-assignments for children are forwarded; the
+    /// node's own share is resolved locally.
+    fn serve_sources(&mut self, mut cursors: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
+        let num_sources = Waves::of(&mut self.waves).memo.pop();
         for _ in 0..num_sources {
             let memo = &mut Waves::of(&mut self.waves).memo;
-            let source = memo
-                .records
-                .pop_front()
-                .expect("a wave's sources stay memorised until it is served");
-            let num_runs = source.num_runs as usize;
+            let (child, num_runs, epoch) = memo.pop_source();
             debug_assert!(
-                num_runs <= cursors.len() && num_runs <= memo.runs.len(),
+                num_runs <= cursors.len() && num_runs <= memo.words.len(),
                 "a source has no more runs than its wave's combined batch"
             );
-            if source.child == OWN_SOURCE {
+            if child == OWN_SOURCE {
                 self.resolve_own(&mut cursors[..num_runs], ctx);
             } else {
                 // A child's share travels in a message and must be owned
@@ -1767,17 +1755,11 @@ impl<T: Payload> SkueueNode<T> {
                 runs.extend(
                     cursors[..num_runs]
                         .iter_mut()
-                        .zip(memo.runs.drain(..num_runs))
+                        .zip(memo.words.drain(..num_runs))
                         .map(|(cursor, len)| cursor.split_front(u64::from(len))),
                 );
-                let child = self.lanes.of(LaneKind::Child)[source.child as usize];
-                ctx.send(
-                    child,
-                    SkueueMsg::Serve {
-                        epoch: source.epoch,
-                        runs,
-                    },
-                );
+                let child = self.lanes.of(LaneKind::Child)[child as usize];
+                ctx.send(child, SkueueMsg::Serve { epoch, runs });
             }
         }
         debug_assert!(
@@ -1821,18 +1803,18 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// The epoch of the oldest in-flight wave, if any: the ring holds the
-    /// `len` youngest epochs up to [`Self::next_epoch`], oldest first.
+    /// The epoch of the oldest in-flight wave, if any: the memo holds the
+    /// `waves` youngest epochs up to [`Self::next_epoch`], oldest first.
     fn front_epoch(&self) -> Option<u64> {
-        let in_flight = self.waves.as_deref().map_or(0, |w| w.slots.len()) as u64;
-        (in_flight > 0).then(|| self.next_epoch + 1 - in_flight)
+        let in_flight = self.waves.as_deref().map_or(0, |w| w.memo.waves);
+        (in_flight > 0).then(|| self.next_epoch + 1 - u64::from(in_flight))
     }
 
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let slots = &mut Waves::of(&mut self.waves).slots;
-        let slot = slots.pop_front().expect("caller checked the front");
-        self.serve_sources(runs, slot.num_sources as usize, ctx);
+        let memo = &mut Waves::of(&mut self.waves).memo;
+        memo.waves = memo.waves.checked_sub(1).expect("caller checked the front");
+        self.serve_sources(runs, ctx);
     }
 
     /// Resolves the node's own requests (Stage 3 → Stage 4 transition):
@@ -1843,11 +1825,7 @@ impl<T: Payload> SkueueNode<T> {
         let origin = self.process();
         let mut log_cursor = 0usize;
         for cursor in cursors {
-            let len = Waves::of(&mut self.waves)
-                .memo
-                .runs
-                .pop_front()
-                .expect("the own sub-batch's run lengths stay memorised until it is served");
+            let len = Waves::of(&mut self.waves).memo.pop();
             let run = cursor.split_front(u64::from(len));
             for j in 0..run.count {
                 // The resolved prefix is drained below, so the payload can be
@@ -2426,8 +2404,8 @@ impl<T: Payload> Actor for SkueueNode<T> {
     fn wants_timeout(&self) -> bool {
         match self.lifecycle {
             Lifecycle::Member { leave, .. } => {
-                let in_flight = self.waves.as_deref().map_or(0, |w| w.slots.len());
-                let pipeline_open = in_flight < self.cfg.effective_pipeline_depth()
+                let in_flight = self.waves.as_deref().map_or(0, |w| w.memo.waves);
+                let pipeline_open = (in_flight as usize) < self.cfg.effective_pipeline_depth()
                     && !self.flags.aggregate_unacked();
                 (pipeline_open && (self.strict_waves() || self.has_wave_work()))
                     || leave == Leave::Wanted
@@ -2565,11 +2543,11 @@ mod tests {
 
     /// What a busy node's two halves of work cost where they exist: a node
     /// that only relays sub-batches holds the wave half, an issuing node
-    /// both.
+    /// both.  The wave half's memo is one ring of words and a wave count.
     #[test]
-    fn a_wave_half_and_a_request_half_are_168_bytes_each() {
+    fn a_wave_half_is_112_bytes_and_a_request_half_168() {
         use std::mem::size_of;
-        assert!(size_of::<Waves<u64>>() <= 168);
+        assert!(size_of::<Waves<u64>>() <= 112);
         assert!(size_of::<Requests<u64>>() <= 168);
     }
 
@@ -2668,19 +2646,9 @@ mod tests {
         assert_eq!(reply(&mut cluster, me, 5), (1, vec![9]));
     }
 
-    /// What one in-flight wave keeps per slot and per sub-batch: the ring
-    /// holds up to [`PIPELINE_DEPTH`] slots on every busy node, the memo a
-    /// record per sub-batch of each.
-    #[test]
-    fn a_wave_slot_is_4_bytes_and_a_source_record_16() {
-        use std::mem::size_of;
-        assert!(size_of::<WaveSlot>() <= 4);
-        assert!(size_of::<SourceRecord>() <= 16);
-    }
-
     /// The node's in-flight waves (none while it holds no work state).
     fn in_flight(node: &SkueueNode<u64>) -> usize {
-        node.waves.as_deref().map_or(0, |w| w.slots.len())
+        node.waves.as_deref().map_or(0, |w| w.memo.waves as usize)
     }
 
     /// Asking an idle node what it holds allocates nothing: every reader
@@ -2852,6 +2820,33 @@ mod tests {
         assert_eq!(waves.wave_parent, Some(parent));
     }
 
+    /// A child's wave epoch is memorised as two words and echoed whole: an
+    /// epoch beyond `u32` comes back in its `Serve` exactly.  No simulated
+    /// run reaches one, so only this test would see a lost high word.
+    #[test]
+    fn a_child_epoch_beyond_u32_survives_the_ring() {
+        let mut node = node_of_kind(false, VKind::Right);
+        let (parent, child) = (node.tree_parent().unwrap(), NodeId(1000));
+        let epoch = (1 << 32) + 5;
+        let batch = child_batch(0x0302_0100);
+        let aggregate = SkueueMsg::Aggregate {
+            child,
+            epoch,
+            batch: batch.clone(),
+        };
+        let (sent, _) = visit_with(&mut node, WAVE_CADENCE, vec![(child, aggregate)]);
+        let (wave, combined) = sent.expect("the sub-batch is sent up");
+        assert_eq!(combined, batch);
+        let runs = AnchorState::new().assign_wave(&combined, Mode::Queue);
+        let serve = SkueueMsg::Serve {
+            epoch: wave,
+            runs: runs.clone(),
+        };
+        let (_, served) = visit_with(&mut node, 2 * WAVE_CADENCE, vec![(parent, serve)]);
+        assert_eq!(served, [(child, epoch, runs)]);
+        assert_eq!(in_flight(&node), 0);
+    }
+
     /// A middle node that issues a request holds both halves: its wave in
     /// flight in the one, the request's log entry in the other.
     #[test]
@@ -2980,7 +2975,7 @@ mod tests {
             .waves
             .as_deref()
             .expect("it carries the stored element");
-        assert!(waves.slots.is_empty() && waves.memo.records.is_empty());
+        assert!(waves.memo.waves == 0 && waves.memo.words.is_empty());
         assert_eq!(node.stored_elements(), 1);
     }
 
@@ -3224,7 +3219,7 @@ mod tests {
         }
     }
 
-    /// Reference for the flat [`WaveMemo`]: the bookkeeping it replaced, one
+    /// Reference for the [`WaveMemo`] ring: the bookkeeping it replaced, one
     /// list of whole sub-batches per in-flight wave, resolved with
     /// [`crate::interval::decompose`].
     struct PerSlotLists {
@@ -3282,6 +3277,20 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// The words a [`WaveMemo`] holding the waves in flight has: per
+        /// wave a header, per source with runs (or from a child) four
+        /// words and its run lengths.
+        fn memo_words(&self) -> usize {
+            let source_words = |source: &BatchSource| match source {
+                BatchSource::Own(b) if b.num_runs() == 0 => 0,
+                source => 4 + source.batch().num_runs(),
+            };
+            let wave_words = |(_, sources): &(u64, Vec<BatchSource>)| {
+                1 + sources.iter().map(source_words).sum::<usize>()
+            };
+            self.slots.iter().map(wave_words).sum()
         }
     }
 
@@ -3447,7 +3456,7 @@ mod tests {
         /// epoch order, or held back and handed over late by an absorbed
         /// leaver; of one to three runs, or of none), wave openings (own
         /// operations included, or a suspended node's drain waves without
-        /// them) and serves (in and out of epoch order), the flat memo sends
+        /// them) and serves (in and out of epoch order), the memo's ring sends
         /// the children exactly the `(child, epoch, runs)` sequence the
         /// per-wave source lists did — as a tree node and as the anchor
         /// serving itself.
@@ -3569,18 +3578,9 @@ mod tests {
                         unserved.push((epoch, runs));
                     }
                 }
-                // Every memorised record belongs to an in-flight wave, and
-                // every memorised run length to a record.
-                if let Some(waves) = node.waves.as_deref() {
-                    prop_assert_eq!(
-                        waves.memo.records.len(),
-                        waves.slots.iter().map(|s| s.num_sources as usize).sum::<usize>()
-                    );
-                    prop_assert_eq!(
-                        waves.memo.runs.len(),
-                        waves.memo.records.iter().map(|r| r.num_runs as usize).sum::<usize>()
-                    );
-                }
+                // The ring holds exactly the in-flight waves' words.
+                let words = node.waves.as_deref().map_or(0, |w| w.memo.words.len());
+                prop_assert_eq!(words, model.memo_words());
                 prop_assert_eq!(in_flight(&node), model.slots.len());
             }
             prop_assert!(unserved.is_empty() && in_flight(&node) == 0);

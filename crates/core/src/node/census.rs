@@ -15,7 +15,8 @@
 //! everything else, the DHT stores' two deques among them, counts its
 //! capacity.  So do the lanes' report sinks, where the records of finished
 //! requests wait for the host's drain after every round (a node keeps
-//! none).  The two halves of a node's work are counted with how many nodes
+//! none), and a wave half's memo: its waves in flight and how each was
+//! combined are one ring of `u32` words, one row.  The two halves of a node's work are counted with how many nodes
 //! hold each, and so are the cold boxes and the anchor and combining
 //! states behind their pointers in them.  A spilled lane order counts its
 //! slice, the header word, its peers and their vacant room, with how many
@@ -158,15 +159,9 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
             }) + per_requests(&|r| batch_bytes(&r.own_batch)),
             None,
         ),
-        ("wave rings", per_waves(&|w| deque_bytes(&w.slots)), None),
         (
-            "memo records",
-            per_waves(&|w| deque_bytes(&w.memo.records)),
-            None,
-        ),
-        (
-            "memo run lengths",
-            per_waves(&|w| deque_bytes(&w.memo.runs)),
+            "wave rings, words",
+            per_waves(&|w| deque_bytes(&w.memo.words)),
             None,
         ),
         (
