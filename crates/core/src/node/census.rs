@@ -28,10 +28,13 @@
 //! wheel 1.25 MiB, the lane inbox 1.32 MiB); the contents of the
 //! membership bookkeeping and the combining beyond their inline size; and
 //! the allocator's own overhead.  Nor are the words the simulator keeps
-//! per node beside the slot, the next lever on a node at rest: the lane's
-//! `global_ids` (8 B) and `local_slot` (4 B), its inbox's `head` and
-//! `tail` (8 B) and the simulation's `node_loc` (8 B) — 28 B per node at
-//! one shard, ≈ 0.8 MiB on `sim_light`.  The crate forbids `unsafe`, so no counting
+//! per node beside the slot: the lane's slot→id `global_ids` and id→slot
+//! `local_slot`, one `u32` each — 8 B per node at one shard, ≈ 0.23 MiB on
+//! `sim_light` (28 B before the inbox's chain ends became per-turn scratch
+//! and the simulation's `(lane, slot)` table went).  On several shards each
+//! lane's `local_slot` is as long as its highest id, so `sim_heavy` keeps
+//! more.  `tests/lane_words_memory.rs` holds them with the rest of a built
+//! node's heap.  The crate forbids `unsafe`, so no counting
 //! allocator finds the live heap's peak here; the census's own sum peaks
 //! near it (on `sim_heavy` at round 158, where a counting allocator put the
 //! live heap's peak at round 159 before the work state was split).  Most of

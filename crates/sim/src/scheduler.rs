@@ -64,14 +64,18 @@
 //!   messages or want their `TIMEOUT`; every other node costs nothing — the
 //!   scan is over bit words, so 64 quiescent nodes cost one word-load.
 //! * A node owns **no inbox**: the turn's due messages sit in one lane-level
-//!   buffer, chained per destination (see `Inbox`), so a node that is never
-//!   addressed costs the lane two words and no allocation.  The inbox, the
-//!   wake list and the actor outbox are **scratch buffers** owned by the
-//!   lane and reused across turns.
-//! * No per-turn sorting: the fabric hands messages over in send order, so a
-//!   node's chain is already in send order.  (A multi-lane simulation's
-//!   report drain does sort by node id — over the round's reports, which
-//!   arrive as one sorted run per lane, not the message volume.)
+//!   buffer, chained per destination (see `Inbox`).  Beside its slot a node
+//!   costs the lane two `u32` words — its id→slot and slot→id entries — and
+//!   no allocation; the chains' heads are per-turn scratch, one per woken
+//!   node.  (The id→slot map is as long as the lane's highest id, so a lane
+//!   of a multi-lane simulation, or a daemon hosting a high pid, keeps more
+//!   than that.)  The inbox, the wake list and the actor outbox are
+//!   **scratch buffers** owned by the lane and reused across turns.
+//! * No per-turn sorting: the fabric hands messages over in send order, and
+//!   the turn chains them back to front, so a node's chain is in send
+//!   order.  (A multi-lane simulation's report drain does sort by node id —
+//!   over the round's reports, which arrive as one sorted run per lane, not
+//!   the message volume.)
 
 use crate::actor::{Actor, Context};
 use crate::config::SimConfig;
@@ -86,7 +90,7 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Marker in a lane's global→local slot map for "not one of my nodes".
+/// Marker in a lane's id→slot map for "not one of my nodes".
 const NOT_LOCAL: u32 = u32::MAX;
 
 /// End-of-chain marker in a lane's [`Inbox`].
@@ -97,21 +101,41 @@ struct Due<M> {
     from: NodeId,
     /// Taken when the message is delivered.
     msg: Option<M>,
-    /// The destination's next due message ([`END`] for its last).
-    next: u32,
 }
 
 /// A lane's inbox for the turn currently executing: every due message in
 /// the order the fabric handed it over, chained per destination slot.  A
-/// slot's entry in `head`/`tail` means something only while its bit in the
-/// lane's `woken_bits` is set, so nothing here is reset per node between
-/// turns.
+/// chain's head is found by its slot's *rank*, its place among the turn's
+/// woken slots in ascending order (see [`Word::before`]), so nothing here is
+/// kept per node: all of it is rewritten every turn.
 struct Inbox<M> {
     due: Vec<Due<M>>,
-    /// Lane slot → its first due message of the turn.
-    head: Vec<u32>,
-    /// Lane slot → its last due message of the turn.
-    tail: Vec<u32>,
+    /// Per due message, its destination slot until the turn chains it, then
+    /// the destination's next due message ([`END`] for its last).  Kept
+    /// apart from `due` so that chaining reads and writes 4 bytes a message.
+    links: Vec<u32>,
+    /// A woken slot's rank → its first due message of the turn.
+    heads: Vec<u32>,
+}
+
+/// What a lane keeps of 64 of its slots: bit `i` of a mask is slot
+/// `64 × word + i`.
+#[derive(Default)]
+struct Word {
+    /// The slots that want their timeout (see [`Actor::wants_timeout`]),
+    /// re-derived after every visit and every driver action.
+    timeout: u64,
+    /// The slots a driver action left wanting their timeout since the last
+    /// turn: visited next turn even if it is no sweep.
+    acted: u64,
+    /// The slots a message arrived for since the last wake scan, which
+    /// moves them to `woken`.
+    arrived: u64,
+    /// The slots with due messages in the turn being taken.
+    woken: u64,
+    /// The woken slots in the words before this one, set by the turn's wake
+    /// scan: a woken slot's rank is this plus the woken slots below it here.
+    before: u32,
 }
 
 /// Cumulative per-lane counters, folded into the global [`SimMetrics`] by
@@ -157,22 +181,13 @@ pub struct Lane<A: Actor, F> {
     /// Turns taken so far: the `round` every context of this lane reads.
     turn: Round,
     nodes: Vec<A>,
-    /// Lane slot → global node id.
-    global_ids: Vec<u64>,
-    /// Global node id → lane slot (`NOT_LOCAL` for nodes of other lanes;
-    /// only grown for ids at or below this lane's own highest node).
+    /// Lane slot → node id.
+    global_ids: Vec<u32>,
+    /// Node id → lane slot (`NOT_LOCAL` for nodes of other lanes), as long
+    /// as this lane's highest id: the only id-indexed table of the lane.
     local_slot: Vec<u32>,
-    /// Bit-packed per-slot wake flags: bit `i` is set iff slot `i` wants its
-    /// timeout (see [`Actor::wants_timeout`]).  Re-derived after every visit
-    /// and every driver action.
-    timeout_flags: Vec<u64>,
-    /// Bit-packed per-turn delivery marks: bit `i` is set while slot `i`
-    /// has deliverable messages this turn.  Cleared at every turn start.
-    woken_bits: Vec<u64>,
-    /// Bit-packed marks of the slots a driver action left wanting their
-    /// timeout since the last turn: visited next turn even if it is no
-    /// sweep.
-    acted_bits: Vec<u64>,
+    /// The slots' wake state, 64 to a word.
+    words: Vec<Word>,
     /// The lane slots visited by the current turn, in visit order.
     wake_order: Vec<usize>,
     inbox: Inbox<A::Msg>,
@@ -204,14 +219,12 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
             nodes: Vec::new(),
             global_ids: Vec::new(),
             local_slot: Vec::new(),
-            timeout_flags: Vec::new(),
-            woken_bits: Vec::new(),
-            acted_bits: Vec::new(),
+            words: Vec::new(),
             wake_order: Vec::new(),
             inbox: Inbox {
                 due: Vec::new(),
-                head: Vec::new(),
-                tail: Vec::new(),
+                links: Vec::new(),
+                heads: Vec::new(),
             },
             ctx,
             metrics: LaneMetrics::default(),
@@ -235,31 +248,33 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     /// Node slots are large (the actor is stored inline), so growing the
     /// slot vector by doubling costs a multi-megabyte memcpy per step once
     /// several lanes interleave their allocations; a bulk build that knows
-    /// its lane sizes up front reserves once and never reallocates.
+    /// its lane sizes up front reserves once and never reallocates.  The
+    /// id→slot map is reserved for `nodes` more ids too: exactly its final
+    /// length when the lane hosts every id of a simulation, as one lane
+    /// does.
     fn reserve_nodes(&mut self, nodes: usize) {
         self.nodes.reserve(nodes);
-        let slots = self.nodes.len() + nodes;
         self.global_ids.reserve(nodes);
-        self.inbox.head.reserve(nodes);
-        self.inbox.tail.reserve(nodes);
-        self.timeout_flags.reserve(slots.div_ceil(64));
-        self.woken_bits.reserve(slots.div_ceil(64));
-        self.acted_bits.reserve(slots.div_ceil(64));
+        self.local_slot.reserve(nodes);
+        let words = (self.nodes.len() + nodes).div_ceil(64);
+        self.words.reserve(words - self.words.len());
     }
 
     /// Starts hosting `actor` as node `id`.  It is visited when a message
     /// for it arrives, or by a sweep if it wants its `TIMEOUT`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` does not fit the lane's `u32` words.
     pub fn add_node(&mut self, id: NodeId, actor: A) {
+        let id32 = u32::try_from(id.0)
+            .unwrap_or_else(|_| panic!("node id {} does not fit the lane's u32 words", id.0));
         let slot = self.nodes.len();
-        if slot / 64 >= self.timeout_flags.len() {
-            self.timeout_flags.push(0);
-            self.woken_bits.push(0);
-            self.acted_bits.push(0);
+        if slot / 64 >= self.words.len() {
+            self.words.push(Word::default());
         }
         self.nodes.push(actor);
-        self.global_ids.push(id.0);
-        self.inbox.head.push(END);
-        self.inbox.tail.push(END);
+        self.global_ids.push(id32);
         if self.local_slot.len() <= id.index() {
             self.local_slot.resize(id.index() + 1, NOT_LOCAL);
         }
@@ -292,17 +307,27 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         let bit = 1u64 << (slot % 64);
         let wants = self.nodes[slot].wants_timeout();
         if wants {
-            self.timeout_flags[slot / 64] |= bit;
+            self.words[slot / 64].timeout |= bit;
         } else {
-            self.timeout_flags[slot / 64] &= !bit;
+            self.words[slot / 64].timeout &= !bit;
         }
         wants
+    }
+
+    /// A slot's rank, if it is woken: its place among the turn's woken
+    /// slots, ascending.
+    #[inline]
+    fn rank(&self, slot: usize) -> Option<usize> {
+        let word = &self.words[slot / 64];
+        let bit = 1u64 << (slot % 64);
+        (word.woken & bit != 0)
+            .then(|| (word.before + (word.woken & (bit - 1)).count_ones()) as usize)
     }
 
     /// Whether some node of the lane wants its `TIMEOUT`: a host that
     /// sweeps on a timer arms it then.
     pub fn wants_timeout(&self) -> bool {
-        self.timeout_flags.iter().any(|&word| word != 0)
+        self.words.iter().any(|word| word.timeout != 0)
     }
 
     /// Hands a message from outside the lane to its fabric, as if a node of
@@ -364,7 +389,7 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         let result = action(&mut self.nodes[slot], &mut self.ctx);
         self.post_outbox(id);
         if self.refresh_flag(slot) {
-            self.acted_bits[slot / 64] |= 1u64 << (slot % 64);
+            self.words[slot / 64].acted |= 1u64 << (slot % 64);
         }
         Some(result)
     }
@@ -374,18 +399,16 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     /// flag: the one visit of the workspace.
     #[inline]
     fn visit_node(&mut self, slot: usize) {
-        let self_id = NodeId(self.global_ids[slot]);
+        let self_id = NodeId(self.global_ids[slot].into());
         self.fabric.visit_begins();
         self.ctx.rearm(self_id, self.turn);
+        let mut at = self.rank(slot).map_or(END, |rank| self.inbox.heads[rank]);
         let node = &mut self.nodes[slot];
-        if self.woken_bits[slot / 64] & (1u64 << (slot % 64)) != 0 {
-            let mut at = self.inbox.head[slot];
-            while at != END {
-                let due = &mut self.inbox.due[at as usize];
-                at = due.next;
-                let msg = due.msg.take().expect("a due message is delivered once");
-                node.on_message(due.from, msg, &mut self.ctx);
-            }
+        while at != END {
+            let due = &mut self.inbox.due[at as usize];
+            at = self.inbox.links[at as usize];
+            let msg = due.msg.take().expect("a due message is delivered once");
+            node.on_message(due.from, msg, &mut self.ctx);
         }
         node.on_timeout(&mut self.ctx);
         self.metrics.timeouts_fired += 1;
@@ -401,54 +424,58 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         let started = Instant::now();
         self.turn += 1;
 
-        // Move this turn's due envelopes into the lane's inbox, chaining
-        // each to its destination slot and marking the slot as woken.  The
-        // fabric hands them over in send order, so each slot's chain ends up
-        // ordered without sorting.
-        for word in &mut self.woken_bits {
-            *word = 0;
-        }
+        // Move this turn's due envelopes into the lane's inbox, marking
+        // each destination slot as one a message arrived for.  The fabric
+        // hands them over in send order.
         let Lane {
             fabric,
             turn,
             inbox,
             local_slot,
-            woken_bits,
+            words,
             ..
         } = self;
         inbox.due.clear();
+        inbox.links.clear();
         let delivered = fabric.take_due(*turn, |env| {
-            let slot = local_slot[env.to.index()] as usize;
-            let at = inbox.due.len() as u32;
-            let bit = 1u64 << (slot % 64);
-            if woken_bits[slot / 64] & bit == 0 {
-                woken_bits[slot / 64] |= bit;
-                inbox.head[slot] = at;
-            } else {
-                inbox.due[inbox.tail[slot] as usize].next = at;
-            }
-            inbox.tail[slot] = at;
+            let slot = local_slot[env.to.index()];
+            words[slot as usize / 64].arrived |= 1u64 << (slot % 64);
+            inbox.links.push(slot);
             inbox.due.push(Due {
                 from: env.from,
                 msg: Some(env.payload),
-                next: END,
             });
         });
 
         // The wake list, over the OR of the bit words: the woken slots, and
         // those that want their timeout — all of them on a sweep, else the
-        // ones a driver action left wanting it.  The fabric may reorder it
-        // before the visits.
+        // ones a driver action left wanting it.  The same scan counts the
+        // woken slots before each word, which ranks them for the chains.
+        // The fabric may reorder the list before the visits.
         self.wake_order.clear();
-        for wi in 0..self.timeout_flags.len() {
-            let due = if sweep { !0 } else { self.acted_bits[wi] };
-            let mut word = self.woken_bits[wi] | (self.timeout_flags[wi] & due);
-            self.acted_bits[wi] = 0;
-            while word != 0 {
+        let mut woken = 0;
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            word.woken = std::mem::take(&mut word.arrived);
+            word.before = woken;
+            woken += word.woken.count_ones();
+            let due = if sweep { !0 } else { word.acted };
+            let mut bits = word.woken | (word.timeout & due);
+            word.acted = 0;
+            while bits != 0 {
                 self.wake_order
-                    .push(wi * 64 + word.trailing_zeros() as usize);
-                word &= word - 1;
+                    .push(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
+        }
+        // Chain the due messages back to front, each pushed on its
+        // destination's chain, so every chain is in send order.
+        self.inbox.heads.clear();
+        self.inbox.heads.resize(woken as usize, END);
+        for at in (0..self.inbox.links.len()).rev() {
+            let to = self.inbox.links[at] as usize;
+            let rank = self.rank(to).expect("a message's destination is woken");
+            self.inbox.links[at] = self.inbox.heads[rank];
+            self.inbox.heads[rank] = at as u32;
         }
         let mut wake = std::mem::take(&mut self.wake_order);
         self.fabric.order_visits(&mut wake);
@@ -470,7 +497,7 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     pub fn visited(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.wake_order
             .iter()
-            .map(|&slot| NodeId(self.global_ids[slot]))
+            .map(|&slot| NodeId(self.global_ids[slot].into()))
     }
 
     /// Every sample the lane's nodes reported under `series` (see
@@ -509,11 +536,13 @@ type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
 /// between rounds ([`Self::act`]) and collects what the actors finished
 /// from the lanes' report sinks ([`Self::drain_reports`]); it never needs
 /// to know which nodes a round visited.
+///
+/// Node ids are dense: the next id is the number of nodes so far.  An id's
+/// lane is found by asking the lanes' id maps in turn — a driver call costs
+/// O(lanes), and nothing per message does.
 pub struct Simulation<A: Actor> {
     config: SimConfig,
     lanes: Vec<SimLane<A>>,
-    /// Global node id → `(lane, slot)`.
-    node_loc: Vec<(u32, u32)>,
     round: Round,
     metrics: SimMetrics,
     /// The thread count asked for ([`Self::enable_parallel`]), uncapped:
@@ -548,7 +577,6 @@ impl<A: Actor> Simulation<A> {
         Ok(Simulation {
             config,
             lanes: vec![lane],
-            node_loc: Vec::new(),
             round: 0,
             metrics: SimMetrics::default(),
             threads: 1,
@@ -564,7 +592,7 @@ impl<A: Actor> Simulation<A> {
                 "a simulation needs at least one lane".into(),
             ));
         }
-        if !self.node_loc.is_empty() {
+        if self.node_count() > 0 {
             return Err(SimError::InvalidConfig(
                 "lanes must be configured before nodes are added".into(),
             ));
@@ -590,7 +618,6 @@ impl<A: Actor> Simulation<A> {
             "lane {lane} out of range ({} lanes)",
             self.lanes.len()
         );
-        self.node_loc.reserve(nodes);
         self.lanes[lane].reserve_nodes(nodes);
     }
 
@@ -606,12 +633,19 @@ impl<A: Actor> Simulation<A> {
             "lane {lane} out of range ({} lanes)",
             self.lanes.len()
         );
-        let id = NodeId(self.node_loc.len() as u64);
-        let lane_ref = &mut self.lanes[lane];
-        let slot = lane_ref.nodes.len();
-        lane_ref.add_node(id, actor);
-        self.node_loc.push((lane as u32, slot as u32));
+        let id = NodeId(self.node_count());
+        self.lanes[lane].add_node(id, actor);
         id
+    }
+
+    /// Nodes added so far, over all lanes.
+    fn node_count(&self) -> u64 {
+        self.lanes.iter().map(|lane| lane.nodes.len() as u64).sum()
+    }
+
+    /// The lane hosting node `id`: each lane's id map is asked in turn.
+    fn lane_of(&self, id: NodeId) -> Option<usize> {
+        self.lanes.iter().position(|l| l.slot_of(id).is_some())
     }
 
     /// Current round (0 before the first call to [`Self::run_round`]).
@@ -635,16 +669,12 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to an actor.
     pub fn node(&self, id: NodeId) -> Option<&A> {
-        let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&self.lanes[lane as usize].nodes[slot as usize])
+        self.lanes.iter().find_map(|lane| lane.node(id))
     }
 
     /// Iterates over `(id, actor)` pairs in global id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &A)> {
-        self.node_loc
-            .iter()
-            .enumerate()
-            .map(move |(i, &(l, s))| (NodeId(i as u64), &self.lanes[l as usize].nodes[s as usize]))
+        (0..self.node_count()).map(|i| (NodeId(i), self.node(NodeId(i)).expect("ids are dense")))
     }
 
     /// Runs a driver-side action of node `id` in its lane's [`Context`]
@@ -658,8 +688,8 @@ impl<A: Actor> Simulation<A> {
         id: NodeId,
         action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
     ) -> Option<R> {
-        let &(lane, _) = self.node_loc.get(id.index())?;
-        let lane = &mut self.lanes[lane as usize];
+        let lane = self.lane_of(id)?;
+        let lane = &mut self.lanes[lane];
         let sent = lane.metrics.messages_sent;
         let result = lane.act(id, action);
         if lane.metrics.messages_sent != sent {
@@ -671,11 +701,8 @@ impl<A: Actor> Simulation<A> {
     /// Injects a message from the outside world (delivered like any other
     /// message, in the next round at the earliest).
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
-        let &(lane, _) = self
-            .node_loc
-            .get(to.index())
-            .ok_or(SimError::UnknownNode(to))?;
-        self.lanes[lane as usize].inject(from, to, msg)?;
+        let lane = self.lane_of(to).ok_or(SimError::UnknownNode(to))?;
+        self.lanes[lane].inject(from, to, msg)?;
         self.fold_counters();
         Ok(())
     }
@@ -1609,6 +1636,238 @@ mod tests {
         }
 
         fn on_timeout(&mut self, _ctx: &mut Context<Hop>) {}
+    }
+
+    /// Every message of a [`Courier`] run, by sequence number: `(from, to)`.
+    type SendLog = std::sync::Arc<std::sync::Mutex<Vec<(NodeId, NodeId)>>>;
+
+    /// Sends a numbered message from `from` to `to` and logs it.
+    fn send_logged(log: &SendLog, from: NodeId, to: NodeId, ctx: &mut Context<u32>) {
+        let mut log = log.lock().unwrap();
+        ctx.send(to, log.len() as u32);
+        log.push((from, to));
+    }
+
+    /// Records every delivery as `(round, from, seq)` and, while the run's
+    /// send budget lasts, answers some of them with a send to a random peer
+    /// of its lane; a delivery may also arm its timeout, which sends once
+    /// more.
+    struct Courier {
+        peers: Vec<NodeId>,
+        log: SendLog,
+        budget: usize,
+        rng: SimRng,
+        armed: bool,
+        got: Vec<(Round, NodeId, u32)>,
+    }
+
+    impl Courier {
+        fn maybe_send(&mut self, ctx: &mut Context<u32>) {
+            if self.log.lock().unwrap().len() < self.budget && self.rng.gen_bool(0.5) {
+                let to = self.peers[self.rng.choose_index(self.peers.len())];
+                send_logged(&self.log, ctx.self_id(), to, ctx);
+            }
+        }
+    }
+
+    impl Actor for Courier {
+        type Msg = u32;
+
+        fn on_message(&mut self, from: NodeId, seq: u32, ctx: &mut Context<u32>) {
+            self.got.push((ctx.round(), from, seq));
+            self.maybe_send(ctx);
+            self.armed |= self.rng.gen_bool(0.3);
+        }
+
+        fn on_timeout(&mut self, ctx: &mut Context<u32>) {
+            if std::mem::take(&mut self.armed) {
+                self.maybe_send(ctx);
+            }
+        }
+
+        fn wants_timeout(&self) -> bool {
+            self.armed
+        }
+    }
+
+    /// What a [`Courier`] run leaves.
+    struct CourierRun {
+        /// Per node, what it received.
+        got: Vec<Vec<(Round, NodeId, u32)>>,
+        /// Every message sent, by sequence number: `(from, to)`.
+        log: Vec<(NodeId, NodeId)>,
+        /// Every lane's visit order, turn after turn.
+        visits: Vec<Vec<NodeId>>,
+    }
+
+    /// One [`Courier`] run: `n` nodes dealt over `lanes` lanes in a seeded
+    /// order, `turns` rounds of driver sends and actions, then drained.
+    /// Checks that every turn visits exactly the nodes it owes a visit, and
+    /// in ascending order unless shuffled.
+    fn courier_run(
+        seed: u64,
+        n: u64,
+        lanes: usize,
+        shuffle: bool,
+        max_delay: u64,
+        turns: u64,
+    ) -> CourierRun {
+        let mut config = SimConfig::synchronous(seed);
+        if max_delay > 1 {
+            config.delivery = DeliveryModel::uniform(max_delay);
+        }
+        config.shuffle_node_order = shuffle;
+        let mut sim = Simulation::new(config).unwrap();
+        sim.configure_lanes(lanes).unwrap();
+        let mut rng = SimRng::new(seed ^ 0xC0C0);
+        let lane_of: Vec<usize> = (0..n).map(|_| rng.choose_index(lanes)).collect();
+        let log = SendLog::default();
+        for (i, &lane) in lane_of.iter().enumerate() {
+            let peers = (0..n)
+                .filter(|&j| lane_of[j as usize] == lane)
+                .map(NodeId)
+                .collect();
+            let id = sim.add_node_in_lane(
+                lane,
+                Courier {
+                    peers,
+                    log: log.clone(),
+                    budget: 400,
+                    rng: SimRng::new(seed.wrapping_add(i as u64)),
+                    armed: false,
+                    got: Vec::new(),
+                },
+            );
+            assert_eq!(id, NodeId(i as u64));
+        }
+        let mut visits = Vec::new();
+        let mut turn = 0;
+        while turn < turns || sim.metrics().messages_delivered < sim.metrics().messages_sent {
+            assert!(turn < 10_000, "still in flight");
+            if turn < turns {
+                for _ in 0..rng.gen_range(6) {
+                    let from = NodeId(rng.gen_range(n));
+                    let lane = lane_of[from.index()];
+                    let peers: Vec<u64> = (0..n).filter(|&j| lane_of[j as usize] == lane).collect();
+                    let to = NodeId(peers[rng.choose_index(peers.len())]);
+                    let arm = rng.gen_bool(0.3);
+                    sim.act(from, |node, ctx| {
+                        send_logged(&log, from, to, ctx);
+                        node.armed |= arm;
+                    });
+                }
+            }
+            // The visits a turn owes: every node that wants its timeout
+            // now, and every node a message reaches in it.
+            let wanting: Vec<bool> = sim.iter().map(|(_, node)| node.armed).collect();
+            let got_before: Vec<usize> = sim.iter().map(|(_, node)| node.got.len()).collect();
+            sim.run_round(&mut TraceLog::new());
+            turn += 1;
+            for (l, lane) in sim.lanes.iter().enumerate() {
+                let visited: Vec<NodeId> = lane.visited().collect();
+                let owed: Vec<NodeId> = (0..n)
+                    .filter(|&i| lane_of[i as usize] == l)
+                    .map(NodeId)
+                    .filter(|&id| {
+                        let node = sim.node(id).unwrap();
+                        wanting[id.index()] || node.got.len() > got_before[id.index()]
+                    })
+                    .collect();
+                if shuffle {
+                    let mut sorted = visited.clone();
+                    sorted.sort();
+                    assert_eq!(sorted, owed, "turn {turn}, lane {l}");
+                } else {
+                    assert_eq!(visited, owed, "turn {turn}, lane {l}: ascending");
+                }
+                visits.push(visited);
+            }
+        }
+        let got = sim.iter().map(|(_, node)| node.got.clone()).collect();
+        let log = log.lock().unwrap().clone();
+        CourierRun { got, log, visits }
+    }
+
+    proptest::proptest! {
+        /// Random sends among a simulation's nodes — by driver actions and
+        /// by the nodes' own visits — over several turns: every message is
+        /// delivered exactly once, to the node it was sent to, from its
+        /// sender; a destination receives a turn's messages in send order
+        /// (under synchronous delivery, all of them: exactly the reference
+        /// model's per-destination send order); a turn visits the owed
+        /// nodes ascending, or in a seeded shuffle of them that a rerun
+        /// repeats.
+        #[test]
+        fn prop_every_destination_receives_its_messages_once_in_send_order(
+            seed in proptest::any::<u64>(),
+            n in 2u64..10,
+            lanes in 1usize..4,
+            shuffle in proptest::any::<bool>(),
+            max_delay in 1u64..4,
+            turns in 1u64..12,
+        ) {
+            let CourierRun { got, log, visits } =
+                courier_run(seed, n, lanes, shuffle, max_delay, turns);
+            // The reference model: each destination's messages in send order.
+            let mut sent_to: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+            for (seq, &(_, to)) in log.iter().enumerate() {
+                sent_to[to.index()].push(seq as u32);
+            }
+            let mut delivered = vec![0u32; log.len()];
+            for (i, received) in got.iter().enumerate() {
+                for &(_, from, seq) in received {
+                    delivered[seq as usize] += 1;
+                    proptest::prop_assert_eq!(log[seq as usize], (from, NodeId(i as u64)));
+                }
+                for pair in received.windows(2) {
+                    let ((r0, _, s0), (r1, _, s1)) = (pair[0], pair[1]);
+                    proptest::prop_assert!(r0 < r1 || (r0 == r1 && s0 < s1), "node {} got {:?}", i, received);
+                }
+                if max_delay == 1 {
+                    let seqs: Vec<u32> = received.iter().map(|&(_, _, seq)| seq).collect();
+                    proptest::prop_assert_eq!(&seqs, &sent_to[i]);
+                }
+            }
+            proptest::prop_assert!(delivered.iter().all(|&times| times == 1));
+            let rerun = courier_run(seed, n, lanes, shuffle, max_delay, turns);
+            proptest::prop_assert_eq!(rerun.visits, visits);
+        }
+    }
+
+    /// Ids are dense across lanes: a simulation iterates every id once, in
+    /// ascending order, each with the actor added under it.
+    #[test]
+    fn iter_yields_every_id_once_in_ascending_order_across_lanes() {
+        let mut sim = Simulation::new(SimConfig::synchronous(3)).unwrap();
+        sim.configure_lanes(3).unwrap();
+        let lanes = [2, 0, 0, 1, 2, 2, 1, 0, 1, 2, 0, 1, 1];
+        for (i, &lane) in lanes.iter().enumerate() {
+            let id = sim.add_node_in_lane(
+                lane,
+                Recorder {
+                    got: vec![(i as u64, lane as u32)],
+                },
+            );
+            assert_eq!(id, NodeId(i as u64));
+        }
+        let seen: Vec<(u64, u64, u32)> = (sim.iter())
+            .map(|(id, node)| (id.0, node.got[0].0, node.got[0].1))
+            .collect();
+        let expected: Vec<(u64, u64, u32)> = (lanes.iter().enumerate())
+            .map(|(i, &lane)| (i as u64, i as u64, lane as u32))
+            .collect();
+        assert_eq!(seen, expected);
+        assert!(sim.node(NodeId(lanes.len() as u64)).is_none());
+    }
+
+    /// A lane keeps ids in `u32` words: a wider id is refused, not
+    /// truncated.
+    #[test]
+    #[should_panic(expected = "node id 4294967296 does not fit the lane's u32 words")]
+    fn a_lane_refuses_an_id_beyond_its_u32_words() {
+        let fabric = SimTransport::new(DeliveryModel::Synchronous, SimRng::new(1));
+        let mut lane: Lane<Recorder, _> = Lane::new(fabric);
+        lane.add_node(NodeId(u64::from(u32::MAX) + 1), Recorder::default());
     }
 
     proptest::proptest! {
