@@ -315,8 +315,7 @@ impl<T: Payload> SkueueCluster<T> {
             }
         }
         let mut processes = Vec::with_capacity(n);
-        for pid in (0..n as u64).map(ProcessId) {
-            let (shard, views) = membership.process(pid);
+        for (_, shard, views) in membership.processes() {
             for (view, is_anchor) in views {
                 let id = view.me().node;
                 let node_cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);

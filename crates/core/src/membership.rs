@@ -7,10 +7,11 @@
 //! knows how it is made: the partition of the initial processes into anchor
 //! shards, one [`Topology`] and one node configuration per shard (the
 //! deployment's, with the routing bit budget derived from the shard's size),
-//! the three [`LocalView`]s of a process, and the self-pointing nodes a
-//! joiner starts as — every node addressed by the overlay's dense id rule,
-//! [`node_of`].  Both drivers call it and keep only what is theirs — where
-//! the nodes live and how they are visited.
+//! the three [`LocalView`]s of every initial process, handed out in process
+//! order, and the self-pointing nodes a joiner starts as — every node
+//! addressed by the overlay's dense id rule, [`node_of`].  Both drivers call
+//! it and keep only what is theirs — where the nodes live and how they are
+//! visited.
 
 use crate::config::ProtocolConfig;
 use crate::node::SkueueNode;
@@ -27,9 +28,8 @@ use std::sync::Arc;
 ///
 /// Holds what all processes of a shard share — the shard's cycle,
 /// aggregation tree and anchor as a [`Topology`], and its node
-/// configuration — and derives one process's views on request
-/// ([`Self::process`]), so a driver builds its nodes one process at a time
-/// and a daemon only ever derives the views of processes it hosts.
+/// configuration — and derives the processes' views as a driver walks them
+/// ([`Self::processes`]), so it builds its nodes one process at a time.
 #[derive(Debug)]
 pub struct InitialMembership {
     router: ShardRouter,
@@ -96,22 +96,26 @@ impl InitialMembership {
             .map(|t| t.as_ref().map_or(0, |t| t.processes().len()))
     }
 
-    /// Initial process `pid`'s shard and, in Left/Middle/Right order, the
-    /// view of each of its virtual nodes with whether that node is the
-    /// shard's anchor.
-    pub fn process(&self, pid: ProcessId) -> (ShardId, [(LocalView, bool); 3]) {
-        let shard = self.router.route(pid);
-        let topology = self.topologies[shard as usize]
-            .as_ref()
-            .expect("an initial process is grouped into its shard");
-        let views = VKind::ALL.map(|kind| {
-            let vid = VirtualId::new(pid, kind);
-            let view = topology
-                .local_view(vid, &node_of)
-                .expect("vid from own topology");
-            (view, vid == topology.anchor())
-        });
-        (shard, views)
+    /// The initial processes, ascending, each with its shard and, in
+    /// Left/Middle/Right order, the view of each of its virtual nodes with
+    /// whether that node is the shard's anchor.  A shard's processes are
+    /// ascending too, so each shard's [`Topology::views`] is read in step
+    /// with the walk and no process is looked up; the walk ends at the first
+    /// pid whose shard has no views left, the pid one past the last.
+    pub fn processes(
+        &self,
+    ) -> impl Iterator<Item = (ProcessId, ShardId, [(LocalView, bool); 3])> + '_ {
+        let mut shards: Vec<_> = self
+            .topologies
+            .iter()
+            .map(|t| t.as_ref().map(Topology::views))
+            .collect();
+        (0..).map(ProcessId).map_while(move |pid| {
+            let shard = self.router.route(pid);
+            let views = shards[shard as usize].as_mut()?.next()?;
+            debug_assert_eq!(views[0].0.me().vid.process, pid);
+            Some((pid, shard, views))
+        })
     }
 }
 
@@ -154,8 +158,7 @@ mod tests {
         assert_eq!(membership.shard_cfgs().len(), 2);
         assert_eq!(membership.shard_sizes().sum::<usize>(), 5);
         let mut anchors = 0;
-        for pid in (0..5).map(ProcessId) {
-            let (shard, views) = membership.process(pid);
+        for (pid, shard, views) in membership.processes() {
             assert_eq!(shard, membership.router().route(pid));
             for (kind, (view, is_anchor)) in VKind::ALL.into_iter().zip(&views) {
                 // Every view's own identity follows the dense scheme.
@@ -165,6 +168,37 @@ mod tests {
             }
         }
         assert_eq!(anchors, 2, "exactly one anchor per populated shard");
+    }
+
+    /// The views handed out in process order are the views each node's
+    /// own lookup finds, for every pid and with one anchor per populated
+    /// shard.
+    #[test]
+    fn processes_yield_every_pid_in_order_with_its_looked_up_views() {
+        for shards in [1, 2, 8] {
+            for n in [1u64, 2, 7, 1000] {
+                let cfg = ProtocolConfig::queue().with_shards(shards);
+                let membership = InitialMembership::build(n, cfg);
+                let mut anchors = vec![0; shards];
+                let mut pids = Vec::new();
+                for (pid, shard, views) in membership.processes() {
+                    assert_eq!(shard, membership.router().route(pid));
+                    let topology = membership.topologies[shard as usize]
+                        .as_ref()
+                        .expect("a populated shard");
+                    for (kind, (view, is_anchor)) in VKind::ALL.into_iter().zip(views) {
+                        let vid = VirtualId::new(pid, kind);
+                        assert_eq!(Ok(view), topology.local_view(vid, &node_of));
+                        assert_eq!(is_anchor, vid == topology.anchor());
+                        anchors[shard as usize] += is_anchor as usize;
+                    }
+                    pids.push(pid);
+                }
+                assert_eq!(pids, (0..n).map(ProcessId).collect::<Vec<_>>());
+                let populated = membership.shard_sizes().map(|size| (size > 0) as usize);
+                assert!(anchors.into_iter().eq(populated), "S = {shards}, n = {n}");
+            }
+        }
     }
 
     #[test]

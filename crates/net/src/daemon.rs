@@ -251,13 +251,13 @@ impl<T: Payload + Wire> Host<T> {
     fn new(spec: &ClusterSpec, index: usize) -> Self {
         let membership = spec.initial_membership();
         let mut lane = Lane::new(TcpTransport::new(spec, index));
-        for pid in (0..spec.initial).map(ProcessId) {
-            if spec.daemon_of(pid) == index {
-                let (shard, views) = membership.process(pid);
-                for (view, is_anchor) in views {
-                    let cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
-                    lane.add_node(view.me().node, SkueueNode::new(cfg, shard, view, is_anchor));
-                }
+        let hosted = membership
+            .processes()
+            .filter(|&(pid, ..)| spec.daemon_of(pid) == index);
+        for (_, shard, views) in hosted {
+            for (view, is_anchor) in views {
+                let cfg = Arc::clone(&membership.shard_cfgs()[shard as usize]);
+                lane.add_node(view.me().node, SkueueNode::new(cfg, shard, view, is_anchor));
             }
         }
         Host {

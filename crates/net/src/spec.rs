@@ -248,8 +248,7 @@ mod tests {
             .map(|cfg| cfg.bit_budget)
             .collect();
         assert!(budgets.iter().all(|&b| b > 0), "budgets are derived");
-        for pid in (0..spec.initial).map(ProcessId) {
-            let (shard, views) = membership.process(pid);
+        for (pid, shard, views) in membership.processes() {
             assert_eq!(Some(shard), cluster.shard_of_process(pid));
             assert_eq!(shard, spec.shard_of(pid));
             for (view, is_anchor) in views {

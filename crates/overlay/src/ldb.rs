@@ -3,15 +3,20 @@
 //! [`Topology`] materialises Definition 2 for a given set of processes: it
 //! computes all virtual-node labels and sorts them into the cycle.  The
 //! cluster builds the initial neighbour views of all protocol nodes from it
-//! ([`Topology::local_view`]) and reads the anchor off it.
+//! ([`Topology::views`]) and reads the anchor off it.
 //!
 //! Definition 2 *is* a sorted cycle, so the sort is all there is to build:
 //! a node's `pred`/`succ` are the entries beside it in label order and its
-//! siblings are its process's other two entries.  The topology therefore
-//! indexes the cycle by position — the process list ascending, and beside
-//! each process the three places its nodes took in the sort — and a view is
-//! one binary search for the process plus four reads of the cycle (the node,
-//! its process's middle node, its two neighbours).  Nothing is hashed.
+//! siblings are its process's other two entries.  It is one sort of n: the
+//! left and right maps `m ↦ m/2` and `m ↦ (m+1)/2` are monotone, so once
+//! the middle labels are sorted the left and right labels are two more
+//! sorted runs, and a run-aware sort merges the three.  The topology indexes
+//! the cycle by position — the process list ascending, and beside each
+//! process the three places its nodes took in the sort — so the views come
+//! out in process order, four reads of the cycle each (the node, its
+//! process's middle node, its two neighbours), with no hash table and no
+//! search ([`Topology::local_view`], the view of one node, finds its process
+//! by binary search).
 //!
 //! The dynamic protocol does **not** consult a `Topology` at runtime; nodes
 //! only use their local views, exactly as in the paper.  The global queries
@@ -24,7 +29,7 @@ use crate::aggregation::{aggregation_children, aggregation_parent};
 use crate::hash::LabelHasher;
 use crate::label::Label;
 use crate::routing::{LocalView, NeighborInfo};
-use crate::vnode::{VKind, VirtualId};
+use crate::vnode::{node_of, VKind, VirtualId};
 use skueue_sim::ids::{NodeId, ProcessId};
 use std::fmt;
 
@@ -92,16 +97,19 @@ impl Topology {
         let nodes = u32::try_from(processes.len() * 3).expect("positions in the cycle fit a u32");
         // Nodes are numbered in ascending (process, kind) order, so a node's
         // number orders like its vid and `(label, number)` sorts like the
-        // cycle's `(label, vid)` — on keys two thirds the size.
+        // cycle's `(label, vid)` — on keys two thirds the size.  A middle
+        // node's number is three times its process's index, plus one.
         let mut keys = Vec::with_capacity(nodes as usize);
-        for (&p, first) in processes.iter().zip((0..nodes).step_by(3)) {
-            let middle = hasher.process_label(p);
-            keys.extend(
-                VKind::ALL
-                    .map(|kind| (kind.label_from_middle(middle), first + kind.index() as u32)),
-            );
+        for (&p, number) in processes.iter().zip((1..nodes).step_by(3)) {
+            keys.push((hasher.process_label(p), number));
         }
-        keys.sort_unstable();
+        sort_cycle(&mut keys);
+        Ok(Self::from_cycle(processes, &keys))
+    }
+
+    /// The topology of `processes` (ascending) from its cycle's sorted
+    /// `(label, number)` keys.
+    fn from_cycle(processes: Vec<ProcessId>, keys: &[(Label, u32)]) -> Self {
         let mut rank = vec![[0u32; 3]; processes.len()];
         let sorted = keys
             .iter()
@@ -115,11 +123,11 @@ impl Topology {
                 }
             })
             .collect();
-        Ok(Topology {
+        Topology {
             sorted,
             processes,
             rank,
-        })
+        }
     }
 
     /// The process ids, ascending (whatever order [`Self::build`] was given).
@@ -151,20 +159,64 @@ impl Topology {
         vid: VirtualId,
         node_of: &dyn Fn(VirtualId) -> NodeId,
     ) -> Result<LocalView, TopologyError> {
+        Ok(self.view_at(self.positions_of(vid)?, vid.kind, &node_of).0)
+    }
+
+    /// Every process's three views, in process order (ascending, as
+    /// [`Self::processes`]) and Left/Middle/Right order within one, each with
+    /// whether its node is the anchor — read off the positional index, no
+    /// search.  Ids follow the dense rule, [`crate::node_of`], the only one
+    /// a view can derive its other ids by.
+    pub fn views(&self) -> impl Iterator<Item = [(LocalView, bool); 3]> + '_ {
+        self.rank
+            .iter()
+            .map(|&positions| VKind::ALL.map(|kind| self.view_at(positions, kind, &node_of)))
+    }
+
+    /// The view of the `kind` node of the process whose nodes sit at
+    /// `positions`, and whether that node is the anchor.
+    fn view_at(
+        &self,
+        positions: [u32; 3],
+        kind: VKind,
+        node_of: &impl Fn(VirtualId) -> NodeId,
+    ) -> (LocalView, bool) {
         let info = |position: usize| {
             let n = &self.sorted[position];
             NeighborInfo::new(node_of(n.vid), n.vid, n.label)
         };
-        let positions = self.positions_of(vid)?;
-        let at = positions[vid.kind.index()] as usize;
+        let at = positions[kind.index()] as usize;
         let last = self.sorted.len() - 1;
-        Ok(LocalView::new(
+        let view = LocalView::new(
             info(at),
             self.sorted[positions[VKind::Middle.index()] as usize].label,
             info(if at == 0 { last } else { at - 1 }),
             info(if at == last { 0 } else { at + 1 }),
-        ))
+        );
+        (view, at == 0)
     }
+}
+
+/// Extends the middles' `(label, number)` keys — one per process, a middle
+/// node's number one above its left node's — by their left and right nodes'
+/// keys and sorts all of them into the cycle's order.  Only the middles
+/// take a full sort: halving is monotone, so the left keys laid out in the
+/// middles' order are an ascending run (up to ties of two middles `2k`,
+/// `2k + 1`, which share a half), and the right keys — every one above
+/// every left — continue it.  The standard library's stable sort finds
+/// those runs and merges them; it compares whole keys, so ties come out in
+/// number order.
+fn sort_cycle(keys: &mut Vec<(Label, u32)>) {
+    keys.sort_unstable();
+    let middles = keys.len();
+    for kind in [VKind::Left, VKind::Right] {
+        for i in 0..middles {
+            let (middle, number) = keys[i];
+            let number = number + kind.index() as u32 - 1;
+            keys.push((kind.label_from_middle(middle), number));
+        }
+    }
+    keys.sort();
 }
 
 /// The global view of the cycle and the aggregation tree.  No node ever
@@ -300,7 +352,7 @@ impl Topology {
 mod tests {
     use super::*;
     use crate::routing::{recommended_bit_budget, route_step, RouteAction, RouteProgress};
-    use crate::vnode::{node_of, vid_of};
+    use crate::vnode::vid_of;
     use proptest::prelude::*;
 
     fn pids(n: u64) -> Vec<ProcessId> {
@@ -555,6 +607,17 @@ mod tests {
                 }
             }
         }
+        // The views in process order are the views looked up one by one.
+        let mut in_order = t.views();
+        for &p in t.processes() {
+            let views = in_order.next().expect("three views per process");
+            for (kind, (view, is_anchor)) in VKind::ALL.into_iter().zip(views) {
+                let vid = VirtualId::new(p, kind);
+                assert_eq!(view, t.local_view(vid, &node_of).unwrap());
+                assert_eq!(is_anchor, vid == t.anchor());
+            }
+        }
+        assert!(in_order.next().is_none());
         // The wrap at both ends.
         let first = t.local_view(t.anchor(), &node_of).unwrap();
         let last = t.local_view(t.max_node(), &node_of).unwrap();
@@ -567,6 +630,57 @@ mod tests {
     fn views_of_a_single_process_wrap_around_its_own_three_nodes() {
         for seed in 0..8 {
             assert_views_match_the_oracles(&[ProcessId(seed * 1000)], LabelHasher::new(seed));
+        }
+    }
+
+    /// Every middle's three keys, all of them sorted at once — the cycle
+    /// [`sort_cycle`] must produce from the middles alone.
+    fn every_key_sorted(middles: &[(Label, u32)]) -> Vec<(Label, u32)> {
+        let mut keys = Vec::new();
+        for &(middle, number) in middles {
+            for kind in VKind::ALL {
+                let number = number + kind.index() as u32 - 1;
+                keys.push((kind.label_from_middle(middle), number));
+            }
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The topology as built by sorting all 3n keys: the reference
+    /// [`Topology::build`] is checked against.
+    fn build_by_sorting_every_key(pids: &[ProcessId], hasher: LabelHasher) -> Topology {
+        let mut processes = pids.to_vec();
+        processes.sort_unstable();
+        let middles: Vec<(Label, u32)> = processes
+            .iter()
+            .zip((1..).step_by(3))
+            .map(|(&p, number)| (hasher.process_label(p), number))
+            .collect();
+        Topology::from_cycle(processes, &every_key_sorted(&middles))
+    }
+
+    /// Ties the hasher never produces: two equal middles, middles `2k` and
+    /// `2k + 1` (their left nodes share the label `k`), a middle equal to a
+    /// left label and one equal to a right label — every pair of them
+    /// numbered in both orders.  A merge by label alone orders these ties
+    /// by run instead of by number.
+    #[test]
+    fn cycle_ties_sort_by_number_whatever_the_middles_order() {
+        let k = 0x1234_5678u64;
+        let labels = [2 * k, 2 * k + 1, k, 2 * k, k | 1 << 63].map(Label);
+        for reversed in [false, true] {
+            for rotation in 0..labels.len() {
+                let mut numbers: Vec<u32> = (0..labels.len() as u32).map(|p| 3 * p + 1).collect();
+                if reversed {
+                    numbers.reverse();
+                }
+                numbers.rotate_left(rotation);
+                let middles: Vec<(Label, u32)> = labels.into_iter().zip(numbers).collect();
+                let mut keys = middles.clone();
+                sort_cycle(&mut keys);
+                assert_eq!(keys, every_key_sorted(&middles), "middles {middles:?}");
+            }
         }
     }
 
@@ -699,6 +813,28 @@ mod tests {
                 }
             }
             assert_views_match_the_oracles(&pids, LabelHasher::new(seed));
+        }
+
+        #[test]
+        fn prop_build_equals_sorting_every_key(
+            raw in proptest::collection::vec(any::<u64>(), 1..601),
+            spread in 0u32..64,
+            seed in any::<u64>(),
+        ) {
+            // `spread` 0 leaves the ids sparse up to u64::MAX - 1, near 64
+            // squeezes them into a dense handful; the draws arrive unsorted.
+            let mut seen = std::collections::HashSet::new();
+            let pids: Vec<ProcessId> = raw
+                .into_iter()
+                .map(|r| ProcessId((r >> spread).min(u64::MAX - 1)))
+                .filter(|&p| seen.insert(p))
+                .collect();
+            let hasher = LabelHasher::new(seed);
+            let built = Topology::build(&pids, hasher).unwrap();
+            let reference = build_by_sorting_every_key(&pids, hasher);
+            prop_assert_eq!(&built.sorted, &reference.sorted);
+            prop_assert_eq!(&built.rank, &reference.rank);
+            prop_assert_eq!(&built.processes, &reference.processes);
         }
 
         #[test]
