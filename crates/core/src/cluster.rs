@@ -1205,7 +1205,7 @@ mod tests {
         cluster.run_until_all_complete(5_000).unwrap();
         let mut storing = 0;
         for (id, node) in cluster.nodes() {
-            let stores = node.requests().is_some_and(|r| !r.store.is_vacant());
+            let stores = node.requests().is_some_and(|r| !r.store().is_vacant());
             assert_eq!(
                 node.waves.is_some(),
                 stores,
@@ -1554,7 +1554,7 @@ mod tests {
             for entry in node
                 .requests()
                 .into_iter()
-                .flat_map(|r| r.store.iter_entries())
+                .flat_map(|r| r.store().iter_entries())
             {
                 assert_eq!(
                     map.shard_of_position(entry.position),

@@ -28,9 +28,9 @@
 //!
 //! A node's own membership state is one inline [`Lifecycle`] of at most
 //! 3 bytes; its leave request is a [`Leave`] inside it.  A draining node's
-//! absorber is kept in the node's cold box (`node::Cold`), which it holds
-//! from then on; everything else a node keeps for membership is there too,
-//! and only while it is outstanding.
+//! absorber is kept in the node's cold box (`node::work::Cold`), which it
+//! holds from then on; everything else a node keeps for membership is there
+//! too, and only while it is outstanding.
 //!
 //! | state | event | next state | sent |
 //! |---|---|---|---|
@@ -84,8 +84,8 @@
 
 use crate::anchor::AnchorState;
 use crate::batch::Batch;
-use crate::messages::{AbsorbPayload, DhtOp, DhtReplyItem, JoinHandover, RoutedDhtOp, SkueueMsg};
-use crate::node::{Cold, LaneKind, Requests, SkueueNode};
+use crate::messages::{AbsorbPayload, DhtOp, JoinHandover, RoutedDhtOp, SkueueMsg};
+use crate::node::{Cold, LaneKind, SkueueNode};
 use skueue_dht::{Payload, PendingGet, StoredEntry};
 use skueue_overlay::{route_step, Label, NeighborInfo, RouteAction, RouteProgress};
 use skueue_sim::actor::Context;
@@ -396,10 +396,9 @@ impl<T: Payload> SkueueNode<T> {
     /// that brings it no further update phase.
     pub(crate) fn membership_timeout(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         self.maybe_complete_deferred_absorb(ctx);
-        let drained = |r: &Requests<T>| r.own_log.is_empty() && r.outstanding_gets.is_empty();
         let granting = |m: &Membership<T>| m.duties.iter().any(|d| d.is_open() && d.is_leaver());
         if self.leave() == Leave::Wanted
-            && self.requests().is_none_or(drained)
+            && self.open_requests() == 0
             && !self.membership().is_some_and(granting)
             && !self.is_anchor_node()
         {
@@ -574,8 +573,8 @@ impl<T: Payload> SkueueNode<T> {
         let hasher = self.cfg.hasher();
         for link in chain.windows(3) {
             let (pred, joiner, succ) = (link[0], link[1], link[2]);
-            let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
             let key = |position| hasher.position_key(position);
+            let store = self.store_mut();
             let (entries, pending) = store.extract_range_with_keys(joiner.label, succ.label, key);
             let handover = Box::new(JoinHandover {
                 pred,
@@ -612,13 +611,8 @@ impl<T: Payload> SkueueNode<T> {
             leave: self.leave(),
             resumed: false,
         };
-        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
-        for satisfied in store.absorb(handover.entries, handover.pending) {
-            let reply = DhtReplyItem {
-                request: satisfied.get.request,
-                entry: satisfied.entry,
-            };
-            Self::stage(&mut self.lanes, satisfied.get.requester, reply, ctx);
+        for satisfied in self.store_mut().absorb(handover.entries, handover.pending) {
+            Self::reply_to(&mut self.lanes, satisfied, ctx);
         }
         // The join is over: forget what was kept for it, and re-route the
         // DHT operations that arrived while we were not yet part of the
@@ -685,11 +679,10 @@ impl<T: Payload> SkueueNode<T> {
     /// its own has been served (it has no slot a later `Serve` could still
     /// address) and (b) it has discharged its own update-phase duties (sent
     /// its `UpdateAck`).  The update phase's wave draining (see
-    /// `SkueueNode::try_drain_wave`) guarantees in-flight waves keep moving
+    /// `SkueueNode::try_send_batch`) guarantees in-flight waves keep moving
     /// even below suspended ancestors, so deferring is always temporary.
     pub(crate) fn ready_to_be_absorbed(&self) -> bool {
-        self.waves.as_deref().is_none_or(|w| w.memo.waves == 0)
-            && self.update().map(|u| u.acked).unwrap_or(true)
+        self.waves_in_flight() == 0 && self.update().map(|u| u.acked).unwrap_or(true)
     }
 
     fn handle_absorb_request(&mut self, from: NodeId, ctx: &mut Context<SkueueMsg<T>>) {
@@ -717,13 +710,13 @@ impl<T: Payload> SkueueNode<T> {
         // clones; the store is left empty for the draining role.
         let (entries, pending) = self
             .requests_mut()
-            .map(|r| r.store.take_all())
+            .map(|r| r.store_mut().take_all())
             .unwrap_or_default();
         let children = self.lanes.of(LaneKind::Child);
         let child_batches = self
             .waves
             .as_deref_mut()
-            .map(|w| w.child_batches.drain_all(&children))
+            .map(|w| w.drain_child_batches(&children))
             .unwrap_or_default();
         // Joiners this node was responsible for but never integrated (their
         // announcement can race the leave) move to the absorber wholesale,
@@ -757,15 +750,13 @@ impl<T: Payload> SkueueNode<T> {
         if count > 0 {
             ctx.send(from, SkueueMsg::ChurnHandover { count });
         }
-        if !self.cfg.trace_level.is_off() {
-            let (process, round) = (self.process().0, ctx.round());
-            ctx.trace(self.shard, TraceEvent::Absorbed { process, round });
-        }
+        let process = self.process().0;
+        self.trace(ctx, |round| TraceEvent::Absorbed { process, round });
         self.announce_sibling_status(false, ctx);
         self.lifecycle = Lifecycle::Draining {
             resumed: self.resumed(),
         };
-        Cold::of(&mut self.cold).absorber = Some(from);
+        Cold::of(&mut self.cold).drain_into(from);
     }
 
     fn handle_absorb_data(
@@ -863,13 +854,8 @@ impl<T: Payload> SkueueNode<T> {
         let (pending, rerouted): (Vec<_>, Vec<_>) = pending
             .into_iter()
             .partition(|&(position, _)| view.is_responsible_for(hasher.position_key(position)));
-        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
-        for satisfied in store.absorb(entries, pending) {
-            let reply = DhtReplyItem {
-                request: satisfied.get.request,
-                entry: satisfied.entry,
-            };
-            Self::stage(&mut self.lanes, satisfied.get.requester, reply, ctx);
+        for satisfied in self.store_mut().absorb(entries, pending) {
+            Self::reply_to(&mut self.lanes, satisfied, ctx);
         }
         for entry in moved {
             let progress = RouteProgress::linear_only(entry.key);
@@ -918,10 +904,7 @@ impl<T: Payload> SkueueNode<T> {
             );
             self.last_update_phase = phase;
         }
-        if !self.cfg.trace_level.is_off() {
-            let round = ctx.round();
-            ctx.trace(self.shard, TraceEvent::PhaseEnter { phase, round });
-        }
+        self.trace(ctx, |round| TraceEvent::PhaseEnter { phase, round });
         let awaiting_child_acks = self.tree_children().to_vec();
         // Flag the children *before* integrating joiners or splicing the
         // cycle, so the flagged set matches the awaited set.
@@ -1012,10 +995,7 @@ impl<T: Payload> SkueueNode<T> {
             *resumed = true;
         }
         if participating {
-            if !self.cfg.trace_level.is_off() {
-                let round = ctx.round();
-                ctx.trace(self.shard, TraceEvent::PhaseOver { phase, round });
-            }
+            self.trace(ctx, |round| TraceEvent::PhaseOver { phase, round });
             for child in self.tree_children() {
                 ctx.send(child, SkueueMsg::UpdateOver { phase });
             }
@@ -1401,8 +1381,8 @@ mod tests {
         });
         assert_eq!(sent, []);
         assert_eq!(receiver.anchor_state(), Some(&state));
-        let cold = receiver.cold.as_deref().expect("the anchor keeps its box");
-        assert!(cold.membership.is_none() && cold.absorber.is_none());
+        assert!(receiver.cold.is_some(), "the anchor keeps its box");
+        assert!(receiver.membership().is_none() && receiver.absorber().is_none());
     }
 
     /// A draining node finds its absorber in its cold box, which it keeps:

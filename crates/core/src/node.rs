@@ -9,22 +9,42 @@
 //!   operations in the working batch `W`, wait until all aggregation-tree
 //!   children have contributed their sub-batches, combine everything into
 //!   `B`, remember the combination order, and forward `B` to the parent.
+//!   [`SkueueNode::generate_op`] (with the stack's local combining,
+//!   [`SkueueNode::reanchor_pairs`]), [`SkueueNode::queue_child_batch`],
+//!   [`SkueueNode::try_send_batch`] and [`SkueueNode::open_wave`].
 //! * **Stage 2** (`ASSIGN`): only at the anchor — hand out position
 //!   intervals, order values and tickets from the `[first, last]` window.
+//!   The anchor's branch of [`SkueueNode::open_wave`], which calls
+//!   [`AnchorState::assign_wave`].
 //! * **Stage 3** (`SERVE`): split the received assignments back among the
 //!   remembered sub-batches and forward them to the children; resolve the
-//!   node's own requests.
+//!   node's own requests.  [`SkueueNode::handle_serve`],
+//!   [`SkueueNode::apply_serve`], [`SkueueNode::serve_sources`],
+//!   [`SkueueNode::resolve_own`] and [`SkueueNode::note_order_assigned`].
 //! * **Stage 4**: issue `PUT`/`GET` operations into the DHT, routed over the
 //!   LDB; record request completions for the history.
+//!   [`SkueueNode::issue_put`], [`SkueueNode::issue_get`] (both through
+//!   [`SkueueNode::issue_dht`]), [`SkueueNode::dispatch_dht`],
+//!   [`SkueueNode::apply_dht`], [`SkueueNode::store_entry`],
+//!   [`SkueueNode::reply_to`], [`SkueueNode::handle_dht_reply`],
+//!   [`SkueueNode::stage`], [`SkueueNode::flush_dht_buffers`] and
+//!   [`SkueueNode::complete`].
+//!
+//! What the stages keep between visits sits in three modules, each behind
+//! its own calls: the first-contact order of a node's peers in
+//! [`lane_order`], the combination order of its waves in flight in
+//! [`wave_memo`], and the two halves of its work, its role state and its
+//! one-bit states in [`work`].  Each module doc has its layout.
 //!
 //! # Pipelined waves
 //!
 //! Stage 1 is *pipelined*: instead of a single implicit in-flight wave, a
-//! node keeps one ring of `u32` words (a `WaveMemo`) that memorises how each
-//! of its per-node wave epochs in flight was combined, so it can combine
-//! and forward wave `k+1` while wave `k`'s assignments (and the DHT
-//! operations they trigger) are still in flight — the overlapping-phases
-//! idea of Skeap/Seap applied to Skueue's aggregation tree.  Epochs travel
+//! node keeps one ring of `u32` words (a [`WaveMemo`](wave_memo::WaveMemo))
+//! that memorises how each of its per-node wave epochs in flight was
+//! combined, so it can combine and forward wave `k+1` while wave `k`'s
+//! assignments (and the DHT operations they trigger) are still in flight —
+//! the overlapping-phases idea of Skeap/Seap applied to Skueue's
+//! aggregation tree.  Epochs travel
 //! in `Aggregate` and are echoed back in `Serve`, so a node pairs
 //! assignments with the right wave even when serves are reordered by
 //! asynchronous delivery; an `AggregateAck` credit keeps at most one
@@ -43,14 +63,19 @@
 //! targets — therefore cost one message, which is exactly the aggregation
 //! along shared routes the paper's congestion bound builds on.
 
+mod lane_order;
+mod wave_memo;
+mod work;
+
 use crate::anchor::{AnchorState, RunAssignment};
 use crate::batch::{Batch, BatchOp};
 use crate::config::{Mode, ProtocolConfig};
-use crate::join_leave::{Duty, DutyKind, Leave, Lifecycle, Membership, Report, Step, UpdatePhase};
+use crate::join_leave::{Duty, DutyKind, Leave, Lifecycle, Report, Step, UpdatePhase};
 use crate::messages::{DhtOp, DhtReplyItem, PutMeta, RoutedDhtOp, SkueueMsg};
-use skueue_dht::{Element, GetOutcome, NodeStore, Payload, StoredEntry};
+pub(crate) use lane_order::{LaneKind, LaneOrder};
+use skueue_dht::{Element, GetOutcome, Payload, SatisfiedGet, StoredEntry};
 use skueue_overlay::{
-    aggregation_child_set, aggregation_parent, route_step, ChildSet, LocalView, RouteAction,
+    aggregation_child_set, aggregation_parent, route_step, ChildSet, Label, LocalView, RouteAction,
     RouteProgress, VKind,
 };
 use skueue_shard::{ShardId, ShardMap};
@@ -58,8 +83,9 @@ use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_trace::{TraceEvent, TraceId, TraceLevel};
 use skueue_verify::{OpKind, OpRecord, OpResult, OrderKey};
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+pub(crate) use work::Cold;
+use work::{Flags, OutstandingGet, Requests, Waves};
 
 /// Minimum number of rounds between two waves opened by the same node:
 /// letting sub-batches that travel towards a shared ancestor land in the
@@ -68,157 +94,6 @@ use std::sync::Arc;
 /// demand-driven waves.  `2` merges adjacent traffic while costing at most
 /// one extra round of latency per level.
 const WAVE_CADENCE: u64 = 2;
-
-/// Metadata remembered for an outstanding `GET` this node issued: the
-/// original request plus the order components the anchor assigned to it,
-/// needed to stamp the completion record when the reply arrives.  Carries no
-/// payload (dequeues have none), so it stays a small `Copy` value for any
-/// payload type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct OutstandingGet {
-    /// Round in which the request was issued.
-    pub(crate) issued_round: u64,
-    /// Anchor-assigned order value `value(op)`.
-    pub(crate) order: u64,
-    /// Epoch of the anchor wave that assigned the order value.
-    pub(crate) wave: u64,
-}
-
-/// A locally generated request that has not been resolved yet.  Only a
-/// middle node issues requests, all of them of its own process, so the log
-/// keeps a request's seq and derives its origin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LocalOp<T = u64> {
-    /// The request's per-origin sequence number.
-    pub seq: u64,
-    /// Enqueue/push or dequeue/pop, kept only for the debug check that the
-    /// log stays in step with the batch's runs.
-    #[cfg(debug_assertions)]
-    pub kind: BatchOp,
-    /// Payload (enqueues only; `T::default()` for dequeues).
-    pub value: T,
-    /// Round in which the request was generated.
-    pub issued_round: u64,
-}
-
-/// Where a sub-batch of a combined wave came from: the per-wave source list
-/// the [`WaveMemo`] ring replaced, kept for the reference model its property
-/// test compares against.
-#[cfg(test)]
-#[derive(Debug, Clone)]
-pub(crate) enum BatchSource {
-    /// The node's own working batch (its own requests).
-    Own(Batch),
-    /// A child's sub-batch, tagged with the child's wave epoch (echoed back
-    /// in the `Serve` so the child can match the assignments to the right
-    /// in-flight wave).
-    Child(NodeId, u64, Batch),
-}
-
-#[cfg(test)]
-impl BatchSource {
-    fn batch(&self) -> &Batch {
-        match self {
-            BatchSource::Own(b) | BatchSource::Child(_, _, b) => b,
-        }
-    }
-}
-
-/// The [`WaveMemo`] child rank that marks the node's own batch.
-const OWN_SOURCE: u32 = u32::MAX;
-
-/// The memorised combination order of every in-flight wave, oldest wave
-/// first, as one ring of words.  A wave is a header word holding its
-/// number of sources, then per source the child's rank in the node's child
-/// lane ([`LaneOrder`] only appends, so a rank names one peer for the
-/// node's life) or [`OWN_SOURCE`], its number of runs, the child's wave
-/// epoch to echo back as two words (low, high; 0 for the node's own) and
-/// its run lengths — all of a sub-batch the Stage 3 decomposition reads.
-/// Waves resolve strictly front-first, so the ring is read off its front
-/// and written at its back, one allocation for any number of waves.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WaveMemo {
-    words: VecDeque<u32>,
-    /// The waves in flight: at most
-    /// [`PIPELINE_DEPTH`](crate::config::PIPELINE_DEPTH) (one for a stack),
-    /// the youngest under epoch [`SkueueNode::next_epoch`].  Its epoch
-    /// follows from its place (a wave is opened only with a new epoch and
-    /// served only at the front), and every wave in flight shares the
-    /// parent in [`Waves::wave_parent`].  The anchor serves its waves as it
-    /// opens them and never counts one here.
-    pub(crate) waves: u32,
-}
-
-impl WaveMemo {
-    /// Writes a new wave's header at the back, with no source yet, and
-    /// returns where it is.
-    fn open(&mut self) -> usize {
-        self.words.push_back(0);
-        self.words.len() - 1
-    }
-
-    /// Memorises one sub-batch of the wave whose header is at `header`:
-    /// `child` is the sender's rank in the child lane, or [`OWN_SOURCE`].
-    fn remember(&mut self, header: usize, child: u32, epoch: u64, batch: &Batch) {
-        self.words[header] += 1;
-        let num_runs = count_u32(batch.num_runs());
-        self.words
-            .extend([child, num_runs, epoch as u32, (epoch >> 32) as u32]);
-        self.words
-            .extend(batch.runs().iter().map(|&len| count_u32(len)));
-    }
-
-    /// The front word, which a served wave still has memorised.
-    fn pop(&mut self) -> u32 {
-        self.words
-            .pop_front()
-            .expect("a wave's sources stay memorised until it is served")
-    }
-
-    /// The front source's child rank, run count and epoch.
-    fn pop_source(&mut self) -> (u32, usize, u64) {
-        let (child, num_runs) = (self.pop(), self.pop() as usize);
-        let low = u64::from(self.pop());
-        let high = u64::from(self.pop());
-        (child, num_runs, high << 32 | low)
-    }
-}
-
-/// A staged batch's first item, with room for three more: most batches
-/// carry one to four, and growing a vector of one costs a reallocation.
-fn lane_of<I>(first: I) -> Vec<I> {
-    let mut items = Vec::with_capacity(4);
-    items.push(first);
-    items
-}
-
-/// A count of runs, sources or a run's operations as the wave state stores
-/// it.
-fn count_u32(count: impl TryInto<u32>) -> u32 {
-    count
-        .try_into()
-        .unwrap_or_else(|_| panic!("a wave counts fewer than 2^32 runs, sources and operations"))
-}
-
-/// A `Serve` that arrived before the serves of older waves (asynchronous
-/// delivery can reorder them); parked until its epoch reaches the front of
-/// the wave ring.
-#[derive(Debug, Clone)]
-pub(crate) struct StashedServe {
-    pub(crate) epoch: u64,
-    pub(crate) runs: Vec<RunAssignment>,
-}
-
-/// The three kinds of peer a node coalesces per: the next hops its routed
-/// DHT operations go to, the requesters its GET replies go to, and the
-/// aggregation-tree children (current and former) its sub-batches come
-/// from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneKind {
-    Route,
-    Reply,
-    Child,
-}
 
 /// What a visit coalesces into one message per peer: routed operations
 /// into a `DhtBatch` per next hop, GET replies into a `DhtReplyBatch` per
@@ -255,683 +130,6 @@ impl<T> Coalesced<T> for DhtReplyItem<T> {
     }
     fn batch(replies: Vec<Self>) -> SkueueMsg<T> {
         SkueueMsg::DhtReplyBatch { replies }
-    }
-}
-
-/// All a node keeps of its coalescing between visits: every peer it has
-/// routed to, replied to or taken a sub-batch from, in first-contact order
-/// per [`LaneKind`].  That order is the send order of a visit's
-/// `DhtBatch`es and `DhtReplyBatch`es and the combination order of a wave's
-/// sub-batches, so it lives as long as the node; what travels in those
-/// lanes does not (a visit's batches are staged in its [`Context`], queued
-/// sub-batches sit in [`Waves`]).  16 B either way: most nodes of a large
-/// system meet one to three peers, which pack into one word; a fourth peer,
-/// or one whose id does not pack, moves the order to a [`LaneSlice`].
-#[derive(Debug, Clone)]
-pub(crate) enum LaneOrder {
-    /// Up to three peers, routes first, as [`Packed`] ids at bits 0, 20 and
-    /// 40, then the ends of the route and the reply list at bits 60 and 62.
-    Inline(u64),
-    /// Four peers or more, or one with an id of [`Packed::VACANT_ID`] or
-    /// above.  Never packed again: a node only meets more peers.
-    Spilled(LaneSlice),
-}
-
-impl Default for LaneOrder {
-    fn default() -> Self {
-        LaneOrder::Inline(Packed::EMPTY)
-    }
-}
-
-/// The peers of one [`LaneKind`] in first-contact order: a copy of the
-/// inline ones, or the spilled slice.
-pub(crate) enum Peers<'a> {
-    /// The first `.1` ids are the peers.
-    Inline([NodeId; Packed::PEERS], usize),
-    Spilled(&'a [NodeId]),
-}
-
-impl std::ops::Deref for Peers<'_> {
-    type Target = [NodeId];
-
-    fn deref(&self) -> &[NodeId] {
-        match self {
-            Peers::Inline(ids, len) => &ids[..*len],
-            Peers::Spilled(peers) => peers,
-        }
-    }
-}
-
-impl LaneOrder {
-    /// The peers of `kind`, in first-contact order, and where they start
-    /// among all the peers.
-    fn locate(&self, kind: LaneKind) -> (Peers<'_>, usize) {
-        match self {
-            LaneOrder::Inline(word) => {
-                let packed = Packed::unpack(*word);
-                let range = packed.range(kind);
-                let mut ids = packed.ids;
-                ids.rotate_left(range.start);
-                (Peers::Inline(ids, range.len()), range.start)
-            }
-            LaneOrder::Spilled(slice) => {
-                let range = slice.range(kind);
-                (Peers::Spilled(&slice.peers()[range.clone()]), range.start)
-            }
-        }
-    }
-
-    /// The peers of `kind`, in first-contact order.
-    pub(crate) fn of(&self, kind: LaneKind) -> Peers<'_> {
-        self.locate(kind).0
-    }
-
-    /// Where `peer` stands among all the peers, if it is one of `kind`:
-    /// routes rank before replies, each in first-contact order.
-    pub(crate) fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
-        let (peers, start) = self.locate(kind);
-        Some(start + peers.iter().position(|&p| p == peer)?)
-    }
-
-    /// Appends `peer` to the peers of `kind` unless it is one already.
-    pub(crate) fn note(&mut self, kind: LaneKind, peer: NodeId) {
-        debug_assert_ne!(peer, VACANT, "no node has the vacant id");
-        let word = match self {
-            LaneOrder::Inline(word) => word,
-            LaneOrder::Spilled(slice) => return slice.note(kind, peer),
-        };
-        let mut packed = Packed::unpack(*word);
-        let range = packed.range(kind);
-        if packed.ids[range.clone()].contains(&peer) {
-            return;
-        }
-        let len = packed.len();
-        if len == Packed::PEERS || peer.0 >= Packed::VACANT_ID {
-            self.spill(packed);
-            return self.note(kind, peer);
-        }
-        packed.ids[range.end..=len].rotate_right(1);
-        packed.ids[range.end] = peer;
-        match kind {
-            LaneKind::Route => {
-                packed.routes += 1;
-                packed.replies += 1;
-            }
-            LaneKind::Reply => packed.replies += 1,
-            LaneKind::Child => {}
-        }
-        *word = packed.pack();
-    }
-
-    /// Moves the `packed` peers to a slice, noting them again in order,
-    /// routes, replies, then children, so each keeps its rank.
-    #[cold]
-    #[inline(never)]
-    fn spill(&mut self, packed: Packed) {
-        let mut slice = LaneSlice::default();
-        for kind in [LaneKind::Route, LaneKind::Reply, LaneKind::Child] {
-            for &peer in &packed.ids[packed.range(kind)] {
-                slice.note(kind, peer);
-            }
-        }
-        *self = LaneOrder::Spilled(slice);
-    }
-}
-
-/// An inline lane order unpacked: its three ids, [`VACANT`] where there is
-/// no peer, and the ends of its route and reply lists.
-#[derive(Debug, Clone, Copy)]
-struct Packed {
-    ids: [NodeId; Packed::PEERS],
-    routes: usize,
-    replies: usize,
-}
-
-impl Packed {
-    /// How many peers pack.
-    const PEERS: usize = 3;
-    /// Bits per packed id.
-    const ID_BITS: u32 = 20;
-    /// The packed vacant id, all ones: every id that packs is below it.
-    const VACANT_ID: u64 = (1 << Self::ID_BITS) - 1;
-    /// No peers: every id vacant, both ends 0.
-    const EMPTY: u64 = (1 << (Self::PEERS as u32 * Self::ID_BITS)) - 1;
-    /// Where the two 2-bit ends start.
-    const ENDS_SHIFT: u32 = Self::PEERS as u32 * Self::ID_BITS;
-
-    fn unpack(word: u64) -> Self {
-        let id = |i: usize| match word >> (i as u32 * Self::ID_BITS) & Self::VACANT_ID {
-            Self::VACANT_ID => VACANT,
-            id => NodeId(id),
-        };
-        let ends = (word >> Self::ENDS_SHIFT) as usize;
-        Packed {
-            ids: std::array::from_fn(id),
-            routes: ends & 3,
-            replies: ends >> 2,
-        }
-    }
-
-    fn pack(&self) -> u64 {
-        let ids = self
-            .ids
-            .iter()
-            .enumerate()
-            .fold(0, |word, (i, &NodeId(id))| {
-                word | id.min(Self::VACANT_ID) << (i as u32 * Self::ID_BITS)
-            });
-        ids | ((self.routes | self.replies << 2) as u64) << Self::ENDS_SHIFT
-    }
-
-    /// How many ids are peers: they fill the ids from the front.
-    fn len(&self) -> usize {
-        self.ids.iter().take_while(|&&p| p != VACANT).count()
-    }
-
-    fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
-        match kind {
-            LaneKind::Route => 0..self.routes,
-            LaneKind::Reply => self.routes..self.replies,
-            LaneKind::Child => self.replies..self.len(),
-        }
-    }
-}
-
-/// A spilled lane order: one boxed slice, 16 B inline, a header word
-/// holding the ends of the route and reply lists (two `u32`s), then the
-/// three lists back to back, routes first, then [`VACANT`] room.  The room
-/// doubles when it is full (4, 8, 16, … peers), as the `Vec` it replaced
-/// did, so a first contact allocates only where that one did.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LaneSlice {
-    /// `[ends, peers…, VACANT…]`; empty only while an order spills.
-    slots: Box<[NodeId]>,
-}
-
-/// What fills a lane order's room beyond its peers: `3p + kind` for no
-/// process the id rule can number.
-const VACANT: NodeId = NodeId(u64::MAX);
-
-impl LaneSlice {
-    /// Room for peers when the first one is noted.
-    const FIRST_ROOM: usize = 4;
-
-    /// The peers, routes first, then their room.
-    fn peers(&self) -> &[NodeId] {
-        self.slots.get(1..).unwrap_or_default()
-    }
-
-    /// The ends of the route and the reply list.
-    fn ends(&self) -> (usize, usize) {
-        let Some(&NodeId(ends)) = self.slots.first() else {
-            return (0, 0);
-        };
-        ((ends as u32) as usize, (ends >> 32) as usize)
-    }
-
-    /// The end of the peers: the child list runs from the end of the
-    /// replies to the first vacant slot.  Searched only for the child list,
-    /// so sending in route and reply order reads the header alone.
-    fn len(&self, replies: usize) -> usize {
-        replies + self.peers()[replies..].partition_point(|&p| p != VACANT)
-    }
-
-    fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
-        let (routes, replies) = self.ends();
-        match kind {
-            LaneKind::Route => 0..routes,
-            LaneKind::Reply => routes..replies,
-            LaneKind::Child => replies..self.len(replies),
-        }
-    }
-
-    /// Appends `peer` to the peers of `kind` unless it is one already.
-    fn note(&mut self, kind: LaneKind, peer: NodeId) {
-        let range = self.range(kind);
-        if self.peers()[range.clone()].contains(&peer) {
-            return;
-        }
-        let (routes, replies) = self.ends();
-        let len = match kind {
-            LaneKind::Child => range.end,
-            _ => self.len(replies),
-        };
-        if len == self.peers().len() {
-            self.grow();
-        }
-        let peers = &mut self.slots[1..];
-        peers.copy_within(range.end..len, range.end + 1);
-        peers[range.end] = peer;
-        let (routes, replies) = match kind {
-            LaneKind::Route => (routes + 1, replies + 1),
-            LaneKind::Reply => (routes, replies + 1),
-            LaneKind::Child => (routes, replies),
-        };
-        let end = |end: usize| {
-            u32::try_from(end).expect("a node meets fewer than 2^32 routes and replies")
-        };
-        self.slots[0] = NodeId(u64::from(end(replies)) << 32 | u64::from(end(routes)));
-    }
-
-    /// Doubles the room for peers, or makes the first: one allocator call
-    /// where the `Vec`'s growth made one.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self) {
-        let room = self.peers().len();
-        let mut slots = std::mem::take(&mut self.slots).into_vec();
-        let grown = if room == 0 {
-            slots.reserve_exact(1 + Self::FIRST_ROOM);
-            slots.push(NodeId(0));
-            Self::FIRST_ROOM
-        } else {
-            slots.reserve_exact(room);
-            2 * room
-        };
-        slots.resize(1 + grown, VACANT);
-        self.slots = slots.into_boxed_slice();
-    }
-}
-
-/// The lane order the boxed slice replaced, one `Vec` and two `u32`
-/// segment ends: the reference its property test compares against.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct VecLaneOrder {
-    peers: Vec<NodeId>,
-    routes: u32,
-    replies: u32,
-}
-
-#[cfg(test)]
-impl VecLaneOrder {
-    fn range(&self, kind: LaneKind) -> std::ops::Range<usize> {
-        let (routes, replies) = (self.routes as usize, self.replies as usize);
-        match kind {
-            LaneKind::Route => 0..routes,
-            LaneKind::Reply => routes..replies,
-            LaneKind::Child => replies..self.peers.len(),
-        }
-    }
-
-    fn of(&self, kind: LaneKind) -> &[NodeId] {
-        &self.peers[self.range(kind)]
-    }
-
-    fn rank(&self, kind: LaneKind, peer: NodeId) -> Option<usize> {
-        let range = self.range(kind);
-        let at = self.peers[range.clone()].iter().position(|&p| p == peer)?;
-        Some(range.start + at)
-    }
-
-    fn note(&mut self, kind: LaneKind, peer: NodeId) {
-        let range = self.range(kind);
-        if self.peers[range.clone()].contains(&peer) {
-            return;
-        }
-        self.peers.insert(range.end, peer);
-        match kind {
-            LaneKind::Route => {
-                self.routes += 1;
-                self.replies += 1;
-            }
-            LaneKind::Reply => self.replies += 1,
-            LaneKind::Child => {}
-        }
-    }
-}
-
-/// Sub-batches received from aggregation-tree children and not yet combined
-/// into a wave, each tagged with the child's wave epoch.  With pipelining a
-/// child may legitimately have several batches queued here; a child's
-/// entries stay in ascending epoch order, and the node's [`LaneOrder`]
-/// orders the children.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ChildBatches(Vec<(NodeId, u64, Batch)>);
-
-impl ChildBatches {
-    /// True when no sub-batch is buffered.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// True when at least one sub-batch from `child` is buffered.
-    pub(crate) fn contains(&self, child: &NodeId) -> bool {
-        self.0.iter().any(|(n, _, _)| n == child)
-    }
-
-    /// Buffers a sub-batch from `child` under its wave `epoch`, keeping the
-    /// child's entries in ascending epoch order.  Arrival order is *almost*
-    /// epoch order (the aggregate credit serialises each channel), but an
-    /// absorb hand-over races the draining parent's forwarded aggregates on
-    /// independently delayed messages — and commit order to the anchor must
-    /// stay epoch (= the child's program) order regardless.  The list grows
-    /// by exactly one entry when full: most nodes queue one sub-batch at a
-    /// time, and a list lives as long as its node's wave half.
-    pub(crate) fn push(&mut self, child: NodeId, epoch: u64, batch: Batch) {
-        let at = self
-            .0
-            .iter()
-            .position(|&(n, e, _)| n == child && e > epoch)
-            .unwrap_or(self.0.len());
-        self.0.reserve_exact(1);
-        self.0.insert(at, (child, epoch, batch));
-    }
-
-    /// Pops the oldest queued sub-batch of every child in `children` (the
-    /// node's children in first-contact order) that has one and hands each
-    /// to `take` as `(the child's rank in children, epoch, sub-batch)`.  At
-    /// most *one* batch per child per wave: run-length batch combination is
-    /// element-wise (run `i` of the combined batch is the concatenation of
-    /// every source's run `i`), so two sub-batches of the same child in one
-    /// wave would interleave that child's operations and invert its program
-    /// order in `≺` — distinct children carry no mutual order constraint,
-    /// consecutive waves of one child do.  Peers beyond the current tree
-    /// children are included on purpose: after an absorb hand-over or a
-    /// re-parenting, batches from former children must still be combined
-    /// and served or their senders' waves in flight would never drain.
-    pub(crate) fn pop_oldest(
-        &mut self,
-        children: &[NodeId],
-        mut take: impl FnMut(usize, u64, Batch),
-    ) {
-        for (rank, &child) in children.iter().enumerate() {
-            if self.0.is_empty() {
-                return;
-            }
-            if let Some(at) = self.0.iter().position(|&(n, _, _)| n == child) {
-                let (_, epoch, batch) = self.0.remove(at);
-                take(rank, epoch, batch);
-            }
-        }
-    }
-
-    /// Drains every buffered `(child, epoch, sub-batch)`, children in the
-    /// order of `children` and each child's in FIFO order (used for the
-    /// leave hand-over).
-    pub(crate) fn drain_all(&mut self, children: &[NodeId]) -> Vec<(NodeId, u64, Batch)> {
-        let rank = |child: &NodeId| children.iter().position(|c| c == child);
-        debug_assert!(self.0.iter().all(|(child, _, _)| rank(child).is_some()));
-        // Stable: each child's entries keep their order.
-        self.0.sort_by_key(|(child, _, _)| rank(child));
-        std::mem::take(&mut self.0)
-    }
-}
-
-/// The stack's local-combining state (Section VI).  Only a node of a stack
-/// deployment that has generated a request holds one.
-#[derive(Debug, Default)]
-pub(crate) struct LocalCombining<T> {
-    /// Ids of the unsent pushes eligible for local matching.  Markers only:
-    /// the payloads stay in `own_log` (the matched push is always its last
-    /// entry), so no payload is ever cloned onto this stack.
-    pub(crate) local_stack: Vec<RequestId>,
-    /// Completed-but-unordered combined pairs, keyed by the seq of the own
-    /// request whose order value they must follow.
-    pub(crate) pairs_by_anchor: HashMap<u64, Vec<OpRecord<T>>>,
-    /// Major order value of this node's most recently ordered own request.
-    pub(crate) last_order_major: u64,
-    /// Minor counter for combined pairs anchored at `last_order_major`.
-    pub(crate) minor_counter: u64,
-}
-
-/// What a node holds only in a role few nodes have at once: the shard's
-/// anchor state, membership bookkeeping while its neighbourhood changes, a
-/// stack node's local combining, and a draining node's absorber.  Every
-/// part is empty on a queue node in a stable neighbourhood, so the node
-/// holds this behind one `Option<Box<_>>` that is `None` there (see
-/// [`SkueueNode::release_idle_cold`]).  The bookkeeping is inline, since an
-/// update phase gives it to every node it reaches; the anchor state and the
-/// combining sit behind pointers of their own, so the box a churning node
-/// holds does not carry their room.
-#[derive(Debug, Default)]
-pub(crate) struct Cold<T> {
-    /// Anchor state, present only at the current shard anchor.
-    pub(crate) anchor: Option<Box<AnchorState>>,
-    /// Join/leave/update-phase bookkeeping (Section IV); `None` while
-    /// membership around this node is stable.
-    pub(crate) membership: Option<Membership<T>>,
-    /// Stack local combining (allocated with the node's first request in a
-    /// stack deployment, never in queue mode).
-    pub(crate) combining: Option<Box<LocalCombining<T>>>,
-    /// Where a draining node forwards every message that is not
-    /// node-local.
-    pub(crate) absorber: Option<NodeId>,
-}
-
-impl<T: Payload> Cold<T> {
-    /// The cold state in `slot`, allocated on first use.  Takes the node's
-    /// field rather than the node, so a caller keeps its borrows of the
-    /// node's other fields.
-    pub(crate) fn of(slot: &mut Option<Box<Cold<T>>>) -> &mut Self {
-        slot.get_or_insert_with(Box::default)
-    }
-
-    /// The membership bookkeeping in `slot`, if any is outstanding.
-    pub(crate) fn membership(slot: &mut Option<Box<Cold<T>>>) -> Option<&mut Membership<T>> {
-        slot.as_deref_mut()?.membership.as_mut()
-    }
-
-    /// The stack's local combining in `slot`, if the node has one.
-    fn combining(slot: &mut Option<Box<Cold<T>>>) -> Option<&mut LocalCombining<T>> {
-        slot.as_deref_mut()?.combining.as_deref_mut()
-    }
-
-    /// True when every part is empty.  Destructured without `..` so a new
-    /// part cannot be forgotten here.
-    fn is_idle(&self) -> bool {
-        let Cold {
-            anchor,
-            membership,
-            combining,
-            absorber,
-        } = self;
-        anchor.is_none() && membership.is_none() && combining.is_none() && absorber.is_none()
-    }
-}
-
-/// A node's one-bit states in one byte: bit [`VKind::index`] is set while
-/// that sibling of the emulating process is an integrated member (a node
-/// only treats integrated siblings as aggregation-tree children), and
-/// [`Flags::UNACKED`] while the node's most recent `Aggregate` has not
-/// been confirmed by its parent (at most one per channel keeps commits in
-/// epoch order).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Flags(u8);
-
-impl Flags {
-    const UNACKED: u8 = 1 << 3;
-
-    /// Every sibling integrated, nothing unconfirmed: a member of the
-    /// initial topology.
-    const MEMBER: Flags = Flags(0b111);
-
-    /// No sibling integrated yet: siblings of a joining process integrate
-    /// one by one, each announcing itself via `SiblingStatus`.
-    const JOINING: Flags = Flags(0);
-
-    fn set(&mut self, bit: u8, on: bool) {
-        self.0 = if on { self.0 | bit } else { self.0 & !bit };
-    }
-
-    pub(crate) fn sibling_integrated(self, kind: VKind) -> bool {
-        self.0 & 1 << kind.index() != 0
-    }
-
-    pub(crate) fn set_sibling_integrated(&mut self, kind: VKind, active: bool) {
-        self.set(1 << kind.index(), active);
-    }
-
-    pub(crate) fn aggregate_unacked(self) -> bool {
-        self.0 & Self::UNACKED != 0
-    }
-
-    pub(crate) fn set_aggregate_unacked(&mut self, unacked: bool) {
-        self.set(Self::UNACKED, unacked);
-    }
-}
-
-/// The wave half of a node's work: the sub-batches it combines and the
-/// waves it has forwarded, which is all a node that only relays its
-/// children's sub-batches keeps.  Every field is empty whenever the node has
-/// no wave in flight, nothing queued and no request half, so the node holds
-/// this behind an `Option<Box<_>>` that is `None` while it is idle (see
-/// [`SkueueNode::release_idle_work`]).  The request half sits behind a
-/// second pointer inside it, so the node's own slot carries one pointer for
-/// both.
-#[derive(Debug)]
-pub(crate) struct Waves<T> {
-    /// Sub-batches from children not yet combined.
-    pub(crate) child_batches: ChildBatches,
-    /// The parent the youngest wave was sent to, and so, while any wave is
-    /// in flight, the parent of every one: a new wave is held back while the
-    /// waves in flight point at a different parent, so re-parenting can
-    /// never reorder a node's waves at the anchor.
-    pub(crate) wave_parent: Option<NodeId>,
-    /// The in-flight waves, oldest first, with the memorised combination
-    /// order of each.
-    pub(crate) memo: WaveMemo,
-    /// Serves that arrived ahead of older waves (asynchronous reordering).
-    pub(crate) serve_stash: Vec<StashedServe>,
-    /// The request half; `None` on a node with no request and no stored
-    /// element.
-    pub(crate) requests: Option<Box<Requests<T>>>,
-}
-
-impl<T> Waves<T> {
-    /// The wave half in `slot`, allocated on first use.  Takes the node's
-    /// field rather than the node, so a caller keeps its borrows of the
-    /// node's other fields.
-    #[inline]
-    pub(crate) fn of(slot: &mut Option<Box<Waves<T>>>) -> &mut Self {
-        match slot {
-            Some(waves) => waves,
-            None => Self::allocate(slot),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn allocate(slot: &mut Option<Box<Waves<T>>>) -> &mut Self {
-        slot.insert(Box::new(Waves {
-            child_batches: ChildBatches::default(),
-            wave_parent: None,
-            memo: WaveMemo::default(),
-            serve_stash: Vec::new(),
-            requests: None,
-        }))
-    }
-
-    /// True when every field is empty.  Destructured without `..` so a new
-    /// field cannot be forgotten here; the fields a busy node most often
-    /// holds come first.
-    fn is_idle(&self) -> bool {
-        let Waves {
-            memo,
-            requests,
-            child_batches,
-            // Read only while a wave is in flight.
-            wave_parent: _,
-            serve_stash,
-        } = self;
-        memo.waves == 0
-            && requests.is_none()
-            && child_batches.is_empty()
-            && memo.words.is_empty()
-            && serve_stash.is_empty()
-    }
-}
-
-/// The request half of a node's work: its own requests from issue to
-/// completion and its DHT partition.  Only a process's middle node issues
-/// requests, so a left or right node holds this only while it stores an
-/// element or parks a GET.  Every field is empty whenever the node has
-/// none of them, and the half is then dropped by itself (see
-/// [`SkueueNode::release_idle_work`]).  A finished request leaves no trace
-/// here: its record is reported to the host through the [`Context`] (see
-/// [`SkueueNode::complete`]), like everything else a node reports.
-#[derive(Debug)]
-pub(crate) struct Requests<T> {
-    // --- Stage 1 ------------------------------------------------------------
-    pub(crate) own_batch: Batch,
-    pub(crate) own_log: Vec<LocalOp<T>>,
-
-    // --- Stage 4 ------------------------------------------------------------
-    pub(crate) store: NodeStore<T>,
-    /// The node's GETs in flight by seq, ascending: a node issues its GETs
-    /// in log (= seq) order, so each is appended.
-    pub(crate) outstanding_gets: Vec<(u64, OutstandingGet)>,
-    pub(crate) outstanding_dht: u64,
-}
-
-impl<T: Payload> Requests<T> {
-    /// The request half inside the wave half in `slot`, each allocated on
-    /// first use.  Takes the node's two fields it needs rather than the
-    /// node, so a caller keeps its borrows of the node's other fields.
-    #[inline]
-    pub(crate) fn of<'a>(
-        slot: &'a mut Option<Box<Waves<T>>>,
-        cfg: &ProtocolConfig,
-    ) -> &'a mut Self {
-        let requests = &mut Waves::of(slot).requests;
-        match requests {
-            Some(requests) => requests,
-            None => Self::allocate(requests, cfg),
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn allocate<'a>(slot: &'a mut Option<Box<Requests<T>>>, cfg: &ProtocolConfig) -> &'a mut Self {
-        slot.insert(Box::new(Requests {
-            own_batch: SkueueNode::<T>::fresh_batch(cfg),
-            own_log: Vec::new(),
-            store: NodeStore::new(),
-            outstanding_gets: Vec::new(),
-            outstanding_dht: 0,
-        }))
-    }
-
-    /// True when every field is empty.  Destructured without `..` so a new
-    /// field cannot be forgotten here; the fields a busy node most often
-    /// holds come first.
-    fn is_idle(&self) -> bool {
-        let Requests {
-            own_batch,
-            own_log,
-            store,
-            outstanding_gets,
-            outstanding_dht,
-        } = self;
-        store.is_vacant()
-            && own_log.is_empty()
-            && outstanding_gets.is_empty()
-            && *outstanding_dht == 0
-            && own_batch.has_no_ops()
-    }
-
-    /// Remembers the GET of the node's request `seq` until its reply.
-    fn note_outstanding_get(&mut self, seq: u64, get: OutstandingGet) {
-        let gets = &mut self.outstanding_gets;
-        let at = gets.partition_point(|&(s, _)| s < seq);
-        debug_assert!(gets.get(at).is_none_or(|&(s, _)| s != seq));
-        gets.insert(at, (seq, get));
-    }
-
-    /// Takes the outstanding GET a reply for `request` answers: one of the
-    /// node's own, whose process is `origin`.  `None` for a request of
-    /// another origin or one the node does not (or no longer) wait for.
-    fn take_outstanding_get(
-        &mut self,
-        origin: ProcessId,
-        request: RequestId,
-    ) -> Option<OutstandingGet> {
-        if request.origin != origin {
-            return None;
-        }
-        let gets = &mut self.outstanding_gets;
-        let at = gets.binary_search_by_key(&request.seq, |&(s, _)| s).ok()?;
-        Some(gets.remove(at).1)
     }
 }
 
@@ -994,8 +192,8 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) lanes: LaneOrder,
 
     /// Waves in flight and queued sub-batches, and behind a second pointer
-    /// requests, stored elements and uncollected completions; `None` while
-    /// the node has none of them.
+    /// unresolved requests, GETs in flight and stored elements; `None`
+    /// while the node has none of them.
     pub(crate) waves: Option<Box<Waves<T>>>,
 
     /// The anchor state, membership bookkeeping, stack combining and a
@@ -1067,19 +265,6 @@ impl<T: Payload> SkueueNode<T> {
         ShardMap::new(self.cfg.effective_shards() as u32, self.cfg.hash_seed)
     }
 
-    /// The membership bookkeeping, if any is outstanding.
-    pub(crate) fn membership(&self) -> Option<&Membership<T>> {
-        self.cold.as_deref()?.membership.as_ref()
-    }
-
-    /// The membership bookkeeping, allocated on first use (dropped again by
-    /// [`Self::release_idle_cold`] once nothing is outstanding).
-    pub(crate) fn membership_mut(&mut self) -> &mut Membership<T> {
-        Cold::of(&mut self.cold)
-            .membership
-            .get_or_insert_with(Membership::default)
-    }
-
     /// The ongoing update phase at this node, if any.
     pub(crate) fn update(&self) -> Option<&UpdatePhase> {
         self.membership()?.update.as_ref()
@@ -1088,58 +273,6 @@ impl<T: Payload> SkueueNode<T> {
     /// Mutable form of [`Self::update`].
     pub(crate) fn update_mut(&mut self) -> Option<&mut UpdatePhase> {
         Cold::membership(&mut self.cold)?.update.as_mut()
-    }
-
-    /// The node a draining node forwards to.
-    pub(crate) fn absorber(&self) -> Option<NodeId> {
-        self.cold.as_deref()?.absorber
-    }
-
-    /// Forgets discharged duties, drops the membership bookkeeping once
-    /// nothing is outstanding and the cold box once every part of it is
-    /// empty, so a queue node in a stable neighbourhood carries none
-    /// (checked at the end of every visit step; one branch while it is
-    /// already gone).
-    fn release_idle_cold(&mut self) {
-        let Some(cold) = self.cold.as_deref_mut() else {
-            return;
-        };
-        if let Some(m) = cold.membership.as_mut() {
-            m.duties.retain(|d| !d.is_discharged());
-            if m.is_idle() {
-                cold.membership = None;
-            }
-        }
-        if cold.is_idle() {
-            self.cold = None;
-        }
-    }
-
-    /// The request half, if the node holds one.
-    pub(crate) fn requests(&self) -> Option<&Requests<T>> {
-        self.waves.as_deref()?.requests.as_deref()
-    }
-
-    /// Mutable form of [`Self::requests`]; allocates nothing.
-    pub(crate) fn requests_mut(&mut self) -> Option<&mut Requests<T>> {
-        self.waves.as_deref_mut()?.requests.as_deref_mut()
-    }
-
-    /// Drops each half of the work state once the node holds nothing in it,
-    /// the request half first: an idle node carries none, a node that only
-    /// relays carries no request half, and a burst's buffers go back with
-    /// the boxes (checked at the end of every visit and of a request that
-    /// local combining finished at once).
-    fn release_idle_work(&mut self) {
-        let Some(waves) = self.waves.as_deref_mut() else {
-            return;
-        };
-        if waves.requests.as_deref().is_some_and(Requests::is_idle) {
-            waves.requests = None;
-        }
-        if waves.is_idle() {
-            self.waves = None;
-        }
     }
 
     // ---------------------------------------------------------------------
@@ -1172,16 +305,6 @@ impl<T: Payload> SkueueNode<T> {
         self.shard
     }
 
-    /// The anchor state, if this node is the anchor.
-    pub(crate) fn anchor_state(&self) -> Option<&AnchorState> {
-        self.cold.as_deref()?.anchor.as_deref()
-    }
-
-    /// Number of elements stored in this node's DHT partition.
-    pub(crate) fn stored_elements(&self) -> usize {
-        self.requests().map_or(0, |r| r.store.len())
-    }
-
     /// Finishes a request: reports its history record to the host and,
     /// when tracing, its `Completed` instant.  Every completion site calls
     /// this — the applied PUT, the GET's reply, the ⊥ dequeue and the
@@ -1201,18 +324,24 @@ impl<T: Payload> SkueueNode<T> {
         ctx.report(record);
     }
 
+    /// Records the event `event` makes of the visit's round, when tracing
+    /// is on (the event is built only then).
+    #[inline]
+    pub(crate) fn trace(
+        &self,
+        ctx: &mut Context<SkueueMsg<T>>,
+        event: impl FnOnce(u64) -> TraceEvent,
+    ) {
+        if !self.cfg.trace_level.is_off() {
+            let round = ctx.round();
+            ctx.trace(self.shard, event(round));
+        }
+    }
+
     /// The trace identity of a request: origin process and per-origin seq.
     #[inline]
     fn tid(id: RequestId) -> TraceId {
         TraceId::new(id.origin.0, id.seq)
-    }
-
-    /// Number of this node's requests still unserved (in its log, waiting
-    /// for their wave's assignment) plus its GETs in flight.  An enqueue
-    /// whose PUT is still routing is open but not counted here.
-    pub fn open_requests(&self) -> usize {
-        self.requests()
-            .map_or(0, |r| r.own_log.len() + r.outstanding_gets.len())
     }
 
     // ---------------------------------------------------------------------
@@ -1230,60 +359,21 @@ impl<T: Payload> SkueueNode<T> {
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         debug_assert!(self.is_integrated(), "only active nodes generate requests");
+        let (op, insert) = (Self::tid(id), kind == BatchOp::Enqueue);
+        self.trace(ctx, |round| TraceEvent::Issued { op, insert, round });
         let round = ctx.round();
-        if !self.cfg.trace_level.is_off() {
-            ctx.trace(
-                self.shard,
-                TraceEvent::Issued {
-                    op: Self::tid(id),
-                    insert: kind == BatchOp::Enqueue,
-                    round,
-                },
-            );
-        }
-        let op = LocalOp {
-            seq: id.seq,
-            #[cfg(debug_assertions)]
-            kind,
-            value,
-            issued_round: round,
-        };
-
         let requests = Requests::of(&mut self.waves, &self.cfg);
         if self.cfg.is_stack() {
-            let combining = Cold::of(&mut self.cold)
-                .combining
-                .get_or_insert_with(Box::default);
+            let combining = Cold::of(&mut self.cold).combining_mut();
             match kind {
-                BatchOp::Enqueue => combining.local_stack.push(id),
+                BatchOp::Enqueue => combining.note_push(id),
                 BatchOp::Dequeue => {
-                    if let Some(push_id) = combining.local_stack.pop() {
-                        // The matched push is necessarily the most recently
-                        // issued unsent operation: undo its batching and
-                        // complete both requests immediately (Section VI).
-                        let push = requests.own_log.pop().expect("push must still be unsent");
-                        debug_assert_eq!(push.seq, push_id.seq);
-                        // The matched push was issued after the last wave
-                        // opened (`local_stack` only holds unsent pushes), so
-                        // it leaves the working batch along with the log.
-                        requests.own_batch.pop_last_op();
+                    // A pop matched with an unsent push completes both
+                    // requests immediately (Section VI).
+                    if let Some(records) = combining.match_pop(requests, id, round) {
                         ctx.observe(series::LOCALLY_COMBINED, 2);
-                        // Pairs that were anchored to the removed push must be
-                        // re-anchored together with the new pair (the push
-                        // will never receive an anchor order value of its
-                        // own).  The push precedes and the pop follows every
-                        // record in the removed bucket, so placing them at
-                        // the ends keeps the whole list in issue (= seq)
-                        // order without re-sorting.
-                        let mut records = combining
-                            .pairs_by_anchor
-                            .remove(&push.seq)
-                            .unwrap_or_default();
-                        let [push_rec, pop_rec] = self.make_combined_pair(push, op, round);
-                        records.insert(0, push_rec);
-                        records.push(pop_rec);
                         self.reanchor_pairs(records, ctx);
-                        self.release_idle_work();
+                        Waves::release_idle(&mut self.waves);
                         return;
                     }
                     // No unsent push available: the pop becomes part of the
@@ -1291,44 +381,7 @@ impl<T: Payload> SkueueNode<T> {
                 }
             }
         }
-
-        requests.own_log.push(op);
-        requests.own_batch.push_op(kind);
-    }
-
-    /// Builds the completion records of a locally combined push/pop pair.
-    /// The order keys are placeholders; [`Self::reanchor_pairs`] (directly or
-    /// via [`Self::note_order_assigned`]) fills in the final keys so that the
-    /// pair ends up adjacent in `≺`, right after the issuing process's most
-    /// recent anchor-ordered request.
-    fn make_combined_pair(
-        &self,
-        push: LocalOp<T>,
-        pop: LocalOp<T>,
-        round: u64,
-    ) -> [OpRecord<T>; 2] {
-        let origin = self.process();
-        let push_id = RequestId::new(origin, push.seq);
-        [
-            OpRecord {
-                id: push_id,
-                kind: OpKind::Enqueue,
-                value: push.value.clone(),
-                result: OpResult::Enqueued,
-                order: OrderKey::local(0, origin, 0),
-                issued_round: push.issued_round,
-                completed_round: round,
-            },
-            OpRecord {
-                id: RequestId::new(origin, pop.seq),
-                kind: OpKind::Dequeue,
-                value: push.value,
-                result: OpResult::Returned(push_id),
-                order: OrderKey::local(0, origin, 0),
-                issued_round: pop.issued_round,
-                completed_round: round,
-            },
-        ]
+        requests.log(id.seq, kind, value, round);
     }
 
     /// Attaches locally combined records to the request whose order value
@@ -1350,22 +403,11 @@ impl<T: Payload> SkueueNode<T> {
         let combining =
             Cold::combining(&mut self.cold).expect("only a combining node re-anchors pairs");
         let requests = Requests::of(&mut self.waves, &self.cfg);
-        if let Some(anchor_op) = requests.own_log.last() {
-            let bucket = combining.pairs_by_anchor.entry(anchor_op.seq).or_default();
-            debug_assert!(
-                match (bucket.last(), records.first()) {
-                    (Some(last), Some(first)) => last.id.seq < first.id.seq,
-                    _ => true,
-                },
-                "re-anchored records must be newer than the bucket's contents"
-            );
-            bucket.extend(records);
+        if let Some(seq) = requests.last_logged_seq() {
+            combining.anchor_at(seq, records);
         } else {
             let origin = self.view.me().vid.process;
-            for mut record in records {
-                combining.minor_counter += 1;
-                record.order =
-                    OrderKey::local(combining.last_order_major, origin, combining.minor_counter);
+            for record in combining.rekey(records, origin) {
                 Self::complete(&self.cfg, self.shard, record, ctx);
             }
         }
@@ -1452,16 +494,13 @@ impl<T: Payload> SkueueNode<T> {
         if self.flags.aggregate_unacked() {
             return false;
         }
-        let Some(waves) = self.waves.as_deref() else {
-            return true;
-        };
-        match parent {
-            Some(_) => {
-                let in_flight = waves.memo.waves as usize;
+        match (self.waves_in_flight() as usize, parent) {
+            (0, _) => true,
+            (_, None) => false,
+            (in_flight, Some(_)) => {
                 in_flight < self.cfg.effective_pipeline_depth()
-                    && (in_flight == 0 || waves.wave_parent == parent)
+                    && self.waves.as_deref().and_then(Waves::wave_parent) == parent
             }
-            None => waves.memo.waves == 0,
         }
     }
 
@@ -1474,32 +513,25 @@ impl<T: Payload> SkueueNode<T> {
     /// per child by wave epoch, so a quiet child's next batch simply rides a
     /// later wave.)
     fn has_wave_work(&self) -> bool {
-        self.requests().is_some_and(|r| !r.own_batch.has_no_ops())
+        self.requests().is_some_and(Requests::has_unsent_ops)
             || self.has_child_batches()
             || self
                 .membership()
                 .is_some_and(|m| m.duties.iter().any(Duty::is_unreported))
     }
 
-    /// True when a sub-batch from any peer is queued.
-    fn has_child_batches(&self) -> bool {
-        self.waves
-            .as_deref()
-            .is_some_and(|w| !w.child_batches.is_empty())
-    }
-
-    /// Queues a sub-batch from `child` under its wave `epoch` for the next
-    /// wave this node opens.
-    pub(crate) fn queue_child_batch(&mut self, child: NodeId, epoch: u64, batch: Batch) {
-        self.lanes.note(LaneKind::Child, child);
-        Waves::of(&mut self.waves)
-            .child_batches
-            .push(child, epoch, batch);
-    }
-
-    /// True when this node must run the *strict* wave lockstep of Section VI
-    /// instead of demand-driven waves: every node contributes a (possibly
-    /// empty) sub-batch to every wave, and a parent combines only when all
+    /// Opens a wave if this node has one to open.  A suspended node (update
+    /// phase) opens *drain* waves only: sub-batches queued from children
+    /// (sent before their senders saw the update flag) are still combined —
+    /// *without* committing this node's own operations — and forwarded, so
+    /// every in-flight wave keeps moving toward the anchor.  Without them, a
+    /// leaver whose younger wave is parked below a suspended ancestor could
+    /// never drain its waves, and the update phase (which waits for the
+    /// leaver's `AbsorbData`) would deadlock.
+    ///
+    /// A stack node runs the *strict* wave lockstep of Section VI instead
+    /// of demand-driven waves: every node contributes a (possibly empty)
+    /// sub-batch to every wave, and a parent combines only when all
     /// children contributed.  Composed with the per-node stage-4 barrier
     /// this yields a global barrier — the anchor cannot assign any wave
     /// `k+1` operation before *every* wave-`k` DHT operation completed —
@@ -1507,52 +539,31 @@ impl<T: Payload> SkueueNode<T> {
     /// a later pop generation's `GET` can steal the element an earlier
     /// generation's still-outstanding `GET` is entitled to on a reused
     /// position.
-    fn strict_waves(&self) -> bool {
-        self.cfg.is_stack()
-    }
-
-    /// True while a DHT operation this node issued is unresolved (counted
-    /// by the stack only: its stage-4 barrier).
-    fn dht_in_flight(&self) -> bool {
-        self.requests().is_some_and(|r| r.outstanding_dht > 0)
-    }
-
     fn try_send_batch(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
         if !self.is_integrated() {
             return;
         }
-        if self.suspended() {
-            // Update phase: new own waves are suspended, but in-flight waves
-            // queued below this node must keep moving (see
-            // [`Self::try_drain_wave`]).
-            self.try_drain_wave(ctx);
-            return;
-        }
-        if self.strict_waves() {
+        let drain = self.suspended();
+        let ready = if drain {
+            self.has_child_batches()
+        } else if self.cfg.is_stack() {
             // Global lockstep: wait for a (possibly empty) sub-batch from
             // every current child before combining.
-            let children = self.tree_children();
-            let queued = |c| {
-                self.waves
-                    .as_deref()
-                    .is_some_and(|w| w.child_batches.contains(c))
-            };
-            if !children.iter().all(queued) {
-                return;
-            }
+            self.tree_children().iter().all(|c| self.has_batch_from(c))
         } else {
-            if !self.has_wave_work() {
-                return;
-            }
             // Wave-merging cadence: opening at most one wave every other
             // round lets sub-batches travelling towards the same ancestor
             // land in one combined wave instead of chasing each other one
             // round apart (demand-driven waves otherwise never merge).
-            if self.next_epoch > 0 && ctx.round() < self.last_wave_round + WAVE_CADENCE {
-                return;
-            }
-        }
-        if self.cfg.is_stack() && self.dht_in_flight() {
+            self.has_wave_work()
+                && (self.next_epoch == 0 || ctx.round() >= self.last_wave_round + WAVE_CADENCE)
+        };
+        // The stack's stage-4 barrier, drain waves included: a node (in
+        // particular the anchor) must not commit further waves while its
+        // own DHT operations are unresolved, or a later pop generation
+        // could be assigned against elements an outstanding GET is
+        // entitled to.
+        if !ready || (self.cfg.is_stack() && self.requests().is_some_and(Requests::dht_in_flight)) {
             return;
         }
         let parent = if self.is_anchor_node() {
@@ -1569,39 +580,7 @@ impl<T: Payload> SkueueNode<T> {
         if !self.may_open_wave(parent) {
             return;
         }
-        self.open_wave(parent, false, ctx);
-    }
-
-    /// Update-phase wave draining: while this node is suspended, sub-batches
-    /// queued from children (sent before their senders saw the update flag)
-    /// are still combined — *without* committing this node's own operations —
-    /// and forwarded, so every in-flight wave keeps moving toward the anchor.
-    /// Without this, a leaver whose younger wave is parked below a suspended
-    /// ancestor could never drain its waves, and the update phase (which
-    /// waits for the leaver's `AbsorbData`) would deadlock.
-    fn try_drain_wave(&mut self, ctx: &mut Context<SkueueMsg<T>>) {
-        if !self.has_child_batches() {
-            return;
-        }
-        // The stack's stage-4 barrier applies to drain waves too: a node
-        // (in particular the anchor) must not commit further waves while its
-        // own DHT operations are unresolved, or a later pop generation could
-        // be assigned against elements an outstanding GET is entitled to.
-        if self.cfg.is_stack() && self.dht_in_flight() {
-            return;
-        }
-        let parent = if self.is_anchor_node() {
-            None
-        } else {
-            match self.tree_parent() {
-                Some(p) => Some(p),
-                None => return,
-            }
-        };
-        if !self.may_open_wave(parent) {
-            return;
-        }
-        self.open_wave(parent, true, ctx);
+        self.open_wave(parent, drain, ctx);
     }
 
     /// Combines the current sources into one wave and commits it: as the
@@ -1611,48 +590,29 @@ impl<T: Payload> SkueueNode<T> {
     /// batch and join/leave counters.
     fn open_wave(&mut self, parent: Option<NodeId>, drain: bool, ctx: &mut Context<SkueueMsg<T>>) {
         let detached = parent.is_some() && self.parent_is_absent_sibling();
-        let waves = Waves::of(&mut self.waves);
         let mut own = Self::fresh_batch(&self.cfg);
         if !drain {
-            // Every unsent push is now committed to the aggregation path and
-            // can no longer be combined locally.
             if let Some(combining) = Cold::combining(&mut self.cold) {
-                combining.local_stack.clear();
+                combining.commit();
             }
+            let (tracing, origin, shard) =
+                (!self.cfg.trace_level.is_off(), self.process(), self.shard);
             // A node without a request half has no operation to commit.
-            if let Some(requests) = waves.requests.as_deref_mut() {
-                std::mem::swap(&mut own, &mut requests.own_batch);
-                if !self.cfg.trace_level.is_off() {
-                    // The working batch holds exactly the log's uncommitted
-                    // suffix: the ops that join a wave now.
-                    let committed = requests.own_log.len() - own.total_ops() as usize;
-                    let (origin, round) = (self.view.me().vid.process, ctx.round());
-                    for op in &requests.own_log[committed..] {
-                        let op = Self::tid(RequestId::new(origin, op.seq));
-                        ctx.trace(self.shard, TraceEvent::WaveJoin { op, round });
+            if let Some(requests) = self.requests_mut() {
+                let joining = requests.commit(&mut own);
+                if tracing {
+                    let round = ctx.round();
+                    for seq in joining {
+                        let op = Self::tid(RequestId::new(origin, seq));
+                        ctx.trace(shard, TraceEvent::WaveJoin { op, round });
                     }
                 }
             }
         }
 
         // Combine own batch + queued children sub-batches in a fixed order.
-        // Each sub-batch leaves its run lengths at the back of the memo
-        // (all the Stage 3 decomposition reads of it) and is dropped right
-        // here; the own batch becomes the combined one.  An own batch
-        // without runs would take no share of any run: it is not memorised.
-        let memo = &mut waves.memo;
-        let header = memo.open();
-        if own.num_runs() > 0 {
-            memo.remember(header, OWN_SOURCE, 0, &own);
-        }
-        let mut combined = own;
         let children = self.lanes.of(LaneKind::Child);
-        waves
-            .child_batches
-            .pop_oldest(&children, |rank, epoch, batch| {
-                memo.remember(header, count_u32(rank), epoch, &batch);
-                combined.merge(batch);
-            });
+        let mut combined = Waves::of(&mut self.waves).combine(own, &children);
 
         // Join/leave duties this node is itself responsible for.
         if let Some(m) = Cold::membership(&mut self.cold).filter(|_| !drain) {
@@ -1660,11 +620,8 @@ impl<T: Payload> SkueueNode<T> {
         }
         let churn = combined.joins + combined.leaves;
         if churn > 0 && detached {
-            let m = Cold::of(&mut self.cold)
-                .membership
-                .get_or_insert_with(Membership::default);
             let count = Duty::new(DutyKind::Count(churn), Step::Answered, Report::Unflagged);
-            m.duties.push(count);
+            self.membership_mut().duties.push(count);
         }
 
         ctx.observe(series::BATCH_SIZES, combined.size() as u64);
@@ -1676,29 +633,19 @@ impl<T: Payload> SkueueNode<T> {
                 // Churn carried by waves assigned during an update phase is
                 // accumulated (not dropped); it triggers the *next* phase.
                 let may_enter_update = !drain && self.update().is_none();
-                let anchor = self
-                    .cold
-                    .as_deref_mut()
-                    .and_then(|cold| cold.anchor.as_deref_mut());
-                let anchor = anchor.expect("anchor path");
+                let anchor = Cold::anchor(&mut self.cold).expect("anchor path");
                 let assignments = anchor.assign_wave(&combined, self.cfg.mode);
                 let enter_update = if may_enter_update {
                     anchor.take_update_decision()
                 } else {
                     None
                 };
-                if !self.cfg.trace_level.is_off() {
-                    // One instant per (shard, wave): the boundary between the
-                    // aggregation and assignment stages for every op of this
-                    // wave (all runs of one wave share the epoch).
-                    if let Some(run) = assignments.first() {
-                        let (wave, round) = (run.wave, ctx.round());
-                        ctx.trace(self.shard, TraceEvent::WaveAssigned { wave, round });
-                    }
+                // One instant per (shard, wave): the boundary between the
+                // aggregation and assignment stages for every op of this
+                // wave (all runs of one wave share the epoch).
+                if let Some(wave) = assignments.first().map(|run| run.wave) {
+                    self.trace(ctx, |round| TraceEvent::WaveAssigned { wave, round });
                 }
-                // The anchor only opens a wave with none in flight, so the
-                // memo holds exactly this wave.
-                debug_assert_eq!(header, 0);
                 self.serve_sources(assignments, ctx);
                 if let Some(phase) = enter_update {
                     self.enter_update_phase(phase, None, ctx);
@@ -1707,9 +654,8 @@ impl<T: Payload> SkueueNode<T> {
             Some(parent) => {
                 self.next_epoch += 1;
                 let epoch = self.next_epoch;
-                waves.memo.waves += 1;
-                waves.wave_parent = Some(parent);
-                ctx.observe(series::WAVES_IN_FLIGHT, u64::from(waves.memo.waves));
+                let in_flight = Waves::of(&mut self.waves).forward(parent);
+                ctx.observe(series::WAVES_IN_FLIGHT, u64::from(in_flight));
                 // FIFO transports cannot reorder a channel, so the credit
                 // round-trip is skipped entirely.
                 self.flags.set_aggregate_unacked(!self.cfg.fifo_channels);
@@ -1737,30 +683,27 @@ impl<T: Payload> SkueueNode<T> {
     /// consumed with it.  Sub-assignments for children are forwarded; the
     /// node's own share is resolved locally.
     fn serve_sources(&mut self, mut cursors: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let num_sources = Waves::of(&mut self.waves).memo.pop();
+        let num_sources = Waves::of(&mut self.waves).memo().pop();
         for _ in 0..num_sources {
-            let memo = &mut Waves::of(&mut self.waves).memo;
+            let memo = Waves::of(&mut self.waves).memo();
             let (child, num_runs, epoch) = memo.pop_source();
             debug_assert!(
-                num_runs <= cursors.len() && num_runs <= memo.words.len(),
+                num_runs <= cursors.len(),
                 "a source has no more runs than its wave's combined batch"
             );
-            if child == OWN_SOURCE {
+            let Some(child) = child else {
                 self.resolve_own(&mut cursors[..num_runs], ctx);
-            } else {
-                // A child's share travels in a message and must be owned
-                // (sized up front: a ring's drain does not promise its
-                // length to `collect`, which would round a one-run share up).
-                let mut runs = Vec::with_capacity(num_runs);
-                runs.extend(
-                    cursors[..num_runs]
-                        .iter_mut()
-                        .zip(memo.words.drain(..num_runs))
-                        .map(|(cursor, len)| cursor.split_front(u64::from(len))),
-                );
-                let child = self.lanes.of(LaneKind::Child)[child as usize];
-                ctx.send(child, SkueueMsg::Serve { epoch, runs });
-            }
+                continue;
+            };
+            // A child's share travels in a message and must be owned
+            // (sized up front: a ring's drain does not promise its length
+            // to `collect`, which would round a one-run share up).
+            let mut runs = Vec::with_capacity(num_runs);
+            let lengths = memo.take_runs(num_runs);
+            let shares = cursors[..num_runs].iter_mut().zip(lengths);
+            runs.extend(shares.map(|(cursor, len)| cursor.split_front(len)));
+            let child = self.lanes.of(LaneKind::Child)[child];
+            ctx.send(child, SkueueMsg::Serve { epoch, runs });
         }
         debug_assert!(
             cursors.iter().all(|c| c.count == 0),
@@ -1784,8 +727,7 @@ impl<T: Payload> SkueueNode<T> {
             // decomposition depends on it) — park until older waves caught
             // up.
             if (front..=self.next_epoch).contains(&epoch) {
-                let waves = Waves::of(&mut self.waves);
-                waves.serve_stash.push(StashedServe { epoch, runs });
+                Waves::of(&mut self.waves).stash(epoch, runs);
             } else {
                 debug_assert!(false, "Serve for unknown wave epoch {epoch}");
             }
@@ -1794,26 +736,23 @@ impl<T: Payload> SkueueNode<T> {
         self.apply_serve(runs, ctx);
         // Release stashed serves that have reached the front of the ring.
         while let Some(front) = self.front_epoch() {
-            let waves = Waves::of(&mut self.waves);
-            let Some(idx) = waves.serve_stash.iter().position(|s| s.epoch == front) else {
+            let Some(runs) = Waves::of(&mut self.waves).take_stashed(front) else {
                 break;
             };
-            let stashed = waves.serve_stash.swap_remove(idx);
-            self.apply_serve(stashed.runs, ctx);
+            self.apply_serve(runs, ctx);
         }
     }
 
     /// The epoch of the oldest in-flight wave, if any: the memo holds the
     /// `waves` youngest epochs up to [`Self::next_epoch`], oldest first.
     fn front_epoch(&self) -> Option<u64> {
-        let in_flight = self.waves.as_deref().map_or(0, |w| w.memo.waves);
+        let in_flight = self.waves_in_flight();
         (in_flight > 0).then(|| self.next_epoch + 1 - u64::from(in_flight))
     }
 
     /// Resolves the oldest in-flight wave with the given assignments.
     fn apply_serve(&mut self, runs: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let memo = &mut Waves::of(&mut self.waves).memo;
-        memo.waves = memo.waves.checked_sub(1).expect("caller checked the front");
+        Waves::of(&mut self.waves).memo().serve_front();
         self.serve_sources(runs, ctx);
     }
 
@@ -1825,98 +764,47 @@ impl<T: Payload> SkueueNode<T> {
         let origin = self.process();
         let mut log_cursor = 0usize;
         for cursor in cursors {
-            let len = Waves::of(&mut self.waves).memo.pop();
+            let len = Waves::of(&mut self.waves).memo().pop();
             let run = cursor.split_front(u64::from(len));
             for j in 0..run.count {
-                // The resolved prefix is drained below, so the payload can be
-                // *moved* out of the log entry (a take, not a clone) — the
-                // generic path keeps the allocation/copy profile of the old
-                // `Copy` payloads.
-                let entry = &mut Requests::of(&mut self.waves, &self.cfg).own_log[log_cursor];
-                let id = RequestId::new(origin, entry.seq);
-                let issued_round = entry.issued_round;
-                #[cfg(debug_assertions)]
-                assert_eq!(entry.kind, run.kind, "own log out of sync with batch runs");
-                let value = std::mem::take(&mut entry.value);
+                // The resolved prefix is dropped below, so the payload is
+                // moved out of the log — the generic path keeps the
+                // allocation/copy profile of the old `Copy` payloads.
+                let requests = Requests::of(&mut self.waves, &self.cfg);
+                let (seq, issued_round, value) = requests.take_logged(log_cursor, run.kind);
+                let id = RequestId::new(origin, seq);
                 log_cursor += 1;
                 let order_major = run.value_base + j;
                 self.note_order_assigned(id.seq, order_major, ctx);
-                if !self.cfg.trace_level.is_off() {
-                    let round = ctx.round();
-                    ctx.trace(
-                        self.shard,
-                        TraceEvent::Assigned {
-                            op: Self::tid(id),
-                            wave: run.wave,
-                            major: order_major,
-                            round,
-                        },
-                    );
-                }
+                self.trace(ctx, |round| TraceEvent::Assigned {
+                    op: Self::tid(id),
+                    wave: run.wave,
+                    major: order_major,
+                    round,
+                });
 
                 match run.kind {
-                    BatchOp::Enqueue => {
-                        let position = run.pos_lo + j;
-                        let ticket = if self.cfg.is_stack() {
-                            run.ticket_base + j
-                        } else {
-                            0
-                        };
-                        self.issue_put(
-                            id,
-                            issued_round,
-                            value,
-                            position,
-                            ticket,
-                            order_major,
-                            run.wave,
-                            ctx,
-                        );
+                    BatchOp::Enqueue => self.issue_put(id, issued_round, value, &run, j, ctx),
+                    BatchOp::Dequeue if j < run.available_positions() => {
+                        self.issue_get(id, issued_round, &run, j, ctx)
                     }
                     BatchOp::Dequeue => {
-                        let available = run.available_positions();
-                        if j < available {
-                            let position = if run.descending {
-                                run.pos_hi - j
-                            } else {
-                                run.pos_lo + j
-                            };
-                            let max_ticket = if self.cfg.is_stack() {
-                                run.ticket_base
-                            } else {
-                                u64::MAX
-                            };
-                            self.issue_get(
-                                id,
-                                issued_round,
-                                position,
-                                max_ticket,
-                                order_major,
-                                run.wave,
-                                ctx,
-                            );
-                        } else {
-                            // ⊥: completes immediately.
-                            let record = OpRecord {
-                                id,
-                                kind: OpKind::Dequeue,
-                                value: T::default(),
-                                result: OpResult::Empty,
-                                order: self.order_key(run.wave, order_major, id.origin),
-                                issued_round,
-                                completed_round: ctx.round(),
-                            };
-                            Self::complete(&self.cfg, self.shard, record, ctx);
-                        }
+                        // ⊥: completes immediately.
+                        let record = OpRecord {
+                            id,
+                            kind: OpKind::Dequeue,
+                            value: T::default(),
+                            result: OpResult::Empty,
+                            order: self.order_key(run.wave, order_major, id.origin),
+                            issued_round,
+                            completed_round: ctx.round(),
+                        };
+                        Self::complete(&self.cfg, self.shard, record, ctx);
                     }
                 }
             }
         }
-        // Remove the resolved prefix from the log; anything after it was
-        // generated after the batch was sent and belongs to the next one.
-        Requests::of(&mut self.waves, &self.cfg)
-            .own_log
-            .drain(0..log_cursor);
+        Requests::of(&mut self.waves, &self.cfg).drop_resolved(log_cursor);
     }
 
     /// The witnessed order key for an anchor-assigned order value: plain
@@ -1939,17 +827,9 @@ impl<T: Payload> SkueueNode<T> {
         let Some(combining) = Cold::combining(&mut self.cold) else {
             return;
         };
-        combining.last_order_major = major;
-        combining.minor_counter = 0;
-        if let Some(pairs) = combining.pairs_by_anchor.remove(&seq) {
-            // Buckets are maintained in seq order (see `reanchor_pairs`).
-            debug_assert!(pairs.windows(2).all(|w| w[0].id.seq < w[1].id.seq));
-            let origin = self.view.me().vid.process;
-            for mut record in pairs {
-                combining.minor_counter += 1;
-                record.order = OrderKey::local(major, origin, combining.minor_counter);
-                Self::complete(&self.cfg, self.shard, record, ctx);
-            }
+        let origin = self.view.me().vid.process;
+        for record in combining.ordered(seq, major, origin) {
+            Self::complete(&self.cfg, self.shard, record, ctx);
         }
     }
 
@@ -1957,22 +837,23 @@ impl<T: Payload> SkueueNode<T> {
     // Stage 4: DHT operations (batched routing).
     // ---------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// Issues the PUT of the own enqueue `id`, the `j`-th operation of the
+    /// served `run`.
     fn issue_put(
         &mut self,
         id: RequestId,
         issued_round: u64,
         value: T,
-        position: u64,
-        ticket: u64,
-        order_major: u64,
-        wave: u64,
+        run: &RunAssignment,
+        j: u64,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
         // The anchor assigns shard-local positions; the DHT stores under the
         // global position — the shard id in the high bits of the keyspace.
-        let position = self.shard_map().global_position(self.shard, position);
+        let position = self.shard_map().global_position(self.shard, run.pos_lo + j);
         let key = self.cfg.hasher().position_key(position);
+        let stack = self.cfg.is_stack();
+        let ticket = if stack { run.ticket_base + j } else { 0 };
         let entry = StoredEntry {
             position,
             key,
@@ -1981,65 +862,63 @@ impl<T: Payload> SkueueNode<T> {
         };
         let meta = PutMeta {
             issued_round,
-            order: order_major,
-            wave,
-            needs_ack: self.cfg.is_stack(),
+            order: run.value_base + j,
+            wave: run.wave,
+            needs_ack: stack,
             issuer: self.view.me().node,
         };
-        if self.cfg.is_stack() {
-            Requests::of(&mut self.waves, &self.cfg).outstanding_dht += 1;
-        }
-        if !self.cfg.trace_level.is_off() {
-            let (op, round) = (Self::tid(id), ctx.round());
-            ctx.trace(self.shard, TraceEvent::DhtIssued { op, round });
-        }
-        let progress = RouteProgress::new(key, self.cfg.bit_budget);
-        self.dispatch_dht(Box::new(DhtOp::Put { entry, meta }), progress, ctx);
+        self.issue_dht(id, DhtOp::Put { entry, meta }, key, ctx);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Issues the GET of the own dequeue `id`, the `j`-th operation of the
+    /// served `run` and within its available positions, and remembers what
+    /// completing it needs when the reply arrives.
     fn issue_get(
         &mut self,
         id: RequestId,
         issued_round: u64,
-        position: u64,
-        max_ticket: u64,
-        order_major: u64,
-        wave: u64,
+        run: &RunAssignment,
+        j: u64,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
+        let position = if run.descending {
+            run.pos_hi - j
+        } else {
+            run.pos_lo + j
+        };
         let position = self.shard_map().global_position(self.shard, position);
         let key = self.cfg.hasher().position_key(position);
-        // Remember the metadata needed to complete the request when the
-        // reply arrives.
+        let stack = self.cfg.is_stack();
+        let max_ticket = if stack { run.ticket_base } else { u64::MAX };
         debug_assert_eq!(id.origin, self.process(), "a node issues its own GETs");
-        let requests = Requests::of(&mut self.waves, &self.cfg);
-        requests.note_outstanding_get(
-            id.seq,
-            OutstandingGet {
-                issued_round,
-                order: order_major,
-                wave,
-            },
-        );
+        let get = OutstandingGet::new(issued_round, run.value_base + j, run.wave);
+        Requests::of(&mut self.waves, &self.cfg).note_outstanding_get(id.seq, get);
+        let requester = self.view.me().node;
+        let op = DhtOp::Get {
+            position,
+            max_ticket,
+            request: id,
+            requester,
+        };
+        self.issue_dht(id, op, key, ctx);
+    }
+
+    /// Routes the node's own DHT operation `op` for the request `id`
+    /// towards `key`, counting it for the stack's stage-4 barrier.
+    fn issue_dht(
+        &mut self,
+        id: RequestId,
+        op: DhtOp<T>,
+        key: Label,
+        ctx: &mut Context<SkueueMsg<T>>,
+    ) {
         if self.cfg.is_stack() {
-            requests.outstanding_dht += 1;
+            Requests::of(&mut self.waves, &self.cfg).dht_issued();
         }
-        if !self.cfg.trace_level.is_off() {
-            let (op, round) = (Self::tid(id), ctx.round());
-            ctx.trace(self.shard, TraceEvent::DhtIssued { op, round });
-        }
+        let tid = Self::tid(id);
+        self.trace(ctx, |round| TraceEvent::DhtIssued { op: tid, round });
         let progress = RouteProgress::new(key, self.cfg.bit_budget);
-        self.dispatch_dht(
-            Box::new(DhtOp::Get {
-                position,
-                max_ticket,
-                request: id,
-                requester: self.view.me().node,
-            }),
-            progress,
-            ctx,
-        );
+        self.dispatch_dht(Box::new(op), progress, ctx);
     }
 
     /// Routes one DHT operation a single step: applies it locally when this
@@ -2080,14 +959,6 @@ impl<T: Payload> SkueueNode<T> {
         }
     }
 
-    /// Applies or re-routes every operation of a delivered `DhtBatch`, in
-    /// batch order.
-    fn handle_dht_batch(&mut self, ops: Vec<RoutedDhtOp<T>>, ctx: &mut Context<SkueueMsg<T>>) {
-        for routed in ops {
-            self.dispatch_dht(routed.op, routed.progress, ctx);
-        }
-    }
-
     /// Applies a DHT operation at the responsible node.  Replies coalesce
     /// per requester ([`Self::stage`]), a parked GET's among them, so
     /// applying a whole delivered batch is one pass without per-op
@@ -2102,10 +973,8 @@ impl<T: Payload> SkueueNode<T> {
         // counted, traced and completed where it was first stored.
         if !matches!(op, DhtOp::Move { .. }) {
             ctx.observe(series::DHT_HOPS, progress.hops as u64);
-            if !self.cfg.trace_level.is_off() {
-                let (op, hops, round) = (Self::tid(op.request_id()), progress.hops, ctx.round());
-                ctx.trace(self.shard, TraceEvent::DhtApplied { op, hops, round });
-            }
+            let (op, hops) = (Self::tid(op.request_id()), progress.hops);
+            self.trace(ctx, |round| TraceEvent::DhtApplied { op, hops, round });
         }
         match op {
             DhtOp::Put { entry, meta } => {
@@ -2142,15 +1011,13 @@ impl<T: Payload> SkueueNode<T> {
                 request,
                 requester,
             } => {
-                let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
-                match store.get(position, max_ticket, request, requester) {
-                    GetOutcome::Found(entry) => {
-                        let reply = DhtReplyItem { request, entry };
-                        Self::stage(&mut self.lanes, requester, reply, ctx);
-                    }
-                    GetOutcome::Parked => {
-                        // Waits at this node until the PUT arrives (Stage 4).
-                    }
+                // A parked GET waits at this node until the PUT arrives.
+                let outcome = self
+                    .store_mut()
+                    .get(position, max_ticket, request, requester);
+                if let GetOutcome::Found(entry) = outcome {
+                    let reply = DhtReplyItem { request, entry };
+                    Self::stage(&mut self.lanes, requester, reply, ctx);
                 }
             }
             DhtOp::Move { entry } => self.store_entry(entry, ctx),
@@ -2159,24 +1026,19 @@ impl<T: Payload> SkueueNode<T> {
 
     /// Stores `entry`, or hands it to the parked GET it satisfies.
     fn store_entry(&mut self, entry: StoredEntry<T>, ctx: &mut Context<SkueueMsg<T>>) {
-        let store = &mut Requests::of(&mut self.waves, &self.cfg).store;
-        if let Some(s) = store.put_into(entry) {
-            let reply = DhtReplyItem {
-                request: s.get.request,
-                entry: s.entry,
-            };
-            Self::stage(&mut self.lanes, s.get.requester, reply, ctx);
+        if let Some(satisfied) = self.store_mut().put_into(entry) {
+            Self::reply_to(&mut self.lanes, satisfied, ctx);
         }
     }
 
-    fn handle_dht_reply_batch(
-        &mut self,
-        replies: Vec<DhtReplyItem<T>>,
+    /// Replies to the parked GET an element satisfied.
+    pub(crate) fn reply_to(
+        lanes: &mut LaneOrder,
+        SatisfiedGet { get, entry }: SatisfiedGet<T>,
         ctx: &mut Context<SkueueMsg<T>>,
     ) {
-        for item in replies {
-            self.handle_dht_reply(item.request, item.entry, ctx);
-        }
+        let request = get.request;
+        Self::stage(lanes, get.requester, DhtReplyItem { request, entry }, ctx);
     }
 
     fn handle_dht_reply(
@@ -2190,20 +1052,18 @@ impl<T: Payload> SkueueNode<T> {
             .requests_mut()
             .and_then(|r| r.take_outstanding_get(origin, request));
         if let Some(meta) = meta {
-            if self.cfg.is_stack() {
-                let requests = Requests::of(&mut self.waves, &self.cfg);
-                requests.outstanding_dht = requests.outstanding_dht.saturating_sub(1);
-            }
+            self.dht_resolved();
             // The entry ends its life here: the payload moves into the
             // completion record without a clone.
             let source = entry.element.id;
+            let (wave, order) = meta.wave_and_order();
             let record = OpRecord {
                 id: request,
                 kind: OpKind::Dequeue,
                 value: entry.element.value,
                 result: OpResult::Returned(source),
-                order: self.order_key(meta.wave, meta.order, request.origin),
-                issued_round: meta.issued_round,
+                order: self.order_key(wave, order, request.origin),
+                issued_round: meta.issued_round(),
                 completed_round: ctx.round(),
             };
             Self::complete(&self.cfg, self.shard, record, ctx);
@@ -2234,7 +1094,11 @@ impl<T: Payload> SkueueNode<T> {
         match batch {
             Some(items) => items.push(item),
             None => {
-                staged.push((to, I::batch(lane_of(item))));
+                // Room for three more: most batches carry one to four, and
+                // growing a vector of one costs a reallocation.
+                let mut items = Vec::with_capacity(4);
+                items.push(item);
+                staged.push((to, I::batch(items)));
                 lanes.note(I::KIND, to);
             }
         }
@@ -2266,22 +1130,6 @@ impl<T: Payload> SkueueNode<T> {
             ctx.send(to, msg);
         }
         *ctx.staged() = staged;
-    }
-
-    // ---------------------------------------------------------------------
-    // Anchor / update-phase helpers (details in join_leave.rs).
-    // ---------------------------------------------------------------------
-
-    /// Becomes the anchor with the given state (initial setup or hand-off).
-    pub(crate) fn adopt_anchor(&mut self, state: AnchorState) {
-        Cold::of(&mut self.cold).anchor = Some(Box::new(state));
-    }
-
-    /// Gives the anchor state up (hand-off), if this node holds it; the
-    /// cold box goes at the end of the step if nothing else is in it.
-    pub(crate) fn take_anchor(&mut self) -> Option<AnchorState> {
-        let anchor = self.cold.as_deref_mut()?.anchor.take();
-        anchor.map(|state| *state)
     }
 }
 
@@ -2358,19 +1206,21 @@ impl<T: Payload> Actor for SkueueNode<T> {
                     // Not part of the cycle yet: re-route after integration.
                     self.membership_mut().deferred_dht.extend(ops);
                 } else {
-                    self.handle_dht_batch(ops, ctx);
+                    // Applied or re-routed in batch order.
+                    for routed in ops {
+                        self.dispatch_dht(routed.op, routed.progress, ctx);
+                    }
                 }
             }
-            SkueueMsg::DhtReplyBatch { replies } => self.handle_dht_reply_batch(replies, ctx),
-            SkueueMsg::PutAck { .. } => {
-                if self.cfg.is_stack() {
-                    let requests = Requests::of(&mut self.waves, &self.cfg);
-                    requests.outstanding_dht = requests.outstanding_dht.saturating_sub(1);
+            SkueueMsg::DhtReplyBatch { replies } => {
+                for item in replies {
+                    self.handle_dht_reply(item.request, item.entry, ctx);
                 }
             }
+            SkueueMsg::PutAck { .. } => self.dht_resolved(),
             other => {
                 self.handle_membership(from, other, ctx);
-                self.release_idle_cold();
+                Cold::release_idle(&mut self.cold);
             }
         }
     }
@@ -2387,8 +1237,8 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // Everything routed during this visit (messages + timeout) leaves as
         // one batch per destination.
         self.flush_dht_buffers(ctx);
-        self.release_idle_cold();
-        self.release_idle_work();
+        Cold::release_idle(&mut self.cold);
+        Waves::release_idle(&mut self.waves);
     }
 
     /// A node's `TIMEOUT` is a provable no-op — and is therefore skipped by
@@ -2404,10 +1254,10 @@ impl<T: Payload> Actor for SkueueNode<T> {
     fn wants_timeout(&self) -> bool {
         match self.lifecycle {
             Lifecycle::Member { leave, .. } => {
-                let in_flight = self.waves.as_deref().map_or(0, |w| w.memo.waves);
-                let pipeline_open = (in_flight as usize) < self.cfg.effective_pipeline_depth()
+                let in_flight = self.waves_in_flight() as usize;
+                let pipeline_open = in_flight < self.cfg.effective_pipeline_depth()
                     && !self.flags.aggregate_unacked();
-                (pipeline_open && (self.strict_waves() || self.has_wave_work()))
+                (pipeline_open && (self.cfg.is_stack() || self.has_wave_work()))
                     || leave == Leave::Wanted
                     || self
                         .membership()
@@ -2427,15 +1277,15 @@ mod tests {
     use super::*;
     use crate::batch::FirstRun;
     use crate::config::PIPELINE_DEPTH;
-    use crate::interval::decompose;
     use crate::messages::AbsorbPayload;
-    use proptest::prelude::*;
     use skueue_dht::PendingGet;
     use skueue_overlay::{
         node_of, recommended_bit_budget, Label, LabelHasher, NeighborInfo, Topology, VirtualId,
     };
+    use std::collections::VecDeque;
 
-    type Serve = (NodeId, u64, Vec<RunAssignment>);
+    /// A `Serve` a node sent: to whom, under which epoch, with which runs.
+    pub(super) type Serve = (NodeId, u64, Vec<RunAssignment>);
 
     /// What an idle node, its view, its lane order and a message in
     /// flight cost inline.  The budgets in `tests/memory_budget.rs`,
@@ -2454,13 +1304,6 @@ mod tests {
         assert!(size_of::<Flags>() <= 1);
         assert!(size_of::<LocalView>() <= 48);
         assert!(size_of::<skueue_sim::Envelope<SkueueMsg<u64>>>() <= 80);
-    }
-
-    /// What the cold box costs where it exists: the membership bookkeeping
-    /// inline, the anchor state and the combining behind a pointer each.
-    #[test]
-    fn a_cold_box_is_168_bytes() {
-        assert!(std::mem::size_of::<Cold<u64>>() <= 168);
     }
 
     /// A node drops its cold box at the end of the visit step that empties
@@ -2482,12 +1325,11 @@ mod tests {
                     continue;
                 };
                 assert!(!cold.is_idle(), "{id} keeps an empty cold box");
-                let membership = cold.membership.as_ref();
                 assert!(
-                    membership.is_none_or(|m| !m.is_idle()),
+                    node.membership().is_none_or(|m| !m.is_idle()),
                     "{id} keeps idle bookkeeping"
                 );
-                assert!(cold.combining.is_none(), "{id} combines in a queue");
+                assert!(cold.local_combining().is_none(), "{id} combines in a queue");
             }
         };
         let mut rng = skueue_sim::SimRng::new(3);
@@ -2541,61 +1383,6 @@ mod tests {
         assert_eq!(expected.len(), 4, "the anchor and three draining nodes");
     }
 
-    /// What a busy node's two halves of work cost where they exist: a node
-    /// that only relays sub-batches holds the wave half, an issuing node
-    /// both.  The wave half's memo is one ring of words and a wave count.
-    #[test]
-    fn a_wave_half_is_112_bytes_and_a_request_half_168() {
-        use std::mem::size_of;
-        assert!(size_of::<Waves<u64>>() <= 112);
-        assert!(size_of::<Requests<u64>>() <= 168);
-    }
-
-    /// What a request costs while it waits in its node's log: its seq, its
-    /// payload and its issue round in release builds (debug builds add the
-    /// kind their log check reads).
-    #[test]
-    fn a_logged_request_is_24_bytes() {
-        let budget = if cfg!(debug_assertions) { 32 } else { 24 };
-        assert!(std::mem::size_of::<LocalOp<u64>>() <= budget);
-    }
-
-    /// The outstanding GETs stay sorted by seq however they are noted, and
-    /// a GET is found again only under the node's own origin.
-    #[test]
-    fn outstanding_gets_stay_sorted_by_seq() {
-        let mut node = node_under_test(false);
-        let me = node.process();
-        let requests = Requests::of(&mut node.waves, &node.cfg);
-        let get = |order| OutstandingGet {
-            issued_round: 0,
-            order,
-            wave: 1,
-        };
-        let seqs = |r: &Requests<u64>| -> Vec<u64> {
-            r.outstanding_gets.iter().map(|&(seq, _)| seq).collect()
-        };
-        for seq in [4, 9, 10, 2, 7] {
-            requests.note_outstanding_get(seq, get(seq));
-        }
-        assert_eq!(seqs(requests), [2, 4, 7, 9, 10]);
-        let foreign = ProcessId(me.0 + 1);
-        assert_eq!(
-            requests.take_outstanding_get(me, RequestId::new(foreign, 7)),
-            None
-        );
-        assert_eq!(
-            requests.take_outstanding_get(me, RequestId::new(me, 8)),
-            None
-        );
-        let taken = requests.take_outstanding_get(me, RequestId::new(me, 7));
-        assert_eq!(taken, Some(get(7)));
-        assert_eq!(seqs(requests), [2, 4, 9, 10]);
-        requests.note_outstanding_get(11, get(11));
-        requests.note_outstanding_get(3, get(3));
-        assert_eq!(seqs(requests), [2, 3, 4, 9, 10, 11]);
-    }
-
     /// A reply for another process's request, or for a seq the node waits
     /// for no GET of, raises `unmatched_dht_replies` by exactly one and
     /// leaves the node's GETs alone; the reply it waits for completes one.
@@ -2609,11 +1396,7 @@ mod tests {
             .expect("valid configuration");
         let me = ProcessId(1);
         let middle = node_of(VirtualId::middle(me));
-        let get = OutstandingGet {
-            issued_round: 0,
-            order: 1,
-            wave: 1,
-        };
+        let get = OutstandingGet::new(0, 1, 1);
         cluster.act_on(middle, |node, _| {
             let requests = Requests::of(&mut node.waves, &node.cfg);
             requests.note_outstanding_get(5, get);
@@ -2633,7 +1416,7 @@ mod tests {
             });
             let node = cluster.node(middle).expect("a member");
             let waiting = node.requests().map_or(vec![], |r| {
-                r.outstanding_gets.iter().map(|&(seq, _)| seq).collect()
+                r.outstanding_gets().iter().map(|&(seq, _)| seq).collect()
             });
             (cluster.unmatched_dht_replies() - before, waiting)
         };
@@ -2648,7 +1431,7 @@ mod tests {
 
     /// The node's in-flight waves (none while it holds no work state).
     fn in_flight(node: &SkueueNode<u64>) -> usize {
-        node.waves.as_deref().map_or(0, |w| w.memo.waves as usize)
+        node.waves_in_flight() as usize
     }
 
     /// Asking an idle node what it holds allocates nothing: every reader
@@ -2780,6 +1563,44 @@ mod tests {
         (sent, served)
     }
 
+    /// The stack's stage-4 barrier holds drain waves too: a suspended stack
+    /// node with a child's sub-batch queued opens no drain wave while a GET
+    /// of its own is in flight, and opens it in the visit the GET's reply
+    /// arrives in.
+    #[test]
+    fn a_suspended_stack_node_drains_no_wave_while_its_get_is_in_flight() {
+        let mut node = node_in(Mode::Stack, false, VKind::Middle);
+        if let Lifecycle::Member { resumed, .. } = &mut node.lifecycle {
+            *resumed = false;
+        }
+        assert!(node.suspended());
+        let request = RequestId::new(node.process(), 0);
+        let requests = Requests::of(&mut node.waves, &node.cfg);
+        requests.note_outstanding_get(request.seq, OutstandingGet::new(0, 1, 1));
+        requests.dht_issued();
+        let (child, mut batch) = (NodeId(1000), Batch::empty_stack());
+        batch.push_op(BatchOp::Enqueue);
+        let aggregate = SkueueMsg::Aggregate {
+            child,
+            epoch: 1,
+            batch,
+        };
+        let (sent, _) = visit_with(&mut node, WAVE_CADENCE, vec![(child, aggregate)]);
+        assert_eq!(sent, None, "the GET in flight holds the drain wave back");
+
+        let entry = StoredEntry {
+            position: 3,
+            key: Label::from_f64(0.5),
+            ticket: 0,
+            element: Element::new(RequestId::new(ProcessId(2), 0), 42),
+        };
+        let replies = vec![DhtReplyItem { request, entry }];
+        let reply = SkueueMsg::DhtReplyBatch { replies };
+        let (sent, _) = visit_with(&mut node, 2 * WAVE_CADENCE, vec![(NodeId(1001), reply)]);
+        let (epoch, combined) = sent.expect("the answered GET lets the drain wave open");
+        assert_eq!((epoch, combined.total_ops()), (1, 1));
+    }
+
     /// A right node (and a left one alike) issues nothing: combining a
     /// child's sub-batch, it holds the wave half alone, and its child queue
     /// room for the one sub-batch it queued.
@@ -2799,8 +1620,8 @@ mod tests {
         };
         node.on_message(child, aggregate, &mut ctx);
         let waves = node.waves.as_deref().expect("the sub-batch is queued");
-        assert_eq!(waves.child_batches.0.capacity(), 1);
-        assert!(waves.requests.is_none());
+        assert_eq!(waves.child_batches().capacity(), 1);
+        assert!(node.requests().is_none());
         node.on_timeout(&mut ctx);
         assert_eq!(in_flight(&node), 1);
         assert!(node.requests().is_none());
@@ -2814,10 +1635,10 @@ mod tests {
         let (sent, _) = visit_with(&mut node, 2 * WAVE_CADENCE, vec![(child, aggregate)]);
         assert_eq!(sent.map(|(epoch, _)| epoch), Some(2));
         let waves = node.waves.as_deref().unwrap();
-        assert_eq!(waves.child_batches.0.capacity(), 1);
-        assert!(waves.requests.is_none());
+        assert_eq!(waves.child_batches().capacity(), 1);
+        assert!(node.requests().is_none());
         assert_eq!(in_flight(&node), 2);
-        assert_eq!(waves.wave_parent, Some(parent));
+        assert_eq!(waves.wave_parent(), Some(parent));
     }
 
     /// A child's wave epoch is memorised as two words and echoed whole: an
@@ -2857,8 +1678,8 @@ mod tests {
         let (epoch, batch) = enqueue_then_timeout(&mut node, &mut round).expect("a wave opens");
         assert_eq!(in_flight(&node), 1);
         let requests = node.requests().expect("the request is logged");
-        assert_eq!(requests.own_log.len(), 1);
-        assert!(requests.own_batch.has_no_ops(), "the wave carries it");
+        assert_eq!(requests.own_log().len(), 1);
+        assert!(requests.own_batch().has_no_ops(), "the wave carries it");
 
         // Served, the request leaves the log as a routed PUT: the node keeps
         // a half only for an element it happens to store itself.
@@ -2950,7 +1771,7 @@ mod tests {
             requester: NodeId(1001),
         };
         node.apply_dht(get, &progress, &mut ctx);
-        assert!(node.requests().is_some_and(|r| r.store.is_vacant()));
+        assert!(node.requests().is_some_and(|r| r.store().is_vacant()));
         node.on_timeout(&mut ctx);
         assert_eq!(ctx.reports::<OpRecord<u64>>().len(), 1);
         assert!(node.requests().is_none());
@@ -2975,7 +1796,7 @@ mod tests {
             .waves
             .as_deref()
             .expect("it carries the stored element");
-        assert!(waves.memo.waves == 0 && waves.memo.words.is_empty());
+        assert!(waves.wave_memo().is_empty());
         assert_eq!(node.stored_elements(), 1);
     }
 
@@ -3219,96 +2040,20 @@ mod tests {
         }
     }
 
-    /// Reference for the [`WaveMemo`] ring: the bookkeeping it replaced, one
-    /// list of whole sub-batches per in-flight wave, resolved with
-    /// [`crate::interval::decompose`].
-    struct PerSlotLists {
-        children: LaneOrder,
-        child_batches: ChildBatches,
-        own: Batch,
-        slots: VecDeque<(u64, Vec<BatchSource>)>,
-        stash: Vec<(u64, Vec<RunAssignment>)>,
-        served: Vec<Serve>,
-    }
-
-    impl PerSlotLists {
-        /// Queues a child's sub-batch for the next wave.
-        fn queue(&mut self, child: NodeId, epoch: u64, batch: Batch) {
-            self.children.note(LaneKind::Child, child);
-            self.child_batches.push(child, epoch, batch);
-        }
-
-        /// Opens a wave under `epoch` and returns its combined batch; a
-        /// `drain` wave leaves the own operations for a later one.
-        fn open(&mut self, epoch: u64, drain: bool) -> Batch {
-            let own = if drain {
-                Batch::empty()
-            } else {
-                std::mem::take(&mut self.own)
-            };
-            let mut sources = vec![BatchSource::Own(own)];
-            let children = self.children.of(LaneKind::Child);
-            self.child_batches
-                .pop_oldest(&children, |rank, epoch, batch| {
-                    sources.push(BatchSource::Child(children[rank], epoch, batch))
-                });
-            let mut combined = Batch::empty();
-            for source in &sources {
-                combined.combine(source.batch());
-            }
-            self.slots.push_back((epoch, sources));
-            combined
-        }
-
-        /// A `Serve` for `epoch` arrives: resolved once every older wave is.
-        fn serve(&mut self, epoch: u64, runs: Vec<RunAssignment>) {
-            self.stash.push((epoch, runs));
-            while let Some(at) = self
-                .slots
-                .front()
-                .and_then(|(front, _)| self.stash.iter().position(|(e, _)| e == front))
-            {
-                let (_, runs) = self.stash.swap_remove(at);
-                let (_, sources) = self.slots.pop_front().expect("front checked");
-                let batches: Vec<&Batch> = sources.iter().map(|s| s.batch()).collect();
-                for (source, share) in sources.iter().zip(decompose(&runs, &batches)) {
-                    if let BatchSource::Child(child, epoch, _) = source {
-                        self.served.push((*child, *epoch, share));
-                    }
-                }
-            }
-        }
-
-        /// The words a [`WaveMemo`] holding the waves in flight has: per
-        /// wave a header, per source with runs (or from a child) four
-        /// words and its run lengths.
-        fn memo_words(&self) -> usize {
-            let source_words = |source: &BatchSource| match source {
-                BatchSource::Own(b) if b.num_runs() == 0 => 0,
-                source => 4 + source.batch().num_runs(),
-            };
-            let wave_words = |(_, sources): &(u64, Vec<BatchSource>)| {
-                1 + sources.iter().map(source_words).sum::<usize>()
-            };
-            self.slots.iter().map(wave_words).sum()
-        }
-    }
-
-    /// Waves the node has opened: as a tree node, its epoch; as the anchor
-    /// serving itself, its anchor's.
-    fn waves_opened(node: &SkueueNode<u64>) -> u64 {
-        node.next_epoch + node.anchor_state().map_or(0, |a| a.epoch)
-    }
-
     /// A node of a four-process queue: the shard's anchor, or a middle node
     /// (whose parent is its left sibling).
-    fn node_under_test(anchor: bool) -> SkueueNode<u64> {
+    pub(super) fn node_under_test(anchor: bool) -> SkueueNode<u64> {
         node_of_kind(anchor, VKind::Middle)
     }
 
     /// The shard's anchor of a four-process queue, or the node of `kind` of
     /// its process 0 (whose parent is its sibling of the kind to its left).
     fn node_of_kind(anchor: bool, kind: VKind) -> SkueueNode<u64> {
+        node_in(Mode::Queue, anchor, kind)
+    }
+
+    /// [`node_of_kind`] in a deployment of `mode`.
+    fn node_in(mode: Mode, anchor: bool, kind: VKind) -> SkueueNode<u64> {
         let pids: Vec<ProcessId> = (0..4).map(ProcessId).collect();
         let topology = Topology::build(&pids, LabelHasher::default()).expect("distinct pids");
         let vid = if anchor {
@@ -3317,6 +2062,7 @@ mod tests {
             VirtualId::new(ProcessId(0), kind)
         };
         let cfg = ProtocolConfig {
+            mode,
             bit_budget: recommended_bit_budget(pids.len()),
             ..ProtocolConfig::queue()
         };
@@ -3327,7 +2073,7 @@ mod tests {
     }
 
     /// Sub-batch of one to three runs of one to four operations each.
-    fn child_batch(bits: u64) -> Batch {
+    pub(super) fn child_batch(bits: u64) -> Batch {
         let runs = (0..1 + bits % 3).map(|i| 1 + (bits >> (8 * (i + 1))) % 4);
         Batch::from_parts(FirstRun::Enqueues, runs.collect(), 0, 0)
     }
@@ -3369,7 +2115,7 @@ mod tests {
             assert_eq!(enqueue_then_timeout(&mut node, &mut round), None);
             assert_eq!(in_flight(&node), PIPELINE_DEPTH);
             let requests = node.requests().expect("requests held back");
-            assert_eq!(requests.own_batch.total_ops(), held);
+            assert_eq!(requests.own_batch().total_ops(), held);
         }
         // The oldest Serve frees one slot, and the next TIMEOUT fills it with
         // one wave carrying what was held back.
@@ -3448,194 +2194,6 @@ mod tests {
         let (served, left) = serve(2);
         assert_eq!(served, [(12, owed[1].1.clone()), (13, owed[2].1.clone())]);
         assert_eq!(left, 0);
-        assert!(node.waves.as_deref().unwrap().serve_stash.is_empty());
-    }
-
-    proptest! {
-        /// Whatever the interleaving of own requests, child sub-batches (in
-        /// epoch order, or held back and handed over late by an absorbed
-        /// leaver; of one to three runs, or of none), wave openings (own
-        /// operations included, or a suspended node's drain waves without
-        /// them) and serves (in and out of epoch order), the memo's ring sends
-        /// the children exactly the `(child, epoch, runs)` sequence the
-        /// per-wave source lists did — as a tree node and as the anchor
-        /// serving itself.
-        #[test]
-        fn prop_wave_memo_serves_like_per_slot_lists(
-            steps in proptest::collection::vec((0u32..13, any::<u64>(), any::<u64>()), 1..160),
-            anchor in any::<bool>(),
-        ) {
-            let mut node = node_under_test(anchor);
-            let me = node.view.me().node;
-            let parent = node.tree_parent();
-            let mut model = PerSlotLists {
-                children: LaneOrder::default(),
-                child_batches: ChildBatches::default(),
-                own: Batch::empty(),
-                slots: VecDeque::new(),
-                stash: Vec::new(),
-                served: Vec::new(),
-            };
-            // Stands in for the shard's anchor when the node is not it, and
-            // mirrors the node's own anchor state when it is.
-            let mut assigner = AnchorState::new();
-            let mut served: Vec<Serve> = Vec::new();
-            let mut unserved: Vec<(u64, Vec<RunAssignment>)> = Vec::new();
-            let mut child_epochs = [0u64; 3];
-            let mut held: Vec<(NodeId, u64, Batch)> = Vec::new();
-            let mut round = 0u64;
-            let mut seq = 0u64;
-            // Trailing steps deliver every serve still owed, youngest first.
-            let drain = (0..64).map(|_| (9u32, u64::MAX, 0u64));
-            for (kind, a, b) in steps.into_iter().chain(drain) {
-                let mut ctx = Context::new(me, round);
-                let opened_before = waves_opened(&node);
-                let drain = node.suspended();
-                match kind {
-                    0 | 1 => {
-                        let op = if a & 1 == 0 { BatchOp::Enqueue } else { BatchOp::Dequeue };
-                        node.generate_op(RequestId::new(node.process(), seq), op, seq, &mut ctx);
-                        model.own.push_op(op);
-                        seq += 1;
-                    }
-                    2..=4 | 12 => {
-                        let c = (a % 3) as usize;
-                        let child = NodeId(1000 + c as u64);
-                        child_epochs[c] += 1;
-                        // A sub-batch without runs is what a stack node's
-                        // lockstep wave or a bare join/leave count carries.
-                        let batch = if kind == 12 { Batch::empty() } else { child_batch(b) };
-                        let epoch = child_epochs[c];
-                        if kind == 4 {
-                            // In flight through a leaver; arrives with its
-                            // hand-over, possibly after younger sub-batches.
-                            held.push((child, epoch, batch));
-                        } else {
-                            model.queue(child, epoch, batch.clone());
-                            node.on_message(child, SkueueMsg::Aggregate { child, epoch, batch }, &mut ctx);
-                        }
-                    }
-                    5 => {
-                        let vid = VirtualId::left(ProcessId(9));
-                        let leaver = node_of(vid);
-                        let info = NeighborInfo::new(leaver, vid, node.view.me().label);
-                        for (child, epoch, batch) in &held {
-                            model.queue(*child, *epoch, batch.clone());
-                        }
-                        let payload = AbsorbPayload {
-                            pred: info,
-                            succ: info,
-                            entries: Vec::new(),
-                            pending: Vec::new(),
-                            child_batches: std::mem::take(&mut held),
-                            joiners: Vec::new(),
-                            anchor: None,
-                        };
-                        node.on_message(leaver, SkueueMsg::AbsorbData(Box::new(payload)), &mut ctx);
-                    }
-                    6..=8 => {
-                        round += WAVE_CADENCE;
-                        ctx = Context::new(me, round);
-                        node.on_timeout(&mut ctx);
-                    }
-                    // An update phase begins or ends: while suspended, the
-                    // node opens drain waves only.
-                    11 => {
-                        if let Lifecycle::Member { resumed, .. } = &mut node.lifecycle {
-                            *resumed = !*resumed;
-                        }
-                    }
-                    _ => {
-                        if !unserved.is_empty() {
-                            let (epoch, runs) = unserved.remove((a % unserved.len() as u64) as usize);
-                            model.serve(epoch, runs.clone());
-                            let from = parent.expect("only a tree node is owed serves");
-                            node.on_message(from, SkueueMsg::Serve { epoch, runs }, &mut ctx);
-                        }
-                    }
-                }
-                let opened = waves_opened(&node) > opened_before;
-                // A serve's own operations route into the DHT, staged until
-                // a visit's end; this test reads only the tree's messages.
-                ctx.staged().clear();
-                let mut sent_up = None;
-                for (to, msg) in ctx.into_outbox() {
-                    match msg {
-                        SkueueMsg::Serve { epoch, runs } => served.push((to, epoch, runs)),
-                        SkueueMsg::Aggregate { epoch, batch, .. } => sent_up = Some((epoch, batch)),
-                        _ => {}
-                    }
-                }
-                if opened {
-                    let (epoch, sent) = sent_up.unzip();
-                    let epoch = epoch.unwrap_or(0);
-                    let combined = model.open(epoch, drain);
-                    let runs = assigner.assign_wave(&combined, Mode::Queue);
-                    if anchor {
-                        model.serve(epoch, runs);
-                    } else {
-                        prop_assert_eq!(sent, Some(combined));
-                        unserved.push((epoch, runs));
-                    }
-                }
-                // The ring holds exactly the in-flight waves' words.
-                let words = node.waves.as_deref().map_or(0, |w| w.memo.words.len());
-                prop_assert_eq!(words, model.memo_words());
-                prop_assert_eq!(in_flight(&node), model.slots.len());
-            }
-            prop_assert!(unserved.is_empty() && in_flight(&node) == 0);
-            prop_assert_eq!(served, model.served);
-        }
-    }
-
-    proptest! {
-        /// Whatever the sequence of first and repeated contacts over the
-        /// three kinds, across several doublings of its room, the lane
-        /// order answers `of` and `rank` as the `Vec` with two segment ends
-        /// it replaced did, after every step.  It is inline exactly while
-        /// it has at most three peers, all with ids that pack; spilled,
-        /// its room is the first room doubled until the peers fit.  One
-        /// draw in sixteen is an id at the edge of the packing: the
-        /// largest that packs, the packed vacant id, one in the `u32`
-        /// range, or the largest id a node has.
-        #[test]
-        fn prop_lane_order_matches_the_vec_it_replaced(
-            notes in proptest::collection::vec((0u32..3, 0u32..64, any::<u64>()), 1..400),
-            pool in 1u64..48,
-        ) {
-            let kinds = [LaneKind::Route, LaneKind::Reply, LaneKind::Child];
-            let edges = [Packed::VACANT_ID - 1, Packed::VACANT_ID, u64::MAX - 1].map(NodeId);
-            let mut lanes = LaneOrder::default();
-            let mut model = VecLaneOrder::default();
-            for (kind, pick, draw) in notes {
-                let peer = match pick {
-                    0..60 => NodeId(draw % pool),
-                    63 => NodeId(u64::from(draw as u32) | 1 << 20),
-                    edge => edges[edge as usize - 60],
-                };
-                let kind = kinds[kind as usize];
-                lanes.note(kind, peer);
-                model.note(kind, peer);
-                let met = model.peers.iter().copied().filter(|p| p.0 >= pool);
-                let candidates: Vec<NodeId> = (0..pool).map(NodeId).chain(edges).chain(met).collect();
-                for kind in kinds {
-                    prop_assert_eq!(&*lanes.of(kind), model.of(kind));
-                    for &p in &candidates {
-                        prop_assert_eq!(lanes.rank(kind, p), model.rank(kind, p));
-                    }
-                }
-                let packs = model.peers.len() <= Packed::PEERS
-                    && model.peers.iter().all(|p| p.0 < Packed::VACANT_ID);
-                prop_assert_eq!(matches!(lanes, LaneOrder::Inline(_)), packs);
-                if let LaneOrder::Spilled(slice) = &lanes {
-                    let (room, len) = (slice.peers().len(), model.peers.len());
-                    let mut first_fit = LaneSlice::FIRST_ROOM;
-                    while first_fit < len {
-                        first_fit *= 2;
-                    }
-                    prop_assert_eq!(room, first_fit);
-                }
-            }
-        }
+        assert!(node.waves.as_deref().unwrap().serve_stash().is_empty());
     }
 }

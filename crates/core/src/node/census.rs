@@ -41,8 +41,10 @@
 //! the run time is `sim_light`'s drain, whose last operations complete
 //! thousands of rounds after its load.
 
+use super::work::LocalCombining;
 use super::*;
 use crate::cluster::Skueue;
+use std::collections::VecDeque;
 use std::mem::size_of;
 
 const SEED: u64 = 42;
@@ -99,10 +101,6 @@ fn deque_bytes<E>(d: &VecDeque<E>) -> usize {
     d.capacity() * size_of::<E>()
 }
 
-fn boxed_bytes<E>(b: &Option<Box<E>>) -> usize {
-    b.as_ref().map_or(0, |_| size_of::<E>())
-}
-
 /// Bytes per owner, in a fixed order, with how many nodes hold the owner
 /// where that is one box per node.
 type Census = Vec<(&'static str, usize, Option<usize>)>;
@@ -148,52 +146,47 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
         ),
         (
             "child queues, capacity",
-            per_waves(&|w| vec_bytes(&w.child_batches.0)),
+            per_waves(&|w| w.child_batches().capacity() * size_of::<(NodeId, u64, Batch)>()),
             None,
         ),
         (
             "queued child and own batch runs",
-            per_waves(&|w| {
-                w.child_batches
-                    .0
-                    .iter()
-                    .map(|(_, _, b)| batch_bytes(b))
-                    .sum()
-            }) + per_requests(&|r| batch_bytes(&r.own_batch)),
+            per_waves(&|w| w.child_batches().batches().map(batch_bytes).sum())
+                + per_requests(&|r| batch_bytes(r.own_batch())),
             None,
         ),
         (
             "wave rings, words",
-            per_waves(&|w| deque_bytes(&w.memo.words)),
+            per_waves(&|w| deque_bytes(w.wave_memo().words())),
             None,
         ),
         (
             "serve stashes",
             per_waves(&|w| {
-                let runs: usize = w.serve_stash.iter().map(|s| vec_bytes(&s.runs)).sum();
-                vec_bytes(&w.serve_stash) + runs
+                let runs: usize = w.serve_stash().iter().map(|s| vec_bytes(s.runs())).sum();
+                vec_bytes(w.serve_stash()) + runs
             }),
             None,
         ),
-        ("own logs", per_requests(&|r| vec_bytes(&r.own_log)), None),
+        ("own logs", per_requests(&|r| vec_bytes(r.own_log())), None),
         (
             "DHT stores (entries, parked GETs)",
-            per_requests(&|r| r.store.allocated_bytes()),
+            per_requests(&|r| r.store().allocated_bytes()),
             None,
         ),
         (
             "outstanding GETs",
-            per_requests(&|r| vec_bytes(&r.outstanding_gets)),
+            per_requests(&|r| vec_bytes(r.outstanding_gets())),
             None,
         ),
         ("lane report sinks", report_sinks, None),
         (
             "spilled lane orders, slice length",
-            per_node(&|node| match &node.lanes {
-                LaneOrder::Spilled(slice) => slice.slots.len() * size_of::<NodeId>(),
-                LaneOrder::Inline(_) => 0,
+            per_node(&|node| {
+                let slots = node.lanes.spilled_slots();
+                slots.map_or(0, |len| len * size_of::<NodeId>())
             }),
-            Some(holding(&|node| matches!(node.lanes, LaneOrder::Spilled(_)))),
+            Some(holding(&|node| node.lanes.spilled_slots().is_some())),
         ),
         (
             "cold boxes",
@@ -207,9 +200,14 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
         ),
         (
             "  combining states in them",
-            per_cold(&|cold| boxed_bytes(&cold.combining)),
+            per_cold(&|cold| {
+                let combining = cold.local_combining();
+                combining.map_or(0, |_| size_of::<LocalCombining<u64>>())
+            }),
             Some(holding(&|node| {
-                node.cold.as_deref().is_some_and(|c| c.combining.is_some())
+                node.cold
+                    .as_deref()
+                    .is_some_and(|c| c.local_combining().is_some())
             })),
         ),
         (
