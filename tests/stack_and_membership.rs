@@ -210,3 +210,119 @@ fn central_baseline_saturates_where_skueue_does_not() {
         skueue_result.avg_rounds_per_request
     );
 }
+
+/// The churn instants in the trace log, in log order: `(round, pid, shard,
+/// joined)` for every "process joined" / "process left" instant of the
+/// Chrome export (one event a line, `ts` in microseconds of 1000 a round).
+fn churn_instants(chrome: &str) -> Vec<(u64, u64, u64, bool)> {
+    let field = |line: &str, key: &str| -> u64 {
+        let at = line
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+            + key.len();
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    chrome
+        .lines()
+        .filter_map(|line| {
+            let joined = line.contains("\"name\":\"process joined p");
+            (joined || line.contains("\"name\":\"process left p")).then(|| {
+                let round = field(line, "\"ts\":") / 1000;
+                (round, field(line, " p"), field(line, "\"tid\":"), joined)
+            })
+        })
+        .collect()
+}
+
+/// A sharded, traced cluster with joins and leaves — two of each started
+/// in the same round — under a light load: every `ProcessJoined` carries
+/// the round after which its process first may issue, every `ProcessLeft`
+/// the round after which all three of its nodes have left, on the
+/// process's shard, and the instants of one round come in ascending pid
+/// order.
+#[test]
+fn churn_instants_carry_the_round_the_transition_settled_in_pid_order() {
+    let mut cluster = Skueue::builder()
+        .processes(12)
+        .shards(2)
+        .seed(19)
+        .trace(TraceLevel::Spans)
+        .build()
+        .unwrap();
+    let mut rng = SimRng::new(7);
+    let mut joiners = Vec::new();
+    let mut leavers = Vec::new();
+    // (pid, the round after which it first may issue or has left, joined).
+    let mut expected: Vec<(u64, u64, bool)> = Vec::new();
+    for step in 0..400u64 {
+        match step {
+            5 | 40 => {
+                joiners.push(cluster.join(None).unwrap());
+                joiners.push(cluster.join(None).unwrap());
+            }
+            20 | 60 => {
+                let mut picked = 0;
+                for p in (0..12).map(ProcessId) {
+                    if picked < 2 && cluster.leave(p).is_ok() {
+                        leavers.push(p);
+                        picked += 1;
+                    }
+                }
+            }
+            _ => {}
+        }
+        let p = ProcessId(rng.gen_range(12));
+        if cluster.process_may_issue(p) {
+            cluster.client(p).enqueue(step).unwrap();
+        }
+        cluster.run_round();
+        let round = cluster.round();
+        let settled = joiners
+            .iter()
+            .map(|&j| (j, cluster.process_may_issue(j), true))
+            .chain(
+                leavers
+                    .iter()
+                    .map(|&l| (l, cluster.process_has_left(l), false)),
+            );
+        for (p, now, joined) in settled.collect::<Vec<_>>() {
+            let seen = expected
+                .iter()
+                .any(|&(q, _, j)| q == p.raw() && j == joined);
+            if now && !seen {
+                expected.push((p.raw(), round, joined));
+            }
+        }
+    }
+    cluster.run_until_all_complete(20_000).unwrap();
+    assert_eq!(joiners.len(), 4);
+    assert_eq!(leavers.len(), 4);
+    assert_eq!(expected.len(), 8, "every transition settled: {expected:?}");
+
+    let instants = churn_instants(&cluster.export_chrome_trace());
+    assert_eq!(instants.len(), 8, "{instants:?}");
+    for &(round, pid, shard, joined) in &instants {
+        assert!(
+            expected.contains(&(pid, round, joined)),
+            "p{pid} (joined: {joined}) stamped round {round}; expected {expected:?}"
+        );
+        assert_eq!(Some(shard as u32), cluster.shard_of_process(ProcessId(pid)));
+    }
+    for pair in instants.windows(2) {
+        assert!(pair[0].0 <= pair[1].0, "instants out of round order");
+        if pair[0].0 == pair[1].0 {
+            assert!(
+                pair[0].1 < pair[1].1,
+                "one round's instants by pid: {pair:?}"
+            );
+        }
+    }
+    assert!(
+        instants.windows(2).any(|pair| pair[0].0 == pair[1].0),
+        "two transitions settle in one round: {instants:?}"
+    );
+}
