@@ -14,7 +14,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use crate::batch::BatchOp;
 use crate::cluster::{ClusterError, SkueueCluster};
+use crate::config::Mode;
 use crate::ticket::OpTicket;
 use skueue_dht::Payload;
 use skueue_sim::ids::ProcessId;
@@ -46,35 +48,45 @@ impl<'c, T: Payload> ClientHandle<'c, T> {
 
     /// Issues an `ENQUEUE(value)` (queue mode).
     pub fn enqueue(&mut self, value: T) -> Result<OpTicket, ClusterError> {
-        self.cluster.enqueue(self.process, value)
+        self.cluster
+            .issue(self.process, Some(Mode::Queue), BatchOp::Enqueue, value)
     }
 
     /// Issues a `DEQUEUE()` (queue mode).
     pub fn dequeue(&mut self) -> Result<OpTicket, ClusterError> {
-        self.cluster.dequeue(self.process)
+        let value = T::default();
+        self.cluster
+            .issue(self.process, Some(Mode::Queue), BatchOp::Dequeue, value)
     }
 
     /// Issues a `PUSH(value)` (stack mode).
     pub fn push(&mut self, value: T) -> Result<OpTicket, ClusterError> {
-        self.cluster.push(self.process, value)
+        self.cluster
+            .issue(self.process, Some(Mode::Stack), BatchOp::Enqueue, value)
     }
 
     /// Issues a `POP()` (stack mode).
     pub fn pop(&mut self) -> Result<OpTicket, ClusterError> {
-        self.cluster.pop(self.process)
+        let value = T::default();
+        self.cluster
+            .issue(self.process, Some(Mode::Stack), BatchOp::Dequeue, value)
     }
 
     /// Issues an insert or remove without caring about queue/stack naming
     /// (what the workload generators use).
     pub fn issue(&mut self, is_insert: bool, value: T) -> Result<OpTicket, ClusterError> {
-        self.cluster.issue_op(self.process, is_insert, value)
+        let kind = if is_insert {
+            BatchOp::Enqueue
+        } else {
+            BatchOp::Dequeue
+        };
+        self.cluster.issue(self.process, None, kind, value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
     use crate::ticket::OpOutcome;
 
     #[test]

@@ -154,20 +154,11 @@ impl From<SimError> for ClusterError {
     }
 }
 
-/// Lifecycle state of a process as tracked by the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProcessState {
-    Active,
-    Joining,
-    Leaving,
-    Left,
-}
-
-#[derive(Debug, Clone)]
+/// The driver's record of one process: what it issued.  Its membership is
+/// its nodes' (see [`SkueueCluster::process_may_issue`]), its shard the
+/// router's.
+#[derive(Debug, Clone, Default)]
 struct ProcessHandle {
-    /// The anchor shard the process belongs to (deterministic by label).
-    shard: ShardId,
-    state: ProcessState,
     next_seq: u64,
     /// Where each completed request of this process sits in the history,
     /// indexed by the request's `seq` (dense from 0); [`NOT_COMPLETED`] for
@@ -181,15 +172,6 @@ struct ProcessHandle {
 const NOT_COMPLETED: u32 = u32::MAX;
 
 impl ProcessHandle {
-    fn new(shard: ShardId, state: ProcessState) -> Self {
-        ProcessHandle {
-            shard,
-            state,
-            next_seq: 0,
-            completed_at: Vec::new(),
-        }
-    }
-
     /// Index of the history record of request `seq`, once it has completed.
     fn history_index(&self, seq: u64) -> Option<usize> {
         let at = *self.completed_at.get(usize::try_from(seq).ok()?)?;
@@ -246,11 +228,11 @@ pub struct SkueueCluster<T: Payload = u64> {
     issued: u64,
     /// This instance's id (see [`NEXT_CLUSTER_ID`]).
     cluster_id: u64,
-    /// Number of processes currently joining or leaving; the per-round state
-    /// refresh is skipped while it is zero.
-    transitioning: usize,
+    /// The processes still joining or leaving, ascending by pid: all the
+    /// end-of-round sweep ([`Self::settle_transitions`]) looks at.
+    unsettled: Vec<ProcessId>,
     /// The merged lifecycle-trace log: the simulation hands it the lanes'
-    /// events in lane order after every round, and the membership refresh
+    /// events in lane order after every round, and the end-of-round sweep
     /// appends the driver's own instants, so the log is byte-identical
     /// across thread counts.  Stays empty at [`TraceLevel::Off`].
     trace_log: TraceLog,
@@ -314,7 +296,6 @@ impl<T: Payload> SkueueCluster<T> {
                 sim.reserve_nodes_in_lane(shard, size * 3);
             }
         }
-        let mut processes = Vec::with_capacity(n);
         for (_, shard, views) in membership.processes() {
             for (view, is_anchor) in views {
                 let id = view.me().node;
@@ -323,7 +304,6 @@ impl<T: Payload> SkueueCluster<T> {
                 let assigned = sim.add_node_in_lane(shard as usize, node);
                 debug_assert_eq!(assigned, id);
             }
-            processes.push(ProcessHandle::new(shard, ProcessState::Active));
         }
 
         // One thread, or one lane, stays on the calling thread.
@@ -334,12 +314,12 @@ impl<T: Payload> SkueueCluster<T> {
             cfg,
             router: membership.router(),
             shard_cfgs: membership.shard_cfgs().to_vec(),
-            processes,
+            processes: vec![ProcessHandle::default(); n],
             history: History::new(),
             observers: Vec::new(),
             issued: 0,
             cluster_id: NEXT_CLUSTER_ID.fetch_add(1, Ordering::Relaxed),
-            transitioning: 0,
+            unsettled: Vec::new(),
             trace_log: TraceLog::new(),
         }
     }
@@ -353,22 +333,19 @@ impl<T: Payload> SkueueCluster<T> {
         self.sim.round()
     }
 
-    /// Number of processes that are integrated members.
+    /// Number of processes that may issue requests.
     pub fn active_processes(&self) -> usize {
-        self.processes
-            .iter()
-            .filter(|p| p.state == ProcessState::Active)
-            .count()
+        self.pids().filter(|&p| self.process_may_issue(p)).count()
     }
 
-    /// Ids of all currently active processes.
+    /// Ids of all processes that may issue requests, ascending.
     pub fn active_process_ids(&self) -> Vec<ProcessId> {
-        self.processes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state == ProcessState::Active)
-            .map(|(pid, _)| ProcessId(pid as u64))
-            .collect()
+        self.pids().filter(|&p| self.process_may_issue(p)).collect()
+    }
+
+    /// Every pid ever handed out, ascending.
+    fn pids(&self) -> impl Iterator<Item = ProcessId> {
+        (0..self.processes.len() as u64).map(ProcessId)
     }
 
     /// Total number of requests issued so far.
@@ -435,7 +412,9 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// The shard a known process belongs to.
     pub fn shard_of_process(&self, process: ProcessId) -> Option<ShardId> {
-        self.process(process).ok().map(|p| p.shard)
+        self.process_index(process)
+            .ok()
+            .map(|_| self.router.route(process))
     }
 
     /// The anchor state currently held in each shard (indexed by shard id).
@@ -557,16 +536,6 @@ impl<T: Payload> SkueueCluster<T> {
         ClientHandle::new(self, process)
     }
 
-    fn require_mode(&self, required: Mode) -> Result<(), ClusterError> {
-        if self.cfg.mode != required {
-            return Err(ClusterError::WrongMode {
-                required,
-                actual: self.cfg.mode,
-            });
-        }
-        Ok(())
-    }
-
     /// Index of `process` in the process table: its pid, if one was ever
     /// handed out for it.
     fn process_index(&self, process: ProcessId) -> Result<usize, ClusterError> {
@@ -576,21 +545,32 @@ impl<T: Payload> SkueueCluster<T> {
         }
     }
 
-    /// The driver's record of `process` (left processes keep theirs).
-    fn process(&self, process: ProcessId) -> Result<&ProcessHandle, ClusterError> {
-        self.process_index(process).map(|idx| &self.processes[idx])
+    /// Index of `process` in the process table, if it may issue requests.
+    fn index_if_may_issue(&self, process: ProcessId) -> Result<usize, ClusterError> {
+        let idx = self.process_index(process)?;
+        if !self.process_may_issue(process) {
+            return Err(ClusterError::ProcessNotActive(process));
+        }
+        Ok(idx)
     }
 
-    fn issue(
+    /// Issues an insert ([`BatchOp::Enqueue`]) or a remove at `process` and
+    /// returns its ticket.  `mode` is the mode the caller's operation
+    /// belongs to (`enqueue` a queue, `push` a stack; `None` fits either).
+    pub(crate) fn issue(
         &mut self,
         process: ProcessId,
+        mode: Option<Mode>,
         kind: BatchOp,
         value: T,
     ) -> Result<OpTicket, ClusterError> {
-        let idx = self.process_index(process)?;
-        if self.processes[idx].state != ProcessState::Active {
-            return Err(ClusterError::ProcessNotActive(process));
+        if let Some(required) = mode.filter(|&m| m != self.cfg.mode) {
+            return Err(ClusterError::WrongMode {
+                required,
+                actual: self.cfg.mode,
+            });
         }
+        let idx = self.index_if_may_issue(process)?;
         let seq = self.processes[idx].next_seq;
         self.processes[idx].next_seq += 1;
         let id = RequestId::new(process, seq);
@@ -608,55 +588,6 @@ impl<T: Payload> SkueueCluster<T> {
             BatchOp::Dequeue => OpKind::Dequeue,
         };
         Ok(OpTicket::new(self.cluster_id, id, op_kind))
-    }
-
-    /// Issues an `ENQUEUE(value)` at `process` and returns its ticket.
-    pub(crate) fn enqueue(
-        &mut self,
-        process: ProcessId,
-        value: T,
-    ) -> Result<OpTicket, ClusterError> {
-        self.require_mode(Mode::Queue)?;
-        self.issue(process, BatchOp::Enqueue, value)
-    }
-
-    /// Issues a `DEQUEUE()` at `process` and returns its ticket.
-    pub(crate) fn dequeue(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
-        self.require_mode(Mode::Queue)?;
-        self.issue(process, BatchOp::Dequeue, T::default())
-    }
-
-    /// Issues a `PUSH(value)` at `process` (stack mode) and returns its
-    /// ticket.
-    pub(crate) fn push(&mut self, process: ProcessId, value: T) -> Result<OpTicket, ClusterError> {
-        self.require_mode(Mode::Stack)?;
-        self.issue(process, BatchOp::Enqueue, value)
-    }
-
-    /// Issues a `POP()` at `process` (stack mode) and returns its ticket.
-    pub(crate) fn pop(&mut self, process: ProcessId) -> Result<OpTicket, ClusterError> {
-        self.require_mode(Mode::Stack)?;
-        self.issue(process, BatchOp::Dequeue, T::default())
-    }
-
-    /// Issues an operation without caring about queue/stack naming (used by
-    /// the workload generators, usually through
-    /// [`ClientHandle::issue`]).
-    pub(crate) fn issue_op(
-        &mut self,
-        process: ProcessId,
-        is_insert: bool,
-        value: T,
-    ) -> Result<OpTicket, ClusterError> {
-        self.issue(
-            process,
-            if is_insert {
-                BatchOp::Enqueue
-            } else {
-                BatchOp::Dequeue
-            },
-            value,
-        )
     }
 
     // ------------------------------------------------------------------
@@ -677,7 +608,8 @@ impl<T: Payload> SkueueCluster<T> {
     /// Index of the history record of a request issued here, once it has
     /// completed.
     fn completed_at(&self, id: RequestId) -> Option<usize> {
-        self.process(id.origin).ok()?.history_index(id.seq)
+        let idx = self.process_index(id.origin).ok()?;
+        self.processes[idx].history_index(id.seq)
     }
 
     /// Completion state of a ticket.  A ticket issued by a different
@@ -770,25 +702,17 @@ impl<T: Payload> SkueueCluster<T> {
     pub fn join(&mut self, bootstrap: Option<ProcessId>) -> Result<ProcessId, ClusterError> {
         let pid = ProcessId(self.processes.len() as u64);
         let shard = self.router.route(pid);
-        let same_shard_bootstrap = match bootstrap {
-            Some(p) => {
-                let handle = self.process(p)?;
-                if handle.state != ProcessState::Active {
-                    return Err(ClusterError::ProcessNotActive(p));
-                }
-                (handle.shard == shard).then_some(p)
-            }
-            None => None,
-        };
-        let bootstrap = match same_shard_bootstrap {
-            Some(p) => p,
-            None => self
-                .processes
-                .iter()
-                .position(|h| h.state == ProcessState::Active && h.shard == shard)
-                .map(|idx| ProcessId(idx as u64))
-                .ok_or(ClusterError::ShardHasNoMembers { shard })?,
-        };
+        if let Some(p) = bootstrap {
+            self.index_if_may_issue(p)?;
+        }
+        let in_shard = |p: &ProcessId| self.router.route(*p) == shard;
+        let bootstrap = bootstrap
+            .filter(in_shard)
+            .or_else(|| {
+                self.pids()
+                    .find(|&p| in_shard(&p) && self.process_may_issue(p))
+            })
+            .ok_or(ClusterError::ShardHasNoMembers { shard })?;
         let bootstrap_node = node_of(VirtualId::middle(bootstrap));
 
         let cfg = &self.shard_cfgs[shard as usize];
@@ -799,9 +723,8 @@ impl<T: Payload> SkueueCluster<T> {
             let assigned = self.sim.add_node_in_lane(shard as usize, node);
             debug_assert_eq!(assigned, id);
         }
-        self.processes
-            .push(ProcessHandle::new(shard, ProcessState::Joining));
-        self.transitioning += 1;
+        self.processes.push(ProcessHandle::default());
+        self.unsettled.push(pid);
         Ok(pid)
     }
 
@@ -809,61 +732,56 @@ impl<T: Payload> SkueueCluster<T> {
     /// requests immediately; its virtual nodes leave once their outstanding
     /// work has drained and the next update phase has run.
     pub fn leave(&mut self, process: ProcessId) -> Result<(), ClusterError> {
-        let idx = self.process_index(process)?;
-        if self.processes[idx].state != ProcessState::Active {
-            return Err(ClusterError::ProcessNotActive(process));
-        }
+        self.index_if_may_issue(process)?;
         // The anchor's host process is pinned (documented restriction).
         let nodes = nodes_of(process);
-        for node_id in nodes {
-            if self
-                .sim
-                .node(node_id)
-                .map(|n| n.is_anchor_node())
-                .unwrap_or(false)
-            {
-                return Err(ClusterError::AnchorCannotLeave(process));
-            }
+        if nodes
+            .iter()
+            .any(|&n| self.sim.node(n).is_some_and(SkueueNode::is_anchor_node))
+        {
+            return Err(ClusterError::AnchorCannotLeave(process));
         }
-        self.processes[idx].state = ProcessState::Leaving;
-        self.transitioning += 1;
         // The leave wish re-arms each node's timeout (it must issue its
         // `LeaveRequest` even while a batch is pending).
         for node_id in nodes {
             self.sim.act(node_id, |node, _| node.request_leave());
         }
+        let at = self.unsettled.partition_point(|&p| p < process);
+        self.unsettled.insert(at, process);
         Ok(())
     }
 
-    /// True while `process` may issue requests: the driver considers it an
-    /// integrated member and no `leave()` has been requested for it.  This
-    /// is exactly the condition the request-issuing methods check — unlike
-    /// [`process_is_active`](Self::process_is_active), which only looks at
-    /// node integration and stays true for a process whose leave is pending.
+    /// True while `process` may issue requests: its three virtual nodes are
+    /// integrated members and its middle node has not asked to leave, which
+    /// [`leave`](Self::leave) makes it do before it returns.  This is
+    /// exactly the condition the request-issuing methods check — unlike
+    /// [`process_is_active`](Self::process_is_active), which stays true for
+    /// a process whose leave is pending.
     pub fn process_may_issue(&self, process: ProcessId) -> bool {
-        self.process(process)
-            .is_ok_and(|p| p.state == ProcessState::Active)
+        self.all_nodes(process, SkueueNode::is_integrated)
+            && !self
+                .sim
+                .node(node_of(VirtualId::middle(process)))
+                .is_some_and(SkueueNode::has_asked_to_leave)
     }
 
     /// True once all three virtual nodes of a process are integrated members.
     pub fn process_is_active(&self, process: ProcessId) -> bool {
-        self.process(process).is_ok_and(|_| {
-            nodes_of(process).iter().all(|&n| {
-                self.sim
-                    .node(n)
-                    .map(|node| node.is_integrated())
-                    .unwrap_or(false)
-            })
-        })
+        self.all_nodes(process, SkueueNode::is_integrated)
     }
 
     /// True once all three virtual nodes of a leaving process have drained.
     pub fn process_has_left(&self, process: ProcessId) -> bool {
-        self.process(process).is_ok_and(|_| {
-            nodes_of(process)
+        self.all_nodes(process, SkueueNode::has_left)
+    }
+
+    /// True if `process` is known and `test` holds at each of its three
+    /// virtual nodes.
+    fn all_nodes(&self, process: ProcessId, test: impl Fn(&SkueueNode<T>) -> bool) -> bool {
+        self.process_index(process).is_ok()
+            && nodes_of(process)
                 .iter()
-                .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true))
-        })
+                .all(|&n| self.sim.node(n).is_some_and(&test))
     }
 
     // ------------------------------------------------------------------
@@ -871,11 +789,11 @@ impl<T: Payload> SkueueCluster<T> {
     // ------------------------------------------------------------------
 
     /// Runs one synchronous round, publishes the round's completions to the
-    /// event stream, and refreshes membership states.
+    /// event stream, and settles the joins and leaves that finished.
     pub fn run_round(&mut self) {
         self.sim.run_round(&mut self.trace_log);
         self.collect_completions();
-        self.refresh_process_states();
+        self.settle_transitions();
     }
 
     /// Runs `rounds` rounds.
@@ -888,17 +806,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// Runs until every issued request has completed, or the round budget is
     /// exhausted (`max_rounds == 0` means unlimited).
     pub fn run_until_all_complete(&mut self, max_rounds: u64) -> Result<u64, ClusterError> {
-        let start = self.sim.round();
-        while self.open_requests() > 0 {
-            if max_rounds > 0 && self.sim.round() - start >= max_rounds {
-                return Err(ClusterError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    open_requests: self.open_requests() as usize,
-                });
-            }
-            self.run_round();
-        }
-        Ok(self.sim.round() - start)
+        self.run_until(|c| c.open_requests() == 0, max_rounds)
     }
 
     /// Runs until the given predicate over the cluster becomes true.
@@ -954,61 +862,33 @@ impl<T: Payload> SkueueCluster<T> {
         }
     }
 
-    fn refresh_process_states(&mut self) {
-        // Membership is stable almost always; skip the sweep entirely then.
-        if self.transitioning == 0 {
-            return;
-        }
-        let tracing = !self.cfg.trace_level.is_off();
+    /// Drops the joins and leaves that finished this round from
+    /// [`Self::unsettled`] and, when tracing, records each as a
+    /// `ProcessJoined` / `ProcessLeft` instant at the process's middle node,
+    /// in pid order.  A joiner has finished once it may issue; a leaver,
+    /// which may not, once its three nodes have left.
+    fn settle_transitions(&mut self) {
         let round = self.sim.round();
-        for (idx, p) in self.processes.iter_mut().enumerate() {
-            let pid = ProcessId(idx as u64);
-            let nodes = nodes_of(pid);
-            match p.state {
-                ProcessState::Joining => {
-                    let all_active = nodes.iter().all(|&n| {
-                        self.sim
-                            .node(n)
-                            .map(|node| node.is_integrated())
-                            .unwrap_or(false)
-                    });
-                    if all_active {
-                        p.state = ProcessState::Active;
-                        self.transitioning -= 1;
-                        if tracing {
-                            self.trace_log.push(TraceRecord {
-                                node: nodes[VKind::Middle.index()].0,
-                                shard: p.shard,
-                                event: TraceEvent::ProcessJoined {
-                                    process: pid.0,
-                                    round,
-                                },
-                            });
-                        }
-                    }
-                }
-                ProcessState::Leaving => {
-                    let all_left = nodes
-                        .iter()
-                        .all(|&n| self.sim.node(n).map(|node| node.has_left()).unwrap_or(true));
-                    if all_left {
-                        p.state = ProcessState::Left;
-                        self.transitioning -= 1;
-                        if tracing {
-                            self.trace_log.push(TraceRecord {
-                                node: nodes[VKind::Middle.index()].0,
-                                shard: p.shard,
-                                event: TraceEvent::ProcessLeft {
-                                    process: pid.0,
-                                    round,
-                                },
-                            });
-                        }
-                    }
-                }
-                _ => {}
+        let mut unsettled = std::mem::take(&mut self.unsettled);
+        unsettled.retain(|&pid| {
+            let process = pid.0;
+            let event = if self.process_may_issue(pid) {
+                TraceEvent::ProcessJoined { process, round }
+            } else if self.process_has_left(pid) {
+                TraceEvent::ProcessLeft { process, round }
+            } else {
+                return true;
+            };
+            if !self.cfg.trace_level.is_off() {
+                self.trace_log.push(TraceRecord {
+                    node: node_of(VirtualId::middle(pid)).0,
+                    shard: self.router.route(pid),
+                    event,
+                });
             }
-        }
+            false
+        });
+        self.unsettled = unsettled;
     }
 
     /// Direct access to a node (tests and diagnostics).
@@ -1066,11 +946,11 @@ mod tests {
         let mut cluster = queue_cluster(1, 1);
         let p = ProcessId(0);
         let tickets = [
-            cluster.enqueue(p, 10).unwrap(),
-            cluster.enqueue(p, 20).unwrap(),
-            cluster.dequeue(p).unwrap(),
-            cluster.dequeue(p).unwrap(),
-            cluster.dequeue(p).unwrap(), // ⊥
+            cluster.client(p).enqueue(10).unwrap(),
+            cluster.client(p).enqueue(20).unwrap(),
+            cluster.client(p).dequeue().unwrap(),
+            cluster.client(p).dequeue().unwrap(),
+            cluster.client(p).dequeue().unwrap(), // ⊥
         ];
         let outcomes = cluster.run_until_done(&tickets, 500).unwrap();
         assert!(matches!(outcomes[0], OpOutcome::Enqueued { .. }));
@@ -1123,15 +1003,15 @@ mod tests {
     fn stack_lifo_semantics() {
         let mut cluster = stack_cluster(3, 5);
         let p = ProcessId(0);
-        let a = cluster.push(p, 1).unwrap();
-        let b = cluster.push(p, 2).unwrap();
+        let a = cluster.client(p).push(1).unwrap();
+        let b = cluster.client(p).push(2).unwrap();
         cluster.run_until_done(&[a, b], 500).unwrap();
-        let pop1 = cluster.pop(ProcessId(1)).unwrap();
+        let pop1 = cluster.client(ProcessId(1)).pop().unwrap();
         let o1 = cluster.run_until_done(&[pop1], 500).unwrap();
         // The first pop must return the element pushed second (value 2).
         assert_eq!(o1[0].value(), Some(2));
-        let pop2 = cluster.pop(ProcessId(2)).unwrap();
-        let pop3 = cluster.pop(ProcessId(2)).unwrap(); // ⊥
+        let pop2 = cluster.client(ProcessId(2)).pop().unwrap();
+        let pop3 = cluster.client(ProcessId(2)).pop().unwrap(); // ⊥
         let rest = cluster.run_until_done(&[pop2, pop3], 500).unwrap();
         assert_eq!(rest[0].value(), Some(1));
         assert!(rest[1].is_empty());
@@ -1143,8 +1023,8 @@ mod tests {
         let mut cluster = stack_cluster(2, 11);
         let p = ProcessId(0);
         // Push+pop issued back-to-back at the same process combine locally.
-        let push = cluster.push(p, 7).unwrap();
-        let pop = cluster.pop(p).unwrap();
+        let push = cluster.client(p).push(7).unwrap();
+        let pop = cluster.client(p).pop().unwrap();
         assert_eq!(cluster.open_requests(), 2);
         cluster.run_round();
         assert_eq!(
@@ -1315,12 +1195,12 @@ mod tests {
     fn errors_for_unknown_or_inactive_processes() {
         let mut cluster = queue_cluster(2, 1);
         assert!(matches!(
-            cluster.enqueue(ProcessId(99), 1),
+            cluster.client(ProcessId(99)).enqueue(1),
             Err(ClusterError::UnknownProcess(_))
         ));
         let joining = cluster.join(None).unwrap();
         assert!(matches!(
-            cluster.enqueue(joining, 1),
+            cluster.client(joining).enqueue(1),
             Err(ClusterError::ProcessNotActive(_))
         ));
     }
@@ -1333,7 +1213,7 @@ mod tests {
         let mut cluster = queue_cluster(4, 5);
         let beyond = ProcessId(4);
         assert_eq!(
-            cluster.enqueue(beyond, 1),
+            cluster.client(beyond).enqueue(1),
             Err(ClusterError::UnknownProcess(beyond))
         );
         assert_eq!(
@@ -1350,7 +1230,7 @@ mod tests {
         assert!(!cluster.process_has_left(beyond));
         let huge = ProcessId(u64::MAX);
         assert_eq!(
-            cluster.dequeue(huge),
+            cluster.client(huge).dequeue(),
             Err(ClusterError::UnknownProcess(huge))
         );
 
@@ -1359,13 +1239,13 @@ mod tests {
         assert_eq!(joiner, beyond);
         assert_eq!(cluster.shard_of_process(joiner), Some(0));
         assert_eq!(
-            cluster.enqueue(joiner, 1),
+            cluster.client(joiner).enqueue(1),
             Err(ClusterError::ProcessNotActive(joiner))
         );
         cluster
             .run_until(|c| c.process_may_issue(joiner), 600)
             .unwrap();
-        let put = cluster.enqueue(joiner, 7).unwrap();
+        let put = cluster.client(joiner).enqueue(7).unwrap();
         cluster.run_until_done(&[put], 600).unwrap();
 
         cluster.leave(joiner).unwrap();
@@ -1373,7 +1253,7 @@ mod tests {
             .run_until(|c| c.process_has_left(joiner), 1200)
             .unwrap();
         assert_eq!(
-            cluster.enqueue(joiner, 2),
+            cluster.client(joiner).enqueue(2),
             Err(ClusterError::ProcessNotActive(joiner)),
             "a left process is known, just not active"
         );
@@ -1391,16 +1271,16 @@ mod tests {
     fn wrong_mode_is_a_real_error() {
         let mut queue = queue_cluster(2, 1);
         assert!(matches!(
-            queue.push(ProcessId(0), 1),
+            queue.client(ProcessId(0)).push(1),
             Err(ClusterError::WrongMode {
                 required: Mode::Stack,
                 actual: Mode::Queue
             })
         ));
-        assert!(queue.pop(ProcessId(0)).is_err());
+        assert!(queue.client(ProcessId(0)).pop().is_err());
         let mut stack = stack_cluster(2, 1);
         assert!(matches!(
-            stack.dequeue(ProcessId(0)),
+            stack.client(ProcessId(0)).dequeue(),
             Err(ClusterError::WrongMode {
                 required: Mode::Queue,
                 actual: Mode::Stack
@@ -1498,7 +1378,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        cluster.enqueue(ProcessId(0), 1).unwrap();
+        cluster.client(ProcessId(0)).enqueue(1).unwrap();
         cluster.run_until_all_complete(500).unwrap();
         let stack = SkueueCluster::<u64>::builder()
             .processes(2)

@@ -335,6 +335,15 @@ impl<T: Payload> SkueueNode<T> {
         matches!(self.lifecycle, Lifecycle::Member { .. })
     }
 
+    /// True once the node has asked to leave and until it has left: its
+    /// leave is wanted, requested or granted.
+    pub(crate) fn has_asked_to_leave(&self) -> bool {
+        matches!(
+            self.leave(),
+            Leave::Wanted | Leave::Requested | Leave::Granted
+        )
+    }
+
     // ---------------------------------------------------------------------
     // The lifecycle.
     // ---------------------------------------------------------------------
@@ -664,10 +673,7 @@ impl<T: Payload> SkueueNode<T> {
     fn handle_leave_request(&mut self, leaver: NeighborInfo, ctx: &mut Context<SkueueMsg<T>>) {
         // Leftmost-leaves-first priority: if we want to leave ourselves and
         // are to the left of the requester, it has to wait for us.
-        if matches!(
-            self.leave(),
-            Leave::Wanted | Leave::Requested | Leave::Granted
-        ) {
+        if self.has_asked_to_leave() {
             ctx.send(leaver.node, SkueueMsg::LeaveDeferred);
             return;
         }

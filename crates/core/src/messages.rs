@@ -302,8 +302,8 @@ impl<T: Payload> SkueueMsg<T> {
     /// consume (drop) these rather than forward them: relayed to the
     /// absorber they would corrupt *its* state (e.g. clear its aggregate
     /// credit or cut an innocent node out of its aggregation tree).  The
-    /// drain arm of [`crate::node::SkueueNode`]'s `on_message` asserts
-    /// against this predicate so the two lists cannot drift apart.
+    /// drain arm of [`crate::node::SkueueNode`]'s `on_message` branches on
+    /// this predicate alone.
     pub(crate) fn is_node_local(&self) -> bool {
         matches!(
             self,

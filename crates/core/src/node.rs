@@ -1146,24 +1146,10 @@ impl<T: Payload> Actor for SkueueNode<T> {
         // innocent node out of the absorber's aggregation tree), and a late
         // aggregate confirmation (it would clear the absorber's own
         // channel-serialisation credit).
-        if let Lifecycle::Draining { .. } = self.lifecycle {
-            match msg {
-                SkueueMsg::SetPred { .. }
-                | SkueueMsg::SetSucc { .. }
-                | SkueueMsg::UpdateOver { .. }
-                | SkueueMsg::UpdateFlag { .. }
-                | SkueueMsg::SiblingStatus { .. }
-                | SkueueMsg::AggregateAck => {}
-                other => {
-                    debug_assert!(
-                        !other.is_node_local(),
-                        "draining node must not forward node-local message {other:?}"
-                    );
-                    let absorber = self.absorber().expect("a draining node has an absorber");
-                    ctx.send(absorber, other);
-                    return;
-                }
-            }
+        if matches!(self.lifecycle, Lifecycle::Draining { .. }) && !msg.is_node_local() {
+            let absorber = self.absorber().expect("a draining node has an absorber");
+            ctx.send(absorber, msg);
+            return;
         }
 
         match msg {

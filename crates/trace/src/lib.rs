@@ -44,6 +44,7 @@ mod chrome;
 
 pub use analysis::{OpSpan, StageStats, TraceAnalysis};
 pub use chrome::{export_chrome_trace, validate_json};
+use std::hash::{Hash, Hasher};
 
 /// How much a traced run records.
 ///
@@ -102,7 +103,7 @@ impl std::fmt::Display for TraceId {
 /// All variants carry the simulation round they happened in — traces are
 /// round-stamped, never wall-clock-stamped, which is what keeps them
 /// byte-identical across execution backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEvent {
     /// The operation was issued at its origin process.
     Issued {
@@ -230,98 +231,10 @@ impl TraceEvent {
             | TraceEvent::Absorbed { round, .. } => round,
         }
     }
-
-    /// Mixes the event into an FNV-1a accumulator (the log fingerprint).
-    fn mix_into(&self, mix: &mut impl FnMut(u64)) {
-        match *self {
-            TraceEvent::Issued { op, insert, round } => {
-                mix(1);
-                mix(op.origin);
-                mix(op.seq);
-                mix(insert as u64);
-                mix(round);
-            }
-            TraceEvent::WaveJoin { op, round } => {
-                mix(2);
-                mix(op.origin);
-                mix(op.seq);
-                mix(round);
-            }
-            TraceEvent::WaveAssigned { wave, round } => {
-                mix(3);
-                mix(wave);
-                mix(round);
-            }
-            TraceEvent::Assigned {
-                op,
-                wave,
-                major,
-                round,
-            } => {
-                mix(4);
-                mix(op.origin);
-                mix(op.seq);
-                mix(wave);
-                mix(major);
-                mix(round);
-            }
-            TraceEvent::DhtIssued { op, round } => {
-                mix(5);
-                mix(op.origin);
-                mix(op.seq);
-                mix(round);
-            }
-            TraceEvent::DhtHop { op, hop, round } => {
-                mix(6);
-                mix(op.origin);
-                mix(op.seq);
-                mix(hop as u64);
-                mix(round);
-            }
-            TraceEvent::DhtApplied { op, hops, round } => {
-                mix(7);
-                mix(op.origin);
-                mix(op.seq);
-                mix(hops as u64);
-                mix(round);
-            }
-            TraceEvent::Completed { op, round } => {
-                mix(8);
-                mix(op.origin);
-                mix(op.seq);
-                mix(round);
-            }
-            TraceEvent::PhaseEnter { phase, round } => {
-                mix(9);
-                mix(phase);
-                mix(round);
-            }
-            TraceEvent::PhaseOver { phase, round } => {
-                mix(10);
-                mix(phase);
-                mix(round);
-            }
-            TraceEvent::ProcessJoined { process, round } => {
-                mix(11);
-                mix(process);
-                mix(round);
-            }
-            TraceEvent::ProcessLeft { process, round } => {
-                mix(12);
-                mix(process);
-                mix(round);
-            }
-            TraceEvent::Absorbed { process, round } => {
-                mix(13);
-                mix(process);
-                mix(round);
-            }
-        }
-    }
 }
 
 /// One event together with the node (and its anchor shard) that recorded it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Dense index of the recording node.
     pub node: u64,
@@ -381,19 +294,28 @@ impl TraceLog {
     }
 
     /// FNV-1a fingerprint over every field of every record in merge order —
-    /// the cheap byte-identity check the determinism tests pin.
+    /// the cheap byte-identity check the determinism tests compare across
+    /// runs (its value is not pinned anywhere).
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for r in &self.records {
-            mix(r.node);
-            mix(r.shard as u64);
-            r.event.mix_into(&mut mix);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        self.records.hash(&mut h);
+        h.finish()
+    }
+}
+
+/// FNV-1a over the bytes a derived [`Hash`] feeds it.
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
-        h
     }
 }
 
