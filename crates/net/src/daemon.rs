@@ -378,7 +378,7 @@ mod tests {
 
     use super::*;
     use skueue_core::messages::RoutedDhtOp;
-    use skueue_core::{series, DhtOp, Skueue, SkueueMsg, TraceLevel};
+    use skueue_core::{series, ClusterError, DhtOp, Skueue, SkueueMsg, TraceLevel};
     use skueue_overlay::RouteProgress;
     use skueue_sim::ids::RequestId;
     use skueue_sim::{Actor, SimRng};
@@ -590,6 +590,94 @@ mod tests {
             host.turn(Some(leave), now),
             Some(NetFrame::Err(_))
         ));
+    }
+
+    /// The three nodes of process `pid`, Left/Middle/Right.
+    fn nodes(pid: u64) -> [NodeId; 3] {
+        VKind::ALL.map(|kind| node_of(VirtualId::new(ProcessId(pid), kind)))
+    }
+
+    /// Turns the host, a tick at a time, until `Status` reports `pid` as
+    /// `(integrated, left)`.
+    fn await_status(host: &mut Host<u64>, now: &mut Instant, pid: u64, state: (bool, bool)) {
+        for _ in 0..10_000 {
+            if status(host, *now).contains(&(pid, state.0, state.1)) {
+                return;
+            }
+            *now += TICK;
+            host.turn(None, *now);
+        }
+        panic!("process {pid} did not reach {state:?} in 10000 ticks");
+    }
+
+    fn refused(host: &mut Host<u64>, pid: u64, now: Instant, why: ClusterError) {
+        let leave = NetFrame::Leave {
+            pid: ProcessId(pid),
+        };
+        let reply = host.turn(Some(leave), now);
+        assert_eq!(
+            reply,
+            Some(NetFrame::Err(why.to_string())),
+            "leave of {pid}"
+        );
+    }
+
+    /// The anchor's process is pinned, as in the simulation cluster: its
+    /// `Leave` is refused, and it stays a member that may issue.
+    #[test]
+    fn a_leave_of_the_anchors_process_is_refused() {
+        let mut now = Instant::now();
+        let (mut host, _) = host(1, 3);
+        let anchor = (0..3)
+            .find(|&pid| {
+                nodes(pid)
+                    .iter()
+                    .any(|&id| node(&host, id).is_anchor_node())
+            })
+            .expect("one process hosts the anchor");
+        let why = ClusterError::AnchorCannotLeave(ProcessId(anchor));
+        refused(&mut host, anchor, now, why.clone());
+        for _ in 0..100 {
+            now += TICK;
+            host.turn(None, now);
+        }
+        assert!(status(&mut host, now).contains(&(anchor, true, false)));
+        refused(&mut host, anchor, now, why);
+        assert_eq!(host.turn(Some(inject(anchor, 0, true)), now), None);
+        assert_eq!(node(&host, middle(anchor)).open_requests(), 1);
+    }
+
+    /// A process that is still joining may not leave yet; refused, it goes
+    /// on joining.
+    #[test]
+    fn a_leave_of_a_joining_process_is_refused() {
+        let mut now = Instant::now();
+        let (mut host, _) = host(1, 3);
+        join(&mut host, 3, now);
+        refused(
+            &mut host,
+            3,
+            now,
+            ClusterError::ProcessNotActive(ProcessId(3)),
+        );
+        await_status(&mut host, &mut now, 3, (true, false));
+        assert!(nodes(3).iter().all(|&id| node(&host, id).is_integrated()));
+    }
+
+    /// A process leaves once: a second `Leave` is refused while it is
+    /// leaving and after it has left.
+    #[test]
+    fn a_second_leave_is_refused_while_leaving_and_once_gone() {
+        let mut now = Instant::now();
+        let (mut host, _) = host(1, 3);
+        join(&mut host, 3, now);
+        await_status(&mut host, &mut now, 3, (true, false));
+        let leave = NetFrame::Leave { pid: ProcessId(3) };
+        assert_eq!(host.turn(Some(leave), now), Some(NetFrame::Ok));
+        let why = ClusterError::ProcessNotActive(ProcessId(3));
+        refused(&mut host, 3, now, why.clone());
+        await_status(&mut host, &mut now, 3, (false, true));
+        refused(&mut host, 3, now, why);
     }
 
     /// A frame naming a process id at or beyond [`PID_LIMIT`] is refused
