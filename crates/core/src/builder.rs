@@ -247,9 +247,11 @@ impl<T: Payload> SkueueBuilder<T> {
         self
     }
 
-    /// The [`ProtocolConfig`] this builder currently describes (its
-    /// `bit_budget` is derived from the system size by
-    /// [`build`](Self::build)).
+    /// The [`ProtocolConfig`] this builder currently describes.  Its
+    /// `bit_budget` is not read: [`InitialMembership::build`] derives one per
+    /// shard from the shard's size.
+    ///
+    /// [`InitialMembership::build`]: crate::membership::InitialMembership::build
     pub(crate) fn protocol_config(&self) -> ProtocolConfig {
         ProtocolConfig {
             // The synchronous round scheduler delivers per-channel in send

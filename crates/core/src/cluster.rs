@@ -51,12 +51,14 @@ use crate::batch::BatchOp;
 use crate::builder::SkueueBuilder;
 use crate::client::ClientHandle;
 use crate::config::{Mode, ProtocolConfig};
-use crate::membership::{joining_nodes, InitialMembership};
+use crate::membership::{
+    all_nodes, joining_nodes, may_issue, may_leave, nodes_of, InitialMembership,
+};
 use crate::node::{series, SkueueNode};
 use crate::ticket::{CompletionEvent, OpOutcome, OpStatus, OpTicket};
 use skueue_dht::load_stats;
 use skueue_dht::{LoadStats, Payload};
-use skueue_overlay::{node_of, recommended_bit_budget, VKind, VirtualId};
+use skueue_overlay::{node_of, VirtualId};
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
@@ -77,9 +79,9 @@ static NEXT_CLUSTER_ID: AtomicU64 = AtomicU64::new(0);
 /// Errors surfaced by the cluster driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The requested process does not exist or has left.
+    /// No process was ever admitted under this id.
     UnknownProcess(ProcessId),
-    /// The process is not an integrated member (still joining or leaving).
+    /// The process may not issue: it is joining, leaving or left.
     ProcessNotActive(ProcessId),
     /// A queue operation was issued on a stack cluster or vice versa.
     WrongMode {
@@ -197,12 +199,6 @@ impl ProcessHandle {
     }
 }
 
-/// Node ids of the left/middle/right virtual nodes of `process` (the dense
-/// id rule of [`node_of`]; the process table stores none of them).
-fn nodes_of(process: ProcessId) -> [NodeId; 3] {
-    VKind::ALL.map(|kind| node_of(VirtualId::new(process, kind)))
-}
-
 /// Observer callback invoked once per completed operation.
 type CompletionObserver<T> = Box<dyn FnMut(&CompletionEvent<T>)>;
 
@@ -274,12 +270,7 @@ impl<T: Payload> SkueueCluster<T> {
     ) -> Self {
         debug_assert!(n >= 1, "validated by SkueueBuilder::build");
         let membership = InitialMembership::build(n as u64, cfg);
-        // The stored cfg carries the normalised shard count and keeps the
-        // whole-system budget derivation for introspection (`config()`);
-        // node behaviour is governed by the per-shard budgets, which
-        // coincide with this value exactly when shards == 1.
         cfg.shards = cfg.effective_shards();
-        cfg.bit_budget = recommended_bit_budget(n);
 
         let mut sim = Simulation::new(sim_cfg).expect("validated by SkueueBuilder::build");
         // One simulation lane per anchor shard: all protocol traffic is
@@ -691,8 +682,8 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// Starts the `JOIN()` of a brand-new process via the given bootstrap
     /// process (defaults to the first active process when `None`).  Returns
-    /// the new process id.  The process becomes usable once its three
-    /// virtual nodes have been integrated (see [`Self::process_is_active`]).
+    /// the new process id.  The process becomes usable once it may issue
+    /// (see [`Self::process_may_issue`]).
     ///
     /// Sharded deployments: the joiner's shard is determined by its label
     /// (deterministic, like every other process), and the join must
@@ -730,20 +721,15 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// Starts the `LEAVE()` of a process.  The process stops generating
     /// requests immediately; its virtual nodes leave once their outstanding
-    /// work has drained and the next update phase has run.
+    /// work has drained and the next update phase has run.  Refused, as by
+    /// the daemon, unless the process may issue and none of its nodes holds
+    /// the anchor ([`may_leave`]).
     pub fn leave(&mut self, process: ProcessId) -> Result<(), ClusterError> {
-        self.index_if_may_issue(process)?;
-        // The anchor's host process is pinned (documented restriction).
-        let nodes = nodes_of(process);
-        if nodes
-            .iter()
-            .any(|&n| self.sim.node(n).is_some_and(SkueueNode::is_anchor_node))
-        {
-            return Err(ClusterError::AnchorCannotLeave(process));
-        }
+        self.process_index(process)?;
+        may_leave(process, |id| self.sim.node(id))?;
         // The leave wish re-arms each node's timeout (it must issue its
         // `LeaveRequest` even while a batch is pending).
-        for node_id in nodes {
+        for node_id in nodes_of(process) {
             self.sim.act(node_id, |node, _| node.request_leave());
         }
         let at = self.unsettled.partition_point(|&p| p < process);
@@ -751,37 +737,27 @@ impl<T: Payload> SkueueCluster<T> {
         Ok(())
     }
 
-    /// True while `process` may issue requests: its three virtual nodes are
-    /// integrated members and its middle node has not asked to leave, which
+    /// True while `process` may issue requests ([`may_issue`], the daemon's
+    /// rule too): its three virtual nodes are integrated members and its
+    /// middle node has not asked to leave, which
     /// [`leave`](Self::leave) makes it do before it returns.  This is
     /// exactly the condition the request-issuing methods check — unlike
     /// [`process_is_active`](Self::process_is_active), which stays true for
     /// a process whose leave is pending.
     pub fn process_may_issue(&self, process: ProcessId) -> bool {
-        self.all_nodes(process, SkueueNode::is_integrated)
-            && !self
-                .sim
-                .node(node_of(VirtualId::middle(process)))
-                .is_some_and(SkueueNode::has_asked_to_leave)
+        self.process_index(process).is_ok() && may_issue(process, |id| self.sim.node(id))
     }
 
     /// True once all three virtual nodes of a process are integrated members.
     pub fn process_is_active(&self, process: ProcessId) -> bool {
-        self.all_nodes(process, SkueueNode::is_integrated)
+        let node = |id| self.sim.node(id);
+        self.process_index(process).is_ok() && all_nodes(process, node, SkueueNode::is_integrated)
     }
 
     /// True once all three virtual nodes of a leaving process have drained.
     pub fn process_has_left(&self, process: ProcessId) -> bool {
-        self.all_nodes(process, SkueueNode::has_left)
-    }
-
-    /// True if `process` is known and `test` holds at each of its three
-    /// virtual nodes.
-    fn all_nodes(&self, process: ProcessId, test: impl Fn(&SkueueNode<T>) -> bool) -> bool {
-        self.process_index(process).is_ok()
-            && nodes_of(process)
-                .iter()
-                .all(|&n| self.sim.node(n).is_some_and(&test))
+        let node = |id| self.sim.node(id);
+        self.process_index(process).is_ok() && all_nodes(process, node, SkueueNode::has_left)
     }
 
     // ------------------------------------------------------------------

@@ -38,7 +38,7 @@
 //! | [`interval`] | §III-E (Stage 3) | decomposition of position intervals over sub-batches |
 //! | `node` | §III (Stages 1–4), §VI | the per-virtual-node state machine |
 //! | `join_leave` | §IV | lazy joins/leaves, update phase, anchor hand-off |
-//! | [`membership`] | — | the starting overlay and a joiner's views, built once for every driver |
+//! | [`membership`] | — | the starting overlay, a joiner's views and a process's membership reads, written once for every driver |
 //! | [`builder`] | — | the validating [`SkueueBuilder`] |
 //! | `ticket` | — | [`OpTicket`], [`OpOutcome`], the completion stream |
 //! | `client` | — | per-process [`ClientHandle`]s |

@@ -12,7 +12,14 @@
 //! addressed by the overlay's dense id rule, [`node_of`].  Both drivers call
 //! it and keep only what is theirs — where the nodes live and how they are
 //! visited.
+//!
+//! It is also the one place that says what a process's membership is, read
+//! from its three nodes through a driver's node lookup (`|id| sim.node(id)`
+//! or `|id| lane.node(id)`): whether the process may issue ([`may_issue`])
+//! or may leave ([`may_leave`]), and what all three of its nodes say
+//! ([`all_nodes`]).  Neither driver keeps a membership of its own.
 
+use crate::cluster::ClusterError;
 use crate::config::ProtocolConfig;
 use crate::node::SkueueNode;
 use skueue_dht::Payload;
@@ -133,6 +140,48 @@ pub fn joining_nodes<T: Payload>(
         node.set_bootstrap(bootstrap);
         node
     })
+}
+
+/// The ids of process `pid`'s three nodes, in Left/Middle/Right order.
+pub fn nodes_of(pid: ProcessId) -> [NodeId; 3] {
+    VKind::ALL.map(|kind| node_of(VirtualId::new(pid, kind)))
+}
+
+/// True if `test` holds at each of process `pid`'s three nodes, which
+/// `node` looks up; false if one of them is not there.
+pub fn all_nodes<'a, T: Payload>(
+    pid: ProcessId,
+    node: impl Fn(NodeId) -> Option<&'a SkueueNode<T>>,
+    test: impl Fn(&SkueueNode<T>) -> bool,
+) -> bool {
+    nodes_of(pid).map(node).iter().all(|n| n.is_some_and(&test))
+}
+
+/// True while process `pid` may issue requests: its three nodes are
+/// integrated members and its middle node has not asked to leave (a
+/// process that has asked to leave generates no more requests, Section IV).
+pub fn may_issue<'a, T: Payload>(
+    pid: ProcessId,
+    node: impl Fn(NodeId) -> Option<&'a SkueueNode<T>>,
+) -> bool {
+    all_nodes(pid, &node, SkueueNode::is_integrated)
+        && !node(node_of(VirtualId::middle(pid))).is_some_and(SkueueNode::has_asked_to_leave)
+}
+
+/// Whether process `pid` may start its `LEAVE()`: only while it may issue,
+/// and not while one of its nodes holds its shard's anchor state, which
+/// this reproduction pins.
+pub fn may_leave<'a, T: Payload>(
+    pid: ProcessId,
+    node: impl Fn(NodeId) -> Option<&'a SkueueNode<T>>,
+) -> Result<(), ClusterError> {
+    if !may_issue(pid, &node) {
+        Err(ClusterError::ProcessNotActive(pid))
+    } else if !all_nodes(pid, &node, |n| !n.is_anchor_node()) {
+        Err(ClusterError::AnchorCannotLeave(pid))
+    } else {
+        Ok(())
+    }
 }
 
 /// The views a joining process starts from, in Left/Middle/Right order:

@@ -8,7 +8,8 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use skueue_core::Payload;
+use skueue_core::{ClusterError, Payload};
+use skueue_overlay::{node_of, VirtualId};
 use skueue_sim::ids::ProcessId;
 
 use crate::codec::Wire;
@@ -80,9 +81,11 @@ impl<T: Payload + Wire> Control<T> {
 pub struct ProcessStatus {
     /// The process id.
     pub pid: ProcessId,
-    /// True once the process's middle node is an integrated member.
+    /// True while the process may issue requests: its three nodes are
+    /// integrated members and it has not asked to leave
+    /// ([`skueue_core::membership::may_issue`]).
     pub integrated: bool,
-    /// True once the process has fully left the overlay.
+    /// True once all three of the process's nodes have left.
     pub left: bool,
 }
 
@@ -136,20 +139,19 @@ impl<T: Payload + Wire> CtlClient<T> {
 
     /// Starts `count` joining processes with consecutive fresh process ids
     /// (after the highest currently hosted id) and returns the new ids.
-    /// Each join is sent to the daemon that statically owns the new process.
+    /// Each join is sent to the daemon that statically owns the new process
+    /// and bootstraps, as the simulation cluster's `join(None)` does, via
+    /// the lowest process of its shard that may issue.
     pub fn join_wave(&mut self, count: u64) -> io::Result<Vec<ProcessId>> {
-        let next = self
-            .status()?
-            .iter()
-            .map(|s| s.pid.0 + 1)
-            .max()
-            .unwrap_or(self.spec.initial);
+        let statuses = self.status()?; // ascending by pid
+        let next = statuses.last().map_or(self.spec.initial, |s| s.pid.0 + 1);
         let mut joined = Vec::with_capacity(count as usize);
         for pid in (next..next + count).map(ProcessId) {
-            let bootstrap = self
-                .spec
-                .bootstrap_for(pid)
-                .ok_or_else(|| io::Error::other("shard has no initial member"))?;
+            let shard = self.spec.shard_of(pid);
+            let bootstrap = (statuses.iter())
+                .find(|s| s.integrated && self.spec.shard_of(s.pid) == shard)
+                .map(|s| node_of(VirtualId::middle(s.pid)))
+                .ok_or_else(|| io::Error::other(ClusterError::ShardHasNoMembers { shard }))?;
             let daemon = self.spec.daemon_of(pid);
             self.conns[daemon].expect_ok(&NetFrame::Join { pid, bootstrap })?;
             joined.push(pid);
@@ -157,10 +159,10 @@ impl<T: Payload + Wire> CtlClient<T> {
         Ok(joined)
     }
 
-    /// Asks one process to leave.  The caller must not pick a process whose
-    /// node is a shard anchor (the daemon's host processes for anchors are
-    /// among the initial ones; processes created by [`Self::join_wave`] are
-    /// always safe to leave).
+    /// Asks one process to leave.  Its daemon refuses, with the simulation
+    /// cluster's words, a process that may not issue (joining, leaving or
+    /// left) and the process whose node holds its shard's anchor
+    /// ([`skueue_core::membership::may_leave`]).
     pub fn leave(&mut self, pid: ProcessId) -> io::Result<()> {
         let daemon = self.spec.daemon_of(pid);
         self.conns[daemon].expect_ok(&NetFrame::Leave { pid })
@@ -189,11 +191,8 @@ impl<T: Payload + Wire> CtlClient<T> {
     /// Waits until every listed process reports as integrated.
     pub fn wait_integrated(&mut self, pids: &[ProcessId], timeout: Duration) -> io::Result<bool> {
         self.wait_until(timeout, |statuses| {
-            pids.iter().all(|pid| {
-                statuses
-                    .iter()
-                    .any(|s| s.pid == *pid && s.integrated && !s.left)
-            })
+            pids.iter()
+                .all(|pid| statuses.iter().any(|s| s.pid == *pid && s.integrated))
         })
     }
 

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use skueue_core::membership::joining_nodes;
+use skueue_core::membership::{all_nodes, joining_nodes, may_issue, may_leave, nodes_of};
 use skueue_core::BatchOp::{Dequeue, Enqueue};
 use skueue_core::{Payload, ProtocolConfig, SkueueNode};
 use skueue_overlay::{node_of, VKind, VirtualId};
@@ -309,19 +309,16 @@ impl<T: Payload + Wire> Host<T> {
             }
             NetFrame::Inject { id, insert, value } => {
                 let kind = if insert { Enqueue } else { Dequeue };
-                // Issued if the process is hosted here and integrated.
-                let issued = middle_of(id.origin).and_then(|middle| {
-                    self.lane.act(middle, |node, ctx| {
-                        node.is_integrated()
-                            .then(|| node.generate_op(id, kind, value, ctx))
-                    })
-                });
-                if issued.flatten().is_none() {
-                    eprintln!(
-                        "skueue-node[{index}]: dropping inject for process {}: {}",
-                        id.origin.0,
-                        issued.map_or("not hosted here", |_| "not integrated")
-                    );
+                let pid = id.origin;
+                // Issued if the process is hosted here and may issue.
+                let hosted = self.hosts(pid);
+                if hosted && may_issue(pid, |id| self.lane.node(id)) {
+                    let middle = node_of(VirtualId::middle(pid));
+                    self.lane
+                        .act(middle, |node, ctx| node.generate_op(id, kind, value, ctx));
+                } else {
+                    let why = if hosted { "not active" } else { "not hosted" };
+                    eprintln!("skueue-node[{index}]: dropping inject for {pid}: {why}");
                 }
                 return None;
             }
@@ -344,11 +341,15 @@ impl<T: Payload + Wire> Host<T> {
                 NetFrame::Ok
             }
             NetFrame::Leave { pid } if self.hosts(pid) => {
-                for kind in VKind::ALL {
-                    let id = node_of(VirtualId::new(pid, kind));
-                    self.lane.act(id, |node, _| node.request_leave());
+                match may_leave(pid, |id| self.lane.node(id)) {
+                    Ok(()) => {
+                        for id in nodes_of(pid) {
+                            self.lane.act(id, |node, _| node.request_leave());
+                        }
+                        NetFrame::Ok
+                    }
+                    Err(why) => NetFrame::Err(why.to_string()),
                 }
-                NetFrame::Ok
             }
             NetFrame::Leave { pid } => NetFrame::Err(format!("process {} not hosted here", pid.0)),
             NetFrame::Status => NetFrame::StatusReply {
@@ -356,11 +357,9 @@ impl<T: Payload + Wire> Host<T> {
                 processes: (self.lane.nodes())
                     .filter(|node| node.view().kind() == VKind::Middle)
                     .map(|middle| {
-                        (
-                            middle.process().0,
-                            middle.is_integrated(),
-                            middle.has_left(),
-                        )
+                        let (pid, node) = (middle.process(), |id| self.lane.node(id));
+                        let left = all_nodes(pid, node, SkueueNode::has_left);
+                        (pid.0, may_issue(pid, node), left)
                     })
                     .collect(),
             },
@@ -446,9 +445,15 @@ mod tests {
         host.lane.node(id).expect("hosted")
     }
 
+    /// The three nodes of process `pid`, Left/Middle/Right.
+    fn nodes(pid: u64) -> [NodeId; 3] {
+        nodes_of(ProcessId(pid))
+    }
+
+    /// Starts the join of `pid` via p0, in a one-shard cluster the lowest
+    /// process that may issue.
     fn join(host: &mut Host<u64>, pid: u64, now: Instant) {
-        let bootstrap = host.spec.bootstrap_for(ProcessId(pid)).expect("a member");
-        let pid = ProcessId(pid);
+        let (pid, bootstrap) = (ProcessId(pid), middle(0));
         let reply = host.turn(Some(NetFrame::Join { pid, bootstrap }), now);
         assert_eq!(reply, Some(NetFrame::Ok));
     }
@@ -475,16 +480,24 @@ mod tests {
     fn run_until(
         host: &mut Host<u64>,
         now: &mut Instant,
-        mut done: impl FnMut(&mut Host<u64>) -> bool,
+        mut done: impl FnMut(&mut Host<u64>, Instant) -> bool,
     ) {
         for _ in 0..10_000 {
-            if done(host) {
+            if done(host, *now) {
                 return;
             }
             *now += TICK;
             host.turn(None, *now);
         }
         panic!("the host did not get there in 10000 ticks");
+    }
+
+    /// Turns the host, a tick at a time, until `Status` reports `pid` as
+    /// `(integrated, left)`.
+    fn await_status(host: &mut Host<u64>, now: &mut Instant, pid: u64, state: (bool, bool)) {
+        run_until(host, now, |host, now| {
+            status(host, now).contains(&(pid, state.0, state.1))
+        });
     }
 
     #[test]
@@ -558,56 +571,55 @@ mod tests {
         }
     }
 
+    /// `Status` reads a process integrated exactly while it may issue: not
+    /// in a turn where one of its nodes is still joining, and not from the
+    /// turn its `Leave` is served.  An `Inject` from then on opens no request
+    /// — the daemon's form of the cluster's refused issue — so nothing holds
+    /// the leave up.
     #[test]
-    fn status_reports_what_the_middle_node_says() {
+    fn status_reports_whether_a_process_may_issue() {
         let mut now = Instant::now();
-        let (mut host, _) = host(1, 3);
-        let state_of = |host: &Host<u64>, pid: u64| {
-            let node = node(host, middle(pid));
-            (pid, node.is_integrated(), node.has_left())
-        };
-        // A process that joined and left again …
-        join(&mut host, 3, now);
-        run_until(&mut host, &mut now, |host| state_of(host, 3).1);
-        let leave = NetFrame::Leave { pid: ProcessId(3) };
+        // Here the joiner's middle node integrates turns before its right
+        // node: a status read from the middle node alone would say so early.
+        let (mut host, _) = host(1, 5);
+        let integrated = |host: &Host<u64>| nodes(5).map(|id| node(host, id).is_integrated());
+        let reads = |host: &mut Host<u64>, now| status(host, now)[5];
+        join(&mut host, 5, now);
+        let mut middle_first = false;
+        // `Status` is served before the turn's visits: it reads the nodes as
+        // they were before the call.
+        run_until(&mut host, &mut now, |host, now| {
+            let before = integrated(host);
+            middle_first |= before == [true, true, false];
+            let (pid, may_issue, left) = reads(host, now);
+            assert_eq!((pid, left), (5, false));
+            assert_eq!(may_issue, before.iter().all(|&i| i), "nodes {before:?}");
+            may_issue
+        });
+        assert!(middle_first, "the middle node never integrated first");
+        let leave = NetFrame::Leave { pid: ProcessId(5) };
         assert_eq!(host.turn(Some(leave), now), Some(NetFrame::Ok));
-        run_until(&mut host, &mut now, |host| state_of(host, 3).2);
-        // … and a joiner that has not had a turn yet, next to the initial
-        // members.
-        join(&mut host, 4, now);
-        let expected = vec![
-            (0, true, false),
-            (1, true, false),
-            (2, true, false),
-            (3, false, true),
-            (4, false, false),
-        ];
+        let mut seq = 0;
+        run_until(&mut host, &mut now, |host, now| {
+            assert_eq!(host.turn(Some(inject(5, seq, true)), now), None);
+            assert_eq!(node(host, middle(5)).open_requests(), 0);
+            seq += 1;
+            let (_, may_issue, left) = reads(host, now);
+            assert!(!may_issue);
+            left
+        });
+        assert!(nodes(5).iter().all(|&id| node(&host, id).has_left()));
+        // A process that joined and left again, and a joiner that has not
+        // had a turn yet, next to the initial members.
+        join(&mut host, 6, now);
+        let mut expected: Vec<_> = (0..5).map(|pid| (pid, true, false)).collect();
+        expected.extend([(5, false, true), (6, false, false)]);
         assert_eq!(status(&mut host, now), expected);
-        let said: Vec<_> = (0..5).map(|pid| state_of(&host, pid)).collect();
-        assert_eq!(said, expected);
         let leave = NetFrame::Leave { pid: ProcessId(9) };
         assert!(matches!(
             host.turn(Some(leave), now),
             Some(NetFrame::Err(_))
         ));
-    }
-
-    /// The three nodes of process `pid`, Left/Middle/Right.
-    fn nodes(pid: u64) -> [NodeId; 3] {
-        VKind::ALL.map(|kind| node_of(VirtualId::new(ProcessId(pid), kind)))
-    }
-
-    /// Turns the host, a tick at a time, until `Status` reports `pid` as
-    /// `(integrated, left)`.
-    fn await_status(host: &mut Host<u64>, now: &mut Instant, pid: u64, state: (bool, bool)) {
-        for _ in 0..10_000 {
-            if status(host, *now).contains(&(pid, state.0, state.1)) {
-                return;
-            }
-            *now += TICK;
-            host.turn(None, *now);
-        }
-        panic!("process {pid} did not reach {state:?} in 10000 ticks");
     }
 
     fn refused(host: &mut Host<u64>, pid: u64, now: Instant, why: ClusterError) {
@@ -687,7 +699,7 @@ mod tests {
     fn a_process_id_beyond_the_limit_is_refused() {
         let now = Instant::now();
         let (mut host, _) = host(1, 3);
-        let bootstrap = host.spec.bootstrap_for(ProcessId(0)).expect("a member");
+        let bootstrap = middle(0);
         for pid in [PID_LIMIT, 10u64.pow(15), u64::MAX - 1] {
             let join = NetFrame::Join {
                 pid: ProcessId(pid),
@@ -714,7 +726,7 @@ mod tests {
         let (mut host, sink) = host(2, 4);
         join(&mut host, 4, now);
         let open = |host: &Host<u64>, pid: u64| node(host, middle(pid)).open_requests();
-        // Process 1 lives on daemon 1; process 4 is not integrated yet.
+        // Process 1 lives on daemon 1; process 4 may not issue yet.
         for pid in [1, 4] {
             assert_eq!(host.turn(Some(inject(pid, 0, true)), now), None);
         }
@@ -764,14 +776,12 @@ mod tests {
         };
         host.shard_cfgs[0] = Arc::new(traced);
         join(&mut host, 3, now);
-        run_until(&mut host, &mut now, |host| {
-            node(host, middle(3)).is_integrated()
-        });
+        await_status(&mut host, &mut now, 3, (true, false));
         for (seq, pid) in [0, 1, 3, 3].into_iter().enumerate() {
             host.turn(Some(inject(pid, seq as u64, seq % 2 == 0)), now);
         }
         let mut completed = 0;
-        run_until(&mut host, &mut now, |host| {
+        run_until(&mut host, &mut now, |host, _| {
             completed += host.lane.drain_reports::<OpRecord<u64>>().count();
             completed == 4
         });

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use skueue_core::builder::validate_shards;
 use skueue_core::membership::InitialMembership;
 use skueue_core::ProtocolConfig;
-use skueue_overlay::{node_of, vid_of, VirtualId};
+use skueue_overlay::vid_of;
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 
@@ -90,11 +90,6 @@ impl ClusterSpec {
             .with_hash_seed(self.hash_seed)
     }
 
-    /// The shard router for this spec (deterministic process → shard map).
-    pub(crate) fn router(&self) -> ShardRouter {
-        ShardRouter::new(self.shard_map())
-    }
-
     /// The shard map the verifier consumes.
     pub(crate) fn shard_map(&self) -> ShardMap {
         let effective = self.protocol_config().effective_shards();
@@ -109,22 +104,9 @@ impl ClusterSpec {
         InitialMembership::build(self.initial, self.protocol_config())
     }
 
-    /// The bootstrap node a joiner with id `pid` should contact: the middle
-    /// node of the lowest-numbered *initial* process in the same shard.
-    /// Initial processes never leave in the supported workloads, so this is
-    /// always a valid integrated contact.
-    pub(crate) fn bootstrap_for(&self, pid: ProcessId) -> Option<NodeId> {
-        let router = self.router();
-        let shard = router.route(pid);
-        (0..self.initial)
-            .map(ProcessId)
-            .find(|&p| router.route(p) == shard)
-            .map(|p| node_of(VirtualId::middle(p)))
-    }
-
     /// The shard of process `pid`.
     pub(crate) fn shard_of(&self, pid: ProcessId) -> ShardId {
-        self.router().route(pid)
+        ShardRouter::new(self.shard_map()).route(pid)
     }
 }
 
@@ -258,7 +240,6 @@ mod tests {
                 assert_eq!(node.config().bit_budget, budgets[shard as usize]);
             }
         }
-        assert!(spec.bootstrap_for(ProcessId(7)).is_some());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! Joins pick fresh consecutive process ids; the daemon hosting each joiner
 //! follows from the id alone, and the bootstrap contact is the lowest
-//! initial process of the joiner's shard.  Only ever `leave` processes
-//! created by a previous `join` wave — initial processes can host shard
-//! anchors, which are pinned.
+//! process of the joiner's shard that may issue.  A `leave` is refused (exit
+//! 2) for a process that may not issue — joining, leaving or left — and for
+//! the process whose node holds its shard's anchor, which is pinned.
 
 use std::process::ExitCode;
 use std::time::Duration;
