@@ -12,7 +12,7 @@
 //! code 1 once every experiment has printed its table.
 
 use skueue_bench::{
-    fig2_sweep, fig3_sweep, fig4_sweep, print_series, ExperimentPoint, SweepConfig,
+    fig2_sweep, fig3_sweep, fig4_sweep, print_series, route_hops, ExperimentPoint, SweepConfig,
 };
 use skueue_core::{Mode, TraceLevel};
 use skueue_trace::validate_json;
@@ -26,7 +26,7 @@ usage: experiments [EXPERIMENT] [FLAGS]
 
 EXPERIMENT: all (default) | fig2 | fig3 | fig4 | scaling | batchsize | churn |
             fairness | payloads | ablation-batching | ablation-combining |
-            trace (not part of `all`)
+            routes | trace (not part of `all`)
 FLAGS:      --smoke        tiny sweep (seconds; used by CI)
             --paper-scale  the paper's full parameter grid, n up to 100000
                            (measured: fig2 about 35 s, fig3 125 s, scaling 2 s); every
@@ -52,6 +52,7 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("payloads", payloads),
     ("ablation-batching", ablation_batching),
     ("ablation-combining", ablation_combining),
+    ("routes", routes),
 ];
 
 /// A parsed command line.
@@ -221,6 +222,28 @@ fn scaling(config: SweepConfig, seed: u64) -> bool {
         consistent &= r.consistent;
     }
     consistent
+}
+
+/// Hops of random routes on the starting overlay against n, the overlay
+/// alone: the tail of fig2 and fig3 shows here as a maximum far above the
+/// O(log n) hops the paper proves, from routes whose distance-halving walk
+/// crosses the label wrap.  Prints the numbers and checks no bound; runs
+/// no history, so it rejects none.
+fn routes(config: SweepConfig, seed: u64) -> bool {
+    let routes = config.routes();
+    println!("\n=== Routing: hops of {routes} random routes on the starting overlay ===");
+    println!(
+        "{:>10} {:>12} {:>10} {:>10}",
+        "n", "mean hops", "p99 hops", "max hops"
+    );
+    for &n in &config.process_counts() {
+        let hops = route_hops(n, routes, seed);
+        println!(
+            "{:>10} {:>12.2} {:>10} {:>10}",
+            n, hops.mean, hops.p99, hops.max
+        );
+    }
+    true
 }
 
 /// E5: batch sizes under one request per node per round (Theorems 18 and 20).

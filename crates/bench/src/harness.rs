@@ -1,6 +1,11 @@
 //! Sweep definitions and result formatting of the `experiments` binary.
 
-use skueue_core::Mode;
+use skueue_core::{Mode, ProtocolConfig, StageStats};
+use skueue_overlay::{
+    recommended_bit_budget, route_step, Label, LabelHasher, LocalView, RouteAction, RouteProgress,
+    Topology,
+};
+use skueue_sim::{ProcessId, SimRng};
 use skueue_workloads::{run_fixed_rate, run_per_node_rate, ScenarioParams, ScenarioResult};
 
 /// Scale of a sweep.
@@ -50,6 +55,14 @@ impl SweepConfig {
         match self {
             SweepConfig::Smoke => vec![0.1, 0.5],
             _ => vec![0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0],
+        }
+    }
+
+    /// Random routes walked per process count by [`route_hops`].
+    pub fn routes(self) -> usize {
+        match self {
+            SweepConfig::Smoke => 2_000,
+            _ => 100_000,
         }
     }
 
@@ -130,6 +143,55 @@ pub fn fig4_sweep(config: SweepConfig, seed: u64) -> Vec<ExperimentPoint> {
         }
     }
     points
+}
+
+/// Hop counts of random routes on a starting topology (see [`route_hops`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RouteHops {
+    /// Mean hops per route.
+    pub mean: f64,
+    /// 99th percentile (nearest-rank).
+    pub p99: u64,
+    /// The longest route.
+    pub max: u64,
+}
+
+/// Walks `routes` routes, each from a uniformly random virtual node to a
+/// uniformly random label, on the starting topology of processes `0..n`
+/// under the default label hash and the bit budget a shard of `n`
+/// processes routes with.  Each route steps [`route_step`] from view to
+/// view — the overlay alone, no cluster, no message — until a node is
+/// responsible for the label, and counts its forwards.
+pub fn route_hops(n: usize, routes: usize, seed: u64) -> RouteHops {
+    let processes: Vec<ProcessId> = (0..n as u64).map(ProcessId).collect();
+    let hasher = LabelHasher::new(ProtocolConfig::queue().hash_seed);
+    let topology = Topology::build(&processes, hasher).expect("distinct process ids");
+    // Processes `0..n` in order, three views each in kind order: a view's
+    // index is its node's dense id.
+    let views: Vec<LocalView> = (topology.views())
+        .flat_map(|views| views.map(|(view, _)| view))
+        .collect();
+    let bits = recommended_bit_budget(n);
+    let mut rng = SimRng::new(seed);
+    let mut hops: Vec<u64> = (0..routes)
+        .map(|_| {
+            let mut at = &views[(rng.next_u64() % views.len() as u64) as usize];
+            let mut progress = RouteProgress::new(Label(rng.next_u64()), bits);
+            let mut forwards = 0;
+            while let RouteAction::Forward(next) = route_step(at, &mut progress) {
+                at = &views[next.0 as usize];
+                forwards += 1;
+            }
+            forwards
+        })
+        .collect();
+    let mean = hops.iter().sum::<u64>() as f64 / routes.max(1) as f64;
+    let stats = StageStats::from_samples(&mut hops);
+    RouteHops {
+        mean,
+        p99: stats.p99,
+        max: stats.max,
+    }
 }
 
 /// Prints a sweep as a fixed-width table (one row per point), mirroring the
@@ -214,6 +276,16 @@ mod tests {
         let unverified = run_fixed_rate(params.without_verification());
         assert!(!unverified.verified);
         assert_eq!(consistent_cell(&unverified), "-");
+    }
+
+    /// Every route arrives, the summary is ordered, and one seed walks the
+    /// same routes.
+    #[test]
+    fn random_routes_arrive_and_summarise() {
+        let hops = route_hops(60, 500, 1);
+        assert!(hops.mean > 0.0);
+        assert!(hops.mean <= hops.p99 as f64 && hops.p99 <= hops.max);
+        assert_eq!(route_hops(60, 500, 1), hops, "one seed, one walk");
     }
 
     #[test]

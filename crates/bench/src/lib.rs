@@ -17,4 +17,7 @@
 
 mod harness;
 
-pub use harness::{fig2_sweep, fig3_sweep, fig4_sweep, print_series, ExperimentPoint, SweepConfig};
+pub use harness::{
+    fig2_sweep, fig3_sweep, fig4_sweep, print_series, route_hops, ExperimentPoint, RouteHops,
+    SweepConfig,
+};

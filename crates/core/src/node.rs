@@ -39,7 +39,7 @@
 //! # Pipelined waves
 //!
 //! Stage 1 is *pipelined*: instead of a single implicit in-flight wave, a
-//! node keeps one ring of `u32` words (a [`WaveMemo`](wave_memo::WaveMemo))
+//! node keeps one ring of varint bytes (a [`WaveMemo`](wave_memo::WaveMemo))
 //! that memorises how each of its per-node wave epochs in flight was
 //! combined, so it can combine and forward wave `k+1` while wave `k`'s
 //! assignments (and the DHT operations they trigger) are still in flight —
@@ -679,14 +679,11 @@ impl<T: Payload> SkueueNode<T> {
     /// sources — the front of the memo — in combination order (the inlined
     /// form of [`crate::interval::decompose`]): each source takes its share
     /// of every run front-to-back, so `cursors` (one assignment per run of
-    /// the combined batch) is consumed in place, and the wave's words are
+    /// the combined batch) is consumed in place, and the wave's bytes are
     /// consumed with it.  Sub-assignments for children are forwarded; the
     /// node's own share is resolved locally.
     fn serve_sources(&mut self, mut cursors: Vec<RunAssignment>, ctx: &mut Context<SkueueMsg<T>>) {
-        let num_sources = Waves::of(&mut self.waves).memo().pop();
-        for _ in 0..num_sources {
-            let memo = Waves::of(&mut self.waves).memo();
-            let (child, num_runs, epoch) = memo.pop_source();
+        while let Some((child, num_runs, epoch)) = Waves::of(&mut self.waves).memo().pop_source() {
             debug_assert!(
                 num_runs <= cursors.len(),
                 "a source has no more runs than its wave's combined batch"
@@ -696,10 +693,10 @@ impl<T: Payload> SkueueNode<T> {
                 continue;
             };
             // A child's share travels in a message and must be owned
-            // (sized up front: a ring's drain does not promise its length
-            // to `collect`, which would round a one-run share up).
+            // (sized up front: the decoding iterator does not promise its
+            // length to `collect`, which would round a one-run share up).
             let mut runs = Vec::with_capacity(num_runs);
-            let lengths = memo.take_runs(num_runs);
+            let lengths = Waves::of(&mut self.waves).memo().take_runs(num_runs);
             let shares = cursors[..num_runs].iter_mut().zip(lengths);
             runs.extend(shares.map(|(cursor, len)| cursor.split_front(len)));
             let child = self.lanes.of(LaneKind::Child)[child];
@@ -765,7 +762,7 @@ impl<T: Payload> SkueueNode<T> {
         let mut log_cursor = 0usize;
         for cursor in cursors {
             let len = Waves::of(&mut self.waves).memo().pop();
-            let run = cursor.split_front(u64::from(len));
+            let run = cursor.split_front(len);
             for j in 0..run.count {
                 // The resolved prefix is dropped below, so the payload is
                 // moved out of the log — the generic path keeps the
@@ -1627,9 +1624,9 @@ mod tests {
         assert_eq!(waves.wave_parent(), Some(parent));
     }
 
-    /// A child's wave epoch is memorised as two words and echoed whole: an
+    /// A child's wave epoch is memorised as a varint and echoed whole: an
     /// epoch beyond `u32` comes back in its `Serve` exactly.  No simulated
-    /// run reaches one, so only this test would see a lost high word.
+    /// run reaches one, so only this test would see a lost high part.
     #[test]
     fn a_child_epoch_beyond_u32_survives_the_ring() {
         let mut node = node_of_kind(false, VKind::Right);

@@ -16,9 +16,11 @@
 //! capacity.  So do the lanes' report sinks, where the records of finished
 //! requests wait for the host's drain after every round (a node keeps
 //! none), and a wave half's memo: its waves in flight and how each was
-//! combined are one ring of `u32` words, one row.  The two halves of a node's work are counted with how many nodes
-//! hold each, and so are the cold boxes and the anchor and combining
-//! states behind their pointers in them.  A spilled lane order counts its
+//! combined are one ring of varint bytes, one row, printed with the
+//! length in use beside the capacity (a ring grows by doubling, so much
+//! of its capacity can be slack).  The two halves of a node's work are
+//! counted with how many nodes hold each, and so are the cold boxes and
+//! the anchor and combining states behind their pointers in them.  A spilled lane order counts its
 //! slice, the header word, its peers and their vacant room, with how many
 //! nodes hold one; an inline order costs nothing beyond the node slot.
 //!
@@ -101,9 +103,17 @@ fn deque_bytes<E>(d: &VecDeque<E>) -> usize {
     d.capacity() * size_of::<E>()
 }
 
-/// Bytes per owner, in a fixed order, with how many nodes hold the owner
-/// where that is one box per node.
-type Census = Vec<(&'static str, usize, Option<usize>)>;
+/// What a census row prints beside the capacity it counts.
+enum Note {
+    /// How many nodes hold the owner, where that is one box per node.
+    Holders(usize),
+    /// The bytes of that capacity in use.
+    InUse(usize),
+}
+use Note::{Holders, InUse};
+
+/// Bytes per owner, in a fixed order, with a note where one tells more.
+type Census = Vec<(&'static str, usize, Option<Note>)>;
 
 fn census(cluster: &mut Skueue<u64>) -> Census {
     let report_sinks = report_sink_bytes(cluster);
@@ -137,12 +147,12 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
         (
             "wave halves",
             wave_halves * size_of::<Waves<u64>>(),
-            Some(wave_halves),
+            Some(Holders(wave_halves)),
         ),
         (
             "request halves",
             request_halves * size_of::<Requests<u64>>(),
-            Some(request_halves),
+            Some(Holders(request_halves)),
         ),
         (
             "child queues, capacity",
@@ -156,9 +166,9 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
             None,
         ),
         (
-            "wave rings, words",
-            per_waves(&|w| deque_bytes(w.wave_memo().words())),
-            None,
+            "wave rings, bytes",
+            per_waves(&|w| deque_bytes(w.wave_memo().bytes())),
+            Some(InUse(per_waves(&|w| w.wave_memo().bytes().len()))),
         ),
         (
             "serve stashes",
@@ -186,17 +196,19 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
                 let slots = node.lanes.spilled_slots();
                 slots.map_or(0, |len| len * size_of::<NodeId>())
             }),
-            Some(holding(&|node| node.lanes.spilled_slots().is_some())),
+            Some(Holders(holding(&|node| {
+                node.lanes.spilled_slots().is_some()
+            }))),
         ),
         (
             "cold boxes",
             cold_boxes * size_of::<Cold<u64>>(),
-            Some(cold_boxes),
+            Some(Holders(cold_boxes)),
         ),
         (
             "  anchor states in them",
             anchors * size_of::<AnchorState>(),
-            Some(anchors),
+            Some(Holders(anchors)),
         ),
         (
             "  combining states in them",
@@ -204,11 +216,11 @@ fn census(cluster: &mut Skueue<u64>) -> Census {
                 let combining = cold.local_combining();
                 combining.map_or(0, |_| size_of::<LocalCombining<u64>>())
             }),
-            Some(holding(&|node| {
+            Some(Holders(holding(&|node| {
                 node.cold
                     .as_deref()
                     .is_some_and(|c| c.local_combining().is_some())
-            })),
+            }))),
         ),
         (
             "history records",
@@ -291,9 +303,13 @@ fn heap_census() {
             "heap census of {}, seed {SEED}, at round {peak_round} (its peak):",
             shape.name
         );
-        for (owner, bytes, holders) in &peak {
-            let holders = holders.map_or(String::new(), |n| format!("  ({n} nodes)"));
-            println!("  {owner:<38} {:>8.2} MiB{holders}", *bytes as f64 / MIB);
+        for (owner, bytes, note) in &peak {
+            let note = match note {
+                None => String::new(),
+                Some(Holders(n)) => format!("  ({n} nodes)"),
+                Some(InUse(used)) => format!("  ({:.2} MiB in use)", *used as f64 / MIB),
+            };
+            println!("  {owner:<38} {:>8.2} MiB{note}", *bytes as f64 / MIB);
         }
         println!("  {:<38} {:>8.2} MiB", "total", total(&peak) as f64 / MIB);
     }

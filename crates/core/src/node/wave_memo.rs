@@ -1,18 +1,20 @@
 //! A node's wave memo (see [`WaveMemo`]): how each of its waves in flight
 //! was combined, which is all Stage 3 reads to split the wave's
-//! assignments among its sources.  One ring of `u32` words, oldest wave at
-//! the front; a wave is written at the back when Stage 1 opens it and read
-//! off the front when Stage 3 serves it.
+//! assignments among its sources.  One ring of bytes, oldest wave at the
+//! front; a wave is written at the back when Stage 1 combines it and read
+//! off the front when Stage 3 serves it.  Every number in it is an
+//! unsigned LEB128 varint (7 bits a byte, low group first, the top bit set
+//! on every byte but the last), so a run length below 128 takes one byte.
 //!
 //! Layout of one wave in the ring:
 //!
-//! | words | holds |
+//! | varints | holds |
 //! |---|---|
-//! | 1 | the header: the wave's number of sources |
-//! | then per source: 1 | the child's rank in the node's child lane, or [`OWN_SOURCE`] |
+//! | per source: 1 | its tag: [`OWN_SOURCE`] for the node's own batch, a child's rank in the node's child lane plus [`FIRST_CHILD`] |
 //! | 1 | its number of runs, `r` |
-//! | 2 | the child's wave epoch to echo back, low then high word (0 for the node's own) |
+//! | 1, a child only | the child's wave epoch to echo back |
 //! | `r` | its run lengths |
+//! | then 1 byte | [`END_OF_WAVE`] |
 //!
 //! Beside the ring, one `u32` counts the waves in flight.
 
@@ -44,22 +46,25 @@ impl BatchSource {
     }
 }
 
-/// The [`WaveMemo`] child rank that marks the node's own batch.
-const OWN_SOURCE: u32 = u32::MAX;
+/// The tag that ends a wave's sources.
+const END_OF_WAVE: u64 = 0;
+/// The tag of the node's own batch, which has no epoch to echo.
+const OWN_SOURCE: u64 = 1;
+/// The tag of the child of lane rank 0; rank `k` is tagged `FIRST_CHILD + k`.
+const FIRST_CHILD: u64 = 2;
 
 /// The memorised combination order of every in-flight wave, oldest wave
-/// first, as one ring of words.  A wave is a header word holding its
-/// number of sources, then per source the child's rank in the node's child
-/// lane ([`LaneOrder`](super::LaneOrder) only appends, so a rank names one
-/// peer for the node's life) or [`OWN_SOURCE`], its number of runs, the
-/// child's wave epoch to echo back as two words (low, high; 0 for the
-/// node's own) and its run lengths — all of a sub-batch the Stage 3
-/// decomposition reads.  Waves resolve strictly front-first, so the ring is
-/// read off its front and written at its back, one allocation for any
-/// number of waves.
+/// first, as one ring of varint bytes.  A wave is, per source, a tag (the
+/// child's rank in the node's child lane — [`LaneOrder`](super::LaneOrder)
+/// only appends, so a rank names one peer for the node's life — or the
+/// node's own batch), its number of runs, a child's wave epoch to echo back
+/// and its run lengths — all of a sub-batch the Stage 3 decomposition
+/// reads — and then an end byte.  Waves resolve strictly front-first, so
+/// the ring is read off its front and written at its back, one allocation
+/// for any number of waves, and nothing once written is changed in place.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveMemo {
-    words: VecDeque<u32>,
+    bytes: VecDeque<u8>,
     /// The waves in flight: at most
     /// [`PIPELINE_DEPTH`](crate::config::PIPELINE_DEPTH) (one for a stack),
     /// the youngest under epoch
@@ -77,35 +82,33 @@ impl WaveMemo {
         self.waves
     }
 
-    /// True when no wave is in flight and no word is memorised.
+    /// True when no wave is in flight and no byte is memorised.
     pub(super) fn is_empty(&self) -> bool {
-        self.waves == 0 && self.words.is_empty()
+        self.waves == 0 && self.bytes.is_empty()
     }
 
-    /// Writes a new wave's header at the back, with no source yet, and
-    /// returns where it is.  A served wave's words are gone with it, so
-    /// with none in flight (always, at the anchor) the new wave is all the
-    /// ring holds.
-    pub(super) fn open(&mut self) -> usize {
-        debug_assert!(self.waves > 0 || self.words.is_empty());
-        self.words.push_back(0);
-        self.words.len() - 1
+    /// Memorises one sub-batch of the wave being combined, at the back:
+    /// `child` is the sender's rank in the child lane, `None` for the
+    /// node's own batch (whose `epoch` is not kept).
+    pub(super) fn remember(&mut self, child: Option<usize>, epoch: u64, batch: &Batch) {
+        let bytes = &mut self.bytes;
+        let tag = child.map_or(OWN_SOURCE, |rank| FIRST_CHILD + rank as u64);
+        push_varint(bytes, tag);
+        push_varint(bytes, batch.num_runs() as u64);
+        if child.is_some() {
+            push_varint(bytes, epoch);
+        }
+        for &len in batch.runs() {
+            push_varint(bytes, len);
+        }
     }
 
-    /// Memorises one sub-batch of the wave whose header is at `at`, as
-    /// [`Self::open`] returned it: `child` is the sender's rank in the
-    /// child lane, `None` for the node's own batch.
-    pub(super) fn remember(&mut self, at: usize, child: Option<usize>, epoch: u64, batch: &Batch) {
-        self.words[at] += 1;
-        let child = child.map_or(OWN_SOURCE, count_u32);
-        let num_runs = count_u32(batch.num_runs());
-        self.words
-            .extend([child, num_runs, epoch as u32, (epoch >> 32) as u32]);
-        self.words
-            .extend(batch.runs().iter().map(|&len| count_u32(len)));
+    /// Ends the wave being combined: every source of it is memorised.
+    pub(super) fn close(&mut self) {
+        self.bytes.push_back(END_OF_WAVE as u8);
     }
 
-    /// Counts the wave just opened as in flight towards the parent (the
+    /// Counts the wave just combined as in flight towards the parent (the
     /// anchor serves its own at once and counts none) and returns the
     /// waves now in flight.
     pub(super) fn forward(&mut self) -> u32 {
@@ -113,59 +116,76 @@ impl WaveMemo {
         self.waves
     }
 
-    /// Uncounts the oldest wave in flight, whose serve arrived; its words
+    /// Uncounts the oldest wave in flight, whose serve arrived; its bytes
     /// are read off the front as it is served.
     pub(super) fn serve_front(&mut self) {
         self.waves = self.waves.checked_sub(1).expect("caller checked the front");
     }
 
-    /// The front word, which a served wave still has memorised: the front
-    /// wave's header (its number of sources) or the front run length.
-    pub(super) fn pop(&mut self) -> u32 {
-        self.words
-            .pop_front()
-            .expect("a wave's sources stay memorised until it is served")
-    }
-
-    /// The front source's child rank (`None` for the node's own batch), run
-    /// count and epoch; its run lengths follow.
-    pub(super) fn pop_source(&mut self) -> (Option<usize>, usize, u64) {
-        let (child, num_runs) = (self.pop(), self.pop() as usize);
-        let low = u64::from(self.pop());
-        let high = u64::from(self.pop());
+    /// The front source of the wave being served — its child rank (`None`
+    /// for the node's own batch), run count and epoch (0 for the own), its
+    /// run lengths following — or `None`, with the wave's end byte read,
+    /// once every source is.
+    pub(super) fn pop_source(&mut self) -> Option<(Option<usize>, usize, u64)> {
+        let tag = self.pop();
+        if tag == END_OF_WAVE {
+            return None;
+        }
+        let num_runs = self.pop() as usize;
+        let (child, epoch) = match tag {
+            OWN_SOURCE => (None, 0),
+            tag => (Some((tag - FIRST_CHILD) as usize), self.pop()),
+        };
         debug_assert!(
-            num_runs <= self.words.len(),
+            num_runs <= self.bytes.len(),
             "a source's run lengths follow it"
         );
-        let child = (child != OWN_SOURCE).then_some(child as usize);
-        (child, num_runs, high << 32 | low)
+        Some((child, num_runs, epoch))
     }
 
-    /// The next `n` run lengths, off the front.
+    /// The front number, which a served wave still has memorised: the
+    /// front run length of the source being served.
+    pub(super) fn pop(&mut self) -> u64 {
+        let (mut value, mut shift) = (0, 0);
+        loop {
+            let byte = self
+                .bytes
+                .pop_front()
+                .expect("a wave's sources stay memorised until it is served");
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return value;
+            }
+            shift += 7;
+        }
+    }
+
+    /// The next `n` run lengths, off the front, each decoded as it is read.
     pub(super) fn take_runs(&mut self, n: usize) -> impl Iterator<Item = u64> + '_ {
-        self.words.drain(..n).map(u64::from)
+        (0..n).map(|_| self.pop())
     }
 
-    /// The ring's words.
+    /// The ring's bytes.
     #[cfg(test)]
-    pub(super) fn words(&self) -> &VecDeque<u32> {
-        &self.words
+    pub(super) fn bytes(&self) -> &VecDeque<u8> {
+        &self.bytes
     }
 }
 
-/// A count of runs, sources or a run's operations as the wave state stores
-/// it.
-fn count_u32(count: impl TryInto<u32>) -> u32 {
-    count
-        .try_into()
-        .unwrap_or_else(|_| panic!("a wave counts fewer than 2^32 runs, sources and operations"))
+/// Appends `value` to `bytes` as an unsigned LEB128 varint.
+fn push_varint(bytes: &mut VecDeque<u8>, mut value: u64) {
+    while value >= 0x80 {
+        bytes.push_back(value as u8 | 0x80);
+        value >>= 7;
+    }
+    bytes.push_back(value as u8);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::anchor::{AnchorState, RunAssignment};
-    use crate::batch::BatchOp;
+    use crate::batch::{BatchOp, FirstRun};
     use crate::config::Mode;
     use crate::interval::decompose;
     use crate::join_leave::Lifecycle;
@@ -238,19 +258,70 @@ mod tests {
             }
         }
 
-        /// The words a [`WaveMemo`] holding the waves in flight has: per
-        /// wave a header, per source with runs (or from a child) four
-        /// words and its run lengths.
-        fn memo_words(&self) -> usize {
-            let source_words = |source: &BatchSource| match source {
-                BatchSource::Own(b) if b.num_runs() == 0 => 0,
-                source => 4 + source.batch().num_runs(),
+        /// The bytes a [`WaveMemo`] holding the waves in flight has: per
+        /// wave an end byte, per source with runs (or from a child) its
+        /// tag, run count, a child's epoch and its run lengths, each a
+        /// varint.
+        fn memo_bytes(&self) -> usize {
+            let children = self.children.of(LaneKind::Child);
+            let source_bytes = |source: &BatchSource| {
+                let runs = source.batch().runs();
+                let (tag, epoch) = match source {
+                    BatchSource::Own(_) if runs.is_empty() => return 0,
+                    BatchSource::Own(_) => (OWN_SOURCE, None),
+                    BatchSource::Child(child, epoch, _) => {
+                        let rank = children.iter().position(|c| c == child).unwrap();
+                        (FIRST_CHILD + rank as u64, Some(*epoch))
+                    }
+                };
+                let head = [tag, runs.len() as u64].into_iter().chain(epoch);
+                head.chain(runs.iter().copied())
+                    .map(varint_len)
+                    .sum::<usize>()
             };
-            let wave_words = |(_, sources): &(u64, Vec<BatchSource>)| {
-                1 + sources.iter().map(source_words).sum::<usize>()
+            let wave_bytes = |(_, sources): &(u64, Vec<BatchSource>)| {
+                1 + sources.iter().map(source_bytes).sum::<usize>()
             };
-            self.slots.iter().map(wave_words).sum()
+            self.slots.iter().map(wave_bytes).sum()
         }
+    }
+
+    /// The bytes `value` takes as a varint.
+    fn varint_len(value: u64) -> usize {
+        (u64::BITS - value.leading_zeros()).div_ceil(7).max(1) as usize
+    }
+
+    /// Run lengths and epochs at the varint's edges come back exactly: one
+    /// byte up to 127, two from 128, five for `u32::MAX`, ten for
+    /// `u64::MAX`.
+    #[test]
+    fn varint_edges_round_trip() {
+        let edges = [0, 127, 128, u64::from(u32::MAX), u64::MAX];
+        let lens = [1, 1, 2, 5, 10];
+        for (value, len) in edges.into_iter().zip(lens) {
+            assert_eq!(varint_len(value), len);
+        }
+        let runs = &edges[..4];
+        let batch = Batch::from_parts(FirstRun::Enqueues, runs.to_vec(), 0, 0);
+        let mut memo = WaveMemo::default();
+        for epoch in edges {
+            memo.remember(Some(0), epoch, &batch);
+        }
+        memo.remember(None, 0, &batch);
+        memo.close();
+        // Six sources of a tag byte, a count byte and the runs, five
+        // epochs and the end byte.
+        let runs_bytes: usize = lens[..4].iter().sum();
+        let epoch_bytes: usize = lens.iter().sum();
+        assert_eq!(memo.bytes().len(), 6 * (2 + runs_bytes) + epoch_bytes + 1);
+        for epoch in edges {
+            assert_eq!(memo.pop_source(), Some((Some(0), 4, epoch)));
+            assert!(memo.take_runs(4).eq(runs.iter().copied()));
+        }
+        assert_eq!(memo.pop_source(), Some((None, 4, 0)));
+        assert!(memo.take_runs(4).eq(runs.iter().copied()));
+        assert_eq!(memo.pop_source(), None);
+        assert!(memo.is_empty());
     }
 
     /// Waves the node has opened: as a tree node, its epoch; as the anchor
@@ -386,9 +457,9 @@ mod tests {
                         unserved.push((epoch, runs));
                     }
                 }
-                // The ring holds exactly the in-flight waves' words.
-                let words = node.waves.as_deref().map_or(0, |w| w.wave_memo().words().len());
-                prop_assert_eq!(words, model.memo_words());
+                // The ring holds exactly the in-flight waves' bytes.
+                let bytes = node.waves.as_deref().map_or(0, |w| w.wave_memo().bytes().len());
+                prop_assert_eq!(bytes, model.memo_bytes());
                 prop_assert_eq!(node.waves_in_flight() as usize, model.slots.len());
             }
             prop_assert!(unserved.is_empty() && node.waves_in_flight() as usize == 0);

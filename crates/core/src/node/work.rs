@@ -530,24 +530,27 @@ impl<T: Payload> Waves<T> {
         &mut self.memo
     }
 
-    /// Opens a wave in the memo and combines into `own` the oldest queued
-    /// sub-batch of every peer in `children` (the child lane, in
-    /// first-contact order), in that fixed order.  Each source leaves its
-    /// run lengths at the back of the memo (all the Stage 3 decomposition
-    /// reads of it) and a child's sub-batch is dropped right here; an own
-    /// batch without runs would take no share of any run and is not
-    /// memorised.  Returns the combined batch.
+    /// Writes a wave at the back of the memo and combines into `own` the
+    /// oldest queued sub-batch of every peer in `children` (the child lane,
+    /// in first-contact order), in that fixed order.  Each source leaves
+    /// its run lengths in the memo (all the Stage 3 decomposition reads of
+    /// it) and a child's sub-batch is dropped right here; an own batch
+    /// without runs would take no share of any run and is not memorised.
+    /// Returns the combined batch.
     pub(super) fn combine(&mut self, mut own: Batch, children: &[NodeId]) -> Batch {
         let memo = &mut self.memo;
-        let header = memo.open();
+        // A served wave's bytes are gone with it, so with none in flight
+        // (always, at the anchor) the new wave is all the memo holds.
+        debug_assert!(memo.in_flight() > 0 || memo.is_empty());
         if own.num_runs() > 0 {
-            memo.remember(header, None, 0, &own);
+            memo.remember(None, 0, &own);
         }
         self.child_batches
             .pop_oldest(children, |rank, epoch, batch| {
-                memo.remember(header, Some(rank), epoch, &batch);
+                memo.remember(Some(rank), epoch, &batch);
                 own.merge(batch);
             });
+        memo.close();
         own
     }
 
@@ -904,7 +907,7 @@ mod tests {
 
     /// What a busy node's two halves of work cost where they exist: a node
     /// that only relays sub-batches holds the wave half, an issuing node
-    /// both.  The wave half's memo is one ring of words and a wave count.
+    /// both.  The wave half's memo is one ring of bytes and a wave count.
     #[test]
     fn a_wave_half_is_112_bytes_and_a_request_half_168() {
         assert!(size_of::<Waves<u64>>() <= 112);

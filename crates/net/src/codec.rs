@@ -818,6 +818,9 @@ mod tests {
             NetFrame::Shutdown,
             NetFrame::Ok,
             NetFrame::Err(String::from("no such pid")),
+            NetFrame::Refused {
+                id: RequestId::new(ProcessId(4), 12),
+            },
         ]
     }
 
@@ -882,7 +885,7 @@ mod tests {
         (0x91196667f7eb36e1, 9),
         (0x4a18fb22d3d054a3, 57),
     ];
-    const GOLDEN_FRAMES: [(u64, usize); 12] = [
+    const GOLDEN_FRAMES: [(u64, usize); 13] = [
         (0xa4c6f7c878c0702d, 5),
         (0xf2cb9c87056929b8, 26),
         (0x891b2e540b29f407, 26),
@@ -895,6 +898,8 @@ mod tests {
         (0xaf63c44c8601c3c4, 1),
         (0xaf63c74c8601c8dd, 1),
         (0x0cb45c04970cf55c, 20),
+        // `Refused`, the one frame added after the recorded format.
+        (0x518e5f954e7558e3, 17),
     ];
     const GOLDEN_RECORD: (u64, usize) = (0x2eb6ecc7c9d63de1, 104);
 

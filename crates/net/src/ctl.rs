@@ -50,7 +50,8 @@ impl<T: Payload + Wire> Control<T> {
         Err(last_err)
     }
 
-    /// Sends a frame without expecting a reply (`Inject` is fire-and-forget).
+    /// Sends a frame without waiting for a reply (an `Inject`'s answer, a
+    /// completion or a refusal, is read by the ingress's completion pump).
     pub(crate) fn send(&mut self, frame: &NetFrame<T>) -> io::Result<()> {
         write_frame(&mut self.stream, frame)
     }

@@ -293,8 +293,9 @@ impl<T: Payload + Wire> Host<T> {
     }
 
     /// Acts on one frame and returns the reply owed to its connection.
-    /// Protocol traffic and injects are fire-and-forget (the completion
-    /// stream is an inject's reply); control frames are answered.
+    /// Protocol traffic is fire-and-forget and an issued inject's reply is
+    /// its completion on the stream, but an inject a hosted process may not
+    /// issue is answered [`NetFrame::Refused`]; control frames are answered.
     fn serve(&mut self, frame: NetFrame<T>) -> Option<NetFrame<T>> {
         let index = self.index;
         Some(match frame {
@@ -310,16 +311,20 @@ impl<T: Payload + Wire> Host<T> {
             NetFrame::Inject { id, insert, value } => {
                 let kind = if insert { Enqueue } else { Dequeue };
                 let pid = id.origin;
-                // Issued if the process is hosted here and may issue.
-                let hosted = self.hosts(pid);
-                if hosted && may_issue(pid, |id| self.lane.node(id)) {
-                    let middle = node_of(VirtualId::middle(pid));
-                    self.lane
-                        .act(middle, |node, ctx| node.generate_op(id, kind, value, ctx));
-                } else {
-                    let why = if hosted { "not active" } else { "not hosted" };
-                    eprintln!("skueue-node[{index}]: dropping inject for {pid}: {why}");
+                if !self.hosts(pid) {
+                    // Sent to the wrong daemon: nobody here can say whether
+                    // the process may issue, so nothing is answered.
+                    eprintln!("skueue-node[{index}]: dropping inject for {pid}: not hosted");
+                    return None;
                 }
+                // Issued if the process may issue; refused, on the inject's
+                // connection, if it is joining, leaving or gone.
+                if !may_issue(pid, |id| self.lane.node(id)) {
+                    return Some(NetFrame::Refused { id });
+                }
+                let middle = node_of(VirtualId::middle(pid));
+                self.lane
+                    .act(middle, |node, ctx| node.generate_op(id, kind, value, ctx));
                 return None;
             }
             NetFrame::Join { pid, .. } if pid.0 >= PID_LIMIT => NetFrame::Err(format!(
@@ -574,8 +579,8 @@ mod tests {
     /// `Status` reads a process integrated exactly while it may issue: not
     /// in a turn where one of its nodes is still joining, and not from the
     /// turn its `Leave` is served.  An `Inject` from then on opens no request
-    /// — the daemon's form of the cluster's refused issue — so nothing holds
-    /// the leave up.
+    /// and is answered `Refused` — the daemon's form of the cluster's
+    /// refused issue — so nothing holds the leave up.
     #[test]
     fn status_reports_whether_a_process_may_issue() {
         let mut now = Instant::now();
@@ -601,7 +606,9 @@ mod tests {
         assert_eq!(host.turn(Some(leave), now), Some(NetFrame::Ok));
         let mut seq = 0;
         run_until(&mut host, &mut now, |host, now| {
-            assert_eq!(host.turn(Some(inject(5, seq, true)), now), None);
+            let id = RequestId::new(ProcessId(5), seq);
+            let reply = host.turn(Some(inject(5, seq, true)), now);
+            assert_eq!(reply, Some(NetFrame::Refused { id }));
             assert_eq!(node(host, middle(5)).open_requests(), 0);
             seq += 1;
             let (_, may_issue, left) = reads(host, now);
@@ -720,16 +727,18 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_inject_does_not_hold_up_the_frames_behind_it() {
+    fn a_dropped_or_refused_inject_does_not_hold_up_the_frames_behind_it() {
         let now = Instant::now();
         // Daemon 0 of two hosts processes 0 and 2, and the joiner 4.
         let (mut host, sink) = host(2, 4);
         join(&mut host, 4, now);
         let open = |host: &Host<u64>, pid: u64| node(host, middle(pid)).open_requests();
-        // Process 1 lives on daemon 1; process 4 may not issue yet.
-        for pid in [1, 4] {
-            assert_eq!(host.turn(Some(inject(pid, 0, true)), now), None);
-        }
+        // Process 1 lives on daemon 1, so its inject goes unanswered;
+        // process 4 may not issue yet, so its inject is refused.
+        assert_eq!(host.turn(Some(inject(1, 0, true)), now), None);
+        let id = RequestId::new(ProcessId(4), 0);
+        let reply = host.turn(Some(inject(4, 0, true)), now);
+        assert_eq!(reply, Some(NetFrame::Refused { id }));
         assert!([0, 2, 4].iter().all(|&pid| open(&host, pid) == 0));
         // The frames behind them are served as if nothing had happened.
         assert_eq!(host.turn(Some(inject(0, 0, true)), now), None);

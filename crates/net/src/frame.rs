@@ -161,6 +161,14 @@ pub enum NetFrame<T> {
         /// Human-readable reason.
         String,
     ),
+    /// Daemon → ingress, on the inject's connection: the daemon hosts the
+    /// process of an [`NetFrame::Inject`] but the process may not issue
+    /// (it is still joining, or leaving or gone), so no request was opened
+    /// and no completion will follow.
+    Refused {
+        /// The request id of the refused inject.
+        id: RequestId,
+    },
 }
 
 wire_enum! { <T> NetFrame {
@@ -176,6 +184,7 @@ wire_enum! { <T> NetFrame {
     9 => Shutdown,
     10 => Ok,
     11 => Err(reason),
+    12 => Refused { id },
 } }
 
 #[cfg(test)]
@@ -217,6 +226,9 @@ mod tests {
         roundtrip(NetFrame::Shutdown);
         roundtrip(NetFrame::Ok);
         roundtrip(NetFrame::Err(String::from("no such pid")));
+        roundtrip(NetFrame::Refused {
+            id: RequestId::new(ProcessId(4), 12),
+        });
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! The ingress is also where an overloaded cluster pushes back: it keeps at
 //! most [`INGRESS_WINDOW_PER_DAEMON`] operations per daemon in flight, and an
 //! inject into a full window waits on the completion stream until one of
-//! this client's operations completes.
+//! this client's operations completes or is refused
+//! ([`NetFrame::Refused`]: its process may not issue).
 
 use std::collections::HashMap;
 use std::io;
@@ -51,17 +52,27 @@ pub const INGRESS_WINDOW_PER_DAEMON: usize = 2048;
 /// operations to complete before it gives up with [`io::ErrorKind::TimedOut`].
 const WINDOW_STALL: Duration = Duration::from_secs(30);
 
+/// What a daemon answers an inject with, as the reader threads pass it on.
+#[derive(Debug)]
+enum Answer<T> {
+    /// The operation completed ([`NetFrame::Completion`]).
+    Completed(OpRecord<T>),
+    /// The daemon opened no request for it ([`NetFrame::Refused`]).
+    Refused(RequestId),
+}
+
 /// A connected ingress: one subscribed connection per daemon, with reader
-/// threads streaming completions into a single channel.
+/// threads streaming completions and refusals into a single channel.
 #[derive(Debug)]
 pub struct IngressClient<T: Payload> {
     spec: ClusterSpec,
-    /// Write halves, per daemon.  An inject is not answered on its
-    /// connection: its completion arrives on the stream, and [`Self::inject`]
-    /// waits on that stream while the window is full.
+    /// Write halves, per daemon.  An issued inject is answered by its
+    /// completion on the stream, a refused one by a [`NetFrame::Refused`]
+    /// on its connection, and [`Self::inject`] waits on both while the
+    /// window is full.
     conns: Vec<Control<T>>,
-    /// Merged completion stream from all daemons.
-    completions: Receiver<OpRecord<T>>,
+    /// Merged completions and refusals from all daemons.
+    completions: Receiver<Answer<T>>,
     readers: Vec<JoinHandle<()>>,
     /// Base for this client's sequence numbers: wall-clock microseconds at
     /// connect time.  Distinct ingress invocations against the same cluster
@@ -82,6 +93,8 @@ pub struct IngressClient<T: Payload> {
     /// whoever issued the operation, so not every record has one.
     latencies_us: Vec<u64>,
     issued: u64,
+    /// This client's injects the daemons refused.
+    refused: u64,
 }
 
 impl<T: Payload + Wire> IngressClient<T> {
@@ -102,14 +115,14 @@ impl<T: Payload + Wire> IngressClient<T> {
             );
             let tx = tx.clone();
             readers.push(std::thread::spawn(move || loop {
-                match read_frame::<NetFrame<T>, _>(&mut reader) {
-                    Ok(Some(NetFrame::Completion { record })) => {
-                        if tx.send(record).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(Some(_)) => {} // stray replies are ignored
+                let answer = match read_frame::<NetFrame<T>, _>(&mut reader) {
+                    Ok(Some(NetFrame::Completion { record })) => Answer::Completed(record),
+                    Ok(Some(NetFrame::Refused { id })) => Answer::Refused(id),
+                    Ok(Some(_)) => continue, // stray replies are ignored
                     Ok(None) | Err(_) => break,
+                };
+                if tx.send(answer).is_err() {
+                    break;
                 }
             }));
             conns.push(conn);
@@ -129,6 +142,7 @@ impl<T: Payload + Wire> IngressClient<T> {
             records: History::new(),
             latencies_us: Vec::new(),
             issued: 0,
+            refused: 0,
         })
     }
 
@@ -177,15 +191,15 @@ impl<T: Payload + Wire> IngressClient<T> {
         Ok(id)
     }
 
-    /// Absorbs completions until fewer than the window's worth of this
-    /// client's operations are pending.
+    /// Absorbs completions and refusals until fewer than the window's worth
+    /// of this client's operations are pending.
     fn make_room(&mut self) -> io::Result<()> {
         let window = INGRESS_WINDOW_PER_DAEMON * self.conns.len();
         let deadline = Instant::now() + WINDOW_STALL;
         while self.pending.len() >= window {
             let left = deadline.saturating_duration_since(Instant::now());
             match self.completions.recv_timeout(left) {
-                Ok(record) => self.absorb(record),
+                Ok(answer) => self.absorb(answer),
                 Err(RecvTimeoutError::Timeout) => {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
@@ -216,10 +230,18 @@ impl<T: Payload + Wire> IngressClient<T> {
         self.records.len() as u64
     }
 
-    /// Drains every completion that has already arrived, without blocking.
+    /// Number of this client's injects a daemon refused so far: its process
+    /// was joining, leaving or gone, so the operation was never issued and
+    /// is no longer awaited.
+    pub fn refused(&self) -> u64 {
+        self.refused
+    }
+
+    /// Drains every completion and refusal that has already arrived,
+    /// without blocking.
     pub fn pump(&mut self) {
-        while let Ok(record) = self.completions.try_recv() {
-            self.absorb(record);
+        while let Ok(answer) = self.completions.try_recv() {
+            self.absorb(answer);
         }
     }
 
@@ -234,7 +256,7 @@ impl<T: Payload + Wire> IngressClient<T> {
                 return;
             }
             match self.completions.recv_timeout(left) {
-                Ok(record) => self.absorb(record),
+                Ok(answer) => self.absorb(answer),
                 Err(RecvTimeoutError::Timeout) => return,
                 // Every daemon hung up: nothing more will arrive.
                 Err(RecvTimeoutError::Disconnected) => {
@@ -245,16 +267,25 @@ impl<T: Payload + Wire> IngressClient<T> {
         }
     }
 
-    fn absorb(&mut self, record: OpRecord<T>) {
-        if let Some(since) = self.pending.remove(&record.id) {
-            self.latencies_us
-                .push(since.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    fn absorb(&mut self, answer: Answer<T>) {
+        match answer {
+            Answer::Completed(record) => {
+                if let Some(since) = self.pending.remove(&record.id) {
+                    self.latencies_us
+                        .push(since.elapsed().as_micros().min(u64::MAX as u128) as u64);
+                }
+                self.records.push(record);
+            }
+            Answer::Refused(id) => {
+                if self.pending.remove(&id).is_some() {
+                    self.refused += 1;
+                }
+            }
         }
-        self.records.push(record);
     }
 
-    /// Blocks until every issued operation has completed or `timeout`
-    /// elapses.  Returns whether the cluster fully drained.
+    /// Blocks until every issued operation has completed or been refused,
+    /// or `timeout` elapses.  Returns whether the cluster fully drained.
     pub fn await_quiescence(&mut self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.pump();
@@ -264,7 +295,7 @@ impl<T: Payload + Wire> IngressClient<T> {
                 return false;
             }
             match self.completions.recv_timeout(deadline - now) {
-                Ok(record) => self.absorb(record),
+                Ok(answer) => self.absorb(answer),
                 Err(RecvTimeoutError::Timeout) => return self.pending.is_empty(),
                 Err(RecvTimeoutError::Disconnected) => return self.pending.is_empty(),
             }

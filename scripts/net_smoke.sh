@@ -4,7 +4,7 @@
 # on), exercises a join wave plus a leave through `skueue-ctl` — the leave
 # while `skueue-load` keeps operations in flight — and shuts the cluster
 # down.  Fails if any step exits non-zero, if a second leave of the process
-# that left is not refused, if verification fails, if the load
+# that left is not refused (exit 1, no usage line), if verification fails, if the load
 # under churn does not drain, if `skueue-node` accepts a shard count it cannot
 # run with, if a daemon runs more threads than its connections account for, or
 # if a daemon does not exit cleanly — i.e. leaks a thread or its listener
@@ -86,10 +86,17 @@ if ! kill -0 "$LOAD" 2>/dev/null; then
 fi
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5
 # Process 5 has left, so it may not issue: the daemon refuses a second leave,
-# and skueue-ctl exits non-zero at once instead of finding it gone.
+# and skueue-ctl exits 1 at once instead of finding it gone — a refusal, not
+# a usage error (exit 2 with the usage line).
 echo "== a second leave of process 5 is refused"
-if "$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5 --timeout-s 5; then
-    echo "a second leave of process 5 was accepted" >&2
+status=0
+refusal=$("$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5 --timeout-s 5 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "a second leave of process 5 exited $status, not 1: $refusal" >&2
+    exit 1
+fi
+if grep -q "usage:" <<<"$refusal"; then
+    echo "the refused leave printed the usage: $refusal" >&2
     exit 1
 fi
 wait "$LOAD"

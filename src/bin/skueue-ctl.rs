@@ -12,79 +12,113 @@
 //!
 //! Joins pick fresh consecutive process ids; the daemon hosting each joiner
 //! follows from the id alone, and the bootstrap contact is the lowest
-//! process of the joiner's shard that may issue.  A `leave` is refused (exit
-//! 2) for a process that may not issue — joining, leaving or left — and for
-//! the process whose node holds its shard's anchor, which is pinned.
+//! process of the joiner's shard that may issue.  A `leave` is refused for a
+//! process that may not issue — joining, leaving or left — and for the
+//! process whose node holds its shard's anchor, which is pinned.
+//!
+//! Exit codes: 2 with the usage for flags it cannot run with (read before
+//! anything connects); 1 with only `skueue-ctl: <reason>` for what fails
+//! at run time — no daemon to connect to, a daemon's refusal, a wait that
+//! timed out.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, spec_from_flags, ClusterSpec};
 use skueue::net::CtlClient;
 use skueue::prelude::ProcessId;
 
+/// What the flags ask for, read before anything connects.
+enum Command {
+    Status,
+    Join { count: u64 },
+    Leave { pid: ProcessId },
+    Shutdown,
+}
+
+/// The cluster, the command and how long a `join` or `leave` waits, or the
+/// usage error that the flags make.
+fn parse(args: &[String]) -> Result<(ClusterSpec, Command, Duration), String> {
+    let flags = parse_flags(args, &["cmd", "count", "pid", "timeout-s"])?;
+    let spec = spec_from_flags(&flags)?;
+    let timeout = Duration::from_secs(flag_number(&flags, "timeout-s")?.unwrap_or(60));
+    let count: u64 = flag_number(&flags, "count")?.unwrap_or(1);
+    let pid: Option<u64> = flag_number(&flags, "pid")?;
+    let command = match flags.get("cmd").map(String::as_str) {
+        Some("status") => Command::Status,
+        Some("join") => Command::Join { count },
+        Some("leave") => Command::Leave {
+            pid: ProcessId(pid.ok_or("--cmd leave needs --pid N")?),
+        },
+        Some("shutdown") => Command::Shutdown,
+        Some(other) => return Err(format!("unknown command `{other}`")),
+        None => return Err("missing required flag --cmd status|join|leave|shutdown".to_string()),
+    };
+    Ok((spec, command, timeout))
+}
+
+/// Runs `command` against the cluster; the error is the reason it failed.
+fn run(spec: &ClusterSpec, command: Command, timeout: Duration) -> Result<(), String> {
+    let mut ctl = CtlClient::<u64>::connect(spec).map_err(|e| e.to_string())?;
+    match command {
+        Command::Status => {
+            for status in ctl.status().map_err(|e| e.to_string())? {
+                println!(
+                    "process {:>4}  integrated={}  left={}",
+                    status.pid.0, status.integrated, status.left
+                );
+            }
+            Ok(())
+        }
+        Command::Join { count } => {
+            let joined = ctl.join_wave(count).map_err(|e| e.to_string())?;
+            let ids: Vec<u64> = joined.iter().map(|p| p.0).collect();
+            eprintln!("skueue-ctl: join wave started for processes {ids:?}");
+            if ctl
+                .wait_integrated(&joined, timeout)
+                .map_err(|e| e.to_string())?
+            {
+                println!("joined: {ids:?}");
+                Ok(())
+            } else {
+                Err(format!("processes {ids:?} did not integrate in time"))
+            }
+        }
+        Command::Leave { pid } => {
+            ctl.leave(pid).map_err(|e| e.to_string())?;
+            if ctl.wait_left(&[pid], timeout).map_err(|e| e.to_string())? {
+                println!("left: {}", pid.0);
+                Ok(())
+            } else {
+                Err(format!("process {} did not leave in time", pid.0))
+            }
+        }
+        Command::Shutdown => {
+            ctl.shutdown().map_err(|e| e.to_string())?;
+            println!("cluster shut down");
+            Ok(())
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run = || -> Result<(), String> {
-        let flags = parse_flags(&args, &["cmd", "count", "pid", "timeout-s"])?;
-        let spec = spec_from_flags(&flags)?;
-        // Before connecting: a bad flag is a usage error, not a connect error.
-        let timeout = Duration::from_secs(flag_number(&flags, "timeout-s")?.unwrap_or(60));
-        let count: u64 = flag_number(&flags, "count")?.unwrap_or(1);
-        let pid: Option<u64> = flag_number(&flags, "pid")?;
-        let mut ctl = CtlClient::<u64>::connect(&spec).map_err(|e| e.to_string())?;
-        match flags.get("cmd").map(String::as_str) {
-            Some("status") => {
-                for status in ctl.status().map_err(|e| e.to_string())? {
-                    println!(
-                        "process {:>4}  integrated={}  left={}",
-                        status.pid.0, status.integrated, status.left
-                    );
-                }
-                Ok(())
-            }
-            Some("join") => {
-                let joined = ctl.join_wave(count).map_err(|e| e.to_string())?;
-                let ids: Vec<u64> = joined.iter().map(|p| p.0).collect();
-                eprintln!("skueue-ctl: join wave started for processes {ids:?}");
-                if ctl
-                    .wait_integrated(&joined, timeout)
-                    .map_err(|e| e.to_string())?
-                {
-                    println!("joined: {ids:?}");
-                    Ok(())
-                } else {
-                    Err(format!("processes {ids:?} did not integrate in time"))
-                }
-            }
-            Some("leave") => {
-                let pid = ProcessId(pid.ok_or("--cmd leave needs --pid N")?);
-                ctl.leave(pid).map_err(|e| e.to_string())?;
-                if ctl.wait_left(&[pid], timeout).map_err(|e| e.to_string())? {
-                    println!("left: {}", pid.0);
-                    Ok(())
-                } else {
-                    Err(format!("process {} did not leave in time", pid.0))
-                }
-            }
-            Some("shutdown") => {
-                ctl.shutdown().map_err(|e| e.to_string())?;
-                println!("cluster shut down");
-                Ok(())
-            }
-            Some(other) => Err(format!("unknown command `{other}`")),
-            None => Err("missing required flag --cmd status|join|leave|shutdown".to_string()),
-        }
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
+    let (spec, command, timeout) = match parse(&args) {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("skueue-ctl: {message}");
             eprintln!(
                 "usage: skueue-ctl --daemons a,b,c --cmd status|join|leave|shutdown \
                  [--count N] [--pid N] [--timeout-s T] [--initial N] [--shards S]"
             );
-            ExitCode::from(2)
+            return ExitCode::from(2);
+        }
+    };
+    match run(&spec, command, timeout) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("skueue-ctl: {message}");
+            ExitCode::FAILURE
         }
     }
 }
