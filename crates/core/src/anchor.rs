@@ -148,11 +148,10 @@ impl AnchorState {
         for (i, &count) in batch.runs().iter().enumerate() {
             let kind = batch.kind_of_run(i);
             let mut assignment = match (mode, kind) {
-                (_, BatchOp::Enqueue) if mode == Mode::Queue => self.assign_enqueue(count),
+                (Mode::Queue, BatchOp::Enqueue) => self.assign_enqueue(count),
                 (Mode::Queue, BatchOp::Dequeue) => self.assign_dequeue(count),
                 (Mode::Stack, BatchOp::Enqueue) => self.assign_push(count),
                 (Mode::Stack, BatchOp::Dequeue) => self.assign_pop(count),
-                (Mode::Queue, BatchOp::Enqueue) => unreachable!(),
             };
             assignment.wave = self.epoch;
             assignments.push(assignment);

@@ -15,6 +15,7 @@ use skueue_sim::ids::ProcessId;
 use crate::codec::Wire;
 use crate::frame::{read_frame, write_frame, NetFrame};
 use crate::spec::ClusterSpec;
+use crate::transport::dial;
 
 /// A synchronous control connection to one daemon: write a frame, read the
 /// reply.  Control traffic follows a strict request/reply discipline per
@@ -28,26 +29,15 @@ pub(crate) struct Control<T> {
 }
 
 impl<T: Payload + Wire> Control<T> {
-    /// Connects to `addr`, retrying for a few seconds while the daemon
-    /// starts up.
+    /// Connects to `addr`, retrying while the daemon starts up
+    /// ([`dial`]).
     pub(crate) fn connect(addr: &str) -> io::Result<Self> {
-        let mut last_err = io::Error::other("no attempt made");
-        for _ in 0..250 {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let read_half = stream.try_clone()?;
-                    return Ok(Control {
-                        stream,
-                        reader: BufReader::new(read_half),
-                        _payload: PhantomData,
-                    });
-                }
-                Err(e) => last_err = e,
-            }
-            thread::sleep(Duration::from_millis(20));
-        }
-        Err(last_err)
+        let stream = dial(addr)?;
+        Ok(Control {
+            reader: BufReader::new(stream.try_clone()?),
+            stream,
+            _payload: PhantomData,
+        })
     }
 
     /// Sends a frame without waiting for a reply (an `Inject`'s answer, a

@@ -22,7 +22,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use skueue_core::{Payload, StageStats};
+use skueue_core::Payload;
 use skueue_shard::ShardMap;
 use skueue_sim::ids::{ProcessId, RequestId};
 use skueue_verify::{check_queue_sharded, ConsistencyReport, History, OpRecord};
@@ -114,12 +114,19 @@ impl<T: Payload + Wire> IngressClient<T> {
                 std::io::BufReader::new(conn.stream.try_clone()?),
             );
             let tx = tx.clone();
+            let addr = addr.clone();
             readers.push(std::thread::spawn(move || loop {
                 let answer = match read_frame::<NetFrame<T>, _>(&mut reader) {
                     Ok(Some(NetFrame::Completion { record })) => Answer::Completed(record),
                     Ok(Some(NetFrame::Refused { id })) => Answer::Refused(id),
                     Ok(Some(_)) => continue, // stray replies are ignored
-                    Ok(None) | Err(_) => break,
+                    Ok(None) => break,
+                    // Said once, with the daemon's address: the operations
+                    // it would have answered stay pending.
+                    Err(e) => {
+                        eprintln!("ingress: closing the completion stream from {addr}: {e}");
+                        break;
+                    }
                 };
                 if tx.send(answer).is_err() {
                     break;
@@ -195,27 +202,37 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// of this client's operations are pending.
     fn make_room(&mut self) -> io::Result<()> {
         let window = INGRESS_WINDOW_PER_DAEMON * self.conns.len();
-        let deadline = Instant::now() + WINDOW_STALL;
-        while self.pending.len() >= window {
+        self.absorb_until(Instant::now() + WINDOW_STALL, |c| c.pending.len() < window)
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "{} operations in flight and none completed in {WINDOW_STALL:?}",
+                        self.pending.len()
+                    ),
+                ),
+                RecvTimeoutError::Disconnected => io::Error::new(
+                    io::ErrorKind::BrokenPipe,
+                    "the window is full and every daemon has hung up",
+                ),
+            })
+    }
+
+    /// Absorbs completions and refusals as they arrive, stamping each on
+    /// arrival, until `done` holds (checked before every wait) or
+    /// `deadline` passes ([`RecvTimeoutError::Timeout`]) or every daemon
+    /// has hung up ([`RecvTimeoutError::Disconnected`]).
+    fn absorb_until(
+        &mut self,
+        deadline: Instant,
+        done: impl Fn(&Self) -> bool,
+    ) -> Result<(), RecvTimeoutError> {
+        while !done(self) {
             let left = deadline.saturating_duration_since(Instant::now());
-            match self.completions.recv_timeout(left) {
-                Ok(answer) => self.absorb(answer),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!(
-                            "{} operations in flight and none completed in {WINDOW_STALL:?}",
-                            self.pending.len()
-                        ),
-                    ))
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "the window is full and every daemon has hung up",
-                    ))
-                }
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
             }
+            self.absorb(self.completions.recv_timeout(left)?);
         }
         Ok(())
     }
@@ -250,20 +267,9 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// never left unstamped while the caller idles (and idling polls
     /// nothing).
     pub(crate) fn pump_until(&mut self, deadline: Instant) {
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            match self.completions.recv_timeout(left) {
-                Ok(answer) => self.absorb(answer),
-                Err(RecvTimeoutError::Timeout) => return,
-                // Every daemon hung up: nothing more will arrive.
-                Err(RecvTimeoutError::Disconnected) => {
-                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-                    return;
-                }
-            }
+        // Every daemon hung up: nothing more will arrive, so sleep instead.
+        if self.absorb_until(deadline, |_| false) == Err(RecvTimeoutError::Disconnected) {
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
         }
     }
 
@@ -289,18 +295,8 @@ impl<T: Payload + Wire> IngressClient<T> {
     pub fn await_quiescence(&mut self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.pump();
-        while !self.pending.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            match self.completions.recv_timeout(deadline - now) {
-                Ok(answer) => self.absorb(answer),
-                Err(RecvTimeoutError::Timeout) => return self.pending.is_empty(),
-                Err(RecvTimeoutError::Disconnected) => return self.pending.is_empty(),
-            }
-        }
-        true
+        self.absorb_until(deadline, |c| c.pending.is_empty())
+            .is_ok()
     }
 
     /// The completion records received so far, in arrival order.
@@ -312,11 +308,6 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// completed so far, in completion order, microseconds.
     pub fn latencies_us(&self) -> &[u64] {
         &self.latencies_us
-    }
-
-    /// `(p50, p99, p999)` of the wall-clock latencies, in microseconds.
-    pub fn latency_percentiles_us(&self) -> (u64, u64, u64) {
-        percentiles_us(self.latencies_us.clone())
     }
 
     /// Runs the sharded sequential-consistency checker over the collected
@@ -341,25 +332,5 @@ impl<T: Payload + Wire> IngressClient<T> {
         for reader in self.readers {
             let _ = reader.join();
         }
-    }
-}
-
-/// `(p50, p99, p999)` of a latency sample, by nearest-rank on the sorted
-/// values.  Returns zeros for an empty sample.
-pub(crate) fn percentiles_us(mut sample: Vec<u64>) -> (u64, u64, u64) {
-    let stats = StageStats::from_samples(&mut sample);
-    (stats.p50, stats.p99, stats.p999)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentiles_pick_nearest_rank() {
-        let sample: Vec<u64> = (1..=1000).collect();
-        assert_eq!(percentiles_us(sample), (500, 990, 999));
-        assert_eq!(percentiles_us(vec![]), (0, 0, 0));
-        assert_eq!(percentiles_us(vec![7]), (7, 7, 7));
     }
 }

@@ -21,7 +21,7 @@
 //! |---|---|
 //! | [`codec`] | binary encoding of every protocol type, declared as one field list per type (nothing can be vendored: there is no registry, so three private macros stand in for a derive; a new message is one line) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
-//! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
+//! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules, the flag readers and the binaries' one exit driver, [`spec::service_main`] |
 //! | `transport` | `transport::TcpTransport`, the real-clock [`skueue_sim::Transport`]: the fabric of a daemon's lane — its local FIFO and its peer connections |
 //! | [`daemon`] | the `skueue-node` daemon: a listener, one reader per connection, and the host thread that runs every hosted node in one [`skueue_sim::Lane`] — the simulator's visit loop |
 //! | `ctl` | the control-plane client (join/leave waves, status, shutdown) |

@@ -26,8 +26,8 @@ use skueue_sim::ids::ProcessId;
 use skueue_sim::SimRng;
 
 use crate::codec::Wire;
-use crate::ingress::{percentiles_us, IngressClient};
-use skueue_core::Payload;
+use crate::ingress::IngressClient;
+use skueue_core::{Payload, StageStats};
 
 /// Parameters of one load run.
 #[derive(Debug, Clone)]
@@ -172,9 +172,9 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     // The client's own completions since the run began.  (Its stream also
     // carries what other clients of the cluster issued; those have a record
     // and no latency, so nothing here goes by a record's position.)
-    let from_due = ingress.latencies_us()[first_latency..].to_vec();
+    let mut from_due = ingress.latencies_us()[first_latency..].to_vec();
     let completed = from_due.len() as u64;
-    let (p50_us, p99_us, p999_us) = percentiles_us(from_due);
+    let latency = StageStats::from_samples(&mut from_due);
     let report = ingress.verify();
     Ok(LoadReport {
         issued: ingress.issued() - issued_before,
@@ -183,9 +183,9 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
         consistent: report.is_consistent(),
         duration_ms: duration.as_millis() as u64,
         throughput_ops_s: completed as f64 / duration.as_secs_f64().max(1e-9),
-        p50_us,
-        p99_us,
-        p999_us,
+        p50_us: latency.p50,
+        p99_us: latency.p99,
+        p999_us: latency.p999,
     })
 }
 

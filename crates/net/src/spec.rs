@@ -14,6 +14,8 @@
 //!   placement is globally derivable too — a `JOIN` needs no id negotiation.
 
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::process::ExitCode;
 
 use skueue_core::builder::validate_shards;
 use skueue_core::membership::InitialMembership;
@@ -152,6 +154,31 @@ pub fn flag_number<N: std::str::FromStr>(
             .map_err(|_| format!("--{key} expects a number, got `{v}`"))
     };
     flags.get(key).map(parse).transpose()
+}
+
+/// The `main` of every service binary: `parse` reads the command line
+/// before anything binds or connects, and `run` does the work.  A command
+/// line `parse` rejects exits 2 with `<name>: <reason>` and the usage line;
+/// a failed `run` exits 1 with `<name>: <reason>` alone — the flags were
+/// fine, the cluster or the system said no.
+pub fn service_main<A>(
+    name: &str,
+    usage: &str,
+    parse: impl FnOnce(&[String]) -> Result<A, String>,
+    run: impl FnOnce(A) -> Result<(), Box<dyn Error>>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args).map(run) {
+        Err(reason) => {
+            eprintln!("{name}: {reason}\nusage: {name} {usage}");
+            ExitCode::from(2)
+        }
+        Ok(Err(reason)) => {
+            eprintln!("{name}: {reason}");
+            ExitCode::FAILURE
+        }
+        Ok(Ok(())) => ExitCode::SUCCESS,
+    }
 }
 
 /// Builds a [`ClusterSpec`] from parsed flags.  Recognised keys:

@@ -16,7 +16,7 @@
 //! history verifier instead of by byte-identity.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -90,15 +90,13 @@ impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport
             if self.peers[daemon].is_none() {
                 self.peers[daemon] = dial_peer(&self.spec, self.index, daemon);
             }
-            match self.peers[daemon].as_mut() {
-                Some(stream) => {
-                    if write_frame(stream, &frame).is_ok() {
-                        return;
-                    }
-                    self.peers[daemon] = None;
-                }
-                None => break,
+            let Some(stream) = self.peers[daemon].as_mut() else {
+                break;
+            };
+            if write_frame(stream, &frame).is_ok() {
+                return;
             }
+            self.peers[daemon] = None;
         }
         eprintln!(
             "skueue-node[{}]: dropping frame for unreachable daemon {daemon}",
@@ -128,20 +126,30 @@ impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport
     }
 }
 
-/// Dials a peer daemon, retrying for a few seconds (daemons of one cluster
-/// start concurrently), and sends the identifying preamble.
+/// Dials a peer daemon and sends the identifying preamble.
 fn dial_peer(spec: &ClusterSpec, index: usize, daemon: usize) -> Option<Box<dyn Write>> {
-    for _ in 0..250 {
-        if let Ok(mut stream) = TcpStream::connect(&spec.daemons[daemon]) {
-            let _ = stream.set_nodelay(true);
-            // `Hello` carries no payload-typed field, so any `T` encodes it
-            // identically; `u64` keeps this helper non-generic.
-            let hello = NetFrame::<u64>::Hello { from: index as u32 };
-            if write_frame(&mut stream, &hello).is_ok() {
-                return Some(Box::new(stream));
-            }
+    let mut stream = dial(&spec.daemons[daemon]).ok()?;
+    // `Hello` carries no payload-typed field, so any `T` encodes it
+    // identically; `u64` keeps this helper non-generic.
+    let hello = NetFrame::<u64>::Hello { from: index as u32 };
+    write_frame(&mut stream, &hello).ok()?;
+    Some(Box::new(stream))
+}
+
+/// Connects to `addr` with Nagle off, retrying for about five seconds while
+/// the daemon there starts up (the daemons of one cluster start
+/// concurrently): the first attempt at once, then one every 20 ms, 250 in
+/// all.  The error is the last attempt's.
+pub(crate) fn dial(addr: &str) -> io::Result<TcpStream> {
+    let mut attempt = TcpStream::connect(addr);
+    for _ in 1..250 {
+        if attempt.is_ok() {
+            break;
         }
         thread::sleep(Duration::from_millis(20));
+        attempt = TcpStream::connect(addr);
     }
-    None
+    let stream = attempt?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }

@@ -3,12 +3,12 @@
 # mixed workload through `skueue-ingress` (sequential-consistency verifier
 # on), exercises a join wave plus a leave through `skueue-ctl` — the leave
 # while `skueue-load` keeps operations in flight — and shuts the cluster
-# down.  Fails if any step exits non-zero, if a second leave of the process
-# that left is not refused (exit 1, no usage line), if verification fails, if the load
-# under churn does not drain, if `skueue-node` accepts a shard count it cannot
-# run with, if a daemon runs more threads than its connections account for, or
-# if a daemon does not exit cleanly — i.e. leaks a thread or its listener
-# socket.
+# down.  Fails if any step exits non-zero, if a second daemon 0 or a second
+# leave of the process that left does not fail at run time (exit 1, no usage
+# line), if verification fails, if the load under churn does not drain, if
+# `skueue-node` accepts a shard count it cannot run with, if a daemon runs
+# more threads than its connections account for, or if a daemon does not
+# exit cleanly — i.e. leaks a thread or its listener socket.
 #
 # Usage:
 #   scripts/net_smoke.sh [BASE_PORT]
@@ -53,6 +53,20 @@ done
 
 echo "== cluster status"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd status
+
+# Daemon 0 holds its listen address, so a second daemon 0 cannot bind it:
+# a run-time failure (exit 1, no usage line), not a usage error.
+echo "== a second daemon 0 fails to bind"
+status=0
+clash=$(timeout 5 "$BIN/skueue-node" "${COMMON[@]}" --index 0 2>&1) || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "a second skueue-node --index 0 exited $status, not 1: $clash" >&2
+    exit 1
+fi
+if grep -q "usage:" <<<"$clash"; then
+    echo "the failed bind printed the usage: $clash" >&2
+    exit 1
+fi
 
 echo "== fig2 workload through the ingress (verifier on)"
 "$BIN/skueue-ingress" "${COMMON[@]}" --workload fig2 --ops 40 --seed 1

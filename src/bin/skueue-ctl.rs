@@ -21,10 +21,11 @@
 //! at run time — no daemon to connect to, a daemon's refusal, a wait that
 //! timed out.
 
+use std::error::Error;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use skueue::net::spec::{flag_number, parse_flags, spec_from_flags, ClusterSpec};
+use skueue::net::spec::{flag_number, parse_flags, service_main, spec_from_flags, ClusterSpec};
 use skueue::net::CtlClient;
 use skueue::prelude::ProcessId;
 
@@ -58,67 +59,43 @@ fn parse(args: &[String]) -> Result<(ClusterSpec, Command, Duration), String> {
 }
 
 /// Runs `command` against the cluster; the error is the reason it failed.
-fn run(spec: &ClusterSpec, command: Command, timeout: Duration) -> Result<(), String> {
-    let mut ctl = CtlClient::<u64>::connect(spec).map_err(|e| e.to_string())?;
+fn run((spec, command, timeout): (ClusterSpec, Command, Duration)) -> Result<(), Box<dyn Error>> {
+    let mut ctl = CtlClient::<u64>::connect(&spec)?;
     match command {
         Command::Status => {
-            for status in ctl.status().map_err(|e| e.to_string())? {
+            for status in ctl.status()? {
                 println!(
                     "process {:>4}  integrated={}  left={}",
                     status.pid.0, status.integrated, status.left
                 );
             }
-            Ok(())
         }
         Command::Join { count } => {
-            let joined = ctl.join_wave(count).map_err(|e| e.to_string())?;
+            let joined = ctl.join_wave(count)?;
             let ids: Vec<u64> = joined.iter().map(|p| p.0).collect();
             eprintln!("skueue-ctl: join wave started for processes {ids:?}");
-            if ctl
-                .wait_integrated(&joined, timeout)
-                .map_err(|e| e.to_string())?
-            {
-                println!("joined: {ids:?}");
-                Ok(())
-            } else {
-                Err(format!("processes {ids:?} did not integrate in time"))
+            if !ctl.wait_integrated(&joined, timeout)? {
+                return Err(format!("processes {ids:?} did not integrate in time").into());
             }
+            println!("joined: {ids:?}");
         }
         Command::Leave { pid } => {
-            ctl.leave(pid).map_err(|e| e.to_string())?;
-            if ctl.wait_left(&[pid], timeout).map_err(|e| e.to_string())? {
-                println!("left: {}", pid.0);
-                Ok(())
-            } else {
-                Err(format!("process {} did not leave in time", pid.0))
+            ctl.leave(pid)?;
+            if !ctl.wait_left(&[pid], timeout)? {
+                return Err(format!("process {} did not leave in time", pid.0).into());
             }
+            println!("left: {}", pid.0);
         }
         Command::Shutdown => {
-            ctl.shutdown().map_err(|e| e.to_string())?;
+            ctl.shutdown()?;
             println!("cluster shut down");
-            Ok(())
         }
     }
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (spec, command, timeout) = match parse(&args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("skueue-ctl: {message}");
-            eprintln!(
-                "usage: skueue-ctl --daemons a,b,c --cmd status|join|leave|shutdown \
-                 [--count N] [--pid N] [--timeout-s T] [--initial N] [--shards S]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match run(&spec, command, timeout) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("skueue-ctl: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    let usage = "--daemons a,b,c --cmd status|join|leave|shutdown [--count N] [--pid N] \
+                 [--timeout-s T] [--initial N] [--shards S]";
+    service_main("skueue-ctl", usage, parse, run)
 }

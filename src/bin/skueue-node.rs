@@ -10,40 +10,41 @@
 //! skueue-node --daemons 127.0.0.1:7101,127.0.0.1:7102,127.0.0.1:7103 \
 //!             --index 0 --initial 5 --shards 2
 //! ```
+//!
+//! Exit codes: 2 with the usage for flags it cannot run with (read before
+//! anything binds); 1 with only `skueue-node: <reason>` for what fails at
+//! run time — a listen address already in use, say.
 
+use std::error::Error;
 use std::process::ExitCode;
 
 use skueue::net::daemon;
-use skueue::net::spec::{flag_number, parse_flags, spec_from_flags};
+use skueue::net::spec::{flag_number, parse_flags, service_main, spec_from_flags, ClusterSpec};
+
+/// The cluster and this daemon's index in it.
+fn parse(args: &[String]) -> Result<(ClusterSpec, usize), String> {
+    let flags = parse_flags(args, &["index"])?;
+    let spec = spec_from_flags(&flags)?;
+    let index: usize = flag_number(&flags, "index")?.ok_or("missing required flag --index N")?;
+    if index >= spec.num_daemons() {
+        return Err(format!(
+            "--index {index} out of range for {} daemons",
+            spec.num_daemons()
+        ));
+    }
+    Ok((spec, index))
+}
+
+fn run((spec, index): (ClusterSpec, usize)) -> Result<(), Box<dyn Error>> {
+    eprintln!(
+        "skueue-node[{index}]: listening on {} ({} initial processes, {} shards)",
+        spec.daemons[index], spec.initial, spec.shards
+    );
+    Ok(daemon::run::<u64>(&spec, index)?)
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let run = || -> Result<(), String> {
-        let flags = parse_flags(&args, &["index"])?;
-        let spec = spec_from_flags(&flags)?;
-        let index: usize =
-            flag_number(&flags, "index")?.ok_or("missing required flag --index N")?;
-        if index >= spec.num_daemons() {
-            return Err(format!(
-                "--index {index} out of range for {} daemons",
-                spec.num_daemons()
-            ));
-        }
-        eprintln!(
-            "skueue-node[{index}]: listening on {} ({} initial processes, {} shards)",
-            spec.daemons[index], spec.initial, spec.shards
-        );
-        daemon::run::<u64>(&spec, index).map_err(|e| e.to_string())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("skueue-node: {message}");
-            eprintln!(
-                "usage: skueue-node --daemons a,b,c --index N \
-                 [--initial N] [--shards S] [--hash-seed H] [--tick-ms T]"
-            );
-            ExitCode::from(2)
-        }
-    }
+    let usage =
+        "--daemons a,b,c --index N [--initial N] [--shards S] [--hash-seed H] [--tick-ms T]";
+    service_main("skueue-node", usage, parse, run)
 }
