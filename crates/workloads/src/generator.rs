@@ -141,6 +141,7 @@ impl PerNodeRateGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skueue_verify::OpKind;
 
     fn queue_cluster(n: usize, seed: u64) -> SkueueCluster {
         SkueueCluster::builder()
@@ -148,6 +149,53 @@ mod tests {
             .seed(seed)
             .build()
             .unwrap()
+    }
+
+    /// A generator's issue step, as the scenario driver calls it.
+    type Tick = Box<dyn FnMut(&mut SkueueCluster, u64) -> Result<u64, ClusterError>>;
+
+    fn fixed_rate(per_round: u64, insert_ratio: f64, rounds: u64, seed: u64) -> Tick {
+        let mut gen = FixedRateGenerator::new(per_round, insert_ratio, rounds, seed);
+        Box::new(move |cluster, round| gen.tick(cluster, round, |c| c))
+    }
+
+    fn per_node_rate(probability: f64, insert_ratio: f64, rounds: u64, seed: u64) -> Tick {
+        let mut gen = PerNodeRateGenerator::new(probability, insert_ratio, rounds, seed);
+        Box::new(move |cluster, round| gen.tick(cluster, round, |c| c))
+    }
+
+    /// Drains 5 generated rounds on an 8-process cluster and lists every
+    /// request as `origin:seq` and `+` (insert) or `-` (remove), sorted.
+    fn drained_draws(mut tick: Tick) -> String {
+        let mut cluster = queue_cluster(8, 5);
+        for round in 0..5 {
+            tick(&mut cluster, round).unwrap();
+            cluster.run_round();
+        }
+        cluster.run_until_all_complete(5_000).unwrap();
+        let mut draws: Vec<_> = (cluster.history().records().iter())
+            .map(|r| (r.id.origin.0, r.id.seq, r.kind == OpKind::Enqueue))
+            .collect();
+        draws.sort();
+        let draws: Vec<String> = (draws.iter())
+            .map(|&(origin, seq, insert)| {
+                format!("{origin}:{seq}{}", if insert { '+' } else { '-' })
+            })
+            .collect();
+        draws.join(" ")
+    }
+
+    /// The RNG draws of both rate shapes, pinned at seed 5: which process
+    /// issues each request and whether it inserts.
+    #[test]
+    fn both_shapes_draw_what_they_drew() {
+        let fixed = "0:0- 1:0+ 2:0- 2:1+ 2:2- 2:3+ 2:4- 3:0- 3:1- 4:0- 4:1- 4:2- 4:3- 4:4- 4:5- \
+                     5:0- 5:1- 5:2+ 6:0+ 7:0+";
+        assert_eq!(drained_draws(fixed_rate(4, 0.5, 5, 5)), fixed);
+        let per_node =
+            "0:0- 0:1+ 0:2- 0:3- 1:0+ 1:1- 1:2- 1:3- 2:0- 3:0- 3:1+ 4:0+ 4:1- 5:0- 6:0+ \
+                        7:0+ 7:1-";
+        assert_eq!(drained_draws(per_node_rate(0.5, 0.5, 5, 5)), per_node);
     }
 
     #[test]
@@ -174,10 +222,7 @@ mod tests {
         cluster.run_until_all_complete(500).unwrap();
         // All inserts: no request may return ⊥ and all must be enqueues.
         assert_eq!(cluster.history().count_empty(), 0);
-        assert_eq!(
-            cluster.history().count_kind(skueue_verify::OpKind::Enqueue),
-            20
-        );
+        assert_eq!(cluster.history().count_kind(OpKind::Enqueue), 20);
     }
 
     #[test]
