@@ -25,38 +25,13 @@
 
 use crate::vnode::VKind;
 
-/// Where a node's aggregation-tree parent is found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ParentRule {
-    /// The node is the anchor — it has no parent.
-    Anchor,
-    /// The parent is the process's own left virtual node (`l(v)`).
-    OwnLeft,
-    /// The parent is the process's own middle virtual node (`m(v)`).
-    OwnMiddle,
-    /// The parent is the predecessor on the sorted cycle.
-    Predecessor,
-}
-
-/// Returns where the parent of a node of the given kind is found.
+/// Resolves the aggregation-tree parent to a concrete handle: none for the
+/// anchor, else the process's own left node for a middle node, the cycle
+/// predecessor for a left node and the process's own middle node for a right
+/// node.
 ///
 /// `is_anchor` must be true exactly for the node with the globally smallest
-/// label.
-pub(crate) fn parent_rule(kind: VKind, is_anchor: bool) -> ParentRule {
-    if is_anchor {
-        return ParentRule::Anchor;
-    }
-    match kind {
-        VKind::Middle => ParentRule::OwnLeft,
-        VKind::Left => ParentRule::Predecessor,
-        VKind::Right => ParentRule::OwnMiddle,
-    }
-}
-
-/// Resolves the aggregation-tree parent to a concrete handle.
-///
-/// The caller supplies handles for the candidates; this function picks the
-/// right one according to `parent_rule`.
+/// label; the caller supplies handles for the three candidates.
 pub fn aggregation_parent<T>(
     kind: VKind,
     is_anchor: bool,
@@ -64,11 +39,11 @@ pub fn aggregation_parent<T>(
     own_middle: T,
     predecessor: T,
 ) -> Option<T> {
-    match parent_rule(kind, is_anchor) {
-        ParentRule::Anchor => None,
-        ParentRule::OwnLeft => Some(own_left),
-        ParentRule::OwnMiddle => Some(own_middle),
-        ParentRule::Predecessor => Some(predecessor),
+    match (kind, is_anchor) {
+        (_, true) => None,
+        (VKind::Middle, false) => Some(own_left),
+        (VKind::Left, false) => Some(predecessor),
+        (VKind::Right, false) => Some(own_middle),
     }
 }
 
@@ -201,14 +176,6 @@ pub(crate) fn aggregation_children<T: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parent_rules_match_paper() {
-        assert_eq!(parent_rule(VKind::Middle, false), ParentRule::OwnLeft);
-        assert_eq!(parent_rule(VKind::Left, false), ParentRule::Predecessor);
-        assert_eq!(parent_rule(VKind::Right, false), ParentRule::OwnMiddle);
-        assert_eq!(parent_rule(VKind::Left, true), ParentRule::Anchor);
-    }
 
     #[test]
     fn anchor_has_no_parent() {
