@@ -89,10 +89,18 @@ impl DaemonHandle {
     }
 }
 
-/// Binds the daemon's listen address and runs until shutdown.  This is the
-/// body of the `skueue-node` binary.
+/// Binds the daemon's listen address, says so on stderr, and runs until
+/// shutdown.  This is the body of the `skueue-node` binary; a bind that
+/// fails names the address.
 pub fn run<T: Payload + Wire>(spec: &ClusterSpec, index: usize) -> io::Result<()> {
-    run_with_listener::<T>(spec, index, TcpListener::bind(&spec.daemons[index])?)
+    let addr = &spec.daemons[index];
+    let listener = TcpListener::bind(addr)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot listen on {addr}: {e}")))?;
+    eprintln!(
+        "skueue-node[{index}]: listening on {addr} ({} initial processes, {} shards)",
+        spec.initial, spec.shards
+    );
+    run_with_listener::<T>(spec, index, listener)
 }
 
 /// Spawns a daemon on its own thread with a pre-bound listener (lets tests

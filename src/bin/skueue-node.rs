@@ -36,10 +36,6 @@ fn parse(args: &[String]) -> Result<(ClusterSpec, usize), String> {
 }
 
 fn run((spec, index): (ClusterSpec, usize)) -> Result<(), Box<dyn Error>> {
-    eprintln!(
-        "skueue-node[{index}]: listening on {} ({} initial processes, {} shards)",
-        spec.daemons[index], spec.initial, spec.shards
-    );
     Ok(daemon::run::<u64>(&spec, index)?)
 }
 

@@ -13,9 +13,10 @@ use std::time::{Duration, Instant};
 const NO_DAEMON: &str = "127.0.0.1:1";
 
 /// Runs a built binary and asserts that it exits 1, that the last line of
-/// its stderr is `<name>: <reason>`, and that it prints no usage.  A child
-/// still alive after thirty seconds is killed, which fails the assertion.
-fn assert_run_time_failure(exe: &str, name: &str, args: &[&str]) {
+/// its stderr is `<name>: <reason>`, and that it prints no usage; returns
+/// that stderr.  A child still alive after thirty seconds is killed, which
+/// fails the assertion.
+fn assert_run_time_failure(exe: &str, name: &str, args: &[&str]) -> String {
     let mut child = Command::new(exe)
         .args(args)
         .env("RUST_BACKTRACE", "0")
@@ -38,6 +39,7 @@ fn assert_run_time_failure(exe: &str, name: &str, args: &[&str]) {
     let last = stderr.lines().last().unwrap_or_default();
     assert!(last.starts_with(&format!("{name}: ")), "{name}: {stderr}");
     assert!(!stderr.contains("usage:"), "{name}: {stderr}");
+    stderr.into_owned()
 }
 
 #[test]
@@ -56,8 +58,14 @@ fn a_run_time_failure_exits_1_without_the_usage() {
             assert_run_time_failure(exe, "skueue-ingress", &args);
         });
         s.spawn(|| {
+            // The daemon names the address it could not take, and never
+            // claims to listen on it.
             let args = ["--daemons", &taken, "--index", "0"];
-            assert_run_time_failure(env!("CARGO_BIN_EXE_skueue-node"), "skueue-node", &args);
+            let exe = env!("CARGO_BIN_EXE_skueue-node");
+            let stderr = assert_run_time_failure(exe, "skueue-node", &args);
+            let last = stderr.lines().last().unwrap_or_default();
+            assert!(last.contains(&taken), "skueue-node: {stderr}");
+            assert!(!stderr.contains("listening on"), "skueue-node: {stderr}");
         });
     });
 }
