@@ -1,20 +1,30 @@
-//! Request generators matching the paper's evaluation setup.
+//! The request generator of the paper's evaluation setup.
 //!
-//! Generators drive the cluster through per-process
+//! It drives the cluster through per-process
 //! [`ClientHandle`](skueue_core::ClientHandle)s — the same request path an
-//! application would use — and discard the returned tickets (the scenario
+//! application would use — and discards the returned tickets (the scenario
 //! layer reads results through the cluster's completion stream).
 
 use skueue_core::{ClusterError, Payload, SkueueCluster};
 use skueue_sim::SimRng;
 
-/// Fixed-rate generator (Figures 2 and 3): `requests_per_round` requests per
-/// round, assigned to uniformly random processes; each request is an insert
-/// with probability `insert_ratio`.
+/// How many requests a generation round issues.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rate {
+    /// This many, each at a uniformly random active process (Figures 2
+    /// and 3): per request, the target is drawn, then whether it inserts.
+    PerRound(u64),
+    /// Each active process, in pid order, issues one with this probability
+    /// (Figure 4): per process, whether it issues is drawn, then — only if
+    /// it does — whether it inserts.
+    PerProcess(f64),
+}
+
+/// Issues a round's requests at a [`Rate`] for a window of rounds; each
+/// request is an insert with probability `insert_ratio`.
 #[derive(Debug, Clone)]
-pub(crate) struct FixedRateGenerator {
-    /// Requests generated per round.
-    requests_per_round: u64,
+pub(crate) struct Generator {
+    rate: Rate,
     /// Probability that a generated request is an insert.
     insert_ratio: f64,
     /// Rounds during which requests are generated.
@@ -23,16 +33,11 @@ pub(crate) struct FixedRateGenerator {
     value_counter: u64,
 }
 
-impl FixedRateGenerator {
+impl Generator {
     /// Creates a generator.
-    pub(crate) fn new(
-        requests_per_round: u64,
-        insert_ratio: f64,
-        generation_rounds: u64,
-        seed: u64,
-    ) -> Self {
-        FixedRateGenerator {
-            requests_per_round,
+    pub(crate) fn new(rate: Rate, insert_ratio: f64, generation_rounds: u64, seed: u64) -> Self {
+        Generator {
+            rate,
             insert_ratio,
             generation_rounds,
             rng: SimRng::new(seed),
@@ -60,9 +65,17 @@ impl FixedRateGenerator {
         if targets.is_empty() {
             return Ok(0);
         }
+        let draws = match self.rate {
+            Rate::PerRound(count) => count as usize,
+            Rate::PerProcess(_) => targets.len(),
+        };
         let mut issued = 0;
-        for _ in 0..self.requests_per_round {
-            let target = targets[self.rng.choose_index(targets.len())];
+        for i in 0..draws {
+            let target = match self.rate {
+                Rate::PerRound(_) => targets[self.rng.choose_index(targets.len())],
+                Rate::PerProcess(p) if self.rng.gen_bool(p) => targets[i],
+                Rate::PerProcess(_) => continue,
+            };
             let is_insert = self.rng.gen_bool(self.insert_ratio);
             self.value_counter += 1;
             let value = if is_insert {
@@ -72,67 +85,6 @@ impl FixedRateGenerator {
             };
             cluster.client(target).issue(is_insert, value)?;
             issued += 1;
-        }
-        Ok(issued)
-    }
-}
-
-/// Per-node-rate generator (Figure 4): every active process generates a
-/// request with probability `request_probability` each round.
-#[derive(Debug, Clone)]
-pub(crate) struct PerNodeRateGenerator {
-    /// Per-round request probability of each process.
-    request_probability: f64,
-    /// Probability that a generated request is an insert.
-    insert_ratio: f64,
-    /// Rounds during which requests are generated.
-    generation_rounds: u64,
-    rng: SimRng,
-    value_counter: u64,
-}
-
-impl PerNodeRateGenerator {
-    /// Creates a generator with the given per-node probability.
-    pub(crate) fn new(
-        request_probability: f64,
-        insert_ratio: f64,
-        generation_rounds: u64,
-        seed: u64,
-    ) -> Self {
-        PerNodeRateGenerator {
-            request_probability,
-            insert_ratio,
-            generation_rounds,
-            rng: SimRng::new(seed),
-            value_counter: 0,
-        }
-    }
-
-    /// Generates this round's requests. Returns the number issued.  (`mk` as
-    /// in [`FixedRateGenerator::tick`].)
-    pub(crate) fn tick<T: Payload>(
-        &mut self,
-        cluster: &mut SkueueCluster<T>,
-        round: u64,
-        mut mk: impl FnMut(u64) -> T,
-    ) -> Result<u64, ClusterError> {
-        if round >= self.generation_rounds {
-            return Ok(0);
-        }
-        let targets = cluster.active_process_ids();
-        let mut issued = 0;
-        for target in targets {
-            if self.rng.gen_bool(self.request_probability) {
-                let is_insert = self.rng.gen_bool(self.insert_ratio);
-                self.value_counter += 1;
-                let value = if is_insert {
-                    mk(self.value_counter)
-                } else {
-                    T::default()
-                };
-                cluster.client(target).issue(is_insert, value)?;
-                issued += 1;
-            }
         }
         Ok(issued)
     }
@@ -155,12 +107,12 @@ mod tests {
     type Tick = Box<dyn FnMut(&mut SkueueCluster, u64) -> Result<u64, ClusterError>>;
 
     fn fixed_rate(per_round: u64, insert_ratio: f64, rounds: u64, seed: u64) -> Tick {
-        let mut gen = FixedRateGenerator::new(per_round, insert_ratio, rounds, seed);
+        let mut gen = Generator::new(Rate::PerRound(per_round), insert_ratio, rounds, seed);
         Box::new(move |cluster, round| gen.tick(cluster, round, |c| c))
     }
 
     fn per_node_rate(probability: f64, insert_ratio: f64, rounds: u64, seed: u64) -> Tick {
-        let mut gen = PerNodeRateGenerator::new(probability, insert_ratio, rounds, seed);
+        let mut gen = Generator::new(Rate::PerProcess(probability), insert_ratio, rounds, seed);
         Box::new(move |cluster, round| gen.tick(cluster, round, |c| c))
     }
 
@@ -201,7 +153,7 @@ mod tests {
     #[test]
     fn fixed_rate_issues_requested_count() {
         let mut cluster = queue_cluster(4, 1);
-        let mut gen = FixedRateGenerator::new(5, 0.5, 3, 7);
+        let mut gen = Generator::new(Rate::PerRound(5), 0.5, 3, 7);
         let mut total = 0;
         for round in 0..10 {
             total += gen.tick(&mut cluster, round, |c| c).unwrap();
@@ -215,7 +167,7 @@ mod tests {
     #[test]
     fn fixed_rate_insert_ratio_extremes() {
         let mut cluster = queue_cluster(2, 2);
-        let mut gen = FixedRateGenerator::new(4, 1.0, 5, 3);
+        let mut gen = Generator::new(Rate::PerRound(4), 1.0, 5, 3);
         for round in 0..5 {
             gen.tick(&mut cluster, round, |c| c).unwrap();
         }
@@ -228,7 +180,7 @@ mod tests {
     #[test]
     fn per_node_rate_scales_with_probability() {
         let mut cluster = queue_cluster(50, 3);
-        let mut gen = PerNodeRateGenerator::new(0.5, 0.5, 20, 11);
+        let mut gen = Generator::new(Rate::PerProcess(0.5), 0.5, 20, 11);
         let mut total = 0;
         for round in 0..20 {
             total += gen.tick(&mut cluster, round, |c| c).unwrap();
@@ -245,7 +197,7 @@ mod tests {
     #[test]
     fn per_node_rate_zero_probability_generates_nothing() {
         let mut cluster = queue_cluster(5, 4);
-        let mut gen = PerNodeRateGenerator::new(0.0, 0.5, 10, 1);
+        let mut gen = Generator::new(Rate::PerProcess(0.0), 0.5, 10, 1);
         for round in 0..10 {
             assert_eq!(gen.tick(&mut cluster, round, |c| c).unwrap(), 0);
         }

@@ -13,10 +13,17 @@
 //!    generates a request with probability `p` in every round (insert ratio
 //!    0.5), for `n = 10 000`.
 //!
-//! This crate implements both generators (`generator`), ready-to-run
-//! experiment scenarios that produce one data point per call (`scenario`),
-//! churn and fairness scenarios for the analysis-section experiments, and an
-//! unbatched central-server baseline (`baseline`) used by the E8 ablation.
+//! This crate implements one generator for both rate shapes (`generator`),
+//! ready-to-run experiment scenarios that produce one data point per call
+//! (`scenario`), churn and fairness scenarios for the analysis-section
+//! experiments, and an unbatched central-server baseline (`baseline`) used
+//! by the E8 ablation.  Its `experiments` binary sweeps the scenarios over
+//! the figures' parameter grids and prints the series the paper plots, in
+//! rounds per request
+//! (`cargo run -p skueue-workloads --release --bin experiments -- <experiment>`).
+//! The default sweeps are scaled down from the paper's 100 000 processes ×
+//! 1000 rounds so that the whole suite finishes on a laptop; `--paper-scale`
+//! runs the full size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,11 @@
 //!
 //! Each function runs one *data point* of a paper figure (or of one of the
 //! derived experiments E4–E9) and returns a serialisable result record.  The
-//! experiment binary in `skueue-bench` sweeps these over the parameter grids
-//! of the figures and prints the same series the paper plots.
+//! crate's `experiments` binary sweeps these over the parameter grids of the
+//! figures and prints the same series the paper plots.
 
-use crate::generator::{FixedRateGenerator, PerNodeRateGenerator};
-use skueue_core::{ClusterError, Mode, Payload, SkueueCluster, TraceLevel};
+use crate::generator::{Generator, Rate};
+use skueue_core::{Mode, Payload, SkueueCluster, TraceLevel};
 use skueue_sim::ids::ProcessId;
 use skueue_verify::{check_queue, check_queue_sharded, check_stack};
 
@@ -165,27 +165,18 @@ pub struct ScenarioResult {
 }
 
 fn finish<T: Payload>(
-    cluster: SkueueCluster<T>,
+    cluster: &SkueueCluster<T>,
     params: &ScenarioParams,
     drain_rounds: u64,
 ) -> ScenarioResult {
     let history = cluster.history();
-    let avg = history.mean_latency();
-    let max = history.max_latency();
     let batch_hist = cluster.batch_size_histogram();
-    let hop_hist = cluster.dht_hop_histogram();
-
-    let consistent = if params.verify {
-        let report = match params.mode {
+    let consistent = !params.verify
+        || match params.mode {
             Mode::Queue => check_queue_sharded(history, &cluster.shard_map()),
             Mode::Stack => check_stack(history),
-        };
-        report.is_consistent()
-    } else {
-        true
-    };
-
-    let per_shard_waves = cluster.shard_wave_counts();
+        }
+        .is_consistent();
 
     // At quiescence every DHT reply must have found its requester: a non-zero
     // count here means a reply raced a departure and was silently dropped.
@@ -223,14 +214,14 @@ fn finish<T: Payload>(
         processes: params.processes,
         requests: history.len() as u64,
         empty_removes: history.count_empty() as u64,
-        avg_rounds_per_request: avg,
-        max_rounds_per_request: max,
+        avg_rounds_per_request: history.mean_latency(),
+        max_rounds_per_request: history.max_latency(),
         drain_rounds,
         mean_batch_size: batch_hist.mean(),
         max_batch_size: batch_hist.max().unwrap_or(0),
-        mean_dht_hops: hop_hist.mean(),
+        mean_dht_hops: cluster.dht_hop_histogram().mean(),
         shards: cluster.shards(),
-        per_shard_waves,
+        per_shard_waves: cluster.shard_wave_counts(),
         verified: params.verify,
         consistent,
         locally_combined: cluster.locally_combined(),
@@ -242,66 +233,48 @@ fn finish<T: Payload>(
     }
 }
 
-/// Runs one data point of the Figure 2 / Figure 3 workload: a fixed number of
-/// requests per round assigned to random processes.  (The `u64`
-/// instantiation of `run_payload_fixed_rate` — one shared loop, so the
-/// generic and default paths can never drift apart.)
-pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
-    run_payload_fixed_rate(params, |c| c)
-}
-
-/// Runs one *payload-generic* fixed-rate data point: the exact Figure 2
-/// schedule (same RNG draws, same per-round targets) driving a `Skueue<T>`
-/// whose insert payloads come from `mk`.  The history is verified by the
-/// mode-appropriate checker — including the payload round-trip check —
-/// exactly like [`run_fixed_rate`]; `T = u64` with `mk = identity` is
-/// bit-identical to it.
-pub(crate) fn run_payload_fixed_rate<T: Payload>(
-    params: ScenarioParams,
-    mut mk: impl FnMut(u64) -> T,
-) -> ScenarioResult {
-    let (cluster, drain_rounds) = drive_fixed_rate(&params, &mut mk);
-    finish(cluster, &params, drain_rounds)
-}
-
 /// Requests per round of the fixed-rate workload (Figures 2 and 3).
-const REQUESTS_PER_ROUND: u64 = 10;
+const FIXED_RATE: Rate = Rate::PerRound(10);
 
 /// Round budget for draining after generation stops.
 const DRAIN_BUDGET: u64 = 50_000;
 
-/// The one driver loop under every rate scenario: builds the cluster, lets
-/// `tick` issue each generation round's requests, drains, and hands the
-/// quiescent cluster back with the number of rounds the drain took.
-fn drive<T: Payload>(
+/// The one run under every rate scenario: builds the cluster, lets a
+/// generator at `rate` issue each generation round's requests (insert
+/// payloads from `mk`), drains, and measures.  The quiescent cluster comes
+/// back beside the result.
+fn run<T: Payload>(
     params: &ScenarioParams,
-    mut tick: impl FnMut(&mut SkueueCluster<T>, u64) -> Result<u64, ClusterError>,
-) -> (SkueueCluster<T>, u64) {
+    rate: Rate,
+    mut mk: impl FnMut(u64) -> T,
+) -> (ScenarioResult, SkueueCluster<T>) {
+    let salt = match rate {
+        Rate::PerRound(_) => 0xA5,
+        Rate::PerProcess(_) => 0xC3,
+    };
+    let mut generator = Generator::new(
+        rate,
+        params.insert_ratio,
+        params.generation_rounds,
+        params.seed ^ salt,
+    );
     let mut cluster = params.build_cluster::<T>();
     for round in 0..params.generation_rounds {
-        tick(&mut cluster, round).expect("active processes exist");
+        generator
+            .tick(&mut cluster, round, &mut mk)
+            .expect("active processes exist");
         cluster.run_round();
     }
     let drain_rounds = cluster
         .run_until_all_complete(DRAIN_BUDGET)
         .expect("requests must drain within the budget");
-    (cluster, drain_rounds)
+    (finish(&cluster, params, drain_rounds), cluster)
 }
 
-/// [`drive`] under the fixed-rate generator (Figures 2 and 3).
-fn drive_fixed_rate<T: Payload>(
-    params: &ScenarioParams,
-    mk: &mut impl FnMut(u64) -> T,
-) -> (SkueueCluster<T>, u64) {
-    let mut generator = FixedRateGenerator::new(
-        REQUESTS_PER_ROUND,
-        params.insert_ratio,
-        params.generation_rounds,
-        params.seed ^ 0xA5,
-    );
-    drive(params, |cluster, round| {
-        generator.tick(cluster, round, &mut *mk)
-    })
+/// Runs one data point of the Figure 2 / Figure 3 workload: a fixed number of
+/// requests per round assigned to random processes.
+pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
+    run(&params, FIXED_RATE, |c| c).0
 }
 
 /// What a traced fixed-rate run leaves behind beyond the scenario result.
@@ -322,41 +295,29 @@ pub fn run_fixed_rate_traced(mut params: ScenarioParams) -> TracedRunArtifacts {
     if params.trace_level.is_off() {
         params.trace_level = TraceLevel::Spans;
     }
-    let (cluster, drain_rounds) = drive_fixed_rate::<u64>(&params, &mut |c| c);
-    let chrome_json = cluster.export_chrome_trace();
+    let (result, cluster) = run(&params, FIXED_RATE, |c| c);
     TracedRunArtifacts {
-        result: finish(cluster, &params, drain_rounds),
-        chrome_json,
+        chrome_json: cluster.export_chrome_trace(),
+        result,
     }
 }
 
 /// Runs one sharded fig2 point over a **`String` payload** queue — the
-/// non-trivial instantiation CI exercises end to end: every insert carries a
-/// formatted job id, the run is verified with the cross-shard checker, and
-/// the checker's payload round-trip rule proves each dequeue returned its
-/// enqueue's exact string.
+/// non-trivial instantiation CI exercises end to end: the exact Figure 2
+/// schedule (same RNG draws, same per-round targets), every insert carrying
+/// a formatted job id, verified with the cross-shard checker, whose payload
+/// round-trip rule proves each dequeue returned its enqueue's exact string.
 pub fn run_string_payload_fig2(processes: usize, shards: usize, seed: u64) -> ScenarioResult {
-    run_payload_fixed_rate(
-        ScenarioParams::fixed_rate(processes, Mode::Queue, 0.5)
-            .with_seed(seed)
-            .with_shards(shards),
-        |counter| format!("job-{counter:08}"),
-    )
+    let params = ScenarioParams::fixed_rate(processes, Mode::Queue, 0.5)
+        .with_seed(seed)
+        .with_shards(shards);
+    run(&params, FIXED_RATE, |counter| format!("job-{counter:08}")).0
 }
 
 /// Runs one data point of the Figure 4 workload: every process generates a
 /// request with probability `request_probability` per round.
 pub fn run_per_node_rate(params: ScenarioParams) -> ScenarioResult {
-    let mut generator = PerNodeRateGenerator::new(
-        params.request_probability,
-        params.insert_ratio,
-        params.generation_rounds,
-        params.seed ^ 0xC3,
-    );
-    let (cluster, drain_rounds) = drive::<u64>(&params, |cluster, round| {
-        generator.tick(cluster, round, |c| c)
-    });
-    finish(cluster, &params, drain_rounds)
+    run(&params, Rate::PerProcess(params.request_probability), |c| c).0
 }
 
 /// Result of a churn scenario (experiment E6, Theorem 17).
@@ -660,7 +621,7 @@ mod tests {
             .with_generation_rounds(20)
             .with_seed(33)
             .with_shards(4);
-        let strings = run_payload_fixed_rate(params, |c| format!("job-{c:08}"));
+        let (strings, _) = run(&params, FIXED_RATE, |c| format!("job-{c:08}"));
         assert_eq!(strings.requests, 200);
         assert!(strings.consistent);
         assert_eq!(strings.shards, 4);
@@ -676,26 +637,11 @@ mod tests {
     }
 
     #[test]
-    fn payload_generic_u64_identity_matches_run_fixed_rate() {
-        let params = ScenarioParams::fixed_rate(12, Mode::Queue, 0.5)
-            .with_generation_rounds(15)
-            .with_seed(9);
-        let via_generic = run_payload_fixed_rate(params, |c| c);
-        let direct = run_fixed_rate(params);
-        assert_eq!(via_generic.requests, direct.requests);
-        assert_eq!(
-            via_generic.avg_rounds_per_request,
-            direct.avg_rounds_per_request
-        );
-        assert_eq!(via_generic.drain_rounds, direct.drain_rounds);
-    }
-
-    #[test]
     fn string_payload_stack_round_trips() {
         let params = ScenarioParams::fixed_rate(8, Mode::Stack, 0.5)
             .with_generation_rounds(12)
             .with_seed(17);
-        let result = run_payload_fixed_rate(params, |c| format!("undo-{c}"));
+        let (result, _) = run(&params, FIXED_RATE, |c| format!("undo-{c}"));
         assert_eq!(result.requests, 120);
         assert!(result.consistent);
     }
