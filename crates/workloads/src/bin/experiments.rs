@@ -274,17 +274,19 @@ struct Point {
 /// point was accepted.
 fn series(title: &str, x_label: &str, points: &[Point]) -> bool {
     let columns = format!(
-        "curve:-24|{x_label}:10|requests:10|avg rounds:14|max rounds:12|batch size:12|consistent:10"
+        "curve:-24|{x_label}:10|requests:10|avg rounds:14|p50 rounds:12|p99 rounds:12|max rounds:12|\
+         batch size:12|consistent:10"
     );
     table(
         title,
         &columns,
         points.iter().map(|p| {
             let r = &p.result;
-            let (avg, max) = (r.avg_rounds_per_request, r.max_rounds_per_request);
-            let (batch, verdict) = (r.mean_batch_size, consistent_cell(r));
+            let (avg, p50, p99) = (r.avg_rounds_per_request, r.p50_rounds, r.p99_rounds);
+            let (max, batch) = (r.max_rounds_per_request, r.mean_batch_size);
+            let verdict = consistent_cell(r);
             format!(
-                "{}|{}|{}|{avg:.2}|{max}|{batch:.2}|{verdict}",
+                "{}|{}|{}|{avg:.2}|{p50}|{p99}|{max}|{batch:.2}|{verdict}",
                 p.curve, p.x, r.requests
             )
         }),

@@ -53,3 +53,24 @@ fn trace_writes_a_chrome_export_with_one_slice_per_request() {
     // 10 requests/round × 20 smoke generation rounds, all completed.
     assert_eq!(json.matches("\"cat\":\"op\"").count(), 200);
 }
+
+#[test]
+fn the_figure_tables_print_p50_and_p99_rounds_beside_the_mean() {
+    let out = experiments(&["fig2", "--smoke"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines().skip_while(|line| !line.starts_with("curve"));
+    let header = lines.next().expect("the fig2 table has a header");
+    assert!(
+        header.contains("avg rounds   p50 rounds   p99 rounds   max rounds"),
+        "{header}"
+    );
+    let rows: Vec<&str> = lines.take_while(|line| !line.is_empty()).collect();
+    assert_eq!(rows.len(), 4, "2 ratios × 2 sizes:\n{stdout}");
+    for row in rows {
+        // curve, n, requests, avg, p50, p99, max, batch size, consistent
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        let [p50, p99, max] = [4, 5, 6].map(|i| cells[i].parse::<u64>().expect(row));
+        assert!(1 <= p50 && p50 <= p99 && p99 <= max, "{row}");
+    }
+}
