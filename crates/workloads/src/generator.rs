@@ -24,6 +24,7 @@ pub(crate) enum Rate {
 /// request is an insert with probability `insert_ratio`.
 #[derive(Debug, Clone)]
 pub(crate) struct Generator {
+    /// How many requests a generation round issues.
     rate: Rate,
     /// Probability that a generated request is an insert.
     insert_ratio: f64,

@@ -170,13 +170,22 @@ fn finish<T: Payload>(
     drain_rounds: u64,
 ) -> ScenarioResult {
     let history = cluster.history();
+    let avg = history.mean_latency();
+    let max = history.max_latency();
     let batch_hist = cluster.batch_size_histogram();
-    let consistent = !params.verify
-        || match params.mode {
+    let hop_hist = cluster.dht_hop_histogram();
+
+    let consistent = if params.verify {
+        let report = match params.mode {
             Mode::Queue => check_queue_sharded(history, &cluster.shard_map()),
             Mode::Stack => check_stack(history),
-        }
-        .is_consistent();
+        };
+        report.is_consistent()
+    } else {
+        true
+    };
+
+    let per_shard_waves = cluster.shard_wave_counts();
 
     // At quiescence every DHT reply must have found its requester: a non-zero
     // count here means a reply raced a departure and was silently dropped.
@@ -214,14 +223,14 @@ fn finish<T: Payload>(
         processes: params.processes,
         requests: history.len() as u64,
         empty_removes: history.count_empty() as u64,
-        avg_rounds_per_request: history.mean_latency(),
-        max_rounds_per_request: history.max_latency(),
+        avg_rounds_per_request: avg,
+        max_rounds_per_request: max,
         drain_rounds,
         mean_batch_size: batch_hist.mean(),
         max_batch_size: batch_hist.max().unwrap_or(0),
-        mean_dht_hops: cluster.dht_hop_histogram().mean(),
+        mean_dht_hops: hop_hist.mean(),
         shards: cluster.shards(),
-        per_shard_waves: cluster.shard_wave_counts(),
+        per_shard_waves,
         verified: params.verify,
         consistent,
         locally_combined: cluster.locally_combined(),
