@@ -48,9 +48,9 @@ struct Scale {
     process_counts: &'static [usize],
     /// Rounds of request generation of Figures 2–4.
     generation_rounds: u64,
-    /// Rounds of request generation of E4 and the trace export.
+    /// Generation rounds of E4 and the trace export: `generation_rounds` capped at 100.
     scaling_rounds: u64,
-    /// Rounds of request generation of E5, E8 and E9.
+    /// Generation rounds of E5, E8 and E9: `generation_rounds` capped at 50.
     load_rounds: u64,
     /// Insert-probability curves of Figures 2 and 3.
     insert_ratios: &'static [f64],
@@ -63,7 +63,7 @@ struct Scale {
     /// history (ROADMAP, item 6).  The fixed-rate sweeps (`fig2`, `fig3`,
     /// `scaling`) issue 10⁴ requests a point and verify at every scale.
     verify_fig4: bool,
-    /// Processes of E5.
+    /// Processes of E5: `fig4_processes` capped at 2000.
     batch_processes: usize,
     /// Processes of E8 and E9.
     ablation_processes: usize,
@@ -126,8 +126,8 @@ const DEFAULT: Scale = Scale {
 /// The paper's full scale: n up to 10⁵, 1000 generation rounds.  Measured
 /// on the 2-vCPU development host, verifier on: `fig2` (25 points) ≈ 35 s
 /// and 345 MB, `fig3` ≈ 125 s and 470 MB, `scaling` ≈ 2 s; `fig4` (10⁷
-/// requests at p = 1.0, unverified) and `all` have not been timed (ROADMAP,
-/// item 8).
+/// requests at p = 1.0, unverified) has not been timed, and `all` stops at
+/// E6, whose first case panics (CHANGES.md, the FOUND on `run_churn_scenario`).
 const PAPER: Scale = Scale {
     name: "PaperScale",
     process_counts: &[10_000, 25_000, 50_000, 75_000, 100_000],
@@ -239,7 +239,7 @@ fn main() {
 /// `name:width`, a row lists its cells, and both separate them with `|`.
 /// Rows print as they are produced, each cell padded to its column's width
 /// — right-aligned, or left-aligned for a negative width — with one space
-/// between cells.
+/// between cells.  A row whose cell count is not the column count panics.
 fn table(title: &str, columns: &str, rows: impl IntoIterator<Item = String>) {
     let columns: Vec<(&str, isize)> = (columns.split('|'))
         .map(|column| {
@@ -248,6 +248,7 @@ fn table(title: &str, columns: &str, rows: impl IntoIterator<Item = String>) {
         })
         .collect();
     let line = |cells: Vec<&str>| {
+        assert_eq!(cells.len(), columns.len(), "{title}: cells {cells:?}");
         let padded: Vec<String> = (cells.iter().zip(&columns))
             .map(|(cell, &(_, width))| match width.unsigned_abs() {
                 w if width < 0 => format!("{cell:<w$}"),
@@ -617,6 +618,40 @@ fn ablation_combining(scale: &Scale, seed: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn smoke_sweep_configs_are_small() {
+        const {
+            assert!(SMOKE.verify_fig4 && DEFAULT.verify_fig4 && !PAPER.verify_fig4);
+            assert!(SMOKE.generation_rounds <= 50);
+            assert!(DEFAULT.process_counts.len() >= 4);
+        }
+        assert!(SMOKE.process_counts.iter().all(|&n| n <= 100));
+    }
+
+    /// The sizes whose docs name a cap hold that cap at every scale.
+    #[test]
+    fn capped_sizes_follow_their_caps() {
+        for scale in [&SMOKE, &DEFAULT, &PAPER] {
+            let rounds = scale.generation_rounds;
+            assert_eq!(scale.scaling_rounds, rounds.min(100), "{}", scale.name);
+            assert_eq!(scale.load_rounds, rounds.min(50), "{}", scale.name);
+            let batch = scale.fig4_processes.min(2000);
+            assert_eq!(scale.batch_processes, batch, "{}", scale.name);
+        }
+    }
+
+    #[test]
+    fn print_series_does_not_panic() {
+        let points = fixed_rate_sweep(Mode::Queue, &SMOKE, 1);
+        assert!(series("smoke", "n", &points));
+    }
+
+    #[test]
+    #[should_panic(expected = "cells")]
+    fn a_row_with_a_missing_cell_panics() {
+        table("short row", "a:4|b:4", ["1".to_string()]);
+    }
 
     #[test]
     fn fig2_smoke_sweep_runs_and_scales_logarithmically() {

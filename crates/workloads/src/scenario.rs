@@ -646,6 +646,21 @@ mod tests {
     }
 
     #[test]
+    fn payload_generic_u64_identity_matches_run_fixed_rate() {
+        let params = ScenarioParams::fixed_rate(12, Mode::Queue, 0.5)
+            .with_generation_rounds(15)
+            .with_seed(9);
+        let (via_generic, _) = run(&params, FIXED_RATE, |c| c);
+        let direct = run_fixed_rate(params);
+        assert_eq!(via_generic.requests, direct.requests);
+        assert_eq!(
+            via_generic.avg_rounds_per_request,
+            direct.avg_rounds_per_request
+        );
+        assert_eq!(via_generic.drain_rounds, direct.drain_rounds);
+    }
+
+    #[test]
     fn string_payload_stack_round_trips() {
         let params = ScenarioParams::fixed_rate(8, Mode::Stack, 0.5)
             .with_generation_rounds(12)
