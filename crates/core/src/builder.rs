@@ -343,7 +343,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cluster.shards(), 4);
-        // Stack mode pins the effective count to 1.
+        // A stack runs one shard whatever it asks for
+        // (`InitialMembership::build` decides the count).
         let stack = SkueueBuilder::<u64>::new()
             .processes(8)
             .stack()
@@ -387,7 +388,6 @@ mod tests {
         assert_eq!(cfg.mode, Mode::Stack);
         // Section VI's barrier serialises waves: one slot, one anchor.
         assert_eq!(cfg.effective_pipeline_depth(), 1);
-        assert_eq!(cfg.with_shards(4).effective_shards(), 1);
     }
 
     #[test]

@@ -207,13 +207,13 @@ type CompletionObserver<T> = Box<dyn FnMut(&CompletionEvent<T>)>;
 /// The crate docs have the API tour.
 pub struct SkueueCluster<T: Payload = u64> {
     sim: Simulation<SkueueNode<T>>,
-    cfg: ProtocolConfig,
     /// Deterministic process→shard assignment (cached splittable hashing).
     router: ShardRouter,
     /// Per-shard node configuration, shared by the shard's nodes: the
-    /// deployment's configuration with the shard's distance-halving bit
-    /// budget (derived from the shard's initial size unless the
-    /// configuration pins an explicit budget).
+    /// deployment's configuration, with the shard count
+    /// [`InitialMembership::build`] decided, and the shard's distance-halving
+    /// bit budget (derived from the shard's initial size).  The shards'
+    /// configurations differ only in that budget.
     shard_cfgs: Vec<Arc<ProtocolConfig>>,
     /// Every process ever admitted, in pid order: pids are handed out
     /// densely from 0 and never reused or removed, so process `p` sits at
@@ -242,7 +242,7 @@ pub type Skueue<T = u64> = SkueueCluster<T>;
 impl<T: Payload> std::fmt::Debug for SkueueCluster<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SkueueCluster")
-            .field("mode", &self.cfg.mode)
+            .field("mode", &self.shard_cfgs[0].mode)
             .field("round", &self.sim.round())
             .field("processes", &self.processes.len())
             .field("active_processes", &self.active_processes())
@@ -264,20 +264,19 @@ impl<T: Payload> SkueueCluster<T> {
     /// builder's backend).
     pub(crate) fn from_config(
         n: usize,
-        mut cfg: ProtocolConfig,
+        cfg: ProtocolConfig,
         sim_cfg: SimConfig,
         threads: usize,
     ) -> Self {
         debug_assert!(n >= 1, "validated by SkueueBuilder::build");
         let membership = InitialMembership::build(n as u64, cfg);
-        cfg.shards = cfg.effective_shards();
 
         let mut sim = Simulation::new(sim_cfg).expect("validated by SkueueBuilder::build");
         // One simulation lane per anchor shard: all protocol traffic is
         // intra-shard, so each lane's round is independent and a round can
         // run lanes on several threads without any cross-lane routing.
         // With `shards == 1` this is exactly the old layout.
-        sim.configure_lanes(cfg.shards)
+        sim.configure_lanes(membership.shard_cfgs().len())
             .expect("fresh simulation has no nodes yet");
         // Pre-size every lane: the shard populations are known, and node
         // slots are large enough that letting several lane vectors grow by
@@ -302,7 +301,6 @@ impl<T: Payload> SkueueCluster<T> {
 
         SkueueCluster {
             sim,
-            cfg,
             router: membership.router(),
             shard_cfgs: membership.shard_cfgs().to_vec(),
             processes: vec![ProcessHandle::default(); n],
@@ -384,7 +382,7 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// Number of anchor shards this deployment runs (1 when unsharded).
     pub fn shards(&self) -> usize {
-        self.cfg.shards
+        self.shard_cfgs.len()
     }
 
     /// Number of threads a simulation round runs on, the calling one
@@ -412,7 +410,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// `None` for a shard that is unpopulated — or whose anchor state is
     /// momentarily in flight between nodes (anchor hand-off).
     pub fn shard_anchor_states(&self) -> Vec<Option<crate::anchor::AnchorState>> {
-        let mut out = vec![None; self.cfg.shards];
+        let mut out = vec![None; self.shards()];
         for (_, node) in self.sim.iter() {
             if let Some(state) = node.anchor_state() {
                 out[node.shard() as usize] = Some(*state);
@@ -489,7 +487,7 @@ impl<T: Payload> SkueueCluster<T> {
     /// The lifecycle-tracing level this cluster records at (set via
     /// [`SkueueBuilder::trace`]; [`TraceLevel::Off`] by default).
     pub fn trace_level(&self) -> TraceLevel {
-        self.cfg.trace_level
+        self.shard_cfgs[0].trace_level
     }
 
     /// The merged lifecycle-trace log collected so far: per round, the
@@ -555,11 +553,9 @@ impl<T: Payload> SkueueCluster<T> {
         kind: BatchOp,
         value: T,
     ) -> Result<OpTicket, ClusterError> {
-        if let Some(required) = mode.filter(|&m| m != self.cfg.mode) {
-            return Err(ClusterError::WrongMode {
-                required,
-                actual: self.cfg.mode,
-            });
+        let actual = self.shard_cfgs[0].mode;
+        if let Some(required) = mode.filter(|&m| m != actual) {
+            return Err(ClusterError::WrongMode { required, actual });
         }
         let idx = self.index_if_may_issue(process)?;
         let seq = self.processes[idx].next_seq;
@@ -760,6 +756,15 @@ impl<T: Payload> SkueueCluster<T> {
         self.process_index(process).is_ok() && all_nodes(process, node, SkueueNode::has_left)
     }
 
+    /// The processes whose join or leave is still open, ascending by pid: a
+    /// joiner until it may issue ([`Self::process_may_issue`]), a leaver
+    /// until all three of its nodes have left ([`Self::process_has_left`]).
+    /// Brought up to date at the end of every round, so a wait for every
+    /// transition to finish is `run_until(|c| c.unsettled().is_empty(), …)`.
+    pub fn unsettled(&self) -> &[ProcessId] {
+        &self.unsettled
+    }
+
     // ------------------------------------------------------------------
     // Driving the simulation.
     // ------------------------------------------------------------------
@@ -855,7 +860,7 @@ impl<T: Payload> SkueueCluster<T> {
             } else {
                 return true;
             };
-            if !self.cfg.trace_level.is_off() {
+            if !self.trace_level().is_off() {
                 self.trace_log.push(TraceRecord {
                     node: node_of(VirtualId::middle(pid)).0,
                     shard: self.router.route(pid),
@@ -1152,6 +1157,38 @@ mod tests {
         check_queue(cluster.history()).assert_consistent();
     }
 
+    /// `unsettled()` lists a joiner until it may issue and a leaver until
+    /// all three of its nodes have left, in pid order, and is empty once
+    /// every join and leave has finished.
+    #[test]
+    fn unsettled_lists_open_joins_and_leaves_in_pid_order() {
+        let mut cluster = queue_cluster(8, 23);
+        let joiners = [cluster.join(None).unwrap(), cluster.join(None).unwrap()];
+        let leaver = (0..8u64)
+            .map(ProcessId)
+            .find(|&p| cluster.leave(p).is_ok())
+            .expect("some non-anchor process must be able to leave");
+        // The leaver is an initial process, so it sorts before the joiners.
+        let mut open = vec![leaver, joiners[0], joiners[1]];
+        assert_eq!(cluster.unsettled(), open);
+        for _ in 0..5_000 {
+            if open.is_empty() {
+                break;
+            }
+            cluster.run_round();
+            open.retain(|&p| {
+                if joiners.contains(&p) {
+                    !cluster.process_may_issue(p)
+                } else {
+                    !cluster.process_has_left(p)
+                }
+            });
+            assert_eq!(cluster.unsettled(), open, "round {}", cluster.round());
+        }
+        assert!(cluster.unsettled().is_empty());
+        assert!(cluster.process_has_left(leaver));
+    }
+
     #[test]
     fn anchor_process_cannot_leave() {
         let mut cluster = queue_cluster(3, 31);
@@ -1362,7 +1399,7 @@ mod tests {
             .seed(4)
             .build()
             .unwrap();
-        assert!(stack.cfg.is_stack());
+        assert!(stack.shard_cfgs[0].is_stack());
         assert_eq!(
             SkueueCluster::<u64>::builder().build().unwrap_err(),
             BuildError::NoProcesses

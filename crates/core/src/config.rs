@@ -61,7 +61,10 @@ pub struct ProtocolConfig {
     /// global order is the fixed `(wave, shard, local)` interleaving.  `1`
     /// (the default) is the unsharded protocol of the paper, bit for bit.
     /// The stack's ticket matching needs the single global stage-4 barrier,
-    /// so stack mode pins this to 1 (see [`Self::effective_shards`]).
+    /// so a stack runs one shard, and zero means one: the count a node reads
+    /// here is the one [`InitialMembership::build`] decided.
+    ///
+    /// [`InitialMembership::build`]: crate::membership::InitialMembership::build
     pub shards: usize,
     /// Per-op lifecycle tracing level ([`skueue_trace`]).  Off by default;
     /// the off path is a branch on this `Copy` enum and allocates nothing.
@@ -102,12 +105,6 @@ impl ProtocolConfig {
         }
     }
 
-    /// Overrides the hash seed.
-    pub fn with_hash_seed(mut self, seed: u64) -> Self {
-        self.hash_seed = seed;
-        self
-    }
-
     /// The number of wave slots a node uses: the stack's stage-4 barrier
     /// requires strictly alternating waves, so a stack node keeps one.
     pub(crate) fn effective_pipeline_depth(&self) -> usize {
@@ -116,30 +113,6 @@ impl ProtocolConfig {
         } else {
             PIPELINE_DEPTH
         }
-    }
-
-    /// Overrides the number of anchor shards (must be at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// The effective number of anchor shards: the stack's ticket matching
-    /// relies on the single global stage-4 barrier, so stack mode pins the
-    /// count to 1 regardless of the configured value.
-    pub fn effective_shards(&self) -> usize {
-        if self.is_stack() {
-            1
-        } else {
-            self.shards.max(1)
-        }
-    }
-
-    /// True when this deployment runs more than one anchor shard (order
-    /// keys carry the `(wave, shard)` merge components only then, keeping
-    /// unsharded histories bit-identical to the pre-sharding format).
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.effective_shards() > 1
     }
 
     /// The hasher corresponding to this configuration.
@@ -188,7 +161,10 @@ mod tests {
 
     #[test]
     fn hash_seed_override_reaches_the_hasher() {
-        let c = stack().with_hash_seed(99);
+        let c = ProtocolConfig {
+            hash_seed: 99,
+            ..stack()
+        };
         assert_eq!(c.hash_seed, 99);
         assert_eq!(c.hasher().seed(), 99);
     }
@@ -205,21 +181,8 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_one_and_stack_pins_them() {
-        let c = ProtocolConfig::queue();
-        assert_eq!(c.shards, 1);
-        assert_eq!(c.effective_shards(), 1);
-        assert!(!c.is_sharded());
-        let c = c.with_shards(4);
-        assert_eq!(c.effective_shards(), 4);
-        assert!(c.is_sharded());
-        // The stack's global stage-4 barrier is incompatible with multiple
-        // anchors; the count is pinned to 1.
-        let s = stack().with_shards(4);
-        assert_eq!(s.effective_shards(), 1);
-        assert!(!s.is_sharded());
-        // Zero is normalised, not an extra state.
-        assert_eq!(ProtocolConfig::queue().with_shards(0).effective_shards(), 1);
+    fn shards_default_to_one() {
+        assert_eq!(ProtocolConfig::queue().shards, 1);
     }
 
     #[test]

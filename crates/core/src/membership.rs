@@ -49,10 +49,14 @@ impl InitialMembership {
     /// Partitions processes `0..n` into `cfg`'s anchor shards and builds one
     /// topology per populated shard.  With one shard this is the single
     /// global topology of the paper.
+    ///
+    /// This is where a deployment's shard count is decided: a stack runs one
+    /// shard (its ticket matching needs the single global stage-4 barrier)
+    /// and a count of zero is one.  Every node's configuration carries the
+    /// decided count ([`Self::shard_cfgs`]), and so does the router the
+    /// drivers and the verifier read.
     pub fn build(n: u64, mut cfg: ProtocolConfig) -> Self {
-        // Normalised (stack mode pins the count to 1) so every consumer —
-        // nodes, verifier, accessors — sees the effective value.
-        cfg.shards = cfg.effective_shards();
+        cfg.shards = if cfg.is_stack() { 1 } else { cfg.shards.max(1) };
         let router = ShardRouter::new(ShardMap::new(cfg.shards as u32, cfg.hash_seed));
         let mut groups: Vec<Vec<ProcessId>> = vec![Vec::new(); cfg.shards];
         for pid in (0..n).map(ProcessId) {
@@ -199,10 +203,14 @@ fn joining_views(hasher: LabelHasher, pid: ProcessId) -> [LocalView; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mode;
 
     #[test]
     fn initial_membership_has_one_anchor_per_populated_shard() {
-        let cfg = ProtocolConfig::queue().with_shards(2);
+        let cfg = ProtocolConfig {
+            shards: 2,
+            ..ProtocolConfig::queue()
+        };
         let membership = InitialMembership::build(5, cfg);
         assert_eq!(membership.shard_cfgs().len(), 2);
         assert_eq!(membership.shard_sizes().sum::<usize>(), 5);
@@ -226,7 +234,10 @@ mod tests {
     fn processes_yield_every_pid_in_order_with_its_looked_up_views() {
         for shards in [1, 2, 8] {
             for n in [1u64, 2, 7, 1000] {
-                let cfg = ProtocolConfig::queue().with_shards(shards);
+                let cfg = ProtocolConfig {
+                    shards,
+                    ..ProtocolConfig::queue()
+                };
                 let membership = InitialMembership::build(n, cfg);
                 let mut anchors = vec![0; shards];
                 let mut pids = Vec::new();
@@ -247,6 +258,28 @@ mod tests {
                 let populated = membership.shard_sizes().map(|size| (size > 0) as usize);
                 assert!(anchors.into_iter().eq(populated), "S = {shards}, n = {n}");
             }
+        }
+    }
+
+    /// A stack runs one shard whatever it asks for, and a queue asking for
+    /// none runs one: every shard configuration and the router carry the
+    /// decided count.
+    #[test]
+    fn a_stack_and_a_queue_of_zero_shards_build_one() {
+        let stack = ProtocolConfig {
+            mode: Mode::Stack,
+            shards: 4,
+            ..ProtocolConfig::queue()
+        };
+        let none = ProtocolConfig {
+            shards: 0,
+            ..ProtocolConfig::queue()
+        };
+        for cfg in [stack, none] {
+            let membership = InitialMembership::build(6, cfg);
+            assert_eq!(membership.shard_cfgs().len(), 1, "{cfg:?}");
+            assert_eq!(membership.shard_cfgs()[0].shards, 1, "{cfg:?}");
+            assert_eq!(membership.router().map().shard_count(), 1, "{cfg:?}");
         }
     }
 

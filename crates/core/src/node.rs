@@ -262,7 +262,7 @@ impl<T: Payload> SkueueNode<T> {
     /// hash_seed)`); maps the anchor's shard-local positions into the
     /// shard's interval of the global position keyspace.
     fn shard_map(&self) -> ShardMap {
-        ShardMap::new(self.cfg.effective_shards() as u32, self.cfg.hash_seed)
+        ShardMap::new(self.cfg.shards as u32, self.cfg.hash_seed)
     }
 
     /// The ongoing update phase at this node, if any.
@@ -808,7 +808,7 @@ impl<T: Payload> SkueueNode<T> {
     /// `major` ordering when unsharded (bit-identical to the pre-sharding
     /// format), the `(wave, shard, major)` merge components otherwise.
     fn order_key(&self, wave: u64, major: u64, origin: ProcessId) -> OrderKey {
-        if self.cfg.is_sharded() {
+        if self.cfg.shards > 1 {
             OrderKey::sharded(wave, self.shard, major, origin)
         } else {
             OrderKey::anchor(major, origin)

@@ -3,9 +3,9 @@
 //! [`replay_on_cluster`] builds a real `skueue-core` cluster under the sim
 //! scheduler, runs the line's steps and checks the oracle: every request
 //! completes exactly once, no element is returned twice, no DHT reply is
-//! left unmatched at quiescence, every joiner becomes active and every
-//! leaver is gone within `SETTLE_ROUNDS`, and the history satisfies
-//! Definition 1.
+//! left unmatched at quiescence, every join and leave has finished within
+//! `SETTLE_ROUNDS` (the cluster's `unsettled()` list is empty), and the
+//! history satisfies Definition 1.
 
 use skueue_core::{Skueue, SkueueCluster};
 use skueue_sim::ids::ProcessId;
@@ -14,8 +14,7 @@ use skueue_verify::{check_queue, History, OpResult};
 use std::collections::HashSet;
 
 /// Rounds a line gets after its last step for every request to complete,
-/// and as many again for every joiner to become active and every leaver to
-/// go.
+/// and as many again for every join and leave to finish.
 const SETTLE_ROUNDS: u64 = 20_000;
 
 /// Rounds a step at a process waits for it to be an active member that
@@ -78,7 +77,6 @@ pub fn replay_on_cluster(scenario: &ReplayScenario) -> Result<ReplayReport, Stri
     }
     let mut cluster = builder.build().map_err(|e| e.to_string())?;
     let mut mapping = build_mapping(&cluster, scenario.processes)?;
-    let (mut joiners, mut leavers) = (Vec::new(), Vec::new());
 
     let mut issued = 0u64;
     for step in &scenario.steps {
@@ -93,15 +91,13 @@ pub fn replay_on_cluster(scenario: &ReplayScenario) -> Result<ReplayReport, Stri
                 let done = match *step {
                     ReplayStep::Enqueue(_) => cluster.client(pid).enqueue(issued + 1).map(drop),
                     ReplayStep::Dequeue(_) => cluster.client(pid).dequeue().map(drop),
-                    _ => cluster.leave(pid).map(|()| leavers.push(pid)),
+                    _ => cluster.leave(pid),
                 };
                 done.map_err(|e| e.to_string())?;
                 issued += u64::from(!matches!(step, ReplayStep::Leave(_)));
             }
             ReplayStep::Join => {
-                let pid = cluster.join(None).map_err(|e| e.to_string())?;
-                mapping.push(pid);
-                joiners.push(pid);
+                mapping.push(cluster.join(None).map_err(|e| e.to_string())?);
             }
             ReplayStep::Rounds(k) => cluster.run_rounds(k),
         }
@@ -110,25 +106,13 @@ pub fn replay_on_cluster(scenario: &ReplayScenario) -> Result<ReplayReport, Stri
     cluster
         .run_until_all_complete(SETTLE_ROUNDS)
         .map_err(|e| e.to_string())?;
-    let settled = |c: &SkueueCluster<u64>| {
-        joiners.iter().all(|&p| c.process_is_active(p))
-            && leavers.iter().all(|&p| c.process_has_left(p))
-    };
-    if cluster.run_until(settled, SETTLE_ROUNDS).is_err() {
-        let mut stuck: Vec<String> = joiners
-            .iter()
-            .filter(|&&p| !cluster.process_is_active(p))
-            .map(|p| format!("joiner {p} is not active"))
-            .collect();
-        stuck.extend(
-            leavers
-                .iter()
-                .filter(|&&p| !cluster.process_has_left(p))
-                .map(|p| format!("leaver {p} has not left")),
-        );
+    if cluster
+        .run_until(|c| c.unsettled().is_empty(), SETTLE_ROUNDS)
+        .is_err()
+    {
         return Err(format!(
-            "after {SETTLE_ROUNDS} more rounds {}",
-            stuck.join(", ")
+            "after {SETTLE_ROUNDS} more rounds still joining or leaving: {:?}",
+            cluster.unsettled()
         ));
     }
     cluster.run_rounds(60);
@@ -158,4 +142,22 @@ pub fn replay_on_cluster(scenario: &ReplayScenario) -> Result<ReplayReport, Stri
         return Err(format!("history inconsistent: {report}"));
     }
     Ok(ReplayReport { requests: issued })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A line whose leave never finishes fails naming the stuck process:
+    /// `P4 S0 D0 | J L3`, the search's synchronous stuck row (`KNOWN_STUCK`),
+    /// whose joiner integrates while the leaver, process 3, never leaves.
+    #[test]
+    fn a_stuck_line_names_the_process_still_leaving() {
+        let line = ReplayScenario::from_compact("P4 S0 D0 | J L3").expect("a valid line");
+        let error = replay_on_cluster(&line).unwrap_err();
+        assert_eq!(
+            error,
+            format!("after {SETTLE_ROUNDS} more rounds still joining or leaving: [p3]")
+        );
+    }
 }

@@ -75,8 +75,8 @@ enum Inbound<T> {
     Closed(u64),
 }
 
-/// A running daemon spawned in-process (used by tests and the load
-/// generator's self-contained mode).
+/// A running daemon spawned in-process: the integration tests and the
+/// benchmark's `tcp_*` workloads boot their clusters this way.
 #[derive(Debug)]
 pub struct DaemonHandle {
     thread: JoinHandle<io::Result<()>>,

@@ -23,7 +23,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use skueue_core::Payload;
-use skueue_shard::ShardMap;
 use skueue_sim::ids::{ProcessId, RequestId};
 use skueue_verify::{check_queue_sharded, ConsistencyReport, History, OpRecord};
 
@@ -319,9 +318,7 @@ impl<T: Payload + Wire> IngressClient<T> {
     /// can legitimately dequeue elements whose enqueues it never saw, which
     /// the checker reports as phantom elements.
     pub fn verify(&self) -> ConsistencyReport {
-        let shards = self.spec.protocol_config().effective_shards();
-        let map = ShardMap::new(shards as u32, self.spec.hash_seed);
-        check_queue_sharded(&self.records, &map)
+        check_queue_sharded(&self.records, &self.spec.shard_map())
     }
 
     /// Closes the inject connections and joins the completion pumps.  Call

@@ -29,6 +29,10 @@ use crate::codec::Wire;
 use crate::ingress::IngressClient;
 use skueue_core::{Payload, StageStats};
 
+/// Probability that an operation is an enqueue (the remainder are
+/// dequeues); `0.6` matches the figure-2 workloads.
+const ENQUEUE_PROB: f64 = 0.6;
+
 /// Parameters of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadParams {
@@ -36,14 +40,12 @@ pub struct LoadParams {
     pub rate_hz: f64,
     /// Total number of operations to issue.
     pub ops: u64,
-    /// Probability that an operation is an enqueue (the remainder are
-    /// dequeues); `0.6` matches the figure-2 workloads.
-    pub enqueue_prob: f64,
     /// Seed of the schedule RNG (gap lengths, op mix, process choice).
     pub seed: u64,
-    /// Processes to spread the operations over (round-robin would skew the
-    /// aggregation tree; a uniform random choice matches the paper's setup).
-    pub pids: Vec<ProcessId>,
+    /// Number of processes to spread the operations over, `0..processes`
+    /// (round-robin would skew the aggregation tree; a uniform random
+    /// choice matches the paper's setup).
+    pub processes: u64,
     /// How long to wait for stragglers after the last inject.
     pub drain_timeout: Duration,
 }
@@ -55,9 +57,8 @@ impl LoadParams {
         LoadParams {
             rate_hz,
             ops,
-            enqueue_prob: 0.6,
             seed,
-            pids: (0..n_processes).map(ProcessId).collect(),
+            processes: n_processes,
             drain_timeout: Duration::from_secs(30),
         }
     }
@@ -68,7 +69,7 @@ impl LoadParams {
     /// they arrive from a command line.
     pub fn validate(&self) -> io::Result<()> {
         let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
-        if self.pids.is_empty() {
+        if self.processes == 0 {
             return invalid("load needs at least one process".into());
         }
         if !(self.rate_hz.is_finite() && self.rate_hz > 0.0) {
@@ -154,8 +155,8 @@ pub fn run_load<T: Payload + Wire + From<u64>>(
     let first_latency = ingress.latencies_us().len();
     for _ in 0..params.ops {
         ingress.pump_until(next_at);
-        let pid = params.pids[(rng.next_u64() % params.pids.len() as u64) as usize];
-        let insert = rng.gen_unit() < params.enqueue_prob;
+        let pid = ProcessId(rng.next_u64() % params.processes);
+        let insert = rng.gen_unit() < ENQUEUE_PROB;
         let payload = if insert {
             value += 1;
             T::from(value)

@@ -21,7 +21,7 @@ use skueue_core::builder::validate_shards;
 use skueue_core::membership::InitialMembership;
 use skueue_core::ProtocolConfig;
 use skueue_overlay::vid_of;
-use skueue_shard::{ShardId, ShardMap, ShardRouter};
+use skueue_shard::{ShardId, ShardMap};
 use skueue_sim::ids::{NodeId, ProcessId};
 
 /// Default timer period of a hosted node, in milliseconds.
@@ -81,34 +81,33 @@ impl ClusterSpec {
         self.daemon_of(vid_of(id).process)
     }
 
-    /// The protocol configuration every hosted node runs with.
-    ///
-    /// TCP preserves per-connection order and both local delivery paths are
-    /// queues, so every (sender, receiver) channel is FIFO — the aggregate
-    /// credit can stay relaxed exactly as in the synchronous simulation.
-    pub(crate) fn protocol_config(&self) -> ProtocolConfig {
-        ProtocolConfig::queue()
-            .with_shards(self.shards)
-            .with_hash_seed(self.hash_seed)
-    }
-
-    /// The shard map the verifier consumes.
+    /// The deployment's shard layout: which shard a process belongs to
+    /// ([`Self::shard_of`]) and the map the verifier consumes.
     pub(crate) fn shard_map(&self) -> ShardMap {
-        let effective = self.protocol_config().effective_shards();
-        ShardMap::new(effective as u32, self.hash_seed)
+        ShardMap::new(self.shards as u32, self.hash_seed)
     }
 
     /// The initial membership of this deployment — the same construction
     /// the simulation cluster performs (it lives in
     /// [`skueue_core::membership`]), so a real deployment and a simulated one
     /// of the same size, shard count and hash seed start from one overlay.
+    ///
+    /// Its nodes run the queue with the default `fifo_channels`: TCP
+    /// preserves per-connection order and both local delivery paths are
+    /// queues, so every (sender, receiver) channel is FIFO — the aggregate
+    /// credit can stay relaxed exactly as in the synchronous simulation.
     pub(crate) fn initial_membership(&self) -> InitialMembership {
-        InitialMembership::build(self.initial, self.protocol_config())
+        let cfg = ProtocolConfig {
+            shards: self.shards,
+            hash_seed: self.hash_seed,
+            ..ProtocolConfig::queue()
+        };
+        InitialMembership::build(self.initial, cfg)
     }
 
     /// The shard of process `pid`.
     pub(crate) fn shard_of(&self, pid: ProcessId) -> ShardId {
-        ShardRouter::new(self.shard_map()).route(pid)
+        self.shard_map().shard_of_process(pid)
     }
 }
 

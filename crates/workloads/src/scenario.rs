@@ -336,26 +336,49 @@ pub struct ChurnResult {
     pub initial_processes: usize,
     /// Processes joined during the run.
     pub joins: usize,
-    /// Processes that left during the run.
+    /// Processes that left during the run (0 if the run stopped at the join).
     pub leaves: usize,
-    /// Rounds until all joins were integrated.
+    /// Rounds until all joins were integrated (the whole budget if the run
+    /// stopped there).
     pub join_rounds: u64,
-    /// Rounds until all leaves completed.
+    /// Rounds until all leaves completed (the whole budget if the run
+    /// stopped there).
     pub leave_rounds: u64,
-    /// Whether the queue history stayed sequentially consistent.
+    /// Whether the run reached its final drain, every dequeue of it found an
+    /// element and the queue history stayed sequentially consistent: false
+    /// for a run that stopped at a join or leave.
     pub consistent: bool,
     /// Final number of active processes.
     pub final_processes: usize,
+    /// The processes still joining or leaving when the run stopped
+    /// ([`SkueueCluster::unsettled`]): empty when every join and leave
+    /// finished within the budget.  A bulk join or leave that does not
+    /// finish stops the run there, skipping the steps after it.
+    pub unsettled: Vec<ProcessId>,
 }
 
 /// Runs a churn scenario: bulk-join `joins` processes, then bulk-leave
 /// `leaves` processes, with a light request load before and after, and
-/// verifies consistency end-to-end.
+/// verifies consistency end-to-end.  A bulk join or leave that does not
+/// finish within 10⁵ rounds stops the run, naming what is stuck in
+/// [`ChurnResult::unsettled`], and the run is not consistent.
 pub fn run_churn_scenario(
     initial_processes: usize,
     joins: usize,
     leaves: usize,
     seed: u64,
+) -> ChurnResult {
+    churn_within(initial_processes, joins, leaves, seed, 100_000)
+}
+
+/// [`run_churn_scenario`] with `budget` rounds for the bulk join, and then
+/// for the bulk leave, to finish.
+fn churn_within(
+    initial_processes: usize,
+    joins: usize,
+    leaves: usize,
+    seed: u64,
+    budget: u64,
 ) -> ChurnResult {
     let mut cluster = SkueueCluster::builder()
         .processes(initial_processes)
@@ -374,16 +397,40 @@ pub fn run_churn_scenario(
         .run_until_all_complete(20_000)
         .expect("warm-up drains");
 
-    // Bulk join.
-    let mut joined = Vec::new();
-    for _ in 0..joins {
-        joined.push(cluster.join(None).expect("bootstrap exists"));
+    let mut result = ChurnResult {
+        initial_processes,
+        joins,
+        leaves: 0,
+        join_rounds: 0,
+        leave_rounds: 0,
+        consistent: true,
+        final_processes: 0,
+        unsettled: Vec::new(),
+    };
+    if churn(&mut cluster, leaves, budget, &mut result).is_none() {
+        result.unsettled = cluster.unsettled().to_vec();
+        result.consistent = false;
     }
-    let join_start = cluster.round();
-    cluster
-        .run_until(|c| joined.iter().all(|&p| c.process_is_active(p)), 100_000)
-        .expect("joins must integrate");
-    let join_rounds = cluster.round() - join_start;
+    result.consistent &= check_queue(cluster.history()).is_consistent();
+    result.final_processes = cluster.active_processes();
+    result
+}
+
+/// The churn scenario after its warm-up: the bulk join, a load on the new
+/// members, the bulk leave of up to `leaves` processes and a drain of the
+/// whole queue, whose dequeues must all find an element.  `None` as soon as
+/// a bulk join or leave does not finish within `budget` rounds ([`settle`]).
+fn churn(
+    cluster: &mut SkueueCluster,
+    leaves: usize,
+    budget: u64,
+    result: &mut ChurnResult,
+) -> Option<()> {
+    // Bulk join.
+    let joined: Vec<ProcessId> = (0..result.joins)
+        .map(|_| cluster.join(None).expect("bootstrap exists"))
+        .collect();
+    settle(cluster, budget, &mut result.join_rounds)?;
 
     // Load that exercises the new members.
     for (i, &p) in joined.iter().enumerate() {
@@ -397,21 +444,15 @@ pub fn run_churn_scenario(
         .expect("post-join load drains");
 
     // Bulk leave (never the anchor's process).
-    let mut left = Vec::new();
-    let candidates: Vec<ProcessId> = cluster.active_process_ids();
-    for p in candidates {
-        if left.len() >= leaves {
+    for p in cluster.active_process_ids() {
+        if result.leaves >= leaves {
             break;
         }
         if cluster.leave(p).is_ok() {
-            left.push(p);
+            result.leaves += 1;
         }
     }
-    let leave_start = cluster.round();
-    cluster
-        .run_until(|c| left.iter().all(|&p| c.process_has_left(p)), 100_000)
-        .expect("leaves must complete");
-    let leave_rounds = cluster.round() - leave_start;
+    settle(cluster, budget, &mut result.leave_rounds)?;
 
     // Post-churn load: drain the queue completely to prove no data was lost.
     let survivors = cluster.active_process_ids();
@@ -427,23 +468,23 @@ pub fn run_churn_scenario(
     let outcomes = cluster
         .run_until_done(&drains, 50_000)
         .expect("final drain");
-
-    let consistent =
-        check_queue(cluster.history()).is_consistent() && outcomes.iter().all(|o| !o.is_empty());
+    result.consistent = outcomes.iter().all(|o| !o.is_empty());
     assert_eq!(
         cluster.unmatched_dht_replies(),
         0,
         "unmatched DHT replies at churn-scenario quiescence"
     );
-    ChurnResult {
-        initial_processes,
-        joins,
-        leaves: left.len(),
-        join_rounds,
-        leave_rounds,
-        consistent,
-        final_processes: cluster.active_processes(),
-    }
+    Some(())
+}
+
+/// Runs `cluster` until no join or leave is open, for at most `budget`
+/// rounds, and stores the rounds it ran in `rounds`.  `None` if one is
+/// still open then.
+fn settle(cluster: &mut SkueueCluster, budget: u64, rounds: &mut u64) -> Option<()> {
+    let start = cluster.round();
+    let settled = cluster.run_until(|c| c.unsettled().is_empty(), budget);
+    *rounds = cluster.round() - start;
+    settled.ok().map(drop)
 }
 
 /// Result of the fairness scenario (experiment E7, Corollary 19).
@@ -697,9 +738,23 @@ mod tests {
     fn churn_scenario_small() {
         let result = run_churn_scenario(6, 3, 2, 7);
         assert!(result.consistent);
+        assert!(result.unsettled.is_empty());
         assert_eq!(result.final_processes, 6 + 3 - 2);
         assert!(result.join_rounds > 0);
         assert!(result.leave_rounds > 0);
+    }
+
+    /// A bulk join that does not finish within its budget stops the case
+    /// instead of panicking: it names the joiners still open, leaves no
+    /// process and is not consistent.  One round is too few for any join.
+    #[test]
+    fn a_churn_case_that_does_not_settle_names_its_open_joins() {
+        let result = churn_within(6, 3, 2, 7, 1);
+        assert_eq!(result.join_rounds, 1);
+        assert_eq!((result.leaves, result.leave_rounds), (0, 0));
+        assert!(!result.consistent, "a stopped case is not consistent");
+        assert!(!result.unsettled.is_empty());
+        assert!(result.unsettled.iter().all(|p| p.0 >= 6), "joiners only");
     }
 
     #[test]

@@ -24,14 +24,15 @@ fn main() {
     // Scale out: four new processes join through the Section IV protocol
     // (responsible nodes, batch-reported join counts, update phase).
     println!("phase 2: 4 processes join");
-    let mut joined = Vec::new();
     for _ in 0..4 {
-        joined.push(cluster.join(None).expect("bootstrap available"));
+        cluster.join(None).expect("bootstrap available");
     }
+    // The cluster lists the processes still joining or leaving.
+    let joined = cluster.unsettled().to_vec();
     let rounds = cluster
-        .run_until(|c| joined.iter().all(|&p| c.process_is_active(p)), 50_000)
+        .run_until(|c| c.unsettled().is_empty(), 50_000)
         .expect("joins integrate");
-    println!("  all 4 processes integrated after {rounds} rounds");
+    println!("  {joined:?} integrated after {rounds} rounds");
     println!("  active processes: {}", cluster.active_processes());
 
     // The new members immediately take part in the queue — their client
@@ -49,17 +50,16 @@ fn main() {
     // Scale in: two of the original processes leave; their DHT data moves to
     // their neighbours and nothing is lost.
     println!("phase 4: 2 processes leave");
-    let mut left = Vec::new();
     for p in (0..8u64).map(ProcessId) {
-        if left.len() == 2 {
+        if cluster.unsettled().len() == 2 {
             break;
         }
-        if cluster.leave(p).is_ok() {
-            left.push(p);
-        }
+        // The process hosting the anchor may not leave; `leave` refuses it.
+        let _ = cluster.leave(p);
     }
+    let left = cluster.unsettled().to_vec();
     let rounds = cluster
-        .run_until(|c| left.iter().all(|&p| c.process_has_left(p)), 50_000)
+        .run_until(|c| c.unsettled().is_empty(), 50_000)
         .expect("leaves complete");
     println!(
         "  {left:?} left after {rounds} rounds; active processes: {}",

@@ -11,7 +11,8 @@
 # Usage:
 #   scripts/loc.sh [DIR...]
 #
-#   DIR  a crate directory (default: every directory under crates/)
+#   DIR  a crate directory (default: every directory under crates/, then
+#        src/, the facade and the four service binaries)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,7 +70,7 @@ test_only_files() {
     done
 }
 
-[ "$#" -gt 0 ] || set -- crates/*/
+[ "$#" -gt 0 ] || set -- crates/*/ src/
 for dir in "$@"; do
     dir="${dir%/}"
     total=0
