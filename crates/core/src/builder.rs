@@ -26,11 +26,13 @@
 //! ```
 //!
 //! What can be set is what two callers set differently: the system size,
-//! the [`Mode`], the two seeds, the anchor-shard count, the delivery model
-//! (with the node iteration order), the worker-thread count and the tracing
-//! level.  The protocol's parameters live in one [`ProtocolConfig`] the
-//! builder writes into; there is one protocol per mode and no switch selects
-//! parts of it.
+//! the [`Mode`], the two seeds, the anchor-shard count, the delivery model,
+//! the worker-thread count and the tracing level.  The delivery model
+//! decides everything about the schedule: the node iteration order (index
+//! order when synchronous, shuffled otherwise) and whether channels are
+//! FIFO follow from it.  The protocol's parameters live in one
+//! [`ProtocolConfig`] the builder writes into; there is one protocol per
+//! mode and no switch selects parts of it.
 //!
 //! [`build`]: SkueueBuilder::build
 
@@ -115,7 +117,6 @@ pub struct SkueueBuilder<T: Payload = u64> {
     protocol: ProtocolConfig,
     seed: u64,
     delivery: DeliveryModel,
-    shuffle_node_order: Option<bool>,
     threads: usize,
     /// The element payload type the built cluster will carry.
     _payload: PhantomData<T>,
@@ -128,7 +129,6 @@ impl<T: Payload> Default for SkueueBuilder<T> {
             protocol: ProtocolConfig::queue(),
             seed: 0,
             delivery: DeliveryModel::Synchronous,
-            shuffle_node_order: None,
             threads: 1,
             _payload: PhantomData,
         }
@@ -198,9 +198,9 @@ impl<T: Payload> SkueueBuilder<T> {
 
     /// Runs under asynchronous, non-FIFO delivery with uniform delays in
     /// `[1, max_delay]` — the model the correctness proof targets
-    /// ([`build`](Self::build) refuses a `max_delay` above 1024).  Also
-    /// shuffles the per-round node iteration order (override with
-    /// [`shuffle_node_order`](Self::shuffle_node_order)).
+    /// ([`build`](Self::build) refuses a `max_delay` above 1024).  Like
+    /// every model but the synchronous one, it also shuffles the per-round
+    /// node iteration order.
     pub fn asynchronous(mut self, max_delay: u64) -> Self {
         self.delivery = DeliveryModel::uniform(max_delay);
         self
@@ -208,17 +208,11 @@ impl<T: Payload> SkueueBuilder<T> {
 
     /// Uses an explicit delivery model (e.g.
     /// [`DeliveryModel::Adversarial`]); the default is the synchronous round
-    /// scheduler the paper evaluates on.
+    /// scheduler the paper evaluates on.  The per-round node iteration order
+    /// is index order under the synchronous model and shuffled under every
+    /// other.
     pub fn delivery(mut self, delivery: DeliveryModel) -> Self {
         self.delivery = delivery;
-        self
-    }
-
-    /// Shuffles (or pins) the per-round node iteration order.  Defaults to
-    /// shuffled for asynchronous delivery models and pinned for the
-    /// synchronous scheduler.
-    pub fn shuffle_node_order(mut self, shuffle: bool) -> Self {
-        self.shuffle_node_order = Some(shuffle);
         self
     }
 
@@ -267,9 +261,6 @@ impl<T: Payload> SkueueBuilder<T> {
         SimConfig {
             seed: self.seed,
             delivery: self.delivery,
-            shuffle_node_order: self
-                .shuffle_node_order
-                .unwrap_or(!self.delivery.is_synchronous()),
         }
     }
 
@@ -358,10 +349,7 @@ mod tests {
     fn invalid_delivery_model_is_rejected() {
         let err = SkueueBuilder::<u64>::new()
             .processes(4)
-            .delivery(DeliveryModel::UniformRandom {
-                min_delay: 9,
-                max_delay: 2,
-            })
+            .delivery(DeliveryModel::UniformRandom { max_delay: 1025 })
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidSimConfig(_)));
@@ -375,7 +363,6 @@ mod tests {
         assert!(cfg.fifo_channels);
         let sim = builder.sim_config();
         assert!(sim.delivery.is_synchronous());
-        assert!(!sim.shuffle_node_order);
         assert_eq!(sim.seed, 3);
     }
 
@@ -396,22 +383,6 @@ mod tests {
         assert!(!builder.protocol_config().fifo_channels);
         let builder = builder.delivery(DeliveryModel::Synchronous);
         assert!(builder.protocol_config().fifo_channels);
-    }
-
-    #[test]
-    fn asynchronous_shuffles_by_default_and_can_be_pinned() {
-        let sim = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .asynchronous(5)
-            .sim_config();
-        assert!(!sim.delivery.is_synchronous());
-        assert!(sim.shuffle_node_order);
-        let sim = SkueueBuilder::<u64>::new()
-            .processes(4)
-            .asynchronous(5)
-            .shuffle_node_order(false)
-            .sim_config();
-        assert!(!sim.shuffle_node_order);
     }
 
     #[test]

@@ -110,7 +110,8 @@ pub enum ClusterError {
     RoundLimitExceeded {
         /// The exceeded budget.
         limit: u64,
-        /// Requests still open when the budget ran out.
+        /// Requests still open when the budget ran out (of
+        /// [`SkueueCluster::run_until_done`]'s tickets, those still pending).
         open_requests: usize,
     },
 }
@@ -640,32 +641,28 @@ impl<T: Payload> SkueueCluster<T> {
         if let Some(foreign) = tickets.iter().find(|t| t.cluster_id() != self.cluster_id) {
             return Err(ClusterError::ForeignTicket(*foreign));
         }
-        // Track only the still-pending set against the completion stream
-        // (the history is built from it, in completion order): each round
-        // costs O(new completions), not O(tickets) outcome re-polls.
-        // Presence check only — `outcome()` would build the payload-bearing
-        // `OpOutcome<T>` per ticket just to discard it.  (Foreign tickets
-        // were rejected above, so the request id is authoritative.)
-        let mut pending: std::collections::HashSet<RequestId> = tickets
-            .iter()
-            .map(|t| t.request_id())
-            .filter(|&id| self.completed_at(id).is_none())
-            .collect();
-        let mut watermark = self.history.len();
-        let start = self.sim.round();
-        while !pending.is_empty() {
-            if max_rounds > 0 && self.sim.round() - start >= max_rounds {
-                return Err(ClusterError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    open_requests: pending.len(),
-                });
+        // A completed request stays completed, so the wait keeps a cursor:
+        // the tickets before `done` have a history index.  Presence check
+        // only — `outcome()` would build the payload-bearing `OpOutcome<T>`
+        // per ticket just to discard it.  (Foreign tickets were rejected
+        // above, so the request id is authoritative.)
+        let mut done = 0;
+        let all_done = |c: &Self| {
+            while done < tickets.len() && c.completed_at(tickets[done].request_id()).is_some() {
+                done += 1;
             }
-            self.run_round();
-            for record in &self.history.records()[watermark..] {
-                pending.remove(&record.id);
-            }
-            watermark = self.history.len();
-        }
+            done == tickets.len()
+        };
+        self.run_until(all_done, max_rounds).map_err(|e| match e {
+            // The budget ran out on these tickets, not on every open request.
+            ClusterError::RoundLimitExceeded { limit, .. } => ClusterError::RoundLimitExceeded {
+                limit,
+                open_requests: (tickets[done..].iter())
+                    .filter(|t| self.completed_at(t.request_id()).is_none())
+                    .count(),
+            },
+            other => other,
+        })?;
         Ok(tickets
             .iter()
             .map(|t| self.outcome(*t).expect("loop above waited for completion"))

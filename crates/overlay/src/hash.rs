@@ -69,12 +69,10 @@ impl LabelHasher {
     /// the label's ring position.  That independence matters: each shard's
     /// nodes must stay uniformly spread over the unit ring, or one node per
     /// shard would own almost the whole key interval and the DHT fairness of
-    /// Lemma 4 would collapse.  `shards == 0` is treated as 1.
+    /// Lemma 4 would collapse.  With `shards` 0 or 1 the multiply-shift
+    /// itself yields shard 0.
     #[inline]
     pub fn shard_of_label(&self, label: Label, shards: u32) -> u32 {
-        if shards <= 1 {
-            return 0;
-        }
         let mixed = self.hash_u64(label.raw() ^ 0x5A4D_A9C1_55AA_D007).raw();
         ((mixed as u128 * shards as u128) >> 64) as u32
     }

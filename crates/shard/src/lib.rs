@@ -139,8 +139,9 @@ impl ShardMap {
 /// The driver-side front-end over [`ShardMap`]: assigns every client
 /// operation to the shard of its issuing process.  Deliberately stateless —
 /// the splittable hash is two multiply-shift mixes, cheaper than any cache
-/// lookup, and the cluster driver memoises each process's shard in its own
-/// process table anyway.
+/// lookup, so nothing memoises a process's shard: the membership build and
+/// the cluster driver (joins, shard queries, churn trace records) call
+/// [`Self::route`] each time.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRouter {
     map: ShardMap,

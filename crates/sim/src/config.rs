@@ -10,13 +10,12 @@ pub struct SimConfig {
     /// breaking). Protocol-level randomness should use forked streams so the
     /// same seed reproduces the same run end-to-end.
     pub seed: u64,
-    /// Message delivery model.
+    /// Message delivery model.  It decides the whole schedule: under
+    /// [`DeliveryModel::Synchronous`] every turn visits its nodes in index
+    /// order; under every other model each turn's visits run in an order
+    /// shuffled from `seed`, so the asynchronous runs also catch accidental
+    /// dependencies on the order within a round.
     pub delivery: DeliveryModel,
-    /// If true, the per-round iteration order over nodes is shuffled each
-    /// round (still deterministically from `seed`). The synchronous model of
-    /// the paper does not care about intra-round order, but shuffling helps
-    /// tests catch accidental order dependencies.
-    pub shuffle_node_order: bool,
 }
 
 impl SimConfig {
@@ -26,7 +25,6 @@ impl SimConfig {
         SimConfig {
             seed,
             delivery: DeliveryModel::Synchronous,
-            shuffle_node_order: false,
         }
     }
 
@@ -51,18 +49,21 @@ mod tests {
         let c = SimConfig::synchronous(7);
         assert_eq!(c.seed, 7);
         assert!(c.delivery.is_synchronous());
-        assert!(!c.shuffle_node_order);
         assert!(c.validate().is_ok());
     }
 
+    /// A uniform model without a delay (0) or with one the delivery ring
+    /// refuses (above 1024) is an invalid config.
     #[test]
     fn invalid_delivery_is_rejected() {
         let mut c = SimConfig::synchronous(1);
-        c.delivery = DeliveryModel::UniformRandom {
-            min_delay: 5,
-            max_delay: 1,
-        };
-        assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
+        for max_delay in [0, 1025] {
+            c.delivery = DeliveryModel::UniformRandom { max_delay };
+            assert!(
+                matches!(c.validate(), Err(SimError::InvalidConfig(_))),
+                "max_delay {max_delay}"
+            );
+        }
     }
 
     #[test]

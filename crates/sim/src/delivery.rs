@@ -22,12 +22,10 @@ pub enum DeliveryModel {
     #[default]
     Synchronous,
     /// Asynchronous delivery: every message independently receives a uniform
-    /// delay in `[min_delay, max_delay]` rounds.  Because later messages may
-    /// draw smaller delays, channels are effectively non-FIFO.
+    /// delay in `[1, max_delay]` rounds.  Because later messages may draw
+    /// smaller delays, channels are effectively non-FIFO.
     UniformRandom {
-        /// Minimum delay in rounds (≥ 1).
-        min_delay: Round,
-        /// Maximum delay in rounds (≥ `min_delay`, at most 1024).
+        /// Maximum delay in rounds (at least 1, at most 1024).
         max_delay: Round,
     },
     /// Asynchronous delivery with a heavy tail: with probability
@@ -46,7 +44,6 @@ impl DeliveryModel {
     /// Uniform asynchronous delivery with delays in `[1, max_delay]`.
     pub fn uniform(max_delay: Round) -> Self {
         DeliveryModel::UniformRandom {
-            min_delay: 1,
             max_delay: max_delay.max(1),
         }
     }
@@ -55,14 +52,9 @@ impl DeliveryModel {
     pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             DeliveryModel::Synchronous => Ok(()),
-            DeliveryModel::UniformRandom {
-                min_delay,
-                max_delay,
-            } => {
-                if min_delay == 0 {
-                    Err("min_delay must be at least 1".into())
-                } else if max_delay < min_delay {
-                    Err(format!("max_delay {max_delay} < min_delay {min_delay}"))
+            DeliveryModel::UniformRandom { max_delay } => {
+                if max_delay == 0 {
+                    Err("max_delay must be at least 1".into())
                 } else if max_delay > MAX_DELAY {
                     Err(format!("max_delay {max_delay} above the limit {MAX_DELAY}"))
                 } else {
@@ -97,10 +89,7 @@ impl DeliveryModel {
     pub(crate) fn draw_delay(&self, rng: &mut SimRng) -> Round {
         match *self {
             DeliveryModel::Synchronous => 1,
-            DeliveryModel::UniformRandom {
-                min_delay,
-                max_delay,
-            } => rng.gen_range_inclusive(min_delay, max_delay),
+            DeliveryModel::UniformRandom { max_delay } => rng.gen_range_inclusive(1, max_delay),
             DeliveryModel::Adversarial {
                 straggle_prob,
                 straggle_delay,
@@ -130,13 +119,10 @@ mod tests {
     #[test]
     fn uniform_within_bounds() {
         let mut rng = SimRng::new(2);
-        let model = DeliveryModel::UniformRandom {
-            min_delay: 2,
-            max_delay: 6,
-        };
+        let model = DeliveryModel::UniformRandom { max_delay: 6 };
         for _ in 0..1000 {
             let d = model.draw_delay(&mut rng);
-            assert!((2..=6).contains(&d));
+            assert!((1..=6).contains(&d));
         }
     }
 
@@ -144,10 +130,7 @@ mod tests {
     fn uniform_constructor_clamps() {
         assert_eq!(
             DeliveryModel::uniform(0),
-            DeliveryModel::UniformRandom {
-                min_delay: 1,
-                max_delay: 1
-            }
+            DeliveryModel::UniformRandom { max_delay: 1 }
         );
     }
 
@@ -174,18 +157,17 @@ mod tests {
     #[test]
     fn validation_catches_bad_parameters() {
         assert!(DeliveryModel::Synchronous.validate().is_ok());
-        assert!(DeliveryModel::UniformRandom {
-            min_delay: 0,
-            max_delay: 3
-        }
-        .validate()
-        .is_err());
-        assert!(DeliveryModel::UniformRandom {
-            min_delay: 4,
-            max_delay: 3
-        }
-        .validate()
-        .is_err());
+        let err = DeliveryModel::UniformRandom { max_delay: 0 }
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("at least 1"), "{err}");
+        let err = DeliveryModel::UniformRandom { max_delay: 1025 }
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("above the limit"), "{err}");
+        assert!(DeliveryModel::UniformRandom { max_delay: 1 }
+            .validate()
+            .is_ok());
         assert!(DeliveryModel::Adversarial {
             straggle_prob: 1.5,
             straggle_delay: 5

@@ -10,11 +10,16 @@
 //! This crate provides both execution substrates:
 //!
 //! * [`Simulation`] with [`DeliveryModel::Synchronous`] reproduces the round
-//!   model used for the paper's experiments (Figures 2–4),
+//!   model used for the paper's experiments (Figures 2–4): every round
+//!   visits its nodes in index order,
 //! * [`Simulation`] with [`DeliveryModel::UniformRandom`] or
 //!   [`DeliveryModel::Adversarial`] provides asynchronous, non-FIFO delivery
 //!   (driven by a seeded RNG) used by the test-suite to exercise the
-//!   protocol's sequential-consistency guarantees under message reordering.
+//!   protocol's sequential-consistency guarantees under message reordering;
+//!   every round visits its nodes in a seeded shuffled order too.
+//!
+//! The delivery model is the whole schedule: nothing else about a run's
+//! order can be set ([`SimConfig`] is a seed and a model).
 //!
 //! The design is a classical discrete-event / discrete-round simulator:
 //!

@@ -27,8 +27,9 @@
 //!
 //! Determinism: for a fixed seed, configuration and sequence of driver calls,
 //! a run is bit-for-bit reproducible.  Nodes are processed in index order
-//! (optionally in a seeded shuffled order), and messages due in the same
-//! round are delivered in the order they were sent.
+//! under the synchronous model and in a seeded shuffled order under every
+//! other, and messages due in the same round are delivered in the order they
+//! were sent.
 //!
 //! # Lanes of a simulation
 //!
@@ -40,8 +41,9 @@
 //! * per-lane metrics are folded into the global view, and the lanes'
 //!   trace events appended to the driver's log in lane order,
 //! * the records the nodes reported are drained in ascending node-id order
-//!   (the classic visit order) — or in lane-concatenation order under
-//!   shuffle ([`Simulation::drain_reports`]).
+//!   (the classic visit order) under the synchronous model, in
+//!   lane-concatenation order under every other
+//!   ([`Simulation::drain_reports`]).
 //!
 //! A simulation lane is closed: an actor may only send to a node of its own
 //! lane, and a send that leaves it is a panic naming both ends.  The Skueue
@@ -563,9 +565,7 @@ fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> SimLane<A> {
             .wrapping_add((lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         splitmix64(&mut s)
     };
-    let mut fabric = SimTransport::new(config.delivery, SimRng::new(seed));
-    fabric.shuffle = config.shuffle_node_order;
-    Lane::new(fabric)
+    Lane::new(SimTransport::new(config.delivery, SimRng::new(seed)))
 }
 
 impl<A: Actor> Simulation<A> {
@@ -727,9 +727,9 @@ impl<A: Actor> Simulation<A> {
     /// [`Context::report`]), each with its reporting node.  One lane hands
     /// them over in report order: a driver action's when it ran, then the
     /// round's in visit order.  Several lanes hand them over by ascending
-    /// node id, a node's own in report order, or, when visits are shuffled,
-    /// lane after lane.  Either way the order is the same on every thread
-    /// count.
+    /// node id, a node's own in report order, under the synchronous model,
+    /// and lane after lane under every other, whose visits are shuffled.
+    /// Either way the order is the same on every thread count.
     ///
     /// # Panics
     ///
@@ -744,7 +744,7 @@ impl<A: Actor> Simulation<A> {
             for lane in rest {
                 merged.extend(lane.drain_reports::<R>());
             }
-            if !self.config.shuffle_node_order {
+            if self.config.delivery.is_synchronous() {
                 merged.sort_by_key(|&(node, _)| node);
             }
         }
@@ -933,12 +933,11 @@ mod tests {
         sim
     }
 
-    /// Uniform delays in `[1, max_delay]`, shuffled visit order.
+    /// Uniform delays in `[1, max_delay]` (and so a shuffled visit order).
     fn async_config(seed: u64, max_delay: u64) -> SimConfig {
         SimConfig {
             seed,
             delivery: DeliveryModel::uniform(max_delay),
-            shuffle_node_order: true,
         }
     }
 
@@ -1071,13 +1070,13 @@ mod tests {
 
     /// The lane-level inbox chains a round's due messages per destination:
     /// each node must see exactly its own, in send order, however they
-    /// interleave in the due bucket — in index and in shuffled visit order,
-    /// round after round (chains of an earlier round must not leak).
+    /// interleave in the due bucket — in index visit order (synchronous) and
+    /// in shuffled visit order (`uniform(1)`: every delay is still one
+    /// round), round after round (chains of an earlier round must not leak).
     #[test]
     fn inbox_delivers_each_destination_its_messages_in_send_order() {
-        for shuffle in [false, true] {
-            let mut config = SimConfig::synchronous(3);
-            config.shuffle_node_order = shuffle;
+        for delivery in [DeliveryModel::Synchronous, DeliveryModel::uniform(1)] {
+            let config = SimConfig { seed: 3, delivery };
             let mut sim: Simulation<Recorder> = Simulation::new(config).unwrap();
             for _ in 0..70 {
                 sim.add_node(Recorder::default());
@@ -1274,11 +1273,11 @@ mod tests {
         }
     }
 
-    /// `n` clocks dealt round-robin over `lanes` lanes.
-    fn clock_sim(n: u64, lanes: usize, shuffle: bool) -> Simulation<Clock> {
-        let mut config = SimConfig::synchronous(5);
-        config.shuffle_node_order = shuffle;
-        let mut sim = Simulation::new(config).unwrap();
+    /// `n` clocks dealt round-robin over `lanes` lanes.  A clock sends
+    /// nothing, so the model only decides the visit order: ascending under
+    /// [`DeliveryModel::Synchronous`], shuffled under `uniform(1)`.
+    fn clock_sim(n: u64, lanes: usize, delivery: DeliveryModel) -> Simulation<Clock> {
+        let mut sim = Simulation::new(SimConfig { seed: 5, delivery }).unwrap();
         sim.configure_lanes(lanes).unwrap();
         for i in 0..n {
             sim.add_node_in_lane(i as usize % lanes, Clock);
@@ -1291,23 +1290,24 @@ mod tests {
         sim.drain_reports::<u64>().map(|(node, _)| node.0).collect()
     }
 
-    /// One lane hands its reports over in visit order, plain and shuffled.
+    /// One lane hands its reports over in visit order, synchronous (ids
+    /// ascending) and asynchronous (shuffled).
     #[test]
     fn one_lane_reports_in_visit_order() {
-        for shuffle in [false, true] {
-            let mut sim = clock_sim(9, 1, shuffle);
+        for delivery in [DeliveryModel::Synchronous, DeliveryModel::uniform(1)] {
+            let mut sim = clock_sim(9, 1, delivery);
             let mut unsorted = 0;
             for _ in 0..5 {
                 sim.run_rounds(1);
                 let visited: Vec<u64> = sim.lanes[0].visited().map(|id| id.0).collect();
                 let ids = drained_ids(&mut sim);
-                assert_eq!(ids, visited, "shuffle {shuffle}");
+                assert_eq!(ids, visited, "{delivery:?}");
                 unsorted += usize::from(!ids.is_sorted());
             }
             assert_eq!(
                 unsorted > 0,
-                shuffle,
-                "shuffled visits happened in id order"
+                !delivery.is_synchronous(),
+                "{delivery:?}: shuffled visits happened in id order"
             );
         }
     }
@@ -1316,17 +1316,17 @@ mod tests {
     /// lane each node is in.
     #[test]
     fn several_lanes_report_by_ascending_node_id() {
-        let mut sim = clock_sim(7, 3, false);
+        let mut sim = clock_sim(7, 3, DeliveryModel::Synchronous);
         sim.run_rounds(1);
         assert_eq!(drained_ids(&mut sim), [0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(drained_ids(&mut sim), [0u64; 0], "a drain takes everything");
     }
 
-    /// Under shuffled visits, several lanes hand their reports over lane
-    /// after lane, each in its visit order.
+    /// Under an asynchronous model, whose visits are shuffled, several lanes
+    /// hand their reports over lane after lane, each in its visit order.
     #[test]
     fn shuffled_lanes_report_lane_after_lane() {
-        let mut sim = clock_sim(11, 3, true);
+        let mut sim = clock_sim(11, 3, DeliveryModel::uniform(1));
         for _ in 0..3 {
             sim.run_rounds(1);
             let visited: Vec<u64> = (sim.lanes.iter())
@@ -1336,13 +1336,49 @@ mod tests {
         }
     }
 
+    /// The delivery model decides the visit order: on one lane and on
+    /// three, every turn visits a lane's nodes in ascending slot order
+    /// exactly when the model is synchronous; under every other model some
+    /// turn shuffles them.
+    #[test]
+    fn visits_ascend_exactly_under_the_synchronous_model() {
+        let models = [
+            DeliveryModel::Synchronous,
+            DeliveryModel::uniform(1),
+            DeliveryModel::uniform(3),
+            DeliveryModel::Adversarial {
+                straggle_prob: 0.5,
+                straggle_delay: 4,
+            },
+        ];
+        for delivery in models {
+            for lanes in [1, 3] {
+                let mut sim = clock_sim(12, lanes, delivery);
+                let mut ascending = true;
+                for _ in 0..8 {
+                    sim.run_rounds(1);
+                    for lane in &sim.lanes {
+                        let visited: Vec<NodeId> = lane.visited().collect();
+                        assert_eq!(visited.len(), 12 / lanes, "{delivery:?}");
+                        ascending &= visited.is_sorted();
+                    }
+                }
+                assert_eq!(
+                    ascending,
+                    delivery.is_synchronous(),
+                    "{delivery:?}, {lanes} lanes"
+                );
+            }
+        }
+    }
+
     /// A driver action's report waits in its lane's sink and is drained
     /// with the next round's: ahead of them on one lane, at its node's
     /// place on several.
     #[test]
     fn a_driver_actions_report_is_drained_with_the_next_round() {
         for lanes in [1, 3] {
-            let mut sim = clock_sim(6, lanes, false);
+            let mut sim = clock_sim(6, lanes, DeliveryModel::Synchronous);
             sim.run_rounds(1);
             sim.drain_reports::<u64>().for_each(drop);
             sim.act(NodeId(4), |_, ctx| ctx.report(u64::MAX));
@@ -1594,7 +1630,6 @@ mod tests {
     #[derive(Debug)]
     struct BoundsChecker {
         n: u64,
-        min_delay: u64,
         max_delay: u64,
         received: u64,
     }
@@ -1611,10 +1646,9 @@ mod tests {
         fn on_message(&mut self, _from: NodeId, msg: Hop, ctx: &mut Context<Hop>) {
             let now = ctx.round();
             assert!(
-                now >= msg.sent_at + self.min_delay,
-                "delivered at {now}, sent at {} with min delay {}",
-                msg.sent_at,
-                self.min_delay
+                now > msg.sent_at,
+                "delivered at {now}, in its send round {}",
+                msg.sent_at
             );
             assert!(
                 now <= msg.sent_at + self.max_delay,
@@ -1703,21 +1737,15 @@ mod tests {
     /// One [`Courier`] run: `n` nodes dealt over `lanes` lanes in a seeded
     /// order, `turns` rounds of driver sends and actions, then drained.
     /// Checks that every turn visits exactly the nodes it owes a visit, and
-    /// in ascending order unless shuffled.
+    /// in ascending order under the synchronous model (every other shuffles).
     fn courier_run(
         seed: u64,
         n: u64,
         lanes: usize,
-        shuffle: bool,
-        max_delay: u64,
+        delivery: DeliveryModel,
         turns: u64,
     ) -> CourierRun {
-        let mut config = SimConfig::synchronous(seed);
-        if max_delay > 1 {
-            config.delivery = DeliveryModel::uniform(max_delay);
-        }
-        config.shuffle_node_order = shuffle;
-        let mut sim = Simulation::new(config).unwrap();
+        let mut sim = Simulation::new(SimConfig { seed, delivery }).unwrap();
         sim.configure_lanes(lanes).unwrap();
         let mut rng = SimRng::new(seed ^ 0xC0C0);
         let lane_of: Vec<usize> = (0..n).map(|_| rng.choose_index(lanes)).collect();
@@ -1773,12 +1801,12 @@ mod tests {
                         wanting[id.index()] || node.got.len() > got_before[id.index()]
                     })
                     .collect();
-                if shuffle {
+                if delivery.is_synchronous() {
+                    assert_eq!(visited, owed, "turn {turn}, lane {l}: ascending");
+                } else {
                     let mut sorted = visited.clone();
                     sorted.sort();
                     assert_eq!(sorted, owed, "turn {turn}, lane {l}");
-                } else {
-                    assert_eq!(visited, owed, "turn {turn}, lane {l}: ascending");
                 }
                 visits.push(visited);
             }
@@ -1793,21 +1821,26 @@ mod tests {
         /// by the nodes' own visits — over several turns: every message is
         /// delivered exactly once, to the node it was sent to, from its
         /// sender; a destination receives a turn's messages in send order
-        /// (under synchronous delivery, all of them: exactly the reference
-        /// model's per-destination send order); a turn visits the owed
-        /// nodes ascending, or in a seeded shuffle of them that a rerun
-        /// repeats.
+        /// (when every delay is one round, all of them: exactly the
+        /// reference model's per-destination send order); a turn visits the
+        /// owed nodes ascending under the synchronous model, and in a seeded
+        /// shuffle of them that a rerun repeats under `uniform(max_delay)`
+        /// (`uniform(1)`: one-round delays, shuffled visits).
         #[test]
         fn prop_every_destination_receives_its_messages_once_in_send_order(
             seed in proptest::any::<u64>(),
             n in 2u64..10,
             lanes in 1usize..4,
-            shuffle in proptest::any::<bool>(),
+            asynchronous in proptest::any::<bool>(),
             max_delay in 1u64..4,
             turns in 1u64..12,
         ) {
-            let CourierRun { got, log, visits } =
-                courier_run(seed, n, lanes, shuffle, max_delay, turns);
+            let delivery = if asynchronous {
+                DeliveryModel::uniform(max_delay)
+            } else {
+                DeliveryModel::Synchronous
+            };
+            let CourierRun { got, log, visits } = courier_run(seed, n, lanes, delivery, turns);
             // The reference model: each destination's messages in send order.
             let mut sent_to: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
             for (seq, &(_, to)) in log.iter().enumerate() {
@@ -1823,13 +1856,13 @@ mod tests {
                     let ((r0, _, s0), (r1, _, s1)) = (pair[0], pair[1]);
                     proptest::prop_assert!(r0 < r1 || (r0 == r1 && s0 < s1), "node {} got {:?}", i, received);
                 }
-                if max_delay == 1 {
+                if !asynchronous || max_delay == 1 {
                     let seqs: Vec<u32> = received.iter().map(|&(_, _, seq)| seq).collect();
                     proptest::prop_assert_eq!(&seqs, &sent_to[i]);
                 }
             }
             proptest::prop_assert!(delivered.iter().all(|&times| times == 1));
-            let rerun = courier_run(seed, n, lanes, shuffle, max_delay, turns);
+            let rerun = courier_run(seed, n, lanes, delivery, turns);
             proptest::prop_assert_eq!(rerun.visits, visits);
         }
     }
@@ -1871,26 +1904,21 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The bucketed delivery wheel never delivers a message before its
-        /// `deliver_at` (sent round + model delay), never after the model's
-        /// maximum delay, and never drops or duplicates one.
+        /// The bucketed delivery wheel never delivers a message in its send
+        /// round, never after the model's maximum delay, and never drops or
+        /// duplicates one.
         #[test]
         fn prop_bucketed_delivery_respects_bounds_and_loses_nothing(
             seed in proptest::any::<u64>(),
             n in 2u64..12,
-            min_delay in 1u64..4,
-            extra in 0u64..5,
+            max_delay in 1u64..8,
             hops in 1u64..30,
             injections in 1u64..5,
         ) {
-            let max_delay = min_delay + extra;
-            let mut config = async_config(seed, max_delay);
-            config.delivery = crate::DeliveryModel::UniformRandom { min_delay, max_delay };
-            let mut sim = Simulation::new(config).unwrap();
+            let mut sim = Simulation::new(async_config(seed, max_delay)).unwrap();
             for _ in 0..n {
                 sim.add_node(BoundsChecker {
                     n,
-                    min_delay,
                     max_delay,
                     received: 0,
                 });

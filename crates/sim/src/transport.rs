@@ -11,11 +11,12 @@
 //!   round-driven [`crate::Simulation`]: one ring of buckets, a bucket per
 //!   future round, each in send order.  Delays are drawn from a seeded RNG
 //!   according to a [`DeliveryModel`]; the same stream feeds the lane's
-//!   per-visit draw and, under `shuffle_node_order`, the shuffled visit
-//!   order.  For a fixed seed the schedule is bit-for-bit reproducible, which
-//!   the golden-history tests and the benchmark's fingerprint checks rely
-//!   on.  Each of a simulation's lanes embeds one and calls it statically
-//!   (the seam adds no indirection to the hot loop).
+//!   per-visit draw and, under every model but the synchronous one, the
+//!   shuffled visit order — the model decides the schedule whole.  For a
+//!   fixed seed the schedule is bit-for-bit reproducible, which the
+//!   golden-history tests and the benchmark's fingerprint checks rely on.
+//!   Each of a simulation's lanes embeds one and calls it statically (the
+//!   seam adds no indirection to the hot loop).
 //! * `TcpTransport` (crate `skueue-net`) — real-clock delivery for the lane
 //!   a `skueue-node` daemon hosts its nodes in: a FIFO between nodes of the
 //!   same daemon, delivered next turn, and length-prefixed frames on TCP
@@ -93,9 +94,6 @@ pub struct SimTransport<M> {
     /// exactly the historical draw order, which the byte-identical goldens
     /// pin.
     rng: SimRng,
-    /// Whether the lane's visits run in a seeded shuffled order
-    /// (`SimConfig::shuffle_node_order`).
-    pub(crate) shuffle: bool,
     /// Every delay drawn so far, in rounds.
     pub(crate) delays: Histogram,
     /// The round the owning lane last executed (send round for posts).
@@ -115,7 +113,6 @@ impl<M> SimTransport<M> {
         SimTransport {
             delivery,
             rng,
-            shuffle: false,
             delays: Histogram::default(),
             round: 0,
             in_flight: 0,
@@ -180,8 +177,10 @@ impl<M> Transport<M> for SimTransport<M> {
         self.rng.next_u64();
     }
 
+    /// Ascending under the synchronous model, a seeded shuffle under every
+    /// other: the asynchronous schedule leaves the order within a round open.
     fn order_visits(&mut self, slots: &mut [usize]) {
-        if self.shuffle {
+        if !self.delivery.is_synchronous() {
             self.rng.shuffle(slots);
         }
     }
@@ -235,10 +234,7 @@ mod tests {
     fn model(kind: u32, a: u64, b: u64, prob: f64) -> DeliveryModel {
         match kind {
             0 => DeliveryModel::Synchronous,
-            1 => DeliveryModel::UniformRandom {
-                min_delay: a,
-                max_delay: a + b,
-            },
+            1 => DeliveryModel::UniformRandom { max_delay: a + b },
             _ => DeliveryModel::Adversarial {
                 straggle_prob: prob,
                 straggle_delay: a + b,

@@ -217,23 +217,27 @@ pub(crate) fn percentile_sorted(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The rounds a span spent in one stage (`None` when it skipped it).
+type Stage = fn(&OpSpan) -> Option<u64>;
+
+/// The five protocol stages plus the issue→completion total, in taxonomy
+/// order: each stage's name and the rounds a span spent in it.
+const STAGES: [(&str, Stage); 6] = [
+    ("queue-wait", OpSpan::queue_wait),
+    ("aggregation", OpSpan::aggregation),
+    ("assignment", OpSpan::assignment),
+    ("dht-routing", OpSpan::dht_routing),
+    ("reply", OpSpan::reply),
+    ("total", OpSpan::total),
+];
+
 /// The in-memory sink: per-op spans plus the per-stage latency breakdown.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
     spans: Vec<OpSpan>,
     hop_events_recorded: bool,
-    /// Issue → wave-join latency breakdown.
-    pub queue_wait: StageStats,
-    /// Wave-join → anchor-assignment latency breakdown.
-    pub aggregation: StageStats,
-    /// Anchor-assignment → resolved-position latency breakdown.
-    pub assignment: StageStats,
-    /// Assignment → DHT-apply latency breakdown.
-    pub dht_routing: StageStats,
-    /// DHT-apply → completion latency breakdown.
-    pub reply: StageStats,
-    /// Issue → completion latency breakdown.
-    pub total: StageStats,
+    /// The latency breakdown of each of [`STAGES`], in its order.
+    stages: [StageStats; 6],
 }
 
 impl TraceAnalysis {
@@ -306,24 +310,17 @@ impl TraceAnalysis {
             }
         }
         let spans: Vec<OpSpan> = by_op.into_values().collect();
-        let mut analysis = TraceAnalysis {
-            spans,
-            hop_events_recorded,
-            ..TraceAnalysis::default()
-        };
         let mut scratch: Vec<u64> = Vec::new();
-        let mut summarise = |stage: fn(&OpSpan) -> Option<u64>, spans: &[OpSpan]| {
+        let stages = STAGES.map(|(_, stage)| {
             scratch.clear();
             scratch.extend(spans.iter().filter_map(stage));
             StageStats::from_samples(&mut scratch)
-        };
-        analysis.queue_wait = summarise(OpSpan::queue_wait, &analysis.spans);
-        analysis.aggregation = summarise(OpSpan::aggregation, &analysis.spans);
-        analysis.assignment = summarise(OpSpan::assignment, &analysis.spans);
-        analysis.dht_routing = summarise(OpSpan::dht_routing, &analysis.spans);
-        analysis.reply = summarise(OpSpan::reply, &analysis.spans);
-        analysis.total = summarise(OpSpan::total, &analysis.spans);
-        analysis
+        });
+        TraceAnalysis {
+            spans,
+            hop_events_recorded,
+            stages,
+        }
     }
 
     /// All spans, sorted by op id.
@@ -367,14 +364,7 @@ impl TraceAnalysis {
     /// The five protocol stages plus the issue→completion total, in
     /// taxonomy order, for table rendering.
     pub fn stage_table(&self) -> [(&'static str, StageStats); 6] {
-        [
-            ("queue-wait", self.queue_wait),
-            ("aggregation", self.aggregation),
-            ("assignment", self.assignment),
-            ("dht-routing", self.dht_routing),
-            ("reply", self.reply),
-            ("total", self.total),
-        ]
+        std::array::from_fn(|i| (STAGES[i].0, self.stages[i]))
     }
 }
 
@@ -460,8 +450,9 @@ mod tests {
         assert_eq!(a.completed_count(), 1);
         assert_eq!(a.orphan_count(), 0);
         assert_eq!(a.total_hops(), 2);
-        assert_eq!(a.total.p50, 12);
-        assert_eq!(a.total.max, 12);
+        let (name, total) = a.stage_table()[5];
+        assert_eq!(name, "total");
+        assert_eq!((total.p50, total.max), (12, 12));
         assert!(a.shape_violation().is_none());
     }
 
@@ -514,8 +505,9 @@ mod tests {
         assert_eq!(a.completed_count(), 2);
         assert!(a.shape_violation().is_none());
         // Neither shape contributes DHT-stage samples.
-        assert_eq!(a.dht_routing.count, 0);
-        assert_eq!(a.queue_wait.count, 1);
+        let counts = a.stage_table().map(|(name, stats)| (name, stats.count));
+        assert_eq!(counts[3], ("dht-routing", 0));
+        assert_eq!(counts[0], ("queue-wait", 1));
     }
 
     #[test]

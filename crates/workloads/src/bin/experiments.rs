@@ -49,10 +49,6 @@ struct Scale {
     process_counts: &'static [usize],
     /// Rounds of request generation of Figures 2–4.
     generation_rounds: u64,
-    /// Generation rounds of E4 and the trace export: `generation_rounds` capped at 100.
-    scaling_rounds: u64,
-    /// Generation rounds of E5, E8 and E9: `generation_rounds` capped at 50.
-    load_rounds: u64,
     /// Insert-probability curves of Figures 2 and 3.
     insert_ratios: &'static [f64],
     /// Per-node request probabilities of Figure 4 and E8.
@@ -64,8 +60,6 @@ struct Scale {
     /// history (ROADMAP, item 6).  The fixed-rate sweeps (`fig2`, `fig3`,
     /// `scaling`) issue 10⁴ requests a point and verify at every scale.
     verify_fig4: bool,
-    /// Processes of E5: `fig4_processes` capped at 2000.
-    batch_processes: usize,
     /// Processes of E8 and E9.
     ablation_processes: usize,
     /// Processes of the `String` payload run (over 4 shards).
@@ -80,6 +74,23 @@ struct Scale {
     fairness: &'static [(usize, u64)],
 }
 
+impl Scale {
+    /// Generation rounds of E4 and the trace export.
+    fn scaling_rounds(&self) -> u64 {
+        self.generation_rounds.min(100)
+    }
+
+    /// Generation rounds of E5, E8 and E9.
+    fn load_rounds(&self) -> u64 {
+        self.generation_rounds.min(50)
+    }
+
+    /// Processes of E5.
+    fn batch_processes(&self) -> usize {
+        self.fig4_processes.min(2000)
+    }
+}
+
 const RATIOS: &[f64] = &[0.0, 0.25, 0.5, 0.75, 1.0];
 const PROBABILITIES: &[f64] = &[0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0];
 
@@ -88,13 +99,10 @@ const SMOKE: Scale = Scale {
     name: "Smoke",
     process_counts: &[20, 60],
     generation_rounds: 20,
-    scaling_rounds: 20,
-    load_rounds: 20,
     insert_ratios: &[0.5, 1.0],
     request_probabilities: &[0.1, 0.5],
     fig4_processes: 50,
     verify_fig4: true,
-    batch_processes: 50,
     ablation_processes: 30,
     payload_processes: 32,
     trace_processes: 60,
@@ -109,13 +117,10 @@ const DEFAULT: Scale = Scale {
     name: "Default",
     process_counts: &[100, 300, 1000, 3000, 10_000],
     generation_rounds: 100,
-    scaling_rounds: 100,
-    load_rounds: 50,
     insert_ratios: RATIOS,
     request_probabilities: PROBABILITIES,
     fig4_processes: 2000,
     verify_fig4: true,
-    batch_processes: 2000,
     ablation_processes: 500,
     payload_processes: 1_000,
     trace_processes: 3_000,
@@ -135,13 +140,10 @@ const PAPER: Scale = Scale {
     name: "PaperScale",
     process_counts: &[10_000, 25_000, 50_000, 75_000, 100_000],
     generation_rounds: 1000,
-    scaling_rounds: 100,
-    load_rounds: 50,
     insert_ratios: RATIOS,
     request_probabilities: PROBABILITIES,
     fig4_processes: 10_000,
     verify_fig4: false,
-    batch_processes: 2000,
     ablation_processes: 500,
     payload_processes: 10_000,
     trace_processes: 10_000,
@@ -381,7 +383,7 @@ fn trace(scale: &Scale, seed: u64, path: &str) {
     println!("\n=== Trace export: fig2 n={n}, shards=4, trace=full ===");
     let artifacts = run_fixed_rate_traced(
         ScenarioParams::fixed_rate(n, Mode::Queue, 0.5)
-            .with_generation_rounds(scale.scaling_rounds)
+            .with_generation_rounds(scale.scaling_rounds())
             .with_seed(seed)
             .with_shards(4)
             .with_trace(TraceLevel::Full)
@@ -424,7 +426,7 @@ fn scaling(scale: &Scale, seed: u64) -> bool {
         scale.process_counts.iter().map(|&n| {
             let r = run_fixed_rate(
                 ScenarioParams::fixed_rate(n, Mode::Queue, 0.5)
-                    .with_generation_rounds(scale.scaling_rounds)
+                    .with_generation_rounds(scale.scaling_rounds())
                     .with_seed(seed),
             );
             consistent &= r.consistent;
@@ -491,7 +493,7 @@ fn routes(scale: &Scale, seed: u64) -> bool {
 
 /// E5: batch sizes under one request per node per round (Theorems 18 and 20).
 fn batch_size(scale: &Scale, seed: u64) -> bool {
-    let n = scale.batch_processes;
+    let n = scale.batch_processes();
     let mut consistent = true;
     table(
         "E5: batch sizes at one request per node per round",
@@ -499,7 +501,7 @@ fn batch_size(scale: &Scale, seed: u64) -> bool {
         [Mode::Queue, Mode::Stack].into_iter().map(|mode| {
             let r = run_per_node_rate(
                 ScenarioParams::per_node_rate(n, mode, 1.0)
-                    .with_generation_rounds(scale.load_rounds)
+                    .with_generation_rounds(scale.load_rounds())
                     .with_seed(seed),
             );
             consistent &= r.consistent;
@@ -572,7 +574,7 @@ fn payloads(scale: &Scale, seed: u64) -> bool {
 
 /// E8: Skueue vs the unbatched central-server baseline under increasing load.
 fn ablation_batching(scale: &Scale, seed: u64) -> bool {
-    let (n, rounds) = (scale.ablation_processes, scale.load_rounds);
+    let (n, rounds) = (scale.ablation_processes, scale.load_rounds());
     let mut consistent = true;
     table(
         "E8 (ablation): batched Skueue vs unbatched central server",
@@ -616,7 +618,7 @@ fn ablation_combining(scale: &Scale, seed: u64) -> bool {
         [0.25, 0.5, 1.0].into_iter().map(|p| {
             let on = run_per_node_rate(
                 ScenarioParams::per_node_rate(n, Mode::Stack, p)
-                    .with_generation_rounds(scale.load_rounds)
+                    .with_generation_rounds(scale.load_rounds())
                     .with_seed(seed),
             );
             // No request combines locally when none is issued.
@@ -641,18 +643,6 @@ mod tests {
             assert!(DEFAULT.process_counts.len() >= 4);
         }
         assert!(SMOKE.process_counts.iter().all(|&n| n <= 100));
-    }
-
-    /// The sizes whose docs name a cap hold that cap at every scale.
-    #[test]
-    fn capped_sizes_follow_their_caps() {
-        for scale in [&SMOKE, &DEFAULT, &PAPER] {
-            let rounds = scale.generation_rounds;
-            assert_eq!(scale.scaling_rounds, rounds.min(100), "{}", scale.name);
-            assert_eq!(scale.load_rounds, rounds.min(50), "{}", scale.name);
-            let batch = scale.fig4_processes.min(2000);
-            assert_eq!(scale.batch_processes, batch, "{}", scale.name);
-        }
     }
 
     #[test]

@@ -296,14 +296,10 @@ pub struct TracedRunArtifacts {
     pub chrome_json: String,
 }
 
-/// Runs one fig2 data point with lifecycle tracing enabled and returns the
-/// result together with the Chrome-trace export.  Forces at least
-/// [`TraceLevel::Spans`] when the params left tracing off — an untraced run
-/// has nothing to export.
-pub fn run_fixed_rate_traced(mut params: ScenarioParams) -> TracedRunArtifacts {
-    if params.trace_level.is_off() {
-        params.trace_level = TraceLevel::Spans;
-    }
+/// Runs one fig2 data point and returns the result together with the
+/// Chrome-trace export of its lifecycle trace, at the params' tracing level
+/// (`experiments trace` runs [`TraceLevel::Full`]).
+pub fn run_fixed_rate_traced(params: ScenarioParams) -> TracedRunArtifacts {
     let (result, cluster) = run(&params, FIXED_RATE, |c| c);
     TracedRunArtifacts {
         chrome_json: cluster.export_chrome_trace(),

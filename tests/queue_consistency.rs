@@ -74,7 +74,6 @@ fn adversarial_delays_do_not_break_consistency() {
             straggle_prob: 0.5,
             straggle_delay: 25,
         })
-        .shuffle_node_order(true)
         .build()
         .unwrap();
     for i in 0..60u64 {
