@@ -198,7 +198,7 @@ impl<T: Payload> SkueueBuilder<T> {
 
     /// Runs under asynchronous, non-FIFO delivery with uniform delays in
     /// `[1, max_delay]` — the model the correctness proof targets
-    /// ([`build`](Self::build) refuses a `max_delay` above 1024).  Like
+    /// ([`build`](Self::build) refuses a `max_delay` of 0 or above 1024).  Like
     /// every model but the synchronous one, it also shuffles the per-round
     /// node iteration order.
     pub fn asynchronous(mut self, max_delay: u64) -> Self {
@@ -353,6 +353,21 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::InvalidSimConfig(_)));
+    }
+
+    #[test]
+    fn asynchronous_zero_is_refused() {
+        let err = SkueueBuilder::<u64>::new()
+            .processes(4)
+            .asynchronous(0)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, BuildError::InvalidSimConfig(_)));
+        assert!(SkueueBuilder::<u64>::new()
+            .processes(4)
+            .asynchronous(1)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -283,14 +283,16 @@ impl<T: Payload + Wire> Host<T> {
     }
 
     /// One turn: serve `frame` and take one turn of the lane — a sweep if
-    /// the deadline has passed.  What the nodes completed waits in the
-    /// lane's report sink.  Returns the reply `frame` is owed, if any.
+    /// the deadline has passed — then write what the turn sent to each peer
+    /// daemon in one write.  What the nodes completed waits in the lane's
+    /// report sink.  Returns the reply `frame` is owed, if any.
     fn turn(&mut self, frame: Option<NetFrame<T>>, now: Instant) -> Option<NetFrame<T>> {
         let reply = frame.and_then(|frame| self.serve(frame));
         // The timer is a deadline checked every turn, not the expiry of a
         // wait: under continuous traffic no wait ever expires.
         let sweep = self.next_sweep.take_if(|at| now >= *at).is_some();
         self.lane.step(sweep);
+        self.lane.fabric_mut().flush();
         // A node that comes to want a `TIMEOUT` (a joiner does, to announce
         // itself) is first visited by the sweep a tick later.
         if self.lane.wants_timeout() {
@@ -400,13 +402,14 @@ mod tests {
     use std::collections::HashSet;
     use std::rc::Rc;
 
-    /// In-memory stand-in for the connection towards a peer daemon.
+    /// In-memory stand-in for the connection towards a peer daemon: the
+    /// bytes of each write, one entry a write.
     #[derive(Clone, Default)]
-    struct PeerSink(Rc<RefCell<Vec<u8>>>);
+    struct PeerSink(Rc<RefCell<Vec<Vec<u8>>>>);
 
     impl io::Write for PeerSink {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.borrow_mut().extend_from_slice(buf);
+            self.0.borrow_mut().push(buf.to_vec());
             Ok(buf.len())
         }
 
@@ -418,13 +421,23 @@ mod tests {
     impl PeerSink {
         /// The frames written so far, taken out of the sink.
         fn take_frames(&self) -> Vec<NetFrame<u64>> {
-            let mut cursor = io::Cursor::new(std::mem::take(&mut *self.0.borrow_mut()));
-            let mut frames = Vec::new();
-            while let Some(frame) = read_frame::<NetFrame<u64>, _>(&mut cursor).expect("frames") {
-                frames.push(frame);
-            }
-            frames
+            frames_of(self.0.take().concat())
         }
+
+        /// The writes so far, taken out of the sink.
+        fn take_writes(&self) -> Vec<Vec<u8>> {
+            self.0.take()
+        }
+    }
+
+    /// The frames in `bytes`, in order.
+    fn frames_of(bytes: Vec<u8>) -> Vec<NetFrame<u64>> {
+        let mut cursor = io::Cursor::new(bytes);
+        let mut frames = Vec::new();
+        while let Some(frame) = read_frame::<NetFrame<u64>, _>(&mut cursor).expect("frames") {
+            frames.push(frame);
+        }
+        frames
     }
 
     const TICK: Duration = Duration::from_millis(2);
@@ -775,6 +788,42 @@ mod tests {
         };
         assert_eq!(host.turn(Some(lost), now), None);
         assert_eq!(host.lane.fabric().in_flight(), 0);
+    }
+
+    /// The frames one turn sends to a peer daemon leave in one write, in
+    /// send order.
+    #[test]
+    fn a_turn_writes_its_frames_to_a_peer_at_once() {
+        let now = Instant::now();
+        // Daemon 0 of two: processes 1 and 3 live on daemon 1.
+        let (mut host, sink) = host(2, 4);
+        let sends: Vec<(NodeId, NodeId, SkueueMsg<u64>)> = (0..5)
+            .map(|seq| {
+                let request = RequestId::new(ProcessId(0), seq);
+                (
+                    middle(0),
+                    middle(1 + 2 * (seq % 2)),
+                    SkueueMsg::PutAck { request },
+                )
+            })
+            .collect();
+        for (from, to, msg) in sends.iter().cloned() {
+            host.lane.fabric_mut().send(from, to, msg);
+        }
+        assert!(
+            sink.take_writes().is_empty(),
+            "nothing leaves before the turn"
+        );
+        host.turn(None, now);
+        let writes = sink.take_writes();
+        assert_eq!(writes.len(), 1);
+        let frames = sends
+            .into_iter()
+            .map(|(from, to, msg)| NetFrame::Proto { from, to, msg });
+        assert_eq!(frames_of(writes.concat()), frames.collect::<Vec<_>>());
+        // A turn that sends nothing writes nothing.
+        host.turn(None, now);
+        assert!(sink.take_writes().is_empty());
     }
 
     /// What the hosted nodes report through their context lands in the

@@ -7,8 +7,9 @@
 //! between two nodes of this daemon — the cheapest hand-off is none, so a
 //! local hop is a queue push that the lane delivers on its next turn — and
 //! one outgoing TCP connection per peer daemon, dialled on demand, onto which
-//! a message for a node hosted elsewhere is written as a length-prefixed
-//! frame.  It adds nothing to the lane's schedule: visits run in slot
+//! the messages a turn sends to nodes hosted there go as length-prefixed
+//! frames, in one write at the end of the turn ([`TcpTransport::flush`]).
+//! It adds nothing to the lane's schedule: visits run in slot
 //! order.  Delivery latency is whatever the operating system provides —
 //! which is exactly the asynchronous model the protocol's correctness
 //! argument assumes.  Determinism ends here: two runs over this transport
@@ -26,7 +27,7 @@ use skueue_sim::ids::NodeId;
 use skueue_sim::{Envelope, Transport};
 
 use crate::codec::Wire;
-use crate::frame::{write_frame, NetFrame};
+use crate::frame::{push_frame, write_frame, NetFrame};
 use crate::spec::ClusterSpec;
 
 /// The message fabric of one daemon's lane, owned by the thread that hosts
@@ -45,6 +46,8 @@ pub(crate) struct TcpTransport<T> {
     /// Outgoing connection per daemon index (none to ourselves).  A
     /// `TcpStream` outside tests, which put an in-memory sink here.
     pub(crate) peers: Vec<Option<Box<dyn Write>>>,
+    /// The frames sent to each daemon since the last [`Self::flush`].
+    outbox: Vec<Vec<u8>>,
 }
 
 impl<T> std::fmt::Debug for TcpTransport<T> {
@@ -65,6 +68,27 @@ impl<T> TcpTransport<T> {
             index,
             local: VecDeque::new(),
             peers: (0..spec.num_daemons()).map(|_| None).collect(),
+            outbox: vec![Vec::new(); spec.num_daemons()],
+        }
+    }
+
+    /// Writes each peer's frames since the last flush in one write.  Frames
+    /// that cannot be written are dropped, matching a crashed link; nodes
+    /// tolerate that during shutdown only (the protocol itself assumes
+    /// reliable channels).  A buffer keeps its room for the next turn.
+    pub(crate) fn flush(&mut self) {
+        for (daemon, frames) in self.outbox.iter_mut().enumerate() {
+            if frames.is_empty() {
+                continue;
+            }
+            let dial = || dial_peer(&self.spec, self.index, daemon);
+            if !write_to(&mut self.peers[daemon], frames, dial) {
+                eprintln!(
+                    "skueue-node[{}]: dropping frames for unreachable daemon {daemon}",
+                    self.index
+                );
+            }
+            frames.clear();
         }
     }
 }
@@ -81,27 +105,9 @@ impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport
             return;
         }
         let frame = NetFrame::Proto { from, to, msg };
-        // One dial attempt cycle, then one redial after a stale-connection
-        // write failure (the peer may have restarted between frames).  A
-        // frame that still cannot be written is dropped, matching a crashed
-        // link; nodes tolerate that during shutdown only (the protocol
-        // itself assumes reliable channels).
-        for _ in 0..2 {
-            if self.peers[daemon].is_none() {
-                self.peers[daemon] = dial_peer(&self.spec, self.index, daemon);
-            }
-            let Some(stream) = self.peers[daemon].as_mut() else {
-                break;
-            };
-            if write_frame(stream, &frame).is_ok() {
-                return;
-            }
-            self.peers[daemon] = None;
+        if let Err(e) = push_frame(&mut self.outbox[daemon], &frame) {
+            eprintln!("skueue-node[{}]: dropping a frame: {e}", self.index);
         }
-        eprintln!(
-            "skueue-node[{}]: dropping frame for unreachable daemon {daemon}",
-            self.index
-        );
     }
 
     fn in_flight(&self) -> usize {
@@ -124,6 +130,30 @@ impl<T: Wire + Clone + std::fmt::Debug> Transport<SkueueMsg<T>> for TcpTransport
     fn is_remote(&self, to: NodeId) -> bool {
         self.spec.daemon_of_node(to) != self.index
     }
+}
+
+/// Writes `bytes` to a peer daemon's connection: one dial attempt cycle,
+/// then one redial after a stale-connection write failure (the peer may
+/// have restarted between writes), which sends them again whole.  Whether
+/// they were written.
+fn write_to(
+    peer: &mut Option<Box<dyn Write>>,
+    bytes: &[u8],
+    dial: impl Fn() -> Option<Box<dyn Write>>,
+) -> bool {
+    for _ in 0..2 {
+        if peer.is_none() {
+            *peer = dial();
+        }
+        let Some(stream) = peer.as_mut() else {
+            return false;
+        };
+        if stream.write_all(bytes).is_ok() {
+            return true;
+        }
+        *peer = None;
+    }
+    false
 }
 
 /// Dials a peer daemon and sends the identifying preamble.

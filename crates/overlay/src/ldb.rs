@@ -7,10 +7,11 @@
 //!
 //! Definition 2 *is* a sorted cycle, so the sort is all there is to build:
 //! a node's `pred`/`succ` are the entries beside it in label order and its
-//! siblings are its process's other two entries.  It is one sort of n: the
-//! left and right maps `m ↦ m/2` and `m ↦ (m+1)/2` are monotone, so once
-//! the middle labels are sorted the left and right labels are two more
-//! sorted runs, and a run-aware sort merges the three.  The topology indexes
+//! siblings are its process's other two entries.  It is one sort of n and
+//! one merge: the left and right maps `m ↦ m/2` and `m ↦ (m+1)/2` are
+//! monotone, so once the middle labels are sorted the left labels followed
+//! by the right ones are a second sorted run, and merging the two writes
+//! the cycle and its index in one pass.  The topology indexes
 //! the cycle by position — the process list ascending, and beside each
 //! process the three places its nodes took in the sort — so the views come
 //! out in process order, four reads of the cycle each (the node, its
@@ -99,30 +100,29 @@ impl Topology {
         // number orders like its vid and `(label, number)` sorts like the
         // cycle's `(label, vid)` — on keys two thirds the size.  A middle
         // node's number is three times its process's index, plus one.
-        let mut keys = Vec::with_capacity(nodes as usize);
-        for (&p, number) in processes.iter().zip((1..nodes).step_by(3)) {
-            keys.push((hasher.process_label(p), number));
-        }
-        sort_cycle(&mut keys);
-        Ok(Self::from_cycle(processes, &keys))
+        let mut middles: Vec<(Label, u32)> = processes
+            .iter()
+            .zip((1..nodes).step_by(3))
+            .map(|(&p, number)| (hasher.process_label(p), number))
+            .collect();
+        middles.sort_unstable();
+        Ok(Self::from_cycle(processes, cycle(&middles)))
     }
 
-    /// The topology of `processes` (ascending) from its cycle's sorted
-    /// `(label, number)` keys.
-    fn from_cycle(processes: Vec<ProcessId>, keys: &[(Label, u32)]) -> Self {
+    /// The topology of `processes` (ascending) from its cycle's
+    /// `(label, number)` keys in order, written straight into the cycle and
+    /// the positional index as they come.
+    fn from_cycle(processes: Vec<ProcessId>, keys: impl Iterator<Item = (Label, u32)>) -> Self {
         let mut rank = vec![[0u32; 3]; processes.len()];
-        let sorted = keys
-            .iter()
-            .zip(0u32..)
-            .map(|(&(label, number), position)| {
-                let (process, kind) = (number as usize / 3, number as usize % 3);
-                rank[process][kind] = position;
-                VirtualNodeInfo {
-                    vid: VirtualId::new(processes[process], VKind::from_index(kind)),
-                    label,
-                }
-            })
-            .collect();
+        let mut sorted = Vec::with_capacity(3 * processes.len());
+        sorted.extend(keys.zip(0u32..).map(|((label, number), position)| {
+            let (process, kind) = (number as usize / 3, number as usize % 3);
+            rank[process][kind] = position;
+            VirtualNodeInfo {
+                vid: VirtualId::new(processes[process], VKind::from_index(kind)),
+                label,
+            }
+        }));
         Topology {
             sorted,
             processes,
@@ -197,26 +197,65 @@ impl Topology {
     }
 }
 
-/// Extends the middles' `(label, number)` keys — one per process, a middle
-/// node's number one above its left node's — by their left and right nodes'
-/// keys and sorts all of them into the cycle's order.  Only the middles
-/// take a full sort: halving is monotone, so the left keys laid out in the
-/// middles' order are an ascending run (up to ties of two middles `2k`,
-/// `2k + 1`, which share a half), and the right keys — every one above
-/// every left — continue it.  The standard library's stable sort finds
-/// those runs and merges them; it compares whole keys, so ties come out in
-/// number order.
-fn sort_cycle(keys: &mut Vec<(Label, u32)>) {
-    keys.sort_unstable();
-    let middles = keys.len();
-    for kind in [VKind::Left, VKind::Right] {
-        for i in 0..middles {
-            let (middle, number) = keys[i];
-            let number = number + kind.index() as u32 - 1;
-            keys.push((kind.label_from_middle(middle), number));
-        }
+/// The cycle's `(label, number)` keys in order, from the middles' keys
+/// sorted — a middle node's number one above its left node's: one merge of
+/// two ascending runs, the middles and the halves ([`half_key`]).  It
+/// compares whole keys, so ties come out in number order.
+fn cycle(middles: &[(Label, u32)]) -> impl Iterator<Item = (Label, u32)> + '_ {
+    let n = middles.len();
+    // A run past its end reads as a key above every node's: a number is
+    // below 3n, which fits a `u32`.
+    let end = (Label(u64::MAX), u32::MAX);
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        (i + j < 3 * n).then(|| {
+            let middle = middles.get(i).copied().unwrap_or(end);
+            let half = if j < 2 * n { half_key(middles, j) } else { end };
+            let take_middle = middle < half;
+            i += usize::from(take_middle);
+            j += usize::from(!take_middle);
+            if take_middle {
+                middle
+            } else {
+                half
+            }
+        })
+    })
+}
+
+/// Key `j` of the halves run: the left keys `(m/2, number − 1)`, then the
+/// right keys `((m+1)/2, number + 1)`, each laid out in the sorted middles'
+/// order — ascending, because halving is monotone and every right label is
+/// above every left one.  Only middles that share a half (`2k` and `2k + 1`,
+/// or equal ones) give a group of equal labels, in an order their numbers
+/// need not follow, so the group's `r`-th key takes the number with `r`
+/// below it in the group.  That scans the group once per candidate, but a
+/// group needs two middles equal but for their last bit, which the hash
+/// does not produce.
+fn half_key(middles: &[(Label, u32)], j: usize) -> (Label, u32) {
+    let n = middles.len();
+    let (kind, i) = if j < n {
+        (VKind::Left, j)
+    } else {
+        (VKind::Right, j - n)
+    };
+    let (middle, mut number) = middles[i];
+    let shares_half = |k: &usize| middles[*k].0.half() == middle.half();
+    let start = (0..i).rev().take_while(shares_half).last().unwrap_or(i);
+    let end = (i + 1..n).take_while(shares_half).last().unwrap_or(i) + 1;
+    if end - start > 1 {
+        let group = &middles[start..end];
+        let below = |a: u32| group.iter().filter(|b| b.1 < a).count();
+        number = group
+            .iter()
+            .map(|key| key.1)
+            .find(|&a| below(a) == i - start)
+            .expect("numbers are distinct");
     }
-    keys.sort();
+    (
+        kind.label_from_middle(middle),
+        number + kind.index() as u32 - 1,
+    )
 }
 
 /// The global view of the cycle and the aggregation tree.  No node ever
@@ -634,7 +673,7 @@ mod tests {
     }
 
     /// Every middle's three keys, all of them sorted at once — the cycle
-    /// [`sort_cycle`] must produce from the middles alone.
+    /// [`cycle`] must produce from the middles alone.
     fn every_key_sorted(middles: &[(Label, u32)]) -> Vec<(Label, u32)> {
         let mut keys = Vec::new();
         for &(middle, number) in middles {
@@ -657,7 +696,7 @@ mod tests {
             .zip((1..).step_by(3))
             .map(|(&p, number)| (hasher.process_label(p), number))
             .collect();
-        Topology::from_cycle(processes, &every_key_sorted(&middles))
+        Topology::from_cycle(processes, every_key_sorted(&middles).into_iter())
     }
 
     /// Ties the hasher never produces: two equal middles, middles `2k` and
@@ -676,9 +715,9 @@ mod tests {
                     numbers.reverse();
                 }
                 numbers.rotate_left(rotation);
-                let middles: Vec<(Label, u32)> = labels.into_iter().zip(numbers).collect();
-                let mut keys = middles.clone();
-                sort_cycle(&mut keys);
+                let mut middles: Vec<(Label, u32)> = labels.into_iter().zip(numbers).collect();
+                middles.sort_unstable();
+                let keys: Vec<(Label, u32)> = cycle(&middles).collect();
                 assert_eq!(keys, every_key_sorted(&middles), "middles {middles:?}");
             }
         }
@@ -835,6 +874,28 @@ mod tests {
             prop_assert_eq!(&built.sorted, &reference.sorted);
             prop_assert_eq!(&built.rank, &reference.rank);
             prop_assert_eq!(&built.processes, &reference.processes);
+        }
+
+        /// Middles drawn from a handful of labels near 0, 2⁶³ and 2⁶⁴, so
+        /// that equal middles, middles sharing a half and middles equal to a
+        /// left or a right label all occur: random 64-bit hashes never tie.
+        #[test]
+        fn prop_cycle_orders_forced_ties_as_sorting_every_key(
+            draws in proptest::collection::vec((0u64..3, 0u64..6), 1..40),
+        ) {
+            let mut middles: Vec<(Label, u32)> = draws
+                .into_iter()
+                .map(|(region, offset)| match region {
+                    0 => offset,
+                    1 => (1 << 63) - 3 + offset,
+                    _ => u64::MAX - offset,
+                })
+                .zip((1..).step_by(3))
+                .map(|(raw, number)| (Label(raw), number))
+                .collect();
+            middles.sort_unstable();
+            let keys: Vec<(Label, u32)> = cycle(&middles).collect();
+            prop_assert_eq!(keys, every_key_sorted(&middles));
         }
 
         #[test]

@@ -41,11 +41,11 @@ pub enum DeliveryModel {
 }
 
 impl DeliveryModel {
-    /// Uniform asynchronous delivery with delays in `[1, max_delay]`.
+    /// Uniform asynchronous delivery with delays in `[1, max_delay]`; like
+    /// the struct literal, a `max_delay` of 0 is refused when a run is
+    /// built.
     pub fn uniform(max_delay: Round) -> Self {
-        DeliveryModel::UniformRandom {
-            max_delay: max_delay.max(1),
-        }
+        DeliveryModel::UniformRandom { max_delay }
     }
 
     /// Validates the parameters of the model.
@@ -124,14 +124,6 @@ mod tests {
             let d = model.draw_delay(&mut rng);
             assert!((1..=6).contains(&d));
         }
-    }
-
-    #[test]
-    fn uniform_constructor_clamps() {
-        assert_eq!(
-            DeliveryModel::uniform(0),
-            DeliveryModel::UniformRandom { max_delay: 1 }
-        );
     }
 
     #[test]

@@ -222,7 +222,7 @@ type Stage = fn(&OpSpan) -> Option<u64>;
 
 /// The five protocol stages plus the issue→completion total, in taxonomy
 /// order: each stage's name and the rounds a span spent in it.
-const STAGES: [(&str, Stage); 6] = [
+pub(crate) const STAGES: [(&str, Stage); 6] = [
     ("queue-wait", OpSpan::queue_wait),
     ("aggregation", OpSpan::aggregation),
     ("assignment", OpSpan::assignment),

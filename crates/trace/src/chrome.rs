@@ -18,7 +18,7 @@
 //!
 //! [Chrome trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::analysis::TraceAnalysis;
+use crate::analysis::{TraceAnalysis, STAGES};
 use crate::{TraceEvent, TraceLog};
 use std::fmt::Write as _;
 
@@ -80,15 +80,10 @@ pub fn export_chrome_trace(log: &TraceLog) -> String {
             s.major,
             s.hops.unwrap_or(0),
         );
-        for (name, rounds) in [
-            ("queue_wait", s.queue_wait()),
-            ("aggregation", s.aggregation()),
-            ("assignment", s.assignment()),
-            ("dht_routing", s.dht_routing()),
-            ("reply", s.reply()),
-        ] {
-            if let Some(r) = rounds {
-                let _ = write!(out, ",\"{name}\":{r}");
+        // The five stages, not the total, under JSON-style names.
+        for (name, stage) in &STAGES[..STAGES.len() - 1] {
+            if let Some(r) = stage(s) {
+                let _ = write!(out, ",\"{}\":{r}", name.replace('-', "_"));
             }
         }
         out.push_str("}}");
