@@ -30,13 +30,13 @@
 //! wheel 1.25 MiB, the lane inbox 1.32 MiB); the contents of the
 //! membership bookkeeping and the combining beyond their inline size; and
 //! the allocator's own overhead.  Nor are the words the simulator keeps
-//! per node beside the slot: the lane's slot→id `global_ids` and id→slot
-//! `local_slot`, one `u32` each — 8 B per node at one shard, ≈ 0.23 MiB on
-//! `sim_light` (28 B before the inbox's chain ends became per-turn scratch
-//! and the simulation's `(lane, slot)` table went).  On several shards each
-//! lane's `local_slot` is as long as its highest id, so `sim_heavy` keeps
-//! more.  `tests/lane_words_memory.rs` holds them with the rest of a built
-//! node's heap.  The crate forbids `unsafe`, so no counting
+//! per node beside the slot: the lane's slot→id `global_ids` and the
+//! simulation's one id→slot `SlotIndex`, one `u32` each — 8 B per node on
+//! any number of shards, ≈ 0.23 MiB on `sim_light` (28 B before the inbox's
+//! chain ends became per-turn scratch and the simulation's `(lane, slot)`
+//! table went; on eight shards more, while each lane kept an id→slot map as
+//! long as its highest id).  `tests/lane_words_memory.rs` holds them with
+//! the rest of a built node's heap.  The crate forbids `unsafe`, so no counting
 //! allocator finds the live heap's peak here; the census's own sum peaks
 //! near it (on `sim_heavy` at round 158, where a counting allocator put the
 //! live heap's peak at round 159 before the work state was split).  Most of

@@ -72,6 +72,7 @@ pub mod metrics;
 pub mod replay;
 mod rng;
 mod scheduler;
+mod slot_index;
 mod transport;
 
 pub use actor::{Actor, Context};

@@ -21,9 +21,12 @@
 //! the shuffled visit order — lives in its fabric too, behind the two hooks
 //! [`Transport::visit_begins`] and [`Transport::order_visits`].
 //!
-//! [`Simulation`] owns the simulation's lanes and the clock.  One call to
-//! [`Simulation::run_round`] executes one round of the paper's model, which
-//! is `step(true)` on every lane: every round is a sweep.
+//! The host of a lane keeps the id→slot index: a [`Lane`] is one lane
+//! hosted on its own (a daemon's), with its own index, and a [`Simulation`]
+//! keeps one index for all its lanes.  [`Simulation`] owns the simulation's
+//! lanes and the clock.  One call to [`Simulation::run_round`] executes one
+//! round of the paper's model, which is `step(true)` on every lane: every
+//! round is a sweep.
 //!
 //! Determinism: for a fixed seed, configuration and sequence of driver calls,
 //! a run is bit-for-bit reproducible.  Nodes are processed in index order
@@ -67,12 +70,13 @@
 //!   scan is over bit words, so 64 quiescent nodes cost one word-load.
 //! * A node owns **no inbox**: the turn's due messages sit in one lane-level
 //!   buffer, chained per destination (see `Inbox`).  Beside its slot a node
-//!   costs the lane two `u32` words — its id→slot and slot→id entries — and
-//!   no allocation; the chains' heads are per-turn scratch, one per woken
-//!   node.  (The id→slot map is as long as the lane's highest id, so a lane
-//!   of a multi-lane simulation, or a daemon hosting a high pid, keeps more
-//!   than that.)  The inbox, the wake list and the actor outbox are
-//!   **scratch buffers** owned by the lane and reused across turns.
+//!   costs two `u32` words and no allocation: its lane's slot→id entry and
+//!   its entry in the host's id→slot [`SlotIndex`], one for all the host's
+//!   lanes; the chains' heads are per-turn scratch, one per woken node.
+//!   (The index is as long as the host's highest id: the simulation's ids
+//!   are dense, but a daemon hosting a high pid keeps more.)  The inbox,
+//!   the wake list and the actor outbox are **scratch buffers** owned by
+//!   the lane and reused across turns.
 //! * No per-turn sorting: the fabric hands messages over in send order, and
 //!   the turn chains them back to front, so a node's chain is in send
 //!   order.  (A multi-lane simulation's report drain does sort by node id —
@@ -85,15 +89,13 @@ use crate::error::SimError;
 use crate::ids::NodeId;
 use crate::metrics::{Histogram, SimMetrics};
 use crate::rng::{splitmix64, SimRng};
+use crate::slot_index::{SlotIndex, MAX_LANES};
 use crate::transport::{SimTransport, Transport};
 use crate::Round;
 use skueue_trace::{TraceLog, TraceRecord};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Marker in a lane's id→slot map for "not one of my nodes".
-const NOT_LOCAL: u32 = u32::MAX;
 
 /// End-of-chain marker in a lane's [`Inbox`].
 const END: u32 = u32::MAX;
@@ -168,26 +170,21 @@ fn thread_token() -> u64 {
 }
 
 /// A set of nodes, the fabric their messages travel on, and the visit loop
-/// that advances them one turn at a time (see the module docs).
-///
-/// The simulation runs one lane per anchor shard over [`SimTransport`]; a
-/// `skueue-node` daemon runs one over its TCP fabric and decides itself when
-/// a turn sweeps (its timer deadline).  Both report through the lane's
-/// [`Context`]: the samples, trace events and records of every node land in
-/// the lane's sinks ([`Self::observed`], [`Self::drain_trace`],
-/// [`Self::drain_reports`]).
-pub struct Lane<A: Actor, F> {
+/// that advances them one turn at a time (see the module docs): one lane of
+/// a host, which keeps the [`SlotIndex`] of all its lanes and hands it to
+/// every call that takes a node id.  A lane resolves an id only if its
+/// entry names the lane.
+struct LaneCore<A: Actor, F> {
     /// The lane's message fabric.  The lane calls it statically — no
     /// hot-loop indirection.
     fabric: F,
+    /// This lane's number in its host's index.
+    number: u32,
     /// Turns taken so far: the `round` every context of this lane reads.
     turn: Round,
     nodes: Vec<A>,
     /// Lane slot → node id.
     global_ids: Vec<u32>,
-    /// Node id → lane slot (`NOT_LOCAL` for nodes of other lanes), as long
-    /// as this lane's highest id: the only id-indexed table of the lane.
-    local_slot: Vec<u32>,
     /// The slots' wake state, 64 to a word.
     words: Vec<Word>,
     /// The lane slots visited by the current turn, in visit order.
@@ -208,19 +205,19 @@ pub struct Lane<A: Actor, F> {
     delta_busy_ns: u64,
 }
 
-impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
-    /// An empty lane over `fabric`, at turn 0, with a sample, a trace and a
-    /// report sink.
-    pub fn new(fabric: F) -> Self {
+impl<A: Actor, F: Transport<A::Msg>> LaneCore<A, F> {
+    /// An empty lane `number` over `fabric`, at turn 0, with a sample, a
+    /// trace and a report sink.
+    fn new(fabric: F, number: u32) -> Self {
         let mut ctx = Context::new(NodeId(0), 0);
         ctx.samples = Some(Vec::new());
         ctx.traces = Some(Vec::new());
-        Lane {
+        LaneCore {
             fabric,
+            number,
             turn: 0,
             nodes: Vec::new(),
             global_ids: Vec::new(),
-            local_slot: Vec::new(),
             words: Vec::new(),
             wake_order: Vec::new(),
             inbox: Inbox {
@@ -235,72 +232,35 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         }
     }
 
-    /// The lane's fabric.
-    pub fn fabric(&self) -> &F {
-        &self.fabric
-    }
-
-    /// The lane's fabric, mutably: a host hands it the messages that
-    /// arrive from outside the lane.
-    pub fn fabric_mut(&mut self) -> &mut F {
-        &mut self.fabric
-    }
-
     /// Pre-sizes the lane for `nodes` more nodes (capacity hint only).
     /// Node slots are large (the actor is stored inline), so growing the
     /// slot vector by doubling costs a multi-megabyte memcpy per step once
     /// several lanes interleave their allocations; a bulk build that knows
-    /// its lane sizes up front reserves once and never reallocates.  The
-    /// id→slot map is reserved for `nodes` more ids too: exactly its final
-    /// length when the lane hosts every id of a simulation, as one lane
-    /// does.
+    /// its lane sizes up front reserves once and never reallocates.
     fn reserve_nodes(&mut self, nodes: usize) {
         self.nodes.reserve(nodes);
         self.global_ids.reserve(nodes);
-        self.local_slot.reserve(nodes);
         let words = (self.nodes.len() + nodes).div_ceil(64);
         self.words.reserve(words - self.words.len());
     }
 
-    /// Starts hosting `actor` as node `id`.  It is visited when a message
-    /// for it arrives, or by a sweep if it wants its `TIMEOUT`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` does not fit the lane's `u32` words.
-    pub fn add_node(&mut self, id: NodeId, actor: A) {
+    /// See [`Lane::add_node`]; the node's entry goes to `index`.
+    fn add_node(&mut self, index: &mut SlotIndex, id: NodeId, actor: A) {
         let id32 = u32::try_from(id.0)
             .unwrap_or_else(|_| panic!("node id {} does not fit the lane's u32 words", id.0));
         let slot = self.nodes.len();
+        index.insert(id, self.number, slot);
         if slot / 64 >= self.words.len() {
             self.words.push(Word::default());
         }
         self.nodes.push(actor);
         self.global_ids.push(id32);
-        if self.local_slot.len() <= id.index() {
-            self.local_slot.resize(id.index() + 1, NOT_LOCAL);
-        }
-        self.local_slot[id.index()] = slot as u32;
         self.refresh_flag(slot);
     }
 
-    /// The lane slot of a global node id, if the node lives in this lane.
-    #[inline]
-    fn slot_of(&self, id: NodeId) -> Option<usize> {
-        match self.local_slot.get(id.index()) {
-            Some(&slot) if slot != NOT_LOCAL => Some(slot as usize),
-            _ => None,
-        }
-    }
-
     /// Node `id`, if it lives in this lane.
-    pub fn node(&self, id: NodeId) -> Option<&A> {
-        self.slot_of(id).map(|slot| &self.nodes[slot])
-    }
-
-    /// The lane's nodes, in the order they were added.
-    pub fn nodes(&self) -> impl Iterator<Item = &A> {
-        self.nodes.iter()
+    fn node(&self, index: &SlotIndex, id: NodeId) -> Option<&A> {
+        index.slot_in(id, self.number).map(|slot| &self.nodes[slot])
     }
 
     /// Re-derives slot `slot`'s wake-flag bit from its current state and
@@ -326,17 +286,15 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
             .then(|| (word.before + (word.woken & (bit - 1)).count_ones()) as usize)
     }
 
-    /// Whether some node of the lane wants its `TIMEOUT`: a host that
-    /// sweeps on a timer arms it then.
-    pub fn wants_timeout(&self) -> bool {
-        self.words.iter().any(|word| word.timeout != 0)
-    }
-
-    /// Hands a message from outside the lane to its fabric, as if a node of
-    /// the lane had sent it.  `to` must be a node of the lane or one the
-    /// fabric reaches elsewhere ([`Transport::is_remote`]).
-    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
-        if self.slot_of(to).is_none() && !self.fabric.is_remote(to) {
+    /// See [`Lane::inject`].
+    fn inject(
+        &mut self,
+        index: &SlotIndex,
+        from: NodeId,
+        to: NodeId,
+        msg: A::Msg,
+    ) -> Result<(), SimError> {
+        if index.slot_in(to, self.number).is_none() && !self.fabric.is_remote(to) {
             return Err(SimError::UnknownNode(to));
         }
         self.fabric.send(from, to, msg);
@@ -344,23 +302,16 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         Ok(())
     }
 
-    /// Hands a message a node of the lane sent to the fabric.
+    /// Posts everything the invocation that just ended sent from `from`.
     ///
     /// # Panics
     ///
-    /// Panics when `to` is neither a node of this lane nor remote: a
-    /// simulation lane is closed (each runs its turn without looking at
-    /// another), so such a send is a bug in the actor or in the driver's
-    /// lane assignment.
-    fn post(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
-        if self.inject(from, to, msg).is_err() {
-            panic!("{from} sent to {to}, which is not in its lane");
-        }
-    }
-
-    /// Posts everything the invocation that just ended sent from `from`.
+    /// Panics when a destination is neither a node of this lane nor
+    /// remote: a simulation lane is closed (each runs its turn without
+    /// looking at another), so such a send is a bug in the actor or in the
+    /// driver's lane assignment.
     #[inline]
-    fn post_outbox(&mut self, from: NodeId) {
+    fn post_outbox(&mut self, index: &SlotIndex, from: NodeId) {
         if self.ctx.outbox.is_empty() {
             return;
         }
@@ -368,28 +319,24 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         // its capacity is reused.
         let mut outbox = std::mem::take(&mut self.ctx.outbox);
         for (to, msg) in outbox.drain(..) {
-            self.post(from, to, msg);
+            if self.inject(index, from, to, msg).is_err() {
+                panic!("{from} sent to {to}, which is not in its lane");
+            }
         }
         self.ctx.outbox = outbox;
     }
 
-    /// Runs a driver-side action of node `id` in the lane's [`Context`] and
-    /// returns its result (`None` if `id` is not in this lane).  Such
-    /// actions are *local* operations of the emulating process — generating
-    /// a queue request, asking a node to leave — not messages of the
-    /// paper's model.  What the action sends is posted,
-    /// what it records goes to the lane's sinks, and the node's wake flag is
-    /// re-derived: a node the action leaves wanting its `TIMEOUT` is visited
-    /// in the next turn, sweep or not.
-    pub fn act<R>(
+    /// See [`Lane::act`].
+    fn act<R>(
         &mut self,
+        index: &SlotIndex,
         id: NodeId,
         action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
     ) -> Option<R> {
-        let slot = self.slot_of(id)?;
+        let slot = index.slot_in(id, self.number)?;
         self.ctx.rearm(id, self.turn);
         let result = action(&mut self.nodes[slot], &mut self.ctx);
-        self.post_outbox(id);
+        self.post_outbox(index, id);
         if self.refresh_flag(slot) {
             self.words[slot / 64].acted |= 1u64 << (slot % 64);
         }
@@ -400,7 +347,7 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     /// fires its timeout, posts everything it sent, and re-derives its wake
     /// flag: the one visit of the workspace.
     #[inline]
-    fn visit_node(&mut self, slot: usize) {
+    fn visit_node(&mut self, index: &SlotIndex, slot: usize) {
         let self_id = NodeId(self.global_ids[slot].into());
         self.fabric.visit_begins();
         self.ctx.rearm(self_id, self.turn);
@@ -414,35 +361,31 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         }
         node.on_timeout(&mut self.ctx);
         self.metrics.timeouts_fired += 1;
-        self.post_outbox(self_id);
+        self.post_outbox(index, self_id);
         self.refresh_flag(slot);
     }
 
-    /// Takes one turn (see the module docs) and returns the number of
-    /// messages it delivered.  `sweep` visits every node that wants its
-    /// `TIMEOUT`; without it only the nodes that received something, and
-    /// those a driver action left wanting it, are visited.
-    pub fn step(&mut self, sweep: bool) -> usize {
+    /// See [`Lane::step`].
+    fn step(&mut self, index: &SlotIndex, sweep: bool) -> usize {
         let started = Instant::now();
         self.turn += 1;
 
         // Move this turn's due envelopes into the lane's inbox, marking
         // each destination slot as one a message arrived for.  The fabric
         // hands them over in send order.
-        let Lane {
+        let LaneCore {
             fabric,
             turn,
             inbox,
-            local_slot,
             words,
             ..
         } = self;
         inbox.due.clear();
         inbox.links.clear();
         let delivered = fabric.take_due(*turn, |env| {
-            let slot = local_slot[env.to.index()];
-            words[slot as usize / 64].arrived |= 1u64 << (slot % 64);
-            inbox.links.push(slot);
+            let slot = index.slot(env.to);
+            words[slot / 64].arrived |= 1u64 << (slot % 64);
+            inbox.links.push(slot as u32);
             inbox.due.push(Due {
                 from: env.from,
                 msg: Some(env.payload),
@@ -482,7 +425,7 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         let mut wake = std::mem::take(&mut self.wake_order);
         self.fabric.order_visits(&mut wake);
         for &slot in &wake {
-            self.visit_node(slot);
+            self.visit_node(index, slot);
         }
         self.wake_order = wake;
 
@@ -495,26 +438,146 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
         delivered
     }
 
-    /// The nodes the most recent [`Self::step`] visited, in visit order.
-    pub fn visited(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// See [`Lane::visited`].
+    fn visited(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.wake_order
             .iter()
             .map(|&slot| NodeId(self.global_ids[slot].into()))
     }
 
-    /// Every sample the lane's nodes reported under `series` (see
-    /// [`Context::observe`]); empty for a series nobody reported to.
-    pub fn observed(&self, series: usize) -> Histogram {
+    /// See [`Lane::observed`].
+    fn observed(&self, series: usize) -> Histogram {
         let sink = self.ctx.samples.as_ref();
         sink.and_then(|s| s.get(series))
             .cloned()
             .unwrap_or_default()
     }
 
+    /// See [`Lane::drain_trace`].
+    fn drain_trace(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
+        self.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..))
+    }
+
+    /// See [`Lane::drain_reports`].
+    fn drain_reports<R: Send + 'static>(&mut self) -> std::vec::Drain<'_, (NodeId, R)> {
+        self.ctx.reports().drain(..)
+    }
+}
+
+/// A lane hosted on its own: a set of nodes, the fabric their messages
+/// travel on, the visit loop that advances them one turn at a time (see the
+/// module docs) and the lane's own id→slot index.
+///
+/// A `skueue-node` daemon runs one over its TCP fabric and decides itself
+/// when a turn sweeps (its timer deadline).  The simulation runs the same
+/// visit loop, one lane per anchor shard over [`SimTransport`], all of its
+/// lanes over its one index.  Both report through the lane's [`Context`]:
+/// the samples, trace events and records of every node land in the lane's
+/// sinks ([`Self::observed`], [`Self::drain_trace`],
+/// [`Self::drain_reports`]).
+pub struct Lane<A: Actor, F> {
+    core: LaneCore<A, F>,
+    index: SlotIndex,
+}
+
+impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
+    /// An empty lane over `fabric`, at turn 0, with a sample, a trace and a
+    /// report sink.
+    pub fn new(fabric: F) -> Self {
+        Lane {
+            core: LaneCore::new(fabric, 0),
+            index: SlotIndex::default(),
+        }
+    }
+
+    /// The lane's fabric.
+    pub fn fabric(&self) -> &F {
+        &self.core.fabric
+    }
+
+    /// The lane's fabric, mutably: a host hands it the messages that
+    /// arrive from outside the lane.
+    pub fn fabric_mut(&mut self) -> &mut F {
+        &mut self.core.fabric
+    }
+
+    /// Starts hosting `actor` as node `id`.  It is visited when a message
+    /// for it arrives, or by a sweep if it wants its `TIMEOUT`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` does not fit the lane's `u32` words.
+    pub fn add_node(&mut self, id: NodeId, actor: A) {
+        self.core.add_node(&mut self.index, id, actor);
+    }
+
+    /// Node `id`, if it lives in this lane.
+    pub fn node(&self, id: NodeId) -> Option<&A> {
+        self.core.node(&self.index, id)
+    }
+
+    /// The lane's nodes, in the order they were added.
+    pub fn nodes(&self) -> impl Iterator<Item = &A> {
+        self.core.nodes.iter()
+    }
+
+    /// Whether some node of the lane wants its `TIMEOUT`: a host that
+    /// sweeps on a timer arms it then.
+    pub fn wants_timeout(&self) -> bool {
+        self.core.words.iter().any(|word| word.timeout != 0)
+    }
+
+    /// Hands a message from outside the lane to its fabric, as if a node of
+    /// the lane had sent it.  `to` must be a node of the lane or one the
+    /// fabric reaches elsewhere ([`Transport::is_remote`]).
+    pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
+        self.core.inject(&self.index, from, to, msg)
+    }
+
+    /// Runs a driver-side action of node `id` in the lane's [`Context`] and
+    /// returns its result (`None` if `id` is not in this lane).  Such
+    /// actions are *local* operations of the emulating process — generating
+    /// a queue request, asking a node to leave — not messages of the
+    /// paper's model.  What the action sends is posted,
+    /// what it records goes to the lane's sinks, and the node's wake flag is
+    /// re-derived: a node the action leaves wanting its `TIMEOUT` is visited
+    /// in the next turn, sweep or not.
+    pub fn act<R>(
+        &mut self,
+        id: NodeId,
+        action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
+    ) -> Option<R> {
+        self.core.act(&self.index, id, action)
+    }
+
+    /// Takes one turn (see the module docs) and returns the number of
+    /// messages it delivered.  `sweep` visits every node that wants its
+    /// `TIMEOUT`; without it only the nodes that received something, and
+    /// those a driver action left wanting it, are visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a node sends to a node that is neither in the lane nor
+    /// remote ([`Transport::is_remote`]), naming both.
+    pub fn step(&mut self, sweep: bool) -> usize {
+        self.core.step(&self.index, sweep)
+    }
+
+    /// The nodes the most recent [`Self::step`] visited, in visit order.
+    pub fn visited(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.core.visited()
+    }
+
+    /// Every sample the lane's nodes reported under `series` (see
+    /// [`Context::observe`]); empty for a series nobody reported to.
+    pub fn observed(&self, series: usize) -> Histogram {
+        self.core.observed(series)
+    }
+
     /// Takes the trace events the lane's nodes recorded since the last
     /// call, in the order they were recorded (see [`Context::trace`]).
     pub fn drain_trace(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
-        self.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..))
+        self.core.drain_trace()
     }
 
     /// Takes the records the lane's nodes reported since the last call, in
@@ -525,12 +588,12 @@ impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
     ///
     /// Panics when the nodes reported records of another type.
     pub fn drain_reports<R: Send + 'static>(&mut self) -> std::vec::Drain<'_, (NodeId, R)> {
-        self.ctx.reports().drain(..)
+        self.core.drain_reports()
     }
 }
 
 /// A lane of the simulation: its fabric is the deterministic delivery wheel.
-type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
+type SimLane<A> = LaneCore<A, SimTransport<<A as Actor>::Msg>>;
 
 /// A deterministic discrete-round message-passing simulation.
 ///
@@ -539,12 +602,15 @@ type SimLane<A> = Lane<A, SimTransport<<A as Actor>::Msg>>;
 /// from the lanes' report sinks ([`Self::drain_reports`]); it never needs
 /// to know which nodes a round visited.
 ///
-/// Node ids are dense: the next id is the number of nodes so far.  An id's
-/// lane is found by asking the lanes' id maps in turn — a driver call costs
-/// O(lanes), and nothing per message does.
+/// Node ids are dense: the next id is the number of nodes so far.  One
+/// `SlotIndex` holds every id's lane and slot, one `u32` an id, whatever
+/// the lane count: a driver call reads an id's lane from its entry, and a
+/// delivered message its slot.
 pub struct Simulation<A: Actor> {
     config: SimConfig,
     lanes: Vec<SimLane<A>>,
+    /// Where each node lives, for every lane.
+    index: SlotIndex,
     round: Round,
     metrics: SimMetrics,
     /// The thread count asked for ([`Self::enable_parallel`]), uncapped:
@@ -565,7 +631,11 @@ fn sim_lane<A: Actor>(config: &SimConfig, lane: usize) -> SimLane<A> {
             .wrapping_add((lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         splitmix64(&mut s)
     };
-    Lane::new(SimTransport::new(config.delivery, SimRng::new(seed)))
+    let number = u32::try_from(lane).expect("at most MAX_LANES lanes");
+    LaneCore::new(
+        SimTransport::new(config.delivery, SimRng::new(seed)),
+        number,
+    )
 }
 
 impl<A: Actor> Simulation<A> {
@@ -577,6 +647,7 @@ impl<A: Actor> Simulation<A> {
         Ok(Simulation {
             config,
             lanes: vec![lane],
+            index: SlotIndex::default(),
             round: 0,
             metrics: SimMetrics::default(),
             threads: 1,
@@ -585,12 +656,18 @@ impl<A: Actor> Simulation<A> {
 
     /// Repartitions the (still empty) simulation into `count` lanes.  Lane 0
     /// keeps the historical RNG stream; every further lane gets its own
-    /// derived stream.  Must be called before any node is added.
+    /// derived stream.  Must be called before any node is added; at most
+    /// 256 lanes, the lanes one `SlotIndex` tells apart.
     pub fn configure_lanes(&mut self, count: usize) -> Result<(), SimError> {
         if count == 0 {
             return Err(SimError::InvalidConfig(
                 "a simulation needs at least one lane".into(),
             ));
+        }
+        if count > MAX_LANES {
+            return Err(SimError::InvalidConfig(format!(
+                "{count} lanes, at most {MAX_LANES}"
+            )));
         }
         if self.node_count() > 0 {
             return Err(SimError::InvalidConfig(
@@ -611,7 +688,8 @@ impl<A: Actor> Simulation<A> {
     /// limit).  Bulk builders that know the final lane population call this
     /// once per lane before the `add_node_in_lane` loop; actor slots are
     /// large, so skipping the doubling reallocations saves a multi-megabyte
-    /// memcpy per growth step on big clusters.
+    /// memcpy per growth step on big clusters.  The index is reserved for
+    /// every lane's room so far.
     pub fn reserve_nodes_in_lane(&mut self, lane: usize, nodes: usize) {
         assert!(
             lane < self.lanes.len(),
@@ -619,6 +697,11 @@ impl<A: Actor> Simulation<A> {
             self.lanes.len()
         );
         self.lanes[lane].reserve_nodes(nodes);
+        let room = self
+            .lanes
+            .iter()
+            .map(|l| l.nodes.capacity() - l.nodes.len());
+        self.index.reserve(room.sum());
     }
 
     /// Adds a node to the given lane and returns its (global) id.
@@ -634,18 +717,13 @@ impl<A: Actor> Simulation<A> {
             self.lanes.len()
         );
         let id = NodeId(self.node_count());
-        self.lanes[lane].add_node(id, actor);
+        self.lanes[lane].add_node(&mut self.index, id, actor);
         id
     }
 
-    /// Nodes added so far, over all lanes.
+    /// Nodes added so far, over all lanes: the ids are dense.
     fn node_count(&self) -> u64 {
-        self.lanes.iter().map(|lane| lane.nodes.len() as u64).sum()
-    }
-
-    /// The lane hosting node `id`: each lane's id map is asked in turn.
-    fn lane_of(&self, id: NodeId) -> Option<usize> {
-        self.lanes.iter().position(|l| l.slot_of(id).is_some())
+        self.index.len() as u64
     }
 
     /// Current round (0 before the first call to [`Self::run_round`]).
@@ -669,7 +747,8 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to an actor.
     pub fn node(&self, id: NodeId) -> Option<&A> {
-        self.lanes.iter().find_map(|lane| lane.node(id))
+        let lane = self.index.lane_of(id)?;
+        self.lanes[lane].node(&self.index, id)
     }
 
     /// Iterates over `(id, actor)` pairs in global id order.
@@ -688,10 +767,9 @@ impl<A: Actor> Simulation<A> {
         id: NodeId,
         action: impl FnOnce(&mut A, &mut Context<A::Msg>) -> R,
     ) -> Option<R> {
-        let lane = self.lane_of(id)?;
-        let lane = &mut self.lanes[lane];
+        let lane = &mut self.lanes[self.index.lane_of(id)?];
         let sent = lane.metrics.messages_sent;
-        let result = lane.act(id, action);
+        let result = lane.act(&self.index, id, action);
         if lane.metrics.messages_sent != sent {
             self.fold_counters();
         }
@@ -701,8 +779,8 @@ impl<A: Actor> Simulation<A> {
     /// Injects a message from the outside world (delivered like any other
     /// message, in the next round at the earliest).
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
-        let lane = self.lane_of(to).ok_or(SimError::UnknownNode(to))?;
-        self.lanes[lane].inject(from, to, msg)?;
+        let lane = self.index.lane_of(to).ok_or(SimError::UnknownNode(to))?;
+        self.lanes[lane].inject(&self.index, from, to, msg)?;
         self.fold_counters();
         Ok(())
     }
@@ -769,9 +847,10 @@ impl<A: Actor> Simulation<A> {
         for (l, lane) in self.lanes.iter_mut().enumerate() {
             groups[l % threads].push(lane);
         }
+        let index = &self.index;
         let step_group = |group: Vec<&mut SimLane<A>>| {
             for lane in group {
-                lane.step(true);
+                lane.step(index, true);
             }
         };
         let mut groups = groups.into_iter();
@@ -1406,6 +1485,58 @@ mod tests {
             Err(SimError::InvalidConfig(_))
         ));
         empty.configure_lanes(3).unwrap();
+    }
+
+    /// One index tells 256 lanes apart: a simulation takes that many, and
+    /// refuses one more.
+    #[test]
+    fn at_most_256_lanes_are_configured() {
+        let mut sim: Simulation<Recorder> = Simulation::new(SimConfig::synchronous(0)).unwrap();
+        assert!(matches!(
+            sim.configure_lanes(257),
+            Err(SimError::InvalidConfig(_))
+        ));
+        sim.configure_lanes(256).unwrap();
+        let last = sim.add_node_in_lane(255, Recorder::default());
+        assert!(sim.node(last).is_some());
+    }
+
+    /// The driver calls find a node of any lane through the one index: every
+    /// node of a three-lane simulation is read, acted on and reached by an
+    /// inject, which its own lane delivers.
+    #[test]
+    fn driver_calls_resolve_ids_of_every_lane() {
+        let mut sim = Simulation::new(SimConfig::synchronous(4)).unwrap();
+        sim.configure_lanes(3).unwrap();
+        let lanes = [1, 0, 2, 2, 1, 0, 0];
+        for (i, &lane) in lanes.iter().enumerate() {
+            sim.add_node_in_lane(lane, Recorder::default());
+            assert_eq!(sim.index.lane_of(NodeId(i as u64)), Some(lane));
+        }
+        for i in 0..lanes.len() as u64 {
+            let id = NodeId(i);
+            assert_eq!(sim.node(id).map(|node| node.got.len()), Some(0));
+            let acted = sim.act(id, |node, ctx| {
+                node.got.push((i, 0));
+                ctx.self_id()
+            });
+            assert_eq!(acted, Some(id));
+            sim.inject(NodeId(99), id, i as u32 + 1).unwrap();
+        }
+        sim.run_rounds(1);
+        for (i, &lane) in lanes.iter().enumerate() {
+            let id = NodeId(i as u64);
+            let expected = [(i as u64, 0), (99, i as u32 + 1)];
+            assert_eq!(sim.node(id).unwrap().got, expected, "node {i}");
+            assert!(sim.lanes[lane].visited().any(|seen| seen == id));
+        }
+        let unknown = NodeId(lanes.len() as u64);
+        assert!(sim.node(unknown).is_none());
+        assert_eq!(sim.act(unknown, |_, _| ()), None);
+        assert_eq!(
+            sim.inject(unknown, unknown, 0),
+            Err(SimError::UnknownNode(unknown))
+        );
     }
 
     /// Lanes are closed: the token's first hop is from node 0 (lane 0) to
