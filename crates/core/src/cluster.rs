@@ -487,7 +487,7 @@ impl<T: Payload> SkueueCluster<T> {
 
     /// The lifecycle-tracing level this cluster records at (set via
     /// [`SkueueBuilder::trace`]; [`TraceLevel::Off`] by default).
-    pub fn trace_level(&self) -> TraceLevel {
+    pub(crate) fn trace_level(&self) -> TraceLevel {
         self.shard_cfgs[0].trace_level
     }
 

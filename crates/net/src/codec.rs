@@ -30,7 +30,7 @@
 //!
 //! # What is written by hand, and why
 //!
-//! Thirteen impls are not a field walk and stay as code:
+//! Twelve impls are not a field walk and stay as code:
 //!
 //! * `u8`, `u32`, `u64`, `bool` — the format's atoms (`bool` refuses
 //!   anything but `0`/`1`);
@@ -39,7 +39,6 @@
 //!   input validation, not layout;
 //! * `Option<T>`, `Box<T>`, `(A, B)`, `(A, B, C)` — `std`'s containers,
 //!   generic over what they hold;
-//! * `VKind` — coded by its index, so the tag table is `VKind::ALL`;
 //! * `RouteProgress` — its bit count is private and validated through
 //!   `RouteProgress::from_parts` (a count beyond the label is refused);
 //! * `Batch` — its run lengths are private and built through
@@ -352,18 +351,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 // Types with private or validated state (by hand: see the module header).
 // ---------------------------------------------------------------------------
 
-impl Wire for VKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.index() as u8);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.take(1)?[0] {
-            i @ 0..=2 => Ok(VKind::from_index(i as usize)),
-            value => Err(DecodeError::BadDiscriminant { ty: "VKind", value }),
-        }
-    }
-}
-
 impl Wire for RouteProgress {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.target.encode(buf);
@@ -427,6 +414,7 @@ wire_struct! { <T> AbsorbPayload {
 wire_struct! { OrderKey { wave, shard, major, origin, minor } }
 wire_struct! { <T> OpRecord { id, kind, value, result, order, issued_round, completed_round } }
 
+wire_enum! { VKind { 0 => Left, 1 => Middle, 2 => Right } }
 wire_enum! { BatchOp { 0 => Enqueue, 1 => Dequeue } }
 wire_enum! { FirstRun { 0 => Enqueues, 1 => Dequeues } }
 wire_enum! { OpKind { 0 => Enqueue, 1 => Dequeue } }

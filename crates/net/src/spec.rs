@@ -28,10 +28,12 @@ use skueue_sim::ids::{NodeId, ProcessId};
 pub(crate) const DEFAULT_TICK_MS: u64 = 2;
 
 /// Every process id a daemon hosts is below this.  A hosted node's id
-/// `3p + kind` indexes its lane's slot map, 4 B per id up to the largest, so
-/// the limit bounds that map at 12 MiB (3 · 2²⁰ ids) whatever pid a frame
-/// names: a `JOIN` or `LEAVE` beyond it is refused, an inject dropped, and
-/// `--initial` may not exceed it.
+/// `3p + kind` indexes its lane's `SlotIndex`, 4 B per id up to the
+/// largest, so the limit bounds that index at 12 MiB (3 · 2²⁰ ids) whatever
+/// pid a frame names: a `JOIN` or `LEAVE` beyond it is refused, an inject
+/// dropped, and `--initial` may not exceed it.  (The bound holds because an
+/// index reserves exactly the room up to an id far beyond its highest, not
+/// twice that.)
 pub(crate) const PID_LIMIT: u64 = 1 << 20;
 
 /// Everything the service binaries must agree on to form one cluster.

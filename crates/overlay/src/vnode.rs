@@ -64,7 +64,7 @@ impl VKind {
 
     /// Inverse of [`Self::index`].
     #[inline]
-    pub fn from_index(i: usize) -> VKind {
+    pub(crate) fn from_index(i: usize) -> VKind {
         match i {
             0 => VKind::Left,
             1 => VKind::Middle,

@@ -62,10 +62,10 @@ pub struct Context<M> {
     round: Round,
     pub(crate) outbox: Vec<(NodeId, M)>,
     /// The host's sample sink, lent for the invocation (see
-    /// [`Self::observe`]); `None` when the host keeps none.
-    pub(crate) samples: Option<Vec<Histogram>>,
+    /// [`Self::observe`]): one distribution per series.
+    pub(crate) samples: Vec<Histogram>,
     /// The host's trace sink, lent the same way (see [`Self::trace`]).
-    pub(crate) traces: Option<Vec<TraceRecord>>,
+    pub(crate) traces: Vec<TraceRecord>,
     /// The host's report sink, lent the same way (see [`Self::report`]):
     /// a `Vec<(NodeId, R)>` once something used it, type-erased because
     /// the context is generic over the message type only.
@@ -76,16 +76,15 @@ pub struct Context<M> {
 }
 
 impl<M> Context<M> {
-    /// Creates a context for one invocation, with no sample or trace sink
-    /// (it keeps what is reported, see [`Self::reports`]).  Used by the
-    /// lanes and by unit tests of actors.
+    /// Creates a context for one invocation, with empty sample, trace and
+    /// report sinks.  Used by the lanes and by unit tests of actors.
     pub fn new(self_id: NodeId, round: Round) -> Self {
         Context {
             self_id,
             round,
             outbox: Vec::new(),
-            samples: None,
-            traces: None,
+            samples: Vec::new(),
+            traces: Vec::new(),
             reports: None,
             staged: Vec::new(),
         }
@@ -137,15 +136,13 @@ impl<M> Context<M> {
     /// its host instead of keeping a histogram of its own: a lane keeps one
     /// per series ([`crate::Lane::observed`], summed over the lanes by
     /// [`crate::Simulation::observed`]), and a node owns no statistics
-    /// storage at all.  A context without a sink drops the sample.
+    /// storage at all.
     #[inline]
     pub fn observe(&mut self, series: usize, sample: u64) {
-        if let Some(sink) = &mut self.samples {
-            if sink.len() <= series {
-                sink.resize_with(series + 1, Histogram::default);
-            }
-            sink[series].record(sample);
+        if self.samples.len() <= series {
+            self.samples.resize_with(series + 1, Histogram::default);
         }
+        self.samples[series].record(sample);
     }
 
     /// Records a lifecycle event of the executing node, filed under anchor
@@ -154,18 +151,16 @@ impl<M> Context<M> {
     /// Like samples, events go to the host rather than into a buffer of the
     /// node's own: a lane keeps one buffer ([`crate::Lane::drain_trace`]),
     /// which the simulation hands to the driver's `TraceLog` after every
-    /// round ([`crate::Simulation::run_round`]).  A context without a sink
-    /// drops the event; callers that trace conditionally check their level
-    /// first, so an untraced run never builds one.
+    /// round ([`crate::Simulation::run_round`]).  Callers that trace
+    /// conditionally check their level first, so an untraced run never
+    /// builds an event.
     #[inline]
     pub fn trace(&mut self, shard: u32, event: TraceEvent) {
-        if let Some(sink) = &mut self.traces {
-            sink.push(TraceRecord {
-                node: self.self_id.0,
-                shard,
-                event,
-            });
-        }
+        self.traces.push(TraceRecord {
+            node: self.self_id.0,
+            shard,
+            event,
+        });
     }
 
     /// Reports `record`, something the executing node has finished for the
@@ -272,6 +267,26 @@ mod tests {
         ctx.report(8u64);
         assert_eq!(ctx.reports::<u64>(), &[(NodeId(4), 7), (NodeId(2), 8)]);
         ctx.report("a record of another type");
+    }
+
+    /// A bare context holds its sinks: what `observe` and `trace` hand it
+    /// is kept, under the executing node.
+    #[test]
+    fn a_bare_context_keeps_samples_and_trace_events() {
+        let mut ctx: Context<u32> = Context::new(NodeId(6), 3);
+        ctx.observe(2, 5);
+        ctx.observe(2, 9);
+        let event = TraceEvent::WaveAssigned { wave: 1, round: 3 };
+        ctx.trace(4, event);
+        assert_eq!(ctx.samples.len(), 3);
+        assert_eq!((ctx.samples[2].count(), ctx.samples[2].max()), (2, Some(9)));
+        assert_eq!(ctx.samples[0].count(), 0);
+        let record = TraceRecord {
+            node: 6,
+            shard: 4,
+            event,
+        };
+        assert_eq!(ctx.traces, [record]);
     }
 
     #[test]

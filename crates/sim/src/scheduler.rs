@@ -206,12 +206,9 @@ struct LaneCore<A: Actor, F> {
 }
 
 impl<A: Actor, F: Transport<A::Msg>> LaneCore<A, F> {
-    /// An empty lane `number` over `fabric`, at turn 0, with a sample, a
-    /// trace and a report sink.
+    /// An empty lane `number` over `fabric`, at turn 0; its context holds
+    /// the lane's sinks.
     fn new(fabric: F, number: u32) -> Self {
-        let mut ctx = Context::new(NodeId(0), 0);
-        ctx.samples = Some(Vec::new());
-        ctx.traces = Some(Vec::new());
         LaneCore {
             fabric,
             number,
@@ -225,7 +222,7 @@ impl<A: Actor, F: Transport<A::Msg>> LaneCore<A, F> {
                 links: Vec::new(),
                 heads: Vec::new(),
             },
-            ctx,
+            ctx: Context::new(NodeId(0), 0),
             metrics: LaneMetrics::default(),
             delta_delivered: 0,
             delta_busy_ns: 0,
@@ -447,15 +444,12 @@ impl<A: Actor, F: Transport<A::Msg>> LaneCore<A, F> {
 
     /// See [`Lane::observed`].
     fn observed(&self, series: usize) -> Histogram {
-        let sink = self.ctx.samples.as_ref();
-        sink.and_then(|s| s.get(series))
-            .cloned()
-            .unwrap_or_default()
+        self.ctx.samples.get(series).cloned().unwrap_or_default()
     }
 
     /// See [`Lane::drain_trace`].
     fn drain_trace(&mut self) -> impl Iterator<Item = TraceRecord> + '_ {
-        self.ctx.traces.iter_mut().flat_map(|sink| sink.drain(..))
+        self.ctx.traces.drain(..)
     }
 
     /// See [`Lane::drain_reports`].
@@ -481,8 +475,7 @@ pub struct Lane<A: Actor, F> {
 }
 
 impl<A: Actor, F: Transport<A::Msg>> Lane<A, F> {
-    /// An empty lane over `fabric`, at turn 0, with a sample, a trace and a
-    /// report sink.
+    /// An empty lane over `fabric`, at turn 0.
     pub fn new(fabric: F) -> Self {
         Lane {
             core: LaneCore::new(fabric, 0),

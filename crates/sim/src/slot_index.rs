@@ -25,6 +25,13 @@ const LANE_MASK: u32 = MAX_LANES as u32 - 1;
 /// would read as [`NOT_LOCAL`].
 const SLOT_LIMIT: usize = (1 << (u32::BITS - LANE_BITS)) - 1;
 
+/// Room an id beyond the highest reserves past the gap before it: its own
+/// entry and those of the ids a host adds with it (a daemon adds a joining
+/// process's three nodes in a row), so that the second of them does not
+/// double the index.  An index grown by doubling keeps that growth up to
+/// twice its capacity; a farther id gets exactly this room.
+const JUMP_ROOM: usize = 16;
+
 /// Node id → `(lane, slot)` of every node a host holds, one `u32` per id.
 #[derive(Default)]
 pub(crate) struct SlotIndex {
@@ -55,8 +62,14 @@ impl SlotIndex {
         match self.entries.get_mut(id.index()) {
             Some(held) => *held = entry,
             None => {
-                // The simulation's ids are dense: this resizes nothing.
-                self.entries.resize(id.index(), NOT_LOCAL);
+                // The simulation's ids are dense: they push into room
+                // reserved up front.  A daemon's far id reserves its gap
+                // first, so the fill does not double the index.
+                let gap = id.index() - self.entries.len();
+                if gap > 0 {
+                    self.entries.reserve(gap + JUMP_ROOM);
+                    self.entries.resize(id.index(), NOT_LOCAL);
+                }
                 self.entries.push(entry);
             }
         }
@@ -111,6 +124,28 @@ mod tests {
             assert_eq!(index.lane_of(unknown), None);
             assert!((0..MAX_LANES as u32).all(|lane| index.slot_in(unknown, lane).is_none()));
         }
+    }
+
+    /// An id far beyond the highest grows the index to the ids up to it,
+    /// not twice that, and the ids added right after it fit in that room.
+    #[test]
+    fn a_far_id_grows_the_index_to_its_size_only() {
+        let mut index = SlotIndex::default();
+        for id in 0..9 {
+            index.insert(NodeId(id), 0, id as usize);
+        }
+        let far = 3 * (1 << 20) - 1;
+        index.insert(NodeId(far), 0, 9);
+        assert_eq!(index.len(), far as usize + 1);
+        let capacity = index.entries.capacity();
+        assert!(
+            capacity < 2 * far as usize,
+            "capacity {capacity} for id {far}"
+        );
+        for (slot, id) in (far + 1..far + 3).enumerate() {
+            index.insert(NodeId(id), 0, 10 + slot);
+        }
+        assert_eq!(index.entries.capacity(), capacity);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! whose joins or leaves never finished, exits with code 1 once every
 //! experiment has printed its table.
 
-use skueue_core::{Mode, ProtocolConfig, StageStats, TraceLevel};
+use skueue_core::{Mode, ProtocolConfig, StageStats};
 use skueue_overlay::{
     recommended_bit_budget, route_step, Label, LabelHasher, LocalView, RouteAction, RouteProgress,
     Topology,
@@ -374,41 +374,49 @@ fn fig4(scale: &Scale, seed: u64) -> bool {
 }
 
 /// `trace --out <path>`: runs one fig2 point (queue, insert ratio 0.5, four
-/// anchor shards) at full tracing, checks that the Chrome trace-event export
-/// is valid JSON with one per-op slice per completed request, writes it to
+/// anchor shards) at full tracing, checks that the drained run left no
+/// orphan and no malformed span and that the Chrome trace-event export is
+/// valid JSON with one per-op slice per completed request, writes it to
 /// `path` (load it in Perfetto or `chrome://tracing` — see OBSERVABILITY.md)
 /// and prints the six-stage latency table.
 fn trace(scale: &Scale, seed: u64, path: &str) {
     let n = scale.trace_processes;
     println!("\n=== Trace export: fig2 n={n}, shards=4, trace=full ===");
-    let artifacts = run_fixed_rate_traced(
+    let cluster = run_fixed_rate_traced(
         ScenarioParams::fixed_rate(n, Mode::Queue, 0.5)
             .with_generation_rounds(scale.scaling_rounds())
             .with_seed(seed)
-            .with_shards(4)
-            .with_trace(TraceLevel::Full)
-            .without_verification(),
+            .with_shards(4),
     );
-    let result = &artifacts.result;
+    let requests = cluster.history().len();
+    // A drained cluster has no unmatched DHT reply, so every issued op
+    // reached its completion event and every span tree is well-formed.
+    let analysis = cluster.trace_analysis();
+    assert_eq!(
+        analysis.orphan_count(),
+        0,
+        "orphan trace spans at quiescence"
+    );
+    if let Some(violation) = analysis.shape_violation() {
+        panic!("malformed trace span: {violation}");
+    }
+    let chrome_json = cluster.export_chrome_trace();
     assert!(
-        validate_json(&artifacts.chrome_json),
+        validate_json(&chrome_json),
         "chrome trace export is not valid JSON"
     );
-    let slices = artifacts.chrome_json.matches("\"cat\":\"op\"").count() as u64;
-    assert_eq!(
-        slices, result.requests,
-        "one chrome slice per completed request"
-    );
-    if let Err(e) = std::fs::write(path, &artifacts.chrome_json) {
+    let slices = chrome_json.matches("\"cat\":\"op\"").count();
+    assert_eq!(slices, requests, "one chrome slice per completed request");
+    if let Err(e) = std::fs::write(path, &chrome_json) {
         eprintln!("error: cannot write {path}: {e}");
         std::process::exit(1);
     }
     println!(
-        "wrote {path}: {} events rendered, {slices} op slices ({} requests)",
-        result.trace_events, result.requests
+        "wrote {path}: {} events rendered, {slices} op slices ({requests} requests)",
+        cluster.trace_log().len()
     );
     println!("stage breakdown (rounds, nearest-rank):");
-    for (stage, stats) in &result.stage_latencies {
+    for (stage, stats) in &analysis.stage_table() {
         println!(
             "  {stage:<12} n={:<5} p50={:<5} p99={:<5} p999={:<5} max={}",
             stats.count, stats.p50, stats.p99, stats.p999, stats.max

@@ -30,9 +30,6 @@ pub struct ScenarioParams {
     /// Number of anchor shards (1 = the unsharded protocol; `> 1` verifies
     /// with the cross-shard checker against the merged order).
     pub shards: usize,
-    /// Per-op lifecycle tracing level (default [`TraceLevel::Off`]; tracing
-    /// is observation-only — it never changes the schedule).
-    pub trace_level: TraceLevel,
 }
 
 impl ScenarioParams {
@@ -48,7 +45,6 @@ impl ScenarioParams {
             seed: 0x5EED,
             verify: true,
             shards: 1,
-            trace_level: TraceLevel::Off,
         }
     }
 
@@ -63,7 +59,6 @@ impl ScenarioParams {
             seed: 0x5EED,
             verify: true,
             shards: 1,
-            trace_level: TraceLevel::Off,
         }
     }
 
@@ -92,20 +87,13 @@ impl ScenarioParams {
         self
     }
 
-    /// Enables per-op lifecycle tracing (see `SkueueBuilder::trace`;
-    /// observation-only, adds the stage-latency breakdown to the result).
-    pub fn with_trace(mut self, level: TraceLevel) -> Self {
-        self.trace_level = level;
-        self
-    }
-
-    fn build_cluster<T: Payload>(&self) -> SkueueCluster<T> {
+    fn build_cluster<T: Payload>(&self, trace: TraceLevel) -> SkueueCluster<T> {
         SkueueCluster::builder()
             .processes(self.processes)
             .mode(self.mode)
             .seed(self.seed)
             .shards(self.shards)
-            .trace(self.trace_level)
+            .trace(trace)
             .build()
             .expect("scenario parameters describe a valid cluster")
     }
@@ -155,13 +143,6 @@ pub struct ScenarioResult {
     pub p99_rounds: u64,
     /// 99.9th-percentile request latency in rounds.
     pub p999_rounds: u64,
-    /// Trace events recorded (0 with tracing off).
-    pub trace_events: u64,
-    /// Per-stage latency breakdown from the lifecycle trace, in
-    /// [`skueue_core::TraceAnalysis::stage_table`] order (queue-wait,
-    /// aggregation, assignment, dht-routing, reply, total); empty with
-    /// tracing off.
-    pub stage_latencies: Vec<(&'static str, skueue_core::StageStats)>,
 }
 
 fn finish<T: Payload>(
@@ -186,37 +167,6 @@ fn finish<T: Payload>(
     };
 
     let per_shard_waves = cluster.shard_wave_counts();
-
-    // At quiescence every DHT reply must have found its requester: a non-zero
-    // count here means a reply raced a departure and was silently dropped.
-    assert_eq!(
-        cluster.unmatched_dht_replies(),
-        0,
-        "unmatched DHT replies at quiescence"
-    );
-
-    // Companion invariant for the lifecycle trace: with no unmatched
-    // replies, a drained cluster must also have zero orphan spans (every
-    // issued op reached a completion event), and every span tree must be
-    // well-formed.
-    let (trace_events, stage_latencies) = if cluster.trace_level().is_off() {
-        (0, Vec::new())
-    } else {
-        let analysis = cluster.trace_analysis();
-        assert_eq!(
-            analysis.orphan_count(),
-            0,
-            "orphan trace spans at quiescence"
-        );
-        if let Some(violation) = analysis.shape_violation() {
-            panic!("malformed trace span: {violation}");
-        }
-        (
-            cluster.trace_log().len() as u64,
-            analysis.stage_table().to_vec(),
-        )
-    };
-
     let (p50_rounds, p99_rounds, p999_rounds) = history.latency_percentiles();
 
     ScenarioResult {
@@ -237,8 +187,6 @@ fn finish<T: Payload>(
         p50_rounds,
         p99_rounds,
         p999_rounds,
-        trace_events,
-        stage_latencies,
     }
 }
 
@@ -248,15 +196,16 @@ const FIXED_RATE: Rate = Rate::PerRound(10);
 /// Round budget for draining after generation stops.
 const DRAIN_BUDGET: u64 = 50_000;
 
-/// The one run under every rate scenario: builds the cluster, lets a
-/// generator at `rate` issue each generation round's requests (insert
-/// payloads from `mk`), drains, and measures.  The quiescent cluster comes
-/// back beside the result.
-fn run<T: Payload>(
+/// The one run under every rate scenario: builds the cluster at `trace`,
+/// lets a generator at `rate` issue each generation round's requests
+/// (insert payloads from `mk`) and drains.  Returns the quiescent cluster
+/// and the rounds the drain took.
+fn drive<T: Payload>(
     params: &ScenarioParams,
     rate: Rate,
+    trace: TraceLevel,
     mut mk: impl FnMut(u64) -> T,
-) -> (ScenarioResult, SkueueCluster<T>) {
+) -> (SkueueCluster<T>, u64) {
     let salt = match rate {
         Rate::PerRound(_) => 0xA5,
         Rate::PerProcess(_) => 0xC3,
@@ -267,7 +216,7 @@ fn run<T: Payload>(
         params.generation_rounds,
         params.seed ^ salt,
     );
-    let mut cluster = params.build_cluster::<T>();
+    let mut cluster = params.build_cluster::<T>(trace);
     for round in 0..params.generation_rounds {
         generator
             .tick(&mut cluster, round, &mut mk)
@@ -277,34 +226,38 @@ fn run<T: Payload>(
     let drain_rounds = cluster
         .run_until_all_complete(DRAIN_BUDGET)
         .expect("requests must drain within the budget");
-    (finish(&cluster, params, drain_rounds), cluster)
+    // At quiescence every DHT reply must have found its requester: a non-zero
+    // count here means a reply raced a departure and was silently dropped.
+    assert_eq!(
+        cluster.unmatched_dht_replies(),
+        0,
+        "unmatched DHT replies at quiescence"
+    );
+    (cluster, drain_rounds)
+}
+
+/// [`drive`] untraced, measured.
+fn run<T: Payload>(
+    params: &ScenarioParams,
+    rate: Rate,
+    mk: impl FnMut(u64) -> T,
+) -> ScenarioResult {
+    let (cluster, drain_rounds) = drive(params, rate, TraceLevel::Off, mk);
+    finish(&cluster, params, drain_rounds)
 }
 
 /// Runs one data point of the Figure 2 / Figure 3 workload: a fixed number of
 /// requests per round assigned to random processes.
 pub fn run_fixed_rate(params: ScenarioParams) -> ScenarioResult {
-    run(&params, FIXED_RATE, |c| c).0
+    run(&params, FIXED_RATE, |c| c)
 }
 
-/// What a traced fixed-rate run leaves behind beyond the scenario result.
-#[derive(Debug, Clone)]
-pub struct TracedRunArtifacts {
-    /// The scenario result (with the stage-latency breakdown populated).
-    pub result: ScenarioResult,
-    /// The deterministic Chrome trace-event export of the merged log
-    /// (byte-identical across thread counts for a given seed).
-    pub chrome_json: String,
-}
-
-/// Runs one fig2 data point and returns the result together with the
-/// Chrome-trace export of its lifecycle trace, at the params' tracing level
-/// (`experiments trace` runs [`TraceLevel::Full`]).
-pub fn run_fixed_rate_traced(params: ScenarioParams) -> TracedRunArtifacts {
-    let (result, cluster) = run(&params, FIXED_RATE, |c| c);
-    TracedRunArtifacts {
-        chrome_json: cluster.export_chrome_trace(),
-        result,
-    }
+/// Runs the params' Figure 2 schedule at [`TraceLevel::Full`] and returns
+/// the drained cluster, whose trace log, trace analysis and history the
+/// caller reads (`experiments trace`).  Tracing never changes the
+/// schedule; the history is not verified.
+pub fn run_fixed_rate_traced(params: ScenarioParams) -> SkueueCluster {
+    drive(&params, FIXED_RATE, TraceLevel::Full, |c| c).0
 }
 
 /// Runs one sharded fig2 point over a **`String` payload** queue — the
@@ -316,13 +269,13 @@ pub fn run_string_payload_fig2(processes: usize, shards: usize, seed: u64) -> Sc
     let params = ScenarioParams::fixed_rate(processes, Mode::Queue, 0.5)
         .with_seed(seed)
         .with_shards(shards);
-    run(&params, FIXED_RATE, |counter| format!("job-{counter:08}")).0
+    run(&params, FIXED_RATE, |counter| format!("job-{counter:08}"))
 }
 
 /// Runs one data point of the Figure 4 workload: every process generates a
 /// request with probability `request_probability` per round.
 pub fn run_per_node_rate(params: ScenarioParams) -> ScenarioResult {
-    run(&params, Rate::PerProcess(params.request_probability), |c| c).0
+    run(&params, Rate::PerProcess(params.request_probability), |c| c)
 }
 
 /// Result of a churn scenario (experiment E6, Theorem 17).
@@ -601,37 +554,32 @@ mod tests {
 
     #[test]
     fn traced_scenario_matches_untraced_and_reports_stage_latencies() {
-        // Tracing is observation-only: every schedule-derived metric must be
-        // identical with tracing on, and the traced run additionally carries
-        // the populated stage table.
+        // Tracing is observation-only: the traced run's history is the
+        // untraced run's, record for record, and its trace adds the stage
+        // table.
         let params = ScenarioParams::fixed_rate(24, Mode::Queue, 0.5)
             .with_generation_rounds(20)
             .with_seed(11)
             .with_shards(2);
-        let plain = run_fixed_rate(params);
-        let traced = run_fixed_rate(params.with_trace(TraceLevel::Full));
-        assert_eq!(plain.requests, traced.requests);
+        let (plain, _) = drive(&params, FIXED_RATE, TraceLevel::Off, |c| c);
+        let traced = run_fixed_rate_traced(params);
+        let history = traced.history();
+        assert_eq!(history.len(), 200);
         assert_eq!(
-            plain.avg_rounds_per_request, traced.avg_rounds_per_request,
+            plain.history().records(),
+            history.records(),
             "tracing must not change the schedule"
         );
-        assert_eq!(plain.drain_rounds, traced.drain_rounds);
-        assert_eq!(
-            (plain.p50_rounds, plain.p99_rounds, plain.p999_rounds),
-            (traced.p50_rounds, traced.p99_rounds, traced.p999_rounds),
-            "percentiles come from the history and must agree"
-        );
-        assert!(plain.p50_rounds > 0);
-        assert!(plain.p99_rounds >= plain.p50_rounds);
-        assert_eq!(plain.trace_events, 0);
-        assert!(plain.stage_latencies.is_empty());
-        assert!(traced.trace_events > 0);
-        assert_eq!(traced.stage_latencies.len(), 6);
+        assert!(plain.trace_log().is_empty());
+        assert!(!traced.trace_log().is_empty());
+        let stages = traced.trace_analysis().stage_table();
+        assert_eq!(stages.len(), 6);
         // The trace's total-stage percentiles are the history's percentiles.
-        let total = traced.stage_latencies.last().unwrap().1;
-        assert_eq!(total.count, traced.requests);
-        assert_eq!(total.p50, traced.p50_rounds);
-        assert_eq!(total.p99, traced.p99_rounds);
+        let total = stages.last().unwrap().1;
+        assert_eq!(total.count, history.len() as u64);
+        let (p50, p99, p999) = history.latency_percentiles();
+        assert!(p50 > 0);
+        assert_eq!((total.p50, total.p99, total.p999), (p50, p99, p999));
     }
 
     #[test]
@@ -667,7 +615,7 @@ mod tests {
             .with_generation_rounds(20)
             .with_seed(33)
             .with_shards(4);
-        let (strings, _) = run(&params, FIXED_RATE, |c| format!("job-{c:08}"));
+        let strings = run(&params, FIXED_RATE, |c| format!("job-{c:08}"));
         assert_eq!(strings.requests, 200);
         assert!(strings.consistent);
         assert_eq!(strings.shards, 4);
@@ -687,7 +635,7 @@ mod tests {
         let params = ScenarioParams::fixed_rate(12, Mode::Queue, 0.5)
             .with_generation_rounds(15)
             .with_seed(9);
-        let (via_generic, _) = run(&params, FIXED_RATE, |c| c);
+        let via_generic = run(&params, FIXED_RATE, |c| c);
         let direct = run_fixed_rate(params);
         assert_eq!(via_generic.requests, direct.requests);
         assert_eq!(
@@ -702,7 +650,7 @@ mod tests {
         let params = ScenarioParams::fixed_rate(8, Mode::Stack, 0.5)
             .with_generation_rounds(12)
             .with_seed(17);
-        let (result, _) = run(&params, FIXED_RATE, |c| format!("undo-{c}"));
+        let result = run(&params, FIXED_RATE, |c| format!("undo-{c}"));
         assert_eq!(result.requests, 120);
         assert!(result.consistent);
     }
